@@ -41,6 +41,7 @@ import (
 	"runtime"
 	"time"
 
+	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
 	"dbtf/internal/core"
 	"dbtf/internal/tensor"
@@ -171,7 +172,7 @@ const (
 func ParseInitScheme(s string) (InitScheme, error) { return core.ParseInitScheme(s) }
 
 // MaxRank is the largest supported decomposition rank.
-const MaxRank = 64
+const MaxRank = boolmat.MaxRank
 
 // ErrPreempted is returned (wrapped) by Factorize when Options.Preempt
 // stops a run at an iteration boundary; the checkpoint written at that

@@ -530,7 +530,6 @@ type stageState struct {
 	specWins int64
 	//dbtf:guardedby mu
 	specLaunch int64
-	losses     int // machine losses injected at this stage's boundary; written only before the stage starts
 }
 
 func (st *stageState) charge(machine int, nanos int64) {
@@ -545,72 +544,93 @@ func (st *stageState) bump(counter *int64) {
 	st.mu.Unlock()
 }
 
+// transition is one machine liveness change applied at a stage boundary.
+type transition struct {
+	machine int
+	up      bool
+}
+
+// setLiveLocked applies one liveness transition to the books — the single
+// statement of what a loss and a rejoin cost, whether a FaultPlan drew it
+// or a transport observed it — and reports whether anything changed. A
+// loss marks the machine dead as of stage and leaves a recovery pending
+// for the next successful stage; a rejoin counts as a completed recovery.
+// Either way one machine (the survivor taking over, or the rejoiner)
+// re-fetches the broadcast working set over a single link. The last live
+// machine is never marked dead: reassignment needs a survivor.
+func (c *Cluster) setLiveLocked(m int, up bool, stage int64) bool {
+	if up == c.alive[m] || (!up && c.aliveCount <= 1) {
+		return false
+	}
+	c.alive[m] = up
+	if up {
+		c.aliveCount++
+		c.st.Recoveries++
+	} else {
+		c.aliveCount--
+		c.diedAt[m] = stage
+		c.st.MachineLosses++
+		c.pendingRecoveries++
+	}
+	c.chargeRecoveryLocked(c.liveBroadcast)
+	return true
+}
+
+// announce publishes applied transitions, in order, as boundary trace
+// events and then invokes the loss handler for every machine lost. Called
+// outside the lock: handlers record recovery traffic through
+// Shuffle/Collect, which take the lock themselves.
+func (c *Cluster) announce(applied []transition, stage, sim, recoveryBytes int64, handler func(machine int)) {
+	if c.tracer.Enabled() {
+		for _, tr := range applied {
+			typ := trace.MachineLoss
+			if tr.up {
+				typ = trace.MachineRejoin
+			}
+			ev := trace.NewEvent(typ)
+			ev.Stage, ev.Machine, ev.Bytes, ev.SimNanos = stage, tr.machine, recoveryBytes, sim
+			c.tracer.Emit(ev)
+		}
+	}
+	if handler != nil {
+		for _, tr := range applied {
+			if !tr.up {
+				handler(tr.machine)
+			}
+		}
+	}
+}
+
 // beginStage numbers the stage, applies scheduled machine rejoins and
 // losses at its boundary, invokes the loss handler for every machine lost,
 // and returns fresh per-stage accounting. Liveness events and the stage's
 // begin event are emitted at the boundary, before any task runs — losses
 // are therefore never inside a stage span on the trace.
 func (c *Cluster) beginStage(ctx context.Context, name string, n int, fn func(int) error) *stageState {
-	var losses, rejoins []int
-	var recoveryBytes int64
+	var applied []transition
 	c.mu.Lock()
 	stage := c.st.Stages
 	c.st.Stages++
 	c.st.Tasks += int64(n)
 	beginSim := c.simNanos
+	recoveryBytes := c.liveBroadcast
 	if c.faults != nil && c.faults.lossesPossible() {
-		recoveryBytes = c.liveBroadcast
-		if c.faults.MachineRejoinAfter > 0 {
+		if after := int64(c.faults.MachineRejoinAfter); after > 0 {
 			for m := range c.alive {
-				if !c.alive[m] && stage-c.diedAt[m] >= int64(c.faults.MachineRejoinAfter) {
-					c.alive[m] = true
-					c.aliveCount++
-					// The rejoining machine re-fetches the broadcast
-					// working set before taking tasks again.
-					c.chargeRecoveryLocked(c.liveBroadcast)
-					c.st.Recoveries++
-					rejoins = append(rejoins, m)
+				if !c.alive[m] && stage-c.diedAt[m] >= after && c.setLiveLocked(m, true, stage) {
+					applied = append(applied, transition{m, true})
 				}
 			}
 		}
 		for m := range c.alive {
-			if !c.alive[m] || c.aliveCount <= 1 {
-				continue // never kill the last live machine
-			}
-			if c.faults.drawMachineLoss(stage, m) {
-				c.alive[m] = false
-				c.aliveCount--
-				c.diedAt[m] = stage
-				c.st.MachineLosses++
-				c.pendingRecoveries++
-				// The survivor taking over re-fetches the broadcast
-				// working set the dead machine held.
-				c.chargeRecoveryLocked(c.liveBroadcast)
-				losses = append(losses, m)
+			if c.faults.drawMachineLoss(stage, m) && c.setLiveLocked(m, false, stage) {
+				applied = append(applied, transition{m, false})
 			}
 		}
 	}
 	handler := c.lossHandler
 	c.mu.Unlock()
-	if c.tracer.Enabled() {
-		for _, m := range rejoins {
-			ev := trace.NewEvent(trace.MachineRejoin)
-			ev.Stage, ev.Machine, ev.Bytes, ev.SimNanos = stage, m, recoveryBytes, beginSim
-			c.tracer.Emit(ev)
-		}
-		for _, m := range losses {
-			ev := trace.NewEvent(trace.MachineLoss)
-			ev.Stage, ev.Machine, ev.Bytes, ev.SimNanos = stage, m, recoveryBytes, beginSim
-			c.tracer.Emit(ev)
-		}
-	}
-	if handler != nil {
-		// Outside the lock: handlers record recovery traffic through
-		// Shuffle/Collect, which take the lock themselves.
-		for _, m := range losses {
-			handler(m)
-		}
-	}
+	c.announce(applied, stage, beginSim, recoveryBytes, handler)
 	if c.tracer.Enabled() {
 		ev := trace.NewEvent(trace.StageBegin)
 		ev.Stage, ev.Name, ev.Tasks, ev.SimNanos = stage, name, n, beginSim
@@ -620,7 +640,6 @@ func (c *Cluster) beginStage(ctx context.Context, name string, n int, fn func(in
 		ctx: ctx, fn: fn,
 		stage: stage, label: name, beginSim: beginSim,
 		perMachine: make([]int64, c.machines),
-		losses:     len(losses),
 	}
 }
 

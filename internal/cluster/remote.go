@@ -9,13 +9,6 @@ import (
 	"dbtf/internal/transport"
 )
 
-// Remote reports whether the cluster executes remote-capable stages on a
-// real transport instead of the simulated pool. Clients gate
-// state-replication pushes (PushState) on it; everything else — stage
-// structure, traffic accounting, driver sections — is identical on both
-// backends.
-func (c *Cluster) Remote() bool { return c.transport != nil }
-
 // RunStage executes one partition-parallel stage described by spec. On the
 // simulated backend (the default) it is exactly ForEachNamed(spec.Name,
 // spec.Tasks, local): same stage numbering, chaos injection, retries, and
@@ -64,20 +57,27 @@ func (c *Cluster) runStageRemote(ctx context.Context, spec transport.Spec, sink 
 	return nil
 }
 
-// PushState replicates one state blob to every live remote executor; on
-// the simulated backend it is a no-op (the "executors" share the
-// coordinator's memory). The wire volume is emitted as a trace
-// measurement; the modeled broadcast traffic is recorded separately by the
-// caller through Broadcast/BroadcastState, identically on both backends.
-func (c *Cluster) PushState(ctx context.Context, kind transport.StateKind, payload []byte) error {
+// PushState replicates one state blob to every live remote executor. The
+// blob is produced by encode only when there is an executor to ship it to:
+// on the simulated backend the "executors" share the coordinator's memory,
+// so nothing is encoded and the call is free — which is what lets clients
+// replicate state unconditionally instead of asking which backend they are
+// on. The wire volume is emitted as a trace measurement; the modeled
+// broadcast traffic is recorded separately by the caller through
+// Broadcast/BroadcastState, identically on both backends.
+func (c *Cluster) PushState(ctx context.Context, kind transport.StateKind, encode func() ([]byte, error)) error {
 	if c.transport == nil {
 		return nil
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	payload, err := encode()
+	if err != nil {
+		return fmt.Errorf("cluster: state push %q: %w", kind.String(), err)
+	}
 	sentBefore, recvBefore := c.transport.WireBytes()
-	err := c.transport.PushState(ctx, kind, payload)
+	err = c.transport.PushState(ctx, kind, payload)
 	sentAfter, recvAfter := c.transport.WireBytes()
 	c.emitWire("state:"+kind.String(), -1, (sentAfter-sentBefore)+(recvAfter-recvBefore))
 	if err != nil {
@@ -87,76 +87,29 @@ func (c *Cluster) PushState(ctx context.Context, kind transport.StateKind, paylo
 }
 
 // applyLiveness applies transport-observed machine transitions to the
-// engine's liveness books, in detection order, with the same accounting as
-// FaultPlan losses at a simulated stage boundary: the survivor (or the
-// rejoining machine) re-fetches the broadcast working set over one link,
-// losses invoke the registered loss handler, and every transition is
-// emitted as a boundary trace event.
+// engine's liveness books, in detection order, through the same
+// setLiveLocked/announce pair that applies FaultPlan losses at a simulated
+// stage boundary — so a real loss costs, counts and traces exactly like an
+// injected one.
 func (c *Cluster) applyLiveness(events []transport.LivenessEvent) {
 	if len(events) == 0 {
 		return
-	}
-	type transition struct {
-		machine int
-		up      bool
 	}
 	var applied []transition
 	c.mu.Lock()
 	stage := c.st.Stages
 	recoveryBytes := c.liveBroadcast
 	for _, ev := range events {
-		m := ev.Machine
-		if m < 0 || m >= c.machines {
-			continue
+		// A transport with no live executor fails the next Run; the books
+		// keep a survivor regardless (see setLiveLocked).
+		if ev.Machine >= 0 && ev.Machine < c.machines && c.setLiveLocked(ev.Machine, ev.Up, stage) {
+			applied = append(applied, transition{ev.Machine, ev.Up})
 		}
-		if ev.Up {
-			if c.alive[m] {
-				continue
-			}
-			c.alive[m] = true
-			c.aliveCount++
-			c.chargeRecoveryLocked(recoveryBytes)
-			c.st.Recoveries++
-			applied = append(applied, transition{m, true})
-			continue
-		}
-		if !c.alive[m] || c.aliveCount <= 1 {
-			// Never mark the last live machine dead: reassignment needs a
-			// survivor. A transport with no live executor fails the next
-			// Run instead.
-			continue
-		}
-		c.alive[m] = false
-		c.aliveCount--
-		c.diedAt[m] = stage
-		c.st.MachineLosses++
-		c.pendingRecoveries++
-		c.chargeRecoveryLocked(recoveryBytes)
-		applied = append(applied, transition{m, false})
 	}
 	handler := c.lossHandler
 	beginSim := c.simNanos
 	c.mu.Unlock()
-	if c.tracer.Enabled() {
-		for _, tr := range applied {
-			typ := trace.MachineLoss
-			if tr.up {
-				typ = trace.MachineRejoin
-			}
-			ev := trace.NewEvent(typ)
-			ev.Stage, ev.Machine, ev.Bytes, ev.SimNanos = stage, tr.machine, recoveryBytes, beginSim
-			c.tracer.Emit(ev)
-		}
-	}
-	if handler != nil {
-		// Outside the lock: handlers record recovery traffic through
-		// Shuffle/Collect, which take the lock themselves.
-		for _, tr := range applied {
-			if !tr.up {
-				handler(tr.machine)
-			}
-		}
-	}
+	c.announce(applied, stage, beginSim, recoveryBytes, handler)
 }
 
 // emitWire publishes one real-socket traffic measurement. Wire bytes are

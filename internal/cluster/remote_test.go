@@ -68,9 +68,6 @@ func TestRunStageRemoteDeliversAndAccounts(t *testing.T) {
 		return []byte{byte(task)}, nil
 	}}
 	c := New(Config{Machines: 3, Transport: ft})
-	if !c.Remote() {
-		t.Fatal("Remote() = false with a transport configured")
-	}
 	var got []int
 	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 5}
 	err := c.RunStage(context.Background(), spec, func(int) error {
@@ -95,6 +92,36 @@ func TestRunStageRemoteDeliversAndAccounts(t *testing.T) {
 	}
 	if st.TaskNanos != 5000 {
 		t.Fatalf("TaskNanos=%d, want 5000 (executor-measured nanos)", st.TaskNanos)
+	}
+}
+
+// TestPushStateEncodesOnlyForATransport pins the contract that lets clients
+// replicate state without asking which backend they run on: the simulated
+// backend never calls the encoder (a push costs nothing), a transport gets
+// exactly the encoded blob, and an encoder failure is a push failure.
+func TestPushStateEncodesOnlyForATransport(t *testing.T) {
+	blob := func() ([]byte, error) { return []byte("state"), nil }
+	sim := New(Config{Machines: 2})
+	err := sim.PushState(context.Background(), transport.StateFactors, func() ([]byte, error) {
+		t.Fatal("encoder ran on the simulated backend")
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatalf("simulated PushState: %v", err)
+	}
+	ft := &fakeTransport{machines: 2}
+	remote := New(Config{Machines: 2, Transport: ft})
+	if err := remote.PushState(context.Background(), transport.StateFactors, blob); err != nil {
+		t.Fatalf("remote PushState: %v", err)
+	}
+	if got := ft.sent.Load(); got != int64(len("state")) {
+		t.Fatalf("transport received %d bytes, want %d", got, len("state"))
+	}
+	err = remote.PushState(context.Background(), transport.StateSetup, func() ([]byte, error) {
+		return nil, errors.New("cannot encode")
+	})
+	if err == nil || !strings.Contains(err.Error(), "cannot encode") || ft.sent.Load() != int64(len("state")) {
+		t.Fatalf("failed encoder: err=%v sent=%d, want the encoder's error and nothing shipped", err, ft.sent.Load())
 	}
 }
 

@@ -8,17 +8,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 
 	"dbtf/internal/boolmat"
 	"dbtf/internal/tensor"
 )
-
-// CheckpointFile is the legacy (pre-namespacing) checkpoint name inside
-// Options.CheckpointDir. New checkpoints are written under
-// CheckpointFileName(fingerprint) so that concurrent jobs sharing one
-// directory never collide; readCheckpoint still falls back to this name so
-// directories written by older builds keep resuming.
-const CheckpointFile = "checkpoint.dbtf"
 
 // CheckpointFileName returns the checkpoint file name for a run with the
 // given config+tensor fingerprint (see Fingerprint). Namespacing the file
@@ -30,20 +24,13 @@ func CheckpointFileName(fp uint64) string {
 	return fmt.Sprintf("checkpoint-%016x.dbtf", fp)
 }
 
-// checkpointMagicPrefix identifies the checkpoint format; the byte after
-// it is the format version (checkpointV1 or checkpointV2).
-var checkpointMagicPrefix = [7]byte{'D', 'B', 'T', 'F', 'C', 'K', 'P'}
-
-const (
-	// checkpointV1 is the original layout: the init configuration is only
-	// folded into the fingerprint, not recorded readably.
-	checkpointV1 = 0x01
-	// checkpointV2 additionally records the resolved init scheme and its
-	// parameters right after the fingerprint, so a resume under a changed
-	// init configuration can name the mismatch instead of reporting an
-	// opaque fingerprint difference. New checkpoints are written as v2.
-	checkpointV2 = 0x02
-)
+// checkpointMagic identifies the checkpoint format: "DBTFCKP" followed by
+// the format version. There is one: 0x02, which records the resolved init
+// configuration after the fingerprint so a resume under a changed one can
+// name the mismatch. 0x01 images lacked those fields; none was ever written
+// outside this repository's tests, so they are rejected like any other
+// unknown version.
+var checkpointMagic = [8]byte{'D', 'B', 'T', 'F', 'C', 'K', 'P', 0x02}
 
 // checkpoint is a durable snapshot of a decomposition at an iteration
 // boundary: everything Decompose needs to continue the run bit-identically
@@ -51,12 +38,12 @@ const (
 //
 // Binary layout (all integers little-endian):
 //
-//	magic      8 bytes  "DBTFCKP" + version (0x01 or 0x02)
+//	magic      8 bytes  "DBTFCKP" + version 0x02
 //	payload:
 //	  fingerprint      u64   config+tensor fingerprint (see fingerprint)
-//	  init             u32   resolved InitScheme            (v2 only)
-//	  initDensity      u64   float64 bits of InitDensity    (v2 only)
-//	  initialSets      u32   resolved InitialSets           (v2 only)
+//	  init             u32   resolved InitScheme
+//	  initDensity      u64   float64 bits of InitDensity
+//	  initialSets      u32   resolved InitialSets
 //	  iteration        u32   completed iterations
 //	  converged        u8    1 if the convergence criterion already fired
 //	  rngDraws         u64   source draws consumed by initialization
@@ -66,10 +53,6 @@ const (
 //	  A, B, C          boolmat.AppendBinary layout each
 //	crc32      u32  IEEE checksum of magic+payload
 type checkpoint struct {
-	// Version is the decoded image's format version; the zero value means
-	// "current" on encode. Decoded v1 images re-encode as v1 so that
-	// decode∘encode is the identity on every valid image.
-	Version         byte
 	Fingerprint     uint64
 	Iteration       int
 	Converged       bool
@@ -78,9 +61,8 @@ type checkpoint struct {
 	InitialErrors   []int64
 	IterationErrors []int64
 	A, B, C         *boolmat.FactorMatrix
-	// Init, InitDensity and InitialSets mirror the resolved options the
-	// checkpoint was written under (v2 images only; a v1 image leaves
-	// Init = -1 to mean "not recorded").
+	// Init, InitDensity and InitialSets are the run configuration's resolved
+	// init fields at the time of writing.
 	Init        InitScheme
 	InitDensity float64
 	InitialSets int
@@ -88,18 +70,11 @@ type checkpoint struct {
 
 func (ck *checkpoint) encode() []byte {
 	le := binary.LittleEndian
-	version := ck.Version
-	if version == 0 {
-		version = checkpointV2
-	}
-	buf := append([]byte(nil), checkpointMagicPrefix[:]...)
-	buf = append(buf, version)
+	buf := append([]byte(nil), checkpointMagic[:]...)
 	buf = le.AppendUint64(buf, ck.Fingerprint)
-	if version >= checkpointV2 {
-		buf = le.AppendUint32(buf, uint32(ck.Init))
-		buf = le.AppendUint64(buf, math.Float64bits(ck.InitDensity))
-		buf = le.AppendUint32(buf, uint32(ck.InitialSets))
-	}
+	buf = le.AppendUint32(buf, uint32(ck.Init))
+	buf = le.AppendUint64(buf, math.Float64bits(ck.InitDensity))
+	buf = le.AppendUint32(buf, uint32(ck.InitialSets))
 	buf = le.AppendUint32(buf, uint32(ck.Iteration))
 	conv := byte(0)
 	if ck.Converged {
@@ -120,63 +95,55 @@ func (ck *checkpoint) encode() []byte {
 	return le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// cursor is a bounds-checked little-endian reader over the payload;
-// every read reports truncation instead of slicing out of range.
-type cursor struct{ data []byte }
+// cursor is a bounds-checked little-endian reader over the payload. The
+// first read past the end (or malformed factor) sets err and every later
+// read yields zero values, so a decoder reads its fields straight through
+// and checks err once: truncation is reported, never sliced out of range.
+type cursor struct {
+	data []byte
+	err  error
+}
 
-func (c *cursor) take(n int) ([]byte, error) {
-	if len(c.data) < n {
-		return nil, fmt.Errorf("core: checkpoint truncated: %d bytes left, want %d", len(c.data), n)
+func (c *cursor) take(n int) []byte {
+	if c.err == nil && len(c.data) < n {
+		c.err = fmt.Errorf("core: checkpoint truncated: %d bytes left, want %d", len(c.data), n)
+	}
+	if c.err != nil {
+		return make([]byte, n)
 	}
 	b := c.data[:n]
 	c.data = c.data[n:]
-	return b, nil
+	return b
 }
 
-func (c *cursor) u32() (uint32, error) {
-	b, err := c.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
+func (c *cursor) u32() uint32 { return binary.LittleEndian.Uint32(c.take(4)) }
 
-func (c *cursor) u64() (uint64, error) {
-	b, err := c.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
+func (c *cursor) u64() uint64 { return binary.LittleEndian.Uint64(c.take(8)) }
 
-func (c *cursor) i64s() ([]int64, error) {
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
+func (c *cursor) i64s() []int64 {
+	n := c.u32()
 	// The count is bounded by the bytes actually present before anything
 	// is allocated, so a corrupt length cannot force a huge allocation.
-	if uint64(len(c.data)) < uint64(n)*8 {
-		return nil, fmt.Errorf("core: checkpoint truncated: %d bytes left, want %d errors", len(c.data), n)
+	if c.err == nil && uint64(len(c.data)) < uint64(n)*8 {
+		c.err = fmt.Errorf("core: checkpoint truncated: %d bytes left, want %d errors", len(c.data), n)
+	}
+	if c.err != nil {
+		return nil
 	}
 	out := make([]int64, n)
 	for i := range out {
-		v, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = int64(v)
+		out[i] = int64(c.u64())
 	}
-	return out, nil
+	return out
 }
 
-func (c *cursor) factor() (*boolmat.FactorMatrix, error) {
-	m, rest, err := boolmat.DecodeBinaryFactor(c.data)
-	if err != nil {
-		return nil, err
+func (c *cursor) factor() *boolmat.FactorMatrix {
+	if c.err != nil {
+		return nil
 	}
-	c.data = rest
-	return m, nil
+	var m *boolmat.FactorMatrix
+	m, c.data, c.err = boolmat.DecodeBinaryFactor(c.data)
+	return m
 }
 
 // decodeCheckpoint parses and verifies a checkpoint image. Corrupt or
@@ -184,74 +151,39 @@ func (c *cursor) factor() (*boolmat.FactorMatrix, error) {
 // valid checkpoint: the CRC over the full image is verified before any
 // field is parsed.
 func decodeCheckpoint(data []byte) (*checkpoint, error) {
-	if len(data) < len(checkpointMagicPrefix)+1+4 {
+	if len(data) < len(checkpointMagic)+4 {
 		return nil, fmt.Errorf("core: checkpoint too short: %d bytes", len(data))
 	}
 	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
 	if got := crc32.ChecksumIEEE(body); got != sum {
 		return nil, fmt.Errorf("core: checkpoint checksum mismatch: %#x != %#x", got, sum)
 	}
-	if [7]byte(body[:7]) != checkpointMagicPrefix {
+	if [7]byte(body[:7]) != [7]byte(checkpointMagic[:7]) {
 		return nil, fmt.Errorf("core: bad checkpoint magic %q", body[:8])
 	}
-	version := body[7]
-	if version != checkpointV1 && version != checkpointV2 {
-		return nil, fmt.Errorf("core: unsupported checkpoint version %#x", version)
+	if body[7] != checkpointMagic[7] {
+		return nil, fmt.Errorf("core: unsupported checkpoint version %#x", body[7])
 	}
 	c := &cursor{data: body[8:]}
-	ck := &checkpoint{Version: version, Init: -1}
-	var err error
-	if ck.Fingerprint, err = c.u64(); err != nil {
-		return nil, err
+	ck := &checkpoint{
+		Fingerprint: c.u64(),
+		Init:        InitScheme(int32(c.u32())),
+		InitDensity: math.Float64frombits(c.u64()),
+		InitialSets: int(c.u32()),
+		Iteration:   int(c.u32()),
 	}
-	if version >= checkpointV2 {
-		init, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		ck.Init = InitScheme(int32(init))
-		density, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		ck.InitDensity = math.Float64frombits(density)
-		sets, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		ck.InitialSets = int(sets)
+	conv := c.take(1)[0]
+	ck.Converged = conv == 1
+	ck.RNGDraws = c.u64()
+	ck.PrevErr = int64(c.u64())
+	ck.InitialErrors = c.i64s()
+	ck.IterationErrors = c.i64s()
+	ck.A, ck.B, ck.C = c.factor(), c.factor(), c.factor()
+	if c.err != nil {
+		return nil, c.err
 	}
-	iter, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	ck.Iteration = int(iter)
-	conv, err := c.take(1)
-	if err != nil {
-		return nil, err
-	}
-	if conv[0] > 1 {
-		return nil, fmt.Errorf("core: checkpoint converged flag %d not 0/1", conv[0])
-	}
-	ck.Converged = conv[0] == 1
-	if ck.RNGDraws, err = c.u64(); err != nil {
-		return nil, err
-	}
-	prev, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	ck.PrevErr = int64(prev)
-	if ck.InitialErrors, err = c.i64s(); err != nil {
-		return nil, err
-	}
-	if ck.IterationErrors, err = c.i64s(); err != nil {
-		return nil, err
-	}
-	for _, m := range []**boolmat.FactorMatrix{&ck.A, &ck.B, &ck.C} {
-		if *m, err = c.factor(); err != nil {
-			return nil, err
-		}
+	if conv > 1 {
+		return nil, fmt.Errorf("core: checkpoint converged flag %d not 0/1", conv)
 	}
 	if len(c.data) != 0 {
 		return nil, fmt.Errorf("core: checkpoint has %d trailing bytes", len(c.data))
@@ -321,18 +253,12 @@ func writeCheckpoint(dir string, ck *checkpoint) (int64, error) {
 }
 
 // readCheckpoint loads the checkpoint for the run with fingerprint fp from
-// dir: first the fingerprint-namespaced file, then the legacy un-namespaced
-// CheckpointFile (directories written by older builds — the caller's
-// fingerprint check still rejects a legacy checkpoint from a different
-// configuration). A missing file returns (nil, nil): resuming a run that
-// was killed before its first checkpoint boundary simply starts fresh.
+// dir. A missing file returns (nil, nil): resuming a run that was killed
+// before its first checkpoint boundary simply starts fresh.
 func readCheckpoint(dir string, fp uint64) (*checkpoint, error) {
 	data, err := os.ReadFile(filepath.Join(dir, CheckpointFileName(fp)))
 	if os.IsNotExist(err) {
-		data, err = os.ReadFile(filepath.Join(dir, CheckpointFile))
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
+		return nil, nil
 	}
 	if err != nil {
 		return nil, err
@@ -341,22 +267,30 @@ func readCheckpoint(dir string, fp uint64) (*checkpoint, error) {
 }
 
 // fingerprint hashes (FNV-1a 64) everything that determines a
-// decomposition's trajectory: the resolved options that influence results,
-// the cluster size, and the tensor's dims and nonzero coordinates. Resume
-// refuses a checkpoint whose fingerprint differs — continuing under a
-// changed config or tensor could not be bit-identical to an uninterrupted
-// run. Checkpoint placement (CheckpointDir, CheckpointEvery, Resume) and
-// Trace are excluded: they affect durability, not results.
-func fingerprint(x *tensor.Tensor, opt Options, machines int) uint64 {
+// decomposition's trajectory: the run configuration — every field of
+// runConfig, in declaration order, so a field added there is hashed without
+// being listed again here — and the tensor's dims and nonzero coordinates.
+// Resume refuses a checkpoint whose fingerprint differs — continuing under
+// a changed config or tensor could not be bit-identical to an uninterrupted
+// run.
+func fingerprint(x *tensor.Tensor, cfg runConfig) uint64 {
 	h := fnv64a{sum: 14695981039346656037}
-	for _, v := range []uint64{
-		uint64(opt.Rank), uint64(opt.MaxIter), uint64(opt.MinIter),
-		uint64(opt.InitialSets), uint64(opt.Partitions), uint64(opt.GroupBits),
-		uint64(opt.Tolerance), uint64(opt.Init), math.Float64bits(opt.InitDensity),
-		uint64(opt.Seed), boolBit(opt.NoCache), boolBit(opt.Horizontal),
-		uint64(machines),
-	} {
-		h.u64(v)
+	fields := reflect.ValueOf(cfg)
+	for n := 0; n < fields.NumField(); n++ {
+		switch f := fields.Field(n); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			h.u64(uint64(f.Int()))
+		case reflect.Float64:
+			h.u64(math.Float64bits(f.Float()))
+		case reflect.Bool:
+			if f.Bool() {
+				h.u64(1)
+			} else {
+				h.u64(0)
+			}
+		default:
+			panic(fmt.Sprintf("core: runConfig field %s has unhashable kind %v", fields.Type().Field(n).Name, f.Kind()))
+		}
 	}
 	i, j, k := x.Dims()
 	coords := x.Coords()
@@ -380,11 +314,11 @@ func fingerprint(x *tensor.Tensor, opt Options, machines int) uint64 {
 // CheckpointFileName) and as a job-scoped RNG/config identity when
 // verifying bit-identical resumption.
 func Fingerprint(x *tensor.Tensor, opts Options, machines int) (uint64, error) {
-	opt, err := opts.withDefaults(x, machines)
+	cfg, err := opts.withDefaults(x, machines)
 	if err != nil {
 		return 0, err
 	}
-	return fingerprint(x, opt, machines), nil
+	return fingerprint(x, cfg), nil
 }
 
 type fnv64a struct{ sum uint64 }
@@ -394,13 +328,6 @@ func (h *fnv64a) u64(v uint64) {
 		h.sum ^= uint64(byte(v >> (8 * i)))
 		h.sum *= 1099511628211
 	}
-}
-
-func boolBit(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // countingSource wraps a rand.Source64 and counts its draws. Every value

@@ -122,24 +122,6 @@ func TestReadCheckpointMissingIsFreshStart(t *testing.T) {
 	}
 }
 
-func TestReadCheckpointLegacyFallback(t *testing.T) {
-	// A directory written by a pre-namespacing build holds the checkpoint
-	// under the bare legacy name; readCheckpoint must still find it.
-	dir := t.TempDir()
-	ck := testCheckpoint()
-	if _, err := writeCheckpoint(dir, ck); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(filepath.Join(dir, CheckpointFileName(ck.Fingerprint)),
-		filepath.Join(dir, CheckpointFile)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readCheckpoint(dir, ck.Fingerprint)
-	if err != nil || got == nil || !checkpointsEqual(ck, got) {
-		t.Fatalf("legacy checkpoint not read back: %v, %v", got, err)
-	}
-}
-
 func TestCountingSourceFastForward(t *testing.T) {
 	a := newCountingSource(99)
 	rng := rand.New(a)
@@ -266,9 +248,10 @@ func TestResumeMissingCheckpointStartsFresh(t *testing.T) {
 }
 
 func TestResumeRejectsFingerprintMismatch(t *testing.T) {
-	// Legacy (un-namespaced) checkpoint files carry no config identity in
-	// their name, so resuming under a changed config finds the stale file
-	// through the fallback and must refuse it explicitly.
+	// A checkpoint file's name carries its run's identity, but the image is
+	// what is trusted: an image written under another config that ends up
+	// under this run's name (a copied directory, a renamed file) must be
+	// refused explicitly, not continued.
 	rng := rand.New(rand.NewSource(11))
 	x, _, _, _ := plantedTensor(rng, 10, 10, 10, 2, 0.3)
 	dir := t.TempDir()
@@ -276,16 +259,20 @@ func TestResumeRejectsFingerprintMismatch(t *testing.T) {
 	if _, err := Decompose(context.Background(), x, testCluster(2), opt); err != nil {
 		t.Fatal(err)
 	}
-	fp, err := Fingerprint(x, opt, 2)
+	fpOld, err := Fingerprint(x, opt, 2)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(filepath.Join(dir, CheckpointFileName(fp)),
-		filepath.Join(dir, CheckpointFile)); err != nil {
 		t.Fatal(err)
 	}
 	opt.Seed = 6
 	opt.Resume = true
+	fpNew, err := Fingerprint(x, opt, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(dir, CheckpointFileName(fpOld)),
+		filepath.Join(dir, CheckpointFileName(fpNew))); err != nil {
+		t.Fatal(err)
+	}
 	_, err = Decompose(context.Background(), x, testCluster(2), opt)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("resume under a changed config returned %v, want fingerprint mismatch", err)
@@ -463,9 +450,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 	small := &checkpoint{Iteration: 1, PrevErr: 9, IterationErrors: []int64{9},
 		A: boolmat.NewFactor(1, 1), B: boolmat.NewFactor(1, 1), C: boolmat.NewFactor(0, 1)}
 	f.Add(small.encode())
-	v1 := testCheckpoint()
-	v1.Version = checkpointV1
-	f.Add(v1.encode())
+	withInit := testCheckpoint()
+	withInit.Init, withInit.InitDensity, withInit.InitialSets = InitRandom, 0.25, 3
+	f.Add(withInit.encode())
 	f.Add([]byte("DBTFCKP\x01 garbage"))
 	f.Add([]byte("DBTFCKP\x02 garbage"))
 	f.Add([]byte{})
@@ -482,31 +469,6 @@ func FuzzCheckpointDecode(f *testing.F) {
 	})
 }
 
-func TestCheckpointV1DecodesAndReencodesCanonically(t *testing.T) {
-	// A v1 image (written by a pre-init-field build) must still decode,
-	// report "init not recorded" (Init = -1), and re-encode byte-identically
-	// in its own layout — the fuzz canonicality property, pinned explicitly.
-	v1 := testCheckpoint()
-	v1.Version = checkpointV1
-	img := v1.encode()
-	if img[7] != checkpointV1 {
-		t.Fatalf("version byte %#x, want v1", img[7])
-	}
-	got, err := decodeCheckpoint(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != checkpointV1 || got.Init != -1 {
-		t.Fatalf("decoded v1: Version %#x Init %d, want v1 with Init sentinel -1", got.Version, got.Init)
-	}
-	if !checkpointsEqual(v1, got) {
-		t.Fatal("v1 roundtrip mismatch")
-	}
-	if re := got.encode(); string(re) != string(img) {
-		t.Fatal("v1 image does not re-encode canonically")
-	}
-}
-
 func TestCheckpointV2RecordsInitConfig(t *testing.T) {
 	ck := testCheckpoint()
 	ck.Init = InitTopFiber
@@ -516,27 +478,31 @@ func TestCheckpointV2RecordsInitConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != checkpointV2 || got.Init != InitTopFiber ||
-		got.InitDensity != 0.25 || got.InitialSets != 3 {
+	if got.Init != InitTopFiber || got.InitDensity != 0.25 || got.InitialSets != 3 {
 		t.Fatalf("v2 init fields not round-tripped: %+v", got)
 	}
 }
 
 func TestCheckpointDecodeRejectsUnknownVersion(t *testing.T) {
-	img := testCheckpoint().encode()
-	img[7] = 0x03
-	// Re-seal the CRC so only the version check can reject it.
-	body := img[:len(img)-4]
-	binary.LittleEndian.PutUint32(img[len(img)-4:], crc32.ChecksumIEEE(body))
-	if _, err := decodeCheckpoint(img); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("unknown version decoded: %v", err)
+	// 0x01 is the retired pre-init-field layout: no such file exists outside
+	// this repository's history, so it is as unknown as a future version.
+	for _, version := range []byte{0x00, 0x01, 0x03, 0xff} {
+		img := testCheckpoint().encode()
+		img[7] = version
+		// Re-seal the CRC so only the version check can reject it.
+		body := img[:len(img)-4]
+		binary.LittleEndian.PutUint32(img[len(img)-4:], crc32.ChecksumIEEE(body))
+		if _, err := decodeCheckpoint(img); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version %#x decoded: %v", version, err)
+		}
 	}
 }
 
 func TestResumeRejectsInitSchemeMismatch(t *testing.T) {
-	// Satellite of ISSUE 10: a legacy (un-namespaced) checkpoint written
-	// under one init scheme, resumed under another, must name the scheme
-	// mismatch instead of reporting an opaque fingerprint difference.
+	// An image written under one init scheme that ends up under the name of
+	// a run using another (see TestResumeRejectsFingerprintMismatch) must
+	// name the scheme mismatch instead of reporting an opaque fingerprint
+	// difference: the checkpoint records its init configuration readably.
 	rng := rand.New(rand.NewSource(41))
 	x, _, _, _ := plantedTensor(rng, 12, 10, 8, 2, 0.3)
 	dir := t.TempDir()
@@ -544,16 +510,20 @@ func TestResumeRejectsInitSchemeMismatch(t *testing.T) {
 	if _, err := Decompose(context.Background(), x, testCluster(2), opt); err != nil {
 		t.Fatal(err)
 	}
-	fp, err := Fingerprint(x, opt, 2)
+	fpOld, err := Fingerprint(x, opt, 2)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(filepath.Join(dir, CheckpointFileName(fp)),
-		filepath.Join(dir, CheckpointFile)); err != nil {
 		t.Fatal(err)
 	}
 	opt.Init = InitTopFiber
 	opt.Resume = true
+	fpNew, err := Fingerprint(x, opt, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(dir, CheckpointFileName(fpOld)),
+		filepath.Join(dir, CheckpointFileName(fpNew))); err != nil {
+		t.Fatal(err)
+	}
 	_, err = Decompose(context.Background(), x, testCluster(2), opt)
 	if err == nil || !strings.Contains(err.Error(), "init scheme") {
 		t.Fatalf("resume under a changed init scheme returned %v, want a named init-scheme mismatch", err)

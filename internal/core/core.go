@@ -23,16 +23,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"runtime/pprof"
 	"strconv"
 	"time"
 
-	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
-	"dbtf/internal/partition"
 	"dbtf/internal/sumcache"
 	"dbtf/internal/tensor"
 	"dbtf/internal/topfiber"
@@ -152,8 +149,8 @@ type Options struct {
 	// checkpointing: after every CheckpointEvery completed iterations (and
 	// at the final one) a versioned snapshot of the factor matrices,
 	// iteration state, and RNG stream state is written atomically to
-	// CheckpointDir/CheckpointFile, so a killed run can be resumed
-	// bit-identically with Resume.
+	// CheckpointDir/CheckpointFileName(fingerprint), so a killed run can be
+	// resumed bit-identically with Resume.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint period k in iterations. Default 1.
 	// Must be >= 1; meaningful only with CheckpointDir.
@@ -189,86 +186,128 @@ const (
 	InitDensityAuto = 0.0
 )
 
-func (o *Options) withDefaults(x *tensor.Tensor, machines int) (Options, error) {
-	opt := *o
-	if opt.Rank < 1 || opt.Rank > boolmat.MaxRank {
-		return opt, fmt.Errorf("core: rank %d outside [1,%d]", opt.Rank, boolmat.MaxRank)
+// runConfig is a run's resolved, result-determining configuration: every
+// option that influences the factors, defaults filled in, plus the cluster
+// size. It is declared once and consumed whole — fingerprint hashes it field
+// by field, encodeSetup ships it to remote executors, the checkpoint records
+// its init fields — so a new result-determining knob is one field here and
+// its rule in Options.resolve, not an entry in four hand-kept lists.
+// Checkpoint placement (CheckpointDir, CheckpointEvery, Resume), Preempt and
+// Trace are deliberately absent: they affect durability and reporting, never
+// results. Fields are exported for gob; fingerprint hashes them in this
+// order.
+type runConfig struct {
+	Rank, MaxIter, MinIter             int
+	InitialSets, Partitions, GroupBits int
+	Tolerance                          int64
+	Init                               InitScheme
+	InitDensity                        float64
+	Seed                               int64
+	NoCache, Horizontal                bool
+	Machines                           int
+}
+
+// Validate checks every rule the options must satisfy that depends on
+// neither the tensor nor the cluster. It is the one statement of those
+// rules: Decompose applies it before anything runs, and front ends (the job
+// server's spec decoder) call it to refuse at submission exactly what the
+// engine would refuse at run time.
+func (o Options) Validate() error {
+	_, err := o.resolve()
+	return err
+}
+
+// resolve validates the options and fills every default that needs neither
+// the tensor nor the cluster; withDefaults completes the rest.
+func (o Options) resolve() (runConfig, error) {
+	cfg := runConfig{
+		Rank: o.Rank, MaxIter: o.MaxIter, MinIter: o.MinIter, InitialSets: o.InitialSets,
+		Partitions: o.Partitions, GroupBits: o.GroupBits, Tolerance: o.Tolerance,
+		Init: o.Init, InitDensity: o.InitDensity, Seed: o.Seed,
+		NoCache: o.NoCache, Horizontal: o.Horizontal,
 	}
-	if opt.MaxIter == 0 {
-		opt.MaxIter = 10
+	if cfg.Rank < 1 || cfg.Rank > boolmat.MaxRank {
+		return cfg, fmt.Errorf("core: rank %d outside [1,%d]", cfg.Rank, boolmat.MaxRank)
 	}
-	if opt.MaxIter < 1 {
-		return opt, fmt.Errorf("core: MaxIter %d < 1", opt.MaxIter)
+	if cfg.MaxIter == 0 {
+		cfg.MaxIter = 10
 	}
-	if opt.MinIter == 0 {
-		opt.MinIter = 1
+	if cfg.MaxIter < 1 {
+		return cfg, fmt.Errorf("core: MaxIter %d < 1", cfg.MaxIter)
 	}
-	if opt.MinIter < 1 || opt.MinIter > opt.MaxIter {
-		return opt, fmt.Errorf("core: MinIter %d outside [1,%d]", opt.MinIter, opt.MaxIter)
+	if cfg.MinIter == 0 {
+		cfg.MinIter = 1
 	}
-	switch {
-	case opt.Init == InitFiberSample || opt.Init == InitRandom || opt.Init == InitTopFiber:
-	default:
-		return opt, fmt.Errorf("core: unknown init scheme %d", int(opt.Init))
+	if cfg.MinIter < 1 || cfg.MinIter > cfg.MaxIter {
+		return cfg, fmt.Errorf("core: MinIter %d outside [1,%d]", cfg.MinIter, cfg.MaxIter)
 	}
-	if opt.InitialSets == InitialSetsAuto {
-		opt.InitialSets = 1
+	if cfg.Init < InitFiberSample || cfg.Init > InitTopFiber {
+		return cfg, fmt.Errorf("core: unknown init scheme %d", int(cfg.Init))
 	}
-	if opt.InitialSets < 1 {
-		return opt, fmt.Errorf("core: InitialSets %d < 1", opt.InitialSets)
+	if cfg.InitialSets == InitialSetsAuto {
+		cfg.InitialSets = 1
 	}
-	if opt.Init == InitTopFiber && opt.InitialSets > 1 {
-		return opt, fmt.Errorf("core: InitialSets %d > 1 is meaningless with the deterministic topfiber init (every set would be identical)", opt.InitialSets)
+	if cfg.InitialSets < 1 {
+		return cfg, fmt.Errorf("core: InitialSets %d < 1", cfg.InitialSets)
 	}
-	if opt.Partitions == 0 {
-		opt.Partitions = machines
+	if cfg.Init == InitTopFiber && cfg.InitialSets > 1 {
+		return cfg, fmt.Errorf("core: InitialSets %d > 1 is meaningless with the deterministic topfiber init (every set would be identical)", cfg.InitialSets)
 	}
-	if opt.Partitions < 1 {
-		return opt, fmt.Errorf("core: Partitions %d < 1", opt.Partitions)
+	if cfg.Partitions < 0 {
+		return cfg, fmt.Errorf("core: Partitions %d < 1", cfg.Partitions)
 	}
-	if opt.GroupBits == 0 {
-		opt.GroupBits = sumcache.DefaultGroupBits
+	if cfg.GroupBits == 0 {
+		cfg.GroupBits = sumcache.DefaultGroupBits
 	}
-	if opt.GroupBits < 1 {
-		return opt, fmt.Errorf("core: GroupBits %d < 1", opt.GroupBits)
+	if cfg.GroupBits < 1 {
+		return cfg, fmt.Errorf("core: GroupBits %d < 1", cfg.GroupBits)
 	}
-	if opt.Tolerance < 0 {
-		return opt, fmt.Errorf("core: Tolerance %d < 0", opt.Tolerance)
+	if cfg.Tolerance < 0 {
+		return cfg, fmt.Errorf("core: Tolerance %d < 0", cfg.Tolerance)
 	}
-	if opt.Init != InitRandom {
+	if cfg.Init != InitRandom && cfg.InitDensity != InitDensityAuto {
 		// InitDensity parameterizes only the random scheme. Rejecting it
 		// elsewhere (rather than ignoring it) also keeps the config
-		// fingerprint honest: an unused parameter must not be auto-filled
-		// from the tensor's density and then hashed.
-		if opt.InitDensity != InitDensityAuto {
-			return opt, fmt.Errorf("core: InitDensity %v is only meaningful with InitRandom (scheme is %v)", opt.InitDensity, opt.Init)
+		// fingerprint honest: an unused parameter must not be hashed.
+		return cfg, fmt.Errorf("core: InitDensity %v is only meaningful with InitRandom (scheme is %v)", cfg.InitDensity, cfg.Init)
+	}
+	if cfg.InitDensity < 0 || cfg.InitDensity > 1 {
+		return cfg, fmt.Errorf("core: InitDensity %v outside [0,1]", cfg.InitDensity)
+	}
+	if o.CheckpointEvery < 0 {
+		return cfg, fmt.Errorf("core: CheckpointEvery %d < 0", o.CheckpointEvery)
+	}
+	if o.CheckpointDir == "" {
+		if o.Resume {
+			return cfg, errors.New("core: Resume requires CheckpointDir")
 		}
-	} else {
-		if opt.InitDensity == InitDensityAuto {
-			d := math.Cbrt(x.Density() / float64(opt.Rank))
-			opt.InitDensity = math.Min(0.5, math.Max(0.01, d))
+		if o.CheckpointEvery > 0 {
+			return cfg, errors.New("core: CheckpointEvery requires CheckpointDir")
 		}
-		if opt.InitDensity < 0 || opt.InitDensity > 1 {
-			return opt, fmt.Errorf("core: InitDensity %v outside [0,1]", opt.InitDensity)
+		if o.Preempt != nil {
+			return cfg, errors.New("core: Preempt requires CheckpointDir (eviction resumes from the checkpoint)")
 		}
 	}
-	if opt.CheckpointEvery < 0 {
-		return opt, fmt.Errorf("core: CheckpointEvery %d < 0", opt.CheckpointEvery)
+	return cfg, nil
+}
+
+// withDefaults resolves the options against the run's tensor and cluster
+// size: the two defaults resolve cannot know (Partitions, the
+// density-matched InitDensity) and the machine count itself.
+func (o Options) withDefaults(x *tensor.Tensor, machines int) (runConfig, error) {
+	cfg, err := o.resolve()
+	if err != nil {
+		return cfg, err
 	}
-	if opt.CheckpointDir == "" {
-		if opt.Resume {
-			return opt, errors.New("core: Resume requires CheckpointDir")
-		}
-		if opt.CheckpointEvery > 0 {
-			return opt, errors.New("core: CheckpointEvery requires CheckpointDir")
-		}
-		if opt.Preempt != nil {
-			return opt, errors.New("core: Preempt requires CheckpointDir (eviction resumes from the checkpoint)")
-		}
-	} else if opt.CheckpointEvery == 0 {
-		opt.CheckpointEvery = 1
+	cfg.Machines = machines
+	if cfg.Partitions == 0 {
+		cfg.Partitions = machines
 	}
-	return opt, nil
+	if cfg.Init == InitRandom && cfg.InitDensity == InitDensityAuto {
+		d := math.Cbrt(x.Density() / float64(cfg.Rank))
+		cfg.InitDensity = math.Min(0.5, math.Max(0.01, d))
+	}
+	return cfg, nil
 }
 
 // ErrPreempted is returned (wrapped) by Decompose when Options.Preempt
@@ -315,7 +354,7 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 	if i == 0 || j == 0 || k == 0 {
 		return nil, fmt.Errorf("core: empty tensor %dx%dx%d", i, j, k)
 	}
-	opt, err := opts.withDefaults(x, cl.Machines())
+	cfg, err := opts.withDefaults(x, cl.Machines())
 	if err != nil {
 		return nil, err
 	}
@@ -323,25 +362,16 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 	//dbtf:allow-nondeterministic wall-clock reporting only (Result.WallTime); no result depends on it
 	start := time.Now()
 	cl.ResetClock()
-	d := &decomposition{ctx: ctx, rootCtx: ctx, x: x, cl: cl, opt: opt, remote: cl.Remote(), reg: newRegistries(cl.Machines())}
-	if d.remote {
-		if opt.Horizontal {
-			// Horizontal partitioning routes every row summation through
-			// the driver mid-stage — a chatty pattern the remote protocol
-			// deliberately does not speak (the ablation argues against it).
-			return nil, errors.New("core: horizontal partitioning requires the simulated backend")
-		}
-		// Ship the run's immutable inputs: every executor rebuilds the
-		// partitioned unfoldings locally from the tensor, and a rejoining
-		// machine gets the same blob replayed — the re-shipped partitions
-		// of the recovery protocol, over the real socket.
-		setup, err := encodeSetup(x, opt, cl.Machines())
-		if err != nil {
-			return nil, err
-		}
-		if err := cl.PushState(ctx, transport.StateSetup, setup); err != nil {
-			return nil, err
-		}
+	// The driver's executor spans all M logical machines, partitions placed
+	// by the cluster's reassignment rule; remote executors span one each.
+	d := &decomposition{ctx: ctx, rootCtx: ctx, x: x, cl: cl, opt: opts,
+		ex: newExecutor(cfg, [3]int{i, j, k}, cl.Machines(), cl.PoolFor, cl.MachineFor)}
+	// Ship the run's immutable inputs: every remote executor rebuilds the
+	// partitioned unfoldings locally from the tensor, and a rejoining
+	// machine gets the same blob replayed — the re-shipped partitions of the
+	// recovery protocol, over the real socket.
+	if err := cl.PushState(ctx, transport.StateSetup, func() ([]byte, error) { return encodeSetup(x, cfg) }); err != nil {
+		return nil, err
 	}
 
 	// Run span: the RunEnd snapshot is the Stats accumulated during this
@@ -354,7 +384,7 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 	statsBefore := cl.Stats()
 	if tr.Enabled() {
 		ev := trace.NewEvent(trace.RunBegin)
-		ev.Name = fmt.Sprintf("dbtf rank=%d", opt.Rank)
+		ev.Name = fmt.Sprintf("dbtf rank=%d", cfg.Rank)
 		ev.Machines = cl.Machines()
 		ev.SimNanos = cl.SimElapsed().Nanoseconds()
 		tr.Emit(ev)
@@ -376,52 +406,37 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 	// Checkpointing: the fingerprint binds a checkpoint to this exact
 	// configuration and tensor, and resume loads the latest snapshot
 	// before any distributed work starts.
-	checkpointing := opt.CheckpointDir != ""
+	checkpointing := opts.CheckpointDir != ""
+	every := opts.CheckpointEvery
+	if every == 0 {
+		every = 1
+	}
 	if checkpointing {
-		d.fp = fingerprint(x, opt, cl.Machines())
+		d.fp = fingerprint(x, cfg)
 	}
 	var resumed *checkpoint
-	if opt.Resume {
-		ck, err := readCheckpoint(opt.CheckpointDir, d.fp)
+	if opts.Resume {
+		ck, err := readCheckpoint(opts.CheckpointDir, d.fp)
 		if err != nil {
 			return nil, err
 		}
 		if ck != nil {
-			// A v2 checkpoint records its init configuration readably, so a
-			// changed init scheme gets a targeted error before the opaque
-			// fingerprint check. This matters for the legacy un-namespaced
-			// fallback file: continuing it under a different init would not
-			// be bit-identical to any uninterrupted run.
-			if ck.Version >= checkpointV2 {
-				if ck.Init != opt.Init {
-					return nil, fmt.Errorf("core: checkpoint was written with init scheme %v, run uses %v; resume requires the same init scheme",
-						ck.Init, opt.Init)
-				}
-				if ck.InitialSets != opt.InitialSets {
-					return nil, fmt.Errorf("core: checkpoint was written with InitialSets %d, run uses %d; resume requires the same init configuration",
-						ck.InitialSets, opt.InitialSets)
-				}
-				if ck.InitDensity != opt.InitDensity {
-					return nil, fmt.Errorf("core: checkpoint was written with InitDensity %v, run uses %v; resume requires the same init configuration",
-						ck.InitDensity, opt.InitDensity)
-				}
+			// The checkpoint records its init configuration readably, so a
+			// file written under a different one gets a targeted error
+			// before the opaque fingerprint check.
+			if ck.Init != cfg.Init || ck.InitialSets != cfg.InitialSets || ck.InitDensity != cfg.InitDensity {
+				return nil, fmt.Errorf("core: checkpoint was written with init scheme %v (%d sets, density %v), run uses %v (%d sets, density %v); resume requires the same init configuration",
+					ck.Init, ck.InitialSets, ck.InitDensity, cfg.Init, cfg.InitialSets, cfg.InitDensity)
 			}
 			if ck.Fingerprint != d.fp {
 				return nil, fmt.Errorf("core: checkpoint fingerprint %#x does not match run fingerprint %#x (config or tensor changed)",
 					ck.Fingerprint, d.fp)
 			}
-			for _, f := range []struct {
-				name string
-				m    *boolmat.FactorMatrix
-				rows int
-			}{{"A", ck.A, i}, {"B", ck.B, j}, {"C", ck.C, k}} {
-				if f.m.Rows() != f.rows || f.m.Rank() != opt.Rank {
-					return nil, fmt.Errorf("core: checkpoint factor %s is %dx%d, want %dx%d",
-						f.name, f.m.Rows(), f.m.Rank(), f.rows, opt.Rank)
-				}
+			if err := checkFactorShapes([3]*boolmat.FactorMatrix{ck.A, ck.B, ck.C}, d.ex.dims, cfg.Rank); err != nil {
+				return nil, fmt.Errorf("core: checkpoint: %w", err)
 			}
-			if ck.Iteration > opt.MaxIter {
-				return nil, fmt.Errorf("core: checkpoint iteration %d > MaxIter %d", ck.Iteration, opt.MaxIter)
+			if ck.Iteration > cfg.MaxIter {
+				return nil, fmt.Errorf("core: checkpoint iteration %d > MaxIter %d", ck.Iteration, cfg.MaxIter)
 			}
 			resumed = ck
 		}
@@ -432,41 +447,41 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 	// cache registry dies with it (survivors rebuild lazily on first use).
 	d.cl.OnMachineLoss(d.machineLost)
 	defer d.cl.OnMachineLoss(nil)
-	if err := d.partitionAll(); err != nil {
-		return nil, err
-	}
 	// Every stage joins its task goroutines (including speculative backups)
 	// before returning, so when Decompose returns nothing can still touch
 	// the partition arenas and they go back to the slab pool.
-	defer func() {
-		for _, p := range d.px {
-			if p != nil {
-				p.Release()
-			}
-		}
-	}()
+	defer d.ex.release()
+	if err := d.partitionAll(); err != nil {
+		return nil, err
+	}
 
-	src := newCountingSource(opt.Seed)
+	src := newCountingSource(cfg.Seed)
 	rng := rand.New(src)
 	res := &Result{}
 	var a, b, c *boolmat.FactorMatrix
 	var prevErr int64
 
-	// preempt is the eviction poll at the boundary of completed iteration
-	// t: a run that just converged or finished its last iteration is about
-	// to return its result and is never evicted. When the hook fires, the
-	// boundary's state is checkpointed (unless the periodic write above
-	// already did) so a Resume continues bit-identically.
-	preempt := func(t int, wrote bool) (bool, error) {
-		if opt.Preempt == nil || res.Converged || t >= opt.MaxIter || !opt.Preempt() {
-			return false, nil
-		}
-		if !wrote {
+	// finish closes completed iteration t at error e: record it, checkpoint
+	// on the period (and always at the last iteration), then poll for
+	// eviction. A run that just converged or finished its last iteration is
+	// about to return its result and is never evicted; an evicted one gets
+	// the boundary's state checkpointed (unless the periodic write just
+	// did) so a Resume continues bit-identically.
+	finish := func(t int, e, improvement int64) error {
+		res.Iterations, prevErr = t, e
+		res.IterationErrors = append(res.IterationErrors, e)
+		wrote := checkpointing && (t%every == 0 || res.Converged || t == cfg.MaxIter)
+		stop := opts.Preempt != nil && !res.Converged && t < cfg.MaxIter && opts.Preempt()
+		if wrote || stop {
 			if err := d.writeCheckpointStage(res, a, b, c, prevErr, src.n); err != nil {
-				return false, err
+				return err
 			}
 		}
-		return true, nil
+		d.endIteration(t, e, improvement)
+		if stop {
+			return fmt.Errorf("%w (after iteration %d)", ErrPreempted, t)
+		}
+		return nil
 	}
 
 	if resumed != nil {
@@ -483,96 +498,54 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 		d.trace("resumed from checkpoint: iteration %d, error %d", res.Iterations, prevErr)
 	} else {
 		// First iteration: try L random initial sets and keep the best
-		// (Algorithm 2, lines 5-8).
+		// (Algorithm 2, lines 5-8). Each set's caches and column tasks are
+		// dropped when the next set's factors are installed; with a single
+		// set they stay live, so the cache totalError built over b serves
+		// iteration 2's A-update.
 		d.beginIteration(1)
-		type set struct {
-			a, b, c *boolmat.FactorMatrix
-			err     int64
-		}
-		best := set{err: math.MaxInt64}
-		for l := 0; l < opt.InitialSets; l++ {
+		best := int64(math.MaxInt64)
+		for l := 0; l < cfg.InitialSets; l++ {
 			// Drawing the initial factors is driver-side work like the
 			// unfold: a named span charges its wall time to the driver
 			// section, so per-stage attribution sees the init scheme's cost
 			// (topfiber's data passes are not free, just near-linear).
 			var ia, ib, ic *boolmat.FactorMatrix
 			if err := d.cl.DriverNamed(d.ctx, "init", func() {
-				ia, ib, ic = initialSet(rng, x, opt)
+				ia, ib, ic = initialSet(rng, x, cfg)
 			}); err != nil {
 				return nil, err
 			}
-			s := set{a: ia, b: ib, c: ic}
-			if err := d.updateFactors(s.a, s.b, s.c); err != nil {
+			if err := d.updateFactors(ia, ib, ic); err != nil {
 				return nil, err
 			}
-			e, err := d.totalError(s.a, s.b, s.c)
+			e, err := d.totalError()
 			if err != nil {
 				return nil, err
 			}
-			s.err = e
 			res.InitialErrors = append(res.InitialErrors, e)
-			d.trace("initial set %d/%d: error %d", l+1, opt.InitialSets, e)
-			if e < best.err {
-				best = s
+			d.trace("initial set %d/%d: error %d", l+1, cfg.InitialSets, e)
+			if e < best {
+				a, b, c, best = ia, ib, ic, e
 			}
 		}
-		a, b, c, prevErr = best.a, best.b, best.c, best.err
-		if opt.InitialSets > 1 {
-			// Losing sets' caches reference discarded factor matrices; drop
-			// them. (With a single set the registry's entries stay live: the
-			// cache totalError built over b serves iteration 2's A-update.)
-			for _, r := range d.reg {
-				r.clearRelease()
-			}
-		}
-		res.Iterations = 1
-		res.IterationErrors = append(res.IterationErrors, prevErr)
-		wrote := checkpointing && (1%opt.CheckpointEvery == 0 || opt.MaxIter == 1)
-		if wrote {
-			if err := d.writeCheckpointStage(res, a, b, c, prevErr, src.n); err != nil {
-				return nil, err
-			}
-		}
-		stop, err := preempt(1, wrote)
-		if err != nil {
+		if err := finish(1, best, 0); err != nil {
 			return nil, err
-		}
-		d.endIteration(1, prevErr, 0)
-		if stop {
-			return nil, fmt.Errorf("%w (after iteration 1)", ErrPreempted)
 		}
 	}
 
-	for t := res.Iterations + 1; t <= opt.MaxIter && !res.Converged; t++ {
+	for t := res.Iterations + 1; t <= cfg.MaxIter && !res.Converged; t++ {
 		d.beginIteration(t)
 		if err := d.updateFactors(a, b, c); err != nil {
 			return nil, err
 		}
-		e, err := d.totalError(a, b, c)
+		e, err := d.totalError()
 		if err != nil {
 			return nil, err
 		}
-		res.Iterations = t
-		res.IterationErrors = append(res.IterationErrors, e)
 		d.trace("iteration %d: error %d", t, e)
-		if t >= opt.MinIter && prevErr-e <= opt.Tolerance {
-			res.Converged = true
-		}
-		improvement := prevErr - e
-		prevErr = e
-		wrote := checkpointing && (t%opt.CheckpointEvery == 0 || res.Converged || t == opt.MaxIter)
-		if wrote {
-			if err := d.writeCheckpointStage(res, a, b, c, prevErr, src.n); err != nil {
-				return nil, err
-			}
-		}
-		stop, err := preempt(t, wrote)
-		if err != nil {
+		res.Converged = t >= cfg.MinIter && prevErr-e <= cfg.Tolerance
+		if err := finish(t, e, prevErr-e); err != nil {
 			return nil, err
-		}
-		d.endIteration(t, e, improvement)
-		if stop {
-			return nil, fmt.Errorf("%w (after iteration %d)", ErrPreempted, t)
 		}
 	}
 
@@ -589,7 +562,7 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 // configured scheme. InitTopFiber consumes no randomness: the RNG draw
 // count (and with it the checkpointed stream state) advances only for the
 // sampling schemes.
-func initialSet(rng *rand.Rand, x *tensor.Tensor, opt Options) (a, b, c *boolmat.FactorMatrix) {
+func initialSet(rng *rand.Rand, x *tensor.Tensor, opt runConfig) (a, b, c *boolmat.FactorMatrix) {
 	i, j, k := x.Dims()
 	if opt.Init == InitTopFiber {
 		return topfiber.SeedFactors(x, opt.Rank)
@@ -703,15 +676,15 @@ type decomposition struct {
 	openIter int
 	x        *tensor.Tensor
 	cl       *cluster.Cluster
-	opt      Options
-	// remote marks a cluster backed by a real transport: distributed
-	// stages ship to executors and committed state is replicated to them
-	// instead of shared through memory.
-	remote bool
-	px     [3]*partition.Partitioned
-	// reg[m] shares row-summation caches among the partitions placed on
-	// machine m (Lemmas 4 and 5 count the build once per machine).
-	reg []*machineRegistry
+	// opt is the caller's options, read for what the executor's resolved
+	// runConfig deliberately leaves out: checkpoint placement, Preempt and
+	// Trace.
+	opt Options
+	// ex owns the run's replicated state and every stage kernel. The
+	// simulated backend runs its kernels through RunStage's local closures,
+	// typed and by reference; a remote backend runs the same kernels on the
+	// workers' executors, kept identical to this one by PushState.
+	ex *executor
 	// fp is the config+tensor fingerprint binding checkpoints to this run;
 	// zero when checkpointing is disabled.
 	fp uint64
@@ -725,9 +698,9 @@ type decomposition struct {
 // partitioning stage itself the unfoldings are not distributed yet and
 // there is nothing to re-ship.
 func (d *decomposition) machineLost(m int) {
-	d.reg[m].clear()
+	d.ex.reg[m].clear()
 	var bytes int64
-	for _, px := range d.px {
+	for _, px := range d.ex.px {
 		if px == nil {
 			continue
 		}
@@ -757,9 +730,9 @@ func (d *decomposition) writeCheckpointStage(res *Result, a, b, c *boolmat.Facto
 		InitialErrors:   res.InitialErrors,
 		IterationErrors: res.IterationErrors,
 		A:               a, B: b, C: c,
-		Init:        d.opt.Init,
-		InitDensity: d.opt.InitDensity,
-		InitialSets: d.opt.InitialSets,
+		Init:        d.ex.cfg.Init,
+		InitDensity: d.ex.cfg.InitDensity,
+		InitialSets: d.ex.cfg.InitialSets,
 	}
 	var bytes int64
 	var werr error
@@ -822,19 +795,13 @@ func (d *decomposition) partitionAll() error {
 	}); err != nil {
 		return err
 	}
-	err := d.cl.ForEachNamed(d.ctx, "partition", 3, func(m int) error {
-		d.px[m] = partition.Build(ux[m], d.opt.Partitions)
-		return nil
+	err := d.ex.setup(ux, func(n int, fn func(m int) error) error {
+		return d.cl.ForEachNamed(d.ctx, "partition", n, fn)
 	})
 	if err != nil {
 		return err
 	}
-	// The partitionings hold their own copy of every nonzero; the
-	// unfoldings are dead weight from here on.
-	for _, u := range ux {
-		u.Recycle()
-	}
-	for _, px := range d.px {
+	for _, px := range d.ex.px {
 		d.cl.Shuffle(px.ShuffleBytes)
 	}
 	return nil
@@ -844,151 +811,76 @@ func (d *decomposition) partitionAll() error {
 // two are fixed (Algorithm 2, UpdateFactors). The factor matrices are
 // broadcast to every machine once per call (Lemma 7).
 func (d *decomposition) updateFactors(a, b, c *boolmat.FactorMatrix) error {
-	bytes := int64(a.Rows()+b.Rows()+c.Rows()) * int64(d.opt.Rank) / 8
+	bytes := int64(a.Rows()+b.Rows()+c.Rows()) * int64(d.ex.cfg.Rank) / 8
 	// BroadcastState (not plain Broadcast): the factor matrices are the
 	// working set a machine must re-fetch to recover from a machine loss.
 	d.cl.BroadcastState(bytes)
-	if d.remote {
-		// The modeled broadcast above prices the transfer; this ships it:
-		// remote executors replace their factor replicas (invalidating
-		// column tasks and caches over the previous versions), after which
-		// per-column pushes keep them identical to the driver's copies.
-		if err := d.cl.PushState(d.ctx, transport.StateFactors, encodeFactors(a, b, c)); err != nil {
+	// The modeled broadcast above prices the transfer; these install it:
+	// the driver's executor and every remote one replace their factors
+	// (invalidating column tasks and caches over other matrices), after
+	// which per-column pushes keep the replicas identical to the driver's.
+	if err := d.ex.setFactors(a, b, c); err != nil {
+		return err
+	}
+	err := d.cl.PushState(d.ctx, transport.StateFactors, func() ([]byte, error) { return encodeFactors(a, b, c), nil })
+	if err != nil {
+		return err
+	}
+	for mode := range modeRoles {
+		if err := d.updateFactor(mode); err != nil {
 			return err
 		}
 	}
-	// X₍₁₎ ≈ A ∘ (C ⊙ B)ᵀ: PVM blocks indexed by rows of C, cache over B.
-	if err := d.updateFactor(0, "A", d.px[0], a, c, b); err != nil {
-		return err
-	}
-	// X₍₂₎ ≈ B ∘ (C ⊙ A)ᵀ.
-	if err := d.updateFactor(1, "B", d.px[1], b, c, a); err != nil {
-		return err
-	}
-	// X₍₃₎ ≈ C ∘ (B ⊙ A)ᵀ.
-	return d.updateFactor(2, "C", d.px[2], c, b, a)
+	return nil
 }
 
-// summer yields Boolean row summations for rank masks; it is the access
-// interface shared by the cache tables and the uncached ablation.
-type summer interface {
-	// Sum returns the Boolean row summation for mask and its popcount;
-	// scratch must be entry-width bits and may back the returned vector.
-	Sum(mask uint64, scratch *bitvec.BitVec) (*bitvec.BitVec, int)
-	// Width returns the entry width in bits.
-	Width() int
-}
-
-// cacheSummer adapts sumcache.Cache to the summer interface.
-type cacheSummer struct{ *sumcache.Cache }
-
-// naiveSummer recomputes every row summation by ORing the selected factor
-// columns, sliced to the block range — the behaviour DBTF's cache replaces.
-type naiveSummer struct {
-	cols  []*bitvec.BitVec // columns of M_s sliced to the block range
-	width int
-}
-
-func (s naiveSummer) Width() int { return s.width }
-
-func (s naiveSummer) Sum(mask uint64, scratch *bitvec.BitVec) (*bitvec.BitVec, int) {
-	scratch.Zero()
-	for m := mask; m != 0; m &= m - 1 {
-		scratch.Or(s.cols[bits.TrailingZeros64(m)])
+// updateFactor updates the mode's factor matrix against its partitioned
+// unfolding — Algorithm 4, with the per-row decision evaluated as the error
+// difference e1 − e0 over the delta region of the two candidate summations
+// instead of two full errors. The operand roles come from modeRoles.
+func (d *decomposition) updateFactor(mode int) error {
+	if d.ex.cfg.Horizontal {
+		return d.updateFactorHorizontal(mode)
 	}
-	return scratch, scratch.OnesCount()
-}
-
-// blockSummers builds, for partition pi, a summer per block: the
-// distributed part of Algorithm 5. The full-size cache is resolved through
-// the registry of the machine the partition is placed on, so partitions
-// sharing a machine share one table — and stages sharing a caching matrix
-// (the B- and C-updates both cache over A; totalError's cache over B
-// serves the next A-update) share it too, for as long as the matrix's
-// version is unchanged. Partial blocks get lazily sliced views, memoized
-// per distinct range (Lemma 3 bounds those per partition).
-func (d *decomposition) blockSummers(pi int, p *partition.Partition, ms *boolmat.FactorMatrix) []summer {
-	return buildBlockSummers(d.reg[d.cl.MachineFor(pi)], p, ms, d.opt.GroupBits, d.opt.NoCache)
-}
-
-// buildBlockSummers resolves a partition's summers against one machine's
-// registry; the simulated path picks the registry by the engine's task
-// placement, a remote executor uses its own. Shared so both backends build
-// their caches identically.
-func buildBlockSummers(reg *machineRegistry, p *partition.Partition, ms *boolmat.FactorMatrix, groupBits int, noCache bool) []summer {
-	out := make([]summer, len(p.Blocks))
-	if noCache {
-		cols := ms.Columns()
-		for bi, b := range p.Blocks {
-			sliced := make([]*bitvec.BitVec, len(cols))
-			for r, col := range cols {
-				sliced[r] = col.Slice(b.InnerLo, b.InnerLo+b.Width())
-			}
-			out[bi] = naiveSummer{cols: sliced, width: b.Width()}
-		}
-		return out
-	}
-	mc := reg.cacheFor(ms, groupBits)
-	for bi, b := range p.Blocks {
-		if b.Type == partition.Full {
-			out[bi] = cacheSummer{mc.full}
-			continue
-		}
-		out[bi] = cacheSummer{mc.slice(b.InnerLo, b.InnerLo+b.Width())}
-	}
-	return out
-}
-
-// updateFactor updates factor matrix a against the partitioned unfolding
-// px, where mf indexes the PVM blocks (the first Khatri–Rao operand) and
-// ms is cached (the second operand) — Algorithm 4, with the per-row
-// decision evaluated as the error difference e1 − e0 over the delta
-// region of the two candidate summations instead of two full errors.
-func (d *decomposition) updateFactor(modeIdx int, mode string, px *partition.Partitioned, a, mf, ms *boolmat.FactorMatrix) error {
-	if d.opt.Horizontal {
-		return d.updateFactorHorizontal(mode, px, a, mf, ms)
-	}
+	name := modeRoles[mode].name
+	a := d.ex.f[modeRoles[mode].upd]
 	// The updated factor names the stage spans and the "mode" pprof label,
 	// so both the timeline and CPU profiles split the three updates apart.
-	ctx := pprof.WithLabels(d.ctx, pprof.Labels("mode", mode))
-	n := len(px.Parts)
+	ctx := pprof.WithLabels(d.ctx, pprof.Labels("mode", name))
+	n := len(d.ex.px[mode].Parts)
 	p := a.Rows()
 
 	// Stage: build per-partition column tasks — block summers resolved
 	// through the per-machine cache registry (Algorithm 5) plus every
 	// buffer the column loop needs, so the loop itself allocates nothing.
-	// On a remote backend the tasks live on the executors; here only the
-	// collected deltas do.
-	tasks := make([]*columnTask, n)
+	// On a remote backend the tasks live on the workers' executors; here
+	// only the collected deltas do.
 	deltas := make([][]int64, n)
-	buildSpec := transport.Spec{Name: "build:" + mode, Kind: transport.KindBuild, Mode: modeIdx, Tasks: n}
+	buildSpec := transport.Spec{Name: "build:" + name, Kind: transport.KindBuild, Mode: mode, Tasks: n}
 	err := d.cl.RunStage(ctx, buildSpec, func(pi int) error {
-		tasks[pi] = d.newColumnTask(pi, px.Parts[pi], a, mf, ms)
-		return nil
+		_, err := d.ex.build(mode, pi)
+		return err
 	}, nil)
 	if err != nil {
 		return err
 	}
 
-	for c := 0; c < d.opt.Rank; c++ {
+	for c := 0; c < d.ex.cfg.Rank; c++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		// Stage: every partition evaluates, for each row, the error
 		// difference of its column range between the two candidate values
-		// (Algorithm 4 lines 4-9 reduced to the flipped cells only).
-		evalSpec := transport.Spec{Name: "eval:" + mode, Kind: transport.KindEval, Mode: modeIdx, Col: c, Tasks: n}
-		err := d.cl.RunStage(ctx, evalSpec, func(pi int) error {
-			tasks[pi].evalColumn(c)
-			deltas[pi] = tasks[pi].deltas
-			return nil
-		}, func(pi int, payload []byte) error {
-			ds, err := decodeDeltas(payload, p)
-			if err != nil {
-				return err
-			}
-			deltas[pi] = ds
-			return nil
+		// (Algorithm 4 lines 4-9 reduced to the flipped cells only). The
+		// local path hands the driver the task's own accumulator by
+		// reference; only a remote backend pays an encode and a decode.
+		evalSpec := transport.Spec{Name: "eval:" + name, Kind: transport.KindEval, Mode: mode, Col: c, Tasks: n}
+		err := d.cl.RunStage(ctx, evalSpec, func(pi int) (err error) {
+			deltas[pi], err = d.ex.eval(mode, pi, c)
+			return err
+		}, func(pi int, payload []byte) (err error) {
+			deltas[pi], err = decodeDeltas(payload, p)
+			return err
 		})
 		if err != nil {
 			return err
@@ -999,7 +891,7 @@ func (d *decomposition) updateFactor(modeIdx int, mode string, px *partition.Par
 		// exactly when candidate 1's total error is strictly smaller,
 		// i.e. when the summed difference is negative.
 		d.cl.Collect(int64(n) * int64(p) * 8)
-		err = d.cl.DriverNamed(ctx, "commit:"+mode, func() {
+		err = d.cl.DriverNamed(ctx, "commit:"+name, func() {
 			for r := 0; r < p; r++ {
 				var t int64
 				for pi := 0; pi < n; pi++ {
@@ -1011,38 +903,31 @@ func (d *decomposition) updateFactor(modeIdx int, mode string, px *partition.Par
 		if err != nil {
 			return err
 		}
-		if d.remote {
-			// Replicate the committed column so executor factor replicas
-			// track the driver's copies entry for entry.
-			if err := d.cl.PushState(ctx, transport.StateColumn, encodeColumn(modeIdx, c, a)); err != nil {
-				return err
-			}
+		// Replicate the committed column so remote factor replicas track
+		// the driver's copies entry for entry.
+		err = d.cl.PushState(ctx, transport.StateColumn, func() ([]byte, error) { return encodeColumn(mode, c, a), nil })
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // totalError computes |X ⊕ X̂| from the mode-1 partitions as a distributed
-// stage. Its caches over b come from (and feed) the per-machine registry:
-// b is unchanged since its own update finished, so the B-update's tables
+// stage. Its caches over B come from (and feed) the per-machine registry:
+// B is unchanged since its own update finished, so the B-update's tables
 // are reused here, and these remain valid for the next iteration's
 // A-update.
-func (d *decomposition) totalError(a, b, c *boolmat.FactorMatrix) (int64, error) {
-	px := d.px[0]
-	n := len(px.Parts)
+func (d *decomposition) totalError() (int64, error) {
+	n := len(d.ex.px[0].Parts)
 	partial := make([]int64, n)
 	spec := transport.Spec{Name: "total-error", Kind: transport.KindTotalError, Tasks: n}
-	err := d.cl.RunStage(d.ctx, spec, func(pi int) error {
-		part := px.Parts[pi]
-		partial[pi] = partitionError(part, a, c, d.blockSummers(pi, part, b))
-		return nil
-	}, func(pi int, payload []byte) error {
-		e, err := decodePartial(payload)
-		if err != nil {
-			return err
-		}
-		partial[pi] = e
-		return nil
+	err := d.cl.RunStage(d.ctx, spec, func(pi int) (err error) {
+		partial[pi], err = d.ex.totalError(pi)
+		return err
+	}, func(pi int, payload []byte) (err error) {
+		partial[pi], err = decodePartial(payload)
+		return err
 	})
 	if err != nil {
 		return 0, err
@@ -1053,21 +938,4 @@ func (d *decomposition) totalError(a, b, c *boolmat.FactorMatrix) (int64, error)
 		total += e
 	}
 	return total, nil
-}
-
-// partitionError computes one mode-1 partition's share of |X ⊕ X̂| from
-// pre-resolved summers over b: rows indexed by a, PVM blocks by c. Shared
-// by the simulated path and remote executors.
-func partitionError(part *partition.Partition, a, c *boolmat.FactorMatrix, summers []summer) int64 {
-	var e int64
-	for bi, blk := range part.Blocks {
-		kMask := c.RowMask(blk.PVM)
-		sm := summers[bi]
-		scratch := bitvec.New(sm.Width())
-		for r := 0; r < a.Rows(); r++ {
-			sum, pop := sm.Sum(a.RowMask(r)&kMask, scratch)
-			e += blk.RowError(r, sum, pop)
-		}
-	}
-	return e
 }

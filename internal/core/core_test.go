@@ -226,18 +226,33 @@ func referenceUpdate(u *tensor.Unfolded, a, mf, ms *boolmat.FactorMatrix) {
 	}
 }
 
+// newTestDecomposition returns a driver with its executor set up
+// (partitioned) but no factors installed.
 func newTestDecomposition(t *testing.T, x *tensor.Tensor, opt Options, machines int) *decomposition {
 	t.Helper()
 	cl := testCluster(machines)
-	full, err := opt.withDefaults(x, cl.Machines())
+	cfg, err := opt.withDefaults(x, cl.Machines())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &decomposition{ctx: context.Background(), x: x, cl: cl, opt: full, reg: newRegistries(cl.Machines())}
+	i, j, k := x.Dims()
+	d := &decomposition{ctx: context.Background(), x: x, cl: cl, opt: opt,
+		ex: newExecutor(cfg, [3]int{i, j, k}, machines, cl.PoolFor, cl.MachineFor)}
 	if err := d.partitionAll(); err != nil {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// updateMode installs (a, b, c) and runs the mode's factor update in place.
+func updateMode(t *testing.T, d *decomposition, mode int, a, b, c *boolmat.FactorMatrix) {
+	t.Helper()
+	if err := d.ex.setFactors(a, b, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.updateFactor(mode); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestUpdateFactorMatchesReference(t *testing.T) {
@@ -252,9 +267,7 @@ func TestUpdateFactorMatchesReference(t *testing.T) {
 
 		d := newTestDecomposition(t, x, Options{Rank: r, Partitions: rng.Intn(5) + 1}, 3)
 		got := a.Clone()
-		if err := d.updateFactor(0, "A", d.px[0], got, c, b); err != nil {
-			t.Fatal(err)
-		}
+		updateMode(t, d, 0, got, b, c)
 		want := a.Clone()
 		referenceUpdate(x.Unfold(tensor.Mode1), want, c, b)
 		if !got.Equal(want) {
@@ -274,9 +287,7 @@ func TestUpdateFactorModes2And3MatchReference(t *testing.T) {
 	d := newTestDecomposition(t, x, Options{Rank: r, Partitions: 4}, 2)
 
 	gotB := b.Clone()
-	if err := d.updateFactor(1, "B", d.px[1], gotB, c, a); err != nil {
-		t.Fatal(err)
-	}
+	updateMode(t, d, 1, a, gotB, c)
 	wantB := b.Clone()
 	referenceUpdate(x.Unfold(tensor.Mode2), wantB, c, a)
 	if !gotB.Equal(wantB) {
@@ -284,9 +295,7 @@ func TestUpdateFactorModes2And3MatchReference(t *testing.T) {
 	}
 
 	gotC := c.Clone()
-	if err := d.updateFactor(2, "C", d.px[2], gotC, b, a); err != nil {
-		t.Fatal(err)
-	}
+	updateMode(t, d, 2, a, b, gotC)
 	wantC := c.Clone()
 	referenceUpdate(x.Unfold(tensor.Mode3), wantC, b, a)
 	if !gotC.Equal(wantC) {

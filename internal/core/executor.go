@@ -1,0 +1,291 @@
+package core
+
+import (
+	"fmt"
+	"math/bits"
+
+	"dbtf/internal/bitvec"
+	"dbtf/internal/boolmat"
+	"dbtf/internal/cluster"
+	"dbtf/internal/partition"
+	"dbtf/internal/sumcache"
+	"dbtf/internal/tensor"
+)
+
+// modeRoles is the one declaration of which factor matrix plays which part
+// in each factor update X₍ₙ₎ ≈ upd ∘ (pvm ⊙ cached)ᵀ: the updated matrix
+// (its rows are the unfolding's rows), the matrix whose rows index the PVM
+// blocks (the first Khatri–Rao operand), and the matrix the row-summation
+// caches are built over (the second). Values index executor.f. The name
+// labels the update's stage spans and the "mode" pprof label. totalError
+// evaluates the mode-1 unfolding, so it reads modeRoles[0].
+var modeRoles = [3]struct {
+	name             string
+	upd, pvm, cached int
+}{
+	{"A", 0, 2, 1}, // X₍₁₎ ≈ A ∘ (C ⊙ B)ᵀ
+	{"B", 1, 2, 0}, // X₍₂₎ ≈ B ∘ (C ⊙ A)ᵀ
+	{"C", 2, 1, 0}, // X₍₃₎ ≈ C ∘ (B ⊙ A)ᵀ
+}
+
+// executor owns one run's replicated state — the three vertical
+// partitionings, per-machine cache registries, the current factor matrices,
+// the column tasks of the update in progress — and the only implementation
+// of every partition-local stage kernel of the paper: setup (Algorithm 3),
+// build (Algorithm 5), eval (Algorithm 4), totalError. Both backends run it.
+// The driver's spans all M logical machines and is called through the
+// cluster's local stage closures, typed and by reference; a Worker's spans
+// the one machine its process is and is called through the wire codec.
+// Where a partition currently runs is the only thing the two disagree
+// about, and that is the place function.
+//
+// An executor is not synchronized. Stage tasks may run concurrently because
+// tasks for different partitions touch disjoint entries of the task tables
+// and the registries lock internally; state changes (setup, setFactors,
+// column commits) happen between stages. A Worker serializes with its lock.
+type executor struct {
+	cfg  runConfig
+	dims [3]int
+	// reg[m] shares row-summation caches among the partitions placed on
+	// machine m (Lemmas 4 and 5 count the build once per machine); pool(m)
+	// is the machine's intra-task worker pool, nil for sequential; place(pi)
+	// is the machine partition pi currently runs on.
+	reg   []*machineRegistry
+	pool  func(m int) *cluster.Pool
+	place func(pi int) int
+	px    [3]*partition.Partitioned
+	// f holds the current A, B, C. Column commits mutate them in place, so
+	// live column tasks observe every committed entry.
+	f [3]*boolmat.FactorMatrix
+	// tasks[mode][pi] is the column task of partition pi for the mode's
+	// update, sized once by setup and emptied by every setFactors: a task
+	// holds summers over factor versions a new update supersedes.
+	tasks [3][]*columnTask
+}
+
+// newExecutor returns an executor spanning machines logical machines,
+// before setup.
+func newExecutor(cfg runConfig, dims [3]int, machines int, pool func(m int) *cluster.Pool, place func(pi int) int) *executor {
+	ex := &executor{cfg: cfg, dims: dims, reg: make([]*machineRegistry, machines), pool: pool, place: place}
+	for m := range ex.reg {
+		ex.reg[m] = &machineRegistry{entries: map[registryKey]*machineCache{}}
+	}
+	return ex
+}
+
+// setup builds the three vertical partitionings from the unfoldings — the
+// one-off distribution of Algorithm 2, lines 1-3 — and sizes the task
+// tables. each runs the three per-mode builds: a cluster stage on the
+// driver, a plain loop on a worker. The partitionings hold their own copy
+// of every nonzero, so the unfoldings are recycled.
+func (ex *executor) setup(ux [3]*tensor.Unfolded, each func(n int, fn func(m int) error) error) error {
+	err := each(len(ux), func(m int) error {
+		ex.px[m] = partition.Build(ux[m], ex.cfg.Partitions)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for m, u := range ux {
+		u.Recycle()
+		ex.tasks[m] = make([]*columnTask, len(ex.px[m].Parts))
+	}
+	return nil
+}
+
+// release returns the partition arenas to the slab pool. The caller
+// guarantees no stage can still touch them.
+func (ex *executor) release() {
+	for _, p := range ex.px {
+		if p != nil {
+			p.Release()
+		}
+	}
+}
+
+// checkFactorShapes is the one statement of what a factor triple must look
+// like for a run: A is I×R, B is J×R, C is K×R. It guards everything that
+// arrives from outside the driver's own arithmetic — a checkpoint being
+// resumed, a factor push from the wire.
+func checkFactorShapes(f [3]*boolmat.FactorMatrix, dims [3]int, rank int) error {
+	for n, m := range f {
+		if m.Rows() != dims[n] || m.Rank() != rank {
+			return fmt.Errorf("factor %s is %dx%d, want %dx%d", modeRoles[n].name, m.Rows(), m.Rank(), dims[n], rank)
+		}
+	}
+	return nil
+}
+
+// setFactors installs the factor matrices every later stage reads. The
+// column tasks always go: they hold summers over versions the coming update
+// supersedes. The caches go (back to the slab pool) only when the matrices
+// themselves are replaced — a losing initial set, a decoded push from the
+// wire. Re-installing the same matrices keeps them, keyed by version: that
+// is what lets the cache totalError built over B serve the next iteration's
+// A-update. Callers hold exclusive access with every stage joined.
+func (ex *executor) setFactors(a, b, c *boolmat.FactorMatrix) error {
+	next := [3]*boolmat.FactorMatrix{a, b, c}
+	if err := checkFactorShapes(next, ex.dims, ex.cfg.Rank); err != nil {
+		return fmt.Errorf("core: installing factors: %w", err)
+	}
+	for m := range ex.tasks {
+		clear(ex.tasks[m])
+	}
+	if next != ex.f {
+		for _, reg := range ex.reg {
+			reg.clearRelease()
+		}
+		ex.f = next
+	}
+	return nil
+}
+
+// part resolves a stage task's address to its partition, rejecting what a
+// mismatched peer could send: a mode or partition out of range, a stage
+// ahead of the state it needs.
+func (ex *executor) part(mode, pi int) (*partition.Partition, error) {
+	if mode < 0 || mode >= len(modeRoles) {
+		return nil, fmt.Errorf("core: mode %d outside [0,2]", mode)
+	}
+	if ex.px[mode] == nil || ex.f[0] == nil {
+		return nil, fmt.Errorf("core: mode %d stage before setup and factors", mode)
+	}
+	if parts := ex.px[mode].Parts; pi >= 0 && pi < len(parts) {
+		return parts[pi], nil
+	}
+	return nil, fmt.Errorf("core: task %d outside %d partitions", pi, len(ex.px[mode].Parts))
+}
+
+// build creates partition pi's column task for the mode's update: block
+// summers resolved through the machine's cache registry (Algorithm 5) plus
+// every buffer the column loop needs, so eval allocates nothing.
+func (ex *executor) build(mode, pi int) (*columnTask, error) {
+	part, err := ex.part(mode, pi)
+	if err != nil {
+		return nil, err
+	}
+	role := modeRoles[mode]
+	t := buildColumnTask(part, ex.f[role.upd], ex.f[role.pvm], ex.summers(pi, part, ex.f[role.cached]), ex.cfg.NoCache, ex.pool(ex.place(pi)))
+	ex.tasks[mode][pi] = t
+	return t, nil
+}
+
+// task returns partition pi's column task for evaluating column col of the
+// mode's update, building it if the build stage ran elsewhere (the
+// partition was reassigned to this machine after a loss). Lazy rebuild is
+// sound because evalColumn is stateless across columns and the cached
+// matrix does not change during its own mode's update: a task built
+// mid-update is byte-equivalent to one built at the build stage.
+func (ex *executor) task(mode, pi, col int) (*columnTask, error) {
+	if _, err := ex.part(mode, pi); err != nil {
+		return nil, err
+	}
+	if col < 0 || col >= ex.cfg.Rank {
+		return nil, fmt.Errorf("core: eval column %d outside rank %d", col, ex.cfg.Rank)
+	}
+	if t := ex.tasks[mode][pi]; t != nil {
+		return t, nil
+	}
+	return ex.build(mode, pi)
+}
+
+// eval evaluates column col of the mode's update on partition pi and
+// returns the per-row error differences e1 − e0 (Algorithm 4, lines 4-9).
+// The slice is the task's own accumulator, valid until the task's next
+// eval: the driver reads it in place, a worker encodes it.
+func (ex *executor) eval(mode, pi, col int) ([]int64, error) {
+	t, err := ex.task(mode, pi, col)
+	if err != nil {
+		return nil, err
+	}
+	t.evalColumn(col)
+	return t.deltas, nil
+}
+
+// totalError computes mode-1 partition pi's share of |X ⊕ X̂|.
+func (ex *executor) totalError(pi int) (int64, error) {
+	part, err := ex.part(0, pi)
+	if err != nil {
+		return 0, err
+	}
+	role := modeRoles[0]
+	return partitionError(part, ex.f[role.upd], ex.f[role.pvm], ex.summers(pi, part, ex.f[role.cached])), nil
+}
+
+// summer yields Boolean row summations for rank masks; it is the access
+// interface shared by the cache tables and the uncached ablation.
+type summer interface {
+	// Sum returns the Boolean row summation for mask and its popcount;
+	// scratch must be entry-width bits and may back the returned vector.
+	Sum(mask uint64, scratch *bitvec.BitVec) (*bitvec.BitVec, int)
+	// Width returns the entry width in bits.
+	Width() int
+}
+
+// cacheSummer adapts sumcache.Cache to the summer interface.
+type cacheSummer struct{ *sumcache.Cache }
+
+// naiveSummer recomputes every row summation by ORing the selected factor
+// columns, sliced to the block range — the behaviour DBTF's cache replaces.
+type naiveSummer struct {
+	cols  []*bitvec.BitVec // columns of M_s sliced to the block range
+	width int
+}
+
+func (s naiveSummer) Width() int { return s.width }
+
+func (s naiveSummer) Sum(mask uint64, scratch *bitvec.BitVec) (*bitvec.BitVec, int) {
+	scratch.Zero()
+	for m := mask; m != 0; m &= m - 1 {
+		scratch.Or(s.cols[bits.TrailingZeros64(m)])
+	}
+	return scratch, scratch.OnesCount()
+}
+
+// summers builds a summer per block of partition pi over the caching matrix
+// ms: the distributed part of Algorithm 5. The full-size cache is resolved
+// through the registry of the machine the partition is placed on, so
+// partitions sharing a machine share one table — and stages sharing a
+// caching matrix (the B- and C-updates both cache over A; totalError's
+// cache over B serves the next A-update) share it too, for as long as the
+// matrix's version is unchanged. Partial blocks get lazily sliced views,
+// memoized per distinct range (Lemma 3 bounds those per partition).
+func (ex *executor) summers(pi int, p *partition.Partition, ms *boolmat.FactorMatrix) []summer {
+	out := make([]summer, len(p.Blocks))
+	if ex.cfg.NoCache {
+		cols := ms.Columns()
+		for bi, b := range p.Blocks {
+			sliced := make([]*bitvec.BitVec, len(cols))
+			for r, col := range cols {
+				sliced[r] = col.Slice(b.InnerLo, b.InnerLo+b.Width())
+			}
+			out[bi] = naiveSummer{cols: sliced, width: b.Width()}
+		}
+		return out
+	}
+	mc := ex.reg[ex.place(pi)].cacheFor(ms, ex.cfg.GroupBits)
+	for bi, b := range p.Blocks {
+		if b.Type == partition.Full {
+			out[bi] = cacheSummer{mc.full}
+			continue
+		}
+		out[bi] = cacheSummer{mc.slice(b.InnerLo, b.InnerLo+b.Width())}
+	}
+	return out
+}
+
+// partitionError computes one mode-1 partition's share of |X ⊕ X̂| from
+// pre-resolved summers over b: rows indexed by a, PVM blocks by c.
+func partitionError(part *partition.Partition, a, c *boolmat.FactorMatrix, summers []summer) int64 {
+	var e int64
+	for bi, blk := range part.Blocks {
+		kMask := c.RowMask(blk.PVM)
+		sm := summers[bi]
+		scratch := bitvec.New(sm.Width())
+		for r := 0; r < a.Rows(); r++ {
+			sum, pop := sm.Sum(a.RowMask(r)&kMask, scratch)
+			e += blk.RowError(r, sum, pop)
+		}
+	}
+	return e
+}

@@ -1,0 +1,82 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"dbtf/internal/boolmat"
+	"dbtf/internal/cluster"
+	"dbtf/internal/gen"
+)
+
+// factorHash mirrors serve.FactorHash (which core cannot import): FNV-1a
+// over the binary encodings of A, B, C.
+func factorHash(a, b, c *boolmat.FactorMatrix) string {
+	h := fnv.New64a()
+	for _, m := range []*boolmat.FactorMatrix{a, b, c} {
+		h.Write(m.AppendBinary(nil))
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestGoldenRunPin pins runs of one fixed planted tensor to constants
+// recorded at commit 63ca3f8, before core's two execution paths were folded
+// into one executor. The differentials elsewhere prove the backends agree
+// with each other; only this proves they still agree with what the repo
+// computed before — the factors bit for bit, the error trajectory, and the
+// stage schedule and Lemma 6–7 traffic the benchmark's stages_per_op,
+// traffic_mb_per_op and relative_error are read from. A deliberate change
+// to the algorithm re-records the constants; a refactor must not move them.
+func TestGoldenRunPin(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	planted, _, _, _ := gen.FromFactors(rng, 24, 20, 16, 4, 0.3)
+	x := gen.AddNoise(rng, planted, 0.10, 0.05)
+
+	// The fingerprint names a run's checkpoint file, so it is part of what a
+	// data directory written by the previous build expects of this one.
+	fp, err := Fingerprint(x, Options{Rank: 4, Seed: 7, Partitions: 4, Init: InitTopFiber}, 3)
+	if err != nil || fp != 0x37b6518fdfee3df6 {
+		t.Errorf("fingerprint %#x (err %v), recorded 0x37b6518fdfee3df6", fp, err)
+	}
+
+	type stats struct{ stages, tasks, shuffled, broadcast, collected int64 }
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		hash string
+		errs []int64
+		want stats
+	}{
+		{"fiber", Options{Init: InitFiberSample},
+			"38208a0e4136f71d", []int64{384, 296, 296}, stats{49, 195, 24360, 270, 23136}},
+		{"fiber two sets", Options{Init: InitFiberSample, InitialSets: 2, MinIter: 4, MaxIter: 5},
+			"1312fa644885e579", []int64{213, 213, 213, 213}, stats{81, 323, 24360, 450, 38560}},
+		{"topfiber", Options{Init: InitTopFiber},
+			"56ce5200deec1a1d", []int64{297, 94, 94}, stats{49, 195, 24360, 270, 23136}},
+	} {
+		for _, noCache := range []bool{false, true} {
+			for _, backend := range []string{"simulator", "hostTransport"} {
+				opt := tc.opt
+				opt.Rank, opt.Seed, opt.Partitions, opt.NoCache = 4, 7, 4, noCache
+				cfg := cluster.Config{Machines: 3}
+				if backend == "hostTransport" {
+					cfg.Transport = newHostTransport(3)
+				}
+				res, err := Decompose(context.Background(), x, cluster.New(cfg), opt)
+				if err != nil {
+					t.Fatalf("%s noCache=%v %s: %v", tc.name, noCache, backend, err)
+				}
+				s := res.Stats
+				got := stats{s.Stages, s.Tasks, s.ShuffledBytes, s.BroadcastBytes, s.CollectedBytes}
+				if h := factorHash(res.A, res.B, res.C); h != tc.hash || !reflect.DeepEqual(res.IterationErrors, tc.errs) || got != tc.want {
+					t.Errorf("%s noCache=%v %s: hash %s errors %v stats %+v, recorded %s %v %+v",
+						tc.name, noCache, backend, h, res.IterationErrors, got, tc.hash, tc.errs, tc.want)
+				}
+			}
+		}
+	}
+}

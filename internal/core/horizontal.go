@@ -5,7 +5,6 @@ import (
 	"runtime/pprof"
 
 	"dbtf/internal/bitvec"
-	"dbtf/internal/boolmat"
 	"dbtf/internal/partition"
 )
 
@@ -20,9 +19,12 @@ import (
 // Q-bit vector, so the collected traffic per column is N·P·2·Q/8 bytes
 // instead of N·P·2·8), and the level of parallelism is capped by the rank,
 // which is usually far smaller than the tensor dimensionalities.
-func (d *decomposition) updateFactorHorizontal(mode string, px *partition.Partitioned, a, mf, ms *boolmat.FactorMatrix) error {
-	r := d.opt.Rank
-	n := d.opt.Partitions
+func (d *decomposition) updateFactorHorizontal(modeIdx int) error {
+	role := modeRoles[modeIdx]
+	mode, px := role.name, d.ex.px[modeIdx]
+	a, mf, ms := d.ex.f[role.upd], d.ex.f[role.pvm], d.ex.f[role.cached]
+	r := d.ex.cfg.Rank
+	n := d.ex.cfg.Partitions
 	if n > r {
 		n = r // horizontal partitioning cannot exceed the rank
 	}

@@ -49,14 +49,6 @@ type machineCache struct {
 
 type sliceRange struct{ lo, hi int }
 
-func newRegistries(machines int) []*machineRegistry {
-	regs := make([]*machineRegistry, machines)
-	for i := range regs {
-		regs[i] = &machineRegistry{entries: map[registryKey]*machineCache{}}
-	}
-	return regs
-}
-
 // cacheFor returns the machine's shared cache state for ms at its current
 // version, building the full-size table exactly once per machine. Stale
 // versions of the same matrix are evicted on the first miss, so the
@@ -97,8 +89,8 @@ func (r *machineRegistry) clear() {
 // clearRelease drops every entry and returns the cache tables to the slab
 // pool. Callers must hold exclusive access with no live tasks: the driver
 // between initial factor sets (stages joined, losers' tasks dropped) and
-// the worker under a factor push (tasks reset in the same critical
-// section).
+// the worker under a factor push — executor.setFactors on both, which
+// empties the task tables in the same step.
 func (r *machineRegistry) clearRelease() {
 	r.mu.Lock()
 	//dbtf:allow-nondeterministic every entry is released; order is irrelevant

@@ -18,9 +18,8 @@ import (
 // here is a protocol bug, not a networking bug.
 type hostTransport struct {
 	hosts []transport.Host
-	// batch ships each machine's tasks as one RunBatch call when the host
-	// implements transport.BatchHost, mirroring the tcp server's
-	// type-assertion; false calls RunTask per task.
+	// batch ships each machine's tasks as one RunBatch call, as the tcp
+	// coordinator does; false ships every task as a batch of one.
 	batch bool
 	sent  atomic.Int64
 	recvd atomic.Int64
@@ -60,37 +59,31 @@ func (h *hostTransport) PushState(ctx context.Context, kind transport.StateKind,
 }
 
 func (h *hostTransport) Run(ctx context.Context, spec transport.Spec, deliver func(transport.TaskResult) error) error {
+	var batches [][]int
 	if h.batch {
-		for m := range h.hosts {
-			var tasks []int
-			for task := m; task < spec.Tasks; task += len(h.hosts) {
-				tasks = append(tasks, task)
-			}
-			if len(tasks) == 0 {
-				continue
-			}
-			outs, err := h.hosts[m].(transport.BatchHost).RunBatch(spec, tasks)
-			if err != nil {
-				return err
-			}
-			for _, out := range outs {
-				h.recvd.Add(int64(len(out.Payload)))
-				if err := deliver(transport.TaskResult{Task: out.Task, Machine: m, Nanos: 1000, Payload: out.Payload}); err != nil {
-					return err
-				}
-			}
+		batches = make([][]int, len(h.hosts))
+		for task := 0; task < spec.Tasks; task++ {
+			batches[task%len(h.hosts)] = append(batches[task%len(h.hosts)], task)
 		}
-		return nil
+	} else {
+		for task := 0; task < spec.Tasks; task++ {
+			batches = append(batches, []int{task})
+		}
 	}
-	for task := 0; task < spec.Tasks; task++ {
-		m := task % len(h.hosts)
-		payload, err := h.hosts[m].RunTask(spec, task)
+	for _, tasks := range batches {
+		if len(tasks) == 0 {
+			continue
+		}
+		m := tasks[0] % len(h.hosts)
+		outs, err := h.hosts[m].RunBatch(spec, tasks)
 		if err != nil {
 			return err
 		}
-		h.recvd.Add(int64(len(payload)))
-		if err := deliver(transport.TaskResult{Task: task, Machine: m, Nanos: 1000, Payload: payload}); err != nil {
-			return err
+		for _, out := range outs {
+			h.recvd.Add(int64(len(out.Payload)))
+			if err := deliver(transport.TaskResult{Task: out.Task, Machine: m, Nanos: 1000, Payload: out.Payload}); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -164,8 +157,8 @@ func TestRemoteHostsMatchSimulated(t *testing.T) {
 // payloads must all fail loudly.
 func TestWorkerRejectsOutOfOrderState(t *testing.T) {
 	w := NewWorker()
-	if _, err := w.RunTask(transport.Spec{Name: "eval:A", Kind: transport.KindEval}, 0); err == nil {
-		t.Fatal("RunTask before setup succeeded")
+	if _, err := w.RunBatch(transport.Spec{Name: "eval:A", Kind: transport.KindEval}, []int{0}); err == nil {
+		t.Fatal("RunBatch before setup succeeded")
 	}
 	if err := w.Apply(transport.StateFactors, nil); err == nil {
 		t.Fatal("factors push before setup succeeded")
@@ -182,7 +175,7 @@ func TestWorkerRejectsOutOfOrderState(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(3))
 	x := randomTensor(rng, 5, 6, 7, 0.2)
-	setup, err := encodeSetup(x, Options{Rank: 2, Partitions: 2, GroupBits: 4}, 2)
+	setup, err := encodeSetup(x, runConfig{Rank: 2, Partitions: 2, GroupBits: 4, Machines: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +185,15 @@ func TestWorkerRejectsOutOfOrderState(t *testing.T) {
 	if err := w.Apply(transport.StateColumn, encodeColumn(0, 0, boolmat.RandomFactor(rng, 5, 2, 0.5))); err == nil {
 		t.Fatal("column push before factors succeeded")
 	}
-	if _, err := w.RunTask(transport.Spec{Name: "eval:A", Kind: transport.KindEval, Mode: 0, Col: 0}, 0); err == nil {
+	if _, err := w.RunBatch(transport.Spec{Name: "eval:A", Kind: transport.KindEval, Mode: 0, Col: 0}, []int{0}); err == nil {
 		t.Fatal("eval before factors succeeded")
+	}
+	if err := w.Apply(transport.StateFactors, encodeFactors(boolmat.RandomFactor(rng, 5, 2, 0.5),
+		boolmat.RandomFactor(rng, 6, 3, 0.5), boolmat.RandomFactor(rng, 7, 2, 0.5))); err == nil {
+		t.Fatal("factors of the wrong shape accepted")
+	}
+	if _, err := encodeSetup(x, runConfig{Rank: 2, Partitions: 2, GroupBits: 4, Machines: 2, Horizontal: true}); err == nil {
+		t.Fatal("horizontal partitioning shipped to a remote executor")
 	}
 }
 
@@ -203,7 +203,7 @@ func TestWorkerRejectsOutOfOrderState(t *testing.T) {
 // out across 4 threads. Factors, trajectories, and the formula-based
 // accounting must still be bit-identical to the sequential simulated
 // run — the same guarantee the TCP transport inherits through
-// transport.BatchHost.
+// transport.Host.
 func TestRemoteBatchedThreadedWorkersMatchSimulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	for trial := 0; trial < 3; trial++ {
@@ -252,7 +252,7 @@ func TestWorkerBatchErrorAttribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := randomTensor(rng, 8, 7, 6, 0.25)
 	w := NewWorkerThreads(4)
-	setup, err := encodeSetup(x, Options{Rank: 3, Partitions: 2, GroupBits: 4}, 2)
+	setup, err := encodeSetup(x, runConfig{Rank: 3, Partitions: 2, GroupBits: 4, Machines: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,12 +290,12 @@ func TestWorkerBatchErrorAttribution(t *testing.T) {
 		if len(out.Payload) == 0 {
 			t.Fatalf("output %d has empty payload", i)
 		}
-		want, err := w.RunTask(spec, out.Task)
+		want, err := w.RunBatch(spec, []int{out.Task})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(want) != string(out.Payload) {
-			t.Fatalf("task %d: batched payload differs from sequential RunTask", out.Task)
+		if string(want[0].Payload) != string(out.Payload) {
+			t.Fatalf("task %d: parallel batch payload differs from a sequential batch of one", out.Task)
 		}
 	}
 }

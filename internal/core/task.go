@@ -50,20 +50,10 @@ type columnTask struct {
 	runShard func(shard int)
 }
 
-func (d *decomposition) newColumnTask(pi int, part *partition.Partition, a, mf, ms *boolmat.FactorMatrix) *columnTask {
-	pool := d.cl.PoolFor(d.cl.MachineFor(pi))
-	return buildColumnTask(part, a, mf, d.blockSummers(pi, part, ms), d.opt.NoCache, pool)
-}
-
-// buildColumnTask assembles a column task from pre-resolved summers. It is
-// the shared constructor of the simulated path (summers resolved through
-// the per-machine registries) and a remote executor (its own registry);
-// both sides build byte-identical state, which is what makes lazily
-// rebuilding a reassigned task on another machine safe: evalColumn is
-// stateless across columns, so a task built mid-update evaluates exactly
-// like one built at the update's build stage. The pool only affects how
-// many threads evaluate the rows, never the result, so the two sides may
-// differ in it freely.
+// buildColumnTask assembles a column task from pre-resolved summers; see
+// executor.build. The pool only affects how many threads evaluate the rows,
+// never the result, so executors of different widths build interchangeable
+// tasks.
 func buildColumnTask(part *partition.Partition, a, mf *boolmat.FactorMatrix, summers []summer, noCache bool, pool *cluster.Pool) *columnTask {
 	t := &columnTask{
 		part:    part,

@@ -8,6 +8,21 @@ import (
 	"dbtf/internal/cluster"
 )
 
+// buildTask installs (a, ms, mf) as the executor's A, B, C — the A-update's
+// roles: a updated, mf indexing the PVM blocks, ms cached — and builds
+// partition pi's column task for that update.
+func buildTask(t *testing.T, d *decomposition, pi int, a, mf, ms *boolmat.FactorMatrix) *columnTask {
+	t.Helper()
+	if err := d.ex.setFactors(a, ms, mf); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := d.ex.build(0, pi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ct
+}
+
 // TestEvalColumnMatchesNaive compares the delta-evaluation kernels (cached
 // path, dense and sparse blocks, single- and multi-group caches) against
 // the retained naive reference: per-row error differences must agree
@@ -32,9 +47,9 @@ func TestEvalColumnMatchesNaive(t *testing.T) {
 			opt.NoCache = true
 			naive := newTestDecomposition(t, x, opt, 2)
 
-			for pi, part := range cached.px[0].Parts {
-				ct := cached.newColumnTask(pi, part, a, mf, ms)
-				nt := naive.newColumnTask(pi, naive.px[0].Parts[pi], a, mf, ms)
+			for pi := range cached.ex.px[0].Parts {
+				ct := buildTask(t, cached, pi, a, mf, ms)
+				nt := buildTask(t, naive, pi, a, mf, ms)
 				for c := 0; c < r; c++ {
 					ct.evalColumn(c)
 					nt.evalColumn(c)
@@ -62,16 +77,20 @@ func TestEvalColumnZeroAlloc(t *testing.T) {
 	ms := boolmat.RandomFactor(rng, 12, 8, 0.4)
 	for _, groupBits := range []int{3, 15} {
 		d := newTestDecomposition(t, x, Options{Rank: 8, Partitions: 3, GroupBits: groupBits}, 2)
-		for pi, part := range d.px[0].Parts {
-			task := d.newColumnTask(pi, part, a, mf, ms)
-			for c := 0; c < 8; c++ {
-				task.evalColumn(c) // warm lazy slices and the Occ buffer
-			}
-			allocs := testing.AllocsPerRun(5, func() {
+		for pi := range d.ex.px[0].Parts {
+			buildTask(t, d, pi, a, mf, ms)
+			// eval is the call the driver's local stage closure makes: the
+			// zero-allocation contract covers the executor's address checks
+			// and the by-reference return, not just the kernel under them.
+			evalAll := func() {
 				for c := 0; c < 8; c++ {
-					task.evalColumn(c)
+					if _, err := d.ex.eval(0, pi, c); err != nil {
+						t.Fatal(err)
+					}
 				}
-			})
+			}
+			evalAll() // warm lazy slices and the Occ buffer
+			allocs := testing.AllocsPerRun(5, evalAll)
 			if allocs != 0 {
 				t.Fatalf("V=%d part %d: evalColumn allocated %v times per sweep, want 0",
 					groupBits, pi, allocs)
@@ -86,7 +105,7 @@ func TestEvalColumnZeroAlloc(t *testing.T) {
 func TestRegistrySharesCaches(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ms := boolmat.RandomFactor(rng, 12, 5, 0.4)
-	regs := newRegistries(2)
+	regs := newExecutor(runConfig{}, [3]int{}, 2, nil, nil).reg
 
 	mc1 := regs[0].cacheFor(ms, 15)
 	mc2 := regs[0].cacheFor(ms, 15)
@@ -126,10 +145,10 @@ func TestEvalColumnShardedIdentical(t *testing.T) {
 	for _, noCache := range []bool{false, true} {
 		opt := Options{Rank: rank, Partitions: 2, GroupBits: 4, NoCache: noCache}
 		d := newTestDecomposition(t, x, opt, 2)
-		for pi, part := range d.px[0].Parts {
-			seq := d.newColumnTask(pi, part, a, mf, ms)
+		for pi, part := range d.ex.px[0].Parts {
+			seq := buildTask(t, d, pi, a, mf, ms)
 			for _, threads := range []int{2, 4, 7, 64} {
-				par := buildColumnTask(part, a, mf, d.blockSummers(pi, part, ms), noCache, cluster.NewPool(threads))
+				par := buildColumnTask(part, a, mf, d.ex.summers(pi, part, ms), noCache, cluster.NewPool(threads))
 				wantShards := threads
 				if wantShards > a.Rows() {
 					wantShards = a.Rows()

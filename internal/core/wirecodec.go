@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 
 	"dbtf/internal/boolmat"
@@ -17,54 +18,48 @@ import (
 // shapes so a corrupt or mismatched peer errors instead of computing
 // garbage.
 
-// wireSetup is the gob form of StateSetup: the decomposition parameters an
-// executor needs plus the tensor in its compact binary format. Everything
-// else — unfolded partitions, caches, column tasks — is rebuilt locally
-// from these, which is what keeps the blob O(nnz) instead of O(data
-// structures).
+// wireSetup is the gob form of StateSetup: the run's resolved configuration,
+// whole, plus the tensor in its compact binary format. Everything else —
+// unfolded partitions, caches, column tasks — is rebuilt locally from
+// these, which is what keeps the blob O(nnz) instead of O(data structures).
 type wireSetup struct {
-	Machines   int
-	Rank       int
-	Partitions int
-	GroupBits  int
-	NoCache    bool
-	Tensor     []byte
+	Config runConfig
+	Tensor []byte
 }
 
-func encodeSetup(x *tensor.Tensor, opt Options, machines int) ([]byte, error) {
+func encodeSetup(x *tensor.Tensor, cfg runConfig) ([]byte, error) {
+	if cfg.Horizontal {
+		// Horizontal partitioning routes every row summation through the
+		// driver mid-stage — a chatty pattern the remote protocol
+		// deliberately does not speak (the ablation argues against it).
+		return nil, errors.New("core: horizontal partitioning requires the simulated backend")
+	}
 	var tb bytes.Buffer
 	if err := x.WriteBinary(&tb); err != nil {
 		return nil, fmt.Errorf("core: encode setup tensor: %w", err)
 	}
 	var buf bytes.Buffer
-	ws := wireSetup{
-		Machines:   machines,
-		Rank:       opt.Rank,
-		Partitions: opt.Partitions,
-		GroupBits:  opt.GroupBits,
-		NoCache:    opt.NoCache,
-		Tensor:     tb.Bytes(),
-	}
-	if err := gob.NewEncoder(&buf).Encode(&ws); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&wireSetup{Config: cfg, Tensor: tb.Bytes()}); err != nil {
 		return nil, fmt.Errorf("core: encode setup: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-func decodeSetup(payload []byte) (wireSetup, *tensor.Tensor, error) {
+func decodeSetup(payload []byte) (runConfig, *tensor.Tensor, error) {
 	var ws wireSetup
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ws); err != nil {
-		return ws, nil, fmt.Errorf("core: decode setup: %w", err)
+		return ws.Config, nil, fmt.Errorf("core: decode setup: %w", err)
 	}
-	if ws.Machines < 1 || ws.Rank < 1 || ws.Rank > boolmat.MaxRank || ws.Partitions < 1 || ws.GroupBits < 1 {
-		return ws, nil, fmt.Errorf("core: setup parameters out of range: machines=%d rank=%d partitions=%d groupbits=%d",
-			ws.Machines, ws.Rank, ws.Partitions, ws.GroupBits)
+	cfg := ws.Config
+	if cfg.Machines < 1 || cfg.Rank < 1 || cfg.Rank > boolmat.MaxRank || cfg.Partitions < 1 || cfg.GroupBits < 1 {
+		return cfg, nil, fmt.Errorf("core: setup parameters out of range: machines=%d rank=%d partitions=%d groupbits=%d",
+			cfg.Machines, cfg.Rank, cfg.Partitions, cfg.GroupBits)
 	}
 	x, err := tensor.ReadBinary(bytes.NewReader(ws.Tensor))
 	if err != nil {
-		return ws, nil, fmt.Errorf("core: decode setup tensor: %w", err)
+		return cfg, nil, fmt.Errorf("core: decode setup tensor: %w", err)
 	}
-	return ws, x, nil
+	return cfg, x, nil
 }
 
 // encodeFactors snapshots A, B, C back to back in the boolmat binary

@@ -5,24 +5,17 @@ import (
 	"sync"
 	"time"
 
-	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
-	"dbtf/internal/partition"
-	"dbtf/internal/tensor"
 	"dbtf/internal/transport"
 )
 
-// Worker is the executor side of a remote run: one logical machine's
-// replicated state — the tensor, the three partitioned unfoldings, the
-// current factor matrices, a cache registry, and the column tasks built by
-// build stages — plus the stage kinds the coordinator ships. It implements
-// transport.Host.
+// Worker is the executor side of a remote run: the same executor the
+// driver runs, spanning the one logical machine this process is, behind a
+// lock and the wire codec. It implements transport.Host.
 //
-// A Worker runs the exact kernels the simulated engine runs
-// (buildColumnTask, evalColumn, partitionError) on state kept
-// entry-identical to the coordinator's by the StateKind pushes, which is
-// what makes remote factors bit-identical to simulated ones for the same
-// seed.
+// Because the kernels are the driver's own and the state is kept
+// entry-identical to the coordinator's by the StateKind pushes, remote
+// factors are bit-identical to simulated ones for the same seed.
 //
 // Concurrency: the wire protocol is one request at a time per
 // connection, but a single request may fan out — RunBatch evaluates a
@@ -36,39 +29,26 @@ type Worker struct {
 	// sequentially. Immutable after construction.
 	pool *cluster.Pool
 	mu   sync.RWMutex
+	// ex is an empty executor until the first StateSetup push: it holds no
+	// partitions and no factors, so every stage and column push fails its
+	// own address checks instead of needing a "set up yet?" guard here.
 	//dbtf:guardedby mu
-	setup wireSetup
-	//dbtf:guardedby mu
-	x *tensor.Tensor
-	//dbtf:guardedby mu
-	px [3]*partition.Partitioned
-	// reg is this machine's cache registry: summers resolved here are
-	// shared by the machine's partitions and across stages, exactly like
-	// one simulated machine's registry entry.
-	//dbtf:guardedby mu
-	reg *machineRegistry
-	//dbtf:guardedby mu
-	a, b, c *boolmat.FactorMatrix
-	// tasks[mode][pi] is the column task a build stage (or a lazy rebuild
-	// after reassignment) created for partition pi of the mode's update.
-	// Replaced wholesale on every factor push: tasks hold summers over
-	// factor versions a push supersedes.
-	//dbtf:guardedby mu
-	tasks [3]map[int]*columnTask
+	ex *executor
 }
 
 // NewWorker returns an empty executor awaiting a StateSetup push.
-func NewWorker() *Worker { return &Worker{} }
+func NewWorker() *Worker { return NewWorkerThreads(1) }
 
 // NewWorkerThreads returns an executor whose stage batches and eval
 // kernels may use up to threads OS threads (one simulated machine with T
 // cores). Thread counts never change results — only how many goroutines
 // compute them — so workers of mixed widths can serve one run.
 func NewWorkerThreads(threads int) *Worker {
-	if threads <= 1 {
-		return &Worker{}
+	w := &Worker{ex: &executor{}}
+	if threads > 1 {
+		w.pool = cluster.NewPool(threads)
 	}
-	return &Worker{pool: cluster.NewPool(threads)}
+	return w
 }
 
 // Apply installs one replicated-state blob (transport.Host).
@@ -79,259 +59,126 @@ func (w *Worker) Apply(kind transport.StateKind, payload []byte) error {
 	case transport.StateSetup:
 		return w.applySetupLocked(payload)
 	case transport.StateFactors:
-		return w.applyFactorsLocked(payload)
+		a, b, c, err := decodeFactors(payload)
+		if err != nil {
+			return err
+		}
+		return w.ex.setFactors(a, b, c)
 	case transport.StateColumn:
-		return w.applyColumnLocked(payload)
+		mode, col, rows, bits, err := decodeColumn(payload)
+		if err != nil {
+			return err
+		}
+		m := w.ex.f[modeRoles[mode].upd]
+		if m == nil {
+			return fmt.Errorf("core: worker: column pushed before factors")
+		}
+		if rows != m.Rows() || col >= m.Rank() {
+			return fmt.Errorf("core: worker: column push %d rows/col %d does not fit %dx%d factor",
+				rows, col, m.Rows(), m.Rank())
+		}
+		// In place: live column tasks hold pointers to this matrix and must
+		// observe the committed entries, exactly as the driver's commit
+		// mutates the matrix under its own executor's tasks.
+		for r := 0; r < rows; r++ {
+			m.Set(r, col, bits[r/8]&(1<<uint(r%8)) != 0)
+		}
+		return nil
 	}
 	return fmt.Errorf("core: worker: unknown state kind %d", kind)
 }
 
+// applySetupLocked rebuilds the executor from the shipped tensor — the
+// worker's share of Algorithm 2's one-off distribution. A replayed setup
+// (machine rejoin) resets everything: the process may have restarted and
+// holds no usable state.
 func (w *Worker) applySetupLocked(payload []byte) error {
-	ws, x, err := decodeSetup(payload)
+	cfg, x, err := decodeSetup(payload)
 	if err != nil {
 		return err
 	}
-	w.setup, w.x = ws, x
-	// Rebuild the vertical partitionings locally — the executor's share of
-	// Algorithm 2's one-off distribution. A replayed setup (machine
-	// rejoin) resets everything: the process may have restarted and holds
-	// no usable state.
-	ux := x.UnfoldAll()
-	for m := range w.px {
-		if w.px[m] != nil {
-			w.px[m].Release()
+	w.ex.release()
+	i, j, k := x.Dims()
+	w.ex = newExecutor(cfg, [3]int{i, j, k}, 1, func(int) *cluster.Pool { return w.pool }, func(int) int { return 0 })
+	return w.ex.setup(x.UnfoldAll(), func(n int, fn func(m int) error) error {
+		for m := 0; m < n; m++ {
+			if err := fn(m); err != nil {
+				return err
+			}
 		}
-		w.px[m] = partition.Build(ux[m], ws.Partitions)
-		ux[m].Recycle()
-	}
-	w.reg = &machineRegistry{entries: map[registryKey]*machineCache{}}
-	w.a, w.b, w.c = nil, nil, nil
-	w.resetTasksLocked()
-	return nil
+		return nil
+	})
 }
 
-func (w *Worker) applyFactorsLocked(payload []byte) error {
-	if w.x == nil {
-		return fmt.Errorf("core: worker: factors pushed before setup")
-	}
-	a, b, c, err := decodeFactors(payload)
-	if err != nil {
-		return err
-	}
-	i, j, k := w.x.Dims()
-	for _, f := range []struct {
-		name string
-		m    *boolmat.FactorMatrix
-		rows int
-	}{{"A", a, i}, {"B", b, j}, {"C", c, k}} {
-		if f.m.Rows() != f.rows || f.m.Rank() != w.setup.Rank {
-			return fmt.Errorf("core: worker: pushed factor %s is %dx%d, want %dx%d",
-				f.name, f.m.Rows(), f.m.Rank(), f.rows, w.setup.Rank)
-		}
-	}
-	w.a, w.b, w.c = a, b, c
-	// Tasks and caches built over the previous factor versions are stale;
-	// the registry's version keys would catch the caches, dropping both
-	// keeps memory bounded by the live working set.
-	w.reg.clearRelease()
-	w.resetTasksLocked()
-	return nil
-}
-
-func (w *Worker) applyColumnLocked(payload []byte) error {
-	modeIdx, col, rows, bits, err := decodeColumn(payload)
-	if err != nil {
-		return err
-	}
-	m := w.factorLocked(modeIdx)
-	if m == nil {
-		return fmt.Errorf("core: worker: column pushed before factors")
-	}
-	if rows != m.Rows() || col >= m.Rank() {
-		return fmt.Errorf("core: worker: column push %d rows/col %d does not fit %dx%d factor",
-			rows, col, m.Rows(), m.Rank())
-	}
-	// In place: live column tasks hold pointers to this matrix and must
-	// observe the committed entries, exactly as the simulated path's
-	// driver commit mutates the shared matrix under its tasks.
-	for r := 0; r < rows; r++ {
-		m.Set(r, col, bits[r/8]&(1<<uint(r%8)) != 0)
-	}
-	return nil
-}
-
-func (w *Worker) resetTasksLocked() {
-	for m := range w.tasks {
-		w.tasks[m] = map[int]*columnTask{}
-	}
-}
-
-// factor returns the matrix updated in mode modeIdx (0=A, 1=B, 2=C).
-func (w *Worker) factorLocked(modeIdx int) *boolmat.FactorMatrix {
-	switch modeIdx {
-	case 0:
-		return w.a
-	case 1:
-		return w.b
-	case 2:
-		return w.c
-	}
-	return nil
-}
-
-// modeMatrices resolves a factor update's operand roles, mirroring
-// updateFactors: the updated matrix, the PVM-indexing matrix mf, and the
-// cached matrix ms.
-func (w *Worker) modeMatricesLocked(modeIdx int) (upd, mf, ms *boolmat.FactorMatrix, err error) {
-	switch modeIdx {
-	case 0:
-		upd, mf, ms = w.a, w.c, w.b
-	case 1:
-		upd, mf, ms = w.b, w.c, w.a
-	case 2:
-		upd, mf, ms = w.c, w.b, w.a
-	default:
-		return nil, nil, nil, fmt.Errorf("core: worker: mode %d outside [0,2]", modeIdx)
-	}
-	if upd == nil || mf == nil || ms == nil {
-		return nil, nil, nil, fmt.Errorf("core: worker: mode %d stage before factors push", modeIdx)
-	}
-	return upd, mf, ms, nil
-}
-
-// RunTask executes one task of a shipped stage (transport.Host) and
-// returns its result payload.
-func (w *Worker) RunTask(spec transport.Spec, task int) ([]byte, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.x == nil {
-		return nil, fmt.Errorf("core: worker: stage %q before setup", spec.Name)
-	}
-	switch spec.Kind {
-	case transport.KindBuild:
-		_, err := w.columnTaskForLocked(spec.Mode, task)
-		return nil, err
-	case transport.KindEval:
-		t, err := w.columnTaskForLocked(spec.Mode, task)
-		if err != nil {
-			return nil, err
-		}
-		if spec.Col < 0 || spec.Col >= w.setup.Rank {
-			return nil, fmt.Errorf("core: worker: eval column %d outside rank %d", spec.Col, w.setup.Rank)
-		}
-		t.evalColumn(spec.Col)
-		return encodeDeltas(t.deltas), nil
-	case transport.KindTotalError:
-		if w.a == nil {
-			return nil, fmt.Errorf("core: worker: total-error before factors push")
-		}
-		px := w.px[0]
-		if task < 0 || task >= len(px.Parts) {
-			return nil, fmt.Errorf("core: worker: task %d outside %d partitions", task, len(px.Parts))
-		}
-		part := px.Parts[task]
-		summers := buildBlockSummers(w.reg, part, w.b, w.setup.GroupBits, w.setup.NoCache)
-		return encodePartial(partitionError(part, w.a, w.c, summers)), nil
-	}
-	return nil, fmt.Errorf("core: worker: unknown stage kind %d", spec.Kind)
-}
-
-// columnTaskFor returns the mode's column task for partition pi, building
-// it if the build stage ran elsewhere (the partition was reassigned to
-// this machine after a loss). Lazy rebuild is sound because evalColumn is
-// stateless across columns and the cached matrix ms does not change during
-// its own mode's update: a task built mid-update is byte-equivalent to one
-// built at the build stage.
-func (w *Worker) columnTaskForLocked(modeIdx, pi int) (*columnTask, error) {
-	upd, mf, ms, err := w.modeMatricesLocked(modeIdx)
-	if err != nil {
-		return nil, err
-	}
-	px := w.px[modeIdx]
-	if pi < 0 || pi >= len(px.Parts) {
-		return nil, fmt.Errorf("core: worker: task %d outside %d partitions", pi, len(px.Parts))
-	}
-	if t := w.tasks[modeIdx][pi]; t != nil {
-		return t, nil
-	}
-	part := px.Parts[pi]
-	summers := buildBlockSummers(w.reg, part, ms, w.setup.GroupBits, w.setup.NoCache)
-	t := buildColumnTask(part, upd, mf, summers, w.setup.NoCache, w.pool)
-	w.tasks[modeIdx][pi] = t
-	return t, nil
-}
-
-// RunBatch executes a whole stage batch (transport.BatchHost). Eval
-// batches fan their tasks out across the worker's threads: every task is
-// first resolved under the exclusive lock (lazy rebuilds after a
-// reassignment mutate the task maps and the cache registry), then the
-// evaluations — which write only their own columnTask state — run
-// concurrently under the shared lock. All other kinds, and sequential
-// workers, run the tasks one by one. Failures follow the BatchHost
-// contract: the batch fails as a whole, naming the earliest failing task
-// in batch order (validation happens in that order before any fan-out,
-// so the selection is deterministic even for parallel batches).
+// RunBatch executes a whole stage batch (transport.Host). Failures follow
+// the Host contract: the batch fails as a whole, naming the earliest
+// failing task in batch order.
+//
+// An eval batch is first resolved under the exclusive lock, in batch order
+// (lazy rebuilds after a reassignment mutate the task tables and the cache
+// registry, and validating in that order makes the failure selection
+// deterministic); then the evaluations — which write only their own
+// columnTask state — fan out across the worker's threads under the shared
+// lock. A sequential worker runs the same two steps on one goroutine.
 func (w *Worker) RunBatch(spec transport.Spec, tasks []int) ([]transport.TaskOutput, error) {
 	outs := make([]transport.TaskOutput, len(tasks))
-	if spec.Kind != transport.KindEval || len(tasks) <= 1 || w.pool.Threads() <= 1 {
+	if spec.Kind != transport.KindEval {
+		w.mu.Lock()
+		defer w.mu.Unlock()
 		for i, task := range tasks {
 			//dbtf:allow-nondeterministic task nanos are wall-clock reporting charged to the simulated ledger, never fed back into results
 			start := time.Now()
-			payload, err := w.RunTask(spec, task)
+			payload, err := w.runTaskLocked(spec, task)
 			if err != nil {
 				return nil, fmt.Errorf("task %d: %w", task, err)
 			}
-			outs[i] = transport.TaskOutput{
-				Task: task,
-				//dbtf:allow-nondeterministic task nanos are wall-clock reporting charged to the simulated ledger, never fed back into results
-				Nanos:   time.Since(start).Nanoseconds() + w.pool.DrainExcess(),
-				Payload: payload,
-			}
+			//dbtf:allow-nondeterministic task nanos are wall-clock reporting charged to the simulated ledger, never fed back into results
+			outs[i] = transport.TaskOutput{Task: task, Nanos: time.Since(start).Nanoseconds(), Payload: payload}
 		}
 		return outs, nil
 	}
-	cts, err := w.resolveEvalBatch(spec, tasks)
-	if err != nil {
-		return nil, err
+	cts := make([]*columnTask, len(tasks))
+	w.mu.Lock()
+	for i, task := range tasks {
+		var err error
+		if cts[i], err = w.ex.task(spec.Mode, task, spec.Col); err != nil {
+			w.mu.Unlock()
+			return nil, fmt.Errorf("task %d: %w", task, err)
+		}
 	}
+	w.mu.Unlock()
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	w.pool.Run(len(tasks), func(i int) {
 		//dbtf:allow-nondeterministic task nanos are wall-clock reporting charged to the simulated ledger, never fed back into results
 		start := time.Now()
 		cts[i].evalColumn(spec.Col)
-		outs[i] = transport.TaskOutput{
-			Task: tasks[i],
-			//dbtf:allow-nondeterministic task nanos are wall-clock reporting charged to the simulated ledger, never fed back into results
-			Nanos:   time.Since(start).Nanoseconds(),
-			Payload: encodeDeltas(cts[i].deltas),
-		}
+		//dbtf:allow-nondeterministic task nanos are wall-clock reporting charged to the simulated ledger, never fed back into results
+		outs[i] = transport.TaskOutput{Task: tasks[i], Nanos: time.Since(start).Nanoseconds(), Payload: encodeDeltas(cts[i].deltas)}
 	})
-	// The wall time the fan-out saved is charged to the batch's first
-	// task: the coordinator sums nanos per machine, so attribution within
-	// one worker's batch cannot skew the simulated makespan.
-	outs[0].Nanos += w.pool.DrainExcess()
+	// The wall time the threads saved — by fanning the tasks out, or by
+	// row-sharding inside one — is charged to the batch's first task: the
+	// coordinator sums nanos per machine, so attribution within one
+	// worker's batch cannot skew the simulated makespan.
+	if len(outs) > 0 {
+		outs[0].Nanos += w.pool.DrainExcess()
+	}
 	return outs, nil
 }
 
-// resolveEvalBatch validates an eval batch and builds (or fetches) every
-// task's columnTask under the exclusive lock, in batch order.
-func (w *Worker) resolveEvalBatch(spec transport.Spec, tasks []int) ([]*columnTask, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.x == nil {
-		return nil, fmt.Errorf("stage before setup")
-	}
-	if spec.Col < 0 || spec.Col >= w.setup.Rank {
-		return nil, fmt.Errorf("eval column %d outside rank %d", spec.Col, w.setup.Rank)
-	}
-	cts := make([]*columnTask, len(tasks))
-	for i, task := range tasks {
-		t, err := w.columnTaskForLocked(spec.Mode, task)
+// runTaskLocked executes one build or total-error task. Caller holds the
+// exclusive lock.
+func (w *Worker) runTaskLocked(spec transport.Spec, task int) ([]byte, error) {
+	switch spec.Kind {
+	case transport.KindBuild:
+		_, err := w.ex.build(spec.Mode, task)
+		return nil, err
+	case transport.KindTotalError:
+		e, err := w.ex.totalError(task)
 		if err != nil {
-			return nil, fmt.Errorf("task %d: %w", task, err)
+			return nil, err
 		}
-		cts[i] = t
+		return encodePartial(e), nil
 	}
-	return cts, nil
+	return nil, fmt.Errorf("core: worker: unknown stage kind %d", spec.Kind)
 }

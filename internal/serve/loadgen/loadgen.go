@@ -492,15 +492,7 @@ func (r *Runner) Verify(baseURL string) (verified, mismatches int, err error) {
 		}
 		x := r.tensors[rec.spec.TensorID]
 		cl := cluster.New(cluster.Config{Machines: r.sc.Machines})
-		res, derr := core.Decompose(context.Background(), x, cl, core.Options{
-			Rank:        rec.spec.Rank,
-			MaxIter:     rec.spec.MaxIter,
-			MinIter:     rec.spec.MinIter,
-			InitialSets: rec.spec.InitialSets,
-			Init:        rec.spec.InitScheme(),
-			Tolerance:   rec.spec.Tolerance,
-			Seed:        rec.spec.Seed,
-		})
+		res, derr := core.Decompose(context.Background(), x, cl, rec.spec.Options())
 		if derr != nil {
 			return verified, mismatches, fmt.Errorf("loadgen: local rerun of %s: %w", id, derr)
 		}

@@ -346,25 +346,16 @@ func (s *Server) runSlice(ctx context.Context, j *Job) (*core.Result, error) {
 		return nil, err
 	}
 	sliceIters := 0
-	return core.Decompose(ctx, x, cl, core.Options{
-		Rank:            j.Spec.Rank,
-		MaxIter:         j.Spec.MaxIter,
-		MinIter:         j.Spec.MinIter,
-		InitialSets:     j.Spec.InitialSets,
-		Init:            j.Spec.InitScheme(),
-		Tolerance:       j.Spec.Tolerance,
-		Seed:            j.Spec.Seed,
-		CheckpointDir:   ckdir,
-		CheckpointEvery: 1,
-		Resume:          true,
-		Preempt: func() bool {
-			sliceIters++
-			if s.evictRequested(j) {
-				return true
-			}
-			return s.cfg.SliceIterations > 0 && sliceIters >= s.cfg.SliceIterations && s.queuedLen() > 0
-		},
-	})
+	opt := j.Spec.Options()
+	opt.CheckpointDir, opt.CheckpointEvery, opt.Resume = ckdir, 1, true
+	opt.Preempt = func() bool {
+		sliceIters++
+		if s.evictRequested(j) {
+			return true
+		}
+		return s.cfg.SliceIterations > 0 && sliceIters >= s.cfg.SliceIterations && s.queuedLen() > 0
+	}
+	return core.Decompose(ctx, x, cl, opt)
 }
 
 func (s *Server) evictRequested(j *Job) bool {

@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -254,6 +256,41 @@ func TestSubmitUnknownTensor(t *testing.T) {
 	defer s.Drain()
 	if _, err := s.Submit(baseSpec("nope")); err == nil {
 		t.Fatal("submitted against a missing tensor")
+	}
+}
+
+// TestSubmitRejectsSpecsTheEngineRejects pins the admission bugfix: a spec
+// whose min_iter exceeds its max_iter (explicit, or the default 10) gets
+// 400 at POST /v1/jobs and leaves no job record, queue slot or memory
+// charge behind — it used to be admitted and fail inside Decompose.
+func TestSubmitRejectsSpecsTheEngineRejects(t *testing.T) {
+	s := testServer(t, nil)
+	defer s.Drain()
+	if err := s.PutTensor("x1", testTensor(7)); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	for _, body := range []string{
+		`{"tenant":"acme","tensor_id":"x1","rank":2,"min_iter":20}`,
+		`{"tenant":"acme","tensor_id":"x1","rank":2,"max_iter":3,"min_iter":5}`,
+	} {
+		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cerr := resp.Body.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if jobs := s.JobList(""); len(jobs) != 0 {
+		t.Fatalf("rejected specs left job records: %+v", jobs)
+	}
+	if st := s.StatsSnapshot(); st.Admitted != 0 || st.Queued != 0 || st.MemoryBytes != 0 {
+		t.Fatalf("rejected specs took a queue slot or a memory charge: %+v", st)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 
+	"dbtf/internal/boolmat"
 	"dbtf/internal/core"
 	"dbtf/internal/tensor"
 )
@@ -26,8 +27,8 @@ import (
 const (
 	// MaxSpecBytes bounds a job-spec request body.
 	MaxSpecBytes = 1 << 16
-	// MaxRank mirrors the engine's rank ceiling.
-	MaxRank = 64
+	// MaxRank is the engine's rank ceiling.
+	MaxRank = boolmat.MaxRank
 	// MaxIterLimit bounds requested iterations per job.
 	MaxIterLimit = 10000
 	// MaxInitialSets bounds the initial factor sets per job.
@@ -83,41 +84,49 @@ func validIdent(s string) bool {
 	return true
 }
 
-// Validate checks the spec's fields against the service limits.
+// Validate checks the spec against the service limits and then against the
+// engine's own option rules (core.Options.Validate), so a spec that decodes
+// is one Decompose will not refuse: nothing the engine rejects ever takes a
+// queue slot or a memory-ledger charge.
 func (s *JobSpec) Validate() error {
 	switch {
 	case !validIdent(s.Tenant):
 		return errors.New("serve: tenant must be 1-64 chars of [A-Za-z0-9_-]")
 	case !validIdent(s.TensorID):
 		return errors.New("serve: tensor_id must be 1-64 chars of [A-Za-z0-9_-]")
-	case s.Rank < 1 || s.Rank > MaxRank:
-		return fmt.Errorf("serve: rank must be 1..%d, got %d", MaxRank, s.Rank)
 	case s.MaxIter < 0 || s.MaxIter > MaxIterLimit:
 		return fmt.Errorf("serve: max_iter must be 0..%d, got %d", MaxIterLimit, s.MaxIter)
 	case s.MinIter < 0 || s.MinIter > MaxIterLimit:
 		return fmt.Errorf("serve: min_iter must be 0..%d, got %d", MaxIterLimit, s.MinIter)
 	case s.InitialSets < 0 || s.InitialSets > MaxInitialSets:
 		return fmt.Errorf("serve: initial_sets must be 0..%d, got %d", MaxInitialSets, s.InitialSets)
-	case s.Tolerance < 0:
-		return fmt.Errorf("serve: tolerance must be >= 0, got %d", s.Tolerance)
 	case s.Priority < -100 || s.Priority > 100:
 		return fmt.Errorf("serve: priority must be -100..100, got %d", s.Priority)
 	}
-	scheme, err := core.ParseInitScheme(s.Init)
-	if err != nil {
+	if _, err := core.ParseInitScheme(s.Init); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	if scheme == core.InitTopFiber && s.InitialSets > 1 {
-		return fmt.Errorf("serve: init %q is deterministic; initial_sets %d would try identical sets", s.Init, s.InitialSets)
+	if err := s.Options().Validate(); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
 }
 
-// InitScheme returns the spec's parsed initialization scheme; Validate
-// must have accepted the spec.
-func (s *JobSpec) InitScheme() core.InitScheme {
+// Options returns the engine options the spec describes — the one place a
+// JobSpec becomes core.Options. The server adds checkpoint placement and
+// its eviction hook; a verifier rerunning the job adds nothing. An
+// unparsable Init (Validate rejects it) maps to the default scheme.
+func (s *JobSpec) Options() core.Options {
 	scheme, _ := core.ParseInitScheme(s.Init)
-	return scheme
+	return core.Options{
+		Rank:        s.Rank,
+		MaxIter:     s.MaxIter,
+		MinIter:     s.MinIter,
+		InitialSets: s.InitialSets,
+		Init:        scheme,
+		Tolerance:   s.Tolerance,
+		Seed:        s.Seed,
+	}
 }
 
 // DecodeJobSpec parses and validates one job spec from at most

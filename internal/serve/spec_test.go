@@ -34,8 +34,13 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 		"huge priority":    `{"tenant":"a","tensor_id":"t","rank":2,"priority":1000}`,
 		"unknown init":     `{"tenant":"a","tensor_id":"t","rank":2,"init":"bogus"}`,
 		"topfiber + sets":  `{"tenant":"a","tensor_id":"t","rank":2,"init":"topfiber","initial_sets":4}`,
-		"not json":         `rank=2`,
-		"empty":            ``,
+		// Specs the engine refuses must not decode: they used to take a
+		// queue slot and fail inside Decompose.
+		"min_iter > default max_iter": `{"tenant":"a","tensor_id":"t","rank":2,"min_iter":20}`,
+		"min_iter > max_iter":         `{"tenant":"a","tensor_id":"t","rank":2,"max_iter":3,"min_iter":5}`,
+		"negative tolerance":          `{"tenant":"a","tensor_id":"t","rank":2,"tolerance":-1}`,
+		"not json":                    `rank=2`,
+		"empty":                       ``,
 	}
 	for name, body := range cases {
 		if _, err := DecodeJobSpec(strings.NewReader(body)); err == nil {
@@ -55,8 +60,8 @@ func TestJobSpecInitScheme(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", body, err)
 		}
-		if got := spec.InitScheme(); got != want {
-			t.Errorf("%s: InitScheme() = %v, want %v", body, got, want)
+		if got := spec.Options().Init; got != want {
+			t.Errorf("%s: Options().Init = %v, want %v", body, got, want)
 		}
 	}
 }
@@ -104,7 +109,9 @@ func TestDecodeTensorBothFormats(t *testing.T) {
 
 // FuzzJobSpecDecode is the satellite fuzz target for the HTTP job-spec
 // parser: arbitrary bodies must never panic, never read unbounded
-// input, and anything accepted must itself validate.
+// input, and anything accepted must itself validate — against the service
+// limits and against the engine, so an admitted job cannot fail option
+// validation inside Decompose.
 func FuzzJobSpecDecode(f *testing.F) {
 	f.Add(`{"tenant":"acme","tensor_id":"t1","rank":4}`)
 	f.Add(`{"tenant":"a","tensor_id":"t","rank":2,"max_iter":20,"min_iter":5,"initial_sets":3,"seed":-9,"tolerance":1,"priority":100}`)
@@ -115,6 +122,8 @@ func FuzzJobSpecDecode(f *testing.F) {
 	f.Add(`[1,2,3]`)
 	f.Add(`{"rank":1e9}`)
 	f.Add("\x00\xff\xfe")
+	f.Add(`{"tenant":"a","tensor_id":"t","rank":2,"min_iter":20}`)
+	f.Add(`{"tenant":"a","tensor_id":"t","rank":2,"max_iter":3,"min_iter":5}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		r := strings.NewReader(body)
 		spec, err := DecodeJobSpec(r)
@@ -126,6 +135,9 @@ func FuzzJobSpecDecode(f *testing.F) {
 		}
 		if verr := spec.Validate(); verr != nil {
 			t.Fatalf("decoded spec fails its own validation: %v", verr)
+		}
+		if verr := spec.Options().Validate(); verr != nil {
+			t.Fatalf("decoded spec %+v yields options the engine rejects: %v", spec, verr)
 		}
 	})
 }

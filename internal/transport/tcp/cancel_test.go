@@ -9,16 +9,16 @@ import (
 	"dbtf/internal/transport"
 )
 
-// stallHost blocks every RunTask until released, simulating a worker
+// stallHost blocks every RunBatch until released, simulating a worker
 // that is alive but slow.
 type stallHost struct {
 	*echoHost
 	release chan struct{}
 }
 
-func (h *stallHost) RunTask(spec transport.Spec, task int) ([]byte, error) {
+func (h *stallHost) RunBatch(spec transport.Spec, tasks []int) ([]transport.TaskOutput, error) {
 	<-h.release
-	return h.echoHost.RunTask(spec, task)
+	return h.echoHost.RunBatch(spec, tasks)
 }
 
 // TestRunCancelledMidStageReturnsPromptly pins the coordinator's

@@ -235,7 +235,14 @@ func (s *Server) serveConn(conn net.Conn, st *connState) error {
 				resp = &transport.Msg{Type: transport.MsgAck}
 			}
 		case transport.MsgRun:
-			resp = runBatch(s.host, req)
+			// All-or-nothing: any task failure turns the whole batch into an
+			// error frame, so the coordinator never has to reconcile a
+			// partially delivered batch.
+			if outs, err := s.host.RunBatch(req.Spec, req.Tasks); err != nil {
+				resp = &transport.Msg{Type: transport.MsgError, Error: fmt.Sprintf("stage %q %v", req.Spec.Name, err)}
+			} else {
+				resp = &transport.Msg{Type: transport.MsgResult, Outputs: outs}
+			}
 		default:
 			resp = &transport.Msg{Type: transport.MsgError, Error: fmt.Sprintf("unexpected message type %d", req.Type)}
 		}
@@ -249,36 +256,4 @@ func (s *Server) serveConn(conn net.Conn, st *connState) error {
 			return nil
 		}
 	}
-}
-
-// runBatch executes one stage batch. The reply is all-or-nothing: any
-// task failure turns the whole batch into an error frame, so the
-// coordinator never has to reconcile a partially delivered batch. Hosts
-// implementing transport.BatchHost run the batch themselves (fanning
-// tasks across the machine's threads) under the same contract; the
-// coordinator cannot tell the two apart except by speed.
-func runBatch(host transport.Host, req *transport.Msg) *transport.Msg {
-	if bh, ok := host.(transport.BatchHost); ok {
-		outs, err := bh.RunBatch(req.Spec, req.Tasks)
-		if err != nil {
-			return &transport.Msg{Type: transport.MsgError,
-				Error: fmt.Sprintf("stage %q %v", req.Spec.Name, err)}
-		}
-		return &transport.Msg{Type: transport.MsgResult, Outputs: outs}
-	}
-	outs := make([]transport.TaskOutput, 0, len(req.Tasks))
-	for _, task := range req.Tasks {
-		start := time.Now()
-		payload, err := host.RunTask(req.Spec, task)
-		if err != nil {
-			return &transport.Msg{Type: transport.MsgError,
-				Error: fmt.Sprintf("stage %q task %d: %v", req.Spec.Name, task, err)}
-		}
-		outs = append(outs, transport.TaskOutput{
-			Task:    task,
-			Nanos:   time.Since(start).Nanoseconds(),
-			Payload: payload,
-		})
-	}
-	return &transport.Msg{Type: transport.MsgResult, Outputs: outs}
 }

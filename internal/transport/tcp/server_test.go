@@ -10,7 +10,7 @@ import (
 	"dbtf/internal/transport"
 )
 
-// slowHost blocks RunTask until release is closed, signalling started on
+// slowHost blocks RunBatch until release is closed, signalling started on
 // entry, so tests can drain a server with a batch genuinely in flight.
 type slowHost struct {
 	*echoHost
@@ -26,14 +26,14 @@ func newSlowHost() *slowHost {
 	}
 }
 
-func (h *slowHost) RunTask(spec transport.Spec, task int) ([]byte, error) {
+func (h *slowHost) RunBatch(spec transport.Spec, tasks []int) ([]transport.TaskOutput, error) {
 	select {
 	case <-h.started:
 	default:
 		close(h.started)
 	}
 	<-h.release
-	return h.echoHost.RunTask(spec, task)
+	return h.echoHost.RunBatch(spec, tasks)
 }
 
 func TestShutdownDrainsInFlightBatch(t *testing.T) {

@@ -35,13 +35,17 @@ func (h *echoHost) Apply(kind transport.StateKind, payload []byte) error {
 	return nil
 }
 
-func (h *echoHost) RunTask(spec transport.Spec, task int) ([]byte, error) {
+func (h *echoHost) RunBatch(spec transport.Spec, tasks []int) ([]transport.TaskOutput, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.taskErr != nil {
-		return nil, h.taskErr
+	outs := make([]transport.TaskOutput, len(tasks))
+	for i, task := range tasks {
+		if h.taskErr != nil {
+			return nil, fmt.Errorf("task %d: %w", task, h.taskErr)
+		}
+		outs[i] = transport.TaskOutput{Task: task, Payload: []byte(fmt.Sprintf("%s/%d", spec.Name, task))}
 	}
-	return []byte(fmt.Sprintf("%s/%d", spec.Name, task)), nil
+	return outs, nil
 }
 
 func (h *echoHost) appliedKinds() []transport.StateKind {

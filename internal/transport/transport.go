@@ -161,27 +161,17 @@ type Transport interface {
 // Host is the executor side of the protocol: replicated state plus stage
 // execution. Implementations must be safe for one request at a time (the
 // wire protocol is sequential per connection); the tcp server serializes
-// calls.
+// calls per connection, and a host may fan one batch's tasks (and their
+// row ranges) out across its machine's OS threads.
 type Host interface {
 	// Apply installs one replicated-state blob.
 	Apply(kind StateKind, payload []byte) error
-	// RunTask executes one task of a stage and returns its payload.
-	RunTask(spec Spec, task int) ([]byte, error)
-}
-
-// BatchHost is an optional extension of Host: an executor that runs a
-// whole stage batch itself, typically fanning the tasks (and their row
-// ranges) out across its machine's OS threads. Servers type-assert for
-// it and fall back to per-task RunTask calls when absent.
-//
-// The reply contract matches running the tasks one by one: on success
-// RunBatch returns exactly one TaskOutput per requested task, in the
-// order given, each with its own measured nanos. Any task failure fails
-// the whole batch — the all-or-nothing rule the coordinator's rerouting
-// relies on — with an error identifying the failing task; when several
-// tasks fail, the error names the one earliest in the batch order, so a
-// parallel executor reports deterministically.
-type BatchHost interface {
-	Host
+	// RunBatch executes one stage batch. On success it returns exactly one
+	// TaskOutput per requested task, in the order given, each with its own
+	// measured nanos. Any task failure fails the whole batch — the
+	// all-or-nothing rule the coordinator's rerouting relies on — with an
+	// error identifying the failing task; when several tasks fail, the
+	// error names the one earliest in the batch order, so a parallel
+	// executor reports deterministically.
 	RunBatch(spec Spec, tasks []int) ([]TaskOutput, error)
 }
