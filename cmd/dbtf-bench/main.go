@@ -7,7 +7,6 @@
 //	dbtf-bench -list
 //	dbtf-bench -exp fig1a [-budget 30s] [-machines 16] [-scale 1.0]
 //	dbtf-bench -exp all
-//	dbtf-bench -json [-out DIR] [-threads T] [-compare BENCH_<n>.json]
 package main
 
 import (
@@ -37,10 +36,6 @@ func run(args []string) error {
 		scale    = fs.Float64("scale", 1.0, "workload scale factor")
 		seed     = fs.Int64("seed", 1, "random seed")
 		verbose  = fs.Bool("v", false, "print per-run progress")
-		jsonOut  = fs.Bool("json", false, "run the Factorize micro-benchmarks and write a BENCH_<n>.json snapshot")
-		outDir   = fs.String("out", ".", "output directory for -json snapshots")
-		threads  = fs.Int("threads", 1, "with -json: also record multicore rows at this ThreadsPerMachine")
-		compare  = fs.String("compare", "", "with -json: fail if any Factorize bench regresses >10% ns/op vs this BENCH_<n>.json")
 		traceOut = fs.String("trace", "", "write a structured trace of every DBTF run to this file")
 		traceFmt = fs.String("trace-format", "jsonl", "trace format: jsonl or chrome")
 	)
@@ -49,42 +44,6 @@ func run(args []string) error {
 	}
 	if *traceFmt != "jsonl" && *traceFmt != "chrome" {
 		return fmt.Errorf("-trace-format %q (want jsonl or chrome)", *traceFmt)
-	}
-	if *traceOut != "" && *jsonOut {
-		return fmt.Errorf("-trace does not apply to -json micro-benchmarks")
-	}
-
-	if *jsonOut {
-		progress := os.Stderr
-		if !*verbose {
-			progress = nil
-		}
-		path, err := runJSONBench(*outDir, *threads, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Println(path)
-		if *compare != "" {
-			prev, err := loadSnapshot(*compare)
-			if err != nil {
-				return err
-			}
-			cur, err := loadSnapshot(path)
-			if err != nil {
-				return err
-			}
-			if violations := compareSnapshots(cur, prev, 0.10); len(violations) > 0 {
-				for _, v := range violations {
-					fmt.Fprintln(os.Stderr, "regression:", v)
-				}
-				return fmt.Errorf("%d benchmark regression(s) vs %s", len(violations), *compare)
-			}
-			fmt.Fprintf(os.Stderr, "no regressions vs %s\n", *compare)
-		}
-		return nil
-	}
-	if *compare != "" {
-		return fmt.Errorf("-compare requires -json")
 	}
 
 	if *list {

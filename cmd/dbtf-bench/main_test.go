@@ -1,9 +1,6 @@
 package main
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}); err != nil {
@@ -27,66 +24,5 @@ func TestRunTable3(t *testing.T) {
 	// table3 only generates datasets; it is the cheapest real experiment.
 	if err := run([]string{"-exp", "table3", "-scale", "0.15"}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCompareRequiresJSON(t *testing.T) {
-	if err := run([]string{"-compare", "BENCH_0.json"}); err == nil {
-		t.Fatal("-compare without -json accepted")
-	}
-}
-
-func snapOf(recs ...BenchRecord) *BenchSnapshot { return &BenchSnapshot{Benches: recs} }
-
-func TestCompareSnapshotsGate(t *testing.T) {
-	base := BenchRecord{Name: "FactorizeDim32", NsPerOp: 1000, NNZ: 5, Error: 3}
-	cases := []struct {
-		name       string
-		cur        BenchRecord
-		violations int
-	}{
-		{"within budget", BenchRecord{Name: "FactorizeDim32", NsPerOp: 1099, NNZ: 5, Error: 3}, 0},
-		{"faster", BenchRecord{Name: "FactorizeDim32", NsPerOp: 500, NNZ: 5, Error: 3}, 0},
-		{"regressed", BenchRecord{Name: "FactorizeDim32", NsPerOp: 1200, NNZ: 5, Error: 3}, 1},
-		{"result changed", BenchRecord{Name: "FactorizeDim32", NsPerOp: 900, NNZ: 5, Error: 4}, 1},
-		{"new bench passes vacuously", BenchRecord{Name: "FactorizeDim256", NsPerOp: 9e9, NNZ: 1, Error: 1}, 0},
-		// A multicore row has no counterpart in a pinned-only baseline.
-		{"new multicore row", BenchRecord{Name: "FactorizeDim32", NsPerOp: 9e9, NNZ: 5, Error: 3, ThreadsPerMachine: 4}, 0},
-		// threads_per_machine absent in old snapshots means pinned: the
-		// explicit T=1 row still matches it.
-		{"explicit T=1 matches legacy", BenchRecord{Name: "FactorizeDim32", NsPerOp: 1200, NNZ: 5, Error: 3, ThreadsPerMachine: 1}, 1},
-		// A topfiber row has no counterpart in a default-init-only baseline:
-		// its different Error must NOT read as a fingerprint change.
-		{"new init row passes vacuously", BenchRecord{Name: "FactorizeDim32", NsPerOp: 9e9, NNZ: 5, Error: 7, Init: "topfiber"}, 0},
-		// init absent in old snapshots means the fiber-sample default: an
-		// explicit "fiber" row still matches it.
-		{"explicit fiber matches legacy", BenchRecord{Name: "FactorizeDim32", NsPerOp: 1200, NNZ: 5, Error: 3, Init: "fiber"}, 1},
-	}
-	for _, tc := range cases {
-		got := compareSnapshots(snapOf(tc.cur), snapOf(base), 0.10)
-		if len(got) != tc.violations {
-			t.Errorf("%s: %d violations %v, want %d", tc.name, len(got), got, tc.violations)
-		}
-	}
-}
-
-func TestCompareSnapshotsInitDimension(t *testing.T) {
-	// Once a baseline carries both init rows, each cur row is held to its
-	// own init's fingerprint and budget — never the other's.
-	base := snapOf(
-		BenchRecord{Name: "FactorizeDim32", NsPerOp: 1000, NNZ: 5, Error: 3},
-		BenchRecord{Name: "FactorizeDim32", NsPerOp: 800, NNZ: 5, Error: 7, Init: "topfiber"},
-	)
-	ok := snapOf(
-		BenchRecord{Name: "FactorizeDim32", NsPerOp: 1050, NNZ: 5, Error: 3},
-		BenchRecord{Name: "FactorizeDim32", NsPerOp: 820, NNZ: 5, Error: 7, Init: "topfiber"},
-	)
-	if got := compareSnapshots(ok, base, 0.10); len(got) != 0 {
-		t.Fatalf("matched init rows flagged: %v", got)
-	}
-	drifted := snapOf(BenchRecord{Name: "FactorizeDim32", NsPerOp: 820, NNZ: 5, Error: 8, Init: "topfiber"})
-	got := compareSnapshots(drifted, base, 0.10)
-	if len(got) != 1 || !strings.Contains(got[0], "init=topfiber") {
-		t.Fatalf("topfiber fingerprint drift not attributed: %v", got)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"dbtf"
+	"dbtf/internal/trace"
 )
 
 func main() {
@@ -29,6 +30,38 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// progressSink is -v: a trace sink that prints one line per iteration,
+// checkpoint and machine liveness change, as the run emits them.
+type progressSink struct {
+	// iter is the open iteration; a checkpoint is written inside it.
+	iter int
+}
+
+func (p *progressSink) Write(ev *dbtf.TraceEvent) error {
+	switch ev.Type {
+	case trace.RunBegin:
+		if ev.Iteration > 0 {
+			fmt.Printf("  resumed from checkpoint: iteration %d, error %d\n", ev.Iteration, *ev.Error)
+		}
+	case trace.IterationBegin:
+		p.iter = ev.Iteration
+	case trace.IterationEnd:
+		// An aborted run closes its open iteration without an error.
+		if ev.Error != nil {
+			fmt.Printf("  iteration %d: error %d\n", ev.Iteration, *ev.Error)
+		}
+	case trace.Checkpoint:
+		fmt.Printf("  checkpoint: iteration %d, %d bytes\n", p.iter, ev.Bytes)
+	case trace.MachineLoss:
+		fmt.Printf("  machine %d lost\n", ev.Machine)
+	case trace.MachineRejoin:
+		fmt.Printf("  machine %d rejoined\n", ev.Machine)
+	}
+	return nil
+}
+
+func (*progressSink) Close() error { return nil }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("dbtf", flag.ContinueOnError)
@@ -72,21 +105,10 @@ func run(args []string) error {
 	}
 	// Validate flag combinations before any work starts, so a bad
 	// invocation fails immediately with a clear message rather than
-	// mid-run.
-	if *maxRetries < 0 {
-		return fmt.Errorf("-max-retries %d must be >= 0", *maxRetries)
-	}
+	// mid-run. Only the rules that are this command's own live here; the
+	// library's are asked of it below (Options.Validate).
 	if *chaos < 0 || *chaos > 0.5 {
 		return fmt.Errorf("-chaos %v outside [0, 0.5]", *chaos)
-	}
-	if *chaosLoss < 0 || *chaosLoss >= 1 {
-		return fmt.Errorf("-chaos-machine-loss %v outside [0,1)", *chaosLoss)
-	}
-	if *chaosJoin < 0 {
-		return fmt.Errorf("-chaos-rejoin %d must be >= 0", *chaosJoin)
-	}
-	if *resume && *ckDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint-dir")
 	}
 	if *ckDir != "" && *ckEvery <= 0 {
 		return fmt.Errorf("-checkpoint-every %d must be >= 1", *ckEvery)
@@ -131,9 +153,6 @@ func run(args []string) error {
 		if *method != "dbtf" || *autoRank > 0 {
 			return fmt.Errorf("-transport tcp requires -method dbtf (without -auto-rank)")
 		}
-		if *chaos > 0 || *chaosLoss > 0 {
-			return fmt.Errorf("-chaos flags inject faults into the simulated backend; with -transport tcp, kill a worker process instead")
-		}
 		for _, a := range strings.Split(*workers, ",") {
 			a = strings.TrimSpace(a)
 			if a == "" {
@@ -150,6 +169,49 @@ func run(args []string) error {
 		*machines = len(workerAddrs)
 	}
 
+	// Any non-zero chaos flag builds the plan, so that an out-of-range one
+	// reaches the library's check instead of being dropped as "no chaos".
+	var faults *dbtf.FaultPlan
+	if *chaos != 0 || *chaosLoss != 0 || *chaosJoin != 0 {
+		fseed := *chaosSeed
+		if fseed == 0 {
+			fseed = *seed
+		}
+		faults = &dbtf.FaultPlan{
+			Seed:               fseed,
+			FailureRate:        *chaos,
+			PanicRate:          *chaos / 4,
+			StragglerRate:      *chaos / 2,
+			MachineLossRate:    *chaosLoss,
+			MachineRejoinAfter: *chaosJoin,
+		}
+	}
+	opts := dbtf.Options{
+		Rank:              *rank,
+		MaxIter:           *maxIter,
+		InitialSets:       *sets,
+		Machines:          *machines,
+		ThreadsPerMachine: *threads,
+		Workers:           workerAddrs,
+		Partitions:        *partitions,
+		CacheGroupBits:    *groupBits,
+		Init:              dbtfInit,
+		Seed:              *seed,
+		MaxRetries:        *maxRetries,
+		FailFast:          *failFast,
+		Faults:            faults,
+		CheckpointDir:     *ckDir,
+		Resume:            *resume,
+	}
+	if *ckDir != "" {
+		opts.CheckpointEvery = *ckEvery
+	}
+	if *method == "dbtf" && *autoRank == 0 {
+		if err := opts.Validate(); err != nil {
+			return err
+		}
+	}
+
 	x, err := dbtf.ReadTensorFile(*input)
 	if err != nil {
 		return err
@@ -162,13 +224,6 @@ func run(args []string) error {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *budget)
 		defer cancel()
-	}
-
-	var trace func(string, ...any)
-	if *verbose {
-		trace = func(format string, args ...any) {
-			fmt.Printf("  "+format+"\n", args...)
-		}
 	}
 
 	start := time.Now()
@@ -194,22 +249,7 @@ func run(args []string) error {
 				sel.Rank, *autoRank, sel.Bits[sel.Rank-1], sel.BaselineBits)
 			break
 		}
-		var faults *dbtf.FaultPlan
-		if *chaos > 0 || *chaosLoss > 0 {
-			fseed := *chaosSeed
-			if fseed == 0 {
-				fseed = *seed
-			}
-			faults = &dbtf.FaultPlan{
-				Seed:               fseed,
-				FailureRate:        *chaos,
-				PanicRate:          *chaos / 4,
-				StragglerRate:      *chaos / 2,
-				MachineLossRate:    *chaosLoss,
-				MachineRejoinAfter: *chaosJoin,
-			}
-		}
-		var tracer *dbtf.Tracer
+		var sinks []dbtf.TraceSink
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			if err != nil {
@@ -219,34 +259,18 @@ func run(args []string) error {
 			if *traceFmt == "chrome" {
 				sink = dbtf.NewChromeTrace(f)
 			}
-			tracer = dbtf.NewTracer(sink)
+			sinks = append(sinks, sink)
 		}
-		opts := dbtf.Options{
-			Rank:              *rank,
-			MaxIter:           *maxIter,
-			InitialSets:       *sets,
-			Machines:          *machines,
-			ThreadsPerMachine: *threads,
-			Workers:           workerAddrs,
-			Partitions:        *partitions,
-			CacheGroupBits:    *groupBits,
-			Init:              dbtfInit,
-			Seed:              *seed,
-			MaxRetries:        *maxRetries,
-			FailFast:          *failFast,
-			Faults:            faults,
-			Trace:             trace,
-			Tracer:            tracer,
+		if *verbose {
+			sinks = append(sinks, &progressSink{})
 		}
-		if *ckDir != "" {
-			opts.CheckpointDir = *ckDir
-			opts.CheckpointEvery = *ckEvery
-			opts.Resume = *resume
+		if len(sinks) > 0 {
+			opts.Tracer = dbtf.NewTracer(trace.NewTee(sinks...))
 		}
 		res, err := dbtf.Factorize(ctx, x, opts)
 		// Close the trace even when the run failed: the deferred run-end
 		// event has been emitted and a partial trace is still loadable.
-		if cerr := tracer.Close(); cerr != nil && err == nil {
+		if cerr := opts.Tracer.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("writing trace %s: %w", *traceOut, cerr)
 		}
 		if err != nil {
@@ -256,6 +280,9 @@ func run(args []string) error {
 			fmt.Printf("trace: wrote %s (%s)\n", *traceOut, *traceFmt)
 		}
 		factors, recErr = res.Factors, res.Error
+		if *verbose && len(res.InitialErrors) > 1 {
+			fmt.Printf("  initial sets: errors %v\n", res.InitialErrors)
+		}
 		fmt.Printf("dbtf: %d iterations, converged=%v\n", res.Iterations, res.Converged)
 		fmt.Printf("cluster: simulated %v on %d machines; shuffled %d B, broadcast %d B, collected %d B\n",
 			res.SimTime.Round(time.Millisecond), *machines,

@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dbtf"
@@ -222,10 +224,77 @@ func TestRunInitFlag(t *testing.T) {
 	}
 }
 
+// captureStdout runs fn with os.Stdout redirected to a file and returns
+// what it printed. Tests in this package do not run in parallel.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestRunVerbose: -v is a trace sink over the typed event stream. It must
+// print one line per iteration and per checkpoint, and a resumed run must
+// say where it resumed from.
 func TestRunVerbose(t *testing.T) {
 	path := writeTensor(t)
-	if err := run([]string{"-input", path, "-rank", "2", "-v"}); err != nil {
+	dir := t.TempDir()
+	args := []string{"-input", path, "-rank", "2", "-machines", "2", "-maxiter", "3", "-v",
+		"-checkpoint-dir", dir}
+	out := captureStdout(t, func() error { return run(args) })
+	var iters int
+	if _, err := fmt.Sscanf(out[strings.Index(out, "dbtf: "):], "dbtf: %d iterations", &iters); err != nil {
+		t.Fatalf("no summary line in output:\n%s", out)
+	}
+	for it := 1; it <= iters; it++ {
+		for _, prefix := range []string{"  iteration %d: error ", "  checkpoint: iteration %d, "} {
+			if want := fmt.Sprintf(prefix, it); strings.Count(out, want) != 1 {
+				t.Errorf("want exactly one %q line, output:\n%s", want, out)
+			}
+		}
+	}
+	if strings.Contains(out, "resumed from checkpoint") {
+		t.Errorf("fresh run reports a resume:\n%s", out)
+	}
+
+	out = captureStdout(t, func() error { return run(append(args, "-resume")) })
+	if want := fmt.Sprintf("  resumed from checkpoint: iteration %d, error ", iters); !strings.Contains(out, want) {
+		t.Errorf("resumed run does not print %q:\n%s", want, out)
+	}
+}
+
+// TestRunVerboseWithTrace: -v and -trace share one tracer through a tee;
+// neither may starve the other.
+func TestRunVerboseWithTrace(t *testing.T) {
+	path := writeTensor(t)
+	jsonl := filepath.Join(t.TempDir(), "run.jsonl")
+	out := captureStdout(t, func() error {
+		return run([]string{"-input", path, "-rank", "2", "-machines", "2", "-v", "-trace", jsonl})
+	})
+	if !strings.Contains(out, "  iteration 1: error ") {
+		t.Errorf("-v printed no iteration line next to -trace:\n%s", out)
+	}
+	f, err := os.Open(jsonl)
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := trace.ValidateJSONL(f); err != nil {
+		t.Errorf("trace written next to -v is invalid: %v", err)
 	}
 }
 

@@ -45,7 +45,6 @@ import (
 	"dbtf/internal/cluster"
 	"dbtf/internal/core"
 	"dbtf/internal/tensor"
-	"dbtf/internal/transport"
 	"dbtf/internal/transport/tcp"
 )
 
@@ -139,13 +138,69 @@ type Options struct {
 	// Horizontal switches to horizontal (rank) partitioning (for ablations
 	// only; strictly worse, see the paper's Section III-D).
 	Horizontal bool
-	// Trace, when non-nil, receives human-readable progress lines.
-	Trace func(format string, args ...any)
 	// Tracer, when non-nil, receives the run's structured event stream:
 	// stage/driver/iteration spans, traffic charges, retries, speculation,
 	// and machine liveness, on both the wall and the simulated clock. Build
-	// one with NewTracer; see cmd/dbtf's -trace flag for the file form.
+	// one with NewTracer; see cmd/dbtf's -trace flag for the file form and
+	// its -v flag for a sink that prints progress lines.
 	Tracer *Tracer
+}
+
+// Validate checks every rule the options must satisfy that does not depend
+// on the tensor: the cluster's (machine count, retry bound, fault-plan
+// rates), the engine's (rank, iteration bounds, init and checkpoint
+// combinations), and that Faults is not combined with Workers. Factorize
+// applies it before anything runs; front ends call it to refuse a bad
+// request before doing any work.
+func (opt Options) Validate() error {
+	if len(opt.Workers) > 0 && opt.Faults != nil {
+		return errors.New("dbtf: Faults requires the simulated backend (unset Workers)")
+	}
+	if err := opt.clusterConfig().Validate(); err != nil {
+		return err
+	}
+	return opt.coreOptions().Validate()
+}
+
+// clusterConfig maps the options onto the cluster's; Factorize adds the
+// dialed transport when Workers is set.
+func (opt Options) clusterConfig() cluster.Config {
+	machines := opt.Machines
+	if len(opt.Workers) > 0 {
+		machines = len(opt.Workers)
+	} else if machines == 0 {
+		machines = runtime.GOMAXPROCS(0)
+	}
+	return cluster.Config{
+		Machines:          machines,
+		ThreadsPerMachine: opt.ThreadsPerMachine,
+		MaxRetries:        opt.MaxRetries,
+		FailFast:          opt.FailFast,
+		Faults:            opt.Faults,
+		Tracer:            opt.Tracer,
+	}
+}
+
+// coreOptions maps the options onto the engine's.
+func (opt Options) coreOptions() core.Options {
+	return core.Options{
+		Rank:            opt.Rank,
+		MaxIter:         opt.MaxIter,
+		MinIter:         opt.MinIter,
+		InitialSets:     opt.InitialSets,
+		Partitions:      opt.Partitions,
+		GroupBits:       opt.CacheGroupBits,
+		Tolerance:       opt.Tolerance,
+		Init:            opt.Init,
+		InitDensity:     opt.InitDensity,
+		Seed:            opt.Seed,
+		CheckpointDir:   opt.CheckpointDir,
+		CheckpointEvery: opt.CheckpointEvery,
+		Resume:          opt.Resume,
+		Preempt:         opt.Preempt,
+		NoCache:         opt.NoCache,
+		Horizontal:      opt.Horizontal,
+	}
 }
 
 // InitScheme selects how initial factor matrices are drawn; see the
@@ -217,16 +272,11 @@ type Result struct {
 // The context bounds the run; cancellation and deadline expiry surface as
 // the context's error.
 func Factorize(ctx context.Context, x *Tensor, opt Options) (out *Result, err error) {
-	machines := opt.Machines
-	if machines == 0 {
-		machines = runtime.GOMAXPROCS(0)
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
-	var trans transport.Transport
+	ccfg := opt.clusterConfig()
 	if len(opt.Workers) > 0 {
-		if opt.Faults != nil {
-			return nil, errors.New("dbtf: Faults requires the simulated backend (unset Workers)")
-		}
-		machines = len(opt.Workers)
 		co, derr := tcp.DialContext(ctx, tcp.Config{Addrs: opt.Workers})
 		if derr != nil {
 			return nil, derr
@@ -236,36 +286,9 @@ func Factorize(ctx context.Context, x *Tensor, opt Options) (out *Result, err er
 				out, err = nil, cerr
 			}
 		}()
-		trans = co
+		ccfg.Transport = co
 	}
-	cl := cluster.New(cluster.Config{
-		Machines:          machines,
-		ThreadsPerMachine: opt.ThreadsPerMachine,
-		MaxRetries:        opt.MaxRetries,
-		FailFast:          opt.FailFast,
-		Faults:            opt.Faults,
-		Transport:         trans,
-		Tracer:            opt.Tracer,
-	})
-	res, err := core.Decompose(ctx, x, cl, core.Options{
-		Rank:            opt.Rank,
-		MaxIter:         opt.MaxIter,
-		MinIter:         opt.MinIter,
-		InitialSets:     opt.InitialSets,
-		Partitions:      opt.Partitions,
-		GroupBits:       opt.CacheGroupBits,
-		Tolerance:       opt.Tolerance,
-		Init:            opt.Init,
-		InitDensity:     opt.InitDensity,
-		Seed:            opt.Seed,
-		CheckpointDir:   opt.CheckpointDir,
-		CheckpointEvery: opt.CheckpointEvery,
-		Resume:          opt.Resume,
-		Preempt:         opt.Preempt,
-		NoCache:         opt.NoCache,
-		Horizontal:      opt.Horizontal,
-		Trace:           opt.Trace,
-	})
+	res, err := core.Decompose(ctx, x, cluster.New(ccfg), opt.coreOptions())
 	if err != nil {
 		return nil, err
 	}

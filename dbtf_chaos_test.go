@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dbtf"
+	"dbtf/internal/trace"
 )
 
 // TestChaosIdenticalOutput is the fault-tolerance regression: under a
@@ -103,14 +104,14 @@ func TestCancellationMidDecomposition(t *testing.T) {
 	start := time.Now()
 	_, err := dbtf.Factorize(ctx, x, dbtf.Options{
 		Rank: 8, Machines: 4, MaxIter: 50, MinIter: 50, Seed: 3,
-		// Trace fires once per completed iteration, so cancelling from it
-		// guarantees the context dies mid-decomposition with work left.
-		Trace: func(string, ...any) {
-			if !cancelled {
+		// Cancelling at the end of the first of 50 iterations guarantees
+		// the context dies mid-decomposition with work left.
+		Tracer: dbtf.NewTracer(sinkFunc(func(ev *dbtf.TraceEvent) {
+			if ev.Type == trace.IterationEnd && !cancelled {
 				cancelled = true
 				cancel()
 			}
-		},
+		})),
 	})
 	elapsed := time.Since(start)
 
@@ -118,7 +119,7 @@ func TestCancellationMidDecomposition(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if !cancelled {
-		t.Fatal("decomposition finished before the first trace line; workload too small")
+		t.Fatal("decomposition finished without an iteration_end event")
 	}
 	if elapsed > 10*time.Second {
 		t.Fatalf("cancellation took %v to surface", elapsed)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dbtf"
+	"dbtf/internal/trace"
 )
 
 // TestMachineLossChaosSweep is the executor-loss regression: under seeded
@@ -112,19 +113,18 @@ func TestCheckpointResumePublicAPI(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
-	killed.Trace = func(format string, args ...any) {
-		var iter, bytes int
-		if n, _ := fmt.Sscanf(fmt.Sprintf(format, args...), "checkpoint: iteration %d, %d bytes", &iter, &bytes); n == 2 {
+	killed.Tracer = dbtf.NewTracer(sinkFunc(func(ev *dbtf.TraceEvent) {
+		if ev.Type == trace.Checkpoint {
 			if seen++; seen == 2 {
 				cancel()
 			}
 		}
-	}
+	}))
 	if _, err := dbtf.Factorize(ctx, x, killed); err == nil {
 		t.Fatal("killed run finished; cancellation did not take")
 	}
 
-	killed.Trace = nil
+	killed.Tracer = nil
 	killed.Resume = true
 	resumed, err := dbtf.Factorize(context.Background(), x, killed)
 	if err != nil {

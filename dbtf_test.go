@@ -9,6 +9,15 @@ import (
 	"dbtf"
 )
 
+// sinkFunc adapts a function to dbtf.TraceSink. Tracer.Emit calls its sink
+// synchronously on the emitting goroutine, so a test that acts from here
+// (cancels the context, kills a worker) does so at a deterministic point
+// of the run.
+type sinkFunc func(*dbtf.TraceEvent)
+
+func (f sinkFunc) Write(ev *dbtf.TraceEvent) error { f(ev); return nil }
+func (sinkFunc) Close() error                      { return nil }
+
 func TestFactorizeQuickstart(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x, planted := dbtf.TensorFromRandomFactors(rng, 24, 24, 24, 3, 0.2)
@@ -43,6 +52,35 @@ func TestFactorizeValidatesRank(t *testing.T) {
 	}
 	if _, err := dbtf.Factorize(context.Background(), x, dbtf.Options{Rank: dbtf.MaxRank + 1}); err == nil {
 		t.Fatal("rank > MaxRank accepted")
+	}
+}
+
+// TestBadOptionsAreErrorsNotPanics: everything the cluster and the engine
+// refuse must come back from the public API as an error, from Validate
+// (before any work) and from Factorize alike — never as a panic out of
+// cluster.New.
+func TestBadOptionsAreErrorsNotPanics(t *testing.T) {
+	x := dbtf.NewTensor(4, 4, 4)
+	cases := map[string]dbtf.Options{
+		"negative machines":            {Rank: 2, Machines: -1},
+		"negative retries":             {Rank: 2, MaxRetries: -1},
+		"fault rate above 1":           {Rank: 2, Faults: &dbtf.FaultPlan{FailureRate: 2}},
+		"machine-loss rate 1":          {Rank: 2, Faults: &dbtf.FaultPlan{MachineLossRate: 1}},
+		"negative rejoin":              {Rank: 2, Faults: &dbtf.FaultPlan{MachineRejoinAfter: -1}},
+		"faults with workers":          {Rank: 2, Faults: &dbtf.FaultPlan{}, Workers: []string{"127.0.0.1:1"}},
+		"resume without checkpointdir": {Rank: 2, Resume: true},
+		"rank zero":                    {},
+	}
+	for name, opt := range cases {
+		if err := opt.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, opt)
+		}
+		if _, err := dbtf.Factorize(context.Background(), x, opt); err == nil {
+			t.Errorf("%s: Factorize accepted %+v", name, opt)
+		}
+	}
+	if err := (dbtf.Options{Rank: 2, Faults: &dbtf.FaultPlan{FailureRate: 0.1}}).Validate(); err != nil {
+		t.Errorf("valid options rejected: %v", err)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // ErrCheck enforces error hygiene on the durable write path: the
-// checkpoint's crash-safety argument (temp file → fsync → rename → dir
-// fsync) is void if any step's error is dropped, so discarding the result
+// crash-safety argument of internal/durable (temp file → fsync → rename →
+// dir fsync) is void if any step's error is dropped, so discarding the result
 // of a Close/Sync/Rename/Remove call is a diagnostic in the scoped
 // packages. Both statement-position calls (`f.Close()`) and explicit
 // blank assignments (`_ = f.Close()`) are flagged; best-effort cleanup on
@@ -22,7 +22,7 @@ import (
 var ErrCheck = &Analyzer{
 	Name:  "errcheck",
 	Doc:   "flags discarded errors from Close/Sync/Rename/Remove on the durable write path",
-	Scope: []string{"internal/core", "internal/boolmat", "internal/serve"},
+	Scope: []string{"internal/core", "internal/boolmat", "internal/serve", "internal/durable"},
 	Run:   runErrCheck,
 }
 

@@ -28,6 +28,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
@@ -89,7 +90,7 @@ type Config struct {
 	// transient machine failures, as Spark treats lost executors, and the
 	// task is re-run with exponential backoff; only a task failing all
 	// 1+MaxRetries attempts aborts the stage. Zero means
-	// DefaultMaxRetries; negative panics.
+	// DefaultMaxRetries; negative is rejected by Validate.
 	MaxRetries int
 	// RetryBackoff is the base backoff before re-executing a failed task,
 	// doubled on every further attempt of the same task. It is charged to
@@ -261,10 +262,43 @@ type Cluster struct {
 	pendingRecoveries int64
 }
 
-// New returns a cluster with the given configuration.
-func New(cfg Config) *Cluster {
+// Validate reports what is wrong with the configuration, nil when New
+// accepts it. Callers holding configuration from outside the program
+// (flags, a request, the public Options) check it here and return the
+// error; New itself panics on a rejected Config, which by then is a bug.
+func (cfg Config) Validate() error {
 	if cfg.Machines < 1 {
-		panic(fmt.Sprintf("cluster: machines must be >= 1, got %d", cfg.Machines))
+		return fmt.Errorf("cluster: machines must be >= 1, got %d", cfg.Machines)
+	}
+	if cfg.MaxRetries < 0 {
+		return fmt.Errorf("cluster: MaxRetries must be >= 0, got %d", cfg.MaxRetries)
+	}
+	if cfg.Faults != nil {
+		if err := cfg.Faults.validate(); err != nil {
+			return err
+		}
+		for _, k := range cfg.Faults.MachineKills {
+			if k.Machine >= cfg.Machines {
+				return fmt.Errorf("cluster: MachineKills machine %d outside cluster of %d", k.Machine, cfg.Machines)
+			}
+		}
+	}
+	if cfg.Transport != nil {
+		if cfg.Faults != nil {
+			return errors.New("cluster: Faults and Transport are mutually exclusive (remote failures come from the transport's failure detection)")
+		}
+		if tm := cfg.Transport.Machines(); tm != cfg.Machines {
+			return fmt.Errorf("cluster: Transport has %d machines, cluster has %d", tm, cfg.Machines)
+		}
+	}
+	return nil
+}
+
+// New returns a cluster with the given configuration. It panics on a
+// configuration Validate rejects.
+func New(cfg Config) *Cluster {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	p := cfg.Parallelism
 	if p <= 0 {
@@ -277,9 +311,6 @@ func New(cfg Config) *Cluster {
 	if net == (NetworkModel{}) {
 		net = DefaultNetwork
 	}
-	if cfg.MaxRetries < 0 {
-		panic(fmt.Sprintf("cluster: MaxRetries must be >= 0, got %d", cfg.MaxRetries))
-	}
 	retries := cfg.MaxRetries
 	if retries == 0 {
 		retries = DefaultMaxRetries
@@ -290,24 +321,6 @@ func New(cfg Config) *Cluster {
 	backoff := cfg.RetryBackoff
 	if backoff <= 0 {
 		backoff = DefaultRetryBackoff
-	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.validate(); err != nil {
-			panic(err.Error())
-		}
-		for _, k := range cfg.Faults.MachineKills {
-			if k.Machine >= cfg.Machines {
-				panic(fmt.Sprintf("cluster: MachineKills machine %d outside cluster of %d", k.Machine, cfg.Machines))
-			}
-		}
-	}
-	if cfg.Transport != nil {
-		if cfg.Faults != nil {
-			panic("cluster: Faults and Transport are mutually exclusive (remote failures come from the transport's failure detection)")
-		}
-		if tm := cfg.Transport.Machines(); tm != cfg.Machines {
-			panic(fmt.Sprintf("cluster: Transport has %d machines, cluster has %d", tm, cfg.Machines))
-		}
 	}
 	threads := cfg.ThreadsPerMachine
 	if threads < 1 {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"reflect"
 
 	"dbtf/internal/boolmat"
+	"dbtf/internal/durable"
 	"dbtf/internal/tensor"
 )
 
@@ -199,57 +201,16 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	return ck, nil
 }
 
-// writeCheckpoint durably replaces the run's checkpoint in dir: the image
-// is written to a temp file in the same directory, fsynced, renamed over
-// CheckpointFileName(ck.Fingerprint), and the directory is fsynced — a
-// crash at any point leaves either the old checkpoint or the new one,
-// never a torn file. Returns the image size.
+// writeCheckpoint durably replaces the run's checkpoint in dir, under
+// CheckpointFileName(ck.Fingerprint): a crash at any point leaves either
+// the old checkpoint or the new one, never a torn file. Returns the image
+// size.
 func writeCheckpoint(dir string, ck *checkpoint) (int64, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, err
-	}
 	data := ck.encode()
-	f, err := os.CreateTemp(dir, "checkpoint-*.tmp")
-	if err != nil {
-		return 0, err
-	}
-	tmp := f.Name()
-	cleanup := func(err error) (int64, error) {
-		//dbtf:allow-unchecked best-effort cleanup; the write already failed and err is propagated
-		f.Close()
-		//dbtf:allow-unchecked best-effort cleanup; the write already failed and err is propagated
-		os.Remove(tmp)
-		return 0, err
-	}
-	if _, err := f.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		//dbtf:allow-unchecked best-effort cleanup; the close error is propagated
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, CheckpointFileName(ck.Fingerprint))); err != nil {
-		//dbtf:allow-unchecked best-effort cleanup; the rename error is propagated
-		os.Remove(tmp)
-		return 0, err
-	}
-	if d, err := os.Open(dir); err == nil {
-		// The directory fsync makes the rename itself durable; a dropped
-		// close error here could mask a failed metadata flush (dbtfvet
-		// errcheck finding), so it is folded into the sync error.
-		serr := d.Sync()
-		if cerr := d.Close(); serr == nil {
-			serr = cerr
-		}
-		if serr != nil {
-			return 0, serr
-		}
-	}
-	return int64(len(data)), nil
+	return durable.WriteFile(dir, CheckpointFileName(ck.Fingerprint), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // readCheckpoint loads the checkpoint for the run with fingerprint fp from

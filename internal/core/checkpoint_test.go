@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	"dbtf/internal/boolmat"
+	"dbtf/internal/cluster"
+	"dbtf/internal/trace"
 )
 
 func testCheckpoint() *checkpoint {
@@ -175,6 +177,20 @@ func resultsEqual(a, b *Result) bool {
 	return true
 }
 
+// killAtCheckpoint returns a 4-machine cluster that cancels its run right
+// after the k-th checkpoint is durable — iteration k's, under
+// CheckpointEvery 1. The next stage boundary observes the cancellation.
+func killAtCheckpoint(k int, cancel context.CancelFunc) *cluster.Cluster {
+	written := 0
+	return tracedCluster(4, func(ev *trace.Event) {
+		if ev.Type == trace.Checkpoint {
+			if written++; written == k {
+				cancel()
+			}
+		}
+	})
+}
+
 func TestKillAtCheckpointThenResumeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x, _, _, _ := plantedTensor(rng, 14, 12, 10, 3, 0.3)
@@ -192,18 +208,11 @@ func TestKillAtCheckpointThenResumeBitIdentical(t *testing.T) {
 			opt := base
 			opt.CheckpointDir = t.TempDir()
 			// Kill the run right after the checkpoint for iteration k is
-			// durable: the Trace hook cancels the context, and the next
+			// durable: the trace sink cancels the context, and the next
 			// stage boundary observes it.
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			opt.Trace = func(format string, args ...any) {
-				line := fmt.Sprintf(format, args...)
-				var iter, bytes int
-				if n, _ := fmt.Sscanf(line, "checkpoint: iteration %d, %d bytes", &iter, &bytes); n == 2 && iter == k {
-					cancel()
-				}
-			}
-			if _, err := Decompose(ctx, x, testCluster(4), opt); !errors.Is(err, context.Canceled) {
+			if _, err := Decompose(ctx, x, killAtCheckpoint(k, cancel), opt); !errors.Is(err, context.Canceled) {
 				t.Fatalf("killed run returned %v, want context.Canceled", err)
 			}
 			fp, err := Fingerprint(x, opt, 4)
@@ -215,7 +224,6 @@ func TestKillAtCheckpointThenResumeBitIdentical(t *testing.T) {
 				t.Fatalf("latest checkpoint after kill: %+v, %v; want iteration %d", ck, err, k)
 			}
 
-			opt.Trace = nil
 			opt.Resume = true
 			resumed, err := Decompose(context.Background(), x, testCluster(4), opt)
 			if err != nil {
@@ -554,14 +562,7 @@ func TestKillThenResumeTopFiberBitIdentical(t *testing.T) {
 			opt.CheckpointDir = t.TempDir()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			opt.Trace = func(format string, args ...any) {
-				line := fmt.Sprintf(format, args...)
-				var iter, bytes int
-				if n, _ := fmt.Sscanf(line, "checkpoint: iteration %d, %d bytes", &iter, &bytes); n == 2 && iter == k {
-					cancel()
-				}
-			}
-			if _, err := Decompose(ctx, x, testCluster(4), opt); !errors.Is(err, context.Canceled) {
+			if _, err := Decompose(ctx, x, killAtCheckpoint(k, cancel), opt); !errors.Is(err, context.Canceled) {
 				t.Fatalf("killed run returned %v, want context.Canceled", err)
 			}
 			fp, err := Fingerprint(x, opt, 4)
@@ -579,7 +580,6 @@ func TestKillThenResumeTopFiberBitIdentical(t *testing.T) {
 				t.Fatalf("checkpoint init scheme %v, want topfiber", ck.Init)
 			}
 
-			opt.Trace = nil
 			opt.Resume = true
 			resumed, err := Decompose(context.Background(), x, testCluster(4), opt)
 			if err != nil {

@@ -169,8 +169,6 @@ type Options struct {
 	// the job server. A run that just converged or completed its final
 	// iteration finishes instead of yielding. Requires CheckpointDir.
 	Preempt func() bool
-	// Trace, when non-nil, receives human-readable progress lines.
-	Trace func(format string, args ...any)
 }
 
 // Named sentinels for the Options fields whose zero value requests a
@@ -192,8 +190,8 @@ const (
 // by field, encodeSetup ships it to remote executors, the checkpoint records
 // its init fields — so a new result-determining knob is one field here and
 // its rule in Options.resolve, not an entry in four hand-kept lists.
-// Checkpoint placement (CheckpointDir, CheckpointEvery, Resume), Preempt and
-// Trace are deliberately absent: they affect durability and reporting, never
+// Checkpoint placement (CheckpointDir, CheckpointEvery, Resume) and Preempt
+// are deliberately absent: they affect durability and scheduling, never
 // results. Fields are exported for gob; fingerprint hashes them in this
 // order.
 type runConfig struct {
@@ -374,35 +372,6 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 		return nil, err
 	}
 
-	// Run span: the RunEnd snapshot is the Stats accumulated during this
-	// run (diffed against the entry snapshot, so a reused cluster folds
-	// correctly), which the trace validator compares against the fold of
-	// every event in between. The deferred end also closes a run aborted by
-	// an error, including its open iteration span, so even a failed run
-	// leaves a structurally valid trace.
-	tr := cl.Tracer()
-	statsBefore := cl.Stats()
-	if tr.Enabled() {
-		ev := trace.NewEvent(trace.RunBegin)
-		ev.Name = fmt.Sprintf("dbtf rank=%d", cfg.Rank)
-		ev.Machines = cl.Machines()
-		ev.SimNanos = cl.SimElapsed().Nanoseconds()
-		tr.Emit(ev)
-		defer func() {
-			if d.openIter > 0 {
-				iev := trace.NewEvent(trace.IterationEnd)
-				iev.Iteration = d.openIter
-				iev.SimNanos = cl.SimElapsed().Nanoseconds()
-				tr.Emit(iev)
-			}
-			eev := trace.NewEvent(trace.RunEnd)
-			eev.SimNanos = cl.SimElapsed().Nanoseconds()
-			delta := cl.Stats().TraceDelta().Sub(statsBefore.TraceDelta())
-			eev.Delta = &delta
-			tr.Emit(eev)
-		}()
-	}
-
 	// Checkpointing: the fingerprint binds a checkpoint to this exact
 	// configuration and tensor, and resume loads the latest snapshot
 	// before any distributed work starts.
@@ -440,6 +409,39 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 			}
 			resumed = ck
 		}
+	}
+
+	// Run span: the RunEnd snapshot is the Stats accumulated during this
+	// run (diffed against the entry snapshot, so a reused cluster folds
+	// correctly), which the trace validator compares against the fold of
+	// every event in between. The deferred end also closes a run aborted by
+	// an error, including its open iteration span, so even a failed run
+	// leaves a structurally valid trace. A resumed run's RunBegin names the
+	// iteration it continues from and the error there.
+	tr := cl.Tracer()
+	statsBefore := cl.Stats()
+	if tr.Enabled() {
+		ev := trace.NewEvent(trace.RunBegin)
+		ev.Name = fmt.Sprintf("dbtf rank=%d", cfg.Rank)
+		ev.Machines = cl.Machines()
+		ev.SimNanos = cl.SimElapsed().Nanoseconds()
+		if resumed != nil {
+			ev.Iteration, ev.Error = resumed.Iteration, &resumed.PrevErr
+		}
+		tr.Emit(ev)
+		defer func() {
+			if d.openIter > 0 {
+				iev := trace.NewEvent(trace.IterationEnd)
+				iev.Iteration = d.openIter
+				iev.SimNanos = cl.SimElapsed().Nanoseconds()
+				tr.Emit(iev)
+			}
+			eev := trace.NewEvent(trace.RunEnd)
+			eev.SimNanos = cl.SimElapsed().Nanoseconds()
+			delta := cl.Stats().TraceDelta().Sub(statsBefore.TraceDelta())
+			eev.Delta = &delta
+			tr.Emit(eev)
+		}()
 	}
 
 	// Machine-loss recovery: when the cluster loses a machine, its share
@@ -495,7 +497,6 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 		res.IterationErrors = resumed.IterationErrors
 		res.Iterations = resumed.Iteration
 		res.Converged = resumed.Converged
-		d.trace("resumed from checkpoint: iteration %d, error %d", res.Iterations, prevErr)
 	} else {
 		// First iteration: try L random initial sets and keep the best
 		// (Algorithm 2, lines 5-8). Each set's caches and column tasks are
@@ -523,7 +524,6 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 				return nil, err
 			}
 			res.InitialErrors = append(res.InitialErrors, e)
-			d.trace("initial set %d/%d: error %d", l+1, cfg.InitialSets, e)
 			if e < best {
 				a, b, c, best = ia, ib, ic, e
 			}
@@ -542,7 +542,6 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 		if err != nil {
 			return nil, err
 		}
-		d.trace("iteration %d: error %d", t, e)
 		res.Converged = t >= cfg.MinIter && prevErr-e <= cfg.Tolerance
 		if err := finish(t, e, prevErr-e); err != nil {
 			return nil, err
@@ -677,8 +676,7 @@ type decomposition struct {
 	x        *tensor.Tensor
 	cl       *cluster.Cluster
 	// opt is the caller's options, read for what the executor's resolved
-	// runConfig deliberately leaves out: checkpoint placement, Preempt and
-	// Trace.
+	// runConfig deliberately leaves out: checkpoint placement and Preempt.
 	opt Options
 	// ex owns the run's replicated state and every stage kernel. The
 	// simulated backend runs its kernels through RunStage's local closures,
@@ -713,7 +711,6 @@ func (d *decomposition) machineLost(m int) {
 	if bytes > 0 {
 		d.cl.Shuffle(bytes)
 	}
-	d.trace("machine %d lost: re-shipping %d bytes to survivors", m, bytes)
 }
 
 // writeCheckpointStage durably snapshots the run at the just-completed
@@ -745,14 +742,7 @@ func (d *decomposition) writeCheckpointStage(res *Result, a, b, c *boolmat.Facto
 		return fmt.Errorf("core: checkpoint at iteration %d: %w", res.Iterations, werr)
 	}
 	d.cl.RecordCheckpoint(bytes)
-	d.trace("checkpoint: iteration %d, %d bytes", res.Iterations, bytes)
 	return nil
-}
-
-func (d *decomposition) trace(format string, args ...any) {
-	if d.opt.Trace != nil {
-		d.opt.Trace(format, args...)
-	}
 }
 
 // beginIteration opens iteration t's trace span and re-labels the stage

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,10 +10,24 @@ import (
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
 	"dbtf/internal/tensor"
+	"dbtf/internal/trace"
 )
 
 func testCluster(machines int) *cluster.Cluster {
 	return cluster.New(cluster.Config{Machines: machines})
+}
+
+// sinkFunc adapts a function to trace.Sink.
+type sinkFunc func(*trace.Event)
+
+func (f sinkFunc) Write(ev *trace.Event) error { f(ev); return nil }
+func (sinkFunc) Close() error                  { return nil }
+
+// tracedCluster is testCluster with the run's event stream handed to fn.
+// Tracer.Emit calls its sink synchronously on the emitting goroutine, so a
+// test that cancels from fn does so at a deterministic point of the run.
+func tracedCluster(machines int, fn func(*trace.Event)) *cluster.Cluster {
+	return cluster.New(cluster.Config{Machines: machines, Tracer: trace.New(sinkFunc(fn))})
 }
 
 func randomTensor(rng *rand.Rand, i, j, k int, density float64) *tensor.Tensor {
@@ -111,17 +123,12 @@ func TestDecomposeErrorMonotoneAcrossIterations(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := randomTensor(rng, 16, 16, 16, 0.05)
 	var errs []int64
-	_, err := Decompose(context.Background(), x, testCluster(4), Options{
-		Rank: 4, MaxIter: 8, Seed: 1,
-		Trace: func(format string, args ...any) {
-			line := fmt.Sprintf(format, args...)
-			if strings.HasPrefix(line, "iteration") || strings.HasPrefix(line, "initial") {
-				var e int64
-				fmt.Sscanf(line[strings.LastIndex(line, " ")+1:], "%d", &e)
-				errs = append(errs, e)
-			}
-		},
+	cl := tracedCluster(4, func(ev *trace.Event) {
+		if ev.Type == trace.IterationEnd {
+			errs = append(errs, *ev.Error)
+		}
 	})
+	_, err := Decompose(context.Background(), x, cl, Options{Rank: 4, MaxIter: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,33 +560,6 @@ func TestMinIterValidationAndEffect(t *testing.T) {
 	}
 	if res.Iterations != 6 {
 		t.Fatalf("iterations = %d, want 6 with MinIter=MaxIter", res.Iterations)
-	}
-}
-
-func TestTraceReceivesProgress(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	x := randomTensor(rng, 8, 8, 8, 0.1)
-	var lines []string
-	_, err := Decompose(context.Background(), x, testCluster(2), Options{
-		Rank: 2, Seed: 1, InitialSets: 2,
-		Trace: func(format string, args ...any) {
-			lines = append(lines, fmt.Sprintf(format, args...))
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawInitial, sawIteration bool
-	for _, l := range lines {
-		if strings.HasPrefix(l, "initial set") {
-			sawInitial = true
-		}
-		if strings.HasPrefix(l, "iteration") {
-			sawIteration = true
-		}
-	}
-	if !sawInitial || !sawIteration {
-		t.Fatalf("trace missing phases: %v", lines)
 	}
 }
 

@@ -3,10 +3,13 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"dbtf/internal/durable"
 )
 
 // State is a job's lifecycle state.
@@ -95,60 +98,15 @@ type Job struct {
 // jobsDirName is the metadata directory under the server's data dir.
 const jobsDirName = "jobs"
 
-// jobPath returns the metadata file for a job ID.
-func jobPath(dataDir, id string) string {
-	return filepath.Join(dataDir, jobsDirName, id+".json")
-}
-
-// persistJob writes the job's metadata crash-safely: temp file, fsync,
-// rename, directory fsync — the same discipline as the engine's
-// checkpoint writer, so a crash leaves either the old record or the new
-// one, never a torn file.
+// persistJob writes the job's metadata crash-safely (durable.WriteFile), so
+// a crash leaves either the old record or the new one, never a torn file.
 func persistJob(dataDir string, j *Job) error {
-	dir := filepath.Join(dataDir, jobsDirName)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(j, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, "job-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		// Best effort on the error paths; on success the rename consumed it.
-		//dbtf:allow-unchecked cleanup of a temp file that may already be renamed away
-		os.Remove(tmp.Name())
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		//dbtf:allow-unchecked write error is already being returned
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		//dbtf:allow-unchecked sync error is already being returned
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	final := jobPath(dataDir, j.ID)
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return err
-	}
-	df, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := df.Sync(); err != nil {
-		//dbtf:allow-unchecked close after a sync error that is already being returned
-		df.Close()
-		return err
-	}
-	return df.Close()
+	_, err := durable.WriteFile(filepath.Join(dataDir, jobsDirName), j.ID+".json", func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(j)
+	})
+	return err
 }
 
 // loadJobs scans the metadata directory and returns every job sorted by

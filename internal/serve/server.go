@@ -83,6 +83,10 @@ func (c Config) withDefaults() (Config, error) {
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
+	// Refuse here what cluster.New would panic on inside a job's goroutine.
+	if err := c.clusterConfig().Validate(); err != nil {
+		return c, fmt.Errorf("serve: %w", err)
+	}
 	c.Admission = c.Admission.withDefaults()
 	if c.Now == nil {
 		c.Now = time.Now
@@ -91,6 +95,12 @@ func (c Config) withDefaults() (Config, error) {
 		c.Logf = func(string, ...any) {}
 	}
 	return c, nil
+}
+
+// clusterConfig is the part of every job's cluster that the server's
+// configuration fixes; runSlice adds the shared gate and the job's tracer.
+func (c Config) clusterConfig() cluster.Config {
+	return cluster.Config{Machines: c.Machines, ThreadsPerMachine: c.ThreadsPerMachine}
 }
 
 // Server is the factorization job server: admission, fair queueing,
@@ -249,7 +259,9 @@ func (s *Server) scheduleLocked() {
 			j.StartedNanos = s.cfg.Now().UnixNano()
 		}
 		if err := persistJob(s.cfg.DataDir, j); err != nil {
-			s.failLocked(j, fmt.Errorf("persisting running state: %w", err))
+			if perr := s.finishLocked(j, StateFailed, fmt.Errorf("persisting running state: %w", err)); perr != nil {
+				s.cfg.Logf("serve: persisting failed job %s: %v", j.ID, perr)
+			}
 			continue
 		}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -260,17 +272,37 @@ func (s *Server) scheduleLocked() {
 	}
 }
 
-// failLocked transitions a job to failed. Caller holds s.mu.
-func (s *Server) failLocked(j *Job, err error) {
-	j.State = StateFailed
-	j.Error = err.Error()
+// finishLocked is the one terminal transition: it moves j to the terminal
+// state, stamps the finish time, returns its admission memory, counts the
+// outcome, closes its trace stream and persists the record. cause is the
+// failure recorded on a StateFailed job, nil otherwise. The persist error
+// is returned for the caller to report; the in-memory transition stands
+// either way. Caller holds s.mu.
+func (s *Server) finishLocked(j *Job, state State, cause error) error {
+	j.State = state
+	if cause != nil {
+		j.Error = cause.Error()
+	}
 	j.FinishedNanos = s.cfg.Now().UnixNano()
 	s.adm.releaseMemory(j.TensorBytes)
-	s.counters.failed++
-	s.closeTraceLocked(j.ID)
-	if perr := persistJob(s.cfg.DataDir, j); perr != nil {
-		s.cfg.Logf("serve: persisting failed job %s: %v", j.ID, perr)
+	switch state {
+	case StateDone:
+		s.counters.completed++
+	case StateFailed:
+		s.counters.failed++
+	case StateCancelled:
+		s.counters.cancelled++
 	}
+	s.closeTraceLocked(j.ID)
+	return persistJob(s.cfg.DataDir, j)
+}
+
+// requeueLocked puts a job whose slice ended without a result back in the
+// queue. Caller holds s.mu.
+func (s *Server) requeueLocked(j *Job) error {
+	j.State = StateQueued
+	s.queue.push(j)
+	return persistJob(s.cfg.DataDir, j)
 }
 
 // runJob executes one slice of a job and applies the outcome
@@ -284,42 +316,27 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	defer s.mu.Unlock()
 	s.runningCount--
 	j.cancel = nil
-	now := s.cfg.Now().UnixNano()
+	var perr error
 	switch {
 	case err == nil:
-		j.State = StateDone
 		_, nnz, _, _ := s.store.Info(j.Spec.TensorID)
 		j.Result = buildResult(res, nnz)
-		j.FinishedNanos = now
-		s.adm.releaseMemory(j.TensorBytes)
-		s.counters.completed++
-		s.closeTraceLocked(j.ID)
+		perr = s.finishLocked(j, StateDone, nil)
 	case errors.Is(err, core.ErrPreempted):
-		j.State = StateQueued
 		j.Evictions++
 		s.counters.evictions++
-		s.queue.push(j)
+		perr = s.requeueLocked(j)
 	case errors.Is(err, context.Canceled) && j.cancelReq:
-		j.State = StateCancelled
-		j.FinishedNanos = now
-		s.adm.releaseMemory(j.TensorBytes)
-		s.counters.cancelled++
-		s.closeTraceLocked(j.ID)
+		perr = s.finishLocked(j, StateCancelled, nil)
 	case errors.Is(err, context.Canceled):
 		// Drain-timeout cancellation: the work since the last iteration
 		// boundary is lost, but the checkpoint makes the resume
 		// bit-identical, so the job just goes back in the queue.
-		j.State = StateQueued
-		s.queue.push(j)
+		perr = s.requeueLocked(j)
 	default:
-		j.State = StateFailed
-		j.Error = err.Error()
-		j.FinishedNanos = now
-		s.adm.releaseMemory(j.TensorBytes)
-		s.counters.failed++
-		s.closeTraceLocked(j.ID)
+		perr = s.finishLocked(j, StateFailed, err)
 	}
-	if perr := persistJob(s.cfg.DataDir, j); perr != nil {
+	if perr != nil {
 		s.cfg.Logf("serve: persisting job %s after slice: %v", j.ID, perr)
 	}
 	s.idle.Broadcast()
@@ -334,17 +351,10 @@ func (s *Server) runSlice(ctx context.Context, j *Job) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tracer := s.traceFor(j.ID)
-	cl := cluster.New(cluster.Config{
-		Machines:          s.cfg.Machines,
-		ThreadsPerMachine: s.cfg.ThreadsPerMachine,
-		Gate:              s.gate,
-		Tracer:            tracer,
-	})
+	ccfg := s.cfg.clusterConfig()
+	ccfg.Gate, ccfg.Tracer = s.gate, s.traceFor(j.ID)
+	cl := cluster.New(ccfg)
 	ckdir := filepath.Join(s.cfg.DataDir, "checkpoints", j.ID)
-	if err := os.MkdirAll(ckdir, 0o755); err != nil {
-		return nil, err
-	}
 	sliceIters := 0
 	opt := j.Spec.Options()
 	opt.CheckpointDir, opt.CheckpointEvery, opt.Resume = ckdir, 1, true
@@ -472,15 +482,7 @@ func (s *Server) Cancel(id string) error {
 	switch j.State {
 	case StateQueued:
 		s.queue.remove(id)
-		j.State = StateCancelled
-		j.FinishedNanos = s.cfg.Now().UnixNano()
-		s.adm.releaseMemory(j.TensorBytes)
-		s.counters.cancelled++
-		s.closeTraceLocked(id)
-		if err := persistJob(s.cfg.DataDir, j); err != nil {
-			return err
-		}
-		return nil
+		return s.finishLocked(j, StateCancelled, nil)
 	case StateRunning:
 		j.cancelReq = true
 		if j.cancel != nil {

@@ -96,7 +96,7 @@ func TestSubmitRunsToDone(t *testing.T) {
 		t.Fatal("result reports zero iterations")
 	}
 	// The job record is durable and the trace stream exists.
-	if _, err := os.Stat(jobPath(s.cfg.DataDir, view.ID)); err != nil {
+	if _, err := os.Stat(filepath.Join(s.cfg.DataDir, jobsDirName, view.ID+".json")); err != nil {
 		t.Fatalf("job record: %v", err)
 	}
 	data, err := os.ReadFile(tracePath(s.cfg.DataDir, view.ID))
@@ -524,6 +524,14 @@ func TestFactorHashDistinguishesFactors(t *testing.T) {
 func TestConfigRequiresDataDir(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted empty DataDir")
+	}
+}
+
+// A machine count cluster.New would panic on must be refused when the
+// server is built, not when the first job's goroutine builds its cluster.
+func TestConfigRejectsBadMachines(t *testing.T) {
+	if _, err := New(Config{DataDir: t.TempDir(), Machines: -1}); err == nil {
+		t.Fatal("New accepted Machines -1")
 	}
 }
 

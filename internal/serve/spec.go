@@ -5,14 +5,12 @@
 // The robustness mechanics reuse the repo's existing currencies: PR-3
 // iteration checkpoints make eviction a cheap, bit-identical timeslice
 // boundary; PR-5 JSONL trace streams are the live progress feed; the
-// atomic temp+fsync+rename discipline of writeCheckpoint keeps job
-// metadata crash-safe. See DESIGN.md §13 for the admission state
+// checkpoint's atomic writer (internal/durable) keeps job metadata and
+// uploaded tensors crash-safe. See DESIGN.md §13 for the admission state
 // machine, the eviction/resume protocol, and the fairness policy.
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -155,21 +153,13 @@ func DecodeJobSpec(r io.Reader) (*JobSpec, error) {
 }
 
 // DecodeTensor parses an uploaded tensor body in either the compact
-// binary format (sniffed by magic) or the text format. The caller bounds
+// binary format or the text format (tensor.ReadAny). The caller bounds
 // the reader (http.MaxBytesReader); the binary parser additionally caps
 // its preallocation against forged headers.
 func DecodeTensor(r io.Reader) (*tensor.Tensor, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(4)
-	if err != nil {
-		if len(magic) == 0 {
-			return nil, errors.New("serve: empty tensor body")
-		}
-		// Shorter than a magic: only the text parser can make sense of it.
-		return tensor.ReadFrom(br)
+	t, err := tensor.ReadAny(r)
+	if errors.Is(err, tensor.ErrEmpty) {
+		return nil, errors.New("serve: empty tensor body")
 	}
-	if bytes.Equal(magic, []byte("DBT1")) {
-		return tensor.ReadBinary(br)
-	}
-	return tensor.ReadFrom(br)
+	return t, err
 }

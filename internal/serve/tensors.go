@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"dbtf/internal/durable"
 	"dbtf/internal/tensor"
 )
 
@@ -21,8 +22,8 @@ var ErrTensorNotFound = errors.New("serve: tensor not found")
 
 const tensorsDirName = "tensors"
 
-// tensorStore keeps uploaded tensors: durably on disk (crash-safe
-// temp+fsync+rename) and cached in memory for the engine. Entries are
+// tensorStore keeps uploaded tensors: durably on disk (crash-safe, see
+// durable.WriteFile) and cached in memory for the engine. Entries are
 // immutable after Put.
 type tensorStore struct {
 	dir string
@@ -95,52 +96,13 @@ func (s *tensorStore) Put(id string, t *tensor.Tensor) error {
 	s.entries[id] = entry
 	s.mu.Unlock()
 
-	if err := s.writeDurably(id, t); err != nil {
+	if _, err := durable.WriteFile(s.dir, id+".dbt", t.WriteBinary); err != nil {
 		s.mu.Lock()
 		delete(s.entries, id)
 		s.mu.Unlock()
 		return err
 	}
 	return nil
-}
-
-// writeDurably persists the tensor with the checkpoint writer's
-// discipline: temp file, fsync, rename, directory fsync.
-func (s *tensorStore) writeDurably(id string, t *tensor.Tensor) error {
-	tmp, err := os.CreateTemp(s.dir, "tensor-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		//dbtf:allow-unchecked cleanup of a temp file that may already be renamed away
-		os.Remove(tmp.Name())
-	}()
-	if err := t.WriteBinary(tmp); err != nil {
-		//dbtf:allow-unchecked write error is already being returned
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		//dbtf:allow-unchecked sync error is already being returned
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), s.path(id)); err != nil {
-		return err
-	}
-	df, err := os.Open(s.dir)
-	if err != nil {
-		return err
-	}
-	if err := df.Sync(); err != nil {
-		//dbtf:allow-unchecked close after a sync error that is already being returned
-		df.Close()
-		return err
-	}
-	return df.Close()
 }
 
 // Get returns the tensor for id, loading it from disk if a restart

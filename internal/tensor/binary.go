@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -141,24 +142,23 @@ func ReadBinaryFile(path string) (*Tensor, error) {
 	return ReadBinary(f)
 }
 
-// ReadAnyFile reads a tensor file in either format, sniffing the binary
-// magic first.
+// ReadAny reads a tensor in either format, sniffing the binary magic
+// first. Input shorter than the magic can only be text; empty input is
+// ErrEmpty.
+func ReadAny(r io.Reader) (*Tensor, error) {
+	br := bufio.NewReader(r)
+	if magic, _ := br.Peek(len(binaryMagic)); bytes.Equal(magic, binaryMagic[:]) {
+		return ReadBinary(br)
+	}
+	return ReadFrom(br)
+}
+
+// ReadAnyFile reads a tensor file in either format; see ReadAny.
 func ReadAnyFile(path string) (*Tensor, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var magic [4]byte
-	n, err := io.ReadFull(f, magic[:])
-	if err != nil && n == 0 {
-		return nil, fmt.Errorf("tensor: empty file %s", path)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	if magic == binaryMagic {
-		return ReadBinary(f)
-	}
-	return ReadFrom(f)
+	return ReadAny(f)
 }

@@ -10,6 +10,7 @@ package tensor
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -571,6 +572,9 @@ func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
+// ErrEmpty reports input with no content at all, in either format.
+var ErrEmpty = errors.New("tensor: empty input")
+
 // ReadFrom parses the text interchange format written by WriteTo.
 func ReadFrom(r io.Reader) (*Tensor, error) {
 	sc := bufio.NewScanner(r)
@@ -579,7 +583,7 @@ func ReadFrom(r io.Reader) (*Tensor, error) {
 		if err := sc.Err(); err != nil {
 			return nil, err
 		}
-		return nil, fmt.Errorf("tensor: empty input")
+		return nil, ErrEmpty
 	}
 	dimI, dimJ, dimK, err := parseTriple(sc.Text())
 	if err != nil {

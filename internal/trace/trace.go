@@ -105,8 +105,9 @@ type Event struct {
 	Machine int `json:"machine"`
 	// Task is the task index for task-scoped events; -1 otherwise.
 	Task int `json:"task"`
-	// Iteration is the 1-based algorithm iteration for iteration spans;
-	// 0 otherwise.
+	// Iteration is the 1-based algorithm iteration for iteration spans,
+	// and on the RunBegin of a run resumed from a checkpoint the last
+	// iteration that checkpoint completed; 0 otherwise.
 	Iteration int `json:"iteration,omitempty"`
 	// Name labels spans: the stage or driver-section label, or the run
 	// description.
@@ -124,7 +125,8 @@ type Event struct {
 	// StageEnd the makespan plus network charge, for DriverEnd the
 	// section's measured duration.
 	DurNanos int64 `json:"dur_ns,omitempty"`
-	// Error is the reconstruction error after an IterationEnd.
+	// Error is the reconstruction error after an IterationEnd, or at the
+	// checkpoint a resumed run's RunBegin continues from.
 	Error *int64 `json:"error,omitempty"`
 	// ErrorDelta is the error improvement over the previous iteration on
 	// an IterationEnd (0 on the first iteration).

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dbtf"
+	"dbtf/internal/trace"
 )
 
 // These tests pin the transport guarantee end to end: a run over real
@@ -313,20 +314,21 @@ func TestTransportTCPSurvivesWorkerKill(t *testing.T) {
 
 	killed := false
 	opt.Workers = addrs
-	opt.Trace = func(format string, args ...any) {
-		// The driver blocks in this callback between stages; killing here
-		// makes the loss land mid-run at a deterministic point.
-		if !killed && strings.HasPrefix(fmt.Sprintf(format, args...), "initial set") {
+	opt.Tracer = dbtf.NewTracer(sinkFunc(func(ev *dbtf.TraceEvent) {
+		// The driver blocks in this sink between stages; killing at the end
+		// of the first iteration makes the loss land mid-run at a
+		// deterministic point.
+		if !killed && ev.Type == trace.IterationEnd {
 			killed = true
 			procs[1].Kill(t)
 		}
-	}
+	}))
 	tcp, err := dbtf.Factorize(context.Background(), x, opt)
 	if err != nil {
 		t.Fatalf("tcp with worker kill: %v", err)
 	}
 	if !killed {
-		t.Fatal("trace callback never saw the initial-set line; the kill was not injected")
+		t.Fatal("no iteration_end event reached the sink; the kill was not injected")
 	}
 	assertIdentical(t, seed, "tcp transport with worker kill", sim, tcp)
 	if tcp.Stats.MachineLosses < 1 {
@@ -359,21 +361,21 @@ func TestTransportTCPWorkerRestartRejoins(t *testing.T) {
 
 	killed := false
 	opt.Workers = addrs
-	opt.Trace = func(format string, args ...any) {
-		if !killed && strings.HasPrefix(fmt.Sprintf(format, args...), "initial set") {
+	opt.Tracer = dbtf.NewTracer(sinkFunc(func(ev *dbtf.TraceEvent) {
+		if !killed && ev.Type == trace.IterationEnd {
 			killed = true
 			procs[2].Kill(t)
 			// Relaunch on the same address; the coordinator's Membership
 			// sweep redials it and replays the state history.
 			procs[2] = startWorkerProc(t, addrs[2])
 		}
-	}
+	}))
 	tcp, err := dbtf.Factorize(context.Background(), x, opt)
 	if err != nil {
 		t.Fatalf("tcp with worker restart: %v", err)
 	}
 	if !killed {
-		t.Fatal("trace callback never saw the initial-set line; the kill was not injected")
+		t.Fatal("no iteration_end event reached the sink; the kill was not injected")
 	}
 	assertIdentical(t, seed, "tcp transport with worker restart", sim, tcp)
 	if tcp.Stats.MachineLosses < 1 {

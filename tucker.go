@@ -2,7 +2,6 @@ package dbtf
 
 import (
 	"context"
-	"runtime"
 
 	"dbtf/internal/cluster"
 	"dbtf/internal/core"
@@ -49,12 +48,11 @@ type TuckerResult struct {
 // refinement — the CP-to-Tucker construction of the Walk'n'Merge paper
 // that the DBTF paper's related work discusses.
 func FactorizeTucker(ctx context.Context, x *Tensor, opt TuckerOptions) (*TuckerResult, error) {
-	machines := opt.Machines
-	if machines == 0 {
-		machines = runtime.GOMAXPROCS(0)
+	ccfg := Options{Machines: opt.Machines}.clusterConfig()
+	if err := ccfg.Validate(); err != nil {
+		return nil, err
 	}
-	cl := cluster.New(cluster.Config{Machines: machines})
-	res, err := tucker.Decompose(ctx, x, cl, tucker.Options{
+	res, err := tucker.Decompose(ctx, x, cluster.New(ccfg), tucker.Options{
 		CPRank:         opt.CPRank,
 		MergeThreshold: opt.MergeThreshold,
 		MaxSweeps:      opt.MaxSweeps,

@@ -53,6 +53,9 @@ func TestFactorizeTuckerValidation(t *testing.T) {
 	if _, err := dbtf.FactorizeTucker(context.Background(), x, dbtf.TuckerOptions{CPRank: 0}); err == nil {
 		t.Fatal("CPRank 0 accepted")
 	}
+	if _, err := dbtf.FactorizeTucker(context.Background(), x, dbtf.TuckerOptions{CPRank: 2, Machines: -1}); err == nil {
+		t.Fatal("Machines -1 accepted")
+	}
 }
 
 func TestFactorizeTuckerNeverWorseThanCP(t *testing.T) {

@@ -34,6 +34,10 @@ type FaultPlan = cluster.FaultPlan
 // Options.Tracer and package internal/trace for the event schema.
 type Tracer = trace.Tracer
 
+// TraceEvent is one entry of a run's structured trace: what a custom
+// TraceSink receives, synchronously and in emission order.
+type TraceEvent = trace.Event
+
 // TraceSink receives trace events; NewJSONLTrace and NewChromeTrace build
 // the two shipped sinks.
 type TraceSink = trace.Sink
