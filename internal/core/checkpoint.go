@@ -227,31 +227,62 @@ func readCheckpoint(dir string, fp uint64) (*checkpoint, error) {
 	return decodeCheckpoint(data)
 }
 
-// fingerprint hashes (FNV-1a 64) everything that determines a
-// decomposition's trajectory: the run configuration — every field of
-// runConfig, in declaration order, so a field added there is hashed without
-// being listed again here — and the tensor's dims and nonzero coordinates.
-// Resume refuses a checkpoint whose fingerprint differs — continuing under
-// a changed config or tensor could not be bit-identical to an uninterrupted
-// run.
-func fingerprint(x *tensor.Tensor, cfg runConfig) uint64 {
-	h := fnv64a{sum: 14695981039346656037}
+// words returns the configuration as one 64-bit word per field of
+// runConfig, in declaration order: an int as its two's complement, a float
+// as its IEEE bits, a bool as 0 or 1. It is the one walk over the fields —
+// fingerprint hashes the words and encodeSetup ships them — so a field
+// added to runConfig is covered by both without being listed again, and a
+// field of a kind the walk does not know panics the first time either
+// runs.
+func (cfg runConfig) words() []uint64 {
 	fields := reflect.ValueOf(cfg)
-	for n := 0; n < fields.NumField(); n++ {
+	out := make([]uint64, fields.NumField())
+	for n := range out {
 		switch f := fields.Field(n); f.Kind() {
 		case reflect.Int, reflect.Int64:
-			h.u64(uint64(f.Int()))
+			out[n] = uint64(f.Int())
 		case reflect.Float64:
-			h.u64(math.Float64bits(f.Float()))
+			out[n] = math.Float64bits(f.Float())
 		case reflect.Bool:
 			if f.Bool() {
-				h.u64(1)
-			} else {
-				h.u64(0)
+				out[n] = 1
 			}
 		default:
 			panic(fmt.Sprintf("core: runConfig field %s has unhashable kind %v", fields.Type().Field(n).Name, f.Kind()))
 		}
+	}
+	return out
+}
+
+// setWords is the inverse of words, kind for kind: it fills the
+// configuration from one word per field. len(words) must be the field
+// count.
+func (cfg *runConfig) setWords(words []uint64) {
+	fields := reflect.ValueOf(cfg).Elem()
+	for n, w := range words {
+		switch f := fields.Field(n); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(w))
+		case reflect.Float64:
+			f.SetFloat(math.Float64frombits(w))
+		case reflect.Bool:
+			f.SetBool(w != 0)
+		default:
+			panic(fmt.Sprintf("core: runConfig field %s has undecodable kind %v", fields.Type().Field(n).Name, f.Kind()))
+		}
+	}
+}
+
+// fingerprint hashes (FNV-1a 64) everything that determines a
+// decomposition's trajectory: the run configuration — every field of
+// runConfig, in declaration order (see words) — and the tensor's dims and
+// nonzero coordinates. Resume refuses a checkpoint whose fingerprint
+// differs — continuing under a changed config or tensor could not be
+// bit-identical to an uninterrupted run.
+func fingerprint(x *tensor.Tensor, cfg runConfig) uint64 {
+	h := fnv64a{sum: 14695981039346656037}
+	for _, w := range cfg.words() {
+		h.u64(w)
 	}
 	i, j, k := x.Dims()
 	coords := x.Coords()

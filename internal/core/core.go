@@ -192,8 +192,8 @@ const (
 // its rule in Options.resolve, not an entry in four hand-kept lists.
 // Checkpoint placement (CheckpointDir, CheckpointEvery, Resume) and Preempt
 // are deliberately absent: they affect durability and scheduling, never
-// results. Fields are exported for gob; fingerprint hashes them in this
-// order.
+// results. fingerprint hashes the fields, and encodeSetup ships them, in
+// this order (runConfig.words).
 type runConfig struct {
 	Rank, MaxIter, MinIter             int
 	InitialSets, Partitions, GroupBits int

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -194,6 +195,48 @@ func TestWorkerRejectsOutOfOrderState(t *testing.T) {
 	}
 	if _, err := encodeSetup(x, runConfig{Rank: 2, Partitions: 2, GroupBits: 4, Machines: 2, Horizontal: true}); err == nil {
 		t.Fatal("horizontal partitioning shipped to a remote executor")
+	}
+}
+
+// TestSetupCodecRoundTrip: the setup blob carries every runConfig field —
+// a value per kind the walk knows, so a field it dropped or mis-typed
+// shows — and the tensor; a blob cut inside the configuration or carrying
+// an out-of-range one is refused before the tensor is looked at.
+func TestSetupCodecRoundTrip(t *testing.T) {
+	x := randomTensor(rand.New(rand.NewSource(5)), 5, 6, 7, 0.2)
+	cfg := runConfig{
+		Rank: 3, MaxIter: 7, MinIter: 2, InitialSets: 4, Partitions: 2, GroupBits: 4,
+		Tolerance: -9, Init: InitTopFiber, InitDensity: 0.125, Seed: -42, NoCache: true, Machines: 2,
+	}
+	blob, err := encodeSetup(x, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gx, err := decodeSetup(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != cfg {
+		t.Fatalf("decoded config %+v, want %+v", got, cfg)
+	}
+	if fingerprint(gx, got) != fingerprint(x, cfg) {
+		t.Fatal("decoded tensor differs from the one encoded")
+	}
+	words := reflect.TypeOf(cfg).NumField()
+	for _, cut := range []int{0, 7, 8*words - 1} {
+		if _, _, err := decodeSetup(blob[:cut]); err == nil || !strings.Contains(err.Error(), "shorter than") {
+			t.Fatalf("setup cut at %d bytes: got %v, want the length check", cut, err)
+		}
+	}
+	if _, _, err := decodeSetup(blob[:8*words]); err == nil {
+		t.Fatal("setup without a tensor accepted")
+	}
+	cfg.Rank = boolmat.MaxRank + 1
+	if blob, err = encodeSetup(x, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := decodeSetup(blob); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("rank %d: got %v, want the range check", cfg.Rank, err)
 	}
 }
 

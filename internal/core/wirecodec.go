@@ -3,9 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"reflect"
 
 	"dbtf/internal/boolmat"
 	"dbtf/internal/tensor"
@@ -18,15 +18,11 @@ import (
 // shapes so a corrupt or mismatched peer errors instead of computing
 // garbage.
 
-// wireSetup is the gob form of StateSetup: the run's resolved configuration,
-// whole, plus the tensor in its compact binary format. Everything else —
-// unfolded partitions, caches, column tasks — is rebuilt locally from
-// these, which is what keeps the blob O(nnz) instead of O(data structures).
-type wireSetup struct {
-	Config runConfig
-	Tensor []byte
-}
-
+// encodeSetup builds StateSetup: the run's resolved configuration, whole —
+// one little-endian u64 per runConfig field (see runConfig.words) — followed
+// by the tensor in its compact binary format. Everything else — unfolded
+// partitions, caches, column tasks — is rebuilt locally from these, which
+// is what keeps the blob O(nnz) instead of O(data structures).
 func encodeSetup(x *tensor.Tensor, cfg runConfig) ([]byte, error) {
 	if cfg.Horizontal {
 		// Horizontal partitioning routes every row summation through the
@@ -34,28 +30,33 @@ func encodeSetup(x *tensor.Tensor, cfg runConfig) ([]byte, error) {
 		// deliberately does not speak (the ablation argues against it).
 		return nil, errors.New("core: horizontal partitioning requires the simulated backend")
 	}
-	var tb bytes.Buffer
-	if err := x.WriteBinary(&tb); err != nil {
-		return nil, fmt.Errorf("core: encode setup tensor: %w", err)
+	words := cfg.words()
+	head := make([]byte, 0, 8*len(words))
+	for _, w := range words {
+		head = binary.LittleEndian.AppendUint64(head, w)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&wireSetup{Config: cfg, Tensor: tb.Bytes()}); err != nil {
-		return nil, fmt.Errorf("core: encode setup: %w", err)
+	buf := bytes.NewBuffer(head)
+	if err := x.WriteBinary(buf); err != nil {
+		return nil, fmt.Errorf("core: encode setup tensor: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
 func decodeSetup(payload []byte) (runConfig, *tensor.Tensor, error) {
-	var ws wireSetup
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ws); err != nil {
-		return ws.Config, nil, fmt.Errorf("core: decode setup: %w", err)
+	var cfg runConfig
+	words := make([]uint64, reflect.TypeOf(cfg).NumField())
+	if len(payload) < 8*len(words) {
+		return cfg, nil, fmt.Errorf("core: decode setup: %d bytes, shorter than the %d-byte configuration", len(payload), 8*len(words))
 	}
-	cfg := ws.Config
+	for n := range words {
+		words[n] = binary.LittleEndian.Uint64(payload[8*n:])
+	}
+	cfg.setWords(words)
 	if cfg.Machines < 1 || cfg.Rank < 1 || cfg.Rank > boolmat.MaxRank || cfg.Partitions < 1 || cfg.GroupBits < 1 {
 		return cfg, nil, fmt.Errorf("core: setup parameters out of range: machines=%d rank=%d partitions=%d groupbits=%d",
 			cfg.Machines, cfg.Rank, cfg.Partitions, cfg.GroupBits)
 	}
-	x, err := tensor.ReadBinary(bytes.NewReader(ws.Tensor))
+	x, err := tensor.ReadBinary(bytes.NewReader(payload[8*len(words):]))
 	if err != nil {
 		return cfg, nil, fmt.Errorf("core: decode setup tensor: %w", err)
 	}

@@ -177,6 +177,30 @@ func Serve(lis net.Listener, host transport.Host, logf func(format string, args 
 	return NewServer(host, logf).Serve(lis)
 }
 
+// handle answers one request of an established connection. A MsgRun's
+// states are applied in order before its batch runs, and the first one the
+// host rejects fails the request naming its kind. The batch is
+// all-or-nothing: any task failure turns it into an error frame, so the
+// coordinator never has to reconcile a partially delivered batch.
+func (s *Server) handle(req *transport.Msg) *transport.Msg {
+	if req.Type != transport.MsgRun {
+		return &transport.Msg{Type: transport.MsgError, Error: fmt.Sprintf("unexpected message type %d", req.Type)}
+	}
+	for _, st := range req.States {
+		if err := s.host.Apply(st.Kind, st.Payload); err != nil {
+			return &transport.Msg{Type: transport.MsgError, Error: fmt.Sprintf("applying %s state: %v", st.Kind, err)}
+		}
+	}
+	if len(req.Tasks) == 0 {
+		return &transport.Msg{Type: transport.MsgResult}
+	}
+	outs, err := s.host.RunBatch(req.Spec, req.Tasks)
+	if err != nil {
+		return &transport.Msg{Type: transport.MsgError, Error: fmt.Sprintf("stage %q %v", req.Spec.Name, err)}
+	}
+	return &transport.Msg{Type: transport.MsgResult, Outputs: outs}
+}
+
 // serveConn handshakes and then answers requests until the connection
 // drops. Every request produces exactly one reply frame, in order; this
 // strict alternation is what lets the coordinator treat a batch reply as
@@ -224,28 +248,7 @@ func (s *Server) serveConn(conn net.Conn, st *connState) error {
 			return err
 		}
 		s.setBusy(st, true)
-		var resp *transport.Msg
-		switch req.Type {
-		case transport.MsgPing:
-			resp = &transport.Msg{Type: transport.MsgPong}
-		case transport.MsgState:
-			if err := s.host.Apply(req.State, req.Payload); err != nil {
-				resp = &transport.Msg{Type: transport.MsgError, Error: err.Error()}
-			} else {
-				resp = &transport.Msg{Type: transport.MsgAck}
-			}
-		case transport.MsgRun:
-			// All-or-nothing: any task failure turns the whole batch into an
-			// error frame, so the coordinator never has to reconcile a
-			// partially delivered batch.
-			if outs, err := s.host.RunBatch(req.Spec, req.Tasks); err != nil {
-				resp = &transport.Msg{Type: transport.MsgError, Error: fmt.Sprintf("stage %q %v", req.Spec.Name, err)}
-			} else {
-				resp = &transport.Msg{Type: transport.MsgResult, Outputs: outs}
-			}
-		default:
-			resp = &transport.Msg{Type: transport.MsgError, Error: fmt.Sprintf("unexpected message type %d", req.Type)}
-		}
+		resp := s.handle(req)
 		err = reply(resp)
 		s.setBusy(st, false)
 		if err != nil {

@@ -1,15 +1,18 @@
 // Package tcp is the multi-process transport backend: each cluster machine
 // is a separate OS process (cmd/dbtf-worker) speaking the length-prefixed
-// gob protocol of package transport over a TCP connection.
+// binary protocol of package transport over a TCP connection.
 //
 // The coordinator side (Dial) implements transport.Transport for the
 // driver; the executor side (Serve) pumps frames into a transport.Host.
-// Failure handling mirrors the simulated engine's recovery protocol:
-// a connection error marks the machine down and surfaces as a
+// A stage costs one exchange per worker: pushed state is kept in a log,
+// and every request carries the part of the log its worker has not
+// acknowledged. Failure handling mirrors the simulated engine's recovery
+// protocol: a connection error marks the machine down and surfaces as a
 // LivenessEvent at the next stage boundary, its queued work reroutes to
-// the ring-successor live machine, and a machine that redials is replayed
-// the full state history (setup, current factors, columns since) before it
-// is reported back up.
+// the ring-successor live machine, and a machine that redials starts from
+// an empty acknowledgement, so its first request replays the full state
+// history (setup, current factors, columns since) before it is reported
+// back up.
 package tcp
 
 import (
@@ -38,7 +41,8 @@ type Config struct {
 	// RedialBackoff is the minimum interval between reconnection attempts
 	// to a down worker. Default 250ms.
 	RedialBackoff time.Duration
-	// MaxFrame bounds accepted frame sizes. Default transport.DefaultMaxFrame.
+	// MaxFrame bounds frame sizes, sent and accepted. Default
+	// transport.DefaultMaxFrame.
 	MaxFrame int64
 }
 
@@ -64,7 +68,7 @@ func (c Config) withDefaults() Config {
 var errDown = errors.New("tcp: worker connection down")
 
 // remoteError is an error the executor reported over a healthy
-// connection: a failed task or a rejected state push.
+// connection: a failed task or a rejected state blob.
 type remoteError struct{ msg string }
 
 func (e *remoteError) Error() string { return e.msg }
@@ -76,6 +80,64 @@ type worker struct {
 	// conn is nil while the worker is down.
 	conn     net.Conn
 	lastDial time.Time
+	// acked is the sequence number of the last state-log entry this worker
+	// has applied: it advances only on a reply over a healthy connection,
+	// and a dropped connection resets it to 0 — a reconnect starts from
+	// nothing, which is the whole of the rejoin replay.
+	acked uint64
+}
+
+// stateLog is what a worker must have applied to be entry-identical to
+// the driver: the setup blob, the latest factor snapshot, and the column
+// commits since that snapshot, each stamped with a sequence number that
+// only grows. A setup drops everything before it and a factor snapshot
+// drops the previous snapshot and its columns, so the log stays bounded by
+// one iteration's commits.
+type stateLog struct {
+	mu    sync.Mutex
+	blobs []transport.StateBlob //dbtf:guardedby mu
+	// seqs[i] stamps blobs[i]; strictly increasing.
+	seqs []uint64 //dbtf:guardedby mu
+	// head is the newest entry's stamp; 0 before the first push.
+	head uint64 //dbtf:guardedby mu
+}
+
+// push appends one blob. Dropping superseded entries allocates fresh
+// slices instead of reusing the old backing arrays, because a request in
+// flight may still be encoding a suffix handed out by after.
+func (l *stateLog) push(kind transport.StateKind, payload []byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	keep := len(l.blobs)
+	switch kind {
+	case transport.StateSetup:
+		keep = 0
+	case transport.StateFactors:
+		keep = 0
+		if len(l.blobs) > 0 && l.blobs[0].Kind == transport.StateSetup {
+			keep = 1
+		}
+	}
+	if keep < len(l.blobs) {
+		l.blobs = append([]transport.StateBlob(nil), l.blobs[:keep]...)
+		l.seqs = append([]uint64(nil), l.seqs[:keep]...)
+	}
+	l.head++
+	l.blobs = append(l.blobs, transport.StateBlob{Kind: kind, Payload: payload})
+	l.seqs = append(l.seqs, l.head)
+}
+
+// after returns the entries stamped later than acked, oldest first, and
+// the stamp of the newest entry — what acked becomes once they are
+// applied. The returned slice is never written again.
+func (l *stateLog) after(acked uint64) ([]transport.StateBlob, uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i := len(l.seqs)
+	for i > 0 && l.seqs[i-1] > acked {
+		i--
+	}
+	return l.blobs[i:len(l.blobs):len(l.blobs)], l.head
 }
 
 // Coordinator implements transport.Transport over per-worker TCP
@@ -90,11 +152,7 @@ type Coordinator struct {
 	pmu     sync.Mutex
 	pending []transport.LivenessEvent
 
-	// Replay log for rejoining workers: the setup blob, the latest factor
-	// snapshot, and the column commits since that snapshot.
-	setup   []byte
-	factors []byte
-	columns [][]byte
+	log stateLog
 
 	sent  atomic.Int64
 	recvd atomic.Int64
@@ -194,7 +252,7 @@ func (c *Coordinator) exchange(conn net.Conn, m *transport.Msg) (*transport.Msg,
 	if err := conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout)); err != nil {
 		return nil, err
 	}
-	n, err := transport.WriteFrame(conn, m)
+	n, err := transport.WriteFrameMax(conn, m, c.cfg.MaxFrame)
 	c.sent.Add(int64(n))
 	if err != nil {
 		return nil, err
@@ -207,25 +265,35 @@ func (c *Coordinator) exchange(conn net.Conn, m *transport.Msg) (*transport.Msg,
 	return resp, nil
 }
 
-// call performs one request/response with machine m. A connection-level
-// failure marks the machine down and returns errDown; an executor-reported
-// error returns a *remoteError with the connection kept alive.
-func (c *Coordinator) call(m int, msg *transport.Msg) (*transport.Msg, error) {
+// request performs the one exchange of an established connection with
+// machine m: a MsgRun carrying the state-log entries m has not
+// acknowledged, then tasks under spec (none for a pure state flush). A
+// connection-level failure marks the machine down and returns errDown; an
+// executor-reported error returns a *remoteError with the connection kept
+// alive and the acknowledgement where it was; a message too large to frame
+// never reached the wire and is returned as it is.
+func (c *Coordinator) request(m int, spec transport.Spec, tasks []int) ([]transport.TaskOutput, error) {
 	w := c.workers[m]
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.conn == nil {
 		return nil, errDown
 	}
-	resp, err := c.exchange(w.conn, msg)
-	if err != nil {
+	states, head := c.log.after(w.acked)
+	resp, err := c.exchange(w.conn, &transport.Msg{Type: transport.MsgRun, States: states, Spec: spec, Tasks: tasks})
+	switch {
+	case errors.Is(err, transport.ErrFrameTooLarge):
+		return nil, fmt.Errorf("tcp: request to worker %d: %w", m, err)
+	case err != nil:
 		c.markDownLocked(m, w)
 		return nil, fmt.Errorf("%w: machine %d: %v", errDown, m, err)
-	}
-	if resp.Type == transport.MsgError {
+	case resp.Type == transport.MsgError:
 		return nil, &remoteError{msg: fmt.Sprintf("worker %d: %s", m, resp.Error)}
+	case resp.Type != transport.MsgResult || len(resp.Outputs) != len(tasks):
+		return nil, &remoteError{msg: fmt.Sprintf("worker %d: malformed reply (type %d, %d outputs for %d tasks)", m, resp.Type, len(resp.Outputs), len(tasks))}
 	}
-	return resp, nil
+	w.acked = head
+	return resp.Outputs, nil
 }
 
 // markDownLocked closes machine m's connection and queues the loss event.
@@ -236,7 +304,7 @@ func (c *Coordinator) markDownLocked(m int, w *worker) {
 	}
 	// The connection is already broken; a close error adds nothing.
 	_ = w.conn.Close()
-	w.conn = nil
+	w.conn, w.acked = nil, 0
 	c.pmu.Lock()
 	c.pending = append(c.pending, transport.LivenessEvent{Machine: m, Up: false})
 	c.pmu.Unlock()
@@ -272,39 +340,33 @@ func (c *Coordinator) Close() error {
 }
 
 // Membership implements transport.Transport: it reports the liveness
-// transitions since the last stage boundary. Losses detected mid-stage
-// were queued by call; here the coordinator additionally pings live
-// workers (catching silent deaths between stages) and attempts to redial
-// down workers, replaying the state history before reporting them up.
+// transitions since the last stage boundary. Losses are queued by the
+// request that hit the dead connection, so live workers cost nothing
+// here; the coordinator only attempts to redial down workers, bringing
+// each up to date with one state flush before reporting it up.
 func (c *Coordinator) Membership(ctx context.Context) []transport.LivenessEvent {
-	for m := range c.workers {
-		if !c.alive(m) {
-			continue
-		}
-		// A failed ping queues the loss itself via call → markDownLocked.
-		if _, err := c.call(m, &transport.Msg{Type: transport.MsgPing}); err == nil {
-			continue
-		}
-	}
 	for m, w := range c.workers {
 		if c.alive(m) || ctx.Err() != nil {
 			continue
 		}
 		w.mu.Lock()
 		recent := time.Since(w.lastDial) < c.cfg.RedialBackoff
+		if !recent {
+			w.lastDial = time.Now()
+		}
 		w.mu.Unlock()
 		if recent {
 			continue
 		}
-		w.mu.Lock()
-		w.lastDial = time.Now()
-		w.mu.Unlock()
 		if err := c.dialWorker(ctx, m, w); err != nil {
 			continue // still down; try again next boundary
 		}
-		if err := c.replay(m); err != nil {
-			// Replay failure re-queued the loss (connection) or means the
-			// worker is misbehaving (remote error) — drop the connection
+		// The fresh connection acknowledges nothing, so this flush is the
+		// rejoin replay; a setup blob resets the worker, so replaying to a
+		// process that never actually died is safe.
+		if _, err := c.request(m, transport.Spec{}, nil); err != nil {
+			// A connection failure already re-queued the loss; anything
+			// else means the worker is misbehaving — drop the connection
 			// either way and retry at a later boundary.
 			w.mu.Lock()
 			c.markDownLocked(m, w)
@@ -322,66 +384,38 @@ func (c *Coordinator) Membership(ctx context.Context) []transport.LivenessEvent 
 	return ev
 }
 
-// replay ships the recorded state history to a freshly redialed machine:
-// the rejoin path of the recovery protocol. The setup replay resets the
-// worker, so replaying to a process that never actually died is safe.
-func (c *Coordinator) replay(m int) error {
-	push := func(kind transport.StateKind, payload []byte) error {
-		if payload == nil {
-			return nil
-		}
-		resp, err := c.call(m, &transport.Msg{Type: transport.MsgState, State: kind, Payload: payload})
-		if err != nil {
-			return err
-		}
-		if resp.Type != transport.MsgAck {
-			return &remoteError{msg: fmt.Sprintf("worker %d: unexpected reply %d to state replay", m, resp.Type)}
-		}
+// PushState implements transport.Transport: record the blob in the state
+// log, from where it rides in the next request to each worker. A setup
+// blob is also flushed at once, to every live worker concurrently (each
+// unfolds and partitions on receipt), so a worker that cannot set up fails
+// the run here; it errors if an executor rejects the blob or no live
+// workers remain. Workers that fail mid-flush are marked down and get the
+// same log on rejoin.
+func (c *Coordinator) PushState(ctx context.Context, kind transport.StateKind, payload []byte) error {
+	c.log.push(kind, payload)
+	if kind != transport.StateSetup {
 		return nil
 	}
-	if err := push(transport.StateSetup, c.setup); err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := push(transport.StateFactors, c.factors); err != nil {
-		return err
-	}
-	for _, col := range c.columns {
-		if err := push(transport.StateColumn, col); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PushState implements transport.Transport: record the blob in the replay
-// log, then ship it to every live worker. Workers that fail mid-push are
-// marked down (they will be replayed the same blob on rejoin); the push
-// only errors if an executor rejects the state or no live workers remain.
-func (c *Coordinator) PushState(ctx context.Context, kind transport.StateKind, payload []byte) error {
-	switch kind {
-	case transport.StateSetup:
-		c.setup, c.factors, c.columns = payload, nil, nil
-	case transport.StateFactors:
-		c.factors, c.columns = payload, nil
-	case transport.StateColumn:
-		c.columns = append(c.columns, payload)
-	}
-	live := 0
+	errs := make([]error, len(c.workers))
+	var wg sync.WaitGroup
 	for m := range c.workers {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !c.alive(m) {
-			continue
-		}
-		resp, err := c.call(m, &transport.Msg{Type: transport.MsgState, State: kind, Payload: payload})
+		wg.Add(1)
+		go func(m int) {
+			defer wg.Done()
+			_, errs[m] = c.request(m, transport.Spec{}, nil)
+		}(m)
+	}
+	wg.Wait()
+	live := 0
+	for _, err := range errs {
 		switch {
 		case errors.Is(err, errDown):
 			continue
 		case err != nil:
 			return fmt.Errorf("tcp: state push (%s): %w", kind, err)
-		case resp.Type != transport.MsgAck:
-			return fmt.Errorf("tcp: state push (%s): worker %d replied %d, want ack", kind, m, resp.Type)
 		}
 		live++
 	}
@@ -450,17 +484,8 @@ func (c *Coordinator) Run(ctx context.Context, spec transport.Spec, deliver func
 				return fmt.Errorf("tcp: stage %q: %w", spec.Name, err)
 			}
 			go func(b batch, exec int) {
-				resp, err := c.call(exec, &transport.Msg{Type: transport.MsgRun, Spec: spec, Tasks: b.tasks})
-				if err != nil {
-					results <- batchOutcome{b: b, exec: exec, err: err}
-					return
-				}
-				if resp.Type != transport.MsgResult || len(resp.Outputs) != len(b.tasks) {
-					results <- batchOutcome{b: b, exec: exec,
-						err: &remoteError{msg: fmt.Sprintf("worker %d: malformed stage reply", exec)}}
-					return
-				}
-				results <- batchOutcome{b: b, exec: exec, outs: resp.Outputs}
+				outs, err := c.request(exec, spec, b.tasks)
+				results <- batchOutcome{b: b, exec: exec, outs: outs, err: err}
 			}(b, exec)
 		}
 		var requeue []batch

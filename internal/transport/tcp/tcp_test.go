@@ -2,11 +2,13 @@ package tcp
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,20 +21,36 @@ import (
 type echoHost struct {
 	mu      sync.Mutex
 	applied []transport.StateKind
-	blobs   map[transport.StateKind][][]byte
+	log     []string // "kind:payload" per applied blob, in order
 	taskErr error
+	// reject, when set, is the state kind Apply refuses.
+	reject transport.StateKind
 }
 
-func newEchoHost() *echoHost {
-	return &echoHost{blobs: map[transport.StateKind][][]byte{}}
-}
+func newEchoHost() *echoHost { return &echoHost{} }
 
 func (h *echoHost) Apply(kind transport.StateKind, payload []byte) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if kind == h.reject {
+		return errors.New("blob refused")
+	}
 	h.applied = append(h.applied, kind)
-	h.blobs[kind] = append(h.blobs[kind], append([]byte(nil), payload...))
+	h.log = append(h.log, kind.String()+":"+string(payload))
 	return nil
+}
+
+func (h *echoHost) setReject(kind transport.StateKind) {
+	h.mu.Lock()
+	h.reject = kind
+	h.mu.Unlock()
+}
+
+// appliedLog returns the applied blobs as one space-separated string.
+func (h *echoHost) appliedLog() string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return strings.Join(h.log, " ")
 }
 
 func (h *echoHost) RunBatch(spec transport.Spec, tasks []int) ([]transport.TaskOutput, error) {
@@ -54,14 +72,68 @@ func (h *echoHost) appliedKinds() []transport.StateKind {
 	return append([]transport.StateKind(nil), h.applied...)
 }
 
-// startWorker serves host on an ephemeral loopback port until the test
-// ends, returning the address.
-func startWorker(t *testing.T, host transport.Host) (string, net.Listener) {
+// frameCounter counts the request frames a worker receives, handshake
+// included, by following the length prefixes through the byte stream of
+// every connection its listener accepts.
+type frameCounter struct {
+	net.Listener
+	frames atomic.Int64
+}
+
+func (l *frameCounter) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countedConn{Conn: conn, frames: &l.frames}, nil
+}
+
+// countedConn is read by one goroutine (the server's connection loop).
+type countedConn struct {
+	net.Conn
+	frames *atomic.Int64
+	hdr    []byte // length-prefix bytes seen so far
+	body   int    // bytes of the current frame body still to come
+}
+
+func (c *countedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	for q := p[:n]; len(q) > 0; {
+		if c.body > 0 {
+			k := min(c.body, len(q))
+			c.body, q = c.body-k, q[k:]
+			continue
+		}
+		c.hdr, q = append(c.hdr, q[0]), q[1:]
+		if len(c.hdr) == 4 {
+			c.body, c.hdr = int(binary.BigEndian.Uint32(c.hdr)), c.hdr[:0]
+			c.frames.Add(1)
+		}
+	}
+	return n, err
+}
+
+// startCountedWorker is startWorker behind a frameCounter.
+func startCountedWorker(t *testing.T, host transport.Host) (string, *frameCounter) {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	fc := &frameCounter{Listener: lis}
+	serveUntilCleanup(t, fc, host)
+	return lis.Addr().String(), fc
+}
+
+// startWorker serves host on an ephemeral loopback port until the test
+// ends, returning the address.
+func startWorker(t *testing.T, host transport.Host) (string, net.Listener) {
+	t.Helper()
+	addr, fc := startCountedWorker(t, host)
+	return addr, fc
+}
+
+func serveUntilCleanup(t *testing.T, lis net.Listener, host transport.Host) {
 	done := make(chan error, 1)
 	go func() { done <- Serve(lis, host, nil) }()
 	t.Cleanup(func() {
@@ -72,7 +144,37 @@ func startWorker(t *testing.T, host transport.Host) (string, net.Listener) {
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	return lis.Addr().String(), lis
+}
+
+// dialWorkers starts one worker per host and dials them all.
+func dialWorkers(t *testing.T, cfg Config, hosts ...*echoHost) (*Coordinator, []*frameCounter) {
+	t.Helper()
+	var counters []*frameCounter
+	for _, h := range hosts {
+		addr, fc := startCountedWorker(t, h)
+		cfg.Addrs = append(cfg.Addrs, addr)
+		counters = append(counters, fc)
+	}
+	c, err := Dial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := c.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	return c, counters
+}
+
+// runStage runs one echo stage of the given task count and fails the test
+// on error.
+func runStage(t *testing.T, c *Coordinator, tasks int) {
+	t.Helper()
+	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: tasks}
+	if err := c.Run(context.Background(), spec, func(transport.TaskResult) error { return nil }); err != nil {
+		t.Fatalf("Run(%d tasks): %v", tasks, err)
+	}
 }
 
 func testConfig(addrs ...string) Config {
@@ -84,14 +186,148 @@ func testConfig(addrs ...string) Config {
 	}
 }
 
+// TestPushStateReachesAllWorkers pins the state-log contract: whatever was
+// pushed is applied on a worker, in push order and exactly once, before
+// the tasks of the next request that worker receives.
 func TestPushStateReachesAllWorkers(t *testing.T) {
 	hosts := []*echoHost{newEchoHost(), newEchoHost(), newEchoHost()}
-	var addrs []string
-	for _, h := range hosts {
-		addr, _ := startWorker(t, h)
-		addrs = append(addrs, addr)
+	c, _ := dialWorkers(t, testConfig(), hosts...)
+	if c.Machines() != 3 {
+		t.Fatalf("Machines() = %d, want 3", c.Machines())
 	}
-	c, err := Dial(testConfig(addrs...))
+	ctx := context.Background()
+	push := func(kind transport.StateKind, payload string) {
+		t.Helper()
+		if err := c.PushState(ctx, kind, []byte(payload)); err != nil {
+			t.Fatalf("PushState(%s %s): %v", kind, payload, err)
+		}
+	}
+	expect := func(when string, want ...string) {
+		t.Helper()
+		for i, h := range hosts {
+			if got := h.appliedLog(); got != want[i] {
+				t.Fatalf("%s: worker %d applied [%s], want [%s]", when, i, got, want[i])
+			}
+		}
+	}
+
+	// Setup is flushed by the push itself; factors and columns wait.
+	push(transport.StateSetup, "s")
+	push(transport.StateFactors, "f1")
+	push(transport.StateColumn, "c1")
+	push(transport.StateColumn, "c2")
+	expect("before any stage", "setup:s", "setup:s", "setup:s")
+
+	// A stage with a batch for every worker delivers the rest, in order.
+	runStage(t, c, 3)
+	all := "setup:s factors:f1 column:c1 column:c2"
+	expect("after a full stage", all, all, all)
+
+	// Worker 2 gets no batch in a two-task stage and catches up on its
+	// next request, missing nothing and repeating nothing.
+	push(transport.StateColumn, "c3")
+	runStage(t, c, 2)
+	expect("after a stage without worker 2", all+" column:c3", all+" column:c3", all)
+	push(transport.StateColumn, "c4")
+	runStage(t, c, 3)
+	all += " column:c3 column:c4"
+	expect("after worker 2 caught up", all, all, all)
+
+	// A factor snapshot drops the columns before it from the log. Worker 2
+	// never saw c5; the snapshot supersedes it, so it must not be sent.
+	push(transport.StateColumn, "c5")
+	runStage(t, c, 2)
+	push(transport.StateFactors, "f2")
+	push(transport.StateColumn, "c6")
+	runStage(t, c, 3)
+	expect("after a snapshot under a lagging worker",
+		all+" column:c5 factors:f2 column:c6", all+" column:c5 factors:f2 column:c6", all+" factors:f2 column:c6")
+
+	sent, recvd := c.WireBytes()
+	if sent == 0 || recvd == 0 {
+		t.Fatalf("WireBytes() = %d/%d, want both nonzero", sent, recvd)
+	}
+}
+
+// TestSteadyStateRoundTrips counts request frames at the workers' sockets:
+// the set-up flush is one, a stage is one per worker however many columns
+// were committed since the last, and a stage boundary with every worker up
+// sends nothing at all.
+func TestSteadyStateRoundTrips(t *testing.T) {
+	hosts := []*echoHost{newEchoHost(), newEchoHost()}
+	c, counters := dialWorkers(t, testConfig(), hosts...)
+	ctx := context.Background()
+	frames := func() [2]int64 { return [2]int64{counters[0].frames.Load(), counters[1].frames.Load()} }
+
+	if got := frames(); got != [2]int64{1, 1} {
+		t.Fatalf("after Dial: %v request frames, want the handshake alone", got)
+	}
+	if err := c.PushState(ctx, transport.StateSetup, []byte("s")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PushState(ctx, transport.StateFactors, []byte("f")); err != nil {
+		t.Fatal(err)
+	}
+	if got := frames(); got != [2]int64{2, 2} {
+		t.Fatalf("after setup and factors: %v request frames, want handshake + set-up flush", got)
+	}
+	const stages = 25
+	want := "setup:s factors:f"
+	for s := 0; s < stages; s++ {
+		before := frames()
+		if ev := c.Membership(ctx); len(ev) != 0 {
+			t.Fatalf("Membership = %v with every worker up", ev)
+		}
+		if got := frames(); got != before {
+			t.Fatalf("stage %d: Membership sent frames (%v → %v) with every worker up", s, before, got)
+		}
+		runStage(t, c, 4)
+		if got := frames(); got != [2]int64{before[0] + 1, before[1] + 1} {
+			t.Fatalf("stage %d: %v → %v request frames, want one per worker", s, before, got)
+		}
+		for i, h := range hosts {
+			if got := h.appliedLog(); got != want {
+				t.Fatalf("stage %d: worker %d applied [%s], want [%s]", s, i, got, want)
+			}
+		}
+		col := fmt.Sprintf("c%d", s)
+		if err := c.PushState(ctx, transport.StateColumn, []byte(col)); err != nil {
+			t.Fatal(err)
+		}
+		want += " column:" + col
+	}
+	if got := frames(); got != [2]int64{2 + stages, 2 + stages} {
+		t.Fatalf("%d stages cost %v request frames per worker, want %d", stages, got, 2+stages)
+	}
+}
+
+// barrierHost's set-up blocks until every host of the fleet is setting up.
+type barrierHost struct {
+	*echoHost
+	arrived *sync.WaitGroup
+}
+
+func (h barrierHost) Apply(kind transport.StateKind, payload []byte) error {
+	if kind == transport.StateSetup {
+		h.arrived.Done()
+		h.arrived.Wait()
+	}
+	return h.echoHost.Apply(kind, payload)
+}
+
+// TestSetupFlushIsConcurrent: the workers unfold and partition on receipt
+// of the setup blob, so the flush must reach all of them before it waits
+// for any. A sequential flush leaves the first worker waiting for a second
+// that has not been sent to, until the call timeout books it as lost.
+func TestSetupFlushIsConcurrent(t *testing.T) {
+	var arrived sync.WaitGroup
+	arrived.Add(3)
+	cfg := testConfig()
+	for i := 0; i < 3; i++ {
+		addr, _ := startWorker(t, barrierHost{newEchoHost(), &arrived})
+		cfg.Addrs = append(cfg.Addrs, addr)
+	}
+	c, err := Dial(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,25 +336,85 @@ func TestPushStateReachesAllWorkers(t *testing.T) {
 			t.Errorf("Close: %v", err)
 		}
 	}()
-	if c.Machines() != 3 {
-		t.Fatalf("Machines() = %d, want 3", c.Machines())
+	if err := c.PushState(context.Background(), transport.StateSetup, []byte("s")); err != nil {
+		t.Fatal(err)
 	}
+	if ev := c.Membership(context.Background()); len(ev) != 0 {
+		t.Fatalf("Membership = %v after the set-up flush, want no transitions", ev)
+	}
+}
+
+// TestRejectedStateFailsTheRunThatCarriedIt: a piggy-backed blob the host
+// refuses fails that Run with an error naming the state kind, books no
+// loss, and leaves the worker's acknowledgement where it was, so the log
+// is offered again.
+func TestRejectedStateFailsTheRunThatCarriedIt(t *testing.T) {
+	h := newEchoHost()
+	c, _ := dialWorkers(t, testConfig(), h)
 	ctx := context.Background()
-	if err := c.PushState(ctx, transport.StateSetup, []byte("setup")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.PushState(ctx, transport.StateFactors, []byte("factors")); err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range hosts {
-		got := h.appliedKinds()
-		if len(got) != 2 || got[0] != transport.StateSetup || got[1] != transport.StateFactors {
-			t.Fatalf("worker %d applied %v, want [setup factors]", i, got)
+	for _, p := range []struct {
+		kind    transport.StateKind
+		payload string
+	}{{transport.StateSetup, "s"}, {transport.StateFactors, "f"}, {transport.StateColumn, "c"}} {
+		if err := c.PushState(ctx, p.kind, []byte(p.payload)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	sent, recvd := c.WireBytes()
-	if sent == 0 || recvd == 0 {
-		t.Fatalf("WireBytes() = %d/%d, want both nonzero", sent, recvd)
+	h.setReject(transport.StateColumn)
+	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 1}
+	delivered := 0
+	err := c.Run(ctx, spec, func(transport.TaskResult) error { delivered++; return nil })
+	if err == nil || !strings.Contains(err.Error(), "column state") || !strings.Contains(err.Error(), "blob refused") {
+		t.Fatalf("Run = %v, want the host's refusal naming the column state", err)
+	}
+	if delivered != 0 {
+		t.Fatalf("%d tasks ran behind a refused state blob", delivered)
+	}
+	if ev := c.Membership(ctx); len(ev) != 0 {
+		t.Fatalf("Membership = %v after a refused blob, want no transitions", ev)
+	}
+	// Nothing was acknowledged: factors and the column are sent again.
+	h.setReject(0)
+	runStage(t, c, 1)
+	if got, want := h.appliedLog(), "setup:s factors:f factors:f column:c"; got != want {
+		t.Fatalf("applied [%s], want [%s]", got, want)
+	}
+}
+
+// TestOversizedFrameIsATypedError: a message the frame limit cannot carry
+// is the run's error — the typed one, naming the push that hit it — and
+// not a machine loss: nothing was written, the connection is healthy, and
+// redialing to replay the same blob could only fail the same way.
+func TestOversizedFrameIsATypedError(t *testing.T) {
+	big := make([]byte, 2048)
+	for _, tc := range []struct {
+		name string
+		kind transport.StateKind
+		want string // in the error of the call that hits the limit
+	}{
+		{"eager setup", transport.StateSetup, "tcp: state push (setup): tcp: request to worker 0: transport: frame too large"},
+		{"piggy-backed factors", transport.StateFactors, "tcp: request to worker 0: transport: frame too large"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.MaxFrame = 1024
+			c, _ := dialWorkers(t, cfg, newEchoHost())
+			ctx := context.Background()
+			err := c.PushState(ctx, tc.kind, big)
+			if tc.kind != transport.StateSetup {
+				if err != nil {
+					t.Fatalf("deferred PushState: %v", err)
+				}
+				err = c.Run(ctx, transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 1},
+					func(transport.TaskResult) error { return nil })
+			}
+			if !errors.Is(err, transport.ErrFrameTooLarge) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want ErrFrameTooLarge reading %q", err, tc.want)
+			}
+			if ev := c.Membership(ctx); len(ev) != 0 {
+				t.Fatalf("Membership = %v after an oversized frame, want no loss", ev)
+			}
+		})
 	}
 }
 
@@ -381,8 +677,8 @@ func TestServeRejectsBadHandshake(t *testing.T) {
 			t.Errorf("Close: %v", err)
 		}
 	}()
-	// A ping before hello violates the protocol.
-	if _, err := transport.WriteFrame(conn, &transport.Msg{Type: transport.MsgPing}); err != nil {
+	// A request before hello violates the protocol.
+	if _, err := transport.WriteFrame(conn, &transport.Msg{Type: transport.MsgRun}); err != nil {
 		t.Fatal(err)
 	}
 	resp, _, err := transport.ReadFrame(conn, 0)

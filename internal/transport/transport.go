@@ -14,8 +14,8 @@
 // bit-identical to the simulated engine's for the same seed; the
 // differential tests enforce exactly that.
 //
-// The package holds the interfaces and the length-prefixed gob frame
-// codec; the TCP implementation lives in transport/tcp.
+// The package holds the interfaces and the length-prefixed binary frame
+// codec (wire.go); the TCP implementation lives in transport/tcp.
 package transport
 
 import "context"
@@ -131,15 +131,21 @@ type LivenessEvent struct {
 type Transport interface {
 	// Machines returns the executor count M; must equal the cluster's.
 	Machines() int
-	// Membership detects failed connections (read deadline, heartbeat),
-	// attempts to redial dead machines and replay their state, and
-	// returns the liveness transitions since the previous call, in
-	// detection order.
+	// Membership attempts to redial dead machines and replay their state,
+	// and returns the liveness transitions since the previous call, in
+	// detection order. Losses are detected where they hurt — by the Run
+	// or PushState exchange that hit the dead connection — and reported
+	// here; Membership itself does not probe live machines.
 	Membership(ctx context.Context) []LivenessEvent
-	// PushState replicates one state blob to every live executor. A
-	// machine that misses a push because its connection died is marked
-	// down and receives a full replay when it rejoins. PushState fails
-	// only when no live executor remains.
+	// PushState replicates one state blob to every executor: it is
+	// applied, in push order, before any task of a later Run executes. An
+	// implementation may ship it at once or with the executor's next
+	// request; a StateSetup is always shipped at once, so a fleet that
+	// cannot set up fails here, before the first stage. A machine that
+	// misses a push because its connection died is marked down and
+	// receives a full replay when it rejoins. An eager push fails when an
+	// executor rejects the blob or no live executor remains; a rejected
+	// deferred blob fails the Run that carried it.
 	PushState(ctx context.Context, kind StateKind, payload []byte) error
 	// Run executes the stage: every task in [0, spec.Tasks) runs on its
 	// home machine (task mod M) or, while that machine is down, on the
