@@ -44,6 +44,7 @@ var wordKernels = map[string]bool{
 	"AndCountWords":       true,
 	"AndNotCountWords":    true,
 	"AndAndNotCountWords": true,
+	"OrCountWords":        true,
 	"XorCountWords":       true,
 	"GainCountsWords":     true,
 }

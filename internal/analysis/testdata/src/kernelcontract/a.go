@@ -14,6 +14,12 @@ func badNoWidthCheck(a, b []uint64) int {
 	return bitvec.AndCountWords(a, b) // want `call to bitvec\.AndCountWords without a visible operand-width check`
 }
 
+// badWritingKernel: the kernel that writes its first operand is held to
+// the same contract as the counting ones.
+func badWritingKernel(dst, a, b []uint64) int {
+	return bitvec.OrCountWords(dst, a, b) // want `call to bitvec\.OrCountWords without a visible operand-width check`
+}
+
 // goodLenCheck establishes the contract with a len comparison first.
 func goodLenCheck(a, b []uint64) int {
 	if len(a) != len(b) {

@@ -47,47 +47,6 @@ func Wrap(n int, words []uint64) *BitVec {
 	return &BitVec{n: n, words: words}
 }
 
-// Slab returns count zeroed bit vectors of n bits each, all carved out of
-// one shared word array: three allocations total instead of two per vector.
-// It exists for bulk table construction — the sum-cache's 2^bits entry
-// tables are its main customer — where per-entry allocation dominates the
-// build. The vectors are independent views (their word ranges do not
-// overlap and are capacity-clamped), so the usual BitVec operations apply;
-// take the address of an element to use pointer methods.
-func Slab(count, n int) []BitVec {
-	if count < 0 || n < 0 {
-		panic("bitvec: negative slab size")
-	}
-	stride := wordsFor(n)
-	words := make([]uint64, count*stride)
-	vecs := make([]BitVec, count)
-	for i := range vecs {
-		vecs[i] = BitVec{n: n, words: words[i*stride : (i+1)*stride : (i+1)*stride]}
-	}
-	return vecs
-}
-
-// SlabWords returns the number of backing words a Slab of count n-bit
-// vectors occupies: count times the per-vector stride.
-func SlabWords(count, n int) int { return count * wordsFor(n) }
-
-// SlabOver carves count n-bit vectors out of the given word array, which
-// must hold exactly SlabWords(count, n) words. Unlike Slab the contents
-// are taken as-is: callers reusing recycled memory must clear (at least)
-// the words of any vector they rely on starting out zero, and keep every
-// vector's trailing bits beyond n zero themselves.
-func SlabOver(words []uint64, count, n int) []BitVec {
-	stride := wordsFor(n)
-	if len(words) != count*stride {
-		panic(fmt.Sprintf("bitvec: SlabOver needs %d words for %dx%d bits, got %d", count*stride, count, n, len(words)))
-	}
-	vecs := make([]BitVec, count)
-	for i := range vecs {
-		vecs[i] = BitVec{n: n, words: words[i*stride : (i+1)*stride : (i+1)*stride]}
-	}
-	return vecs
-}
-
 // FromIndices returns a bit vector of length n with the given bits set.
 func FromIndices(n int, idx []int) *BitVec {
 	v := New(n)

@@ -105,6 +105,22 @@ func AndAndNotCountWords(x, a, b []uint64) int {
 	return c
 }
 
+// OrCountWords stores a ∨ b into dst and returns its popcount, in one
+// pass. dst may alias a or b. This is the sum-cache table build: an entry
+// is a previously built entry ORed with one column, and its popcount is
+// cached beside it.
+//
+//dbtf:noalloc
+func OrCountWords(dst, a, b []uint64) int {
+	c := 0
+	for i := range dst {
+		w := a[i] | b[i]
+		dst[i] = w
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
 // XorCountWords returns popcount(a ⊕ b) over raw word slices: the Hamming
 // distance, i.e. the Boolean reconstruction error of a dense row.
 //

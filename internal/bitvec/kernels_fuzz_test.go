@@ -21,7 +21,7 @@ func bitsFromBytes(n int, data []byte) (*BitVec, []bool) {
 // FuzzKernels checks every fused counting kernel — the BitVec methods and
 // the raw word-slice forms the delta evaluation uses — against a []bool
 // model: AndNotCount, OrAndCount, OnesCountRange, AndCountWords,
-// AndNotCountWords, AndAndNotCountWords, XorCountWords, and
+// AndNotCountWords, AndAndNotCountWords, XorCountWords, OrCountWords, and
 // GainCountsWords with zero, one, and two occluders.
 func FuzzKernels(f *testing.F) {
 	f.Add(uint8(7), []byte{0xff}, []byte{0x0f}, []byte{0xaa})
@@ -72,6 +72,22 @@ func FuzzKernels(f *testing.F) {
 		}
 		if got := AndAndNotCountWords(x.Words(), a.Words(), b.Words()); got != andAndNot {
 			t.Fatalf("AndAndNotCountWords = %d, model %d", got, andAndNot)
+		}
+
+		// OrCountWords against the three BitVec passes it fuses (CopyFrom,
+		// Or, OnesCount): into a dirty destination, and in place.
+		or := x.Copy()
+		or.Or(a)
+		dst := make([]uint64, len(x.Words()))
+		for i := range dst {
+			dst[i] = ^uint64(0)
+		}
+		if got := OrCountWords(dst, x.Words(), a.Words()); got != or.OnesCount() || !Wrap(n, dst).Equal(or) {
+			t.Fatalf("OrCountWords = %d, %v; BitVec reference %d, %v", got, Wrap(n, dst), or.OnesCount(), or)
+		}
+		inPlace := x.Copy()
+		if got := OrCountWords(inPlace.Words(), inPlace.Words(), a.Words()); got != or.OnesCount() || !inPlace.Equal(or) {
+			t.Fatalf("OrCountWords in place = %d, %v; BitVec reference %d, %v", got, inPlace, or.OnesCount(), or)
 		}
 
 		// OnesCountRange over every unaligned boundary pair derived from

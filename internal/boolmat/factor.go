@@ -79,18 +79,27 @@ func (m *FactorMatrix) Get(i, c int) bool {
 // Set assigns entry (i, c).
 func (m *FactorMatrix) Set(i, c int, v bool) {
 	m.checkCol(c)
-	m.version++
+	row := m.rows[i] &^ (1 << uint(c))
 	if v {
-		m.rows[i] |= 1 << uint(c)
-	} else {
-		m.rows[i] &^= 1 << uint(c)
+		row |= 1 << uint(c)
+	}
+	m.store(i, row)
+}
+
+// store writes row i, advancing the version only when the row changes: a
+// column commit rewrites every entry of its column, and one that flips
+// nothing must leave the caches over the matrix valid.
+func (m *FactorMatrix) store(i int, row uint64) {
+	if m.rows[i] != row {
+		m.rows[i] = row
+		m.version++
 	}
 }
 
-// Version returns a counter that advances on every mutation. Derived
-// structures (row-summation caches) key their validity on the pair
-// (matrix pointer, version): equal pairs guarantee the derivation is
-// still current. Readers and the single writer must already be
+// Version returns a counter that advances on every write that changes the
+// matrix. Derived structures (row-summation caches) key their validity on
+// the pair (matrix pointer, version): equal pairs guarantee the derivation
+// is still current. Readers and the single writer must already be
 // externally synchronized, as for every other method.
 func (m *FactorMatrix) Version() uint64 { return m.version }
 
@@ -109,8 +118,7 @@ func (m *FactorMatrix) SetRowMask(i int, mask uint64) {
 	if m.r < MaxRank && mask>>uint(m.r) != 0 {
 		panic(fmt.Sprintf("boolmat: mask %#x has bits beyond rank %d", mask, m.r))
 	}
-	m.version++
-	m.rows[i] = mask
+	m.store(i, mask)
 }
 
 // Column materializes column c as a bit vector of length Rows().

@@ -793,46 +793,48 @@ func (c *Cluster) ForEachNamed(ctx context.Context, name string, n int, fn func(
 	if label == "" {
 		label = fmt.Sprintf("stage %d", st.stage)
 	}
+	// One labelled context per stage: WithLabels merges the "stage" label
+	// with any labels the caller attached to ctx (the decomposition driver
+	// sets "mode" and "iteration"), so profiles slice by stage × mode ×
+	// iteration. Every worker goroutine adopts it; the goroutines end with
+	// the stage, so there is no label set to restore.
+	ctx = pprof.WithLabels(ctx, pprof.Labels("stage", label))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// pprof.Do merges the "stage" label with any labels the caller
-			// attached to ctx (the decomposition driver sets "mode" and
-			// "iteration"), so profiles slice by stage × mode × iteration.
-			pprof.Do(ctx, pprof.Labels("stage", label), func(ctx context.Context) {
-				for {
-					t := int(next.Add(1)) - 1
-					if t >= n || failed.Load() {
-						return
-					}
-					if err := ctx.Err(); err != nil {
+			pprof.SetGoroutineLabels(ctx)
+			for {
+				t := int(next.Add(1)) - 1
+				if t >= n || failed.Load() {
+					return
+				}
+				if err := ctx.Err(); err != nil {
+					fail(err)
+					return
+				}
+				assigned := c.MachineFor(t)
+				if c.gate != nil {
+					// Host-CPU admission across clusters; the wait is
+					// real-host contention, never simulated time.
+					if err := c.gate.acquire(ctx); err != nil {
 						fail(err)
 						return
 					}
-					assigned := c.MachineFor(t)
-					if c.gate != nil {
-						// Host-CPU admission across clusters; the wait is
-						// real-host contention, never simulated time.
-						if err := c.gate.acquire(ctx); err != nil {
-							fail(err)
-							return
-						}
-					}
-					simNanos, err := c.runAttempts(st, st.stage, t, assigned)
-					if c.gate != nil {
-						c.gate.release()
-					}
-					st.charge(assigned, simNanos)
-					if err != nil {
-						// A task failure — including a recovered panic —
-						// surfaces as an error naming the stage; it never
-						// crashes the coordinator.
-						fail(stageError(label, err))
-						return
-					}
 				}
-			})
+				simNanos, err := c.runAttempts(st, st.stage, t, assigned)
+				if c.gate != nil {
+					c.gate.release()
+				}
+				st.charge(assigned, simNanos)
+				if err != nil {
+					// A task failure — including a recovered panic —
+					// surfaces as an error naming the stage; it never
+					// crashes the coordinator.
+					fail(stageError(label, err))
+					return
+				}
+			}
 		}()
 	}
 	wg.Wait()

@@ -8,7 +8,6 @@ import (
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
 	"dbtf/internal/partition"
-	"dbtf/internal/sumcache"
 	"dbtf/internal/tensor"
 )
 
@@ -93,13 +92,16 @@ func (ex *executor) setup(ux [3]*tensor.Unfolded, each func(n int, fn func(m int
 	return nil
 }
 
-// release returns the partition arenas to the slab pool. The caller
-// guarantees no stage can still touch them.
+// release returns the partition arenas and every machine's cache tables to
+// the slab pool. The caller guarantees no stage can still touch them.
 func (ex *executor) release() {
 	for _, p := range ex.px {
 		if p != nil {
 			p.Release()
 		}
+	}
+	for _, reg := range ex.reg {
+		reg.clearRelease()
 	}
 }
 
@@ -213,34 +215,32 @@ func (ex *executor) totalError(pi int) (int64, error) {
 }
 
 // summer yields Boolean row summations for rank masks; it is the access
-// interface shared by the cache tables and the uncached ablation.
+// interface shared by the cache tables (*sumcache.Cache) and the uncached
+// ablation.
 type summer interface {
-	// Sum returns the Boolean row summation for mask and its popcount;
-	// scratch must be entry-width bits and may back the returned vector.
-	Sum(mask uint64, scratch *bitvec.BitVec) (*bitvec.BitVec, int)
-	// Width returns the entry width in bits.
-	Width() int
+	// Sum returns the words of the Boolean row summation for mask and its
+	// popcount; scratch must hold the entry's words and may back the result.
+	Sum(mask uint64, scratch []uint64) ([]uint64, int)
 }
-
-// cacheSummer adapts sumcache.Cache to the summer interface.
-type cacheSummer struct{ *sumcache.Cache }
 
 // naiveSummer recomputes every row summation by ORing the selected factor
 // columns, sliced to the block range — the behaviour DBTF's cache replaces.
 type naiveSummer struct {
-	cols  []*bitvec.BitVec // columns of M_s sliced to the block range
-	width int
+	cols [][]uint64 // words of M_s's columns sliced to the block range
 }
 
-func (s naiveSummer) Width() int { return s.width }
-
-func (s naiveSummer) Sum(mask uint64, scratch *bitvec.BitVec) (*bitvec.BitVec, int) {
-	scratch.Zero()
+func (s naiveSummer) Sum(mask uint64, scratch []uint64) ([]uint64, int) {
+	clear(scratch)
+	pop := 0
 	for m := mask; m != 0; m &= m - 1 {
-		scratch.Or(s.cols[bits.TrailingZeros64(m)])
+		//dbtf:samewidth every column is sliced to the block width the caller sized scratch for
+		pop = bitvec.OrCountWords(scratch, scratch, s.cols[bits.TrailingZeros64(m)])
 	}
-	return scratch, scratch.OnesCount()
+	return scratch, pop
 }
+
+// entryWords returns the words a summation of width bits occupies.
+func entryWords(width int) int { return (width + bitvec.WordBits - 1) / bitvec.WordBits }
 
 // summers builds a summer per block of partition pi over the caching matrix
 // ms: the distributed part of Algorithm 5. The full-size cache is resolved
@@ -255,21 +255,17 @@ func (ex *executor) summers(pi int, p *partition.Partition, ms *boolmat.FactorMa
 	if ex.cfg.NoCache {
 		cols := ms.Columns()
 		for bi, b := range p.Blocks {
-			sliced := make([]*bitvec.BitVec, len(cols))
+			sliced := make([][]uint64, len(cols))
 			for r, col := range cols {
-				sliced[r] = col.Slice(b.InnerLo, b.InnerLo+b.Width())
+				sliced[r] = col.Slice(b.InnerLo, b.InnerLo+b.Width()).Words()
 			}
-			out[bi] = naiveSummer{cols: sliced, width: b.Width()}
+			out[bi] = naiveSummer{cols: sliced}
 		}
 		return out
 	}
 	mc := ex.reg[ex.place(pi)].cacheFor(ms, ex.cfg.GroupBits)
 	for bi, b := range p.Blocks {
-		if b.Type == partition.Full {
-			out[bi] = cacheSummer{mc.full}
-			continue
-		}
-		out[bi] = cacheSummer{mc.slice(b.InnerLo, b.InnerLo+b.Width())}
+		out[bi] = mc.slice(b.InnerLo, b.InnerLo+b.Width())
 	}
 	return out
 }
@@ -277,13 +273,18 @@ func (ex *executor) summers(pi int, p *partition.Partition, ms *boolmat.FactorMa
 // partitionError computes one mode-1 partition's share of |X ⊕ X̂| from
 // pre-resolved summers over b: rows indexed by a, PVM blocks by c.
 func partitionError(part *partition.Partition, a, c *boolmat.FactorMatrix, summers []summer) int64 {
+	widest := 0
+	for _, blk := range part.Blocks {
+		widest = max(widest, blk.Width())
+	}
+	scratch := make([]uint64, entryWords(widest))
 	var e int64
 	for bi, blk := range part.Blocks {
 		kMask := c.RowMask(blk.PVM)
 		sm := summers[bi]
-		scratch := bitvec.New(sm.Width())
+		blkScratch := scratch[:entryWords(blk.Width())]
 		for r := 0; r < a.Rows(); r++ {
-			sum, pop := sm.Sum(a.RowMask(r)&kMask, scratch)
+			sum, pop := sm.Sum(a.RowMask(r)&kMask, blkScratch)
 			e += blk.RowError(r, sum, pop)
 		}
 	}

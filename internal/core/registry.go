@@ -90,7 +90,8 @@ func (r *machineRegistry) clear() {
 // pool. Callers must hold exclusive access with no live tasks: the driver
 // between initial factor sets (stages joined, losers' tasks dropped) and
 // the worker under a factor push — executor.setFactors on both, which
-// empties the task tables in the same step.
+// empties the task tables in the same step — and executor.release, after
+// the run's last stage.
 func (r *machineRegistry) clearRelease() {
 	r.mu.Lock()
 	//dbtf:allow-nondeterministic every entry is released; order is irrelevant

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
 	"dbtf/internal/partition"
@@ -21,7 +20,7 @@ type shardState struct {
 	delta  sumcache.Delta
 	// scratch[bi] backs naiveSummer evaluation in the NoCache ablation;
 	// nil under the cached delta path, which materializes no summations.
-	scratch []*bitvec.BitVec
+	scratch [][]uint64
 }
 
 // columnTask is one partition's reusable state for the column-update
@@ -77,9 +76,9 @@ func buildColumnTask(part *partition.Partition, a, mf *boolmat.FactorMatrix, sum
 		sh := &t.shards[s]
 		sh.lo, sh.hi = rows*s/n, rows*(s+1)/n
 		if t.noCache {
-			sh.scratch = make([]*bitvec.BitVec, len(part.Blocks))
+			sh.scratch = make([][]uint64, len(part.Blocks))
 			for bi, b := range part.Blocks {
-				sh.scratch[bi] = bitvec.New(b.Width())
+				sh.scratch[bi] = make([]uint64, entryWords(b.Width()))
 			}
 		}
 	}
@@ -127,7 +126,7 @@ func (t *columnTask) evalRows(c int, sh *shardState) {
 			t.evalBlockNaive(sh, bi, b, bit, kMask)
 			continue
 		}
-		cache := t.summers[bi].(cacheSummer).Cache
+		cache := t.summers[bi].(*sumcache.Cache)
 		for r := sh.lo; r < sh.hi; r++ {
 			key0 := (t.a.RowMask(r) &^ bit) & kMask
 			cache.SumDelta(key0, bit, &sh.delta)

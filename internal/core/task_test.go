@@ -100,8 +100,9 @@ func TestEvalColumnZeroAlloc(t *testing.T) {
 }
 
 // TestRegistrySharesCaches checks the per-machine cache accounting: tasks
-// on one machine share one table per caching matrix, a version bump
-// invalidates it, and distinct machines build their own.
+// on one machine share one table per caching matrix, a write that changes
+// the matrix invalidates it (one that does not, does not), and distinct
+// machines build their own.
 func TestRegistrySharesCaches(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ms := boolmat.RandomFactor(rng, 12, 5, 0.4)
@@ -119,7 +120,17 @@ func TestRegistrySharesCaches(t *testing.T) {
 		t.Fatal("distinct machines must not share registry entries")
 	}
 
-	ms.Set(0, 0, true) // bump version
+	// A commit that rewrites a column without flipping an entry (every
+	// converged column, every iteration) must not cost the machine its table.
+	for r := 0; r < ms.Rows(); r++ {
+		ms.Set(r, 0, ms.Get(r, 0))
+		ms.SetRowMask(r, ms.RowMask(r))
+	}
+	if regs[0].cacheFor(ms, 15) != mc1 {
+		t.Fatal("writing the values already stored evicted the cache")
+	}
+
+	ms.Set(0, 0, !ms.Get(0, 0)) // a real flip
 	mc3 := regs[0].cacheFor(ms, 15)
 	if mc3 == mc1 {
 		t.Fatal("stale cache served after the matrix changed")

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
+	"runtime/pprof"
+	"strings"
+	"sync"
 	"testing"
 
+	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
 	"dbtf/internal/trace"
 )
@@ -106,4 +111,47 @@ func TestDecomposeUntracedUnchanged(t *testing.T) {
 	if plain.A.String() != traced.A.String() || plain.B.String() != traced.B.String() || plain.C.String() != traced.C.String() {
 		t.Fatal("tracing changed the factor matrices")
 	}
+}
+
+// TestStageTasksCarryProfileLabels pins the slicing README "Profiling a
+// run" documents: a stage task's goroutine carries the "iteration", "mode"
+// and "stage" pprof labels together. The goroutine profile is taken from
+// inside a build task — the executor's place function runs there — and the
+// record whose stack holds executor.build must show all three.
+func TestStageTasksCarryProfileLabels(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	x := randomTensor(rng, 8, 7, 6, 0.2)
+	d := newTestDecomposition(t, x, Options{Rank: 3, Partitions: 2}, 2)
+	d.rootCtx = context.Background()
+	d.beginIteration(3)
+
+	var (
+		once sync.Once
+		prof bytes.Buffer
+	)
+	place := d.ex.place
+	d.ex.place = func(pi int) int {
+		once.Do(func() {
+			if err := pprof.Lookup("goroutine").WriteTo(&prof, 1); err != nil {
+				t.Error(err)
+			}
+		})
+		return place(pi)
+	}
+	updateMode(t, d, 1, boolmat.RandomFactor(rng, 8, 3, 0.3), boolmat.RandomFactor(rng, 7, 3, 0.3), boolmat.RandomFactor(rng, 6, 3, 0.3))
+
+	// debug=1 prints one record per distinct (stack, labels): a count line,
+	// a "# labels:" line when the goroutine has any, then the frames.
+	for _, rec := range strings.Split(prof.String(), "\n\n") {
+		if !strings.Contains(rec, "(*executor).build") {
+			continue
+		}
+		for _, want := range []string{`"iteration":"3"`, `"mode":"B"`, `"stage":"build:B"`} {
+			if !strings.Contains(rec, want) {
+				t.Errorf("build task's goroutine lacks label %s:\n%s", want, rec)
+			}
+		}
+		return
+	}
+	t.Fatalf("no goroutine inside executor.build in the profile:\n%s", prof.String())
 }

@@ -184,23 +184,21 @@ func sparseGainOverlap(offs []int32, w1, w0 []uint64, occ [][]uint64) int {
 	return n
 }
 
-// RowError returns |x_row ⊕ sum| for row r against a materialized
-// candidate summation with popcount pop. Dense blocks use the
+// RowError returns |x_row ⊕ sum| for row r against the words of a
+// materialized candidate summation with popcount pop. Dense blocks use the
 // word-parallel Hamming distance; sparse blocks walk the nonzeros
 // (nnz + |sum| − 2·overlap, Lemma 4's note on step iii).
 //
 //dbtf:noalloc
-func (b *Block) RowError(r int, sum *bitvec.BitVec, pop int) int64 {
+func (b *Block) RowError(r int, sum []uint64, pop int) int64 {
 	if b.denseWords != nil {
 		//dbtf:samewidth the summation comes from the block's own cache slice, so its word count equals the stride
-		return int64(bitvec.XorCountWords(b.RowWords(r), sum.Words()))
+		return int64(bitvec.XorCountWords(b.RowWords(r), sum))
 	}
 	rowBits := b.RowBits(r)
 	overlap := 0
 	for _, off := range rowBits {
-		if sum.Get(int(off)) {
-			overlap++
-		}
+		overlap += int(sum[int(off)>>6] >> (uint32(off) & 63) & 1)
 	}
 	return int64(len(rowBits) + pop - 2*overlap)
 }

@@ -48,7 +48,7 @@ func TestSumDeltaMatchesSums(t *testing.T) {
 			{"eager", full, width, 0},
 			{"sliced", half, 49 - 13, 13},
 		} {
-			scratch := bitvec.New(tc.width)
+			scratch := scratchFor(tc.width)
 			var d Delta
 			for mask := uint64(0); mask < 1<<r; mask++ {
 				for b := 0; b < r; b++ {
@@ -56,9 +56,9 @@ func TestSumDeltaMatchesSums(t *testing.T) {
 					if mask&bit != 0 {
 						continue
 					}
-					sum0, _ := tc.c.Sum(mask, scratch)
+					sum0, _ := sumVec(tc.c, mask, scratch)
 					sum0 = sum0.Copy() // scratch may back both sums
-					sum1, _ := tc.c.Sum(mask|bit, scratch)
+					sum1, _ := sumVec(tc.c, mask|bit, scratch)
 					want := sum1.Copy()
 					want.AndNot(sum0)
 					tc.c.SumDelta(mask, bit, &d)
@@ -117,8 +117,8 @@ func TestLazySliceMaterializesOnDemand(t *testing.T) {
 	if got := sl.Materialized(); got != 0 {
 		t.Fatalf("fresh slice has %d materialized entries, want 0", got)
 	}
-	scratch := bitvec.New(sl.Width())
-	sum, pop := sl.Sum(0b101, scratch)
+	scratch := scratchFor(sl.Width())
+	sum, pop := sumVec(sl, 0b101, scratch)
 	want := naiveSum(cols, 64, 0b101).Slice(5, 41)
 	if !sum.Equal(want) || pop != want.OnesCount() {
 		t.Fatal("lazy sliced sum differs from naive slice")
@@ -127,7 +127,7 @@ func TestLazySliceMaterializesOnDemand(t *testing.T) {
 		t.Fatalf("after one query: %d materialized entries, want 1", got)
 	}
 	// Re-querying the same mask must not materialize anything new.
-	sl.Sum(0b101, scratch)
+	sumVec(sl, 0b101, scratch)
 	if got := sl.Materialized(); got != 1 {
 		t.Fatalf("after repeat query: %d materialized entries, want 1", got)
 	}
@@ -144,9 +144,9 @@ func TestSliceOfSliceStaysOneLevel(t *testing.T) {
 	if inner.parent != full {
 		t.Fatal("slice of slice should re-parent onto the eager root")
 	}
-	scratch := bitvec.New(inner.Width())
+	scratch := scratchFor(inner.Width())
 	for mask := uint64(0); mask < 1<<5; mask++ {
-		sum, _ := inner.Sum(mask, scratch)
+		sum, _ := sumVec(inner, mask, scratch)
 		want := naiveSum(cols, 80, mask).Slice(15, 40)
 		if !sum.Equal(want) {
 			t.Fatalf("mask %#x: nested slice sum mismatch", mask)
@@ -168,11 +168,11 @@ func TestLazySliceConcurrentReaders(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			scratch := bitvec.New(sl.Width())
+			scratch := scratchFor(sl.Width())
 			var d Delta
 			for i := 0; i < 500; i++ {
 				mask := rng.Uint64() & 0xff
-				sum, _ := sl.Sum(mask, scratch)
+				sum, _ := sumVec(sl, mask, scratch)
 				want := naiveSum(cols, 96, mask).Slice(7, 77)
 				if !sum.Equal(want) {
 					t.Errorf("mask %#x: concurrent sliced sum mismatch", mask)

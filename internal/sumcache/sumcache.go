@@ -60,38 +60,41 @@ type Cache struct {
 	lo, hi int
 }
 
+// group is one table of Lemma 2. An eager group is two flat arrays from
+// the slab pool: entry m — the OR of the cached columns m selects within
+// the group — is words[m·stride:(m+1)·stride] and pop[m] its popcount, so
+// an entry costs 8·stride + 4 bytes and no object of its own. A sliced
+// group has neither array, only the lazy memo.
 type group struct {
-	shift uint
-	bits  int
-	mask  uint64
-	// rows[m] = OR of the cached columns selected by m (within this
-	// group); eager caches only.
-	rows []*bitvec.BitVec
-	pop  []int32 // OnesCount of rows[m]; eager caches only
+	shift  uint
+	bits   int
+	mask   uint64
+	stride int // words per entry: ⌈width/64⌉
+	words  []uint64
+	pop    []int32
 	// lazy[m] memoizes sliced entries; sliced caches only.
 	lazy []atomic.Pointer[sliceEntry]
-	// words backs the rows of an eager group; recycled by Release.
-	words []uint64
+}
+
+// at returns the words of eager entry m.
+//
+//dbtf:noalloc
+func (g *group) at(m uint64) []uint64 {
+	off := int(m) * g.stride
+	return g.words[off : off+g.stride : off+g.stride]
 }
 
 type sliceEntry struct {
-	vec *bitvec.BitVec
-	pop int32
+	words []uint64
+	pop   int32
 }
 
 // New builds a cache over the given columns (column r is selected by mask
 // bit r); each column must have the same length, which becomes the entry
 // width. groupBits is the threshold V; values < 1 mean DefaultGroupBits.
 func New(cols []*bitvec.BitVec, groupBits int) *Cache {
-	if groupBits < 1 {
-		groupBits = DefaultGroupBits
-	}
-	r := len(cols)
-	if r > boolmat.MaxRank {
-		panic(fmt.Sprintf("sumcache: rank %d exceeds %d", r, boolmat.MaxRank))
-	}
 	width := 0
-	if r > 0 {
+	if len(cols) > 0 {
 		width = cols[0].Len()
 		for i, c := range cols {
 			if c.Len() != width {
@@ -99,83 +102,108 @@ func New(cols []*bitvec.BitVec, groupBits int) *Cache {
 			}
 		}
 	}
-	c := &Cache{rank: r, width: width}
-	numGroups := 1
-	if r > groupBits {
-		numGroups = (r + groupBits - 1) / groupBits
+	c := newTables(len(cols), width, groupBits)
+	for r, col := range cols {
+		copy(c.single(r), col.Words())
 	}
-	base := 0
-	rem := 0
-	if numGroups > 0 && r > 0 {
-		base = r / numGroups
-		rem = r % numGroups
-	}
-	shift := uint(0)
-	for g := 0; g < numGroups; g++ {
-		bits := base
-		if g < rem {
-			bits++
-		}
-		if r == 0 {
-			bits = 0
-		}
-		for b := 0; b < bits; b++ {
-			c.bitGroup[int(shift)+b] = uint8(g)
-		}
-		c.groups = append(c.groups, buildGroup(cols, shift, bits, width))
-		shift += uint(bits)
-	}
+	c.fill()
 	return c
 }
 
 // NewFromFactor builds a cache over the columns of a factor matrix: the
 // caching matrix M_c of Algorithm 5 (B when updating A against
-// X₍₁₎ ≈ A ∘ (C ⊙ B)ᵀ).
+// X₍₁₎ ≈ A ∘ (C ⊙ B)ᵀ). The columns are never materialized: the matrix's
+// row masks are transposed straight into the single-bit entries.
 func NewFromFactor(m *boolmat.FactorMatrix, groupBits int) *Cache {
-	return New(m.Columns(), groupBits)
+	c := newTables(m.Rank(), m.Rows(), groupBits)
+	var single [boolmat.MaxRank][]uint64
+	for r := 0; r < c.rank; r++ {
+		single[r] = c.single(r)
+		clear(single[r])
+	}
+	for i := 0; i < m.Rows(); i++ {
+		for mask := m.RowMask(i); mask != 0; mask &= mask - 1 {
+			single[bits.TrailingZeros64(mask)][i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+	c.fill()
+	return c
 }
 
-// buildGroup fills a 2^bits-entry table incrementally: each entry is one OR
-// away from a previously computed entry (drop the lowest set bit), so the
-// whole table costs O(2^bits) vector ORs — the paper's "incremental
-// computations that use prior row summation results" (Lemma 4, step i).
-// The entries are carved out of one bitvec.Slab: tables are rebuilt once
-// per machine per factor version, and per-entry allocation used to
-// dominate the whole decomposition's allocation profile.
-func buildGroup(cols []*bitvec.BitVec, shift uint, bits, width int) group {
-	n := 1 << uint(bits)
-	g := group{
-		shift: shift,
-		bits:  bits,
-		mask:  (uint64(1) << uint(bits)) - 1,
-		rows:  make([]*bitvec.BitVec, n),
-		pop:   make([]int32, n),
+// newTables lays out Lemma 2's ⌈R/V⌉ groups of (nearly) equal size over r
+// rank bits and takes every group's two arrays from the slab pool. Their
+// contents are unspecified: the caller seeds the single-bit entries and
+// calls fill, which between them overwrite every word.
+func newTables(r, width, groupBits int) *Cache {
+	if groupBits < 1 {
+		groupBits = DefaultGroupBits
 	}
-	stride := bitvec.SlabWords(1, width)
-	g.words = slab.Uint64s(n * stride)
-	// Entry 0 (the empty summation) must start zero; every other entry is
-	// fully overwritten below, so recycled memory needs no further clearing.
-	clear(g.words[:stride])
-	vecs := bitvec.SlabOver(g.words, n, width)
-	g.rows[0] = &vecs[0]
-	for m := uint64(1); m < uint64(n); m++ {
-		prev := m & (m - 1) // m without its lowest set bit
-		low := m ^ prev     // the lowest set bit
-		e := &vecs[m]
-		e.CopyFrom(g.rows[prev])
-		e.Or(cols[shift+uint(bitIndex(low))])
-		g.rows[m] = e
-		g.pop[m] = int32(e.OnesCount())
+	if r > boolmat.MaxRank {
+		panic(fmt.Sprintf("sumcache: rank %d exceeds %d", r, boolmat.MaxRank))
 	}
-	return g
+	c := &Cache{rank: r, width: width}
+	numGroups := 1
+	if r > groupBits {
+		numGroups = (r + groupBits - 1) / groupBits
+	}
+	base, rem := r/numGroups, r%numGroups
+	c.groups = make([]group, numGroups)
+	stride := (width + bitvec.WordBits - 1) / bitvec.WordBits
+	shift := uint(0)
+	for gi := range c.groups {
+		bits := base
+		if gi < rem {
+			bits++
+		}
+		for b := 0; b < bits; b++ {
+			c.bitGroup[int(shift)+b] = uint8(gi)
+		}
+		n := 1 << uint(bits)
+		c.groups[gi] = group{
+			shift:  shift,
+			bits:   bits,
+			mask:   uint64(n) - 1,
+			stride: stride,
+			words:  slab.Uint64s(n * stride),
+			pop:    slab.Int32s(n),
+		}
+		shift += uint(bits)
+	}
+	return c
 }
 
-// Release returns the eager tables' backing words to the slab pool and
-// poisons the cache against further use. Only cache owners with exclusive
-// access at a version boundary (the machine registries, on eviction of a
-// stale factor version) call it; sliced caches own no slabs and their
-// lazily materialized entries are independent copies, so only the eager
-// root is released.
+// single returns the words of the entry that selects rank bit r alone: the
+// table's copy of cached column r.
+func (c *Cache) single(r int) []uint64 {
+	g := &c.groups[c.bitGroup[r]]
+	return g.at(uint64(1) << (uint(r) - g.shift))
+}
+
+// fill completes every table from its seeded single-bit entries. Each
+// entry is one OR away from a previously computed one (drop the lowest set
+// bit), so a table costs one fused OR-and-count pass per entry — the
+// paper's "incremental computations that use prior row summation results"
+// (Lemma 4, step i). For a single-bit entry that pass is entry 0 ∨ itself:
+// it only takes the popcount.
+func (c *Cache) fill() {
+	for gi := range c.groups {
+		g := &c.groups[gi]
+		clear(g.at(0)) // the empty summation
+		g.pop[0] = 0
+		for m := uint64(1); m < uint64(len(g.pop)); m++ {
+			prev := m & (m - 1) // m without its lowest set bit
+			//dbtf:samewidth all three operands are entries of one table, stride words each
+			g.pop[m] = int32(bitvec.OrCountWords(g.at(m), g.at(prev), g.at(m^prev)))
+		}
+	}
+}
+
+// Release returns the eager tables to the slab pool and poisons the cache
+// against further use. Only cache owners with exclusive access at a
+// version boundary (the machine registries, on eviction of a stale factor
+// version) call it; sliced caches own no slabs and their lazily
+// materialized entries are independent copies, so only the eager root is
+// released.
 func (c *Cache) Release() {
 	if c.parent != nil {
 		return
@@ -183,13 +211,9 @@ func (c *Cache) Release() {
 	for i := range c.groups {
 		g := &c.groups[i]
 		slab.PutUint64s(g.words)
-		g.words, g.rows, g.pop = nil, nil, nil
+		slab.PutInt32s(g.pop)
+		g.words, g.pop = nil, nil
 	}
-}
-
-// bitIndex returns the index of the single set bit.
-func bitIndex(single uint64) int {
-	return bits.TrailingZeros64(single)
 }
 
 // Rank returns the number of rank bits R the cache covers.
@@ -208,12 +232,7 @@ func (c *Cache) NumGroups() int { return len(c.groups) }
 func (c *Cache) Entries() int {
 	n := 0
 	for i := range c.groups {
-		g := &c.groups[i]
-		if g.lazy != nil {
-			n += len(g.lazy)
-		} else {
-			n += len(g.rows)
-		}
+		n += 1 << uint(c.groups[i].bits)
 	}
 	return n
 }
@@ -222,13 +241,12 @@ func (c *Cache) Entries() int {
 // equal to Entries for eager caches, and the memoized subset for lazily
 // sliced caches.
 func (c *Cache) Materialized() int {
+	if c.parent == nil {
+		return c.Entries()
+	}
 	n := 0
 	for i := range c.groups {
 		g := &c.groups[i]
-		if g.lazy == nil {
-			n += len(g.rows)
-			continue
-		}
 		for m := range g.lazy {
 			if g.lazy[m].Load() != nil {
 				n++
@@ -238,44 +256,56 @@ func (c *Cache) Materialized() int {
 	return n
 }
 
-// entry returns the cached summation and popcount for mask m of group gi,
-// materializing and memoizing it on sliced caches. Concurrent callers
-// converge on a single canonical entry via compare-and-swap.
-func (c *Cache) entry(gi int, m uint64) (*bitvec.BitVec, int32) {
+// entry returns the words and popcount of the cached summation for mask m
+// of group gi: on an eager cache an offset into the table, on a sliced one
+// the memoized entry, materialized on first query.
+//
+//dbtf:noalloc
+func (c *Cache) entry(gi int, m uint64) ([]uint64, int32) {
 	g := &c.groups[gi]
-	if g.lazy == nil {
-		return g.rows[m], g.pop[m]
+	if c.parent == nil {
+		return g.at(m), g.pop[m]
 	}
-	if e := g.lazy[m].Load(); e != nil {
-		return e.vec, e.pop
+	e := g.lazy[m].Load()
+	if e == nil {
+		e = c.materialize(gi, m)
 	}
-	pv, _ := c.parent.entry(gi, m)
-	vec := pv.Slice(c.lo, c.hi)
-	e := &sliceEntry{vec: vec, pop: int32(pv.OnesCountRange(c.lo, c.hi))}
-	if !g.lazy[m].CompareAndSwap(nil, e) {
-		e = g.lazy[m].Load() // another reader won the race; share its entry
-	}
-	return e.vec, e.pop
+	return e.words, e.pop
 }
 
-// Sum returns the Boolean row summation for the given mask along with its
-// popcount. With a single group the returned vector is the cache entry
-// itself — callers must treat it as read-only. With multiple groups the
-// per-group entries are ORed into scratch (which must have Width() bits)
-// and scratch is returned.
-func (c *Cache) Sum(mask uint64, scratch *bitvec.BitVec) (sum *bitvec.BitVec, pop int) {
+// materialize slices the parent's entry and memoizes it. Concurrent
+// callers converge on a single canonical entry via compare-and-swap.
+func (c *Cache) materialize(gi int, m uint64) *sliceEntry {
+	slot := &c.groups[gi].lazy[m]
+	pw, _ := c.parent.entry(gi, m)
+	pv := bitvec.Wrap(c.parent.width, pw)
+	e := &sliceEntry{words: pv.Slice(c.lo, c.hi).Words(), pop: int32(pv.OnesCountRange(c.lo, c.hi))}
+	if !slot.CompareAndSwap(nil, e) {
+		e = slot.Load() // another reader won the race; share its entry
+	}
+	return e
+}
+
+// Sum returns the words of the Boolean row summation for the given mask
+// along with its popcount. With a single group they are the cache entry
+// itself — callers must treat it as read-only — and scratch is not
+// touched. With multiple groups the per-group entries are ORed into
+// scratch, which must hold ⌈Width()/64⌉ words, and scratch is returned.
+func (c *Cache) Sum(mask uint64, scratch []uint64) (sum []uint64, pop int) {
+	e, p := c.entry(0, mask&c.groups[0].mask)
 	if len(c.groups) == 1 {
-		g := &c.groups[0]
-		e, p := c.entry(0, mask&g.mask)
 		return e, int(p)
 	}
-	scratch.Zero()
-	for i := range c.groups {
+	if len(scratch) != len(e) {
+		panic(fmt.Sprintf("sumcache: Sum scratch has %d words, want %d", len(scratch), len(e)))
+	}
+	copy(scratch, e)
+	for i := 1; i < len(c.groups); i++ {
 		g := &c.groups[i]
 		e, _ := c.entry(i, (mask>>g.shift)&g.mask)
-		scratch.Or(e)
+		pop = bitvec.OrCountWords(scratch, scratch, e)
 	}
-	return scratch, scratch.OnesCount()
+	return scratch, pop
 }
 
 // Delta describes the cells that flip 0→1 when a single rank bit is added
@@ -308,21 +338,47 @@ type Delta struct {
 func (d *Delta) Empty() bool { return d.Pop == 0 }
 
 // SumDelta fills d with the delta region for adding rank bit `bit` (a
-// one-hot mask, not set in mask) to `mask`. On sliced caches a gain that
-// is empty at full width short-circuits without materializing any sliced
-// entry — the cached full-width popcounts decide emptiness for every
-// slice at once.
+// one-hot mask, not set in mask) to `mask`. Two cached popcounts decide
+// emptiness before any entry is touched.
+//
+// The eager case is written out against the flat table rather than through
+// entry: it is the innermost call of every factor update, and entry — which
+// must also serve sliced caches — is past the inliner's budget, a third of
+// this function's time when called two to four times here.
 func (c *Cache) SumDelta(mask, bit uint64, d *Delta) {
 	gi := int(c.bitGroup[bits.TrailingZeros64(bit)])
 	g := &c.groups[gi]
 	m0 := (mask >> g.shift) & g.mask
 	m1 := m0 | (bit >> g.shift)
-	if p := c.parent; p != nil {
-		pg := &p.groups[gi]
-		if pg.pop[m1] == pg.pop[m0] {
-			d.Pop = 0
-			return
+	if c.parent != nil {
+		c.sumDeltaSliced(gi, m0, m1, mask, d)
+		return
+	}
+	d.Pop = int(g.pop[m1] - g.pop[m0])
+	if d.Pop == 0 {
+		return
+	}
+	d.W1, d.W0 = g.at(m1), g.at(m0)
+	d.Occ = d.Occ[:0]
+	for oi := range c.groups {
+		if oi == gi {
+			continue
 		}
+		og := &c.groups[oi]
+		// Entry 0 is empty and occludes nothing.
+		if om := (mask >> og.shift) & og.mask; om != 0 {
+			d.Occ = append(d.Occ, og.at(om))
+		}
+	}
+}
+
+// sumDeltaSliced is SumDelta on a sliced cache. A gain that is empty at
+// full width short-circuits without materializing any sliced entry: the
+// parent's popcounts decide emptiness for every slice at once.
+func (c *Cache) sumDeltaSliced(gi int, m0, m1, mask uint64, d *Delta) {
+	if pg := &c.parent.groups[gi]; pg.pop[m1] == pg.pop[m0] {
+		d.Pop = 0
+		return
 	}
 	e1, p1 := c.entry(gi, m1)
 	e0, p0 := c.entry(gi, m0)
@@ -330,19 +386,17 @@ func (c *Cache) SumDelta(mask, bit uint64, d *Delta) {
 	if d.Pop == 0 {
 		return
 	}
-	d.W1, d.W0 = e1.Words(), e0.Words()
+	d.W1, d.W0 = e1, e0
 	d.Occ = d.Occ[:0]
 	for oi := range c.groups {
 		if oi == gi {
 			continue
 		}
 		og := &c.groups[oi]
-		om := (mask >> og.shift) & og.mask
-		if om == 0 {
-			continue // entry 0 is empty and occludes nothing
+		if om := (mask >> og.shift) & og.mask; om != 0 {
+			oe, _ := c.entry(oi, om)
+			d.Occ = append(d.Occ, oe)
 		}
-		oe, _ := c.entry(oi, om)
-		d.Occ = append(d.Occ, oe.Words())
 	}
 }
 
@@ -375,7 +429,7 @@ func (c *Cache) Slice(lo, hi int) *Cache {
 			shift: g.shift,
 			bits:  g.bits,
 			mask:  g.mask,
-			lazy:  make([]atomic.Pointer[sliceEntry], len(g.rows)),
+			lazy:  make([]atomic.Pointer[sliceEntry], 1<<uint(g.bits)),
 		}
 	}
 	return out

@@ -20,6 +20,18 @@ func naiveSum(cols []*bitvec.BitVec, width int, mask uint64) *bitvec.BitVec {
 	return out
 }
 
+// scratchFor returns Sum scratch for entries of width bits.
+func scratchFor(width int) []uint64 {
+	return make([]uint64, (width+bitvec.WordBits-1)/bitvec.WordBits)
+}
+
+// sumVec wraps the words Sum returns as a BitVec, for comparison against
+// the BitVec references.
+func sumVec(c *Cache, mask uint64, scratch []uint64) (*bitvec.BitVec, int) {
+	words, pop := c.Sum(mask, scratch)
+	return bitvec.Wrap(c.Width(), words), pop
+}
+
 func randomCols(rng *rand.Rand, r, width int) []*bitvec.BitVec {
 	cols := make([]*bitvec.BitVec, r)
 	for i := range cols {
@@ -41,10 +53,10 @@ func TestSingleGroupMatchesNaive(t *testing.T) {
 	if c.NumGroups() != 1 {
 		t.Fatalf("NumGroups = %d, want 1", c.NumGroups())
 	}
-	scratch := bitvec.New(50)
+	scratch := scratchFor(50)
 	for mask := uint64(0); mask < 256; mask++ {
 		want := naiveSum(cols, 50, mask)
-		got, pop := c.Sum(mask, scratch)
+		got, pop := sumVec(c, mask, scratch)
 		if !got.Equal(want) {
 			t.Fatalf("mask %#x: cached sum != naive", mask)
 		}
@@ -61,11 +73,11 @@ func TestMultiGroupMatchesNaive(t *testing.T) {
 	if c.NumGroups() != 3 {
 		t.Fatalf("NumGroups = %d, want 3", c.NumGroups())
 	}
-	scratch := bitvec.New(40)
+	scratch := scratchFor(40)
 	for trial := 0; trial < 500; trial++ {
 		mask := rng.Uint64() & ((1 << 11) - 1)
 		want := naiveSum(cols, 40, mask)
-		got, pop := c.Sum(mask, scratch)
+		got, pop := sumVec(c, mask, scratch)
 		if !got.Equal(want) {
 			t.Fatalf("mask %#x: cached sum != naive", mask)
 		}
@@ -100,10 +112,10 @@ func TestLemma2GroupCounts(t *testing.T) {
 		maxTable := 0
 		total := 0
 		for _, g := range c.groups {
-			if len(g.rows) > maxTable {
-				maxTable = len(g.rows)
+			if len(g.pop) > maxTable {
+				maxTable = len(g.pop)
 			}
-			total += len(g.rows)
+			total += len(g.pop)
 		}
 		if maxTable != tc.tableSize {
 			t.Errorf("R=%d V=%d: largest table = %d, want %d", tc.r, tc.v, maxTable, tc.tableSize)
@@ -135,8 +147,8 @@ func TestGroupsCoverAllBitsDisjointly(t *testing.T) {
 
 func TestZeroRank(t *testing.T) {
 	c := New(nil, 15)
-	scratch := bitvec.New(0)
-	sum, pop := c.Sum(0, scratch)
+	scratch := scratchFor(0)
+	sum, pop := sumVec(c, 0, scratch)
 	if sum.OnesCount() != 0 || pop != 0 {
 		t.Fatal("zero-rank cache returned nonzero sum")
 	}
@@ -149,10 +161,10 @@ func TestNewFromFactor(t *testing.T) {
 	if c.Width() != 30 || c.Rank() != 6 {
 		t.Fatalf("cache shape width=%d rank=%d", c.Width(), c.Rank())
 	}
-	scratch := bitvec.New(30)
+	scratch := scratchFor(30)
 	for mask := uint64(0); mask < 64; mask++ {
 		want := naiveSum(b.Columns(), 30, mask)
-		if got, _ := c.Sum(mask, scratch); !got.Equal(want) {
+		if got, _ := sumVec(c, mask, scratch); !got.Equal(want) {
 			t.Fatalf("mask %#x mismatch", mask)
 		}
 	}
@@ -177,11 +189,11 @@ func TestSliceMatchesSlicedNaive(t *testing.T) {
 		if sliced.Width() != hi-lo {
 			t.Fatalf("sliced width = %d", sliced.Width())
 		}
-		scratch := bitvec.New(hi - lo)
+		scratch := scratchFor(hi - lo)
 		for trial := 0; trial < 200; trial++ {
 			mask := rng.Uint64() & ((1 << 9) - 1)
 			want := naiveSum(cols, 64, mask).Slice(lo, hi)
-			got, pop := sliced.Sum(mask, scratch)
+			got, pop := sumVec(sliced, mask, scratch)
 			if !got.Equal(want) {
 				t.Fatalf("slice [%d,%d) mask %#x mismatch", lo, hi, mask)
 			}
@@ -210,10 +222,10 @@ func TestQuickCacheEqualsNaiveAnyV(t *testing.T) {
 		width := int(wRaw%100) + 1
 		cols := randomCols(rng, r, width)
 		c := New(cols, v)
-		scratch := bitvec.New(width)
+		scratch := scratchFor(width)
 		for trial := 0; trial < 20; trial++ {
 			mask := rng.Uint64() & ((1 << uint(r)) - 1)
-			got, pop := c.Sum(mask, scratch)
+			got, pop := sumVec(c, mask, scratch)
 			want := naiveSum(cols, width, mask)
 			if !got.Equal(want) || pop != want.OnesCount() {
 				return false
@@ -238,7 +250,7 @@ func BenchmarkBuild(b *testing.B) {
 func BenchmarkSumSingleGroup(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	c := New(randomCols(rng, 12, 256), 15)
-	scratch := bitvec.New(256)
+	scratch := scratchFor(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = c.Sum(uint64(i)&0xfff, scratch)
@@ -248,7 +260,7 @@ func BenchmarkSumSingleGroup(b *testing.B) {
 func BenchmarkSumMultiGroup(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	c := New(randomCols(rng, 24, 256), 8)
-	scratch := bitvec.New(256)
+	scratch := scratchFor(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = c.Sum(uint64(i)&0xffffff, scratch)
