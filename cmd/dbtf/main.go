@@ -86,7 +86,7 @@ func run(args []string) error {
 		ckDir      = fs.String("checkpoint-dir", "", "directory for durable iteration checkpoints (dbtf)")
 		ckEvery    = fs.Int("checkpoint-every", 1, "checkpoint period in iterations (dbtf; requires -checkpoint-dir)")
 		resume     = fs.Bool("resume", false, "continue from the checkpoint in -checkpoint-dir (dbtf)")
-		autoRank   = fs.Int("auto-rank", 0, "select the rank by MDL up to this maximum (overrides -rank; dbtf method only)")
+		autoRank   = fs.Int("auto-rank", 0, "select the rank by MDL up to this maximum, one run per rank under every other flag (overrides -rank; dbtf method only)")
 		mdlSelect  = fs.Bool("mdl", false, "use MDL model-order selection (walknmerge method only)")
 		budget     = fs.Duration("budget", 0, "abort after this duration (0 = unlimited)")
 		output     = fs.String("output", "", "prefix for writing factor matrices")
@@ -206,7 +206,10 @@ func run(args []string) error {
 	if *ckDir != "" {
 		opts.CheckpointEvery = *ckEvery
 	}
-	if *method == "dbtf" && *autoRank == 0 {
+	if *method == "dbtf" {
+		if *autoRank > 0 {
+			opts.Rank = *autoRank // overrides -rank; SelectRank tries every rank up to it
+		}
 		if err := opts.Validate(); err != nil {
 			return err
 		}
@@ -231,24 +234,6 @@ func run(args []string) error {
 	var recErr int64
 	switch *method {
 	case "dbtf":
-		if *autoRank > 0 {
-			sel, err := dbtf.SelectRank(ctx, x, dbtf.Options{
-				MaxIter:        *maxIter,
-				InitialSets:    *sets,
-				Machines:       *machines,
-				Partitions:     *partitions,
-				CacheGroupBits: *groupBits,
-				Init:           dbtfInit,
-				Seed:           *seed,
-			}, *autoRank)
-			if err != nil {
-				return err
-			}
-			factors, recErr = sel.Result.Factors, sel.Result.Error
-			fmt.Printf("dbtf: MDL selected rank %d of max %d (%.0f bits vs %.0f baseline)\n",
-				sel.Rank, *autoRank, sel.Bits[sel.Rank-1], sel.BaselineBits)
-			break
-		}
 		var sinks []dbtf.TraceSink
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
@@ -267,7 +252,18 @@ func run(args []string) error {
 		if len(sinks) > 0 {
 			opts.Tracer = dbtf.NewTracer(trace.NewTee(sinks...))
 		}
-		res, err := dbtf.Factorize(ctx, x, opts)
+		var res *dbtf.Result
+		var err error
+		if *autoRank > 0 {
+			var sel *dbtf.RankSelection
+			if sel, err = dbtf.SelectRank(ctx, x, opts, *autoRank); err == nil {
+				res = sel.Result
+				fmt.Printf("dbtf: MDL selected rank %d of max %d (%.0f bits vs %.0f baseline)\n",
+					sel.Rank, *autoRank, sel.Bits[sel.Rank-1], sel.BaselineBits)
+			}
+		} else {
+			res, err = dbtf.Factorize(ctx, x, opts)
+		}
 		// Close the trace even when the run failed: the deferred run-end
 		// event has been emitted and a partial trace is still loadable.
 		if cerr := opts.Tracer.Close(); cerr != nil && err == nil {

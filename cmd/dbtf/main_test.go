@@ -305,6 +305,34 @@ func TestRunAutoRank(t *testing.T) {
 	}
 }
 
+// TestRunAutoRankHonoursFlags: -auto-rank runs the one set of options every
+// other flag built, validated before the tensor is read.
+func TestRunAutoRankHonoursFlags(t *testing.T) {
+	path := writeTensor(t)
+	dir := t.TempDir()
+	// Under -failfast only stragglers are injected and nothing is retried.
+	out := captureStdout(t, func() error {
+		return run([]string{"-input", path, "-auto-rank", "3", "-machines", "2", "-failfast", "-chaos", "0.4", "-checkpoint-dir", dir})
+	})
+	var faults, retries int
+	if i := strings.Index(out, "chaos: "); i < 0 {
+		t.Errorf("no chaos summary: the chaos flags were dropped\n%s", out)
+	} else if _, err := fmt.Sscanf(out[i:], "chaos: %d injected faults, %d retries", &faults, &retries); err != nil || faults == 0 || retries != 0 {
+		t.Errorf("%d injected faults, %d retries (err %v), want some and none\n%s", faults, retries, err, out)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.dbtf")); len(files) == 0 || !strings.Contains(out, "checkpoint: ") {
+		t.Errorf("-checkpoint-dir wrote %d checkpoints\n%s", len(files), out)
+	}
+
+	err := run([]string{"-input", "/nonexistent/x.tns", "-auto-rank", "3", "-machines", "-1"})
+	if err == nil || !strings.Contains(err.Error(), "achines") {
+		t.Errorf("-machines -1 on a missing input: %v, want the machine count refused first", err)
+	}
+	if err := run([]string{"-input", path, "-auto-rank", "3", "-machines", "2", "-resume"}); err == nil {
+		t.Error("-resume without -checkpoint-dir accepted")
+	}
+}
+
 func TestRunWalkNMergeMDL(t *testing.T) {
 	path := writeTensor(t)
 	if err := run([]string{"-input", path, "-method", "walknmerge", "-mdl"}); err != nil {

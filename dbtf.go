@@ -135,9 +135,6 @@ type Options struct {
 	Preempt func() bool
 	// NoCache disables row-summation caching (for ablations only).
 	NoCache bool
-	// Horizontal switches to horizontal (rank) partitioning (for ablations
-	// only; strictly worse, see the paper's Section III-D).
-	Horizontal bool
 	// Tracer, when non-nil, receives the run's structured event stream:
 	// stage/driver/iteration spans, traffic charges, retries, speculation,
 	// and machine liveness, on both the wall and the simulated clock. Build
@@ -199,7 +196,6 @@ func (opt Options) coreOptions() core.Options {
 		Resume:          opt.Resume,
 		Preempt:         opt.Preempt,
 		NoCache:         opt.NoCache,
-		Horizontal:      opt.Horizontal,
 	}
 }
 

@@ -43,33 +43,6 @@ func (v *BitVec) OrAndCount(w, u *BitVec) int {
 	return c
 }
 
-// OnesCountRange returns the number of set bits in [lo, hi), a range
-// popcount. It lets sliced views be weighed without being materialized.
-//
-//dbtf:noalloc
-func (v *BitVec) OnesCountRange(lo, hi int) int {
-	if lo < 0 || hi > v.n || lo > hi {
-		panic(fmt.Sprintf("bitvec: OnesCountRange [%d,%d) out of range of %d bits", lo, hi, v.n))
-	}
-	if lo == hi {
-		return 0
-	}
-	lw, hw := lo>>wordLog, (hi-1)>>wordLog
-	loMask := ^uint64(0) << (uint(lo) & wordMask)
-	hiMask := ^uint64(0)
-	if r := uint(hi) & wordMask; r != 0 {
-		hiMask = (uint64(1) << r) - 1
-	}
-	if lw == hw {
-		return bits.OnesCount64(v.words[lw] & loMask & hiMask)
-	}
-	c := bits.OnesCount64(v.words[lw] & loMask)
-	for i := lw + 1; i < hw; i++ {
-		c += bits.OnesCount64(v.words[i])
-	}
-	return c + bits.OnesCount64(v.words[hw]&hiMask)
-}
-
 // AndCountWords returns popcount(a ∧ b) over raw word slices.
 //
 //dbtf:noalloc

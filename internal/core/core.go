@@ -140,11 +140,6 @@ type Options struct {
 	// Boolean row summation from the factor columns (ablation of Section
 	// III-C; DBTF proper always caches).
 	NoCache bool
-	// Horizontal switches to horizontal (rank-dimension) partitioning of
-	// the Khatri–Rao product, the strawman design Section III-D argues
-	// against: every row summation then requires combining partial results
-	// across partitions through the driver.
-	Horizontal bool
 	// CheckpointDir, when non-empty, enables iteration-level durable
 	// checkpointing: after every CheckpointEvery completed iterations (and
 	// at the final one) a versioned snapshot of the factor matrices,
@@ -201,7 +196,7 @@ type runConfig struct {
 	Init                               InitScheme
 	InitDensity                        float64
 	Seed                               int64
-	NoCache, Horizontal                bool
+	NoCache                            bool
 	Machines                           int
 }
 
@@ -222,7 +217,7 @@ func (o Options) resolve() (runConfig, error) {
 		Rank: o.Rank, MaxIter: o.MaxIter, MinIter: o.MinIter, InitialSets: o.InitialSets,
 		Partitions: o.Partitions, GroupBits: o.GroupBits, Tolerance: o.Tolerance,
 		Init: o.Init, InitDensity: o.InitDensity, Seed: o.Seed,
-		NoCache: o.NoCache, Horizontal: o.Horizontal,
+		NoCache: o.NoCache,
 	}
 	if cfg.Rank < 1 || cfg.Rank > boolmat.MaxRank {
 		return cfg, fmt.Errorf("core: rank %d outside [1,%d]", cfg.Rank, boolmat.MaxRank)
@@ -571,97 +566,18 @@ func initialSet(rng *rand.Rand, x *tensor.Tensor, opt runConfig) (a, b, c *boolm
 			boolmat.RandomFactor(rng, j, opt.Rank, opt.InitDensity),
 			boolmat.RandomFactor(rng, k, opt.Rank, opt.InitDensity)
 	}
-	a = boolmat.NewFactor(i, opt.Rank)
-	b = boolmat.NewFactor(j, opt.Rank)
-	c = boolmat.NewFactor(k, opt.Rank)
+	// Fiber sample: each component grows from the mode-1 fiber through a
+	// uniformly drawn nonzero. Seeds are rejection-sampled away from cells
+	// inside the block of an earlier component, so the components spread
+	// over distinct structures instead of piling onto the densest one.
 	coords := x.Coords()
-	if len(coords) == 0 {
-		return a, b, c
-	}
-	// rowStart[ii] indexes the first coordinate of mode-1 row ii: the
-	// coordinate list is sorted by (I, J, K), so each row is a contiguous
-	// range. The vote loops below walk only the rows of the seed fiber's
-	// members instead of binary-searching the full list per cell.
-	rowStart := make([]int, i+1)
-	{
-		r := 0
-		for idx := range coords {
-			for r <= coords[idx].I {
-				rowStart[r] = idx
-				r++
-			}
-		}
-		for ; r <= i; r++ {
-			rowStart[r] = len(coords)
-		}
-	}
-	votesJ := make([]int32, j)
-	votesK := make([]int32, k)
-	// covered reports whether a cell lies inside the block of an earlier
-	// component; seeds are rejection-sampled away from covered cells so
-	// the components spread over distinct structures instead of piling
-	// onto the densest one.
-	covered := func(co tensor.Coord, upto int) bool {
-		for r := 0; r < upto; r++ {
-			if a.Get(co.I, r) && b.Get(co.J, r) && c.Get(co.K, r) {
-				return true
-			}
-		}
-		return false
-	}
-	for r := 0; r < opt.Rank; r++ {
+	return topfiber.GrowFactors(x, opt.Rank, func(a, b, c *boolmat.FactorMatrix) (int, int, bool) {
 		seed := coords[rng.Intn(len(coords))]
-		for try := 0; try < 50 && covered(seed, r); try++ {
+		for try := 0; try < 50 && a.RowMask(seed.I)&b.RowMask(seed.J)&c.RowMask(seed.K) != 0; try++ {
 			seed = coords[rng.Intn(len(coords))]
 		}
-		// a_:r is the mode-1 fiber through the seed; b_:r and c_:r are
-		// grown from it by majority vote: an index joins the component
-		// when at least half of the a-members support it. This turns the
-		// seed's fiber cross into a block estimate, which the alternating
-		// updates then refine.
-		var aIdx []int
-		for ii := 0; ii < i; ii++ {
-			if x.Get(ii, seed.J, seed.K) {
-				a.Set(ii, r, true)
-				aIdx = append(aIdx, ii)
-			}
-		}
-		quorum := int32(len(aIdx)+1) / 2
-		if quorum < 1 {
-			quorum = 1
-		}
-		// One pass over each member row tallies both vote vectors: row ii
-		// contributes a J-vote for every nonzero in its seed.K slice and a
-		// K-vote for every nonzero in its seed.J slice, exactly the cells
-		// the per-index Get probes used to test.
-		for idx := range votesJ {
-			votesJ[idx] = 0
-		}
-		for idx := range votesK {
-			votesK[idx] = 0
-		}
-		for _, ii := range aIdx {
-			for _, co := range coords[rowStart[ii]:rowStart[ii+1]] {
-				if co.K == seed.K {
-					votesJ[co.J]++
-				}
-				if co.J == seed.J {
-					votesK[co.K]++
-				}
-			}
-		}
-		for jj := 0; jj < j; jj++ {
-			if votesJ[jj] >= quorum {
-				b.Set(jj, r, true)
-			}
-		}
-		for kk := 0; kk < k; kk++ {
-			if votesK[kk] >= quorum {
-				c.Set(kk, r, true)
-			}
-		}
-	}
-	return a, b, c
+		return seed.J, seed.K, true
+	})
 }
 
 type decomposition struct {
@@ -829,9 +745,6 @@ func (d *decomposition) updateFactors(a, b, c *boolmat.FactorMatrix) error {
 // difference e1 − e0 over the delta region of the two candidate summations
 // instead of two full errors. The operand roles come from modeRoles.
 func (d *decomposition) updateFactor(mode int) error {
-	if d.ex.cfg.Horizontal {
-		return d.updateFactorHorizontal(mode)
-	}
 	name := modeRoles[mode].name
 	a := d.ex.f[modeRoles[mode].upd]
 	// The updated factor names the stage spans and the "mode" pprof label,

@@ -328,43 +328,6 @@ func TestNoCacheMatchesCached(t *testing.T) {
 	}
 }
 
-func TestHorizontalMatchesVertical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x := randomTensor(rng, 9, 10, 11, 0.1)
-	opt := Options{Rank: 4, Seed: 5, MaxIter: 2, Partitions: 3}
-	vert, err := Decompose(context.Background(), x, testCluster(3), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Horizontal = true
-	horiz, err := Decompose(context.Background(), x, testCluster(3), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vert.Error != horiz.Error || !vert.A.Equal(horiz.A) || !vert.B.Equal(horiz.B) || !vert.C.Equal(horiz.C) {
-		t.Fatal("horizontal partitioning changes results")
-	}
-}
-
-func TestHorizontalCollectsMoreTraffic(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	x := randomTensor(rng, 20, 20, 20, 0.1)
-	opt := Options{Rank: 4, Seed: 5, MaxIter: 2, Partitions: 4}
-	vert, err := Decompose(context.Background(), x, testCluster(4), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Horizontal = true
-	horiz, err := Decompose(context.Background(), x, testCluster(4), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if horiz.Stats.CollectedBytes <= vert.Stats.CollectedBytes*4 {
-		t.Fatalf("horizontal collect traffic %d not ≫ vertical %d",
-			horiz.Stats.CollectedBytes, vert.Stats.CollectedBytes)
-	}
-}
-
 func TestGroupBitsInvariance(t *testing.T) {
 	// Lemma 2's table splitting is a space/time trade-off; it must not
 	// change any decision.

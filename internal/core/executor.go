@@ -8,6 +8,7 @@ import (
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
 	"dbtf/internal/partition"
+	"dbtf/internal/sumcache"
 	"dbtf/internal/tensor"
 )
 
@@ -243,13 +244,13 @@ func (s naiveSummer) Sum(mask uint64, scratch []uint64) ([]uint64, int) {
 func entryWords(width int) int { return (width + bitvec.WordBits - 1) / bitvec.WordBits }
 
 // summers builds a summer per block of partition pi over the caching matrix
-// ms: the distributed part of Algorithm 5. The full-size cache is resolved
-// through the registry of the machine the partition is placed on, so
-// partitions sharing a machine share one table — and stages sharing a
-// caching matrix (the B- and C-updates both cache over A; totalError's
-// cache over B serves the next A-update) share it too, for as long as the
-// matrix's version is unchanged. Partial blocks get lazily sliced views,
-// memoized per distinct range (Lemma 3 bounds those per partition).
+// ms: the distributed part of Algorithm 5. Each block's table — over the
+// rows of ms the block covers, all of them unless the partition boundary
+// cut its PVM product — is resolved through the registry of the machine the
+// partition is placed on, so partitions sharing a machine share one table
+// per range, and stages sharing a caching matrix (the B- and C-updates both
+// cache over A; totalError's cache over B serves the next A-update) share
+// it too, for as long as the matrix's version is unchanged.
 func (ex *executor) summers(pi int, p *partition.Partition, ms *boolmat.FactorMatrix) []summer {
 	out := make([]summer, len(p.Blocks))
 	if ex.cfg.NoCache {
@@ -263,9 +264,17 @@ func (ex *executor) summers(pi int, p *partition.Partition, ms *boolmat.FactorMa
 		}
 		return out
 	}
-	mc := ex.reg[ex.place(pi)].cacheFor(ms, ex.cfg.GroupBits)
+	reg := ex.reg[ex.place(pi)]
+	var table *sumcache.Cache
+	lo, hi := -1, -1
 	for bi, b := range p.Blocks {
-		out[bi] = mc.slice(b.InnerLo, b.InnerLo+b.Width())
+		// Whole PVM products all share the full range, and they come in a
+		// run between the partition's cut ends: one lookup per run.
+		if b.InnerLo != lo || b.InnerLo+b.Width() != hi {
+			lo, hi = b.InnerLo, b.InnerLo+b.Width()
+			table = reg.cacheFor(ms, lo, hi, ex.cfg.GroupBits)
+		}
+		out[bi] = table
 	}
 	return out
 }

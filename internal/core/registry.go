@@ -11,12 +11,14 @@ import (
 // on one logical machine. The paper's Lemma 4 (step i) and Lemma 5 count
 // the cache build time and memory once per machine — N partitions on the
 // same machine query one table, they do not each build their own. The
-// registry realizes that accounting: the full-size cache for a caching
-// matrix is built by whichever of the machine's tasks gets there first and
-// reused by the rest, and it survives across stages for as long as the
-// matrix is unchanged. That cross-stage validity is what lets the B-update
-// and C-update share one cache over A, and the next iteration's A-update
-// reuse the cache totalError built over B.
+// registry realizes that accounting: the table over a row range of a
+// caching matrix — the full range for a block that spans a PVM product, a
+// narrower one for a block the partition boundary cut — is built by
+// whichever of the machine's tasks gets there first and reused by the rest,
+// and it survives across stages for as long as the matrix is unchanged.
+// That cross-stage validity is what lets the B-update and C-update share
+// one cache over A, and the next iteration's A-update reuse the cache
+// totalError built over B.
 //
 // Tasks placed on one machine may run concurrently in real time (the
 // goroutine pool is decoupled from the machine count), so the registry is
@@ -27,40 +29,35 @@ type machineRegistry struct {
 	entries map[registryKey]*machineCache
 }
 
-// registryKey identifies a cache derivation: the caching matrix and its
-// mutation version. A version mismatch means the matrix changed since the
-// cache was built and the entry is stale.
+// registryKey identifies a table: the caching matrix, its mutation version
+// and the row range [lo, hi) the table covers. A version mismatch means the
+// matrix changed since the table was built and the entry is stale. Lemma 3
+// bounds the ranges narrower than the matrix to two per partition.
 type registryKey struct {
 	m       *boolmat.FactorMatrix
 	version uint64
+	lo, hi  int
 }
 
-// machineCache is one machine's shared cache state for one (matrix,
-// version): the full-size table plus memoized lazily-sliced views keyed
-// by bit range.
+// machineCache is one registry slot: the table, built once by the first
+// task that asks for it.
 type machineCache struct {
 	build sync.Once
-	full  *sumcache.Cache
-
-	mu sync.Mutex
-	//dbtf:guardedby mu
-	slices map[sliceRange]*sumcache.Cache
+	table *sumcache.Cache
 }
 
-type sliceRange struct{ lo, hi int }
-
-// cacheFor returns the machine's shared cache state for ms at its current
-// version, building the full-size table exactly once per machine. Stale
-// versions of the same matrix are evicted on the first miss, so the
-// registry holds at most one cache per live factor matrix.
-func (r *machineRegistry) cacheFor(ms *boolmat.FactorMatrix, groupBits int) *machineCache {
-	key := registryKey{m: ms, version: ms.Version()}
+// cacheFor returns the machine's shared table over rows [lo, hi) of ms at
+// its current version, building it exactly once per machine. Stale versions
+// of the same matrix are evicted on the first miss, so the registry holds
+// tables of at most one version per live factor matrix.
+func (r *machineRegistry) cacheFor(ms *boolmat.FactorMatrix, lo, hi, groupBits int) *sumcache.Cache {
+	key := registryKey{m: ms, version: ms.Version(), lo: lo, hi: hi}
 	r.mu.Lock()
 	mc, ok := r.entries[key]
 	if !ok {
-		//dbtf:allow-nondeterministic every key matching the stale matrix is deleted; order-independent
+		//dbtf:allow-nondeterministic every key of a stale version of the matrix is deleted; order-independent
 		for k, stale := range r.entries {
-			if k.m == ms {
+			if k.m == ms && k.version != key.version {
 				// Every stage that resolved summers over the stale version
 				// has been joined (factor versions only change between
 				// stages), so its tables can go back to the slab pool.
@@ -68,12 +65,12 @@ func (r *machineRegistry) cacheFor(ms *boolmat.FactorMatrix, groupBits int) *mac
 				delete(r.entries, k)
 			}
 		}
-		mc = &machineCache{slices: map[sliceRange]*sumcache.Cache{}}
+		mc = &machineCache{}
 		r.entries[key] = mc
 	}
 	r.mu.Unlock()
-	mc.build.Do(func() { mc.full = sumcache.NewFromFactor(ms, groupBits) })
-	return mc
+	mc.build.Do(func() { mc.table = sumcache.NewFromFactorRows(ms, lo, hi, groupBits) })
+	return mc.table
 }
 
 // clear drops every entry without recycling the tables. It is the only
@@ -102,31 +99,12 @@ func (r *machineRegistry) clearRelease() {
 	r.mu.Unlock()
 }
 
-// release recycles the cache tables of an evicted entry. The caller must
-// guarantee no in-flight task can still read them: entries are only
-// evicted at factor-version boundaries, after the stages that used the
-// stale version have been joined.
+// release recycles the table of an evicted entry, if its build got as far
+// as producing one. The caller must guarantee no in-flight task can still
+// read it: entries are only evicted at factor-version boundaries, after the
+// stages that used the stale version have been joined.
 func (mc *machineCache) release() {
-	if mc.full != nil {
-		mc.full.Release()
+	if mc.table != nil {
+		mc.table.Release()
 	}
-}
-
-// slice returns the shared view over entry bit range [lo, hi), memoized
-// per distinct range. Lemma 3 bounds the distinct ranges per partition to
-// at most two non-full block shapes, so the map stays tiny; the views
-// themselves materialize entries lazily on first query.
-func (mc *machineCache) slice(lo, hi int) *sumcache.Cache {
-	if lo == 0 && hi == mc.full.Width() {
-		return mc.full
-	}
-	key := sliceRange{lo: lo, hi: hi}
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	sc, ok := mc.slices[key]
-	if !ok {
-		sc = mc.full.Slice(lo, hi)
-		mc.slices[key] = sc
-	}
-	return sc
 }

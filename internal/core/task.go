@@ -80,6 +80,9 @@ func buildColumnTask(part *partition.Partition, a, mf *boolmat.FactorMatrix, sum
 			for bi, b := range part.Blocks {
 				sh.scratch[bi] = make([]uint64, entryWords(b.Width()))
 			}
+		} else if len(summers) > 0 {
+			// Every table group but the flipped bit's own can occlude.
+			sh.delta.Occ = make([][]uint64, 0, summers[0].(*sumcache.Cache).NumGroups()-1)
 		}
 	}
 	t.runShard = func(s int) { t.evalRows(t.col, &t.shards[s]) }
@@ -108,8 +111,7 @@ func (t *columnTask) evalColumn(c int) {
 // both candidates and are skipped; so are rows whose delta region is
 // empty (SumDelta decides that from two cached popcounts, without
 // touching any vector). All shared state read here — summers, factor
-// row masks, block rows — is read-only during an eval stage; the cache's
-// lazy sliced entries memoize under compare-and-swap.
+// row masks, block rows — is read-only during an eval stage.
 //
 //dbtf:noalloc
 func (t *columnTask) evalRows(c int, sh *shardState) {

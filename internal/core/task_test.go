@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
+	"dbtf/internal/sumcache"
 )
 
 // buildTask installs (a, ms, mf) as the executor's A, B, C — the A-update's
@@ -65,78 +67,91 @@ func TestEvalColumnMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestEvalColumnZeroAlloc pins the tentpole's allocation contract: once a
-// column task is built (and its lazy cache slices warmed), evaluating
-// columns allocates nothing — across both a single-group and a
-// multi-group (occluded delta) configuration.
+// TestEvalColumnZeroAlloc pins the column loop's allocation contract: a
+// built column task evaluates columns without allocating, from the first
+// sweep on — across both a single-group and a multi-group (occluded delta)
+// configuration, over partitions that cut PVM products (tables over row
+// ranges) as well as whole ones.
 func TestEvalColumnZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	x := randomTensor(rng, 16, 12, 10, 0.2)
 	a := boolmat.RandomFactor(rng, 16, 8, 0.4)
 	mf := boolmat.RandomFactor(rng, 10, 8, 0.4)
 	ms := boolmat.RandomFactor(rng, 12, 8, 0.4)
+	// As testing.AllocsPerRun counts, without its warm-up call.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, groupBits := range []int{3, 15} {
 		d := newTestDecomposition(t, x, Options{Rank: 8, Partitions: 3, GroupBits: groupBits}, 2)
 		for pi := range d.ex.px[0].Parts {
 			buildTask(t, d, pi, a, mf, ms)
-			// eval is the call the driver's local stage closure makes: the
-			// zero-allocation contract covers the executor's address checks
-			// and the by-reference return, not just the kernel under them.
-			evalAll := func() {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for sweep := 0; sweep < 2; sweep++ {
 				for c := 0; c < 8; c++ {
+					// eval is the call the driver's local stage closure makes:
+					// the contract covers the executor's address checks and the
+					// by-reference return, not just the kernel under them.
 					if _, err := d.ex.eval(0, pi, c); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			evalAll() // warm lazy slices and the Occ buffer
-			allocs := testing.AllocsPerRun(5, evalAll)
-			if allocs != 0 {
-				t.Fatalf("V=%d part %d: evalColumn allocated %v times per sweep, want 0",
-					groupBits, pi, allocs)
+			runtime.ReadMemStats(&after)
+			if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+				t.Fatalf("V=%d part %d: the first two sweeps allocated %d times, want 0", groupBits, pi, allocs)
 			}
 		}
 	}
 }
 
 // TestRegistrySharesCaches checks the per-machine cache accounting: tasks
-// on one machine share one table per caching matrix, a write that changes
-// the matrix invalidates it (one that does not, does not), and distinct
-// machines build their own.
+// on one machine share one table per caching matrix and row range, a write
+// that changes the matrix invalidates them (one that does not, does not) and
+// hands their arrays back to the pool, and distinct machines build their own.
 func TestRegistrySharesCaches(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ms := boolmat.RandomFactor(rng, 12, 5, 0.4)
 	regs := newExecutor(runConfig{}, [3]int{}, 2, nil, nil).reg
 
-	mc1 := regs[0].cacheFor(ms, 15)
-	mc2 := regs[0].cacheFor(ms, 15)
-	if mc1 != mc2 || mc1.full != mc2.full {
-		t.Fatal("same machine, same matrix version: cache not shared")
+	full, part := regs[0].cacheFor(ms, 0, 12, 15), regs[0].cacheFor(ms, 2, 9, 15)
+	if full == part || full.Width() != 12 || part.Width() != 7 {
+		t.Fatalf("tables over rows [0,12) and [2,9) have widths %d and %d", full.Width(), part.Width())
 	}
-	if s1, s2 := mc1.slice(2, 9), mc2.slice(2, 9); s1 != s2 {
-		t.Fatal("sliced views of one machine cache not memoized")
+	if regs[0].cacheFor(ms, 0, 12, 15) != full || regs[0].cacheFor(ms, 2, 9, 15) != part {
+		t.Fatal("same machine, same matrix version, same rows: table not shared")
 	}
-	if other := regs[1].cacheFor(ms, 15); other == mc1 {
-		t.Fatal("distinct machines must not share registry entries")
+	if regs[1].cacheFor(ms, 0, 12, 15) == full || regs[1].cacheFor(ms, 2, 9, 15) == part {
+		t.Fatal("distinct machines must not share tables")
 	}
 
 	// A commit that rewrites a column without flipping an entry (every
-	// converged column, every iteration) must not cost the machine its table.
+	// converged column, every iteration) must not cost the machine its tables.
 	for r := 0; r < ms.Rows(); r++ {
 		ms.Set(r, 0, ms.Get(r, 0))
 		ms.SetRowMask(r, ms.RowMask(r))
 	}
-	if regs[0].cacheFor(ms, 15) != mc1 {
-		t.Fatal("writing the values already stored evicted the cache")
+	if regs[0].cacheFor(ms, 0, 12, 15) != full || regs[0].cacheFor(ms, 2, 9, 15) != part {
+		t.Fatal("writing the values already stored evicted a table")
 	}
 
 	ms.Set(0, 0, !ms.Get(0, 0)) // a real flip
-	mc3 := regs[0].cacheFor(ms, 15)
-	if mc3 == mc1 {
-		t.Fatal("stale cache served after the matrix changed")
+	if regs[0].cacheFor(ms, 2, 9, 15) == part {
+		t.Fatal("stale table served after the matrix changed")
 	}
 	if len(regs[0].entries) != 1 {
 		t.Fatalf("stale entries not evicted: %d live, want 1", len(regs[0].entries))
+	}
+	// Both tables of the stale version went back to the pool with it: a
+	// released table is poisoned, and reading it faults.
+	for name, stale := range map[string]*sumcache.Cache{"full": full, "row-range": part} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("evicted %s table was not released", name)
+				}
+			}()
+			stale.Sum(1, nil)
+		}()
 	}
 }
 

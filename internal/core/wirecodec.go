@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"reflect"
 
@@ -24,12 +23,6 @@ import (
 // partitions, caches, column tasks — is rebuilt locally from these, which
 // is what keeps the blob O(nnz) instead of O(data structures).
 func encodeSetup(x *tensor.Tensor, cfg runConfig) ([]byte, error) {
-	if cfg.Horizontal {
-		// Horizontal partitioning routes every row summation through the
-		// driver mid-stage — a chatty pattern the remote protocol
-		// deliberately does not speak (the ablation argues against it).
-		return nil, errors.New("core: horizontal partitioning requires the simulated backend")
-	}
 	words := cfg.words()
 	head := make([]byte, 0, 8*len(words))
 	for _, w := range words {

@@ -28,7 +28,7 @@ func deltaBits(d *Delta, width int) *bitvec.BitVec {
 	return out
 }
 
-// TestSumDeltaMatchesSums checks, for eager and sliced caches at several
+// TestSumDeltaMatchesSums checks, for full and row-range tables at several
 // group splits, that the delta region equals sum(mask|bit) &^ sum(mask)
 // and that Pop is the unoccluded gain popcount, for every (mask, bit)
 // pair with the bit not in the mask.
@@ -37,16 +37,13 @@ func TestSumDeltaMatchesSums(t *testing.T) {
 	const r, width = 9, 70
 	cols := randomCols(rng, r, width)
 	for _, groupBits := range []int{2, 4, DefaultGroupBits} {
-		full := New(cols, groupBits)
-		half := full.Slice(13, 49)
 		for _, tc := range []struct {
 			name  string
 			c     *Cache
 			width int
-			lo    int
 		}{
-			{"eager", full, width, 0},
-			{"sliced", half, 49 - 13, 13},
+			{"full", New(cols, groupBits), width},
+			{"range", NewFromFactorRows(factorOf(cols, width), 13, 49, groupBits), 49 - 13},
 		} {
 			scratch := scratchFor(tc.width)
 			var d Delta
@@ -83,8 +80,7 @@ func TestSumDeltaMatchesSums(t *testing.T) {
 
 // TestSumDeltaEmptySkipsWork checks the popcount short-circuit: when the
 // added bit's column contributes nothing new within its group, SumDelta
-// reports an empty delta, and on sliced caches it does so without
-// materializing any entry.
+// reports an empty delta.
 func TestSumDeltaEmptySkipsWork(t *testing.T) {
 	// Column 1 duplicates column 0, so adding bit 1 to any mask that
 	// already has bit 0 gains nothing.
@@ -94,74 +90,59 @@ func TestSumDeltaEmptySkipsWork(t *testing.T) {
 		c0.Set(j)
 	}
 	cols := []*bitvec.BitVec{c0, c0.Copy()}
-	full := New(cols, DefaultGroupBits)
-	sl := full.Slice(10, 30)
+	sl := NewFromFactorRows(factorOf(cols, width), 10, 30, DefaultGroupBits)
 	var d Delta
 	sl.SumDelta(1, 2, &d) // mask has bit 0; adding bit 1 duplicates it
 	if !d.Empty() {
 		t.Fatal("delta of a duplicate column should be empty")
 	}
-	if got := sl.Materialized(); got != 0 {
-		t.Fatalf("empty delta materialized %d sliced entries, want 0", got)
-	}
 }
 
+// TestLazySliceMaterializesOnDemand keeps its name from the lazily sliced
+// views it was written for; a row-range table is built whole, with the
+// capacity of the full one, and serves the sliced sums.
 func TestLazySliceMaterializesOnDemand(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	cols := randomCols(rng, 6, 64)
 	full := New(cols, DefaultGroupBits)
-	sl := full.Slice(5, 41)
+	sl := NewFromFactorRows(factorOf(cols, 64), 5, 41, DefaultGroupBits)
 	if got, want := sl.Entries(), full.Entries(); got != want {
-		t.Fatalf("sliced capacity %d, want %d", got, want)
-	}
-	if got := sl.Materialized(); got != 0 {
-		t.Fatalf("fresh slice has %d materialized entries, want 0", got)
+		t.Fatalf("range table capacity %d, want %d", got, want)
 	}
 	scratch := scratchFor(sl.Width())
 	sum, pop := sumVec(sl, 0b101, scratch)
 	want := naiveSum(cols, 64, 0b101).Slice(5, 41)
 	if !sum.Equal(want) || pop != want.OnesCount() {
-		t.Fatal("lazy sliced sum differs from naive slice")
-	}
-	if got := sl.Materialized(); got != 1 {
-		t.Fatalf("after one query: %d materialized entries, want 1", got)
-	}
-	// Re-querying the same mask must not materialize anything new.
-	sumVec(sl, 0b101, scratch)
-	if got := sl.Materialized(); got != 1 {
-		t.Fatalf("after repeat query: %d materialized entries, want 1", got)
+		t.Fatal("range table sum differs from naive slice")
 	}
 }
 
-// TestSliceOfSliceStaysOneLevel checks that re-slicing a sliced cache
-// derives from the eager root (entry lookups never chain through two lazy
-// levels) and still yields correct sums.
+// TestSliceOfSliceStaysOneLevel checks a range table against the tables
+// over wider ranges that contain it: every sum equals the wider table's sum
+// cut to the range, whichever table the cut is taken from.
 func TestSliceOfSliceStaysOneLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	cols := randomCols(rng, 5, 80)
-	full := New(cols, DefaultGroupBits)
-	inner := full.Slice(10, 60).Slice(5, 30) // bits [15, 40) of the root
-	if inner.parent != full {
-		t.Fatal("slice of slice should re-parent onto the eager root")
-	}
-	scratch := scratchFor(inner.Width())
+	m := factorOf(cols, 80)
+	full, outer, inner := New(cols, DefaultGroupBits), NewFromFactorRows(m, 10, 60, DefaultGroupBits), NewFromFactorRows(m, 15, 40, DefaultGroupBits)
 	for mask := uint64(0); mask < 1<<5; mask++ {
-		sum, _ := sumVec(inner, mask, scratch)
-		want := naiveSum(cols, 80, mask).Slice(15, 40)
-		if !sum.Equal(want) {
-			t.Fatalf("mask %#x: nested slice sum mismatch", mask)
+		sum, pop := sumVec(inner, mask, scratchFor(inner.Width()))
+		fromFull, _ := sumVec(full, mask, scratchFor(80))
+		fromOuter, _ := sumVec(outer, mask, scratchFor(50))
+		if want := fromFull.Slice(15, 40); !sum.Equal(want) || !sum.Equal(fromOuter.Slice(5, 30)) || pop != want.OnesCount() {
+			t.Fatalf("mask %#x: nested range sum mismatch", mask)
 		}
 	}
 }
 
-// TestLazySliceConcurrentReaders hammers one sliced cache from many
+// TestLazySliceConcurrentReaders hammers one row-range table from many
 // goroutines (the sharing pattern of partitions co-located on a machine);
-// run under -race this pins the CAS publication protocol.
+// run under -race this pins that a built table is only ever read.
 func TestLazySliceConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	cols := randomCols(rng, 8, 96)
-	full := New(cols, 3) // 3 groups → SumDelta exercises occluders too
-	sl := full.Slice(7, 77)
+	// 3 groups → SumDelta exercises occluders too
+	sl := NewFromFactorRows(factorOf(cols, 96), 7, 77, 3)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

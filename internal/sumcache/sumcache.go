@@ -14,11 +14,10 @@
 // per group.
 //
 // Partition blocks narrower than a full PVM product (block types (1), (2)
-// and (4) of Figure 5) use sliced caches derived from the full-size one.
-// Sliced entries are materialized lazily and memoized: a partition that
-// never queries a mask never pays for slicing it (the eager variant of
-// Algorithm 5's lines 3–5 slices all 2^R entries up front, most of which
-// sparse row masks never touch).
+// and (4) of Figure 5) get a table of their own, built over just the rows
+// of the cached matrix the block covers (NewFromFactorRows): Algorithm 5's
+// lines 3–5, with the slicing done on the R single-column entries before
+// the table is filled instead of on all 2^R entries after.
 //
 // Beyond full summations, the cache serves error *deltas*: SumDelta
 // describes the region of cells that flip 0→1 when one rank bit is added
@@ -32,7 +31,6 @@ package sumcache
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
@@ -44,9 +42,8 @@ import (
 const DefaultGroupBits = 15
 
 // Cache holds precomputed Boolean row summations for all 2^R masks over R
-// rank bits, split into groups of at most V bits each. A Cache built by
-// New is fully materialized; a Cache returned by Slice materializes its
-// entries lazily on first query. Both are safe for concurrent readers.
+// rank bits, split into groups of at most V bits each. It is immutable
+// once built and safe for concurrent readers.
 type Cache struct {
 	rank  int
 	width int // bits per entry
@@ -54,17 +51,12 @@ type Cache struct {
 	groups []group
 	// bitGroup maps each rank bit to its group index.
 	bitGroup [boolmat.MaxRank]uint8
-	// parent and lo/hi are set on lazily sliced caches: entries are bit
-	// range [lo, hi) of the parent's entries.
-	parent *Cache
-	lo, hi int
 }
 
-// group is one table of Lemma 2. An eager group is two flat arrays from
-// the slab pool: entry m — the OR of the cached columns m selects within
-// the group — is words[m·stride:(m+1)·stride] and pop[m] its popcount, so
-// an entry costs 8·stride + 4 bytes and no object of its own. A sliced
-// group has neither array, only the lazy memo.
+// group is one table of Lemma 2: two flat arrays from the slab pool. Entry
+// m — the OR of the cached columns m selects within the group — is
+// words[m·stride:(m+1)·stride] and pop[m] its popcount, so an entry costs
+// 8·stride + 4 bytes and no object of its own.
 type group struct {
 	shift  uint
 	bits   int
@@ -72,21 +64,14 @@ type group struct {
 	stride int // words per entry: ⌈width/64⌉
 	words  []uint64
 	pop    []int32
-	// lazy[m] memoizes sliced entries; sliced caches only.
-	lazy []atomic.Pointer[sliceEntry]
 }
 
-// at returns the words of eager entry m.
+// at returns the words of entry m.
 //
 //dbtf:noalloc
 func (g *group) at(m uint64) []uint64 {
 	off := int(m) * g.stride
 	return g.words[off : off+g.stride : off+g.stride]
-}
-
-type sliceEntry struct {
-	words []uint64
-	pop   int32
 }
 
 // New builds a cache over the given columns (column r is selected by mask
@@ -112,17 +97,28 @@ func New(cols []*bitvec.BitVec, groupBits int) *Cache {
 
 // NewFromFactor builds a cache over the columns of a factor matrix: the
 // caching matrix M_c of Algorithm 5 (B when updating A against
-// X₍₁₎ ≈ A ∘ (C ⊙ B)ᵀ). The columns are never materialized: the matrix's
-// row masks are transposed straight into the single-bit entries.
+// X₍₁₎ ≈ A ∘ (C ⊙ B)ᵀ).
 func NewFromFactor(m *boolmat.FactorMatrix, groupBits int) *Cache {
-	c := newTables(m.Rank(), m.Rows(), groupBits)
+	return NewFromFactorRows(m, 0, m.Rows(), groupBits)
+}
+
+// NewFromFactorRows builds a cache over rows [lo, hi) of the matrix's
+// columns: the table of a partition block that covers only that part of a
+// PVM product (entry bit i is row lo+i). The columns are never
+// materialized: the row masks are transposed straight into the single-bit
+// entries.
+func NewFromFactorRows(m *boolmat.FactorMatrix, lo, hi, groupBits int) *Cache {
+	if lo < 0 || hi > m.Rows() || lo > hi {
+		panic(fmt.Sprintf("sumcache: rows [%d,%d) out of range of %d", lo, hi, m.Rows()))
+	}
+	c := newTables(m.Rank(), hi-lo, groupBits)
 	var single [boolmat.MaxRank][]uint64
 	for r := 0; r < c.rank; r++ {
 		single[r] = c.single(r)
 		clear(single[r])
 	}
-	for i := 0; i < m.Rows(); i++ {
-		for mask := m.RowMask(i); mask != 0; mask &= mask - 1 {
+	for i := 0; i < hi-lo; i++ {
+		for mask := m.RowMask(lo + i); mask != 0; mask &= mask - 1 {
 			single[bits.TrailingZeros64(mask)][i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
@@ -198,16 +194,11 @@ func (c *Cache) fill() {
 	}
 }
 
-// Release returns the eager tables to the slab pool and poisons the cache
-// against further use. Only cache owners with exclusive access at a
-// version boundary (the machine registries, on eviction of a stale factor
-// version) call it; sliced caches own no slabs and their lazily
-// materialized entries are independent copies, so only the eager root is
-// released.
+// Release returns the tables to the slab pool and poisons the cache against
+// further use. Only cache owners with exclusive access at a version
+// boundary (the machine registries, on eviction of a stale factor version)
+// call it.
 func (c *Cache) Release() {
-	if c.parent != nil {
-		return
-	}
 	for i := range c.groups {
 		g := &c.groups[i]
 		slab.PutUint64s(g.words)
@@ -225,10 +216,8 @@ func (c *Cache) Width() int { return c.width }
 // NumGroups returns the number of cache tables ⌈R/V⌉ (Lemma 2).
 func (c *Cache) NumGroups() int { return len(c.groups) }
 
-// Entries returns the total number of cacheable row summations across all
-// groups (the table capacity of Lemma 5's memory bound). For lazily
-// sliced caches this counts slots, not materialized entries; see
-// Materialized.
+// Entries returns the total number of cached row summations across all
+// groups (the table capacity of Lemma 5's memory bound).
 func (c *Cache) Entries() int {
 	n := 0
 	for i := range c.groups {
@@ -237,64 +226,17 @@ func (c *Cache) Entries() int {
 	return n
 }
 
-// Materialized returns the number of entries actually computed so far:
-// equal to Entries for eager caches, and the memoized subset for lazily
-// sliced caches.
-func (c *Cache) Materialized() int {
-	if c.parent == nil {
-		return c.Entries()
-	}
-	n := 0
-	for i := range c.groups {
-		g := &c.groups[i]
-		for m := range g.lazy {
-			if g.lazy[m].Load() != nil {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// entry returns the words and popcount of the cached summation for mask m
-// of group gi: on an eager cache an offset into the table, on a sliced one
-// the memoized entry, materialized on first query.
-//
-//dbtf:noalloc
-func (c *Cache) entry(gi int, m uint64) ([]uint64, int32) {
-	g := &c.groups[gi]
-	if c.parent == nil {
-		return g.at(m), g.pop[m]
-	}
-	e := g.lazy[m].Load()
-	if e == nil {
-		e = c.materialize(gi, m)
-	}
-	return e.words, e.pop
-}
-
-// materialize slices the parent's entry and memoizes it. Concurrent
-// callers converge on a single canonical entry via compare-and-swap.
-func (c *Cache) materialize(gi int, m uint64) *sliceEntry {
-	slot := &c.groups[gi].lazy[m]
-	pw, _ := c.parent.entry(gi, m)
-	pv := bitvec.Wrap(c.parent.width, pw)
-	e := &sliceEntry{words: pv.Slice(c.lo, c.hi).Words(), pop: int32(pv.OnesCountRange(c.lo, c.hi))}
-	if !slot.CompareAndSwap(nil, e) {
-		e = slot.Load() // another reader won the race; share its entry
-	}
-	return e
-}
-
 // Sum returns the words of the Boolean row summation for the given mask
 // along with its popcount. With a single group they are the cache entry
 // itself — callers must treat it as read-only — and scratch is not
 // touched. With multiple groups the per-group entries are ORed into
 // scratch, which must hold ⌈Width()/64⌉ words, and scratch is returned.
 func (c *Cache) Sum(mask uint64, scratch []uint64) (sum []uint64, pop int) {
-	e, p := c.entry(0, mask&c.groups[0].mask)
+	g := &c.groups[0]
+	m := mask & g.mask
+	e := g.at(m)
 	if len(c.groups) == 1 {
-		return e, int(p)
+		return e, int(g.pop[m])
 	}
 	if len(scratch) != len(e) {
 		panic(fmt.Sprintf("sumcache: Sum scratch has %d words, want %d", len(scratch), len(e)))
@@ -302,8 +244,7 @@ func (c *Cache) Sum(mask uint64, scratch []uint64) (sum []uint64, pop int) {
 	copy(scratch, e)
 	for i := 1; i < len(c.groups); i++ {
 		g := &c.groups[i]
-		e, _ := c.entry(i, (mask>>g.shift)&g.mask)
-		pop = bitvec.OrCountWords(scratch, scratch, e)
+		pop = bitvec.OrCountWords(scratch, scratch, g.at((mask>>g.shift)&g.mask))
 	}
 	return scratch, pop
 }
@@ -340,20 +281,11 @@ func (d *Delta) Empty() bool { return d.Pop == 0 }
 // SumDelta fills d with the delta region for adding rank bit `bit` (a
 // one-hot mask, not set in mask) to `mask`. Two cached popcounts decide
 // emptiness before any entry is touched.
-//
-// The eager case is written out against the flat table rather than through
-// entry: it is the innermost call of every factor update, and entry — which
-// must also serve sliced caches — is past the inliner's budget, a third of
-// this function's time when called two to four times here.
 func (c *Cache) SumDelta(mask, bit uint64, d *Delta) {
 	gi := int(c.bitGroup[bits.TrailingZeros64(bit)])
 	g := &c.groups[gi]
 	m0 := (mask >> g.shift) & g.mask
 	m1 := m0 | (bit >> g.shift)
-	if c.parent != nil {
-		c.sumDeltaSliced(gi, m0, m1, mask, d)
-		return
-	}
 	d.Pop = int(g.pop[m1] - g.pop[m0])
 	if d.Pop == 0 {
 		return
@@ -370,67 +302,4 @@ func (c *Cache) SumDelta(mask, bit uint64, d *Delta) {
 			d.Occ = append(d.Occ, og.at(om))
 		}
 	}
-}
-
-// sumDeltaSliced is SumDelta on a sliced cache. A gain that is empty at
-// full width short-circuits without materializing any sliced entry: the
-// parent's popcounts decide emptiness for every slice at once.
-func (c *Cache) sumDeltaSliced(gi int, m0, m1, mask uint64, d *Delta) {
-	if pg := &c.parent.groups[gi]; pg.pop[m1] == pg.pop[m0] {
-		d.Pop = 0
-		return
-	}
-	e1, p1 := c.entry(gi, m1)
-	e0, p0 := c.entry(gi, m0)
-	d.Pop = int(p1 - p0)
-	if d.Pop == 0 {
-		return
-	}
-	d.W1, d.W0 = e1, e0
-	d.Occ = d.Occ[:0]
-	for oi := range c.groups {
-		if oi == gi {
-			continue
-		}
-		og := &c.groups[oi]
-		if om := (mask >> og.shift) & og.mask; om != 0 {
-			oe, _ := c.entry(oi, om)
-			d.Occ = append(d.Occ, oe)
-		}
-	}
-}
-
-// Slice derives a cache over bit range [lo, hi) of every entry, used for
-// partition blocks that cover only part of a PVM product. Entries are
-// materialized lazily and memoized on first query (and shared by
-// concurrent readers), so masks that are never summed cost nothing;
-// Algorithm 5's eager "slice every entry" pass is the worst case, reached
-// only if all 2^R masks are actually queried.
-func (c *Cache) Slice(lo, hi int) *Cache {
-	if lo < 0 || hi > c.width || lo > hi {
-		panic(fmt.Sprintf("sumcache: Slice [%d,%d) out of range of %d bits", lo, hi, c.width))
-	}
-	if c.parent != nil {
-		// Slice relative to the eager root so entry() recurses one level.
-		return c.parent.Slice(c.lo+lo, c.lo+hi)
-	}
-	out := &Cache{
-		rank:     c.rank,
-		width:    hi - lo,
-		groups:   make([]group, len(c.groups)),
-		bitGroup: c.bitGroup,
-		parent:   c,
-		lo:       lo,
-		hi:       hi,
-	}
-	for i := range c.groups {
-		g := &c.groups[i]
-		out.groups[i] = group{
-			shift: g.shift,
-			bits:  g.bits,
-			mask:  g.mask,
-			lazy:  make([]atomic.Pointer[sliceEntry], 1<<uint(g.bits)),
-		}
-	}
-	return out
 }

@@ -46,6 +46,16 @@ func randomCols(rng *rand.Rand, r, width int) []*bitvec.BitVec {
 	return cols
 }
 
+// factorOf returns the factor matrix whose columns are cols, for the
+// builds that take one.
+func factorOf(cols []*bitvec.BitVec, rows int) *boolmat.FactorMatrix {
+	m := boolmat.NewFactor(rows, len(cols))
+	for r, col := range cols {
+		col.Range(func(i int) { m.Set(i, r, true) })
+	}
+	return m
+}
+
 func TestSingleGroupMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cols := randomCols(rng, 8, 50)
@@ -182,10 +192,10 @@ func TestMismatchedColumnLengthsPanic(t *testing.T) {
 func TestSliceMatchesSlicedNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	cols := randomCols(rng, 9, 64)
-	full := New(cols, 4)
+	m := factorOf(cols, 64)
 	for _, rng2 := range [][2]int{{0, 64}, {10, 30}, {0, 1}, {63, 64}, {20, 20}} {
 		lo, hi := rng2[0], rng2[1]
-		sliced := full.Slice(lo, hi)
+		sliced := NewFromFactorRows(m, lo, hi, 4)
 		if sliced.Width() != hi-lo {
 			t.Fatalf("sliced width = %d", sliced.Width())
 		}
@@ -205,13 +215,13 @@ func TestSliceMatchesSlicedNaive(t *testing.T) {
 }
 
 func TestSliceOutOfRangePanics(t *testing.T) {
-	c := New(randomCols(rand.New(rand.NewSource(5)), 3, 10), 15)
+	m := factorOf(randomCols(rand.New(rand.NewSource(5)), 3, 10), 10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
 		}
 	}()
-	c.Slice(5, 11)
+	NewFromFactorRows(m, 5, 11, 15)
 }
 
 func TestQuickCacheEqualsNaiveAnyV(t *testing.T) {

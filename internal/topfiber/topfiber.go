@@ -38,16 +38,52 @@ import (
 //
 // Per component r it scores every mode-1 fiber (j, k) by the number of
 // nonzeros x[:, j, k] not yet covered by components 0..r-1, selects the
-// top fiber, sets a_:r to the fiber's indicator vector, and grows b_:r and
-// c_:r by the same majority vote the fiber-sample scheme uses: an index
-// joins the component when at least half of the a-members support it. When
-// every remaining fiber is fully covered the remaining components stay
-// empty — the alternating updates may still repopulate them.
+// top fiber and grows the component from it (GrowFactors). When every
+// remaining fiber is fully covered the remaining components stay empty —
+// the alternating updates may still repopulate them.
 //
 // The result is deterministic in x and rank alone: ties break toward the
 // lowest (j, k), no randomness is consumed, and one call allocates only
 // the factor matrices plus three reusable score/vote arrays.
 func SeedFactors(x *tensor.Tensor, rank int) (a, b, c *boolmat.FactorMatrix) {
+	_, dimJ, dimK := x.Dims()
+	coords := x.Coords()
+	scores := make([]int32, dimJ*dimK)
+	return GrowFactors(x, rank, func(a, b, c *boolmat.FactorMatrix) (int, int, bool) {
+		// Score pass: count, per mode-1 fiber, the nonzeros outside every
+		// earlier component's block. Row masks hold only the bits of
+		// earlier components, so the three-way AND tests all of them at once.
+		clear(scores)
+		for _, co := range coords {
+			if a.RowMask(co.I)&b.RowMask(co.J)&c.RowMask(co.K) == 0 {
+				scores[co.J*dimK+co.K]++
+			}
+		}
+		best, bestScore := -1, int32(0)
+		for f, s := range scores {
+			if s > bestScore {
+				best, bestScore = f, s
+			}
+		}
+		if best < 0 {
+			// Everything is covered: the greedy has nothing left to add.
+			return 0, 0, false
+		}
+		return best / dimK, best % dimK, true
+	})
+}
+
+// GrowFactors builds a set of initial factor matrices one component at a
+// time: the step DBTF's two data-aware initialization schemes share. They
+// differ only in pick, which names the seed of the next component r — the
+// mode-1 fiber (j, k) — from the components grown so far, or reports that
+// nothing is left to seed and the remaining components stay empty. a_:r
+// becomes the seed fiber's indicator vector; b_:r and c_:r grow from it by
+// majority vote: an index joins the component when at least half of the
+// a-members support it. That turns the fiber cross into a block estimate
+// for the alternating updates to refine. pick is never called on a tensor
+// without nonzeros.
+func GrowFactors(x *tensor.Tensor, rank int, pick func(a, b, c *boolmat.FactorMatrix) (j, k int, ok bool)) (a, b, c *boolmat.FactorMatrix) {
 	dimI, dimJ, dimK := x.Dims()
 	a = boolmat.NewFactor(dimI, rank)
 	b = boolmat.NewFactor(dimJ, rank)
@@ -72,36 +108,14 @@ func SeedFactors(x *tensor.Tensor, rank int) (a, b, c *boolmat.FactorMatrix) {
 			rowStart[r] = len(coords)
 		}
 	}
-	scores := make([]int32, dimJ*dimK)
 	votesJ := make([]int32, dimJ)
 	votesK := make([]int32, dimK)
 	aIdx := make([]int, 0, dimI)
 	for r := 0; r < rank; r++ {
-		// Score pass: count, per mode-1 fiber, the nonzeros outside every
-		// earlier component's block. Row masks hold only bits < r, so the
-		// three-way AND tests all of them at once.
-		for idx := range scores {
-			scores[idx] = 0
-		}
-		for _, co := range coords {
-			if a.RowMask(co.I)&b.RowMask(co.J)&c.RowMask(co.K) == 0 {
-				scores[co.J*dimK+co.K]++
-			}
-		}
-		best, bestScore := -1, int32(0)
-		for f, s := range scores {
-			if s > bestScore {
-				best, bestScore = f, s
-			}
-		}
-		if best < 0 {
-			// Everything is covered: the greedy has nothing left to add.
+		seedJ, seedK, ok := pick(a, b, c)
+		if !ok {
 			break
 		}
-		seedJ, seedK := best/dimK, best%dimK
-		// a_:r is the winning fiber itself; b_:r and c_:r grow from it by
-		// majority vote over the member rows' slices, turning the fiber
-		// cross into a block estimate for the alternating updates to refine.
 		aIdx = aIdx[:0]
 		for ii := 0; ii < dimI; ii++ {
 			if x.Get(ii, seedJ, seedK) {
@@ -109,16 +123,12 @@ func SeedFactors(x *tensor.Tensor, rank int) (a, b, c *boolmat.FactorMatrix) {
 				aIdx = append(aIdx, ii)
 			}
 		}
-		quorum := int32(len(aIdx)+1) / 2
-		if quorum < 1 {
-			quorum = 1
-		}
-		for idx := range votesJ {
-			votesJ[idx] = 0
-		}
-		for idx := range votesK {
-			votesK[idx] = 0
-		}
+		quorum := max(int32(len(aIdx)+1)/2, 1)
+		// One pass over each member row tallies both vote vectors: row ii
+		// contributes a J-vote for every nonzero in its seedK slice and a
+		// K-vote for every nonzero in its seedJ slice.
+		clear(votesJ)
+		clear(votesK)
 		for _, ii := range aIdx {
 			for _, co := range coords[rowStart[ii]:rowStart[ii+1]] {
 				if co.K == seedK {

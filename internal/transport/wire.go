@@ -10,8 +10,9 @@ import (
 // ProtoVersion is the wire protocol version carried in the handshake;
 // mismatched peers refuse each other instead of mis-decoding. Version 2
 // is the fixed binary envelope with piggy-backed state (version 1 was a
-// gob body with separate state and ping exchanges).
-const ProtoVersion = 2
+// gob body with separate state and ping exchanges); version 3 is the same
+// envelope around a set-up blob one configuration word shorter.
+const ProtoVersion = 3
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
 // tighter limit: large enough for a pushed tensor, small enough that a
