@@ -102,7 +102,7 @@ func BenchmarkExtWalkNMergeMDL(b *testing.B) { runExperiment(b, "ext-wnm-mdl") }
 
 // Public-API micro-benchmarks: one full DBTF factorization per iteration.
 
-func benchmarkFactorize(b *testing.B, dim int, density float64, rank, threads int) {
+func benchmarkFactorize(b *testing.B, dim int, density float64, rank int) {
 	rng := rand.New(rand.NewSource(1))
 	x := dbtf.RandomTensor(rng, dim, dim, dim, density)
 	b.ReportMetric(float64(x.NNZ()), "nnz")
@@ -110,7 +110,6 @@ func benchmarkFactorize(b *testing.B, dim int, density float64, rank, threads in
 	for i := 0; i < b.N; i++ {
 		_, err := dbtf.Factorize(context.Background(), x, dbtf.Options{
 			Rank: rank, Machines: 4, MaxIter: 5, MinIter: 5, Seed: 1,
-			ThreadsPerMachine: threads,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -118,13 +117,9 @@ func benchmarkFactorize(b *testing.B, dim int, density float64, rank, threads in
 	}
 }
 
-func BenchmarkFactorizeDim32(b *testing.B)  { benchmarkFactorize(b, 32, 0.05, 8, 1) }
-func BenchmarkFactorizeDim64(b *testing.B)  { benchmarkFactorize(b, 64, 0.05, 8, 1) }
-func BenchmarkFactorizeDim128(b *testing.B) { benchmarkFactorize(b, 128, 0.02, 8, 1) }
-
-// The threaded variant exercises the row-parallel kernels; it only beats
-// the pinned row when GOMAXPROCS grants real cores.
-func BenchmarkFactorizeDim128Threads4(b *testing.B) { benchmarkFactorize(b, 128, 0.02, 8, 4) }
+func BenchmarkFactorizeDim32(b *testing.B)  { benchmarkFactorize(b, 32, 0.05, 8) }
+func BenchmarkFactorizeDim64(b *testing.B)  { benchmarkFactorize(b, 64, 0.05, 8) }
+func BenchmarkFactorizeDim128(b *testing.B) { benchmarkFactorize(b, 128, 0.02, 8) }
 
 func BenchmarkReconstructError(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

@@ -49,7 +49,6 @@ func main() {
 		data       = flag.String("data", "", "durable data directory (required; created if missing)")
 		maxRunning = flag.Int("max-running", 2, "concurrently running jobs")
 		machines   = flag.Int("machines", 4, "simulated cluster machines per job")
-		threads    = flag.Int("threads", 1, "threads per simulated machine")
 		gateSlots  = flag.Int("gate", 0, "host-CPU gate slots shared by all jobs (0 = GOMAXPROCS)")
 		slice      = flag.Int("slice", 8, "timeslice in iterations before a busy job yields to waiters (<0 disables)")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-drain budget on SIGTERM/SIGINT")
@@ -68,13 +67,12 @@ func main() {
 	flag.Parse()
 
 	cfg := serve.Config{
-		DataDir:           *data,
-		MaxRunning:        *maxRunning,
-		Machines:          *machines,
-		ThreadsPerMachine: *threads,
-		GateSlots:         *gateSlots,
-		SliceIterations:   *slice,
-		DrainTimeout:      *drain,
+		DataDir:         *data,
+		MaxRunning:      *maxRunning,
+		Machines:        *machines,
+		GateSlots:       *gateSlots,
+		SliceIterations: *slice,
+		DrainTimeout:    *drain,
 		Admission: serve.AdmissionConfig{
 			MaxQueued:          *maxQueued,
 			MaxQueuedPerTenant: *tenantMax,

@@ -49,11 +49,13 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("dbtf-worker", flag.ContinueOnError)
 	var (
-		listen  = fs.String("listen", "127.0.0.1:0", "address to listen on (port 0 picks an ephemeral port)")
-		threads = fs.Int("threads", 1, "OS threads this machine may use inside a stage batch (results are identical for any value)")
-		drain   = fs.Duration("drain", 30*time.Second, "max time to wait for in-flight stage batches on SIGTERM/SIGINT")
-		quiet   = fs.Bool("q", false, "suppress per-connection log lines")
+		listen = fs.String("listen", "127.0.0.1:0", "address to listen on (port 0 picks an ephemeral port)")
+		drain  = fs.Duration("drain", 30*time.Second, "max time to wait for in-flight stage batches on SIGTERM/SIGINT")
+		quiet  = fs.Bool("q", false, "suppress per-connection log lines")
 	)
+	// Parsed and ignored: the frozen benchmark starts its workers with
+	// "-threads 1" (benchmark/fleet.go:123); goes with ROADMAP item 6.
+	fs.Int("threads", 1, "deprecated and ignored: a stage task runs on one thread")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -73,7 +75,7 @@ func run(args []string) error {
 		logf = nil
 	}
 
-	srv := tcp.NewServer(core.NewWorkerThreads(*threads), logf)
+	srv := tcp.NewServer(core.NewWorker(), logf)
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	draining := make(chan struct{})

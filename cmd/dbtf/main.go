@@ -71,7 +71,6 @@ func run(args []string) error {
 		rank       = fs.Int("rank", 10, "decomposition rank R")
 		maxIter    = fs.Int("maxiter", 10, "maximum iterations T")
 		machines   = fs.Int("machines", 16, "simulated cluster size M (dbtf)")
-		threads    = fs.Int("threads", 1, "OS threads per simulated machine for intra-task row parallelism (dbtf, -transport sim; results are identical for any value)")
 		partitions = fs.Int("partitions", 0, "vertical partitions N (dbtf; 0 = machines)")
 		sets       = fs.Int("sets", 1, "initial factor sets L (dbtf)")
 		initMode   = fs.String("init", "", "initialization scheme: fiber, random, or topfiber (dbtf; default fiber) / topfiber or asso (bcpals; default topfiber)")
@@ -187,21 +186,20 @@ func run(args []string) error {
 		}
 	}
 	opts := dbtf.Options{
-		Rank:              *rank,
-		MaxIter:           *maxIter,
-		InitialSets:       *sets,
-		Machines:          *machines,
-		ThreadsPerMachine: *threads,
-		Workers:           workerAddrs,
-		Partitions:        *partitions,
-		CacheGroupBits:    *groupBits,
-		Init:              dbtfInit,
-		Seed:              *seed,
-		MaxRetries:        *maxRetries,
-		FailFast:          *failFast,
-		Faults:            faults,
-		CheckpointDir:     *ckDir,
-		Resume:            *resume,
+		Rank:           *rank,
+		MaxIter:        *maxIter,
+		InitialSets:    *sets,
+		Machines:       *machines,
+		Workers:        workerAddrs,
+		Partitions:     *partitions,
+		CacheGroupBits: *groupBits,
+		Init:           dbtfInit,
+		Seed:           *seed,
+		MaxRetries:     *maxRetries,
+		FailFast:       *failFast,
+		Faults:         faults,
+		CheckpointDir:  *ckDir,
+		Resume:         *resume,
 	}
 	if *ckDir != "" {
 		opts.CheckpointEvery = *ckEvery

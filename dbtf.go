@@ -75,15 +75,13 @@ type Options struct {
 	// run with the same machine count. Incompatible with Faults (fault
 	// injection is a property of the simulated backend).
 	Workers []string
-	// ThreadsPerMachine is the number of OS threads T each simulated
-	// machine may use inside a single task: column evaluations split
-	// their row ranges T ways across a per-machine worker pool. Results
-	// are bit-identical for every T; only wall-clock time changes. The
-	// simulated-time ledger still charges single-thread semantics (the
-	// wall time the pool saves is charged back to its machine), so
-	// SimTime models the same M-machine cluster regardless of T. Default
-	// 1. Ignored when Workers is set — each TCP worker process picks its
-	// own width via cmd/dbtf-worker's -threads flag.
+	// ThreadsPerMachine is accepted and ignored: a stage task runs on one
+	// goroutine, as in the paper (DESIGN §4). The field survives only
+	// because the frozen benchmark sets it (benchmark/layers.go:98) and
+	// goes with that probe (ROADMAP item 6).
+	//
+	// Deprecated: intra-task threading never won a measurement and was
+	// removed; parallelism is across Machines.
 	ThreadsPerMachine int
 	// Partitions is the number of vertical partitions N per unfolded
 	// tensor. Default: Machines.
@@ -169,12 +167,11 @@ func (opt Options) clusterConfig() cluster.Config {
 		machines = runtime.GOMAXPROCS(0)
 	}
 	return cluster.Config{
-		Machines:          machines,
-		ThreadsPerMachine: opt.ThreadsPerMachine,
-		MaxRetries:        opt.MaxRetries,
-		FailFast:          opt.FailFast,
-		Faults:            opt.Faults,
-		Tracer:            opt.Tracer,
+		Machines:   machines,
+		MaxRetries: opt.MaxRetries,
+		FailFast:   opt.FailFast,
+		Faults:     opt.Faults,
+		Tracer:     opt.Tracer,
 	}
 }
 

@@ -51,6 +51,26 @@ func TestDiffCacheAblationIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertIdentical(t, seed, "NoCache", cached, uncached)
+		if seed != 1 {
+			continue
+		}
+		// The deprecated ThreadsPerMachine field is inert: the whole result
+		// but the wall-clock counters equals the run that leaves it unset.
+		opt.NoCache, opt.ThreadsPerMachine = false, 4
+		shim, err := dbtf.Factorize(context.Background(), x, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdentical(t, seed, "ThreadsPerMachine=4", cached, shim)
+		if got, want := fmt.Sprint(shim.InitialErrors, shim.IterationErrors), fmt.Sprint(cached.InitialErrors, cached.IterationErrors); got != want {
+			t.Errorf("ThreadsPerMachine=4 error trajectories %s, unset %s", got, want)
+		}
+		bs, ss := cached.Stats, shim.Stats
+		bs.ComputeNanos, bs.NetworkNanos, bs.DriverNanos, bs.TaskNanos = 0, 0, 0, 0
+		ss.ComputeNanos, ss.NetworkNanos, ss.DriverNanos, ss.TaskNanos = 0, 0, 0, 0
+		if bs != ss {
+			t.Errorf("ThreadsPerMachine=4 stats %+v, unset %+v", ss, bs)
+		}
 	}
 }
 
@@ -104,57 +124,4 @@ func TestDiffDeltaKernelRanksAndGroupBits(t *testing.T) {
 			assertIdentical(t, seed, fmt.Sprintf("rank=%d V=%d", rank, gb), cached, uncached)
 		}
 	}
-}
-
-// TestDiffThreadsPerMachineIdentical: intra-task row parallelism is a
-// scheduling decision. Shards own disjoint row ranges and write disjoint
-// delta subranges, so for any thread count the factors, every
-// iteration's error, and the traffic/stage counters must be identical to
-// the sequential run's — the simulated ledger models the same M-machine
-// cluster regardless of how many threads each machine's kernels used.
-func TestDiffThreadsPerMachineIdentical(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		x := diffTensor(t, seed)
-		opt := dbtf.Options{Rank: 4, Machines: 2, MaxIter: 5, InitialSets: 2, Seed: seed}
-		base, err := dbtf.Factorize(context.Background(), x, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, threads := range []int{2, 4} {
-			opt.ThreadsPerMachine = threads
-			par, err := dbtf.Factorize(context.Background(), x, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("ThreadsPerMachine=%d", threads)
-			assertIdentical(t, seed, label, base, par)
-			if got, want := fmt.Sprint(par.IterationErrors), fmt.Sprint(base.IterationErrors); got != want {
-				t.Errorf("seed %d: %s error trajectory %s, baseline %s", seed, label, got, want)
-			}
-			if got, want := fmt.Sprint(par.InitialErrors), fmt.Sprint(base.InitialErrors); got != want {
-				t.Errorf("seed %d: %s initial errors %s, baseline %s", seed, label, got, want)
-			}
-			// Zero the time-valued counters: wall-clock measurements differ
-			// between runs by nature; everything else must match exactly.
-			bs, ps := base.Stats, par.Stats
-			bs.ComputeNanos, bs.NetworkNanos, bs.DriverNanos, bs.TaskNanos = 0, 0, 0, 0
-			ps.ComputeNanos, ps.NetworkNanos, ps.DriverNanos, ps.TaskNanos = 0, 0, 0, 0
-			if bs != ps {
-				t.Errorf("seed %d: %s stats %+v, baseline %+v", seed, label, ps, bs)
-			}
-		}
-	}
-	// The NoCache ablation exercises the per-shard scratch vectors.
-	x := diffTensor(t, 1)
-	opt := dbtf.Options{Rank: 4, Machines: 2, MaxIter: 3, Seed: 1, NoCache: true}
-	base, err := dbtf.Factorize(context.Background(), x, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.ThreadsPerMachine = 4
-	par, err := dbtf.Factorize(context.Background(), x, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, 1, "NoCache ThreadsPerMachine=4", base, par)
 }

@@ -71,14 +71,6 @@ type Config struct {
 	// min(Machines, GOMAXPROCS); measured task durations then approximate
 	// dedicated-core execution.
 	Parallelism int
-	// ThreadsPerMachine is the number of OS threads T each logical
-	// machine's executor may use inside a single task (intra-task
-	// parallelism; see Pool). Real wall-clock execution of shardable
-	// kernels speeds up by up to T while the simulated clock still
-	// charges single-thread semantics: the wall time a pool saves is
-	// drained back into the owning machine's task charges. Zero and one
-	// mean sequential tasks.
-	ThreadsPerMachine int
 	// Network prices simulated communication. Zero value means
 	// DefaultNetwork.
 	Network NetworkModel
@@ -132,74 +124,21 @@ const DefaultMaxRetries = 3
 // Config.RetryBackoff is zero.
 const DefaultRetryBackoff = 100 * time.Millisecond
 
-// Stats holds the cumulative traffic and execution counters of a cluster.
+// Stats holds the cumulative traffic and execution counters of a cluster;
+// the fields are documented on trace.StatsDelta, the one declaration the
+// engine's books and the event stream's deltas share.
 // Snapshots returned by Cluster.Stats are internally consistent: every
 // counter is read under one lock, and counters produced inside a stage
 // (retries, injected faults, speculation) are published together with that
 // stage's time accounting at the stage boundary — a snapshot taken while a
 // stage runs concurrently can never show, say, a retry whose task time is
 // missing.
-type Stats struct {
-	// ShuffledBytes is data repartitioned across machines: the one-off
-	// distribution of unfolded tensor partitions (Lemma 6) plus
-	// partitions re-shipped to survivors after machine losses.
-	ShuffledBytes int64
-	// BroadcastBytes is data sent from the driver to every machine: the
-	// factor matrices at each iteration (Lemma 7). Recorded already
-	// multiplied by the machine count. Recovery re-broadcasts (a single
-	// machine re-fetching the working set after a loss or rejoin) are
-	// added once, not multiplied.
-	BroadcastBytes int64
-	// CollectedBytes is data returned from partitions to the driver: the
-	// per-column error vectors (Lemma 7).
-	CollectedBytes int64
-	// Stages is the number of parallel stages executed.
-	Stages int64
-	// Tasks is the number of tasks executed across all stages.
-	Tasks int64
-	// ComputeNanos, NetworkNanos and DriverNanos break the simulated
-	// elapsed time into stage makespans, modeled communication, and
-	// driver-side sequential sections.
-	ComputeNanos, NetworkNanos, DriverNanos int64
-	// TaskNanos is the summed duration of all tasks; ComputeNanos −
-	// TaskNanos/Machines measures load imbalance.
-	TaskNanos int64
-	// Retries is the number of task re-executions after transient
-	// failures (real errors, recovered panics, or injected faults).
-	Retries int64
-	// InjectedFaults is the number of task-level failures, panics, and
-	// straggler delays injected by the configured FaultPlan. Machine
-	// losses are counted separately in MachineLosses.
-	InjectedFaults int64
-	// SpeculativeLaunches counts real backup copies launched for
-	// straggling tasks (Spark's speculative execution). A launched copy
-	// actually re-executes the task.
-	SpeculativeLaunches int64
-	// SpeculativeWins counts straggling tasks whose backup copy finished,
-	// on the simulated clock, before the straggler's delay would have
-	// elapsed — the straggler is cancelled and the clock pays the copy.
-	SpeculativeWins int64
-	// MachineLosses is the number of machine-loss events injected by the
-	// FaultPlan (seeded draws plus explicit MachineKills).
-	MachineLosses int64
-	// Recoveries counts completed recovery events: a lost machine's
-	// reassigned work finishing its stage successfully (one per loss),
-	// and a dead machine rejoining service.
-	Recoveries int64
-	// CheckpointBytes is the total size of durable iteration checkpoints
-	// written by the driver (see RecordCheckpoint).
-	CheckpointBytes int64
-}
+type Stats = trace.StatsDelta
 
 // Cluster is a simulated multi-machine execution engine.
 type Cluster struct {
-	machines    int
-	parallelism int
-	threads     int
-	// pools[m] is machine m's intra-task worker pool; nil slice when
-	// ThreadsPerMachine <= 1 (every PoolFor is then nil, which Pool
-	// methods treat as sequential). Immutable after New.
-	pools        []*Pool
+	machines     int
+	parallelism  int
 	network      NetworkModel
 	maxRetries   int
 	retryBackoff time.Duration
@@ -322,24 +261,12 @@ func New(cfg Config) *Cluster {
 	if backoff <= 0 {
 		backoff = DefaultRetryBackoff
 	}
-	threads := cfg.ThreadsPerMachine
-	if threads < 1 {
-		threads = 1
-	}
-	var pools []*Pool
-	if threads > 1 {
-		pools = make([]*Pool, cfg.Machines)
-		for i := range pools {
-			pools[i] = NewPool(threads)
-		}
-	}
 	alive := make([]bool, cfg.Machines)
 	for i := range alive {
 		alive[i] = true
 	}
 	return &Cluster{
 		machines: cfg.Machines, parallelism: p, network: net,
-		threads: threads, pools: pools,
 		maxRetries: retries, retryBackoff: backoff, faults: cfg.Faults,
 		tracer: cfg.Tracer, transport: cfg.Transport, gate: cfg.Gate,
 		//dbtf:allow-nondeterministic default clock measures real task durations; tests inject a deterministic one
@@ -350,20 +277,6 @@ func New(cfg Config) *Cluster {
 
 // Machines returns the number of logical machines M.
 func (c *Cluster) Machines() int { return c.machines }
-
-// ThreadsPerMachine returns the configured intra-task thread count T.
-func (c *Cluster) ThreadsPerMachine() int { return c.threads }
-
-// PoolFor returns machine m's intra-task worker pool, nil when the
-// cluster is configured sequential (ThreadsPerMachine <= 1). A nil Pool
-// is valid: its Run executes shards sequentially. Clients key the pool
-// by MachineFor(task), so a reassigned task uses the survivor's pool.
-func (c *Cluster) PoolFor(m int) *Pool {
-	if c.pools == nil {
-		return nil
-	}
-	return c.pools[m]
-}
 
 // Tracer returns the cluster's tracer, nil when tracing is disabled.
 // Clients (the decomposition driver) emit their own events — iteration
@@ -664,14 +577,6 @@ func (c *Cluster) beginStage(ctx context.Context, name string, n int, fn func(in
 //dbtf:allow-unguarded st: all workers and backups are joined before endStage runs, so st is no longer shared
 func (c *Cluster) endStage(st *stageState, ok bool) {
 	// All workers and backups are joined; st is no longer shared.
-	for m, p := range c.pools {
-		// Backstop: excess left by the stage's last drains (speculative
-		// copies, a task racing the stage close) lands on its machine
-		// before the makespan is read, never on a later stage.
-		if ex := p.DrainExcess(); ex > 0 {
-			st.perMachine[m] += ex
-		}
-	}
 	var makespan, taskSum int64
 	for _, m := range st.perMachine {
 		taskSum += m
@@ -874,13 +779,6 @@ func (c *Cluster) runAttempts(st *stageState, stage int64, t, assigned int) (int
 			err = runTask(st.fn, t)
 		}
 		dur := c.now().Sub(start).Nanoseconds()
-		if c.pools != nil {
-			// Intra-task parallelism saved wall time; charge it back so the
-			// machine pays single-thread cost. Concurrent tasks on the same
-			// machine may drain each other's excess — the per-machine sum,
-			// which is what the makespan reads, is preserved.
-			dur += c.pools[assigned].DrainExcess()
-		}
 		switch fault {
 		case faultPanic:
 			st.bump(&st.injected)
@@ -1091,29 +989,4 @@ func (c *Cluster) ResetClock() {
 	c.lastCheckpoint = c.st.CheckpointBytes
 	c.recoveryNanos = 0
 	c.mu.Unlock()
-}
-
-// TraceDelta converts a Stats snapshot into the trace package's
-// accumulator form (trace cannot import cluster). RunEnd events carry this
-// snapshot so validators can compare the folded event stream against the
-// engine's own counters.
-func (s Stats) TraceDelta() trace.StatsDelta {
-	return trace.StatsDelta{
-		ShuffledBytes:       s.ShuffledBytes,
-		BroadcastBytes:      s.BroadcastBytes,
-		CollectedBytes:      s.CollectedBytes,
-		CheckpointBytes:     s.CheckpointBytes,
-		Stages:              s.Stages,
-		Tasks:               s.Tasks,
-		ComputeNanos:        s.ComputeNanos,
-		NetworkNanos:        s.NetworkNanos,
-		DriverNanos:         s.DriverNanos,
-		TaskNanos:           s.TaskNanos,
-		Retries:             s.Retries,
-		InjectedFaults:      s.InjectedFaults,
-		SpeculativeLaunches: s.SpeculativeLaunches,
-		SpeculativeWins:     s.SpeculativeWins,
-		MachineLosses:       s.MachineLosses,
-		Recoveries:          s.Recoveries,
-	}
 }

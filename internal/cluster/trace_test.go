@@ -72,7 +72,7 @@ func TestTraceDeltasSumToStats(t *testing.T) {
 	}
 
 	got := foldStream(buf.Events)
-	want := c.Stats().TraceDelta()
+	want := c.Stats()
 	if got != want {
 		t.Fatalf("folded event deltas do not reproduce Stats:\nfold: %+v\nstats: %+v", got, want)
 	}
@@ -105,7 +105,7 @@ func TestTraceStreamStructureUnderChaos(t *testing.T) {
 	}
 	end := trace.NewEvent(trace.RunEnd)
 	end.SimNanos = c.SimElapsed().Nanoseconds()
-	delta := c.Stats().TraceDelta().Sub(statsBefore.TraceDelta())
+	delta := c.Stats().Sub(statsBefore)
 	end.Delta = &delta
 	c.Tracer().Emit(end)
 
@@ -160,7 +160,7 @@ func TestTraceConcurrentStages(t *testing.T) {
 	if counts[trace.DriverBegin] != counts[trace.DriverEnd] {
 		t.Fatalf("driver begin/end counts %d/%d", counts[trace.DriverBegin], counts[trace.DriverEnd])
 	}
-	if got, want := foldStream(buf.Events), c.Stats().TraceDelta(); got != want {
+	if got, want := foldStream(buf.Events), c.Stats(); got != want {
 		t.Fatalf("concurrent fold mismatch:\nfold: %+v\nstats: %+v", got, want)
 	}
 }

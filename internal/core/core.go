@@ -358,7 +358,7 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 	// The driver's executor spans all M logical machines, partitions placed
 	// by the cluster's reassignment rule; remote executors span one each.
 	d := &decomposition{ctx: ctx, rootCtx: ctx, x: x, cl: cl, opt: opts,
-		ex: newExecutor(cfg, [3]int{i, j, k}, cl.Machines(), cl.PoolFor, cl.MachineFor)}
+		ex: newExecutor(cfg, [3]int{i, j, k}, cl.Machines(), cl.MachineFor)}
 	// Ship the run's immutable inputs: every remote executor rebuilds the
 	// partitioned unfoldings locally from the tensor, and a rejoining
 	// machine gets the same blob replayed — the re-shipped partitions of the
@@ -433,7 +433,7 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 			}
 			eev := trace.NewEvent(trace.RunEnd)
 			eev.SimNanos = cl.SimElapsed().Nanoseconds()
-			delta := cl.Stats().TraceDelta().Sub(statsBefore.TraceDelta())
+			delta := cl.Stats().Sub(statsBefore)
 			eev.Delta = &delta
 			tr.Emit(eev)
 		}()

@@ -6,7 +6,6 @@ import (
 
 	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
-	"dbtf/internal/cluster"
 	"dbtf/internal/partition"
 	"dbtf/internal/sumcache"
 	"dbtf/internal/tensor"
@@ -47,11 +46,9 @@ type executor struct {
 	cfg  runConfig
 	dims [3]int
 	// reg[m] shares row-summation caches among the partitions placed on
-	// machine m (Lemmas 4 and 5 count the build once per machine); pool(m)
-	// is the machine's intra-task worker pool, nil for sequential; place(pi)
+	// machine m (Lemmas 4 and 5 count the build once per machine); place(pi)
 	// is the machine partition pi currently runs on.
 	reg   []*machineRegistry
-	pool  func(m int) *cluster.Pool
 	place func(pi int) int
 	px    [3]*partition.Partitioned
 	// f holds the current A, B, C. Column commits mutate them in place, so
@@ -65,8 +62,8 @@ type executor struct {
 
 // newExecutor returns an executor spanning machines logical machines,
 // before setup.
-func newExecutor(cfg runConfig, dims [3]int, machines int, pool func(m int) *cluster.Pool, place func(pi int) int) *executor {
-	ex := &executor{cfg: cfg, dims: dims, reg: make([]*machineRegistry, machines), pool: pool, place: place}
+func newExecutor(cfg runConfig, dims [3]int, machines int, place func(pi int) int) *executor {
+	ex := &executor{cfg: cfg, dims: dims, reg: make([]*machineRegistry, machines), place: place}
 	for m := range ex.reg {
 		ex.reg[m] = &machineRegistry{entries: map[registryKey]*machineCache{}}
 	}
@@ -168,38 +165,34 @@ func (ex *executor) build(mode, pi int) (*columnTask, error) {
 		return nil, err
 	}
 	role := modeRoles[mode]
-	t := buildColumnTask(part, ex.f[role.upd], ex.f[role.pvm], ex.summers(pi, part, ex.f[role.cached]), ex.cfg.NoCache, ex.pool(ex.place(pi)))
+	t := buildColumnTask(part, ex.f[role.upd], ex.f[role.pvm], ex.summers(pi, part, ex.f[role.cached]), ex.cfg.NoCache)
 	ex.tasks[mode][pi] = t
 	return t, nil
-}
-
-// task returns partition pi's column task for evaluating column col of the
-// mode's update, building it if the build stage ran elsewhere (the
-// partition was reassigned to this machine after a loss). Lazy rebuild is
-// sound because evalColumn is stateless across columns and the cached
-// matrix does not change during its own mode's update: a task built
-// mid-update is byte-equivalent to one built at the build stage.
-func (ex *executor) task(mode, pi, col int) (*columnTask, error) {
-	if _, err := ex.part(mode, pi); err != nil {
-		return nil, err
-	}
-	if col < 0 || col >= ex.cfg.Rank {
-		return nil, fmt.Errorf("core: eval column %d outside rank %d", col, ex.cfg.Rank)
-	}
-	if t := ex.tasks[mode][pi]; t != nil {
-		return t, nil
-	}
-	return ex.build(mode, pi)
 }
 
 // eval evaluates column col of the mode's update on partition pi and
 // returns the per-row error differences e1 − e0 (Algorithm 4, lines 4-9).
 // The slice is the task's own accumulator, valid until the task's next
 // eval: the driver reads it in place, a worker encodes it.
+//
+// The column task is built here if the build stage ran elsewhere (the
+// partition was reassigned to this machine after a loss). Lazy rebuild is
+// sound because evalColumn is stateless across columns and the cached
+// matrix does not change during its own mode's update: a task built
+// mid-update is byte-equivalent to one built at the build stage.
 func (ex *executor) eval(mode, pi, col int) ([]int64, error) {
-	t, err := ex.task(mode, pi, col)
-	if err != nil {
+	if _, err := ex.part(mode, pi); err != nil {
 		return nil, err
+	}
+	if col < 0 || col >= ex.cfg.Rank {
+		return nil, fmt.Errorf("core: eval column %d outside rank %d", col, ex.cfg.Rank)
+	}
+	t := ex.tasks[mode][pi]
+	if t == nil {
+		var err error
+		if t, err = ex.build(mode, pi); err != nil {
+			return nil, err
+		}
 	}
 	t.evalColumn(col)
 	return t.deltas, nil

@@ -34,14 +34,11 @@ func newHostTransport(machines int) *hostTransport {
 	return ht
 }
 
-// newBatchHostTransport builds Worker hosts of the given thread width and
-// ships per-machine batches, exercising the parallel batch path end to
-// end.
-func newBatchHostTransport(machines, threads int) *hostTransport {
-	ht := &hostTransport{batch: true}
-	for m := 0; m < machines; m++ {
-		ht.hosts = append(ht.hosts, NewWorkerThreads(threads))
-	}
+// newBatchHostTransport ships each machine's tasks as one batch, the way
+// the tcp coordinator does.
+func newBatchHostTransport(machines int) *hostTransport {
+	ht := newHostTransport(machines)
+	ht.batch = true
 	return ht
 }
 
@@ -237,14 +234,12 @@ func TestSetupCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRemoteBatchedThreadedWorkersMatchSimulated runs the remote
-// differential over the parallel batch path: each machine receives its
-// stage tasks as one RunBatch call and fans them (and their row shards)
-// out across 4 threads. Factors, trajectories, and the formula-based
-// accounting must still be bit-identical to the sequential simulated
-// run — the same guarantee the TCP transport inherits through
-// transport.Host.
-func TestRemoteBatchedThreadedWorkersMatchSimulated(t *testing.T) {
+// TestRemoteBatchedWorkersMatchSimulated runs the remote differential
+// over the per-machine batch path TCP uses: each machine receives its
+// stage tasks as one RunBatch call (trial 2 under NoCache). Factors and
+// trajectories must be bit-identical to the simulated run — the same
+// guarantee the TCP transport inherits through transport.Host.
+func TestRemoteBatchedWorkersMatchSimulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	for trial := 0; trial < 3; trial++ {
 		i, j, k := rng.Intn(12)+4, rng.Intn(12)+4, rng.Intn(12)+4
@@ -264,7 +259,7 @@ func TestRemoteBatchedThreadedWorkersMatchSimulated(t *testing.T) {
 			t.Fatalf("trial %d: simulated: %v", trial, err)
 		}
 		rem, err := Decompose(context.Background(), x,
-			cluster.New(cluster.Config{Machines: machines, Transport: newBatchHostTransport(machines, 4)}), opt)
+			cluster.New(cluster.Config{Machines: machines, Transport: newBatchHostTransport(machines)}), opt)
 		if err != nil {
 			t.Fatalf("trial %d: remote: %v", trial, err)
 		}
@@ -285,13 +280,13 @@ func TestRemoteBatchedThreadedWorkersMatchSimulated(t *testing.T) {
 }
 
 // TestWorkerBatchErrorAttribution pins the batch failure contract: a bad
-// task inside a parallel eval batch fails the whole batch with an error
+// task inside an eval batch fails the whole batch with an error
 // naming that task — the earliest offender in batch order — instead of
 // surfacing as a connection-level failure or a partial reply.
 func TestWorkerBatchErrorAttribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := randomTensor(rng, 8, 7, 6, 0.25)
-	w := NewWorkerThreads(4)
+	w := NewWorker()
 	setup, err := encodeSetup(x, runConfig{Rank: 3, Partitions: 2, GroupBits: 4, Machines: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +330,7 @@ func TestWorkerBatchErrorAttribution(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(want[0].Payload) != string(out.Payload) {
-			t.Fatalf("task %d: parallel batch payload differs from a sequential batch of one", out.Task)
+			t.Fatalf("task %d: batch payload differs from a batch of one", out.Task)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dbtf/internal/boolmat"
-	"dbtf/internal/cluster"
 	"dbtf/internal/sumcache"
 )
 
@@ -111,7 +110,7 @@ func TestEvalColumnZeroAlloc(t *testing.T) {
 func TestRegistrySharesCaches(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ms := boolmat.RandomFactor(rng, 12, 5, 0.4)
-	regs := newExecutor(runConfig{}, [3]int{}, 2, nil, nil).reg
+	regs := newExecutor(runConfig{}, [3]int{}, 2, nil).reg
 
 	full, part := regs[0].cacheFor(ms, 0, 12, 15), regs[0].cacheFor(ms, 2, 9, 15)
 	if full == part || full.Width() != 12 || part.Width() != 7 {
@@ -152,57 +151,5 @@ func TestRegistrySharesCaches(t *testing.T) {
 			}()
 			stale.Sum(1, nil)
 		}()
-	}
-}
-
-// TestEvalColumnShardedIdentical pins the row-parallel kernel's
-// determinism contract: shards cover the row range exactly once, in
-// order, and a task evaluated over any pool width produces deltas
-// bit-identical to the sequential kernel's — the positional merge of
-// disjoint subranges leaves no room for scheduling order to matter. Run
-// under -race this also drives all shards of every column concurrently.
-func TestEvalColumnShardedIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	x := randomTensor(rng, 33, 14, 11, 0.15)
-	const rank = 9
-	a := boolmat.RandomFactor(rng, 33, rank, 0.35)
-	mf := boolmat.RandomFactor(rng, 11, rank, 0.35)
-	ms := boolmat.RandomFactor(rng, 14, rank, 0.35)
-	for _, noCache := range []bool{false, true} {
-		opt := Options{Rank: rank, Partitions: 2, GroupBits: 4, NoCache: noCache}
-		d := newTestDecomposition(t, x, opt, 2)
-		for pi, part := range d.ex.px[0].Parts {
-			seq := buildTask(t, d, pi, a, mf, ms)
-			for _, threads := range []int{2, 4, 7, 64} {
-				par := buildColumnTask(part, a, mf, d.ex.summers(pi, part, ms), noCache, cluster.NewPool(threads))
-				wantShards := threads
-				if wantShards > a.Rows() {
-					wantShards = a.Rows()
-				}
-				if len(par.shards) != wantShards {
-					t.Fatalf("threads=%d: %d shards, want %d", threads, len(par.shards), wantShards)
-				}
-				prev := 0
-				for _, sh := range par.shards {
-					if sh.lo != prev || sh.hi < sh.lo {
-						t.Fatalf("threads=%d: shard range [%d,%d) does not continue at %d", threads, sh.lo, sh.hi, prev)
-					}
-					prev = sh.hi
-				}
-				if prev != a.Rows() {
-					t.Fatalf("threads=%d: shards cover %d rows, want %d", threads, prev, a.Rows())
-				}
-				for c := 0; c < rank; c++ {
-					seq.evalColumn(c)
-					par.evalColumn(c)
-					for row := range seq.deltas {
-						if par.deltas[row] != seq.deltas[row] {
-							t.Fatalf("noCache=%v threads=%d part %d col %d row %d: delta %d, sequential %d",
-								noCache, threads, pi, c, row, par.deltas[row], seq.deltas[row])
-						}
-					}
-				}
-			}
-		}
 	}
 }

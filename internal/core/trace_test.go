@@ -65,7 +65,7 @@ func TestDecomposeTraceReplaysChaosRun(t *testing.T) {
 	if runEnd == nil || runEnd.Delta == nil {
 		t.Fatal("run_end missing its stats delta")
 	}
-	if got, want := *runEnd.Delta, res.Stats.TraceDelta(); got != want {
+	if got, want := *runEnd.Delta, res.Stats; got != want {
 		t.Fatalf("run delta does not match result stats:\ndelta: %+v\nstats: %+v", got, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"dbtf/internal/cluster"
 	"dbtf/internal/transport"
 )
 
@@ -18,17 +17,10 @@ import (
 // factors are bit-identical to simulated ones for the same seed.
 //
 // Concurrency: the wire protocol is one request at a time per
-// connection, but a single request may fan out — RunBatch evaluates a
-// stage batch's tasks concurrently across the worker's threads, and each
-// task's evalColumn row-shards over the same pool. State mutation
-// (Apply, task builds, lazy rebuilds) holds the lock exclusively;
-// parallel batch evaluation holds it shared, and each task writes only
-// its own columnTask, so evaluations never race each other.
+// connection and a stage task runs on one goroutine, so one lock
+// serializes everything — state pushes and stage batches alike.
 type Worker struct {
-	// pool is the machine's intra-task worker pool; nil runs everything
-	// sequentially. Immutable after construction.
-	pool *cluster.Pool
-	mu   sync.RWMutex
+	mu sync.Mutex
 	// ex is an empty executor until the first StateSetup push: it holds no
 	// partitions and no factors, so every stage and column push fails its
 	// own address checks instead of needing a "set up yet?" guard here.
@@ -37,19 +29,7 @@ type Worker struct {
 }
 
 // NewWorker returns an empty executor awaiting a StateSetup push.
-func NewWorker() *Worker { return NewWorkerThreads(1) }
-
-// NewWorkerThreads returns an executor whose stage batches and eval
-// kernels may use up to threads OS threads (one simulated machine with T
-// cores). Thread counts never change results — only how many goroutines
-// compute them — so workers of mixed widths can serve one run.
-func NewWorkerThreads(threads int) *Worker {
-	w := &Worker{ex: &executor{}}
-	if threads > 1 {
-		w.pool = cluster.NewPool(threads)
-	}
-	return w
-}
+func NewWorker() *Worker { return &Worker{ex: &executor{}} }
 
 // Apply installs one replicated-state blob (transport.Host).
 func (w *Worker) Apply(kind transport.StateKind, payload []byte) error {
@@ -99,7 +79,7 @@ func (w *Worker) applySetupLocked(payload []byte) error {
 	}
 	w.ex.release()
 	i, j, k := x.Dims()
-	w.ex = newExecutor(cfg, [3]int{i, j, k}, 1, func(int) *cluster.Pool { return w.pool }, func(int) int { return 0 })
+	w.ex = newExecutor(cfg, [3]int{i, j, k}, 1, func(int) int { return 0 })
 	return w.ex.setup(x.UnfoldAll(), func(n int, fn func(m int) error) error {
 		for m := 0; m < n; m++ {
 			if err := fn(m); err != nil {
@@ -110,69 +90,38 @@ func (w *Worker) applySetupLocked(payload []byte) error {
 	})
 }
 
-// RunBatch executes a whole stage batch (transport.Host). Failures follow
-// the Host contract: the batch fails as a whole, naming the earliest
-// failing task in batch order.
-//
-// An eval batch is first resolved under the exclusive lock, in batch order
-// (lazy rebuilds after a reassignment mutate the task tables and the cache
-// registry, and validating in that order makes the failure selection
-// deterministic); then the evaluations — which write only their own
-// columnTask state — fan out across the worker's threads under the shared
-// lock. A sequential worker runs the same two steps on one goroutine.
+// RunBatch executes a whole stage batch in batch order (transport.Host).
+// Failures follow the Host contract: the batch fails as a whole, naming
+// the earliest failing task in batch order.
 func (w *Worker) RunBatch(spec transport.Spec, tasks []int) ([]transport.TaskOutput, error) {
 	outs := make([]transport.TaskOutput, len(tasks))
-	if spec.Kind != transport.KindEval {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		for i, task := range tasks {
-			//dbtf:allow-nondeterministic task nanos are wall-clock reporting charged to the simulated ledger, never fed back into results
-			start := time.Now()
-			payload, err := w.runTaskLocked(spec, task)
-			if err != nil {
-				return nil, fmt.Errorf("task %d: %w", task, err)
-			}
-			//dbtf:allow-nondeterministic task nanos are wall-clock reporting charged to the simulated ledger, never fed back into results
-			outs[i] = transport.TaskOutput{Task: task, Nanos: time.Since(start).Nanoseconds(), Payload: payload}
-		}
-		return outs, nil
-	}
-	cts := make([]*columnTask, len(tasks))
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	for i, task := range tasks {
-		var err error
-		if cts[i], err = w.ex.task(spec.Mode, task, spec.Col); err != nil {
-			w.mu.Unlock()
-			return nil, fmt.Errorf("task %d: %w", task, err)
-		}
-	}
-	w.mu.Unlock()
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	w.pool.Run(len(tasks), func(i int) {
 		//dbtf:allow-nondeterministic task nanos are wall-clock reporting charged to the simulated ledger, never fed back into results
 		start := time.Now()
-		cts[i].evalColumn(spec.Col)
+		payload, err := w.runTaskLocked(spec, task)
+		if err != nil {
+			return nil, fmt.Errorf("task %d: %w", task, err)
+		}
 		//dbtf:allow-nondeterministic task nanos are wall-clock reporting charged to the simulated ledger, never fed back into results
-		outs[i] = transport.TaskOutput{Task: tasks[i], Nanos: time.Since(start).Nanoseconds(), Payload: encodeDeltas(cts[i].deltas)}
-	})
-	// The wall time the threads saved — by fanning the tasks out, or by
-	// row-sharding inside one — is charged to the batch's first task: the
-	// coordinator sums nanos per machine, so attribution within one
-	// worker's batch cannot skew the simulated makespan.
-	if len(outs) > 0 {
-		outs[0].Nanos += w.pool.DrainExcess()
+		outs[i] = transport.TaskOutput{Task: task, Nanos: time.Since(start).Nanoseconds(), Payload: payload}
 	}
 	return outs, nil
 }
 
-// runTaskLocked executes one build or total-error task. Caller holds the
-// exclusive lock.
+// runTaskLocked executes one stage task. Caller holds the lock.
 func (w *Worker) runTaskLocked(spec transport.Spec, task int) ([]byte, error) {
 	switch spec.Kind {
 	case transport.KindBuild:
 		_, err := w.ex.build(spec.Mode, task)
 		return nil, err
+	case transport.KindEval:
+		deltas, err := w.ex.eval(spec.Mode, task, spec.Col)
+		if err != nil {
+			return nil, err
+		}
+		return encodeDeltas(deltas), nil
 	case transport.KindTotalError:
 		e, err := w.ex.totalError(task)
 		if err != nil {

@@ -31,9 +31,6 @@ type Config struct {
 	// Machines is the simulated cluster size each job runs on.
 	// Default 4.
 	Machines int
-	// ThreadsPerMachine is each job cluster's intra-task thread width.
-	// Default 1.
-	ThreadsPerMachine int
 	// GateSlots bounds concurrently executing cluster tasks across all
 	// running jobs — the host-CPU admission gate shared by every job's
 	// cluster. Default GOMAXPROCS.
@@ -62,14 +59,17 @@ func (c Config) withDefaults() (Config, error) {
 	if c.DataDir == "" {
 		return c, errors.New("serve: Config.DataDir is required")
 	}
+	// A negative bound is a misconfiguration, not a default: MaxRunning -1
+	// would admit jobs and never run one, GateSlots -1 panics in NewGate.
+	if c.MaxRunning < 0 || c.GateSlots < 0 || c.MaxTensorBytes < 0 || c.DrainTimeout < 0 {
+		return c, fmt.Errorf("serve: Config MaxRunning %d, GateSlots %d, MaxTensorBytes %d, DrainTimeout %v: none may be negative",
+			c.MaxRunning, c.GateSlots, c.MaxTensorBytes, c.DrainTimeout)
+	}
 	if c.MaxRunning == 0 {
 		c.MaxRunning = 2
 	}
 	if c.Machines == 0 {
 		c.Machines = 4
-	}
-	if c.ThreadsPerMachine == 0 {
-		c.ThreadsPerMachine = 1
 	}
 	if c.GateSlots == 0 {
 		c.GateSlots = runtime.GOMAXPROCS(0)
@@ -100,7 +100,7 @@ func (c Config) withDefaults() (Config, error) {
 // clusterConfig is the part of every job's cluster that the server's
 // configuration fixes; runSlice adds the shared gate and the job's tracer.
 func (c Config) clusterConfig() cluster.Config {
-	return cluster.Config{Machines: c.Machines, ThreadsPerMachine: c.ThreadsPerMachine}
+	return cluster.Config{Machines: c.Machines}
 }
 
 // Server is the factorization job server: admission, fair queueing,

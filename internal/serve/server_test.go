@@ -528,10 +528,21 @@ func TestConfigRequiresDataDir(t *testing.T) {
 }
 
 // A machine count cluster.New would panic on must be refused when the
-// server is built, not when the first job's goroutine builds its cluster.
+// server is built, not when the first job's goroutine builds its cluster;
+// so must a GateSlots cluster.NewGate would panic on, and a MaxRunning
+// that would admit jobs and never run one.
 func TestConfigRejectsBadMachines(t *testing.T) {
-	if _, err := New(Config{DataDir: t.TempDir(), Machines: -1}); err == nil {
-		t.Fatal("New accepted Machines -1")
+	for name, cfg := range map[string]Config{
+		"Machines":       {Machines: -1},
+		"MaxRunning":     {MaxRunning: -1},
+		"GateSlots":      {GateSlots: -1},
+		"MaxTensorBytes": {MaxTensorBytes: -1},
+		"DrainTimeout":   {DrainTimeout: -1},
+	} {
+		cfg.DataDir = t.TempDir()
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New accepted %s -1", name)
+		}
 	}
 }
 

@@ -146,27 +146,63 @@ func NewEvent(typ Type) *Event {
 	return &Event{Type: typ, Stage: -1, Machine: -1, Task: -1}
 }
 
-// StatsDelta mirrors cluster.Stats field by field (the trace package
-// cannot import cluster — cluster imports trace). It serves two roles:
-// the per-stage delta attached to StageEnd events, and the accumulator
-// that folds an event stream back into a Stats snapshot (Observe).
+// StatsDelta is the one declaration of the cluster's traffic and
+// execution counters; cluster.Stats is an alias of it. It serves three
+// roles: the cumulative snapshot Cluster.Stats returns, the per-stage
+// delta attached to StageEnd events, and the accumulator that folds an
+// event stream back into a snapshot (Observe).
 type StatsDelta struct {
-	ShuffledBytes       int64 `json:"shuffled_bytes,omitempty"`
-	BroadcastBytes      int64 `json:"broadcast_bytes,omitempty"`
-	CollectedBytes      int64 `json:"collected_bytes,omitempty"`
-	CheckpointBytes     int64 `json:"checkpoint_bytes,omitempty"`
-	Stages              int64 `json:"stages,omitempty"`
-	Tasks               int64 `json:"tasks,omitempty"`
-	ComputeNanos        int64 `json:"compute_ns,omitempty"`
-	NetworkNanos        int64 `json:"network_ns,omitempty"`
-	DriverNanos         int64 `json:"driver_ns,omitempty"`
-	TaskNanos           int64 `json:"task_ns,omitempty"`
-	Retries             int64 `json:"retries,omitempty"`
-	InjectedFaults      int64 `json:"injected_faults,omitempty"`
+	// ShuffledBytes is data repartitioned across machines: the one-off
+	// distribution of unfolded tensor partitions (Lemma 6) plus
+	// partitions re-shipped to survivors after machine losses.
+	ShuffledBytes int64 `json:"shuffled_bytes,omitempty"`
+	// BroadcastBytes is data sent from the driver to every machine: the
+	// factor matrices at each iteration (Lemma 7). Recorded already
+	// multiplied by the machine count. Recovery re-broadcasts (a single
+	// machine re-fetching the working set after a loss or rejoin) are
+	// added once, not multiplied.
+	BroadcastBytes int64 `json:"broadcast_bytes,omitempty"`
+	// CollectedBytes is data returned from partitions to the driver: the
+	// per-column error vectors (Lemma 7).
+	CollectedBytes int64 `json:"collected_bytes,omitempty"`
+	// CheckpointBytes is the total size of durable iteration checkpoints
+	// written by the driver (see Cluster.RecordCheckpoint).
+	CheckpointBytes int64 `json:"checkpoint_bytes,omitempty"`
+	// Stages is the number of parallel stages executed.
+	Stages int64 `json:"stages,omitempty"`
+	// Tasks is the number of tasks executed across all stages.
+	Tasks int64 `json:"tasks,omitempty"`
+	// ComputeNanos, NetworkNanos and DriverNanos break the simulated
+	// elapsed time into stage makespans, modeled communication, and
+	// driver-side sequential sections.
+	ComputeNanos int64 `json:"compute_ns,omitempty"`
+	NetworkNanos int64 `json:"network_ns,omitempty"`
+	DriverNanos  int64 `json:"driver_ns,omitempty"`
+	// TaskNanos is the summed duration of all tasks; ComputeNanos −
+	// TaskNanos/Machines measures load imbalance.
+	TaskNanos int64 `json:"task_ns,omitempty"`
+	// Retries is the number of task re-executions after transient
+	// failures (real errors, recovered panics, or injected faults).
+	Retries int64 `json:"retries,omitempty"`
+	// InjectedFaults is the number of task-level failures, panics, and
+	// straggler delays injected by the configured FaultPlan. Machine
+	// losses are counted separately in MachineLosses.
+	InjectedFaults int64 `json:"injected_faults,omitempty"`
+	// SpeculativeLaunches counts real backup copies launched for
+	// straggling tasks (Spark's speculative execution). A launched copy
+	// actually re-executes the task.
 	SpeculativeLaunches int64 `json:"speculative_launches,omitempty"`
-	SpeculativeWins     int64 `json:"speculative_wins,omitempty"`
-	MachineLosses       int64 `json:"machine_losses,omitempty"`
-	Recoveries          int64 `json:"recoveries,omitempty"`
+	// SpeculativeWins counts straggling tasks whose backup copy finished,
+	// on the simulated clock, before the straggler's delay would have
+	// elapsed — the straggler is cancelled and the clock pays the copy.
+	SpeculativeWins int64 `json:"speculative_wins,omitempty"`
+	// MachineLosses is the number of machine-loss events injected by the
+	// FaultPlan (seeded draws plus explicit MachineKills).
+	MachineLosses int64 `json:"machine_losses,omitempty"`
+	// Recoveries counts completed recovery events: a lost machine's
+	// reassigned work finishing its stage successfully (one per loss),
+	// and a dead machine rejoining service.
+	Recoveries int64 `json:"recoveries,omitempty"`
 }
 
 // Observe folds one event into the accumulator under the attribution

@@ -167,8 +167,7 @@ type Transport interface {
 // Host is the executor side of the protocol: replicated state plus stage
 // execution. Implementations must be safe for one request at a time (the
 // wire protocol is sequential per connection); the tcp server serializes
-// calls per connection, and a host may fan one batch's tasks (and their
-// row ranges) out across its machine's OS threads.
+// calls per connection.
 type Host interface {
 	// Apply installs one replicated-state blob.
 	Apply(kind StateKind, payload []byte) error
@@ -177,7 +176,6 @@ type Host interface {
 	// measured nanos. Any task failure fails the whole batch — the
 	// all-or-nothing rule the coordinator's rerouting relies on — with an
 	// error identifying the failing task; when several tasks fail, the
-	// error names the one earliest in the batch order, so a parallel
-	// executor reports deterministically.
+	// error names the one earliest in the batch order.
 	RunBatch(spec Spec, tasks []int) ([]TaskOutput, error)
 }

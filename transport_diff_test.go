@@ -74,11 +74,9 @@ func (w *workerProc) Kill(t *testing.T) {
 
 // startWorkerProc launches a dbtf-worker on listen (use 127.0.0.1:0 for
 // an ephemeral port) and harvests the bound address from its stdout.
-// extraArgs are appended to the command line (e.g. "-threads", "4").
-func startWorkerProc(t *testing.T, listen string, extraArgs ...string) *workerProc {
+func startWorkerProc(t *testing.T, listen string) *workerProc {
 	t.Helper()
-	args := append([]string{"-listen", listen, "-q"}, extraArgs...)
-	cmd := exec.Command(workerBinary(t), args...)
+	cmd := exec.Command(workerBinary(t), "-listen", listen, "-q")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -111,12 +109,12 @@ func startWorkerProc(t *testing.T, listen string, extraArgs ...string) *workerPr
 	return w
 }
 
-func startWorkerProcs(t *testing.T, n int, extraArgs ...string) ([]*workerProc, []string) {
+func startWorkerProcs(t *testing.T, n int) ([]*workerProc, []string) {
 	t.Helper()
 	procs := make([]*workerProc, n)
 	addrs := make([]string, n)
 	for i := range procs {
-		procs[i] = startWorkerProc(t, "127.0.0.1:0", extraArgs...)
+		procs[i] = startWorkerProc(t, "127.0.0.1:0")
 		addrs[i] = procs[i].Addr
 	}
 	return procs, addrs
@@ -163,48 +161,6 @@ func TestTransportTCPIdenticalToSimulated(t *testing.T) {
 		}
 		if ts.ShuffledBytes != ss.ShuffledBytes || ts.BroadcastBytes != ss.BroadcastBytes || ts.CollectedBytes != ss.CollectedBytes {
 			t.Errorf("seed %d: traffic %d/%d/%d over tcp, %d/%d/%d simulated",
-				seed, ts.ShuffledBytes, ts.BroadcastBytes, ts.CollectedBytes,
-				ss.ShuffledBytes, ss.BroadcastBytes, ss.CollectedBytes)
-		}
-	}
-}
-
-// TestTransportTCPThreadedWorkersIdentical runs the same differential with
-// every worker process started with -threads 4: batched eval stages fan
-// out across each worker's pool, and the factors, error trajectory, and
-// the formula-based traffic accounting must still match the sequential
-// simulated cluster bit for bit — the socket-level form of the
-// ThreadsPerMachine determinism guarantee.
-func TestTransportTCPThreadedWorkersIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
-	const machines = 3
-	_, addrs := startWorkerProcs(t, machines, "-threads", "4")
-	for seed := int64(5); seed <= 6; seed++ {
-		x := diffTensor(t, seed)
-		opt := dbtf.Options{Rank: 4, Machines: machines, MaxIter: 5, Seed: seed, InitialSets: 2}
-		sim, err := dbtf.Factorize(context.Background(), x, opt)
-		if err != nil {
-			t.Fatalf("seed %d: simulated: %v", seed, err)
-		}
-		opt.Workers = addrs
-		tcp, err := dbtf.Factorize(context.Background(), x, opt)
-		if err != nil {
-			t.Fatalf("seed %d: tcp (threaded workers): %v", seed, err)
-		}
-		assertIdentical(t, seed, "tcp transport with threaded workers", sim, tcp)
-		if fmt.Sprint(tcp.IterationErrors) != fmt.Sprint(sim.IterationErrors) {
-			t.Errorf("seed %d: iteration trajectory %v over threaded tcp, %v simulated",
-				seed, tcp.IterationErrors, sim.IterationErrors)
-		}
-		ts, ss := tcp.Stats, sim.Stats
-		if ts.Stages != ss.Stages || ts.Tasks != ss.Tasks {
-			t.Errorf("seed %d: stages/tasks %d/%d over threaded tcp, %d/%d simulated",
-				seed, ts.Stages, ts.Tasks, ss.Stages, ss.Tasks)
-		}
-		if ts.ShuffledBytes != ss.ShuffledBytes || ts.BroadcastBytes != ss.BroadcastBytes || ts.CollectedBytes != ss.CollectedBytes {
-			t.Errorf("seed %d: traffic %d/%d/%d over threaded tcp, %d/%d/%d simulated",
 				seed, ts.ShuffledBytes, ts.BroadcastBytes, ts.CollectedBytes,
 				ss.ShuffledBytes, ss.BroadcastBytes, ss.CollectedBytes)
 		}
@@ -259,36 +215,6 @@ func TestTransportTCPTopFiberInitIdentical(t *testing.T) {
 			t.Fatalf("seed %d: reseeded: %v", seed, err)
 		}
 		assertIdentical(t, seed, "topfiber under a different seed", sim, reseeded)
-	}
-}
-
-// TestTransportTCPTopFiberThreadedWorkersIdentical repeats the topfiber
-// differential with -threads 4 worker processes: the init rows of the
-// bench suite run exactly this configuration in CI.
-func TestTransportTCPTopFiberThreadedWorkersIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
-	const (
-		machines = 3
-		seed     = int64(9)
-	)
-	_, addrs := startWorkerProcs(t, machines, "-threads", "4")
-	x := diffTensor(t, seed)
-	opt := dbtf.Options{Rank: 4, Machines: machines, MaxIter: 5, Seed: seed, Init: dbtf.InitTopFiber}
-	sim, err := dbtf.Factorize(context.Background(), x, opt)
-	if err != nil {
-		t.Fatalf("simulated: %v", err)
-	}
-	opt.Workers = addrs
-	tcp, err := dbtf.Factorize(context.Background(), x, opt)
-	if err != nil {
-		t.Fatalf("tcp (threaded workers): %v", err)
-	}
-	assertIdentical(t, seed, "tcp transport with threaded workers and topfiber init", sim, tcp)
-	if fmt.Sprint(tcp.IterationErrors) != fmt.Sprint(sim.IterationErrors) {
-		t.Errorf("iteration trajectory %v over threaded tcp, %v simulated",
-			tcp.IterationErrors, sim.IterationErrors)
 	}
 }
 
