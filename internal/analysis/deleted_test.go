@@ -1,0 +1,128 @@
+package analysis
+
+import (
+	"bytes"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// deletedName is one row of deletedNames.
+type deletedName struct {
+	pattern string
+	scope   []string
+	nonTest bool
+	except  []string
+	pr      string
+}
+
+// deletedNames is the one list of names that were deleted on purpose and
+// must not come back: a second code path, a knob, a representation that a
+// PR removed after measuring that nothing needed it. Each row is a regular
+// expression, matched line by line over the Go files under scope (paths
+// relative to the module root; a directory is walked), and the PR that
+// deleted the name with the reason it went. testdata/, dot-directories and
+// the frozen benchmark/ module are never in scope — benchmark/ compiles
+// against the program, so it cannot name what the program no longer has.
+// A row with nonTest set skips _test.go files; except lists files allowed
+// to match. A scope naming a single .go file that does not exist is
+// vacuously clean, which is how "this file stays deleted" is written.
+var deletedNames = []deletedName{
+	{pattern: `"encoding/gob"`, scope: []string{"."}, nonTest: true,
+		pr: "PR 16: the wire envelope and the set-up blob are fixed binary layouts; gob would bring back per-frame type descriptors (DESIGN §12)"},
+	{pattern: `SlabOver|bitvec\.Slab\(`, scope: []string{"."},
+		pr: "PR 17: a sum-cache entry is an offset into a pooled flat array, not a BitVec carved per entry (DESIGN §4.1)"},
+	{pattern: `sumDeltaSliced|sliceEntry|OnesCountRange`, scope: []string{"internal"},
+		pr: "PR 19: a partial block's cache is a table like any other; the lazily sliced view is gone"},
+	{pattern: `Horizontal`, scope: []string{"dbtf.go", "internal/core", "internal/transport"},
+		pr: "PR 19: the horizontal strawman lives in internal/experiments, outside the engine and the wire"},
+	{pattern: `NewWorkerThreads|cluster\.Pool|PoolFor|DrainExcess|shardState|TraceDelta\(`, scope: []string{"."},
+		pr: "PR 20: a task is one thread; cluster.Stats is an alias of trace.StatsDelta, not a copy"},
+	{pattern: `RWMutex`, scope: []string{"internal/core"},
+		pr: "PR 20: the Worker's two-phase RunBatch went with intra-task threading; one Mutex serializes a worker"},
+	{pattern: `^package `, scope: []string{"internal/cluster/pool.go"},
+		pr: "PR 20: cluster.Pool's file stays deleted"},
+	{pattern: `ThreadsPerMachine`, scope: []string{"."}, nonTest: true, except: []string{"dbtf.go"},
+		pr: "PR 20: only the inert Deprecated field the frozen benchmark/ compiles against survives (ROADMAP item 7)"},
+	{pattern: `KindBuild`, scope: []string{"."},
+		pr: "PR 21: a column task is built where it is first evaluated; there is no build stage kind"},
+	{pattern: `"build:`, scope: []string{"internal/core"},
+		pr: "PR 21: no stage of a run is named build:<mode>; every round is a column or a total error"},
+	{pattern: `backups`, scope: []string{"internal/cluster"},
+		pr: "PR 21: a straggler's backup copy is priced, not run; a stage joins its workers and nothing else"},
+}
+
+// TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry
+// (two of which could not fail: errexit ignores a negated command unless it
+// is the script's last): tier-1 `go test ./...` runs every guard locally.
+func TestDeletedNamesStayDeleted(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := FindModuleRoot(wd)
+	if err != nil {
+		t.Fatalf("locating module root: %v", err)
+	}
+	for _, g := range deletedNames {
+		for _, hit := range grepGo(t, root, g) {
+			t.Errorf("%s matches /%s/, deleted by %s", hit, g.pattern, g.pr)
+		}
+	}
+}
+
+// grepGo returns "file:line" for every line of a Go file in g's scope that
+// matches its pattern. This file holds the patterns and is never searched.
+func grepGo(t *testing.T, root string, g deletedName) []string {
+	t.Helper()
+	re := regexp.MustCompile(g.pattern)
+	allowed := map[string]bool{"internal/analysis/deleted_test.go": true}
+	for _, e := range g.except {
+		allowed[e] = true
+	}
+	var hits []string
+	for _, sc := range g.scope {
+		top := filepath.Join(root, sc)
+		if _, err := os.Stat(top); os.IsNotExist(err) && strings.HasSuffix(sc, ".go") {
+			continue
+		}
+		err := filepath.WalkDir(top, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			name := d.Name()
+			if d.IsDir() {
+				if path != top && (name == "testdata" || name == "benchmark" || strings.HasPrefix(name, ".")) {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			rel, err := filepath.Rel(root, path)
+			if err != nil {
+				return err
+			}
+			rel = filepath.ToSlash(rel)
+			if !strings.HasSuffix(name, ".go") || g.nonTest && strings.HasSuffix(name, "_test.go") || allowed[rel] {
+				return nil
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for i, line := range bytes.Split(src, []byte("\n")) {
+				if re.Match(line) {
+					hits = append(hits, fmt.Sprintf("%s:%d", rel, i+1))
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("searching %s: %v", sc, err)
+		}
+	}
+	return hits
+}

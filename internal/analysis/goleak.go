@@ -13,7 +13,7 @@ import (
 //     statement in the same function body, and the goroutine body (a func
 //     literal, or the body of a same-package named function the statement
 //     calls) contains a matching <wg>.Done(). Matching is by the final
-//     field name (wg, backups, ...), not the resolved struct type — the
+//     field name (wg, workers, ...), not the resolved struct type — the
 //     suite has no type information, and distinct WaitGroups in one
 //     function body would alias only if they also share a field name.
 //     Each pairing additionally exports a fact, and the cross-package

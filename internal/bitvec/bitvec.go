@@ -246,18 +246,6 @@ func (v *BitVec) Slice(lo, hi int) *BitVec {
 	return out
 }
 
-// SliceInto overwrites out (which must have length hi-lo) with bits
-// [lo, hi) of v, avoiding an allocation.
-func (v *BitVec) SliceInto(out *BitVec, lo, hi int) {
-	if lo < 0 || hi > v.n || lo > hi {
-		panic(fmt.Sprintf("bitvec: SliceInto [%d,%d) out of range of %d bits", lo, hi, v.n))
-	}
-	if out.n != hi-lo {
-		panic(fmt.Sprintf("bitvec: SliceInto destination length %d != %d", out.n, hi-lo))
-	}
-	out.blit(v, lo, hi)
-}
-
 // blit copies bits [lo,hi) of src into v starting at bit 0.
 func (v *BitVec) blit(src *BitVec, lo, hi int) {
 	n := hi - lo

@@ -198,15 +198,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestSliceInto(t *testing.T) {
-	v := FromIndices(100, []int{5, 6, 70, 71})
-	out := New(10)
-	v.SliceInto(out, 65, 75)
-	if got := out.Indices(); !equalInts(got, []int{5, 6}) {
-		t.Fatalf("SliceInto = %v, want [5 6]", got)
-	}
-}
-
 func TestSliceOutOfRangePanics(t *testing.T) {
 	v := New(10)
 	for _, tc := range []struct{ lo, hi int }{{-1, 5}, {0, 11}, {6, 5}} {

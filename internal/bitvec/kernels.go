@@ -5,43 +5,14 @@
 // the bit-level-parallel primitives the factor-update delta evaluation and
 // the adaptive dense row kernels are built on.
 //
-// The word-slice forms operate on raw storage (as returned by Words) so
-// callers that already hold words — packed block rows, cache entries —
-// skip the BitVec wrapper entirely. All operands of one call must have the
+// They operate on raw word storage (as returned by Words) so callers that
+// already hold words — packed block rows, cache entries — skip the BitVec
+// wrapper entirely. All operands of one call must have the
 // same word count; bits beyond Len() are zero by the package invariant, so
 // counts never need masking.
 package bitvec
 
-import (
-	"fmt"
-	"math/bits"
-)
-
-// AndNotCount returns |v &^ w|, the number of bits set in v but not in w.
-// The lengths must match.
-//
-//dbtf:noalloc
-func (v *BitVec) AndNotCount(w *BitVec) int {
-	if v.n != w.n {
-		panic(fmt.Sprintf("bitvec: AndNotCount length mismatch %d != %d", v.n, w.n))
-	}
-	return AndNotCountWords(v.words, w.words)
-}
-
-// OrAndCount returns |(v ∨ w) ∧ u| without materializing v ∨ w. The
-// lengths must match.
-//
-//dbtf:noalloc
-func (v *BitVec) OrAndCount(w, u *BitVec) int {
-	if v.n != w.n || v.n != u.n {
-		panic(fmt.Sprintf("bitvec: OrAndCount length mismatch %d, %d, %d", v.n, w.n, u.n))
-	}
-	c := 0
-	for i, x := range v.words {
-		c += bits.OnesCount64((x | w.words[i]) & u.words[i])
-	}
-	return c
-}
+import "math/bits"
 
 // AndCountWords returns popcount(a ∧ b) over raw word slices.
 //

@@ -248,15 +248,3 @@ func KhatriRao(a, b *FactorMatrix) *FactorMatrix {
 	}
 	return out
 }
-
-// PVM returns the pointwise vector-matrix product a ⊛ B (Equation 4) of a
-// row mask a and a factor matrix B: column c of the result is B's column c
-// if bit c of a is set, and all-zero otherwise. Equivalently every row mask
-// of B is ANDed with a.
-func PVM(a uint64, b *FactorMatrix) *FactorMatrix {
-	out := NewFactor(b.Rows(), b.r)
-	for i, row := range b.rows {
-		out.rows[i] = row & a
-	}
-	return out
-}

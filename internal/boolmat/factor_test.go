@@ -193,22 +193,6 @@ func TestKhatriRaoRankMismatchPanics(t *testing.T) {
 	KhatriRao(NewFactor(2, 3), NewFactor(2, 4))
 }
 
-func TestPVMDefinition(t *testing.T) {
-	// Equation 4: a ⊛ B = [a₁b_:1 ... a_R b_:R].
-	rng := rand.New(rand.NewSource(5))
-	b := RandomFactor(rng, 6, 8, 0.5)
-	var a uint64 = 0b10110001
-	p := PVM(a, b)
-	for j := 0; j < 6; j++ {
-		for r := 0; r < 8; r++ {
-			want := b.Get(j, r) && a&(1<<uint(r)) != 0
-			if p.Get(j, r) != want {
-				t.Fatalf("PVM entry (%d,%d) = %v, want %v", j, r, p.Get(j, r), want)
-			}
-		}
-	}
-}
-
 func TestQuickKhatriRaoViaKronecker(t *testing.T) {
 	// Column r of A ⊙ B equals column r of A ⊗ B restricted to the
 	// columnwise-Kronecker positions, i.e. a_:r ⊗ b_:r.

@@ -83,7 +83,7 @@ func TestFailFastAborts(t *testing.T) {
 }
 
 func TestBackoffChargedToSimulatedClock(t *testing.T) {
-	c := New(Config{Machines: 1, RetryBackoff: 100 * time.Millisecond, Network: noNetwork})
+	c := New(Config{Machines: 1, Network: noNetwork})
 	var attempts atomic.Int64
 	start := time.Now()
 	if err := c.ForEach(context.Background(), 1, func(int) error {
@@ -97,8 +97,8 @@ func TestBackoffChargedToSimulatedClock(t *testing.T) {
 	if wall := time.Since(start); wall > 50*time.Millisecond {
 		t.Fatalf("backoff slept %v of real time; must be simulated only", wall)
 	}
-	if sim := c.SimElapsed(); sim < 100*time.Millisecond {
-		t.Fatalf("SimElapsed = %v, want >= 100ms of charged backoff", sim)
+	if sim := c.SimElapsed(); sim < retryBackoff {
+		t.Fatalf("SimElapsed = %v, want >= %v of charged backoff", sim, retryBackoff)
 	}
 }
 

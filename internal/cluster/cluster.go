@@ -14,9 +14,9 @@
 //   - Traffic counters record shuffled, broadcast, and collected bytes so
 //     the volume claims of the paper's Lemmas 6 and 7 can be validated.
 //   - Failed tasks are re-executed with bounded attempts and exponential
-//     backoff, reproducing Spark's task-level fault tolerance; straggling
-//     tasks launch real speculative backup copies whose race is priced by
-//     the simulated clock; and whole machines can be lost (and rejoin),
+//     backoff, reproducing Spark's task-level fault tolerance; a straggling
+//     task's race against a speculative backup copy is priced on the
+//     simulated clock; and whole machines can be lost (and rejoin),
 //     with the dead machine's tasks reassigned to survivors and its
 //     machine-local state invalidated — see FaultPlan, OnMachineLoss, and
 //     Stats.
@@ -67,10 +67,6 @@ var DefaultNetwork = NetworkModel{
 type Config struct {
 	// Machines is the number of logical machines M. Must be >= 1.
 	Machines int
-	// Parallelism bounds the real goroutines executing tasks. Zero means
-	// min(Machines, GOMAXPROCS); measured task durations then approximate
-	// dedicated-core execution.
-	Parallelism int
 	// Network prices simulated communication. Zero value means
 	// DefaultNetwork.
 	Network NetworkModel
@@ -84,13 +80,6 @@ type Config struct {
 	// 1+MaxRetries attempts aborts the stage. Zero means
 	// DefaultMaxRetries; negative is rejected by Validate.
 	MaxRetries int
-	// RetryBackoff is the base backoff before re-executing a failed task,
-	// doubled on every further attempt of the same task. It is charged to
-	// the simulated clock only — real execution retries immediately, so
-	// wall-clock tests stay fast while simulated makespans price the
-	// recovery delay a real cluster would pay. Zero means
-	// DefaultRetryBackoff.
-	RetryBackoff time.Duration
 	// Faults, when non-nil, injects deterministic task failures, panics,
 	// straggler delays, and machine losses from a seed; see FaultPlan.
 	Faults *FaultPlan
@@ -120,9 +109,12 @@ type Config struct {
 // zero; it matches Spark's default of 4 attempts per task.
 const DefaultMaxRetries = 3
 
-// DefaultRetryBackoff is the simulated base backoff between attempts when
-// Config.RetryBackoff is zero.
-const DefaultRetryBackoff = 100 * time.Millisecond
+// retryBackoff is the base backoff before re-executing a failed task,
+// doubled on every further attempt of the same task. It is charged to the
+// simulated clock only — real execution retries immediately, so wall-clock
+// tests stay fast while simulated makespans price the recovery delay a real
+// cluster would pay.
+const retryBackoff = 100 * time.Millisecond
 
 // Stats holds the cumulative traffic and execution counters of a cluster;
 // the fields are documented on trace.StatsDelta, the one declaration the
@@ -137,12 +129,14 @@ type Stats = trace.StatsDelta
 
 // Cluster is a simulated multi-machine execution engine.
 type Cluster struct {
-	machines     int
-	parallelism  int
-	network      NetworkModel
-	maxRetries   int
-	retryBackoff time.Duration
-	faults       *FaultPlan
+	machines int
+	// parallelism bounds the real goroutines executing a stage's tasks:
+	// min(Machines, GOMAXPROCS), so measured task durations approximate
+	// dedicated-core execution.
+	parallelism int
+	network     NetworkModel
+	maxRetries  int
+	faults      *FaultPlan
 	// tracer receives the structured event stream; nil when tracing is
 	// disabled (the nil-receiver fast path). Immutable after New.
 	tracer *trace.Tracer
@@ -239,13 +233,6 @@ func New(cfg Config) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	p := cfg.Parallelism
-	if p <= 0 {
-		p = cfg.Machines
-		if mp := runtime.GOMAXPROCS(0); p > mp {
-			p = mp
-		}
-	}
 	net := cfg.Network
 	if net == (NetworkModel{}) {
 		net = DefaultNetwork
@@ -257,17 +244,13 @@ func New(cfg Config) *Cluster {
 	if cfg.FailFast {
 		retries = 0
 	}
-	backoff := cfg.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
-	}
 	alive := make([]bool, cfg.Machines)
 	for i := range alive {
 		alive[i] = true
 	}
 	return &Cluster{
-		machines: cfg.Machines, parallelism: p, network: net,
-		maxRetries: retries, retryBackoff: backoff, faults: cfg.Faults,
+		machines: cfg.Machines, parallelism: min(cfg.Machines, runtime.GOMAXPROCS(0)), network: net,
+		maxRetries: retries, faults: cfg.Faults,
 		tracer: cfg.Tracer, transport: cfg.Transport, gate: cfg.Gate,
 		//dbtf:allow-nondeterministic default clock measures real task durations; tests inject a deterministic one
 		now:   time.Now,
@@ -299,7 +282,7 @@ func (c *Cluster) LiveMachines() int {
 // rejoins happen only at stage boundaries — so stages may key
 // machine-local state (per-machine cache tables, scratch pools) by this
 // index. Tasks that share a machine may still execute concurrently in real
-// time (the goroutine pool is bounded by Parallelism, not by M), so
+// time (the goroutine pool is bounded by the host's CPUs, not by M), so
 // machine-local state must be internally synchronized.
 func (c *Cluster) MachineFor(task int) int {
 	if task < 0 {
@@ -427,10 +410,10 @@ func (c *Cluster) chargeRecoveryLocked(bytes int64) {
 	}
 }
 
-// stageState is the per-stage accounting shared by workers and speculative
-// backup goroutines. Everything here is merged into the cluster's
-// cumulative counters in one critical section at the stage boundary, so
-// concurrent Stats snapshots never observe a half-published stage.
+// stageState is the per-stage accounting shared by the stage's workers.
+// Everything here is merged into the cluster's cumulative counters in one
+// critical section at the stage boundary, so concurrent Stats snapshots
+// never observe a half-published stage.
 type stageState struct {
 	ctx context.Context
 	fn  func(int) error
@@ -441,8 +424,6 @@ type stageState struct {
 	stage    int64
 	label    string
 	beginSim int64
-
-	backups sync.WaitGroup // speculative copies in flight; joined before the stage returns
 
 	mu sync.Mutex
 	// perMachine sums simulated task nanos per logical machine.
@@ -574,9 +555,9 @@ func (c *Cluster) beginStage(ctx context.Context, name string, n int, fn func(in
 // transfers), and every in-stage fault counter. ok marks a stage that
 // completed without error; it absorbs pending machine-loss recoveries.
 //
-//dbtf:allow-unguarded st: all workers and backups are joined before endStage runs, so st is no longer shared
+//dbtf:allow-unguarded st: all workers are joined before endStage runs, so st is no longer shared
 func (c *Cluster) endStage(st *stageState, ok bool) {
-	// All workers and backups are joined; st is no longer shared.
+	// All workers are joined; st is no longer shared.
 	var makespan, taskSum int64
 	for _, m := range st.perMachine {
 		taskSum += m
@@ -646,15 +627,14 @@ func (c *Cluster) endStage(st *stageState, ok bool) {
 // stage label, is returned and remaining queued tasks are skipped. Under FailFast the first
 // failure aborts immediately. A configured FaultPlan injects additional
 // deterministic failures, panics, straggler delays, and machine losses
-// (applied at the stage boundary). An injected straggler launches a real
-// speculative backup copy of the task on another machine; the first
-// finisher on the simulated clock wins and the loser is cancelled. Backup
-// copies are joined before ForEach returns, so no goroutine outlives the
-// stage.
+// (applied at the stage boundary). An injected straggler races a
+// speculative copy of the task on another machine; the first finisher on
+// the simulated clock wins and the loser is cancelled (see speculate). No
+// goroutine outlives the stage.
 //
-// Cancellation of ctx is observed between task launches, between retry
-// attempts, and before a backup copy starts: no new work starts after ctx
-// is done, in-flight tasks run to completion, and ctx.Err() is returned.
+// Cancellation of ctx is observed between task launches and between retry
+// attempts: no new work starts after ctx is done, in-flight tasks run to
+// completion, and ctx.Err() is returned.
 //
 // The simulated clock advances by the stage makespan: the maximum over
 // machines of the summed durations of the machine's tasks — including
@@ -743,10 +723,6 @@ func (c *Cluster) ForEachNamed(ctx context.Context, name string, n int, fn func(
 		}()
 	}
 	wg.Wait()
-	// Join speculative backup copies before closing the stage's books: no
-	// goroutine outlives ForEach, and the stage makespan includes every
-	// resolved speculation race.
-	st.backups.Wait()
 
 	err, _ := firstErr.Load().(error)
 	c.endStage(st, err == nil)
@@ -756,9 +732,8 @@ func (c *Cluster) ForEachNamed(ctx context.Context, name string, n int, fn func(
 // runAttempts executes task t until one attempt succeeds or the retry
 // bound is exhausted, returning the simulated nanos charged to the task's
 // machine: every attempt's measured duration (wasted attempts included),
-// unspeculated straggler delays, and the exponential backoff between
-// attempts. Speculated stragglers resolve asynchronously (see speculate)
-// and charge the race outcome to the stage directly.
+// straggler delays up to where a speculative copy resolved them (see
+// speculate), and the exponential backoff between attempts.
 func (c *Cluster) runAttempts(st *stageState, stage int64, t, assigned int) (int64, error) {
 	maxAttempts := 1 + c.maxRetries
 	var sim int64
@@ -796,7 +771,7 @@ func (c *Cluster) runAttempts(st *stageState, stage int64, t, assigned int) (int
 				// with speculation disabled the full delay is always paid.
 				dur += c.faults.stragglerDelay()
 			} else {
-				c.speculate(st, t, assigned)
+				dur += c.speculate(st, t, assigned, dur)
 			}
 		}
 		sim += dur
@@ -813,70 +788,47 @@ func (c *Cluster) runAttempts(st *stageState, stage int64, t, assigned int) (int
 			return sim, cerr
 		}
 		st.bump(&st.retries)
-		if c.tracer.Enabled() {
-			// A marker, not a counter: the retry count folds from the
-			// owning stage_end delta, published at the stage boundary.
-			ev := trace.NewEvent(trace.Retry)
-			ev.Stage, ev.Machine, ev.Task = stage, assigned, t
-			ev.Attempt = attempt + 1
-			ev.SimNanos = st.beginSim
-			c.tracer.Emit(ev)
-		}
-		sim += c.retryBackoff.Nanoseconds() << uint(attempt)
+		c.emitMarker(trace.Retry, st, assigned, t, attempt+1)
+		sim += retryBackoff.Nanoseconds() << uint(attempt)
 	}
 }
 
-// speculate launches a real backup copy of straggling task t, reproducing
-// Spark's speculative execution: the copy actually re-executes the task on
-// the stage's goroutine pool (tasks are idempotent by the engine's
-// contract, so duplicate execution is safe), and the simulated clock pays
-// whichever finishes first — the straggler's injected delay or the copy's
-// measured duration plus launch latency. The loser is cancelled: both the
-// straggling machine and the backup machine are charged only up to the
-// race's resolution. A context cancelled before the copy starts cancels
-// the speculation instead, and the straggler pays its full delay. The
-// backup goroutine is registered with the stage and joined before ForEach
-// returns.
-func (c *Cluster) speculate(st *stageState, t, home int) {
-	delay := c.faults.stragglerDelay()
-	st.backups.Add(1)
-	go func() {
-		defer st.backups.Done()
-		if st.ctx.Err() != nil {
-			// Speculation cancelled before launch: the straggler runs to
-			// the end of its delay.
-			st.charge(home, delay)
-			return
-		}
-		st.bump(&st.specLaunch)
-		backup := c.backupMachineFor(home)
-		if c.tracer.Enabled() {
-			ev := trace.NewEvent(trace.SpeculativeLaunch)
-			ev.Stage, ev.Machine, ev.Task = st.stage, backup, t
-			ev.SimNanos = st.beginSim
-			c.tracer.Emit(ev)
-		}
-		start := c.now()
-		// The original attempt already succeeded; the copy's outcome is
-		// discarded and its errors are irrelevant.
-		_ = runTask(st.fn, t)
-		cost := c.now().Sub(start).Nanoseconds() + c.faults.speculativeLaunch()
-		resolve := delay
-		if cost < delay {
-			st.bump(&st.specWins)
-			if c.tracer.Enabled() {
-				ev := trace.NewEvent(trace.SpeculativeWin)
-				ev.Stage, ev.Machine, ev.Task = st.stage, backup, t
-				ev.SimNanos = st.beginSim
-				c.tracer.Emit(ev)
-			}
-			resolve = cost
-		}
-		st.charge(home, resolve)
-		if backup != home {
-			st.charge(backup, resolve)
-		}
-	}()
+// speculate prices the race Spark's speculative execution would run for
+// straggling task t, whose attempt just took dur: a backup copy on another
+// machine costs the launch latency plus the task, and the simulated clock
+// pays whichever finishes first, the straggler's injected delay or the
+// copy. The loser is cancelled: both machines are charged only up to the
+// race's resolution — the backup's share here, the straggler's returned for
+// the caller to charge. The copy is priced, not run: it would be the same
+// function on the same host, which the ledger just measured at dur.
+func (c *Cluster) speculate(st *stageState, t, home int, dur int64) int64 {
+	backup := c.backupMachineFor(home)
+	st.bump(&st.specLaunch)
+	c.emitMarker(trace.SpeculativeLaunch, st, backup, t, 0)
+	resolve := c.faults.stragglerDelay()
+	if cost := dur + c.faults.speculativeLaunch(); cost < resolve {
+		st.bump(&st.specWins)
+		c.emitMarker(trace.SpeculativeWin, st, backup, t, 0)
+		resolve = cost
+	}
+	if backup != home {
+		st.charge(backup, resolve)
+	}
+	return resolve
+}
+
+// emitMarker publishes an in-stage point event from the task's own
+// goroutine: a retry (attempt is the 1-based attempt that failed) or a
+// speculation launch or win (attempt 0). A marker, not a counter: the
+// counts fold from the owning stage_end delta, published at the boundary.
+func (c *Cluster) emitMarker(typ trace.Type, st *stageState, machine, task, attempt int) {
+	if !c.tracer.Enabled() {
+		return
+	}
+	ev := trace.NewEvent(typ)
+	ev.Stage, ev.Machine, ev.Task, ev.Attempt = st.stage, machine, task, attempt
+	ev.SimNanos = st.beginSim
+	c.tracer.Emit(ev)
 }
 
 // backupMachineFor picks the machine a speculative copy launches on: the

@@ -98,7 +98,8 @@ func TestSimulatedMakespanScalesWithMachines(t *testing.T) {
 	// in the ledger regardless of host load.
 	noNet := NetworkModel{LatencyPerStage: 0, BytesPerSecond: 1e18} // non-zero struct so DefaultNetwork is not substituted
 	run := func(machines int) time.Duration {
-		c := New(Config{Machines: machines, Parallelism: 1, Network: noNet})
+		c := New(Config{Machines: machines, Network: noNet})
+		c.parallelism = 1 // the fake clock is read by one goroutine
 		fake := time.Unix(0, 0)
 		c.now = func() time.Time {
 			fake = fake.Add(time.Millisecond)

@@ -9,15 +9,17 @@ import (
 	"dbtf/internal/transport"
 )
 
-// RunStage executes one partition-parallel stage described by spec. On the
-// simulated backend (the default) it is exactly ForEachNamed(spec.Name,
-// spec.Tasks, local): same stage numbering, chaos injection, retries, and
-// accounting. On a remote transport the stage is shipped as spec, each
-// task's payload is delivered to sink (sequentially, in completion order),
-// and the executors' measured task nanos are charged to the simulated
-// clock in place of locally measured durations. Either way the stage pays
-// the network price of the traffic recorded since the previous boundary,
-// so the modeled Stats stay backend-independent.
+// RunStage executes one partition-parallel stage, given as what either
+// backend needs of it: the spec, the local kernel, and the decoder of the
+// payload every remote task returns. On the simulated backend (the
+// default) it is exactly ForEachNamed(spec.Name, spec.Tasks, local): same
+// stage numbering, chaos injection, retries, and accounting. On a remote
+// transport the stage is shipped as spec, each task's payload is delivered
+// to sink (sequentially, in completion order), and the executors' measured
+// task nanos are charged to the simulated clock in place of locally
+// measured durations. Either way the stage pays the network price of the
+// traffic recorded since the previous boundary, so the modeled Stats stay
+// backend-independent.
 func (c *Cluster) RunStage(ctx context.Context, spec transport.Spec, local func(task int) error, sink func(task int, payload []byte) error) error {
 	if c.transport == nil {
 		return c.ForEachNamed(ctx, spec.Name, spec.Tasks, local)
@@ -42,9 +44,6 @@ func (c *Cluster) runStageRemote(ctx context.Context, spec transport.Spec, sink 
 	if err == nil {
 		err = c.transport.Run(ctx, spec, func(tr transport.TaskResult) error {
 			st.charge(tr.Machine, tr.Nanos)
-			if sink == nil {
-				return nil
-			}
 			return sink(tr.Task, tr.Payload)
 		})
 	}

@@ -63,6 +63,9 @@ func (f *fakeTransport) Run(ctx context.Context, spec transport.Spec, deliver fu
 func (f *fakeTransport) WireBytes() (int64, int64) { return f.sent.Load(), f.recvd.Load() }
 func (f *fakeTransport) Close() error              { f.closed = true; return nil }
 
+// discard is the sink of a seam test that only watches the books.
+func discard(int, []byte) error { return nil }
+
 func TestRunStageRemoteDeliversAndAccounts(t *testing.T) {
 	ft := &fakeTransport{machines: 3, run: func(spec transport.Spec, task int) ([]byte, error) {
 		return []byte{byte(task)}, nil
@@ -128,7 +131,7 @@ func TestPushStateEncodesOnlyForATransport(t *testing.T) {
 func TestRunStageSimulatedPathUnchanged(t *testing.T) {
 	c := New(Config{Machines: 2})
 	var ran atomic.Int64
-	spec := transport.Spec{Name: "build:B", Kind: transport.KindBuild, Tasks: 4}
+	spec := transport.Spec{Name: "eval:B", Kind: transport.KindEval, Mode: 1, Tasks: 4}
 	err := c.RunStage(context.Background(), spec, func(task int) error {
 		ran.Add(1)
 		return nil
@@ -144,7 +147,7 @@ func TestRunStageSimulatedPathUnchanged(t *testing.T) {
 func TestRunStageRemoteErrorNamesStage(t *testing.T) {
 	ft := &fakeTransport{machines: 2, runErr: errors.New("socket torn")}
 	c := New(Config{Machines: 2, Transport: ft})
-	err := c.RunStage(context.Background(), transport.Spec{Name: "total-error", Kind: transport.KindTotalError, Tasks: 2}, nil, nil)
+	err := c.RunStage(context.Background(), transport.Spec{Name: "total-error", Kind: transport.KindTotalError, Tasks: 2}, nil, discard)
 	if err == nil || !strings.Contains(err.Error(), `stage "total-error"`) || !strings.Contains(err.Error(), "socket torn") {
 		t.Fatalf("got %v, want stage-attributed transport error", err)
 	}
@@ -162,7 +165,7 @@ func TestApplyLivenessLossAndRejoin(t *testing.T) {
 
 	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 3}
 	ft.pending = []transport.LivenessEvent{{Machine: 1, Up: false}}
-	if err := c.RunStage(context.Background(), spec, nil, nil); err != nil {
+	if err := c.RunStage(context.Background(), spec, nil, discard); err != nil {
 		t.Fatal(err)
 	}
 	if len(lost) != 1 || lost[0] != 1 {
@@ -184,7 +187,7 @@ func TestApplyLivenessLossAndRejoin(t *testing.T) {
 	}
 
 	ft.pending = []transport.LivenessEvent{{Machine: 1, Up: true}}
-	if err := c.RunStage(context.Background(), spec, nil, nil); err != nil {
+	if err := c.RunStage(context.Background(), spec, nil, discard); err != nil {
 		t.Fatal(err)
 	}
 	if c.LiveMachines() != 3 {
@@ -225,8 +228,8 @@ func TestApplyLivenessNeverKillsLastMachine(t *testing.T) {
 	ft := &fakeTransport{machines: 2}
 	c := New(Config{Machines: 2, Transport: ft})
 	ft.pending = []transport.LivenessEvent{{Machine: 0, Up: false}, {Machine: 1, Up: false}}
-	spec := transport.Spec{Name: "build:A", Kind: transport.KindBuild, Tasks: 2}
-	if err := c.RunStage(context.Background(), spec, nil, nil); err != nil {
+	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 2}
+	if err := c.RunStage(context.Background(), spec, nil, discard); err != nil {
 		t.Fatal(err)
 	}
 	if c.LiveMachines() != 1 {

@@ -173,9 +173,8 @@ func TestChromeGolden(t *testing.T) {
 	updateGolden := os.Getenv("DBTF_UPDATE_GOLDEN") != ""
 	var out bytes.Buffer
 	c := New(Config{
-		Machines:    2,
-		Parallelism: 1,
-		Network:     NetworkModel{LatencyPerStage: time.Millisecond, BytesPerSecond: 1e6},
+		Machines: 2,
+		Network:  NetworkModel{LatencyPerStage: time.Millisecond, BytesPerSecond: 1e6},
 		Faults: &FaultPlan{
 			MachineKills:       []MachineKill{{Stage: 1, Machine: 1}},
 			MachineRejoinAfter: 2,
@@ -184,6 +183,7 @@ func TestChromeGolden(t *testing.T) {
 		Tracer: trace.New(trace.NewChrome(&out), trace.WithClock(stepClock(time.Microsecond))),
 	})
 	c.now = stepClock(time.Millisecond)
+	c.parallelism = 1
 	ctx := context.Background()
 
 	c.Shuffle(1000)

@@ -444,9 +444,9 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 	// cache registry dies with it (survivors rebuild lazily on first use).
 	d.cl.OnMachineLoss(d.machineLost)
 	defer d.cl.OnMachineLoss(nil)
-	// Every stage joins its task goroutines (including speculative backups)
-	// before returning, so when Decompose returns nothing can still touch
-	// the partition arenas and they go back to the slab pool.
+	// Every stage joins its task goroutines before returning, so when
+	// Decompose returns nothing can still touch the partition arenas and
+	// they go back to the slab pool.
 	defer d.ex.release()
 	if err := d.partitionAll(); err != nil {
 		return nil, err
@@ -753,21 +753,11 @@ func (d *decomposition) updateFactor(mode int) error {
 	n := len(d.ex.px[mode].Parts)
 	p := a.Rows()
 
-	// Stage: build per-partition column tasks — block summers resolved
-	// through the per-machine cache registry (Algorithm 5) plus every
-	// buffer the column loop needs, so the loop itself allocates nothing.
-	// On a remote backend the tasks live on the workers' executors; here
-	// only the collected deltas do.
+	// One synchronisation round per column and none beside them: the column
+	// tasks, cache tables included (Algorithm 5), are built inside column
+	// 0's stage (see executor.eval). On a remote backend the tasks live on
+	// the workers' executors; here only the collected deltas do.
 	deltas := make([][]int64, n)
-	buildSpec := transport.Spec{Name: "build:" + name, Kind: transport.KindBuild, Mode: mode, Tasks: n}
-	err := d.cl.RunStage(ctx, buildSpec, func(pi int) error {
-		_, err := d.ex.build(mode, pi)
-		return err
-	}, nil)
-	if err != nil {
-		return err
-	}
-
 	for c := 0; c < d.ex.cfg.Rank; c++ {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -31,7 +31,8 @@ var modeRoles = [3]struct {
 // partitionings, per-machine cache registries, the current factor matrices,
 // the column tasks of the update in progress — and the only implementation
 // of every partition-local stage kernel of the paper: setup (Algorithm 3),
-// build (Algorithm 5), eval (Algorithm 4), totalError. Both backends run it.
+// eval (Algorithm 4, building Algorithm 5's tables on first use),
+// totalError. Both backends run it.
 // The driver's spans all M logical machines and is called through the
 // cluster's local stage closures, typed and by reference; a Worker's spans
 // the one machine its process is and is called through the wire codec.
@@ -55,8 +56,7 @@ type executor struct {
 	// live column tasks observe every committed entry.
 	f [3]*boolmat.FactorMatrix
 	// tasks[mode][pi] is the column task of partition pi for the mode's
-	// update, sized once by setup and emptied by every setFactors: a task
-	// holds summers over factor versions a new update supersedes.
+	// update, sized once by setup; eval states when an entry is valid.
 	tasks [3][]*columnTask
 }
 
@@ -117,12 +117,12 @@ func checkFactorShapes(f [3]*boolmat.FactorMatrix, dims [3]int, rank int) error 
 }
 
 // setFactors installs the factor matrices every later stage reads. The
-// column tasks always go: they hold summers over versions the coming update
-// supersedes. The caches go (back to the slab pool) only when the matrices
-// themselves are replaced — a losing initial set, a decoded push from the
-// wire. Re-installing the same matrices keeps them, keyed by version: that
-// is what lets the cache totalError built over B serve the next iteration's
-// A-update. Callers hold exclusive access with every stage joined.
+// column tasks always go (see eval). The caches go (back to the slab pool)
+// only when the matrices themselves are replaced — a losing initial set, a
+// decoded push from the wire. Re-installing the same matrices keeps them,
+// keyed by version: that is what lets the cache totalError built over B
+// serve the next iteration's A-update. Callers hold exclusive access with
+// every stage joined.
 func (ex *executor) setFactors(a, b, c *boolmat.FactorMatrix) error {
 	next := [3]*boolmat.FactorMatrix{a, b, c}
 	if err := checkFactorShapes(next, ex.dims, ex.cfg.Rank); err != nil {
@@ -158,7 +158,8 @@ func (ex *executor) part(mode, pi int) (*partition.Partition, error) {
 
 // build creates partition pi's column task for the mode's update: block
 // summers resolved through the machine's cache registry (Algorithm 5) plus
-// every buffer the column loop needs, so eval allocates nothing.
+// every buffer the column loop needs, so evaluating a column on a built
+// task allocates nothing. eval is its only caller.
 func (ex *executor) build(mode, pi int) (*columnTask, error) {
 	part, err := ex.part(mode, pi)
 	if err != nil {
@@ -175,11 +176,15 @@ func (ex *executor) build(mode, pi int) (*columnTask, error) {
 // The slice is the task's own accumulator, valid until the task's next
 // eval: the driver reads it in place, a worker encodes it.
 //
-// The column task is built here if the build stage ran elsewhere (the
-// partition was reassigned to this machine after a loss). Lazy rebuild is
-// sound because evalColumn is stateless across columns and the cached
-// matrix does not change during its own mode's update: a task built
-// mid-update is byte-equivalent to one built at the build stage.
+// This is the one place a column task comes into being and the one rule
+// of how long it lives: setFactors empties the task table (a task holds
+// summers over factor versions the coming update supersedes) and the first
+// eval to ask a partition for a column afterwards builds its task — column
+// 0 on the partition's home, a later column on the executor a reassignment
+// or a rejoin moved it to, driver and worker alike; the paper's lazy
+// mapPartitions is pipelined into its first collect the same way. Which
+// column comes first cannot matter: evalColumn keeps nothing across columns
+// and the cached matrix does not change during its own mode's update.
 func (ex *executor) eval(mode, pi, col int) ([]int64, error) {
 	if _, err := ex.part(mode, pi); err != nil {
 		return nil, err

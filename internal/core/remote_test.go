@@ -334,3 +334,56 @@ func TestWorkerBatchErrorAttribution(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerBuildsTaskAtFirstEvalOfAnyColumn pins the one rule of a column
+// task's life on the executor side (executor.eval): a worker handed a
+// partition mid-update — it holds the set-up, the factors and every column
+// push, but was never asked for that partition — answers column 5 with the
+// same deltas as the worker that evaluated columns 0…5 in order. That is
+// what a reassignment after a loss, a rejoin, and the ordinary first column
+// of an update all rely on.
+func TestWorkerBuildsTaskAtFirstEvalOfAnyColumn(t *testing.T) {
+	const rank = 6
+	rng := rand.New(rand.NewSource(9))
+	x := randomTensor(rng, 9, 8, 7, 0.25)
+	setup, err := encodeSetup(x, runConfig{Rank: rank, Partitions: 2, GroupBits: 4, Machines: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	factors := encodeFactors(boolmat.RandomFactor(rng, 9, rank, 0.4),
+		boolmat.RandomFactor(rng, 8, rank, 0.4), boolmat.RandomFactor(rng, 7, rank, 0.4))
+	home, heir := NewWorker(), NewWorker()
+	for _, w := range []*Worker{home, heir} {
+		if err := w.Apply(transport.StateSetup, setup); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Apply(transport.StateFactors, factors); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const mode, part = 1, 1
+	spec := transport.Spec{Name: "eval:B", Kind: transport.KindEval, Mode: mode, Tasks: 2}
+	committed := boolmat.RandomFactor(rng, 8, rank, 0.5)
+	for spec.Col = 0; spec.Col < rank-1; spec.Col++ {
+		if _, err := home.RunBatch(spec, []int{part}); err != nil {
+			t.Fatalf("column %d: %v", spec.Col, err)
+		}
+		// The driver commits the column everywhere, asked or not.
+		for _, w := range []*Worker{home, heir} {
+			if err := w.Apply(transport.StateColumn, encodeColumn(mode, spec.Col, committed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want, err := home.RunBatch(spec, []int{part})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := heir.RunBatch(spec, []int{part})
+	if err != nil {
+		t.Fatalf("first eval on the heir: %v", err)
+	}
+	if string(got[0].Payload) != string(want[0].Payload) {
+		t.Fatalf("column %d evaluated first on the heir differs from the home's, evaluated in order", spec.Col)
+	}
+}

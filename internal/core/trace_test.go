@@ -116,8 +116,10 @@ func TestDecomposeUntracedUnchanged(t *testing.T) {
 // TestStageTasksCarryProfileLabels pins the slicing README "Profiling a
 // run" documents: a stage task's goroutine carries the "iteration", "mode"
 // and "stage" pprof labels together. The goroutine profile is taken from
-// inside a build task — the executor's place function runs there — and the
-// record whose stack holds executor.build must show all three.
+// inside the first eval task, while it builds its column task — the
+// executor's place function runs there — and the record whose stack holds
+// executor.build must show all three: the cache builds are attributed to
+// column 0's eval stage.
 func TestStageTasksCarryProfileLabels(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	x := randomTensor(rng, 8, 7, 6, 0.2)
@@ -146,12 +148,50 @@ func TestStageTasksCarryProfileLabels(t *testing.T) {
 		if !strings.Contains(rec, "(*executor).build") {
 			continue
 		}
-		for _, want := range []string{`"iteration":"3"`, `"mode":"B"`, `"stage":"build:B"`} {
+		for _, want := range []string{`"iteration":"3"`, `"mode":"B"`, `"stage":"eval:B"`} {
 			if !strings.Contains(rec, want) {
-				t.Errorf("build task's goroutine lacks label %s:\n%s", want, rec)
+				t.Errorf("building eval task's goroutine lacks label %s:\n%s", want, rec)
 			}
 		}
 		return
 	}
 	t.Fatalf("no goroutine inside executor.build in the profile:\n%s", prof.String())
+}
+
+// TestRunStagesAreColumnsAndOneError pins the round count, the paper's
+// makespan unit: a run synchronises once to partition, once per column of
+// every factor update and once per total error — R rounds per mode as
+// Algorithm 4 has them, nothing that only warms state — and it does so on
+// the simulator and over Worker hosts alike.
+func TestRunStagesAreColumnsAndOneError(t *testing.T) {
+	const rank, sets, iters = 3, 2, 3
+	x := randomTensor(rand.New(rand.NewSource(13)), 10, 9, 8, 0.2)
+	opt := Options{Rank: rank, Seed: 13, InitialSets: sets, MinIter: iters, MaxIter: iters, Partitions: 3}
+	want := int64(sets*(3*rank+1) + (iters-1)*(3*rank+1) + 1)
+	allowed := map[string]bool{"partition": true, "eval:A": true, "eval:B": true, "eval:C": true, "total-error": true}
+	for _, backend := range []string{"simulator", "hostTransport"} {
+		buf := &trace.Buffer{}
+		cfg := cluster.Config{Machines: 2, Tracer: trace.New(buf)}
+		if backend == "hostTransport" {
+			cfg.Transport = newHostTransport(2)
+		}
+		res, err := Decompose(context.Background(), x, cluster.New(cfg), opt)
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		var stages int64
+		for _, ev := range buf.Events {
+			if ev.Type != trace.StageBegin {
+				continue
+			}
+			stages++
+			if !allowed[ev.Name] {
+				t.Errorf("%s: stage %q is neither the partitioning, a column, nor a total error", backend, ev.Name)
+			}
+		}
+		if stages != want || res.Stats.Stages != want {
+			t.Errorf("%s: %d stage spans, Stats.Stages %d, want %d = %d·(3·%d+1) + %d·(3·%d+1) + 1",
+				backend, stages, res.Stats.Stages, want, sets, rank, iters-1, rank)
+		}
+	}
 }

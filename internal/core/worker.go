@@ -113,9 +113,6 @@ func (w *Worker) RunBatch(spec transport.Spec, tasks []int) ([]transport.TaskOut
 // runTaskLocked executes one stage task. Caller holds the lock.
 func (w *Worker) runTaskLocked(spec transport.Spec, task int) ([]byte, error) {
 	switch spec.Kind {
-	case transport.KindBuild:
-		_, err := w.ex.build(spec.Mode, task)
-		return nil, err
 	case transport.KindEval:
 		deltas, err := w.ex.eval(spec.Mode, task, spec.Col)
 		if err != nil {

@@ -31,13 +31,6 @@ func RelativeError(x *tensor.Tensor, a, b, c *boolmat.FactorMatrix) float64 {
 	return float64(e) / float64(x.NNZ())
 }
 
-// RecoveryError returns |X_true ⊕ X̂| / |X_true|: how far the
-// reconstruction is from the noise-free ground truth, the measure of
-// whether a method recovered the planted structure rather than the noise.
-func RecoveryError(truth *tensor.Tensor, a, b, c *boolmat.FactorMatrix) float64 {
-	return RelativeError(truth, a, b, c)
-}
-
 // PrecisionRecall returns cell-level precision and recall of the
 // reconstruction X̂ against a reference tensor: precision = |X̂ ∧ X| / |X̂|
 // and recall = |X̂ ∧ X| / |X|. An empty reconstruction has precision 1.
@@ -58,14 +51,6 @@ func PrecisionRecall(x *tensor.Tensor, a, b, c *boolmat.FactorMatrix) (precision
 		recall = float64(tp) / float64(x.NNZ())
 	}
 	return precision, recall
-}
-
-// F1 returns the harmonic mean of precision and recall; 0 when both are 0.
-func F1(precision, recall float64) float64 {
-	if precision+recall == 0 {
-		return 0
-	}
-	return 2 * precision * recall / (precision + recall)
 }
 
 // FactorSimilarity matches the components of an estimated factorization to

@@ -51,7 +51,7 @@ func TestRelativeErrorEmptyTensor(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		many.Set(r, 0, true)
 	}
-	if got := RecoveryError(x, many, many, many); !math.IsInf(got, 1) {
+	if got := RelativeError(x, many, many, many); !math.IsInf(got, 1) {
 		t.Fatalf("empty truth + 64-cell reconstruction: %v, want +Inf", got)
 	}
 }
@@ -69,12 +69,6 @@ func TestPrecisionRecall(t *testing.T) {
 	p, r := PrecisionRecall(x, a, b, c)
 	if p != 0.5 || r != 0.5 {
 		t.Fatalf("precision %v recall %v, want 0.5/0.5", p, r)
-	}
-	if f := F1(p, r); f != 0.5 {
-		t.Fatalf("F1 = %v", f)
-	}
-	if F1(0, 0) != 0 {
-		t.Fatal("F1(0,0) != 0")
 	}
 }
 
@@ -124,10 +118,11 @@ func TestFactorSimilarityRankMismatchPanics(t *testing.T) {
 }
 
 func TestRecoveryErrorBeatsNoisyFitForTrueFactors(t *testing.T) {
-	// For the true factors, recovery error against the clean tensor is 0
-	// even though the relative error against a noisy tensor is not.
+	// For the true factors, recovery error — the relative error against
+	// the clean tensor — is 0 even though the relative error against a
+	// noisy tensor is not.
 	x, a, b, c := planted(5, 12, 12, 12, 2, 0.3)
-	if RecoveryError(x, a, b, c) != 0 {
+	if RelativeError(x, a, b, c) != 0 {
 		t.Fatal("true factors have nonzero recovery error")
 	}
 	noisy := tensor.MustFromCoords(12, 12, 12, append([]tensor.Coord{{I: 11, J: 11, K: 11}}, x.Coords()...))
@@ -140,12 +135,6 @@ func TestJaccardBothEmpty(t *testing.T) {
 	a := boolmat.NewFactor(5, 1)
 	if got := jaccard(a, 0, a, 0); got != 1 {
 		t.Fatalf("empty-empty jaccard %v, want 1", got)
-	}
-}
-
-func TestF1Harmonic(t *testing.T) {
-	if got := F1(1, 0.5); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Fatalf("F1(1,0.5) = %v", got)
 	}
 }
 
@@ -174,9 +163,6 @@ func TestPrecisionRecallBothEmpty(t *testing.T) {
 	p, r := PrecisionRecall(x, zero, zero, zero)
 	if p != 1 || r != 1 {
 		t.Fatalf("both empty: precision %v recall %v, want 1/1", p, r)
-	}
-	if F1(p, r) != 1 {
-		t.Fatalf("F1(1,1) = %v", F1(p, r))
 	}
 }
 

@@ -208,10 +208,11 @@ func (s *Server) Submit(spec *JobSpec) (JobView, error) {
 	if err := spec.Validate(); err != nil {
 		return JobView{}, err
 	}
-	bytes, _, _, err := s.store.Info(spec.TensorID)
+	x, err := s.store.Get(spec.TensorID)
 	if err != nil {
 		return JobView{}, err
 	}
+	bytes := estimateTensorBytes(x.NNZ())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.cfg.Now()
@@ -310,7 +311,11 @@ func (s *Server) requeueLocked(j *Job) error {
 // requeue the job; everything else is terminal.
 func (s *Server) runJob(ctx context.Context, j *Job) {
 	defer s.wg.Done()
-	res, err := s.runSlice(ctx, j)
+	var res *core.Result
+	x, err := s.store.Get(j.Spec.TensorID)
+	if err == nil {
+		res, err = s.runSlice(ctx, j, x)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -319,8 +324,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	var perr error
 	switch {
 	case err == nil:
-		_, nnz, _, _ := s.store.Info(j.Spec.TensorID)
-		j.Result = buildResult(res, nnz)
+		j.Result = buildResult(res, x.NNZ())
 		perr = s.finishLocked(j, StateDone, nil)
 	case errors.Is(err, core.ErrPreempted):
 		j.Evictions++
@@ -346,11 +350,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 // runSlice runs the job on a fresh cluster until completion, eviction,
 // or cancellation. Resume is always on: the first slice finds no
 // checkpoint and starts fresh; later slices continue bit-identically.
-func (s *Server) runSlice(ctx context.Context, j *Job) (*core.Result, error) {
-	x, err := s.store.Get(j.Spec.TensorID)
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) runSlice(ctx context.Context, j *Job, x *tensor.Tensor) (*core.Result, error) {
 	ccfg := s.cfg.clusterConfig()
 	ccfg.Gate, ccfg.Tracer = s.gate, s.traceFor(j.ID)
 	cl := cluster.New(ccfg)

@@ -23,23 +23,14 @@ var ErrTensorNotFound = errors.New("serve: tensor not found")
 const tensorsDirName = "tensors"
 
 // tensorStore keeps uploaded tensors: durably on disk (crash-safe, see
-// durable.WriteFile) and cached in memory for the engine. Entries are
+// durable.WriteFile) and in memory for the engine — every stored tensor is
+// resident from Put, or from openTensorStore after a restart. Entries are
 // immutable after Put.
 type tensorStore struct {
 	dir string
 
 	mu      sync.Mutex
-	entries map[string]*tensorEntry
-}
-
-type tensorEntry struct {
-	nnz   int
-	dims  [3]int
-	bytes int64 // admission memory estimate
-
-	// loaded is the cached in-memory tensor; nil until first use after
-	// a restart. Guarded by the store's mutex.
-	loaded *tensor.Tensor
+	entries map[string]*tensor.Tensor
 }
 
 // estimateTensorBytes is the admission-budget estimate for holding the
@@ -54,7 +45,7 @@ func openTensorStore(dataDir string) (*tensorStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &tensorStore{dir: dir, entries: map[string]*tensorEntry{}}
+	s := &tensorStore{dir: dir, entries: map[string]*tensor.Tensor{}}
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -69,17 +60,9 @@ func openTensorStore(dataDir string) (*tensorStore, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: corrupt stored tensor %s: %w", name, err)
 		}
-		i, j, k := t.Dims()
-		s.entries[id] = &tensorEntry{
-			nnz: t.NNZ(), dims: [3]int{i, j, k},
-			bytes: estimateTensorBytes(t.NNZ()), loaded: t,
-		}
+		s.entries[id] = t
 	}
 	return s, nil
-}
-
-func (s *tensorStore) path(id string) string {
-	return filepath.Join(s.dir, id+".dbt")
 }
 
 // Put stores a new tensor under id, durably and atomically.
@@ -90,10 +73,7 @@ func (s *tensorStore) Put(id string, t *tensor.Tensor) error {
 		return ErrTensorExists
 	}
 	// Reserve the ID while writing so concurrent uploads cannot race.
-	i, j, k := t.Dims()
-	entry := &tensorEntry{nnz: t.NNZ(), dims: [3]int{i, j, k},
-		bytes: estimateTensorBytes(t.NNZ()), loaded: t}
-	s.entries[id] = entry
+	s.entries[id] = t
 	s.mu.Unlock()
 
 	if _, err := durable.WriteFile(s.dir, id+".dbt", t.WriteBinary); err != nil {
@@ -105,34 +85,15 @@ func (s *tensorStore) Put(id string, t *tensor.Tensor) error {
 	return nil
 }
 
-// Get returns the tensor for id, loading it from disk if a restart
-// dropped the cache.
+// Get returns the tensor for id.
 func (s *tensorStore) Get(id string) (*tensor.Tensor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[id]
+	t, ok := s.entries[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrTensorNotFound, id)
 	}
-	if e.loaded == nil {
-		t, err := tensor.ReadBinaryFile(s.path(id))
-		if err != nil {
-			return nil, err
-		}
-		e.loaded = t
-	}
-	return e.loaded, nil
-}
-
-// Info returns the admission estimate and shape for id.
-func (s *tensorStore) Info(id string) (bytes int64, nnz int, dims [3]int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[id]
-	if !ok {
-		return 0, 0, [3]int{}, fmt.Errorf("%w: %q", ErrTensorNotFound, id)
-	}
-	return e.bytes, e.nnz, e.dims, nil
+	return t, nil
 }
 
 // IDs returns the stored tensor IDs (unordered).

@@ -2,64 +2,6 @@ package tensor
 
 import "fmt"
 
-// Or returns the Boolean sum X ⊕ Y (cellwise OR) of two tensors with equal
-// dimensions.
-func Or(x, y *Tensor) *Tensor {
-	checkSameDims("Or", x, y)
-	coords := make([]Coord, 0, len(x.coords)+len(y.coords))
-	coords = append(coords, x.coords...)
-	coords = append(coords, y.coords...)
-	sortCoords(coords)
-	return &Tensor{dimI: x.dimI, dimJ: x.dimJ, dimK: x.dimK, coords: dedup(coords)}
-}
-
-// And returns the cellwise AND of two tensors with equal dimensions.
-func And(x, y *Tensor) *Tensor {
-	checkSameDims("And", x, y)
-	var coords []Coord
-	a, b := x.coords, y.coords
-	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0] == b[0]:
-			coords = append(coords, a[0])
-			a, b = a[1:], b[1:]
-		case coordLess(a[0], b[0]):
-			a = a[1:]
-		default:
-			b = b[1:]
-		}
-	}
-	return &Tensor{dimI: x.dimI, dimJ: x.dimJ, dimK: x.dimK, coords: coords}
-}
-
-// AndNot returns the cellwise difference X ∧ ¬Y: the cells of x not
-// covered by y. Useful for residual tensors after removing a discovered
-// component.
-func AndNot(x, y *Tensor) *Tensor {
-	checkSameDims("AndNot", x, y)
-	var coords []Coord
-	a, b := x.coords, y.coords
-	for len(a) > 0 {
-		switch {
-		case len(b) == 0 || coordLess(a[0], b[0]):
-			coords = append(coords, a[0])
-			a = a[1:]
-		case a[0] == b[0]:
-			a, b = a[1:], b[1:]
-		default:
-			b = b[1:]
-		}
-	}
-	return &Tensor{dimI: x.dimI, dimJ: x.dimJ, dimK: x.dimK, coords: coords}
-}
-
-func checkSameDims(op string, x, y *Tensor) {
-	if x.dimI != y.dimI || x.dimJ != y.dimJ || x.dimK != y.dimK {
-		panic(fmt.Sprintf("tensor: %s dimension mismatch %dx%dx%d vs %dx%dx%d",
-			op, x.dimI, x.dimJ, x.dimK, y.dimI, y.dimJ, y.dimK))
-	}
-}
-
 // Permute returns the tensor with modes reordered: new mode m takes the
 // old mode perm[m] (0 = I, 1 = J, 2 = K). perm must be a permutation of
 // {0, 1, 2}.
@@ -102,24 +44,4 @@ func (t *Tensor) SubTensor(i0, i1, j0, j1, k0, k1 int) *Tensor {
 		}
 	}
 	return &Tensor{dimI: i1 - i0, dimJ: j1 - j0, dimK: k1 - k0, coords: coords}
-}
-
-// SliceK returns the frontal slice at mode-3 index k as an I×J×1 tensor.
-func (t *Tensor) SliceK(k int) *Tensor {
-	return t.SubTensor(0, t.dimI, 0, t.dimJ, k, k+1)
-}
-
-// FiberCounts returns, per mode, how many nonzeros each index
-// participates in — the marginal occupancy histograms used to profile
-// datasets.
-func (t *Tensor) FiberCounts() (byI, byJ, byK []int) {
-	byI = make([]int, t.dimI)
-	byJ = make([]int, t.dimJ)
-	byK = make([]int, t.dimK)
-	for _, c := range t.coords {
-		byI[c.I]++
-		byJ[c.J]++
-		byK[c.K]++
-	}
-	return byI, byJ, byK
 }

@@ -6,65 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestOrAndAndNot(t *testing.T) {
-	x := MustFromCoords(3, 3, 3, []Coord{{0, 0, 0}, {1, 1, 1}})
-	y := MustFromCoords(3, 3, 3, []Coord{{1, 1, 1}, {2, 2, 2}})
-
-	or := Or(x, y)
-	if or.NNZ() != 3 || !or.Get(0, 0, 0) || !or.Get(1, 1, 1) || !or.Get(2, 2, 2) {
-		t.Fatalf("Or = %v", or.Coords())
-	}
-	and := And(x, y)
-	if and.NNZ() != 1 || !and.Get(1, 1, 1) {
-		t.Fatalf("And = %v", and.Coords())
-	}
-	diff := AndNot(x, y)
-	if diff.NNZ() != 1 || !diff.Get(0, 0, 0) {
-		t.Fatalf("AndNot = %v", diff.Coords())
-	}
-}
-
-func TestSetOpsDimensionMismatchPanics(t *testing.T) {
-	x := New(2, 2, 2)
-	y := New(2, 2, 3)
-	for name, op := range map[string]func(){
-		"Or":     func() { Or(x, y) },
-		"And":    func() { And(x, y) },
-		"AndNot": func() { AndNot(x, y) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			op()
-		}()
-	}
-}
-
-func TestQuickSetOpAlgebra(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		i, j, k := rng.Intn(6)+1, rng.Intn(6)+1, rng.Intn(6)+1
-		x := randomTensor(rng, i, j, k, 0.3)
-		y := randomTensor(rng, i, j, k, 0.3)
-		// |x| + |y| = |x∧y| + |x∨y|
-		if x.NNZ()+y.NNZ() != And(x, y).NNZ()+Or(x, y).NNZ() {
-			return false
-		}
-		// x = (x∧y) ∨ (x∧¬y)
-		if !Or(And(x, y), AndNot(x, y)).Equal(x) {
-			return false
-		}
-		// |x ⊕ y| = |x∧¬y| + |y∧¬x|
-		return x.XorCount(y) == AndNot(x, y).NNZ()+AndNot(y, x).NNZ()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPermute(t *testing.T) {
 	x := MustFromCoords(2, 3, 4, []Coord{{1, 2, 3}, {0, 1, 2}})
 	p := x.Permute([3]int{2, 0, 1}) // new I = old K, new J = old I, new K = old J
@@ -137,30 +78,4 @@ func TestSubTensorOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	x.SubTensor(0, 3, 0, 2, 0, 2)
-}
-
-func TestSliceK(t *testing.T) {
-	x := MustFromCoords(3, 3, 3, []Coord{{0, 1, 2}, {1, 2, 2}, {0, 0, 0}})
-	s := x.SliceK(2)
-	i, j, k := s.Dims()
-	if i != 3 || j != 3 || k != 1 {
-		t.Fatalf("slice dims %dx%dx%d", i, j, k)
-	}
-	if s.NNZ() != 2 || !s.Get(0, 1, 0) || !s.Get(1, 2, 0) {
-		t.Fatalf("slice coords %v", s.Coords())
-	}
-}
-
-func TestFiberCounts(t *testing.T) {
-	x := MustFromCoords(3, 2, 2, []Coord{{0, 0, 0}, {0, 1, 1}, {2, 0, 1}})
-	bi, bj, bk := x.FiberCounts()
-	if bi[0] != 2 || bi[1] != 0 || bi[2] != 1 {
-		t.Fatalf("byI = %v", bi)
-	}
-	if bj[0] != 2 || bj[1] != 1 {
-		t.Fatalf("byJ = %v", bj)
-	}
-	if bk[0] != 1 || bk[1] != 2 {
-		t.Fatalf("byK = %v", bk)
-	}
 }

@@ -431,12 +431,6 @@ func (u *Unfolded) Recycle() {
 	u.colIdx, u.bucketOff, u.rowPtr = nil, nil, nil
 }
 
-// RowNNZInRange returns the number of nonzeros of row r whose column index
-// lies in [lo, hi).
-func (u *Unfolded) RowNNZInRange(r, lo, hi int) int {
-	return len(u.RowInRange(r, lo, hi))
-}
-
 // RowInRange returns the nonzero column indices of row r in [lo, hi).
 // The slice is shared; callers must not modify it.
 func (u *Unfolded) RowInRange(r, lo, hi int) []int32 {

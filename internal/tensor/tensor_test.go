@@ -149,9 +149,6 @@ func TestFoldRoundtrip(t *testing.T) {
 func TestRowInRange(t *testing.T) {
 	x := MustFromCoords(1, 10, 1, []Coord{{0, 1, 0}, {0, 3, 0}, {0, 7, 0}})
 	u := x.Unfold(Mode1)
-	if got := u.RowNNZInRange(0, 2, 8); got != 2 {
-		t.Fatalf("RowNNZInRange = %d, want 2", got)
-	}
 	in := u.RowInRange(0, 2, 8)
 	if len(in) != 2 || in[0] != 3 || in[1] != 7 {
 		t.Fatalf("RowInRange = %v, want [3 7]", in)

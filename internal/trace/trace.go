@@ -188,9 +188,9 @@ type StatsDelta struct {
 	// straggler delays injected by the configured FaultPlan. Machine
 	// losses are counted separately in MachineLosses.
 	InjectedFaults int64 `json:"injected_faults,omitempty"`
-	// SpeculativeLaunches counts real backup copies launched for
-	// straggling tasks (Spark's speculative execution). A launched copy
-	// actually re-executes the task.
+	// SpeculativeLaunches counts the backup copies launched for straggling
+	// tasks (Spark's speculative execution) on the simulated clock: a copy
+	// is priced from the attempt's measured duration, not executed.
 	SpeculativeLaunches int64 `json:"speculative_launches,omitempty"`
 	// SpeculativeWins counts straggling tasks whose backup copy finished,
 	// on the simulated clock, before the straggler's delay would have

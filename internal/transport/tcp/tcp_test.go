@@ -472,7 +472,7 @@ func TestRunTaskErrorIsFatalNotALoss(t *testing.T) {
 			t.Errorf("Close: %v", err)
 		}
 	}()
-	spec := transport.Spec{Name: "build:B", Kind: transport.KindBuild, Tasks: 2}
+	spec := transport.Spec{Name: "eval:B", Kind: transport.KindEval, Mode: 1, Tasks: 2}
 	err = c.Run(context.Background(), spec, func(transport.TaskResult) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "kernel exploded") {
 		t.Fatalf("Run error = %v, want the executor's task error", err)
@@ -670,7 +670,8 @@ func TestServeRejectsBadHandshake(t *testing.T) {
 	addr, _ := startWorker(t, newEchoHost())
 	for name, first := range map[string]*transport.Msg{
 		"a request before hello": {Type: transport.MsgRun},
-		// The previous build's hello: its set-up blob is laid out differently.
+		// The previous build's hello — protocol 3, whose stage kinds were
+		// numbered from a build kind this build no longer has.
 		"an older protocol": {Type: transport.MsgHello, Proto: transport.ProtoVersion - 1, Machines: 1},
 	} {
 		conn, err := net.Dial("tcp", addr)

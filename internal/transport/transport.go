@@ -25,13 +25,11 @@ import "context"
 type Kind uint8
 
 const (
-	// KindBuild builds one partition's column-update task for a factor
-	// update: block summers resolved through the executor's cache
-	// registry plus the buffers the column loop needs.
-	KindBuild Kind = iota + 1
 	// KindEval evaluates one column of a factor update on one partition,
-	// returning the per-row error deltas.
-	KindEval
+	// returning the per-row error deltas. The executor builds the
+	// partition's column-update task (cache tables, buffers) the first time
+	// it is asked for a column after a factor push.
+	KindEval Kind = iota + 1
 	// KindTotalError computes one mode-1 partition's share of the total
 	// reconstruction error.
 	KindTotalError
@@ -40,8 +38,6 @@ const (
 // String returns the kind's wire-independent name.
 func (k Kind) String() string {
 	switch k {
-	case KindBuild:
-		return "build"
 	case KindEval:
 		return "eval"
 	case KindTotalError:
@@ -58,8 +54,8 @@ type Spec struct {
 	Name string
 	// Kind selects the computation.
 	Kind Kind
-	// Mode is the factor update's mode index (0=A, 1=B, 2=C) for
-	// KindBuild and KindEval; unused for KindTotalError.
+	// Mode is the factor update's mode index (0=A, 1=B, 2=C) for KindEval;
+	// unused for KindTotalError.
 	Mode int
 	// Col is the column under evaluation for KindEval.
 	Col int
@@ -103,8 +99,7 @@ func (k StateKind) String() string {
 
 // TaskResult is one completed remote task: which machine ran it, the
 // measured execution nanos (charged to the simulated clock exactly like a
-// local task's duration), and the task's output payload (nil for
-// side-effect-only kinds such as KindBuild).
+// local task's duration), and the task's output payload.
 type TaskResult struct {
 	Task    int
 	Machine int

@@ -11,8 +11,10 @@ import (
 // mismatched peers refuse each other instead of mis-decoding. Version 2
 // is the fixed binary envelope with piggy-backed state (version 1 was a
 // gob body with separate state and ping exchanges); version 3 is the same
-// envelope around a set-up blob one configuration word shorter.
-const ProtoVersion = 3
+// envelope around a set-up blob one configuration word shorter; version 4
+// renumbers the stage kinds (the build kind is gone: a version-3 peer's
+// eval would be read as a total-error).
+const ProtoVersion = 4
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
 // tighter limit: large enough for a pushed tensor, small enough that a

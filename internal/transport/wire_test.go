@@ -21,7 +21,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: MsgHelloOK, Proto: ProtoVersion},
 		{Type: MsgRun, Spec: Spec{Name: "eval:A", Kind: KindEval, Mode: 0, Col: 7, Tasks: 5}, Tasks: []int{0, 3}},
 		{Type: MsgRun, States: []StateBlob{{Kind: StateFactors, Payload: []byte{1, 2, 3}}, {Kind: StateColumn}},
-			Spec: Spec{Name: "build:C", Kind: KindBuild, Mode: 2, Tasks: 1}, Tasks: []int{0}},
+			Spec: Spec{Name: "eval:C", Kind: KindEval, Mode: 2, Tasks: 1}, Tasks: []int{0}},
 		{Type: MsgResult, Outputs: []TaskOutput{{Task: 3, Nanos: 42, Payload: []byte{9}}, {Task: 0, Nanos: -1}}},
 		{Type: MsgResult},
 		{Type: MsgError, Error: "boom"},
