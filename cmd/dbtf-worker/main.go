@@ -1,6 +1,6 @@
 // Command dbtf-worker runs one DBTF cluster machine as a standalone OS
 // process: a TCP stage server that a dbtf coordinator (cmd/dbtf with
-// -transport tcp, or dbtf.Options.Workers) dials, replicates state to,
+// -workers, or dbtf.Options.Workers) dials, replicates state to,
 // and ships column-update and error stages to.
 //
 // Usage:

@@ -89,8 +89,7 @@ func run(args []string) error {
 		mdlSelect  = fs.Bool("mdl", false, "use MDL model-order selection (walknmerge method only)")
 		budget     = fs.Duration("budget", 0, "abort after this duration (0 = unlimited)")
 		output     = fs.String("output", "", "prefix for writing factor matrices")
-		transport  = fs.String("transport", "sim", "cluster backend: sim (in-process simulated machines) or tcp (real dbtf-worker processes; requires -workers)")
-		workers    = fs.String("workers", "", "comma-separated dbtf-worker addresses for -transport tcp; machine count is the address count")
+		workers    = fs.String("workers", "", "comma-separated dbtf-worker addresses: run on those real processes over TCP instead of the in-process simulated machines (dbtf); machine count is the address count")
 		verbose    = fs.Bool("v", false, "print per-iteration progress")
 		traceOut   = fs.String("trace", "", "write a structured run trace to this file (dbtf method only)")
 		traceFmt   = fs.String("trace-format", "jsonl", "trace format: jsonl (analysis/tracecheck) or chrome (load in Perfetto)")
@@ -140,17 +139,9 @@ func run(args []string) error {
 		return fmt.Errorf("-trace requires -method dbtf (without -auto-rank)")
 	}
 	var workerAddrs []string
-	switch *transport {
-	case "sim":
-		if *workers != "" {
-			return fmt.Errorf("-workers requires -transport tcp")
-		}
-	case "tcp":
-		if *workers == "" {
-			return fmt.Errorf("-transport tcp requires -workers")
-		}
+	if *workers != "" {
 		if *method != "dbtf" || *autoRank > 0 {
-			return fmt.Errorf("-transport tcp requires -method dbtf (without -auto-rank)")
+			return fmt.Errorf("-workers requires -method dbtf (without -auto-rank)")
 		}
 		for _, a := range strings.Split(*workers, ",") {
 			a = strings.TrimSpace(a)
@@ -159,10 +150,6 @@ func run(args []string) error {
 			}
 			workerAddrs = append(workerAddrs, a)
 		}
-	default:
-		return fmt.Errorf("-transport %q (want sim or tcp)", *transport)
-	}
-	if len(workerAddrs) > 0 {
 		// The worker processes are the machines; the summary lines below
 		// report the real cluster size.
 		*machines = len(workerAddrs)

@@ -113,6 +113,11 @@ func TestRunFlagCombosValidatedUpFront(t *testing.T) {
 		"rejoin negative":               {"-chaos-rejoin", "-1"},
 		"chaos negative":                {"-chaos", "-0.2"},
 		"max-retries negative":          {"-max-retries", "-1"},
+		"workers with another method":   {"-workers", "127.0.0.1:1", "-method", "bcpals"},
+		"workers with auto-rank":        {"-workers", "127.0.0.1:1", "-auto-rank", "3"},
+		"workers with an empty address": {"-workers", "127.0.0.1:1,,127.0.0.1:2"},
+		"workers with chaos":            {"-workers", "127.0.0.1:1", "-chaos", "0.1"},
+		"the deleted -transport flag":   {"-transport", "sim"},
 	}
 	for name, extra := range cases {
 		args := append([]string{"-input", path, "-rank", "2", "-machines", "2"}, extra...)

@@ -1,7 +1,7 @@
 // Command dbtfvet runs the repository's domain-specific static-analysis
 // suite (internal/analysis): determinism, lock discipline, kernel
-// contracts, durable-write error hygiene, goroutine-join proofs,
-// lock-order cycles, context cancellation flow, and wire-decode bounds.
+// contracts, durable-write error hygiene, goroutine-join proofs, context
+// cancellation flow, and wire-decode bounds.
 // It is the multichecker CI runs as a required job next to go vet:
 //
 //	go vet ./... && go run ./cmd/dbtfvet ./...
@@ -10,11 +10,8 @@
 //
 //	go run ./cmd/dbtfvet -govet ./...
 //
-// The suite runs in two phases: every analyzer's per-package pass, then
-// a cross-package pass over the facts the first phase exported (lock
-// graphs, WaitGroup joins, decode entry points) — so findings can span
-// package boundaries. -json emits one JSON object per finding for CI
-// annotation.
+// Every analyzer is one pass over one package's syntax. -json emits one
+// JSON object per finding for CI annotation.
 //
 // Patterns follow the go tool's shape ("./...", "./internal/cluster",
 // "internal/core/..."); the default is "./...". Each analyzer carries its
@@ -37,7 +34,7 @@ import (
 
 func main() {
 	govet := flag.Bool("govet", false, "also run the stock go vet passes on the same patterns")
-	list := flag.Bool("list", false, "list the suite's analyzers with scopes, phases, and escape directives, then exit")
+	list := flag.Bool("list", false, "list the suite's analyzers with scopes and escape directives, then exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON objects, one per line")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: dbtfvet [-govet] [-json] [-list] [packages]\n")
@@ -56,8 +53,7 @@ func main() {
 }
 
 // printList describes each analyzer: scope (so the package-restricted
-// ones like wirebound are discoverable), whether it has a cross-package
-// phase, and its escape-hatch directive.
+// ones like wirebound are discoverable) and its escape-hatch directive.
 func printList(w io.Writer) {
 	for _, a := range analysis.Analyzers() {
 		scope := "all packages"
@@ -65,9 +61,6 @@ func printList(w io.Writer) {
 			scope = strings.Join(a.Scope, ", ")
 		}
 		fmt.Fprintf(w, "%-16s %s\n%16s scope: %s\n", a.Name, a.Doc, "", scope)
-		if a.CrossPackage != nil {
-			fmt.Fprintf(w, "%16s phase: per-package + cross-package facts\n", "")
-		}
 		if a.Escape != "" {
 			fmt.Fprintf(w, "%16s escape: %s%s <reason>\n", "", analysis.DirectivePrefix, a.Escape)
 		}

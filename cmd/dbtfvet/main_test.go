@@ -121,11 +121,13 @@ func TestListDescribesScopesAndPhases(t *testing.T) {
 	var out bytes.Buffer
 	printList(&out)
 	s := out.String()
+	if strings.Contains(s, "phase:") || strings.Count(s, "scope:") != 7 {
+		t.Errorf("-list should describe seven one-phase analyzers:\n%s", s)
+	}
 	for _, want := range []string{
 		"wirebound",
 		"internal/transport",
 		"escape: //dbtf:bounded <reason>",
-		"phase: per-package + cross-package facts",
 		"goleak",
 		"escape: //dbtf:detached <reason>",
 		"all packages",

@@ -94,8 +94,6 @@ type Options struct {
 	Tolerance int64
 	// Init selects the initialization scheme. Default InitFiberSample.
 	Init InitScheme
-	// InitDensity is the factor density used by InitRandom.
-	InitDensity float64
 	// Seed makes runs deterministic.
 	Seed int64
 	// MaxRetries bounds the re-execution attempts per failed cluster
@@ -186,7 +184,6 @@ func (opt Options) coreOptions() core.Options {
 		GroupBits:       opt.CacheGroupBits,
 		Tolerance:       opt.Tolerance,
 		Init:            opt.Init,
-		InitDensity:     opt.InitDensity,
 		Seed:            opt.Seed,
 		CheckpointDir:   opt.CheckpointDir,
 		CheckpointEvery: opt.CheckpointEvery,
@@ -204,9 +201,10 @@ const (
 	// InitFiberSample seeds each component from the fiber cross of a
 	// random nonzero (default).
 	InitFiberSample InitScheme = core.InitFiberSample
-	// InitRandom draws factor entries independently at InitDensity, as the
-	// paper's Algorithm 2 states literally; on sparse tensors the greedy
-	// update then collapses to all-zero factors. Kept for ablations.
+	// InitRandom draws factor entries independently, at a density matched
+	// to the tensor's, as the paper's Algorithm 2 states literally; on
+	// sparse tensors the greedy update then collapses to all-zero factors.
+	// Kept for ablations.
 	InitRandom InitScheme = core.InitRandom
 	// InitTopFiber seeds components greedily from the tensor's top fibers
 	// (topFiberM): deterministic in the data alone, near-linear, and

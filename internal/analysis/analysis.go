@@ -42,12 +42,6 @@ type Analyzer struct {
 	Scope []string
 	// Run performs the check, reporting findings through pass.Reportf.
 	Run func(*Pass) error
-	// FactTypes lists the fact types Run may export via ExportPackageFact;
-	// declared for documentation and -list, mirroring x/tools.
-	FactTypes []Fact
-	// CrossPackage, if set, runs once after every package's Run with the
-	// aggregated facts — the suite's second, whole-program phase.
-	CrossPackage func(*CrossPass) error
 	// Escape names the analyzer's //dbtf: escape-hatch directive (without
 	// the prefix), surfaced in -list and -json output so suppressions stay
 	// discoverable. Empty when the analyzer has no single escape directive.
@@ -86,11 +80,8 @@ type Pass struct {
 	Fset     *token.FileSet
 	// Files are the package's parsed files, comments included.
 	Files []*ast.File
-	// Path is the package's module-relative slash path ("." for the root).
-	Path string
 
 	diags      *[]Diagnostic
-	facts      *[]PackageFact
 	directives map[*ast.File]map[int][]directive
 }
 
@@ -236,22 +227,37 @@ func fileImports(f *ast.File) map[string]string {
 
 // Analyzers returns the full suite in the order the multichecker runs it.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, GuardedBy, KernelContract, ErrCheck, GoLeak, LockOrder, CtxFlow, WireBound}
+	return []*Analyzer{Determinism, GuardedBy, KernelContract, ErrCheck, GoLeak, CtxFlow, WireBound}
 }
 
-// Run executes one analyzer over one loaded package — both phases, with
-// the cross-package phase seeing just this package's facts — and returns
-// its diagnostics sorted by position. Fixture tests use this; the
-// multichecker uses RunSuite so the cross phase sees every package.
+// Run executes one analyzer over one loaded package, whatever its Scope,
+// and returns its diagnostics sorted by position. Fixture tests use this;
+// the multichecker uses RunSuite.
 func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	diags, facts, err := runLocal(a, pkg)
-	if err != nil {
-		return nil, err
+	var diags []Diagnostic
+	pass := &Pass{Analyzer: a, Fset: pkg.Fset, Files: pkg.Files, diags: &diags}
+	if err := a.Run(pass); err != nil {
+		return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
 	}
-	if a.CrossPackage != nil {
-		cp := &CrossPass{Analyzer: a, Fset: pkg.Fset, Facts: facts, diags: &diags}
-		if err := a.CrossPackage(cp); err != nil {
-			return nil, fmt.Errorf("analysis: %s cross-package phase: %w", a.Name, err)
+	sortDiagnostics(diags)
+	return diags, nil
+}
+
+// RunSuite runs every analyzer over every package its Scope admits and
+// returns the diagnostics sorted by position. There is one phase: each
+// check is a property of one package's syntax.
+func RunSuite(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		for _, pkg := range pkgs {
+			if !a.AppliesTo(pkg.Path) {
+				continue
+			}
+			d, err := Run(a, pkg)
+			if err != nil {
+				return nil, err
+			}
+			diags = append(diags, d...)
 		}
 	}
 	sortDiagnostics(diags)

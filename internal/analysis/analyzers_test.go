@@ -14,7 +14,6 @@ func TestGuardedByFixture(t *testing.T)      { RunFixture(t, GuardedBy, "guarded
 func TestKernelContractFixture(t *testing.T) { RunFixture(t, KernelContract, "kernelcontract") }
 func TestErrCheckFixture(t *testing.T)       { RunFixture(t, ErrCheck, "errcheck") }
 func TestGoLeakFixture(t *testing.T)         { RunFixture(t, GoLeak, "goleak") }
-func TestLockOrderFixture(t *testing.T)      { RunFixture(t, LockOrder, "lockorder") }
 func TestCtxFlowFixture(t *testing.T)        { RunFixture(t, CtxFlow, "ctxflow") }
 func TestWireBoundFixture(t *testing.T)      { RunFixture(t, WireBound, "wirebound") }
 
@@ -40,8 +39,8 @@ func TestScopeMatching(t *testing.T) {
 
 func TestAnalyzersRegistry(t *testing.T) {
 	all := Analyzers()
-	if len(all) != 8 {
-		t.Fatalf("suite has %d analyzers, want 8", len(all))
+	if len(all) != 7 {
+		t.Fatalf("suite has %d analyzers, want 7", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

@@ -54,20 +54,19 @@ var deletedNames = []deletedName{
 		pr: "PR 21: no stage of a run is named build:<mode>; every round is a column or a total error"},
 	{pattern: `backups`, scope: []string{"internal/cluster"},
 		pr: "PR 21: a straggler's backup copy is priced, not run; a stage joins its workers and nothing else"},
+	{pattern: `LockOrder|lockSummaryFact|CrossPackage|ExportPackageFact|PackageFact`, scope: []string{"internal/analysis", "cmd/dbtfvet"},
+		pr: "PR 22: the suite is one phase over seven analyzers; lockorder saw none of the module's nested locks and the facts mechanism had no other need (DESIGN §8)"},
+	{pattern: `InitDensity`, scope: []string{"dbtf.go", "internal/core"}, nonTest: true,
+		pr: "PR 22: InitRandom's density is computed from the tensor and the rank where it is drawn; it is not an option, a runConfig word or a checkpoint field"},
+	{pattern: `"transport"`, scope: []string{"cmd/dbtf"},
+		pr: "PR 22: -workers being non-empty is what selects the TCP backend; there is no -transport flag"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry
 // (two of which could not fail: errexit ignores a negated command unless it
 // is the script's last): tier-1 `go test ./...` runs every guard locally.
 func TestDeletedNamesStayDeleted(t *testing.T) {
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, err := FindModuleRoot(wd)
-	if err != nil {
-		t.Fatalf("locating module root: %v", err)
-	}
+	root := moduleRoot(t)
 	for _, g := range deletedNames {
 		for _, hit := range grepGo(t, root, g) {
 			t.Errorf("%s matches /%s/, deleted by %s", hit, g.pattern, g.pr)

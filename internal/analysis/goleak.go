@@ -16,9 +16,10 @@ import (
 //     field name (wg, workers, ...), not the resolved struct type — the
 //     suite has no type information, and distinct WaitGroups in one
 //     function body would alias only if they also share a field name.
-//     Each pairing additionally exports a fact, and the cross-package
-//     phase requires some function anywhere in the repo to call
-//     <wg>.Wait() — an Add/Done pair nobody waits on joins nothing.
+//     The pairing additionally requires some function of the same
+//     package to call <wg>.Wait() — an Add/Done pair nobody waits on
+//     joins nothing, and a WaitGroup is joined by the package that owns
+//     it.
 //   - channel join: the goroutine body sends on or closes a channel
 //     identifier that the launching function also receives from
 //     (including inside a select case). The receive may precede the go
@@ -31,36 +32,29 @@ import (
 // The analyzer is syntactic: it proves the join signal exists, not that
 // every control path reaches it.
 var GoLeak = &Analyzer{
-	Name:      "goleak",
-	Doc:       "every go statement needs a WaitGroup pairing, a joined channel, or //dbtf:detached <reason>",
-	Run:       runGoLeak,
-	FactTypes: []Fact{(*wgAddFact)(nil), (*wgWaitFact)(nil)},
-	CrossPackage: func(cp *CrossPass) error {
-		return crossGoLeak(cp)
-	},
+	Name:   "goleak",
+	Doc:    "every go statement needs a WaitGroup pairing waited on in its package, a joined channel, or //dbtf:detached <reason>",
+	Run:    runGoLeak,
 	Escape: "detached",
 }
 
 const detachedName = "detached"
 
-// wgAddFact records that a go statement was justified by an Add/Done
-// pairing on a WaitGroup field with this final name; the cross phase
-// demands a Wait for it somewhere.
-type wgAddFact struct {
-	Name string
-	Pos  token.Pos
-}
-
-func (*wgAddFact) AFact() {}
-
-// wgWaitFact records a call x.<Name>.Wait() anywhere in a package.
-type wgWaitFact struct {
-	Name string
-}
-
-func (*wgWaitFact) AFact() {}
-
 func runGoLeak(pass *Pass) error {
+	// Wait() calls count wherever in the package they are — inside func
+	// literals and functions that launch nothing — because the join may
+	// live far from the launch (Shutdown waits for Serve's goroutines).
+	waited := map[string]bool{}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if name := waitGroupCallName(call, "Wait"); name != "" {
+					waited[name] = true
+				}
+			}
+			return true
+		})
+	}
 	for _, f := range pass.Files {
 		decls := namedFuncs(f)
 		for _, decl := range f.Decls {
@@ -68,33 +62,10 @@ func runGoLeak(pass *Pass) error {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			checkGoLeakFunc(pass, fn, decls)
+			checkGoLeakFunc(pass, fn, decls, waited)
 		}
 	}
-	// Wait() calls are recorded everywhere — including inside func
-	// literals and functions that launch nothing — because the join may
-	// live far from the launch (Shutdown waits for Serve's goroutines).
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if name := waitGroupCallName(call, "Wait"); name != "" {
-				pass.exportIfSuite(&wgWaitFact{Name: name})
-			}
-			return true
-		})
-	}
 	return nil
-}
-
-// exportIfSuite exports a fact when running under RunSuite/Run and is a
-// no-op for a bare pass (defensive; all drivers wire facts today).
-func (p *Pass) exportIfSuite(f Fact) {
-	if p.facts != nil {
-		p.ExportPackageFact(f)
-	}
 }
 
 // namedFuncs indexes a file's function declarations by name so `go
@@ -109,7 +80,7 @@ func namedFuncs(f *ast.File) map[string]*ast.FuncDecl {
 	return m
 }
 
-func checkGoLeakFunc(pass *Pass, fn *ast.FuncDecl, decls map[string]*ast.FuncDecl) {
+func checkGoLeakFunc(pass *Pass, fn *ast.FuncDecl, decls map[string]*ast.FuncDecl, waited map[string]bool) {
 	adds := collectWaitGroupCalls(fn.Body, "Add")
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		g, ok := n.(*ast.GoStmt)
@@ -118,7 +89,7 @@ func checkGoLeakFunc(pass *Pass, fn *ast.FuncDecl, decls map[string]*ast.FuncDec
 		}
 		body := goroutineBody(g, decls)
 		switch {
-		case wgJoined(pass, adds, g, body):
+		case wgJoined(pass, adds, g, body, waited):
 		case chanJoined(fn.Body, body):
 		case pass.Allowed(g.Pos(), detachedName):
 		default:
@@ -182,9 +153,10 @@ func collectWaitGroupCalls(body *ast.BlockStmt, method string) []lockCall {
 }
 
 // wgJoined reports whether the go statement is justified by an Add before
-// it and a matching Done inside the goroutine body; on success it exports
-// the fact the cross phase uses to demand a Wait.
-func wgJoined(pass *Pass, adds []lockCall, g *ast.GoStmt, body *ast.BlockStmt) bool {
+// it and a matching Done inside the goroutine body. A pairing whose
+// WaitGroup the package never Waits on still answers true — the launch is
+// paired — and is reported at its Add site instead.
+func wgJoined(pass *Pass, adds []lockCall, g *ast.GoStmt, body *ast.BlockStmt, waited map[string]bool) bool {
 	if body == nil {
 		return false
 	}
@@ -194,10 +166,13 @@ func wgJoined(pass *Pass, adds []lockCall, g *ast.GoStmt, body *ast.BlockStmt) b
 			continue
 		}
 		for _, done := range dones {
-			if done.ident == add.ident {
-				pass.exportIfSuite(&wgAddFact{Name: add.ident, Pos: add.pos})
-				return true
+			if done.ident != add.ident {
+				continue
 			}
+			if !waited[add.ident] {
+				pass.Reportf(add.pos, "WaitGroup %q has Add/Done pairs but no Wait in this package; the goroutines it tracks are never joined", add.ident)
+			}
+			return true
 		}
 	}
 	return false
@@ -243,23 +218,4 @@ func chanJoined(launcher, body *ast.BlockStmt) bool {
 		return true
 	})
 	return joined
-}
-
-// crossGoLeak demands that every WaitGroup name used to justify a launch
-// is Waited on somewhere in the analyzed tree.
-func crossGoLeak(cp *CrossPass) error {
-	waited := map[string]bool{}
-	for _, pf := range cp.Facts {
-		if w, ok := pf.Fact.(*wgWaitFact); ok {
-			waited[w.Name] = true
-		}
-	}
-	for _, pf := range cp.Facts {
-		add, ok := pf.Fact.(*wgAddFact)
-		if !ok || waited[add.Name] {
-			continue
-		}
-		cp.Reportf(add.Pos, "WaitGroup %q has Add/Done pairs but no Wait anywhere in the analyzed packages; the goroutines it tracks are never joined", add.Name)
-	}
-	return nil
 }

@@ -1,26 +1,14 @@
 package analysis
 
-import (
-	"os"
-	"testing"
-)
+import "testing"
 
-// TestRepoClean runs the full two-phase suite — all eight analyzers,
-// including the cross-package facts phase — over the entire module and
-// asserts zero diagnostics. This is the in-process equivalent of
+// TestRepoClean runs the full suite over the entire module (benchmark/
+// included) and asserts zero diagnostics. This is the in-process equivalent of
 // `go run ./cmd/dbtfvet ./...` exiting 0, so a change that introduces a
 // finding (or breaks an annotation) fails `go test ./...` directly rather
 // than only the CI lint job.
 func TestRepoClean(t *testing.T) {
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, err := FindModuleRoot(wd)
-	if err != nil {
-		t.Fatalf("locating module root: %v", err)
-	}
-	pkgs, err := Load(root, []string{"./..."}, false)
+	pkgs, err := Load(moduleRoot(t), []string{"./..."}, false)
 	if err != nil {
 		t.Fatalf("loading module packages: %v", err)
 	}

@@ -60,8 +60,23 @@ func badAddAfterGo() {
 	late.Wait()
 }
 
-// badNeverWaited pairs Add/Done correctly, but no function anywhere
-// calls orphan.Wait() — the cross-package phase rejects the group.
+// goodWaitedElsewhere pairs Add/Done here and leaves the join to another
+// function of the package (drain, below) — Shutdown waiting for Serve's
+// goroutines.
+func (p *pool) goodWaitedElsewhere() {
+	p.tasks.Add(1)
+	go func() {
+		defer p.tasks.Done()
+		compute()
+	}()
+}
+
+type pool struct{ tasks sync.WaitGroup }
+
+func (p *pool) drain() { p.tasks.Wait() }
+
+// badNeverWaited pairs Add/Done correctly, but no function of the package
+// calls orphan.Wait() — a Wait in some other package would not count.
 func badNeverWaited() {
 	var orphan sync.WaitGroup
 	orphan.Add(1) // want `WaitGroup "orphan" has Add/Done pairs but no Wait`

@@ -5,6 +5,7 @@ package fixtures
 import (
 	"encoding/binary"
 
+	core "dbtf/internal/core"
 	notaudited "dbtf/internal/notaudited"
 )
 
@@ -131,10 +132,16 @@ func goodUntainted(b []byte) []byte {
 }
 
 // badUnauditedDecode calls a Decode entry point of a module-internal
-// package wirebound never audits; the cross-package phase closes the
-// escape.
+// package outside wirebound's Scope.
 func badUnauditedDecode(b []byte) {
 	notaudited.DecodeBlob(b) // want `decode entry point outside wirebound's audited packages`
+}
+
+// goodAuditedDecode calls one inside Scope: the callee is checked where
+// it is declared.
+func goodAuditedDecode(b []byte) {
+	core.DecodeHeader(b)
+	notaudited.Encode(b)
 }
 
 type byteReader interface{ ReadByte() (byte, error) }

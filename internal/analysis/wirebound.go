@@ -34,39 +34,19 @@ import (
 // unchecked value. //dbtf:bounded <reason> on the allocation suppresses
 // it (say where the bound actually lives).
 //
-// The cross-package phase closes the audit: every analyzed package
-// exports an "audited" fact, and a call from an audited package into a
-// module-internal Decode*/Read* function of a package wirebound never
-// visited is reported — decode work must not migrate outside the
-// analyzer's scope unnoticed.
+// The audit is closed over calls: a call from an audited package into a
+// module-internal Decode*/Read* function whose package is outside Scope
+// is reported — decode work must not migrate outside the analyzer's
+// scope unnoticed.
 var WireBound = &Analyzer{
-	Name:      "wirebound",
-	Doc:       "wire-decoded sizes need a bound check before make/append, or //dbtf:bounded <reason>",
-	Scope:     []string{"internal/transport", "internal/serve", "internal/core", "internal/tensor", "internal/boolmat"},
-	Run:       runWireBound,
-	FactTypes: []Fact{(*auditedPkgFact)(nil), (*decodeCallFact)(nil)},
-	CrossPackage: func(cp *CrossPass) error {
-		return crossWireBound(cp)
-	},
+	Name:   "wirebound",
+	Doc:    "wire-decoded sizes need a bound check before make/append, or //dbtf:bounded <reason>",
+	Scope:  []string{"internal/transport", "internal/serve", "internal/core", "internal/tensor", "internal/boolmat"},
+	Run:    runWireBound,
 	Escape: "bounded",
 }
 
 const boundedName = "bounded"
-
-// auditedPkgFact marks a package the local phase actually visited.
-type auditedPkgFact struct{}
-
-func (*auditedPkgFact) AFact() {}
-
-// decodeCallFact records a call into another module-internal package's
-// Decode*/Read* entry point.
-type decodeCallFact struct {
-	ImportPath string // full import path of the callee's package
-	Callee     string
-	Pos        token.Pos
-}
-
-func (*decodeCallFact) AFact() {}
 
 // wireSources are the final selector names that produce wire-controlled
 // integers.
@@ -77,10 +57,8 @@ var wireSources = map[string]bool{
 }
 
 func runWireBound(pass *Pass) error {
-	pass.exportIfSuite(&auditedPkgFact{})
 	for _, f := range pass.Files {
-		imports := fileImports(f)
-		exportDecodeCalls(pass, imports, f)
+		checkDecodeCalls(pass, f)
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -273,16 +251,19 @@ func (w *wireWalk) makeCall(call *ast.CallExpr) {
 	}
 }
 
-// exportDecodeCalls records calls into other module-internal packages'
-// Decode*/Read* entry points for the cross-phase audit-closure check.
-func exportDecodeCalls(pass *Pass, imports map[string]string, f *ast.File) {
-	internal := map[string]string{}
-	for name, path := range imports {
-		if strings.Contains(path, "/internal/") || strings.HasPrefix(path, "internal/") {
-			internal[name] = path
+// checkDecodeCalls reports calls into the Decode*/Read* entry points of
+// module-internal packages outside the analyzer's Scope: either widen
+// Scope or move the decoder.
+func checkDecodeCalls(pass *Pass, f *ast.File) {
+	unaudited := map[string]string{} // local import name → import path
+	for name, path := range fileImports(f) {
+		// path[i:] is "internal/...", the module-relative form Scope is
+		// written in.
+		if i := strings.Index("/"+path, "/internal/"); i >= 0 && !pass.Analyzer.AppliesTo(path[i:]) {
+			unaudited[name] = path
 		}
 	}
-	if len(internal) == 0 {
+	if len(unaudited) == 0 {
 		return
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -298,41 +279,13 @@ func exportDecodeCalls(pass *Pass, imports map[string]string, f *ast.File) {
 		if !ok {
 			return true
 		}
-		path, ok := internal[base.Name]
+		path, ok := unaudited[base.Name]
 		if !ok {
 			return true
 		}
-		if !strings.HasPrefix(sel.Sel.Name, "Decode") && !strings.HasPrefix(sel.Sel.Name, "Read") {
-			return true
+		if strings.HasPrefix(sel.Sel.Name, "Decode") || strings.HasPrefix(sel.Sel.Name, "Read") {
+			pass.Reportf(call.Pos(), "%s in %s is a decode entry point outside wirebound's audited packages; add the package to the analyzer Scope or move the decoder into an audited package", sel.Sel.Name, path)
 		}
-		pass.exportIfSuite(&decodeCallFact{ImportPath: path, Callee: sel.Sel.Name, Pos: call.Pos()})
 		return true
 	})
-}
-
-// crossWireBound reports decode calls into packages the analyzer never
-// audited: either widen Scope or move the decoder.
-func crossWireBound(cp *CrossPass) error {
-	audited := map[string]bool{}
-	for _, pf := range cp.Facts {
-		if _, ok := pf.Fact.(*auditedPkgFact); ok {
-			audited[pf.Path] = true
-		}
-	}
-	isAudited := func(importPath string) bool {
-		for p := range audited {
-			if importPath == p || strings.HasSuffix(importPath, "/"+p) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, pf := range cp.Facts {
-		dc, ok := pf.Fact.(*decodeCallFact)
-		if !ok || isAudited(dc.ImportPath) {
-			continue
-		}
-		cp.Reportf(dc.Pos, "%s in %s is a decode entry point outside wirebound's audited packages; add the package to the analyzer Scope or move the decoder into an audited package", dc.Callee, dc.ImportPath)
-	}
-	return nil
 }

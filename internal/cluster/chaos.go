@@ -31,21 +31,10 @@ type FaultPlan struct {
 	// PanicRate is the probability that a task attempt panics instead of
 	// running, exercising the engine's recovery path.
 	PanicRate float64
-	// StragglerRate is the probability that an attempt is delayed by
-	// StragglerDelay on the simulated clock (real execution is not
-	// slowed).
+	// StragglerRate is the probability that an attempt is delayed by 1s
+	// on the simulated clock (real execution is not slowed); a speculative
+	// copy on another machine, 100ms to launch, races the delay.
 	StragglerRate float64
-	// StragglerDelay is the simulated delay of a straggling attempt.
-	// Default 1s.
-	StragglerDelay time.Duration
-	// SpeculativeLaunch is the simulated latency of launching a
-	// speculative copy of a straggling task on another machine.
-	// Default 100ms.
-	SpeculativeLaunch time.Duration
-	// DisableSpeculation turns off speculative re-execution of
-	// stragglers: no backup copy is launched and the full StragglerDelay
-	// is always paid.
-	DisableSpeculation bool
 	// MachineLossRate is the per-stage probability that each live machine
 	// is lost at the stage boundary, drawn deterministically per
 	// (Seed, stage, machine). A lost machine's tasks are reassigned to
@@ -60,15 +49,24 @@ type FaultPlan struct {
 	// clock) and rebuilds its caches lazily. Zero means lost machines
 	// never rejoin.
 	MachineRejoinAfter int
-	// MachineKills deterministically kills specific machines at specific
-	// stages, independent of MachineLossRate. Replayable by construction:
-	// the schedule does not depend on the seed at all.
-	MachineKills []MachineKill
+
+	// The rest is set by this package's tests only; every other plan runs
+	// on the zero values.
+
+	// stragglerDelay and speculativeLaunch replace the 1s delay and the
+	// 100ms launch latency when positive.
+	stragglerDelay, speculativeLaunch time.Duration
+	// disableSpeculation turns off speculative re-execution of stragglers:
+	// no backup copy is launched and the full delay is always paid.
+	disableSpeculation bool
+	// machineKills deterministically kills specific machines at specific
+	// stages, independent of MachineLossRate and of the seed.
+	machineKills []machineKill
 }
 
-// MachineKill schedules the loss of one machine at the boundary of one
+// machineKill schedules the loss of one machine at the boundary of one
 // stage (stages are numbered from 0 in execution order).
-type MachineKill struct {
+type machineKill struct {
 	Stage   int64
 	Machine int
 }
@@ -92,9 +90,9 @@ func (p *FaultPlan) validate() error {
 	if p.MachineRejoinAfter < 0 {
 		return fmt.Errorf("cluster: FaultPlan.MachineRejoinAfter %d < 0", p.MachineRejoinAfter)
 	}
-	for _, k := range p.MachineKills {
+	for _, k := range p.machineKills {
 		if k.Stage < 0 || k.Machine < 0 {
-			return fmt.Errorf("cluster: FaultPlan.MachineKills entry %+v has negative fields", k)
+			return fmt.Errorf("cluster: FaultPlan.machineKills entry %+v has negative fields", k)
 		}
 	}
 	return nil
@@ -103,7 +101,7 @@ func (p *FaultPlan) validate() error {
 // lossesPossible reports whether the plan can ever produce a machine loss,
 // so the engine can skip per-stage loss bookkeeping entirely otherwise.
 func (p *FaultPlan) lossesPossible() bool {
-	return p.MachineLossRate > 0 || len(p.MachineKills) > 0
+	return p.MachineLossRate > 0 || len(p.machineKills) > 0
 }
 
 // machineLossTag separates the machine-loss draw stream from the per-task
@@ -115,7 +113,7 @@ const machineLossTag = 0x6d6c6f7373 // "mloss"
 // (Seed, stage, machine) plus the explicit kill list, independent of
 // goroutine scheduling, so loss schedules replay exactly.
 func (p *FaultPlan) drawMachineLoss(stage int64, machine int) bool {
-	for _, k := range p.MachineKills {
+	for _, k := range p.machineKills {
 		if k.Stage == stage && k.Machine == machine {
 			return true
 		}
@@ -129,16 +127,16 @@ func (p *FaultPlan) drawMachineLoss(stage int64, machine int) bool {
 	return float64(h>>11)/(1<<53) < p.MachineLossRate
 }
 
-func (p *FaultPlan) stragglerDelay() int64 {
-	if p.StragglerDelay > 0 {
-		return p.StragglerDelay.Nanoseconds()
+func (p *FaultPlan) stragglerNanos() int64 {
+	if p.stragglerDelay > 0 {
+		return p.stragglerDelay.Nanoseconds()
 	}
 	return int64(time.Second)
 }
 
-func (p *FaultPlan) speculativeLaunch() int64 {
-	if p.SpeculativeLaunch > 0 {
-		return p.SpeculativeLaunch.Nanoseconds()
+func (p *FaultPlan) speculativeLaunchNanos() int64 {
+	if p.speculativeLaunch > 0 {
+		return p.speculativeLaunch.Nanoseconds()
 	}
 	return int64(100 * time.Millisecond)
 }

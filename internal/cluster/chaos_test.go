@@ -159,7 +159,7 @@ func TestFailFastSuppressesFailureInjection(t *testing.T) {
 func TestStragglerChargesSimulatedClock(t *testing.T) {
 	c := New(Config{Machines: 1, Network: noNetwork,
 		Faults: &FaultPlan{Seed: 1, StragglerRate: 1.0,
-			StragglerDelay: 80 * time.Millisecond, DisableSpeculation: true}})
+			stragglerDelay: 80 * time.Millisecond, disableSpeculation: true}})
 	start := time.Now()
 	if err := c.ForEach(context.Background(), 1, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestSpeculativeCopyBeatsStraggler(t *testing.T) {
 	// 1ms launch) wins, and the clock pays the copy instead of the delay.
 	c := New(Config{Machines: 1, Network: noNetwork,
 		Faults: &FaultPlan{Seed: 1, StragglerRate: 1.0,
-			StragglerDelay: time.Second, SpeculativeLaunch: time.Millisecond}})
+			stragglerDelay: time.Second, speculativeLaunch: time.Millisecond}})
 	if err := c.ForEach(context.Background(), 1, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}

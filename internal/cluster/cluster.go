@@ -210,9 +210,9 @@ func (cfg Config) Validate() error {
 		if err := cfg.Faults.validate(); err != nil {
 			return err
 		}
-		for _, k := range cfg.Faults.MachineKills {
+		for _, k := range cfg.Faults.machineKills {
 			if k.Machine >= cfg.Machines {
-				return fmt.Errorf("cluster: MachineKills machine %d outside cluster of %d", k.Machine, cfg.Machines)
+				return fmt.Errorf("cluster: machineKills machine %d outside cluster of %d", k.Machine, cfg.Machines)
 			}
 		}
 	}
@@ -766,10 +766,10 @@ func (c *Cluster) runAttempts(st *stageState, stage int64, t, assigned int) (int
 			}
 		case faultStraggler:
 			st.bump(&st.injected)
-			if err != nil || c.faults.DisableSpeculation {
+			if err != nil || c.faults.disableSpeculation {
 				// A failed attempt is handled by retry, not speculation;
 				// with speculation disabled the full delay is always paid.
-				dur += c.faults.stragglerDelay()
+				dur += c.faults.stragglerNanos()
 			} else {
 				dur += c.speculate(st, t, assigned, dur)
 			}
@@ -805,8 +805,8 @@ func (c *Cluster) speculate(st *stageState, t, home int, dur int64) int64 {
 	backup := c.backupMachineFor(home)
 	st.bump(&st.specLaunch)
 	c.emitMarker(trace.SpeculativeLaunch, st, backup, t, 0)
-	resolve := c.faults.stragglerDelay()
-	if cost := dur + c.faults.speculativeLaunch(); cost < resolve {
+	resolve := c.faults.stragglerNanos()
+	if cost := dur + c.faults.speculativeLaunchNanos(); cost < resolve {
 		st.bump(&st.specWins)
 		c.emitMarker(trace.SpeculativeWin, st, backup, t, 0)
 		resolve = cost

@@ -10,7 +10,7 @@ import (
 
 func TestMachineKillReassignsTasks(t *testing.T) {
 	c := New(Config{Machines: 4, Network: noNetwork,
-		Faults: &FaultPlan{MachineKills: []MachineKill{{Stage: 0, Machine: 1}}}})
+		Faults: &FaultPlan{machineKills: []machineKill{{Stage: 0, Machine: 1}}}})
 	if err := c.ForEach(context.Background(), 8, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestMachineKillReassignsTasks(t *testing.T) {
 func TestMachineRejoin(t *testing.T) {
 	c := New(Config{Machines: 2, Network: noNetwork,
 		Faults: &FaultPlan{
-			MachineKills:       []MachineKill{{Stage: 0, Machine: 0}},
+			machineKills:       []machineKill{{Stage: 0, Machine: 0}},
 			MachineRejoinAfter: 2,
 		}})
 	ctx := context.Background()
@@ -109,7 +109,7 @@ func TestMachineLossScheduleDeterministic(t *testing.T) {
 
 func TestOnMachineLossHandler(t *testing.T) {
 	c := New(Config{Machines: 4, Network: noNetwork,
-		Faults: &FaultPlan{MachineKills: []MachineKill{{Stage: 1, Machine: 2}}}})
+		Faults: &FaultPlan{machineKills: []machineKill{{Stage: 1, Machine: 2}}}})
 	var lost []int
 	var tasksBeforeHandler atomic.Int64
 	var ran atomic.Int64
@@ -134,7 +134,7 @@ func TestOnMachineLossHandler(t *testing.T) {
 
 func TestMachineLossChargesRecoveryTraffic(t *testing.T) {
 	c := New(Config{Machines: 4, Network: noNetwork,
-		Faults: &FaultPlan{MachineKills: []MachineKill{{Stage: 1, Machine: 0}}}})
+		Faults: &FaultPlan{machineKills: []machineKill{{Stage: 1, Machine: 0}}}})
 	ctx := context.Background()
 	if err := c.ForEach(ctx, 4, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
@@ -158,10 +158,10 @@ func TestMachineLossChargesRecoveryTraffic(t *testing.T) {
 func TestMachineKillOutsideClusterPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New accepted a MachineKills entry outside the cluster")
+			t.Fatal("New accepted a machineKills entry outside the cluster")
 		}
 	}()
-	New(Config{Machines: 2, Faults: &FaultPlan{MachineKills: []MachineKill{{Stage: 0, Machine: 5}}}})
+	New(Config{Machines: 2, Faults: &FaultPlan{machineKills: []machineKill{{Stage: 0, Machine: 5}}}})
 }
 
 // TestSpeculativeLaunchesAreReal: every speculated straggler is a launch on
@@ -171,7 +171,7 @@ func TestMachineKillOutsideClusterPanics(t *testing.T) {
 func TestSpeculativeLaunchesAreReal(t *testing.T) {
 	c := New(Config{Machines: 4, Network: noNetwork,
 		Faults: &FaultPlan{Seed: 1, StragglerRate: 1.0,
-			StragglerDelay: time.Second, SpeculativeLaunch: time.Millisecond}})
+			stragglerDelay: time.Second, speculativeLaunch: time.Millisecond}})
 	var runs atomic.Int64
 	if err := c.ForEach(context.Background(), 8, func(int) error {
 		runs.Add(1)

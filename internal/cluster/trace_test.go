@@ -176,9 +176,9 @@ func TestChromeGolden(t *testing.T) {
 		Machines: 2,
 		Network:  NetworkModel{LatencyPerStage: time.Millisecond, BytesPerSecond: 1e6},
 		Faults: &FaultPlan{
-			MachineKills:       []MachineKill{{Stage: 1, Machine: 1}},
+			machineKills:       []machineKill{{Stage: 1, Machine: 1}},
 			MachineRejoinAfter: 2,
-			DisableSpeculation: true,
+			disableSpeculation: true,
 		},
 		Tracer: trace.New(trace.NewChrome(&out), trace.WithClock(stepClock(time.Microsecond))),
 	})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -27,12 +26,10 @@ func CheckpointFileName(fp uint64) string {
 }
 
 // checkpointMagic identifies the checkpoint format: "DBTFCKP" followed by
-// the format version. There is one: 0x02, which records the resolved init
-// configuration after the fingerprint so a resume under a changed one can
-// name the mismatch. 0x01 images lacked those fields; none was ever written
-// outside this repository's tests, so they are rejected like any other
-// unknown version.
-var checkpointMagic = [8]byte{'D', 'B', 'T', 'F', 'C', 'K', 'P', 0x02}
+// the format version. There is one: 0x03. Images of the older layouts
+// 0x01 and 0x02 are rejected like any other unknown version, never
+// re-interpreted.
+var checkpointMagic = [8]byte{'D', 'B', 'T', 'F', 'C', 'K', 'P', 0x03}
 
 // checkpoint is a durable snapshot of a decomposition at an iteration
 // boundary: everything Decompose needs to continue the run bit-identically
@@ -40,12 +37,9 @@ var checkpointMagic = [8]byte{'D', 'B', 'T', 'F', 'C', 'K', 'P', 0x02}
 //
 // Binary layout (all integers little-endian):
 //
-//	magic      8 bytes  "DBTFCKP" + version 0x02
+//	magic      8 bytes  "DBTFCKP" + version 0x03
 //	payload:
 //	  fingerprint      u64   config+tensor fingerprint (see fingerprint)
-//	  init             u32   resolved InitScheme
-//	  initDensity      u64   float64 bits of InitDensity
-//	  initialSets      u32   resolved InitialSets
 //	  iteration        u32   completed iterations
 //	  converged        u8    1 if the convergence criterion already fired
 //	  rngDraws         u64   source draws consumed by initialization
@@ -63,20 +57,12 @@ type checkpoint struct {
 	InitialErrors   []int64
 	IterationErrors []int64
 	A, B, C         *boolmat.FactorMatrix
-	// Init, InitDensity and InitialSets are the run configuration's resolved
-	// init fields at the time of writing.
-	Init        InitScheme
-	InitDensity float64
-	InitialSets int
 }
 
 func (ck *checkpoint) encode() []byte {
 	le := binary.LittleEndian
 	buf := append([]byte(nil), checkpointMagic[:]...)
 	buf = le.AppendUint64(buf, ck.Fingerprint)
-	buf = le.AppendUint32(buf, uint32(ck.Init))
-	buf = le.AppendUint64(buf, math.Float64bits(ck.InitDensity))
-	buf = le.AppendUint32(buf, uint32(ck.InitialSets))
 	buf = le.AppendUint32(buf, uint32(ck.Iteration))
 	conv := byte(0)
 	if ck.Converged {
@@ -167,13 +153,7 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 		return nil, fmt.Errorf("core: unsupported checkpoint version %#x", body[7])
 	}
 	c := &cursor{data: body[8:]}
-	ck := &checkpoint{
-		Fingerprint: c.u64(),
-		Init:        InitScheme(int32(c.u32())),
-		InitDensity: math.Float64frombits(c.u64()),
-		InitialSets: int(c.u32()),
-		Iteration:   int(c.u32()),
-	}
+	ck := &checkpoint{Fingerprint: c.u64(), Iteration: int(c.u32())}
 	conv := c.take(1)[0]
 	ck.Converged = conv == 1
 	ck.RNGDraws = c.u64()
@@ -228,12 +208,11 @@ func readCheckpoint(dir string, fp uint64) (*checkpoint, error) {
 }
 
 // words returns the configuration as one 64-bit word per field of
-// runConfig, in declaration order: an int as its two's complement, a float
-// as its IEEE bits, a bool as 0 or 1. It is the one walk over the fields —
-// fingerprint hashes the words and encodeSetup ships them — so a field
-// added to runConfig is covered by both without being listed again, and a
-// field of a kind the walk does not know panics the first time either
-// runs.
+// runConfig, in declaration order: an int as its two's complement, a bool
+// as 0 or 1. It is the one walk over the fields — fingerprint hashes the
+// words and encodeSetup ships them — so a field added to runConfig is
+// covered by both without being listed again, and a field of a kind the
+// walk does not know panics the first time either runs.
 func (cfg runConfig) words() []uint64 {
 	fields := reflect.ValueOf(cfg)
 	out := make([]uint64, fields.NumField())
@@ -241,8 +220,6 @@ func (cfg runConfig) words() []uint64 {
 		switch f := fields.Field(n); f.Kind() {
 		case reflect.Int, reflect.Int64:
 			out[n] = uint64(f.Int())
-		case reflect.Float64:
-			out[n] = math.Float64bits(f.Float())
 		case reflect.Bool:
 			if f.Bool() {
 				out[n] = 1
@@ -263,8 +240,6 @@ func (cfg *runConfig) setWords(words []uint64) {
 		switch f := fields.Field(n); f.Kind() {
 		case reflect.Int, reflect.Int64:
 			f.SetInt(int64(w))
-		case reflect.Float64:
-			f.SetFloat(math.Float64frombits(w))
 		case reflect.Bool:
 			f.SetBool(w != 0)
 		default:
@@ -306,7 +281,7 @@ func fingerprint(x *tensor.Tensor, cfg runConfig) uint64 {
 // CheckpointFileName) and as a job-scoped RNG/config identity when
 // verifying bit-identical resumption.
 func Fingerprint(x *tensor.Tensor, opts Options, machines int) (uint64, error) {
-	cfg, err := opts.withDefaults(x, machines)
+	cfg, err := opts.withDefaults(machines)
 	if err != nil {
 		return 0, err
 	}

@@ -458,11 +458,10 @@ func FuzzCheckpointDecode(f *testing.F) {
 	small := &checkpoint{Iteration: 1, PrevErr: 9, IterationErrors: []int64{9},
 		A: boolmat.NewFactor(1, 1), B: boolmat.NewFactor(1, 1), C: boolmat.NewFactor(0, 1)}
 	f.Add(small.encode())
-	withInit := testCheckpoint()
-	withInit.Init, withInit.InitDensity, withInit.InitialSets = InitRandom, 0.25, 3
-	f.Add(withInit.encode())
+	f.Add(resealAsVersion(testCheckpoint().encode(), 0x02))
 	f.Add([]byte("DBTFCKP\x01 garbage"))
 	f.Add([]byte("DBTFCKP\x02 garbage"))
+	f.Add([]byte("DBTFCKP\x03 garbage"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := decodeCheckpoint(data)
@@ -477,67 +476,22 @@ func FuzzCheckpointDecode(f *testing.F) {
 	})
 }
 
-func TestCheckpointV2RecordsInitConfig(t *testing.T) {
-	ck := testCheckpoint()
-	ck.Init = InitTopFiber
-	ck.InitDensity = 0.25
-	ck.InitialSets = 3
-	got, err := decodeCheckpoint(ck.encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Init != InitTopFiber || got.InitDensity != 0.25 || got.InitialSets != 3 {
-		t.Fatalf("v2 init fields not round-tripped: %+v", got)
-	}
+// resealAsVersion rewrites an image's version byte and re-seals the CRC,
+// so only the version check can reject it.
+func resealAsVersion(img []byte, version byte) []byte {
+	img[7] = version
+	binary.LittleEndian.PutUint32(img[len(img)-4:], crc32.ChecksumIEEE(img[:len(img)-4]))
+	return img
 }
 
 func TestCheckpointDecodeRejectsUnknownVersion(t *testing.T) {
-	// 0x01 is the retired pre-init-field layout: no such file exists outside
-	// this repository's history, so it is as unknown as a future version.
-	for _, version := range []byte{0x00, 0x01, 0x03, 0xff} {
-		img := testCheckpoint().encode()
-		img[7] = version
-		// Re-seal the CRC so only the version check can reject it.
-		body := img[:len(img)-4]
-		binary.LittleEndian.PutUint32(img[len(img)-4:], crc32.ChecksumIEEE(body))
+	// 0x01 and 0x02 are retired layouts (0x02 is what the previous build
+	// wrote): as unknown as a future version, refused and never mis-read.
+	for _, version := range []byte{0x00, 0x01, 0x02, 0x04, 0xff} {
+		img := resealAsVersion(testCheckpoint().encode(), version)
 		if _, err := decodeCheckpoint(img); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("version %#x decoded: %v", version, err)
 		}
-	}
-}
-
-func TestResumeRejectsInitSchemeMismatch(t *testing.T) {
-	// An image written under one init scheme that ends up under the name of
-	// a run using another (see TestResumeRejectsFingerprintMismatch) must
-	// name the scheme mismatch instead of reporting an opaque fingerprint
-	// difference: the checkpoint records its init configuration readably.
-	rng := rand.New(rand.NewSource(41))
-	x, _, _, _ := plantedTensor(rng, 12, 10, 8, 2, 0.3)
-	dir := t.TempDir()
-	opt := Options{Rank: 2, MaxIter: 3, MinIter: 3, Seed: 5, CheckpointDir: dir}
-	if _, err := Decompose(context.Background(), x, testCluster(2), opt); err != nil {
-		t.Fatal(err)
-	}
-	fpOld, err := Fingerprint(x, opt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Init = InitTopFiber
-	opt.Resume = true
-	fpNew, err := Fingerprint(x, opt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(filepath.Join(dir, CheckpointFileName(fpOld)),
-		filepath.Join(dir, CheckpointFileName(fpNew))); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Decompose(context.Background(), x, testCluster(2), opt)
-	if err == nil || !strings.Contains(err.Error(), "init scheme") {
-		t.Fatalf("resume under a changed init scheme returned %v, want a named init-scheme mismatch", err)
-	}
-	if !strings.Contains(err.Error(), "fiber") || !strings.Contains(err.Error(), "topfiber") {
-		t.Fatalf("mismatch error does not name both schemes: %v", err)
 	}
 }
 
@@ -575,9 +529,6 @@ func TestKillThenResumeTopFiberBitIdentical(t *testing.T) {
 			}
 			if ck.RNGDraws != 0 {
 				t.Fatalf("topfiber checkpoint records %d RNG draws, want 0 (the scheme is deterministic)", ck.RNGDraws)
-			}
-			if ck.Init != InitTopFiber {
-				t.Fatalf("checkpoint init scheme %v, want topfiber", ck.Init)
 			}
 
 			opt.Resume = true

@@ -47,11 +47,13 @@ const (
 	// that nonzero. This is the default: it keeps components anchored to
 	// the data, which the greedy column update requires (see InitRandom).
 	InitFiberSample InitScheme = iota
-	// InitRandom draws every factor entry independently at the configured
-	// InitDensity, as Algorithm 2 states literally. On sparse tensors this
-	// collapses to the all-zero factorization: a column entry is set only
-	// when the region newly covered by its component is majority-ones,
-	// which holds for a random component only at tensor density > 0.5.
+	// InitRandom draws every factor entry independently, as Algorithm 2
+	// states literally, at the density (density(X)/R)^(1/3) clamped to
+	// [0.01, 0.5] — the expected density of the initial reconstruction then
+	// matches the tensor's. On sparse tensors this collapses to the
+	// all-zero factorization: a column entry is set only when the region
+	// newly covered by its component is majority-ones, which holds for a
+	// random component only at tensor density > 0.5.
 	// Kept for the initialization ablation.
 	InitRandom
 	// InitTopFiber seeds the components greedily from the top fibers of
@@ -125,15 +127,6 @@ type Options struct {
 	Tolerance int64
 	// Init selects the initialization scheme. Default InitFiberSample.
 	Init InitScheme
-	// InitDensity is the density of the random initial factor matrices
-	// under InitRandom, and meaningful only there: a non-zero value with
-	// any other scheme is rejected instead of silently ignored. The zero
-	// value is the named sentinel InitDensityAuto, which selects
-	// (density(X)/R)^(1/3) clamped to [0.01, 0.5] — the expected density
-	// of the initial reconstruction then matches the tensor's. An
-	// explicit density of exactly 0 (the all-zero factorization) is
-	// impossible to request; the sentinel owns that value.
-	InitDensity float64
 	// Seed seeds the deterministic random initialization.
 	Seed int64
 	// NoCache disables the row-summation cache and recomputes every
@@ -166,25 +159,19 @@ type Options struct {
 	Preempt func() bool
 }
 
-// Named sentinels for the Options fields whose zero value requests a
-// computed default. They make "use the default" an explicit, spellable
-// request instead of a silent mutation of a zero the caller may have
-// meant literally: an impossible literal request (L = 0 initial sets, a
-// density-0 random init) has no spelling at all.
-const (
-	// InitialSetsAuto requests the default number of initial sets (1).
-	InitialSetsAuto = 0
-	// InitDensityAuto requests the density-matched initial density under
-	// InitRandom; see Options.InitDensity.
-	InitDensityAuto = 0.0
-)
+// InitialSetsAuto requests the default number of initial sets (1). The
+// named sentinel makes "use the default" an explicit, spellable request
+// instead of a silent mutation of a zero the caller may have meant
+// literally: the impossible literal request (L = 0 initial sets) has no
+// spelling at all.
+const InitialSetsAuto = 0
 
 // runConfig is a run's resolved, result-determining configuration: every
 // option that influences the factors, defaults filled in, plus the cluster
 // size. It is declared once and consumed whole — fingerprint hashes it field
-// by field, encodeSetup ships it to remote executors, the checkpoint records
-// its init fields — so a new result-determining knob is one field here and
-// its rule in Options.resolve, not an entry in four hand-kept lists.
+// by field, encodeSetup ships it to remote executors — so a new
+// result-determining knob is one field here and its rule in
+// Options.resolve, not an entry in hand-kept lists.
 // Checkpoint placement (CheckpointDir, CheckpointEvery, Resume) and Preempt
 // are deliberately absent: they affect durability and scheduling, never
 // results. fingerprint hashes the fields, and encodeSetup ships them, in
@@ -194,7 +181,6 @@ type runConfig struct {
 	InitialSets, Partitions, GroupBits int
 	Tolerance                          int64
 	Init                               InitScheme
-	InitDensity                        float64
 	Seed                               int64
 	NoCache                            bool
 	Machines                           int
@@ -216,8 +202,7 @@ func (o Options) resolve() (runConfig, error) {
 	cfg := runConfig{
 		Rank: o.Rank, MaxIter: o.MaxIter, MinIter: o.MinIter, InitialSets: o.InitialSets,
 		Partitions: o.Partitions, GroupBits: o.GroupBits, Tolerance: o.Tolerance,
-		Init: o.Init, InitDensity: o.InitDensity, Seed: o.Seed,
-		NoCache: o.NoCache,
+		Init: o.Init, Seed: o.Seed, NoCache: o.NoCache,
 	}
 	if cfg.Rank < 1 || cfg.Rank > boolmat.MaxRank {
 		return cfg, fmt.Errorf("core: rank %d outside [1,%d]", cfg.Rank, boolmat.MaxRank)
@@ -258,15 +243,6 @@ func (o Options) resolve() (runConfig, error) {
 	if cfg.Tolerance < 0 {
 		return cfg, fmt.Errorf("core: Tolerance %d < 0", cfg.Tolerance)
 	}
-	if cfg.Init != InitRandom && cfg.InitDensity != InitDensityAuto {
-		// InitDensity parameterizes only the random scheme. Rejecting it
-		// elsewhere (rather than ignoring it) also keeps the config
-		// fingerprint honest: an unused parameter must not be hashed.
-		return cfg, fmt.Errorf("core: InitDensity %v is only meaningful with InitRandom (scheme is %v)", cfg.InitDensity, cfg.Init)
-	}
-	if cfg.InitDensity < 0 || cfg.InitDensity > 1 {
-		return cfg, fmt.Errorf("core: InitDensity %v outside [0,1]", cfg.InitDensity)
-	}
 	if o.CheckpointEvery < 0 {
 		return cfg, fmt.Errorf("core: CheckpointEvery %d < 0", o.CheckpointEvery)
 	}
@@ -284,10 +260,9 @@ func (o Options) resolve() (runConfig, error) {
 	return cfg, nil
 }
 
-// withDefaults resolves the options against the run's tensor and cluster
-// size: the two defaults resolve cannot know (Partitions, the
-// density-matched InitDensity) and the machine count itself.
-func (o Options) withDefaults(x *tensor.Tensor, machines int) (runConfig, error) {
+// withDefaults resolves the options against the run's cluster size: the
+// default resolve cannot know (Partitions) and the machine count itself.
+func (o Options) withDefaults(machines int) (runConfig, error) {
 	cfg, err := o.resolve()
 	if err != nil {
 		return cfg, err
@@ -295,10 +270,6 @@ func (o Options) withDefaults(x *tensor.Tensor, machines int) (runConfig, error)
 	cfg.Machines = machines
 	if cfg.Partitions == 0 {
 		cfg.Partitions = machines
-	}
-	if cfg.Init == InitRandom && cfg.InitDensity == InitDensityAuto {
-		d := math.Cbrt(x.Density() / float64(cfg.Rank))
-		cfg.InitDensity = math.Min(0.5, math.Max(0.01, d))
 	}
 	return cfg, nil
 }
@@ -347,7 +318,7 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 	if i == 0 || j == 0 || k == 0 {
 		return nil, fmt.Errorf("core: empty tensor %dx%dx%d", i, j, k)
 	}
-	cfg, err := opts.withDefaults(x, cl.Machines())
+	cfg, err := opts.withDefaults(cl.Machines())
 	if err != nil {
 		return nil, err
 	}
@@ -385,13 +356,6 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 			return nil, err
 		}
 		if ck != nil {
-			// The checkpoint records its init configuration readably, so a
-			// file written under a different one gets a targeted error
-			// before the opaque fingerprint check.
-			if ck.Init != cfg.Init || ck.InitialSets != cfg.InitialSets || ck.InitDensity != cfg.InitDensity {
-				return nil, fmt.Errorf("core: checkpoint was written with init scheme %v (%d sets, density %v), run uses %v (%d sets, density %v); resume requires the same init configuration",
-					ck.Init, ck.InitialSets, ck.InitDensity, cfg.Init, cfg.InitialSets, cfg.InitDensity)
-			}
 			if ck.Fingerprint != d.fp {
 				return nil, fmt.Errorf("core: checkpoint fingerprint %#x does not match run fingerprint %#x (config or tensor changed)",
 					ck.Fingerprint, d.fp)
@@ -562,9 +526,12 @@ func initialSet(rng *rand.Rand, x *tensor.Tensor, opt runConfig) (a, b, c *boolm
 		return topfiber.SeedFactors(x, opt.Rank)
 	}
 	if opt.Init == InitRandom {
-		return boolmat.RandomFactor(rng, i, opt.Rank, opt.InitDensity),
-			boolmat.RandomFactor(rng, j, opt.Rank, opt.InitDensity),
-			boolmat.RandomFactor(rng, k, opt.Rank, opt.InitDensity)
+		// Density-matched: R components of density d³ each reconstruct a
+		// tensor about as dense as x.
+		d := math.Min(0.5, math.Max(0.01, math.Cbrt(x.Density()/float64(opt.Rank))))
+		return boolmat.RandomFactor(rng, i, opt.Rank, d),
+			boolmat.RandomFactor(rng, j, opt.Rank, d),
+			boolmat.RandomFactor(rng, k, opt.Rank, d)
 	}
 	// Fiber sample: each component grows from the mode-1 fiber through a
 	// uniformly drawn nonzero. Seeds are rejection-sampled away from cells
@@ -643,9 +610,6 @@ func (d *decomposition) writeCheckpointStage(res *Result, a, b, c *boolmat.Facto
 		InitialErrors:   res.InitialErrors,
 		IterationErrors: res.IterationErrors,
 		A:               a, B: b, C: c,
-		Init:        d.ex.cfg.Init,
-		InitDensity: d.ex.cfg.InitDensity,
-		InitialSets: d.ex.cfg.InitialSets,
 	}
 	var bytes int64
 	var werr error

@@ -67,9 +67,6 @@ func TestDecomposeValidation(t *testing.T) {
 		{"negative partitions", x, Options{Rank: 2, Partitions: -1}},
 		{"negative groupbits", x, Options{Rank: 2, GroupBits: -1}},
 		{"negative tolerance", x, Options{Rank: 2, Tolerance: -5}},
-		{"bad init density", x, Options{Rank: 2, Init: InitRandom, InitDensity: 1.5}},
-		{"density without random init", x, Options{Rank: 2, InitDensity: 0.3}},
-		{"density with topfiber init", x, Options{Rank: 2, Init: InitTopFiber, InitDensity: 0.3}},
 		{"multiple sets with topfiber init", x, Options{Rank: 2, Init: InitTopFiber, InitialSets: 2}},
 		{"unknown init scheme", x, Options{Rank: 2, Init: InitScheme(9)}},
 		{"empty tensor", tensor.New(0, 3, 3), Options{Rank: 2}},
@@ -238,7 +235,7 @@ func referenceUpdate(u *tensor.Unfolded, a, mf, ms *boolmat.FactorMatrix) {
 func newTestDecomposition(t *testing.T, x *tensor.Tensor, opt Options, machines int) *decomposition {
 	t.Helper()
 	cl := testCluster(machines)
-	cfg, err := opt.withDefaults(x, cl.Machines())
+	cfg, err := opt.withDefaults(cl.Machines())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +528,7 @@ func TestFiberSampleInitAnchorsToData(t *testing.T) {
 	// seeded columns only contain indices of actual nonzeros.
 	rng := rand.New(rand.NewSource(22))
 	x := randomTensor(rng, 12, 12, 12, 0.05)
-	opt, err := (&Options{Rank: 4}).withDefaults(x, 2)
+	opt, err := (&Options{Rank: 4}).withDefaults(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,31 +606,6 @@ func TestInitialSetsAutoSentinelMatchesExplicitOne(t *testing.T) {
 	}
 	if !resultsEqual(auto, one) {
 		t.Fatal("InitialSetsAuto does not match an explicit InitialSets of 1")
-	}
-}
-
-func TestInitDensityNotAutoFilledOutsideRandom(t *testing.T) {
-	// Regression for the zero-as-unset fix: under non-random schemes the
-	// unused InitDensity must stay zero instead of being auto-filled from
-	// the tensor's density — otherwise the config fingerprint depends on a
-	// parameter the run never reads.
-	rng := rand.New(rand.NewSource(39))
-	x := randomTensor(rng, 8, 8, 8, 0.2)
-	for _, scheme := range []InitScheme{InitFiberSample, InitTopFiber} {
-		opt, err := (&Options{Rank: 2, Init: scheme}).withDefaults(x, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if opt.InitDensity != 0 {
-			t.Fatalf("scheme %v: InitDensity auto-filled to %v, want untouched 0", scheme, opt.InitDensity)
-		}
-	}
-	opt, err := (&Options{Rank: 2, Init: InitRandom}).withDefaults(x, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.InitDensity <= 0 {
-		t.Fatalf("InitRandom: InitDensity not auto-filled (got %v)", opt.InitDensity)
 	}
 }
 

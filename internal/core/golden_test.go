@@ -42,12 +42,12 @@ func TestGoldenRunPin(t *testing.T) {
 	// The fingerprint names a run's checkpoint file, so it is part of what a
 	// data directory written by the previous build expects of this one. It
 	// hashes one word per runConfig field and so was re-recorded (from
-	// 0x37b6518fdfee3df6) when the struct went from 13 fields to 12: a
+	// 0xc412bd1ff0934356) when the struct went from 12 fields to 11: a
 	// checkpoint an older build wrote is not found and its job restarts at
 	// iteration 0.
 	fp, err := Fingerprint(x, Options{Rank: 4, Seed: 7, Partitions: 4, Init: InitTopFiber}, 3)
-	if err != nil || fp != 0xc412bd1ff0934356 {
-		t.Errorf("fingerprint %#x (err %v), recorded 0xc412bd1ff0934356", fp, err)
+	if err != nil || fp != 0x3507ce951e13bb16 {
+		t.Errorf("fingerprint %#x (err %v), recorded 0x3507ce951e13bb16", fp, err)
 	}
 
 	type stats struct{ stages, tasks, shuffled, broadcast, collected int64 }
@@ -64,6 +64,8 @@ func TestGoldenRunPin(t *testing.T) {
 			"1312fa644885e579", []int64{213, 213, 213, 213}, stats{66, 263, 24360, 450, 38560}},
 		{"topfiber", Options{Init: InitTopFiber},
 			"56ce5200deec1a1d", []int64{297, 94, 94}, stats{40, 159, 24360, 270, 23136}},
+		{"random", Options{Init: InitRandom},
+			"1fe8a3701ba4447d", []int64{94, 94}, stats{27, 107, 24360, 180, 15424}},
 	} {
 		for _, noCache := range []bool{false, true} {
 			for _, backend := range []string{"simulator", "hostTransport"} {

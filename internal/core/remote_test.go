@@ -200,7 +200,7 @@ func TestSetupCodecRoundTrip(t *testing.T) {
 	x := randomTensor(rand.New(rand.NewSource(5)), 5, 6, 7, 0.2)
 	cfg := runConfig{
 		Rank: 3, MaxIter: 7, MinIter: 2, InitialSets: 4, Partitions: 2, GroupBits: 4,
-		Tolerance: -9, Init: InitTopFiber, InitDensity: 0.125, Seed: -42, NoCache: true, Machines: 2,
+		Tolerance: -9, Init: InitTopFiber, Seed: -42, NoCache: true, Machines: 2,
 	}
 	blob, err := encodeSetup(x, cfg)
 	if err != nil {

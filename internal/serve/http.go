@@ -81,13 +81,13 @@ func writeAdmissionError(w http.ResponseWriter, aerr *AdmissionError) {
 
 func (s *Server) handlePutTensor(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxTensorBytes)
+	body := http.MaxBytesReader(w, r.Body, maxTensorBytes)
 	t, err := DecodeTensor(body)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("serve: tensor upload exceeds %d bytes", s.cfg.MaxTensorBytes))
+				fmt.Errorf("serve: tensor upload exceeds %d bytes", maxTensorBytes))
 			return
 		}
 		writeError(w, http.StatusBadRequest, err)
@@ -142,7 +142,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	view, ok := s.JobByID(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no job %q", r.PathValue("id")))
+		writeError(w, http.StatusNotFound, noJob(r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, view)
@@ -151,7 +151,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	view, ok := s.JobByID(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no job %q", r.PathValue("id")))
+		writeError(w, http.StatusNotFound, noJob(r.PathValue("id")))
 		return
 	}
 	if view.Result == nil {
@@ -168,7 +168,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.JobByID(id); !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no job %q", id))
+		writeError(w, http.StatusNotFound, noJob(id))
 		return
 	}
 	follow := r.URL.Query().Get("follow") != ""
@@ -227,9 +227,18 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// jobActionStatus is the status of a refused evict or cancel: 404 for an
+// unknown job, 409 for one in the wrong state.
+func jobActionStatus(err error) int {
+	if errors.Is(err, ErrNoJob) {
+		return http.StatusNotFound
+	}
+	return http.StatusConflict
+}
+
 func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	if err := s.Evict(r.PathValue("id")); err != nil {
-		writeError(w, http.StatusConflict, err)
+		writeError(w, jobActionStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]string{"status": "evicting"})
@@ -237,7 +246,7 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if err := s.Cancel(r.PathValue("id")); err != nil {
-		writeError(w, http.StatusConflict, err)
+		writeError(w, jobActionStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]string{"status": "cancelling"})

@@ -41,19 +41,18 @@ type Config struct {
 	// so giant jobs cannot monopolize the worker slots. Negative
 	// disables timeslicing; zero means the default 8.
 	SliceIterations int
-	// MaxTensorBytes bounds one tensor upload body. Default 64 MiB.
-	MaxTensorBytes int64
 	// DrainTimeout bounds the graceful drain: running jobs get this
 	// long to reach an iteration boundary and checkpoint before their
 	// contexts are cancelled. Default 30s.
 	DrainTimeout time.Duration
 	// Admission configures the explicit queue/memory/rate budgets.
 	Admission AdmissionConfig
-	// Now is the clock; injectable for deterministic admission tests.
-	Now func() time.Time
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
+
+// maxTensorBytes bounds one tensor upload body.
+const maxTensorBytes = 64 << 20
 
 func (c Config) withDefaults() (Config, error) {
 	if c.DataDir == "" {
@@ -61,9 +60,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	// A negative bound is a misconfiguration, not a default: MaxRunning -1
 	// would admit jobs and never run one, GateSlots -1 panics in NewGate.
-	if c.MaxRunning < 0 || c.GateSlots < 0 || c.MaxTensorBytes < 0 || c.DrainTimeout < 0 {
-		return c, fmt.Errorf("serve: Config MaxRunning %d, GateSlots %d, MaxTensorBytes %d, DrainTimeout %v: none may be negative",
-			c.MaxRunning, c.GateSlots, c.MaxTensorBytes, c.DrainTimeout)
+	if c.MaxRunning < 0 || c.GateSlots < 0 || c.DrainTimeout < 0 {
+		return c, fmt.Errorf("serve: Config MaxRunning %d, GateSlots %d, DrainTimeout %v: none may be negative",
+			c.MaxRunning, c.GateSlots, c.DrainTimeout)
 	}
 	if c.MaxRunning == 0 {
 		c.MaxRunning = 2
@@ -77,9 +76,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.SliceIterations == 0 {
 		c.SliceIterations = 8
 	}
-	if c.MaxTensorBytes == 0 {
-		c.MaxTensorBytes = 64 << 20
-	}
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
@@ -88,9 +84,6 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("serve: %w", err)
 	}
 	c.Admission = c.Admission.withDefaults()
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -215,7 +208,7 @@ func (s *Server) Submit(spec *JobSpec) (JobView, error) {
 	bytes := estimateTensorBytes(x.NNZ())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.cfg.Now()
+	now := time.Now()
 	if s.draining {
 		s.adm.shed["draining"]++
 		return JobView{}, &AdmissionError{Reason: "draining", RetryAfter: 10 * time.Second,
@@ -257,7 +250,7 @@ func (s *Server) scheduleLocked() {
 		j.evict = false
 		j.cancelReq = false
 		if j.StartedNanos == 0 {
-			j.StartedNanos = s.cfg.Now().UnixNano()
+			j.StartedNanos = time.Now().UnixNano()
 		}
 		if err := persistJob(s.cfg.DataDir, j); err != nil {
 			if perr := s.finishLocked(j, StateFailed, fmt.Errorf("persisting running state: %w", err)); perr != nil {
@@ -284,7 +277,7 @@ func (s *Server) finishLocked(j *Job, state State, cause error) error {
 	if cause != nil {
 		j.Error = cause.Error()
 	}
-	j.FinishedNanos = s.cfg.Now().UnixNano()
+	j.FinishedNanos = time.Now().UnixNano()
 	s.adm.releaseMemory(j.TensorBytes)
 	switch state {
 	case StateDone:
@@ -454,6 +447,12 @@ func FactorHash(a, b, c *boolmat.FactorMatrix) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// ErrNoJob reports a job id the server has never seen; the HTTP layer
+// answers it 404 on every route.
+var ErrNoJob = errors.New("serve: no job")
+
+func noJob(id string) error { return fmt.Errorf("%w %q", ErrNoJob, id) }
+
 // Evict asks a running job to stop at its next iteration boundary and
 // requeue; queued jobs are untouched (they are already preemptible).
 func (s *Server) Evict(id string) error {
@@ -461,7 +460,7 @@ func (s *Server) Evict(id string) error {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		return fmt.Errorf("serve: no job %q", id)
+		return noJob(id)
 	}
 	if j.State != StateRunning {
 		return fmt.Errorf("serve: job %q is %s, not running", id, j.State)
@@ -477,7 +476,7 @@ func (s *Server) Cancel(id string) error {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		return fmt.Errorf("serve: no job %q", id)
+		return noJob(id)
 	}
 	switch j.State {
 	case StateQueued:

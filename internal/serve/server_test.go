@@ -294,6 +294,50 @@ func TestSubmitRejectsSpecsTheEngineRejects(t *testing.T) {
 	}
 }
 
+// A job id the server has never seen is 404 on every route that names one;
+// evicting or cancelling a job that exists in the wrong state stays 409.
+func TestUnknownJobIs404OnEveryRoute(t *testing.T) {
+	s := testServer(t, nil)
+	defer s.Drain()
+	if err := s.PutTensor("x1", testTensor(7)); err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.Submit(baseSpec("x1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s, v.ID)
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{"GET", "/v1/jobs/nope", http.StatusNotFound},
+		{"GET", "/v1/jobs/nope/result", http.StatusNotFound},
+		{"GET", "/v1/jobs/nope/trace", http.StatusNotFound},
+		{"POST", "/v1/jobs/nope/evict", http.StatusNotFound},
+		{"DELETE", "/v1/jobs/nope", http.StatusNotFound},
+		{"POST", "/v1/jobs/" + v.ID + "/evict", http.StatusConflict},
+		{"DELETE", "/v1/jobs/" + v.ID, http.StatusConflict},
+	} {
+		req, err := http.NewRequest(tc.method, hs.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cerr := resp.Body.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 func TestCancelQueuedJob(t *testing.T) {
 	s := testServer(t, nil)
 	defer s.Drain()
@@ -533,11 +577,10 @@ func TestConfigRequiresDataDir(t *testing.T) {
 // that would admit jobs and never run one.
 func TestConfigRejectsBadMachines(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"Machines":       {Machines: -1},
-		"MaxRunning":     {MaxRunning: -1},
-		"GateSlots":      {GateSlots: -1},
-		"MaxTensorBytes": {MaxTensorBytes: -1},
-		"DrainTimeout":   {DrainTimeout: -1},
+		"Machines":     {Machines: -1},
+		"MaxRunning":   {MaxRunning: -1},
+		"GateSlots":    {GateSlots: -1},
+		"DrainTimeout": {DrainTimeout: -1},
 	} {
 		cfg.DataDir = t.TempDir()
 		if _, err := New(cfg); err == nil {

@@ -14,11 +14,10 @@ var binaryMagic = [4]byte{'D', 'B', 'T', '1'}
 
 // WriteBinary writes the tensor in the compact binary format: a 4-byte
 // magic, the three dimensions and the nonzero count as uvarints, then the
-// coordinates delta-encoded in sorted order (per-entry: uvarint ΔI,
-// uvarint J', uvarint K', where J'/K' restart from the absolute value
-// whenever the previous coordinate's prefix changes). The format is
-// typically 3–6× smaller than the text format and an order of magnitude
-// faster to parse.
+// coordinates in sorted order (per entry: uvarint ΔI from the previous
+// entry's I, then J and K as absolute uvarints). The format is typically
+// 3–6× smaller than the text format and an order of magnitude faster to
+// parse.
 func (t *Tensor) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(binaryMagic[:]); err != nil {

@@ -24,7 +24,7 @@ func (h *stallHost) RunBatch(spec transport.Spec, tasks []int) ([]transport.Task
 // TestRunCancelledMidStageReturnsPromptly pins the coordinator's
 // result-collection loop to the stage context: with a batch in flight on
 // a stalled worker, cancelling ctx must end Run immediately rather than
-// sitting in the receive until CallTimeout expires. The results channel
+// sitting in the receive until callTimeout expires. The results channel
 // is buffered to the batch count, so the abandoned sender goroutines
 // deposit their outcomes and exit.
 func TestRunCancelledMidStageReturnsPromptly(t *testing.T) {
@@ -43,7 +43,7 @@ func TestRunCancelledMidStageReturnsPromptly(t *testing.T) {
 	// Registered after the Close defer so it runs first: the abandoned
 	// call holds the worker mutex until its reply arrives, and Close
 	// blocks on that mutex — releasing the stall first keeps teardown
-	// from riding out the full CallTimeout.
+	// from riding out the full callTimeout.
 	defer close(h.release)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -57,7 +57,7 @@ func TestRunCancelledMidStageReturnsPromptly(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	cancel()
 
-	// Well under the 5s CallTimeout: the old bare receive only returned
+	// Well under the 5s callTimeout: the old bare receive only returned
 	// once the stalled call timed out.
 	select {
 	case err := <-errc:

@@ -31,33 +31,36 @@ import (
 type Config struct {
 	// Addrs lists the worker addresses; machine m is Addrs[m].
 	Addrs []string
-	// DialTimeout bounds each connection attempt. Default 5s.
-	DialTimeout time.Duration
-	// CallTimeout bounds one request/response exchange and is therefore
+
+	// The rest is set by this package's tests only; withDefaults fills in
+	// the one value every other caller runs on.
+
+	// dialTimeout bounds each connection attempt: 5s.
+	dialTimeout time.Duration
+	// callTimeout bounds one request/response exchange and is therefore
 	// the loss detector: a worker that does not answer within it is
-	// treated as lost. It must cover the slowest single stage batch.
-	// Default 2m.
-	CallTimeout time.Duration
-	// RedialBackoff is the minimum interval between reconnection attempts
-	// to a down worker. Default 250ms.
-	RedialBackoff time.Duration
-	// MaxFrame bounds frame sizes, sent and accepted. Default
+	// treated as lost. It must cover the slowest single stage batch: 2m.
+	callTimeout time.Duration
+	// redialBackoff is the minimum interval between reconnection attempts
+	// to a down worker: 250ms.
+	redialBackoff time.Duration
+	// maxFrame bounds frame sizes, sent and accepted:
 	// transport.DefaultMaxFrame.
-	MaxFrame int64
+	maxFrame int64
 }
 
 func (c Config) withDefaults() Config {
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 5 * time.Second
+	if c.dialTimeout == 0 {
+		c.dialTimeout = 5 * time.Second
 	}
-	if c.CallTimeout == 0 {
-		c.CallTimeout = 2 * time.Minute
+	if c.callTimeout == 0 {
+		c.callTimeout = 2 * time.Minute
 	}
-	if c.RedialBackoff == 0 {
-		c.RedialBackoff = 250 * time.Millisecond
+	if c.redialBackoff == 0 {
+		c.redialBackoff = 250 * time.Millisecond
 	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = transport.DefaultMaxFrame
+	if c.maxFrame == 0 {
+		c.maxFrame = transport.DefaultMaxFrame
 	}
 	return c
 }
@@ -168,7 +171,7 @@ func Dial(cfg Config) (*Coordinator, error) {
 // DialContext is Dial with a caller-supplied context covering the whole
 // connect phase — both the TCP connects and the protocol handshakes.
 // Cancelling ctx aborts a dial that would otherwise stall until
-// CallTimeout on a worker that accepts the connection but never answers
+// callTimeout on a worker that accepts the connection but never answers
 // the handshake.
 func DialContext(ctx context.Context, cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
@@ -194,7 +197,7 @@ func DialContext(ctx context.Context, cfg Config) (*Coordinator, error) {
 // ctx bounds both the connect and the handshake exchange; the redial path
 // passes the stage-boundary ctx so a recovering run stays cancellable.
 func (c *Coordinator) dialWorker(ctx context.Context, m int, w *worker) error {
-	d := net.Dialer{Timeout: c.cfg.DialTimeout}
+	d := net.Dialer{Timeout: c.cfg.dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", w.addr)
 	if err != nil {
 		return fmt.Errorf("tcp: dial worker %d (%s): %w", m, w.addr, err)
@@ -249,15 +252,15 @@ func (c *Coordinator) dialWorker(ctx context.Context, m int, w *worker) error {
 // exchange writes one frame and reads one reply on a raw connection,
 // under the call timeout, charging the wire counters.
 func (c *Coordinator) exchange(conn net.Conn, m *transport.Msg) (*transport.Msg, error) {
-	if err := conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout)); err != nil {
+	if err := conn.SetDeadline(time.Now().Add(c.cfg.callTimeout)); err != nil {
 		return nil, err
 	}
-	n, err := transport.WriteFrameMax(conn, m, c.cfg.MaxFrame)
+	n, err := transport.WriteFrameMax(conn, m, c.cfg.maxFrame)
 	c.sent.Add(int64(n))
 	if err != nil {
 		return nil, err
 	}
-	resp, rn, err := transport.ReadFrame(conn, c.cfg.MaxFrame)
+	resp, rn, err := transport.ReadFrame(conn, c.cfg.maxFrame)
 	c.recvd.Add(int64(rn))
 	if err != nil {
 		return nil, err
@@ -350,7 +353,7 @@ func (c *Coordinator) Membership(ctx context.Context) []transport.LivenessEvent 
 			continue
 		}
 		w.mu.Lock()
-		recent := time.Since(w.lastDial) < c.cfg.RedialBackoff
+		recent := time.Since(w.lastDial) < c.cfg.redialBackoff
 		if !recent {
 			w.lastDial = time.Now()
 		}
@@ -498,7 +501,7 @@ func (c *Coordinator) Run(ctx context.Context, spec transport.Spec, deliver func
 				// Abandon the round: results is buffered to len(queue), so
 				// stragglers deposit their outcome and exit without a
 				// receiver, and each in-flight call is bounded by
-				// CallTimeout. Before this select a cancelled run sat in
+				// callTimeout. Before this select a cancelled run sat in
 				// the bare receive until the slowest call timed out.
 				return ctx.Err()
 			}

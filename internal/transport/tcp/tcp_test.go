@@ -180,9 +180,9 @@ func runStage(t *testing.T, c *Coordinator, tasks int) {
 func testConfig(addrs ...string) Config {
 	return Config{
 		Addrs:         addrs,
-		DialTimeout:   2 * time.Second,
-		CallTimeout:   5 * time.Second,
-		RedialBackoff: time.Millisecond,
+		dialTimeout:   2 * time.Second,
+		callTimeout:   5 * time.Second,
+		redialBackoff: time.Millisecond,
 	}
 }
 
@@ -397,7 +397,7 @@ func TestOversizedFrameIsATypedError(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
-			cfg.MaxFrame = 1024
+			cfg.maxFrame = 1024
 			c, _ := dialWorkers(t, cfg, newEchoHost())
 			ctx := context.Background()
 			err := c.PushState(ctx, tc.kind, big)
@@ -625,7 +625,7 @@ func TestDialContextCancelUnblocksHungHandshake(t *testing.T) {
 	// A listener that never calls Accept: the kernel completes the TCP
 	// handshake from its backlog, so DialContext gets past the connect and
 	// blocks reading the hello reply. Only ctx cancellation can unblock it
-	// before CallTimeout (set to an hour here so a regression hangs the
+	// before callTimeout (set to an hour here so a regression hangs the
 	// deadline, not flakes past it).
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -637,7 +637,7 @@ func TestDialContextCancelUnblocksHungHandshake(t *testing.T) {
 		}
 	}()
 	cfg := testConfig(lis.Addr().String())
-	cfg.CallTimeout = time.Hour
+	cfg.callTimeout = time.Hour
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -670,9 +670,11 @@ func TestServeRejectsBadHandshake(t *testing.T) {
 	addr, _ := startWorker(t, newEchoHost())
 	for name, first := range map[string]*transport.Msg{
 		"a request before hello": {Type: transport.MsgRun},
-		// The previous build's hello — protocol 3, whose stage kinds were
-		// numbered from a build kind this build no longer has.
-		"an older protocol": {Type: transport.MsgHello, Proto: transport.ProtoVersion - 1, Machines: 1},
+		// Protocol 3 numbered the stage kinds from a build kind this build
+		// no longer has; protocol 4, the previous build's hello, ships a
+		// set-up blob one configuration word longer.
+		"protocol 3": {Type: transport.MsgHello, Proto: 3, Machines: 1},
+		"protocol 4": {Type: transport.MsgHello, Proto: 4, Machines: 1},
 	} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {

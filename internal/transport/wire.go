@@ -13,8 +13,10 @@ import (
 // gob body with separate state and ping exchanges); version 3 is the same
 // envelope around a set-up blob one configuration word shorter; version 4
 // renumbers the stage kinds (the build kind is gone: a version-3 peer's
-// eval would be read as a total-error).
-const ProtoVersion = 4
+// eval would be read as a total-error); version 5 is a set-up blob one
+// configuration word shorter again (a version-4 peer would read the seed
+// as the init density).
+const ProtoVersion = 5
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
 // tighter limit: large enough for a pushed tensor, small enough that a
