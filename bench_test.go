@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation section, one testing.B benchmark per artifact, plus the
+// evaluation section, one sub-benchmark per artifact, plus the
 // ablation benches DESIGN.md calls out and micro-benchmarks of the public
 // API. Each bench runs the corresponding experiment from
 // internal/experiments at a reduced scale so the whole suite completes in
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sync"
 	"testing"
 	"time"
 
@@ -33,72 +32,26 @@ func benchConfig() experiments.Config {
 	}
 }
 
-var printOnce sync.Map
-
-// runExperiment executes a registered experiment once per benchmark
-// iteration and prints its table the first time.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := experiments.Lookup(id)
-	if !ok {
-		b.Fatalf("experiment %q not registered", id)
-	}
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		tbl := e.Run(cfg)
-		if _, done := printOnce.LoadOrStore(id, true); !done {
-			fmt.Fprintln(os.Stderr)
-			tbl.Format(os.Stderr)
-		}
+// BenchmarkExperiments runs every registered experiment as
+// BenchmarkExperiments/<id> (Figure 1, Tables I and III, Figures 6 and 7,
+// the Section IV-D error sweeps, the Lemma 6-7 traffic check, the
+// ablations, the extensions, chaos) and prints each table once. It ranges
+// over the registry, so a new experiment is benched without an edit here.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All() {
+		printed := false // across the b.N ramp-up calls of the closure
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tbl := e.Run(benchConfig())
+				if !printed {
+					printed = true
+					fmt.Fprintln(os.Stderr)
+					tbl.Format(os.Stderr)
+				}
+			}
+		})
 	}
 }
-
-// Figure 1: data scalability of DBTF vs BCP_ALS vs Walk'n'Merge.
-
-func BenchmarkFig1aDimensionality(b *testing.B) { runExperiment(b, "fig1a") }
-func BenchmarkFig1bDensity(b *testing.B)        { runExperiment(b, "fig1b") }
-func BenchmarkFig1cRank(b *testing.B)           { runExperiment(b, "fig1c") }
-
-// Table I: qualitative scalability summary derived from the sweeps.
-
-func BenchmarkTable1Summary(b *testing.B) { runExperiment(b, "table1") }
-
-// Table III: dataset stand-ins.
-
-func BenchmarkTable3Datasets(b *testing.B) { runExperiment(b, "table3") }
-
-// Figure 6: real-world dataset stand-in comparison.
-
-func BenchmarkFig6RealWorld(b *testing.B) { runExperiment(b, "fig6") }
-
-// Figure 7: machine scalability from the simulated makespan.
-
-func BenchmarkFig7MachineScalability(b *testing.B) { runExperiment(b, "fig7") }
-
-// Section IV-D: reconstruction error sweeps.
-
-func BenchmarkErrFactorDensity(b *testing.B)    { runExperiment(b, "err-density") }
-func BenchmarkErrRank(b *testing.B)             { runExperiment(b, "err-rank") }
-func BenchmarkErrAdditiveNoise(b *testing.B)    { runExperiment(b, "err-add") }
-func BenchmarkErrDestructiveNoise(b *testing.B) { runExperiment(b, "err-del") }
-
-// Lemmas 6-7: traffic-volume validation.
-
-func BenchmarkTrafficValidation(b *testing.B) { runExperiment(b, "traffic") }
-
-// Ablations of DESIGN.md's design-choice index.
-
-func BenchmarkAblationCache(b *testing.B)          { runExperiment(b, "abl-cache") }
-func BenchmarkAblationCacheGroupBits(b *testing.B) { runExperiment(b, "abl-groupbits") }
-func BenchmarkAblationPartitioning(b *testing.B)   { runExperiment(b, "abl-partitioning") }
-func BenchmarkAblationPartitions(b *testing.B)     { runExperiment(b, "abl-partitions") }
-func BenchmarkAblationInitialSets(b *testing.B)    { runExperiment(b, "abl-initsets") }
-
-// Extensions: Boolean Tucker, MDL rank selection, Walk'n'Merge MDL.
-
-func BenchmarkExtTucker(b *testing.B)        { runExperiment(b, "ext-tucker") }
-func BenchmarkExtRankSelect(b *testing.B)    { runExperiment(b, "ext-rankselect") }
-func BenchmarkExtWalkNMergeMDL(b *testing.B) { runExperiment(b, "ext-wnm-mdl") }
 
 // Public-API micro-benchmarks: one full DBTF factorization per iteration.
 

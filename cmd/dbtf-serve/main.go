@@ -44,58 +44,38 @@ import (
 )
 
 func main() {
-	var (
-		addr       = flag.String("addr", "127.0.0.1:8080", "HTTP listen address (use :0 for an ephemeral port)")
-		data       = flag.String("data", "", "durable data directory (required; created if missing)")
-		maxRunning = flag.Int("max-running", 2, "concurrently running jobs")
-		machines   = flag.Int("machines", 4, "simulated cluster machines per job")
-		gateSlots  = flag.Int("gate", 0, "host-CPU gate slots shared by all jobs (0 = GOMAXPROCS)")
-		slice      = flag.Int("slice", 8, "timeslice in iterations before a busy job yields to waiters (<0 disables)")
-		drain      = flag.Duration("drain", 30*time.Second, "graceful-drain budget on SIGTERM/SIGINT")
-		maxQueued  = flag.Int("max-queued", 1024, "admission limit on queued+running jobs")
-		tenantMax  = flag.Int("tenant-queued", 256, "admission limit on one tenant's queued jobs")
-		memBudget  = flag.Int64("mem-budget", 1<<30, "admission memory budget in bytes")
-		rate       = flag.Float64("rate", 50, "per-tenant admission rate, jobs/second")
-		burst      = flag.Float64("burst", 100, "per-tenant admission burst")
-
-		loadtest = flag.Bool("loadtest", false, "run the seeded chaos load test against this binary and exit")
-		seed     = flag.Int64("seed", 1, "load test: workload seed")
-		small    = flag.Int("small", 200, "load test: number of small jobs")
-		giant    = flag.Int("giant", 3, "load test: number of giant jobs")
-		tenants  = flag.Int("tenants", 4, "load test: number of well-behaved tenants")
-	)
-	flag.Parse()
-
+	// Each flag is bound to the serve.Config or loadgen.Scenario field it
+	// sets; only the two that are not a field of either keep a local.
 	cfg := serve.Config{
-		DataDir:         *data,
-		MaxRunning:      *maxRunning,
-		Machines:        *machines,
-		GateSlots:       *gateSlots,
-		SliceIterations: *slice,
-		DrainTimeout:    *drain,
-		Admission: serve.AdmissionConfig{
-			MaxQueued:          *maxQueued,
-			MaxQueuedPerTenant: *tenantMax,
-			MemoryBudget:       *memBudget,
-			TenantRate:         *rate,
-			TenantBurst:        *burst,
-		},
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	}
+	sc := loadgen.Scenario{OverQuota: true, EvictInterval: 25 * time.Millisecond}
+	addr := flag.String("addr", "127.0.0.1:8080", "HTTP listen address (use :0 for an ephemeral port)")
+	flag.StringVar(&cfg.DataDir, "data", "", "durable data directory (required; created if missing)")
+	flag.IntVar(&cfg.MaxRunning, "max-running", 2, "concurrently running jobs")
+	flag.IntVar(&cfg.Machines, "machines", 4, "simulated cluster machines per job")
+	flag.IntVar(&cfg.GateSlots, "gate", 0, "host-CPU gate slots shared by all jobs (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.SliceIterations, "slice", 8, "timeslice in iterations before a busy job yields to waiters (<0 disables)")
+	flag.DurationVar(&cfg.DrainTimeout, "drain", 30*time.Second, "graceful-drain budget on SIGTERM/SIGINT")
+	flag.IntVar(&cfg.Admission.MaxQueued, "max-queued", 1024, "admission limit on queued+running jobs")
+	flag.IntVar(&cfg.Admission.MaxQueuedPerTenant, "tenant-queued", 256, "admission limit on one tenant's queued jobs")
+	flag.Int64Var(&cfg.Admission.MemoryBudget, "mem-budget", 1<<30, "admission memory budget in bytes")
+	flag.Float64Var(&cfg.Admission.TenantRate, "rate", 50, "per-tenant admission rate, jobs/second")
+	flag.Float64Var(&cfg.Admission.TenantBurst, "burst", 100, "per-tenant admission burst")
+
+	loadtest := flag.Bool("loadtest", false, "run the seeded chaos load test against this binary and exit")
+	flag.Int64Var(&sc.Seed, "seed", 1, "load test: workload seed")
+	flag.IntVar(&sc.SmallJobs, "small", 200, "load test: number of small jobs")
+	flag.IntVar(&sc.GiantJobs, "giant", 3, "load test: number of giant jobs")
+	flag.IntVar(&sc.Tenants, "tenants", 4, "load test: number of well-behaved tenants")
+	flag.Parse()
 
 	var err error
 	if *loadtest {
-		err = runLoadTest(cfg, loadgen.Scenario{
-			Seed:          *seed,
-			Tenants:       *tenants,
-			SmallJobs:     *small,
-			GiantJobs:     *giant,
-			OverQuota:     true,
-			EvictInterval: 25 * time.Millisecond,
-			Machines:      *machines,
-		})
+		sc.Machines = cfg.Machines
+		err = runLoadTest(cfg, sc)
 	} else {
 		err = run(cfg, *addr)
 	}

@@ -65,35 +65,41 @@ func (*progressSink) Close() error { return nil }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("dbtf", flag.ContinueOnError)
+	// A flag that sets one library option is bound to that field, so there
+	// is no block copying flags into options to keep in step with either;
+	// a flag with no field of its own (a derived or split value, one that
+	// applies per method or only with another flag) keeps a local.
+	var opts dbtf.Options
+	var plan dbtf.FaultPlan
 	var (
-		input      = fs.String("input", "", "input tensor file (required)")
-		method     = fs.String("method", "dbtf", "factorization method: dbtf, tucker, bcpals, or walknmerge")
-		rank       = fs.Int("rank", 10, "decomposition rank R")
-		maxIter    = fs.Int("maxiter", 10, "maximum iterations T")
-		machines   = fs.Int("machines", 16, "simulated cluster size M (dbtf)")
-		partitions = fs.Int("partitions", 0, "vertical partitions N (dbtf; 0 = machines)")
-		sets       = fs.Int("sets", 1, "initial factor sets L (dbtf)")
-		initMode   = fs.String("init", "", "initialization scheme: fiber, random, or topfiber (dbtf; default fiber) / topfiber or asso (bcpals; default topfiber)")
-		groupBits  = fs.Int("groupbits", 15, "cache group bits V (dbtf)")
-		seed       = fs.Int64("seed", 1, "random seed")
-		chaos      = fs.Float64("chaos", 0, "inject task failures at this rate into the simulated cluster (dbtf; panics at 1/4 and stragglers at 1/2 of the rate are injected too)")
-		chaosSeed  = fs.Int64("chaos-seed", 0, "seed of the fault-injection schedule (0 = -seed)")
-		chaosLoss  = fs.Float64("chaos-machine-loss", 0, "per-stage probability of losing each machine, in [0,1) (dbtf; survivors take over)")
-		chaosJoin  = fs.Int("chaos-rejoin", 0, "stages after which a lost machine rejoins (dbtf; 0 = never)")
-		maxRetries = fs.Int("max-retries", 0, "per-task retry bound for transient failures (0 = default 3)")
-		failFast   = fs.Bool("failfast", false, "abort on the first task failure instead of retrying")
-		ckDir      = fs.String("checkpoint-dir", "", "directory for durable iteration checkpoints (dbtf)")
-		ckEvery    = fs.Int("checkpoint-every", 1, "checkpoint period in iterations (dbtf; requires -checkpoint-dir)")
-		resume     = fs.Bool("resume", false, "continue from the checkpoint in -checkpoint-dir (dbtf)")
-		autoRank   = fs.Int("auto-rank", 0, "select the rank by MDL up to this maximum, one run per rank under every other flag (overrides -rank; dbtf method only)")
-		mdlSelect  = fs.Bool("mdl", false, "use MDL model-order selection (walknmerge method only)")
-		budget     = fs.Duration("budget", 0, "abort after this duration (0 = unlimited)")
-		output     = fs.String("output", "", "prefix for writing factor matrices")
-		workers    = fs.String("workers", "", "comma-separated dbtf-worker addresses: run on those real processes over TCP instead of the in-process simulated machines (dbtf); machine count is the address count")
-		verbose    = fs.Bool("v", false, "print per-iteration progress")
-		traceOut   = fs.String("trace", "", "write a structured run trace to this file (dbtf method only)")
-		traceFmt   = fs.String("trace-format", "jsonl", "trace format: jsonl (analysis/tracecheck) or chrome (load in Perfetto)")
+		input    = fs.String("input", "", "input tensor file (required)")
+		method   = fs.String("method", "dbtf", "factorization method: dbtf, tucker, bcpals, or walknmerge")
+		initMode = fs.String("init", "", "initialization scheme: fiber, random, or topfiber (dbtf; default fiber) / topfiber or asso (bcpals; default topfiber)")
+		chaos    = fs.Float64("chaos", 0, "inject task failures at this rate into the simulated cluster (dbtf; panics at 1/4 and stragglers at 1/2 of the rate are injected too)")
+		ckEvery  = fs.Int("checkpoint-every", 1, "checkpoint period in iterations (dbtf; requires -checkpoint-dir)")
+		autoRank = fs.Int("auto-rank", 0, "select the rank by MDL up to this maximum, one run per rank under every other flag (overrides -rank; dbtf method only)")
+		mdlSel   = fs.Bool("mdl", false, "use MDL model-order selection (walknmerge method only)")
+		budget   = fs.Duration("budget", 0, "abort after this duration (0 = unlimited)")
+		output   = fs.String("output", "", "prefix for writing factor matrices")
+		workers  = fs.String("workers", "", "comma-separated dbtf-worker addresses: run on those real processes over TCP instead of the in-process simulated machines (dbtf); machine count is the address count")
+		verbose  = fs.Bool("v", false, "print per-iteration progress")
+		traceOut = fs.String("trace", "", "write a structured run trace to this file (dbtf method only)")
+		traceFmt = fs.String("trace-format", "jsonl", "trace format: jsonl (analysis/tracecheck) or chrome (load in Perfetto)")
 	)
+	fs.IntVar(&opts.Rank, "rank", 10, "decomposition rank R")
+	fs.IntVar(&opts.MaxIter, "maxiter", 10, "maximum iterations T")
+	fs.IntVar(&opts.Machines, "machines", 16, "simulated cluster size M (dbtf)")
+	fs.IntVar(&opts.Partitions, "partitions", 0, "vertical partitions N (dbtf; 0 = machines)")
+	fs.IntVar(&opts.InitialSets, "sets", 1, "initial factor sets L (dbtf)")
+	fs.IntVar(&opts.CacheGroupBits, "groupbits", 15, "cache group bits V (dbtf)")
+	fs.Int64Var(&opts.Seed, "seed", 1, "random seed")
+	fs.Int64Var(&plan.Seed, "chaos-seed", 0, "seed of the fault-injection schedule (0 = -seed)")
+	fs.Float64Var(&plan.MachineLossRate, "chaos-machine-loss", 0, "per-stage probability of losing each machine, in [0,1) (dbtf; survivors take over)")
+	fs.IntVar(&plan.MachineRejoinAfter, "chaos-rejoin", 0, "stages after which a lost machine rejoins (dbtf; 0 = never)")
+	fs.IntVar(&opts.MaxRetries, "max-retries", 0, "per-task retry bound for transient failures (0 = default 3)")
+	fs.BoolVar(&opts.FailFast, "failfast", false, "abort on the first task failure instead of retrying")
+	fs.StringVar(&opts.CheckpointDir, "checkpoint-dir", "", "directory for durable iteration checkpoints (dbtf)")
+	fs.BoolVar(&opts.Resume, "resume", false, "continue from the checkpoint in -checkpoint-dir (dbtf)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -108,29 +114,27 @@ func run(args []string) error {
 	if *chaos < 0 || *chaos > 0.5 {
 		return fmt.Errorf("-chaos %v outside [0, 0.5]", *chaos)
 	}
-	if *ckDir != "" && *ckEvery <= 0 {
-		return fmt.Errorf("-checkpoint-every %d must be >= 1", *ckEvery)
+	if opts.CheckpointDir != "" {
+		if *ckEvery <= 0 {
+			return fmt.Errorf("-checkpoint-every %d must be >= 1", *ckEvery)
+		}
+		opts.CheckpointEvery = *ckEvery
 	}
 	// Parse -init per method so a typo fails before the tensor is read.
-	var dbtfInit dbtf.InitScheme
 	var bcpalsInit dbtf.BCPALSInit
+	var err error
 	switch *method {
 	case "bcpals":
-		v, err := dbtf.ParseBCPALSInit(*initMode)
-		if err != nil {
-			return fmt.Errorf("-init: %v", err)
-		}
-		bcpalsInit = v
+		bcpalsInit, err = dbtf.ParseBCPALSInit(*initMode)
 	case "dbtf":
-		v, err := dbtf.ParseInitScheme(*initMode)
-		if err != nil {
-			return fmt.Errorf("-init: %v", err)
-		}
-		dbtfInit = v
+		opts.Init, err = dbtf.ParseInitScheme(*initMode)
 	default:
 		if *initMode != "" {
 			return fmt.Errorf("-init requires -method dbtf or bcpals")
 		}
+	}
+	if err != nil {
+		return fmt.Errorf("-init: %v", err)
 	}
 	if *traceFmt != "jsonl" && *traceFmt != "chrome" {
 		return fmt.Errorf("-trace-format %q (want jsonl or chrome)", *traceFmt)
@@ -138,7 +142,6 @@ func run(args []string) error {
 	if *traceOut != "" && (*method != "dbtf" || *autoRank > 0) {
 		return fmt.Errorf("-trace requires -method dbtf (without -auto-rank)")
 	}
-	var workerAddrs []string
 	if *workers != "" {
 		if *method != "dbtf" || *autoRank > 0 {
 			return fmt.Errorf("-workers requires -method dbtf (without -auto-rank)")
@@ -148,48 +151,20 @@ func run(args []string) error {
 			if a == "" {
 				return fmt.Errorf("-workers %q contains an empty address", *workers)
 			}
-			workerAddrs = append(workerAddrs, a)
+			opts.Workers = append(opts.Workers, a)
 		}
 		// The worker processes are the machines; the summary lines below
 		// report the real cluster size.
-		*machines = len(workerAddrs)
+		opts.Machines = len(opts.Workers)
 	}
-
-	// Any non-zero chaos flag builds the plan, so that an out-of-range one
+	// Any non-zero chaos flag installs the plan, so that an out-of-range one
 	// reaches the library's check instead of being dropped as "no chaos".
-	var faults *dbtf.FaultPlan
-	if *chaos != 0 || *chaosLoss != 0 || *chaosJoin != 0 {
-		fseed := *chaosSeed
-		if fseed == 0 {
-			fseed = *seed
+	if *chaos != 0 || plan.MachineLossRate != 0 || plan.MachineRejoinAfter != 0 {
+		if plan.Seed == 0 {
+			plan.Seed = opts.Seed
 		}
-		faults = &dbtf.FaultPlan{
-			Seed:               fseed,
-			FailureRate:        *chaos,
-			PanicRate:          *chaos / 4,
-			StragglerRate:      *chaos / 2,
-			MachineLossRate:    *chaosLoss,
-			MachineRejoinAfter: *chaosJoin,
-		}
-	}
-	opts := dbtf.Options{
-		Rank:           *rank,
-		MaxIter:        *maxIter,
-		InitialSets:    *sets,
-		Machines:       *machines,
-		Workers:        workerAddrs,
-		Partitions:     *partitions,
-		CacheGroupBits: *groupBits,
-		Init:           dbtfInit,
-		Seed:           *seed,
-		MaxRetries:     *maxRetries,
-		FailFast:       *failFast,
-		Faults:         faults,
-		CheckpointDir:  *ckDir,
-		Resume:         *resume,
-	}
-	if *ckDir != "" {
-		opts.CheckpointEvery = *ckEvery
+		plan.FailureRate, plan.PanicRate, plan.StragglerRate = *chaos, *chaos/4, *chaos/2
+		opts.Faults = &plan
 	}
 	if *method == "dbtf" {
 		if *autoRank > 0 {
@@ -266,18 +241,18 @@ func run(args []string) error {
 		}
 		fmt.Printf("dbtf: %d iterations, converged=%v\n", res.Iterations, res.Converged)
 		fmt.Printf("cluster: simulated %v on %d machines; shuffled %d B, broadcast %d B, collected %d B\n",
-			res.SimTime.Round(time.Millisecond), *machines,
+			res.SimTime.Round(time.Millisecond), opts.Machines,
 			res.Stats.ShuffledBytes, res.Stats.BroadcastBytes, res.Stats.CollectedBytes)
-		if faults != nil {
+		if opts.Faults != nil {
 			fmt.Printf("chaos: %d injected faults, %d retries, %d speculative launches (%d wins), %d machine losses, %d recoveries\n",
 				res.Stats.InjectedFaults, res.Stats.Retries, res.Stats.SpeculativeLaunches,
 				res.Stats.SpeculativeWins, res.Stats.MachineLosses, res.Stats.Recoveries)
 		}
-		if *ckDir != "" {
-			fmt.Printf("checkpoint: %d B written to %s\n", res.Stats.CheckpointBytes, *ckDir)
+		if opts.CheckpointDir != "" {
+			fmt.Printf("checkpoint: %d B written to %s\n", res.Stats.CheckpointBytes, opts.CheckpointDir)
 		}
 	case "bcpals":
-		res, err := dbtf.FactorizeBCPALS(ctx, x, dbtf.BCPALSOptions{Rank: *rank, MaxIter: *maxIter, Init: bcpalsInit})
+		res, err := dbtf.FactorizeBCPALS(ctx, x, dbtf.BCPALSOptions{Rank: opts.Rank, MaxIter: opts.MaxIter, Init: bcpalsInit})
 		if err != nil {
 			return err
 		}
@@ -285,7 +260,7 @@ func run(args []string) error {
 		recErr = res.Error
 		fmt.Printf("bcpals: %d iterations, converged=%v\n", res.Iterations, res.Converged)
 	case "walknmerge":
-		res, err := dbtf.FactorizeWalkNMerge(ctx, x, dbtf.WalkNMergeOptions{Rank: *rank, Seed: *seed, MDLSelect: *mdlSelect})
+		res, err := dbtf.FactorizeWalkNMerge(ctx, x, dbtf.WalkNMergeOptions{Rank: opts.Rank, Seed: opts.Seed, MDLSelect: *mdlSel})
 		if err != nil {
 			return err
 		}
@@ -294,11 +269,11 @@ func run(args []string) error {
 		fmt.Printf("walknmerge: %d blocks found\n", len(res.Blocks))
 	case "tucker":
 		res, err := dbtf.FactorizeTucker(ctx, x, dbtf.TuckerOptions{
-			CPRank:      *rank,
-			Machines:    *machines,
-			InitialSets: *sets,
-			Seed:        *seed,
-			MaxIter:     *maxIter,
+			CPRank:      opts.Rank,
+			Machines:    opts.Machines,
+			InitialSets: opts.InitialSets,
+			Seed:        opts.Seed,
+			MaxIter:     opts.MaxIter,
 		})
 		if err != nil {
 			return err
@@ -307,7 +282,7 @@ func run(args []string) error {
 		recErr = res.Error
 		p, q, sDim := res.Core.Dims()
 		fmt.Printf("tucker: core %dx%dx%d with %d ones (from CP rank %d, CP error %d)\n",
-			p, q, sDim, res.Core.NNZ(), *rank, res.CPError)
+			p, q, sDim, res.Core.NNZ(), opts.Rank, res.CPError)
 	default:
 		return fmt.Errorf("unknown method %q (want dbtf, tucker, bcpals, or walknmerge)", *method)
 	}

@@ -60,6 +60,12 @@ var deletedNames = []deletedName{
 		pr: "PR 22: InitRandom's density is computed from the tensor and the rank where it is drawn; it is not an option, a runConfig word or a checkpoint field"},
 	{pattern: `"transport"`, scope: []string{"cmd/dbtf"},
 		pr: "PR 22: -workers being non-empty is what selects the TCP backend; there is no -transport flag"},
+	{pattern: `runDBTFVariant|runBudgeted|variantCells|runBCPALSInit|failDetail`, scope: []string{"internal/experiments"},
+		pr: "PR 23: every cell of the record is a Run made by the one budgeted function; there is no second runner, cell formatter or attribution helper (DESIGN §6)"},
+	{pattern: `context\.WithTimeout`, scope: []string{"internal/experiments"}, nonTest: true, except: []string{"internal/experiments/experiments.go"},
+		pr: "PR 23: the budget is armed in one place, budgeted; an experiment that times its own run classifies the outcome its own way"},
+	{pattern: `countingSource|RNGDraws|fastForward`, scope: []string{"internal/core"},
+		pr: "PR 23: only initialSet draws and a checkpoint exists only after it has, so a resumed run never needs the stream; checkpoint format 4 has no RNG state (DESIGN §7)"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

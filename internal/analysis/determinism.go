@@ -16,8 +16,8 @@ import (
 //     wall-clock *reporting* that never feeds back into results, an
 //     explicit //dbtf:allow-nondeterministic <reason> annotation.
 //   - Global math/rand functions (rand.Intn, rand.Shuffle, ...) are
-//     flagged; rand.New/rand.NewSource over the seeded countingSource are
-//     the sanctioned route and are not flagged.
+//     flagged; rand.New over rand.NewSource(seed) is the sanctioned
+//     route and is not flagged.
 //   - Ranging over a map is flagged when the ranged expression is
 //     syntactically recognizable as a map: a local declared or made as a
 //     map, or a selector whose field is declared as a map in this package.

@@ -14,7 +14,7 @@ import (
 var noNetwork = NetworkModel{LatencyPerStage: 0, BytesPerSecond: 1e18}
 
 func TestRetryRecoversTransientError(t *testing.T) {
-	c := New(Config{Machines: 2, Network: noNetwork})
+	c := New(Config{Machines: 2, network: noNetwork})
 	var attempts [4]atomic.Int64
 	err := c.ForEach(context.Background(), 4, func(task int) error {
 		if attempts[task].Add(1) <= 2 && task == 1 {
@@ -31,7 +31,7 @@ func TestRetryRecoversTransientError(t *testing.T) {
 }
 
 func TestRetryRecoversTransientPanic(t *testing.T) {
-	c := New(Config{Machines: 2, Network: noNetwork})
+	c := New(Config{Machines: 2, network: noNetwork})
 	var attempts atomic.Int64
 	err := c.ForEach(context.Background(), 1, func(int) error {
 		if attempts.Add(1) == 1 {
@@ -48,7 +48,7 @@ func TestRetryRecoversTransientPanic(t *testing.T) {
 }
 
 func TestRetriesExhausted(t *testing.T) {
-	c := New(Config{Machines: 2, MaxRetries: 2, Network: noNetwork})
+	c := New(Config{Machines: 2, MaxRetries: 2, network: noNetwork})
 	want := errors.New("permanent")
 	var attempts atomic.Int64
 	err := c.ForEach(context.Background(), 1, func(int) error {
@@ -64,7 +64,7 @@ func TestRetriesExhausted(t *testing.T) {
 }
 
 func TestFailFastAborts(t *testing.T) {
-	c := New(Config{Machines: 2, FailFast: true, Network: noNetwork})
+	c := New(Config{Machines: 2, FailFast: true, network: noNetwork})
 	want := errors.New("boom")
 	var attempts atomic.Int64
 	err := c.ForEach(context.Background(), 1, func(int) error {
@@ -83,7 +83,7 @@ func TestFailFastAborts(t *testing.T) {
 }
 
 func TestBackoffChargedToSimulatedClock(t *testing.T) {
-	c := New(Config{Machines: 1, Network: noNetwork})
+	c := New(Config{Machines: 1, network: noNetwork})
 	var attempts atomic.Int64
 	start := time.Now()
 	if err := c.ForEach(context.Background(), 1, func(int) error {
@@ -104,7 +104,7 @@ func TestBackoffChargedToSimulatedClock(t *testing.T) {
 
 func TestFaultPlanDeterministic(t *testing.T) {
 	run := func() Stats {
-		c := New(Config{Machines: 4, Network: noNetwork,
+		c := New(Config{Machines: 4, network: noNetwork,
 			Faults: &FaultPlan{Seed: 7, FailureRate: 0.2, PanicRate: 0.05}})
 		for s := 0; s < 5; s++ {
 			if err := c.ForEach(context.Background(), 40, func(int) error { return nil }); err != nil {
@@ -128,7 +128,7 @@ func TestFaultPlanDeterministic(t *testing.T) {
 func TestFaultPlanNeverFailsWithRetries(t *testing.T) {
 	// Injected failures are transient by construction: the final attempt
 	// always runs clean, so even an extreme plan cannot abort a stage.
-	c := New(Config{Machines: 4, Network: noNetwork,
+	c := New(Config{Machines: 4, network: noNetwork,
 		Faults: &FaultPlan{Seed: 3, FailureRate: 0.5, PanicRate: 0.3}})
 	var ran atomic.Int64
 	if err := c.ForEach(context.Background(), 200, func(int) error {
@@ -146,7 +146,7 @@ func TestFailFastSuppressesFailureInjection(t *testing.T) {
 	// With one attempt per task there is no clean retry to fall back on,
 	// so fail/panic injection is disabled rather than making every run
 	// abort.
-	c := New(Config{Machines: 2, FailFast: true, Network: noNetwork,
+	c := New(Config{Machines: 2, FailFast: true, network: noNetwork,
 		Faults: &FaultPlan{Seed: 1, FailureRate: 1.0}})
 	if err := c.ForEach(context.Background(), 50, func(int) error { return nil }); err != nil {
 		t.Fatalf("FailFast run failed under injection-only faults: %v", err)
@@ -157,7 +157,7 @@ func TestFailFastSuppressesFailureInjection(t *testing.T) {
 }
 
 func TestStragglerChargesSimulatedClock(t *testing.T) {
-	c := New(Config{Machines: 1, Network: noNetwork,
+	c := New(Config{Machines: 1, network: noNetwork,
 		Faults: &FaultPlan{Seed: 1, StragglerRate: 1.0,
 			stragglerDelay: 80 * time.Millisecond, disableSpeculation: true}})
 	start := time.Now()
@@ -179,7 +179,7 @@ func TestStragglerChargesSimulatedClock(t *testing.T) {
 func TestSpeculativeCopyBeatsStraggler(t *testing.T) {
 	// A near-instant task delayed by 1s: the speculative copy (task cost +
 	// 1ms launch) wins, and the clock pays the copy instead of the delay.
-	c := New(Config{Machines: 1, Network: noNetwork,
+	c := New(Config{Machines: 1, network: noNetwork,
 		Faults: &FaultPlan{Seed: 1, StragglerRate: 1.0,
 			stragglerDelay: time.Second, speculativeLaunch: time.Millisecond}})
 	if err := c.ForEach(context.Background(), 1, func(int) error { return nil }); err != nil {
@@ -194,7 +194,7 @@ func TestSpeculativeCopyBeatsStraggler(t *testing.T) {
 }
 
 func TestForEachObservesCancellation(t *testing.T) {
-	c := New(Config{Machines: 2, Network: noNetwork})
+	c := New(Config{Machines: 2, network: noNetwork})
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
 	err := c.ForEach(ctx, 1000, func(task int) error {

@@ -67,9 +67,6 @@ var DefaultNetwork = NetworkModel{
 type Config struct {
 	// Machines is the number of logical machines M. Must be >= 1.
 	Machines int
-	// Network prices simulated communication. Zero value means
-	// DefaultNetwork.
-	Network NetworkModel
 	// FailFast disables retries: the first task error or recovered panic
 	// aborts the stage immediately, the engine's original semantics.
 	FailFast bool
@@ -103,6 +100,11 @@ type Config struct {
 	// Gate. Waiting at the gate is host contention and is not charged to
 	// the simulated clock.
 	Gate *Gate
+
+	// network prices simulated communication. Set by this package's tests
+	// only; New fills in DefaultNetwork, the one value every other caller
+	// runs on.
+	network NetworkModel
 }
 
 // DefaultMaxRetries is the per-task retry bound when Config.MaxRetries is
@@ -233,7 +235,7 @@ func New(cfg Config) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	net := cfg.Network
+	net := cfg.network
 	if net == (NetworkModel{}) {
 		net = DefaultNetwork
 	}

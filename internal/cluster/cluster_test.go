@@ -98,7 +98,7 @@ func TestSimulatedMakespanScalesWithMachines(t *testing.T) {
 	// in the ledger regardless of host load.
 	noNet := NetworkModel{LatencyPerStage: 0, BytesPerSecond: 1e18} // non-zero struct so DefaultNetwork is not substituted
 	run := func(machines int) time.Duration {
-		c := New(Config{Machines: machines, Network: noNet})
+		c := New(Config{Machines: machines, network: noNet})
 		c.parallelism = 1 // the fake clock is read by one goroutine
 		fake := time.Unix(0, 0)
 		c.now = func() time.Time {
@@ -121,7 +121,7 @@ func TestSimulatedMakespanScalesWithMachines(t *testing.T) {
 
 func TestNetworkCostCharged(t *testing.T) {
 	slow := NetworkModel{LatencyPerStage: 0, BytesPerSecond: 1e6} // 1 MB/s per link
-	c := New(Config{Machines: 2, Network: slow})
+	c := New(Config{Machines: 2, network: slow})
 	// Shuffle fans out over the 2 machines' links: 1 MB / (1 MB/s × 2) ≈ 0.5s.
 	c.Shuffle(1_000_000)
 	if err := c.ForEach(context.Background(), 1, func(int) error { return nil }); err != nil {
@@ -143,7 +143,7 @@ func TestNetworkCostCharged(t *testing.T) {
 
 func TestNetworkTrafficChargedOnce(t *testing.T) {
 	slow := NetworkModel{LatencyPerStage: 0, BytesPerSecond: 1e6}
-	c := New(Config{Machines: 2, Network: slow})
+	c := New(Config{Machines: 2, network: slow})
 	c.Collect(1_000_000)
 	noop := func(int) error { return nil }
 	if err := c.ForEach(context.Background(), 1, noop); err != nil {

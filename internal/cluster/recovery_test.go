@@ -9,7 +9,7 @@ import (
 )
 
 func TestMachineKillReassignsTasks(t *testing.T) {
-	c := New(Config{Machines: 4, Network: noNetwork,
+	c := New(Config{Machines: 4, network: noNetwork,
 		Faults: &FaultPlan{machineKills: []machineKill{{Stage: 0, Machine: 1}}}})
 	if err := c.ForEach(context.Background(), 8, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestMachineKillReassignsTasks(t *testing.T) {
 }
 
 func TestMachineRejoin(t *testing.T) {
-	c := New(Config{Machines: 2, Network: noNetwork,
+	c := New(Config{Machines: 2, network: noNetwork,
 		Faults: &FaultPlan{
 			machineKills:       []machineKill{{Stage: 0, Machine: 0}},
 			MachineRejoinAfter: 2,
@@ -69,7 +69,7 @@ func TestMachineRejoin(t *testing.T) {
 }
 
 func TestNeverKillsLastMachine(t *testing.T) {
-	c := New(Config{Machines: 1, Network: noNetwork,
+	c := New(Config{Machines: 1, network: noNetwork,
 		Faults: &FaultPlan{Seed: 1, MachineLossRate: 0.99}})
 	for s := 0; s < 20; s++ {
 		if err := c.ForEach(context.Background(), 4, func(int) error { return nil }); err != nil {
@@ -86,7 +86,7 @@ func TestNeverKillsLastMachine(t *testing.T) {
 
 func TestMachineLossScheduleDeterministic(t *testing.T) {
 	run := func() Stats {
-		c := New(Config{Machines: 8, Network: noNetwork,
+		c := New(Config{Machines: 8, network: noNetwork,
 			Faults: &FaultPlan{Seed: 11, MachineLossRate: 0.15, MachineRejoinAfter: 2}})
 		for s := 0; s < 12; s++ {
 			if err := c.ForEach(context.Background(), 16, func(int) error { return nil }); err != nil {
@@ -108,7 +108,7 @@ func TestMachineLossScheduleDeterministic(t *testing.T) {
 }
 
 func TestOnMachineLossHandler(t *testing.T) {
-	c := New(Config{Machines: 4, Network: noNetwork,
+	c := New(Config{Machines: 4, network: noNetwork,
 		Faults: &FaultPlan{machineKills: []machineKill{{Stage: 1, Machine: 2}}}})
 	var lost []int
 	var tasksBeforeHandler atomic.Int64
@@ -133,7 +133,7 @@ func TestOnMachineLossHandler(t *testing.T) {
 }
 
 func TestMachineLossChargesRecoveryTraffic(t *testing.T) {
-	c := New(Config{Machines: 4, Network: noNetwork,
+	c := New(Config{Machines: 4, network: noNetwork,
 		Faults: &FaultPlan{machineKills: []machineKill{{Stage: 1, Machine: 0}}}})
 	ctx := context.Background()
 	if err := c.ForEach(ctx, 4, func(int) error { return nil }); err != nil {
@@ -169,7 +169,7 @@ func TestMachineKillOutsideClusterPanics(t *testing.T) {
 // task function itself runs once per task: the backup copy is priced from
 // the attempt's measured duration, not executed.
 func TestSpeculativeLaunchesAreReal(t *testing.T) {
-	c := New(Config{Machines: 4, Network: noNetwork,
+	c := New(Config{Machines: 4, network: noNetwork,
 		Faults: &FaultPlan{Seed: 1, StragglerRate: 1.0,
 			stragglerDelay: time.Second, speculativeLaunch: time.Millisecond}})
 	var runs atomic.Int64
@@ -197,7 +197,7 @@ func TestStatsSnapshotNotTorn(t *testing.T) {
 	// published atomically with their stage. A torn snapshot (counters
 	// read mid-stage, as with the former per-counter atomics) shows
 	// partial increments.
-	c := New(Config{Machines: 4, Network: noNetwork, MaxRetries: 1})
+	c := New(Config{Machines: 4, network: noNetwork, MaxRetries: 1})
 	const tasksPerStage = 8
 	var stage atomic.Int64
 	var attempts sync.Map

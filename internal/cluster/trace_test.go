@@ -174,7 +174,7 @@ func TestChromeGolden(t *testing.T) {
 	var out bytes.Buffer
 	c := New(Config{
 		Machines: 2,
-		Network:  NetworkModel{LatencyPerStage: time.Millisecond, BytesPerSecond: 1e6},
+		network:  NetworkModel{LatencyPerStage: time.Millisecond, BytesPerSecond: 1e6},
 		Faults: &FaultPlan{
 			machineKills:       []machineKill{{Stage: 1, Machine: 1}},
 			MachineRejoinAfter: 2,
@@ -269,7 +269,7 @@ func TestResetClockRebaselinesCheckpointBytes(t *testing.T) {
 // to the first stage of the next timed phase.
 func TestResetClockDropsPendingRecoveryNanos(t *testing.T) {
 	noNet := NetworkModel{LatencyPerStage: 0, BytesPerSecond: 1e6}
-	c := New(Config{Machines: 2, Network: noNet})
+	c := New(Config{Machines: 2, network: noNet})
 	c.mu.Lock()
 	c.recoveryNanos = int64(5 * time.Second) // pending pre-phase recovery transfer
 	c.mu.Unlock()

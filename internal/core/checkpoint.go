@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,7 +15,7 @@ import (
 )
 
 // CheckpointFileName returns the checkpoint file name for a run with the
-// given config+tensor fingerprint (see Fingerprint). Namespacing the file
+// given config+tensor fingerprint (see fingerprint). Namespacing the file
 // by fingerprint means any number of jobs may share one checkpoint
 // directory: each run only ever reads and atomically replaces its own
 // file, and a changed configuration starts its own checkpoint lineage
@@ -26,10 +25,10 @@ func CheckpointFileName(fp uint64) string {
 }
 
 // checkpointMagic identifies the checkpoint format: "DBTFCKP" followed by
-// the format version. There is one: 0x03. Images of the older layouts
-// 0x01 and 0x02 are rejected like any other unknown version, never
+// the format version. There is one: 0x04. Images of the older layouts
+// 0x01 to 0x03 are rejected like any other unknown version, never
 // re-interpreted.
-var checkpointMagic = [8]byte{'D', 'B', 'T', 'F', 'C', 'K', 'P', 0x03}
+var checkpointMagic = [8]byte{'D', 'B', 'T', 'F', 'C', 'K', 'P', 0x04}
 
 // checkpoint is a durable snapshot of a decomposition at an iteration
 // boundary: everything Decompose needs to continue the run bit-identically
@@ -37,12 +36,11 @@ var checkpointMagic = [8]byte{'D', 'B', 'T', 'F', 'C', 'K', 'P', 0x03}
 //
 // Binary layout (all integers little-endian):
 //
-//	magic      8 bytes  "DBTFCKP" + version 0x03
+//	magic      8 bytes  "DBTFCKP" + version 0x04
 //	payload:
 //	  fingerprint      u64   config+tensor fingerprint (see fingerprint)
 //	  iteration        u32   completed iterations
 //	  converged        u8    1 if the convergence criterion already fired
-//	  rngDraws         u64   source draws consumed by initialization
 //	  prevErr          u64   int64 bits of the last iteration's error
 //	  initialErrors    u32 count, then count × u64 (int64 bits)
 //	  iterationErrors  u32 count, then count × u64 (int64 bits)
@@ -52,7 +50,6 @@ type checkpoint struct {
 	Fingerprint     uint64
 	Iteration       int
 	Converged       bool
-	RNGDraws        uint64
 	PrevErr         int64
 	InitialErrors   []int64
 	IterationErrors []int64
@@ -69,7 +66,6 @@ func (ck *checkpoint) encode() []byte {
 		conv = 1
 	}
 	buf = append(buf, conv)
-	buf = le.AppendUint64(buf, ck.RNGDraws)
 	buf = le.AppendUint64(buf, uint64(ck.PrevErr))
 	for _, errs := range [][]int64{ck.InitialErrors, ck.IterationErrors} {
 		buf = le.AppendUint32(buf, uint32(len(errs)))
@@ -156,7 +152,6 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	ck := &checkpoint{Fingerprint: c.u64(), Iteration: int(c.u32())}
 	conv := c.take(1)[0]
 	ck.Converged = conv == 1
-	ck.RNGDraws = c.u64()
 	ck.PrevErr = int64(c.u64())
 	ck.InitialErrors = c.i64s()
 	ck.IterationErrors = c.i64s()
@@ -273,65 +268,11 @@ func fingerprint(x *tensor.Tensor, cfg runConfig) uint64 {
 	return h.sum
 }
 
-// Fingerprint returns the config+tensor fingerprint a run with the given
-// options on a machines-machine cluster binds its checkpoints to. Options
-// are resolved to their defaults first, exactly as Decompose resolves
-// them, so the value matches the fingerprint of the actual run. The
-// service layer uses it to name a job's checkpoint lineage (see
-// CheckpointFileName) and as a job-scoped RNG/config identity when
-// verifying bit-identical resumption.
-func Fingerprint(x *tensor.Tensor, opts Options, machines int) (uint64, error) {
-	cfg, err := opts.withDefaults(machines)
-	if err != nil {
-		return 0, err
-	}
-	return fingerprint(x, cfg), nil
-}
-
 type fnv64a struct{ sum uint64 }
 
 func (h *fnv64a) u64(v uint64) {
 	for i := 0; i < 8; i++ {
 		h.sum ^= uint64(byte(v >> (8 * i)))
 		h.sum *= 1099511628211
-	}
-}
-
-// countingSource wraps a rand.Source64 and counts its draws. Every value
-// rand.Rand produces consumes draws from the source, so (seed, draw count)
-// is the generator's complete stream state: a checkpoint stores the count,
-// and resume replays exactly that many draws from a fresh source to
-// fast-forward to the identical state.
-type countingSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-}
-
-func (s *countingSource) Int63() int64 {
-	s.n++
-	return s.src.Int63()
-}
-
-func (s *countingSource) Uint64() uint64 {
-	s.n++
-	return s.src.Uint64()
-}
-
-func (s *countingSource) Seed(seed int64) {
-	s.src.Seed(seed)
-	s.n = 0
-}
-
-// fastForward replays n draws, reproducing the state a source that made n
-// draws before its checkpoint was in. Int63 and Uint64 advance the
-// underlying generator identically, so replaying with either matches a
-// history of any mix.
-func (s *countingSource) fastForward(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		s.Int63()
 	}
 }

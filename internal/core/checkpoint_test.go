@@ -15,8 +15,21 @@ import (
 
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
+	"dbtf/internal/tensor"
 	"dbtf/internal/trace"
 )
+
+// runFingerprint is the fingerprint Decompose binds the checkpoints of a run
+// under opts on a machines-machine cluster to: the options resolved exactly
+// as Decompose resolves them, hashed with the tensor.
+func runFingerprint(t *testing.T, x *tensor.Tensor, opts Options, machines int) uint64 {
+	t.Helper()
+	cfg, err := opts.withDefaults(machines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fingerprint(x, cfg)
+}
 
 func testCheckpoint() *checkpoint {
 	rng := rand.New(rand.NewSource(5))
@@ -24,7 +37,6 @@ func testCheckpoint() *checkpoint {
 		Fingerprint:     0xdeadbeefcafef00d,
 		Iteration:       3,
 		Converged:       true,
-		RNGDraws:        1234,
 		PrevErr:         42,
 		InitialErrors:   []int64{99, 77},
 		IterationErrors: []int64{77, 60, 42},
@@ -36,7 +48,7 @@ func testCheckpoint() *checkpoint {
 
 func checkpointsEqual(a, b *checkpoint) bool {
 	if a.Fingerprint != b.Fingerprint || a.Iteration != b.Iteration ||
-		a.Converged != b.Converged || a.RNGDraws != b.RNGDraws || a.PrevErr != b.PrevErr {
+		a.Converged != b.Converged || a.PrevErr != b.PrevErr {
 		return false
 	}
 	for _, p := range [][2][]int64{{a.InitialErrors, b.InitialErrors}, {a.IterationErrors, b.IterationErrors}} {
@@ -124,25 +136,6 @@ func TestReadCheckpointMissingIsFreshStart(t *testing.T) {
 	}
 }
 
-func TestCountingSourceFastForward(t *testing.T) {
-	a := newCountingSource(99)
-	rng := rand.New(a)
-	for i := 0; i < 500; i++ {
-		rng.Intn(10 + i)
-		rng.Float64()
-	}
-	b := newCountingSource(99)
-	b.fastForward(a.n)
-	if b.n != a.n {
-		t.Fatalf("fast-forwarded draw count %d, want %d", b.n, a.n)
-	}
-	for i := 0; i < 100; i++ {
-		if x, y := a.Uint64(), b.Uint64(); x != y {
-			t.Fatalf("draw %d after fast-forward: %d != %d", i, x, y)
-		}
-	}
-}
-
 func TestCheckpointOptionValidation(t *testing.T) {
 	cl := testCluster(2)
 	x := randomTensor(rand.New(rand.NewSource(1)), 4, 4, 4, 0.2)
@@ -215,10 +208,7 @@ func TestKillAtCheckpointThenResumeBitIdentical(t *testing.T) {
 			if _, err := Decompose(ctx, x, killAtCheckpoint(k, cancel), opt); !errors.Is(err, context.Canceled) {
 				t.Fatalf("killed run returned %v, want context.Canceled", err)
 			}
-			fp, err := Fingerprint(x, opt, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fp := runFingerprint(t, x, opt, 4)
 			ck, err := readCheckpoint(opt.CheckpointDir, fp)
 			if err != nil || ck == nil || ck.Iteration != k {
 				t.Fatalf("latest checkpoint after kill: %+v, %v; want iteration %d", ck, err, k)
@@ -267,21 +257,15 @@ func TestResumeRejectsFingerprintMismatch(t *testing.T) {
 	if _, err := Decompose(context.Background(), x, testCluster(2), opt); err != nil {
 		t.Fatal(err)
 	}
-	fpOld, err := Fingerprint(x, opt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fpOld := runFingerprint(t, x, opt, 2)
 	opt.Seed = 6
 	opt.Resume = true
-	fpNew, err := Fingerprint(x, opt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fpNew := runFingerprint(t, x, opt, 2)
 	if err := os.Rename(filepath.Join(dir, CheckpointFileName(fpOld)),
 		filepath.Join(dir, CheckpointFileName(fpNew))); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Decompose(context.Background(), x, testCluster(2), opt)
+	_, err := Decompose(context.Background(), x, testCluster(2), opt)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("resume under a changed config returned %v, want fingerprint mismatch", err)
 	}
@@ -298,10 +282,7 @@ func TestResumeChangedConfigStartsFreshNamespace(t *testing.T) {
 	if _, err := Decompose(context.Background(), x, testCluster(2), opt); err != nil {
 		t.Fatal(err)
 	}
-	fpOld, err := Fingerprint(x, opt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fpOld := runFingerprint(t, x, opt, 2)
 	oldImage, err := os.ReadFile(filepath.Join(dir, CheckpointFileName(fpOld)))
 	if err != nil {
 		t.Fatal(err)
@@ -357,10 +338,7 @@ func TestCheckpointEveryKWritesFinal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := Fingerprint(x, opt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp := runFingerprint(t, x, opt, 2)
 	ck, err := readCheckpoint(opt.CheckpointDir, fp)
 	if err != nil || ck == nil {
 		t.Fatalf("readCheckpoint: %v, %v", ck, err)
@@ -420,10 +398,7 @@ func TestConcurrentCheckpointJobsSharedDir(t *testing.T) {
 
 	want := map[string]bool{}
 	for _, seed := range seeds {
-		fp, err := Fingerprint(x, mkOpt(seed), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fp := runFingerprint(t, x, mkOpt(seed), 4)
 		want[CheckpointFileName(fp)] = true
 	}
 	entries, err := os.ReadDir(shared)
@@ -458,10 +433,11 @@ func FuzzCheckpointDecode(f *testing.F) {
 	small := &checkpoint{Iteration: 1, PrevErr: 9, IterationErrors: []int64{9},
 		A: boolmat.NewFactor(1, 1), B: boolmat.NewFactor(1, 1), C: boolmat.NewFactor(0, 1)}
 	f.Add(small.encode())
-	f.Add(resealAsVersion(testCheckpoint().encode(), 0x02))
+	f.Add(resealAsVersion(testCheckpoint().encode(), 0x03))
 	f.Add([]byte("DBTFCKP\x01 garbage"))
 	f.Add([]byte("DBTFCKP\x02 garbage"))
 	f.Add([]byte("DBTFCKP\x03 garbage"))
+	f.Add([]byte("DBTFCKP\x04 garbage"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := decodeCheckpoint(data)
@@ -485,9 +461,9 @@ func resealAsVersion(img []byte, version byte) []byte {
 }
 
 func TestCheckpointDecodeRejectsUnknownVersion(t *testing.T) {
-	// 0x01 and 0x02 are retired layouts (0x02 is what the previous build
+	// 0x01 to 0x03 are retired layouts (0x03 is what the previous build
 	// wrote): as unknown as a future version, refused and never mis-read.
-	for _, version := range []byte{0x00, 0x01, 0x02, 0x04, 0xff} {
+	for _, version := range []byte{0x00, 0x01, 0x02, 0x03, 0x05, 0xff} {
 		img := resealAsVersion(testCheckpoint().encode(), version)
 		if _, err := decodeCheckpoint(img); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("version %#x decoded: %v", version, err)
@@ -497,8 +473,7 @@ func TestCheckpointDecodeRejectsUnknownVersion(t *testing.T) {
 
 func TestKillThenResumeTopFiberBitIdentical(t *testing.T) {
 	// Kill-at-k/resume through an init-mode run: the topfiber scheme draws
-	// nothing from the RNG, so the checkpointed stream state is zero draws
-	// and the resumed run must still be bit-identical.
+	// nothing from the RNG, and the resumed run must still be bit-identical.
 	rng := rand.New(rand.NewSource(43))
 	x, _, _, _ := plantedTensor(rng, 14, 12, 10, 3, 0.3)
 	base := Options{Rank: 3, MaxIter: 5, MinIter: 5, Init: InitTopFiber, CheckpointEvery: 1}
@@ -519,16 +494,10 @@ func TestKillThenResumeTopFiberBitIdentical(t *testing.T) {
 			if _, err := Decompose(ctx, x, killAtCheckpoint(k, cancel), opt); !errors.Is(err, context.Canceled) {
 				t.Fatalf("killed run returned %v, want context.Canceled", err)
 			}
-			fp, err := Fingerprint(x, opt, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fp := runFingerprint(t, x, opt, 4)
 			ck, err := readCheckpoint(opt.CheckpointDir, fp)
 			if err != nil || ck == nil || ck.Iteration != k {
 				t.Fatalf("latest checkpoint after kill: %+v, %v; want iteration %d", ck, err, k)
-			}
-			if ck.RNGDraws != 0 {
-				t.Fatalf("topfiber checkpoint records %d RNG draws, want 0 (the scheme is deterministic)", ck.RNGDraws)
 			}
 
 			opt.Resume = true

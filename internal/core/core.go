@@ -135,8 +135,8 @@ type Options struct {
 	NoCache bool
 	// CheckpointDir, when non-empty, enables iteration-level durable
 	// checkpointing: after every CheckpointEvery completed iterations (and
-	// at the final one) a versioned snapshot of the factor matrices,
-	// iteration state, and RNG stream state is written atomically to
+	// at the final one) a versioned snapshot of the factor matrices and
+	// iteration state is written atomically to
 	// CheckpointDir/CheckpointFileName(fingerprint), so a killed run can be
 	// resumed bit-identically with Resume.
 	CheckpointDir string
@@ -416,8 +416,6 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 		return nil, err
 	}
 
-	src := newCountingSource(cfg.Seed)
-	rng := rand.New(src)
 	res := &Result{}
 	var a, b, c *boolmat.FactorMatrix
 	var prevErr int64
@@ -434,7 +432,7 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 		wrote := checkpointing && (t%every == 0 || res.Converged || t == cfg.MaxIter)
 		stop := opts.Preempt != nil && !res.Converged && t < cfg.MaxIter && opts.Preempt()
 		if wrote || stop {
-			if err := d.writeCheckpointStage(res, a, b, c, prevErr, src.n); err != nil {
+			if err := d.writeCheckpointStage(res, a, b, c, prevErr); err != nil {
 				return err
 			}
 		}
@@ -446,10 +444,6 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 	}
 
 	if resumed != nil {
-		// The RNG is consumed only by initialization, which the resumed
-		// run already performed; fast-forwarding by the recorded draw
-		// count restores the identical stream state.
-		src.fastForward(resumed.RNGDraws)
 		a, b, c = resumed.A, resumed.B, resumed.C
 		prevErr = resumed.PrevErr
 		res.InitialErrors = resumed.InitialErrors
@@ -461,7 +455,10 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 		// (Algorithm 2, lines 5-8). Each set's caches and column tasks are
 		// dropped when the next set's factors are installed; with a single
 		// set they stay live, so the cache totalError built over b serves
-		// iteration 2's A-update.
+		// iteration 2's A-update. Only initialSet draws from the RNG, and
+		// checkpoints exist only at iteration boundaries, after the last
+		// draw: a resumed run never needs the stream, so none is saved.
+		rng := rand.New(rand.NewSource(cfg.Seed))
 		d.beginIteration(1)
 		best := int64(math.MaxInt64)
 		for l := 0; l < cfg.InitialSets; l++ {
@@ -517,9 +514,7 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 }
 
 // initialSet draws one set of initial factor matrices according to the
-// configured scheme. InitTopFiber consumes no randomness: the RNG draw
-// count (and with it the checkpointed stream state) advances only for the
-// sampling schemes.
+// configured scheme. InitTopFiber consumes no randomness.
 func initialSet(rng *rand.Rand, x *tensor.Tensor, opt runConfig) (a, b, c *boolmat.FactorMatrix) {
 	i, j, k := x.Dims()
 	if opt.Init == InitTopFiber {
@@ -600,12 +595,11 @@ func (d *decomposition) machineLost(m int) {
 // iteration boundary. The write is driver-side disk I/O: its wall-clock
 // cost is charged through the cluster's Driver section and its size is
 // recorded in Stats.CheckpointBytes.
-func (d *decomposition) writeCheckpointStage(res *Result, a, b, c *boolmat.FactorMatrix, prevErr int64, rngDraws uint64) error {
+func (d *decomposition) writeCheckpointStage(res *Result, a, b, c *boolmat.FactorMatrix, prevErr int64) error {
 	ck := &checkpoint{
 		Fingerprint:     d.fp,
 		Iteration:       res.Iterations,
 		Converged:       res.Converged,
-		RNGDraws:        rngDraws,
 		PrevErr:         prevErr,
 		InitialErrors:   res.InitialErrors,
 		IterationErrors: res.IterationErrors,

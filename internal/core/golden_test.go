@@ -45,9 +45,8 @@ func TestGoldenRunPin(t *testing.T) {
 	// 0xc412bd1ff0934356) when the struct went from 12 fields to 11: a
 	// checkpoint an older build wrote is not found and its job restarts at
 	// iteration 0.
-	fp, err := Fingerprint(x, Options{Rank: 4, Seed: 7, Partitions: 4, Init: InitTopFiber}, 3)
-	if err != nil || fp != 0x3507ce951e13bb16 {
-		t.Errorf("fingerprint %#x (err %v), recorded 0x3507ce951e13bb16", fp, err)
+	if fp := runFingerprint(t, x, Options{Rank: 4, Seed: 7, Partitions: 4, Init: InitTopFiber}, 3); fp != 0x3507ce951e13bb16 {
+		t.Errorf("fingerprint %#x, recorded 0x3507ce951e13bb16", fp)
 	}
 
 	type stats struct{ stages, tasks, shuffled, broadcast, collected int64 }

@@ -13,10 +13,8 @@ func init() {
 	register("err-del", "Section IV-D: reconstruction error vs destructive noise", ErrDestructiveNoise)
 }
 
-// errWorkload builds one reconstruction-error workload: a noise-free
-// tensor from planted rank-r factors plus additive/destructive noise
-// (Section IV-A.1: "we generate three random factor matrices, construct a
-// noise-free tensor from them, and then add noise").
+// errWorkload is one reconstruction-error workload: a planted tensor and
+// the parameters the methods are given for it.
 type errWorkload struct {
 	label string
 	truth *dbtf.Tensor // noise-free
@@ -33,13 +31,8 @@ const (
 	errDestructive   = 0.05
 )
 
-func errDim(cfg Config) int { return scaleDim(128, cfg.Scale) }
-
 func makeErrWorkload(cfg Config, label string, factorDensity float64, rank int, additive, destructive float64) errWorkload {
-	rng := cfg.rng()
-	dim := errDim(cfg)
-	truth, _ := dbtf.TensorFromRandomFactors(rng, dim, dim, dim, rank, factorDensity)
-	noisy := dbtf.AddNoise(rng, truth, additive, destructive)
+	truth, noisy := plantedTensor(cfg, scaleDim(128, cfg.Scale), rank, factorDensity, additive, destructive)
 	return errWorkload{
 		label: label,
 		truth: truth,
@@ -54,7 +47,6 @@ func makeErrWorkload(cfg Config, label string, factorDensity float64, rank int, 
 // error) and against the noise-free truth (recovery).
 func runErrTable(cfg Config, id, title string, workloads []errWorkload) *Table {
 	t := &Table{
-		ID:    id,
 		Title: title,
 		Header: []string{"workload", "nnz",
 			"DBTF fit", "DBTF rec",
@@ -71,14 +63,11 @@ func runErrTable(cfg Config, id, title string, workloads []errWorkload) *Table {
 		row := []string{w.label, fmt.Sprintf("%d", w.noisy.NNZ())}
 		for _, m := range AllMethods {
 			run := RunMethod(cfg, m, w.noisy, MethodOptions{Rank: w.rank, MergeThreshold: w.merge, InitialSets: 4})
-			fit, rec := "-", "-"
-			if !run.OOT && !run.OOM && run.Err == nil {
-				fit = run.ErrCell(run.Rel)
-				rec = run.ErrCell(dbtf.RelativeError(w.truth, run.Factors))
-			} else {
-				fit, rec = run.TimeCell(), run.TimeCell()
+			rec := 0.0 // a failed run prints its mark in both cells
+			if run.OK() {
+				rec = dbtf.RelativeError(w.truth, run.Factors)
 			}
-			row = append(row, fit, rec)
+			row = append(row, run.ErrCell(run.Rel), run.ErrCell(rec))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -87,7 +76,6 @@ func runErrTable(cfg Config, id, title string, workloads []errWorkload) *Table {
 
 // ErrFactorDensity sweeps the planted factor density.
 func ErrFactorDensity(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	var ws []errWorkload
 	for _, d := range []float64{0.05, 0.1, 0.2, 0.3} {
 		ws = append(ws, makeErrWorkload(cfg, fmt.Sprintf("density %.2f", d), d, errRank, errAdditive, errDestructive))
@@ -97,7 +85,6 @@ func ErrFactorDensity(cfg Config) *Table {
 
 // ErrRank sweeps the planted (and fitted) rank.
 func ErrRank(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	var ws []errWorkload
 	for _, r := range []int{5, 10, 15, 20} {
 		ws = append(ws, makeErrWorkload(cfg, fmt.Sprintf("rank %d", r), errFactorDensity, r, errAdditive, errDestructive))
@@ -108,7 +95,6 @@ func ErrRank(cfg Config) *Table {
 // ErrAdditiveNoise sweeps the additive noise level with no destructive
 // noise.
 func ErrAdditiveNoise(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	var ws []errWorkload
 	for _, n := range []float64{0, 0.05, 0.1, 0.2, 0.3} {
 		ws = append(ws, makeErrWorkload(cfg, fmt.Sprintf("additive %.0f%%", n*100), errFactorDensity, errRank, n, 0))
@@ -119,7 +105,6 @@ func ErrAdditiveNoise(cfg Config) *Table {
 // ErrDestructiveNoise sweeps the destructive noise level with no additive
 // noise.
 func ErrDestructiveNoise(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	var ws []errWorkload
 	for _, n := range []float64{0, 0.05, 0.1, 0.2} {
 		ws = append(ws, makeErrWorkload(cfg, fmt.Sprintf("destructive %.0f%%", n*100), errFactorDensity, errRank, 0, n))

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"dbtf"
@@ -18,13 +17,9 @@ func init() {
 // checks that the factorization's output is bit-identical to the
 // fault-free run.
 func ChaosMakespan(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	dim := scaleDim(256, cfg.Scale)
-	rng := cfg.rng()
-	truth, _ := dbtf.TensorFromRandomFactors(rng, dim, dim, dim, fig1Rank, 0.2)
-	x := dbtf.AddNoise(rng, truth, 0.05, 0.05)
+	_, x := plantedTensor(cfg, dim, fig1Rank, 0.2, 0.05, 0.05)
 	t := &Table{
-		ID:     "chaos",
 		Title:  fmt.Sprintf("simulated makespan under injected task failures (I=J=K=%d, rank 10, M=%d)", dim, cfg.Machines),
 		Header: []string{"failure rate", "sim time", "slowdown", "faults", "retries", "spec wins", "output"},
 		Notes: []string{
@@ -33,14 +28,10 @@ func ChaosMakespan(cfg Config) *Table {
 			"the simulated clock pays wasted attempts, exponential backoff, and straggler delays (capped by speculative re-execution)",
 		},
 	}
-	var baseline *dbtf.Result
+	var baseline *Run // the first run that finished: the fault-free one
 	for _, rate := range []float64{0, 0.05, 0.1, 0.2} {
 		cfg.progress("chaos: failure rate %.2f", rate)
-		opt := dbtf.Options{
-			Rank: fig1Rank, Machines: cfg.Machines,
-			MaxIter: 3, MinIter: 3, Seed: cfg.Seed,
-			Tracer: cfg.Tracer,
-		}
+		opt := dbtf.Options{Rank: fig1Rank, MaxIter: 3, MinIter: 3}
 		if rate > 0 {
 			opt.Faults = &dbtf.FaultPlan{
 				Seed:          cfg.Seed,
@@ -49,36 +40,24 @@ func ChaosMakespan(cfg Config) *Table {
 				StragglerRate: rate / 2,
 			}
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.Budget)
-		res, err := dbtf.Factorize(ctx, x, opt)
-		cancel()
-		if err != nil {
-			cell := "error"
-			if ctx.Err() != nil {
-				cell = "o.o.t."
+		r := RunDBTF(cfg, x, opt)
+		if baseline == nil && r.OK() {
+			baseline = &r
+		}
+		slowdown, output := "-", "-"
+		if r.OK() {
+			output = sameOutput(r, *baseline)
+			if baseline.Sim > 0 {
+				slowdown = fmt.Sprintf("%.2fx", float64(r.Sim)/float64(baseline.Sim))
 			}
-			t.Rows = append(t.Rows, []string{fmt.Sprintf("%.2f", rate), cell, "-", "-", "-", "-", "-"})
-			continue
-		}
-		if baseline == nil {
-			baseline = res
-		}
-		slowdown := "-"
-		if baseline.SimTime > 0 {
-			slowdown = fmt.Sprintf("%.2fx", float64(res.SimTime)/float64(baseline.SimTime))
-		}
-		output := "="
-		if res.Error != baseline.Error || !res.A.Equal(baseline.A) ||
-			!res.B.Equal(baseline.B) || !res.C.Equal(baseline.C) {
-			output = "DIVERGED"
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f", rate),
-			formatDuration(res.SimTime),
+			r.cell(formatDuration(r.Sim)),
 			slowdown,
-			fmt.Sprintf("%d", res.Stats.InjectedFaults),
-			fmt.Sprintf("%d", res.Stats.Retries),
-			fmt.Sprintf("%d", res.Stats.SpeculativeWins),
+			r.dash("%d", r.Stats.InjectedFaults),
+			r.dash("%d", r.Stats.Retries),
+			r.dash("%d", r.Stats.SpeculativeWins),
 			output,
 		})
 	}

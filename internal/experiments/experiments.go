@@ -29,7 +29,10 @@ import (
 	"dbtf/internal/asso"
 )
 
-// Config carries the knobs every experiment shares.
+// Config carries the knobs every experiment shares. An experiment run
+// through the registry (All, Lookup) gets the documented defaults for its
+// zero fields; RunMethod and RunDBTF take the config as an experiment hands
+// it on, defaults applied.
 type Config struct {
 	// Budget is the per-run time budget standing in for the paper's
 	// out-of-time walls. Default 30s.
@@ -75,6 +78,16 @@ func (c Config) progress(format string, args ...any) {
 	}
 }
 
+// plantedTensor builds the paper's synthetic workload (Section IV-A.1: "we
+// generate three random factor matrices, construct a noise-free tensor
+// from them, and then add noise"): a dim³ cube from random rank-r factors
+// of the given density, and that cube under additive and destructive noise.
+func plantedTensor(cfg Config, dim, rank int, density, additive, destructive float64) (truth, noisy *dbtf.Tensor) {
+	rng := cfg.rng()
+	truth, _ = dbtf.TensorFromRandomFactors(rng, dim, dim, dim, rank, density)
+	return truth, dbtf.AddNoise(rng, truth, additive, destructive)
+}
+
 // Method identifies a factorization method under comparison.
 type Method string
 
@@ -88,36 +101,57 @@ const (
 // AllMethods is the comparison order used in every table.
 var AllMethods = []Method{DBTF, BCPALS, WalkNMerge}
 
-// Run is one method execution on one workload.
-type Run struct {
-	Method Method
-	// Wall is the real elapsed time; for budget-exceeded runs it is the
-	// budget.
-	Wall time.Duration
+// outcome is what a run that finished reports; budgeted derives the rest
+// of a Run (wall time, failure marks, relative error) from it.
+type outcome struct {
 	// Sim is the simulated cluster time (DBTF only).
 	Sim time.Duration
-	// OOT and OOM mark budget and memory failures.
-	OOT, OOM bool
-	// FailDetail attributes a failure: which baseline and which stage hit
-	// the budget or the memory cap (e.g. the init mode that materialized
-	// the quadratic candidate matrix). Empty for successful runs.
-	FailDetail string
-	// Err holds any other failure.
-	Err error
 	// Iters is the number of full iterations executed (DBTF and BCP_ALS).
 	Iters int
-	// Error is the Boolean reconstruction error (successful runs).
+	// Error is the Boolean reconstruction error.
 	Error int64
-	// Rel is Error / |X|.
-	Rel float64
-	// Factors holds the fitted factors (successful runs).
+	// Factors holds the fitted factors.
 	Factors dbtf.Factors
 	// Stats holds DBTF's cluster traffic counters.
 	Stats dbtf.ClusterStats
 }
 
-// TimeCell formats the run's outcome for a runtime table.
-func (r Run) TimeCell() string {
+// dbtfOutcome adapts a Factorize-shaped return to a run closure's.
+func dbtfOutcome(res *dbtf.Result, err error) (outcome, error) {
+	if err != nil {
+		return outcome{}, err
+	}
+	return outcome{Sim: res.SimTime, Iters: res.Iterations, Error: res.Error, Factors: res.Factors, Stats: res.Stats}, nil
+}
+
+// Run is one execution under the budget: every table cell that reports a
+// run is formatted from one of these. The outcome fields are zero unless
+// OK.
+type Run struct {
+	Method Method
+	// Wall is the real elapsed time; for budget-exceeded runs it is the
+	// budget.
+	Wall time.Duration
+	// OOT and OOM mark budget and memory failures.
+	OOT, OOM bool
+	// FailDetail attributes a failure: which method, under which
+	// configuration (e.g. the init mode that materialized the quadratic
+	// candidate matrix), hit the budget or the memory cap. Empty for
+	// successful runs.
+	FailDetail string
+	// Err holds any other failure.
+	Err error
+	// Rel is Error / |X|.
+	Rel float64
+	outcome
+}
+
+// OK reports whether the run finished and carries an outcome.
+func (r Run) OK() bool { return !r.OOT && !r.OOM && r.Err == nil }
+
+// cell is v for a run that finished and otherwise the mark the paper's
+// figures print: the cell a failed run's row leads with.
+func (r Run) cell(v string) string {
 	switch {
 	case r.OOT:
 		return "o.o.t."
@@ -126,22 +160,41 @@ func (r Run) TimeCell() string {
 	case r.Err != nil:
 		return "error"
 	default:
-		return formatDuration(r.Wall)
+		return v
 	}
 }
 
-// ErrCell formats the run's outcome for an accuracy table using the given
-// relative error value.
-func (r Run) ErrCell(v float64) string {
+// dash is v for a run that finished and "-" otherwise: the cells after the
+// one that carries the mark.
+func (r Run) dash(format string, v any) string {
+	if !r.OK() {
+		return "-"
+	}
+	return fmt.Sprintf(format, v)
+}
+
+// TimeCell is the wall time or the failure mark.
+func (r Run) TimeCell() string { return r.cell(formatDuration(r.Wall)) }
+
+// ErrCell is the given relative error or the failure mark.
+func (r Run) ErrCell(v float64) string { return r.cell(fmt.Sprintf("%.3f", v)) }
+
+// SimCell is the simulated time, "-" for a failed run.
+func (r Run) SimCell() string { return r.dash("%s", formatDuration(r.Sim)) }
+
+// ErrorCell is the integer reconstruction error, "-" for a failed run.
+func (r Run) ErrorCell() string { return r.dash("%d", r.Error) }
+
+// sameOutput marks whether two runs ended in bit-identical factors and
+// error: "=" or "DIVERGED", "-" when either has no outcome.
+func sameOutput(a, b Run) string {
 	switch {
-	case r.OOT:
-		return "o.o.t."
-	case r.OOM:
-		return "o.o.m."
-	case r.Err != nil:
-		return "error"
+	case !a.OK() || !b.OK():
+		return "-"
+	case a.Error == b.Error && a.Factors.A.Equal(b.Factors.A) && a.Factors.B.Equal(b.Factors.B) && a.Factors.C.Equal(b.Factors.C):
+		return "="
 	default:
-		return fmt.Sprintf("%.3f", v)
+		return "DIVERGED"
 	}
 }
 
@@ -154,6 +207,59 @@ func formatDuration(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%.2fs", d.Seconds())
 	}
+}
+
+// budgeted is the one place a run meets the budget: it arms the deadline,
+// times run, maps an expired deadline to o.o.t. and ASSO's candidate cap to
+// o.o.m. (attributed to method and detail), derives the relative error
+// from nnz = |X|, and writes the progress line. cfg has its defaults
+// applied (the registry's wrapper does that for every experiment).
+func budgeted(cfg Config, method Method, detail string, nnz int, run func(context.Context) (outcome, error)) Run {
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.Budget)
+	defer cancel()
+	start := time.Now()
+	out, err := run(ctx)
+	r := Run{Method: method, Wall: time.Since(start)}
+	who := strings.TrimSpace(string(method) + " " + detail)
+	switch {
+	case errors.Is(err, asso.ErrCandidateMemory):
+		r.OOM = true
+		r.FailDetail = who + ": " + err.Error()
+	case err != nil && ctx.Err() != nil:
+		r.OOT = true
+		r.Wall = cfg.Budget
+		r.FailDetail = who + ": time budget exceeded"
+	case err != nil:
+		r.Err = err
+	default:
+		r.outcome = out
+		if nnz > 0 {
+			r.Rel = float64(out.Error) / float64(nnz)
+		}
+	}
+	line := fmt.Sprintf("  %-13s %-10s rel=%s", method, r.TimeCell(), r.ErrCell(r.Rel))
+	if r.FailDetail != "" {
+		line += "  [" + r.FailDetail + "]"
+	}
+	cfg.progress("%s", line)
+	return r
+}
+
+// RunDBTF runs DBTF on x under the budget; Machines, Seed and Tracer
+// default to the config's.
+func RunDBTF(cfg Config, x *dbtf.Tensor, opt dbtf.Options) Run {
+	if opt.Machines == 0 {
+		opt.Machines = cfg.Machines
+	}
+	if opt.Seed == 0 {
+		opt.Seed = cfg.Seed
+	}
+	if opt.Tracer == nil {
+		opt.Tracer = cfg.Tracer
+	}
+	return budgeted(cfg, DBTF, "init="+opt.Init.String(), x.NNZ(), func(ctx context.Context) (outcome, error) {
+		return dbtfOutcome(dbtf.Factorize(ctx, x, opt))
+	})
 }
 
 // MethodOptions carries the per-method tuning a workload needs.
@@ -171,6 +277,9 @@ type MethodOptions struct {
 	// is the top-fiber default, BCPALSInitASSO restores the quadratic
 	// historical path.
 	BCPALSInit dbtf.BCPALSInit
+	// MaxCandidateBytes caps BCP_ALS's ASSO candidate matrix; 0 means the
+	// 1 GiB default. Only the init ablation scales it down.
+	MaxCandidateBytes int64
 	// Partitions (N) for DBTF; 0 means the cluster's machine count.
 	Partitions int
 	// FullIterations forces exactly 10 update sweeps for DBTF and BCP_ALS
@@ -180,109 +289,49 @@ type MethodOptions struct {
 	FullIterations bool
 }
 
-// RunMethod executes one method on x under the config's budget and maps
-// failures to the table markers.
+// RunMethod executes one of the paper's three methods on x under the
+// config's budget.
 func RunMethod(cfg Config, m Method, x *dbtf.Tensor, opt MethodOptions) Run {
-	cfg = cfg.withDefaults()
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.Budget)
-	defer cancel()
-	run := Run{Method: m}
-	start := time.Now()
-	var err error
+	iters := 0 // the method's own default: stop at convergence
+	if opt.FullIterations {
+		iters = 10
+	}
 	switch m {
 	case DBTF:
-		o := dbtf.Options{
-			Rank:        opt.Rank,
-			Machines:    cfg.Machines,
-			Partitions:  opt.Partitions,
-			InitialSets: opt.InitialSets,
-			Init:        opt.Init,
-			Seed:        cfg.Seed,
-			Tracer:      cfg.Tracer,
-		}
-		if opt.FullIterations {
-			o.MaxIter, o.MinIter = 10, 10
-		}
-		var res *dbtf.Result
-		res, err = dbtf.Factorize(ctx, x, o)
-		if err == nil {
-			run.Sim = res.SimTime
-			run.Iters = res.Iterations
-			run.Error = res.Error
-			run.Rel = res.RelativeError
-			run.Factors = res.Factors
-			run.Stats = res.Stats
-		}
-	case BCPALS:
-		o := dbtf.BCPALSOptions{Rank: opt.Rank, Init: opt.BCPALSInit}
-		if opt.FullIterations {
-			o.MaxIter, o.MinIter = 10, 10
-		}
-		var res *dbtf.BCPALSResult
-		res, err = dbtf.FactorizeBCPALS(ctx, x, o)
-		if err == nil {
-			run.Iters = res.Iterations
-			run.Error = res.Error
-			run.Factors = dbtf.Factors{A: res.A, B: res.B, C: res.C}
-			if x.NNZ() > 0 {
-				run.Rel = float64(res.Error) / float64(x.NNZ())
-			}
-		}
-	case WalkNMerge:
-		var res *dbtf.WalkNMergeResult
-		res, err = dbtf.FactorizeWalkNMerge(ctx, x, dbtf.WalkNMergeOptions{
-			Rank:           opt.Rank,
-			MergeThreshold: opt.MergeThreshold,
-			Seed:           cfg.Seed,
+		return RunDBTF(cfg, x, dbtf.Options{
+			Rank: opt.Rank, Partitions: opt.Partitions, InitialSets: opt.InitialSets,
+			Init: opt.Init, MaxIter: iters, MinIter: iters,
 		})
-		if err == nil {
-			run.Error = res.Error
-			run.Factors = dbtf.Factors{A: res.A, B: res.B, C: res.C}
-			if x.NNZ() > 0 {
-				run.Rel = float64(res.Error) / float64(x.NNZ())
-			}
-		}
-	default:
-		err = fmt.Errorf("experiments: unknown method %q", m)
-	}
-	run.Wall = time.Since(start)
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		run.OOT = true
-		run.Wall = cfg.Budget
-		run.FailDetail = failDetail(m, opt, "time budget exceeded")
-	case errors.Is(err, asso.ErrCandidateMemory):
-		run.OOM = true
-		run.FailDetail = failDetail(m, opt, err.Error())
-	case err != nil:
-		run.Err = err
-	}
-	if run.FailDetail != "" {
-		cfg.progress("  %-13s %-10s rel=%s  [%s]", m, run.TimeCell(), run.ErrCell(run.Rel), run.FailDetail)
-	} else {
-		cfg.progress("  %-13s %-10s rel=%s", m, run.TimeCell(), run.ErrCell(run.Rel))
-	}
-	return run
-}
-
-// failDetail attributes a failure to the baseline and the init stage it
-// ran under, so an o.o.m./o.o.t. table cell can be traced to the exact
-// configuration that gave out (historically: BCP_ALS's ASSO init
-// materializing its quadratic candidate matrix).
-func failDetail(m Method, opt MethodOptions, cause string) string {
-	switch m {
-	case DBTF:
-		return fmt.Sprintf("%s init=%s: %s", m, opt.Init, cause)
 	case BCPALS:
-		return fmt.Sprintf("%s init=%s: %s", m, opt.BCPALSInit, cause)
+		return budgeted(cfg, m, "init="+opt.BCPALSInit.String(), x.NNZ(), func(ctx context.Context) (outcome, error) {
+			res, err := dbtf.FactorizeBCPALS(ctx, x, dbtf.BCPALSOptions{
+				Rank: opt.Rank, Init: opt.BCPALSInit, MaxIter: iters, MinIter: iters,
+				MaxCandidateBytes: opt.MaxCandidateBytes,
+			})
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{Iters: res.Iterations, Error: res.Error, Factors: dbtf.Factors{A: res.A, B: res.B, C: res.C}}, nil
+		})
+	case WalkNMerge:
+		return budgeted(cfg, m, "", x.NNZ(), func(ctx context.Context) (outcome, error) {
+			res, err := dbtf.FactorizeWalkNMerge(ctx, x, dbtf.WalkNMergeOptions{
+				Rank: opt.Rank, MergeThreshold: opt.MergeThreshold, Seed: cfg.Seed,
+			})
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{Error: res.Error, Factors: dbtf.Factors{A: res.A, B: res.B, C: res.C}}, nil
+		})
 	default:
-		return fmt.Sprintf("%s: %s", m, cause)
+		return Run{Method: m, Err: fmt.Errorf("experiments: unknown method %q", m)}
 	}
 }
 
 // Table is one reproduced table or figure, as formatted rows.
 type Table struct {
-	// ID is the DESIGN.md experiment identifier, e.g. "fig1a".
+	// ID is the DESIGN.md experiment identifier, e.g. "fig1a"; the
+	// registry stamps it, an experiment does not repeat it.
 	ID string
 	// Title describes the paper artifact reproduced.
 	Title string
@@ -348,8 +397,15 @@ type Experiment struct {
 
 var registry []Experiment
 
+// register adds an experiment. What every experiment would otherwise
+// repeat is done here, once: the config's defaults are applied before run
+// sees it, and the table run returns is stamped with the id.
 func register(id, title string, run func(Config) *Table) {
-	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
+	registry = append(registry, Experiment{ID: id, Title: title, Run: func(cfg Config) *Table {
+		t := run(cfg.withDefaults())
+		t.ID = id
+		return t
+	}})
 }
 
 // All returns every registered experiment in a stable order.

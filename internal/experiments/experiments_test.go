@@ -14,22 +14,30 @@ func tiny() Config {
 	return Config{Budget: 5 * time.Second, Machines: 4, Seed: 1, Scale: 0.2}
 }
 
+// runExp runs a registered experiment the way cmd/dbtf-bench does: through
+// the registry, whose wrapper applies the config's defaults and the id.
+func runExp(t *testing.T, id string, cfg Config) *Table {
+	t.Helper()
+	e, ok := Lookup(id)
+	if !ok {
+		t.Fatalf("experiment %q not registered", id)
+	}
+	return e.Run(cfg)
+}
+
 func TestRegistryComplete(t *testing.T) {
-	want := []string{
-		"fig1a", "fig1b", "fig1c", "fig6", "fig7",
-		"table1", "table3", "traffic",
-		"err-density", "err-rank", "err-add", "err-del",
-		"abl-cache", "abl-groupbits", "abl-partitioning", "abl-partitions", "abl-initsets", "abl-init",
-		"ext-tucker", "ext-rankselect", "ext-wnm-mdl",
-		"chaos",
+	// All and Lookup are two views of one registry: every listed
+	// experiment is found under its own id, once, with a title.
+	all := All()
+	if len(all) == 0 {
+		t.Fatal("no experiments registered")
 	}
-	for _, id := range want {
-		if _, ok := Lookup(id); !ok {
-			t.Errorf("experiment %q not registered", id)
+	seen := map[string]bool{}
+	for _, e := range all {
+		if got, ok := Lookup(e.ID); !ok || got.Title != e.Title || e.Title == "" || seen[e.ID] {
+			t.Errorf("experiment %q: Lookup ok=%v title %q vs %q, duplicate=%v", e.ID, ok, got.Title, e.Title, seen[e.ID])
 		}
-	}
-	if len(All()) != len(want) {
-		t.Errorf("registry has %d experiments, want %d", len(All()), len(want))
+		seen[e.ID] = true
 	}
 	if _, ok := Lookup("nope"); ok {
 		t.Error("Lookup accepted unknown id")
@@ -125,7 +133,7 @@ func TestTableFormat(t *testing.T) {
 
 func TestFig7ProducesSpeedups(t *testing.T) {
 	cfg := tiny()
-	tbl := Fig7MachineScalability(cfg)
+	tbl := runExp(t, "fig7", cfg)
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 (M=4,8,16)", len(tbl.Rows))
 	}
@@ -139,7 +147,7 @@ func TestFig7ProducesSpeedups(t *testing.T) {
 }
 
 func TestTrafficValidationShapes(t *testing.T) {
-	tbl := TrafficValidation(tiny())
+	tbl := runExp(t, "traffic", tiny())
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -183,7 +191,7 @@ func TestErrWorkloadConstruction(t *testing.T) {
 
 func TestAblationCacheRuns(t *testing.T) {
 	cfg := tiny()
-	tbl := AblationCache(cfg)
+	tbl := runExp(t, "abl-cache", cfg)
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -194,39 +202,57 @@ func TestAblationCacheRuns(t *testing.T) {
 	}
 }
 
-func TestFailDetailAttribution(t *testing.T) {
-	d := failDetail(BCPALS, MethodOptions{BCPALSInit: dbtf.BCPALSInitASSO}, "candidate matrix exceeds memory cap")
-	for _, want := range []string{"BCP_ALS", "asso", "memory cap"} {
-		if !strings.Contains(d, want) {
-			t.Errorf("BCP_ALS o.o.m. detail %q missing %q", d, want)
-		}
-	}
-	d = failDetail(DBTF, MethodOptions{Init: dbtf.InitTopFiber}, "time budget exceeded")
-	for _, want := range []string{"DBTF", "topfiber", "budget"} {
-		if !strings.Contains(d, want) {
-			t.Errorf("DBTF o.o.t. detail %q missing %q", d, want)
-		}
-	}
-}
-
 func TestBCPALSInitOOMAttributionAndTopFiberSurvival(t *testing.T) {
 	// A tensor whose unfolded columns push ASSO's candidate matrix over the
-	// ablation's cap: the asso row must report o.o.m. (attributed in the
-	// progress stream), and the topfiber row must complete on the exact
-	// same input — the quadratic-blowup fix the ablation demonstrates.
+	// ablation's cap: the asso run must report o.o.m., attributed on the Run
+	// and in the progress stream to the method, the init stage and the cap;
+	// the topfiber run must complete on the exact same input — the
+	// quadratic-blowup fix the ablation demonstrates.
 	cfg := tiny()
 	var progress bytes.Buffer
 	cfg.Progress = &progress
 	x := dbtf.RandomTensor(cfg.rng(), 8, 110, 110, 0.01) // 12100² bits ≈ 18 MiB > 16 MiB cap
-	row := runBCPALSInit(cfg, x, dbtf.BCPALSInitASSO)
-	if row[0] != "o.o.m." {
-		t.Fatalf("asso init row = %v, want o.o.m.", row)
+	run := RunMethod(cfg, BCPALS, x, MethodOptions{Rank: 6, BCPALSInit: dbtf.BCPALSInitASSO, MaxCandidateBytes: bcpalsCandidateCap})
+	if !run.OOM || run.OK() || run.TimeCell() != "o.o.m." {
+		t.Fatalf("asso init run = %+v, want o.o.m.", run)
 	}
-	if out := progress.String(); !strings.Contains(out, "init=asso") {
-		t.Fatalf("o.o.m. progress line does not attribute the init stage: %q", out)
+	for _, want := range []string{"BCP_ALS", "init=asso", "memory cap"} {
+		if !strings.Contains(run.FailDetail, want) {
+			t.Errorf("BCP_ALS o.o.m. detail %q missing %q", run.FailDetail, want)
+		}
 	}
-	row = runBCPALSInit(cfg, x, dbtf.BCPALSInitTopFiber)
-	if row[0] == "o.o.m." || row[0] == "error" {
-		t.Fatalf("topfiber init row = %v, want success on the input that o.o.m.s ASSO", row)
+	if out := progress.String(); !strings.Contains(out, run.FailDetail) {
+		t.Fatalf("o.o.m. progress line does not carry the attribution: %q", out)
+	}
+	run = RunMethod(cfg, BCPALS, x, MethodOptions{Rank: 6, BCPALSInit: dbtf.BCPALSInitTopFiber, MaxCandidateBytes: bcpalsCandidateCap})
+	if !run.OK() || run.FailDetail != "" {
+		t.Fatalf("topfiber init run = %+v, want success on the input that o.o.m.s ASSO", run)
+	}
+
+	// The other attributed failure: a DBTF run the budget cut short names
+	// its init scheme.
+	cfg.Budget = time.Nanosecond
+	run = RunMethod(cfg, DBTF, x, MethodOptions{Rank: 4, Init: dbtf.InitTopFiber})
+	for _, want := range []string{"DBTF", "init=topfiber", "budget"} {
+		if !run.OOT || !strings.Contains(run.FailDetail, want) {
+			t.Errorf("DBTF o.o.t. run %+v: detail missing %q", run, want)
+		}
+	}
+}
+
+func TestOverBudgetExtensionIsOOT(t *testing.T) {
+	// A run the budget cut short is out of time, not broken — the one
+	// distinction the paper's figures exist to draw. Before every cell came
+	// from budgeted, the extension experiments printed "error" here.
+	cfg := tiny()
+	cfg.Budget = time.Nanosecond
+	tbl := runExp(t, "ext-tucker", cfg)
+	if len(tbl.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(tbl.Rows))
+	}
+	for _, row := range tbl.Rows {
+		if row[1] != "o.o.t." || row[2] != "o.o.t." || row[3] != "-" || row[4] != "-" {
+			t.Errorf("over-budget row = %v, want o.o.t. in both run cells", row)
+		}
 	}
 }

@@ -14,6 +14,15 @@ func init() {
 	register("ext-wnm-mdl", "Extension: Walk'n'Merge MDL model-order selection", ExtWalkNMergeMDL)
 }
 
+// cube builds a dim³ tensor from coords.
+func cube(dim int, coords []dbtf.Coord) *dbtf.Tensor {
+	x, err := dbtf.TensorFromCoords(dim, dim, dim, coords)
+	if err != nil {
+		panic(err) // generated in range
+	}
+	return x
+}
+
 // sharedStructureTensor plants nBlocks blocks that all reuse the same
 // mode-1 index set — the regime where a Tucker core is strictly more
 // compact than CP components.
@@ -31,20 +40,38 @@ func sharedStructureTensor(rng *rand.Rand, dim, nBlocks, blockSize int) *dbtf.Te
 			}
 		}
 	}
-	x, err := dbtf.TensorFromCoords(dim, dim, dim, coords)
-	if err != nil {
-		panic(err)
-	}
-	return x
+	return cube(dim, coords)
 }
+
+// diagonalBlocks plants n disjoint dense blocks along the diagonal of a
+// dim³ cube, each two thirds of its dim/n share wide.
+func diagonalBlocks(dim, n int) []dbtf.Coord {
+	var coords []dbtf.Coord
+	per := dim / n
+	size := per * 2 / 3
+	for b := 0; b < n; b++ {
+		lo := b * per
+		for i := lo; i < lo+size; i++ {
+			for j := lo; j < lo+size; j++ {
+				for k := lo; k < lo+size; k++ {
+					coords = append(coords, dbtf.Coord{I: i, J: j, K: k})
+				}
+			}
+		}
+	}
+	return coords
+}
+
+// The three extension experiments report more than a Run carries (a core
+// tensor, a bit count per rank, a block list): each passes its call to
+// budgeted as the run closure and keeps the full result beside the Run,
+// reading it only when the Run is OK; a failed Run's TimeCell is its mark.
 
 // ExtTucker compares Boolean CP against the Boolean Tucker extension on
 // tensors whose components share mode-1 structure.
 func ExtTucker(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	dim := scaleDim(48, cfg.Scale)
 	t := &Table{
-		ID:     "ext-tucker",
 		Title:  fmt.Sprintf("Boolean Tucker vs CP (dim %d, blocks sharing mode-1 rows)", dim),
 		Header: []string{"blocks", "CP error", "Tucker error", "core dims", "core ones"},
 		Notes: []string{
@@ -52,17 +79,21 @@ func ExtTucker(cfg Config) *Table {
 		},
 	}
 	for _, nBlocks := range []int{2, 3, 4} {
-		rng := cfg.rng()
-		x := sharedStructureTensor(rng, dim, nBlocks, dim/6)
+		x := sharedStructureTensor(cfg.rng(), dim, nBlocks, dim/6)
 		cfg.progress("ext-tucker: %d blocks", nBlocks)
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.Budget)
-		res, err := dbtf.FactorizeTucker(ctx, x, dbtf.TuckerOptions{
-			CPRank: nBlocks, MergeThreshold: 0.9, Machines: cfg.Machines,
-			InitialSets: 4, Seed: cfg.Seed,
+		var res *dbtf.TuckerResult
+		r := budgeted(cfg, "Tucker", "", x.NNZ(), func(ctx context.Context) (o outcome, err error) {
+			res, err = dbtf.FactorizeTucker(ctx, x, dbtf.TuckerOptions{
+				CPRank: nBlocks, MergeThreshold: 0.9, Machines: cfg.Machines,
+				InitialSets: 4, Seed: cfg.Seed,
+			})
+			if err == nil {
+				o.Error = res.Error
+			}
+			return o, err
 		})
-		cancel()
-		if err != nil {
-			t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", nBlocks), "error", "error", "-", "-"})
+		if !r.OK() {
+			t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", nBlocks), r.TimeCell(), r.TimeCell(), "-", "-"})
 			continue
 		}
 		p, q, s := res.Core.Dims()
@@ -80,41 +111,26 @@ func ExtTucker(cfg Config) *Table {
 // ExtRankSelect runs MDL rank selection against tensors with known
 // planted ranks.
 func ExtRankSelect(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	dim := scaleDim(40, cfg.Scale)
 	t := &Table{
-		ID:     "ext-rankselect",
 		Title:  fmt.Sprintf("MDL rank selection (dim %d, disjoint planted blocks)", dim),
 		Header: []string{"planted rank", "selected rank", "model bits", "baseline bits"},
 	}
 	for _, planted := range []int{1, 2, 4} {
-		rng := cfg.rng()
-		var coords []dbtf.Coord
-		per := dim / planted
-		size := per * 2 / 3
-		for b := 0; b < planted; b++ {
-			lo := b * per
-			for i := lo; i < lo+size; i++ {
-				for j := lo; j < lo+size; j++ {
-					for k := lo; k < lo+size; k++ {
-						coords = append(coords, dbtf.Coord{I: i, J: j, K: k})
-					}
-				}
-			}
-		}
-		_ = rng
-		x, err := dbtf.TensorFromCoords(dim, dim, dim, coords)
-		if err != nil {
-			panic(err)
-		}
+		x := cube(dim, diagonalBlocks(dim, planted))
 		cfg.progress("ext-rankselect: planted rank %d", planted)
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.Budget)
-		sel, err := dbtf.SelectRank(ctx, x, dbtf.Options{
-			Machines: cfg.Machines, InitialSets: 4, Seed: cfg.Seed,
-		}, 8)
-		cancel()
-		if err != nil {
-			t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", planted), "error", "-", "-"})
+		var sel *dbtf.RankSelection
+		r := budgeted(cfg, "SelectRank", "", x.NNZ(), func(ctx context.Context) (o outcome, err error) {
+			sel, err = dbtf.SelectRank(ctx, x, dbtf.Options{
+				Machines: cfg.Machines, InitialSets: 4, Seed: cfg.Seed,
+			}, 8)
+			if err != nil {
+				return o, err
+			}
+			return dbtfOutcome(sel.Result, nil) // the selected rank's run
+		})
+		if !r.OK() {
+			t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", planted), r.TimeCell(), "-", "-"})
 			continue
 		}
 		t.Rows = append(t.Rows, []string{
@@ -130,52 +146,34 @@ func ExtRankSelect(cfg Config) *Table {
 // ExtWalkNMergeMDL compares Walk'n'Merge's fixed-rank output against its
 // MDL model-order selection on block tensors with noise.
 func ExtWalkNMergeMDL(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	dim := scaleDim(40, cfg.Scale)
 	t := &Table{
-		ID:     "ext-wnm-mdl",
 		Title:  fmt.Sprintf("Walk'n'Merge MDL model-order selection (dim %d)", dim),
 		Header: []string{"planted blocks", "noise nnz", "selected blocks", "error"},
 		Notes:  []string{"MDL keeps the planted blocks and rejects noise without a rank parameter"},
 	}
 	for _, planted := range []int{2, 3} {
 		rng := cfg.rng()
-		var coords []dbtf.Coord
-		per := dim / planted
-		size := per * 2 / 3
-		for b := 0; b < planted; b++ {
-			lo := b * per
-			for i := lo; i < lo+size; i++ {
-				for j := lo; j < lo+size; j++ {
-					for k := lo; k < lo+size; k++ {
-						coords = append(coords, dbtf.Coord{I: i, J: j, K: k})
-					}
-				}
-			}
-		}
+		coords := diagonalBlocks(dim, planted)
 		noise := dim * dim / 16
 		for n := 0; n < noise; n++ {
 			coords = append(coords, dbtf.Coord{I: rng.Intn(dim), J: rng.Intn(dim), K: rng.Intn(dim)})
 		}
-		x, err := dbtf.TensorFromCoords(dim, dim, dim, coords)
-		if err != nil {
-			panic(err)
-		}
+		x := cube(dim, coords)
 		cfg.progress("ext-wnm-mdl: %d planted blocks", planted)
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.Budget)
-		res, err := dbtf.FactorizeWalkNMerge(ctx, x, dbtf.WalkNMergeOptions{
-			MergeThreshold: 0.9, MDLSelect: true, Seed: cfg.Seed,
+		blocks := 0
+		r := budgeted(cfg, WalkNMerge, "mdl", x.NNZ(), func(ctx context.Context) (o outcome, err error) {
+			res, err := dbtf.FactorizeWalkNMerge(ctx, x, dbtf.WalkNMergeOptions{
+				MergeThreshold: 0.9, MDLSelect: true, Seed: cfg.Seed,
+			})
+			if err == nil {
+				blocks, o.Error = len(res.Blocks), res.Error
+			}
+			return o, err
 		})
-		cancel()
-		if err != nil {
-			t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", planted), fmt.Sprintf("%d", noise), "error", "-"})
-			continue
-		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", planted),
-			fmt.Sprintf("%d", noise),
-			fmt.Sprintf("%d", len(res.Blocks)),
-			fmt.Sprintf("%d", res.Error),
+			fmt.Sprintf("%d", planted), fmt.Sprintf("%d", noise),
+			r.cell(fmt.Sprintf("%d", blocks)), r.ErrorCell(),
 		})
 	}
 	return t

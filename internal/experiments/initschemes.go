@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"time"
 
 	"dbtf"
-	"dbtf/internal/asso"
 )
 
 func init() {
@@ -29,9 +25,7 @@ const bcpalsCandidateCap = 16 << 20
 // topfiber, measured across the sizes where ASSO's candidate matrix
 // crosses the memory cap).
 func AblationInitSchemes(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	t := &Table{
-		ID:     "abl-init",
 		Title:  "initialization schemes: data-aware seeds vs random/quadratic (rank 6, planted + noise)",
 		Header: []string{"method", "init", "I=J=K", "wall", "iters", "fit error", "relative"},
 		Notes: []string{
@@ -41,67 +35,25 @@ func AblationInitSchemes(cfg Config) *Table {
 			"o.o.m. marks ASSO's quadratic candidate matrix exceeding the cap; topfiber materializes nothing quadratic",
 		},
 	}
-
+	row := func(init string, dim int, r Run) {
+		t.Rows = append(t.Rows, []string{string(r.Method), init, fmt.Sprintf("%d", dim),
+			r.TimeCell(), r.dash("%d", r.Iters), r.ErrorCell(), r.dash("%.3f", r.Rel)})
+	}
 	for _, base := range []int{48, 64} {
 		dim := scaleDim(base, cfg.Scale)
-		rng := cfg.rng()
-		truth, _ := dbtf.TensorFromRandomFactors(rng, dim, dim, dim, 6, 0.15)
-		x := dbtf.AddNoise(rng, truth, 0.05, 0.05)
+		_, x := plantedTensor(cfg, dim, 6, 0.15, 0.05, 0.05)
 		for _, scheme := range []dbtf.InitScheme{dbtf.InitFiberSample, dbtf.InitRandom, dbtf.InitTopFiber} {
 			cfg.progress("abl-init: DBTF I=J=K=%d init=%v", dim, scheme)
-			res, wall, oot, err := runDBTFVariant(cfg, x, dbtf.Options{Rank: 6, Init: scheme})
-			timeCell, _, errCell := variantCells(res, wall, oot, err)
-			iters, rel := "-", "-"
-			if res != nil {
-				iters = fmt.Sprintf("%d", res.Iterations)
-				rel = fmt.Sprintf("%.3f", res.RelativeError)
-			}
-			t.Rows = append(t.Rows, []string{"DBTF", scheme.String(), fmt.Sprintf("%d", dim), timeCell, iters, errCell, rel})
+			row(scheme.String(), dim, RunMethod(cfg, DBTF, x, MethodOptions{Rank: 6, Init: scheme}))
 		}
 	}
-
 	for _, base := range []int{64, 96, 128} {
 		dim := scaleDim(base, cfg.Scale)
-		rng := cfg.rng()
-		truth, _ := dbtf.TensorFromRandomFactors(rng, dim, dim, dim, 6, 0.15)
-		x := dbtf.AddNoise(rng, truth, 0.05, 0.05)
+		_, x := plantedTensor(cfg, dim, 6, 0.15, 0.05, 0.05)
 		for _, init := range []dbtf.BCPALSInit{dbtf.BCPALSInitASSO, dbtf.BCPALSInitTopFiber} {
 			cfg.progress("abl-init: BCP_ALS I=J=K=%d init=%v", dim, init)
-			row := runBCPALSInit(cfg, x, init)
-			t.Rows = append(t.Rows, append([]string{"BCP_ALS", init.String(), fmt.Sprintf("%d", dim)}, row...))
+			row(init.String(), dim, RunMethod(cfg, BCPALS, x, MethodOptions{Rank: 6, BCPALSInit: init, MaxCandidateBytes: bcpalsCandidateCap}))
 		}
 	}
 	return t
-}
-
-// runBCPALSInit runs BCP_ALS under the budget and the ablation's candidate
-// cap, returning the wall/iters/error/relative cells with o.o.m. and
-// o.o.t. attributed exactly like RunMethod does.
-func runBCPALSInit(cfg Config, x *dbtf.Tensor, init dbtf.BCPALSInit) []string {
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.Budget)
-	defer cancel()
-	start := time.Now()
-	res, err := dbtf.FactorizeBCPALS(ctx, x, dbtf.BCPALSOptions{
-		Rank:              6,
-		Init:              init,
-		MaxCandidateBytes: bcpalsCandidateCap,
-	})
-	wall := time.Since(start)
-	switch {
-	case errors.Is(err, asso.ErrCandidateMemory):
-		cfg.progress("  %-13s %-10s [%s init=%s: %v]", BCPALS, "o.o.m.", BCPALS, init, err)
-		return []string{"o.o.m.", "-", "-", "-"}
-	case errors.Is(err, context.DeadlineExceeded):
-		cfg.progress("  %-13s %-10s [%s init=%s: time budget exceeded]", BCPALS, "o.o.t.", BCPALS, init)
-		return []string{"o.o.t.", "-", "-", "-"}
-	case err != nil:
-		cfg.progress("  %-13s %-10s [%v]", BCPALS, "error", err)
-		return []string{"error", "-", "-", "-"}
-	}
-	rel := "-"
-	if x.NNZ() > 0 {
-		rel = fmt.Sprintf("%.3f", float64(res.Error)/float64(x.NNZ()))
-	}
-	cfg.progress("  %-13s %-10s rel=%s", BCPALS, formatDuration(wall), rel)
-	return []string{formatDuration(wall), fmt.Sprintf("%d", res.Iterations), fmt.Sprintf("%d", res.Error), rel}
 }

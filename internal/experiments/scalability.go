@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -33,9 +32,7 @@ func scaleDim(base int, scale float64) int {
 // Fig1aDimensionality sweeps the cube dimensionality (paper: 2^6–2^13; we
 // sweep 2^4–2^8 at Scale 1) and compares all three methods.
 func Fig1aDimensionality(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	t := &Table{
-		ID:     "fig1a",
 		Title:  "running time vs dimensionality (density 0.01, rank 10)",
 		Header: []string{"I=J=K", "nnz", "DBTF", "BCP_ALS", "Walk'n'Merge"},
 		Notes: []string{
@@ -59,10 +56,8 @@ func Fig1aDimensionality(cfg Config) *Table {
 // Fig1bDensity sweeps the tensor density at fixed dimensionality (paper:
 // 0.01–0.3 at 2^8; we use 2^7 at Scale 1).
 func Fig1bDensity(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	dim := scaleDim(128, cfg.Scale)
 	t := &Table{
-		ID:     "fig1b",
 		Title:  fmt.Sprintf("running time vs density (I=J=K=%d, rank 10)", dim),
 		Header: []string{"density", "nnz", "DBTF", "BCP_ALS", "Walk'n'Merge"},
 		Notes:  []string{fmt.Sprintf("per-run budget %v", cfg.Budget)},
@@ -81,11 +76,9 @@ func Fig1bDensity(cfg Config) *Table {
 
 // Fig1cRank sweeps the decomposition rank (paper: 10–60).
 func Fig1cRank(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	dim := scaleDim(128, cfg.Scale)
 	x := dbtf.RandomTensor(cfg.rng(), dim, dim, dim, 0.05)
 	t := &Table{
-		ID:     "fig1c",
 		Title:  fmt.Sprintf("running time vs rank (I=J=K=%d, density 0.05)", dim),
 		Header: []string{"rank", "DBTF", "BCP_ALS", "Walk'n'Merge"},
 		Notes: []string{
@@ -106,9 +99,7 @@ func Fig1cRank(cfg Config) *Table {
 
 // Fig6RealWorld compares the methods on the six Table III stand-ins.
 func Fig6RealWorld(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	t := &Table{
-		ID:     "fig6",
 		Title:  "running time on real-world dataset stand-ins (rank 10)",
 		Header: []string{"dataset", "shape", "nnz", "DBTF", "BCP_ALS", "Walk'n'Merge"},
 		Notes: []string{
@@ -137,13 +128,9 @@ func Fig6RealWorld(cfg Config) *Table {
 // after one sweep, leaving only fixed stage overhead with nothing to
 // parallelize.
 func Fig7MachineScalability(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	dim := scaleDim(512, cfg.Scale)
-	rng := cfg.rng()
-	truth, _ := dbtf.TensorFromRandomFactors(rng, dim, dim, dim, fig1Rank, 0.2)
-	x := dbtf.AddNoise(rng, truth, 0.05, 0.05)
+	_, x := plantedTensor(cfg, dim, fig1Rank, 0.2, 0.05, 0.05)
 	t := &Table{
-		ID:     "fig7",
 		Title:  fmt.Sprintf("machine scalability (I=J=K=%d planted factors, nnz %d, rank 10)", dim, x.NNZ()),
 		Header: []string{"machines", "sim time", "speedup T4/TM"},
 		Notes: []string{
@@ -154,31 +141,15 @@ func Fig7MachineScalability(cfg Config) *Table {
 	var t4 time.Duration
 	for _, machines := range []int{4, 8, 16} {
 		cfg.progress("fig7: %d machines", machines)
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.Budget)
-		res, err := dbtf.Factorize(ctx, x, dbtf.Options{
-			Rank: fig1Rank, Machines: machines, Partitions: 48,
-			MaxIter: 3, MinIter: 3, Seed: cfg.Seed,
-			Tracer: cfg.Tracer,
-		})
-		cancel()
-		if err != nil {
-			cell := "error"
-			if ctx.Err() != nil {
-				cell = "o.o.t."
-			}
-			t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", machines), cell, "-"})
-			continue
-		}
+		r := RunDBTF(cfg, x, dbtf.Options{Rank: fig1Rank, Machines: machines, Partitions: 48, MaxIter: 3, MinIter: 3})
 		if machines == 4 {
-			t4 = res.SimTime
+			t4 = r.Sim
 		}
 		speedup := "-"
-		if t4 > 0 && res.SimTime > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(t4)/float64(res.SimTime))
+		if t4 > 0 && r.Sim > 0 {
+			speedup = fmt.Sprintf("%.2fx", float64(t4)/float64(r.Sim))
 		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", machines), formatDuration(res.SimTime), speedup,
-		})
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", machines), r.cell(formatDuration(r.Sim)), speedup})
 	}
 	return t
 }
@@ -186,9 +157,7 @@ func Fig7MachineScalability(cfg Config) *Table {
 // Table1Summary reruns compact versions of the Figure 1 sweeps and derives
 // the qualitative scalability verdicts of Table I.
 func Table1Summary(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	t := &Table{
-		ID:     "table1",
 		Title:  "scalability comparison (derived: High = largest sweep point within budget)",
 		Header: []string{"method", "dimensionality", "density", "rank", "distributed"},
 	}
@@ -199,10 +168,10 @@ func Table1Summary(cfg Config) *Table {
 	rankX := dbtf.RandomTensor(cfg.rng(), densDim, densDim, densDim, 0.05)
 
 	verdict := func(r Run) string {
-		if r.OOT || r.OOM || r.Err != nil {
-			return "Low"
+		if r.OK() {
+			return "High"
 		}
-		return "High"
+		return "Low"
 	}
 	distributed := map[Method]string{DBTF: "Yes", BCPALS: "No", WalkNMerge: "No"}
 	for _, m := range AllMethods {
@@ -223,7 +192,6 @@ func Table1Summary(cfg Config) *Table {
 // Table3Datasets summarizes the generated stand-ins next to the paper's
 // original dataset sizes.
 func Table3Datasets(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	originals := map[string]string{
 		"Facebook":     "64K x 64K x 870, 1.5M nnz",
 		"DBLP":         "418K x 3.5K x 49, 1.3M nnz",
@@ -233,7 +201,6 @@ func Table3Datasets(cfg Config) *Table {
 		"NELL-L":       "112K x 112K x 213K, 18M nnz",
 	}
 	t := &Table{
-		ID:     "table3",
 		Title:  "dataset stand-ins vs the paper's originals",
 		Header: []string{"dataset", "modes", "stand-in shape", "stand-in nnz", "paper original"},
 	}
@@ -252,10 +219,8 @@ func Table3Datasets(cfg Config) *Table {
 // TrafficValidation checks the shapes of Lemma 6 (shuffle ∝ |X|) and
 // Lemma 7 (broadcast ∝ M, collect ∝ N·R·I) on live runs.
 func TrafficValidation(cfg Config) *Table {
-	cfg = cfg.withDefaults()
 	dim := scaleDim(64, cfg.Scale)
 	t := &Table{
-		ID:     "traffic",
 		Title:  "cluster traffic vs Lemmas 6-7",
 		Header: []string{"workload", "shuffled", "broadcast", "collected"},
 		Notes: []string{

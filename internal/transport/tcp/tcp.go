@@ -150,10 +150,15 @@ type Coordinator struct {
 	cfg     Config
 	workers []*worker
 
+	// pmu is a leaf lock (taken under worker.mu, never the other way).
+	pmu sync.Mutex
 	// pending accumulates liveness transitions detected since the last
 	// Membership call, in detection order.
-	pmu     sync.Mutex
 	pending []transport.LivenessEvent
+	// conns[m] is workers[m].conn again, or nil once closeConns has closed
+	// it: the copy Close and a cancelled run can reach while an exchange in
+	// flight holds worker.mu for up to callTimeout.
+	conns []net.Conn
 
 	log stateLog
 
@@ -178,7 +183,7 @@ func DialContext(ctx context.Context, cfg Config) (*Coordinator, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("tcp: no worker addresses")
 	}
-	c := &Coordinator{cfg: cfg}
+	c := &Coordinator{cfg: cfg, conns: make([]net.Conn, len(cfg.Addrs))}
 	for _, addr := range cfg.Addrs {
 		c.workers = append(c.workers, &worker{addr: addr})
 	}
@@ -245,6 +250,9 @@ func (c *Coordinator) dialWorker(ctx context.Context, m int, w *worker) error {
 	w.mu.Lock()
 	w.conn = conn
 	w.lastDial = time.Now()
+	c.pmu.Lock()
+	c.conns[m] = conn
+	c.pmu.Unlock()
 	w.mu.Unlock()
 	return nil
 }
@@ -309,6 +317,7 @@ func (c *Coordinator) markDownLocked(m int, w *worker) {
 	_ = w.conn.Close()
 	w.conn, w.acked = nil, 0
 	c.pmu.Lock()
+	c.conns[m] = nil
 	c.pending = append(c.pending, transport.LivenessEvent{Machine: m, Up: false})
 	c.pmu.Unlock()
 }
@@ -326,18 +335,28 @@ func (c *Coordinator) Machines() int { return len(c.workers) }
 // WireBytes implements transport.Transport.
 func (c *Coordinator) WireBytes() (int64, int64) { return c.sent.Load(), c.recvd.Load() }
 
-// Close tears down every worker connection.
-func (c *Coordinator) Close() error {
+// Close tears down every worker connection. It does not wait for an
+// exchange in flight: closing the connection under it is what ends one, and
+// the interrupted request then marks its machine down like any other
+// connection failure.
+func (c *Coordinator) Close() error { return c.closeConns() }
+
+// closeConns closes every live connection without taking a worker.mu, so
+// it returns at once even while a stalled exchange holds one. It is how a
+// cancelled run lets go of its workers: Run and the set-up flush call it
+// when ctx ends, Close when the run does.
+func (c *Coordinator) closeConns() error {
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
 	var first error
-	for _, w := range c.workers {
-		w.mu.Lock()
-		if w.conn != nil {
-			if err := w.conn.Close(); err != nil && first == nil {
-				first = err
-			}
-			w.conn = nil
+	for m, conn := range c.conns {
+		if conn == nil {
+			continue
 		}
-		w.mu.Unlock()
+		if err := conn.Close(); err != nil && first == nil {
+			first = err
+		}
+		c.conns[m] = nil
 	}
 	return first
 }
@@ -393,7 +412,8 @@ func (c *Coordinator) Membership(ctx context.Context) []transport.LivenessEvent 
 // unfolds and partitions on receipt), so a worker that cannot set up fails
 // the run here; it errors if an executor rejects the blob or no live
 // workers remain. Workers that fail mid-flush are marked down and get the
-// same log on rejoin.
+// same log on rejoin. A ctx that ends mid-flush closes the connections and
+// returns its error; the abandoned exchanges fail at once and exit.
 func (c *Coordinator) PushState(ctx context.Context, kind transport.StateKind, payload []byte) error {
 	c.log.push(kind, payload)
 	if kind != transport.StateSetup {
@@ -403,15 +423,22 @@ func (c *Coordinator) PushState(ctx context.Context, kind transport.StateKind, p
 		return err
 	}
 	errs := make([]error, len(c.workers))
-	var wg sync.WaitGroup
+	flushed := make(chan struct{}, len(c.workers)) // one send per worker
 	for m := range c.workers {
-		wg.Add(1)
 		go func(m int) {
-			defer wg.Done()
 			_, errs[m] = c.request(m, transport.Spec{}, nil)
+			flushed <- struct{}{}
 		}(m)
 	}
-	wg.Wait()
+	for range c.workers {
+		select {
+		case <-flushed:
+		case <-ctx.Done():
+			// The run is over; a close error adds nothing to ctx's.
+			_ = c.closeConns()
+			return ctx.Err()
+		}
+	}
 	live := 0
 	for _, err := range errs {
 		switch {
@@ -498,11 +525,13 @@ func (c *Coordinator) Run(ctx context.Context, spec transport.Spec, deliver func
 			select {
 			case o = <-results:
 			case <-ctx.Done():
-				// Abandon the round: results is buffered to len(queue), so
-				// stragglers deposit their outcome and exit without a
-				// receiver, and each in-flight call is bounded by
-				// callTimeout. Before this select a cancelled run sat in
-				// the bare receive until the slowest call timed out.
+				// Abandon the round and close the connections under the
+				// calls in flight (a close error adds nothing to ctx's):
+				// they fail at once instead of holding their worker.mu
+				// until callTimeout, and results is buffered to
+				// len(queue), so they deposit their outcome and exit
+				// without a receiver.
+				_ = c.closeConns()
 				return ctx.Err()
 			}
 			switch {
