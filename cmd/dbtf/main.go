@@ -296,8 +296,8 @@ func run(args []string) error {
 	fmt.Printf("reconstruction error: %d (relative %.4f) in %v\n", recErr, rel, time.Since(start).Round(time.Millisecond))
 
 	if *output != "" {
-		for suffix, m := range map[string]*dbtf.FactorMatrix{"A": factors.A, "B": factors.B, "C": factors.C} {
-			path := *output + "." + suffix
+		for n, m := range []*dbtf.FactorMatrix{factors.A, factors.B, factors.C} {
+			path := *output + "." + string("ABC"[n])
 			if err := m.WriteFile(path); err != nil {
 				return err
 			}

@@ -46,8 +46,12 @@ func TestRunMissingFile(t *testing.T) {
 func TestRunDBTFWithOutput(t *testing.T) {
 	path := writeTensor(t)
 	prefix := filepath.Join(t.TempDir(), "factors")
-	if err := run([]string{"-input", path, "-rank", "2", "-machines", "2", "-output", prefix}); err != nil {
-		t.Fatal(err)
+	out := captureStdout(t, func() error {
+		return run([]string{"-input", path, "-rank", "2", "-machines", "2", "-output", prefix})
+	})
+	// The three "wrote" lines come in the order A, B, C on every run.
+	if a, b, c := strings.Index(out, "wrote "+prefix+".A"), strings.Index(out, "wrote "+prefix+".B"), strings.Index(out, "wrote "+prefix+".C"); a < 0 || a > b || b > c {
+		t.Fatalf("factor files not reported in order A, B, C:\n%s", out)
 	}
 	for _, suffix := range []string{".A", ".B", ".C"} {
 		m, err := dbtf.ReadFactorMatrix(prefix + suffix)

@@ -66,6 +66,12 @@ var deletedNames = []deletedName{
 		pr: "PR 23: the budget is armed in one place, budgeted; an experiment that times its own run classifies the outcome its own way"},
 	{pattern: `countingSource|RNGDraws|fastForward`, scope: []string{"internal/core"},
 		pr: "PR 23: only initialSet draws and a checkpoint exists only after it has, so a resumed run never needs the stream; checkpoint format 4 has no RNG state (DESIGN §7)"},
+	{pattern: `RowInRange|BucketOffs|rowOf|colOf|blockOf|rowPtr`, scope: []string{"internal/tensor"}, nonTest: true,
+		pr: "PR 24: one matricization kernel; every unfolding carries its (row, PVM block) bucket table, so a row and a block-row are arithmetic on it and there is no per-mode accessor, second row index or search (DESIGN §4)"},
+	{pattern: `slices\.Sort|sort\.Search\(len\(row\)`, scope: []string{"internal/tensor"}, nonTest: true,
+		pr: "PR 24: the stable counting sort over the sorted coordinate list emits every row sorted; the per-row comparison-sort fallback was 3-6.5x slower on the sparse shapes it was selected for"},
+	{pattern: `offs != nil|BucketOffs`, scope: []string{"internal/partition"},
+		pr: "PR 24: partition.Build has one count rule per block kind and one fill loop; it never tests for a missing bucket table"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

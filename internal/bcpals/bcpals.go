@@ -143,9 +143,8 @@ func Decompose(ctx context.Context, x *tensor.Tensor, opts Options) (*Result, er
 	}
 
 	start := time.Now()
-	u1 := x.Unfold(tensor.Mode1)
-	u2 := x.Unfold(tensor.Mode2)
-	u3 := x.Unfold(tensor.Mode3)
+	us := x.UnfoldAll()
+	u1, u2, u3 := us[0], us[1], us[2]
 
 	// Per-mode initialization: the unfolding is factorized by the greedy
 	// top-fiber scheme (near-linear, the default) or by ASSO (quadratic,

@@ -315,33 +315,26 @@ func Build(u *tensor.Unfolded, n int) *Partitioned {
 
 	// Every block is a column range inside a single PVM product, so its
 	// row segments are sub-ranges of the unfolding's (row, PVM block)
-	// buckets. The count pass below is therefore pure bucket arithmetic
-	// for full blocks — no nonzero is touched — and a short end-trim of
-	// the bucket segment for the at-most-two partial blocks a partition
-	// boundary cuts into a product. The fill pass then writes each block's
-	// CSR offsets (and packed rows, for blocks at or above
-	// DenseRowThreshold) sequentially into arenas shared by all blocks.
+	// buckets, each found by arithmetic. The count pass takes a full
+	// block's row lengths straight from the bucket lengths — no nonzero is
+	// touched — and trims the bucket's ends for the at-most-two partial
+	// blocks a partition boundary cuts into a product. The fill pass then
+	// writes each block's CSR offsets (and packed rows, for blocks at or
+	// above DenseRowThreshold) sequentially into arenas shared by all
+	// blocks.
 	nb := len(all)
 	rows := u.NumRows
-	offs, nbPVM := u.BucketOffs(), u.NumBlocks
 	ptrArena := slab.Int32s(nb * (rows + 1))
 	denseTotal := 0
 	bitsOff := make([]int32, nb+1)
 	for bi, b := range all {
 		rp := ptrArena[bi*(rows+1) : (bi+1)*(rows+1)]
 		rp[0] = 0 // the arena is recycled, not zeroed
-		switch {
-		case b.Type == Full && offs != nil:
-			// Bucket lengths by pure arithmetic — no nonzero is touched.
-			for r := 0; r < rows; r++ {
-				bk := r*nbPVM + b.PVM
-				rp[r+1] = rp[r] + (offs[bk+1] - offs[bk])
-			}
-		case b.Type == Full:
+		if b.Type == Full {
 			for r := 0; r < rows; r++ {
 				rp[r+1] = rp[r] + int32(len(u.BlockRow(r, b.PVM)))
 			}
-		default:
+		} else {
 			lo, hi := int32(b.Lo), int32(b.Hi)
 			for r := 0; r < rows; r++ {
 				rp[r+1] = rp[r] + int32(len(trimSegment(u.BlockRow(r, b.PVM), lo, hi)))
@@ -369,13 +362,7 @@ func Build(u *tensor.Unfolded, n int) *Partitioned {
 		lo, hi, pvm, full := int32(b.Lo), int32(b.Hi), b.PVM, b.Type == Full
 		pos := 0
 		for r := 0; r < rows; r++ {
-			var seg []int32
-			if offs != nil {
-				bk := r*nbPVM + pvm
-				seg = u.Bucket(offs[bk], offs[bk+1])
-			} else {
-				seg = u.BlockRow(r, pvm)
-			}
+			seg := u.BlockRow(r, pvm)
 			if !full {
 				seg = trimSegment(seg, lo, hi)
 			}

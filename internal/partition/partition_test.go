@@ -2,9 +2,11 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"dbtf/internal/gen"
 	"dbtf/internal/tensor"
 )
 
@@ -134,38 +136,54 @@ func TestLemma3AtMostThreeTypes(t *testing.T) {
 }
 
 func TestBlockCSRMatchesUnfolded(t *testing.T) {
+	// Row for row, the blocks' nonzeros read in column order are exactly the
+	// unfolding's row, and a dense block's packed words hold the same bits —
+	// on a small dense tensor, on the relationship-data shape (rows·blocks
+	// far beyond the nonzero count), with a 1-wide and a 0-wide mode, and
+	// with more partitions asked for than there are columns.
 	rng := rand.New(rand.NewSource(2))
-	x := randomTensor(rng, 6, 9, 8, 0.15)
-	u := x.Unfold(tensor.Mode2)
-	px := Build(u, 5)
-	// Every nonzero of u must appear in exactly one block at the right
-	// local offset.
-	total := 0
-	for _, p := range px.Parts {
-		for _, b := range p.Blocks {
-			for r := 0; r < u.NumRows; r++ {
-				for _, bit := range b.RowBits(r) {
-					col := b.Lo + int(bit)
-					if col < b.Lo || col >= b.Hi {
-						t.Fatalf("bit %d outside block [%d,%d)", col, b.Lo, b.Hi)
-					}
-					found := false
-					for _, c := range u.Row(r) {
-						if int(c) == col {
-							found = true
-							break
+	for _, x := range []*tensor.Tensor{
+		randomTensor(rng, 6, 9, 8, 0.15),
+		gen.Random(rng, 256, 256, 64, 3600.0/(256*256*64)),
+		randomTensor(rng, 1, 9, 5, 0.3), randomTensor(rng, 9, 1, 5, 0.3), randomTensor(rng, 9, 5, 1, 0.3),
+		tensor.New(0, 4, 5), tensor.New(4, 0, 5), tensor.New(4, 5, 0),
+	} {
+		i, j, k := x.Dims()
+		for m, u := range x.UnfoldAll() {
+			ns := []int{1, 5, 16}
+			if u.NumCols < 100 {
+				ns = append(ns, u.NumCols+3)
+			}
+			for _, n := range ns {
+				px := Build(u, n)
+				for r := 0; r < u.NumRows; r++ {
+					var got []int32
+					for _, p := range px.Parts {
+						for _, b := range p.Blocks {
+							var words []uint64
+							if b.Dense() {
+								words = make([]uint64, len(b.RowWords(r)))
+							}
+							for _, bit := range b.RowBits(r) {
+								if int(bit) >= b.Width() {
+									t.Fatalf("%dx%dx%d mode %d n=%d: bit %d outside block [%d,%d)", i, j, k, m+1, n, bit, b.Lo, b.Hi)
+								}
+								got = append(got, int32(b.Lo)+bit)
+								if b.Dense() {
+									words[bit>>6] |= 1 << (uint(bit) & 63)
+								}
+							}
+							if !slices.Equal(b.RowWords(r), words) {
+								t.Fatalf("%dx%dx%d mode %d n=%d: block [%d,%d) row %d packed words differ from its offsets", i, j, k, m+1, n, b.Lo, b.Hi, r)
+							}
 						}
 					}
-					if !found {
-						t.Fatalf("block contains (%d,%d) absent from unfolded", r, col)
+					if !slices.Equal(got, u.Row(r)) {
+						t.Fatalf("%dx%dx%d mode %d n=%d: row %d blocks hold %v, unfolded has %v", i, j, k, m+1, n, r, got, u.Row(r))
 					}
-					total++
 				}
 			}
 		}
-	}
-	if total != u.NNZ() {
-		t.Fatalf("blocks hold %d nonzeros, unfolded has %d", total, u.NNZ())
 	}
 }
 

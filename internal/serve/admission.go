@@ -50,10 +50,18 @@ func (b *tokenBucket) take(now time.Time, rate, burst float64) (bool, time.Durat
 	return false, time.Duration(math.Ceil(need / rate * float64(time.Second)))
 }
 
+// full reports whether the bucket has refilled to its burst by now: from
+// then on it admits exactly as a tenant never seen does.
+func (b *tokenBucket) full(now time.Time, rate, burst float64) bool {
+	return b.tokens+now.Sub(b.last).Seconds()*rate >= burst
+}
+
 // admissionState tracks everything the admit decision needs; guarded by
 // the Server's mutex.
 type admissionState struct {
 	buckets map[string]*tokenBucket
+	// sweepAt is the map size at which bucket next drops the full buckets.
+	sweepAt int
 	// memoryBytes is the sum of the tensor-size estimates of every
 	// queued and running job: the explicit budget that replaces "grow
 	// until OOM".
@@ -66,12 +74,26 @@ func newAdmissionState() *admissionState {
 	return &admissionState{buckets: map[string]*tokenBucket{}, shed: map[string]int64{}}
 }
 
-func (a *admissionState) bucket(tenant string) *tokenBucket {
-	b, ok := a.buckets[tenant]
-	if !ok {
-		b = &tokenBucket{}
-		a.buckets[tenant] = b
+// bucket returns the tenant's token bucket, creating it on first sight. A
+// tenant id is outside input, so the map must not keep every id ever seen:
+// once it holds more tenants than the queue limit could hold jobs for, the
+// buckets that have refilled to their burst are dropped. What stays is the
+// tenants seen within the last TenantBurst/TenantRate seconds; the next
+// sweep waits until the map has doubled, so a submit pays amortized O(1).
+func (a *admissionState) bucket(now time.Time, tenant string, cfg AdmissionConfig) *tokenBucket {
+	if b, ok := a.buckets[tenant]; ok {
+		return b
 	}
+	if len(a.buckets) >= max(a.sweepAt, cfg.MaxQueued) {
+		for id, b := range a.buckets {
+			if b.full(now, cfg.TenantRate, cfg.TenantBurst) {
+				delete(a.buckets, id)
+			}
+		}
+		a.sweepAt = 2 * len(a.buckets)
+	}
+	b := &tokenBucket{}
+	a.buckets[tenant] = b
 	return b
 }
 
@@ -84,7 +106,7 @@ func (a *admissionState) admit(now time.Time, spec *JobSpec, cfg AdmissionConfig
 		a.shed[reason]++
 		return &AdmissionError{Reason: reason, RetryAfter: retry, Detail: fmt.Sprintf(format, args...)}
 	}
-	if ok, wait := a.bucket(spec.Tenant).take(now, cfg.TenantRate, cfg.TenantBurst); !ok {
+	if ok, wait := a.bucket(now, spec.Tenant, cfg).take(now, cfg.TenantRate, cfg.TenantBurst); !ok {
 		return reject("rate_limited", wait,
 			"tenant %q exceeds %.3g jobs/s (burst %.3g)", spec.Tenant, cfg.TenantRate, cfg.TenantBurst)
 	}

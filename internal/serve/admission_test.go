@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -108,5 +109,51 @@ func TestTokenBucketZeroRateNeverRefills(t *testing.T) {
 	}
 	if wait != time.Hour {
 		t.Fatalf("wait = %v, want 1h sentinel", wait)
+	}
+}
+
+// TestTenantBucketsDoNotAccumulate cycles 10,000 distinct tenant ids — a
+// tenant id is outside input — past the rate limiter while one hog keeps
+// submitting. The bucket map must stay bounded by the tenants recent enough
+// to matter, and dropping refilled buckets must change no verdict: the hog's
+// match a lone token bucket fed the same instants, and a returning one-shot
+// tenant is admitted as a fresh one would be.
+func TestTenantBucketsDoNotAccumulate(t *testing.T) {
+	a := newAdmissionState()
+	cfg := AdmissionConfig{MaxQueued: 8, TenantRate: 50, TenantBurst: 2}.withDefaults()
+	now := time.Unix(1000, 0)
+	var hog tokenBucket
+	limited := 0
+	for i := 0; i < 10000; i++ {
+		now = now.Add(time.Millisecond)
+		if aerr := a.admit(now, admitSpec(fmt.Sprintf("t%d", i)), cfg, 0, 0, 0, 0); aerr != nil {
+			t.Fatalf("one-shot tenant %d = %v", i, aerr)
+		}
+		if i%10 != 0 {
+			continue
+		}
+		// 100 submits/s against 50 tokens/s: the hog is shed about half
+		// the time, so its bucket is never full and must never be dropped.
+		want, _ := hog.take(now, cfg.TenantRate, cfg.TenantBurst)
+		aerr := a.admit(now, admitSpec("hog"), cfg, 0, 0, 0, 0)
+		if got := aerr == nil; got != want {
+			t.Fatalf("step %d: hog admitted = %v, a lone bucket says %v (%v)", i, got, want, aerr)
+		}
+		if aerr != nil {
+			limited++
+		}
+	}
+	if limited < 400 {
+		t.Fatalf("hog rate-limited %d times of 1000, want about half", limited)
+	}
+	// A one-shot tenant's bucket is full again after 20 ms = 20 tenants;
+	// sweeps start at MaxQueued entries and wait for the map to double.
+	if n := len(a.buckets); n > 100 {
+		t.Fatalf("%d buckets held after 10,000 one-shot tenants", n)
+	}
+	for i := 0; i < 2; i++ {
+		if aerr := a.admit(now, admitSpec("t0"), cfg, 0, 0, 0, 0); aerr != nil {
+			t.Fatalf("returning tenant, submit %d of its burst = %v", i, aerr)
+		}
 	}
 }

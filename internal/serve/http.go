@@ -79,8 +79,23 @@ func writeAdmissionError(w http.ResponseWriter, aerr *AdmissionError) {
 	_ = enc.Encode(apiError{Error: aerr.Error(), Reason: aerr.Reason})
 }
 
+// putTensorStatus is the status of a refused upload: 409 for an id already
+// taken, 400 for anything else wrong with the request.
+func putTensorStatus(err error) int {
+	if errors.Is(err, ErrTensorExists) {
+		return http.StatusConflict
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Server) handlePutTensor(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	// The id is checked before up to maxTensorBytes of body are parsed for
+	// an upload that cannot succeed.
+	if err := s.checkTensorID(id); err != nil {
+		writeError(w, putTensorStatus(err), err)
+		return
+	}
 	body := http.MaxBytesReader(w, r.Body, maxTensorBytes)
 	t, err := DecodeTensor(body)
 	if err != nil {
@@ -94,11 +109,7 @@ func (s *Server) handlePutTensor(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.PutTensor(id, t); err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrTensorExists) {
-			status = http.StatusConflict
-		}
-		writeError(w, status, err)
+		writeError(w, putTensorStatus(err), err)
 		return
 	}
 	i, j, k := t.Dims()

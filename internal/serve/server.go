@@ -185,10 +185,23 @@ func New(cfg Config) (*Server, error) {
 // PutTensor durably stores an uploaded tensor under id. IDs are
 // immutable once taken: ErrTensorExists on reuse.
 func (s *Server) PutTensor(id string, t *tensor.Tensor) error {
+	if err := s.checkTensorID(id); err != nil {
+		return err
+	}
+	return s.store.Put(id, t)
+}
+
+// checkTensorID refuses an upload the id alone decides: a malformed id, or
+// one already taken (ErrTensorExists). Of two uploads racing for a free id
+// both pass; tensorStore.Put lets one through.
+func (s *Server) checkTensorID(id string) error {
 	if !validIdent(id) {
 		return fmt.Errorf("serve: invalid tensor id %q", id)
 	}
-	return s.store.Put(id, t)
+	if _, err := s.store.Get(id); err == nil {
+		return ErrTensorExists
+	}
+	return nil
 }
 
 // TensorIDs lists the stored tensor IDs (unordered).

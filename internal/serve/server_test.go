@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -335,6 +336,57 @@ func TestUnknownJobIs404OnEveryRoute(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 		}
+	}
+}
+
+// TestHTTPRoutes drives the routes no other test reaches through Handler():
+// the upload's refusals (the id is judged before the body is parsed, so a
+// bad or taken id answers 400 / 409 even when the body is garbage), the three
+// listings, and the health check on both sides of Drain.
+func TestHTTPRoutes(t *testing.T) {
+	s := testServer(t, nil)
+	defer s.Drain()
+	var upload bytes.Buffer
+	if err := testTensor(7).WriteBinary(&upload); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, tc := range []struct {
+		name, method, path string
+		body               []byte
+		before             func()
+		status             int
+		contains           string
+	}{
+		{name: "upload", method: "POST", path: "/v1/tensors/x1", body: upload.Bytes(), status: http.StatusCreated, contains: `"nnz"`},
+		{name: "bad id, garbage body", method: "POST", path: "/v1/tensors/no.dots", body: []byte("garbage"), status: http.StatusBadRequest, contains: "invalid tensor id"},
+		{name: "taken id, garbage body", method: "POST", path: "/v1/tensors/x1", body: []byte("garbage"), status: http.StatusConflict, contains: "already exists"},
+		{name: "free id, garbage body", method: "POST", path: "/v1/tensors/x2", body: []byte("garbage"), status: http.StatusBadRequest},
+		{name: "list tensors", method: "GET", path: "/v1/tensors", status: http.StatusOK, contains: `"x1"`},
+		{name: "list a tenant's jobs", method: "GET", path: "/v1/jobs?tenant=acme", status: http.StatusOK, contains: `"tenant": "acme"`,
+			before: func() {
+				v, err := s.Submit(baseSpec("x1"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitTerminal(t, s, v.ID)
+			}},
+		{name: "list nobody's jobs", method: "GET", path: "/v1/jobs?tenant=nobody", status: http.StatusOK, contains: `"jobs": []`},
+		{name: "stats", method: "GET", path: "/v1/stats", status: http.StatusOK, contains: `"admitted": 1`},
+		{name: "healthy", method: "GET", path: "/healthz", status: http.StatusOK, contains: "ok"},
+		{name: "draining", method: "GET", path: "/healthz", status: http.StatusServiceUnavailable, contains: "draining", before: s.Drain},
+	} {
+		if tc.before != nil {
+			tc.before()
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, bytes.NewReader(tc.body)))
+		if rec.Code != tc.status || !strings.Contains(rec.Body.String(), tc.contains) {
+			t.Errorf("%s: %s %s = %d %s, want %d containing %q", tc.name, tc.method, tc.path, rec.Code, rec.Body, tc.status, tc.contains)
+		}
+	}
+	if ids := s.TensorIDs(); len(ids) != 1 {
+		t.Fatalf("refused uploads left tensors behind: %v", ids)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"slices"
 	"sort"
 	"strconv"
 
@@ -181,7 +180,17 @@ const (
 )
 
 // Unfolded is the mode-n matricization X₍ₙ₎ of a tensor in compressed
-// sparse row form: for each row, a sorted list of nonzero column indices.
+// sparse form: for each (row, PVM block) pair a bucket of sorted nonzero
+// column indices, the buckets of one row adjacent, so a row is a sorted
+// list too.
+//
+// Memory: the bucket table is NumRows × NumBlocks int32 beside one int32
+// per nonzero — the same order as the row-pointer arena partition.Build
+// allocates from it (blocks × (rows+1) int32), so an unfolding never needs
+// more than the partitioning the engine is about to build anyway. Of the
+// callers that stop at the unfolding, bcpals densifies it (rows × columns
+// bits, larger) and tucker's evaluator runs after an engine run on the same
+// tensor.
 type Unfolded struct {
 	NumRows, NumCols int
 	// BlockSize is the width of one pointwise vector-matrix (PVM) product
@@ -192,16 +201,14 @@ type Unfolded struct {
 	// NumBlocks is NumCols / BlockSize, the row count of the first
 	// Khatri–Rao operand (C above).
 	NumBlocks int
-	rowPtr    []int
 	// colIdx holds the column indices as int32: unfolding and partitioning
 	// are memory-bandwidth bound, and half-width columns halve that traffic.
 	// Unfold panics if the column space exceeds int32.
 	colIdx []int32
 	// bucketOff delimits the (row, PVM block) buckets of colIdx: bucket
 	// b = row·NumBlocks + block spans colIdx[bucketOff[b]:bucketOff[b+1]].
-	// Retained from the counting-sort construction (nil when the sort fell
-	// back to per-row sorting), it hands partition.Build every block-row
-	// segment by pure arithmetic instead of a merge over the nonzeros.
+	// It hands partition.Build every block-row segment by pure arithmetic
+	// instead of a search over the nonzeros.
 	bucketOff []int32
 }
 
@@ -212,180 +219,89 @@ type Unfolded struct {
 //	mode 2: x_ijk ↦ [X₍₂₎]_{j, i+k·I}   (PVM block k, inner index i)
 //	mode 3: x_ijk ↦ [X₍₃₎]_{k, i+j·I}   (PVM block j, inner index i)
 func (t *Tensor) Unfold(mode Mode) *Unfolded {
-	var nRows, block, nBlocks int
-	switch mode {
-	case Mode1:
-		nRows, block, nBlocks = t.dimI, t.dimJ, t.dimK
-	case Mode2:
-		nRows, block, nBlocks = t.dimJ, t.dimI, t.dimK
-	case Mode3:
-		nRows, block, nBlocks = t.dimK, t.dimI, t.dimJ
-	default:
+	if mode < Mode1 || mode > Mode3 {
 		panic(fmt.Sprintf("tensor: invalid mode %d", mode))
 	}
-	if int64(block)*int64(nBlocks) > math.MaxInt32 {
-		panic(fmt.Sprintf("tensor: mode-%d unfolding has %d columns, beyond the int32 column space", mode, block*nBlocks))
-	}
-	u := &Unfolded{
-		NumRows:   nRows,
-		NumCols:   block * nBlocks,
-		BlockSize: block,
-		NumBlocks: nBlocks,
-		rowPtr:    make([]int, nRows+1),
-		colIdx:    slab.Int32s(len(t.coords)),
-	}
-	// The coordinate list is sorted by (I, J, K), which for every mode
-	// leaves the inner column index ascending within a fixed (row, PVM
-	// block) pair. A stable counting sort by the composite key
-	// row·NumBlocks + block therefore emits each row's columns already
-	// sorted — no comparison sort at all. The bucket array is sized with
-	// two leading zero slots so the fill cursors (bucket b advances
-	// off[b+1]) end the pass holding exactly the start-offset table: no
-	// copy. Fall back to per-row sorting when the bucket array would
-	// dwarf the nonzeros.
-	if nb := nBlocks; nRows > 0 && nb > 0 && nRows <= (4*len(t.coords)+1024)/nb {
-		n := nRows * nb
-		off := slab.Int32sZeroed(n + 2)
-		for _, c := range t.coords {
-			off[rowOf(c, mode)*nb+blockOf(c, mode)+2]++
-		}
-		for b := 2; b <= n+1; b++ {
-			off[b] += off[b-1]
-		}
-		for _, c := range t.coords {
-			b := rowOf(c, mode)*nb + blockOf(c, mode) + 1
-			u.colIdx[off[b]] = int32(colOf(c, mode, block))
-			off[b]++
-		}
-		u.bucketOff = off[:n+1]
-		for r := 0; r < nRows; r++ {
-			u.rowPtr[r] = int(off[r*nb])
-		}
-		u.rowPtr[nRows] = len(t.coords)
-		return u
-	}
-	// Counting sort by row, then fill columns and sort within each row.
-	for _, c := range t.coords {
-		u.rowPtr[rowOf(c, mode)+1]++
-	}
-	for r := 0; r < nRows; r++ {
-		u.rowPtr[r+1] += u.rowPtr[r]
-	}
-	next := make([]int, nRows)
-	copy(next, u.rowPtr[:nRows])
-	for _, c := range t.coords {
-		r := rowOf(c, mode)
-		u.colIdx[next[r]] = int32(colOf(c, mode, block))
-		next[r]++
-	}
-	for r := 0; r < nRows; r++ {
-		row := u.colIdx[u.rowPtr[r]:u.rowPtr[r+1]]
-		slices.Sort(row)
-	}
-	return u
+	return t.matricize(mode)[mode-1]
 }
 
-// UnfoldAll returns all three matricizations at once. When every mode is
-// eligible for the counting sort it fuses the three builds into a single
-// count pass and a single fill pass over the coordinate list — one third of
-// the coordinate traffic of three Unfold calls, which matters because the
-// unfold step is pure memory bandwidth. Falls back to per-mode Unfold
-// otherwise.
+// UnfoldAll returns all three matricizations, the set-up of Algorithm 2
+// lines 1-3.
 func (t *Tensor) UnfoldAll() [3]*Unfolded {
-	nnz := len(t.coords)
+	return t.matricize(Mode1, Mode2, Mode3)
+}
+
+// matricize builds the unfoldings of the given modes, each at index mode−1
+// of the result.
+//
+// The coordinate list is sorted by (I, J, K), which for every mode leaves
+// the inner column index ascending within a fixed (row, PVM block) pair. A
+// stable counting sort by the bucket row·NumBlocks + block therefore emits
+// each bucket's — and, a row's buckets being adjacent and ascending in
+// block, each row's — columns already sorted: no comparison sort at all.
+// All wanted modes share one count pass and one fill pass over the
+// coordinate list: the step is pure memory traffic and the list is the one
+// stream every mode reads.
+func (t *Tensor) matricize(modes ...Mode) (us [3]*Unfolded) {
 	dimI, dimJ, dimK := t.dimI, t.dimJ, t.dimK
-	eligible := func(nRows, nb int) bool {
-		return nRows > 0 && nb > 0 && nRows <= (4*nnz+1024)/nb
-	}
-	fits32 := func(a, b int) bool { return int64(a)*int64(b) <= math.MaxInt32 }
-	if !eligible(dimI, dimK) || !eligible(dimJ, dimK) || !eligible(dimK, dimJ) ||
-		!fits32(dimI, dimJ) || !fits32(dimI, dimK) || !fits32(dimJ, dimK) {
-		return [3]*Unfolded{t.Unfold(Mode1), t.Unfold(Mode2), t.Unfold(Mode3)}
-	}
-	skeleton := func(nRows, block, nBlocks int) (*Unfolded, []int32) {
-		u := &Unfolded{
+	shape := [3][3]int{{dimI, dimJ, dimK}, {dimJ, dimI, dimK}, {dimK, dimI, dimJ}}
+	var off, col [3][]int32
+	for _, mode := range modes {
+		m := mode - 1
+		nRows, block, nBlocks := shape[m][0], shape[m][1], shape[m][2]
+		if int64(block)*int64(nBlocks) > math.MaxInt32 {
+			panic(fmt.Sprintf("tensor: mode-%d unfolding has %d columns, beyond the int32 column space", mode, block*nBlocks))
+		}
+		// Two leading zero slots: the fill cursors (bucket b advances
+		// off[b+1]) end the pass holding exactly the start-offset table.
+		n := nRows * nBlocks
+		off[m], col[m] = slab.Int32sZeroed(n+2), slab.Int32s(len(t.coords))
+		us[m] = &Unfolded{
 			NumRows:   nRows,
 			NumCols:   block * nBlocks,
 			BlockSize: block,
 			NumBlocks: nBlocks,
-			rowPtr:    make([]int, nRows+1),
-			colIdx:    slab.Int32s(nnz),
+			colIdx:    col[m],
+			bucketOff: off[m][:n+1],
 		}
-		// Two leading zero slots, as in Unfold: the fill cursors end the
-		// pass holding the start-offset table in place.
-		return u, slab.Int32sZeroed(nRows*nBlocks + 2)
 	}
-	u1, off1 := skeleton(dimI, dimJ, dimK)
-	u2, off2 := skeleton(dimJ, dimI, dimK)
-	u3, off3 := skeleton(dimK, dimI, dimJ)
+	// A mode not asked for has a nil table, and its statement is skipped.
+	off1, off2, off3 := off[0], off[1], off[2]
 	for _, c := range t.coords {
-		off1[c.I*dimK+c.K+2]++
-		off2[c.J*dimK+c.K+2]++
-		off3[c.K*dimJ+c.J+2]++
-	}
-	prefix := func(off []int32) {
-		for b := 2; b < len(off); b++ {
-			off[b] += off[b-1]
+		if off1 != nil {
+			off1[c.I*dimK+c.K+2]++
+		}
+		if off2 != nil {
+			off2[c.J*dimK+c.K+2]++
+		}
+		if off3 != nil {
+			off3[c.K*dimJ+c.J+2]++
 		}
 	}
-	prefix(off1)
-	prefix(off2)
-	prefix(off3)
-	c1, c2, c3 := u1.colIdx, u2.colIdx, u3.colIdx
+	for _, o := range off {
+		for b := 2; b < len(o); b++ {
+			o[b] += o[b-1]
+		}
+	}
+	col1, col2, col3 := col[0], col[1], col[2]
 	for _, c := range t.coords {
-		b := c.I*dimK + c.K + 1
-		c1[off1[b]] = int32(c.J + c.K*dimJ)
-		off1[b]++
-		b = c.J*dimK + c.K + 1
-		c2[off2[b]] = int32(c.I + c.K*dimI)
-		off2[b]++
-		b = c.K*dimJ + c.J + 1
-		c3[off3[b]] = int32(c.I + c.J*dimI)
-		off3[b]++
-	}
-	finish := func(u *Unfolded, off []int32) {
-		n := u.NumRows * u.NumBlocks
-		u.bucketOff = off[:n+1]
-		for r := 0; r < u.NumRows; r++ {
-			u.rowPtr[r] = int(off[r*u.NumBlocks])
+		if off1 != nil {
+			b := c.I*dimK + c.K + 1
+			col1[off1[b]] = int32(c.J + c.K*dimJ)
+			off1[b]++
 		}
-		u.rowPtr[u.NumRows] = nnz
+		if off2 != nil {
+			b := c.J*dimK + c.K + 1
+			col2[off2[b]] = int32(c.I + c.K*dimI)
+			off2[b]++
+		}
+		if off3 != nil {
+			b := c.K*dimJ + c.J + 1
+			col3[off3[b]] = int32(c.I + c.J*dimI)
+			off3[b]++
+		}
 	}
-	finish(u1, off1)
-	finish(u2, off2)
-	finish(u3, off3)
-	return [3]*Unfolded{u1, u2, u3}
-}
-
-// blockOf returns the PVM block index of a coordinate under the given
-// mode: the K (modes 1, 2) or J (mode 3) index.
-func blockOf(c Coord, mode Mode) int {
-	if mode == Mode3 {
-		return c.J
-	}
-	return c.K
-}
-
-func rowOf(c Coord, mode Mode) int {
-	switch mode {
-	case Mode1:
-		return c.I
-	case Mode2:
-		return c.J
-	default:
-		return c.K
-	}
-}
-
-func colOf(c Coord, mode Mode, block int) int {
-	switch mode {
-	case Mode1:
-		return c.J + c.K*block
-	case Mode2:
-		return c.I + c.K*block
-	default:
-		return c.I + c.J*block
-	}
+	return us
 }
 
 // NNZ returns the number of nonzero entries.
@@ -394,31 +310,16 @@ func (u *Unfolded) NNZ() int { return len(u.colIdx) }
 // Row returns the sorted nonzero column indices of the given row. The
 // slice is shared; callers must not modify it.
 func (u *Unfolded) Row(r int) []int32 {
-	return u.colIdx[u.rowPtr[r]:u.rowPtr[r+1]]
+	return u.colIdx[u.bucketOff[r*u.NumBlocks]:u.bucketOff[(r+1)*u.NumBlocks]]
 }
 
 // BlockRow returns the sorted nonzero column indices of row r that lie
-// inside PVM block p (global columns [p·BlockSize, (p+1)·BlockSize)). With
-// the counting-sort bucket table retained the segment is located by pure
-// arithmetic; otherwise it falls back to binary searches within the row.
-// The slice is shared; callers must not modify it.
-func (u *Unfolded) BlockRow(r, p int) []int32 {
-	if u.bucketOff != nil {
-		b := r*u.NumBlocks + p
-		return u.colIdx[u.bucketOff[b]:u.bucketOff[b+1]]
-	}
-	return u.RowInRange(r, p*u.BlockSize, (p+1)*u.BlockSize)
-}
-
-// BucketOffs exposes the (row, PVM block) bucket table: bucket
-// b = row·NumBlocks + block spans Bucket(BucketOffs()[b], BucketOffs()[b+1]).
-// Nil when the unfolding was built by per-row sorting; partition.Build's
-// hot loops index it directly and fall back to BlockRow otherwise.
-func (u *Unfolded) BucketOffs() []int32 { return u.bucketOff }
-
-// Bucket returns the colIdx range [lo, hi) addressed by BucketOffs. The
+// inside PVM block p (global columns [p·BlockSize, (p+1)·BlockSize)). The
 // slice is shared; callers must not modify it.
-func (u *Unfolded) Bucket(lo, hi int32) []int32 { return u.colIdx[lo:hi] }
+func (u *Unfolded) BlockRow(r, p int) []int32 {
+	b := r*u.NumBlocks + p
+	return u.colIdx[u.bucketOff[b]:u.bucketOff[b+1]]
+}
 
 // Recycle returns the unfolding's large arrays to the slab pool and
 // poisons the unfolding against further use. Callers that build a
@@ -428,16 +329,7 @@ func (u *Unfolded) Bucket(lo, hi int32) []int32 { return u.colIdx[lo:hi] }
 func (u *Unfolded) Recycle() {
 	slab.PutInt32s(u.colIdx)
 	slab.PutInt32s(u.bucketOff)
-	u.colIdx, u.bucketOff, u.rowPtr = nil, nil, nil
-}
-
-// RowInRange returns the nonzero column indices of row r in [lo, hi).
-// The slice is shared; callers must not modify it.
-func (u *Unfolded) RowInRange(r, lo, hi int) []int32 {
-	row := u.Row(r)
-	a := sort.Search(len(row), func(i int) bool { return int(row[i]) >= lo })
-	b := a + sort.Search(len(row)-a, func(i int) bool { return int(row[a+i]) >= hi })
-	return row[a:b]
+	u.colIdx, u.bucketOff = nil, nil
 }
 
 // Fold is the inverse of Unfold: it rebuilds the tensor from a mode-n
@@ -504,7 +396,9 @@ func Reconstruct(a, b, c *boolmat.FactorMatrix) *Tensor {
 // objective of Definition 4, computed in streaming fashion over mode-1
 // rows: the reconstruction row for index i is the OR over the set bits r
 // of a_i: of the Kronecker rows c_:r ⊗ b_:r, compared against the sparse
-// tensor row without materializing the reconstructed tensor.
+// tensor row without materializing the reconstructed tensor. The
+// coordinate list is sorted by I first, so row i's nonzeros are its next
+// run: no unfolding is built.
 func ReconstructError(x *Tensor, a, b, c *boolmat.FactorMatrix) int64 {
 	r := a.Rank()
 	if b.Rank() != r || c.Rank() != r {
@@ -513,7 +407,6 @@ func ReconstructError(x *Tensor, a, b, c *boolmat.FactorMatrix) int64 {
 	if a.Rows() != x.dimI || b.Rows() != x.dimJ || c.Rows() != x.dimK {
 		panic("tensor: ReconstructError dimension mismatch")
 	}
-	u := x.Unfold(Mode1)
 	// kron[q] = c_:q ⊗ b_:q as a JK-bit vector (column q of C ⊙ B).
 	kron := make([]*bitvec.BitVec, r)
 	for q := 0; q < r; q++ {
@@ -528,6 +421,7 @@ func ReconstructError(x *Tensor, a, b, c *boolmat.FactorMatrix) int64 {
 		kron[q] = v
 	}
 	row := bitvec.New(x.dimJ * x.dimK)
+	rest := x.coords
 	var err int64
 	for i := 0; i < x.dimI; i++ {
 		row.Zero()
@@ -535,13 +429,14 @@ func ReconstructError(x *Tensor, a, b, c *boolmat.FactorMatrix) int64 {
 			row.Or(kron[bits.TrailingZeros64(mask)])
 		}
 		// |x_row ⊕ rec_row| = nnz(x_row) + |rec_row| − 2·overlap.
-		overlap := 0
-		for _, col := range u.Row(i) {
-			if row.Get(int(col)) {
+		n, overlap := 0, 0
+		for ; n < len(rest) && rest[n].I == i; n++ {
+			if row.Get(rest[n].J + rest[n].K*x.dimJ) {
 				overlap++
 			}
 		}
-		err += int64(len(u.Row(i)) + row.OnesCount() - 2*overlap)
+		rest = rest[n:]
+		err += int64(n + row.OnesCount() - 2*overlap)
 	}
 	return err
 }

@@ -2,8 +2,10 @@ package tensor
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,6 +24,29 @@ func randomTensor(rng *rand.Rand, i, j, k int, density float64) *Tensor {
 		}
 	}
 	return MustFromCoords(i, j, k, coords)
+}
+
+// sparseTensor draws nnz coordinates directly, for shapes whose cell grid is
+// far larger than their nonzero count.
+func sparseTensor(rng *rand.Rand, i, j, k, nnz int) *Tensor {
+	coords := make([]Coord, nnz)
+	for n := range coords {
+		coords[n] = Coord{rng.Intn(i), rng.Intn(j), rng.Intn(k)}
+	}
+	return MustFromCoords(i, j, k, coords)
+}
+
+// unfoldShapes are the inputs every unfolding property is checked on: a
+// small dense tensor, the relationship-data shape (rows·blocks ≫ nnz, the
+// CAIDA-DDoS-S stand-in's dimensions and nonzero count), and a 1-wide and a
+// 0-wide mode in each position.
+func unfoldShapes(rng *rand.Rand) []*Tensor {
+	return []*Tensor{
+		randomTensor(rng, 6, 7, 8, 0.1),
+		sparseTensor(rng, 256, 256, 64, 3600),
+		randomTensor(rng, 1, 9, 5, 0.3), randomTensor(rng, 9, 1, 5, 0.3), randomTensor(rng, 9, 5, 1, 0.3),
+		New(0, 4, 5), New(4, 0, 5), New(4, 5, 0),
+	}
 }
 
 func TestFromCoordsDedupAndSort(t *testing.T) {
@@ -136,22 +161,71 @@ func TestUnfoldInvalidModePanics(t *testing.T) {
 }
 
 func TestFoldRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	x := randomTensor(rng, 6, 7, 8, 0.1)
-	for _, m := range []Mode{Mode1, Mode2, Mode3} {
-		back := Fold(x.Unfold(m), m, 6, 7, 8)
-		if !back.Equal(x) {
-			t.Fatalf("mode %d: fold(unfold(x)) != x", m)
+	for _, x := range unfoldShapes(rand.New(rand.NewSource(42))) {
+		i, j, k := x.Dims()
+		for _, m := range []Mode{Mode1, Mode2, Mode3} {
+			if !Fold(x.Unfold(m), m, i, j, k).Equal(x) {
+				t.Fatalf("%dx%dx%d mode %d: fold(unfold(x)) != x", i, j, k, m)
+			}
 		}
 	}
 }
 
-func TestRowInRange(t *testing.T) {
-	x := MustFromCoords(1, 10, 1, []Coord{{0, 1, 0}, {0, 3, 0}, {0, 7, 0}})
-	u := x.Unfold(Mode1)
-	in := u.RowInRange(0, 2, 8)
-	if len(in) != 2 || in[0] != 3 || in[1] != 7 {
-		t.Fatalf("RowInRange = %v, want [3 7]", in)
+// TestUnfoldAllAgreesWithUnfoldAndNaive holds the one kernel to Equation 1
+// from both entry points: UnfoldAll()[m] and Unfold(m) must agree row for
+// row with each other and with the definition written out naively — every
+// nonzero mapped through Equation 1, each row sorted by comparison — and
+// every (row, PVM block) bucket must be that row's columns inside the block.
+func TestUnfoldAllAgreesWithUnfoldAndNaive(t *testing.T) {
+	for _, x := range unfoldShapes(rand.New(rand.NewSource(9))) {
+		dimI, dimJ, dimK := x.Dims()
+		all := x.UnfoldAll()
+		for m, mode := range []Mode{Mode1, Mode2, Mode3} {
+			name := fmt.Sprintf("%dx%dx%d mode %d", dimI, dimJ, dimK, mode)
+			var want [][]int32
+			var block, blocks int
+			switch mode {
+			case Mode1:
+				want, block, blocks = make([][]int32, dimI), dimJ, dimK
+				for _, c := range x.Coords() {
+					want[c.I] = append(want[c.I], int32(c.J+c.K*dimJ))
+				}
+			case Mode2:
+				want, block, blocks = make([][]int32, dimJ), dimI, dimK
+				for _, c := range x.Coords() {
+					want[c.J] = append(want[c.J], int32(c.I+c.K*dimI))
+				}
+			case Mode3:
+				want, block, blocks = make([][]int32, dimK), dimI, dimJ
+				for _, c := range x.Coords() {
+					want[c.K] = append(want[c.K], int32(c.I+c.J*dimI))
+				}
+			}
+			one := x.Unfold(mode)
+			for _, u := range []*Unfolded{all[m], one} {
+				if u.NumRows != len(want) || u.BlockSize != block || u.NumBlocks != blocks ||
+					u.NumCols != block*blocks || u.NNZ() != x.NNZ() {
+					t.Fatalf("%s: shape (%d,%d,%d,%d) nnz %d", name, u.NumRows, u.NumCols, u.BlockSize, u.NumBlocks, u.NNZ())
+				}
+				for r, w := range want {
+					slices.Sort(w)
+					if !slices.Equal(u.Row(r), w) {
+						t.Fatalf("%s: row %d = %v, want %v", name, r, u.Row(r), w)
+					}
+					for p := 0; p < blocks; p++ {
+						var inBlock []int32
+						for _, c := range w {
+							if int(c)/block == p {
+								inBlock = append(inBlock, c)
+							}
+						}
+						if !slices.Equal(u.BlockRow(r, p), inBlock) {
+							t.Fatalf("%s: BlockRow(%d,%d) = %v, want %v", name, r, p, u.BlockRow(r, p), inBlock)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -252,6 +326,10 @@ func TestQuickFoldUnfoldRoundtrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		i, j, k := rng.Intn(9)+1, rng.Intn(9)+1, rng.Intn(9)+1
 		x := randomTensor(rng, i, j, k, 0.15)
+		if seed%2 == 0 { // rows·blocks far beyond the nonzero count
+			i, j, k = rng.Intn(90)+1, rng.Intn(90)+1, rng.Intn(90)+1
+			x = sparseTensor(rng, i, j, k, rng.Intn(40))
+		}
 		for _, m := range []Mode{Mode1, Mode2, Mode3} {
 			if !Fold(x.Unfold(m), m, i, j, k).Equal(x) {
 				return false
