@@ -75,7 +75,7 @@ func run(args []string) error {
 		input    = fs.String("input", "", "input tensor file (required)")
 		method   = fs.String("method", "dbtf", "factorization method: dbtf, tucker, bcpals, or walknmerge")
 		initMode = fs.String("init", "", "initialization scheme: fiber, random, or topfiber (dbtf; default fiber) / topfiber or asso (bcpals; default topfiber)")
-		chaos    = fs.Float64("chaos", 0, "inject task failures at this rate into the simulated cluster (dbtf; panics at 1/4 and stragglers at 1/2 of the rate are injected too)")
+		chaos    = fs.Float64("chaos", 0, "inject task failures at this rate into the simulated cluster (dbtf; panics at 1/4 of the rate are injected too)")
 		ckEvery  = fs.Int("checkpoint-every", 1, "checkpoint period in iterations (dbtf; requires -checkpoint-dir)")
 		autoRank = fs.Int("auto-rank", 0, "select the rank by MDL up to this maximum, one run per rank under every other flag (overrides -rank; dbtf method only)")
 		mdlSel   = fs.Bool("mdl", false, "use MDL model-order selection (walknmerge method only)")
@@ -96,8 +96,6 @@ func run(args []string) error {
 	fs.Int64Var(&plan.Seed, "chaos-seed", 0, "seed of the fault-injection schedule (0 = -seed)")
 	fs.Float64Var(&plan.MachineLossRate, "chaos-machine-loss", 0, "per-stage probability of losing each machine, in [0,1) (dbtf; survivors take over)")
 	fs.IntVar(&plan.MachineRejoinAfter, "chaos-rejoin", 0, "stages after which a lost machine rejoins (dbtf; 0 = never)")
-	fs.IntVar(&opts.MaxRetries, "max-retries", 0, "per-task retry bound for transient failures (0 = default 3)")
-	fs.BoolVar(&opts.FailFast, "failfast", false, "abort on the first task failure instead of retrying")
 	fs.StringVar(&opts.CheckpointDir, "checkpoint-dir", "", "directory for durable iteration checkpoints (dbtf)")
 	fs.BoolVar(&opts.Resume, "resume", false, "continue from the checkpoint in -checkpoint-dir (dbtf)")
 	if err := fs.Parse(args); err != nil {
@@ -163,7 +161,7 @@ func run(args []string) error {
 		if plan.Seed == 0 {
 			plan.Seed = opts.Seed
 		}
-		plan.FailureRate, plan.PanicRate, plan.StragglerRate = *chaos, *chaos/4, *chaos/2
+		plan.FailureRate, plan.PanicRate = *chaos, *chaos/4
 		opts.Faults = &plan
 	}
 	if *method == "dbtf" {
@@ -244,9 +242,8 @@ func run(args []string) error {
 			res.SimTime.Round(time.Millisecond), opts.Machines,
 			res.Stats.ShuffledBytes, res.Stats.BroadcastBytes, res.Stats.CollectedBytes)
 		if opts.Faults != nil {
-			fmt.Printf("chaos: %d injected faults, %d retries, %d speculative launches (%d wins), %d machine losses, %d recoveries\n",
-				res.Stats.InjectedFaults, res.Stats.Retries, res.Stats.SpeculativeLaunches,
-				res.Stats.SpeculativeWins, res.Stats.MachineLosses, res.Stats.Recoveries)
+			fmt.Printf("chaos: %d injected faults, %d retries, %d machine losses, %d recoveries\n",
+				res.Stats.InjectedFaults, res.Stats.Retries, res.Stats.MachineLosses, res.Stats.Recoveries)
 		}
 		if opts.CheckpointDir != "" {
 			fmt.Printf("checkpoint: %d B written to %s\n", res.Stats.CheckpointBytes, opts.CheckpointDir)

@@ -94,7 +94,7 @@ func TestRunBudgetExceeded(t *testing.T) {
 
 func TestRunChaos(t *testing.T) {
 	path := writeTensor(t)
-	if err := run([]string{"-input", path, "-rank", "2", "-machines", "2", "-chaos", "0.2", "-max-retries", "3"}); err != nil {
+	if err := run([]string{"-input", path, "-rank", "2", "-machines", "2", "-chaos", "0.2"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -116,12 +116,13 @@ func TestRunFlagCombosValidatedUpFront(t *testing.T) {
 		"machine-loss rate negative":    {"-chaos-machine-loss", "-0.1"},
 		"rejoin negative":               {"-chaos-rejoin", "-1"},
 		"chaos negative":                {"-chaos", "-0.2"},
-		"max-retries negative":          {"-max-retries", "-1"},
 		"workers with another method":   {"-workers", "127.0.0.1:1", "-method", "bcpals"},
 		"workers with auto-rank":        {"-workers", "127.0.0.1:1", "-auto-rank", "3"},
 		"workers with an empty address": {"-workers", "127.0.0.1:1,,127.0.0.1:2"},
 		"workers with chaos":            {"-workers", "127.0.0.1:1", "-chaos", "0.1"},
 		"the deleted -transport flag":   {"-transport", "sim"},
+		"the deleted -max-retries flag": {"-max-retries", "3"},
+		"the deleted -failfast flag":    {"-failfast"},
 	}
 	for name, extra := range cases {
 		args := append([]string{"-input", path, "-rank", "2", "-machines", "2"}, extra...)
@@ -319,15 +320,16 @@ func TestRunAutoRank(t *testing.T) {
 func TestRunAutoRankHonoursFlags(t *testing.T) {
 	path := writeTensor(t)
 	dir := t.TempDir()
-	// Under -failfast only stragglers are injected and nothing is retried.
+	// Every injected loss or panic is retried, so -chaos reaching the runs
+	// shows as retries in their summary.
 	out := captureStdout(t, func() error {
-		return run([]string{"-input", path, "-auto-rank", "3", "-machines", "2", "-failfast", "-chaos", "0.4", "-checkpoint-dir", dir})
+		return run([]string{"-input", path, "-auto-rank", "3", "-machines", "2", "-chaos", "0.4", "-checkpoint-dir", dir})
 	})
 	var faults, retries int
 	if i := strings.Index(out, "chaos: "); i < 0 {
 		t.Errorf("no chaos summary: the chaos flags were dropped\n%s", out)
-	} else if _, err := fmt.Sscanf(out[i:], "chaos: %d injected faults, %d retries", &faults, &retries); err != nil || faults == 0 || retries != 0 {
-		t.Errorf("%d injected faults, %d retries (err %v), want some and none\n%s", faults, retries, err, out)
+	} else if _, err := fmt.Sscanf(out[i:], "chaos: %d injected faults, %d retries", &faults, &retries); err != nil || faults == 0 || retries < faults {
+		t.Errorf("%d injected faults, %d retries (err %v), want some faults and a retry for each\n%s", faults, retries, err, out)
 	}
 	if files, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.dbtf")); len(files) == 0 || !strings.Contains(out, "checkpoint: ") {
 		t.Errorf("-checkpoint-dir wrote %d checkpoints\n%s", len(files), out)

@@ -96,18 +96,11 @@ type Options struct {
 	Init InitScheme
 	// Seed makes runs deterministic.
 	Seed int64
-	// MaxRetries bounds the re-execution attempts per failed cluster
-	// task; task errors and panics are treated as transient machine
-	// failures and retried with exponential simulated backoff. Default 3
-	// (Spark's 4 attempts per task). Ignored under FailFast.
-	MaxRetries int
-	// FailFast disables task retries: the first task failure aborts the
-	// run, the engine's pre-fault-tolerance semantics.
-	FailFast bool
 	// Faults, when non-nil, injects deterministic task failures, panics,
-	// straggler delays, and machine losses into the simulated cluster; see
-	// FaultPlan. With retries enabled injected faults never change the
-	// result, only the simulated makespan and the Stats fault counters.
+	// and machine losses into the simulated cluster; see FaultPlan. A
+	// failed task is re-executed (four attempts, Spark's default), so
+	// injected faults never change the result, only the simulated makespan
+	// and the Stats fault counters.
 	Faults *FaultPlan
 	// CheckpointDir, when non-empty, enables durable iteration-level
 	// checkpointing: every CheckpointEvery iterations (and at the final
@@ -132,17 +125,17 @@ type Options struct {
 	// NoCache disables row-summation caching (for ablations only).
 	NoCache bool
 	// Tracer, when non-nil, receives the run's structured event stream:
-	// stage/driver/iteration spans, traffic charges, retries, speculation,
-	// and machine liveness, on both the wall and the simulated clock. Build
-	// one with NewTracer; see cmd/dbtf's -trace flag for the file form and
+	// stage/driver/iteration spans, traffic charges, retries, and machine
+	// liveness, on both the wall and the simulated clock. Build one with
+	// NewTracer; see cmd/dbtf's -trace flag for the file form and
 	// its -v flag for a sink that prints progress lines.
 	Tracer *Tracer
 }
 
 // Validate checks every rule the options must satisfy that does not depend
-// on the tensor: the cluster's (machine count, retry bound, fault-plan
-// rates), the engine's (rank, iteration bounds, init and checkpoint
-// combinations), and that Faults is not combined with Workers. Factorize
+// on the tensor: the cluster's (machine count, fault-plan rates), the
+// engine's (rank, iteration bounds, init and checkpoint combinations), and
+// that Faults is not combined with Workers. Factorize
 // applies it before anything runs; front ends call it to refuse a bad
 // request before doing any work.
 func (opt Options) Validate() error {
@@ -165,11 +158,9 @@ func (opt Options) clusterConfig() cluster.Config {
 		machines = runtime.GOMAXPROCS(0)
 	}
 	return cluster.Config{
-		Machines:   machines,
-		MaxRetries: opt.MaxRetries,
-		FailFast:   opt.FailFast,
-		Faults:     opt.Faults,
-		Tracer:     opt.Tracer,
+		Machines: machines,
+		Faults:   opt.Faults,
+		Tracer:   opt.Tracer,
 	}
 }
 

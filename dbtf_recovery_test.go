@@ -77,8 +77,8 @@ func TestMachineLossChaosSweep(t *testing.T) {
 			totalLosses, totalRecoveries)
 	}
 
-	// The engine joins every worker and speculative backup before each
-	// stage returns, so the sweep must leave no goroutines behind.
+	// The engine joins every worker before each stage returns, so the
+	// sweep must leave no goroutines behind.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {

@@ -63,7 +63,6 @@ func TestBadOptionsAreErrorsNotPanics(t *testing.T) {
 	x := dbtf.NewTensor(4, 4, 4)
 	cases := map[string]dbtf.Options{
 		"negative machines":            {Rank: 2, Machines: -1},
-		"negative retries":             {Rank: 2, MaxRetries: -1},
 		"fault rate above 1":           {Rank: 2, Faults: &dbtf.FaultPlan{FailureRate: 2}},
 		"machine-loss rate 1":          {Rank: 2, Faults: &dbtf.FaultPlan{MachineLossRate: 1}},
 		"negative rejoin":              {Rank: 2, Faults: &dbtf.FaultPlan{MachineRejoinAfter: -1}},

@@ -72,6 +72,10 @@ var deletedNames = []deletedName{
 		pr: "PR 24: the stable counting sort over the sorted coordinate list emits every row sorted; the per-row comparison-sort fallback was 3-6.5x slower on the sparse shapes it was selected for"},
 	{pattern: `offs != nil|BucketOffs`, scope: []string{"internal/partition"},
 		pr: "PR 24: partition.Build has one count rule per block kind and one fill loop; it never tests for a missing bucket table"},
+	{pattern: `[Ss]traggler|[Ss]peculat|retryBackoff`, scope: []string{"internal/cluster", "internal/trace"}, nonTest: true,
+		pr: "PR 25: a fault costs what it wastes — the attempt's measured duration and one stage latency per relaunch; a straggler touched no program state and its race was a constant, so the ledger has no race and no wall-clock literal (DESIGN §7)"},
+	{pattern: `FailFast|MaxRetries`, scope: []string{"."}, nonTest: true,
+		pr: "PR 25: a task gets four attempts, Spark's default; over deterministic in-process kernels the only retry that can succeed is one a FaultPlan injected, so the bound is a constant, not two options and two flags"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

@@ -1,26 +1,27 @@
 package cluster
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // FaultPlan deterministically injects machine failures into a cluster.
-// Spark's resilience claims — lost tasks are re-executed, stragglers are
-// speculatively relaunched — are only testable if failures can be produced
-// on demand; a FaultPlan schedules them reproducibly: whether attempt a of
-// task t in stage s is failed, panicked, or delayed is a pure function of
+// Spark's resilience claim — lost tasks are re-executed, lost machines'
+// work is reassigned — is only testable if failures can be produced on
+// demand; a FaultPlan schedules them reproducibly: whether attempt a of
+// task t in stage s is failed or panicked is a pure function of
 // (Seed, s, t, a), independent of goroutine scheduling and host load. Two
 // runs of the same workload under the same plan therefore inject the
 // identical fault schedule.
 //
+// Every fault kind here changes program state — a lost attempt re-runs a
+// kernel, a lost machine invalidates its caches and re-ships its partitions
+// — and is priced from the run itself: the wasted attempt's measured
+// duration, one NetworkModel.LatencyPerStage per relaunch, the recovery
+// bytes over one link.
+//
 // Injected failures and panics are transient by construction: the final
 // allowed attempt of a task always runs clean, so a fault plan can never
-// fail a decomposition when retries are enabled — it only costs time. (A
-// FailFast cluster has exactly one attempt per task, so fail and panic
-// injection is disabled there; stragglers, which delay but never fail,
-// are still injected.) Real task errors are not shielded this way: a task
-// that genuinely fails on every attempt aborts the stage.
+// fail a decomposition — it only costs time. Real task errors are not
+// shielded this way: a task that genuinely fails on every attempt aborts
+// the stage.
 type FaultPlan struct {
 	// Seed determines the entire fault schedule.
 	Seed int64
@@ -31,10 +32,6 @@ type FaultPlan struct {
 	// PanicRate is the probability that a task attempt panics instead of
 	// running, exercising the engine's recovery path.
 	PanicRate float64
-	// StragglerRate is the probability that an attempt is delayed by 1s
-	// on the simulated clock (real execution is not slowed); a speculative
-	// copy on another machine, 100ms to launch, races the delay.
-	StragglerRate float64
 	// MachineLossRate is the per-stage probability that each live machine
 	// is lost at the stage boundary, drawn deterministically per
 	// (Seed, stage, machine). A lost machine's tasks are reassigned to
@@ -50,17 +47,9 @@ type FaultPlan struct {
 	// never rejoin.
 	MachineRejoinAfter int
 
-	// The rest is set by this package's tests only; every other plan runs
-	// on the zero values.
-
-	// stragglerDelay and speculativeLaunch replace the 1s delay and the
-	// 100ms launch latency when positive.
-	stragglerDelay, speculativeLaunch time.Duration
-	// disableSpeculation turns off speculative re-execution of stragglers:
-	// no backup copy is launched and the full delay is always paid.
-	disableSpeculation bool
 	// machineKills deterministically kills specific machines at specific
-	// stages, independent of MachineLossRate and of the seed.
+	// stages, independent of MachineLossRate and of the seed. Set by this
+	// package's tests only.
 	machineKills []machineKill
 }
 
@@ -75,14 +64,13 @@ func (p *FaultPlan) validate() error {
 	for _, r := range []struct {
 		name string
 		v    float64
-	}{{"FailureRate", p.FailureRate}, {"PanicRate", p.PanicRate}, {"StragglerRate", p.StragglerRate}} {
+	}{{"FailureRate", p.FailureRate}, {"PanicRate", p.PanicRate}} {
 		if r.v < 0 || r.v > 1 {
 			return fmt.Errorf("cluster: FaultPlan.%s %v outside [0,1]", r.name, r.v)
 		}
 	}
-	if p.FailureRate+p.PanicRate+p.StragglerRate > 1 {
-		return fmt.Errorf("cluster: FaultPlan rates sum to %v > 1",
-			p.FailureRate+p.PanicRate+p.StragglerRate)
+	if p.FailureRate+p.PanicRate > 1 {
+		return fmt.Errorf("cluster: FaultPlan rates sum to %v > 1", p.FailureRate+p.PanicRate)
 	}
 	if p.MachineLossRate < 0 || p.MachineLossRate >= 1 {
 		return fmt.Errorf("cluster: FaultPlan.MachineLossRate %v outside [0,1)", p.MachineLossRate)
@@ -127,20 +115,6 @@ func (p *FaultPlan) drawMachineLoss(stage int64, machine int) bool {
 	return float64(h>>11)/(1<<53) < p.MachineLossRate
 }
 
-func (p *FaultPlan) stragglerNanos() int64 {
-	if p.stragglerDelay > 0 {
-		return p.stragglerDelay.Nanoseconds()
-	}
-	return int64(time.Second)
-}
-
-func (p *FaultPlan) speculativeLaunchNanos() int64 {
-	if p.speculativeLaunch > 0 {
-		return p.speculativeLaunch.Nanoseconds()
-	}
-	return int64(100 * time.Millisecond)
-}
-
 // faultKind is the outcome drawn for one task attempt.
 type faultKind int
 
@@ -150,14 +124,15 @@ const (
 	faultFail
 	// faultPanic crashes the attempt before it runs.
 	faultPanic
-	// faultStraggler delays the attempt on the simulated clock.
-	faultStraggler
 )
 
 // draw returns the scheduled fault for attempt `attempt` of task `task` in
-// stage `stage`. last marks the task's final allowed attempt, on which fail
-// and panic injection is suppressed (see the type comment).
+// stage `stage`. last marks the task's final allowed attempt, on which
+// nothing is injected (see the type comment).
 func (p *FaultPlan) draw(stage int64, task, attempt int, last bool) faultKind {
+	if last {
+		return faultNone
+	}
 	h := splitmix64(uint64(p.Seed))
 	h = splitmix64(h ^ uint64(stage))
 	h = splitmix64(h ^ uint64(task))
@@ -165,17 +140,9 @@ func (p *FaultPlan) draw(stage int64, task, attempt int, last bool) faultKind {
 	r := float64(h>>11) / (1 << 53)
 	switch {
 	case r < p.FailureRate:
-		if last {
-			return faultNone
-		}
 		return faultFail
 	case r < p.FailureRate+p.PanicRate:
-		if last {
-			return faultNone
-		}
 		return faultPanic
-	case r < p.FailureRate+p.PanicRate+p.StragglerRate:
-		return faultStraggler
 	default:
 		return faultNone
 	}

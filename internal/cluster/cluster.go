@@ -13,13 +13,12 @@
 //     sections contribute their measured duration directly.
 //   - Traffic counters record shuffled, broadcast, and collected bytes so
 //     the volume claims of the paper's Lemmas 6 and 7 can be validated.
-//   - Failed tasks are re-executed with bounded attempts and exponential
-//     backoff, reproducing Spark's task-level fault tolerance; a straggling
-//     task's race against a speculative backup copy is priced on the
-//     simulated clock; and whole machines can be lost (and rejoin),
-//     with the dead machine's tasks reassigned to survivors and its
-//     machine-local state invalidated — see FaultPlan, OnMachineLoss, and
-//     Stats.
+//   - Failed tasks are re-executed with bounded attempts, reproducing
+//     Spark's task-level fault tolerance — a lost attempt costs its measured
+//     duration plus one scheduling round to relaunch; and whole machines
+//     can be lost (and rejoin), with the dead machine's tasks reassigned to
+//     survivors and its machine-local state invalidated — see FaultPlan,
+//     OnMachineLoss, and Stats.
 //
 // The machine-scalability experiment (paper Figure 7) reports simulated
 // makespans; all other experiments compare real wall-clock times of the
@@ -67,23 +66,13 @@ var DefaultNetwork = NetworkModel{
 type Config struct {
 	// Machines is the number of logical machines M. Must be >= 1.
 	Machines int
-	// FailFast disables retries: the first task error or recovered panic
-	// aborts the stage immediately, the engine's original semantics.
-	FailFast bool
-	// MaxRetries bounds the re-execution attempts per failed task when
-	// FailFast is false. Task errors and recovered panics are treated as
-	// transient machine failures, as Spark treats lost executors, and the
-	// task is re-run with exponential backoff; only a task failing all
-	// 1+MaxRetries attempts aborts the stage. Zero means
-	// DefaultMaxRetries; negative is rejected by Validate.
-	MaxRetries int
 	// Faults, when non-nil, injects deterministic task failures, panics,
-	// straggler delays, and machine losses from a seed; see FaultPlan.
+	// and machine losses from a seed; see FaultPlan.
 	Faults *FaultPlan
 	// Tracer, when non-nil, receives a structured event for every stage,
-	// driver section, traffic charge, retry, speculation, machine
-	// loss/recovery, and checkpoint — see package trace. Nil disables
-	// tracing at the cost of one nil check per emission site.
+	// driver section, traffic charge, retry, machine loss/recovery, and
+	// checkpoint — see package trace. Nil disables tracing at the cost of
+	// one nil check per emission site.
 	Tracer *trace.Tracer
 	// Transport, when non-nil, executes remote-capable stages (see
 	// RunStage) on real machines instead of the simulated pool. The
@@ -107,26 +96,19 @@ type Config struct {
 	network NetworkModel
 }
 
-// DefaultMaxRetries is the per-task retry bound when Config.MaxRetries is
-// zero; it matches Spark's default of 4 attempts per task.
-const DefaultMaxRetries = 3
-
-// retryBackoff is the base backoff before re-executing a failed task,
-// doubled on every further attempt of the same task. It is charged to the
-// simulated clock only — real execution retries immediately, so wall-clock
-// tests stay fast while simulated makespans price the recovery delay a real
-// cluster would pay.
-const retryBackoff = 100 * time.Millisecond
+// maxAttempts is how often a task runs before its failure aborts the stage:
+// Spark's default of 4 attempts per task. Task errors and recovered panics
+// are treated as transient machine failures, as Spark treats lost executors.
+const maxAttempts = 4
 
 // Stats holds the cumulative traffic and execution counters of a cluster;
 // the fields are documented on trace.StatsDelta, the one declaration the
 // engine's books and the event stream's deltas share.
 // Snapshots returned by Cluster.Stats are internally consistent: every
 // counter is read under one lock, and counters produced inside a stage
-// (retries, injected faults, speculation) are published together with that
-// stage's time accounting at the stage boundary — a snapshot taken while a
-// stage runs concurrently can never show, say, a retry whose task time is
-// missing.
+// (retries, injected faults) are published together with that stage's time
+// accounting at the stage boundary — a snapshot taken while a stage runs
+// concurrently can never show, say, a retry whose task time is missing.
 type Stats = trace.StatsDelta
 
 // Cluster is a simulated multi-machine execution engine.
@@ -137,7 +119,6 @@ type Cluster struct {
 	// dedicated-core execution.
 	parallelism int
 	network     NetworkModel
-	maxRetries  int
 	faults      *FaultPlan
 	// tracer receives the structured event stream; nil when tracing is
 	// disabled (the nil-receiver fast path). Immutable after New.
@@ -205,9 +186,6 @@ func (cfg Config) Validate() error {
 	if cfg.Machines < 1 {
 		return fmt.Errorf("cluster: machines must be >= 1, got %d", cfg.Machines)
 	}
-	if cfg.MaxRetries < 0 {
-		return fmt.Errorf("cluster: MaxRetries must be >= 0, got %d", cfg.MaxRetries)
-	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.validate(); err != nil {
 			return err
@@ -239,21 +217,13 @@ func New(cfg Config) *Cluster {
 	if net == (NetworkModel{}) {
 		net = DefaultNetwork
 	}
-	retries := cfg.MaxRetries
-	if retries == 0 {
-		retries = DefaultMaxRetries
-	}
-	if cfg.FailFast {
-		retries = 0
-	}
 	alive := make([]bool, cfg.Machines)
 	for i := range alive {
 		alive[i] = true
 	}
 	return &Cluster{
 		machines: cfg.Machines, parallelism: min(cfg.Machines, runtime.GOMAXPROCS(0)), network: net,
-		maxRetries: retries, faults: cfg.Faults,
-		tracer: cfg.Tracer, transport: cfg.Transport, gate: cfg.Gate,
+		faults: cfg.Faults, tracer: cfg.Tracer, transport: cfg.Transport, gate: cfg.Gate,
 		//dbtf:allow-nondeterministic default clock measures real task durations; tests inject a deterministic one
 		now:   time.Now,
 		alive: alive, aliveCount: cfg.Machines, diedAt: make([]int64, cfg.Machines),
@@ -275,7 +245,7 @@ func (c *Cluster) LiveMachines() int {
 	return c.aliveCount
 }
 
-// MachineFor returns the logical machine that task t of any ForEach stage
+// MachineFor returns the logical machine that task t of any stage
 // executes on. The home placement is t mod M, the engine's static
 // round-robin rule (the same rule the simulated clock uses to attribute
 // task durations); while the home machine is lost, the task is reassigned
@@ -379,7 +349,7 @@ func (c *Cluster) Collect(bytes int64) {
 
 // RecordCheckpoint records the durable write of an iteration checkpoint of
 // the given size (Stats.CheckpointBytes). The write itself is driver-side
-// disk I/O; its wall-clock cost is measured by the Driver section that
+// disk I/O; its wall-clock cost is measured by the driver section that
 // performs it, so only the byte count is recorded here.
 func (c *Cluster) RecordCheckpoint(bytes int64) {
 	c.mu.Lock()
@@ -435,10 +405,6 @@ type stageState struct {
 	retries int64
 	//dbtf:guardedby mu
 	injected int64
-	//dbtf:guardedby mu
-	specWins int64
-	//dbtf:guardedby mu
-	specLaunch int64
 }
 
 func (st *stageState) charge(machine int, nanos int64) {
@@ -580,8 +546,6 @@ func (c *Cluster) endStage(st *stageState, ok bool) {
 	c.recoveryNanos = 0
 	c.st.Retries += st.retries
 	c.st.InjectedFaults += st.injected
-	c.st.SpeculativeWins += st.specWins
-	c.st.SpeculativeLaunches += st.specLaunch
 	c.st.TaskNanos += taskSum
 	c.st.ComputeNanos += makespan
 	c.st.NetworkNanos += net
@@ -599,39 +563,38 @@ func (c *Cluster) endStage(st *stageState, ok bool) {
 		ev.Stage, ev.Name, ev.SimNanos = st.stage, st.label, simAfter
 		ev.DurNanos = makespan + net
 		ev.Delta = &trace.StatsDelta{
-			ShuffledBytes:       dShuffled,
-			BroadcastBytes:      dBroadcast,
-			CollectedBytes:      dCollected,
-			CheckpointBytes:     dCheckpoint,
-			ComputeNanos:        makespan,
-			NetworkNanos:        net,
-			TaskNanos:           taskSum,
-			Retries:             st.retries,
-			InjectedFaults:      st.injected,
-			SpeculativeLaunches: st.specLaunch,
-			SpeculativeWins:     st.specWins,
-			Recoveries:          absorbed,
+			ShuffledBytes:   dShuffled,
+			BroadcastBytes:  dBroadcast,
+			CollectedBytes:  dCollected,
+			CheckpointBytes: dCheckpoint,
+			ComputeNanos:    makespan,
+			NetworkNanos:    net,
+			TaskNanos:       taskSum,
+			Retries:         st.retries,
+			InjectedFaults:  st.injected,
+			Recoveries:      absorbed,
 		}
 		ev.PerMachineNanos = append([]int64(nil), st.perMachine...)
 		c.tracer.Emit(ev)
 	}
 }
 
-// ForEach runs n tasks as one parallel stage. Task t is logically placed on
-// machine t mod M, reassigned to a survivor while that machine is lost
-// (see MachineFor). Real execution is bounded by the configured
+// ForEachNamed runs n tasks as one parallel stage. Task t is logically
+// placed on machine t mod M, reassigned to a survivor while that machine is
+// lost (see MachineFor). Real execution is bounded by the configured
 // parallelism.
 //
+// The label names the stage's span on the trace and is attached as the
+// "stage" pprof label to every worker goroutine, so CPU profiles attribute
+// kernel time to the factor update (or other) stage that spent it. An empty
+// name traces as a numbered anonymous stage.
+//
 // Task errors and recovered panics are treated as transient machine
-// failures: the task is re-executed up to the configured retry bound with
-// exponential (simulated) backoff, and only a task exhausting every attempt
-// aborts the stage — its last error, wrapped with the attempt count and the
-// stage label, is returned and remaining queued tasks are skipped. Under FailFast the first
-// failure aborts immediately. A configured FaultPlan injects additional
-// deterministic failures, panics, straggler delays, and machine losses
-// (applied at the stage boundary). An injected straggler races a
-// speculative copy of the task on another machine; the first finisher on
-// the simulated clock wins and the loser is cancelled (see speculate). No
+// failures: the task is re-executed up to maxAttempts times, and only a task
+// exhausting every attempt aborts the stage — its last error, wrapped with
+// the attempt count and the stage label, is returned and remaining queued
+// tasks are skipped. A configured FaultPlan injects additional deterministic
+// failures, panics, and machine losses (applied at the stage boundary). No
 // goroutine outlives the stage.
 //
 // Cancellation of ctx is observed between task launches and between retry
@@ -640,18 +603,9 @@ func (c *Cluster) endStage(st *stageState, ok bool) {
 //
 // The simulated clock advances by the stage makespan: the maximum over
 // machines of the summed durations of the machine's tasks — including
-// wasted attempts, retry backoff, speculative races, and recovery
-// transfers after machine losses — plus the network cost of traffic
+// wasted attempts, the scheduling round each relaunch waits for, and
+// recovery transfers after machine losses — plus the network cost of traffic
 // recorded since the previous stage boundary.
-func (c *Cluster) ForEach(ctx context.Context, n int, fn func(task int) error) error {
-	return c.ForEachNamed(ctx, "", n, fn)
-}
-
-// ForEachNamed is ForEach with a stage label: the label names the stage's
-// span on the trace and is attached as the "stage" pprof label to every
-// worker goroutine, so CPU profiles attribute kernel time to the factor
-// update (or other) stage that spent it. An empty name traces as a
-// numbered anonymous stage.
 func (c *Cluster) ForEachNamed(ctx context.Context, name string, n int, fn func(task int) error) error {
 	if n < 0 {
 		panic("cluster: negative task count")
@@ -709,7 +663,7 @@ func (c *Cluster) ForEachNamed(ctx context.Context, name string, n int, fn func(
 						return
 					}
 				}
-				simNanos, err := c.runAttempts(st, st.stage, t, assigned)
+				simNanos, err := c.runAttempts(st, t, assigned)
 				if c.gate != nil {
 					c.gate.release()
 				}
@@ -731,18 +685,17 @@ func (c *Cluster) ForEachNamed(ctx context.Context, name string, n int, fn func(
 	return err
 }
 
-// runAttempts executes task t until one attempt succeeds or the retry
-// bound is exhausted, returning the simulated nanos charged to the task's
-// machine: every attempt's measured duration (wasted attempts included),
-// straggler delays up to where a speculative copy resolved them (see
-// speculate), and the exponential backoff between attempts.
-func (c *Cluster) runAttempts(st *stageState, stage int64, t, assigned int) (int64, error) {
-	maxAttempts := 1 + c.maxRetries
+// runAttempts executes task t until one attempt succeeds or maxAttempts are
+// spent, returning the simulated nanos charged to the task's machine: every
+// attempt's measured duration (wasted attempts included) plus, per relaunch,
+// one LatencyPerStage — the scheduling round at which Spark re-offers a
+// failed task, the one round-trip price the network model already has.
+func (c *Cluster) runAttempts(st *stageState, t, assigned int) (int64, error) {
 	var sim int64
 	for attempt := 0; ; attempt++ {
 		fault := faultNone
 		if c.faults != nil {
-			fault = c.faults.draw(stage, t, attempt, attempt == maxAttempts-1)
+			fault = c.faults.draw(st.stage, t, attempt, attempt == maxAttempts-1)
 		}
 		start := c.now()
 		var err error
@@ -750,101 +703,47 @@ func (c *Cluster) runAttempts(st *stageState, stage int64, t, assigned int) (int
 			// The attempt crashes before the user task runs; the recover
 			// path turns the crash into a transient error.
 			err = runTask(func(int) error {
-				panic(fmt.Sprintf("injected fault (stage %d, attempt %d)", stage, attempt))
+				panic(fmt.Sprintf("injected fault (stage %d, attempt %d)", st.stage, attempt))
 			}, t)
 		} else {
 			err = runTask(st.fn, t)
 		}
-		dur := c.now().Sub(start).Nanoseconds()
-		switch fault {
-		case faultPanic:
-			st.bump(&st.injected)
-		case faultFail:
-			// The machine is lost after the attempt ran: its work is
-			// discarded but its duration was spent.
+		sim += c.now().Sub(start).Nanoseconds()
+		if fault != faultNone {
 			st.bump(&st.injected)
 			if err == nil {
-				err = fmt.Errorf("cluster: injected failure of task %d (stage %d, attempt %d)", t, stage, attempt)
-			}
-		case faultStraggler:
-			st.bump(&st.injected)
-			if err != nil || c.faults.disableSpeculation {
-				// A failed attempt is handled by retry, not speculation;
-				// with speculation disabled the full delay is always paid.
-				dur += c.faults.stragglerNanos()
-			} else {
-				dur += c.speculate(st, t, assigned, dur)
+				// faultFail: the machine is lost after the attempt ran, its
+				// work discarded but its duration spent.
+				err = fmt.Errorf("cluster: injected failure of task %d (stage %d, attempt %d)", t, st.stage, attempt)
 			}
 		}
-		sim += dur
 		if err == nil {
 			return sim, nil
 		}
 		if attempt+1 >= maxAttempts {
-			if maxAttempts > 1 {
-				return sim, fmt.Errorf("cluster: task %d failed after %d attempts: %w", t, maxAttempts, err)
-			}
-			return sim, err
+			return sim, fmt.Errorf("cluster: task %d failed after %d attempts: %w", t, maxAttempts, err)
 		}
 		if cerr := st.ctx.Err(); cerr != nil {
 			return sim, cerr
 		}
 		st.bump(&st.retries)
-		c.emitMarker(trace.Retry, st, assigned, t, attempt+1)
-		sim += retryBackoff.Nanoseconds() << uint(attempt)
+		c.emitRetry(st, assigned, t, attempt+1)
+		sim += c.network.LatencyPerStage.Nanoseconds()
 	}
 }
 
-// speculate prices the race Spark's speculative execution would run for
-// straggling task t, whose attempt just took dur: a backup copy on another
-// machine costs the launch latency plus the task, and the simulated clock
-// pays whichever finishes first, the straggler's injected delay or the
-// copy. The loser is cancelled: both machines are charged only up to the
-// race's resolution — the backup's share here, the straggler's returned for
-// the caller to charge. The copy is priced, not run: it would be the same
-// function on the same host, which the ledger just measured at dur.
-func (c *Cluster) speculate(st *stageState, t, home int, dur int64) int64 {
-	backup := c.backupMachineFor(home)
-	st.bump(&st.specLaunch)
-	c.emitMarker(trace.SpeculativeLaunch, st, backup, t, 0)
-	resolve := c.faults.stragglerNanos()
-	if cost := dur + c.faults.speculativeLaunchNanos(); cost < resolve {
-		st.bump(&st.specWins)
-		c.emitMarker(trace.SpeculativeWin, st, backup, t, 0)
-		resolve = cost
-	}
-	if backup != home {
-		st.charge(backup, resolve)
-	}
-	return resolve
-}
-
-// emitMarker publishes an in-stage point event from the task's own
-// goroutine: a retry (attempt is the 1-based attempt that failed) or a
-// speculation launch or win (attempt 0). A marker, not a counter: the
-// counts fold from the owning stage_end delta, published at the boundary.
-func (c *Cluster) emitMarker(typ trace.Type, st *stageState, machine, task, attempt int) {
+// emitRetry publishes an in-stage point event from the task's own
+// goroutine; attempt is the 1-based attempt that failed. A marker, not a
+// counter: the count folds from the owning stage_end delta, published at
+// the boundary.
+func (c *Cluster) emitRetry(st *stageState, machine, task, attempt int) {
 	if !c.tracer.Enabled() {
 		return
 	}
-	ev := trace.NewEvent(typ)
+	ev := trace.NewEvent(trace.Retry)
 	ev.Stage, ev.Machine, ev.Task, ev.Attempt = st.stage, machine, task, attempt
 	ev.SimNanos = st.beginSim
 	c.tracer.Emit(ev)
-}
-
-// backupMachineFor picks the machine a speculative copy launches on: the
-// next live machine after home in ring order, or home itself on a
-// single-machine (or fully-degraded) cluster.
-func (c *Cluster) backupMachineFor(home int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := 1; i < c.machines; i++ {
-		if m := (home + i) % c.machines; c.alive[m] {
-			return m
-		}
-	}
-	return home
 }
 
 func (c *Cluster) networkNanos(shuffled, broadcast, collected int64) int64 {
@@ -868,21 +767,16 @@ func runTask(fn func(int) error, t int) (err error) {
 	return fn(t)
 }
 
-// Driver runs a sequential driver-side section and charges its measured
-// duration to the simulated clock. Column commits in DBTF — collecting the
-// per-partition errors and deciding each entry — are driver work. A done
-// context skips the section and returns its error, so cancellation is
-// observed at every stage boundary.
+// DriverNamed runs a sequential driver-side section, labelled name on the
+// trace, and charges its measured duration to the simulated clock. Column
+// commits in DBTF — collecting the per-partition errors and deciding each
+// entry — are driver work. A done context skips the section and returns its
+// error, so cancellation is observed at every stage boundary.
 //
 // A context cancelled while fn runs does not lose the section: the work
 // was done and is recorded (clock charge and trace span) before the
 // cancellation is propagated, so a cancelled resume never reports a clean
 // exit over half-accounted books.
-func (c *Cluster) Driver(ctx context.Context, fn func()) error {
-	return c.DriverNamed(ctx, "", fn)
-}
-
-// DriverNamed is Driver with a section label for the trace.
 func (c *Cluster) DriverNamed(ctx context.Context, name string, fn func()) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {

@@ -21,7 +21,7 @@ func TestNewValidation(t *testing.T) {
 func TestForEachRunsAllTasks(t *testing.T) {
 	c := New(Config{Machines: 4})
 	var ran [100]atomic.Bool
-	if err := c.ForEach(context.Background(), 100, func(task int) error {
+	if err := c.ForEachNamed(context.Background(), "", 100, func(task int) error {
 		if ran[task].Swap(true) {
 			return fmt.Errorf("task %d ran twice", task)
 		}
@@ -42,7 +42,7 @@ func TestForEachRunsAllTasks(t *testing.T) {
 
 func TestForEachZeroTasks(t *testing.T) {
 	c := New(Config{Machines: 2})
-	if err := c.ForEach(context.Background(), 0, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := c.ForEachNamed(context.Background(), "", 0, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -50,7 +50,7 @@ func TestForEachZeroTasks(t *testing.T) {
 func TestForEachPropagatesError(t *testing.T) {
 	c := New(Config{Machines: 2})
 	want := errors.New("boom")
-	err := c.ForEach(context.Background(), 10, func(task int) error {
+	err := c.ForEachNamed(context.Background(), "", 10, func(task int) error {
 		if task == 3 {
 			return want
 		}
@@ -63,7 +63,7 @@ func TestForEachPropagatesError(t *testing.T) {
 
 func TestForEachRecoversPanic(t *testing.T) {
 	c := New(Config{Machines: 2})
-	err := c.ForEach(context.Background(), 4, func(task int) error {
+	err := c.ForEachNamed(context.Background(), "", 4, func(task int) error {
 		if task == 1 {
 			panic("worker died")
 		}
@@ -105,7 +105,7 @@ func TestSimulatedMakespanScalesWithMachines(t *testing.T) {
 			fake = fake.Add(time.Millisecond)
 			return fake
 		}
-		if err := c.ForEach(context.Background(), 16, func(int) error { return nil }); err != nil {
+		if err := c.ForEachNamed(context.Background(), "", 16, func(int) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 		return c.SimElapsed()
@@ -124,7 +124,7 @@ func TestNetworkCostCharged(t *testing.T) {
 	c := New(Config{Machines: 2, network: slow})
 	// Shuffle fans out over the 2 machines' links: 1 MB / (1 MB/s × 2) ≈ 0.5s.
 	c.Shuffle(1_000_000)
-	if err := c.ForEach(context.Background(), 1, func(int) error { return nil }); err != nil {
+	if err := c.ForEachNamed(context.Background(), "", 1, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	sim := c.SimElapsed()
@@ -133,7 +133,7 @@ func TestNetworkCostCharged(t *testing.T) {
 	}
 	// Collection funnels into the driver's single downlink: 1 MB / 1 MB/s ≈ 1s more.
 	c.Collect(1_000_000)
-	if err := c.ForEach(context.Background(), 1, func(int) error { return nil }); err != nil {
+	if err := c.ForEachNamed(context.Background(), "", 1, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if extra := c.SimElapsed() - sim; extra < 900*time.Millisecond {
@@ -146,11 +146,11 @@ func TestNetworkTrafficChargedOnce(t *testing.T) {
 	c := New(Config{Machines: 2, network: slow})
 	c.Collect(1_000_000)
 	noop := func(int) error { return nil }
-	if err := c.ForEach(context.Background(), 1, noop); err != nil {
+	if err := c.ForEachNamed(context.Background(), "", 1, noop); err != nil {
 		t.Fatal(err)
 	}
 	first := c.SimElapsed()
-	if err := c.ForEach(context.Background(), 1, noop); err != nil {
+	if err := c.ForEachNamed(context.Background(), "", 1, noop); err != nil {
 		t.Fatal(err)
 	}
 	second := c.SimElapsed() - first
@@ -161,7 +161,7 @@ func TestNetworkTrafficChargedOnce(t *testing.T) {
 
 func TestDriverCharged(t *testing.T) {
 	c := New(Config{Machines: 4})
-	c.Driver(context.Background(), func() { busySpin(5 * time.Millisecond) })
+	c.DriverNamed(context.Background(), "", func() { busySpin(5 * time.Millisecond) })
 	if sim := c.SimElapsed(); sim < 4*time.Millisecond {
 		t.Fatalf("driver section not charged: %v", sim)
 	}
@@ -169,7 +169,7 @@ func TestDriverCharged(t *testing.T) {
 
 func TestResetClock(t *testing.T) {
 	c := New(Config{Machines: 2})
-	c.Driver(context.Background(), func() { busySpin(time.Millisecond) })
+	c.DriverNamed(context.Background(), "", func() { busySpin(time.Millisecond) })
 	c.ResetClock()
 	if c.SimElapsed() != 0 {
 		t.Fatal("ResetClock did not zero the simulated clock")
@@ -182,7 +182,7 @@ func TestDefaultParallelismBounded(t *testing.T) {
 	// never exceeds the host GOMAXPROCS.
 	c := New(Config{Machines: 64})
 	var cur, peak atomic.Int64
-	if err := c.ForEach(context.Background(), 64, func(int) error {
+	if err := c.ForEachNamed(context.Background(), "", 64, func(int) error {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()

@@ -36,7 +36,7 @@ func TestGateBoundsConcurrencyAcrossClusters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := cl.ForEach(context.Background(), 8, task); err != nil {
+			if err := cl.ForEachNamed(context.Background(), "", 8, task); err != nil {
 				t.Errorf("ForEach: %v", err)
 			}
 		}()
@@ -60,7 +60,7 @@ func TestGateAcquireHonorsContext(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	err := cl.ForEach(ctx, 2, func(int) error { return nil })
+	err := cl.ForEachNamed(ctx, "", 2, func(int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("ForEach blocked on a full gate returned %v, want context.Canceled", err)
 	}

@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// A panicking task must surface as an error naming the stage, not crash
-// the coordinator (regression: the recovered panic used to propagate
+// A task panicking on every attempt must surface as an error naming the
+// stage, not crash the coordinator (regression: the recovered panic used to propagate
 // without stage attribution).
 func TestForEachTaskPanicNamesStage(t *testing.T) {
-	c := New(Config{Machines: 2, FailFast: true})
+	c := New(Config{Machines: 2})
 	err := c.ForEachNamed(context.Background(), "explode", 4, func(task int) error {
 		if task == 1 {
 			panic("boom: kernel invariant violated")
@@ -33,8 +33,8 @@ func TestForEachTaskPanicNamesStage(t *testing.T) {
 // panicking on every attempt still aborts with the stage name and the
 // attempt count.
 func TestForEachPersistentPanicExhaustsRetries(t *testing.T) {
-	c := New(Config{Machines: 2, MaxRetries: 2})
-	err := c.ForEach(context.Background(), 3, func(task int) error {
+	c := New(Config{Machines: 2})
+	err := c.ForEachNamed(context.Background(), "", 3, func(task int) error {
 		if task == 2 {
 			panic(fmt.Sprintf("task %d always dies", task))
 		}
@@ -43,24 +43,24 @@ func TestForEachPersistentPanicExhaustsRetries(t *testing.T) {
 	if err == nil {
 		t.Fatal("persistently panicking task returned nil error")
 	}
-	for _, want := range []string{`stage "stage 0"`, "failed after 3 attempts", "panicked"} {
+	for _, want := range []string{`stage "stage 0"`, "failed after 4 attempts", "panicked"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not mention %q", err, want)
 		}
 	}
-	if got := c.Stats().Retries; got != 2 {
-		t.Fatalf("Retries = %d, want 2", got)
+	if got := c.Stats().Retries; got != maxAttempts-1 {
+		t.Fatalf("Retries = %d, want %d", got, maxAttempts-1)
 	}
 }
 
 // An anonymous stage that panics once and then succeeds on retry reports
 // no error and keeps the books consistent.
 func TestForEachPanicRecoversOnRetry(t *testing.T) {
-	c := New(Config{Machines: 2, MaxRetries: 2})
+	c := New(Config{Machines: 2})
 	attempts := make(map[int]int)
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
-	err := c.ForEach(context.Background(), 4, func(task int) error {
+	err := c.ForEachNamed(context.Background(), "", 4, func(task int) error {
 		<-mu
 		attempts[task]++
 		first := attempts[task] == 1
@@ -82,7 +82,7 @@ func TestForEachPanicRecoversOnRetry(t *testing.T) {
 // through unwrapped so callers can match it with errors.Is — and must not
 // acquire a misleading stage label.
 func TestForEachCancellationNotWrapped(t *testing.T) {
-	c := New(Config{Machines: 2, FailFast: true})
+	c := New(Config{Machines: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	err := c.ForEachNamed(ctx, "cancelled", 4, func(task int) error { return nil })

@@ -36,7 +36,7 @@ func foldStream(events []*trace.Event) trace.StatsDelta {
 }
 
 // TestTraceDeltasSumToStats runs a chaos-heavy seeded workload — retries,
-// panics, stragglers with speculation, machine losses with rejoins, a
+// panics, machine losses with rejoins, a
 // loss handler recording recovery traffic, checkpoints, driver sections —
 // and asserts the attribution contract: folding the event stream
 // reproduces Cluster.Stats exactly.
@@ -48,7 +48,6 @@ func TestTraceDeltasSumToStats(t *testing.T) {
 			Seed:               42,
 			FailureRate:        0.15,
 			PanicRate:          0.05,
-			StragglerRate:      0.1,
 			MachineLossRate:    0.08,
 			MachineRejoinAfter: 2,
 		},
@@ -62,12 +61,12 @@ func TestTraceDeltasSumToStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Collect(96)
-		if err := c.Driver(ctx, func() {}); err != nil {
+		if err := c.DriverNamed(ctx, "", func() {}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.RecordCheckpoint(2048)
-	if err := c.ForEach(ctx, 4, func(int) error { return nil }); err != nil {
+	if err := c.ForEachNamed(ctx, "", 4, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -76,9 +75,9 @@ func TestTraceDeltasSumToStats(t *testing.T) {
 	if got != want {
 		t.Fatalf("folded event deltas do not reproduce Stats:\nfold: %+v\nstats: %+v", got, want)
 	}
-	if want.MachineLosses == 0 || want.Retries == 0 || want.SpeculativeLaunches == 0 {
-		t.Fatalf("chaos run exercised no faults (losses=%d retries=%d spec=%d); weak test",
-			want.MachineLosses, want.Retries, want.SpeculativeLaunches)
+	if want.MachineLosses == 0 || want.Retries == 0 {
+		t.Fatalf("chaos run exercised no faults (losses=%d retries=%d); weak test",
+			want.MachineLosses, want.Retries)
 	}
 }
 
@@ -167,7 +166,7 @@ func TestTraceConcurrentStages(t *testing.T) {
 
 // TestChromeGolden locks the byte-exact Chrome export of a fully
 // deterministic scripted run: fake engine and wall clocks, one worker, a
-// scheduled machine kill, speculation disabled. Regenerate with
+// scheduled machine kill. Regenerate with
 // DBTF_UPDATE_GOLDEN=1 after an intentional format change.
 func TestChromeGolden(t *testing.T) {
 	updateGolden := os.Getenv("DBTF_UPDATE_GOLDEN") != ""
@@ -178,7 +177,6 @@ func TestChromeGolden(t *testing.T) {
 		Faults: &FaultPlan{
 			machineKills:       []machineKill{{Stage: 1, Machine: 1}},
 			MachineRejoinAfter: 2,
-			disableSpeculation: true,
 		},
 		Tracer: trace.New(trace.NewChrome(&out), trace.WithClock(stepClock(time.Microsecond))),
 	})
@@ -236,7 +234,7 @@ func TestResetClockRebaselinesCheckpointBytes(t *testing.T) {
 	ctx := context.Background()
 	c.RecordCheckpoint(1 << 20) // pre-phase checkpoint
 	c.ResetClock()
-	if err := c.ForEach(ctx, 2, func(int) error { return nil }); err != nil {
+	if err := c.ForEachNamed(ctx, "", 2, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	var stageEnd *trace.Event
@@ -254,7 +252,7 @@ func TestResetClockRebaselinesCheckpointBytes(t *testing.T) {
 	// And checkpoint traffic recorded after the reset is attributed to the
 	// next stage boundary as usual.
 	c.RecordCheckpoint(4096)
-	if err := c.ForEach(ctx, 2, func(int) error { return nil }); err != nil {
+	if err := c.ForEachNamed(ctx, "", 2, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	last := buf.Events[len(buf.Events)-1]
@@ -274,7 +272,7 @@ func TestResetClockDropsPendingRecoveryNanos(t *testing.T) {
 	c.recoveryNanos = int64(5 * time.Second) // pending pre-phase recovery transfer
 	c.mu.Unlock()
 	c.ResetClock()
-	if err := c.ForEach(context.Background(), 2, func(int) error { return nil }); err != nil {
+	if err := c.ForEachNamed(context.Background(), "", 2, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.Stats().NetworkNanos; n >= int64(5*time.Second) {
@@ -308,7 +306,7 @@ func TestDriverRecordsCancelledSection(t *testing.T) {
 	}
 	// A context already cancelled before the section still skips it.
 	before := c.Stats().DriverNanos
-	if err := c.Driver(ctx, func() { t.Fatal("section ran under a dead context") }); !errors.Is(err, context.Canceled) {
+	if err := c.DriverNamed(ctx, "", func() { t.Fatal("section ran under a dead context") }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled Driver returned %v", err)
 	}
 	if c.Stats().DriverNanos != before {

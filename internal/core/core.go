@@ -405,7 +405,7 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 
 	// Machine-loss recovery: when the cluster loses a machine, its share
 	// of the cached partitions is re-shipped to the survivors and its
-	// cache registry dies with it (survivors rebuild lazily on first use).
+	// cache tables die with it (the survivors rebuild them on first use).
 	d.cl.OnMachineLoss(d.machineLost)
 	defer d.cl.OnMachineLoss(nil)
 	// Every stage joins its task goroutines before returning, so when
@@ -568,13 +568,13 @@ type decomposition struct {
 
 // machineLost is the cluster's machine-loss callback (invoked at stage
 // boundaries, before any of the stage's tasks run): machine m's cache
-// registry died with the machine — survivors rebuild their own lazily on
-// first use — and m's share of every mode's cached partitions is
-// re-shipped to the survivors, charged as shuffle traffic. During the
-// partitioning stage itself the unfoldings are not distributed yet and
-// there is nothing to re-ship.
+// tables died with the machine — the survivors that inherit its partitions
+// rebuild them on first use (executor.machineLost) — and m's share of every
+// mode's cached partitions is re-shipped to the survivors, charged as
+// shuffle traffic. During the partitioning stage itself the unfoldings are
+// not distributed yet and there is nothing to re-ship.
 func (d *decomposition) machineLost(m int) {
-	d.ex.reg[m].clear()
+	d.ex.machineLost(m)
 	var bytes int64
 	for _, px := range d.ex.px {
 		if px == nil {

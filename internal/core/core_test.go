@@ -259,6 +259,59 @@ func updateMode(t *testing.T, d *decomposition, mode int, a, b, c *boolmat.Facto
 	}
 }
 
+// TestMachineLossRebuildsInheritedTables: a simulated machine loss does the
+// work a real one does. A machine lost between two columns of an update
+// takes its cache tables with it, so by the end of the next column's stage
+// the survivor that inherited its partition has built — in its own registry,
+// before any setFactors — a table for every row range the partition reads,
+// the cut ranges no partition of its own shares included.
+func TestMachineLossRebuildsInheritedTables(t *testing.T) {
+	const machines, rank = 4, 4
+	// 6-wide PVM products cut by every boundary of 4 partitions over 30
+	// columns: each partition reads row ranges of B that are its alone.
+	x, a, b, c := plantedTensor(rand.New(rand.NewSource(9)), 8, 6, 5, rank, 0.3)
+	var d *decomposition
+	lost, lossStage, checked := -1, int64(-1), false
+	cl := cluster.New(cluster.Config{
+		Machines: machines,
+		Faults:   &cluster.FaultPlan{Seed: 11, MachineLossRate: 0.1},
+		Tracer: trace.New(sinkFunc(func(ev *trace.Event) {
+			switch {
+			case ev.Type == trace.MachineLoss && lost < 0:
+				lost, lossStage = ev.Machine, ev.Stage
+			case ev.Type == trace.StageEnd && ev.Stage == lossStage && lossStage >= 2:
+				// Every task of the stage is joined; nothing else runs.
+				checked = true
+				if n := len(d.ex.reg[lost].entries); n != 0 {
+					t.Errorf("lost machine %d still registers %d tables", lost, n)
+				}
+				survivor := d.cl.MachineFor(lost)
+				ms := d.ex.f[modeRoles[0].cached]
+				for _, blk := range d.ex.px[0].Parts[lost].Blocks {
+					key := registryKey{m: ms, version: ms.Version(), lo: blk.InnerLo, hi: blk.InnerLo + blk.Width()}
+					if _, ok := d.ex.reg[survivor].entries[key]; !ok {
+						t.Errorf("survivor %d holds no table over rows [%d,%d) of partition %d, inherited from machine %d",
+							survivor, key.lo, key.hi, lost, lost)
+					}
+				}
+			}
+		})),
+	})
+	cfg, err := Options{Rank: rank}.withDefaults(machines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d = &decomposition{ctx: context.Background(), x: x, cl: cl, ex: newExecutor(cfg, [3]int{8, 6, 5}, machines, cl.MachineFor)}
+	cl.OnMachineLoss(d.machineLost)
+	if err := d.partitionAll(); err != nil { // stage 0
+		t.Fatal(err)
+	}
+	updateMode(t, d, 0, a, b, c) // stages 1..rank, one per column
+	if lossStage < 2 || lossStage > rank || !checked {
+		t.Fatalf("first loss at stage %d (checked %v), want one between two columns of the update (stages 2..%d): pick another fault seed", lossStage, checked, rank)
+	}
+}
+
 func TestUpdateFactorMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 25; trial++ {

@@ -140,6 +140,20 @@ func (ex *executor) setFactors(a, b, c *boolmat.FactorMatrix) error {
 	return nil
 }
 
+// machineLost is what losing machine m costs the executor, at a stage
+// boundary with every task joined: m's cache tables died with it, and the
+// column tasks go too — a task reassigned off m holds summers over those
+// tables — so each partition's next eval rebuilds its task on the machine it
+// now runs on (see eval). Survivors' own tables are still registered; the
+// inherited partitions' are built there, the rebuild a surviving worker
+// pays at its first eval of an inherited partition.
+func (ex *executor) machineLost(m int) {
+	for mode := range ex.tasks {
+		clear(ex.tasks[mode])
+	}
+	ex.reg[m].clearRelease()
+}
+
 // part resolves a stage task's address to its partition, rejecting what a
 // mismatched peer could send: a mode or partition out of range, a stage
 // ahead of the state it needs.
@@ -178,8 +192,9 @@ func (ex *executor) build(mode, pi int) (*columnTask, error) {
 //
 // This is the one place a column task comes into being and the one rule
 // of how long it lives: setFactors empties the task table (a task holds
-// summers over factor versions the coming update supersedes) and the first
-// eval to ask a partition for a column afterwards builds its task — column
+// summers over factor versions the coming update supersedes), as does a
+// machine loss (over tables that died), and the first eval to ask a
+// partition for a column afterwards builds its task — column
 // 0 on the partition's home, a later column on the executor a reassignment
 // or a rejoin moved it to, driver and worker alike; the paper's lazy
 // mapPartitions is pipelined into its first collect the same way. Which

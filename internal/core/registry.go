@@ -73,22 +73,12 @@ func (r *machineRegistry) cacheFor(ms *boolmat.FactorMatrix, lo, hi, groupBits i
 	return mc.table
 }
 
-// clear drops every entry without recycling the tables. It is the only
-// safe drop when live column tasks may still hold summers over the
-// entries — machine loss reassigns tasks but keeps the task objects, so
-// their caches must survive until the garbage collector proves them dead.
-func (r *machineRegistry) clear() {
-	r.mu.Lock()
-	r.entries = map[registryKey]*machineCache{}
-	r.mu.Unlock()
-}
-
 // clearRelease drops every entry and returns the cache tables to the slab
 // pool. Callers must hold exclusive access with no live tasks: the driver
 // between initial factor sets (stages joined, losers' tasks dropped) and
-// the worker under a factor push — executor.setFactors on both, which
-// empties the task tables in the same step — and executor.release, after
-// the run's last stage.
+// the worker under a factor push — executor.setFactors on both — the driver
+// at a machine loss (executor.machineLost), each of which empties the task
+// tables in the same step, and executor.release, after the run's last stage.
 func (r *machineRegistry) clearRelease() {
 	r.mu.Lock()
 	//dbtf:allow-nondeterministic every entry is released; order is irrelevant

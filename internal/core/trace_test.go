@@ -26,7 +26,6 @@ func TestDecomposeTraceReplaysChaosRun(t *testing.T) {
 		Faults: &cluster.FaultPlan{
 			Seed:               11,
 			FailureRate:        0.1,
-			StragglerRate:      0.05,
 			MachineLossRate:    0.04,
 			MachineRejoinAfter: 2,
 		},

@@ -146,6 +146,31 @@ func TestFig7ProducesSpeedups(t *testing.T) {
 	}
 }
 
+// TestChaosCostGrowsWithTheRate: every faulty row reproduces the fault-free
+// run's output, and since a fault is priced from the run — the wasted attempt
+// plus one stage latency per relaunch — more faults cost strictly more
+// simulated time.
+func TestChaosCostGrowsWithTheRate(t *testing.T) {
+	tbl := runExp(t, "chaos", tiny())
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("rows = %d, want 4 (rates 0, 0.05, 0.1, 0.2)", len(tbl.Rows))
+	}
+	var prev time.Duration
+	for _, row := range tbl.Rows {
+		if got := row[len(row)-1]; got != "=" {
+			t.Errorf("rate %s: output %q, want = (bit-identical to the fault-free run)", row[0], got)
+		}
+		sim, err := time.ParseDuration(row[1])
+		if err != nil {
+			t.Fatalf("rate %s: sim time cell %q: %v", row[0], row[1], err)
+		}
+		if sim <= prev {
+			t.Errorf("rate %s: sim time %v not above the previous row's %v", row[0], sim, prev)
+		}
+		prev = sim
+	}
+}
+
 func TestTrafficValidationShapes(t *testing.T) {
 	tbl := runExp(t, "traffic", tiny())
 	if len(tbl.Rows) != 4 {

@@ -36,7 +36,6 @@ type progressSink struct {
 	mu         sync.Mutex
 	iterations int
 	lastError  int64
-	hasError   bool
 	events     int64
 }
 
@@ -61,7 +60,6 @@ func (p *progressSink) Write(ev *trace.Event) error {
 		p.iterations++
 		if ev.Error != nil {
 			p.lastError = *ev.Error
-			p.hasError = true
 		}
 	}
 	return nil

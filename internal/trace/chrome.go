@@ -18,7 +18,7 @@ import (
 //	                          per-stage network charges, traffic instants
 //	tid m+1    "machine m"  — one compute slice per stage per machine
 //	                          (the stage's straggle is visible as ragged
-//	                          right edges), plus retry/speculation/loss
+//	                          right edges), plus retry/loss
 //	                          instants on the machine they hit
 //
 // Timestamps are the simulated clock in microseconds (trace_event's unit);
@@ -187,9 +187,6 @@ func (s *Chrome) Write(ev *Event) error {
 	case Retry:
 		s.instant(fmt.Sprintf("retry task %d", ev.Task), "fault", machineTid(ev.Machine), ev.SimNanos,
 			map[string]any{"attempt": ev.Attempt, "stage": ev.Stage})
-	case SpeculativeLaunch, SpeculativeWin:
-		s.instant(string(ev.Type), "speculation", machineTid(ev.Machine), ev.SimNanos,
-			map[string]any{"task": ev.Task, "stage": ev.Stage})
 	case MachineLoss, MachineRejoin:
 		s.instant(string(ev.Type), "liveness", machineTid(ev.Machine), ev.SimNanos,
 			map[string]any{"recovery_bytes": ev.Bytes, "stage": ev.Stage})

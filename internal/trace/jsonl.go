@@ -76,8 +76,7 @@ var knownTypes = map[Type]bool{
 	StageBegin: true, StageEnd: true,
 	DriverBegin: true, DriverEnd: true,
 	Shuffle: true, Broadcast: true, Collect: true, Checkpoint: true,
-	Retry: true, SpeculativeLaunch: true, SpeculativeWin: true,
-	MachineLoss: true, MachineRejoin: true,
+	Retry: true, MachineLoss: true, MachineRejoin: true,
 	Wire: true,
 }
 
@@ -211,9 +210,9 @@ func Validate(events []*Event) (*Summary, error) {
 				return nil, fmt.Errorf("trace: seq %d: driver_end without driver_begin", ev.Seq)
 			}
 			openDriver = nil
-		case Retry, SpeculativeLaunch, SpeculativeWin:
+		case Retry:
 			if openStage == nil {
-				return nil, fmt.Errorf("trace: seq %d: %s outside an open stage", ev.Seq, ev.Type)
+				return nil, fmt.Errorf("trace: seq %d: retry outside an open stage", ev.Seq)
 			}
 		case MachineLoss, MachineRejoin:
 			if openStage != nil || openDriver != nil {

@@ -1,8 +1,8 @@
 // Package trace is the structured tracing layer of the simulated cluster:
 // the equivalent of Spark's stage/task event log for the engine in
 // internal/cluster. Every stage, driver section, traffic charge, retry,
-// speculation, machine loss/recovery, checkpoint, and algorithm iteration
-// emits one Event carrying both clocks — the wall clock (real elapsed
+// machine loss/recovery, checkpoint, and algorithm iteration emits one
+// Event carrying both clocks — the wall clock (real elapsed
 // time, for profiling the host) and the simulated clock (modeled elapsed
 // time on M machines, for the paper's makespan claims) — so a run can be
 // replayed as a per-machine timeline after the fact.
@@ -60,10 +60,6 @@ const (
 	Checkpoint Type = "checkpoint"
 	// Retry marks one task re-execution after a transient failure.
 	Retry Type = "retry"
-	// SpeculativeLaunch and SpeculativeWin mark a straggler's backup copy
-	// launching and winning its simulated race.
-	SpeculativeLaunch Type = "speculative_launch"
-	SpeculativeWin    Type = "speculative_win"
 	// MachineLoss and MachineRejoin mark machine liveness transitions at
 	// stage boundaries; Bytes is the recovery re-fetch traffic charged to
 	// BroadcastBytes (a single-link transfer, not multiplied by M).
@@ -92,16 +88,16 @@ type Event struct {
 	// clock), assigned at emission. Wall timestamps are reporting only:
 	// they are not deterministic across runs.
 	WallNanos int64 `json:"wall_ns"`
-	// SimNanos is the simulated clock at the event. In-stage events
-	// (Retry, SpeculativeLaunch, SpeculativeWin) carry the stage's begin
-	// time: the simulated clock advances only at stage boundaries.
+	// SimNanos is the simulated clock at the event. The in-stage event
+	// (Retry) carries the stage's begin time: the simulated clock advances
+	// only at stage boundaries.
 	// Deterministic per seed when the engine's clock is injected.
 	SimNanos int64 `json:"sim_ns"`
 	// Stage is the cluster-wide stage index for stage-scoped events;
 	// -1 otherwise.
 	Stage int64 `json:"stage"`
 	// Machine is the logical machine for machine-scoped events
-	// (loss/rejoin, retry, speculation); -1 otherwise.
+	// (loss/rejoin, retry); -1 otherwise.
 	Machine int `json:"machine"`
 	// Task is the task index for task-scoped events; -1 otherwise.
 	Task int `json:"task"`
@@ -184,18 +180,10 @@ type StatsDelta struct {
 	// Retries is the number of task re-executions after transient
 	// failures (real errors, recovered panics, or injected faults).
 	Retries int64 `json:"retries,omitempty"`
-	// InjectedFaults is the number of task-level failures, panics, and
-	// straggler delays injected by the configured FaultPlan. Machine
-	// losses are counted separately in MachineLosses.
+	// InjectedFaults is the number of task-level failures and panics
+	// injected by the configured FaultPlan. Machine losses are counted
+	// separately in MachineLosses.
 	InjectedFaults int64 `json:"injected_faults,omitempty"`
-	// SpeculativeLaunches counts the backup copies launched for straggling
-	// tasks (Spark's speculative execution) on the simulated clock: a copy
-	// is priced from the attempt's measured duration, not executed.
-	SpeculativeLaunches int64 `json:"speculative_launches,omitempty"`
-	// SpeculativeWins counts straggling tasks whose backup copy finished,
-	// on the simulated clock, before the straggler's delay would have
-	// elapsed — the straggler is cancelled and the clock pays the copy.
-	SpeculativeWins int64 `json:"speculative_wins,omitempty"`
 	// MachineLosses is the number of machine-loss events injected by the
 	// FaultPlan (seeded draws plus explicit MachineKills).
 	MachineLosses int64 `json:"machine_losses,omitempty"`
@@ -217,9 +205,9 @@ type StatsDelta struct {
 //   - DriverEnd carries the section's driver nanos.
 //   - Traffic events carry their exact counter increments, including the
 //     single-link recovery re-fetches on MachineLoss/MachineRejoin.
-//   - Retry/speculation point events are markers only; their counts fold
-//     from the owning StageEnd delta, which publishes them at the stage
-//     boundary exactly as the engine publishes the counters themselves.
+//   - Retry point events are markers only; their count folds from the
+//     owning StageEnd delta, which publishes it at the stage boundary
+//     exactly as the engine publishes the counter itself.
 func (d *StatsDelta) Observe(ev *Event) {
 	switch ev.Type {
 	case StageBegin:
@@ -232,8 +220,6 @@ func (d *StatsDelta) Observe(ev *Event) {
 			d.TaskNanos += ev.Delta.TaskNanos
 			d.Retries += ev.Delta.Retries
 			d.InjectedFaults += ev.Delta.InjectedFaults
-			d.SpeculativeLaunches += ev.Delta.SpeculativeLaunches
-			d.SpeculativeWins += ev.Delta.SpeculativeWins
 			d.Recoveries += ev.Delta.Recoveries
 		}
 	case DriverEnd:
@@ -274,22 +260,20 @@ func (b *Buffer) Close() error { return nil }
 // between two snapshots.
 func (d StatsDelta) Sub(o StatsDelta) StatsDelta {
 	return StatsDelta{
-		ShuffledBytes:       d.ShuffledBytes - o.ShuffledBytes,
-		BroadcastBytes:      d.BroadcastBytes - o.BroadcastBytes,
-		CollectedBytes:      d.CollectedBytes - o.CollectedBytes,
-		CheckpointBytes:     d.CheckpointBytes - o.CheckpointBytes,
-		Stages:              d.Stages - o.Stages,
-		Tasks:               d.Tasks - o.Tasks,
-		ComputeNanos:        d.ComputeNanos - o.ComputeNanos,
-		NetworkNanos:        d.NetworkNanos - o.NetworkNanos,
-		DriverNanos:         d.DriverNanos - o.DriverNanos,
-		TaskNanos:           d.TaskNanos - o.TaskNanos,
-		Retries:             d.Retries - o.Retries,
-		InjectedFaults:      d.InjectedFaults - o.InjectedFaults,
-		SpeculativeLaunches: d.SpeculativeLaunches - o.SpeculativeLaunches,
-		SpeculativeWins:     d.SpeculativeWins - o.SpeculativeWins,
-		MachineLosses:       d.MachineLosses - o.MachineLosses,
-		Recoveries:          d.Recoveries - o.Recoveries,
+		ShuffledBytes:   d.ShuffledBytes - o.ShuffledBytes,
+		BroadcastBytes:  d.BroadcastBytes - o.BroadcastBytes,
+		CollectedBytes:  d.CollectedBytes - o.CollectedBytes,
+		CheckpointBytes: d.CheckpointBytes - o.CheckpointBytes,
+		Stages:          d.Stages - o.Stages,
+		Tasks:           d.Tasks - o.Tasks,
+		ComputeNanos:    d.ComputeNanos - o.ComputeNanos,
+		NetworkNanos:    d.NetworkNanos - o.NetworkNanos,
+		DriverNanos:     d.DriverNanos - o.DriverNanos,
+		TaskNanos:       d.TaskNanos - o.TaskNanos,
+		Retries:         d.Retries - o.Retries,
+		InjectedFaults:  d.InjectedFaults - o.InjectedFaults,
+		MachineLosses:   d.MachineLosses - o.MachineLosses,
+		Recoveries:      d.Recoveries - o.Recoveries,
 	}
 }
 

@@ -26,8 +26,8 @@ type FactorMatrix = boolmat.FactorMatrix
 // fault-tolerance counters.
 type ClusterStats = cluster.Stats
 
-// FaultPlan deterministically injects task failures, panics, and straggler
-// delays into the simulated cluster; see Options.Faults.
+// FaultPlan deterministically injects task failures, panics, and machine
+// losses into the simulated cluster; see Options.Faults.
 type FaultPlan = cluster.FaultPlan
 
 // Tracer serializes a run's structured trace events into a TraceSink; see
