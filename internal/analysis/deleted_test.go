@@ -76,6 +76,8 @@ var deletedNames = []deletedName{
 		pr: "PR 25: a fault costs what it wastes — the attempt's measured duration and one stage latency per relaunch; a straggler touched no program state and its race was a constant, so the ledger has no race and no wall-clock literal (DESIGN §7)"},
 	{pattern: `FailFast|MaxRetries`, scope: []string{"."}, nonTest: true,
 		pr: "PR 25: a task gets four attempts, Spark's default; over deterministic in-process kernels the only retry that can succeed is one a FaultPlan injected, so the bound is a constant, not two options and two flags"},
+	{pattern: `evalColumn|encodeColumn\(|decodeColumn\(`, scope: []string{"internal/core"},
+		pr: "PR 26: one eval stage decides two columns; the one-column stage is the same kernel at span 1, not a second sweep, and a column push carries the stage's columns"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

@@ -48,8 +48,8 @@ func TestAnalyzersSeeProgramCode(t *testing.T) {
 			"\t\t//dbtf:samewidth every column is sliced to the block width the caller sized scratch for\n\t\tpop = bitvec.OrCountWords(scratch, scratch,",
 			"\t\tpop = bitvec.OrCountWords(scratch, scratch,"},
 		{"kernelcontract", "internal/core/task.go",
-			"\tbit := uint64(1) << uint(c)\n\tclear(t.deltas)\n",
-			"\tbit := uint64(1) << uint(c)\n\tt.deltas = make([]int64, len(t.deltas))\n"},
+			"\tdeltas := t.deltas[:rows*lanes]\n\tclear(deltas)\n",
+			"\tdeltas := make([]int64, rows*lanes)\n\tclear(deltas)\n"},
 		{"errcheck", "internal/durable/durable.go",
 			"\tif cerr := d.Close(); err == nil {\n\t\terr = cerr\n\t}\n",
 			"\td.Close()\n"},

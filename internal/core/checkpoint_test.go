@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -448,6 +449,38 @@ func FuzzCheckpointDecode(f *testing.F) {
 		// format is canonical, so decode(encode(decode(x))) cannot drift.
 		if got := ck.encode(); string(got) != string(data) {
 			t.Fatalf("decode/encode not canonical:\nin:  %x\nout: %x", data, got)
+		}
+	})
+}
+
+// FuzzDeltasDecode: an eval reply decodes only when it is exactly the
+// encoding of the shape the driver asked for — rows × lanes, no byte short
+// and none over — and then re-encodes to the same bytes.
+func FuzzDeltasDecode(f *testing.F) {
+	for _, lanes := range []int{laneCount(1), laneCount(lookahead)} {
+		deltas := make([]int32, 5*lanes)
+		for i := range deltas {
+			deltas[i] = int32(i*i) - 40
+		}
+		deltas[0], deltas[len(deltas)-1] = math.MinInt32, math.MaxInt32
+		payload := encodeDeltas(deltas, lanes)
+		f.Add(payload, uint16(5), lanes == 1)
+		f.Add(payload, uint16(5), lanes != 1)
+		f.Add(payload[:len(payload)-1], uint16(5), lanes == 1)
+		f.Add(append(payload, 0), uint16(5), lanes == 1)
+	}
+	f.Add([]byte{}, uint16(0), true)
+	f.Fuzz(func(t *testing.T, data []byte, rows uint16, single bool) {
+		lanes := laneCount(lookahead)
+		if single {
+			lanes = laneCount(1)
+		}
+		dst := make([]int32, int(rows)*lanes)
+		if err := decodeDeltas(data, int(rows), lanes, dst); err != nil {
+			return
+		}
+		if got := encodeDeltas(dst, lanes); string(got) != string(data) {
+			t.Fatalf("decoded as %d rows of %d lanes but re-encodes differently:\nin:  %x\nout: %x", rows, lanes, data, got)
 		}
 	})
 }

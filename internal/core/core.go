@@ -311,6 +311,12 @@ type Result struct {
 // bounds the run: cancellation or deadline expiry is checked between
 // stages and surfaces as the context's error.
 func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts Options) (*Result, error) {
+	return decompose(ctx, x, cl, opts, lookahead)
+}
+
+// decompose is Decompose deciding at most span columns per eval stage. Every
+// caller but the lookahead's own differential test passes lookahead.
+func decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts Options, span int) (*Result, error) {
 	if x == nil {
 		return nil, errors.New("core: nil tensor")
 	}
@@ -329,7 +335,7 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 	// The driver's executor spans all M logical machines, partitions placed
 	// by the cluster's reassignment rule; remote executors span one each.
 	d := &decomposition{ctx: ctx, rootCtx: ctx, x: x, cl: cl, opt: opts,
-		ex: newExecutor(cfg, [3]int{i, j, k}, cl.Machines(), cl.MachineFor)}
+		ex: newExecutor(cfg, [3]int{i, j, k}, cl.Machines(), cl.MachineFor, span)}
 	// Ship the run's immutable inputs: every remote executor rebuilds the
 	// partitioned unfoldings locally from the tensor, and a rejoining
 	// machine gets the same blob replayed — the re-shipped partitions of the
@@ -701,7 +707,8 @@ func (d *decomposition) updateFactors(a, b, c *boolmat.FactorMatrix) error {
 // updateFactor updates the mode's factor matrix against its partitioned
 // unfolding — Algorithm 4, with the per-row decision evaluated as the error
 // difference e1 − e0 over the delta region of the two candidate summations
-// instead of two full errors. The operand roles come from modeRoles.
+// instead of two full errors, and two columns decided per synchronisation
+// round (see lookahead). The operand roles come from modeRoles.
 func (d *decomposition) updateFactor(mode int) error {
 	name := modeRoles[mode].name
 	a := d.ex.f[modeRoles[mode].upd]
@@ -711,53 +718,70 @@ func (d *decomposition) updateFactor(mode int) error {
 	n := len(d.ex.px[mode].Parts)
 	p := a.Rows()
 
-	// One synchronisation round per column and none beside them: the column
-	// tasks, cache tables included (Algorithm 5), are built inside column
-	// 0's stage (see executor.eval). On a remote backend the tasks live on
-	// the workers' executors; here only the collected deltas do.
-	deltas := make([][]int64, n)
-	for c := 0; c < d.ex.cfg.Rank; c++ {
+	// One synchronisation round per stage of span columns and none beside
+	// them: the column tasks, cache tables included (Algorithm 5), are built
+	// inside the first stage (see executor.eval). Everything below is made
+	// once per update; spec.Col and span are the stage in flight.
+	//
+	// Stage: every partition evaluates, for each row, the error difference of
+	// its column range between the two candidate values (Algorithm 4 lines
+	// 4-9 reduced to the flipped cells only), one lane per column and
+	// outcome. The local path hands the driver the task's own accumulator by
+	// reference; only a remote backend pays an encode and a decode, into
+	// the buffer the driver's own executor keeps for the partition.
+	spec := transport.Spec{Name: "eval:" + name, Kind: transport.KindEval, Mode: mode, Tasks: n}
+	var span int
+	deltas := make([][]int32, n)
+	local := func(pi int) (err error) {
+		deltas[pi], err = d.ex.eval(mode, pi, spec.Col)
+		return err
+	}
+	sink := func(pi int, payload []byte) error {
+		deltas[pi] = d.ex.lanes(mode, pi)
+		return decodeDeltas(payload, p, laneCount(span), deltas[pi])
+	}
+	// Commit (Algorithm 4 lines 10-12): set the entry exactly when candidate
+	// 1's total error is strictly smaller, i.e. when the difference summed
+	// over the partitions is negative. The lanes are a row's decision tree
+	// in heap order: column c's outcome picks the lane c+1 is read from.
+	commitName := "commit:" + name
+	commit := func() {
+		lanes := laneCount(span)
+		for r := 0; r < p; r++ {
+			lane := 0
+			for j := 0; j < span; j++ {
+				var t int64
+				for _, part := range deltas {
+					t += int64(part[r*lanes+lane])
+				}
+				a.Set(r, spec.Col+j, t < 0)
+				lane = 2*lane + 1
+				if t < 0 {
+					lane++
+				}
+			}
+		}
+	}
+	// Replicate the committed columns so remote factor replicas track the
+	// driver's copies entry for entry.
+	columns := func() ([]byte, error) { return encodeColumns(mode, spec.Col, span, a), nil }
+
+	for ; spec.Col < d.ex.cfg.Rank; spec.Col += span {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// Stage: every partition evaluates, for each row, the error
-		// difference of its column range between the two candidate values
-		// (Algorithm 4 lines 4-9 reduced to the flipped cells only). The
-		// local path hands the driver the task's own accumulator by
-		// reference; only a remote backend pays an encode and a decode.
-		evalSpec := transport.Spec{Name: "eval:" + name, Kind: transport.KindEval, Mode: mode, Col: c, Tasks: n}
-		err := d.cl.RunStage(ctx, evalSpec, func(pi int) (err error) {
-			deltas[pi], err = d.ex.eval(mode, pi, c)
-			return err
-		}, func(pi int, payload []byte) (err error) {
-			deltas[pi], err = decodeDeltas(payload, p)
-			return err
-		})
-		if err != nil {
+		span = d.ex.stageSpan(spec.Col)
+		if err := d.cl.RunStage(ctx, spec, local, sink); err != nil {
 			return err
 		}
-		// The driver collects P differences from every partition — one
-		// int64 per row, half of Lemma 7's two-errors-per-row bound — and
-		// commits the column (Algorithm 4 lines 10-12): set the entry
-		// exactly when candidate 1's total error is strictly smaller,
-		// i.e. when the summed difference is negative.
-		d.cl.Collect(int64(n) * int64(p) * 8)
-		err = d.cl.DriverNamed(ctx, "commit:"+name, func() {
-			for r := 0; r < p; r++ {
-				var t int64
-				for pi := 0; pi < n; pi++ {
-					t += deltas[pi][r]
-				}
-				a.Set(r, c, t < 0)
-			}
-		})
-		if err != nil {
+		// The driver collects one int32 per lane and row from every
+		// partition: 12 B a row for two columns, where Lemma 7's two errors
+		// per row and column would be 32.
+		d.cl.Collect(int64(n) * int64(p) * 4 * int64(laneCount(span)))
+		if err := d.cl.DriverNamed(ctx, commitName, commit); err != nil {
 			return err
 		}
-		// Replicate the committed column so remote factor replicas track
-		// the driver's copies entry for entry.
-		err = d.cl.PushState(ctx, transport.StateColumn, func() ([]byte, error) { return encodeColumn(mode, c, a), nil })
-		if err != nil {
+		if err := d.cl.PushState(ctx, transport.StateColumn, columns); err != nil {
 			return err
 		}
 	}

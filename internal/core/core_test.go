@@ -241,7 +241,7 @@ func newTestDecomposition(t *testing.T, x *tensor.Tensor, opt Options, machines 
 	}
 	i, j, k := x.Dims()
 	d := &decomposition{ctx: context.Background(), x: x, cl: cl, opt: opt,
-		ex: newExecutor(cfg, [3]int{i, j, k}, machines, cl.MachineFor)}
+		ex: newExecutor(cfg, [3]int{i, j, k}, machines, cl.MachineFor, lookahead)}
 	if err := d.partitionAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -260,8 +260,8 @@ func updateMode(t *testing.T, d *decomposition, mode int, a, b, c *boolmat.Facto
 }
 
 // TestMachineLossRebuildsInheritedTables: a simulated machine loss does the
-// work a real one does. A machine lost between two columns of an update
-// takes its cache tables with it, so by the end of the next column's stage
+// work a real one does. A machine lost between two stages of an update
+// takes its cache tables with it, so by the end of the next stage
 // the survivor that inherited its partition has built — in its own registry,
 // before any setFactors — a table for every row range the partition reads,
 // the cut ranges no partition of its own shares included.
@@ -301,14 +301,15 @@ func TestMachineLossRebuildsInheritedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d = &decomposition{ctx: context.Background(), x: x, cl: cl, ex: newExecutor(cfg, [3]int{8, 6, 5}, machines, cl.MachineFor)}
+	d = &decomposition{ctx: context.Background(), x: x, cl: cl, ex: newExecutor(cfg, [3]int{8, 6, 5}, machines, cl.MachineFor, lookahead)}
 	cl.OnMachineLoss(d.machineLost)
 	if err := d.partitionAll(); err != nil { // stage 0
 		t.Fatal(err)
 	}
-	updateMode(t, d, 0, a, b, c) // stages 1..rank, one per column
-	if lossStage < 2 || lossStage > rank || !checked {
-		t.Fatalf("first loss at stage %d (checked %v), want one between two columns of the update (stages 2..%d): pick another fault seed", lossStage, checked, rank)
+	const stages = (rank + lookahead - 1) / lookahead
+	updateMode(t, d, 0, a, b, c) // stages 1..stages, one per pair of columns
+	if lossStage < 2 || lossStage > stages || !checked {
+		t.Fatalf("first loss at stage %d (checked %v), want one between two stages of the update (stages 2..%d): pick another fault seed", lossStage, checked, stages)
 	}
 }
 

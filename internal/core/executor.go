@@ -46,6 +46,9 @@ var modeRoles = [3]struct {
 type executor struct {
 	cfg  runConfig
 	dims [3]int
+	// span is the most columns one eval stage decides: lookahead, except in
+	// the tests that schedule one column a stage as the lookahead's oracle.
+	span int
 	// reg[m] shares row-summation caches among the partitions placed on
 	// machine m (Lemmas 4 and 5 count the build once per machine); place(pi)
 	// is the machine partition pi currently runs on.
@@ -57,13 +60,17 @@ type executor struct {
 	f [3]*boolmat.FactorMatrix
 	// tasks[mode][pi] is the column task of partition pi for the mode's
 	// update, sized once by setup; eval states when an entry is valid.
-	tasks [3][]*columnTask
+	// deltas[mode][pi] holds partition pi's lanes of the mode's stage in
+	// flight (see lanes): made at first use and kept for the run — an
+	// update's tasks go at the next setFactors, their buffers need not.
+	tasks  [3][]*columnTask
+	deltas [3][][]int32
 }
 
 // newExecutor returns an executor spanning machines logical machines,
 // before setup.
-func newExecutor(cfg runConfig, dims [3]int, machines int, place func(pi int) int) *executor {
-	ex := &executor{cfg: cfg, dims: dims, reg: make([]*machineRegistry, machines), place: place}
+func newExecutor(cfg runConfig, dims [3]int, machines int, place func(pi int) int, span int) *executor {
+	ex := &executor{cfg: cfg, dims: dims, span: span, reg: make([]*machineRegistry, machines), place: place}
 	for m := range ex.reg {
 		ex.reg[m] = &machineRegistry{entries: map[registryKey]*machineCache{}}
 	}
@@ -86,6 +93,7 @@ func (ex *executor) setup(ux [3]*tensor.Unfolded, each func(n int, fn func(m int
 	for m, u := range ux {
 		u.Recycle()
 		ex.tasks[m] = make([]*columnTask, len(ex.px[m].Parts))
+		ex.deltas[m] = make([][]int32, len(ex.px[m].Parts))
 	}
 	return nil
 }
@@ -180,15 +188,31 @@ func (ex *executor) build(mode, pi int) (*columnTask, error) {
 		return nil, err
 	}
 	role := modeRoles[mode]
-	t := buildColumnTask(part, ex.f[role.upd], ex.f[role.pvm], ex.summers(pi, part, ex.f[role.cached]), ex.cfg.NoCache)
+	t := buildColumnTask(part, ex.f[role.upd], ex.f[role.pvm], ex.summers(pi, part, ex.f[role.cached]), ex.lanes(mode, pi), ex.cfg.NoCache)
 	ex.tasks[mode][pi] = t
 	return t, nil
 }
 
-// eval evaluates column col of the mode's update on partition pi and
-// returns the per-row error differences e1 − e0 (Algorithm 4, lines 4-9).
-// The slice is the task's own accumulator, valid until the task's next
-// eval: the driver reads it in place, a worker encodes it.
+// lanes returns the buffer for partition pi's per-row error differences in
+// the mode's update, sized for the widest stage: the accumulator of every
+// column task built for the partition here, and what the driver decodes
+// the partition's reply into when the task ran on a remote executor.
+func (ex *executor) lanes(mode, pi int) []int32 {
+	if ex.deltas[mode][pi] == nil {
+		ex.deltas[mode][pi] = make([]int32, ex.dims[modeRoles[mode].upd]*laneCount(ex.span))
+	}
+	return ex.deltas[mode][pi]
+}
+
+// stageSpan returns how many columns the eval stage starting at column col
+// decides: the lookahead, cut to one for the last column of an odd rank.
+func (ex *executor) stageSpan(col int) int { return min(ex.span, ex.cfg.Rank-col) }
+
+// eval evaluates the stage that starts at column col of the mode's update
+// on partition pi and returns the per-row error differences e1 − e0
+// (Algorithm 4, lines 4-9), laneCount(stageSpan(col)) to a row: see
+// columnTask.eval. The slice is the task's own accumulator, valid until the
+// task's next eval: the driver reads it in place, a worker encodes it.
 //
 // This is the one place a column task comes into being and the one rule
 // of how long it lives: setFactors empties the task table (a task holds
@@ -198,9 +222,9 @@ func (ex *executor) build(mode, pi int) (*columnTask, error) {
 // 0 on the partition's home, a later column on the executor a reassignment
 // or a rejoin moved it to, driver and worker alike; the paper's lazy
 // mapPartitions is pipelined into its first collect the same way. Which
-// column comes first cannot matter: evalColumn keeps nothing across columns
-// and the cached matrix does not change during its own mode's update.
-func (ex *executor) eval(mode, pi, col int) ([]int64, error) {
+// column comes first cannot matter: a task keeps nothing across stages and
+// the cached matrix does not change during its own mode's update.
+func (ex *executor) eval(mode, pi, col int) ([]int32, error) {
 	if _, err := ex.part(mode, pi); err != nil {
 		return nil, err
 	}
@@ -214,8 +238,7 @@ func (ex *executor) eval(mode, pi, col int) ([]int64, error) {
 			return nil, err
 		}
 	}
-	t.evalColumn(col)
-	return t.deltas, nil
+	return t.eval(col, ex.stageSpan(col)), nil
 }
 
 // totalError computes mode-1 partition pi's share of |X ⊕ X̂|.

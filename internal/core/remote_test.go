@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -180,7 +182,7 @@ func TestWorkerRejectsOutOfOrderState(t *testing.T) {
 	if err := w.Apply(transport.StateSetup, setup); err != nil {
 		t.Fatalf("valid setup rejected: %v", err)
 	}
-	if err := w.Apply(transport.StateColumn, encodeColumn(0, 0, boolmat.RandomFactor(rng, 5, 2, 0.5))); err == nil {
+	if err := w.Apply(transport.StateColumn, encodeColumns(0, 0, 1, boolmat.RandomFactor(rng, 5, 2, 0.5))); err == nil {
 		t.Fatal("column push before factors succeeded")
 	}
 	if _, err := w.RunBatch(transport.Spec{Name: "eval:A", Kind: transport.KindEval, Mode: 0, Col: 0}, []int{0}); err == nil {
@@ -231,6 +233,35 @@ func TestSetupCodecRoundTrip(t *testing.T) {
 	}
 	if _, _, err := decodeSetup(blob); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("rank %d: got %v, want the range check", cfg.Rank, err)
+	}
+}
+
+// TestDeltasCodecInsistsOnShape: the driver knows how many rows and lanes
+// the stage it shipped must answer with, and an eval reply of any other
+// shape — a one-lane reply to a three-lane stage, a short buffer, trailing
+// bytes — is an error, never a mis-read.
+func TestDeltasCodecInsistsOnShape(t *testing.T) {
+	deltas := []int32{-3, 0, 7, math.MinInt32, math.MaxInt32, -1}
+	three, one := encodeDeltas(deltas, 3), encodeDeltas(deltas, 1)
+	got := make([]int32, len(deltas))
+	if err := decodeDeltas(three, 2, 3, got); err != nil || !reflect.DeepEqual(got, deltas) {
+		t.Fatalf("round trip of 2 rows × 3 lanes: %v, %v", got, err)
+	}
+	for name, tc := range map[string]struct {
+		payload     []byte
+		rows, lanes int
+	}{
+		"one lane answering a three-lane stage":  {one, 2, 3},
+		"three lanes answering a one-lane stage": {three, 2, 1},
+		"wrong row count":                        {three, 3, 3},
+		"short buffer":                           {three[:len(three)-1], 2, 3},
+		"trailing byte":                          {append(slices.Clone(three), 0), 2, 3},
+		"header only":                            {three[:deltasHeaderLen], 2, 3},
+		"cut header":                             {three[:deltasHeaderLen-1], 2, 3},
+	} {
+		if err := decodeDeltas(tc.payload, tc.rows, tc.lanes, make([]int32, tc.rows*tc.lanes)); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }
 
@@ -338,8 +369,9 @@ func TestWorkerBatchErrorAttribution(t *testing.T) {
 // TestWorkerBuildsTaskAtFirstEvalOfAnyColumn pins the one rule of a column
 // task's life on the executor side (executor.eval): a worker handed a
 // partition mid-update — it holds the set-up, the factors and every column
-// push, but was never asked for that partition — answers column 5 with the
-// same deltas as the worker that evaluated columns 0…5 in order. That is
+// push, but was never asked for that partition — answers the stage of
+// columns 4 and 5 with the same deltas as the worker that evaluated the
+// stages of columns 0…5 in order. That is
 // what a reassignment after a loss, a rejoin, and the ordinary first column
 // of an update all rely on.
 func TestWorkerBuildsTaskAtFirstEvalOfAnyColumn(t *testing.T) {
@@ -364,13 +396,13 @@ func TestWorkerBuildsTaskAtFirstEvalOfAnyColumn(t *testing.T) {
 	const mode, part = 1, 1
 	spec := transport.Spec{Name: "eval:B", Kind: transport.KindEval, Mode: mode, Tasks: 2}
 	committed := boolmat.RandomFactor(rng, 8, rank, 0.5)
-	for spec.Col = 0; spec.Col < rank-1; spec.Col++ {
+	for spec.Col = 0; spec.Col < rank-lookahead; spec.Col += lookahead {
 		if _, err := home.RunBatch(spec, []int{part}); err != nil {
 			t.Fatalf("column %d: %v", spec.Col, err)
 		}
-		// The driver commits the column everywhere, asked or not.
+		// The driver commits the stage's columns everywhere, asked or not.
 		for _, w := range []*Worker{home, heir} {
-			if err := w.Apply(transport.StateColumn, encodeColumn(mode, spec.Col, committed)); err != nil {
+			if err := w.Apply(transport.StateColumn, encodeColumns(mode, spec.Col, lookahead, committed)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -384,6 +416,6 @@ func TestWorkerBuildsTaskAtFirstEvalOfAnyColumn(t *testing.T) {
 		t.Fatalf("first eval on the heir: %v", err)
 	}
 	if string(got[0].Payload) != string(want[0].Payload) {
-		t.Fatalf("column %d evaluated first on the heir differs from the home's, evaluated in order", spec.Col)
+		t.Fatalf("the stage at column %d evaluated first on the heir differs from the home's, evaluated in order", spec.Col)
 	}
 }

@@ -158,15 +158,17 @@ func TestStageTasksCarryProfileLabels(t *testing.T) {
 }
 
 // TestRunStagesAreColumnsAndOneError pins the round count, the paper's
-// makespan unit: a run synchronises once to partition, once per column of
-// every factor update and once per total error — R rounds per mode as
-// Algorithm 4 has them, nothing that only warms state — and it does so on
-// the simulator and over Worker hosts alike.
+// makespan unit: a run synchronises once to partition, once per pair of
+// columns of every factor update — plus once for the odd rank's last column
+// — and once per total error: ⌈R/2⌉ rounds per mode where Algorithm 4 has
+// R, nothing that only warms state — and it does so on the simulator and
+// over Worker hosts alike.
 func TestRunStagesAreColumnsAndOneError(t *testing.T) {
 	const rank, sets, iters = 3, 2, 3
 	x := randomTensor(rand.New(rand.NewSource(13)), 10, 9, 8, 0.2)
 	opt := Options{Rank: rank, Seed: 13, InitialSets: sets, MinIter: iters, MaxIter: iters, Partitions: 3}
-	want := int64(sets*(3*rank+1) + (iters-1)*(3*rank+1) + 1)
+	const perSet = 3*((rank+lookahead-1)/lookahead) + 1
+	want := int64(1 + (sets+iters-1)*perSet)
 	allowed := map[string]bool{"partition": true, "eval:A": true, "eval:B": true, "eval:C": true, "total-error": true}
 	for _, backend := range []string{"simulator", "hostTransport"} {
 		buf := &trace.Buffer{}
@@ -185,12 +187,12 @@ func TestRunStagesAreColumnsAndOneError(t *testing.T) {
 			}
 			stages++
 			if !allowed[ev.Name] {
-				t.Errorf("%s: stage %q is neither the partitioning, a column, nor a total error", backend, ev.Name)
+				t.Errorf("%s: stage %q is neither the partitioning, a column stage, nor a total error", backend, ev.Name)
 			}
 		}
 		if stages != want || res.Stats.Stages != want {
-			t.Errorf("%s: %d stage spans, Stats.Stages %d, want %d = %d·(3·%d+1) + %d·(3·%d+1) + 1",
-				backend, stages, res.Stats.Stages, want, sets, rank, iters-1, rank)
+			t.Errorf("%s: %d stage spans, Stats.Stages %d, want %d = 1 + (%d+%d−1)·(3·⌈%d/%d⌉+1)",
+				backend, stages, res.Stats.Stages, want, sets, iters, rank, lookahead)
 		}
 	}
 }

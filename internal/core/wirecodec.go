@@ -80,73 +80,87 @@ func decodeFactors(payload []byte) (a, b, c *boolmat.FactorMatrix, err error) {
 	return a, b, c, nil
 }
 
-// columnHeaderLen is the StateColumn header: u8 mode, u8 pad, u16 column,
-// u32 row count; the packed column bits follow.
+// columnHeaderLen is the StateColumn header: u8 mode, u8 column count, u16
+// first column, u32 row count; each column's packed bits follow in turn.
 const columnHeaderLen = 8
 
-// encodeColumn snapshots column col of factor matrix m (the factor
-// updated in mode modeIdx) as a packed bit vector.
-func encodeColumn(modeIdx, col int, m *boolmat.FactorMatrix) []byte {
+// encodeColumns snapshots columns [col, col+span) of factor matrix m (the
+// factor updated in mode modeIdx) — the columns one eval stage committed —
+// as packed bit vectors.
+func encodeColumns(modeIdx, col, span int, m *boolmat.FactorMatrix) []byte {
 	rows := m.Rows()
-	out := make([]byte, columnHeaderLen+(rows+7)/8)
-	out[0] = byte(modeIdx)
+	stride := (rows + 7) / 8
+	out := make([]byte, columnHeaderLen+span*stride)
+	out[0], out[1] = byte(modeIdx), byte(span)
 	binary.LittleEndian.PutUint16(out[2:], uint16(col))
 	binary.LittleEndian.PutUint32(out[4:], uint32(rows))
-	for r := 0; r < rows; r++ {
-		if m.Get(r, col) {
-			out[columnHeaderLen+r/8] |= 1 << uint(r%8)
+	for j := 0; j < span; j++ {
+		bits := out[columnHeaderLen+j*stride:]
+		for r := 0; r < rows; r++ {
+			if m.Get(r, col+j) {
+				bits[r/8] |= 1 << uint(r%8)
+			}
 		}
 	}
 	return out
 }
 
-func decodeColumn(payload []byte) (modeIdx, col, rows int, bits []byte, err error) {
+// decodeColumns unpacks a StateColumn payload: bits holds span columns of
+// ⌈rows/8⌉ bytes each, the first being column col.
+func decodeColumns(payload []byte) (modeIdx, col, span, rows int, bits []byte, err error) {
 	if len(payload) < columnHeaderLen {
-		return 0, 0, 0, nil, fmt.Errorf("core: column payload truncated: %d bytes", len(payload))
+		return 0, 0, 0, 0, nil, fmt.Errorf("core: column payload truncated: %d bytes", len(payload))
 	}
-	modeIdx = int(payload[0])
+	modeIdx, span = int(payload[0]), int(payload[1])
 	col = int(binary.LittleEndian.Uint16(payload[2:]))
 	rows = int(binary.LittleEndian.Uint32(payload[4:]))
 	bits = payload[columnHeaderLen:]
-	if want := (rows + 7) / 8; len(bits) != want {
-		return 0, 0, 0, nil, fmt.Errorf("core: column payload has %d bit bytes, want %d for %d rows", len(bits), want, rows)
+	if span < 1 || span > lookahead {
+		return 0, 0, 0, 0, nil, fmt.Errorf("core: column payload holds %d columns, want 1 to %d", span, lookahead)
+	}
+	if want := span * ((rows + 7) / 8); len(bits) != want {
+		return 0, 0, 0, 0, nil, fmt.Errorf("core: column payload has %d bit bytes, want %d for %d columns of %d rows", len(bits), want, span, rows)
 	}
 	if modeIdx < 0 || modeIdx > 2 {
-		return 0, 0, 0, nil, fmt.Errorf("core: column payload mode %d outside [0,2]", modeIdx)
+		return 0, 0, 0, 0, nil, fmt.Errorf("core: column payload mode %d outside [0,2]", modeIdx)
 	}
-	return modeIdx, col, rows, bits, nil
+	return modeIdx, col, span, rows, bits, nil
 }
 
-// encodeDeltas packs one eval task's per-row error differences
-// (KindEval's result payload).
-func encodeDeltas(deltas []int64) []byte {
-	out := make([]byte, 4+8*len(deltas))
-	binary.LittleEndian.PutUint32(out, uint32(len(deltas)))
+// deltasHeaderLen is KindEval's result header: u32 row count, u8 lanes per
+// row; rows × lanes little-endian int32 follow, row by row.
+const deltasHeaderLen = 5
+
+// encodeDeltas packs one eval task's per-row error differences, lanes to a
+// row (see columnTask.deltas for why int32 carries them).
+func encodeDeltas(deltas []int32, lanes int) []byte {
+	out := make([]byte, deltasHeaderLen+4*len(deltas))
+	binary.LittleEndian.PutUint32(out, uint32(len(deltas)/lanes))
+	out[4] = byte(lanes)
 	for i, d := range deltas {
-		binary.LittleEndian.PutUint64(out[4+8*i:], uint64(d))
+		binary.LittleEndian.PutUint32(out[deltasHeaderLen+4*i:], uint32(d))
 	}
 	return out
 }
 
-// decodeDeltas unpacks an eval payload, insisting on exactly rows entries
-// — the driver knows the factor's row count and a mismatched executor
+// decodeDeltas unpacks an eval payload into dst[:rows·lanes], insisting on
+// exactly rows rows of lanes lanes and not a byte more — the driver knows
+// the factor's row count and the stage's span, and a mismatched executor
 // must fail loudly, not silently mis-commit columns.
-func decodeDeltas(payload []byte, rows int) ([]int64, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("core: deltas payload truncated: %d bytes", len(payload))
+func decodeDeltas(payload []byte, rows, lanes int, dst []int32) error {
+	if len(payload) < deltasHeaderLen {
+		return fmt.Errorf("core: deltas payload truncated: %d bytes", len(payload))
 	}
-	n := int(binary.LittleEndian.Uint32(payload))
-	if n != rows {
-		return nil, fmt.Errorf("core: deltas payload has %d rows, want %d", n, rows)
+	if n, l := int(binary.LittleEndian.Uint32(payload)), int(payload[4]); n != rows || l != lanes {
+		return fmt.Errorf("core: deltas payload has %d rows of %d lanes, want %d of %d", n, l, rows, lanes)
 	}
-	if len(payload) != 4+8*n {
-		return nil, fmt.Errorf("core: deltas payload is %d bytes, want %d", len(payload), 4+8*n)
+	if want := deltasHeaderLen + 4*rows*lanes; len(payload) != want {
+		return fmt.Errorf("core: deltas payload is %d bytes, want %d", len(payload), want)
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(payload[4+8*i:]))
+	for i := range dst[:rows*lanes] {
+		dst[i] = int32(binary.LittleEndian.Uint32(payload[deltasHeaderLen+4*i:]))
 	}
-	return out, nil
+	return nil
 }
 
 // encodePartial packs one total-error task's partial sum (KindTotalError's

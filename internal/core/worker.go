@@ -23,13 +23,14 @@ type Worker struct {
 	mu sync.Mutex
 	// ex is an empty executor until the first StateSetup push: it holds no
 	// partitions and no factors, so every stage and column push fails its
-	// own address checks instead of needing a "set up yet?" guard here.
+	// own address checks instead of needing a "set up yet?" guard here. Its
+	// stage span is the one thing a set-up carries over to the next executor.
 	//dbtf:guardedby mu
 	ex *executor
 }
 
 // NewWorker returns an empty executor awaiting a StateSetup push.
-func NewWorker() *Worker { return &Worker{ex: &executor{}} }
+func NewWorker() *Worker { return &Worker{ex: &executor{span: lookahead}} }
 
 // Apply installs one replicated-state blob (transport.Host).
 func (w *Worker) Apply(kind transport.StateKind, payload []byte) error {
@@ -45,7 +46,7 @@ func (w *Worker) Apply(kind transport.StateKind, payload []byte) error {
 		}
 		return w.ex.setFactors(a, b, c)
 	case transport.StateColumn:
-		mode, col, rows, bits, err := decodeColumn(payload)
+		mode, col, span, rows, bits, err := decodeColumns(payload)
 		if err != nil {
 			return err
 		}
@@ -53,15 +54,18 @@ func (w *Worker) Apply(kind transport.StateKind, payload []byte) error {
 		if m == nil {
 			return fmt.Errorf("core: worker: column pushed before factors")
 		}
-		if rows != m.Rows() || col >= m.Rank() {
-			return fmt.Errorf("core: worker: column push %d rows/col %d does not fit %dx%d factor",
-				rows, col, m.Rows(), m.Rank())
+		if rows != m.Rows() || col+span > m.Rank() {
+			return fmt.Errorf("core: worker: column push %d rows/cols [%d,%d) does not fit %dx%d factor",
+				rows, col, col+span, m.Rows(), m.Rank())
 		}
 		// In place: live column tasks hold pointers to this matrix and must
 		// observe the committed entries, exactly as the driver's commit
 		// mutates the matrix under its own executor's tasks.
-		for r := 0; r < rows; r++ {
-			m.Set(r, col, bits[r/8]&(1<<uint(r%8)) != 0)
+		for j := 0; j < span; j++ {
+			for r := 0; r < rows; r++ {
+				m.Set(r, col+j, bits[r/8]&(1<<uint(r%8)) != 0)
+			}
+			bits = bits[(rows+7)/8:]
 		}
 		return nil
 	}
@@ -79,7 +83,7 @@ func (w *Worker) applySetupLocked(payload []byte) error {
 	}
 	w.ex.release()
 	i, j, k := x.Dims()
-	w.ex = newExecutor(cfg, [3]int{i, j, k}, 1, func(int) int { return 0 })
+	w.ex = newExecutor(cfg, [3]int{i, j, k}, 1, func(int) int { return 0 }, w.ex.span)
 	return w.ex.setup(x.UnfoldAll(), func(n int, fn func(m int) error) error {
 		for m := 0; m < n; m++ {
 			if err := fn(m); err != nil {
@@ -118,7 +122,7 @@ func (w *Worker) runTaskLocked(spec transport.Spec, task int) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return encodeDeltas(deltas), nil
+		return encodeDeltas(deltas, laneCount(w.ex.stageSpan(spec.Col))), nil
 	case transport.KindTotalError:
 		e, err := w.ex.totalError(task)
 		if err != nil {

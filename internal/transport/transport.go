@@ -25,10 +25,11 @@ import "context"
 type Kind uint8
 
 const (
-	// KindEval evaluates one column of a factor update on one partition,
-	// returning the per-row error deltas. The executor builds the
-	// partition's column-update task (cache tables, buffers) the first time
-	// it is asked for a column after a factor push.
+	// KindEval evaluates one stage of a factor update — two columns, or the
+	// last of an odd rank — on one partition, returning the per-row error
+	// deltas of both. The executor builds the partition's column-update
+	// task (cache tables, buffers) the first time it is asked for a column
+	// after a factor push.
 	KindEval Kind = iota + 1
 	// KindTotalError computes one mode-1 partition's share of the total
 	// reconstruction error.
@@ -57,7 +58,8 @@ type Spec struct {
 	// Mode is the factor update's mode index (0=A, 1=B, 2=C) for KindEval;
 	// unused for KindTotalError.
 	Mode int
-	// Col is the column under evaluation for KindEval.
+	// Col is the first column of the stage for KindEval: the executor
+	// evaluates it and, unless it is the factor's last, the one after it.
 	Col int
 	// Tasks is the number of tasks (partitions) in the stage.
 	Tasks int
@@ -78,9 +80,9 @@ const (
 	// broadcast working set. It invalidates executor-side column tasks
 	// and caches built over previous factor versions.
 	StateFactors
-	// StateColumn applies one committed column of one factor matrix in
-	// place, keeping executor state identical to the coordinator's
-	// between full broadcasts.
+	// StateColumn applies the columns one eval stage committed to one
+	// factor matrix in place, keeping executor state identical to the
+	// coordinator's between full broadcasts.
 	StateColumn
 )
 

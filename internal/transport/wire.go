@@ -15,8 +15,10 @@ import (
 // renumbers the stage kinds (the build kind is gone: a version-3 peer's
 // eval would be read as a total-error); version 5 is a set-up blob one
 // configuration word shorter again (a version-4 peer would read the seed
-// as the init density).
-const ProtoVersion = 5
+// as the init density); version 6 answers an eval with int32 lanes for up
+// to two columns and pushes both columns in one blob (a version-5 peer
+// would read int32 lanes as int64 rows).
+const ProtoVersion = 6
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
 // tighter limit: large enough for a pushed tensor, small enough that a
