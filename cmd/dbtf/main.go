@@ -49,7 +49,7 @@ func (p *progressSink) Write(ev *dbtf.TraceEvent) error {
 	case trace.IterationEnd:
 		// An aborted run closes its open iteration without an error.
 		if ev.Error != nil {
-			fmt.Printf("  iteration %d: error %d\n", ev.Iteration, *ev.Error)
+			fmt.Printf("  iteration %d: error %d, %d entries flipped\n", ev.Iteration, *ev.Error, *ev.Flips)
 		}
 	case trace.Checkpoint:
 		fmt.Printf("  checkpoint: iteration %d, %d bytes\n", p.iter, ev.Bytes)
@@ -238,8 +238,8 @@ func run(args []string) error {
 			fmt.Printf("  initial sets: errors %v\n", res.InitialErrors)
 		}
 		fmt.Printf("dbtf: %d iterations, converged=%v\n", res.Iterations, res.Converged)
-		fmt.Printf("cluster: simulated %v on %d machines; shuffled %d B, broadcast %d B, collected %d B\n",
-			res.SimTime.Round(time.Millisecond), opts.Machines,
+		fmt.Printf("cluster: simulated %v on %d machines in %d stages; shuffled %d B, broadcast %d B, collected %d B\n",
+			res.SimTime.Round(time.Millisecond), opts.Machines, res.Stats.Stages,
 			res.Stats.ShuffledBytes, res.Stats.BroadcastBytes, res.Stats.CollectedBytes)
 		if opts.Faults != nil {
 			fmt.Printf("chaos: %d injected faults, %d retries, %d machine losses, %d recoveries\n",

@@ -258,8 +258,9 @@ func captureStdout(t *testing.T, fn func() error) string {
 }
 
 // TestRunVerbose: -v is a trace sink over the typed event stream. It must
-// print one line per iteration and per checkpoint, and a resumed run must
-// say where it resumed from.
+// print one line per iteration — its error and how many factor entries it
+// flipped — and per checkpoint, and a resumed run must say where it resumed
+// from.
 func TestRunVerbose(t *testing.T) {
 	path := writeTensor(t)
 	dir := t.TempDir()
@@ -276,6 +277,9 @@ func TestRunVerbose(t *testing.T) {
 				t.Errorf("want exactly one %q line, output:\n%s", want, out)
 			}
 		}
+	}
+	if got := strings.Count(out, " entries flipped\n"); got != iters {
+		t.Errorf("%d of %d iteration lines say how many entries flipped:\n%s", got, iters, out)
 	}
 	if strings.Contains(out, "resumed from checkpoint") {
 		t.Errorf("fresh run reports a resume:\n%s", out)

@@ -176,6 +176,15 @@ type Cluster struct {
 	// successfully completed stage.
 	//dbtf:guardedby mu
 	pendingRecoveries int64
+	// labelParent, labelName and labelled memoise the last stage context
+	// labelledContext derived: the stages of one factor update arrive with
+	// one context and one name, and share one labelled context.
+	//dbtf:guardedby mu
+	labelParent context.Context
+	//dbtf:guardedby mu
+	labelName string
+	//dbtf:guardedby mu
+	labelled context.Context
 }
 
 // Validate reports what is wrong with the configuration, nil when New
@@ -382,20 +391,34 @@ func (c *Cluster) chargeRecoveryLocked(bytes int64) {
 	}
 }
 
-// stageState is the per-stage accounting shared by the stage's workers.
-// Everything here is merged into the cluster's cumulative counters in one
-// critical section at the stage boundary, so concurrent Stats snapshots
-// never observe a half-published stage.
+// stageState is one stage in flight: what its worker goroutines run and
+// share, and the per-stage accounting. The accounting is merged into the
+// cluster's cumulative counters in one critical section at the stage
+// boundary, so concurrent Stats snapshots never observe a half-published
+// stage. States are recycled through stagePool — a stage costs no state of
+// its own — so nothing may hold one past releaseStage.
 type stageState struct {
+	c *Cluster
+	// ctx is what the tasks are cancelled by; on the simulated backend it
+	// also carries the stage's pprof labels. fn is the task, n their number.
 	ctx context.Context
 	fn  func(int) error
-	// stage, label and beginSim identify the stage in trace events:
-	// index, human label, and the simulated clock at the stage boundary
-	// (in-stage events resolve at the boundary on the simulated clock).
-	// Written only before the stage starts.
+	n   int
+	// stage, label and beginSim identify the stage in trace events and
+	// errors: index, human label, and the simulated clock at the stage
+	// boundary (in-stage events resolve at the boundary on the simulated
+	// clock). Written only before the stage starts.
 	stage    int64
 	label    string
 	beginSim int64
+
+	// wg joins the workers; next hands out task indices; failed stops the
+	// hand-out at the first failure, whose error the goroutine that flipped
+	// it leaves in firstErr for the stage to read after the join.
+	wg       sync.WaitGroup
+	next     atomic.Int64
+	failed   atomic.Bool
+	firstErr error
 
 	mu sync.Mutex
 	// perMachine sums simulated task nanos per logical machine.
@@ -405,6 +428,20 @@ type stageState struct {
 	retries int64
 	//dbtf:guardedby mu
 	injected int64
+}
+
+// stagePool is the free list of stage states. It is shared by every cluster
+// of the process: concurrent stages, on one cluster or several, each take
+// their own.
+var stagePool = sync.Pool{New: func() any { return new(stageState) }}
+
+// releaseStage returns a joined stage's state to the free list, zeroed but
+// for the ledger's backing array.
+//
+//dbtf:allow-unguarded st: the stage is over and its workers joined, so st is no longer shared
+func releaseStage(st *stageState) {
+	*st = stageState{perMachine: st.perMachine[:0]}
+	stagePool.Put(st)
 }
 
 func (st *stageState) charge(machine int, nanos int64) {
@@ -417,6 +454,13 @@ func (st *stageState) bump(counter *int64) {
 	st.mu.Lock()
 	*counter++
 	st.mu.Unlock()
+}
+
+// fail records the stage's first failure and stops the task hand-out.
+func (st *stageState) fail(err error) {
+	if st.failed.CompareAndSwap(false, true) {
+		st.firstErr = err
+	}
 }
 
 // transition is one machine liveness change applied at a stage boundary.
@@ -478,9 +522,10 @@ func (c *Cluster) announce(applied []transition, stage, sim, recoveryBytes int64
 
 // beginStage numbers the stage, applies scheduled machine rejoins and
 // losses at its boundary, invokes the loss handler for every machine lost,
-// and returns fresh per-stage accounting. Liveness events and the stage's
-// begin event are emitted at the boundary, before any task runs — losses
-// are therefore never inside a stage span on the trace.
+// and returns the stage's state with zeroed accounting, which the caller
+// hands to releaseStage once the stage has ended. Liveness events and the
+// stage's begin event are emitted at the boundary, before any task runs —
+// losses are therefore never inside a stage span on the trace.
 func (c *Cluster) beginStage(ctx context.Context, name string, n int, fn func(int) error) *stageState {
 	var applied []transition
 	c.mu.Lock()
@@ -511,11 +556,11 @@ func (c *Cluster) beginStage(ctx context.Context, name string, n int, fn func(in
 		ev.Stage, ev.Name, ev.Tasks, ev.SimNanos = stage, name, n, beginSim
 		c.tracer.Emit(ev)
 	}
-	return &stageState{
-		ctx: ctx, fn: fn,
-		stage: stage, label: name, beginSim: beginSim,
-		perMachine: make([]int64, c.machines),
-	}
+	st := stagePool.Get().(*stageState)
+	st.c, st.ctx, st.fn, st.n = c, ctx, fn, n
+	st.stage, st.label, st.beginSim = stage, name, beginSim
+	st.perMachine = append(st.perMachine, make([]int64, c.machines)...)
+	return st
 }
 
 // endStage merges the stage's accounting into the cumulative counters in
@@ -614,75 +659,84 @@ func (c *Cluster) ForEachNamed(ctx context.Context, name string, n int, fn func(
 		ctx = context.Background()
 	}
 	st := c.beginStage(ctx, name, n, fn)
-
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		failed   atomic.Bool
-		firstErr atomic.Value
-	)
-	fail := func(err error) {
-		if failed.CompareAndSwap(false, true) {
-			firstErr.Store(err)
-		}
+	defer releaseStage(st)
+	if name == "" {
+		name = fmt.Sprintf("stage %d", st.stage)
 	}
-	workers := c.parallelism
-	if workers > n {
-		workers = n
-	}
-	label := name
-	if label == "" {
-		label = fmt.Sprintf("stage %d", st.stage)
-	}
-	// One labelled context per stage: WithLabels merges the "stage" label
-	// with any labels the caller attached to ctx (the decomposition driver
-	// sets "mode" and "iteration"), so profiles slice by stage × mode ×
-	// iteration. Every worker goroutine adopts it; the goroutines end with
-	// the stage, so there is no label set to restore.
-	ctx = pprof.WithLabels(ctx, pprof.Labels("stage", label))
+	// One labelled context per stage: the "stage" label merged with any
+	// labels the caller attached to ctx (the decomposition driver sets "mode"
+	// and "iteration"), so profiles slice by stage × mode × iteration. Every
+	// worker goroutine adopts it; the goroutines end with the stage, so there
+	// is no label set to restore.
+	st.ctx = c.labelledContext(ctx, name)
+	workers := min(c.parallelism, n)
+	st.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pprof.SetGoroutineLabels(ctx)
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= n || failed.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				assigned := c.MachineFor(t)
-				if c.gate != nil {
-					// Host-CPU admission across clusters; the wait is
-					// real-host contention, never simulated time.
-					if err := c.gate.acquire(ctx); err != nil {
-						fail(err)
-						return
-					}
-				}
-				simNanos, err := c.runAttempts(st, t, assigned)
-				if c.gate != nil {
-					c.gate.release()
-				}
-				st.charge(assigned, simNanos)
-				if err != nil {
-					// A task failure — including a recovered panic —
-					// surfaces as an error naming the stage; it never
-					// crashes the coordinator.
-					fail(stageError(label, err))
-					return
-				}
-			}
-		}()
+		go st.runTasks()
 	}
-	wg.Wait()
+	st.wg.Wait()
 
-	err, _ := firstErr.Load().(error)
+	err := st.firstErr
+	if err != nil {
+		// A task failure — including a recovered panic — surfaces as an
+		// error naming the stage; it never crashes the coordinator.
+		err = stageError(name, err)
+	}
 	c.endStage(st, err == nil)
 	return err
+}
+
+// labelledContext returns ctx with the "stage" pprof label set to name. The
+// last derivation is kept: a factor update runs its ⌈R/2⌉ stages under one
+// context and one name, and pprof.WithLabels merges the whole label set anew
+// on every call. Concurrent stages may take turns overwriting the memo; each
+// still gets a context derived from its own. The comparison is ==, which
+// wants a comparable dynamic type: every context the standard library makes
+// is a pointer.
+func (c *Cluster) labelledContext(ctx context.Context, name string) context.Context {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.labelled == nil || c.labelParent != ctx || c.labelName != name {
+		c.labelParent, c.labelName = ctx, name
+		c.labelled = pprof.WithLabels(ctx, pprof.Labels("stage", name))
+	}
+	return c.labelled
+}
+
+// runTasks is one worker goroutine of a simulated stage: it takes task
+// indices until they run out, the stage fails or its context is done.
+func (st *stageState) runTasks() {
+	defer st.wg.Done()
+	c := st.c
+	pprof.SetGoroutineLabels(st.ctx)
+	for {
+		t := int(st.next.Add(1)) - 1
+		if t >= st.n || st.failed.Load() {
+			return
+		}
+		if err := st.ctx.Err(); err != nil {
+			st.fail(err)
+			return
+		}
+		assigned := c.MachineFor(t)
+		if c.gate != nil {
+			// Host-CPU admission across clusters; the wait is real-host
+			// contention, never simulated time.
+			if err := c.gate.acquire(st.ctx); err != nil {
+				st.fail(err)
+				return
+			}
+		}
+		simNanos, err := c.runAttempts(st, t, assigned)
+		if c.gate != nil {
+			c.gate.release()
+		}
+		st.charge(assigned, simNanos)
+		if err != nil {
+			st.fail(err)
+			return
+		}
+	}
 }
 
 // runAttempts executes task t until one attempt succeeds or maxAttempts are

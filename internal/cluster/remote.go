@@ -39,6 +39,7 @@ func (c *Cluster) runStageRemote(ctx context.Context, spec transport.Spec, sink 
 	}
 	c.applyLiveness(c.transport.Membership(ctx))
 	st := c.beginStage(ctx, spec.Name, spec.Tasks, nil)
+	defer releaseStage(st)
 	sentBefore, recvBefore := c.transport.WireBytes()
 	err := ctx.Err()
 	if err == nil {

@@ -426,13 +426,14 @@ func decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 	var a, b, c *boolmat.FactorMatrix
 	var prevErr int64
 
-	// finish closes completed iteration t at error e: record it, checkpoint
-	// on the period (and always at the last iteration), then poll for
-	// eviction. A run that just converged or finished its last iteration is
-	// about to return its result and is never evicted; an evicted one gets
-	// the boundary's state checkpointed (unless the periodic write just
-	// did) so a Resume continues bit-identically.
-	finish := func(t int, e, improvement int64) error {
+	// finish closes completed iteration t at error e, its commits having
+	// changed flips entries: record it, checkpoint on the period (and always
+	// at the last iteration), then poll for eviction. A run that just
+	// converged or finished its last iteration is about to return its result
+	// and is never evicted; an evicted one gets the boundary's state
+	// checkpointed (unless the periodic write just did) so a Resume continues
+	// bit-identically.
+	finish := func(t int, e, improvement, flips int64) error {
 		res.Iterations, prevErr = t, e
 		res.IterationErrors = append(res.IterationErrors, e)
 		wrote := checkpointing && (t%every == 0 || res.Converged || t == cfg.MaxIter)
@@ -442,7 +443,7 @@ func decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 				return err
 			}
 		}
-		d.endIteration(t, e, improvement)
+		d.endIteration(t, e, improvement, flips)
 		if stop {
 			return fmt.Errorf("%w (after iteration %d)", ErrPreempted, t)
 		}
@@ -458,15 +459,18 @@ func decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 		res.Converged = resumed.Converged
 	} else {
 		// First iteration: try L random initial sets and keep the best
-		// (Algorithm 2, lines 5-8). Each set's caches and column tasks are
-		// dropped when the next set's factors are installed; with a single
-		// set they stay live, so the cache totalError built over b serves
-		// iteration 2's A-update. Only initialSet draws from the RNG, and
-		// checkpoints exist only at iteration boundaries, after the last
-		// draw: a resumed run never needs the stream, so none is saved.
+		// (Algorithm 2, lines 5-8), each evaluated by the run's only
+		// total-error stages: an initial set has no objective to carry from.
+		// Each set's caches and column tasks are dropped when the next set's
+		// factors are installed; with a single set they stay live, so the
+		// cache totalError built over b serves iteration 2's A-update. Only
+		// initialSet draws from the RNG, and checkpoints exist only at
+		// iteration boundaries, after the last draw: a resumed run never
+		// needs the stream, so none is saved.
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		d.beginIteration(1)
 		best := int64(math.MaxInt64)
+		var bestFlips int64
 		for l := 0; l < cfg.InitialSets; l++ {
 			// Drawing the initial factors is driver-side work like the
 			// unfold: a named span charges its wall time to the driver
@@ -478,7 +482,8 @@ func decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 			}); err != nil {
 				return nil, err
 			}
-			if err := d.updateFactors(ia, ib, ic); err != nil {
+			sweep, err := d.updateFactors(ia, ib, ic)
+			if err != nil {
 				return nil, err
 			}
 			e, err := d.totalError()
@@ -487,25 +492,27 @@ func decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 			}
 			res.InitialErrors = append(res.InitialErrors, e)
 			if e < best {
-				a, b, c, best = ia, ib, ic, e
+				a, b, c, best, bestFlips = ia, ib, ic, e, sweep.flips
 			}
 		}
-		if err := finish(1, best, 0); err != nil {
+		if err := finish(1, best, 0, bestFlips); err != nil {
 			return nil, err
 		}
 	}
 
+	// Every later iteration carries the objective through its commits
+	// (committed): no stage recounts what the commits already summed, so an
+	// iteration is its 3⌈R/2⌉ deciding rounds, and a resumed run, starting
+	// from the checkpoint's error, runs no total-error stage at all.
 	for t := res.Iterations + 1; t <= cfg.MaxIter && !res.Converged; t++ {
 		d.beginIteration(t)
-		if err := d.updateFactors(a, b, c); err != nil {
-			return nil, err
-		}
-		e, err := d.totalError()
+		sweep, err := d.updateFactors(a, b, c)
 		if err != nil {
 			return nil, err
 		}
+		e := prevErr + sweep.objective
 		res.Converged = t >= cfg.MinIter && prevErr-e <= cfg.Tolerance
-		if err := finish(t, e, prevErr-e); err != nil {
+		if err := finish(t, e, prevErr-e, sweep.flips); err != nil {
 			return nil, err
 		}
 	}
@@ -639,8 +646,10 @@ func (d *decomposition) beginIteration(t int) {
 }
 
 // endIteration closes iteration t's span, attaching the reconstruction
-// error after the iteration and its improvement over the previous one.
-func (d *decomposition) endIteration(t int, e, improvement int64) {
+// error after the iteration, its improvement over the previous one and the
+// number of factor entries the iteration's commits changed (the kept set's,
+// in iteration 1).
+func (d *decomposition) endIteration(t int, e, improvement, flips int64) {
 	d.openIter = 0
 	if tr := d.cl.Tracer(); tr.Enabled() {
 		ev := trace.NewEvent(trace.IterationEnd)
@@ -648,6 +657,7 @@ func (d *decomposition) endIteration(t int, e, improvement int64) {
 		ev.SimNanos = d.cl.SimElapsed().Nanoseconds()
 		ev.Error = &e
 		ev.ErrorDelta = &improvement
+		ev.Flips = &flips
 		tr.Emit(ev)
 	}
 }
@@ -677,10 +687,28 @@ func (d *decomposition) partitionAll() error {
 	return nil
 }
 
+// committed is what a run of column commits did to the factors and, through
+// them, to the objective |X ⊕ X̂|. A commit sets an entry from the sign of
+// t = Σ_partitions (e1 − e0), the exact change in the objective between the
+// entry's two values with everything else as it stands, so an entry that
+// goes 0 → 1 moves the objective by t and one that goes 1 → 0 by −t, and the
+// objective after any number of commits is the objective before plus the sum
+// — int64 arithmetic on the integers the decision itself was made from,
+// nothing approximated.
+type committed struct {
+	// objective is the signed change in |X ⊕ X̂|; never positive, since an
+	// entry is set only when t < 0 and cleared only when t ≥ 0.
+	objective int64
+	// flips counts the entries whose value changed. An entry cleared at
+	// t == 0 is a flip that leaves the objective where it was.
+	flips int64
+}
+
 // updateFactors updates A, B and C in place, one at a time while the other
-// two are fixed (Algorithm 2, UpdateFactors). The factor matrices are
-// broadcast to every machine once per call (Lemma 7).
-func (d *decomposition) updateFactors(a, b, c *boolmat.FactorMatrix) error {
+// two are fixed (Algorithm 2, UpdateFactors), and returns what the sweep's
+// commits changed. The factor matrices are broadcast to every machine once
+// per call (Lemma 7).
+func (d *decomposition) updateFactors(a, b, c *boolmat.FactorMatrix) (committed, error) {
 	bytes := int64(a.Rows()+b.Rows()+c.Rows()) * int64(d.ex.cfg.Rank) / 8
 	// BroadcastState (not plain Broadcast): the factor matrices are the
 	// working set a machine must re-fetch to recover from a machine loss.
@@ -689,27 +717,32 @@ func (d *decomposition) updateFactors(a, b, c *boolmat.FactorMatrix) error {
 	// the driver's executor and every remote one replace their factors
 	// (invalidating column tasks and caches over other matrices), after
 	// which per-column pushes keep the replicas identical to the driver's.
+	var sweep committed
 	if err := d.ex.setFactors(a, b, c); err != nil {
-		return err
+		return sweep, err
 	}
 	err := d.cl.PushState(d.ctx, transport.StateFactors, func() ([]byte, error) { return encodeFactors(a, b, c), nil })
 	if err != nil {
-		return err
+		return sweep, err
 	}
 	for mode := range modeRoles {
-		if err := d.updateFactor(mode); err != nil {
-			return err
+		update, err := d.updateFactor(mode)
+		if err != nil {
+			return sweep, err
 		}
+		sweep.objective += update.objective
+		sweep.flips += update.flips
 	}
-	return nil
+	return sweep, nil
 }
 
 // updateFactor updates the mode's factor matrix against its partitioned
 // unfolding — Algorithm 4, with the per-row decision evaluated as the error
 // difference e1 − e0 over the delta region of the two candidate summations
 // instead of two full errors, and two columns decided per synchronisation
-// round (see lookahead). The operand roles come from modeRoles.
-func (d *decomposition) updateFactor(mode int) error {
+// round (see lookahead). The operand roles come from modeRoles. It returns
+// what its commits changed.
+func (d *decomposition) updateFactor(mode int) (committed, error) {
 	name := modeRoles[mode].name
 	a := d.ex.f[modeRoles[mode].upd]
 	// The updated factor names the stage spans and the "mode" pprof label,
@@ -743,20 +776,34 @@ func (d *decomposition) updateFactor(mode int) error {
 	// Commit (Algorithm 4 lines 10-12): set the entry exactly when candidate
 	// 1's total error is strictly smaller, i.e. when the difference summed
 	// over the partitions is negative. The lanes are a row's decision tree
-	// in heap order: column c's outcome picks the lane c+1 is read from.
+	// in heap order: column c's outcome picks the lane c+1 is read from, so
+	// each t is the objective's change for its entry with the row's earlier
+	// columns as just committed, and the flipped entries' signed t's are the
+	// commit's whole effect on the objective (see committed). was is the row
+	// before the stage: a column's commit touches no other column's bit.
 	commitName := "commit:" + name
+	var update committed
 	commit := func() {
 		lanes := laneCount(span)
 		for r := 0; r < p; r++ {
-			lane := 0
+			lane, was := 0, a.RowMask(r)
 			for j := 0; j < span; j++ {
 				var t int64
 				for _, part := range deltas {
 					t += int64(part[r*lanes+lane])
 				}
-				a.Set(r, spec.Col+j, t < 0)
+				set := t < 0
+				if set != (was>>uint(spec.Col+j)&1 != 0) {
+					a.Set(r, spec.Col+j, set)
+					update.flips++
+					if set {
+						update.objective += t
+					} else {
+						update.objective -= t
+					}
+				}
 				lane = 2*lane + 1
-				if t < 0 {
+				if set {
 					lane++
 				}
 			}
@@ -768,31 +815,31 @@ func (d *decomposition) updateFactor(mode int) error {
 
 	for ; spec.Col < d.ex.cfg.Rank; spec.Col += span {
 		if err := ctx.Err(); err != nil {
-			return err
+			return update, err
 		}
 		span = d.ex.stageSpan(spec.Col)
 		if err := d.cl.RunStage(ctx, spec, local, sink); err != nil {
-			return err
+			return update, err
 		}
 		// The driver collects one int32 per lane and row from every
 		// partition: 12 B a row for two columns, where Lemma 7's two errors
 		// per row and column would be 32.
 		d.cl.Collect(int64(n) * int64(p) * 4 * int64(laneCount(span)))
 		if err := d.cl.DriverNamed(ctx, commitName, commit); err != nil {
-			return err
+			return update, err
 		}
 		if err := d.cl.PushState(ctx, transport.StateColumn, columns); err != nil {
-			return err
+			return update, err
 		}
 	}
-	return nil
+	return update, nil
 }
 
 // totalError computes |X ⊕ X̂| from the mode-1 partitions as a distributed
-// stage. Its caches over B come from (and feed) the per-machine registry:
-// B is unchanged since its own update finished, so the B-update's tables
-// are reused here, and these remain valid for the next iteration's
-// A-update.
+// stage: the evaluation of an initial set, which every later iteration's
+// objective is carried from (see committed). Its caches over B come from
+// (and feed) the per-machine registry: the table it builds stays valid for
+// iteration 2's A-update when the set is the only one.
 func (d *decomposition) totalError() (int64, error) {
 	n := len(d.ex.px[0].Parts)
 	partial := make([]int64, n)

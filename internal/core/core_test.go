@@ -11,6 +11,7 @@ import (
 	"dbtf/internal/cluster"
 	"dbtf/internal/tensor"
 	"dbtf/internal/trace"
+	"dbtf/internal/transport"
 )
 
 func testCluster(machines int) *cluster.Cluster {
@@ -234,29 +235,41 @@ func referenceUpdate(u *tensor.Unfolded, a, mf, ms *boolmat.FactorMatrix) {
 // (partitioned) but no factors installed.
 func newTestDecomposition(t *testing.T, x *tensor.Tensor, opt Options, machines int) *decomposition {
 	t.Helper()
-	cl := testCluster(machines)
+	return newTestDecompositionOn(t, x, opt, testCluster(machines))
+}
+
+// newTestDecompositionOn is newTestDecomposition on the caller's cluster,
+// whose remote executors, if it has any, are set up too.
+func newTestDecompositionOn(t *testing.T, x *tensor.Tensor, opt Options, cl *cluster.Cluster) *decomposition {
+	t.Helper()
 	cfg, err := opt.withDefaults(cl.Machines())
 	if err != nil {
 		t.Fatal(err)
 	}
 	i, j, k := x.Dims()
 	d := &decomposition{ctx: context.Background(), x: x, cl: cl, opt: opt,
-		ex: newExecutor(cfg, [3]int{i, j, k}, machines, cl.MachineFor, lookahead)}
+		ex: newExecutor(cfg, [3]int{i, j, k}, cl.Machines(), cl.MachineFor, lookahead)}
+	if err := cl.PushState(d.ctx, transport.StateSetup, func() ([]byte, error) { return encodeSetup(x, cfg) }); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.partitionAll(); err != nil {
 		t.Fatal(err)
 	}
 	return d
 }
 
-// updateMode installs (a, b, c) and runs the mode's factor update in place.
-func updateMode(t *testing.T, d *decomposition, mode int, a, b, c *boolmat.FactorMatrix) {
+// updateMode installs (a, b, c), runs the mode's factor update in place and
+// returns what its commits changed.
+func updateMode(t *testing.T, d *decomposition, mode int, a, b, c *boolmat.FactorMatrix) committed {
 	t.Helper()
 	if err := d.ex.setFactors(a, b, c); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.updateFactor(mode); err != nil {
+	update, err := d.updateFactor(mode)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return update
 }
 
 // TestMachineLossRebuildsInheritedTables: a simulated machine loss does the

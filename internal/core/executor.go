@@ -128,9 +128,10 @@ func checkFactorShapes(f [3]*boolmat.FactorMatrix, dims [3]int, rank int) error 
 // column tasks always go (see eval). The caches go (back to the slab pool)
 // only when the matrices themselves are replaced — a losing initial set, a
 // decoded push from the wire. Re-installing the same matrices keeps them,
-// keyed by version: that is what lets the cache totalError built over B
-// serve the next iteration's A-update. Callers hold exclusive access with
-// every stage joined.
+// keyed by version: a table outlives the iteration that built it for as long
+// as its matrix stays as it was — the one totalError builds over B serves
+// iteration 2's A-update. Callers hold exclusive access with every stage
+// joined.
 func (ex *executor) setFactors(a, b, c *boolmat.FactorMatrix) error {
 	next := [3]*boolmat.FactorMatrix{a, b, c}
 	if err := checkFactorShapes(next, ex.dims, ex.cfg.Rank); err != nil {
@@ -241,7 +242,9 @@ func (ex *executor) eval(mode, pi, col int) ([]int32, error) {
 	return t.eval(col, ex.stageSpan(col)), nil
 }
 
-// totalError computes mode-1 partition pi's share of |X ⊕ X̂|.
+// totalError computes mode-1 partition pi's share of |X ⊕ X̂|: the
+// evaluation of an initial set in iteration 1, and the recount the tests hold
+// every later iteration's carried objective to.
 func (ex *executor) totalError(pi int) (int64, error) {
 	part, err := ex.part(0, pi)
 	if err != nil {
@@ -285,8 +288,8 @@ func entryWords(width int) int { return (width + bitvec.WordBits - 1) / bitvec.W
 // cut its PVM product — is resolved through the registry of the machine the
 // partition is placed on, so partitions sharing a machine share one table
 // per range, and stages sharing a caching matrix (the B- and C-updates both
-// cache over A; totalError's cache over B serves the next A-update) share
-// it too, for as long as the matrix's version is unchanged.
+// cache over A; totalError's cache over B serves iteration 2's A-update)
+// share it too, for as long as the matrix's version is unchanged.
 func (ex *executor) summers(pi int, p *partition.Partition, ms *boolmat.FactorMatrix) []summer {
 	out := make([]summer, len(p.Blocks))
 	if ex.cfg.NoCache {

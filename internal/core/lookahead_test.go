@@ -5,34 +5,67 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
+	"dbtf/internal/tensor"
 	"dbtf/internal/transport"
 )
 
 // commitLog is a hostTransport that records every committed column as the
-// workers receive it — "mode/column:bits", one entry per column whether the
-// push carried one or two — so two schedules can be compared commit by
-// commit and row by row, not just by the factors they end with.
+// workers receive it — "mode/column:bits±Δ", one entry per column whether
+// the push carried one or two — so two schedules can be compared commit by
+// commit and row by row, not just by the factors they end with. Δ is what the
+// column did to the objective, recounted: the log mirrors the replicas'
+// factors from the pushes, applies a push one column at a time and takes the
+// naive reconstruction error after each. sweeps holds the recount at the end
+// of every sweep, which is what the run's carried objective must read there.
 type commitLog struct {
 	*hostTransport
-	commits []string
+	x         *tensor.Tensor
+	f         [3]*boolmat.FactorMatrix
+	objective int64
+	commits   []string
+	sweeps    []int64
 }
 
 func (l *commitLog) PushState(ctx context.Context, kind transport.StateKind, payload []byte) error {
-	if kind == transport.StateColumn {
+	switch kind {
+	case transport.StateFactors:
+		l.endSweep()
+		a, b, c, err := decodeFactors(payload)
+		if err != nil {
+			return err
+		}
+		l.f = [3]*boolmat.FactorMatrix{a, b, c}
+		l.objective = tensor.ReconstructError(l.x, a, b, c)
+	case transport.StateColumn:
 		mode, col, span, rows, bits, err := decodeColumns(payload)
 		if err != nil {
 			return err
 		}
 		stride := (rows + 7) / 8
 		for j := 0; j < span; j++ {
-			l.commits = append(l.commits, fmt.Sprintf("%d/%d:%x", mode, col+j, bits[j*stride:(j+1)*stride]))
+			column := bits[j*stride : (j+1)*stride]
+			for r := 0; r < rows; r++ {
+				l.f[mode].Set(r, col+j, column[r/8]&(1<<uint(r%8)) != 0)
+			}
+			e := tensor.ReconstructError(l.x, l.f[0], l.f[1], l.f[2])
+			l.commits = append(l.commits, fmt.Sprintf("%d/%d:%x%+d", mode, col+j, column, e-l.objective))
+			l.objective = e
 		}
 	}
 	return l.hostTransport.PushState(ctx, kind, payload)
+}
+
+// endSweep records the objective the sweep in progress, if any, ended on.
+func (l *commitLog) endSweep() {
+	if l.f[0] != nil {
+		l.sweeps = append(l.sweeps, l.objective)
+	}
 }
 
 // TestLookaheadMatchesPerColumn holds the two-column stage to its oracle,
@@ -55,7 +88,7 @@ func TestLookaheadMatchesPerColumn(t *testing.T) {
 					cfg := cluster.Config{Machines: machines}
 					var log *commitLog
 					if remote {
-						log = &commitLog{hostTransport: newHostTransport(machines)}
+						log = &commitLog{hostTransport: newHostTransport(machines), x: x}
 						for _, h := range log.hosts {
 							h.(*Worker).ex.span = span
 						}
@@ -66,6 +99,10 @@ func TestLookaheadMatchesPerColumn(t *testing.T) {
 						t.Fatalf("%s span %d remote=%v: %v", name, span, remote, err)
 					}
 					if remote {
+						log.endSweep()
+						if carried := append(slices.Clone(res.InitialErrors), res.IterationErrors[1:]...); !slices.Equal(carried, log.sweeps) {
+							t.Errorf("%s span %d: sweeps carried to %v, their columns recount to %v", name, span, carried, log.sweeps)
+						}
 						return res, log.commits
 					}
 					return res, nil
@@ -87,7 +124,7 @@ func TestLookaheadMatchesPerColumn(t *testing.T) {
 					if remote && len(gotCommits) != 3*rank*(sets+2) {
 						t.Errorf("%s: %d columns committed, want 3·%d·%d", name, len(gotCommits), rank, sets+2)
 					}
-					rounds := func(span int) int64 { return int64(1 + (sets+2)*(3*((rank+span-1)/span)+1)) }
+					rounds := func(span int) int64 { return int64(1 + sets + (sets+2)*3*((rank+span-1)/span)) }
 					if want.Stats.Stages != rounds(1) || got.Stats.Stages != rounds(lookahead) {
 						t.Errorf("%s remote=%v: %d rounds at one column a stage and %d at %d, want %d and %d",
 							name, remote, want.Stats.Stages, got.Stats.Stages, lookahead, rounds(1), rounds(lookahead))

@@ -17,7 +17,7 @@ import (
 // whichever of the machine's tasks gets there first and reused by the rest,
 // and it survives across stages for as long as the matrix is unchanged.
 // That cross-stage validity is what lets the B-update and C-update share
-// one cache over A, and the next iteration's A-update reuse the cache
+// one cache over A, and iteration 2's A-update reuse the cache iteration 1's
 // totalError built over B.
 //
 // Tasks placed on one machine may run concurrently in real time (the

@@ -12,6 +12,8 @@ import (
 
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
+	"dbtf/internal/gen"
+	"dbtf/internal/trace"
 	"dbtf/internal/transport"
 )
 
@@ -417,5 +419,91 @@ func TestWorkerBuildsTaskAtFirstEvalOfAnyColumn(t *testing.T) {
 	}
 	if string(got[0].Payload) != string(want[0].Payload) {
 		t.Fatalf("the stage at column %d evaluated first on the heir differs from the home's, evaluated in order", spec.Col)
+	}
+}
+
+// TestWorkerBuildsTwoTablesPerIteration counts the cache tables an iteration
+// costs a machine, as distinct (matrix, version) pairs appearing in its
+// registry between the iteration's stages: one over B for the A-update and
+// one over the updated A for the B- and C-updates, on a Worker exactly as on
+// the driver's executor running the same schedule on the simulator. A Worker
+// gets fresh matrices with every iteration's factor push, so nothing it
+// builds outlives the iteration: while an iteration ended on a total-error
+// stage, the table that stage built over the just-updated B was the third of
+// three and served nothing. The iteration counted is a steady-state one
+// that changes A and B, as its predecessor did — otherwise the driver, whose
+// matrices persist, reuses what a Worker must rebuild.
+func TestWorkerBuildsTwoTablesPerIteration(t *testing.T) {
+	const machines, rank, iters, steady = 2, 4, 4, 3
+	rng := rand.New(rand.NewSource(17))
+	planted, _, _, _ := gen.FromFactors(rng, 10, 9, 8, 5, 0.35)
+	x := gen.AddNoise(rng, planted, 0.15, 0.15)
+	opt := Options{Rank: rank, Seed: rank}
+	type table struct {
+		m       *boolmat.FactorMatrix
+		version uint64
+	}
+	// builds runs iters iterations of the decomposition's schedule and
+	// returns, per registry, the tables first seen during iteration steady.
+	builds := func(ht *hostTransport) []map[table]bool {
+		var d *decomposition
+		registries := func() []*machineRegistry {
+			if ht == nil {
+				return d.ex.reg
+			}
+			regs := make([]*machineRegistry, machines)
+			for m, h := range ht.hosts {
+				regs[m] = h.(*Worker).ex.reg[0]
+			}
+			return regs
+		}
+		iteration := 0
+		seen := make([]map[registryKey]bool, machines)
+		built := make([]map[table]bool, machines)
+		for m := range seen {
+			seen[m], built[m] = map[registryKey]bool{}, map[table]bool{}
+		}
+		cc := cluster.Config{Machines: machines, Tracer: trace.New(sinkFunc(func(ev *trace.Event) {
+			if ev.Type != trace.StageEnd || iteration == 0 {
+				return
+			}
+			// Every task of the stage is joined; nothing else runs.
+			for m, reg := range registries() {
+				for key := range reg.entries {
+					if !seen[m][key] && iteration == steady {
+						built[m][table{key.m, key.version}] = true
+					}
+					seen[m][key] = true
+				}
+			}
+		}))}
+		if ht != nil {
+			cc.Transport = ht
+		}
+		d = newTestDecompositionOn(t, x, opt, cluster.New(cc))
+		defer d.ex.release()
+		a, b, c := initialSet(rand.New(rand.NewSource(opt.Seed)), x, d.ex.cfg)
+		for iteration = 1; iteration <= iters; iteration++ {
+			va, vb := a.Version(), b.Version()
+			if _, err := d.updateFactors(a, b, c); err != nil {
+				t.Fatal(err)
+			}
+			if iteration == 1 {
+				if _, err := d.totalError(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if iteration >= steady-1 && iteration <= steady && (a.Version() == va || b.Version() == vb) {
+				t.Fatalf("iteration %d left A or B as it was: pick another seed", iteration)
+			}
+		}
+		return built
+	}
+	driver, workers := builds(nil), builds(newHostTransport(machines))
+	for m := 0; m < machines; m++ {
+		if len(workers[m]) != 2 || len(driver[m]) != len(workers[m]) {
+			t.Errorf("machine %d: iteration %d built %d tables on the worker and %d on the driver's executor, want 2 and 2",
+				m, steady, len(workers[m]), len(driver[m]))
+		}
 	}
 }

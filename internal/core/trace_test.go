@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"runtime/pprof"
 	"strings"
@@ -160,39 +161,57 @@ func TestStageTasksCarryProfileLabels(t *testing.T) {
 // TestRunStagesAreColumnsAndOneError pins the round count, the paper's
 // makespan unit: a run synchronises once to partition, once per pair of
 // columns of every factor update — plus once for the odd rank's last column
-// — and once per total error: ⌈R/2⌉ rounds per mode where Algorithm 4 has
-// R, nothing that only warms state — and it does so on the simulator and
-// over Worker hosts alike.
+// — and once per initial set to learn the error every later iteration is
+// carried from: 1 + L + (L + T − 1)·3⌈R/2⌉ rounds, nothing that only warms
+// state and nothing that only recounts — on the simulator and over Worker
+// hosts alike. A run resumed after iteration 1 starts from the checkpoint's
+// error: its T − 1 sweeps and no total-error round at all.
 func TestRunStagesAreColumnsAndOneError(t *testing.T) {
 	const rank, sets, iters = 3, 2, 3
 	x := randomTensor(rand.New(rand.NewSource(13)), 10, 9, 8, 0.2)
-	opt := Options{Rank: rank, Seed: 13, InitialSets: sets, MinIter: iters, MaxIter: iters, Partitions: 3}
-	const perSet = 3*((rank+lookahead-1)/lookahead) + 1
-	want := int64(1 + (sets+iters-1)*perSet)
+	const perSweep = 3 * ((rank + lookahead - 1) / lookahead)
 	allowed := map[string]bool{"partition": true, "eval:A": true, "eval:B": true, "eval:C": true, "total-error": true}
 	for _, backend := range []string{"simulator", "hostTransport"} {
-		buf := &trace.Buffer{}
-		cfg := cluster.Config{Machines: 2, Tracer: trace.New(buf)}
-		if backend == "hostTransport" {
-			cfg.Transport = newHostTransport(2)
-		}
-		res, err := Decompose(context.Background(), x, cluster.New(cfg), opt)
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		var stages int64
-		for _, ev := range buf.Events {
-			if ev.Type != trace.StageBegin {
-				continue
+		base := Options{Rank: rank, Seed: 13, InitialSets: sets, MinIter: iters, MaxIter: iters, Partitions: 3}
+		evicted := base
+		evicted.CheckpointDir, evicted.Preempt = t.TempDir(), func() bool { return true }
+		resumed := evicted
+		resumed.Preempt, resumed.Resume = nil, true
+		for _, run := range []struct {
+			name                string
+			opt                 Options
+			stages, totalErrors int64
+		}{
+			{"uninterrupted", base, 1 + sets + (sets+iters-1)*perSweep, sets},
+			{"evicted after iteration 1", evicted, 1 + sets + sets*perSweep, sets},
+			{"resumed", resumed, 1 + (iters-1)*perSweep, 0},
+		} {
+			buf := &trace.Buffer{}
+			cfg := cluster.Config{Machines: 2, Tracer: trace.New(buf)}
+			if backend == "hostTransport" {
+				cfg.Transport = newHostTransport(2)
 			}
-			stages++
-			if !allowed[ev.Name] {
-				t.Errorf("%s: stage %q is neither the partitioning, a column stage, nor a total error", backend, ev.Name)
+			cl := cluster.New(cfg)
+			if _, err := Decompose(context.Background(), x, cl, run.opt); err != nil && (run.opt.Preempt == nil || !errors.Is(err, ErrPreempted)) {
+				t.Fatalf("%s, %s: %v", backend, run.name, err)
 			}
-		}
-		if stages != want || res.Stats.Stages != want {
-			t.Errorf("%s: %d stage spans, Stats.Stages %d, want %d = 1 + (%d+%d−1)·(3·⌈%d/%d⌉+1)",
-				backend, stages, res.Stats.Stages, want, sets, iters, rank, lookahead)
+			var stages, totalErrors int64
+			for _, ev := range buf.Events {
+				if ev.Type != trace.StageBegin {
+					continue
+				}
+				stages++
+				if ev.Name == "total-error" {
+					totalErrors++
+				}
+				if !allowed[ev.Name] {
+					t.Errorf("%s, %s: stage %q is neither the partitioning, a column stage, nor a total error", backend, run.name, ev.Name)
+				}
+			}
+			if got := cl.Stats().Stages; stages != run.stages || got != run.stages || totalErrors != run.totalErrors {
+				t.Errorf("%s, %s: %d stage spans, Stats.Stages %d, %d of them total-error; want %d, %d of them total-error",
+					backend, run.name, stages, got, totalErrors, run.stages, run.totalErrors)
+			}
 		}
 	}
 }

@@ -84,14 +84,17 @@ func (w *Worker) applySetupLocked(payload []byte) error {
 	w.ex.release()
 	i, j, k := x.Dims()
 	w.ex = newExecutor(cfg, [3]int{i, j, k}, 1, func(int) int { return 0 }, w.ex.span)
-	return w.ex.setup(x.UnfoldAll(), func(n int, fn func(m int) error) error {
-		for m := 0; m < n; m++ {
-			if err := fn(m); err != nil {
-				return err
-			}
+	return w.ex.setup(x.UnfoldAll(), serially)
+}
+
+// serially is executor.setup's each on one machine: a plain loop.
+func serially(n int, fn func(m int) error) error {
+	for m := 0; m < n; m++ {
+		if err := fn(m); err != nil {
+			return err
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // RunBatch executes a whole stage batch in batch order (transport.Host).

@@ -138,6 +138,9 @@ func (s *Chrome) Write(ev *Event) error {
 			if ev.ErrorDelta != nil {
 				args["error_delta"] = *ev.ErrorDelta
 			}
+			if ev.Flips != nil {
+				args["flips"] = *ev.Flips
+			}
 			s.slice(fmt.Sprintf("iteration %d", ev.Iteration), "iteration", driverTid, b.SimNanos, ev.SimNanos-b.SimNanos, args)
 			delete(s.iterBegin, ev.Iteration)
 		}

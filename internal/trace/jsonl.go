@@ -103,6 +103,8 @@ type Summary struct {
 //   - machine losses and rejoins occur only at stage boundaries (never
 //     inside an open stage or driver span);
 //   - StageEnd events carry a Stats delta;
+//   - an IterationEnd whose commits flipped no entry reports no change in
+//     the error (the objective is carried through the flips);
 //   - at every RunEnd, folding the run's events with StatsDelta.Observe
 //     reproduces the RunEnd's cumulative snapshot exactly.
 //
@@ -175,6 +177,9 @@ func Validate(events []*Event) (*Summary, error) {
 			}
 			if openStage != nil || openDriver != nil {
 				return nil, fmt.Errorf("trace: seq %d: iteration_end inside an open stage or driver span", ev.Seq)
+			}
+			if ev.Flips != nil && *ev.Flips == 0 && ev.ErrorDelta != nil && *ev.ErrorDelta != 0 {
+				return nil, fmt.Errorf("trace: seq %d: iteration %d flipped no entry yet moved the error by %d", ev.Seq, ev.Iteration, *ev.ErrorDelta)
 			}
 			openIters = openIters[:len(openIters)-1]
 		case StageBegin:

@@ -127,6 +127,11 @@ type Event struct {
 	// ErrorDelta is the error improvement over the previous iteration on
 	// an IterationEnd (0 on the first iteration).
 	ErrorDelta *int64 `json:"error_delta,omitempty"`
+	// Flips is the number of factor entries the iteration's column commits
+	// changed, on an IterationEnd (in iteration 1, those of the initial set
+	// that was kept). An iteration that flips nothing cannot have moved the
+	// error: Validate holds ErrorDelta to 0 there.
+	Flips *int64 `json:"flips,omitempty"`
 	// Delta is the per-stage Stats delta on StageEnd, and the final
 	// cumulative Stats snapshot on RunEnd.
 	Delta *StatsDelta `json:"delta,omitempty"`

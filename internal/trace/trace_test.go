@@ -119,7 +119,10 @@ func validStream() []*Event {
 		mk(DriverBegin, func(e *Event) { e.SimNanos = 120; e.Name = "commit" }),
 		mk(DriverEnd, func(e *Event) { e.SimNanos = 125; e.DurNanos = 5 }),
 		mk(Collect, func(e *Event) { e.Bytes = 32; e.SimNanos = 125 }),
-		mk(IterationEnd, func(e *Event) { e.Iteration = 1; e.SimNanos = 125 }),
+		mk(IterationEnd, func(e *Event) {
+			e.Iteration, e.SimNanos = 1, 125
+			e.Error, e.ErrorDelta, e.Flips = new(int64), new(int64), new(int64)
+		}),
 		mk(RunEnd, func(e *Event) {
 			e.SimNanos = 125
 			e.Delta = &StatsDelta{
@@ -168,6 +171,10 @@ func TestValidateRejections(t *testing.T) {
 		{"open spans at EOF", func(evs []*Event) []*Event {
 			return evs[:len(evs)-1]
 		}, "open spans"},
+		{"error moved by no flip", func(evs []*Event) []*Event {
+			*evs[len(evs)-2].ErrorDelta = 3
+			return evs
+		}, "flipped no entry"},
 		{"retry outside stage", func(evs []*Event) []*Event {
 			evs[4], evs[3] = evs[3], evs[4]
 			evs[4].Seq, evs[3].Seq = evs[3].Seq, evs[4].Seq
