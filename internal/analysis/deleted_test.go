@@ -78,6 +78,10 @@ var deletedNames = []deletedName{
 		pr: "PR 25: a task gets four attempts, Spark's default; over deterministic in-process kernels the only retry that can succeed is one a FaultPlan injected, so the bound is a constant, not two options and two flags"},
 	{pattern: `evalColumn|encodeColumn\(|decodeColumn\(`, scope: []string{"internal/core"},
 		pr: "PR 26: one eval stage decides two columns; the one-column stage is the same kernel at span 1, not a second sweep, and a column push carries the stage's columns"},
+	{pattern: `ReadUvarint|ByteReader|bufio\.NewWriter`, scope: []string{"internal/tensor/binary.go"},
+		pr: "PR 28: AppendBinary and DecodeBinary are the binary tensor format's one encoder and one decoder, on slices; the uvarint-at-a-time stream codec beside them was 2.5x slower to read and is the test oracle only"},
+	{pattern: `encodeDeltas|decodeBody|make\(\[\]byte, 0, 4\+size\)`, scope: []string{"internal/core", "internal/transport"}, nonTest: true,
+		pr: "PR 28: a frame is encoded into the writer's kept buffer and decoded into the reader's kept message, an eval reply appended into the partition's kept buffer; there is no allocate-per-frame codec beside them"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

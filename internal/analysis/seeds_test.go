@@ -57,7 +57,7 @@ func TestAnalyzersSeeProgramCode(t *testing.T) {
 			"\tdefer s.wg.Done()\n",
 			"\tdefer s.wg.Done()\n\tgo s.store.Get(j.Spec.TensorID)\n"},
 		{"ctxflow", "internal/transport/tcp/tcp.go",
-			"\t\t\tvar o batchOutcome\n\t\t\tselect {\n",
+			"\t\t\tvar o outcome\n\t\t\tselect {\n",
 			"\t\t\to := <-results\n\t\t\tselect {\n"},
 		{"wirebound", "internal/boolmat/binary.go",
 			"\tif uint64(len(rest)) < uint64(rows)*8 {\n\t\treturn nil, nil, fmt.Errorf(\"boolmat: factor snapshot truncated: %d mask bytes, want %d rows\", len(rest), rows)\n\t}\n\tmasks := make([]uint64, rows)\n",

@@ -112,6 +112,21 @@ func badIndexTaintUnchecked(br byteReader) []byte {
 	return make([]byte, dims[0]) // want `make sized by a wire-decoded value`
 }
 
+// badSliceVarint sizes from a count decoded off a slice, unchecked.
+func badSliceVarint(b []byte) []int {
+	n, _ := binary.Uvarint(b)
+	return make([]int, n) // want `make sized by a wire-decoded value`
+}
+
+// goodSliceVarint holds the count to what the input can back first.
+func goodSliceVarint(b []byte) []int {
+	n, k := binary.Uvarint(b)
+	if n > uint64(len(b)-k)/3 {
+		return nil
+	}
+	return make([]int, n)
+}
+
 // goodAnnotated documents where the real bound lives.
 func goodAnnotated(b []byte) []byte {
 	n := binary.BigEndian.Uint32(b)

@@ -15,7 +15,8 @@ import (
 //
 // Taint sources (syntactic): calls whose final selector is one of
 // binary's fixed-width readers (Uint16/Uint32/Uint64), varint readers
-// (ReadUvarint/ReadVarint), or the checkpoint cursor helpers
+// (ReadUvarint/ReadVarint on a stream, Uvarint/Varint on a slice), or the
+// checkpoint cursor helpers
 // (u16/u32/u64); plus calls through a local closure whose body wraps one
 // of those (the `read := func() ... ReadUvarint ...` idiom). Taint
 // propagates through assignments — a value derived from tainted operands
@@ -53,6 +54,7 @@ const boundedName = "bounded"
 var wireSources = map[string]bool{
 	"Uint16": true, "Uint32": true, "Uint64": true,
 	"ReadUvarint": true, "ReadVarint": true,
+	"Uvarint": true, "Varint": true,
 	"u16": true, "u32": true, "u64": true,
 }
 

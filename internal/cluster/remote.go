@@ -79,7 +79,11 @@ func (c *Cluster) PushState(ctx context.Context, kind transport.StateKind, encod
 	sentBefore, recvBefore := c.transport.WireBytes()
 	err = c.transport.PushState(ctx, kind, payload)
 	sentAfter, recvAfter := c.transport.WireBytes()
-	c.emitWire("state:"+kind.String(), -1, (sentAfter-sentBefore)+(recvAfter-recvBefore))
+	if c.tracer.Enabled() {
+		// The span's name is built for the trace alone: a push with the
+		// tracer off allocates nothing here.
+		c.emitWire("state:"+kind.String(), -1, (sentAfter-sentBefore)+(recvAfter-recvBefore))
+	}
 	if err != nil {
 		return fmt.Errorf("cluster: state push %q: %w", kind.String(), err)
 	}

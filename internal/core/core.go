@@ -340,7 +340,7 @@ func decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 	// partitioned unfoldings locally from the tensor, and a rejoining
 	// machine gets the same blob replayed — the re-shipped partitions of the
 	// recovery protocol, over the real socket.
-	if err := cl.PushState(ctx, transport.StateSetup, func() ([]byte, error) { return encodeSetup(x, cfg) }); err != nil {
+	if err := cl.PushState(ctx, transport.StateSetup, func() ([]byte, error) { return encodeSetup(x, cfg), nil }); err != nil {
 		return nil, err
 	}
 

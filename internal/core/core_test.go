@@ -249,7 +249,7 @@ func newTestDecompositionOn(t *testing.T, x *tensor.Tensor, opt Options, cl *clu
 	i, j, k := x.Dims()
 	d := &decomposition{ctx: context.Background(), x: x, cl: cl, opt: opt,
 		ex: newExecutor(cfg, [3]int{i, j, k}, cl.Machines(), cl.MachineFor, lookahead)}
-	if err := cl.PushState(d.ctx, transport.StateSetup, func() ([]byte, error) { return encodeSetup(x, cfg) }); err != nil {
+	if err := cl.PushState(d.ctx, transport.StateSetup, func() ([]byte, error) { return encodeSetup(x, cfg), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.partitionAll(); err != nil {

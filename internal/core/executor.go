@@ -63,8 +63,11 @@ type executor struct {
 	// deltas[mode][pi] holds partition pi's lanes of the mode's stage in
 	// flight (see lanes): made at first use and kept for the run — an
 	// update's tasks go at the next setFactors, their buffers need not.
-	tasks  [3][]*columnTask
-	deltas [3][][]int32
+	// replies[mode][pi] is the same lanes encoded for the wire, on a worker:
+	// grown at the partition's first reply and kept likewise.
+	tasks   [3][]*columnTask
+	deltas  [3][][]int32
+	replies [3][][]byte
 }
 
 // newExecutor returns an executor spanning machines logical machines,
@@ -94,6 +97,7 @@ func (ex *executor) setup(ux [3]*tensor.Unfolded, each func(n int, fn func(m int
 		u.Recycle()
 		ex.tasks[m] = make([]*columnTask, len(ex.px[m].Parts))
 		ex.deltas[m] = make([][]int32, len(ex.px[m].Parts))
+		ex.replies[m] = make([][]byte, len(ex.px[m].Parts))
 	}
 	return nil
 }

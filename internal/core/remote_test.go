@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
 	"dbtf/internal/gen"
+	"dbtf/internal/tensor"
 	"dbtf/internal/trace"
 	"dbtf/internal/transport"
 )
@@ -177,10 +179,7 @@ func TestWorkerRejectsOutOfOrderState(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(3))
 	x := randomTensor(rng, 5, 6, 7, 0.2)
-	setup, err := encodeSetup(x, runConfig{Rank: 2, Partitions: 2, GroupBits: 4, Machines: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	setup := encodeSetup(x, runConfig{Rank: 2, Partitions: 2, GroupBits: 4, Machines: 2})
 	if err := w.Apply(transport.StateSetup, setup); err != nil {
 		t.Fatalf("valid setup rejected: %v", err)
 	}
@@ -206,10 +205,7 @@ func TestSetupCodecRoundTrip(t *testing.T) {
 		Rank: 3, MaxIter: 7, MinIter: 2, InitialSets: 4, Partitions: 2, GroupBits: 4,
 		Tolerance: -9, Init: InitTopFiber, Seed: -42, NoCache: true, Machines: 2,
 	}
-	blob, err := encodeSetup(x, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := encodeSetup(x, cfg)
 	got, gx, err := decodeSetup(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -229,13 +225,60 @@ func TestSetupCodecRoundTrip(t *testing.T) {
 	if _, _, err := decodeSetup(blob[:8*words]); err == nil {
 		t.Fatal("setup without a tensor accepted")
 	}
-	cfg.Rank = boolmat.MaxRank + 1
-	if blob, err = encodeSetup(x, cfg); err != nil {
-		t.Fatal(err)
+	if _, _, err := decodeSetup(append(slices.Clone(blob), 0)); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("setup with a byte after the last coordinate: got %v, want the trailing-bytes check", err)
 	}
-	if _, _, err := decodeSetup(blob); err == nil || !strings.Contains(err.Error(), "out of range") {
+	cfg.Rank = boolmat.MaxRank + 1
+	if _, _, err := decodeSetup(encodeSetup(x, cfg)); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("rank %d: got %v, want the range check", cfg.Rank, err)
 	}
+}
+
+// FuzzSetupDecode: whatever bytes arrive as a set-up blob, the decoder
+// neither panics nor allocates beyond a small multiple of them — a forged
+// nonzero count buys nothing — and what it accepts it accepts whole: no
+// byte is left over, and the decoded configuration and tensor re-encode to
+// a blob that decodes to the same pair.
+func FuzzSetupDecode(f *testing.F) {
+	cfg := runConfig{Rank: 3, MaxIter: 5, InitialSets: 1, Partitions: 2, GroupBits: 4, Seed: 9, Machines: 2}
+	words := 8 * reflect.TypeOf(cfg).NumField()
+	x := randomTensor(rand.New(rand.NewSource(6)), 6, 5, 4, 0.3)
+	real := encodeSetup(x, cfg)
+	f.Add(real)
+	f.Add(real[:len(real)-1]) // cut inside the last entry
+	// A count of 2^31 entries and none behind it.
+	f.Add(append(slices.Clone(real[:words]), 'D', 'B', 'T', '1', 6, 5, 4, 0x80, 0x80, 0x80, 0x80, 0x08))
+	// Two entries, the second before the first.
+	f.Add(append(slices.Clone(real[:words]), 'D', 'B', 'T', '1', 6, 5, 4, 2, 1, 3, 2, 0, 1, 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got runConfig
+		var gx *tensor.Tensor
+		var err error
+		// A coordinate is three words for at least three bytes, and the sort
+		// of an out-of-order blob works in place; the rest is fixed cost.
+		bound := 64<<10 + 16*uint64(len(data))
+		grew := ^uint64(0)
+		for try := 0; try < 3 && grew > bound; try++ { // TotalAlloc is process-wide: believe the least
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, gx, err = decodeSetup(data)
+			runtime.ReadMemStats(&after)
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		}
+		if grew > bound {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		if gx.NNZ() > len(data)/3 {
+			t.Fatalf("decoded %d nonzeros from %d bytes", gx.NNZ(), len(data))
+		}
+		again, ax, err := decodeSetup(encodeSetup(gx, got))
+		if err != nil || again != got || !ax.Equal(gx) {
+			t.Fatalf("decode(encode(decode(blob))) = %+v, %v; want %+v", again, err, got)
+		}
+	})
 }
 
 // TestDeltasCodecInsistsOnShape: the driver knows how many rows and lanes
@@ -244,7 +287,7 @@ func TestSetupCodecRoundTrip(t *testing.T) {
 // bytes — is an error, never a mis-read.
 func TestDeltasCodecInsistsOnShape(t *testing.T) {
 	deltas := []int32{-3, 0, 7, math.MinInt32, math.MaxInt32, -1}
-	three, one := encodeDeltas(deltas, 3), encodeDeltas(deltas, 1)
+	three, one := appendDeltas(nil, deltas, 3), appendDeltas(nil, deltas, 1)
 	got := make([]int32, len(deltas))
 	if err := decodeDeltas(three, 2, 3, got); err != nil || !reflect.DeepEqual(got, deltas) {
 		t.Fatalf("round trip of 2 rows × 3 lanes: %v, %v", got, err)
@@ -320,10 +363,7 @@ func TestWorkerBatchErrorAttribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := randomTensor(rng, 8, 7, 6, 0.25)
 	w := NewWorker()
-	setup, err := encodeSetup(x, runConfig{Rank: 3, Partitions: 2, GroupBits: 4, Machines: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	setup := encodeSetup(x, runConfig{Rank: 3, Partitions: 2, GroupBits: 4, Machines: 2})
 	if err := w.Apply(transport.StateSetup, setup); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +377,7 @@ func TestWorkerBatchErrorAttribution(t *testing.T) {
 
 	// Tasks 7 and 9 are outside the 2-partition range; the earlier one in
 	// batch order must be the one named.
-	_, err = w.RunBatch(spec, []int{0, 7, 9})
+	_, err := w.RunBatch(spec, []int{0, 7, 9})
 	if err == nil {
 		t.Fatal("batch with invalid tasks succeeded")
 	}
@@ -380,10 +420,7 @@ func TestWorkerBuildsTaskAtFirstEvalOfAnyColumn(t *testing.T) {
 	const rank = 6
 	rng := rand.New(rand.NewSource(9))
 	x := randomTensor(rng, 9, 8, 7, 0.25)
-	setup, err := encodeSetup(x, runConfig{Rank: rank, Partitions: 2, GroupBits: 4, Machines: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	setup := encodeSetup(x, runConfig{Rank: rank, Partitions: 2, GroupBits: 4, Machines: 2})
 	factors := encodeFactors(boolmat.RandomFactor(rng, 9, rank, 0.4),
 		boolmat.RandomFactor(rng, 8, rank, 0.4), boolmat.RandomFactor(rng, 7, rank, 0.4))
 	home, heir := NewWorker(), NewWorker()

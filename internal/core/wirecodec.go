@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"reflect"
@@ -21,18 +20,15 @@ import (
 // one little-endian u64 per runConfig field (see runConfig.words) — followed
 // by the tensor in its compact binary format. Everything else — unfolded
 // partitions, caches, column tasks — is rebuilt locally from these, which
-// is what keeps the blob O(nnz) instead of O(data structures).
-func encodeSetup(x *tensor.Tensor, cfg runConfig) ([]byte, error) {
+// is what keeps the blob O(nnz) instead of O(data structures). The blob is
+// made once, at its exact size: it is the largest thing a run sends.
+func encodeSetup(x *tensor.Tensor, cfg runConfig) []byte {
 	words := cfg.words()
-	head := make([]byte, 0, 8*len(words))
+	blob := make([]byte, 0, 8*len(words)+x.BinarySize())
 	for _, w := range words {
-		head = binary.LittleEndian.AppendUint64(head, w)
+		blob = binary.LittleEndian.AppendUint64(blob, w)
 	}
-	buf := bytes.NewBuffer(head)
-	if err := x.WriteBinary(buf); err != nil {
-		return nil, fmt.Errorf("core: encode setup tensor: %w", err)
-	}
-	return buf.Bytes(), nil
+	return x.AppendBinary(blob)
 }
 
 func decodeSetup(payload []byte) (runConfig, *tensor.Tensor, error) {
@@ -49,9 +45,12 @@ func decodeSetup(payload []byte) (runConfig, *tensor.Tensor, error) {
 		return cfg, nil, fmt.Errorf("core: setup parameters out of range: machines=%d rank=%d partitions=%d groupbits=%d",
 			cfg.Machines, cfg.Rank, cfg.Partitions, cfg.GroupBits)
 	}
-	x, err := tensor.ReadBinary(bytes.NewReader(payload[8*len(words):]))
+	x, rest, err := tensor.DecodeBinary(payload[8*len(words):])
 	if err != nil {
 		return cfg, nil, fmt.Errorf("core: decode setup tensor: %w", err)
+	}
+	if len(rest) != 0 {
+		return cfg, nil, fmt.Errorf("core: %d trailing bytes after setup tensor", len(rest))
 	}
 	return cfg, x, nil
 }
@@ -131,16 +130,15 @@ func decodeColumns(payload []byte) (modeIdx, col, span, rows int, bits []byte, e
 // row; rows × lanes little-endian int32 follow, row by row.
 const deltasHeaderLen = 5
 
-// encodeDeltas packs one eval task's per-row error differences, lanes to a
-// row (see columnTask.deltas for why int32 carries them).
-func encodeDeltas(deltas []int32, lanes int) []byte {
-	out := make([]byte, deltasHeaderLen+4*len(deltas))
-	binary.LittleEndian.PutUint32(out, uint32(len(deltas)/lanes))
-	out[4] = byte(lanes)
-	for i, d := range deltas {
-		binary.LittleEndian.PutUint32(out[deltasHeaderLen+4*i:], uint32(d))
+// appendDeltas packs one eval task's per-row error differences, lanes to a
+// row (see columnTask.deltas for why int32 carries them), onto dst.
+func appendDeltas(dst []byte, deltas []int32, lanes int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(deltas)/lanes))
+	dst = append(dst, byte(lanes))
+	for _, d := range deltas {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(d))
 	}
-	return out
+	return dst
 }
 
 // decodeDeltas unpacks an eval payload into dst[:rows·lanes], insisting on

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,6 +28,10 @@ type Worker struct {
 	// stage span is the one thing a set-up carries over to the next executor.
 	//dbtf:guardedby mu
 	ex *executor
+	// outs is RunBatch's result slice, kept between batches: the transport
+	// is done with a batch's outputs before it asks for the next.
+	//dbtf:guardedby mu
+	outs []transport.TaskOutput
 }
 
 // NewWorker returns an empty executor awaiting a StateSetup push.
@@ -99,11 +104,13 @@ func serially(n int, fn func(m int) error) error {
 
 // RunBatch executes a whole stage batch in batch order (transport.Host).
 // Failures follow the Host contract: the batch fails as a whole, naming
-// the earliest failing task in batch order.
+// the earliest failing task in batch order. The outputs and their payloads
+// are the worker's own buffers, valid until its next call.
 func (w *Worker) RunBatch(spec transport.Spec, tasks []int) ([]transport.TaskOutput, error) {
-	outs := make([]transport.TaskOutput, len(tasks))
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.outs = slices.Grow(w.outs[:0], len(tasks))[:len(tasks)]
+	outs := w.outs
 	for i, task := range tasks {
 		//dbtf:allow-nondeterministic task nanos are wall-clock reporting charged to the simulated ledger, never fed back into results
 		start := time.Now()
@@ -125,7 +132,9 @@ func (w *Worker) runTaskLocked(spec transport.Spec, task int) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return encodeDeltas(deltas, laneCount(w.ex.stageSpan(spec.Col))), nil
+		reply := &w.ex.replies[spec.Mode][task]
+		*reply = appendDeltas((*reply)[:0], deltas, laneCount(w.ex.stageSpan(spec.Col)))
+		return *reply, nil
 	case transport.KindTotalError:
 		e, err := w.ex.totalError(task)
 		if err != nil {

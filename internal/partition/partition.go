@@ -289,28 +289,38 @@ func Build(u *tensor.Unfolded, n int) *Partitioned {
 	}
 	// Lay out every partition's blocks first; together their column ranges
 	// tile [0, NumCols) in ascending order, so all CSR forms can be filled
-	// by merged sweeps per row instead of per-block binary searches. Two
-	// passes: the first counts nonzeros per block, the second writes the
-	// exact-size layout — CSR offsets, row pointers, and (for blocks at or
-	// above DenseRowThreshold) the packed row words — each carved out of
-	// one shared backing array.
-	var all []*Block
+	// by merged sweeps per row instead of per-block binary searches. The
+	// blocks, the pointers to them and the partitions are one slab each,
+	// sized by counting first: a partition over [lo, hi) meets the PVM
+	// products lo/BlockSize … (hi−1)/BlockSize, one block apiece.
+	bounds := func(i int) (lo, hi int) { return i * u.NumCols / n, (i + 1) * u.NumCols / n }
+	nb := 0
 	for i := 0; i < n; i++ {
-		lo := i * u.NumCols / n
-		hi := (i + 1) * u.NumCols / n
-		p := &Partition{Index: i, Lo: lo, Hi: hi}
-		for _, s := range blockSpans(lo, hi, u.BlockSize) {
-			b := &Block{
+		if lo, hi := bounds(i); hi > lo {
+			nb += (hi-1)/u.BlockSize - lo/u.BlockSize + 1
+		}
+	}
+	blocks, all := make([]Block, nb), make([]*Block, nb)
+	parts := make([]Partition, n)
+	px.Parts = make([]*Partition, n)
+	bi := 0
+	for i := range parts {
+		lo, hi := bounds(i)
+		first := bi
+		for cur := lo; cur < hi; bi++ {
+			s := spanAt(cur, hi, u.BlockSize)
+			blocks[bi] = Block{
 				PVM:     s.pvm,
 				Lo:      s.lo,
 				Hi:      s.hi,
 				InnerLo: s.lo - s.pvm*u.BlockSize,
 				Type:    classify(s, u.BlockSize),
 			}
-			p.Blocks = append(p.Blocks, b)
-			all = append(all, b)
+			all[bi] = &blocks[bi]
+			cur = s.hi
 		}
-		px.Parts = append(px.Parts, p)
+		parts[i] = Partition{Index: i, Lo: lo, Hi: hi, Blocks: all[first:bi:bi]}
+		px.Parts[i] = &parts[i]
 	}
 
 	// Every block is a column range inside a single PVM product, so its
@@ -322,7 +332,6 @@ func Build(u *tensor.Unfolded, n int) *Partitioned {
 	// writes each block's CSR offsets (and packed rows, for blocks at or
 	// above DenseRowThreshold) sequentially into arenas shared by all
 	// blocks.
-	nb := len(all)
 	rows := u.NumRows
 	ptrArena := slab.Int32s(nb * (rows + 1))
 	denseTotal := 0
@@ -403,19 +412,12 @@ type span struct {
 	lo, hi int
 }
 
-// blockSpans cuts [lo, hi) at multiples of blockSize.
-func blockSpans(lo, hi, blockSize int) []span {
-	var out []span
-	for cur := lo; cur < hi; {
-		pvm := cur / blockSize
-		end := (pvm + 1) * blockSize
-		if end > hi {
-			end = hi
-		}
-		out = append(out, span{pvm: pvm, lo: cur, hi: end})
-		cur = end
-	}
-	return out
+// spanAt returns the block that starts at column cur of a partition ending
+// at hi: it runs to the end of cur's PVM product or of the partition,
+// whichever comes first.
+func spanAt(cur, hi, blockSize int) span {
+	pvm := cur / blockSize
+	return span{pvm: pvm, lo: cur, hi: min((pvm+1)*blockSize, hi)}
 }
 
 func classify(s span, blockSize int) BlockType {

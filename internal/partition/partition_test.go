@@ -85,6 +85,16 @@ func TestBuildInvalidN(t *testing.T) {
 	Build(tensor.New(1, 1, 1).Unfold(tensor.Mode1), 0)
 }
 
+// blockSpans cuts [lo, hi) at multiples of blockSize, as Build's layout
+// loop does.
+func blockSpans(lo, hi, blockSize int) []span {
+	var out []span
+	for cur := lo; cur < hi; cur = out[len(out)-1].hi {
+		out = append(out, spanAt(cur, hi, blockSize))
+	}
+	return out
+}
+
 func TestBlockTypes(t *testing.T) {
 	// Block size 10, partition [3, 27) must split as Suffix[3,10) +
 	// Full[10,20) + Prefix[20,27).

@@ -2,6 +2,7 @@ package slab
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -76,6 +77,31 @@ func TestPutRejectsForeignSlices(t *testing.T) {
 		t.Fatalf("Int32s(1024) has cap %d after foreign Puts, want 1024", cap(s))
 	}
 	PutInt32s(s)
+}
+
+// TestPutSurvivesCollections pins what the free lists are for: the next
+// Get of a class finds the last Put, whatever the collector did in
+// between and whichever goroutine asks. A sync.Pool fails it — two
+// collections empty it — and the benchmark's alloc_mb_per_op read
+// bimodally for that reason.
+func TestPutSurvivesCollections(t *testing.T) {
+	a, u := Int32s(1<<12), Uint64s(1<<12)
+	pa, pu := &a[0], &u[0]
+	PutInt32s(a)
+	PutUint64s(u)
+	runtime.GC()
+	runtime.GC()
+	done := make(chan bool)
+	go func() {
+		a, u := Int32s(1<<12-5), Uint64s(1<<12-5)
+		same := &a[0] == pa && &u[0] == pu
+		PutInt32s(a)
+		PutUint64s(u)
+		done <- same
+	}()
+	if !<-done {
+		t.Fatal("a Get after two collections did not return the slice last Put")
+	}
 }
 
 // TestConcurrentChurn hammers Get/Put from many goroutines; run under

@@ -13,7 +13,8 @@ import (
 // small multiple of the input no matter what a prefix or count claims.
 // An input that decodes is a valid message in canonical form: it
 // re-encodes to the very bytes consumed, and those decode to the same
-// message.
+// message. A FrameReader that is kept decodes every input twice and must
+// agree with the one-shot read both times.
 func FuzzWireDecode(f *testing.F) {
 	seed := func(m *Msg) []byte {
 		var buf bytes.Buffer
@@ -48,6 +49,15 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if n < 0 || n > len(data) {
 			t.Fatalf("consumed %d bytes of a %d-byte input", n, len(data))
+		}
+		// A kept reader agrees with the one-shot read, and again on a second
+		// pass over its own leftovers.
+		var fr FrameReader
+		for pass := 0; pass < 2; pass++ {
+			kept, kn, kerr := fr.Read(bytes.NewReader(data), limit)
+			if (kerr == nil) != (err == nil) || kn != n || (err == nil && !reflect.DeepEqual(kept, msg)) {
+				t.Fatalf("pass %d of a kept reader: %+v, %d, %v; a one-shot read: %+v, %d, %v", pass, kept, kn, kerr, msg, n, err)
+			}
 		}
 		if err != nil {
 			return

@@ -28,6 +28,10 @@ type Server struct {
 	conns    map[net.Conn]*connState //dbtf:guardedby mu
 	draining bool                    //dbtf:guardedby mu
 	wg       sync.WaitGroup
+
+	// answering is held from a request's first host call until its reply is
+	// written (see serveConn). Never taken with mu held.
+	answering sync.Mutex
 }
 
 // connState tracks one connection's drain-relevant state.
@@ -48,10 +52,10 @@ func NewServer(host transport.Host, logf func(format string, args ...any)) *Serv
 // closed. Each connection is a sequential request/response stream served
 // on its own goroutine; the coordinator holds one connection per worker,
 // so concurrency only arises across a redial racing a dying connection,
-// and the host's own lock serializes those. Closing the listener directly
-// (without Shutdown) closes every active connection before Serve returns;
-// after Shutdown, Serve returns nil as soon as the accept loop unblocks
-// and Shutdown owns the remaining connections.
+// and those take turns, a whole request and its reply at a time. Closing
+// the listener directly (without Shutdown) closes every active connection
+// before Serve returns; after Shutdown, Serve returns nil as soon as the
+// accept loop unblocks and Shutdown owns the remaining connections.
 func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
 	if s.draining {
@@ -182,45 +186,49 @@ func Serve(lis net.Listener, host transport.Host, logf func(format string, args 
 // host rejects fails the request naming its kind. The batch is
 // all-or-nothing: any task failure turns it into an error frame, so the
 // coordinator never has to reconcile a partially delivered batch.
-func (s *Server) handle(req *transport.Msg) *transport.Msg {
+func (s *Server) handle(req *transport.Msg) transport.Msg {
 	if req.Type != transport.MsgRun {
-		return &transport.Msg{Type: transport.MsgError, Error: fmt.Sprintf("unexpected message type %d", req.Type)}
+		return transport.Msg{Type: transport.MsgError, Error: fmt.Sprintf("unexpected message type %d", req.Type)}
 	}
 	for _, st := range req.States {
 		if err := s.host.Apply(st.Kind, st.Payload); err != nil {
-			return &transport.Msg{Type: transport.MsgError, Error: fmt.Sprintf("applying %s state: %v", st.Kind, err)}
+			return transport.Msg{Type: transport.MsgError, Error: fmt.Sprintf("applying %s state: %v", st.Kind, err)}
 		}
 	}
 	if len(req.Tasks) == 0 {
-		return &transport.Msg{Type: transport.MsgResult}
+		return transport.Msg{Type: transport.MsgResult}
 	}
 	outs, err := s.host.RunBatch(req.Spec, req.Tasks)
 	if err != nil {
-		return &transport.Msg{Type: transport.MsgError, Error: fmt.Sprintf("stage %q %v", req.Spec.Name, err)}
+		return transport.Msg{Type: transport.MsgError, Error: fmt.Sprintf("stage %q %v", req.Spec.Name, err)}
 	}
-	return &transport.Msg{Type: transport.MsgResult, Outputs: outs}
+	return transport.Msg{Type: transport.MsgResult, Outputs: outs}
 }
 
 // serveConn handshakes and then answers requests until the connection
 // drops. Every request produces exactly one reply frame, in order; this
 // strict alternation is what lets the coordinator treat a batch reply as
-// all-or-nothing when it reroutes work after a loss. While a request is
-// being processed the connection is marked busy so Shutdown will not
-// close it under the handler; after the reply, a draining server closes
-// the connection instead of reading the next request.
+// all-or-nothing when it reroutes work after a loss — and what lets the
+// connection keep one frame codec: a request's payloads are the host's
+// for the length of its calls, and are overwritten by the next read. While
+// a request is being processed the connection is marked busy so Shutdown
+// will not close it under the handler; after the reply, a draining server
+// closes the connection instead of reading the next request.
 func (s *Server) serveConn(conn net.Conn, st *connState) error {
 	defer func() {
 		// Either the peer is gone or we already have a more precise error.
 		_ = conn.Close()
 	}()
+	var fw transport.FrameWriter
+	var fr transport.FrameReader
 	reply := func(m *transport.Msg) error {
 		if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 			return err
 		}
-		_, err := transport.WriteFrame(conn, m)
+		_, err := fw.Write(conn, m, transport.DefaultMaxFrame)
 		return err
 	}
-	hello, _, err := transport.ReadFrame(conn, transport.DefaultMaxFrame)
+	hello, _, err := fr.Read(conn, transport.DefaultMaxFrame)
 	if err != nil {
 		if s.isDraining() && errors.Is(err, net.ErrClosed) {
 			return nil
@@ -237,7 +245,7 @@ func (s *Server) serveConn(conn net.Conn, st *connState) error {
 		return fmt.Errorf("writing hello ack: %w", err)
 	}
 	for {
-		req, _, err := transport.ReadFrame(conn, transport.DefaultMaxFrame)
+		req, _, err := fr.Read(conn, transport.DefaultMaxFrame)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -248,8 +256,13 @@ func (s *Server) serveConn(conn net.Conn, st *connState) error {
 			return err
 		}
 		s.setBusy(st, true)
+		// What the host returns is its own until its next call: that call
+		// must not start, on a redial racing this dying connection, while
+		// the reply is still being written.
+		s.answering.Lock()
 		resp := s.handle(req)
-		err = reply(resp)
+		err = reply(&resp)
+		s.answering.Unlock()
 		s.setBusy(st, false)
 		if err != nil {
 			return err

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,6 +89,11 @@ type worker struct {
 	// and a dropped connection resets it to 0 — a reconnect starts from
 	// nothing, which is the whole of the rejoin replay.
 	acked uint64
+	// The connection's frame codec, kept so a round trip allocates nothing;
+	// used under mu, by request alone. A reply and its payloads live in fr
+	// until this worker's next request.
+	fw transport.FrameWriter
+	fr transport.FrameReader
 }
 
 // stateLog is what a worker must have applied to be entry-identical to
@@ -162,6 +168,15 @@ type Coordinator struct {
 
 	log stateLog
 
+	// Run's own books, kept between stages (Run is called from one
+	// goroutine; the requests it starts get their arguments by value and
+	// never see these). byHome[h] lists the tasks of a stage of homeTasks
+	// tasks whose home is machine h; route[h] is the executor h's batch is
+	// sent to this round, or answered once its reply is in.
+	homeTasks int
+	byHome    [][]int
+	route     []int
+
 	sent  atomic.Int64
 	recvd atomic.Int64
 }
@@ -183,7 +198,8 @@ func DialContext(ctx context.Context, cfg Config) (*Coordinator, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("tcp: no worker addresses")
 	}
-	c := &Coordinator{cfg: cfg, conns: make([]net.Conn, len(cfg.Addrs))}
+	n := len(cfg.Addrs)
+	c := &Coordinator{cfg: cfg, conns: make([]net.Conn, n), route: make([]int, n)}
 	for _, addr := range cfg.Addrs {
 		c.workers = append(c.workers, &worker{addr: addr})
 	}
@@ -226,7 +242,10 @@ func (c *Coordinator) dialWorker(ctx context.Context, m int, w *worker) error {
 		case <-stop:
 		}
 	}()
-	resp, err := c.exchange(conn, hello)
+	// A codec of its own: the worker's belongs to request, under w.mu.
+	var fw transport.FrameWriter
+	var fr transport.FrameReader
+	resp, err := c.exchange(conn, &fw, &fr, hello)
 	close(stop)
 	// The watcher exits as soon as stop closes (the line above), so this
 	// join is bounded by a select already watching ctx.
@@ -258,17 +277,18 @@ func (c *Coordinator) dialWorker(ctx context.Context, m int, w *worker) error {
 }
 
 // exchange writes one frame and reads one reply on a raw connection,
-// under the call timeout, charging the wire counters.
-func (c *Coordinator) exchange(conn net.Conn, m *transport.Msg) (*transport.Msg, error) {
+// under the call timeout, charging the wire counters. The reply is fr's:
+// valid until fr reads again.
+func (c *Coordinator) exchange(conn net.Conn, fw *transport.FrameWriter, fr *transport.FrameReader, m *transport.Msg) (*transport.Msg, error) {
 	if err := conn.SetDeadline(time.Now().Add(c.cfg.callTimeout)); err != nil {
 		return nil, err
 	}
-	n, err := transport.WriteFrameMax(conn, m, c.cfg.maxFrame)
+	n, err := fw.Write(conn, m, c.cfg.maxFrame)
 	c.sent.Add(int64(n))
 	if err != nil {
 		return nil, err
 	}
-	resp, rn, err := transport.ReadFrame(conn, c.cfg.maxFrame)
+	resp, rn, err := fr.Read(conn, c.cfg.maxFrame)
 	c.recvd.Add(int64(rn))
 	if err != nil {
 		return nil, err
@@ -282,7 +302,9 @@ func (c *Coordinator) exchange(conn net.Conn, m *transport.Msg) (*transport.Msg,
 // connection-level failure marks the machine down and returns errDown; an
 // executor-reported error returns a *remoteError with the connection kept
 // alive and the acknowledgement where it was; a message too large to frame
-// never reached the wire and is returned as it is.
+// never reached the wire and is returned as it is. The outputs and their
+// payloads are slices of the worker's read buffer: the caller is done with
+// them before it sends machine m another request.
 func (c *Coordinator) request(m int, spec transport.Spec, tasks []int) ([]transport.TaskOutput, error) {
 	w := c.workers[m]
 	w.mu.Lock()
@@ -291,7 +313,8 @@ func (c *Coordinator) request(m int, spec transport.Spec, tasks []int) ([]transp
 		return nil, errDown
 	}
 	states, head := c.log.after(w.acked)
-	resp, err := c.exchange(w.conn, &transport.Msg{Type: transport.MsgRun, States: states, Spec: spec, Tasks: tasks})
+	req := transport.Msg{Type: transport.MsgRun, States: states, Spec: spec, Tasks: tasks}
+	resp, err := c.exchange(w.conn, &w.fw, &w.fr, &req)
 	switch {
 	case errors.Is(err, transport.ErrFrameTooLarge):
 		return nil, fmt.Errorf("tcp: request to worker %d: %w", m, err)
@@ -455,17 +478,14 @@ func (c *Coordinator) PushState(ctx context.Context, kind transport.StateKind, p
 	return nil
 }
 
-// batch is one machine's share of a stage: the tasks whose home is that
-// machine, executed wherever the ring currently routes them.
-type batch struct {
-	home  int
-	tasks []int
-}
+// answered is a home batch's route once its reply is in (or when the stage
+// has no task for that home).
+const answered = -1
 
-type batchOutcome struct {
-	b    batch
-	outs []transport.TaskOutput
+// outcome is one request's result as Run receives it.
+type outcome struct {
 	exec int
+	outs []transport.TaskOutput
 	err  error
 }
 
@@ -483,60 +503,110 @@ func (c *Coordinator) executorFor(home int) (int, error) {
 	return 0, errors.New("tcp: no live workers")
 }
 
-// Run implements transport.Transport: partition the stage's tasks into
-// per-home-machine batches, execute the batches concurrently, and deliver
-// results sequentially. A batch whose connection dies is relaunched on the
-// ring successor; executor replies are all-or-nothing per batch, so a
-// retried batch never double-delivers.
+// tasksByHome returns, per machine, the tasks of a stage of the given size
+// whose home it is. Every stage of a mode's update has the same size, so
+// the lists are built when the size changes and shared, read-only, with
+// every request until then.
+func (c *Coordinator) tasksByHome(tasks int) [][]int {
+	if c.byHome == nil || c.homeTasks != tasks {
+		n := len(c.workers)
+		byHome := make([][]int, n)
+		for t := 0; t < tasks; t++ {
+			byHome[t%n] = append(byHome[t%n], t)
+		}
+		c.homeTasks, c.byHome = tasks, byHome
+	}
+	return c.byHome
+}
+
+// Run implements transport.Transport: the stage's tasks fall into one batch
+// per home machine, every batch is routed to its executor, and each
+// executor gets the batches routed to it as one request — with every
+// machine up, its own; after a loss, a survivor's own and the ones it
+// inherits, concatenated. The requests run concurrently and their results
+// are delivered sequentially, a reply's outputs before its connection is
+// read again: they are slices of that connection's read buffer, which is
+// why two batches for one executor must not be two exchanges. An executor
+// whose connection dies has all its batches routed again next round;
+// replies are all-or-nothing per request, so a retried batch never
+// double-delivers.
 func (c *Coordinator) Run(ctx context.Context, spec transport.Spec, deliver func(transport.TaskResult) error) error {
 	n := len(c.workers)
-	byHome := make([][]int, n)
-	for t := 0; t < spec.Tasks; t++ {
-		byHome[t%n] = append(byHome[t%n], t)
-	}
-	var queue []batch
+	byHome := c.tasksByHome(spec.Tasks)
+	left := 0
 	for home, tasks := range byHome {
+		c.route[home] = answered
 		if len(tasks) > 0 {
-			queue = append(queue, batch{home: home, tasks: tasks})
+			c.route[home] = home
+			left++
 		}
 	}
-	for round := 0; len(queue) > 0; round++ {
+	// One send per request of a round, at most one request per worker: an
+	// abandoned round's requests deposit their outcome and exit without a
+	// receiver.
+	results := make(chan outcome, n)
+	for round := 0; left > 0; round++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if round > n {
 			return errors.New("tcp: stage retries exceeded machine count")
 		}
-		results := make(chan batchOutcome, len(queue))
-		for _, b := range queue {
-			exec, err := c.executorFor(b.home)
+		for home := range byHome {
+			if c.route[home] == answered {
+				continue
+			}
+			exec, err := c.executorFor(home)
 			if err != nil {
 				return fmt.Errorf("tcp: stage %q: %w", spec.Name, err)
 			}
-			go func(b batch, exec int) {
-				outs, err := c.request(exec, spec, b.tasks)
-				results <- batchOutcome{b: b, exec: exec, outs: outs, err: err}
-			}(b, exec)
+			c.route[home] = exec
 		}
-		var requeue []batch
+		launched := 0
+		for exec := 0; exec < n; exec++ {
+			var tasks []int
+			merged := false
+			for home := range byHome {
+				switch {
+				case c.route[home] != exec:
+				case tasks == nil:
+					tasks = byHome[home]
+				default:
+					if !merged {
+						tasks, merged = slices.Clone(tasks), true
+					}
+					tasks = append(tasks, byHome[home]...)
+				}
+			}
+			if tasks == nil {
+				continue
+			}
+			launched++
+			// Copies that are never assigned again, so the closure holds
+			// them by value and is the launch's one allocation.
+			e, batch := exec, tasks
+			go func() {
+				outs, err := c.request(e, spec, batch)
+				results <- outcome{exec: e, outs: outs, err: err}
+			}()
+		}
 		var fatal error
-		for range queue {
-			var o batchOutcome
+		for ; launched > 0; launched-- {
+			var o outcome
 			select {
 			case o = <-results:
 			case <-ctx.Done():
 				// Abandon the round and close the connections under the
 				// calls in flight (a close error adds nothing to ctx's):
 				// they fail at once instead of holding their worker.mu
-				// until callTimeout, and results is buffered to
-				// len(queue), so they deposit their outcome and exit
-				// without a receiver.
+				// until callTimeout.
 				_ = c.closeConns()
 				return ctx.Err()
 			}
 			switch {
 			case errors.Is(o.err, errDown):
-				requeue = append(requeue, o.b)
+				// Its batches keep their route and get a new one next round.
+				continue
 			case o.err != nil:
 				if fatal == nil {
 					fatal = o.err
@@ -553,11 +623,16 @@ func (c *Coordinator) Run(ctx context.Context, spec transport.Spec, deliver func
 					}
 				}
 			}
+			for home := range byHome {
+				if c.route[home] == o.exec {
+					c.route[home] = answered
+					left--
+				}
+			}
 		}
 		if fatal != nil {
 			return fatal
 		}
-		queue = requeue
 	}
 	return nil
 }

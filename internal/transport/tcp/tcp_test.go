@@ -697,3 +697,70 @@ func TestServeRejectsBadHandshake(t *testing.T) {
 		}
 	}
 }
+
+// TestReroutedBatchesShareOneExchange: once a machine is known to be down,
+// its home batch and the survivor's own reach the survivor as one request —
+// one frame, one reply — and every delivered payload is the one its task
+// produced. A reply's payloads are slices of the connection's read buffer,
+// so two exchanges with one executor in one round would let the second
+// reply overwrite the first before Run has delivered it.
+func TestReroutedBatchesShareOneExchange(t *testing.T) {
+	h0, h1 := newEchoHost(), newEchoHost()
+	addr0, frames0 := startCountedWorker(t, h0)
+	lis1, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve1 := make(chan error, 1)
+	go func() { serve1 <- Serve(lis1, h1, nil) }()
+	c, err := Dial(testConfig(addr0, lis1.Addr().String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := c.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	if err := lis1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-serve1; err != nil {
+		t.Fatalf("Serve(worker 1): %v", err)
+	}
+
+	ctx := context.Background()
+	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 4}
+	stage := func() {
+		t.Helper()
+		got := map[int]string{}
+		err := c.Run(ctx, spec, func(tr transport.TaskResult) error {
+			if tr.Machine != 0 {
+				return fmt.Errorf("task %d ran on machine %d, want the survivor", tr.Task, tr.Machine)
+			}
+			if _, dup := got[tr.Task]; dup {
+				return fmt.Errorf("task %d delivered twice", tr.Task)
+			}
+			got[tr.Task] = string(tr.Payload)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for task := 0; task < spec.Tasks; task++ {
+			if want := fmt.Sprintf("eval:A/%d", task); got[task] != want {
+				t.Fatalf("task %d delivered payload %q, want %q", task, got[task], want)
+			}
+		}
+	}
+	// The stage that finds the machine dead: the survivor answers its own
+	// batch, then the one whose request died.
+	stage()
+	for s := 0; s < 3; s++ {
+		before := frames0.frames.Load()
+		stage()
+		if n := frames0.frames.Load() - before; n != 1 {
+			t.Fatalf("stage %d after the loss cost the survivor %d request frames, want both batches in one", s, n)
+		}
+	}
+}

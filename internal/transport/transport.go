@@ -101,7 +101,9 @@ func (k StateKind) String() string {
 
 // TaskResult is one completed remote task: which machine ran it, the
 // measured execution nanos (charged to the simulated clock exactly like a
-// local task's duration), and the task's output payload.
+// local task's duration), and the task's output payload. The payload is a
+// slice of the transport's read buffer: it is valid during the deliver call
+// it is handed to and not after.
 type TaskResult struct {
 	Task    int
 	Machine int
@@ -147,7 +149,8 @@ type Transport interface {
 	// Run executes the stage: every task in [0, spec.Tasks) runs on its
 	// home machine (task mod M) or, while that machine is down, on the
 	// next live machine in ring order — the engine's reassignment rule.
-	// deliver is called sequentially, once per task, in completion order.
+	// deliver is called sequentially, once per task, in completion order,
+	// and must be done with the result's payload when it returns.
 	// A task whose machine dies mid-stage is rerouted and re-executed
 	// (tasks are idempotent by the engine's contract); Run fails only
 	// when a task has no live machine left or ctx is done.
@@ -164,15 +167,23 @@ type Transport interface {
 // Host is the executor side of the protocol: replicated state plus stage
 // execution. Implementations must be safe for one request at a time (the
 // wire protocol is sequential per connection); the tcp server serializes
-// calls per connection.
+// calls per connection, and a request's host calls and reply across
+// connections.
+//
+// Payloads are lent, not given, in both directions, so that neither side
+// copies them: what a host is handed is a slice of the server's read
+// buffer, and what it returns may be a buffer it keeps.
 type Host interface {
-	// Apply installs one replicated-state blob.
+	// Apply installs one replicated-state blob. payload is valid during the
+	// call: an implementation decodes or copies what it keeps.
 	Apply(kind StateKind, payload []byte) error
 	// RunBatch executes one stage batch. On success it returns exactly one
 	// TaskOutput per requested task, in the order given, each with its own
 	// measured nanos. Any task failure fails the whole batch — the
 	// all-or-nothing rule the coordinator's rerouting relies on — with an
 	// error identifying the failing task; when several tasks fail, the
-	// error names the one earliest in the batch order.
+	// error names the one earliest in the batch order. tasks is valid during
+	// the call; the returned slice and every TaskOutput.Payload in it need
+	// stay valid only until the host's next call, so a host may reuse them.
 	RunBatch(spec Spec, tasks []int) ([]TaskOutput, error)
 }

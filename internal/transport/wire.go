@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 )
 
 // ProtoVersion is the wire protocol version carried in the handshake;
@@ -107,8 +108,16 @@ const (
 
 func appendInt(b []byte, v int64) []byte     { return binary.BigEndian.AppendUint64(b, uint64(v)) }
 func appendCount(b []byte, n int) []byte     { return binary.BigEndian.AppendUint32(b, uint32(n)) }
-func appendBytes(b, p []byte) []byte         { return append(appendCount(b, len(p)), p...) }
 func appendString(b []byte, s string) []byte { return append(appendCount(b, len(s)), s...) }
+
+// spliceMin is the payload size from which FrameWriter hands the payload
+// to the socket beside the frame's other bytes instead of copying it into
+// them. It is a constant because the sizes it separates are two orders of
+// magnitude apart on every workload: a task's lanes are 2-6 KB and cheaper
+// copied into one write than given an iovec of their own, a set-up blob is
+// 0.4-8 MB and copying it once per worker was a quarter of what a run
+// allocated.
+const spliceMin = 16 << 10
 
 // WriteFrame writes one frame under DefaultMaxFrame and returns the bytes
 // written. The frame is a big-endian u32 body length followed by the body,
@@ -121,33 +130,66 @@ func appendString(b []byte, s string) []byte { return append(appendCount(b, len(
 //	count Outputs × {int Task, int Nanos, count, payload bytes};
 //	count, Error bytes
 //
-// with int a 64-bit two's complement and count a u32. The frame is built
-// in one buffer sized up front and handed to w in a single Write.
+// with int a 64-bit two's complement and count a u32. It is a FrameWriter
+// used once; a connection keeps one instead.
 func WriteFrame(w io.Writer, m *Msg) (int, error) {
 	return WriteFrameMax(w, m, DefaultMaxFrame)
 }
 
-// WriteFrameMax is WriteFrame under a caller-chosen body limit (<=0 means
-// DefaultMaxFrame, which is also the most it can be). A message whose body
-// would exceed the limit is refused with ErrFrameTooLarge before a byte is
-// allocated or written.
+// WriteFrameMax is WriteFrame under a caller-chosen body limit.
 func WriteFrameMax(w io.Writer, m *Msg, maxFrame int64) (int, error) {
+	var fw FrameWriter
+	return fw.Write(w, m, maxFrame)
+}
+
+// FrameWriter encodes frames (see WriteFrame for the layout) into a buffer
+// it keeps, so a connection that owns one writes frame after frame without
+// allocating. The zero value is ready; it is not safe for concurrent use.
+type FrameWriter struct {
+	// buf holds the frame's bytes other than the spliced payloads.
+	buf []byte
+	// vecs is the iovec list of a frame with spliced payloads — runs of buf
+	// and the payloads between them — and from where in buf its next run
+	// starts; out is the view of vecs net.Buffers.WriteTo consumes, made at
+	// the first splice so that a writer which never splices stays off the
+	// heap.
+	vecs [][]byte
+	from int
+	out  *net.Buffers
+}
+
+// Write writes m as one frame under maxFrame (<=0 means DefaultMaxFrame,
+// which is also the most it can be) and returns the bytes written. A
+// message whose body would exceed the limit is refused with
+// ErrFrameTooLarge before a byte is encoded or written. A payload of at
+// least spliceMin bytes is not copied: it goes to w beside the bytes
+// around it — one writev on a *net.TCPConn, sequential writes on any other
+// writer — and must therefore stay unchanged until Write returns.
+func (fw *FrameWriter) Write(w io.Writer, m *Msg, maxFrame int64) (int, error) {
 	if maxFrame <= 0 || maxFrame > DefaultMaxFrame {
 		maxFrame = DefaultMaxFrame
 	}
 	size := int64(fixedLen + len(m.Spec.Name) + len(m.Error))
+	var spliced int64
 	for i := range m.States {
 		size += stateBlobMin + int64(len(m.States[i].Payload))
+		spliced += splicedLen(m.States[i].Payload)
 	}
 	size += intLen * int64(len(m.Tasks))
 	for i := range m.Outputs {
 		size += taskOutputMin + int64(len(m.Outputs[i].Payload))
+		spliced += splicedLen(m.Outputs[i].Payload)
 	}
 	if size > maxFrame {
 		return 0, fmt.Errorf("%w: %d-byte body exceeds limit %d", ErrFrameTooLarge, size, maxFrame)
 	}
-	b := make([]byte, 0, 4+size)
-	b = binary.BigEndian.AppendUint32(b, uint32(size))
+	// Sized before the first append, so b never moves and the runs of it
+	// that vecs collects along the way stay the frame's.
+	if inline := 4 + size - spliced; int64(cap(fw.buf)) < inline {
+		fw.buf = make([]byte, 0, inline)
+	}
+	fw.vecs, fw.from = fw.vecs[:0], 0
+	b := binary.BigEndian.AppendUint32(fw.buf[:0], uint32(size))
 	b = append(b, byte(m.Type))
 	b = appendInt(b, int64(m.Proto))
 	b = appendInt(b, int64(m.Machine))
@@ -155,7 +197,7 @@ func WriteFrameMax(w io.Writer, m *Msg, maxFrame int64) (int, error) {
 	b = appendCount(b, len(m.States))
 	for i := range m.States {
 		b = append(b, byte(m.States[i].Kind))
-		b = appendBytes(b, m.States[i].Payload)
+		b = fw.appendPayload(b, m.States[i].Payload)
 	}
 	b = append(b, byte(m.Spec.Kind))
 	b = appendInt(b, int64(m.Spec.Mode))
@@ -170,45 +212,121 @@ func WriteFrameMax(w io.Writer, m *Msg, maxFrame int64) (int, error) {
 	for i := range m.Outputs {
 		b = appendInt(b, int64(m.Outputs[i].Task))
 		b = appendInt(b, m.Outputs[i].Nanos)
-		b = appendBytes(b, m.Outputs[i].Payload)
+		b = fw.appendPayload(b, m.Outputs[i].Payload)
 	}
 	b = appendString(b, m.Error)
-	n, err := w.Write(b)
-	if err != nil {
-		return n, fmt.Errorf("transport: write frame: %w", err)
+	fw.buf = b
+
+	if len(fw.vecs) == 0 {
+		n, err := w.Write(b)
+		if err != nil {
+			return n, fmt.Errorf("transport: write frame: %w", err)
+		}
+		return n, nil
 	}
-	return n, nil
+	if fw.out == nil {
+		fw.out = new(net.Buffers)
+	}
+	fw.vecs = append(fw.vecs, b[fw.from:])
+	*fw.out = fw.vecs
+	n, err := fw.out.WriteTo(w)
+	// The frame is gone; its payloads are the caller's again.
+	clear(fw.vecs[:cap(fw.vecs)])
+	if err != nil {
+		return int(n), fmt.Errorf("transport: write frame: %w", err)
+	}
+	return int(n), nil
 }
 
-// ReadFrame reads one frame, enforcing maxFrame (<=0 means
-// DefaultMaxFrame) on the length prefix before anything is allocated, and
-// returns the decoded message with the bytes consumed. A body larger than
-// one chunk is read into a buffer that grows only as bytes arrive, so a
-// length prefix larger than the data actually sent errors out without
-// having allocated the claimed size. The message's payloads are slices of
-// the body buffer, which no later frame reuses, so a receiver may keep
-// them; every decoded count is checked against the bytes left in the body
-// before it sizes an allocation; a body that ends before its fields do, or
-// continues past them, is rejected as corrupt.
+// splicedLen is how many of a payload's bytes stay out of the writer's own
+// buffer.
+func splicedLen(p []byte) int64 {
+	if len(p) < spliceMin {
+		return 0
+	}
+	return int64(len(p))
+}
+
+// appendPayload encodes a length-prefixed payload: copied after its count,
+// or from spliceMin bytes on queued behind the run of b that ends here.
+func (fw *FrameWriter) appendPayload(b, p []byte) []byte {
+	b = appendCount(b, len(p))
+	if len(p) < spliceMin {
+		return append(b, p...)
+	}
+	fw.vecs = append(fw.vecs, b[fw.from:], p)
+	fw.from = len(b)
+	return b
+}
+
+// keepBodyMax is the largest body a FrameReader holds on to between
+// frames: every steady-state frame is far below it, and a set-up frame's
+// megabytes must not stay pinned on a worker for the rest of the run.
+const keepBodyMax = 1 << 20
+
+// ReadFrame reads one frame with a FrameReader used once, so the message
+// and its payloads are the caller's to keep. See FrameReader.Read.
 func ReadFrame(r io.Reader, maxFrame int64) (*Msg, int, error) {
+	var fr FrameReader
+	return fr.Read(r, maxFrame)
+}
+
+// FrameReader decodes frames into a body buffer and a message it keeps, so
+// a connection that owns one reads frame after frame without allocating.
+// The message Read returns — its States, Tasks and Outputs, and every
+// payload in them, which are slices of the body — is valid until the next
+// Read on the same FrameReader and not after: a receiver that needs any of
+// it longer copies it out first. The zero value is ready; it is not safe
+// for concurrent use.
+type FrameReader struct {
+	hdr  [4]byte
+	body []byte
+	msg  Msg
+	// The backing arrays msg's slices are cut from; msg's own fields are
+	// nil when a frame has no elements, exactly as a one-shot decode's.
+	states  []StateBlob
+	tasks   []int
+	outputs []TaskOutput
+}
+
+// Read reads one frame, enforcing maxFrame (<=0 means DefaultMaxFrame) on
+// the length prefix before anything is allocated, and returns the decoded
+// message with the bytes consumed. A body the kept buffer already covers
+// is read straight into it; a larger one is read into a buffer that grows
+// only as bytes arrive, so a length prefix larger than the data actually
+// sent errors out without having allocated the claimed size. Every decoded
+// count is checked against the bytes left in the body before it sizes an
+// allocation; a body that ends before its fields do, or continues past
+// them, is rejected as corrupt.
+func (fr *FrameReader) Read(r io.Reader, maxFrame int64) (*Msg, int, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(fr.body) > keepBodyMax {
+		// The kept elements still point into the body: let go of both.
+		fr.body = nil
+		clear(fr.states[:cap(fr.states)])
+		clear(fr.outputs[:cap(fr.outputs)])
+	}
+	if _, err := io.ReadFull(r, fr.hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, 0, fmt.Errorf("transport: truncated frame header: %w", err)
 		}
 		return nil, 0, err
 	}
-	n := int64(binary.BigEndian.Uint32(hdr[:]))
+	n := int64(binary.BigEndian.Uint32(fr.hdr[:]))
 	if n == 0 {
 		return nil, 4, errors.New("transport: empty frame")
 	}
 	if n > maxFrame {
 		return nil, 4, fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, maxFrame)
 	}
-	body := make([]byte, min(n, readChunk))
+	body := fr.body[:0]
+	if int64(cap(body)) >= n {
+		body = body[:n]
+	} else {
+		body = make([]byte, min(n, readChunk))
+	}
 	for got := 0; ; {
 		k, err := io.ReadFull(r, body[got:])
 		got += k
@@ -222,11 +340,11 @@ func ReadFrame(r io.Reader, maxFrame int64) (*Msg, int, error) {
 		copy(grown, body)
 		body = grown
 	}
-	m, err := decodeBody(body)
-	if err != nil {
+	fr.body = body
+	if err := fr.decode(body); err != nil {
 		return nil, 4 + len(body), err
 	}
-	return m, 4 + len(body), nil
+	return &fr.msg, 4 + len(body), nil
 }
 
 // errShort is the decoder's one truncation error: a field ran past the
@@ -294,49 +412,70 @@ func (c *cursor) bytes() []byte {
 	return c.take(n)
 }
 
-func decodeBody(body []byte) (*Msg, error) {
-	c := &cursor{b: body}
-	m := &Msg{Type: MsgType(c.u8())}
+// resized returns s with length n, made anew at exactly that size when its
+// capacity does not reach.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// decode fills fr.msg from a frame body, cutting its slices from the kept
+// backing arrays.
+func (fr *FrameReader) decode(body []byte) error {
+	c := cursor{b: body}
+	m := &fr.msg
+	m.Type = MsgType(c.u8())
 	m.Proto, m.Machine, m.Machines = c.int(), c.int(), c.int()
 	n := c.u32()
 	if uint64(n)*stateBlobMin > uint64(len(c.b)) {
-		return nil, errShort
+		return errShort
 	}
+	m.States = nil
 	if n > 0 {
-		m.States = make([]StateBlob, n)
+		fr.states = resized(fr.states, int(n))
+		m.States = fr.states
 		for i := range m.States {
 			m.States[i] = StateBlob{Kind: StateKind(c.u8()), Payload: c.bytes()}
 		}
 	}
 	m.Spec.Kind = Kind(c.u8())
 	m.Spec.Mode, m.Spec.Col, m.Spec.Tasks = c.int(), c.int(), c.int()
-	m.Spec.Name = string(c.bytes())
+	// A stage's name repeats for a whole factor update: keep the string.
+	if name := c.bytes(); string(name) != m.Spec.Name {
+		m.Spec.Name = string(name)
+	}
 	n = c.u32()
 	if uint64(n)*intLen > uint64(len(c.b)) {
-		return nil, errShort
+		return errShort
 	}
+	m.Tasks = nil
 	if n > 0 {
-		m.Tasks = make([]int, n)
+		fr.tasks = resized(fr.tasks, int(n))
+		m.Tasks = fr.tasks
 		for i := range m.Tasks {
 			m.Tasks[i] = c.int()
 		}
 	}
 	n = c.u32()
 	if uint64(n)*taskOutputMin > uint64(len(c.b)) {
-		return nil, errShort
+		return errShort
 	}
+	m.Outputs = nil
 	if n > 0 {
-		m.Outputs = make([]TaskOutput, n)
+		fr.outputs = resized(fr.outputs, int(n))
+		m.Outputs = fr.outputs
 		for i := range m.Outputs {
 			m.Outputs[i] = TaskOutput{Task: c.int(), Nanos: c.i64(), Payload: c.bytes()}
 		}
 	}
 	m.Error = string(c.bytes())
 	if c.err != nil {
-		return nil, c.err
+		return c.err
 	}
 	if len(c.b) != 0 {
-		return nil, fmt.Errorf("transport: %d trailing bytes after frame body", len(c.b))
+		return fmt.Errorf("transport: %d trailing bytes after frame body", len(c.b))
 	}
-	return m, nil
+	return nil
 }
