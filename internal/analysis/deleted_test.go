@@ -82,6 +82,12 @@ var deletedNames = []deletedName{
 		pr: "PR 28: AppendBinary and DecodeBinary are the binary tensor format's one encoder and one decoder, on slices; the uvarint-at-a-time stream codec beside them was 2.5x slower to read and is the test oracle only"},
 	{pattern: `encodeDeltas|decodeBody|make\(\[\]byte, 0, 4\+size\)`, scope: []string{"internal/core", "internal/transport"}, nonTest: true,
 		pr: "PR 28: a frame is encoded into the writer's kept buffer and decoded into the reader's kept message, an eval reply appended into the partition's kept buffer; there is no allocate-per-frame codec beside them"},
+	{pattern: `SetBool|CopyFrom|Parse\(`, scope: []string{"internal/bitvec"},
+		pr: "PR 29: BitVec.SetBool, BitVec.CopyFrom and bitvec.Parse had no caller outside their own tests (ROADMAP item 8)"},
+	{pattern: `\.CopyFrom\(|bitvec\.Parse\(|boolmat\.Mul\(`, scope: []string{"."},
+		pr: "PR 29: no program code copies a BitVec in place or parses one from a string; a factor product is MulFactor"},
+	{pattern: `[^.\w]Mul\(`, scope: []string{"internal/boolmat"},
+		pr: "PR 29: the general matrix product had no caller outside its tests; MulFactor is the product the engine forms (Equation 6), held to a triple loop"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

@@ -90,15 +90,6 @@ func (v *BitVec) Clear(i int) {
 	v.words[i>>wordLog] &^= 1 << (uint(i) & wordMask)
 }
 
-// SetBool sets bit i to b.
-func (v *BitVec) SetBool(i int, b bool) {
-	if b {
-		v.Set(i)
-	} else {
-		v.Clear(i)
-	}
-}
-
 // Zero clears every bit.
 func (v *BitVec) Zero() {
 	for i := range v.words {
@@ -111,14 +102,6 @@ func (v *BitVec) Copy() *BitVec {
 	w := New(v.n)
 	copy(w.words, v.words)
 	return w
-}
-
-// CopyFrom overwrites v with the contents of src. The lengths must match.
-func (v *BitVec) CopyFrom(src *BitVec) {
-	if v.n != src.n {
-		panic(fmt.Sprintf("bitvec: CopyFrom length mismatch %d != %d", v.n, src.n))
-	}
-	copy(v.words, src.words)
 }
 
 // Or sets v = v | w. The lengths must match.
@@ -286,20 +269,4 @@ func (v *BitVec) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// Parse builds a bit vector from a string of '0' and '1' characters,
-// bit 0 first. It is the inverse of String.
-func Parse(s string) (*BitVec, error) {
-	v := New(len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '1':
-			v.Set(i)
-		case '0':
-		default:
-			return nil, fmt.Errorf("bitvec: invalid character %q at position %d", s[i], i)
-		}
-	}
-	return v, nil
 }

@@ -47,18 +47,6 @@ func TestSetGetClear(t *testing.T) {
 	}
 }
 
-func TestSetBool(t *testing.T) {
-	v := New(10)
-	v.SetBool(3, true)
-	if !v.Get(3) {
-		t.Fatal("SetBool(3, true) did not set")
-	}
-	v.SetBool(3, false)
-	if v.Get(3) {
-		t.Fatal("SetBool(3, false) did not clear")
-	}
-}
-
 func TestFromIndicesAndIndices(t *testing.T) {
 	idx := []int{0, 5, 64, 99}
 	v := FromIndices(100, idx)
@@ -141,19 +129,18 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-func TestZeroAndCopyFrom(t *testing.T) {
+func TestZeroAndCopy(t *testing.T) {
 	a := FromIndices(100, []int{1, 50, 99})
-	b := New(100)
-	b.CopyFrom(a)
+	b := a.Copy()
 	if !b.Equal(a) {
-		t.Fatal("CopyFrom mismatch")
+		t.Fatal("Copy mismatch")
 	}
 	a.Zero()
 	if a.Any() {
 		t.Fatal("Zero left bits set")
 	}
 	if !b.Get(50) {
-		t.Fatal("CopyFrom shares storage with source")
+		t.Fatal("Copy shares storage with source")
 	}
 }
 
@@ -164,7 +151,6 @@ func TestMismatchedLengthsPanic(t *testing.T) {
 		"AndNot":   func(a, b *BitVec) { a.AndNot(b) },
 		"XorCount": func(a, b *BitVec) { a.XorCount(b) },
 		"AndCount": func(a, b *BitVec) { a.AndCount(b) },
-		"CopyFrom": func(a, b *BitVec) { a.CopyFrom(b) },
 	}
 	for name, op := range ops {
 		func() {
@@ -212,17 +198,10 @@ func TestSliceOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestStringParseRoundtrip(t *testing.T) {
-	s := "0110010000000000000000000000000000000000000000000000000000000000011"
-	v, err := Parse(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.String() != s {
-		t.Fatalf("roundtrip: got %q", v.String())
-	}
-	if _, err := Parse("01x"); err == nil {
-		t.Fatal("Parse accepted invalid character")
+func TestStringBitZeroFirst(t *testing.T) {
+	want := "0110010000000000000000000000000000000000000000000000000000000000011"
+	if got := FromIndices(len(want), []int{1, 2, 5, 65, 66}).String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }
 

@@ -64,8 +64,8 @@ func FuzzKernels(f *testing.F) {
 			t.Fatalf("AndAndNotCountWords = %d, model %d", got, andAndNot)
 		}
 
-		// OrCountWords against the three BitVec passes it fuses (CopyFrom,
-		// Or, OnesCount): into a dirty destination, and in place.
+		// OrCountWords against the three BitVec passes it fuses (Copy, Or,
+		// OnesCount): into a dirty destination, and in place.
 		or := x.Copy()
 		or.Or(a)
 		dst := make([]uint64, len(x.Words()))

@@ -8,6 +8,9 @@ import (
 // factorHeaderLen is the binary snapshot header: u32 rows, u32 rank.
 const factorHeaderLen = 8
 
+// BinarySize returns the length of the matrix's AppendBinary encoding.
+func (m *FactorMatrix) BinarySize() int { return factorHeaderLen + 8*len(m.rows) }
+
 // AppendBinary appends the factor matrix in the binary snapshot layout —
 // little-endian u32 row count, u32 rank, then one u64 row mask per row —
 // and returns the extended slice. The layout is the factor component of

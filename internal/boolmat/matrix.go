@@ -126,26 +126,10 @@ func (a *Matrix) XorCount(b *Matrix) int {
 	return n
 }
 
-// Mul returns the Boolean matrix product a ∘ b (Equation 6):
-// (a ∘ b)_ij = ⋁_k a_ik ∧ b_kj. Row i of the result is the Boolean sum of
-// the rows of b selected by the set bits of row i of a (Lemma 1).
-func Mul(a, b *Matrix) *Matrix {
-	if a.m != b.n {
-		panic(fmt.Sprintf("boolmat: Mul inner dimension mismatch %d != %d", a.m, b.n))
-	}
-	out := NewMatrix(a.n, b.m)
-	for i := 0; i < a.n; i++ {
-		dst := out.Row(i)
-		a.Row(i).Range(func(k int) {
-			dst.Or(b.Row(k))
-		})
-	}
-	return out
-}
-
-// MulFactor returns the Boolean matrix product A ∘ M of a factor matrix
-// (n×R) and a general matrix (R×m). Row i of the result is the Boolean sum
-// of the rows of M selected by A's row mask i.
+// MulFactor returns the Boolean matrix product A ∘ M (Equation 6,
+// (A ∘ M)_ij = ⋁_k a_ik ∧ m_kj) of a factor matrix (n×R) and a general
+// matrix (R×m). Row i of the result is the Boolean sum of the rows of M
+// selected by A's row mask i (Lemma 1).
 func MulFactor(a *FactorMatrix, m *Matrix) *Matrix {
 	if a.Rank() != m.n {
 		panic(fmt.Sprintf("boolmat: MulFactor inner dimension mismatch %d != %d", a.Rank(), m.n))

@@ -60,26 +60,30 @@ func TestMatrixXorCount(t *testing.T) {
 	}
 }
 
-func TestMulDefinition(t *testing.T) {
-	// Equation 6 checked against triple-loop reference.
-	rng := rand.New(rand.NewSource(4))
-	a := RandomMatrix(rng, 6, 9, 0.4)
-	b := RandomMatrix(rng, 9, 11, 0.4)
-	got := Mul(a, b)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 11; j++ {
-			want := false
-			for k := 0; k < 9; k++ {
+// naiveMul is Equation 6 by its definition, (a ∘ b)_ij = ⋁_k a_ik ∧ b_kj:
+// the oracle MulFactor is held to.
+func naiveMul(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows(), b.Cols())
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < b.Cols(); j++ {
+			for k := 0; k < a.Cols(); k++ {
 				if a.Get(i, k) && b.Get(k, j) {
-					want = true
+					out.Set(i, j, true)
 					break
 				}
 			}
-			if got.Get(i, j) != want {
-				t.Fatalf("Mul entry (%d,%d) = %v, want %v", i, j, got.Get(i, j), want)
-			}
 		}
 	}
+	return out
+}
+
+// factorOf converts a matrix of at most MaxRank columns to a factor matrix.
+func factorOf(m *Matrix) *FactorMatrix {
+	f := NewFactor(m.Rows(), m.Cols())
+	for i := 0; i < m.Rows(); i++ {
+		m.Row(i).Range(func(j int) { f.Set(i, j, true) })
+	}
+	return f
 }
 
 func TestMulInnerMismatchPanics(t *testing.T) {
@@ -88,15 +92,15 @@ func TestMulInnerMismatchPanics(t *testing.T) {
 			t.Fatal("no panic on inner dimension mismatch")
 		}
 	}()
-	Mul(NewMatrix(2, 3), NewMatrix(4, 2))
+	MulFactor(NewFactor(2, 3), NewMatrix(4, 2))
 }
 
 func TestMulFactorAgainstMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	f := RandomFactor(rng, 10, 12, 0.4)
 	m := RandomMatrix(rng, 12, 33, 0.4)
-	if !MulFactor(f, m).Equal(Mul(f.Matrix(), m)) {
-		t.Fatal("MulFactor disagrees with Mul")
+	if !MulFactor(f, m).Equal(naiveMul(f.Matrix(), m)) {
+		t.Fatal("MulFactor disagrees with the triple loop of Equation 6")
 	}
 }
 
@@ -150,16 +154,16 @@ func TestQuickMulAssociatesWithOr(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, k, m := rng.Intn(6)+1, rng.Intn(6)+1, rng.Intn(6)+1
-		a := RandomMatrix(rng, n, k, 0.5)
-		b := RandomMatrix(rng, n, k, 0.5)
+		a := RandomFactor(rng, n, k, 0.5)
+		b := RandomFactor(rng, n, k, 0.5)
 		c := RandomMatrix(rng, k, m, 0.5)
 		ab := a.Clone()
 		for i := 0; i < n; i++ {
-			ab.Row(i).Or(b.Row(i))
+			ab.SetRowMask(i, a.RowMask(i)|b.RowMask(i))
 		}
-		left := Mul(ab, c)
-		right := Mul(a, c)
-		bc := Mul(b, c)
+		left := MulFactor(ab, c)
+		right := MulFactor(a, c)
+		bc := MulFactor(b, c)
 		for i := 0; i < n; i++ {
 			right.Row(i).Or(bc.Row(i))
 		}
@@ -187,9 +191,9 @@ func TestQuickMulMatchesProductOfTransposes(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, k, m := rng.Intn(7)+1, rng.Intn(7)+1, rng.Intn(7)+1
-		a := RandomMatrix(rng, n, k, 0.5)
+		a := RandomFactor(rng, n, k, 0.5)
 		b := RandomMatrix(rng, k, m, 0.5)
-		return Mul(a, b).Transpose().Equal(Mul(b.Transpose(), a.Transpose()))
+		return MulFactor(a, b).Transpose().Equal(MulFactor(factorOf(b.Transpose()), a.Matrix().Transpose()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -56,9 +56,15 @@ type checkpoint struct {
 	A, B, C         *boolmat.FactorMatrix
 }
 
+// encode makes the image in one allocation of its exact size.
 func (ck *checkpoint) encode() []byte {
+	factors := []*boolmat.FactorMatrix{ck.A, ck.B, ck.C}
+	size := len(checkpointMagic) + 8 + 4 + 1 + 8 + 4 + 8*len(ck.InitialErrors) + 4 + 8*len(ck.IterationErrors) + 4
+	for _, m := range factors {
+		size += m.BinarySize()
+	}
 	le := binary.LittleEndian
-	buf := append([]byte(nil), checkpointMagic[:]...)
+	buf := append(make([]byte, 0, size), checkpointMagic[:]...)
 	buf = le.AppendUint64(buf, ck.Fingerprint)
 	buf = le.AppendUint32(buf, uint32(ck.Iteration))
 	conv := byte(0)
@@ -73,7 +79,7 @@ func (ck *checkpoint) encode() []byte {
 			buf = le.AppendUint64(buf, uint64(e))
 		}
 	}
-	for _, m := range []*boolmat.FactorMatrix{ck.A, ck.B, ck.C} {
+	for _, m := range factors {
 		buf = m.AppendBinary(buf)
 	}
 	return le.AppendUint32(buf, crc32.ChecksumIEEE(buf))

@@ -76,6 +76,35 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointEncodedAtExactSize: the image is one allocation of exactly
+// its length, byte for byte the layout the format documents — here spelled
+// out field by field by appending, as the encoder did before it was sized.
+func TestCheckpointEncodedAtExactSize(t *testing.T) {
+	for _, ck := range []*checkpoint{testCheckpoint(), {Iteration: 1, IterationErrors: []int64{0},
+		A: boolmat.NewFactor(0, 1), B: boolmat.NewFactor(1, 1), C: boolmat.NewFactor(2, 1)}} {
+		le := binary.LittleEndian
+		want := le.AppendUint64(append([]byte(nil), checkpointMagic[:]...), ck.Fingerprint)
+		want = le.AppendUint32(want, uint32(ck.Iteration))
+		want = append(want, 0)
+		if ck.Converged {
+			want[len(want)-1] = 1
+		}
+		want = le.AppendUint64(want, uint64(ck.PrevErr))
+		for _, errs := range [][]int64{ck.InitialErrors, ck.IterationErrors} {
+			want = le.AppendUint32(want, uint32(len(errs)))
+			for _, e := range errs {
+				want = le.AppendUint64(want, uint64(e))
+			}
+		}
+		want = ck.C.AppendBinary(ck.B.AppendBinary(ck.A.AppendBinary(want)))
+		want = le.AppendUint32(want, crc32.ChecksumIEEE(want))
+		got := ck.encode()
+		if string(got) != string(want) || cap(got) != len(got) {
+			t.Errorf("image of %d bytes (capacity %d), want the %d documented bytes at capacity %d", len(got), cap(got), len(want), len(want))
+		}
+	}
+}
+
 func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	valid := testCheckpoint().encode()
 	cases := map[string][]byte{

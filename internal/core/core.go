@@ -311,12 +311,23 @@ type Result struct {
 // bounds the run: cancellation or deadline expiry is checked between
 // stages and surfaces as the context's error.
 func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts Options) (*Result, error) {
-	return decompose(ctx, x, cl, opts, lookahead)
+	return decompose(ctx, x, nil, cl, opts, lookahead)
 }
 
-// decompose is Decompose deciding at most span columns per eval stage. Every
-// caller but the lookahead's own differential test passes lookahead.
-func decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts Options, span int) (*Result, error) {
+// DecomposeOn is Decompose of set's tensor on set's partitioned unfoldings,
+// which outlive the run: the first run on an empty set builds it inside its
+// own run span, every later one — concurrent ones included — reads it with
+// no unfold, no partition stage and no shuffle. The run's partition count
+// must be the set's.
+func DecomposeOn(ctx context.Context, set *Partitions, cl *cluster.Cluster, opts Options) (*Result, error) {
+	return decompose(ctx, set.x, set, cl, opts, lookahead)
+}
+
+// decompose is the one run: Decompose's on a private set it builds and
+// releases, DecomposeOn's on a shared one, deciding at most span columns per
+// eval stage. Every caller but the lookahead's own differential test passes
+// lookahead.
+func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *cluster.Cluster, opts Options, span int) (*Result, error) {
 	if x == nil {
 		return nil, errors.New("core: nil tensor")
 	}
@@ -327,6 +338,13 @@ func decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 	cfg, err := opts.withDefaults(cl.Machines())
 	if err != nil {
 		return nil, err
+	}
+	switch {
+	case set == nil:
+		set = NewPartitions(x, cfg.Partitions)
+		defer set.release()
+	case set.n != cfg.Partitions:
+		return nil, fmt.Errorf("core: the shared set has %d partitions per unfolding, the run wants %d", set.n, cfg.Partitions)
 	}
 
 	//dbtf:allow-nondeterministic wall-clock reporting only (Result.WallTime); no result depends on it
@@ -415,10 +433,10 @@ func decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 	d.cl.OnMachineLoss(d.machineLost)
 	defer d.cl.OnMachineLoss(nil)
 	// Every stage joins its task goroutines before returning, so when
-	// Decompose returns nothing can still touch the partition arenas and
-	// they go back to the slab pool.
+	// Decompose returns nothing can still touch the cache tables and they go
+	// back to the slab pool; the partitions are the set's.
 	defer d.ex.release()
-	if err := d.partitionAll(); err != nil {
+	if err := d.partitionAll(set); err != nil {
 		return nil, err
 	}
 
@@ -662,10 +680,25 @@ func (d *decomposition) endIteration(t int, e, improvement, flips int64) {
 	}
 }
 
-// partitionAll unfolds the tensor in its three modes and partitions each
-// unfolding (Algorithm 2, lines 1-3). The shuffle volume of distributing
-// the partitions is charged to the cluster (Lemma 6).
-func (d *decomposition) partitionAll() error {
+// partitionAll installs the set's partitioned unfoldings, building them
+// first when no run has (Algorithm 2, lines 1-3).
+func (d *decomposition) partitionAll(set *Partitions) error {
+	px, build, err := set.acquire(d.ctx)
+	if !build {
+		if err == nil {
+			d.ex.install(px)
+		}
+		return err
+	}
+	err = d.unfoldAndPartition()
+	set.settle(d.ex.px, err)
+	return err
+}
+
+// unfoldAndPartition unfolds the tensor in its three modes and partitions
+// each unfolding on the run's own cluster, into the executor. The shuffle
+// volume of distributing the partitions is charged to the cluster (Lemma 6).
+func (d *decomposition) unfoldAndPartition() error {
 	// The three unfoldings share one fused sweep over the coordinate list
 	// (driver-side, like the initial factors), then each machine builds its
 	// mode's partitioning from the precomputed matricization.

@@ -252,7 +252,7 @@ func newTestDecompositionOn(t *testing.T, x *tensor.Tensor, opt Options, cl *clu
 	if err := cl.PushState(d.ctx, transport.StateSetup, func() ([]byte, error) { return encodeSetup(x, cfg), nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.partitionAll(); err != nil {
+	if err := d.partitionAll(NewPartitions(x, cfg.Partitions)); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -316,7 +316,7 @@ func TestMachineLossRebuildsInheritedTables(t *testing.T) {
 	}
 	d = &decomposition{ctx: context.Background(), x: x, cl: cl, ex: newExecutor(cfg, [3]int{8, 6, 5}, machines, cl.MachineFor, lookahead)}
 	cl.OnMachineLoss(d.machineLost)
-	if err := d.partitionAll(); err != nil { // stage 0
+	if err := d.partitionAll(NewPartitions(x, cfg.Partitions)); err != nil { // stage 0
 		t.Fatal(err)
 	}
 	const stages = (rank + lookahead - 1) / lookahead

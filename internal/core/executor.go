@@ -27,7 +27,7 @@ var modeRoles = [3]struct {
 	{"C", 2, 1, 0}, // X₍₃₎ ≈ C ∘ (B ⊙ A)ᵀ
 }
 
-// executor owns one run's replicated state — the three vertical
+// executor holds one run's replicated state — the three vertical
 // partitionings, per-machine cache registries, the current factor matrices,
 // the column tasks of the update in progress — and the only implementation
 // of every partition-local stage kernel of the paper: setup (Algorithm 3),
@@ -41,8 +41,9 @@ var modeRoles = [3]struct {
 //
 // An executor is not synchronized. Stage tasks may run concurrently because
 // tasks for different partitions touch disjoint entries of the task tables
-// and the registries lock internally; state changes (setup, setFactors,
-// column commits) happen between stages. A Worker serializes with its lock.
+// and the registries lock internally; state changes (setup or install,
+// setFactors, column commits) happen between stages. A Worker serializes
+// with its lock.
 type executor struct {
 	cfg  runConfig
 	dims [3]int
@@ -59,7 +60,7 @@ type executor struct {
 	// live column tasks observe every committed entry.
 	f [3]*boolmat.FactorMatrix
 	// tasks[mode][pi] is the column task of partition pi for the mode's
-	// update, sized once by setup; eval states when an entry is valid.
+	// update, sized once by install; eval states when an entry is valid.
 	// deltas[mode][pi] holds partition pi's lanes of the mode's stage in
 	// flight (see lanes): made at first use and kept for the run — an
 	// update's tasks go at the next setFactors, their buffers need not.
@@ -71,7 +72,7 @@ type executor struct {
 }
 
 // newExecutor returns an executor spanning machines logical machines,
-// before setup.
+// before setup or install.
 func newExecutor(cfg runConfig, dims [3]int, machines int, place func(pi int) int, span int) *executor {
 	ex := &executor{cfg: cfg, dims: dims, span: span, reg: make([]*machineRegistry, machines), place: place}
 	for m := range ex.reg {
@@ -81,10 +82,11 @@ func newExecutor(cfg runConfig, dims [3]int, machines int, place func(pi int) in
 }
 
 // setup builds the three vertical partitionings from the unfoldings — the
-// one-off distribution of Algorithm 2, lines 1-3 — and sizes the task
-// tables. each runs the three per-mode builds: a cluster stage on the
-// driver, a plain loop on a worker. The partitionings hold their own copy
-// of every nonzero, so the unfoldings are recycled.
+// one-off distribution of Algorithm 2, lines 1-3 — and installs them. each
+// runs the three per-mode builds: a cluster stage on the driver, a plain
+// loop on a worker. The partitionings hold their own copy of every nonzero,
+// so the unfoldings are recycled. What setup builds, on error the modes
+// built so far, is its caller's to keep or release (see install).
 func (ex *executor) setup(ux [3]*tensor.Unfolded, each func(n int, fn func(m int) error) error) error {
 	err := each(len(ux), func(m int) error {
 		ex.px[m] = partition.Build(ux[m], ex.cfg.Partitions)
@@ -93,23 +95,28 @@ func (ex *executor) setup(ux [3]*tensor.Unfolded, each func(n int, fn func(m int
 	if err != nil {
 		return err
 	}
-	for m, u := range ux {
+	for _, u := range ux {
 		u.Recycle()
-		ex.tasks[m] = make([]*columnTask, len(ex.px[m].Parts))
-		ex.deltas[m] = make([][]int32, len(ex.px[m].Parts))
-		ex.replies[m] = make([][]byte, len(ex.px[m].Parts))
 	}
+	ex.install(ex.px)
 	return nil
 }
 
-// release returns the partition arenas and every machine's cache tables to
-// the slab pool. The caller guarantees no stage can still touch them.
-func (ex *executor) release() {
-	for _, p := range ex.px {
-		if p != nil {
-			p.Release()
-		}
+// install hands the executor a built set of partitionings and sizes the
+// task tables. The executor reads the set and never releases it: whoever
+// built it does.
+func (ex *executor) install(px [3]*partition.Partitioned) {
+	ex.px = px
+	for m, p := range px {
+		ex.tasks[m] = make([]*columnTask, len(p.Parts))
+		ex.deltas[m] = make([][]int32, len(p.Parts))
+		ex.replies[m] = make([][]byte, len(p.Parts))
 	}
+}
+
+// release returns every machine's cache tables to the slab pool. The caller
+// guarantees no stage can still touch them.
+func (ex *executor) release() {
 	for _, reg := range ex.reg {
 		reg.clearRelease()
 	}

@@ -94,7 +94,7 @@ func TestLookaheadMatchesPerColumn(t *testing.T) {
 						}
 						cfg.Transport = log
 					}
-					res, err := decompose(context.Background(), x, cluster.New(cfg), opt, span)
+					res, err := decompose(context.Background(), x, nil, cluster.New(cfg), opt, span)
 					if err != nil {
 						t.Fatalf("%s span %d remote=%v: %v", name, span, remote, err)
 					}

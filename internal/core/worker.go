@@ -80,13 +80,15 @@ func (w *Worker) Apply(kind transport.StateKind, payload []byte) error {
 // applySetupLocked rebuilds the executor from the shipped tensor — the
 // worker's share of Algorithm 2's one-off distribution. A replayed setup
 // (machine rejoin) resets everything: the process may have restarted and
-// holds no usable state.
+// holds no usable state. The worker built the partitions it replaces, so it
+// releases them.
 func (w *Worker) applySetupLocked(payload []byte) error {
 	cfg, x, err := decodeSetup(payload)
 	if err != nil {
 		return err
 	}
 	w.ex.release()
+	releasePartitions(w.ex.px)
 	i, j, k := x.Dims()
 	w.ex = newExecutor(cfg, [3]int{i, j, k}, 1, func(int) int { return 0 }, w.ex.span)
 	return w.ex.setup(x.UnfoldAll(), serially)

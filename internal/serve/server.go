@@ -148,7 +148,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := openTensorStore(cfg.DataDir)
+	store, err := openTensorStore(cfg.DataDir, cfg.Machines)
 	if err != nil {
 		return nil, err
 	}
@@ -214,11 +214,11 @@ func (s *Server) Submit(spec *JobSpec) (JobView, error) {
 	if err := spec.Validate(); err != nil {
 		return JobView{}, err
 	}
-	x, err := s.store.Get(spec.TensorID)
+	set, err := s.store.Get(spec.TensorID)
 	if err != nil {
 		return JobView{}, err
 	}
-	bytes := estimateTensorBytes(x.NNZ())
+	bytes := estimateTensorBytes(set.Tensor().NNZ())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := time.Now()
@@ -318,9 +318,9 @@ func (s *Server) requeueLocked(j *Job) error {
 func (s *Server) runJob(ctx context.Context, j *Job) {
 	defer s.wg.Done()
 	var res *core.Result
-	x, err := s.store.Get(j.Spec.TensorID)
+	set, err := s.store.Get(j.Spec.TensorID)
 	if err == nil {
-		res, err = s.runSlice(ctx, j, x)
+		res, err = s.runSlice(ctx, j, set)
 	}
 
 	s.mu.Lock()
@@ -330,7 +330,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	var perr error
 	switch {
 	case err == nil:
-		j.Result = buildResult(res, x.NNZ())
+		j.Result = buildResult(res, set.Tensor().NNZ())
 		perr = s.finishLocked(j, StateDone, nil)
 	case errors.Is(err, core.ErrPreempted):
 		j.Evictions++
@@ -354,9 +354,11 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 }
 
 // runSlice runs the job on a fresh cluster until completion, eviction,
-// or cancellation. Resume is always on: the first slice finds no
-// checkpoint and starts fresh; later slices continue bit-identically.
-func (s *Server) runSlice(ctx context.Context, j *Job, x *tensor.Tensor) (*core.Result, error) {
+// or cancellation, on the tensor's stored partitioned set: the first job or
+// slice to need it builds it through this cluster, every later one reads
+// it. Resume is always on: the first slice finds no checkpoint and starts
+// fresh; later slices continue bit-identically.
+func (s *Server) runSlice(ctx context.Context, j *Job, set *core.Partitions) (*core.Result, error) {
 	ccfg := s.cfg.clusterConfig()
 	ccfg.Gate, ccfg.Tracer = s.gate, s.traceFor(j.ID)
 	cl := cluster.New(ccfg)
@@ -371,7 +373,7 @@ func (s *Server) runSlice(ctx context.Context, j *Job, x *tensor.Tensor) (*core.
 		}
 		return s.cfg.SliceIterations > 0 && sliceIters >= s.cfg.SliceIterations && s.queuedLen() > 0
 	}
-	return core.Decompose(ctx, x, cl, opt)
+	return core.DecomposeOn(ctx, set, cl, opt)
 }
 
 func (s *Server) evictRequested(j *Job) bool {

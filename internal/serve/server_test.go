@@ -565,7 +565,7 @@ func TestJobListFiltersAndOrders(t *testing.T) {
 
 func TestTensorStoreDurableAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	st, err := openTensorStore(dir)
+	st, err := openTensorStore(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +576,7 @@ func TestTensorStoreDurableAcrossReopen(t *testing.T) {
 	if err := st.Put("t1", x); err != ErrTensorExists {
 		t.Fatalf("duplicate Put = %v, want ErrTensorExists", err)
 	}
-	st2, err := openTensorStore(dir)
+	st2, err := openTensorStore(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +584,7 @@ func TestTensorStoreDurableAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(x) {
+	if !got.Tensor().Equal(x) {
 		t.Fatal("tensor changed across reopen")
 	}
 	if _, err := st2.Get("missing"); err == nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"dbtf/internal/core"
 	"dbtf/internal/durable"
 	"dbtf/internal/tensor"
 )
@@ -24,13 +25,19 @@ const tensorsDirName = "tensors"
 
 // tensorStore keeps uploaded tensors: durably on disk (crash-safe, see
 // durable.WriteFile) and in memory for the engine — every stored tensor is
-// resident from Put, or from openTensorStore after a restart. Entries are
-// immutable after Put.
+// resident from Put, or from openTensorStore after a restart, and so, from
+// the first job that needs them, are its partitioned unfoldings for the
+// server's partition count (core.Partitions). A stored entry is immutable
+// and never deleted, so its set is built once per server process and lives
+// as long as the tensor.
 type tensorStore struct {
 	dir string
+	// n is the partition count of every entry's set: the server's machine
+	// count, every job's N (a JobSpec cannot set another).
+	n int
 
 	mu      sync.Mutex
-	entries map[string]*tensor.Tensor
+	entries map[string]*core.Partitions
 }
 
 // estimateTensorBytes is the admission-budget estimate for holding the
@@ -40,12 +47,12 @@ func estimateTensorBytes(nnz int) int64 {
 	return int64(nnz)*48 + 4096
 }
 
-func openTensorStore(dataDir string) (*tensorStore, error) {
+func openTensorStore(dataDir string, n int) (*tensorStore, error) {
 	dir := filepath.Join(dataDir, tensorsDirName)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &tensorStore{dir: dir, entries: map[string]*tensor.Tensor{}}
+	s := &tensorStore{dir: dir, n: n, entries: map[string]*core.Partitions{}}
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -60,7 +67,7 @@ func openTensorStore(dataDir string) (*tensorStore, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: corrupt stored tensor %s: %w", name, err)
 		}
-		s.entries[id] = t
+		s.entries[id] = core.NewPartitions(t, n)
 	}
 	return s, nil
 }
@@ -73,7 +80,7 @@ func (s *tensorStore) Put(id string, t *tensor.Tensor) error {
 		return ErrTensorExists
 	}
 	// Reserve the ID while writing so concurrent uploads cannot race.
-	s.entries[id] = t
+	s.entries[id] = core.NewPartitions(t, s.n)
 	s.mu.Unlock()
 
 	if _, err := durable.WriteFile(s.dir, id+".dbt", t.WriteBinary); err != nil {
@@ -85,8 +92,8 @@ func (s *tensorStore) Put(id string, t *tensor.Tensor) error {
 	return nil
 }
 
-// Get returns the tensor for id.
-func (s *tensorStore) Get(id string) (*tensor.Tensor, error) {
+// Get returns the entry for id: the tensor and its partitioned set.
+func (s *tensorStore) Get(id string) (*core.Partitions, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.entries[id]
