@@ -176,15 +176,6 @@ type Cluster struct {
 	// successfully completed stage.
 	//dbtf:guardedby mu
 	pendingRecoveries int64
-	// labelParent, labelName and labelled memoise the last stage context
-	// labelledContext derived: the stages of one factor update arrive with
-	// one context and one name, and share one labelled context.
-	//dbtf:guardedby mu
-	labelParent context.Context
-	//dbtf:guardedby mu
-	labelName string
-	//dbtf:guardedby mu
-	labelled context.Context
 }
 
 // Validate reports what is wrong with the configuration, nil when New
@@ -391,8 +382,8 @@ func (c *Cluster) chargeRecoveryLocked(bytes int64) {
 	}
 }
 
-// stageState is one stage in flight: what its worker goroutines run and
-// share, and the per-stage accounting. The accounting is merged into the
+// stageState is one stage in flight: what its lanes run and share, and the
+// per-stage accounting. The accounting is merged into the
 // cluster's cumulative counters in one critical section at the stage
 // boundary, so concurrent Stats snapshots never observe a half-published
 // stage. States are recycled through stagePool — a stage costs no state of
@@ -412,9 +403,9 @@ type stageState struct {
 	label    string
 	beginSim int64
 
-	// wg joins the workers; next hands out task indices; failed stops the
-	// hand-out at the first failure, whose error the goroutine that flipped
-	// it leaves in firstErr for the stage to read after the join.
+	// wg joins the lanes; next hands out task indices; failed stops the
+	// hand-out at the first failure, whose error the lane that flipped it
+	// leaves in firstErr for the stage to read after the join.
 	wg       sync.WaitGroup
 	next     atomic.Int64
 	failed   atomic.Bool
@@ -627,12 +618,20 @@ func (c *Cluster) endStage(st *stageState, ok bool) {
 // ForEachNamed runs n tasks as one parallel stage. Task t is logically
 // placed on machine t mod M, reassigned to a survivor while that machine is
 // lost (see MachineFor). Real execution is bounded by the configured
-// parallelism.
+// parallelism: the stage runs on min(parallelism, n) lanes, each a goroutine
+// that takes task indices until they run out.
+//
+// A lane starts without a closure: ForEachNamed starts runLane, which takes
+// no argument, and then sends the stage on laneHandoff. One receiver is
+// started per send, so every send finds its receiver; a lane goroutine
+// exits when the lane it took is done, and no lane goroutine exists while
+// no stage is in flight. Lanes of concurrent stages may take each other's
+// sends, which changes nothing: each runs the lane of the stage it took.
 //
 // The label names the stage's span on the trace and is attached as the
-// "stage" pprof label to every worker goroutine, so CPU profiles attribute
-// kernel time to the factor update (or other) stage that spent it. An empty
-// name traces as a numbered anonymous stage.
+// "stage" pprof label to every lane, so CPU profiles attribute kernel time
+// to the factor update (or other) stage that spent it. An empty name traces
+// as a numbered anonymous stage.
 //
 // Task errors and recovered panics are treated as transient machine
 // failures: the task is re-executed up to maxAttempts times, and only a task
@@ -663,16 +662,17 @@ func (c *Cluster) ForEachNamed(ctx context.Context, name string, n int, fn func(
 	if name == "" {
 		name = fmt.Sprintf("stage %d", st.stage)
 	}
-	// One labelled context per stage: the "stage" label merged with any
-	// labels the caller attached to ctx (the decomposition driver sets "mode"
-	// and "iteration"), so profiles slice by stage × mode × iteration. Every
-	// worker goroutine adopts it; the goroutines end with the stage, so there
-	// is no label set to restore.
-	st.ctx = c.labelledContext(ctx, name)
-	workers := min(c.parallelism, n)
-	st.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go st.runTasks()
+	// The "stage" label merged with any labels the caller attached to ctx
+	// (the decomposition driver sets "iteration" and "mode"), so profiles
+	// slice by stage × mode × iteration. Every lane adopts it; the lanes end
+	// with the stage, so there is no label set to restore.
+	st.ctx = labelledContext(ctx, name)
+	lanes := min(c.parallelism, n)
+	st.wg.Add(lanes)
+	for range lanes {
+		go runLane()
+		//dbtf:blocking one runLane is started per send and takes exactly one, so every send has a receiver
+		laneHandoff <- st
 	}
 	st.wg.Wait()
 
@@ -686,27 +686,35 @@ func (c *Cluster) ForEachNamed(ctx context.Context, name string, n int, fn func(
 	return err
 }
 
-// labelledContext returns ctx with the "stage" pprof label set to name. The
-// last derivation is kept: a factor update runs its ⌈R/2⌉ stages under one
-// context and one name, and pprof.WithLabels merges the whole label set anew
-// on every call. Concurrent stages may take turns overwriting the memo; each
-// still gets a context derived from its own. The comparison is ==, which
-// wants a comparable dynamic type: every context the standard library makes
-// is a pointer.
-func (c *Cluster) labelledContext(ctx context.Context, name string) context.Context {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.labelled == nil || c.labelParent != ctx || c.labelName != name {
-		c.labelParent, c.labelName = ctx, name
-		c.labelled = pprof.WithLabels(ctx, pprof.Labels("stage", name))
+// labelledContext returns ctx with the "stage" pprof label set to name:
+// ctx itself when it carries that label already. A caller that runs many
+// stages of one name derives the context once and passes it to each (the
+// decomposition driver does, per factor update); pprof.WithLabels would
+// merge the whole label set anew on every call.
+func labelledContext(ctx context.Context, name string) context.Context {
+	if v, ok := pprof.Label(ctx, "stage"); ok && v == name {
+		return ctx
 	}
-	return c.labelled
+	return pprof.WithLabels(ctx, pprof.Labels("stage", name))
 }
 
-// runTasks is one worker goroutine of a simulated stage: it takes task
-// indices until they run out, the stage fails or its context is done.
-func (st *stageState) runTasks() {
+// laneHandoff hands each lane goroutine the stage it serves; see
+// ForEachNamed for the one-receiver-per-send rule that keeps every send
+// and every receive paired.
+var laneHandoff = make(chan *stageState)
+
+// runLane is one lane of a simulated stage. It is a function of no
+// arguments so that starting it allocates nothing; the stage arrives on
+// laneHandoff.
+func runLane() {
+	st := <-laneHandoff
 	defer st.wg.Done()
+	st.runTasks()
+}
+
+// runTasks runs a lane: it takes task indices until they run out, the stage
+// fails or its context is done.
+func (st *stageState) runTasks() {
 	c := st.c
 	pprof.SetGoroutineLabels(st.ctx)
 	for {

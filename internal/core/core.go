@@ -479,8 +479,8 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 		// First iteration: try L random initial sets and keep the best
 		// (Algorithm 2, lines 5-8), each evaluated by the run's only
 		// total-error stages: an initial set has no objective to carry from.
-		// Each set's caches and column tasks are dropped when the next set's
-		// factors are installed; with a single set they stay live, so the
+		// Each set's caches are dropped when the next set's factors are
+		// installed; with a single set they stay live, so the
 		// cache totalError built over b serves iteration 2's A-update. Only
 		// initialSet draws from the RNG, and checkpoints exist only at
 		// iteration boundaries, after the last draw: a resumed run never
@@ -595,6 +595,9 @@ type decomposition struct {
 	// fp is the config+tensor fingerprint binding checkpoints to this run;
 	// zero when checkpointing is disabled.
 	fp uint64
+	// updates[mode] is the mode's factor update, made at its first run and
+	// kept for the run (see factorUpdate).
+	updates [3]*factorUpdate
 }
 
 // machineLost is the cluster's machine-loss callback (invoked at stage
@@ -673,9 +676,10 @@ func (d *decomposition) endIteration(t int, e, improvement, flips int64) {
 		ev := trace.NewEvent(trace.IterationEnd)
 		ev.Iteration = t
 		ev.SimNanos = d.cl.SimElapsed().Nanoseconds()
-		ev.Error = &e
-		ev.ErrorDelta = &improvement
-		ev.Flips = &flips
+		// Copies the event points at, made on this branch only: pointing at
+		// the parameters would move them to the heap on every call.
+		errAfter, delta, changed := e, improvement, flips
+		ev.Error, ev.ErrorDelta, ev.Flips = &errAfter, &delta, &changed
 		tr.Emit(ev)
 	}
 }
@@ -776,96 +780,148 @@ func (d *decomposition) updateFactors(a, b, c *boolmat.FactorMatrix) (committed,
 // round (see lookahead). The operand roles come from modeRoles. It returns
 // what its commits changed.
 func (d *decomposition) updateFactor(mode int) (committed, error) {
+	u := d.updates[mode]
+	if u == nil {
+		u = newFactorUpdate(d, mode)
+		d.updates[mode] = u
+	}
+	return u.run()
+}
+
+// factorUpdate is one mode's factor update, made once per run: the names
+// and pprof labels of its stages, the stage functions the cluster is
+// handed, bound once, and the lanes the commit reads. An update reuses all
+// of it, so it allocates only its one labelled context and the cache
+// tables its first stage builds.
+type factorUpdate struct {
+	d    *decomposition
+	mode int
+	// labels are the "mode" and "stage" pprof labels of the update's eval
+	// stages: the updated factor names the stage spans and the labels, so
+	// both the timeline and CPU profiles split the three updates apart.
+	labels     pprof.LabelSet
+	commitName string
+	// spec describes the eval stages; spec.Col and span are the stage in
+	// flight, a the matrix under update and done what the update's commits
+	// have changed so far.
+	spec transport.Spec
+	span int
+	a    *boolmat.FactorMatrix
+	done committed
+	// deltas[pi] is partition pi's lanes of the stage in flight.
+	deltas [][]int32
+	// local, sink, commit and columns are the methods of the same names,
+	// bound once.
+	local   func(pi int) error
+	sink    func(pi int, payload []byte) error
+	commit  func()
+	columns func() ([]byte, error)
+}
+
+func newFactorUpdate(d *decomposition, mode int) *factorUpdate {
 	name := modeRoles[mode].name
-	a := d.ex.f[modeRoles[mode].upd]
-	// The updated factor names the stage spans and the "mode" pprof label,
-	// so both the timeline and CPU profiles split the three updates apart.
-	ctx := pprof.WithLabels(d.ctx, pprof.Labels("mode", name))
 	n := len(d.ex.px[mode].Parts)
-	p := a.Rows()
+	u := &factorUpdate{
+		d: d, mode: mode, commitName: "commit:" + name,
+		spec:   transport.Spec{Name: "eval:" + name, Kind: transport.KindEval, Mode: mode, Tasks: n},
+		deltas: make([][]int32, n),
+	}
+	u.labels = pprof.Labels("mode", name, "stage", u.spec.Name)
+	u.local, u.sink, u.commit, u.columns = u.evalLocal, u.evalSink, u.commitColumns, u.encodeColumns
+	return u
+}
 
-	// One synchronisation round per stage of span columns and none beside
-	// them: the column tasks, cache tables included (Algorithm 5), are built
-	// inside the first stage (see executor.eval). Everything below is made
-	// once per update; spec.Col and span are the stage in flight.
-	//
-	// Stage: every partition evaluates, for each row, the error difference of
-	// its column range between the two candidate values (Algorithm 4 lines
-	// 4-9 reduced to the flipped cells only), one lane per column and
-	// outcome. The local path hands the driver the task's own accumulator by
-	// reference; only a remote backend pays an encode and a decode, into
-	// the buffer the driver's own executor keeps for the partition.
-	spec := transport.Spec{Name: "eval:" + name, Kind: transport.KindEval, Mode: mode, Tasks: n}
-	var span int
-	deltas := make([][]int32, n)
-	local := func(pi int) (err error) {
-		deltas[pi], err = d.ex.eval(mode, pi, spec.Col)
-		return err
-	}
-	sink := func(pi int, payload []byte) error {
-		deltas[pi] = d.ex.lanes(mode, pi)
-		return decodeDeltas(payload, p, laneCount(span), deltas[pi])
-	}
-	// Commit (Algorithm 4 lines 10-12): set the entry exactly when candidate
-	// 1's total error is strictly smaller, i.e. when the difference summed
-	// over the partitions is negative. The lanes are a row's decision tree
-	// in heap order: column c's outcome picks the lane c+1 is read from, so
-	// each t is the objective's change for its entry with the row's earlier
-	// columns as just committed, and the flipped entries' signed t's are the
-	// commit's whole effect on the objective (see committed). was is the row
-	// before the stage: a column's commit touches no other column's bit.
-	commitName := "commit:" + name
-	var update committed
-	commit := func() {
-		lanes := laneCount(span)
-		for r := 0; r < p; r++ {
-			lane, was := 0, a.RowMask(r)
-			for j := 0; j < span; j++ {
-				var t int64
-				for _, part := range deltas {
-					t += int64(part[r*lanes+lane])
-				}
-				set := t < 0
-				if set != (was>>uint(spec.Col+j)&1 != 0) {
-					a.Set(r, spec.Col+j, set)
-					update.flips++
-					if set {
-						update.objective += t
-					} else {
-						update.objective -= t
-					}
-				}
-				lane = 2*lane + 1
-				if set {
-					lane++
-				}
-			}
-		}
-	}
-	// Replicate the committed columns so remote factor replicas track the
-	// driver's copies entry for entry.
-	columns := func() ([]byte, error) { return encodeColumns(mode, spec.Col, span, a), nil }
-
-	for ; spec.Col < d.ex.cfg.Rank; spec.Col += span {
+// run is one update of the mode's factor: one synchronisation round per
+// stage of span columns and none beside them — the column tasks, cache
+// tables included (Algorithm 5), are built inside the first stage (see
+// executor.eval).
+func (u *factorUpdate) run() (committed, error) {
+	d := u.d
+	u.a, u.done = d.ex.f[modeRoles[u.mode].upd], committed{}
+	// One labelled context for every stage of the update: the cluster
+	// finds its own stage name on it and derives nothing.
+	ctx := pprof.WithLabels(d.ctx, u.labels)
+	n, p := int64(len(u.deltas)), int64(u.a.Rows())
+	for u.spec.Col = 0; u.spec.Col < d.ex.cfg.Rank; u.spec.Col += u.span {
 		if err := ctx.Err(); err != nil {
-			return update, err
+			return u.done, err
 		}
-		span = d.ex.stageSpan(spec.Col)
-		if err := d.cl.RunStage(ctx, spec, local, sink); err != nil {
-			return update, err
+		u.span = d.ex.stageSpan(u.spec.Col)
+		if err := d.cl.RunStage(ctx, u.spec, u.local, u.sink); err != nil {
+			return u.done, err
 		}
 		// The driver collects one int32 per lane and row from every
 		// partition: 12 B a row for two columns, where Lemma 7's two errors
 		// per row and column would be 32.
-		d.cl.Collect(int64(n) * int64(p) * 4 * int64(laneCount(span)))
-		if err := d.cl.DriverNamed(ctx, commitName, commit); err != nil {
-			return update, err
+		d.cl.Collect(n * p * 4 * int64(laneCount(u.span)))
+		if err := d.cl.DriverNamed(ctx, u.commitName, u.commit); err != nil {
+			return u.done, err
 		}
-		if err := d.cl.PushState(ctx, transport.StateColumn, columns); err != nil {
-			return update, err
+		if err := d.cl.PushState(ctx, transport.StateColumn, u.columns); err != nil {
+			return u.done, err
 		}
 	}
-	return update, nil
+	return u.done, nil
+}
+
+// evalLocal is the stage task (Algorithm 4 lines 4-9 reduced to the flipped
+// cells only): partition pi evaluates, for each row, the error difference
+// of its column range between the two candidate values, one lane per column
+// and outcome. The local path hands the driver the task's own accumulator
+// by reference.
+func (u *factorUpdate) evalLocal(pi int) (err error) {
+	u.deltas[pi], err = u.d.ex.eval(u.mode, pi, u.spec.Col)
+	return err
+}
+
+// evalSink takes partition pi's lanes from a remote executor's reply: a
+// remote backend pays an encode and a decode, into the buffer the driver's
+// own executor keeps for the partition.
+func (u *factorUpdate) evalSink(pi int, payload []byte) error {
+	u.deltas[pi] = u.d.ex.lanes(u.mode, pi)
+	return decodeDeltas(payload, u.a.Rows(), laneCount(u.span), u.deltas[pi])
+}
+
+// commitColumns is the driver's commit (Algorithm 4 lines 10-12): set the
+// entry exactly when candidate 1's total error is strictly smaller, i.e.
+// when the difference summed over the partitions is negative. The lanes are
+// a row's decision tree in heap order: column c's outcome picks the lane
+// c+1 is read from, so each t is the objective's change for its entry with
+// the row's earlier columns as just committed, and the flipped entries'
+// signed t's are the commit's whole effect on the objective (see
+// committed). was is the row before the stage: a column's commit touches
+// no other column's bit.
+func (u *factorUpdate) commitColumns() {
+	a, col, span, lanes := u.a, u.spec.Col, u.span, laneCount(u.span)
+	for r := 0; r < a.Rows(); r++ {
+		lane, was := 0, a.RowMask(r)
+		for j := 0; j < span; j++ {
+			var t int64
+			for _, part := range u.deltas {
+				t += int64(part[r*lanes+lane])
+			}
+			set := t < 0
+			if set != (was>>uint(col+j)&1 != 0) {
+				a.Set(r, col+j, set)
+				u.done.flips++
+				if set {
+					u.done.objective += t
+				} else {
+					u.done.objective -= t
+				}
+			}
+			lane = 2*lane + 1
+			if set {
+				lane++
+			}
+		}
+	}
+}
+
+// encodeColumns replicates the committed columns so remote factor replicas
+// track the driver's copies entry for entry.
+func (u *factorUpdate) encodeColumns() ([]byte, error) {
+	return encodeColumns(u.mode, u.spec.Col, u.span, u.a), nil
 }
 
 // totalError computes |X ⊕ X̂| from the mode-1 partitions as a distributed

@@ -60,15 +60,18 @@ type executor struct {
 	// live column tasks observe every committed entry.
 	f [3]*boolmat.FactorMatrix
 	// tasks[mode][pi] is the column task of partition pi for the mode's
-	// update, sized once by install; eval states when an entry is valid.
-	// deltas[mode][pi] holds partition pi's lanes of the mode's stage in
-	// flight (see lanes): made at first use and kept for the run — an
-	// update's tasks go at the next setFactors, their buffers need not.
-	// replies[mode][pi] is the same lanes encoded for the wire, on a worker:
-	// grown at the partition's first reply and kept likewise.
+	// update, made at its first build and kept for the run; it serves evals
+	// while its epoch is the executor's (see eval). deltas[mode][pi] holds
+	// partition pi's lanes of the mode's stage in flight (see lanes), made at
+	// first use and kept likewise. replies[mode][pi] is the same lanes
+	// encoded for the wire, on a worker: grown at the partition's first reply
+	// and kept likewise.
 	tasks   [3][]*columnTask
 	deltas  [3][][]int32
 	replies [3][][]byte
+	// epoch advances whenever every column task goes stale: at setFactors
+	// and at a machine loss.
+	epoch uint64
 }
 
 // newExecutor returns an executor spanning machines logical machines,
@@ -136,9 +139,9 @@ func checkFactorShapes(f [3]*boolmat.FactorMatrix, dims [3]int, rank int) error 
 }
 
 // setFactors installs the factor matrices every later stage reads. The
-// column tasks always go (see eval). The caches go (back to the slab pool)
-// only when the matrices themselves are replaced — a losing initial set, a
-// decoded push from the wire. Re-installing the same matrices keeps them,
+// column tasks always go stale (see eval). The caches go (back to the slab
+// pool) only when the matrices themselves are replaced — a losing initial
+// set, a decoded push from the wire. Re-installing the same matrices keeps them,
 // keyed by version: a table outlives the iteration that built it for as long
 // as its matrix stays as it was — the one totalError builds over B serves
 // iteration 2's A-update. Callers hold exclusive access with every stage
@@ -148,9 +151,7 @@ func (ex *executor) setFactors(a, b, c *boolmat.FactorMatrix) error {
 	if err := checkFactorShapes(next, ex.dims, ex.cfg.Rank); err != nil {
 		return fmt.Errorf("core: installing factors: %w", err)
 	}
-	for m := range ex.tasks {
-		clear(ex.tasks[m])
-	}
+	ex.epoch++
 	if next != ex.f {
 		for _, reg := range ex.reg {
 			reg.clearRelease()
@@ -162,15 +163,13 @@ func (ex *executor) setFactors(a, b, c *boolmat.FactorMatrix) error {
 
 // machineLost is what losing machine m costs the executor, at a stage
 // boundary with every task joined: m's cache tables died with it, and the
-// column tasks go too — a task reassigned off m holds summers over those
-// tables — so each partition's next eval rebuilds its task on the machine it
-// now runs on (see eval). Survivors' own tables are still registered; the
-// inherited partitions' are built there, the rebuild a surviving worker
-// pays at its first eval of an inherited partition.
+// column tasks go stale too — a task reassigned off m holds summers over
+// those tables — so each partition's next eval rebuilds its task on the
+// machine it now runs on (see eval). Survivors' own tables are still
+// registered; the inherited partitions' are built there, the rebuild a
+// surviving worker pays at its first eval of an inherited partition.
 func (ex *executor) machineLost(m int) {
-	for mode := range ex.tasks {
-		clear(ex.tasks[mode])
-	}
+	ex.epoch++
 	ex.reg[m].clearRelease()
 }
 
@@ -190,18 +189,33 @@ func (ex *executor) part(mode, pi int) (*partition.Partition, error) {
 	return nil, fmt.Errorf("core: task %d outside %d partitions", pi, len(ex.px[mode].Parts))
 }
 
-// build creates partition pi's column task for the mode's update: block
-// summers resolved through the machine's cache registry (Algorithm 5) plus
+// build readies partition pi's column task for the mode's update: the
+// factors it reads and its block summers, resolved through the cache
+// registry of the machine the partition runs on now (Algorithm 5), plus
 // every buffer the column loop needs, so evaluating a column on a built
-// task allocates nothing. eval is its only caller.
+// task allocates nothing. The task is made at the partition's first build
+// and refilled in place at every later one; its buffers grow only when a
+// table has more groups than any before. eval is its only caller.
 func (ex *executor) build(mode, pi int) (*columnTask, error) {
 	part, err := ex.part(mode, pi)
 	if err != nil {
 		return nil, err
 	}
+	t := ex.tasks[mode][pi]
+	if t == nil {
+		t = newColumnTask(part, ex.lanes(mode, pi), ex.cfg.NoCache)
+		ex.tasks[mode][pi] = t
+	}
 	role := modeRoles[mode]
-	t := buildColumnTask(part, ex.f[role.upd], ex.f[role.pvm], ex.summers(pi, part, ex.f[role.cached]), ex.lanes(mode, pi), ex.cfg.NoCache)
-	ex.tasks[mode][pi] = t
+	t.a, t.mf = ex.f[role.upd], ex.f[role.pvm]
+	t.summers = ex.summers(t.summers[:0], pi, part, ex.f[role.cached])
+	if !ex.cfg.NoCache && len(t.summers) > 0 {
+		// Every table group but the flipped bit's own can occlude.
+		if occ := t.summers[0].(*sumcache.Cache).NumGroups() - 1; cap(t.delta.Occ) < occ {
+			t.delta.Occ = make([][]uint64, 0, occ)
+		}
+	}
+	t.epoch = ex.epoch
 	return t, nil
 }
 
@@ -226,11 +240,11 @@ func (ex *executor) stageSpan(col int) int { return min(ex.span, ex.cfg.Rank-col
 // columnTask.eval. The slice is the task's own accumulator, valid until the
 // task's next eval: the driver reads it in place, a worker encodes it.
 //
-// This is the one place a column task comes into being and the one rule
-// of how long it lives: setFactors empties the task table (a task holds
+// This is the one place a column task is (re)built and the one rule of
+// when it is valid: setFactors makes every task stale (a task holds
 // summers over factor versions the coming update supersedes), as does a
 // machine loss (over tables that died), and the first eval to ask a
-// partition for a column afterwards builds its task — column
+// partition for a column afterwards rebuilds its task — column
 // 0 on the partition's home, a later column on the executor a reassignment
 // or a rejoin moved it to, driver and worker alike; the paper's lazy
 // mapPartitions is pipelined into its first collect the same way. Which
@@ -244,7 +258,7 @@ func (ex *executor) eval(mode, pi, col int) ([]int32, error) {
 		return nil, fmt.Errorf("core: eval column %d outside rank %d", col, ex.cfg.Rank)
 	}
 	t := ex.tasks[mode][pi]
-	if t == nil {
+	if t == nil || t.epoch != ex.epoch {
 		var err error
 		if t, err = ex.build(mode, pi); err != nil {
 			return nil, err
@@ -262,7 +276,7 @@ func (ex *executor) totalError(pi int) (int64, error) {
 		return 0, err
 	}
 	role := modeRoles[0]
-	return partitionError(part, ex.f[role.upd], ex.f[role.pvm], ex.summers(pi, part, ex.f[role.cached])), nil
+	return partitionError(part, ex.f[role.upd], ex.f[role.pvm], ex.summers(make([]summer, 0, len(part.Blocks)), pi, part, ex.f[role.cached])), nil
 }
 
 // summer yields Boolean row summations for rank masks; it is the access
@@ -293,38 +307,38 @@ func (s naiveSummer) Sum(mask uint64, scratch []uint64) ([]uint64, int) {
 // entryWords returns the words a summation of width bits occupies.
 func entryWords(width int) int { return (width + bitvec.WordBits - 1) / bitvec.WordBits }
 
-// summers builds a summer per block of partition pi over the caching matrix
-// ms: the distributed part of Algorithm 5. Each block's table — over the
-// rows of ms the block covers, all of them unless the partition boundary
-// cut its PVM product — is resolved through the registry of the machine the
-// partition is placed on, so partitions sharing a machine share one table
-// per range, and stages sharing a caching matrix (the B- and C-updates both
-// cache over A; totalError's cache over B serves iteration 2's A-update)
-// share it too, for as long as the matrix's version is unchanged.
-func (ex *executor) summers(pi int, p *partition.Partition, ms *boolmat.FactorMatrix) []summer {
-	out := make([]summer, len(p.Blocks))
+// summers appends to out a summer per block of partition pi over the
+// caching matrix ms: the distributed part of Algorithm 5. Each block's
+// table — over the rows of ms the block covers, all of them unless the
+// partition boundary cut its PVM product — is resolved through the registry
+// of the machine the partition is placed on, so partitions sharing a
+// machine share one table per range, and stages sharing a caching matrix
+// (the B- and C-updates both cache over A; totalError's cache over B serves
+// iteration 2's A-update) share it too, for as long as the matrix's version
+// is unchanged.
+func (ex *executor) summers(out []summer, pi int, p *partition.Partition, ms *boolmat.FactorMatrix) []summer {
 	if ex.cfg.NoCache {
 		cols := ms.Columns()
-		for bi, b := range p.Blocks {
+		for _, b := range p.Blocks {
 			sliced := make([][]uint64, len(cols))
 			for r, col := range cols {
 				sliced[r] = col.Slice(b.InnerLo, b.InnerLo+b.Width()).Words()
 			}
-			out[bi] = naiveSummer{cols: sliced}
+			out = append(out, naiveSummer{cols: sliced})
 		}
 		return out
 	}
 	reg := ex.reg[ex.place(pi)]
 	var table *sumcache.Cache
 	lo, hi := -1, -1
-	for bi, b := range p.Blocks {
+	for _, b := range p.Blocks {
 		// Whole PVM products all share the full range, and they come in a
 		// run between the partition's cut ends: one lookup per run.
 		if b.InnerLo != lo || b.InnerLo+b.Width() != hi {
 			lo, hi = b.InnerLo, b.InnerLo+b.Width()
 			table = reg.cacheFor(ms, lo, hi, ex.cfg.GroupBits)
 		}
-		out[bi] = table
+		out = append(out, table)
 	}
 	return out
 }

@@ -77,8 +77,9 @@ func (r *machineRegistry) cacheFor(ms *boolmat.FactorMatrix, lo, hi, groupBits i
 // pool. Callers must hold exclusive access with no live tasks: the driver
 // between initial factor sets (stages joined, losers' tasks dropped) and
 // the worker under a factor push — executor.setFactors on both — the driver
-// at a machine loss (executor.machineLost), each of which empties the task
-// tables in the same step, and executor.release, after the run's last stage.
+// at a machine loss (executor.machineLost), each of which makes every column
+// task stale in the same step, and executor.release, after the run's last
+// stage.
 func (r *machineRegistry) clearRelease() {
 	r.mu.Lock()
 	//dbtf:allow-nondeterministic every entry is released; order is irrelevant

@@ -22,12 +22,17 @@ const lookahead = 2
 func laneCount(span int) int { return 1<<uint(span) - 1 }
 
 // columnTask is one partition's reusable state for the column-update
-// stages of one factor update (Algorithm 4): block summers, scratch, and
-// the per-row delta accumulator. Everything is allocated by the time the
+// stages of its mode's factor updates (Algorithm 4): block summers,
+// scratch, and the per-row delta accumulator. It lives for the run, as a
+// mapPartitions task keeps its partition's state, and executor.build
+// refills it for every update. Everything is allocated by the time the
 // task is built, before the column loop starts — eval itself performs zero
 // allocations. A task runs on one goroutine, as a Spark task does.
 type columnTask struct {
 	part *partition.Partition
+	// epoch is the executor epoch the task was last built in; it serves
+	// evals only while that is the executor's.
+	epoch uint64
 	// a is the factor matrix under update (row masks feed the cache
 	// keys); mf indexes the PVM blocks.
 	a, mf   *boolmat.FactorMatrix
@@ -46,14 +51,13 @@ type columnTask struct {
 	scratch [][]uint64
 }
 
-// buildColumnTask assembles a column task from pre-resolved summers and the
-// partition's accumulator; see executor.build.
-func buildColumnTask(part *partition.Partition, a, mf *boolmat.FactorMatrix, summers []summer, deltas []int32, noCache bool) *columnTask {
+// newColumnTask makes partition part's column task around its accumulator,
+// with what depends on the partition alone; executor.build fills in the
+// rest.
+func newColumnTask(part *partition.Partition, deltas []int32, noCache bool) *columnTask {
 	t := &columnTask{
 		part:    part,
-		a:       a,
-		mf:      mf,
-		summers: summers,
+		summers: make([]summer, 0, len(part.Blocks)),
 		deltas:  deltas,
 		noCache: noCache,
 	}
@@ -62,9 +66,6 @@ func buildColumnTask(part *partition.Partition, a, mf *boolmat.FactorMatrix, sum
 		for bi, b := range part.Blocks {
 			t.scratch[bi] = make([]uint64, entryWords(b.Width()))
 		}
-	} else if len(summers) > 0 {
-		// Every table group but the flipped bit's own can occlude.
-		t.delta.Occ = make([][]uint64, 0, summers[0].(*sumcache.Cache).NumGroups()-1)
 	}
 	return t
 }

@@ -158,6 +158,72 @@ func TestStageTasksCarryProfileLabels(t *testing.T) {
 	t.Fatalf("no goroutine inside executor.build in the profile:\n%s", prof.String())
 }
 
+// TestEveryStageCarriesProfileLabels extends TestStageTasksCarryProfileLabels
+// to every stage of a run, the ones the cluster labels itself included: with
+// every attempt but the last of every task failing, each task emits a retry
+// event from its own goroutine, and the tracer hands it to the sink on that
+// goroutine, inside the stage. A goroutine profile taken there shows the
+// stage's labels on every record that holds the retry: the caller's label on
+// all of them, the "stage" label, the "iteration" label on everything inside
+// an iteration — the partitioning precedes the first — and "mode" on the
+// eval stages.
+func TestEveryStageCarriesProfileLabels(t *testing.T) {
+	x := randomTensor(rand.New(rand.NewSource(33)), 8, 7, 6, 0.2)
+	var (
+		mu       sync.Mutex
+		names    = map[int64]string{}
+		profiles = map[string]string{}
+	)
+	cl := cluster.New(cluster.Config{
+		Machines: 2,
+		Faults:   &cluster.FaultPlan{Seed: 1, FailureRate: 1},
+		Tracer: trace.New(sinkFunc(func(ev *trace.Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch ev.Type {
+			case trace.StageBegin:
+				names[ev.Stage] = ev.Name
+			case trace.Retry:
+				if name := names[ev.Stage]; profiles[name] == "" {
+					var prof bytes.Buffer
+					if err := pprof.Lookup("goroutine").WriteTo(&prof, 1); err != nil {
+						t.Error(err)
+					}
+					profiles[name] = prof.String()
+				}
+			}
+		})),
+	})
+	ctx := pprof.WithLabels(context.Background(), pprof.Labels("job", "j7"))
+	if _, err := Decompose(ctx, x, cl, Options{Rank: 3, MaxIter: 1, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][]string{
+		"partition":   {`"stage":"partition"`},
+		"total-error": {`"stage":"total-error"`, `"iteration":"1"`},
+		"eval:A":      {`"stage":"eval:A"`, `"iteration":"1"`, `"mode":"A"`},
+		"eval:B":      {`"stage":"eval:B"`, `"iteration":"1"`, `"mode":"B"`},
+		"eval:C":      {`"stage":"eval:C"`, `"iteration":"1"`, `"mode":"C"`},
+	} {
+		want = append(want, `"job":"j7"`)
+		found := false
+		for _, rec := range strings.Split(profiles[name], "\n\n") {
+			if !strings.Contains(rec, "(*Cluster).emitRetry") {
+				continue
+			}
+			found = true
+			for _, label := range want {
+				if !strings.Contains(rec, label) {
+					t.Errorf("a %s task's goroutine lacks label %s:\n%s", name, label, rec)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("no goroutine inside a %s retry in the profile:\n%s", name, profiles[name])
+		}
+	}
+}
+
 // TestRunStagesAreColumnsAndOneError pins the round count, the paper's
 // makespan unit: a run synchronises once to partition, once per pair of
 // columns of every factor update — plus once for the odd rank's last column

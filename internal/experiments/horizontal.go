@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"math/bits"
+	"runtime/pprof"
 
 	"dbtf"
 	"dbtf/internal/bitvec"
@@ -33,6 +34,10 @@ func factorizeHorizontal(ctx context.Context, x *dbtf.Tensor, machines, rank, pa
 	ux := x.UnfoldAll()
 	n := min(partitions, rank) // horizontal partitioning cannot exceed the rank
 	rankLo := func(pi int) int { return pi * rank / n }
+	// Each stage name's profile labels are derived once for the run; the
+	// cluster uses a context that carries its stage's name as it is.
+	kronCtx := pprof.WithLabels(ctx, pprof.Labels("stage", "kron"))
+	evalCtx := pprof.WithLabels(ctx, pprof.Labels("stage", "eval-h"))
 	for it := 0; it < iters; it++ {
 		cl.Broadcast(int64(a.Rows()+b.Rows()+c.Rows()) * int64(rank) / 8)
 		// X₍ₙ₎ ≈ upd ∘ (pvm ⊙ inner)ᵀ, the engine's operand roles per mode.
@@ -44,7 +49,7 @@ func factorizeHorizontal(ctx context.Context, x *dbtf.Tensor, machines, rank, pa
 			// (pvm ⊙ inner)ᵀ as full-width Q-bit vectors (row r is pvm's
 			// column r Kronecker inner's column r).
 			kron := make([]*bitvec.BitVec, rank)
-			err := cl.ForEachNamed(ctx, "kron", n, func(pi int) error {
+			err := cl.ForEachNamed(kronCtx, "kron", n, func(pi int) error {
 				for r := rankLo(pi); r < rankLo(pi+1); r++ {
 					v := bitvec.New(q)
 					in := inner.Column(r).Indices()
@@ -73,7 +78,7 @@ func factorizeHorizontal(ctx context.Context, x *dbtf.Tensor, machines, rank, pa
 			combined := bitvec.New(q)
 			for col := 0; col < rank; col++ {
 				bit := uint64(1) << uint(col)
-				err := cl.ForEachNamed(ctx, "eval-h", n, func(pi int) error {
+				err := cl.ForEachNamed(evalCtx, "eval-h", n, func(pi int) error {
 					// Rank bits [rankLo(pi), rankLo(pi+1)); a shift by 64
 					// yields 0 and the subtraction wraps to the right mask.
 					owned := uint64(1)<<uint(rankLo(pi+1)) - uint64(1)<<uint(rankLo(pi))
