@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -483,27 +484,46 @@ func FuzzCheckpointDecode(f *testing.F) {
 }
 
 // FuzzDeltasDecode: an eval reply decodes only when it is exactly the
-// encoding of the shape the driver asked for — rows × lanes, no byte short
-// and none over — and then re-encodes to the same bytes.
+// encoding of the shape the driver asked for — rows × lanes minimal varints
+// whose lanes fit int32, no byte short and none over — and then re-encodes
+// to the same bytes. The same bytes, read as raw int32 lanes, must survive
+// encode then decode, in exactly deltasSize body bytes.
 func FuzzDeltasDecode(f *testing.F) {
 	for _, lanes := range []int{laneCount(1), laneCount(lookahead)} {
+		// int32's extremes in every lane, so lane 2's difference from lane 1
+		// spans 33 bits both ways.
 		deltas := make([]int32, 5*lanes)
 		for i := range deltas {
-			deltas[i] = int32(i*i) - 40
+			deltas[i] = []int32{math.MinInt32, math.MaxInt32, math.MinInt32, 0, -1}[i%5]
 		}
-		deltas[0], deltas[len(deltas)-1] = math.MinInt32, math.MaxInt32
 		payload := appendDeltas(nil, deltas, lanes)
 		f.Add(payload, uint16(5), lanes == 1)
 		f.Add(payload, uint16(5), lanes != 1)
-		f.Add(payload[:len(payload)-1], uint16(5), lanes == 1)
-		f.Add(append(payload, 0), uint16(5), lanes == 1)
+		f.Add(payload[:len(payload)-1], uint16(5), lanes == 1) // cut inside the last varint
+		f.Add(append(payload, 0), uint16(5), lanes == 1)       // one trailing byte
 	}
+	f.Add(append(deltasPayload(1, 1), 0x80, 0x00), uint16(1), true) // 0 as a two-byte varint
+	// Lane 2 is sent as lane2 − lane1: +1 on top of MaxInt32 overflows.
+	f.Add(deltasPayload(1, 3, 0, math.MaxInt32, 1), uint16(1), false)
 	f.Add([]byte{}, uint16(0), true)
 	f.Fuzz(func(t *testing.T, data []byte, rows uint16, single bool) {
 		lanes := laneCount(lookahead)
 		if single {
 			lanes = laneCount(1)
 		}
+		raw := make([]int32, len(data)/4/lanes*lanes)
+		for i := range raw {
+			raw[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		enc := appendDeltas(nil, raw, lanes)
+		if size := deltasSize(raw, lanes); size != len(enc)-deltasHeaderLen {
+			t.Fatalf("deltasSize = %d for a %d-byte body", size, len(enc)-deltasHeaderLen)
+		}
+		back := make([]int32, len(raw))
+		if err := decodeDeltas(enc, len(raw)/lanes, lanes, back); err != nil || !slices.Equal(back, raw) {
+			t.Fatalf("%d lanes %v round-trip to %v, %v", lanes, raw, back, err)
+		}
+
 		dst := make([]int32, int(rows)*lanes)
 		if err := decodeDeltas(data, int(rows), lanes, dst); err != nil {
 			return
@@ -512,6 +532,18 @@ func FuzzDeltasDecode(f *testing.F) {
 			t.Fatalf("decoded as %d rows of %d lanes but re-encodes differently:\nin:  %x\nout: %x", rows, lanes, data, got)
 		}
 	})
+}
+
+// deltasPayload builds an eval reply by hand: the header for rows rows of
+// lanes lanes, then each of values as the zigzag varint the body carries —
+// lane 2 of a row is the value sent, its difference from lane 1.
+func deltasPayload(rows, lanes int, values ...int64) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(rows))
+	out = append(out, byte(lanes))
+	for _, v := range values {
+		out = binary.AppendUvarint(out, zigzag(v))
+	}
+	return out
 }
 
 // resealAsVersion rewrites an image's version byte and re-seals the CRC,

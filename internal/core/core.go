@@ -808,8 +808,8 @@ type factorUpdate struct {
 	span int
 	a    *boolmat.FactorMatrix
 	done committed
-	// deltas[pi] is partition pi's lanes of the stage in flight.
-	deltas [][]int32
+	// parts[pi] is partition pi's answer to the stage in flight.
+	parts []stagePart
 	// local, sink, commit and columns are the methods of the same names,
 	// bound once.
 	local   func(pi int) error
@@ -818,13 +818,21 @@ type factorUpdate struct {
 	columns func() ([]byte, error)
 }
 
+// stagePart is one partition's answer to an eval stage: its lanes, and the
+// body bytes of the eval reply that carries them, which is what the driver
+// collects.
+type stagePart struct {
+	deltas     []int32
+	replyBytes int64
+}
+
 func newFactorUpdate(d *decomposition, mode int) *factorUpdate {
 	name := modeRoles[mode].name
 	n := len(d.ex.px[mode].Parts)
 	u := &factorUpdate{
 		d: d, mode: mode, commitName: "commit:" + name,
-		spec:   transport.Spec{Name: "eval:" + name, Kind: transport.KindEval, Mode: mode, Tasks: n},
-		deltas: make([][]int32, n),
+		spec:  transport.Spec{Name: "eval:" + name, Kind: transport.KindEval, Mode: mode, Tasks: n},
+		parts: make([]stagePart, n),
 	}
 	u.labels = pprof.Labels("mode", name, "stage", u.spec.Name)
 	u.local, u.sink, u.commit, u.columns = u.evalLocal, u.evalSink, u.commitColumns, u.encodeColumns
@@ -841,7 +849,6 @@ func (u *factorUpdate) run() (committed, error) {
 	// One labelled context for every stage of the update: the cluster
 	// finds its own stage name on it and derives nothing.
 	ctx := pprof.WithLabels(d.ctx, u.labels)
-	n, p := int64(len(u.deltas)), int64(u.a.Rows())
 	for u.spec.Col = 0; u.spec.Col < d.ex.cfg.Rank; u.spec.Col += u.span {
 		if err := ctx.Err(); err != nil {
 			return u.done, err
@@ -850,10 +857,15 @@ func (u *factorUpdate) run() (committed, error) {
 		if err := d.cl.RunStage(ctx, u.spec, u.local, u.sink); err != nil {
 			return u.done, err
 		}
-		// The driver collects one int32 per lane and row from every
-		// partition: 12 B a row for two columns, where Lemma 7's two errors
-		// per row and column would be 32.
-		d.cl.Collect(n * p * 4 * int64(laneCount(u.span)))
+		// The driver collects laneCount(span) values a row from every
+		// partition, as the eval reply's body carries them (see
+		// appendDeltas): Lemma 7's N·rows values per column, each in the
+		// bytes its magnitude needs.
+		var collected int64
+		for _, part := range u.parts {
+			collected += part.replyBytes
+		}
+		d.cl.Collect(collected)
 		if err := d.cl.DriverNamed(ctx, u.commitName, u.commit); err != nil {
 			return u.done, err
 		}
@@ -868,9 +880,10 @@ func (u *factorUpdate) run() (committed, error) {
 // cells only): partition pi evaluates, for each row, the error difference
 // of its column range between the two candidate values, one lane per column
 // and outcome. The local path hands the driver the task's own accumulator
-// by reference.
-func (u *factorUpdate) evalLocal(pi int) (err error) {
-	u.deltas[pi], err = u.d.ex.eval(u.mode, pi, u.spec.Col)
+// by reference, and sizes the reply a remote executor would have sent.
+func (u *factorUpdate) evalLocal(pi int) error {
+	deltas, err := u.d.ex.eval(u.mode, pi, u.spec.Col)
+	u.parts[pi] = stagePart{deltas, int64(deltasSize(deltas, laneCount(u.span)))}
 	return err
 }
 
@@ -878,8 +891,9 @@ func (u *factorUpdate) evalLocal(pi int) (err error) {
 // remote backend pays an encode and a decode, into the buffer the driver's
 // own executor keeps for the partition.
 func (u *factorUpdate) evalSink(pi int, payload []byte) error {
-	u.deltas[pi] = u.d.ex.lanes(u.mode, pi)
-	return decodeDeltas(payload, u.a.Rows(), laneCount(u.span), u.deltas[pi])
+	deltas := u.d.ex.lanes(u.mode, pi)
+	u.parts[pi] = stagePart{deltas, int64(len(payload) - deltasHeaderLen)}
+	return decodeDeltas(payload, u.a.Rows(), laneCount(u.span), deltas)
 }
 
 // commitColumns is the driver's commit (Algorithm 4 lines 10-12): set the
@@ -897,8 +911,8 @@ func (u *factorUpdate) commitColumns() {
 		lane, was := 0, a.RowMask(r)
 		for j := 0; j < span; j++ {
 			var t int64
-			for _, part := range u.deltas {
-				t += int64(part[r*lanes+lane])
+			for _, part := range u.parts {
+				t += int64(part.deltas[r*lanes+lane])
 			}
 			set := t < 0
 			if set != (was>>uint(col+j)&1 != 0) {

@@ -42,9 +42,11 @@ func factorHash(a, b, c *boolmat.FactorMatrix) string {
 // 17376 → 20, 79, 17312; 36, 143, 28960 → 33, 131, 28864; 15, 59, 11584 →
 // 14, 55, 11552) when the total-error stage left every iteration after the
 // first: one stage of four tasks and 8·4 collected bytes fewer per later
-// iteration, the objective being carried through the commits instead. The
-// factors and the error trajectory are those of the one-column schedule with
-// a recount every iteration, which is why nothing else moved.
+// iteration, the objective being carried through the commits instead; and
+// {collected} alone (17312 → 4352, 28864 → 7264, 11552 → 2912) when an eval
+// reply came to carry its lanes as zigzag varints, not int32. The factors
+// and the error trajectory are those of the one-column schedule with a
+// recount every iteration, which is why nothing else moved.
 func TestGoldenRunPin(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	planted, _, _, _ := gen.FromFactors(rng, 24, 20, 16, 4, 0.3)
@@ -69,13 +71,13 @@ func TestGoldenRunPin(t *testing.T) {
 		want stats
 	}{
 		{"fiber", Options{Init: InitFiberSample},
-			"38208a0e4136f71d", []int64{384, 296, 296}, stats{20, 79, 24360, 270, 17312}},
+			"38208a0e4136f71d", []int64{384, 296, 296}, stats{20, 79, 24360, 270, 4352}},
 		{"fiber two sets", Options{Init: InitFiberSample, InitialSets: 2, MinIter: 4, MaxIter: 5},
-			"1312fa644885e579", []int64{213, 213, 213, 213}, stats{33, 131, 24360, 450, 28864}},
+			"1312fa644885e579", []int64{213, 213, 213, 213}, stats{33, 131, 24360, 450, 7264}},
 		{"topfiber", Options{Init: InitTopFiber},
-			"56ce5200deec1a1d", []int64{297, 94, 94}, stats{20, 79, 24360, 270, 17312}},
+			"56ce5200deec1a1d", []int64{297, 94, 94}, stats{20, 79, 24360, 270, 4352}},
 		{"random", Options{Init: InitRandom},
-			"1fe8a3701ba4447d", []int64{94, 94}, stats{14, 55, 24360, 180, 11552}},
+			"1fe8a3701ba4447d", []int64{94, 94}, stats{14, 55, 24360, 180, 2912}},
 	} {
 		for _, noCache := range []bool{false, true} {
 			for _, backend := range []string{"simulator", "hostTransport"} {

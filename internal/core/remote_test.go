@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -30,6 +31,8 @@ type hostTransport struct {
 	batch bool
 	sent  atomic.Int64
 	recvd atomic.Int64
+	// evalReplies counts the eval payloads received.
+	evalReplies atomic.Int64
 }
 
 func newHostTransport(machines int) *hostTransport {
@@ -85,6 +88,9 @@ func (h *hostTransport) Run(ctx context.Context, spec transport.Spec, deliver fu
 		}
 		for _, out := range outs {
 			h.recvd.Add(int64(len(out.Payload)))
+			if spec.Kind == transport.KindEval {
+				h.evalReplies.Add(1)
+			}
 			if err := deliver(transport.TaskResult{Task: out.Task, Machine: m, Nanos: 1000, Payload: out.Payload}); err != nil {
 				return err
 			}
@@ -152,6 +158,40 @@ func TestRemoteHostsMatchSimulated(t *testing.T) {
 			t.Fatalf("trial %d: traffic formulas differ: shuffle %d/%d broadcast %d/%d collect %d/%d",
 				trial, rs.ShuffledBytes, ss.ShuffledBytes, rs.BroadcastBytes, ss.BroadcastBytes,
 				rs.CollectedBytes, ss.CollectedBytes)
+		}
+	}
+}
+
+// TestCollectedBytesAreReplyBytes: the collected bytes the driver counts are
+// the bytes the executors' replies carried, less one header per eval reply
+// (a total-error reply is its 8-byte body) — per task and batched, at an
+// odd rank, so a sweep holds paired stages and the one-column tail, with
+// and without the cache — and the simulated run, which encodes nothing,
+// counts the same.
+func TestCollectedBytesAreReplyBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	planted, _, _, _ := gen.FromFactors(rng, 18, 15, 12, 5, 0.3)
+	x := gen.AddNoise(rng, planted, 0.10, 0.05)
+	for _, noCache := range []bool{false, true} {
+		opt := Options{Rank: 5, Seed: 3, MaxIter: 3, Partitions: 4, NoCache: noCache}
+		sim, err := Decompose(context.Background(), x, testCluster(3), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ht := range []*hostTransport{newHostTransport(3), newBatchHostTransport(3)} {
+			res, err := Decompose(context.Background(), x, cluster.New(cluster.Config{Machines: 3, Transport: ht}), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			collected, replies := res.Stats.CollectedBytes, ht.evalReplies.Load()
+			if _, recvd := ht.WireBytes(); replies == 0 || recvd != collected+deltasHeaderLen*replies {
+				t.Errorf("noCache=%v batch=%v: %d bytes received in %d eval replies, %d collected",
+					noCache, ht.batch, recvd, replies, collected)
+			}
+			if collected != sim.Stats.CollectedBytes {
+				t.Errorf("noCache=%v batch=%v: %d bytes collected, the simulated run %d",
+					noCache, ht.batch, collected, sim.Stats.CollectedBytes)
+			}
 		}
 	}
 }
@@ -284,7 +324,8 @@ func FuzzSetupDecode(f *testing.F) {
 // TestDeltasCodecInsistsOnShape: the driver knows how many rows and lanes
 // the stage it shipped must answer with, and an eval reply of any other
 // shape — a one-lane reply to a three-lane stage, a short buffer, trailing
-// bytes — is an error, never a mis-read.
+// bytes — or any value but the one minimal varint of an int32 lane is an
+// error, never a mis-read.
 func TestDeltasCodecInsistsOnShape(t *testing.T) {
 	deltas := []int32{-3, 0, 7, math.MinInt32, math.MaxInt32, -1}
 	three, one := appendDeltas(nil, deltas, 3), appendDeltas(nil, deltas, 1)
@@ -303,6 +344,10 @@ func TestDeltasCodecInsistsOnShape(t *testing.T) {
 		"trailing byte":                          {append(slices.Clone(three), 0), 2, 3},
 		"header only":                            {three[:deltasHeaderLen], 2, 3},
 		"cut header":                             {three[:deltasHeaderLen-1], 2, 3},
+		"zero as a two-byte varint":              {append(deltasPayload(1, 1), 0x80, 0x00), 1, 1},
+		"a lane past int32":                      {deltasPayload(1, 1, math.MaxInt32+1), 1, 1},
+		"lane 2 past int32 after the add":        {deltasPayload(1, 3, 0, math.MinInt32, -1), 1, 3},
+		"a varint past 64 bits":                  {append(deltasPayload(1, 1), bytes.Repeat([]byte{0xff}, 10)...), 1, 1},
 	} {
 		if err := decodeDeltas(tc.payload, tc.rows, tc.lanes, make([]int32, tc.rows*tc.lanes)); err == nil {
 			t.Errorf("%s: decoded", name)

@@ -11,8 +11,8 @@ import (
 // own bit c, so a partition can answer for column c+1 under both outcomes
 // of column c before the driver has decided it: one synchronisation round
 // commits two columns. It stays 2 because the lanes double with every
-// further column: at 3, seven int32 lanes are 28 B a row for three columns
-// where three one-column stages collected 24 B.
+// further column: at 3, seven lanes a row decide three columns where three
+// one-column stages collect six values, under any per-lane codec.
 const lookahead = 2
 
 // laneCount returns the error differences a stage of span columns carries

@@ -3,7 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"reflect"
+	"slices"
 
 	"dbtf/internal/boolmat"
 	"dbtf/internal/tensor"
@@ -127,16 +130,61 @@ func decodeColumns(payload []byte) (modeIdx, col, span, rows int, bits []byte, e
 }
 
 // deltasHeaderLen is KindEval's result header: u32 row count, u8 lanes per
-// row; rows × lanes little-endian int32 follow, row by row.
+// row. The body follows: rows × lanes zigzag uvarints, row by row, each the
+// lane's wireValue.
 const deltasHeaderLen = 5
 
+// wireValue is what an eval reply carries for lane l of a row: the lane
+// itself, except that the second outcome of a pair (lane 2 of a two-column
+// stage) goes as its difference from the first. The two differ only on
+// blocks whose PVM mask holds both columns' bits, so the difference is
+// mostly zero.
+func wireValue(row []int32, l int) int64 {
+	v := int64(row[l])
+	if secondOutcome(l) {
+		v -= int64(row[l-1])
+	}
+	return v
+}
+
+// secondOutcome reports whether lane l is the second of a pair of lanes in
+// heap order: the one the reply sends as a difference.
+func secondOutcome(l int) bool { return l > 0 && l%2 == 0 }
+
+// zigzag maps small magnitudes of either sign to small unsigned values.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// uvarintLen is the length of u's minimal uvarint.
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+
+// deltasSize returns the body bytes of the eval reply carrying deltas,
+// lanes to a row: the header excluded, which is what the driver's Collect
+// charges for it. A simulated stage task calls it on its lane goroutine.
+//
+//dbtf:noalloc
+func deltasSize(deltas []int32, lanes int) int {
+	n := 0
+	for i := 0; i < len(deltas); i += lanes {
+		row := deltas[i : i+lanes]
+		for l := range row {
+			n += uvarintLen(zigzag(wireValue(row, l)))
+		}
+	}
+	return n
+}
+
 // appendDeltas packs one eval task's per-row error differences, lanes to a
-// row (see columnTask.deltas for why int32 carries them), onto dst.
+// row (see columnTask.deltas for why int32 carries them), onto dst, growing
+// it once to the reply's exact size.
 func appendDeltas(dst []byte, deltas []int32, lanes int) []byte {
+	dst = slices.Grow(dst, deltasHeaderLen+deltasSize(deltas, lanes))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(deltas)/lanes))
 	dst = append(dst, byte(lanes))
-	for _, d := range deltas {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(d))
+	for i := 0; i < len(deltas); i += lanes {
+		row := deltas[i : i+lanes]
+		for l := range row {
+			dst = binary.AppendUvarint(dst, zigzag(wireValue(row, l)))
+		}
 	}
 	return dst
 }
@@ -144,7 +192,9 @@ func appendDeltas(dst []byte, deltas []int32, lanes int) []byte {
 // decodeDeltas unpacks an eval payload into dst[:rows·lanes], insisting on
 // exactly rows rows of lanes lanes and not a byte more — the driver knows
 // the factor's row count and the stage's span, and a mismatched executor
-// must fail loudly, not silently mis-commit columns.
+// must fail loudly, not silently mis-commit columns. Every value must be a
+// minimal uvarint whose lane lands inside int32, so the one payload that
+// decodes to dst is appendDeltas(dst).
 func decodeDeltas(payload []byte, rows, lanes int, dst []int32) error {
 	if len(payload) < deltasHeaderLen {
 		return fmt.Errorf("core: deltas payload truncated: %d bytes", len(payload))
@@ -152,11 +202,27 @@ func decodeDeltas(payload []byte, rows, lanes int, dst []int32) error {
 	if n, l := int(binary.LittleEndian.Uint32(payload)), int(payload[4]); n != rows || l != lanes {
 		return fmt.Errorf("core: deltas payload has %d rows of %d lanes, want %d of %d", n, l, rows, lanes)
 	}
-	if want := deltasHeaderLen + 4*rows*lanes; len(payload) != want {
-		return fmt.Errorf("core: deltas payload is %d bytes, want %d", len(payload), want)
+	body := payload[deltasHeaderLen:]
+	for i := 0; i < rows*lanes; i += lanes {
+		row := dst[i : i+lanes]
+		for l := range row {
+			u, n := binary.Uvarint(body)
+			if n <= 0 || n != uvarintLen(u) {
+				return fmt.Errorf("core: deltas payload: value %d of %d is truncated or not a minimal uvarint", i+l, rows*lanes)
+			}
+			body = body[n:]
+			v := int64(u>>1) ^ -int64(u&1) // zigzag's inverse
+			if secondOutcome(l) {
+				v += int64(row[l-1])
+			}
+			if v < math.MinInt32 || v > math.MaxInt32 {
+				return fmt.Errorf("core: deltas payload: lane %d of row %d is %d, outside int32", l, i/lanes, v)
+			}
+			row[l] = int32(v)
+		}
 	}
-	for i := range dst[:rows*lanes] {
-		dst[i] = int32(binary.LittleEndian.Uint32(payload[deltasHeaderLen+4*i:]))
+	if len(body) != 0 {
+		return fmt.Errorf("core: %d trailing bytes after %d rows of deltas", len(body), rows)
 	}
 	return nil
 }

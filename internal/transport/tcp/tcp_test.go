@@ -672,8 +672,8 @@ func TestServeRejectsBadHandshake(t *testing.T) {
 		"a request before hello": {Type: transport.MsgRun},
 		// Protocol 3 numbered the stage kinds from a build kind this build
 		// no longer has; protocol 4 ships a set-up blob one configuration
-		// word longer; the previous build's hello, protocol 5, answers an
-		// eval with one int64 a row where this build reads int32 lanes.
+		// word longer; the previous build's hello, protocol 6, answers an
+		// eval with fixed int32 lanes where this build reads varints.
 		"protocol 3":          {Type: transport.MsgHello, Proto: 3, Machines: 1},
 		"protocol 4":          {Type: transport.MsgHello, Proto: 4, Machines: 1},
 		"the protocol before": {Type: transport.MsgHello, Proto: transport.ProtoVersion - 1, Machines: 1},

@@ -18,8 +18,10 @@ import (
 // configuration word shorter again (a version-4 peer would read the seed
 // as the init density); version 6 answers an eval with int32 lanes for up
 // to two columns and pushes both columns in one blob (a version-5 peer
-// would read int32 lanes as int64 rows).
-const ProtoVersion = 6
+// would read int32 lanes as int64 rows); version 7 answers it with the same
+// lanes as zigzag uvarints, the second outcome of a pair sent as its
+// difference from the first (a version-6 peer would read them as int32).
+const ProtoVersion = 7
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
 // tighter limit: large enough for a pushed tensor, small enough that a
