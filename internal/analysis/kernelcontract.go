@@ -47,6 +47,7 @@ var wordKernels = map[string]bool{
 	"OrCountWords":        true,
 	"XorCountWords":       true,
 	"GainCountsWords":     true,
+	"GainWords":           true,
 }
 
 const bitvecImportPath = "dbtf/internal/bitvec"

@@ -48,8 +48,8 @@ func TestAnalyzersSeeProgramCode(t *testing.T) {
 			"\t\t//dbtf:samewidth every column is sliced to the block width the caller sized scratch for\n\t\tpop = bitvec.OrCountWords(scratch, scratch,",
 			"\t\tpop = bitvec.OrCountWords(scratch, scratch,"},
 		{"kernelcontract", "internal/core/task.go",
-			"\tdeltas := t.deltas[:rows*lanes]\n\tclear(deltas)\n",
-			"\tdeltas := make([]int64, rows*lanes)\n\tclear(deltas)\n"},
+			"\tdeltas := t.deltas[:t.a.Rows()*s.lanes]\n\tclear(deltas)\n",
+			"\tdeltas := make([]int32, t.a.Rows()*s.lanes)\n\tclear(deltas)\n"},
 		{"errcheck", "internal/durable/durable.go",
 			"\tif cerr := d.Close(); err == nil {\n\t\terr = cerr\n\t}\n",
 			"\td.Close()\n"},

@@ -98,3 +98,24 @@ func GainCountsWords(x, w1, w0 []uint64, occ [][]uint64) (gain, overlap int) {
 	}
 	return gain, overlap
 }
+
+// GainWords stores into dst the occluded gain region D = (w1 &^ w0) &^
+// occ[0] &^ occ[1] ... that GainCountsWords counts, and returns |D|: the
+// region materialized once, for the rows that share it to intersect with
+// AndCountWords.
+//
+//dbtf:noalloc
+func GainWords(dst, w1, w0 []uint64, occ [][]uint64) int {
+	n := 0
+	for i, hi := range w1 {
+		d := hi &^ w0[i]
+		if d != 0 {
+			for _, o := range occ {
+				d &^= o[i]
+			}
+			n += bits.OnesCount64(d)
+		}
+		dst[i] = d
+	}
+	return n
+}

@@ -21,7 +21,7 @@ func bitsFromBytes(n int, data []byte) (*BitVec, []bool) {
 // FuzzKernels checks every fused counting kernel — the raw word-slice forms
 // the delta evaluation uses — against a []bool model: AndCountWords,
 // AndNotCountWords, AndAndNotCountWords, XorCountWords, OrCountWords, and
-// GainCountsWords with zero, one, and two occluders.
+// GainCountsWords and GainWords with zero, one, and two occluders.
 func FuzzKernels(f *testing.F) {
 	f.Add(uint8(7), []byte{0xff}, []byte{0x0f}, []byte{0xaa})
 	f.Add(uint8(64), []byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5}, []byte{})
@@ -115,6 +115,24 @@ func FuzzKernels(f *testing.F) {
 			if gainOnly != wantGain || zero != 0 {
 				t.Fatalf("GainCountsWords(nil, occ=%d) = (%d,%d), model (%d,0)",
 					occCount, gainOnly, zero, wantGain)
+			}
+			// GainWords materializes the same D into a dirty destination.
+			region := make([]uint64, len(a.Words()))
+			for i := range region {
+				region[i] = ^uint64(0)
+			}
+			if got := GainWords(region, a.Words(), b.Words(), occ); got != wantGain || AndCountWords(x.Words(), region) != wantOverlap {
+				t.Fatalf("GainWords(occ=%d) = %d with overlap %d, model %d with %d",
+					occCount, got, AndCountWords(x.Words(), region), wantGain, wantOverlap)
+			}
+			for j := 0; j < n; j++ {
+				d := ar[j] && !br[j]
+				for _, or := range occRef {
+					d = d && !or[j]
+				}
+				if Wrap(n, region).Get(j) != d {
+					t.Fatalf("GainWords(occ=%d): bit %d is %v, model %v", occCount, j, !d, d)
+				}
 			}
 		}
 	})

@@ -17,6 +17,7 @@ import (
 
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
+	"dbtf/internal/partition"
 	"dbtf/internal/tensor"
 	"dbtf/internal/trace"
 )
@@ -483,11 +484,16 @@ func FuzzCheckpointDecode(f *testing.F) {
 	})
 }
 
-// FuzzDeltasDecode: an eval reply decodes only when it is exactly the
-// encoding of the shape the driver asked for — rows × lanes minimal varints
-// whose lanes fit int32, no byte short and none over — and then re-encodes
-// to the same bytes. The same bytes, read as raw int32 lanes, must survive
-// encode then decode, in exactly deltasSize body bytes.
+// FuzzDeltasDecode: an eval reply decodes only when it is exactly what
+// appendReply makes of the shape the driver asked for, and then re-encodes
+// to the same bytes. A plain body is rows × lanes minimal varints whose
+// lanes fit int32. A grouped body, strictly smaller than the plain one,
+// holds every group's bases and then the rows with a hit, in order, each
+// with one, and its lanes fit int32 — no byte short and none over. Read as
+// raw int32 lanes, the same bytes survive a plain encode and decode; read
+// as a split of row masks and blocks drawn from them, the lanes survive
+// appendReply and a decodeReply against the driver's own grouping, in
+// exactly replySize body bytes.
 func FuzzDeltasDecode(f *testing.F) {
 	for _, lanes := range []int{laneCount(1), laneCount(lookahead)} {
 		// int32's extremes in every lane, so lane 2's difference from lane 1
@@ -506,11 +512,36 @@ func FuzzDeltasDecode(f *testing.F) {
 	// Lane 2 is sent as lane2 − lane1: +1 on top of MaxInt32 overflows.
 	f.Add(deltasPayload(1, 3, 0, math.MaxInt32, 1), uint16(1), false)
 	f.Add([]byte{}, uint16(0), true)
+	// Grouped bodies for 16 rows of fuzzSplit — four groups, whose twelve
+	// bases are zero here — then the count of rows with a hit and, for each,
+	// its gap and hits. The plain body of such lanes is 48 bytes.
+	grouped := func(listed ...uint64) []byte {
+		return groupedPayload(16, 3, append(make([]uint64, 4*3), listed...)...)
+	}
+	valid := grouped(1, 5, 1, 0, 0) // row 5 hits once in lane 0
+	f.Add(valid, uint16(16), false)
+	f.Add(append(slices.Clone(valid), 0), uint16(16), false) // one trailing byte
+	every := []uint64{16}
+	for r := 0; r < 16; r++ {
+		every = append(every, min(uint64(r), 1), 1, 0, 0)
+	}
+	f.Add(grouped(every...), uint16(16), false)                  // 77 bytes: larger than plain
+	f.Add(grouped(1, 5, 0, 0, 0), uint16(16), false)             // a listed row with no hit
+	f.Add(grouped(2, 5, 1, 0, 0, 0, 1, 0, 0), uint16(16), false) // row 5 twice: out of order
+	f.Add(grouped(1, 5, math.MaxInt32, 0, 0), uint16(16), false) // 0 − 2·MaxInt32 is past int32
+	// Five rows hit once and five 40 times: 53 bytes, as many as the plain
+	// body, which is the one to send on a tie.
+	tie := []uint64{10}
+	for r := 0; r < 10; r++ {
+		tie = append(tie, min(uint64(r), 1), []uint64{1, 40}[r/5], 0, 0)
+	}
+	f.Add(grouped(tie...), uint16(16), false)
 	f.Fuzz(func(t *testing.T, data []byte, rows uint16, single bool) {
-		lanes := laneCount(lookahead)
+		span := lookahead
 		if single {
-			lanes = laneCount(1)
+			span = 1
 		}
+		lanes := laneCount(span)
 		raw := make([]int32, len(data)/4/lanes*lanes)
 		for i := range raw {
 			raw[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
@@ -524,14 +555,116 @@ func FuzzDeltasDecode(f *testing.F) {
 			t.Fatalf("%d lanes %v round-trip to %v, %v", lanes, raw, back, err)
 		}
 
+		splitRoundTrip(t, data, span)
+
 		dst := make([]int32, int(rows)*lanes)
-		if err := decodeDeltas(data, int(rows), lanes, dst); err != nil {
+		if !groupedReply(data) {
+			if err := decodeDeltas(data, int(rows), lanes, dst); err != nil {
+				return
+			}
+			if got := appendDeltas(nil, dst, lanes); string(got) != string(data) {
+				t.Fatalf("decoded as %d rows of %d lanes but re-encodes differently:\nin:  %x\nout: %x", rows, lanes, data, got)
+			}
 			return
 		}
-		if got := appendDeltas(nil, dst, lanes); string(got) != string(data) {
-			t.Fatalf("decoded as %d rows of %d lanes but re-encodes differently:\nin:  %x\nout: %x", rows, lanes, data, got)
+		s := fuzzSplit(int(rows), span)
+		defer s.release()
+		if err := decodeReply(data, s, int(rows), lanes, dst); err != nil {
+			return
+		}
+		if got := appendReply(nil, s, dst); string(got) != string(data) {
+			t.Fatalf("decoded as %d grouped rows of %d lanes but re-encodes differently:\nin:  %x\nout: %x", rows, lanes, data, got)
 		}
 	})
+}
+
+// fuzzSplit groups rows rows for the stage of span columns at column 0:
+// row r's mask is r mod 8 over rank 3, and the one block's PVM mask holds
+// all three bits, so of every eight rows the pairs from 0–1 to 6–7 share a
+// group — groups 0 to 3, in that order.
+func fuzzSplit(rows, span int) *split {
+	a, mf := boolmat.NewFactor(rows, 3), boolmat.NewFactor(1, 3)
+	for r := 0; r < rows; r++ {
+		a.SetRowMask(r, uint64(r%8))
+	}
+	mf.SetRowMask(0, 7)
+	s := new(split)
+	s.init(rows, laneCount(lookahead), 1)
+	s.rowGroups(a, mf, []*partition.Block{{PVM: 0}}, 0, span)
+	return s
+}
+
+// splitRoundTrip draws a stage from data — up to 64 rows whose masks over
+// rank 6 are the bytes, three blocks whose PVM masks are bytes too, bases
+// from the bytes and hits on a sixth of the lanes — and holds appendReply
+// to replySize and to decodeReply, run against a grouping of its own as
+// the driver's is.
+func splitRoundTrip(t *testing.T, data []byte, span int) {
+	n, lanes := min(len(data), 64), laneCount(span)
+	if n == 0 {
+		return
+	}
+	a, mf := boolmat.NewFactor(n, 6), boolmat.NewFactor(3, 6)
+	for r := 0; r < n; r++ {
+		a.SetRowMask(r, uint64(data[r])&63)
+	}
+	for k := 0; k < 3; k++ {
+		mf.SetRowMask(k, uint64(data[k%n]>>2)&63)
+	}
+	blocks := []*partition.Block{{PVM: 0}, {PVM: 1}, {PVM: 2}}
+	c := int(data[0]) % (7 - span)
+	task, driver := new(split), new(split)
+	for _, s := range []*split{task, driver} {
+		s.init(n, lanes, 1)
+		defer s.release()
+		s.rowGroups(a, mf, blocks, c, span)
+	}
+	for g := 0; g < task.groups.n; g++ {
+		base := task.groupBase(g)
+		for l := range base {
+			base[l] = int32(data[(g+l)%n]) * 7
+		}
+	}
+	deltas := make([]int32, n*lanes)
+	for r := range task.groups.of[:n] {
+		base := task.groupBase(int(task.groups.of[r]))
+		for l := 0; l < lanes; l++ {
+			var hits int32
+			if b := data[(r*lanes+l)*5%n]; b < 43 {
+				hits = int32(b)
+			}
+			deltas[r*lanes+l] = base[l] - 2*hits
+		}
+	}
+	size, grouped := replySize(task, deltas)
+	enc := appendReply(nil, task, deltas)
+	if size != len(enc)-deltasHeaderLen || grouped != groupedReply(enc) {
+		t.Fatalf("replySize = %d, grouped %v, for a %d-byte body, grouped %v", size, grouped, len(enc)-deltasHeaderLen, groupedReply(enc))
+	}
+	back := make([]int32, n*lanes)
+	if err := decodeReply(enc, driver, n, lanes, back); err != nil || !slices.Equal(back, deltas) {
+		t.Fatalf("%d rows of %d lanes %v round-trip to %v, %v", n, lanes, deltas, back, err)
+	}
+	// A lane one off its group's base less twice whole hits is one the
+	// split cannot carry: the reply goes plain and still round-trips.
+	deltas[0]++
+	if _, grouped := replySize(task, deltas); grouped {
+		t.Fatalf("lanes %v that the split does not account for went grouped", deltas)
+	}
+	if err := decodeReply(appendReply(nil, task, deltas), driver, n, lanes, back); err != nil || !slices.Equal(back, deltas) {
+		t.Fatalf("%d rows of %d lanes %v round-trip to %v, %v", n, lanes, deltas, back, err)
+	}
+}
+
+// groupedPayload builds a grouped eval reply by hand: the header for rows
+// rows of lanes lanes, marked grouped, then each of values as a uvarint.
+func groupedPayload(rows, lanes int, values ...uint64) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(rows))
+	out = append(out, byte(lanes)|groupedBody)
+	for _, v := range values {
+		out = binary.AppendUvarint(out, v)
+	}
+	return out
 }
 
 // deltasPayload builds an eval reply by hand: the header for rows rows of

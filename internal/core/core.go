@@ -858,9 +858,10 @@ func (u *factorUpdate) run() (committed, error) {
 			return u.done, err
 		}
 		// The driver collects laneCount(span) values a row from every
-		// partition, as the eval reply's body carries them (see
-		// appendDeltas): Lemma 7's N·rows values per column, each in the
-		// bytes its magnitude needs.
+		// partition — Lemma 7's N·rows values per column — as the eval
+		// reply's body carries them (see appendReply): each in the bytes
+		// its magnitude needs, or as its row group's base less twice the
+		// row's hits, whichever body is smaller.
 		var collected int64
 		for _, part := range u.parts {
 			collected += part.replyBytes
@@ -882,18 +883,29 @@ func (u *factorUpdate) run() (committed, error) {
 // and outcome. The local path hands the driver the task's own accumulator
 // by reference, and sizes the reply a remote executor would have sent.
 func (u *factorUpdate) evalLocal(pi int) error {
-	deltas, err := u.d.ex.eval(u.mode, pi, u.spec.Col)
-	u.parts[pi] = stagePart{deltas, int64(deltasSize(deltas, laneCount(u.span)))}
-	return err
+	ex := u.d.ex
+	deltas, err := ex.eval(u.mode, pi, u.spec.Col)
+	if err != nil {
+		return err
+	}
+	size, _ := replySize(&ex.splits[pi], deltas)
+	u.parts[pi] = stagePart{deltas, int64(size)}
+	return nil
 }
 
 // evalSink takes partition pi's lanes from a remote executor's reply: a
-// remote backend pays an encode and a decode, into the buffer the driver's
-// own executor keeps for the partition.
+// remote backend pays an encode and a decode, into the buffers the driver's
+// own executor keeps for the partition. A grouped reply is read against the
+// partition's rows grouped here as the task grouped them: from A, which no
+// commit touches before every reply is in, and the partition's blocks.
 func (u *factorUpdate) evalSink(pi int, payload []byte) error {
-	deltas := u.d.ex.lanes(u.mode, pi)
+	ex := u.d.ex
+	deltas, s := ex.lanes(u.mode, pi), ex.splitFor(pi)
 	u.parts[pi] = stagePart{deltas, int64(len(payload) - deltasHeaderLen)}
-	return decodeDeltas(payload, u.a.Rows(), laneCount(u.span), deltas)
+	if groupedReply(payload) {
+		s.rowGroups(u.a, ex.f[modeRoles[u.mode].pvm], ex.px[u.mode].Parts[pi].Blocks, u.spec.Col, u.span)
+	}
+	return decodeReply(payload, s, u.a.Rows(), laneCount(u.span), deltas)
 }
 
 // commitColumns is the driver's commit (Algorithm 4 lines 10-12): set the

@@ -473,22 +473,29 @@ func TestBroadcastVolumeLemma7(t *testing.T) {
 }
 
 func TestCollectVolumeLemma7(t *testing.T) {
-	// Collect traffic scales with the partition count N.
+	// Collect traffic scales with the partition count N: the values the eval
+	// replies stand for, N·rows·lanes a stage as their headers state them,
+	// exactly. Their bytes depend on the values and on how many rows share
+	// a group, so they are held only to the plain body's ceiling: at most
+	// five bytes a value.
 	rng := rand.New(rand.NewSource(17))
 	x := randomTensor(rng, 12, 12, 12, 0.1)
-	opt := Options{Rank: 3, MaxIter: 2, Seed: 1, Partitions: 2}
-	r2, err := Decompose(context.Background(), x, testCluster(4), opt)
-	if err != nil {
-		t.Fatal(err)
+	run := func(partitions int) (values, collected int64) {
+		ht := newHostTransport(4)
+		opt := Options{Rank: 3, MaxIter: 2, Seed: 1, Partitions: partitions}
+		res, err := Decompose(context.Background(), x, cluster.New(cluster.Config{Machines: 4, Transport: ht}), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ht.evalValues.Load(), res.Stats.CollectedBytes
 	}
-	opt.Partitions = 8
-	r8, err := Decompose(context.Background(), x, testCluster(4), opt)
-	if err != nil {
-		t.Fatal(err)
+	v2, c2 := run(2)
+	v8, c8 := run(8)
+	if v2 == 0 || v8 != 4*v2 {
+		t.Fatalf("eval replies stand for %d values (N=8) and %d (N=2), want exactly 4x", v8, v2)
 	}
-	lo, hi := 3*r2.Stats.CollectedBytes, 5*r2.Stats.CollectedBytes
-	if r8.Stats.CollectedBytes < lo || r8.Stats.CollectedBytes > hi {
-		t.Fatalf("collect bytes %d (N=8) vs %d (N=2), want ≈4x", r8.Stats.CollectedBytes, r2.Stats.CollectedBytes)
+	if c2 > 5*v2 || c8 > 5*v8 {
+		t.Fatalf("collect bytes %d for %d values (N=2), %d for %d (N=8): over five bytes a value", c2, v2, c8, v8)
 	}
 }
 

@@ -63,11 +63,13 @@ type executor struct {
 	// update, made at its first build and kept for the run; it serves evals
 	// while its epoch is the executor's (see eval). deltas[mode][pi] holds
 	// partition pi's lanes of the mode's stage in flight (see lanes), made at
-	// first use and kept likewise. replies[mode][pi] is the same lanes
-	// encoded for the wire, on a worker: grown at the partition's first reply
-	// and kept likewise.
+	// first use and kept likewise, and splits[pi] the lanes of whichever
+	// mode's stage partition pi is in, split by row group (see splitFor).
+	// replies[mode][pi] is the lanes encoded for the wire, on a worker: grown
+	// at the partition's first reply and kept likewise.
 	tasks   [3][]*columnTask
 	deltas  [3][][]int32
+	splits  []split
 	replies [3][][]byte
 	// epoch advances whenever every column task goes stale: at setFactors
 	// and at a machine loss.
@@ -110,18 +112,24 @@ func (ex *executor) setup(ux [3]*tensor.Unfolded, each func(n int, fn func(m int
 // built it does.
 func (ex *executor) install(px [3]*partition.Partitioned) {
 	ex.px = px
+	parts := 0
 	for m, p := range px {
 		ex.tasks[m] = make([]*columnTask, len(p.Parts))
 		ex.deltas[m] = make([][]int32, len(p.Parts))
 		ex.replies[m] = make([][]byte, len(p.Parts))
+		parts = max(parts, len(p.Parts))
 	}
+	ex.splits = make([]split, parts)
 }
 
-// release returns every machine's cache tables to the slab pool. The caller
-// guarantees no stage can still touch them.
+// release returns every machine's cache tables and every partition's split
+// to the slab pool. The caller guarantees no stage can still touch them.
 func (ex *executor) release() {
 	for _, reg := range ex.reg {
 		reg.clearRelease()
+	}
+	for pi := range ex.splits {
+		ex.splits[pi].release()
 	}
 }
 
@@ -203,7 +211,7 @@ func (ex *executor) build(mode, pi int) (*columnTask, error) {
 	}
 	t := ex.tasks[mode][pi]
 	if t == nil {
-		t = newColumnTask(part, ex.lanes(mode, pi), ex.cfg.NoCache)
+		t = newColumnTask(part, ex.lanes(mode, pi), ex.splitFor(pi), ex.cfg.NoCache)
 		ex.tasks[mode][pi] = t
 	}
 	role := modeRoles[mode]
@@ -228,6 +236,27 @@ func (ex *executor) lanes(mode, pi int) []int32 {
 		ex.deltas[mode][pi] = make([]int32, ex.dims[modeRoles[mode].upd]*laneCount(ex.span))
 	}
 	return ex.deltas[mode][pi]
+}
+
+// splitFor returns partition pi's split, sized for the widest stage of the
+// tallest factor and the partition's widest block in any mode: what every
+// column task built for the partition here accumulates in, and what the
+// driver groups the partition's rows in and reads a grouped reply into
+// when the task ran on a remote executor.
+func (ex *executor) splitFor(pi int) *split {
+	s := &ex.splits[pi]
+	if s.arena == nil {
+		width := 0
+		for _, px := range ex.px {
+			if pi < len(px.Parts) {
+				for _, b := range px.Parts[pi].Blocks {
+					width = max(width, b.Width())
+				}
+			}
+		}
+		s.init(max(ex.dims[0], ex.dims[1], ex.dims[2]), laneCount(ex.span), width)
+	}
+	return s
 }
 
 // stageSpan returns how many columns the eval stage starting at column col

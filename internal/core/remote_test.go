@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -31,8 +32,9 @@ type hostTransport struct {
 	batch bool
 	sent  atomic.Int64
 	recvd atomic.Int64
-	// evalReplies counts the eval payloads received.
-	evalReplies atomic.Int64
+	// evalReplies counts the eval payloads received, evalValues the lanes
+	// their headers say they carry: rows × lanes each, whatever the body.
+	evalReplies, evalValues atomic.Int64
 }
 
 func newHostTransport(machines int) *hostTransport {
@@ -90,6 +92,7 @@ func (h *hostTransport) Run(ctx context.Context, spec transport.Spec, deliver fu
 			h.recvd.Add(int64(len(out.Payload)))
 			if spec.Kind == transport.KindEval {
 				h.evalReplies.Add(1)
+				h.evalValues.Add(int64(binary.LittleEndian.Uint32(out.Payload)) * int64(out.Payload[4]&^groupedBody))
 			}
 			if err := deliver(transport.TaskResult{Task: out.Task, Machine: m, Nanos: 1000, Payload: out.Payload}); err != nil {
 				return err

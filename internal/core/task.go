@@ -1,6 +1,7 @@
 package core
 
 import (
+	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
 	"dbtf/internal/partition"
 	"dbtf/internal/sumcache"
@@ -37,28 +38,36 @@ type columnTask struct {
 	// keys); mf indexes the PVM blocks.
 	a, mf   *boolmat.FactorMatrix
 	summers []summer
-	// deltas[r·lanes+l] accumulates Σ_blocks (e1 − e0) for row r in lane l
-	// of the stage last evaluated; sized for the widest stage. int32 holds
-	// it: a block's |e1 − e0| is at most its width, the sum at most the
+	// deltas[r·lanes+l] is Σ_blocks (e1 − e0) for row r in lane l of the
+	// stage last evaluated; sized for the widest stage. int32 holds it: a
+	// block's |e1 − e0| is at most its width, the sum at most the
 	// partition's, and tensor.matricize refuses an unfolding whose columns
-	// overflow int32.
+	// overflow int32. eval accumulates the rows' hits in deltas and the
+	// groups' bases in split, then expands the two into the lanes.
 	deltas  []int32
+	split   *split
 	noCache bool
-	// delta is the cached path's view of one row's flipped region.
+	// delta is the cached path's view of one group's flipped region.
 	delta sumcache.Delta
 	// scratch[bi] backs naiveSummer evaluation in the NoCache ablation;
 	// nil under the cached delta path, which materializes no summations.
 	scratch [][]uint64
+	// lookups counts the delta regions eval has looked up, one per key a
+	// block's groups form in a lane, at most one per (group, block, lane):
+	// SumDelta calls on the cached path, candidate-summation pairs under
+	// NoCache.
+	lookups int
 }
 
-// newColumnTask makes partition part's column task around its accumulator,
-// with what depends on the partition alone; executor.build fills in the
-// rest.
-func newColumnTask(part *partition.Partition, deltas []int32, noCache bool) *columnTask {
+// newColumnTask makes partition part's column task around its accumulator
+// and split, with what depends on the partition alone; executor.build
+// fills in the rest.
+func newColumnTask(part *partition.Partition, deltas []int32, s *split, noCache bool) *columnTask {
 	t := &columnTask{
 		part:    part,
 		summers: make([]summer, 0, len(part.Blocks)),
 		deltas:  deltas,
+		split:   s,
 		noCache: noCache,
 	}
 	if noCache {
@@ -78,76 +87,91 @@ func newColumnTask(part *partition.Partition, deltas []int32, noCache bool) *col
 // PVM row mask holds the column's bit; the two outcomes of bit c reach
 // column c+1 only through blocks whose mask holds both bits, and every
 // other block's difference is evaluated once and added to both lanes.
-// Rows whose delta region is empty are skipped (SumDelta decides that from
-// two cached popcounts, without touching any vector).
+//
+// The rows are grouped first (split.rowGroups), and a block's delta region
+// is looked up once per key the groups form in it (see pass); only a row's
+// overlap with the region is counted per row.
 //
 //dbtf:noalloc
 func (t *columnTask) eval(c, span int) []int32 {
-	rows, lanes := t.a.Rows(), laneCount(span)
-	deltas := t.deltas[:rows*lanes]
+	s := t.split
+	bit, next := s.rowGroups(t.a, t.mf, t.part.Blocks, c, span)
+	deltas := t.deltas[:t.a.Rows()*s.lanes]
 	clear(deltas)
-	bit := uint64(1) << uint(c)
-	var next uint64
-	if span > 1 {
-		next = bit << 1
-	}
+	clear(s.base[:s.groups.n*s.lanes])
 	for bi, b := range t.part.Blocks {
 		kMask := t.mf.RowMask(b.PVM)
-		if kMask&(bit|next) == 0 {
-			continue
-		}
-		if t.noCache {
-			t.evalBlockNaive(bi, b, bit, next, kMask, deltas, lanes)
-			continue
-		}
-		cache := t.summers[bi].(*sumcache.Cache)
 		first, second := kMask&bit != 0, kMask&next != 0
-		for r := 0; r < rows; r++ {
-			row, out := t.a.RowMask(r), deltas[r*lanes:][:lanes]
-			if first {
-				out[0] += t.rowDelta(cache, b, r, (row&^bit)&kMask, bit)
-			}
-			if second {
-				key := (row &^ (bit | next)) & kMask
-				d := t.rowDelta(cache, b, r, key, next)
-				out[1] += d
-				if first {
-					d = t.rowDelta(cache, b, r, key|bit, next)
-				}
-				out[2] += d
+		if first {
+			t.pass(bi, b, kMask, 0, bit, 0, 1)
+		}
+		if second {
+			if kMask &^= next; first {
+				t.pass(bi, b, kMask, 0, next, 1, 1)
+				t.pass(bi, b, kMask, bit, next, 2, 1)
+			} else {
+				t.pass(bi, b, kMask, 0, next, 1, 2)
 			}
 		}
 	}
+	s.expand(deltas)
 	return deltas
 }
 
-// rowDelta is e1 − e0 of row r in block b for adding bit to key.
+// pass adds block b's part of lanes [l, l+n): the delta region of adding
+// bit to a group's key masked by kMask, with set added. Groups whose keys
+// agree on kMask share the region, so it is looked up once per such key
+// (split.bucketBlockKeys) and materialized; its size goes to each of the
+// groups' bases, and each of their rows adds its overlap with it to its
+// hits, which the lanes hold until eval expands them. A region SumDelta
+// finds empty from two cached popcounts skips its rows without touching
+// any vector. NoCache counts an overlap from the row's two full errors,
+// which naiveDelta recomputes from the factor columns for every row.
 //
 //dbtf:noalloc
-func (t *columnTask) rowDelta(cache *sumcache.Cache, b *partition.Block, r int, key, bit uint64) int32 {
-	cache.SumDelta(key, bit, &t.delta)
-	if t.delta.Empty() {
-		return 0
+func (t *columnTask) pass(bi int, b *partition.Block, kMask, set, bit uint64, l, n int) {
+	s := t.split
+	s.bucketBlockKeys(kMask, set)
+	cache, _ := t.summers[bi].(*sumcache.Cache) // nil under NoCache
+	region := s.region[:entryWords(b.Width())]
+	for k, key := range s.blockKeys.key[:s.blockKeys.n] {
+		t.lookups++
+		gain := 0
+		if cache == nil {
+			// sum0 ⊆ sum1, so |sum1 &^ sum0| is the difference of the popcounts.
+			sm, scratch := t.summers[bi], t.scratch[bi]
+			_, pop0 := sm.Sum(key, scratch)
+			_, pop1 := sm.Sum(key|bit, scratch)
+			gain = pop1 - pop0
+		} else if cache.SumDelta(key, bit, &t.delta); !t.delta.Empty() {
+			//dbtf:samewidth the region is cut to the block's width, as the cache slice's entries are
+			gain = bitvec.GainWords(region, t.delta.W1, t.delta.W0, t.delta.Occ)
+		}
+		if gain == 0 {
+			continue
+		}
+		for _, g := range s.blockKeys.members(k) {
+			t.addCount(s.base, int(g), l, n, gain)
+			for _, r := range s.groups.members(int(g)) {
+				var h int
+				if cache == nil {
+					h = (gain - int(t.naiveDelta(bi, b, int(r), key, bit))) / 2
+				} else {
+					h = b.Hits(int(r), region)
+				}
+				t.addCount(t.deltas, int(r), l, n, h)
+			}
+		}
 	}
-	return int32(b.DeltaError(r, &t.delta))
 }
 
-// evalBlockNaive is the uncached reference path: both candidate
-// summations are materialized from the factor columns and both errors
-// evaluated in full, lane by lane with nothing shared between them. It is
-// retained as the ablation of Section III-C and as the referee the
-// differential tests compare the delta kernels against.
-//
-//dbtf:noalloc
-func (t *columnTask) evalBlockNaive(bi int, b *partition.Block, bit, next, kMask uint64, deltas []int32, lanes int) {
-	for r := 0; r < t.a.Rows(); r++ {
-		row, out := t.a.RowMask(r), deltas[r*lanes:][:lanes]
-		if kMask&bit != 0 {
-			out[0] += t.naiveDelta(bi, b, r, (row&^bit)&kMask, bit)
-		}
-		if kMask&next != 0 {
-			out[1] += t.naiveDelta(bi, b, r, (row&^(bit|next))&kMask, next)
-			out[2] += t.naiveDelta(bi, b, r, (row&^next|bit)&kMask, next)
+// addCount adds v to lanes [l, l+n) of entry i of counts, laid out as the
+// stage's lanes to an entry: a group's bases or a row's hits.
+func (t *columnTask) addCount(counts []int32, i, l, n, v int) {
+	if v != 0 {
+		c := counts[i*t.split.lanes+l:][:n]
+		for j := range c {
+			c[j] += int32(v)
 		}
 	}
 }

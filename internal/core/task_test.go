@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"dbtf/internal/boolmat"
+	"dbtf/internal/partition"
 	"dbtf/internal/sumcache"
 )
 
@@ -62,6 +64,122 @@ func TestEvalColumnMatchesNaive(t *testing.T) {
 								r, groupBits, pi, c, span, got, want)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// repeatedRows draws an n×rank factor whose rows are copies of k random
+// masks: a factor under update whose rows fall into few groups.
+func repeatedRows(rng *rand.Rand, n, rank, k int) *boolmat.FactorMatrix {
+	masks := boolmat.RandomFactor(rng, k, rank, 0.4)
+	a := boolmat.NewFactor(n, rank)
+	for r := 0; r < n; r++ {
+		a.SetRowMask(r, masks.RowMask(rng.Intn(k)))
+	}
+	return a
+}
+
+// evalBlockNaive is the per-row referee: both candidate summations are
+// materialized from the factor columns and both errors evaluated in full,
+// row by row and lane by lane with nothing shared between them. It needs a
+// task built under NoCache.
+//
+//dbtf:noalloc
+func (t *columnTask) evalBlockNaive(bi int, b *partition.Block, bit, next, kMask uint64, deltas []int32, lanes int) {
+	for r := 0; r < t.a.Rows(); r++ {
+		row, out := t.a.RowMask(r), deltas[r*lanes:][:lanes]
+		if kMask&bit != 0 {
+			out[0] += t.naiveDelta(bi, b, r, (row&^bit)&kMask, bit)
+		}
+		if kMask&next != 0 {
+			out[1] += t.naiveDelta(bi, b, r, (row&^(bit|next))&kMask, next)
+			out[2] += t.naiveDelta(bi, b, r, (row&^next|bit)&kMask, next)
+		}
+	}
+}
+
+// refereeLanes is the stage of columns [c, c+span) as evalBlockNaive
+// evaluates it over every block the stage reads.
+func refereeLanes(t *columnTask, c, span int) []int32 {
+	lanes, bit := laneCount(span), uint64(1)<<uint(c)
+	var next uint64
+	if span > 1 {
+		next = bit << 1
+	}
+	deltas := make([]int32, t.a.Rows()*lanes)
+	for bi, b := range t.part.Blocks {
+		if kMask := t.mf.RowMask(b.PVM); kMask&(bit|next) != 0 {
+			t.evalBlockNaive(bi, b, bit, next, kMask, deltas, lanes)
+		}
+	}
+	return deltas
+}
+
+// TestEvalMatchesRowReferee holds the grouped evaluation, cached and
+// NoCache, to the per-row referee, which groups nothing: on factors whose
+// rows repeat a few masks, so that groups hold many rows and a block's
+// groups share keys, and on random ones, where most groups are one row.
+func TestEvalMatchesRowReferee(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, rank := range []int{1, 3, 7, 16, 40, 64} {
+		for _, groupBits := range []int{3, 15} {
+			i, j, k := rng.Intn(10)+6, rng.Intn(8)+3, rng.Intn(8)+3
+			x := randomTensor(rng, i, j, k, []float64{0.02, 0.1, 0.4}[rng.Intn(3)])
+			mf, ms := boolmat.RandomFactor(rng, k, rank, 0.3), boolmat.RandomFactor(rng, j, rank, 0.3)
+			opt := Options{Rank: rank, Partitions: rng.Intn(3) + 1, GroupBits: groupBits}
+			cached := newTestDecomposition(t, x, opt, 2)
+			opt.NoCache = true
+			naive := newTestDecomposition(t, x, opt, 2)
+			referee := newTestDecomposition(t, x, opt, 2)
+			for _, a := range []*boolmat.FactorMatrix{repeatedRows(rng, i, rank, 3), boolmat.RandomFactor(rng, i, rank, 0.3)} {
+				for pi := range cached.ex.px[0].Parts {
+					ct, nt, rt := buildTask(t, cached, pi, a, mf, ms), buildTask(t, naive, pi, a, mf, ms), buildTask(t, referee, pi, a, mf, ms)
+					for c := 0; c < rank; c++ {
+						for span := 1; span <= min(lookahead, rank-c); span++ {
+							want := refereeLanes(rt, c, span)
+							if got := ct.eval(c, span); !slices.Equal(got, want) {
+								t.Fatalf("rank %d V=%d part %d col %d span %d: cached lanes %v, referee %v", rank, groupBits, pi, c, span, got, want)
+							}
+							if got := nt.eval(c, span); !slices.Equal(got, want) {
+								t.Fatalf("rank %d V=%d part %d col %d span %d: NoCache lanes %v, referee %v", rank, groupBits, pi, c, span, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEvalLooksUpOncePerGroupKey counts the delta regions a stage looks up:
+// at most one per group, block and lane — a block's groups that agree on
+// its PVM mask share one — so on a factor whose rows repeat three masks,
+// fewer than one per row and block. Every lane the task returns is its
+// group's base less twice whole hits, which is what lets a reply carry the
+// split instead.
+func TestEvalLooksUpOncePerGroupKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	const rank = 6
+	x := randomTensor(rng, 24, 10, 8, 0.2)
+	a := repeatedRows(rng, 24, rank, 3)
+	mf, ms := boolmat.RandomFactor(rng, 8, rank, 0.5), boolmat.RandomFactor(rng, 10, rank, 0.4)
+	for _, noCache := range []bool{false, true} {
+		d := newTestDecomposition(t, x, Options{Rank: rank, Partitions: 2, NoCache: noCache}, 2)
+		for pi := range d.ex.px[0].Parts {
+			ct := buildTask(t, d, pi, a, mf, ms)
+			blocks := len(ct.part.Blocks)
+			for c := 0; c < rank; c += lookahead {
+				before := ct.lookups
+				deltas := ct.eval(c, lookahead)
+				s, lookups := ct.split, ct.lookups-before
+				if lookups > s.groups.n*blocks*s.lanes || lookups >= a.Rows()*blocks {
+					t.Errorf("noCache=%v part %d col %d: %d lookups for %d groups of %d rows, %d blocks and %d lanes",
+						noCache, pi, c, lookups, s.groups.n, a.Rows(), blocks, s.lanes)
+				}
+				if _, ok := groupedSize(s, deltas, math.MaxInt); !ok {
+					t.Errorf("noCache=%v part %d col %d: a row's lanes are not its group's base less twice whole hits", noCache, pi, c)
 				}
 			}
 		}

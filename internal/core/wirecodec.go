@@ -130,15 +130,23 @@ func decodeColumns(payload []byte) (modeIdx, col, span, rows int, bits []byte, e
 }
 
 // deltasHeaderLen is KindEval's result header: u32 row count, u8 lanes per
-// row. The body follows: rows × lanes zigzag uvarints, row by row, each the
-// lane's wireValue.
+// row, the lanes byte's high bit (groupedBody) marking a grouped body. A
+// plain body follows as rows × lanes zigzag uvarints, row by row, each the
+// lane's wireValue. A grouped body carries the stage's split instead (see
+// split): every group's base lanes, in group order; the count of rows with
+// a hit; then for each such row, ascending, its gap from the one before
+// (the first row's gap is its index) and its hit lanes. Every value of a
+// grouped body is a uvarint, a count lane being its countValue.
 const deltasHeaderLen = 5
 
-// wireValue is what an eval reply carries for lane l of a row: the lane
-// itself, except that the second outcome of a pair (lane 2 of a two-column
-// stage) goes as its difference from the first. The two differ only on
-// blocks whose PVM mask holds both columns' bits, so the difference is
-// mostly zero.
+// groupedBody marks a grouped body in the header's lanes byte.
+const groupedBody = 0x80
+
+// wireValue is what a plain eval reply carries for lane l of a row: the
+// lane itself, except that the second outcome of a pair (lane 2 of a
+// two-column stage) goes as its difference from the first. The two differ
+// only on blocks whose PVM mask holds both columns' bits, so the difference
+// is mostly zero.
 func wireValue(row []int32, l int) int64 {
 	v := int64(row[l])
 	if secondOutcome(l) {
@@ -147,19 +155,40 @@ func wireValue(row []int32, l int) int64 {
 	return v
 }
 
+// countValue is what a grouped reply carries for lane l of a group's bases
+// or a row's hits, counts that are never negative: the count itself, except
+// that the second outcome of a pair goes as the zigzag of its difference
+// from the first, as in wireValue.
+func countValue(counts []int32, l int) uint64 {
+	if secondOutcome(l) {
+		return zigzag(int64(counts[l]) - int64(counts[l-1]))
+	}
+	return uint64(counts[l])
+}
+
 // secondOutcome reports whether lane l is the second of a pair of lanes in
 // heap order: the one the reply sends as a difference.
 func secondOutcome(l int) bool { return l > 0 && l%2 == 0 }
 
-// zigzag maps small magnitudes of either sign to small unsigned values.
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+// zigzag maps small magnitudes of either sign to small unsigned values;
+// unzigzag is its inverse.
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // uvarintLen is the length of u's minimal uvarint.
 func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
-// deltasSize returns the body bytes of the eval reply carrying deltas,
-// lanes to a row: the header excluded, which is what the driver's Collect
-// charges for it. A simulated stage task calls it on its lane goroutine.
+// rowGap is what a grouped reply carries for listed row r after listed row
+// prev, −1 before the first.
+func rowGap(r, prev int) uint64 {
+	if prev < 0 {
+		return uint64(r)
+	}
+	return uint64(r - prev)
+}
+
+// deltasSize returns the bytes of a plain eval reply's body carrying
+// deltas, lanes to a row: the header excluded.
 //
 //dbtf:noalloc
 func deltasSize(deltas []int32, lanes int) int {
@@ -173,9 +202,107 @@ func deltasSize(deltas []int32, lanes int) int {
 	return n
 }
 
+// groupedSize returns the bytes of the grouped body carrying deltas as s
+// splits them, and whether that body is one to send instead of a limit-byte
+// plain body: whether s splits deltas — every row's lanes are its group's
+// base less twice whole hits — and the body is under limit bytes. It stops
+// counting at limit.
+//
+//dbtf:noalloc
+func groupedSize(s *split, deltas []int32, limit int) (int, bool) {
+	n := 1 // the count of listed rows, at least one byte
+	for g := 0; g < s.groups.n; g++ {
+		base := s.groupBase(g)
+		for l := range base {
+			n += uvarintLen(countValue(base, l))
+		}
+	}
+	listed, prev := 0, -1
+	for r := 0; r < len(deltas)/s.lanes && n < limit; r++ {
+		hits, ok := s.hits(r, deltas)
+		if !ok {
+			return 0, false
+		}
+		if !anyHit(hits) {
+			continue
+		}
+		n += uvarintLen(rowGap(r, prev))
+		for l := range hits {
+			n += uvarintLen(countValue(hits, l))
+		}
+		listed, prev = listed+1, r
+	}
+	n += uvarintLen(uint64(listed)) - 1
+	return n, n < limit
+}
+
+// anyHit reports whether a row's hits are not all zero: whether a grouped
+// reply lists the row.
+func anyHit(hits []int32) bool {
+	for _, h := range hits {
+		if h != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// replySize returns the body bytes of the eval reply carrying deltas — the
+// header excluded, which is what the driver's Collect charges for it — and
+// whether that body is grouped: it is when s splits deltas and the grouped
+// body is strictly smaller than the plain one, so a reply never grows past
+// its plain body. A simulated stage task calls it on its lane goroutine.
+//
+//dbtf:noalloc
+func replySize(s *split, deltas []int32) (int, bool) {
+	plain := deltasSize(deltas, s.lanes)
+	if n, ok := groupedSize(s, deltas, plain); ok {
+		return n, true
+	}
+	return plain, false
+}
+
+// appendReply packs one eval task's lanes onto dst, in the body replySize
+// picks, growing dst once to the reply's exact size.
+func appendReply(dst []byte, s *split, deltas []int32) []byte {
+	size, grouped := replySize(s, deltas)
+	if !grouped {
+		return appendDeltas(dst, deltas, s.lanes)
+	}
+	dst = slices.Grow(dst, deltasHeaderLen+size)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(deltas)/s.lanes))
+	dst = append(dst, byte(s.lanes)|groupedBody)
+	for g := 0; g < s.groups.n; g++ {
+		base := s.groupBase(g)
+		for l := range base {
+			dst = binary.AppendUvarint(dst, countValue(base, l))
+		}
+	}
+	rows, listed := len(deltas)/s.lanes, 0
+	for r := 0; r < rows; r++ {
+		if hits, _ := s.hits(r, deltas); anyHit(hits) {
+			listed++
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(listed))
+	prev := -1
+	for r := 0; r < rows; r++ {
+		hits, _ := s.hits(r, deltas)
+		if !anyHit(hits) {
+			continue
+		}
+		dst = binary.AppendUvarint(dst, rowGap(r, prev))
+		for l := range hits {
+			dst = binary.AppendUvarint(dst, countValue(hits, l))
+		}
+		prev = r
+	}
+	return dst
+}
+
 // appendDeltas packs one eval task's per-row error differences, lanes to a
-// row (see columnTask.deltas for why int32 carries them), onto dst, growing
-// it once to the reply's exact size.
+// row (see columnTask.deltas for why int32 carries them), onto dst as a
+// plain body, growing it once to the reply's exact size.
 func appendDeltas(dst []byte, deltas []int32, lanes int) []byte {
 	dst = slices.Grow(dst, deltasHeaderLen+deltasSize(deltas, lanes))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(deltas)/lanes))
@@ -189,8 +316,105 @@ func appendDeltas(dst []byte, deltas []int32, lanes int) []byte {
 	return dst
 }
 
-// decodeDeltas unpacks an eval payload into dst[:rows·lanes], insisting on
-// exactly rows rows of lanes lanes and not a byte more — the driver knows
+// groupedReply reports whether an eval reply's header marks a grouped body.
+func groupedReply(payload []byte) bool {
+	return len(payload) >= deltasHeaderLen && payload[4]&groupedBody != 0
+}
+
+// decodeReply unpacks an eval reply of either body kind into
+// dst[:rows·lanes]. A grouped body is read against s, which the caller has
+// grouped for the stage (split.rowGroups) exactly as the task that encoded
+// it had; its bases are left in s. Either way the one payload that decodes
+// to dst is the one appendReply makes of it: a grouped body must be
+// strictly smaller than the plain one, list exactly the rows with a hit,
+// in order, and hold every check of decodeDeltas.
+func decodeReply(payload []byte, s *split, rows, lanes int, dst []int32) error {
+	if !groupedReply(payload) {
+		return decodeDeltas(payload, rows, lanes, dst)
+	}
+	if n, l := int(binary.LittleEndian.Uint32(payload)), int(payload[4]&^groupedBody); n != rows || l != lanes {
+		return fmt.Errorf("core: grouped deltas payload has %d rows of %d lanes, want %d of %d", n, l, rows, lanes)
+	}
+	body := payload[deltasHeaderLen:]
+	var err error
+	for g := 0; g < s.groups.n; g++ {
+		if body, err = readCounts(body, s.groupBase(g)); err != nil {
+			return fmt.Errorf("core: grouped deltas payload: base of group %d: %w", g, err)
+		}
+	}
+	dst = dst[:rows*lanes]
+	for r, g := range s.groups.of[:rows] {
+		copy(dst[r*lanes:], s.groupBase(int(g)))
+	}
+	listed, n := binary.Uvarint(body)
+	if n <= 0 || n != uvarintLen(listed) || listed > uint64(rows) {
+		return fmt.Errorf("core: grouped deltas payload: the count of rows with hits is truncated, not a minimal uvarint or over %d", rows)
+	}
+	body = body[n:]
+	prev := -1
+	for i := uint64(0); i < listed; i++ {
+		gap, n := binary.Uvarint(body)
+		if n <= 0 || n != uvarintLen(gap) {
+			return fmt.Errorf("core: grouped deltas payload: gap %d is truncated or not a minimal uvarint", i)
+		}
+		body = body[n:]
+		from := max(prev, 0)
+		if prev >= 0 && gap == 0 || gap >= uint64(rows-from) {
+			return fmt.Errorf("core: grouped deltas payload: listed row %d is out of order or past row %d", i, rows-1)
+		}
+		r := from + int(gap)
+		hits := s.hitRow[:lanes]
+		if body, err = readCounts(body, hits); err != nil {
+			return fmt.Errorf("core: grouped deltas payload: hits of row %d: %w", r, err)
+		}
+		if !anyHit(hits) {
+			return fmt.Errorf("core: grouped deltas payload: row %d is listed with no hit", r)
+		}
+		row := dst[r*lanes:][:lanes]
+		for l, h := range hits {
+			v := int64(row[l]) - 2*int64(h)
+			if v < math.MinInt32 {
+				return fmt.Errorf("core: grouped deltas payload: lane %d of row %d is %d, outside int32", l, r, v)
+			}
+			row[l] = int32(v)
+		}
+		prev = r
+	}
+	if len(body) != 0 {
+		return fmt.Errorf("core: %d trailing bytes after grouped deltas", len(body))
+	}
+	if size, plain := len(payload)-deltasHeaderLen, deltasSize(dst, lanes); size >= plain {
+		return fmt.Errorf("core: grouped deltas payload of %d bytes is not smaller than the plain body's %d", size, plain)
+	}
+	return nil
+}
+
+// readCounts reads a grouped body's lanes of counts — a group's bases or a
+// row's hits — into dst, each a minimal uvarint landing in [0, MaxInt32],
+// and returns the rest of the body.
+func readCounts(body []byte, dst []int32) ([]byte, error) {
+	for l := range dst {
+		u, n := binary.Uvarint(body)
+		if n <= 0 || n != uvarintLen(u) {
+			return nil, fmt.Errorf("lane %d is truncated or not a minimal uvarint", l)
+		}
+		body = body[n:]
+		// A difference of two counts lies within ±MaxInt32: its zigzag is at
+		// most twice that, and the add below cannot overflow.
+		v := int64(u)
+		if secondOutcome(l) && u <= 2*math.MaxInt32 {
+			v = int64(dst[l-1]) + unzigzag(u)
+		}
+		if u > 2*math.MaxInt32 || v < 0 || v > math.MaxInt32 {
+			return nil, fmt.Errorf("lane %d is not a count inside int32", l)
+		}
+		dst[l] = int32(v)
+	}
+	return body, nil
+}
+
+// decodeDeltas unpacks a plain eval payload into dst[:rows·lanes], insisting
+// on exactly rows rows of lanes lanes and not a byte more — the driver knows
 // the factor's row count and the stage's span, and a mismatched executor
 // must fail loudly, not silently mis-commit columns. Every value must be a
 // minimal uvarint whose lane lands inside int32, so the one payload that
@@ -211,7 +435,7 @@ func decodeDeltas(payload []byte, rows, lanes int, dst []int32) error {
 				return fmt.Errorf("core: deltas payload: value %d of %d is truncated or not a minimal uvarint", i+l, rows*lanes)
 			}
 			body = body[n:]
-			v := int64(u>>1) ^ -int64(u&1) // zigzag's inverse
+			v := unzigzag(u)
 			if secondOutcome(l) {
 				v += int64(row[l-1])
 			}

@@ -135,7 +135,7 @@ func (w *Worker) runTaskLocked(spec transport.Spec, task int) ([]byte, error) {
 			return nil, err
 		}
 		reply := &w.ex.replies[spec.Mode][task]
-		*reply = appendDeltas((*reply)[:0], deltas, laneCount(w.ex.stageSpan(spec.Col)))
+		*reply = appendReply((*reply)[:0], &w.ex.splits[task], deltas)
 		return *reply, nil
 	case transport.KindTotalError:
 		e, err := w.ex.totalError(task)

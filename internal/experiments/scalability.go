@@ -225,7 +225,7 @@ func TrafficValidation(cfg Config) *Table {
 		Header: []string{"workload", "shuffled", "broadcast", "collected"},
 		Notes: []string{
 			"Lemma 6: shuffled bytes scale with |X| (rows 1-2)",
-			"Lemma 7: broadcast bytes scale with M (rows 1,3); collected values scale with N (rows 1,4): N·rows·lanes per eval stage, each 1-5 bytes as the eval reply's varint codec sets",
+			"Lemma 7: broadcast bytes scale with M (rows 1,3); collected values scale with N (rows 1,4): N·rows·lanes per eval stage, each 1-5 bytes as a varint, or carried as the row groups' bases plus the rows with hits where that is smaller",
 		},
 	}
 	base := dbtf.RandomTensor(cfg.rng(), dim, dim, dim, 0.02)

@@ -136,7 +136,9 @@ func (b *Block) Density(rows int) float64 {
 //	e1 − e0 = |D| − 2·|x_row ∧ D|
 //
 // Dense blocks intersect the packed row with the delta word-at-a-time;
-// sparse blocks walk the row's nonzero offsets.
+// sparse blocks walk the row's nonzero offsets. Rows that share a delta
+// region count |D| once, materializing it (bitvec.GainWords), and then
+// each its Hits.
 //
 //dbtf:noalloc
 func (b *Block) DeltaError(r int, d *sumcache.Delta) int64 {
@@ -160,6 +162,25 @@ func (b *Block) DeltaError(r int, d *sumcache.Delta) int64 {
 	//dbtf:samewidth nil row is allowed by the kernel; delta words share one cache slice width
 	gain, _ := bitvec.GainCountsWords(nil, d.W1, d.W0, d.Occ)
 	return int64(gain - 2*sparseGainOverlap(b.RowBits(r), d.W1, d.W0, d.Occ))
+}
+
+// Hits returns |x_row ∧ D| for row r against a delta region D materialized
+// as ⌈width/64⌉ words (bitvec.GainWords): the row's half of DeltaError,
+// whose other half |D| is the region's alone. Dense blocks intersect the
+// packed row with the region word-at-a-time; sparse blocks gather one
+// region word per nonzero.
+//
+//dbtf:noalloc
+func (b *Block) Hits(r int, region []uint64) int {
+	if b.denseWords != nil {
+		//dbtf:samewidth the region is sized to the block's width, as the packed rows are
+		return bitvec.AndCountWords(b.RowWords(r), region)
+	}
+	n := 0
+	for _, o := range b.RowBits(r) {
+		n += int(region[int(o)>>6] >> (uint32(o) & 63) & 1)
+	}
+	return n
 }
 
 // sparseGainOverlap counts the offsets lying inside the occluded gain

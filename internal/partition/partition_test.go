@@ -6,7 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dbtf/internal/bitvec"
+	"dbtf/internal/boolmat"
 	"dbtf/internal/gen"
+	"dbtf/internal/sumcache"
 	"dbtf/internal/tensor"
 )
 
@@ -263,5 +266,40 @@ func TestQuickBlocksAlwaysWithinOneProduct(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRowHalvesMatchDeltaError: on dense and sparse blocks, against
+// single-group and occluded deltas, DeltaError splits into the delta's
+// size, which GainWords counts as it materializes the region, less twice
+// the row's Hits against that region.
+func TestRowHalvesMatchDeltaError(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const j, rank = 70, 9
+	for _, density := range []float64{0.004, 0.3} {
+		x := randomTensor(rng, 12, j, 3, density)
+		blocks := Build(x.Unfold(tensor.Mode1), 1).Parts[0].Blocks
+		factor := boolmat.RandomFactor(rng, j, rank, 0.2)
+		for _, groupBits := range []int{3, 15} {
+			cache := sumcache.NewFromFactor(factor, groupBits)
+			region := make([]uint64, (j+63)/64)
+			var d sumcache.Delta
+			for trial := 0; trial < 40; trial++ {
+				bit := uint64(1) << uint(rng.Intn(rank))
+				if cache.SumDelta(rng.Uint64()&(1<<rank-1)&^bit, bit, &d); d.Empty() {
+					continue
+				}
+				//dbtf:samewidth the region is sized to the cache's width, the blocks'
+				gain := bitvec.GainWords(region, d.W1, d.W0, d.Occ)
+				for _, b := range blocks {
+					for r := 0; r < 12; r++ {
+						if h := b.Hits(r, region); int64(gain-2*h) != b.DeltaError(r, &d) {
+							t.Fatalf("density %v V=%d row %d: a region of %d with %d hits, DeltaError %d",
+								density, groupBits, r, gain, h, b.DeltaError(r, &d))
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -21,10 +21,12 @@ func TestTraceFollowEndsOnDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The hog occupies the single slot so the followed job stays queued
-	// (no terminal transition can end the tail on its own).
+	// (no terminal transition can end the tail on its own). It asks for
+	// the most iterations a job may, so it is still running at the drain
+	// however fast an iteration is.
 	hogSpec := baseSpec("x1")
-	hogSpec.MaxIter = 500
-	hogSpec.MinIter = 500
+	hogSpec.MaxIter = MaxIterLimit
+	hogSpec.MinIter = MaxIterLimit
 	hog, err := s.Submit(hogSpec)
 	if err != nil {
 		t.Fatal(err)

@@ -20,8 +20,11 @@ import (
 // to two columns and pushes both columns in one blob (a version-5 peer
 // would read int32 lanes as int64 rows); version 7 answers it with the same
 // lanes as zigzag uvarints, the second outcome of a pair sent as its
-// difference from the first (a version-6 peer would read them as int32).
-const ProtoVersion = 7
+// difference from the first (a version-6 peer would read them as int32);
+// version 8 may answer it with a grouped body instead — per-group bases and
+// the rows with hits, marked by the lanes byte's high bit — which a
+// version-7 peer would refuse as a lane count it never asked for.
+const ProtoVersion = 8
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
 // tighter limit: large enough for a pushed tensor, small enough that a
