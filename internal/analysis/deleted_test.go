@@ -88,6 +88,8 @@ var deletedNames = []deletedName{
 		pr: "PR 29: no program code copies a BitVec in place or parses one from a string; a factor product is MulFactor"},
 	{pattern: `[^.\w]Mul\(`, scope: []string{"internal/boolmat"},
 		pr: "PR 29: the general matrix product had no caller outside its tests; MulFactor is the product the engine forms (Equation 6), held to a triple loop"},
+	{pattern: `UnfoldAll|DecodeBinary\(|BinarySize\(|"dbtf/internal/tensor"`, scope: []string{"internal/core/worker.go", "internal/core/wirecodec.go"},
+		pr: "PR 33: a worker is shipped only its own partitions' set-up bodies and decodes them straight into its blocks; the whole-tensor set-up — a tensor in the blob, unfolded and partitioned whole on every worker — is gone"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

@@ -69,15 +69,38 @@ func (c *Cluster) PushState(ctx context.Context, kind transport.StateKind, encod
 	if c.transport == nil {
 		return nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	payload, err := encode()
 	if err != nil {
 		return fmt.Errorf("cluster: state push %q: %w", kind.String(), err)
 	}
+	return c.push(ctx, kind, func(ctx context.Context) error { return c.transport.PushState(ctx, kind, payload) })
+}
+
+// PushSetup starts the remote executors' state over with a set-up, encode(m)
+// machine m's own blob, encoded — like PushState's — only when there is an
+// executor to ship it to. The modeled shuffle is recorded by the caller.
+func (c *Cluster) PushSetup(ctx context.Context, encode func(machine int) ([]byte, error)) error {
+	if c.transport == nil {
+		return nil
+	}
+	setup := make([][]byte, c.machines)
+	for m := range setup {
+		blob, err := encode(m)
+		if err != nil {
+			return fmt.Errorf("cluster: state push %q: %w", transport.StateSetup.String(), err)
+		}
+		setup[m] = blob
+	}
+	return c.push(ctx, transport.StateSetup, func(ctx context.Context) error { return c.transport.PushSetup(ctx, setup) })
+}
+
+// push runs one state push on the transport and emits its wire volume.
+func (c *Cluster) push(ctx context.Context, kind transport.StateKind, send func(context.Context) error) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	sentBefore, recvBefore := c.transport.WireBytes()
-	err = c.transport.PushState(ctx, kind, payload)
+	err := send(ctx)
 	sentAfter, recvAfter := c.transport.WireBytes()
 	if c.tracer.Enabled() {
 		// The span's name is built for the trace alone: a push with the

@@ -38,6 +38,13 @@ func (f *fakeTransport) PushState(ctx context.Context, kind transport.StateKind,
 	return nil
 }
 
+func (f *fakeTransport) PushSetup(ctx context.Context, setup [][]byte) error {
+	for _, blob := range setup {
+		f.sent.Add(int64(len(blob)))
+	}
+	return nil
+}
+
 func (f *fakeTransport) Run(ctx context.Context, spec transport.Spec, deliver func(transport.TaskResult) error) error {
 	if f.runErr != nil {
 		return f.runErr

@@ -354,13 +354,6 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 	// by the cluster's reassignment rule; remote executors span one each.
 	d := &decomposition{ctx: ctx, rootCtx: ctx, x: x, cl: cl, opt: opts,
 		ex: newExecutor(cfg, [3]int{i, j, k}, cl.Machines(), cl.MachineFor, span)}
-	// Ship the run's immutable inputs: every remote executor rebuilds the
-	// partitioned unfoldings locally from the tensor, and a rejoining
-	// machine gets the same blob replayed — the re-shipped partitions of the
-	// recovery protocol, over the real socket.
-	if err := cl.PushState(ctx, transport.StateSetup, func() ([]byte, error) { return encodeSetup(x, cfg), nil }); err != nil {
-		return nil, err
-	}
 
 	// Checkpointing: the fingerprint binds a checkpoint to this exact
 	// configuration and tensor, and resume loads the latest snapshot
@@ -437,6 +430,9 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 	// back to the slab pool; the partitions are the set's.
 	defer d.ex.release()
 	if err := d.partitionAll(set); err != nil {
+		return nil, err
+	}
+	if err := d.shipSetup(); err != nil {
 		return nil, err
 	}
 
@@ -604,9 +600,11 @@ type decomposition struct {
 // boundaries, before any of the stage's tasks run): machine m's cache
 // tables died with the machine — the survivors that inherit its partitions
 // rebuild them on first use (executor.machineLost) — and m's share of every
-// mode's cached partitions is re-shipped to the survivors, charged as
-// shuffle traffic. During the partitioning stage itself the unfoldings are
-// not distributed yet and there is nothing to re-ship.
+// mode's cached partitions is re-shipped to the survivor, charged as
+// shuffle traffic at the partitions' exact set-up bodies: the bytes a
+// transport carries there with the first of m's batches, framing aside.
+// During the partitioning stage itself the unfoldings are not distributed
+// yet and there is nothing to re-ship.
 func (d *decomposition) machineLost(m int) {
 	d.ex.machineLost(m)
 	var bytes int64
@@ -699,9 +697,23 @@ func (d *decomposition) partitionAll(set *Partitions) error {
 	return err
 }
 
+// shipSetup ships every remote machine the partitions homed on it, as
+// their set-up bodies (encodeSetup): the distribution of the partitioned
+// unfoldings Algorithm 2 pays once, which unfoldAndPartition charged. A
+// rejoining machine gets its blob replayed, and the survivor a lost
+// machine's batches are routed to gets the lost machine's with the first of
+// them — the re-shipped partitions of the recovery protocol, over the real
+// socket.
+func (d *decomposition) shipSetup() error {
+	return d.cl.PushSetup(d.ctx, func(home int) ([]byte, error) {
+		return encodeSetup(d.ex.cfg, d.ex.dims, home, d.ex.px), nil
+	})
+}
+
 // unfoldAndPartition unfolds the tensor in its three modes and partitions
 // each unfolding on the run's own cluster, into the executor. The shuffle
-// volume of distributing the partitions is charged to the cluster (Lemma 6).
+// volume of distributing the partitions — their set-up bodies, exactly — is
+// charged to the cluster (Lemma 6).
 func (d *decomposition) unfoldAndPartition() error {
 	// The three unfoldings share one fused sweep over the coordinate list
 	// (driver-side, like the initial factors), then each machine builds its

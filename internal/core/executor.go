@@ -35,9 +35,10 @@ var modeRoles = [3]struct {
 // totalError. Both backends run it.
 // The driver's spans all M logical machines and is called through the
 // cluster's local stage closures, typed and by reference; a Worker's spans
-// the one machine its process is and is called through the wire codec.
-// Where a partition currently runs is the only thing the two disagree
-// about, and that is the place function.
+// the one machine its process is, holds only the partitions homed on it or
+// re-shipped to it, and is called through the wire codec. Where a
+// partition currently runs is the only thing the two disagree about, and
+// that is the place function.
 //
 // An executor is not synchronized. Stage tasks may run concurrently because
 // tasks for different partitions touch disjoint entries of the task tables
@@ -88,10 +89,10 @@ func newExecutor(cfg runConfig, dims [3]int, machines int, place func(pi int) in
 
 // setup builds the three vertical partitionings from the unfoldings — the
 // one-off distribution of Algorithm 2, lines 1-3 — and installs them. each
-// runs the three per-mode builds: a cluster stage on the driver, a plain
-// loop on a worker. The partitionings hold their own copy of every nonzero,
-// so the unfoldings are recycled. What setup builds, on error the modes
-// built so far, is its caller's to keep or release (see install).
+// runs the three per-mode builds, on the driver a cluster stage. The
+// partitionings hold their own copy of every nonzero, so the unfoldings are
+// recycled. What setup builds, on error the modes built so far, is its
+// caller's to keep or release (see install).
 func (ex *executor) setup(ux [3]*tensor.Unfolded, each func(n int, fn func(m int) error) error) error {
 	err := each(len(ux), func(m int) error {
 		ex.px[m] = partition.Build(ux[m], ex.cfg.Partitions)
@@ -108,8 +109,8 @@ func (ex *executor) setup(ux [3]*tensor.Unfolded, each func(n int, fn func(m int
 }
 
 // install hands the executor a built set of partitionings and sizes the
-// task tables. The executor reads the set and never releases it: whoever
-// built it does.
+// task tables, a slot per partition whether the set holds it or not. The
+// executor reads the set and never releases it: whoever built it does.
 func (ex *executor) install(px [3]*partition.Partitioned) {
 	ex.px = px
 	parts := 0
@@ -183,7 +184,8 @@ func (ex *executor) machineLost(m int) {
 
 // part resolves a stage task's address to its partition, rejecting what a
 // mismatched peer could send: a mode or partition out of range, a stage
-// ahead of the state it needs.
+// ahead of the state it needs, a partition this executor does not hold (a
+// *notHeldError).
 func (ex *executor) part(mode, pi int) (*partition.Partition, error) {
 	if mode < 0 || mode >= len(modeRoles) {
 		return nil, fmt.Errorf("core: mode %d outside [0,2]", mode)
@@ -191,10 +193,23 @@ func (ex *executor) part(mode, pi int) (*partition.Partition, error) {
 	if ex.px[mode] == nil || ex.f[0] == nil {
 		return nil, fmt.Errorf("core: mode %d stage before setup and factors", mode)
 	}
-	if parts := ex.px[mode].Parts; pi >= 0 && pi < len(parts) {
-		return parts[pi], nil
+	parts := ex.px[mode].Parts
+	if pi < 0 || pi >= len(parts) {
+		return nil, fmt.Errorf("core: task %d outside %d partitions", pi, len(parts))
 	}
-	return nil, fmt.Errorf("core: task %d outside %d partitions", pi, len(ex.px[mode].Parts))
+	if parts[pi] == nil {
+		return nil, &notHeldError{mode: mode, pi: pi}
+	}
+	return parts[pi], nil
+}
+
+// notHeldError is a stage task addressed to a partition the executor does
+// not hold: on a worker, one neither homed on its machine nor re-shipped
+// to it.
+type notHeldError struct{ mode, pi int }
+
+func (e *notHeldError) Error() string {
+	return fmt.Sprintf("core: partition %d of mode %d is not held here", e.pi, e.mode)
 }
 
 // build readies partition pi's column task for the mode's update: the
@@ -239,16 +254,16 @@ func (ex *executor) lanes(mode, pi int) []int32 {
 }
 
 // splitFor returns partition pi's split, sized for the widest stage of the
-// tallest factor and the partition's widest block in any mode: what every
-// column task built for the partition here accumulates in, and what the
-// driver groups the partition's rows in and reads a grouped reply into
-// when the task ran on a remote executor.
+// tallest factor and the partition's widest block in any mode it is held
+// in: what every column task built for the partition here accumulates in,
+// and what the driver groups the partition's rows in and reads a grouped
+// reply into when the task ran on a remote executor.
 func (ex *executor) splitFor(pi int) *split {
 	s := &ex.splits[pi]
 	if s.arena == nil {
 		width := 0
 		for _, px := range ex.px {
-			if pi < len(px.Parts) {
+			if pi < len(px.Parts) && px.Parts[pi] != nil {
 				for _, b := range px.Parts[pi].Blocks {
 					width = max(width, b.Width())
 				}

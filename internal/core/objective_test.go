@@ -40,6 +40,16 @@ func recount(t *testing.T, x *tensor.Tensor, cfg runConfig, a, b, c *boolmat.Fac
 	return total
 }
 
+// serially is executor.setup's each on one machine: a plain loop.
+func serially(n int, fn func(m int) error) error {
+	for m := 0; m < n; m++ {
+		if err := fn(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestCarriedObjectiveEqualsRecount: the error of every iteration — counted
 // by a stage in iteration 1, carried through the column commits ever after —
 // is the error a recount over the factors as they stood at that boundary

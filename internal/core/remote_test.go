@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -16,6 +17,7 @@ import (
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
 	"dbtf/internal/gen"
+	"dbtf/internal/partition"
 	"dbtf/internal/tensor"
 	"dbtf/internal/trace"
 	"dbtf/internal/transport"
@@ -35,6 +37,9 @@ type hostTransport struct {
 	// evalReplies counts the eval payloads received, evalValues the lanes
 	// their headers say they carry: rows × lanes each, whatever the body.
 	evalReplies, evalValues atomic.Int64
+	// bodies counts the partition bodies of the set-up blobs sent: each
+	// blob less its header.
+	bodies atomic.Int64
 }
 
 func newHostTransport(machines int) *hostTransport {
@@ -63,6 +68,17 @@ func (h *hostTransport) PushState(ctx context.Context, kind transport.StateKind,
 			return err
 		}
 		h.sent.Add(int64(len(payload)))
+	}
+	return nil
+}
+
+func (h *hostTransport) PushSetup(ctx context.Context, setup [][]byte) error {
+	for m, host := range h.hosts {
+		if err := host.Apply(transport.StateSetup, setup[m]); err != nil {
+			return err
+		}
+		h.sent.Add(int64(len(setup[m])))
+		h.bodies.Add(int64(len(setup[m]) - setupHeaderLen))
 	}
 	return nil
 }
@@ -222,9 +238,19 @@ func TestWorkerRejectsOutOfOrderState(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(3))
 	x := randomTensor(rng, 5, 6, 7, 0.2)
-	setup := encodeSetup(x, runConfig{Rank: 2, Partitions: 2, GroupBits: 4, Machines: 2})
-	if err := w.Apply(transport.StateSetup, setup); err != nil {
+	setup := setupBlobs(t, x, runConfig{Rank: 2, Partitions: 2, GroupBits: 4, Machines: 2})
+	if err := w.Apply(transport.StateReship, setup[1]); err == nil {
+		t.Fatal("re-shipped partitions accepted before the set-up")
+	}
+	if err := w.Apply(transport.StateSetup, setup[0]); err != nil {
 		t.Fatalf("valid setup rejected: %v", err)
+	}
+	if err := w.Apply(transport.StateReship, setup[0]); err == nil {
+		t.Fatal("the worker's own partitions accepted as re-shipped")
+	}
+	other := setupBlobs(t, x, runConfig{Rank: 3, Partitions: 2, GroupBits: 4, Machines: 2})
+	if err := w.Apply(transport.StateReship, other[1]); err == nil {
+		t.Fatal("partitions of another run accepted as re-shipped")
 	}
 	if err := w.Apply(transport.StateColumn, encodeColumns(0, 0, 1, boolmat.RandomFactor(rng, 5, 2, 0.5))); err == nil {
 		t.Fatal("column push before factors succeeded")
@@ -238,73 +264,199 @@ func TestWorkerRejectsOutOfOrderState(t *testing.T) {
 	}
 }
 
-// TestSetupCodecRoundTrip: the setup blob carries every runConfig field —
-// a value per kind the walk knows, so a field it dropped or mis-typed
-// shows — and the tensor; a blob cut inside the configuration or carrying
-// an out-of-range one is refused before the tensor is looked at.
-func TestSetupCodecRoundTrip(t *testing.T) {
-	x := randomTensor(rand.New(rand.NewSource(5)), 5, 6, 7, 0.2)
-	cfg := runConfig{
-		Rank: 3, MaxIter: 7, MinIter: 2, InitialSets: 4, Partitions: 2, GroupBits: 4,
-		Tolerance: -9, Init: InitTopFiber, Seed: -42, NoCache: true, Machines: 2,
-	}
-	blob := encodeSetup(x, cfg)
-	got, gx, err := decodeSetup(blob)
-	if err != nil {
+// buildPartitions partitions x as the driver of a run under cfg does.
+func buildPartitions(t testing.TB, x *tensor.Tensor, cfg runConfig) [3]*partition.Partitioned {
+	t.Helper()
+	i, j, k := x.Dims()
+	ex := newExecutor(cfg, [3]int{i, j, k}, cfg.Machines, func(pi int) int { return pi % cfg.Machines }, lookahead)
+	if err := ex.setup(x.UnfoldAll(), serially); err != nil {
 		t.Fatal(err)
 	}
-	if got != cfg {
-		t.Fatalf("decoded config %+v, want %+v", got, cfg)
+	return ex.px
+}
+
+// setupBlobs returns every machine's set-up blob of a run of x under cfg.
+func setupBlobs(t testing.TB, x *tensor.Tensor, cfg runConfig) [][]byte {
+	t.Helper()
+	px := buildPartitions(t, x, cfg)
+	defer releasePartitions(px)
+	i, j, k := x.Dims()
+	blobs := make([][]byte, cfg.Machines)
+	for home := range blobs {
+		blobs[home] = encodeSetup(cfg, [3]int{i, j, k}, home, px)
 	}
-	if fingerprint(gx, got) != fingerprint(x, cfg) {
-		t.Fatal("decoded tensor differs from the one encoded")
+	return blobs
+}
+
+// samePartition reports whether two partitions of a rows-row unfolding
+// have the same bounds and blocks, row for row.
+func samePartition(a, b *partition.Partition, rows int) bool {
+	if a.Index != b.Index || a.Lo != b.Lo || a.Hi != b.Hi || len(a.Blocks) != len(b.Blocks) {
+		return false
 	}
-	words := reflect.TypeOf(cfg).NumField()
-	for _, cut := range []int{0, 7, 8*words - 1} {
-		if _, _, err := decodeSetup(blob[:cut]); err == nil || !strings.Contains(err.Error(), "shorter than") {
+	for bi, x := range a.Blocks {
+		y := b.Blocks[bi]
+		if x.PVM != y.PVM || x.Lo != y.Lo || x.Hi != y.Hi || x.InnerLo != y.InnerLo || x.Type != y.Type || x.Dense() != y.Dense() {
+			return false
+		}
+		for r := 0; r < rows; r++ {
+			if !slices.Equal(x.RowBits(r), y.RowBits(r)) || !slices.Equal(x.RowWords(r), y.RowWords(r)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestSetupCodecRoundTrip: a machine's set-up blob carries every runConfig
+// field — a value per kind the walk knows, so a field it dropped or
+// mis-typed shows — the dims and the machine, and decodes to exactly the
+// partitions homed there, block for block and row for row as the driver
+// built them, which encode back to the blob byte for byte. A blob cut
+// inside its header, without its bodies, with a byte after the last body
+// or carrying an out-of-range configuration is refused.
+func TestSetupCodecRoundTrip(t *testing.T) {
+	x := randomTensor(rand.New(rand.NewSource(5)), 5, 6, 7, 0.2)
+	dims := [3]int{5, 6, 7}
+	cfg := runConfig{
+		Rank: 3, MaxIter: 7, MinIter: 2, InitialSets: 4, Partitions: 5, GroupBits: 4,
+		Tolerance: -9, Init: InitTopFiber, Seed: -42, NoCache: true, Machines: 2,
+	}
+	px := buildPartitions(t, x, cfg)
+	defer releasePartitions(px)
+	for home := 0; home < cfg.Machines; home++ {
+		blob := encodeSetup(cfg, dims, home, px)
+		s, err := decodeSetup(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.cfg != cfg || s.dims != dims || s.home != home {
+			t.Fatalf("machine %d: decoded %+v %v machine %d, want %+v %v", home, s.cfg, s.dims, s.home, cfg, dims)
+		}
+		for m, p := range s.px {
+			if len(p.Parts) != len(px[m].Parts) {
+				t.Fatalf("machine %d mode %d: %d partition slots, the driver has %d", home, m+1, len(p.Parts), len(px[m].Parts))
+			}
+			for pi, part := range p.Parts {
+				switch {
+				case (part != nil) != (pi%cfg.Machines == home):
+					t.Fatalf("machine %d mode %d: holds partition %d: %v", home, m+1, pi, part != nil)
+				case part != nil && (!samePartition(part, px[m].Parts[pi], p.NumRows) || p.ReshipBytes(pi) != px[m].ReshipBytes(pi)):
+					t.Fatalf("machine %d mode %d: partition %d differs from the driver's", home, m+1, pi)
+				}
+			}
+		}
+		if again := encodeSetup(s.cfg, s.dims, s.home, s.px); !bytes.Equal(again, blob) {
+			t.Fatalf("machine %d: the decoded blob encodes to %d other bytes", home, len(again))
+		}
+		releasePartitions(s.px)
+	}
+	blob := encodeSetup(cfg, dims, 0, px)
+	for _, cut := range []int{0, 7, setupHeaderLen - 1} {
+		if _, err := decodeSetup(blob[:cut]); err == nil || !strings.Contains(err.Error(), "shorter than") {
 			t.Fatalf("setup cut at %d bytes: got %v, want the length check", cut, err)
 		}
 	}
-	if _, _, err := decodeSetup(blob[:8*words]); err == nil {
-		t.Fatal("setup without a tensor accepted")
+	if _, err := decodeSetup(blob[:setupHeaderLen]); err == nil {
+		t.Fatal("setup without its bodies accepted")
 	}
-	if _, _, err := decodeSetup(append(slices.Clone(blob), 0)); err == nil || !strings.Contains(err.Error(), "trailing") {
-		t.Fatalf("setup with a byte after the last coordinate: got %v, want the trailing-bytes check", err)
+	if _, err := decodeSetup(append(slices.Clone(blob), 0)); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("setup with a byte after the last body: got %v, want the trailing-bytes check", err)
 	}
 	cfg.Rank = boolmat.MaxRank + 1
-	if _, _, err := decodeSetup(encodeSetup(x, cfg)); err == nil || !strings.Contains(err.Error(), "out of range") {
+	if _, err := decodeSetup(encodeSetup(cfg, dims, 0, px)); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("rank %d: got %v, want the range check", cfg.Rank, err)
 	}
 }
 
+// setupLayoutBytes bounds what the layout a set-up header implies can
+// allocate, whatever its bodies: a slot per partition, and per partition
+// homed on the blob's machine its blocks with their row pointers. A header
+// the decoder refuses before any layout implies none.
+func setupLayoutBytes(data []byte) uint64 {
+	if len(data) < setupHeaderLen {
+		return 0
+	}
+	var cfg runConfig
+	words := make([]uint64, reflect.TypeOf(cfg).NumField())
+	for n := range words {
+		words[n] = binary.LittleEndian.Uint64(data[8*n:])
+	}
+	cfg.setWords(words)
+	var dims [3]int
+	for n := range dims {
+		dims[n] = int(binary.LittleEndian.Uint32(data[8*len(words)+4*n:]))
+	}
+	home := int(binary.LittleEndian.Uint32(data[8*len(words)+12:]))
+	if cfg.Machines < 1 || cfg.Machines > math.MaxInt32 || cfg.Partitions < 1 || home >= cfg.Machines ||
+		dims[0] < 1 || dims[1] < 1 || dims[2] < 1 || tooWide(dims[0], dims[1]) || tooWide(dims[0], dims[2]) || tooWide(dims[1], dims[2]) {
+		return 0
+	}
+	var bytes uint64
+	for _, shape := range unfoldingShapes {
+		rows, width, cols := uint64(dims[shape[0]]), uint64(dims[shape[1]]), uint64(dims[shape[1]]*dims[shape[2]])
+		n := min(uint64(cfg.Partitions), cols)
+		var held uint64
+		if uint64(home) < n {
+			held = 1 + (n-1-uint64(home))/uint64(cfg.Machines)
+		}
+		blocks := held * ((cols+n-1)/n/width + 2)
+		bytes += 8*n + 128*held + blocks*(256+8*(rows+1))
+	}
+	return bytes
+}
+
 // FuzzSetupDecode: whatever bytes arrive as a set-up blob, the decoder
-// neither panics nor allocates beyond a small multiple of them — a forged
-// nonzero count buys nothing — and what it accepts it accepts whole: no
-// byte is left over, and the decoded configuration and tensor re-encode to
-// a blob that decodes to the same pair.
+// neither panics nor allocates beyond a small multiple of them plus the
+// layout its header's validated dims imply — a forged count buys nothing —
+// and what it accepts it accepts whole: the partitions it decodes encode
+// back to the very blob.
 func FuzzSetupDecode(f *testing.F) {
-	cfg := runConfig{Rank: 3, MaxIter: 5, InitialSets: 1, Partitions: 2, GroupBits: 4, Seed: 9, Machines: 2}
-	words := 8 * reflect.TypeOf(cfg).NumField()
+	cfg := runConfig{Rank: 3, MaxIter: 5, InitialSets: 1, Partitions: 3, GroupBits: 4, Seed: 9, Machines: 2}
 	x := randomTensor(rand.New(rand.NewSource(6)), 6, 5, 4, 0.3)
-	real := encodeSetup(x, cfg)
+	real := setupBlobs(f, x, cfg)[0]
+	header := real[:setupHeaderLen:setupHeaderLen]
+	// Machine 0's first body is partition 0 of the mode-1 unfolding: 6 rows
+	// over columns [0, 6).
+	body := func(b ...byte) []byte { return append(slices.Clone(header), b...) }
 	f.Add(real)
-	f.Add(real[:len(real)-1]) // cut inside the last entry
-	// A count of 2^31 entries and none behind it.
-	f.Add(append(slices.Clone(real[:words]), 'D', 'B', 'T', '1', 6, 5, 4, 0x80, 0x80, 0x80, 0x80, 0x08))
-	// Two entries, the second before the first.
-	f.Add(append(slices.Clone(real[:words]), 'D', 'B', 'T', '1', 6, 5, 4, 2, 1, 3, 2, 0, 1, 1))
+	f.Add(real[:len(real)-1]) // cut inside the last body
+	// A count of 2^31 columns and none behind it.
+	f.Add(body(0x80, 0x80, 0x80, 0x80, 0x08))
+	// Two columns, the second past the first row's end.
+	f.Add(body(2, 1, 4))
+	// A column at the partition's Hi.
+	f.Add(body(1, 6))
+	// A gap past int32.
+	f.Add(body(1, 0x80, 0x80, 0x80, 0x80, 0x10))
+	// A blob for machine 2 of 2.
+	other := slices.Clone(real)
+	binary.LittleEndian.PutUint32(other[setupHeaderLen-4:], 2)
+	f.Add(other)
+	// A count of zero as a two-byte varint.
+	f.Add(body(0x80, 0x00))
+	// A count above the bytes left.
+	f.Add(body(3, 0, 0))
+	// One byte after the last body.
+	f.Add(append(slices.Clone(real), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var got runConfig
-		var gx *tensor.Tensor
+		layout := setupLayoutBytes(data)
+		if layout > 8<<20 {
+			return // a legitimate shape, too large for a fuzz run to build
+		}
+		var s setup
 		var err error
-		// A coordinate is three words for at least three bytes, and the sort
-		// of an out-of-order blob works in place; the rest is fixed cost.
-		bound := 64<<10 + 16*uint64(len(data))
+		// The decoder's buffers are a few times its input at most, whatever
+		// the counts say; the rest is the layout's and fixed cost.
+		bound := 64<<10 + 64*uint64(len(data)) + layout
 		grew := ^uint64(0)
 		for try := 0; try < 3 && grew > bound; try++ { // TotalAlloc is process-wide: believe the least
+			if err == nil {
+				releasePartitions(s.px)
+			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			got, gx, err = decodeSetup(data)
+			s, err = decodeSetup(data)
 			runtime.ReadMemStats(&after)
 			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
 		}
@@ -314,12 +466,9 @@ func FuzzSetupDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if gx.NNZ() > len(data)/3 {
-			t.Fatalf("decoded %d nonzeros from %d bytes", gx.NNZ(), len(data))
-		}
-		again, ax, err := decodeSetup(encodeSetup(gx, got))
-		if err != nil || again != got || !ax.Equal(gx) {
-			t.Fatalf("decode(encode(decode(blob))) = %+v, %v; want %+v", again, err, got)
+		defer releasePartitions(s.px)
+		if again := encodeSetup(s.cfg, s.dims, s.home, s.px); !bytes.Equal(again, data) {
+			t.Fatalf("encode(decode(blob)) is %d other bytes, the blob %d", len(again), len(data))
 		}
 	})
 }
@@ -411,8 +560,12 @@ func TestWorkerBatchErrorAttribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := randomTensor(rng, 8, 7, 6, 0.25)
 	w := NewWorker()
-	setup := encodeSetup(x, runConfig{Rank: 3, Partitions: 2, GroupBits: 4, Machines: 2})
-	if err := w.Apply(transport.StateSetup, setup); err != nil {
+	// Machine 0's worker, holding machine 1's partitions too: a whole stage.
+	setup := setupBlobs(t, x, runConfig{Rank: 3, Partitions: 2, GroupBits: 4, Machines: 2})
+	if err := w.Apply(transport.StateSetup, setup[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Apply(transport.StateReship, setup[1]); err != nil {
 		t.Fatal(err)
 	}
 	a := boolmat.RandomFactor(rng, 8, 3, 0.4)
@@ -458,29 +611,29 @@ func TestWorkerBatchErrorAttribution(t *testing.T) {
 
 // TestWorkerBuildsTaskAtFirstEvalOfAnyColumn pins the one rule of a column
 // task's life on the executor side (executor.eval): a worker handed a
-// partition mid-update — it holds the set-up, the factors and every column
-// push, but was never asked for that partition — answers the stage of
-// columns 4 and 5 with the same deltas as the worker that evaluated the
-// stages of columns 0…5 in order. That is
-// what a reassignment after a loss, a rejoin, and the ordinary first column
-// of an update all rely on.
+// partition mid-update — it holds its own set-up, the factors and every
+// column push, and is re-shipped the partition's machine's set-up just
+// before it is first asked for it — answers the stage of columns 4 and 5
+// with the same deltas as the partition's own worker, which evaluated the
+// stages of columns 0…5 in order. That is what a reassignment after a loss,
+// a rejoin, and the ordinary first column of an update all rely on.
 func TestWorkerBuildsTaskAtFirstEvalOfAnyColumn(t *testing.T) {
 	const rank = 6
 	rng := rand.New(rand.NewSource(9))
 	x := randomTensor(rng, 9, 8, 7, 0.25)
-	setup := encodeSetup(x, runConfig{Rank: rank, Partitions: 2, GroupBits: 4, Machines: 2})
+	setup := setupBlobs(t, x, runConfig{Rank: rank, Partitions: 2, GroupBits: 4, Machines: 2})
 	factors := encodeFactors(boolmat.RandomFactor(rng, 9, rank, 0.4),
 		boolmat.RandomFactor(rng, 8, rank, 0.4), boolmat.RandomFactor(rng, 7, rank, 0.4))
+	const mode, part = 1, 1
 	home, heir := NewWorker(), NewWorker()
-	for _, w := range []*Worker{home, heir} {
-		if err := w.Apply(transport.StateSetup, setup); err != nil {
+	for m, w := range []*Worker{heir, home} {
+		if err := w.Apply(transport.StateSetup, setup[m]); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Apply(transport.StateFactors, factors); err != nil {
 			t.Fatal(err)
 		}
 	}
-	const mode, part = 1, 1
 	spec := transport.Spec{Name: "eval:B", Kind: transport.KindEval, Mode: mode, Tasks: 2}
 	committed := boolmat.RandomFactor(rng, 8, rank, 0.5)
 	for spec.Col = 0; spec.Col < rank-lookahead; spec.Col += lookahead {
@@ -496,6 +649,13 @@ func TestWorkerBuildsTaskAtFirstEvalOfAnyColumn(t *testing.T) {
 	}
 	want, err := home.RunBatch(spec, []int{part})
 	if err != nil {
+		t.Fatal(err)
+	}
+	var notHeld *notHeldError
+	if _, err := heir.RunBatch(spec, []int{part}); !errors.As(err, &notHeld) {
+		t.Fatalf("the heir evaluated partition %d before it was re-shipped: %v", part, err)
+	}
+	if err := heir.Apply(transport.StateReship, setup[part]); err != nil {
 		t.Fatal(err)
 	}
 	got, err := heir.RunBatch(spec, []int{part})

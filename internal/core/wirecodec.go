@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -9,7 +10,7 @@ import (
 	"slices"
 
 	"dbtf/internal/boolmat"
-	"dbtf/internal/tensor"
+	"dbtf/internal/partition"
 )
 
 // The state and result payloads a remote run ships, in the coordinator →
@@ -19,43 +20,109 @@ import (
 // shapes so a corrupt or mismatched peer errors instead of computing
 // garbage.
 
-// encodeSetup builds StateSetup: the run's resolved configuration, whole —
-// one little-endian u64 per runConfig field (see runConfig.words) — followed
-// by the tensor in its compact binary format. Everything else — unfolded
-// partitions, caches, column tasks — is rebuilt locally from these, which
-// is what keeps the blob O(nnz) instead of O(data structures). The blob is
-// made once, at its exact size: it is the largest thing a run sends.
-func encodeSetup(x *tensor.Tensor, cfg runConfig) []byte {
-	words := cfg.words()
-	blob := make([]byte, 0, 8*len(words)+x.BinarySize())
-	for _, w := range words {
+// setupHeaderLen is a set-up blob's framing: one little-endian u64 per
+// runConfig field, in runConfig.words order, then the u32 dims I, J, K and
+// the u32 machine the blob is for. The partition bodies follow it.
+var setupHeaderLen = 8*reflect.TypeOf(runConfig{}).NumField() + 4*4
+
+// encodeSetup builds machine home's set-up blob (StateSetup for the machine
+// itself, StateReship for the survivor that inherits its partitions): the
+// header, then for each mode the set-up bodies of the partitions homed on
+// it — pi ≡ home mod M — in partition order (partition.AppendBody). That is
+// all a worker holds of the tensor. The blob is made once, at its exact
+// size, from the body sizes the partitioning counted.
+func encodeSetup(cfg runConfig, dims [3]int, home int, px [3]*partition.Partitioned) []byte {
+	size := setupHeaderLen
+	for _, p := range px {
+		for pi := home; pi < len(p.Parts); pi += cfg.Machines {
+			size += int(p.ReshipBytes(pi))
+		}
+	}
+	blob := make([]byte, 0, size)
+	for _, w := range cfg.words() {
 		blob = binary.LittleEndian.AppendUint64(blob, w)
 	}
-	return x.AppendBinary(blob)
+	for _, d := range dims {
+		blob = binary.LittleEndian.AppendUint32(blob, uint32(d))
+	}
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(home))
+	for _, p := range px {
+		for pi := home; pi < len(p.Parts); pi += cfg.Machines {
+			blob = p.AppendBody(blob, pi)
+		}
+	}
+	return blob
 }
 
-func decodeSetup(payload []byte) (runConfig, *tensor.Tensor, error) {
-	var cfg runConfig
-	words := make([]uint64, reflect.TypeOf(cfg).NumField())
-	if len(payload) < 8*len(words) {
-		return cfg, nil, fmt.Errorf("core: decode setup: %d bytes, shorter than the %d-byte configuration", len(payload), 8*len(words))
+// setup is a decoded set-up blob: the run's configuration and dims, the
+// machine the blob is for, and that machine's partitions.
+type setup struct {
+	cfg  runConfig
+	dims [3]int
+	home int
+	px   [3]*partition.Partitioned
+}
+
+// unfoldingShapes are tensor.Unfold's shapes by mode (Equation 1): the
+// indices into the dims of the unfolding's rows, of its PVM product width
+// and of its product count.
+var unfoldingShapes = [3][3]int{{0, 1, 2}, {1, 0, 2}, {2, 0, 1}}
+
+// tooWide reports whether an unfolding of a × b columns overflows int32.
+func tooWide(a, b int) bool { return uint64(a)*uint64(b) > math.MaxInt32 }
+
+// decodeSetup reads a set-up blob straight into its machine's partitions.
+// Before it sizes anything by the header it refuses what a mismatched or
+// corrupt peer could send: a configuration word no run encodes or one out
+// of range, an empty mode or an unfolding whose columns overflow int32, a
+// machine outside the cluster. The bodies are partition.Receive's to
+// check, and a byte after the last is an error. Nothing of a refused blob
+// is kept.
+func decodeSetup(payload []byte) (setup, error) {
+	var s setup
+	if len(payload) < setupHeaderLen {
+		return s, fmt.Errorf("core: decode setup: %d bytes, shorter than the %d-byte header", len(payload), setupHeaderLen)
 	}
+	words := make([]uint64, reflect.TypeOf(s.cfg).NumField())
 	for n := range words {
 		words[n] = binary.LittleEndian.Uint64(payload[8*n:])
 	}
-	cfg.setWords(words)
-	if cfg.Machines < 1 || cfg.Rank < 1 || cfg.Rank > boolmat.MaxRank || cfg.Partitions < 1 || cfg.GroupBits < 1 {
-		return cfg, nil, fmt.Errorf("core: setup parameters out of range: machines=%d rank=%d partitions=%d groupbits=%d",
+	s.cfg.setWords(words)
+	cfg := s.cfg
+	if !slices.Equal(cfg.words(), words) {
+		return s, errors.New("core: setup configuration holds a word no run encodes")
+	}
+	if cfg.Machines < 1 || cfg.Machines > math.MaxInt32 || cfg.Rank < 1 || cfg.Rank > boolmat.MaxRank || cfg.Partitions < 1 || cfg.GroupBits < 1 {
+		return s, fmt.Errorf("core: setup parameters out of range: machines=%d rank=%d partitions=%d groupbits=%d",
 			cfg.Machines, cfg.Rank, cfg.Partitions, cfg.GroupBits)
 	}
-	x, rest, err := tensor.DecodeBinary(payload[8*len(words):])
-	if err != nil {
-		return cfg, nil, fmt.Errorf("core: decode setup tensor: %w", err)
+	rest := payload[8*len(words):]
+	for n := range s.dims {
+		s.dims[n] = int(binary.LittleEndian.Uint32(rest[4*n:]))
+	}
+	s.home = int(binary.LittleEndian.Uint32(rest[12:]))
+	rest = rest[16:]
+	i, j, k := s.dims[0], s.dims[1], s.dims[2]
+	if i < 1 || j < 1 || k < 1 || tooWide(i, j) || tooWide(i, k) || tooWide(j, k) {
+		return s, fmt.Errorf("core: setup dims %dx%dx%d: a mode is empty or an unfolding has more than 2^31-1 columns", i, j, k)
+	}
+	if s.home >= cfg.Machines {
+		return s, fmt.Errorf("core: setup blob for machine %d of %d", s.home, cfg.Machines)
+	}
+	for m, shape := range unfoldingShapes {
+		rows, width, products := s.dims[shape[0]], s.dims[shape[1]], s.dims[shape[2]]
+		px, after, err := partition.Receive(rows, width*products, width, cfg.Partitions, s.home, cfg.Machines, rest)
+		if err != nil {
+			releasePartitions(s.px)
+			return setup{}, fmt.Errorf("core: decode setup: mode %d: %w", m+1, err)
+		}
+		s.px[m], rest = px, after
 	}
 	if len(rest) != 0 {
-		return cfg, nil, fmt.Errorf("core: %d trailing bytes after setup tensor", len(rest))
+		releasePartitions(s.px)
+		return setup{}, fmt.Errorf("core: %d trailing bytes after the setup bodies", len(rest))
 	}
-	return cfg, x, nil
+	return s, nil
 }
 
 // encodeFactors snapshots A, B, C back to back in the boolmat binary

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"dbtf/internal/partition"
 	"dbtf/internal/transport"
 )
 
@@ -28,6 +29,15 @@ type Worker struct {
 	// stage span is the one thing a set-up carries over to the next executor.
 	//dbtf:guardedby mu
 	ex *executor
+	// home is the machine the last set-up was for, and sets the
+	// partitionings decoded since, by the machine they are homed on: home's
+	// own, whose Parts the executor reads, and each re-shipped one, whose
+	// partitions were moved into those slots. The worker built them all, so
+	// it releases them.
+	//dbtf:guardedby mu
+	home int
+	//dbtf:guardedby mu
+	sets map[int][3]*partition.Partitioned
 	// outs is RunBatch's result slice, kept between batches: the transport
 	// is done with a batch's outputs before it asks for the next.
 	//dbtf:guardedby mu
@@ -44,6 +54,8 @@ func (w *Worker) Apply(kind transport.StateKind, payload []byte) error {
 	switch kind {
 	case transport.StateSetup:
 		return w.applySetupLocked(payload)
+	case transport.StateReship:
+		return w.applyReshipLocked(payload)
 	case transport.StateFactors:
 		a, b, c, err := decodeFactors(payload)
 		if err != nil {
@@ -77,30 +89,50 @@ func (w *Worker) Apply(kind transport.StateKind, payload []byte) error {
 	return fmt.Errorf("core: worker: unknown state kind %d", kind)
 }
 
-// applySetupLocked rebuilds the executor from the shipped tensor — the
-// worker's share of Algorithm 2's one-off distribution. A replayed setup
-// (machine rejoin) resets everything: the process may have restarted and
-// holds no usable state. The worker built the partitions it replaces, so it
-// releases them.
+// applySetupLocked replaces the executor with one holding the partitions
+// the blob ships — the worker's share of Algorithm 2's one-off
+// distribution, decoded straight into its blocks. A replayed setup (machine
+// rejoin) resets everything: the process may have restarted and holds no
+// usable state.
 func (w *Worker) applySetupLocked(payload []byte) error {
-	cfg, x, err := decodeSetup(payload)
+	s, err := decodeSetup(payload)
 	if err != nil {
 		return err
 	}
 	w.ex.release()
-	releasePartitions(w.ex.px)
-	i, j, k := x.Dims()
-	w.ex = newExecutor(cfg, [3]int{i, j, k}, 1, func(int) int { return 0 }, w.ex.span)
-	return w.ex.setup(x.UnfoldAll(), serially)
+	//dbtf:allow-nondeterministic every set is released; order is irrelevant
+	for _, px := range w.sets {
+		releasePartitions(px)
+	}
+	w.ex = newExecutor(s.cfg, s.dims, 1, func(int) int { return 0 }, w.ex.span)
+	w.ex.install(s.px)
+	w.home, w.sets = s.home, map[int][3]*partition.Partitioned{s.home: s.px}
+	return nil
 }
 
-// serially is executor.setup's each on one machine: a plain loop.
-func serially(n int, fn func(m int) error) error {
-	for m := 0; m < n; m++ {
-		if err := fn(m); err != nil {
-			return err
+// applyReshipLocked adds the partitions of another machine of the run set
+// up here, whose batches this worker now runs: the re-shipped partitions of
+// the recovery protocol. A machine re-shipped again replaces what it
+// shipped before. Each added partition's column task is built anew at its
+// first eval, over this machine's caches (see executor.eval).
+func (w *Worker) applyReshipLocked(payload []byte) error {
+	s, err := decodeSetup(payload)
+	if err != nil {
+		return err
+	}
+	if w.sets == nil || s.cfg != w.ex.cfg || s.dims != w.ex.dims || s.home == w.home {
+		releasePartitions(s.px)
+		return fmt.Errorf("core: worker: partitions of machine %d re-shipped to a worker not set up for them", s.home)
+	}
+	for m, px := range s.px {
+		for pi, part := range px.Parts {
+			if part != nil {
+				w.ex.px[m].Parts[pi], w.ex.tasks[m][pi] = part, nil
+			}
 		}
 	}
+	releasePartitions(w.sets[s.home])
+	w.sets[s.home] = s.px
 	return nil
 }
 

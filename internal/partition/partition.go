@@ -16,7 +16,10 @@
 package partition
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"dbtf/internal/bitvec"
 	"dbtf/internal/slab"
@@ -232,6 +235,9 @@ type Partition struct {
 	Lo, Hi int
 	// Blocks are the partition's PVM-aligned blocks, in column order.
 	Blocks []*Block
+	// bodyBytes is the size of the partition's set-up body (AppendBody),
+	// counted by the pass that filled its blocks.
+	bodyBytes int64
 }
 
 // Width returns the number of columns the partition covers.
@@ -256,10 +262,12 @@ type Partitioned struct {
 	// BlockSize is the PVM product width (rows of the second Khatri–Rao
 	// operand).
 	BlockSize int
-	// Parts holds the N partitions in column order.
+	// Parts holds the N partitions in column order. Build fills every slot;
+	// Receive only those of the partitions shipped to it, the rest nil.
 	Parts []*Partition
-	// ShuffleBytes estimates the data volume moved when distributing the
-	// partitions across machines (Lemma 6: O(|X|)).
+	// ShuffleBytes is the set-up bodies of the partitions held, each counted
+	// exactly (ReshipBytes): the data distributing them across machines
+	// moves (Lemma 6: O(|X|)).
 	ShuffleBytes int64
 
 	// Backing arenas shared by every block's CSR offsets, row pointers and
@@ -281,13 +289,38 @@ func (p *Partitioned) Release() {
 	p.Parts = nil
 }
 
-// ReshipBytes estimates the data volume of re-shipping partition pi to a
-// surviving machine after its home machine is lost: the partition's share
-// of ShuffleBytes — 12 bytes per nonzero plus the partition's own
-// row-pointer overhead.
-func (p *Partitioned) ReshipBytes(pi int) int64 {
-	return int64(p.Parts[pi].NNZ())*12 + int64(p.NumRows)*4
+// ReshipBytes returns the size of partition pi's set-up body: what shipping
+// it to a machine moves, at the set-up and again to the survivor that
+// inherits it when its home machine is lost, and its share of ShuffleBytes.
+func (p *Partitioned) ReshipBytes(pi int) int64 { return p.Parts[pi].bodyBytes }
+
+// AppendBody appends partition pi's set-up body to dst: row by row, the
+// row's nonzero count in the partition, then its columns in ascending order,
+// each as its gap from the one before less one — the first column's from
+// the partition's Lo. Every value is a minimal uvarint, so the body is
+// exactly ReshipBytes(pi) bytes; Receive reads it back.
+func (p *Partitioned) AppendBody(dst []byte, pi int) []byte {
+	part := p.Parts[pi]
+	for r := 0; r < p.NumRows; r++ {
+		n := 0
+		for _, b := range part.Blocks {
+			n += len(b.RowBits(r))
+		}
+		dst = binary.AppendUvarint(dst, uint64(n))
+		prev := int32(part.Lo) - 1
+		for _, b := range part.Blocks {
+			lo := int32(b.Lo)
+			for _, o := range b.RowBits(r) {
+				dst = binary.AppendUvarint(dst, uint64(lo+o-prev-1))
+				prev = lo + o
+			}
+		}
+	}
+	return dst
 }
+
+// uvarintLen is the length of u's minimal uvarint.
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
 // Build vertically partitions an unfolded tensor into n partitions and
 // splits each partition into PVM-aligned blocks (Algorithm 3). n is capped
@@ -297,122 +330,297 @@ func Build(u *tensor.Unfolded, n int) *Partitioned {
 	if n < 1 {
 		panic(fmt.Sprintf("partition: n must be >= 1, got %d", n))
 	}
-	if u.NumCols > 0 && n > u.NumCols {
-		n = u.NumCols
+	px, parts, all := layout(u.NumRows, u.NumCols, u.BlockSize, n, 0, 1)
+	px.fill(parts, all, unfoldedRows{u})
+	return px
+}
+
+// Receive is Build on a machine that holds partitions first, first+step, …
+// of the n that Build cuts a rows × cols unfolding with blockSize-wide PVM
+// products into (0 <= first < step): it fills them from their set-up
+// bodies, which body begins with in partition order, and leaves every other
+// slot of Parts nil. It returns the bytes after the last body. A body that
+// is not exactly what AppendBody makes — a varint cut short, overlong or
+// past 64 bits, a count above the bytes left, a column at or past the
+// partition's Hi — is an error, and nothing is kept.
+func Receive(rows, cols, blockSize, n, first, step int, body []byte) (*Partitioned, []byte, error) {
+	px, parts, all := layout(rows, cols, blockSize, n, first, step)
+	if len(parts) == 0 {
+		return px, body, nil
 	}
-	px := &Partitioned{
-		NumRows:   u.NumRows,
-		NumCols:   u.NumCols,
-		BlockSize: u.BlockSize,
-		// 12 bytes per nonzero (row, column) plus row-pointer overhead
-		// approximates the shuffled representation.
-		ShuffleBytes: int64(u.NNZ())*12 + int64(u.NumRows)*4,
+	// Every row of a body spends at least its count's byte, and every
+	// column a byte too, so the body bounds the rows and the nonzeros.
+	if int64(len(parts))*int64(rows) > int64(len(body)) {
+		return nil, nil, fmt.Errorf("partition: %d bodies of %d rows need more than the %d bytes left", len(parts), rows, len(body))
 	}
-	// Lay out every partition's blocks first; together their column ranges
-	// tile [0, NumCols) in ascending order, so all CSR forms can be filled
-	// by merged sweeps per row instead of per-block binary searches. The
-	// blocks, the pointers to them and the partitions are one slab each,
-	// sized by counting first: a partition over [lo, hi) meets the PVM
-	// products lo/BlockSize … (hi−1)/BlockSize, one block apiece.
-	bounds := func(i int) (lo, hi int) { return i * u.NumCols / n, (i + 1) * u.NumCols / n }
-	nb := 0
-	for i := 0; i < n; i++ {
+	src := &bodyRows{ptr: slab.Int32s(len(parts) * (rows + 1)), cols: slab.Int32s(len(body)), next: slab.Int32s(rows)}
+	defer src.release()
+	nnz := 0
+	for k := range parts {
+		p := &parts[k]
+		ptr := src.ptr[k*(rows+1):][:rows+1]
+		ptr[0] = int32(nnz)
+		for r := 0; r < rows; r++ {
+			count, m := binary.Uvarint(body)
+			if m <= 0 || m != uvarintLen(count) || count > uint64(len(body)-m) {
+				return nil, nil, fmt.Errorf("partition: partition %d row %d: the count is cut short, not a minimal uvarint or above the %d bytes left", p.Index, r, len(body)-max(m, 0))
+			}
+			body = body[m:]
+			last := int64(p.Lo) - 1
+			for j := uint64(0); j < count; j++ {
+				gap, m := binary.Uvarint(body)
+				if m <= 0 || m != uvarintLen(gap) || gap >= uint64(int64(p.Hi)-last-1) {
+					return nil, nil, fmt.Errorf("partition: partition %d row %d: column %d is cut short, not a minimal uvarint or at or past the partition's end %d", p.Index, r, j, p.Hi)
+				}
+				body = body[m:]
+				last += int64(gap) + 1
+				src.cols[nnz] = int32(last)
+				nnz++
+			}
+			ptr[r+1] = int32(nnz)
+		}
+	}
+	px.fill(parts, all, src)
+	return px, body, nil
+}
+
+// layout cuts a rows × cols unfolding with blockSize-wide PVM products into
+// n partitions of near-equal width (Algorithm 3), n capped at cols so that
+// every partition is nonempty, and lays out partitions first, first+step,
+// …: their bounds and PVM-aligned blocks with their Figure 5 types, no
+// nonzero. Every other slot of Parts stays nil. It returns the partitions
+// laid out, and their blocks in column order. The blocks, the pointers to
+// them and the partitions are one slab each, sized by counting first: a
+// partition over [lo, hi) meets the PVM products lo/blockSize …
+// (hi−1)/blockSize, one block apiece.
+func layout(rows, cols, blockSize, n, first, step int) (*Partitioned, []Partition, []*Block) {
+	if cols > 0 && n > cols {
+		n = cols
+	}
+	px := &Partitioned{NumRows: rows, NumCols: cols, BlockSize: blockSize, Parts: make([]*Partition, n)}
+	bounds := func(i int) (lo, hi int) { return i * cols / n, (i + 1) * cols / n }
+	held, nb := 0, 0
+	for i := first; i < n; i += step {
+		held++
 		if lo, hi := bounds(i); hi > lo {
-			nb += (hi-1)/u.BlockSize - lo/u.BlockSize + 1
+			nb += (hi-1)/blockSize - lo/blockSize + 1
 		}
 	}
 	blocks, all := make([]Block, nb), make([]*Block, nb)
-	parts := make([]Partition, n)
-	px.Parts = make([]*Partition, n)
+	parts := make([]Partition, held)
 	bi := 0
-	for i := range parts {
+	for k := range parts {
+		i := first + k*step
 		lo, hi := bounds(i)
-		first := bi
+		start := bi
 		for cur := lo; cur < hi; bi++ {
-			s := spanAt(cur, hi, u.BlockSize)
+			s := spanAt(cur, hi, blockSize)
 			blocks[bi] = Block{
 				PVM:     s.pvm,
 				Lo:      s.lo,
 				Hi:      s.hi,
-				InnerLo: s.lo - s.pvm*u.BlockSize,
-				Type:    classify(s, u.BlockSize),
+				InnerLo: s.lo - s.pvm*blockSize,
+				Type:    classify(s, blockSize),
 			}
 			all[bi] = &blocks[bi]
 			cur = s.hi
 		}
-		parts[i] = Partition{Index: i, Lo: lo, Hi: hi, Blocks: all[first:bi:bi]}
-		px.Parts[i] = &parts[i]
+		parts[k] = Partition{Index: i, Lo: lo, Hi: hi, Blocks: all[start:bi:bi]}
+		px.Parts[i] = &parts[k]
 	}
+	return px, parts, all
+}
 
-	// Every block is a column range inside a single PVM product, so its
-	// row segments are sub-ranges of the unfolding's (row, PVM block)
-	// buckets, each found by arithmetic. The count pass takes a full
-	// block's row lengths straight from the bucket lengths — no nonzero is
-	// touched — and trims the bucket's ends for the at-most-two partial
-	// blocks a partition boundary cuts into a product. The fill pass then
-	// writes each block's CSR offsets (and packed rows, for blocks at or
-	// above DenseRowThreshold) sequentially into arenas shared by all
-	// blocks.
-	rows := u.NumRows
-	ptrArena := slab.Int32s(nb * (rows + 1))
-	denseTotal := 0
-	bitsOff := make([]int32, nb+1)
-	for bi, b := range all {
-		rp := ptrArena[bi*(rows+1) : (bi+1)*(rows+1)]
-		rp[0] = 0 // the arena is recycled, not zeroed
-		if b.Type == Full {
-			for r := 0; r < rows; r++ {
-				rp[r+1] = rp[r] + int32(len(u.BlockRow(r, b.PVM)))
-			}
-		} else {
-			lo, hi := int32(b.Lo), int32(b.Hi)
-			for r := 0; r < rows; r++ {
-				rp[r+1] = rp[r] + int32(len(trimSegment(u.BlockRow(r, b.PVM), lo, hi)))
-			}
+// rowSource is what fill reads the laid-out partitions' nonzeros from.
+type rowSource interface {
+	// begin readies the k-th partition laid out. Until the next begin,
+	// segments is asked for its blocks in column order.
+	begin(k int)
+	// segments sets segs[r] to row r's nonzero columns inside block b, as
+	// global indices in ascending order, for every row.
+	segments(b *Block, segs [][]int32)
+}
+
+// unfoldedRows is the driver's source: every block is a column range
+// inside a single PVM product, so its row segments are sub-ranges of the
+// unfolding's (row, PVM product) buckets, each found by arithmetic; only
+// the at-most-two partial blocks a partition boundary cuts into a product
+// trim the bucket's ends, so a full block's count pass touches no nonzero.
+type unfoldedRows struct{ u *tensor.Unfolded }
+
+func (unfoldedRows) begin(int) {}
+
+func (s unfoldedRows) segments(b *Block, segs [][]int32) {
+	if b.Type == Full {
+		for r := range segs {
+			segs[r] = s.u.BlockRow(r, b.PVM)
 		}
-		total := int(rp[rows])
-		b.rowPtr = rp
-		bitsOff[bi+1] = bitsOff[bi] + int32(total)
-		if cells := rows * b.Width(); cells > 0 &&
-			float64(total)/float64(cells) >= DenseRowThreshold {
-			b.stride = (b.Width() + bitvec.WordBits - 1) / bitvec.WordBits
-			denseTotal += rows * b.stride
+		return
+	}
+	for r := range segs {
+		segs[r] = trimSegment(s.u.BlockRow(r, b.PVM), int32(b.Lo), int32(b.Hi))
+	}
+}
+
+// bodyRows is a receiving machine's source: its partitions' decoded set-up
+// bodies. Row r of the k-th partition holds the global columns
+// cols[ptr[k(rows+1)+r] : ptr[k(rows+1)+r+1]], of which the blocks already
+// read have taken those before next[r].
+type bodyRows struct {
+	ptr, cols, next []int32
+	cur             []int32 // the begun partition's row pointers
+}
+
+func (s *bodyRows) begin(k int) {
+	rows := len(s.next)
+	s.cur = s.ptr[k*(rows+1):][:rows+1]
+	copy(s.next, s.cur[:rows])
+}
+
+func (s *bodyRows) segments(b *Block, segs [][]int32) {
+	hi := int32(b.Hi)
+	for r := range segs {
+		from, to, end := s.next[r], s.next[r], s.cur[r+1]
+		for to < end && s.cols[to] < hi {
+			to++
+		}
+		s.next[r] = to
+		segs[r] = s.cols[from:to]
+	}
+}
+
+func (s *bodyRows) release() {
+	slab.PutInt32s(s.ptr)
+	slab.PutInt32s(s.cols)
+	slab.PutInt32s(s.next)
+}
+
+// fill writes the laid-out blocks' CSR forms (and packed rows, for blocks
+// at or above DenseRowThreshold) from src, whatever src is, and counts every
+// partition's set-up body on the way. A count pass sizes each block's rows;
+// the fill pass then writes each block's offsets sequentially into arenas
+// shared by all blocks, and adds up the body's varints as it writes them —
+// each row's gaps, which run on across the partition's blocks, and at the
+// partition's end its rows' counts — so the size costs no pass of its own.
+func (px *Partitioned) fill(parts []Partition, all []*Block, src rowSource) {
+	rows := px.NumRows
+	ptrArena := slab.Int32s(len(all) * (rows + 1))
+	denseTotal := 0
+	bitsOff := make([]int32, len(all)+1)
+	segs := rowSegments(rows)
+	defer putRowSegments(segs)
+	bi := 0
+	for k := range parts {
+		src.begin(k)
+		for _, b := range parts[k].Blocks {
+			rp := ptrArena[bi*(rows+1) : (bi+1)*(rows+1)]
+			rp[0] = 0 // the arena is recycled, not zeroed
+			src.segments(b, *segs)
+			for r, seg := range *segs {
+				rp[r+1] = rp[r] + int32(len(seg))
+			}
+			total := int(rp[rows])
+			b.rowPtr = rp
+			bitsOff[bi+1] = bitsOff[bi] + int32(total)
+			if cells := rows * b.Width(); cells > 0 &&
+				float64(total)/float64(cells) >= DenseRowThreshold {
+				b.stride = (b.Width() + bitvec.WordBits - 1) / bitvec.WordBits
+				denseTotal += rows * b.stride
+			}
+			bi++
 		}
 	}
-	bitsArena := slab.Int32s(u.NNZ())
+	bitsArena := slab.Int32s(int(bitsOff[len(all)]))
 	denseArena := slab.Uint64sZeroed(denseTotal)
 	px.ptrArena, px.bitsArena, px.denseArena = ptrArena, bitsArena, denseArena
+	// last[r] is the last column of row r written in the partition being
+	// filled, count[r] how many it has there.
+	scratch := slab.Int32s(2 * rows)
+	last, count := scratch[:rows], scratch[rows:]
 	denseOff := 0
-	for bi, b := range all {
-		b.bits = bitsArena[bitsOff[bi]:bitsOff[bi+1]:bitsOff[bi+1]]
-		if b.stride > 0 {
-			b.denseWords = denseArena[denseOff : denseOff+rows*b.stride]
-			denseOff += rows * b.stride
+	bi = 0
+	for k := range parts {
+		p := &parts[k]
+		src.begin(k)
+		for r := range last {
+			last[r], count[r] = int32(p.Lo)-1, 0
 		}
-		lo, hi, pvm, full := int32(b.Lo), int32(b.Hi), b.PVM, b.Type == Full
-		pos := 0
-		for r := 0; r < rows; r++ {
-			seg := u.BlockRow(r, pvm)
-			if !full {
-				seg = trimSegment(seg, lo, hi)
-			}
+		body := 0
+		for _, b := range p.Blocks {
+			b.bits = bitsArena[bitsOff[bi]:bitsOff[bi+1]:bitsOff[bi+1]]
 			if b.stride > 0 {
-				base := r * b.stride
-				for _, c := range seg {
-					o := c - lo
-					b.bits[pos] = o
-					pos++
-					b.denseWords[base+int(o)>>6] |= uint64(1) << (uint32(o) & 63)
-				}
-			} else {
-				for _, c := range seg {
-					b.bits[pos] = c - lo
-					pos++
-				}
+				b.denseWords = denseArena[denseOff : denseOff+rows*b.stride]
+				denseOff += rows * b.stride
 			}
+			lo, pos := int32(b.Lo), 0
+			src.segments(b, *segs)
+			for r, seg := range *segs {
+				if len(seg) == 0 {
+					continue
+				}
+				// A gap under 128 is one byte; the fill pays a branch only for
+				// the longer ones.
+				body += len(seg)
+				prev := last[r]
+				if b.stride > 0 {
+					base := r * b.stride
+					for _, c := range seg {
+						o := c - lo
+						b.bits[pos] = o
+						pos++
+						b.denseWords[base+int(o)>>6] |= uint64(1) << (uint32(o) & 63)
+						if c-prev > 1<<7 {
+							body += uvarintLen(uint64(c-prev-1)) - 1
+						}
+						prev = c
+					}
+				} else {
+					for _, c := range seg {
+						b.bits[pos] = c - lo
+						pos++
+						if c-prev > 1<<7 {
+							body += uvarintLen(uint64(c-prev-1)) - 1
+						}
+						prev = c
+					}
+				}
+				last[r] = prev
+				count[r] += int32(len(seg))
+			}
+			bi++
 		}
+		for _, n := range count {
+			body += uvarintLen(uint64(n))
+		}
+		p.bodyBytes = int64(body)
+		px.ShuffleBytes += int64(body)
 	}
-	return px
+	slab.PutInt32s(scratch)
+}
+
+// segsPool recycles the slices fill has a source write a block's row
+// segments into, one call a block: a partitioning would otherwise allocate
+// one per build.
+var segsPool sync.Pool
+
+// rowSegments returns a pooled slice of rows segments.
+func rowSegments(rows int) *[][]int32 {
+	segs, _ := segsPool.Get().(*[][]int32)
+	if segs == nil {
+		segs = new([][]int32)
+	}
+	if cap(*segs) < rows {
+		*segs = make([][]int32, rows)
+	}
+	*segs = (*segs)[:rows]
+	return segs
+}
+
+// putRowSegments returns segs to the pool, cleared so that the pool keeps
+// no arena reachable.
+func putRowSegments(segs *[][]int32) {
+	clear(*segs)
+	segsPool.Put(segs)
 }
 
 // trimSegment narrows a sorted bucket segment to columns [lo, hi). Partial

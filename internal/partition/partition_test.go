@@ -225,7 +225,8 @@ func TestShuffleBytesProportionalToNNZ(t *testing.T) {
 	if ps.ShuffleBytes >= pl.ShuffleBytes {
 		t.Fatalf("shuffle bytes not increasing with nnz: %d vs %d", ps.ShuffleBytes, pl.ShuffleBytes)
 	}
-	overhead := int64(8 * 4) // rowPtr bytes, independent of nnz
+	// A body spends a count byte per row whatever its nonzeros: rows·N.
+	overhead := int64(8 * 4)
 	ratio := float64(pl.ShuffleBytes-overhead) / float64(ps.ShuffleBytes-overhead)
 	nnzRatio := float64(large.NNZ()) / float64(small.NNZ())
 	if ratio < nnzRatio*0.5 || ratio > nnzRatio*2 {

@@ -116,11 +116,11 @@ func TestSetupFlushObservesCancel(t *testing.T) {
 	c := dialStalled(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(100*time.Millisecond, cancel)
-	err := within(t, 2*time.Second, "cancelled PushState", func() error {
-		return c.PushState(ctx, transport.StateSetup, []byte("s"))
+	err := within(t, 2*time.Second, "cancelled PushSetup", func() error {
+		return c.PushSetup(ctx, setupAll(c, []byte("s")))
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("PushState returned %v, want context.Canceled", err)
+		t.Fatalf("PushSetup returned %v, want context.Canceled", err)
 	}
 	if err := within(t, time.Second, "Close after a cancelled flush", c.Close); err != nil {
 		t.Errorf("Close: %v", err)

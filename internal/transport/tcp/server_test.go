@@ -116,8 +116,8 @@ func TestShutdownClosesIdleConnections(t *testing.T) {
 	}
 	// The idle connection was closed server-side: the next call fails and
 	// the machine is reported down.
-	if err := c.PushState(context.Background(), transport.StateSetup, []byte("x")); err == nil {
-		t.Fatal("PushState succeeded against a drained server")
+	if err := c.PushSetup(context.Background(), setupAll(c, []byte("x"))); err == nil {
+		t.Fatal("PushSetup succeeded against a drained server")
 	}
 }
 

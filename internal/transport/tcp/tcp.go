@@ -89,64 +89,75 @@ type worker struct {
 	// and a dropped connection resets it to 0 — a reconnect starts from
 	// nothing, which is the whole of the rejoin replay.
 	acked uint64
-	// The connection's frame codec, kept so a round trip allocates nothing;
-	// used under mu, by request alone. A reply and its payloads live in fr
-	// until this worker's next request.
-	fw transport.FrameWriter
-	fr transport.FrameReader
+	// holds[h] is set once a reply acknowledges machine h's re-shipped
+	// set-up. It is cleared, like acked, when the connection drops and when
+	// the worker starts over from its own set-up, and when h rejoins, so
+	// that h's next loss ships it again.
+	holds []bool
+	// The connection's frame codec and request state list, kept so a round
+	// trip allocates nothing; used under mu, by request alone. A reply and
+	// its payloads live in fr until this worker's next request.
+	fw     transport.FrameWriter
+	fr     transport.FrameReader
+	states []transport.StateBlob
 }
 
 // stateLog is what a worker must have applied to be entry-identical to
-// the driver: the setup blob, the latest factor snapshot, and the column
+// the driver: the set-up, the latest factor snapshot, and the column
 // commits since that snapshot, each stamped with a sequence number that
-// only grows. A setup drops everything before it and a factor snapshot
+// only grows. A set-up drops everything before it and a factor snapshot
 // drops the previous snapshot and its columns, so the log stays bounded by
 // one iteration's commits.
 type stateLog struct {
-	mu    sync.Mutex
-	blobs []transport.StateBlob //dbtf:guardedby mu
+	mu sync.Mutex
+	// setup[h] is machine h's set-up blob, stamped setupSeq; a set-up
+	// replaces the slice and never writes it.
+	setup    [][]byte              //dbtf:guardedby mu
+	setupSeq uint64                //dbtf:guardedby mu
+	blobs    []transport.StateBlob //dbtf:guardedby mu
 	// seqs[i] stamps blobs[i]; strictly increasing.
 	seqs []uint64 //dbtf:guardedby mu
 	// head is the newest entry's stamp; 0 before the first push.
 	head uint64 //dbtf:guardedby mu
 }
 
-// push appends one blob. Dropping superseded entries allocates fresh
-// slices instead of reusing the old backing arrays, because a request in
-// flight may still be encoding a suffix handed out by after.
+// pushSetup starts the log over with a set-up.
+func (l *stateLog) pushSetup(setup [][]byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.head++
+	l.setup, l.setupSeq = setup, l.head
+	l.blobs, l.seqs = nil, nil
+}
+
+// push appends one factor snapshot or column commit. Dropping superseded
+// entries allocates fresh slices instead of reusing the old backing arrays,
+// because a request in flight may still be encoding a suffix handed out by
+// after.
 func (l *stateLog) push(kind transport.StateKind, payload []byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	keep := len(l.blobs)
-	switch kind {
-	case transport.StateSetup:
-		keep = 0
-	case transport.StateFactors:
-		keep = 0
-		if len(l.blobs) > 0 && l.blobs[0].Kind == transport.StateSetup {
-			keep = 1
-		}
-	}
-	if keep < len(l.blobs) {
-		l.blobs = append([]transport.StateBlob(nil), l.blobs[:keep]...)
-		l.seqs = append([]uint64(nil), l.seqs[:keep]...)
+	if kind == transport.StateFactors && len(l.blobs) > 0 {
+		l.blobs, l.seqs = nil, nil
 	}
 	l.head++
 	l.blobs = append(l.blobs, transport.StateBlob{Kind: kind, Payload: payload})
 	l.seqs = append(l.seqs, l.head)
 }
 
-// after returns the entries stamped later than acked, oldest first, and
-// the stamp of the newest entry — what acked becomes once they are
-// applied. The returned slice is never written again.
-func (l *stateLog) after(acked uint64) ([]transport.StateBlob, uint64) {
+// after returns what a worker that has applied the entries up to acked
+// lacks — whether the set-up, and the later entries, oldest first — with
+// every machine's set-up blob and the stamp of the newest entry, which is
+// what acked becomes once they are applied. Nothing it returns is written
+// again.
+func (l *stateLog) after(acked uint64) (setup [][]byte, reset bool, blobs []transport.StateBlob, head uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	i := len(l.seqs)
 	for i > 0 && l.seqs[i-1] > acked {
 		i--
 	}
-	return l.blobs[i:len(l.blobs):len(l.blobs)], l.head
+	return l.setup, acked < l.setupSeq, l.blobs[i:len(l.blobs):len(l.blobs)], l.head
 }
 
 // Coordinator implements transport.Transport over per-worker TCP
@@ -169,13 +180,16 @@ type Coordinator struct {
 	log stateLog
 
 	// Run's own books, kept between stages (Run is called from one
-	// goroutine; the requests it starts get their arguments by value and
-	// never see these). byHome[h] lists the tasks of a stage of homeTasks
-	// tasks whose home is machine h; route[h] is the executor h's batch is
-	// sent to this round, or answered once its reply is in.
+	// goroutine). byHome[h] lists the tasks of a stage of homeTasks tasks
+	// whose home is machine h; route[h] is the executor h's batch is sent
+	// to this round, or answered once its reply is in. calls[e] is the
+	// request slot of executor e, which Run fills before it starts the
+	// request and does not touch again until the request has reported (see
+	// requests).
 	homeTasks int
 	byHome    [][]int
 	route     []int
+	calls     []*call
 
 	sent  atomic.Int64
 	recvd atomic.Int64
@@ -201,7 +215,7 @@ func DialContext(ctx context.Context, cfg Config) (*Coordinator, error) {
 	n := len(cfg.Addrs)
 	c := &Coordinator{cfg: cfg, conns: make([]net.Conn, n), route: make([]int, n)}
 	for _, addr := range cfg.Addrs {
-		c.workers = append(c.workers, &worker{addr: addr})
+		c.workers = append(c.workers, &worker{addr: addr, holds: make([]bool, n)})
 	}
 	for m, w := range c.workers {
 		if err := c.dialWorker(ctx, m, w); err != nil {
@@ -297,24 +311,42 @@ func (c *Coordinator) exchange(conn net.Conn, fw *transport.FrameWriter, fr *tra
 }
 
 // request performs the one exchange of an established connection with
-// machine m: a MsgRun carrying the state-log entries m has not
-// acknowledged, then tasks under spec (none for a pure state flush). A
+// machine m: a MsgRun carrying the state m lacks, then tasks under spec
+// (none for a pure state flush). The state is the log entries m has not
+// acknowledged — its own set-up first when it lacks that — and, for each of
+// homes (the machines whose batches tasks holds) other than m, that
+// machine's set-up as a StateReship unless m holds it already. A
 // connection-level failure marks the machine down and returns errDown; an
 // executor-reported error returns a *remoteError with the connection kept
 // alive and the acknowledgement where it was; a message too large to frame
 // never reached the wire and is returned as it is. The outputs and their
 // payloads are slices of the worker's read buffer: the caller is done with
 // them before it sends machine m another request.
-func (c *Coordinator) request(m int, spec transport.Spec, tasks []int) ([]transport.TaskOutput, error) {
+func (c *Coordinator) request(m int, spec transport.Spec, tasks, homes []int) ([]transport.TaskOutput, error) {
 	w := c.workers[m]
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.conn == nil {
 		return nil, errDown
 	}
-	states, head := c.log.after(w.acked)
+	setup, reset, blobs, head := c.log.after(w.acked)
+	states := w.states[:0]
+	if reset {
+		// The worker starts over from its own set-up.
+		clear(w.holds)
+		states = append(states, transport.StateBlob{Kind: transport.StateSetup, Payload: setup[m]})
+	}
+	states = append(states, blobs...)
+	for _, h := range homes {
+		if h != m && setup != nil && !w.holds[h] {
+			states = append(states, transport.StateBlob{Kind: transport.StateReship, Payload: setup[h]})
+		}
+	}
+	w.states = states
 	req := transport.Msg{Type: transport.MsgRun, States: states, Spec: spec, Tasks: tasks}
 	resp, err := c.exchange(w.conn, &w.fw, &w.fr, &req)
+	// The request is written: its blobs are the log's again.
+	clear(states)
 	switch {
 	case errors.Is(err, transport.ErrFrameTooLarge):
 		return nil, fmt.Errorf("tcp: request to worker %d: %w", m, err)
@@ -327,6 +359,9 @@ func (c *Coordinator) request(m int, spec transport.Spec, tasks []int) ([]transp
 		return nil, &remoteError{msg: fmt.Sprintf("worker %d: malformed reply (type %d, %d outputs for %d tasks)", m, resp.Type, len(resp.Outputs), len(tasks))}
 	}
 	w.acked = head
+	for _, h := range homes {
+		w.holds[h] = h != m && setup != nil
+	}
 	return resp.Outputs, nil
 }
 
@@ -339,6 +374,7 @@ func (c *Coordinator) markDownLocked(m int, w *worker) {
 	// The connection is already broken; a close error adds nothing.
 	_ = w.conn.Close()
 	w.conn, w.acked = nil, 0
+	clear(w.holds)
 	c.pmu.Lock()
 	c.conns[m] = nil
 	c.pending = append(c.pending, transport.LivenessEvent{Machine: m, Up: false})
@@ -409,7 +445,7 @@ func (c *Coordinator) Membership(ctx context.Context) []transport.LivenessEvent 
 		// The fresh connection acknowledges nothing, so this flush is the
 		// rejoin replay; a setup blob resets the worker, so replaying to a
 		// process that never actually died is safe.
-		if _, err := c.request(m, transport.Spec{}, nil); err != nil {
+		if _, err := c.request(m, transport.Spec{}, nil, nil); err != nil {
 			// A connection failure already re-queued the loss; anything
 			// else means the worker is misbehaving — drop the connection
 			// either way and retry at a later boundary.
@@ -417,6 +453,12 @@ func (c *Coordinator) Membership(ctx context.Context) []transport.LivenessEvent 
 			c.markDownLocked(m, w)
 			w.mu.Unlock()
 			continue
+		}
+		// m runs its own batches again; a later loss re-ships its set-up.
+		for _, o := range c.workers {
+			o.mu.Lock()
+			o.holds[m] = false
+			o.mu.Unlock()
 		}
 		c.pmu.Lock()
 		c.pending = append(c.pending, transport.LivenessEvent{Machine: m, Up: true})
@@ -430,35 +472,41 @@ func (c *Coordinator) Membership(ctx context.Context) []transport.LivenessEvent 
 }
 
 // PushState implements transport.Transport: record the blob in the state
-// log, from where it rides in the next request to each worker. A setup
-// blob is also flushed at once, to every live worker concurrently (each
-// unfolds and partitions on receipt), so a worker that cannot set up fails
-// the run here; it errors if an executor rejects the blob or no live
-// workers remain. Workers that fail mid-flush are marked down and get the
-// same log on rejoin. A ctx that ends mid-flush closes the connections and
-// returns its error; the abandoned exchanges fail at once and exit.
+// log, from where it rides in the next request to each worker.
 func (c *Coordinator) PushState(ctx context.Context, kind transport.StateKind, payload []byte) error {
 	c.log.push(kind, payload)
-	if kind != transport.StateSetup {
-		return nil
+	return nil
+}
+
+// PushSetup implements transport.Transport: start the state log over with
+// setup[m] for each machine m, and flush it at once, to every live worker
+// concurrently (each decodes its partitions on receipt), so a worker that
+// cannot set up fails the run here; it errors if an executor rejects its
+// blob or no live workers remain. Workers that fail mid-flush are marked
+// down and get their blob on rejoin. A ctx that ends mid-flush closes the
+// connections and returns its error; the abandoned exchanges fail at once
+// and exit.
+func (c *Coordinator) PushSetup(ctx context.Context, setup [][]byte) error {
+	if len(setup) != len(c.workers) {
+		return fmt.Errorf("tcp: a set-up of %d blobs for %d workers", len(setup), len(c.workers))
 	}
+	c.log.pushSetup(setup)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	errs := make([]error, len(c.workers))
-	flushed := make(chan struct{}, len(c.workers)) // one send per worker
-	for m := range c.workers {
-		go func(m int) {
-			_, errs[m] = c.request(m, transport.Spec{}, nil)
-			flushed <- struct{}{}
-		}(m)
+	calls := c.requests()
+	for _, k := range calls {
+		k.spec, k.tasks, k.homes = transport.Spec{}, nil, k.homes[:0]
+		//dbtf:detached joined by the receive below: call.run reports on calls[0].results, through a bound func so the launch allocates nothing
+		go k.send()
 	}
-	for range c.workers {
+	errs := make([]error, len(calls))
+	for range calls {
 		select {
-		case <-flushed:
+		case o := <-calls[0].results:
+			errs[o.exec] = o.err
 		case <-ctx.Done():
-			// The run is over; a close error adds nothing to ctx's.
-			_ = c.closeConns()
+			c.abandon()
 			return ctx.Err()
 		}
 	}
@@ -468,14 +516,61 @@ func (c *Coordinator) PushState(ctx context.Context, kind transport.StateKind, p
 		case errors.Is(err, errDown):
 			continue
 		case err != nil:
-			return fmt.Errorf("tcp: state push (%s): %w", kind, err)
+			return fmt.Errorf("tcp: state push (%s): %w", transport.StateSetup, err)
 		}
 		live++
 	}
 	if live == 0 {
-		return fmt.Errorf("tcp: state push (%s): no live workers", kind)
+		return fmt.Errorf("tcp: state push (%s): no live workers", transport.StateSetup)
 	}
 	return nil
+}
+
+// call is one request slot: the arguments of executor m's request this
+// round and the goroutine body that sends it, bound once.
+type call struct {
+	c *Coordinator
+	m int
+	// spec and tasks are the request's; homes are the machines whose
+	// batches tasks holds.
+	spec         transport.Spec
+	tasks, homes []int
+	results      chan outcome
+	send         func()
+}
+
+// run sends the slot's request and reports its outcome.
+func (k *call) run() {
+	outs, err := k.c.request(k.m, k.spec, k.tasks, k.homes)
+	k.results <- outcome{exec: k.m, outs: outs, err: err}
+}
+
+// requests returns the request slots, one per worker, and their shared
+// results channel (calls[0].results) — made at the first exchange and
+// after an abandoned one, whose requests may still be reading their slots
+// and report into the old channel. The channel holds one outcome per
+// worker: a round sends at most one request to each, and an abandoned
+// round's requests deposit their outcome and exit without a receiver.
+func (c *Coordinator) requests() []*call {
+	if c.calls == nil {
+		results := make(chan outcome, len(c.workers))
+		c.calls = make([]*call, len(c.workers))
+		for m := range c.calls {
+			k := &call{c: c, m: m, results: results}
+			k.send = k.run
+			c.calls[m] = k
+		}
+	}
+	return c.calls
+}
+
+// abandon lets go of the requests in flight when ctx ends: their slots are
+// dropped and the connections under them closed (a close error adds
+// nothing to ctx's), so they fail at once instead of holding their
+// worker.mu until callTimeout.
+func (c *Coordinator) abandon() {
+	c.calls = nil
+	_ = c.closeConns()
 }
 
 // answered is a home batch's route once its reply is in (or when the stage
@@ -523,13 +618,14 @@ func (c *Coordinator) tasksByHome(tasks int) [][]int {
 // per home machine, every batch is routed to its executor, and each
 // executor gets the batches routed to it as one request — with every
 // machine up, its own; after a loss, a survivor's own and the ones it
-// inherits, concatenated. The requests run concurrently and their results
-// are delivered sequentially, a reply's outputs before its connection is
-// read again: they are slices of that connection's read buffer, which is
-// why two batches for one executor must not be two exchanges. An executor
-// whose connection dies has all its batches routed again next round;
-// replies are all-or-nothing per request, so a retried batch never
-// double-delivers.
+// inherits, concatenated, with the set-up of each machine it inherits from
+// that it does not hold yet. The requests run concurrently and their
+// results are delivered sequentially, a reply's outputs before its
+// connection is read again: they are slices of that connection's read
+// buffer, which is why two batches for one executor must not be two
+// exchanges. An executor whose connection dies has all its batches routed
+// again next round; replies are all-or-nothing per request, so a retried
+// batch never double-delivers.
 func (c *Coordinator) Run(ctx context.Context, spec transport.Spec, deliver func(transport.TaskResult) error) error {
 	n := len(c.workers)
 	byHome := c.tasksByHome(spec.Tasks)
@@ -541,10 +637,7 @@ func (c *Coordinator) Run(ctx context.Context, spec transport.Spec, deliver func
 			left++
 		}
 	}
-	// One send per request of a round, at most one request per worker: an
-	// abandoned round's requests deposit their outcome and exit without a
-	// receiver.
-	results := make(chan outcome, n)
+	calls := c.requests()
 	for round := 0; left > 0; round++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -563,44 +656,37 @@ func (c *Coordinator) Run(ctx context.Context, spec transport.Spec, deliver func
 			c.route[home] = exec
 		}
 		launched := 0
-		for exec := 0; exec < n; exec++ {
-			var tasks []int
+		for exec, k := range calls {
+			k.spec, k.tasks, k.homes = spec, nil, k.homes[:0]
 			merged := false
 			for home := range byHome {
 				switch {
 				case c.route[home] != exec:
-				case tasks == nil:
-					tasks = byHome[home]
+					continue
+				case k.tasks == nil:
+					k.tasks = byHome[home]
 				default:
 					if !merged {
-						tasks, merged = slices.Clone(tasks), true
+						k.tasks, merged = slices.Clone(k.tasks), true
 					}
-					tasks = append(tasks, byHome[home]...)
+					k.tasks = append(k.tasks, byHome[home]...)
 				}
+				k.homes = append(k.homes, home)
 			}
-			if tasks == nil {
+			if k.tasks == nil {
 				continue
 			}
 			launched++
-			// Copies that are never assigned again, so the closure holds
-			// them by value and is the launch's one allocation.
-			e, batch := exec, tasks
-			go func() {
-				outs, err := c.request(e, spec, batch)
-				results <- outcome{exec: e, outs: outs, err: err}
-			}()
+			//dbtf:detached joined by the receive below: call.run reports on calls[0].results, through a bound func so the launch allocates nothing
+			go k.send()
 		}
 		var fatal error
 		for ; launched > 0; launched-- {
 			var o outcome
 			select {
-			case o = <-results:
+			case o = <-calls[0].results:
 			case <-ctx.Done():
-				// Abandon the round and close the connections under the
-				// calls in flight (a close error adds nothing to ctx's):
-				// they fail at once instead of holding their worker.mu
-				// until callTimeout.
-				_ = c.closeConns()
+				c.abandon()
 				return ctx.Err()
 			}
 			switch {

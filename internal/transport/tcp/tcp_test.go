@@ -177,6 +177,15 @@ func runStage(t *testing.T, c *Coordinator, tasks int) {
 	}
 }
 
+// setupAll is a set-up whose blob is payload for every machine of c.
+func setupAll(c *Coordinator, payload []byte) [][]byte {
+	setup := make([][]byte, c.Machines())
+	for m := range setup {
+		setup[m] = payload
+	}
+	return setup
+}
+
 func testConfig(addrs ...string) Config {
 	return Config{
 		Addrs:         addrs,
@@ -212,7 +221,9 @@ func TestPushStateReachesAllWorkers(t *testing.T) {
 	}
 
 	// Setup is flushed by the push itself; factors and columns wait.
-	push(transport.StateSetup, "s")
+	if err := c.PushSetup(ctx, setupAll(c, []byte("s"))); err != nil {
+		t.Fatal(err)
+	}
 	push(transport.StateFactors, "f1")
 	push(transport.StateColumn, "c1")
 	push(transport.StateColumn, "c2")
@@ -262,7 +273,7 @@ func TestSteadyStateRoundTrips(t *testing.T) {
 	if got := frames(); got != [2]int64{1, 1} {
 		t.Fatalf("after Dial: %v request frames, want the handshake alone", got)
 	}
-	if err := c.PushState(ctx, transport.StateSetup, []byte("s")); err != nil {
+	if err := c.PushSetup(ctx, setupAll(c, []byte("s"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.PushState(ctx, transport.StateFactors, []byte("f")); err != nil {
@@ -336,7 +347,7 @@ func TestSetupFlushIsConcurrent(t *testing.T) {
 			t.Errorf("Close: %v", err)
 		}
 	}()
-	if err := c.PushState(context.Background(), transport.StateSetup, []byte("s")); err != nil {
+	if err := c.PushSetup(context.Background(), setupAll(c, []byte("s"))); err != nil {
 		t.Fatal(err)
 	}
 	if ev := c.Membership(context.Background()); len(ev) != 0 {
@@ -352,10 +363,13 @@ func TestRejectedStateFailsTheRunThatCarriedIt(t *testing.T) {
 	h := newEchoHost()
 	c, _ := dialWorkers(t, testConfig(), h)
 	ctx := context.Background()
+	if err := c.PushSetup(ctx, setupAll(c, []byte("s"))); err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range []struct {
 		kind    transport.StateKind
 		payload string
-	}{{transport.StateSetup, "s"}, {transport.StateFactors, "f"}, {transport.StateColumn, "c"}} {
+	}{{transport.StateFactors, "f"}, {transport.StateColumn, "c"}} {
 		if err := c.PushState(ctx, p.kind, []byte(p.payload)); err != nil {
 			t.Fatal(err)
 		}
@@ -400,9 +414,11 @@ func TestOversizedFrameIsATypedError(t *testing.T) {
 			cfg.maxFrame = 1024
 			c, _ := dialWorkers(t, cfg, newEchoHost())
 			ctx := context.Background()
-			err := c.PushState(ctx, tc.kind, big)
-			if tc.kind != transport.StateSetup {
-				if err != nil {
+			var err error
+			if tc.kind == transport.StateSetup {
+				err = c.PushSetup(ctx, setupAll(c, big))
+			} else {
+				if err := c.PushState(ctx, tc.kind, big); err != nil {
 					t.Fatalf("deferred PushState: %v", err)
 				}
 				err = c.Run(ctx, transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 1},
@@ -504,7 +520,7 @@ func TestWorkerLossReroutesAndRejoinReplays(t *testing.T) {
 		}
 	}()
 	ctx := context.Background()
-	if err := c.PushState(ctx, transport.StateSetup, []byte("setup")); err != nil {
+	if err := c.PushSetup(ctx, [][]byte{[]byte("setup0"), []byte("setup1")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.PushState(ctx, transport.StateFactors, []byte("f1")); err != nil {
@@ -538,6 +554,14 @@ func TestWorkerLossReroutesAndRejoinReplays(t *testing.T) {
 		if m != 0 {
 			t.Fatalf("task %d ran on machine %d after the loss, want 0", task, m)
 		}
+	}
+	// With worker 1's batch, machine 0 was sent worker 1's set-up, once: a
+	// second stage routed the same way re-ships nothing.
+	if err := c.Run(ctx, spec, func(transport.TaskResult) error { return nil }); err != nil {
+		t.Fatalf("second Run after loss: %v", err)
+	}
+	if got, want := h0.appliedLog(), "setup:setup0 factors:f1 column:c1 reship:setup1"; got != want {
+		t.Fatalf("the survivor applied [%s], want [%s]", got, want)
 	}
 	ev := c.Membership(ctx)
 	var sawLoss bool
@@ -592,6 +616,9 @@ func TestWorkerLossReroutesAndRejoinReplays(t *testing.T) {
 			t.Fatalf("replay applied %v, want %v", got, want)
 		}
 	}
+	if got, want := h1b.appliedLog(), "setup:setup1 factors:f1 column:c1"; got != want {
+		t.Fatalf("replay applied [%s], want [%s]: the rejoiner's own set-up first", got, want)
+	}
 
 	// And the rejoined worker takes its work back.
 	err = c.Run(ctx, spec, func(tr transport.TaskResult) error {
@@ -603,6 +630,71 @@ func TestWorkerLossReroutesAndRejoinReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLostMachineIsReshippedAtEachLoss: the survivor is sent a lost
+// machine's set-up with the first of its batches, once per loss — after
+// the machine rejoined and took its batches back, losing it again ships
+// its set-up again, as the engine charges it again.
+func TestLostMachineIsReshippedAtEachLoss(t *testing.T) {
+	h0 := newEchoHost()
+	addr0, _ := startWorker(t, h0)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr1 := lis.Addr().String()
+	serve := func(lis net.Listener) (kill func()) {
+		done := make(chan error, 1)
+		go func() { done <- Serve(lis, newEchoHost(), nil) }()
+		return func() {
+			if err := lis.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Errorf("Serve(worker 1): %v", err)
+			}
+		}
+	}
+	kill := serve(lis)
+	c, err := Dial(testConfig(addr0, addr1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := c.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	ctx := context.Background()
+	if err := c.PushSetup(ctx, [][]byte{[]byte("setup0"), []byte("setup1")}); err != nil {
+		t.Fatal(err)
+	}
+	for loss := 1; loss <= 2; loss++ {
+		kill()
+		for stage := 0; stage < 2; stage++ {
+			runStage(t, c, 4)
+		}
+		c.Membership(ctx)
+		if got, want := h0.appliedLog(), "setup:setup0"+strings.Repeat(" reship:setup1", loss); got != want {
+			t.Fatalf("after loss %d the survivor applied [%s], want [%s]", loss, got, want)
+		}
+		if lis, err = net.Listen("tcp", addr1); err != nil {
+			t.Fatalf("restarting worker 1 on %s: %v", addr1, err)
+		}
+		kill = serve(lis)
+		deadline := time.Now().Add(5 * time.Second)
+		for rejoined := false; !rejoined; {
+			if time.Now().After(deadline) {
+				t.Fatalf("worker 1 never rejoined after loss %d", loss)
+			}
+			for _, e := range c.Membership(ctx) {
+				rejoined = rejoined || e.Machine == 1 && e.Up
+			}
+		}
+		runStage(t, c, 4)
+	}
+	kill()
 }
 
 func TestDialFailsWhenAnyWorkerUnreachable(t *testing.T) {

@@ -23,7 +23,9 @@ func TestWireBytesUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	push(transport.StateSetup, bytes.Repeat([]byte{0xa5}, 40_000))
+	if err := c.PushSetup(ctx, setupAll(c, bytes.Repeat([]byte{0xa5}, 40_000))); err != nil {
+		t.Fatal(err)
+	}
 	push(transport.StateFactors, bytes.Repeat([]byte{0x5a}, 3_000))
 	for stage, tasks := range []int{4, 5, 2} {
 		spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Col: 2 * stage, Tasks: tasks}

@@ -7,7 +7,7 @@
 // The split mirrors a classic driver/executor design (Spark's, which the
 // paper's DBTF runs on): the coordinator keeps the whole algorithm —
 // control flow, RNG, column commits, checkpointing — and remote machines
-// are stage servers holding replicated state (the tensor, the partitioned
+// are stage servers holding state (their share of the partitioned
 // unfoldings, the current factor matrices) that execute named stage kinds
 // against it. Because the executors run the byte-identical kernels on
 // byte-identical state, a run over any Transport must produce factors
@@ -70,11 +70,9 @@ type Spec struct {
 type StateKind uint8
 
 const (
-	// StateSetup ships the run's immutable inputs: the tensor and the
-	// decomposition options the executors need to rebuild everything else
-	// (partitioned unfoldings, caches) locally. Re-sent in full when a
-	// lost machine rejoins — the re-shipped partitions of the recovery
-	// protocol.
+	// StateSetup ships an executor its share of the run's immutable inputs:
+	// the decomposition options and the partitions homed on its machine.
+	// It resets the executor, and is replayed when a lost machine rejoins.
 	StateSetup StateKind = iota + 1
 	// StateFactors replaces the three factor matrices — the per-iteration
 	// broadcast working set. It invalidates executor-side column tasks
@@ -84,6 +82,11 @@ const (
 	// factor matrix in place, keeping executor state identical to the
 	// coordinator's between full broadcasts.
 	StateColumn
+	// StateReship ships an executor another machine's set-up blob, whose
+	// partitions it adds to its own: the re-shipped partitions of the
+	// recovery protocol, sent with the first batch of a lost machine's
+	// tasks routed to it.
+	StateReship
 )
 
 // String returns the state kind's name.
@@ -95,6 +98,8 @@ func (k StateKind) String() string {
 		return "factors"
 	case StateColumn:
 		return "column"
+	case StateReship:
+		return "reship"
 	}
 	return "unknown"
 }
@@ -136,15 +141,20 @@ type Transport interface {
 	// or PushState exchange that hit the dead connection — and reported
 	// here; Membership itself does not probe live machines.
 	Membership(ctx context.Context) []LivenessEvent
-	// PushState replicates one state blob to every executor: it is
-	// applied, in push order, before any task of a later Run executes. An
-	// implementation may ship it at once or with the executor's next
-	// request; a StateSetup is always shipped at once, so a fleet that
-	// cannot set up fails here, before the first stage. A machine that
-	// misses a push because its connection died is marked down and
-	// receives a full replay when it rejoins. An eager push fails when an
-	// executor rejects the blob or no live executor remains; a rejected
-	// deferred blob fails the Run that carried it.
+	// PushSetup starts a run's state over: machine m's executor gets
+	// setup[m] as a StateSetup, and while machine h is down, the executor
+	// its batches are routed to gets setup[h] as a StateReship with the
+	// first of them. It is shipped at once, so a fleet that cannot set up
+	// fails here, before the first stage; it fails when an executor rejects
+	// its blob or no live executor remains. A machine that misses it
+	// because its connection died gets it replayed when it rejoins.
+	PushSetup(ctx context.Context, setup [][]byte) error
+	// PushState replicates one StateFactors or StateColumn blob to every
+	// executor: it is applied, in push order, before any task of a later
+	// Run executes. An implementation may ship it at once or with the
+	// executor's next request. A machine that misses a push because its
+	// connection died is marked down and receives a full replay when it
+	// rejoins. A rejected blob fails the Run that carried it.
 	PushState(ctx context.Context, kind StateKind, payload []byte) error
 	// Run executes the stage: every task in [0, spec.Tasks) runs on its
 	// home machine (task mod M) or, while that machine is down, on the

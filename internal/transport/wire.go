@@ -23,11 +23,14 @@ import (
 // difference from the first (a version-6 peer would read them as int32);
 // version 8 may answer it with a grouped body instead — per-group bases and
 // the rows with hits, marked by the lanes byte's high bit — which a
-// version-7 peer would refuse as a lane count it never asked for.
-const ProtoVersion = 8
+// version-7 peer would refuse as a lane count it never asked for; version 9
+// sets a worker up with its own partitions' bodies instead of the whole
+// tensor, and re-ships a lost machine's with a new state kind — a version-8
+// peer would read the bodies as a tensor.
+const ProtoVersion = 9
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
-// tighter limit: large enough for a pushed tensor, small enough that a
+// tighter limit: large enough for a set-up blob, small enough that a
 // corrupt length prefix cannot ask for absurd memory.
 const DefaultMaxFrame = 1 << 30
 
