@@ -12,12 +12,13 @@ import (
 	"dbtf/internal/trace"
 )
 
-// TestChaosIdenticalOutput is the fault-tolerance regression: under a
+// TestChaosFaultsArePriced is the fault-tolerance regression: under a
 // seeded fault plan injecting failures and panics at rates up to 0.2, the
-// decomposition must survive the injected faults through per-task retry and
-// produce bit-identical factors and error to the fault-free run — failures
-// may only cost (simulated) time.
-func TestChaosIdenticalOutput(t *testing.T) {
+// decomposition must survive the injected faults through per-task retry,
+// and they cost simulated time. That its factors are bit-identical to the
+// fault-free run's is internal/core's TestScenarioPinned row "failures and
+// panics".
+func TestChaosFaultsArePriced(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	truth, _ := dbtf.TensorFromRandomFactors(rng, 24, 24, 24, 4, 0.25)
 	x := dbtf.AddNoise(rng, truth, 0.1, 0.1)
@@ -47,12 +48,6 @@ func TestChaosIdenticalOutput(t *testing.T) {
 	}
 	if chaotic.Stats.Retries == 0 {
 		t.Error("Stats.Retries = 0 under a 0.2 failure rate")
-	}
-	if chaotic.Error != clean.Error {
-		t.Errorf("error under chaos %d != fault-free %d", chaotic.Error, clean.Error)
-	}
-	if !chaotic.A.Equal(clean.A) || !chaotic.B.Equal(clean.B) || !chaotic.C.Equal(clean.C) {
-		t.Error("factors under chaos differ from the fault-free run")
 	}
 	// Injected faults must be visible in the simulated clock: every wasted
 	// attempt and the scheduling round its relaunch waits for is charged

@@ -2,6 +2,8 @@ package dbtf_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -37,11 +39,61 @@ func TestFactorizeQuickstart(t *testing.T) {
 func TestFactorizeRespectsContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := dbtf.RandomTensor(rng, 64, 64, 64, 0.05)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	// A deadline already past cancels the context before WithDeadline
+	// returns; a timer's may not have fired yet when Factorize starts.
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	time.Sleep(2 * time.Millisecond)
-	if _, err := dbtf.Factorize(ctx, x, dbtf.Options{Rank: 8, MaxIter: 50}); err == nil {
-		t.Fatal("expired context not honored")
+	if _, err := dbtf.Factorize(ctx, x, dbtf.Options{Rank: 8, MaxIter: 50}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestThreadsPerMachineInert: the deprecated ThreadsPerMachine field is
+// inert — the whole result but the wall-clock counters equals the run that
+// leaves it unset.
+func TestThreadsPerMachineInert(t *testing.T) {
+	x := diffTensor(t, 1)
+	opt := dbtf.Options{Rank: 4, Machines: 2, MaxIter: 5, Seed: 1}
+	unset, err := dbtf.Factorize(context.Background(), x, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.ThreadsPerMachine = 4
+	shim, err := dbtf.Factorize(context.Background(), x, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, 1, "ThreadsPerMachine=4", unset, shim)
+	if got, want := fmt.Sprint(shim.InitialErrors, shim.IterationErrors), fmt.Sprint(unset.InitialErrors, unset.IterationErrors); got != want {
+		t.Errorf("ThreadsPerMachine=4 error trajectories %s, unset %s", got, want)
+	}
+	us, ss := unset.Stats, shim.Stats
+	us.ComputeNanos, us.NetworkNanos, us.DriverNanos, us.TaskNanos = 0, 0, 0, 0
+	ss.ComputeNanos, ss.NetworkNanos, ss.DriverNanos, ss.TaskNanos = 0, 0, 0, 0
+	if us != ss {
+		t.Errorf("ThreadsPerMachine=4 stats %+v, unset %+v", ss, us)
+	}
+}
+
+// TestPropRelativeErrorBounded: the greedy update can always fall back to
+// the all-zero column, so the fit never gets worse than the empty
+// factorization (relative error 1.0).
+func TestPropRelativeErrorBounded(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		x := dbtf.RandomTensor(rng, 12, 10, 14, 0.1)
+		if x.NNZ() == 0 {
+			continue
+		}
+		res, err := dbtf.Factorize(context.Background(), x, dbtf.Options{
+			Rank: 3, Machines: 2, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RelativeError > 1.0 {
+			t.Errorf("seed %d: relative error %v > 1.0", seed, res.RelativeError)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -16,10 +15,8 @@ import (
 	"testing"
 
 	"dbtf/internal/boolmat"
-	"dbtf/internal/cluster"
 	"dbtf/internal/partition"
 	"dbtf/internal/tensor"
-	"dbtf/internal/trace"
 )
 
 // runFingerprint is the fingerprint Decompose binds the checkpoints of a run
@@ -182,6 +179,19 @@ func TestCheckpointOptionValidation(t *testing.T) {
 	}
 }
 
+func TestPreemptRequiresCheckpointDir(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	x, _, _, _ := plantedTensor(rng, 8, 8, 8, 2, 0.3)
+	_, err := Decompose(context.Background(), x, testCluster(2),
+		Options{Rank: 2, MaxIter: 2, Preempt: func() bool { return true }})
+	if err == nil {
+		t.Fatal("Preempt without CheckpointDir was accepted; eviction would lose the job")
+	}
+	if !strings.Contains(err.Error(), "CheckpointDir") {
+		t.Fatalf("error %q does not name CheckpointDir", err)
+	}
+}
+
 // resultsEqual compares everything a bit-identical resume must reproduce.
 func resultsEqual(a, b *Result) bool {
 	if a.Error != b.Error || a.Iterations != b.Iterations || a.Converged != b.Converged ||
@@ -200,81 +210,6 @@ func resultsEqual(a, b *Result) bool {
 		}
 	}
 	return true
-}
-
-// killAtCheckpoint returns a 4-machine cluster that cancels its run right
-// after the k-th checkpoint is durable — iteration k's, under
-// CheckpointEvery 1. The next stage boundary observes the cancellation.
-func killAtCheckpoint(k int, cancel context.CancelFunc) *cluster.Cluster {
-	written := 0
-	return tracedCluster(4, func(ev *trace.Event) {
-		if ev.Type == trace.Checkpoint {
-			if written++; written == k {
-				cancel()
-			}
-		}
-	})
-}
-
-func TestKillAtCheckpointThenResumeBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	x, _, _, _ := plantedTensor(rng, 14, 12, 10, 3, 0.3)
-	base := Options{Rank: 3, MaxIter: 6, MinIter: 6, InitialSets: 2, Seed: 21, CheckpointEvery: 1}
-
-	opt := base
-	opt.CheckpointDir = t.TempDir()
-	uninterrupted, err := Decompose(context.Background(), x, testCluster(4), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, k := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("kill after iteration %d", k), func(t *testing.T) {
-			opt := base
-			opt.CheckpointDir = t.TempDir()
-			// Kill the run right after the checkpoint for iteration k is
-			// durable: the trace sink cancels the context, and the next
-			// stage boundary observes it.
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			if _, err := Decompose(ctx, x, killAtCheckpoint(k, cancel), opt); !errors.Is(err, context.Canceled) {
-				t.Fatalf("killed run returned %v, want context.Canceled", err)
-			}
-			fp := runFingerprint(t, x, opt, 4)
-			ck, err := readCheckpoint(opt.CheckpointDir, fp)
-			if err != nil || ck == nil || ck.Iteration != k {
-				t.Fatalf("latest checkpoint after kill: %+v, %v; want iteration %d", ck, err, k)
-			}
-
-			opt.Resume = true
-			resumed, err := Decompose(context.Background(), x, testCluster(4), opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !resultsEqual(uninterrupted, resumed) {
-				t.Fatalf("resumed run differs from uninterrupted:\nuninterrupted: err=%d iters=%d errors=%v\nresumed:       err=%d iters=%d errors=%v",
-					uninterrupted.Error, uninterrupted.Iterations, uninterrupted.IterationErrors,
-					resumed.Error, resumed.Iterations, resumed.IterationErrors)
-			}
-		})
-	}
-}
-
-func TestResumeMissingCheckpointStartsFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	x, _, _, _ := plantedTensor(rng, 10, 10, 10, 2, 0.3)
-	opt := Options{Rank: 2, MaxIter: 3, MinIter: 3, Seed: 5, CheckpointDir: t.TempDir(), Resume: true}
-	fresh, err := Decompose(context.Background(), x, testCluster(2), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Decompose(context.Background(), x, testCluster(2), Options{Rank: 2, MaxIter: 3, MinIter: 3, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsEqual(fresh, plain) {
-		t.Fatal("resume from a missing checkpoint must run fresh and match a plain run")
-	}
 }
 
 func TestResumeRejectsFingerprintMismatch(t *testing.T) {
@@ -695,46 +630,5 @@ func TestCheckpointDecodeRejectsUnknownVersion(t *testing.T) {
 		if _, err := decodeCheckpoint(img); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("version %#x decoded: %v", version, err)
 		}
-	}
-}
-
-func TestKillThenResumeTopFiberBitIdentical(t *testing.T) {
-	// Kill-at-k/resume through an init-mode run: the topfiber scheme draws
-	// nothing from the RNG, and the resumed run must still be bit-identical.
-	rng := rand.New(rand.NewSource(43))
-	x, _, _, _ := plantedTensor(rng, 14, 12, 10, 3, 0.3)
-	base := Options{Rank: 3, MaxIter: 5, MinIter: 5, Init: InitTopFiber, CheckpointEvery: 1}
-
-	opt := base
-	opt.CheckpointDir = t.TempDir()
-	uninterrupted, err := Decompose(context.Background(), x, testCluster(4), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, k := range []int{1, 3} {
-		t.Run(fmt.Sprintf("kill after iteration %d", k), func(t *testing.T) {
-			opt := base
-			opt.CheckpointDir = t.TempDir()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			if _, err := Decompose(ctx, x, killAtCheckpoint(k, cancel), opt); !errors.Is(err, context.Canceled) {
-				t.Fatalf("killed run returned %v, want context.Canceled", err)
-			}
-			fp := runFingerprint(t, x, opt, 4)
-			ck, err := readCheckpoint(opt.CheckpointDir, fp)
-			if err != nil || ck == nil || ck.Iteration != k {
-				t.Fatalf("latest checkpoint after kill: %+v, %v; want iteration %d", ck, err, k)
-			}
-
-			opt.Resume = true
-			resumed, err := Decompose(context.Background(), x, testCluster(4), opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !resultsEqual(uninterrupted, resumed) {
-				t.Fatal("topfiber run resumed from a kill differs from the uninterrupted run")
-			}
-		})
 	}
 }

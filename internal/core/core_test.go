@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
@@ -113,46 +112,6 @@ func TestDecomposeExactRecoveryRank1(t *testing.T) {
 	}
 	if res.Error != 0 {
 		t.Fatalf("rank-1 block not recovered exactly: error %d", res.Error)
-	}
-}
-
-func TestDecomposeErrorMonotoneAcrossIterations(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x := randomTensor(rng, 16, 16, 16, 0.05)
-	var errs []int64
-	cl := tracedCluster(4, func(ev *trace.Event) {
-		if ev.Type == trace.IterationEnd {
-			errs = append(errs, *ev.Error)
-		}
-	})
-	_, err := Decompose(context.Background(), x, cl, Options{Rank: 4, MaxIter: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(errs) < 2 {
-		t.Fatalf("captured %d errors", len(errs))
-	}
-	for i := 1; i < len(errs); i++ {
-		if errs[i] > errs[i-1] {
-			t.Fatalf("error increased: %v", errs)
-		}
-	}
-}
-
-func TestDecomposeDeterministicForSeed(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := randomTensor(rng, 12, 12, 12, 0.1)
-	opt := Options{Rank: 3, Seed: 42, MaxIter: 3}
-	r1, err := Decompose(context.Background(), x, testCluster(4), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Decompose(context.Background(), x, testCluster(7), opt) // different cluster size
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Error != r2.Error || !r1.A.Equal(r2.A) || !r1.B.Equal(r2.B) || !r1.C.Equal(r2.C) {
-		t.Fatal("results differ across cluster sizes for the same seed")
 	}
 }
 
@@ -373,64 +332,6 @@ func TestUpdateFactorModes2And3MatchReference(t *testing.T) {
 	}
 }
 
-func TestNoCacheMatchesCached(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	x := randomTensor(rng, 10, 11, 12, 0.1)
-	opt := Options{Rank: 4, Seed: 5, MaxIter: 3}
-	cached, err := Decompose(context.Background(), x, testCluster(4), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.NoCache = true
-	uncached, err := Decompose(context.Background(), x, testCluster(4), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.Error != uncached.Error || !cached.A.Equal(uncached.A) {
-		t.Fatal("NoCache ablation changes results")
-	}
-}
-
-func TestGroupBitsInvariance(t *testing.T) {
-	// Lemma 2's table splitting is a space/time trade-off; it must not
-	// change any decision.
-	rng := rand.New(rand.NewSource(13))
-	x := randomTensor(rng, 10, 10, 10, 0.1)
-	var base *Result
-	for _, v := range []int{2, 3, 7, 15} {
-		res, err := Decompose(context.Background(), x, testCluster(4), Options{Rank: 6, Seed: 3, MaxIter: 2, GroupBits: v})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base == nil {
-			base = res
-			continue
-		}
-		if res.Error != base.Error || !res.A.Equal(base.A) {
-			t.Fatalf("GroupBits=%d changes results", v)
-		}
-	}
-}
-
-func TestPartitionCountInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	x := randomTensor(rng, 11, 13, 9, 0.12)
-	var base *Result
-	for _, n := range []int{1, 2, 5, 16} {
-		res, err := Decompose(context.Background(), x, testCluster(4), Options{Rank: 4, Seed: 8, MaxIter: 2, Partitions: n})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base == nil {
-			base = res
-			continue
-		}
-		if res.Error != base.Error || !res.A.Equal(base.A) {
-			t.Fatalf("Partitions=%d changes results", n)
-		}
-	}
-}
-
 func TestShuffleVolumeLemma6(t *testing.T) {
 	// Shuffle volume must scale with |X| and be charged exactly once.
 	rng := rand.New(rand.NewSource(15))
@@ -502,37 +403,6 @@ func TestCollectVolumeLemma7(t *testing.T) {
 	}
 }
 
-func TestQuickDecomposeErrorMatchesReconstruction(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		i, j, k := rng.Intn(8)+2, rng.Intn(8)+2, rng.Intn(8)+2
-		x := randomTensor(rng, i, j, k, 0.2)
-		r := rng.Intn(4) + 1
-		res, err := Decompose(context.Background(), x, testCluster(rng.Intn(4)+1), Options{
-			Rank: r, Seed: seed, MaxIter: 2, Partitions: rng.Intn(6) + 1,
-		})
-		if err != nil {
-			return false
-		}
-		return res.Error == tensor.ReconstructError(x, res.A, res.B, res.C)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDecomposeNonCubicTensor(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	x := randomTensor(rng, 30, 5, 11, 0.08)
-	res, err := Decompose(context.Background(), x, testCluster(4), Options{Rank: 3, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.A.Rows() != 30 || res.B.Rows() != 5 || res.C.Rows() != 11 {
-		t.Fatalf("factor shapes %d/%d/%d", res.A.Rows(), res.B.Rows(), res.C.Rows())
-	}
-}
-
 func TestInitRandomCollapsesOnSparseTensors(t *testing.T) {
 	// Documents why InitFiberSample is the default: the paper-literal
 	// uniform random initialization drives every factor to zero on sparse
@@ -548,17 +418,6 @@ func TestInitRandomCollapsesOnSparseTensors(t *testing.T) {
 	}
 	if res.A.OnesCount() != 0 {
 		t.Fatalf("expected all-zero factors, A has %d ones", res.A.OnesCount())
-	}
-}
-
-func TestDecomposeAllZeroTensor(t *testing.T) {
-	x := tensor.New(8, 8, 8)
-	res, err := Decompose(context.Background(), x, testCluster(2), Options{Rank: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Error != 0 {
-		t.Fatalf("all-zero tensor: error %d, want 0 (empty factors)", res.Error)
 	}
 }
 

@@ -121,66 +121,6 @@ func (h *hostTransport) Run(ctx context.Context, spec transport.Spec, deliver fu
 func (h *hostTransport) WireBytes() (int64, int64) { return h.sent.Load(), h.recvd.Load() }
 func (h *hostTransport) Close() error              { return nil }
 
-// TestRemoteHostsMatchSimulated is the in-process half of the transport
-// differential guarantee: for the same seed, Decompose over Worker hosts
-// must be bit-identical to Decompose on the simulated backend — factors,
-// error trajectory, and the formula-based traffic statistics.
-func TestRemoteHostsMatchSimulated(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 4; trial++ {
-		i, j, k := rng.Intn(12)+4, rng.Intn(12)+4, rng.Intn(12)+4
-		x := randomTensor(rng, i, j, k, 0.12)
-		opt := Options{
-			Rank:        rng.Intn(4) + 2,
-			Seed:        int64(trial + 1),
-			MaxIter:     3,
-			Partitions:  rng.Intn(3) + 1,
-			InitialSets: 2,
-			NoCache:     trial%2 == 1,
-		}
-		machines := rng.Intn(3) + 2
-
-		sim, err := Decompose(context.Background(), x, testCluster(machines), opt)
-		if err != nil {
-			t.Fatalf("trial %d: simulated: %v", trial, err)
-		}
-		rem, err := Decompose(context.Background(), x,
-			cluster.New(cluster.Config{Machines: machines, Transport: newHostTransport(machines)}), opt)
-		if err != nil {
-			t.Fatalf("trial %d: remote: %v", trial, err)
-		}
-
-		if !rem.A.Equal(sim.A) || !rem.B.Equal(sim.B) || !rem.C.Equal(sim.C) {
-			t.Fatalf("trial %d: remote factors differ from simulated", trial)
-		}
-		if rem.Error != sim.Error || rem.Iterations != sim.Iterations || rem.Converged != sim.Converged {
-			t.Fatalf("trial %d: remote result %d/%d/%v, simulated %d/%d/%v",
-				trial, rem.Error, rem.Iterations, rem.Converged, sim.Error, sim.Iterations, sim.Converged)
-		}
-		if len(rem.IterationErrors) != len(sim.IterationErrors) {
-			t.Fatalf("trial %d: iteration-error lengths differ: %d vs %d",
-				trial, len(rem.IterationErrors), len(sim.IterationErrors))
-		}
-		for it := range rem.IterationErrors {
-			if rem.IterationErrors[it] != sim.IterationErrors[it] {
-				t.Fatalf("trial %d: iteration %d error %d, simulated %d",
-					trial, it, rem.IterationErrors[it], sim.IterationErrors[it])
-			}
-		}
-		// The formula-based accounting is backend-independent by design.
-		rs, ss := rem.Stats, sim.Stats
-		if rs.Stages != ss.Stages || rs.Tasks != ss.Tasks {
-			t.Fatalf("trial %d: stage/task counts differ: %d/%d vs %d/%d",
-				trial, rs.Stages, rs.Tasks, ss.Stages, ss.Tasks)
-		}
-		if rs.ShuffledBytes != ss.ShuffledBytes || rs.BroadcastBytes != ss.BroadcastBytes || rs.CollectedBytes != ss.CollectedBytes {
-			t.Fatalf("trial %d: traffic formulas differ: shuffle %d/%d broadcast %d/%d collect %d/%d",
-				trial, rs.ShuffledBytes, ss.ShuffledBytes, rs.BroadcastBytes, ss.BroadcastBytes,
-				rs.CollectedBytes, ss.CollectedBytes)
-		}
-	}
-}
-
 // TestCollectedBytesAreReplyBytes: the collected bytes the driver counts are
 // the bytes the executors' replies carried, less one header per eval reply
 // (a total-error reply is its 8-byte body) — per task and batched, at an
@@ -503,51 +443,6 @@ func TestDeltasCodecInsistsOnShape(t *testing.T) {
 	} {
 		if err := decodeDeltas(tc.payload, tc.rows, tc.lanes, make([]int32, tc.rows*tc.lanes)); err == nil {
 			t.Errorf("%s: decoded", name)
-		}
-	}
-}
-
-// TestRemoteBatchedWorkersMatchSimulated runs the remote differential
-// over the per-machine batch path TCP uses: each machine receives its
-// stage tasks as one RunBatch call (trial 2 under NoCache). Factors and
-// trajectories must be bit-identical to the simulated run — the same
-// guarantee the TCP transport inherits through transport.Host.
-func TestRemoteBatchedWorkersMatchSimulated(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	for trial := 0; trial < 3; trial++ {
-		i, j, k := rng.Intn(12)+4, rng.Intn(12)+4, rng.Intn(12)+4
-		x := randomTensor(rng, i, j, k, 0.12)
-		opt := Options{
-			Rank:        rng.Intn(4) + 2,
-			Seed:        int64(trial + 1),
-			MaxIter:     3,
-			Partitions:  rng.Intn(3) + 2,
-			InitialSets: 2,
-			NoCache:     trial == 2,
-		}
-		machines := rng.Intn(2) + 2
-
-		sim, err := Decompose(context.Background(), x, testCluster(machines), opt)
-		if err != nil {
-			t.Fatalf("trial %d: simulated: %v", trial, err)
-		}
-		rem, err := Decompose(context.Background(), x,
-			cluster.New(cluster.Config{Machines: machines, Transport: newBatchHostTransport(machines)}), opt)
-		if err != nil {
-			t.Fatalf("trial %d: remote: %v", trial, err)
-		}
-		if !rem.A.Equal(sim.A) || !rem.B.Equal(sim.B) || !rem.C.Equal(sim.C) {
-			t.Fatalf("trial %d: batched remote factors differ from simulated", trial)
-		}
-		if rem.Error != sim.Error || rem.Iterations != sim.Iterations {
-			t.Fatalf("trial %d: batched remote result %d/%d, simulated %d/%d",
-				trial, rem.Error, rem.Iterations, sim.Error, sim.Iterations)
-		}
-		for it := range rem.IterationErrors {
-			if rem.IterationErrors[it] != sim.IterationErrors[it] {
-				t.Fatalf("trial %d: iteration %d error %d, simulated %d",
-					trial, it, rem.IterationErrors[it], sim.IterationErrors[it])
-			}
 		}
 	}
 }

@@ -15,61 +15,6 @@ import (
 	"dbtf/internal/trace"
 )
 
-// TestDecomposeTraceReplaysChaosRun is the end-to-end tracing test: a
-// seeded chaos decomposition recorded into an in-memory sink must produce
-// a structurally valid stream — spans pair and nest, machine losses land
-// on stage boundaries — whose per-stage deltas fold exactly to the run's
-// final Stats, with one iteration span per executed iteration.
-func TestDecomposeTraceReplaysChaosRun(t *testing.T) {
-	buf := &trace.Buffer{}
-	cl := cluster.New(cluster.Config{
-		Machines: 4,
-		Faults: &cluster.FaultPlan{
-			Seed:               11,
-			FailureRate:        0.1,
-			MachineLossRate:    0.04,
-			MachineRejoinAfter: 2,
-		},
-		Tracer: trace.New(buf),
-	})
-	x := randomTensor(rand.New(rand.NewSource(5)), 10, 9, 8, 0.2)
-	res, err := Decompose(context.Background(), x, cl, Options{Rank: 3, Seed: 5, MaxIter: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sum, err := trace.Validate(buf.Events)
-	if err != nil {
-		t.Fatalf("chaos decomposition trace invalid: %v", err)
-	}
-	if sum.Runs != 1 {
-		t.Fatalf("trace holds %d runs, want 1", sum.Runs)
-	}
-
-	var iterBegins, iterEnds int
-	var runEnd *trace.Event
-	for _, ev := range buf.Events {
-		switch ev.Type {
-		case trace.IterationBegin:
-			iterBegins++
-		case trace.IterationEnd:
-			iterEnds++
-		case trace.RunEnd:
-			runEnd = ev
-		}
-	}
-	if iterBegins != res.Iterations || iterEnds != res.Iterations {
-		t.Fatalf("iteration spans %d/%d, want %d each", iterBegins, iterEnds, res.Iterations)
-	}
-	// The cluster was fresh, so the run's delta is the full Stats snapshot.
-	if runEnd == nil || runEnd.Delta == nil {
-		t.Fatal("run_end missing its stats delta")
-	}
-	if got, want := *runEnd.Delta, res.Stats; got != want {
-		t.Fatalf("run delta does not match result stats:\ndelta: %+v\nstats: %+v", got, want)
-	}
-}
-
 // TestDecomposeTraceClosesRunOnError asserts the abort path still emits a
 // balanced stream: a context cancelled mid-run must close any open
 // iteration span before the run span, so the trace validates.
@@ -84,32 +29,6 @@ func TestDecomposeTraceClosesRunOnError(t *testing.T) {
 	}
 	if _, err := trace.Validate(buf.Events); err != nil {
 		t.Fatalf("aborted run left an invalid trace: %v", err)
-	}
-}
-
-// TestDecomposeUntracedUnchanged guards against tracing perturbing the
-// computation: the same seed with and without a tracer must produce
-// identical factors and error curves.
-func TestDecomposeUntracedUnchanged(t *testing.T) {
-	x := randomTensor(rand.New(rand.NewSource(9)), 10, 9, 8, 0.2)
-	opt := Options{Rank: 3, Seed: 9, MaxIter: 3}
-	plain, err := Decompose(context.Background(), x, testCluster(4), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, err := Decompose(context.Background(), x, cluster.New(cluster.Config{
-		Machines: 4,
-		Tracer:   trace.New(&trace.Buffer{}),
-	}), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Error != traced.Error || plain.Iterations != traced.Iterations {
-		t.Fatalf("tracing changed the run: error %d vs %d, iterations %d vs %d",
-			plain.Error, traced.Error, plain.Iterations, traced.Iterations)
-	}
-	if plain.A.String() != traced.A.String() || plain.B.String() != traced.B.String() || plain.C.String() != traced.C.String() {
-		t.Fatal("tracing changed the factor matrices")
 	}
 }
 

@@ -143,6 +143,11 @@ func (b *Block) Density(rows int) float64 {
 // region count |D| once, materializing it (bitvec.GainWords), and then
 // each its Hits.
 //
+// The engine no longer calls DeltaError: it evaluates through Hits. Only
+// the benchmark's partition.deltaerror_* probes and TestRowHalvesMatchDeltaError
+// reach it, and through it sparseGainOverlap and bitvec.AndAndNotCountWords;
+// the three go once those probes are dropped.
+//
 //dbtf:noalloc
 func (b *Block) DeltaError(r int, d *sumcache.Delta) int64 {
 	if len(d.Occ) == 0 {

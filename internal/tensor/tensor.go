@@ -322,10 +322,10 @@ func (u *Unfolded) BlockRow(r, p int) []int32 {
 }
 
 // Recycle returns the unfolding's large arrays to the slab pool and
-// poisons the unfolding against further use. Callers that build a
-// partitioning and keep nothing else (the decomposition engine, the TCP
-// worker) recycle the unfolding once partition.Build has copied every
-// nonzero; all other users simply let the garbage collector take it.
+// poisons the unfolding against further use. A caller that builds a
+// partitioning and keeps nothing else (the decomposition engine's driver)
+// recycles the unfolding once partition.Build has copied every nonzero; all
+// other users simply let the garbage collector take it.
 func (u *Unfolded) Recycle() {
 	slab.PutInt32s(u.colIdx)
 	slab.PutInt32s(u.bucketOff)

@@ -326,9 +326,9 @@ func (h barrierHost) Apply(kind transport.StateKind, payload []byte) error {
 	return h.echoHost.Apply(kind, payload)
 }
 
-// TestSetupFlushIsConcurrent: the workers unfold and partition on receipt
-// of the setup blob, so the flush must reach all of them before it waits
-// for any. A sequential flush leaves the first worker waiting for a second
+// TestSetupFlushIsConcurrent: the workers decode their partitions on
+// receipt of their set-up blobs, so the flush must reach all of them before
+// it waits for any. A sequential flush leaves the first worker waiting for a second
 // that has not been sent to, until the call timeout books it as lost.
 func TestSetupFlushIsConcurrent(t *testing.T) {
 	var arrived sync.WaitGroup

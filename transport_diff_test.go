@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -21,6 +22,26 @@ import (
 // bit-for-bit the same factors as the simulated in-process cluster for
 // the same seed — including when a worker process is killed mid-run and
 // the recovery protocol reroutes its partitions over the socket.
+
+func diffTensor(t *testing.T, seed int64) *dbtf.Tensor {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	truth, _ := dbtf.TensorFromRandomFactors(rng, 20, 16, 18, 3, 0.3)
+	return dbtf.AddNoise(rng, truth, 0.1, 0.1)
+}
+
+func assertIdentical(t *testing.T, seed int64, label string, a, b *dbtf.Result) {
+	t.Helper()
+	if a.Error != b.Error {
+		t.Errorf("seed %d: %s error %d != baseline %d", seed, label, b.Error, a.Error)
+	}
+	if !a.A.Equal(b.A) || !a.B.Equal(b.B) || !a.C.Equal(b.C) {
+		t.Errorf("seed %d: %s factors differ from baseline", seed, label)
+	}
+	if a.Iterations != b.Iterations {
+		t.Errorf("seed %d: %s ran %d iterations, baseline %d", seed, label, b.Iterations, a.Iterations)
+	}
+}
 
 var (
 	workerBinOnce sync.Once
