@@ -85,9 +85,7 @@ func TestPropRelativeErrorBounded(t *testing.T) {
 		if x.NNZ() == 0 {
 			continue
 		}
-		res, err := dbtf.Factorize(context.Background(), x, dbtf.Options{
-			Rank: 3, Machines: 2, Seed: seed,
-		})
+		res, err := dbtf.Factorize(context.Background(), x, dbtf.Options{Rank: 3, Machines: 2, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -222,9 +222,8 @@ func checkScenario(t *testing.T, sc scenario) {
 		t.Errorf("%d stages, want %d", got.Stats.Stages, stages)
 	}
 	if sc.backend != simulated {
-		twin := o
-		twin.CheckpointEvery = 0
-		sim, err := decompose(context.Background(), x, nil, testCluster(sc.machines), twin, span)
+		o.CheckpointEvery = 0
+		sim, err := decompose(context.Background(), x, nil, testCluster(sc.machines), o, span)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,23 +455,6 @@ func TestScenarioPinned(t *testing.T) {
 		rows = append(rows, row{fmt.Sprintf("N=%d (was TestPartitionCountInvariance)", n),
 			scenario{x: uniform(14, 11, 13, 9, 0.12), opt: Options{Rank: 4, Seed: 8, MaxIter: 2, Partitions: n}, machines: 4}})
 	}
-	for _, k := range []int{1, 2, 4} {
-		// Cancelled as the first stage after iteration k's checkpoint begins.
-		rows = append(rows, row{fmt.Sprintf("kill after iteration %d (was TestKillAtCheckpointThenResumeBitIdentical)", k),
-			scenario{x: planted(7, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, Seed: 21, MaxIter: 6, MinIter: 6, InitialSets: 2, CheckpointEvery: 1}, machines: 4,
-				cancel: runStages(2, 3, lookahead, k) + 1}})
-	}
-	for _, k := range []int{1, 3} {
-		rows = append(rows, row{fmt.Sprintf("topfiber, kill after iteration %d (was TestKillThenResumeTopFiberBitIdentical)", k),
-			scenario{x: planted(43, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, MaxIter: 5, MinIter: 5, Init: InitTopFiber, CheckpointEvery: 1}, machines: 4,
-				cancel: runStages(1, 3, lookahead, k) + 1}})
-	}
-	for k := 1; k <= 4; k++ {
-		// Off the checkpoint period at odd k: the eviction writes one.
-		rows = append(rows, row{fmt.Sprintf("evict after iteration %d (was TestPreemptEvictsAndResumesBitIdentical)", k),
-			scenario{x: planted(31, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, Seed: 77, MaxIter: 5, MinIter: 5, InitialSets: 2, CheckpointEvery: 2}, machines: 4,
-				evict: 1 << k}})
-	}
 	for seed := int64(1); seed <= 4; seed++ {
 		rows = append(rows, row{fmt.Sprintf("seed %d, NoCache (was TestDiffCacheAblationIdentical)", seed),
 			scenario{x: diff(seed), opt: Options{Rank: 4, Seed: seed, MaxIter: 5, NoCache: true}, machines: 2}})
@@ -492,5 +474,31 @@ func TestScenarioPinned(t *testing.T) {
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) { checkScenario(t, r.sc) })
+	}
+}
+
+// Interrupted scenarios under their own names: a context cancelled as the first
+// stage after checkpoint k begins, or a Preempt after iteration k; each resumes.
+func TestKillAtCheckpointThenResumeBitIdentical(t *testing.T) {
+	sc := scenario{x: planted(7, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, Seed: 21, MaxIter: 6, MinIter: 6, InitialSets: 2, CheckpointEvery: 1}, machines: 4}
+	for _, k := range []int{1, 2, 4} {
+		sc.cancel = runStages(2, 3, lookahead, k) + 1
+		t.Run(fmt.Sprintf("kill after iteration %d", k), func(t *testing.T) { checkScenario(t, sc) })
+	}
+}
+
+func TestKillThenResumeTopFiberBitIdentical(t *testing.T) {
+	sc := scenario{x: planted(43, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, MaxIter: 5, MinIter: 5, Init: InitTopFiber, CheckpointEvery: 1}, machines: 4}
+	for _, k := range []int{1, 3} {
+		sc.cancel = runStages(1, 3, lookahead, k) + 1
+		t.Run(fmt.Sprintf("kill after iteration %d", k), func(t *testing.T) { checkScenario(t, sc) })
+	}
+}
+
+func TestPreemptEvictsAndResumesBitIdentical(t *testing.T) {
+	sc := scenario{x: planted(31, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, Seed: 77, MaxIter: 5, MinIter: 5, InitialSets: 2, CheckpointEvery: 2}, machines: 4}
+	for k := 1; k <= 4; k++ {
+		sc.evict = 1 << k // off the checkpoint period at odd k: the eviction writes one
+		t.Run(fmt.Sprintf("after-iteration-%d", k), func(t *testing.T) { checkScenario(t, sc) })
 	}
 }
