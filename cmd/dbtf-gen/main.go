@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"dbtf"
+	"dbtf/internal/gen"
 )
 
 func main() {
@@ -85,20 +86,14 @@ func run(args []string) error {
 			fmt.Printf("wrote %s (noise-free, %d nonzeros)\n", *truthOut, truth.NNZ())
 		}
 		x = dbtf.AddNoise(rng, truth, *additive, *destructive)
-	case "facebook", "dblp", "ddos-s", "ddos-l", "nell-s", "nell-l":
-		name := map[string]string{
-			"facebook": "Facebook", "dblp": "DBLP",
-			"ddos-s": "CAIDA-DDoS-S", "ddos-l": "CAIDA-DDoS-L",
-			"nell-s": "NELL-S", "nell-l": "NELL-L",
-		}[*typ]
-		for _, d := range dbtf.StandinDatasets(rng, *scale) {
-			if d.Name == name {
-				x = d.X
-				break
-			}
-		}
 	default:
-		return fmt.Errorf("unknown type %q", *typ)
+		// Build only the stand-in asked for: drawing all six to keep one
+		// runs out of memory at large scales.
+		d, ok := gen.Standin(rng, *typ, *scale)
+		if !ok {
+			return fmt.Errorf("unknown type %q", *typ)
+		}
+		x = d.X
 	}
 
 	write := x.WriteFile

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"hash/fnv"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -82,6 +84,25 @@ func TestRunDatasetTypes(t *testing.T) {
 		if x.NNZ() == 0 {
 			t.Fatalf("%s: empty tensor", typ)
 		}
+	}
+}
+
+// TestFacebookOutputPinned: -type facebook builds only that stand-in, and
+// since Facebook was always the first one drawn from the seed, its file is
+// byte for byte what the build that drew all six wrote (recorded there).
+func TestFacebookOutputPinned(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "fb.btns")
+	if err := run([]string{"-type", "facebook", "-scale", "0.5", "-seed", "3", "-binary", "-o", out}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	if got := h.Sum64(); got != 0x735d2a26987197a5 {
+		t.Errorf("facebook at seed 3, scale 0.5: %d bytes hashing to %#x, recorded 0x735d2a26987197a5", len(data), got)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dbtf/internal/boolmat"
+	"dbtf/internal/partition"
 )
 
 // TestEndIterationUntracedAllocs: closing an iteration with tracing off
@@ -76,6 +77,43 @@ func TestWarmFactorUpdateAllocs(t *testing.T) {
 		if updateAllocs != tableAllocs+labelAllocs {
 			t.Errorf("rank %d: a warm A-update allocates %v objects; its %d tables cost %v and its labelled context %v",
 				rank, updateAllocs, len(tables), tableAllocs, labelAllocs)
+		}
+	}
+}
+
+// TestCarriedSetupAllocs: leaving out what carriedBy carries costs the
+// coordinator's set-up no object. Building a run's three partitionings with
+// their bodies sized for its machines allocates exactly as many objects as
+// the plain builds of the same unfoldings, and encodeSetup makes each
+// machine's blob as one object.
+func TestCarriedSetupAllocs(t *testing.T) {
+	x := randomTensor(rand.New(rand.NewSource(44)), 24, 20, 16, 0.2)
+	dims := [3]int{24, 20, 16}
+	cfg := runConfig{Rank: 4, Partitions: 7, GroupBits: 4, Machines: 3}
+	ux := x.UnfoldAll()
+	build := func(carry func(m int) partition.Carry) (allocs float64, shuffled int64) {
+		allocs = testing.AllocsPerRun(20, func() {
+			shuffled = 0
+			for m, u := range ux {
+				px := partition.BuildCarrying(u, cfg.Partitions, carry(m))
+				shuffled += px.ShuffleBytes
+				px.Release()
+			}
+		})
+		return allocs, shuffled
+	}
+	plainAllocs, plainBytes := build(func(int) partition.Carry { return partition.Carry{} })
+	carriedAllocs, carriedBytes := build(func(m int) partition.Carry { return carriedBy(m, dims, cfg) })
+	if carriedAllocs != plainAllocs || carriedBytes >= plainBytes {
+		t.Errorf("the carried builds allocate %v objects for %d B of bodies, the plain ones %v for %d B",
+			carriedAllocs, carriedBytes, plainAllocs, plainBytes)
+	}
+
+	px := buildPartitions(t, x, cfg)
+	defer releasePartitions(px)
+	for home := 0; home < cfg.Machines; home++ {
+		if allocs := testing.AllocsPerRun(20, func() { encodeSetup(cfg, dims, home, px) }); allocs != 1 {
+			t.Errorf("machine %d's set-up blob takes %v objects, want 1", home, allocs)
 		}
 	}
 }

@@ -215,21 +215,27 @@ func readCheckpoint(dir string, fp uint64) (*checkpoint, error) {
 // covered by both without being listed again, and a field of a kind the
 // walk does not know panics the first time either runs.
 func (cfg runConfig) words() []uint64 {
+	return cfg.appendWords(make([]uint64, 0, reflect.TypeOf(cfg).NumField()))
+}
+
+// appendWords appends words() to dst.
+func (cfg runConfig) appendWords(dst []uint64) []uint64 {
 	fields := reflect.ValueOf(cfg)
-	out := make([]uint64, fields.NumField())
-	for n := range out {
+	for n := 0; n < fields.NumField(); n++ {
 		switch f := fields.Field(n); f.Kind() {
 		case reflect.Int, reflect.Int64:
-			out[n] = uint64(f.Int())
+			dst = append(dst, uint64(f.Int()))
 		case reflect.Bool:
+			var w uint64
 			if f.Bool() {
-				out[n] = 1
+				w = 1
 			}
+			dst = append(dst, w)
 		default:
 			panic(fmt.Sprintf("core: runConfig field %s has unhashable kind %v", fields.Type().Field(n).Name, f.Kind()))
 		}
 	}
-	return out
+	return dst
 }
 
 // setWords is the inverse of words, kind for kind: it fills the

@@ -318,7 +318,7 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 // which outlive the run: the first run on an empty set builds it inside its
 // own run span, every later one — concurrent ones included — reads it with
 // no unfold, no partition stage and no shuffle. The run's partition count
-// must be the set's.
+// and machine count must be the set's.
 func DecomposeOn(ctx context.Context, set *Partitions, cl *cluster.Cluster, opts Options) (*Result, error) {
 	return decompose(ctx, set.x, set, cl, opts, lookahead)
 }
@@ -341,10 +341,11 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 	}
 	switch {
 	case set == nil:
-		set = NewPartitions(x, cfg.Partitions)
+		set = NewPartitions(x, cfg.Partitions, cfg.Machines)
 		defer set.release()
-	case set.n != cfg.Partitions:
-		return nil, fmt.Errorf("core: the shared set has %d partitions per unfolding, the run wants %d", set.n, cfg.Partitions)
+	case set.n != cfg.Partitions || set.machines != cfg.Machines:
+		return nil, fmt.Errorf("core: the shared set has %d partitions per unfolding on %d machines, the run wants %d on %d",
+			set.n, set.machines, cfg.Partitions, cfg.Machines)
 	}
 
 	//dbtf:allow-nondeterministic wall-clock reporting only (Result.WallTime); no result depends on it

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
 	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
+	"dbtf/internal/partition"
 	"dbtf/internal/tensor"
 	"dbtf/internal/trace"
 )
@@ -207,7 +209,7 @@ func newTestDecompositionOn(t *testing.T, x *tensor.Tensor, opt Options, cl *clu
 	i, j, k := x.Dims()
 	d := &decomposition{ctx: context.Background(), x: x, cl: cl, opt: opt,
 		ex: newExecutor(cfg, [3]int{i, j, k}, cl.Machines(), cl.MachineFor, lookahead)}
-	if err := d.partitionAll(NewPartitions(x, cfg.Partitions)); err != nil {
+	if err := d.partitionAll(NewPartitions(x, cfg.Partitions, cfg.Machines)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.shipSetup(); err != nil {
@@ -274,7 +276,7 @@ func TestMachineLossRebuildsInheritedTables(t *testing.T) {
 	}
 	d = &decomposition{ctx: context.Background(), x: x, cl: cl, ex: newExecutor(cfg, [3]int{8, 6, 5}, machines, cl.MachineFor, lookahead)}
 	cl.OnMachineLoss(d.machineLost)
-	if err := d.partitionAll(NewPartitions(x, cfg.Partitions)); err != nil { // stage 0
+	if err := d.partitionAll(NewPartitions(x, cfg.Partitions, cfg.Machines)); err != nil { // stage 0
 		t.Fatal(err)
 	}
 	const stages = (rank + lookahead - 1) / lookahead
@@ -332,29 +334,114 @@ func TestUpdateFactorModes2And3MatchReference(t *testing.T) {
 	}
 }
 
+// TestShuffleVolumeLemma6: the set-up ships every nonzero once in a mode-1
+// body, and again in a mode-2 or mode-3 body only where its partition there
+// is homed on another machine than its mode-1 partition — at most 3|X|
+// (Lemma 6), counted exactly by brute force over the coordinates. The run
+// charges the bodies' bytes, and no body is larger than its plain form,
+// which carries nothing. With N = M and N | K the mode-1 and mode-2
+// partitions on a machine are the same k-slabs, so a mode-2 body is its
+// rows' zero counts alone.
 func TestShuffleVolumeLemma6(t *testing.T) {
-	// Shuffle volume must scale with |X| and be charged exactly once.
 	rng := rand.New(rand.NewSource(15))
-	sparse := randomTensor(rng, 12, 12, 12, 0.02)
-	dense := randomTensor(rng, 12, 12, 12, 0.3)
-	opt := Options{Rank: 2, MaxIter: 2, Seed: 1}
-	rs, err := Decompose(context.Background(), sparse, testCluster(4), opt)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name            string
+		i, j, k, n, m   int
+		mode2CountsOnly bool
+	}{
+		{name: "N=M=4, N|K", i: 12, j: 10, k: 8, n: 4, m: 4, mode2CountsOnly: true},
+		{name: "N=7, M=3", i: 9, j: 8, k: 7, n: 7, m: 3},
+		{name: "N<M", i: 10, j: 9, k: 8, n: 2, m: 3},
+		{name: "I=1", i: 1, j: 9, k: 8, n: 4, m: 3},
+		{name: "K=1", i: 8, j: 9, k: 1, n: 5, m: 2},
+	} {
+		x := randomTensor(rng, tc.i, tc.j, tc.k, 0.2)
+		dims := [3]int{tc.i, tc.j, tc.k}
+		opt := Options{Rank: 2, MaxIter: 1, Seed: 1, Partitions: tc.n}
+		res, err := Decompose(context.Background(), x, testCluster(tc.m), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := opt.withDefaults(tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		px := buildPartitions(t, x, cfg)
+		defer releasePartitions(px)
+
+		// What the blobs ship: their body bytes, and the row counts in them.
+		var shipped, bytes int64
+		for home := 0; home < tc.m; home++ {
+			blob := encodeSetup(cfg, dims, home, px)
+			bytes += int64(len(blob) - setupHeaderLen)
+			shipped += shippedNonzeros(t, blob[setupHeaderLen:], px, home, tc.m)
+		}
+		// What they should: a nonzero per mode whose partition there is homed
+		// apart from its mode-1 partition, mode 1 included.
+		homeOf := func(p *partition.Partitioned, col int) int {
+			for pi, part := range p.Parts {
+				if part.Lo <= col && col < part.Hi {
+					return pi % tc.m
+				}
+			}
+			t.Fatalf("%s: column %d in no partition", tc.name, col)
+			return -1
+		}
+		var want int64
+		for _, c := range x.Coords() {
+			h1 := homeOf(px[0], c.J+c.K*tc.j)
+			want++
+			if homeOf(px[1], c.I+c.K*tc.i) != h1 {
+				want++
+			}
+			if homeOf(px[2], c.I+c.J*tc.i) != h1 {
+				want++
+			}
+		}
+		if shipped != want || res.Stats.ShuffledBytes != bytes {
+			t.Errorf("%s: the blobs ship %d nonzeros in %d B, want %d; the run charged %d B", tc.name, shipped, bytes, want, res.Stats.ShuffledBytes)
+		}
+		for m, u := range x.UnfoldAll() {
+			plain := partition.Build(u, tc.n)
+			for pi := range plain.Parts {
+				if got, most := px[m].ReshipBytes(pi), plain.ReshipBytes(pi); got > most || m == 1 && tc.mode2CountsOnly && got != int64(u.NumRows) {
+					t.Errorf("%s: mode %d partition %d body is %d B; plain %d B, %d rows", tc.name, m+1, pi, got, most, u.NumRows)
+				}
+			}
+			plain.Release()
+		}
 	}
-	rd, err := Decompose(context.Background(), dense, testCluster(4), opt)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// shippedNonzeros sums the row counts of the bodies a set-up blob for
+// machine home of M carries, header stripped: every mode's partitions homed
+// there, each rows of a count followed by as many gaps.
+func shippedNonzeros(t *testing.T, bodies []byte, px [3]*partition.Partitioned, home, machines int) int64 {
+	t.Helper()
+	next := func() uint64 {
+		u, n := binary.Uvarint(bodies)
+		if n <= 0 {
+			t.Fatal("a body is cut short")
+		}
+		bodies = bodies[n:]
+		return u
 	}
-	// Every row of every partition's set-up body spends a count byte, however
-	// many nonzeros it has: rows·N bytes per mode, 3·12·4 here. Lemma 6's
-	// O(|X|) is what the bodies hold beyond them.
-	const counts = 3 * 12 * 4
-	ratio := float64(rd.Stats.ShuffledBytes-counts) / float64(rs.Stats.ShuffledBytes-counts)
-	nnzRatio := float64(dense.NNZ()) / float64(sparse.NNZ())
-	if ratio < nnzRatio/2 || ratio > nnzRatio*2 {
-		t.Fatalf("shuffle ratio %.2f vs nnz ratio %.2f", ratio, nnzRatio)
+	var total int64
+	for _, p := range px {
+		for pi := home; pi < len(p.Parts); pi += machines {
+			for r := 0; r < p.NumRows; r++ {
+				count := next()
+				for c := uint64(0); c < count; c++ {
+					next()
+				}
+				total += int64(count)
+			}
+		}
 	}
+	if len(bodies) != 0 {
+		t.Fatalf("%d bytes after the bodies", len(bodies))
+	}
+	return total
 }
 
 func TestBroadcastVolumeLemma7(t *testing.T) {

@@ -9,7 +9,8 @@ import (
 )
 
 // Partitions is one tensor's three vertically partitioned unfoldings for a
-// partition count N: the px of Algorithm 2, lines 1-3, which §III-B builds
+// partition count N on M machines — M sizes the set-up bodies (carriedBy)
+// — the px of Algorithm 2, lines 1-3, which §III-B builds
 // once and never reshuffles. A run that finds the set empty builds it
 // through its own cluster — the unfold section, the partition stage and the
 // Lemma-6 shuffle are that run's — and every later run reads it. Any number
@@ -17,8 +18,8 @@ import (
 // partition.Build, and every per-run buffer (column tasks, lanes, cache
 // registries) belongs to the run's own executor.
 type Partitions struct {
-	x *tensor.Tensor
-	n int
+	x           *tensor.Tensor
+	n, machines int
 
 	mu sync.Mutex
 	// px is the built set; all nil until a build completes.
@@ -33,12 +34,14 @@ type Partitions struct {
 	done chan struct{}
 }
 
-// NewPartitions returns an empty set over x for n partitions per unfolding.
-// The set holds no arenas until a run built on it (DecomposeOn) builds them,
-// and keeps them for as long as it is referenced: an owner that outlives
-// every run, as the job server's tensor store does, pays Lemma 6's shuffle
-// once per tensor.
-func NewPartitions(x *tensor.Tensor, n int) *Partitions { return &Partitions{x: x, n: n} }
+// NewPartitions returns an empty set over x for n partitions per unfolding
+// on clusters of the given machine count. The set holds no arenas until a
+// run built on it (DecomposeOn) builds them, and keeps them for as long as
+// it is referenced: an owner that outlives every run, as the job server's
+// tensor store does, pays Lemma 6's shuffle once per tensor.
+func NewPartitions(x *tensor.Tensor, n, machines int) *Partitions {
+	return &Partitions{x: x, n: n, machines: machines}
+}
 
 // Tensor returns the tensor the set partitions.
 func (s *Partitions) Tensor() *tensor.Tensor { return s.x }

@@ -52,7 +52,7 @@ func runOnSet(ctx context.Context, set *Partitions, machines int, opt Options, a
 func TestSharedSetConcurrentRunsBuildOnce(t *testing.T) {
 	const machines, runs = 3, 4
 	x, _, _, _ := plantedTensor(rand.New(rand.NewSource(29)), 14, 12, 10, 4, 0.3)
-	set := NewPartitions(x, machines)
+	set := NewPartitions(x, machines, machines)
 	opts := make([]Options, runs+1)
 	for i := range opts {
 		opts[i] = Options{Rank: 4, MaxIter: 4, MinIter: 4, Seed: int64(i)}
@@ -122,7 +122,7 @@ func TestSharedSetConcurrentRunsBuildOnce(t *testing.T) {
 func TestSharedSetCancelledBuildNotKept(t *testing.T) {
 	const machines = 3
 	x, _, _, _ := plantedTensor(rand.New(rand.NewSource(30)), 12, 10, 8, 3, 0.3)
-	set := NewPartitions(x, machines)
+	set := NewPartitions(x, machines, machines)
 	opt := Options{Rank: 3, MaxIter: 3, MinIter: 3, Seed: 5}
 
 	ctx, cancel := context.WithCancel(context.Background())

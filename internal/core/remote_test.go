@@ -309,6 +309,48 @@ func TestSetupCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// carriedBlobs returns machine 0's set-up blob of a run of x under cfg, cut
+// after its mode-1 bodies and continued in two ways the decoder must refuse:
+// inside, a first mode-2 body whose row 0 ships one nonzero in column 0 —
+// mode-1 column 0, in partition 0, homed on machine 0 like every partition
+// 0, so the segment is carried — ahead of the blob's own mode-2 bodies; and
+// counted, the first mode-2 body as a plain build ships it, whose row counts
+// include the carried nonzeros, followed by the rest of the blob.
+func carriedBlobs(t testing.TB, x *tensor.Tensor, cfg runConfig) (inside, counted []byte) {
+	t.Helper()
+	px := buildPartitions(t, x, cfg)
+	defer releasePartitions(px)
+	i, j, k := x.Dims()
+	blob := encodeSetup(cfg, [3]int{i, j, k}, 0, px)
+	cut := setupHeaderLen
+	for pi := 0; pi < len(px[0].Parts); pi += cfg.Machines {
+		cut += int(px[0].ReshipBytes(pi))
+	}
+	inside = append(append(slices.Clone(blob[:cut]), 1, 0), blob[cut:]...)
+	plain := partition.Build(x.Unfold(tensor.Mode2), cfg.Partitions)
+	defer plain.Release()
+	counted = plain.AppendBody(slices.Clone(blob[:cut]), 0)
+	counted = append(counted, blob[cut+int(px[1].ReshipBytes(0)):]...)
+	if plain.ReshipBytes(0) == px[1].ReshipBytes(0) {
+		t.Fatal("the first mode-2 partition carries nothing: pick another tensor")
+	}
+	return inside, counted
+}
+
+// TestSetupDecodeRefusesCarriedNonzeros: a mode-2 or mode-3 body that ships
+// a nonzero the blob's mode-1 bodies carry — in a row whose count says one,
+// or in the plain body a run with nothing carried would ship — is refused,
+// so the one blob that decodes to a worker's partitions is encodeSetup's.
+func TestSetupDecodeRefusesCarriedNonzeros(t *testing.T) {
+	x := randomTensor(rand.New(rand.NewSource(6)), 6, 5, 4, 0.3)
+	inside, counted := carriedBlobs(t, x, runConfig{Rank: 3, Partitions: 3, GroupBits: 4, Machines: 2})
+	for name, blob := range map[string][]byte{"one nonzero in a carried segment": inside, "the plain body": counted} {
+		if _, err := decodeSetup(blob); err == nil || !strings.Contains(err.Error(), "mode 2") || !strings.Contains(err.Error(), "carried segment") {
+			t.Errorf("%s: got %v, want the carried-segment check in mode 2", name, err)
+		}
+	}
+}
+
 // setupLayoutBytes bounds what the layout a set-up header implies can
 // allocate, whatever its bodies: a slot per partition, and per partition
 // homed on the blob's machine its blocks with their row pointers. A header
@@ -379,6 +421,11 @@ func FuzzSetupDecode(f *testing.F) {
 	f.Add(body(3, 0, 0))
 	// One byte after the last body.
 	f.Add(append(slices.Clone(real), 0))
+	// A mode-2 nonzero the mode-1 bodies carry, and a mode-2 body whose row
+	// counts include such nonzeros.
+	inside, counted := carriedBlobs(f, x, cfg)
+	f.Add(inside)
+	f.Add(counted)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		layout := setupLayoutBytes(data)
 		if layout > 8<<20 {

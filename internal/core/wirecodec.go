@@ -25,12 +25,34 @@ import (
 // the u32 machine the blob is for. The partition bodies follow it.
 var setupHeaderLen = 8*reflect.TypeOf(runConfig{}).NumField() + 4*4
 
+// carriedBy is the one rule of what a set-up body leaves out: a mode-2 or
+// mode-3 body ships no nonzero whose mode-1 partition is homed on the same
+// machine, since the blob's mode-1 bodies carry it already. Every nonzero of
+// a mode-2 segment (row j in PVM product k) and of a mode-3 segment (row k
+// in product j) lies in mode-1 column j + k·J, and its mode-1 row i is its
+// inner index in the segment's product (Equation 1), so whether a segment
+// is carried depends on its row and product alone. Mode-1 bodies carry
+// nothing, and a blob holds its machine's mode-1 partitions whether it is
+// the machine's own set-up or a re-ship of a lost one.
+func carriedBy(mode int, dims [3]int, cfg runConfig) partition.Carry {
+	if mode == 0 {
+		return partition.Carry{}
+	}
+	j, k := dims[1], dims[2]
+	c := partition.Carry{Machines: cfg.Machines, Cols: j * k, N: min(cfg.Partitions, j*k), RowStride: 1, PVMStride: j}
+	if mode == 2 {
+		c.RowStride, c.PVMStride = j, 1
+	}
+	return c
+}
+
 // encodeSetup builds machine home's set-up blob (StateSetup for the machine
 // itself, StateReship for the survivor that inherits its partitions): the
 // header, then for each mode the set-up bodies of the partitions homed on
-// it — pi ≡ home mod M — in partition order (partition.AppendBody). That is
-// all a worker holds of the tensor. The blob is made once, at its exact
-// size, from the body sizes the partitioning counted.
+// it — pi ≡ home mod M — in partition order (partition.AppendBody), those
+// of modes 2 and 3 without what carriedBy leaves out. That is all a worker
+// holds of the tensor. The blob is made once, at its exact size, from the
+// body sizes the partitioning counted.
 func encodeSetup(cfg runConfig, dims [3]int, home int, px [3]*partition.Partitioned) []byte {
 	size := setupHeaderLen
 	for _, p := range px {
@@ -39,7 +61,8 @@ func encodeSetup(cfg runConfig, dims [3]int, home int, px [3]*partition.Partitio
 		}
 	}
 	blob := make([]byte, 0, size)
-	for _, w := range cfg.words() {
+	var words [16]uint64 // more than runConfig has fields: the header costs no object
+	for _, w := range cfg.appendWords(words[:0]) {
 		blob = binary.LittleEndian.AppendUint64(blob, w)
 	}
 	for _, d := range dims {
@@ -76,8 +99,9 @@ func tooWide(a, b int) bool { return uint64(a)*uint64(b) > math.MaxInt32 }
 // corrupt peer could send: a configuration word no run encodes or one out
 // of range, an empty mode or an unfolding whose columns overflow int32, a
 // machine outside the cluster. The bodies are partition.Receive's to
-// check, and a byte after the last is an error. Nothing of a refused blob
-// is kept.
+// check, and a byte after the last is an error. Mode 1 is decoded first;
+// its partitions, transposed once, fill the segments modes 2 and 3 carry.
+// Nothing of a refused blob is kept.
 func decodeSetup(payload []byte) (setup, error) {
 	var s setup
 	if len(payload) < setupHeaderLen {
@@ -109,14 +133,19 @@ func decodeSetup(payload []byte) (setup, error) {
 	if s.home >= cfg.Machines {
 		return s, fmt.Errorf("core: setup blob for machine %d of %d", s.home, cfg.Machines)
 	}
+	var held *partition.Columns
 	for m, shape := range unfoldingShapes {
 		rows, width, products := s.dims[shape[0]], s.dims[shape[1]], s.dims[shape[2]]
-		px, after, err := partition.Receive(rows, width*products, width, cfg.Partitions, s.home, cfg.Machines, rest)
+		px, after, err := partition.Receive(rows, width*products, width, cfg.Partitions, s.home, cfg.Machines, carriedBy(m, s.dims, cfg), held, rest)
 		if err != nil {
 			releasePartitions(s.px)
 			return setup{}, fmt.Errorf("core: decode setup: mode %d: %w", m+1, err)
 		}
 		s.px[m], rest = px, after
+		if m == 0 {
+			held = px.Transpose()
+			defer held.Release()
+		}
 	}
 	if len(rest) != 0 {
 		releasePartitions(s.px)

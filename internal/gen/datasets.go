@@ -26,14 +26,37 @@ type Dataset struct {
 // scale factor (1.0 = the default bench scale, far below the paper's
 // sizes; larger values grow every mode).
 func Datasets(rng *rand.Rand, scale float64) []Dataset {
-	return []Dataset{
-		Facebook(rng, scale),
-		DBLP(rng, scale),
-		DDoS(rng, scale, false),
-		DDoS(rng, scale, true),
-		NELL(rng, scale, false),
-		NELL(rng, scale, true),
+	out := make([]Dataset, len(standins))
+	for n, s := range standins {
+		out[n] = s.make(rng, scale)
 	}
+	return out
+}
+
+// standins are the six Table III stand-ins in Datasets' order, each under
+// its command-line name.
+var standins = []struct {
+	key  string
+	make func(*rand.Rand, float64) Dataset
+}{
+	{"facebook", Facebook},
+	{"dblp", DBLP},
+	{"ddos-s", func(rng *rand.Rand, scale float64) Dataset { return DDoS(rng, scale, false) }},
+	{"ddos-l", func(rng *rand.Rand, scale float64) Dataset { return DDoS(rng, scale, true) }},
+	{"nell-s", func(rng *rand.Rand, scale float64) Dataset { return NELL(rng, scale, false) }},
+	{"nell-l", func(rng *rand.Rand, scale float64) Dataset { return NELL(rng, scale, true) }},
+}
+
+// Standin generates the one stand-in named key — facebook, dblp, ddos-s,
+// ddos-l, nell-s or nell-l — drawing from rng first, and reports whether
+// there is one by that name.
+func Standin(rng *rand.Rand, key string, scale float64) (Dataset, bool) {
+	for _, s := range standins {
+		if s.key == key {
+			return s.make(rng, scale), true
+		}
+	}
+	return Dataset{}, false
 }
 
 func scaled(base int, scale float64) int {

@@ -18,6 +18,7 @@ package partition
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -275,6 +276,9 @@ type Partitioned struct {
 	// moves (Lemma 6: O(|X|)).
 	ShuffleBytes int64
 
+	// carry is what the set-up bodies leave out; the zero Carry for Build.
+	carry Carry
+
 	// Backing arenas shared by every block's CSR offsets, row pointers and
 	// packed rows; returned to the slab pool by Release.
 	ptrArena, bitsArena []int32
@@ -300,20 +304,32 @@ func (p *Partitioned) Release() {
 func (p *Partitioned) ReshipBytes(pi int) int64 { return p.Parts[pi].bodyBytes }
 
 // AppendBody appends partition pi's set-up body to dst: row by row, the
-// row's nonzero count in the partition, then its columns in ascending order,
-// each as its gap from the one before less one — the first column's from
-// the partition's Lo. Every value is a minimal uvarint, so the body is
-// exactly ReshipBytes(pi) bytes; Receive reads it back.
+// count of the row's nonzeros the body ships — those in segments its Carry
+// does not carry — then their columns in ascending order, each as its gap
+// from the one before less one, the first column's from the partition's Lo.
+// Every value is a minimal uvarint, so the body is exactly ReshipBytes(pi)
+// bytes; Receive reads it back.
 func (p *Partitioned) AppendBody(dst []byte, pi int) []byte {
 	part := p.Parts[pi]
+	first := 0
+	if len(part.Blocks) > 0 {
+		first = part.Blocks[0].PVM
+	}
 	for r := 0; r < p.NumRows; r++ {
 		n := 0
+		w := p.carry.across(pi, r, first)
 		for _, b := range part.Blocks {
-			n += len(b.RowBits(r))
+			if !w.next() {
+				n += len(b.RowBits(r))
+			}
 		}
 		dst = binary.AppendUvarint(dst, uint64(n))
 		prev := int32(part.Lo) - 1
+		w = p.carry.across(pi, r, first)
 		for _, b := range part.Blocks {
+			if w.next() {
+				continue
+			}
 			lo := int32(b.Lo)
 			for _, o := range b.RowBits(r) {
 				dst = binary.AppendUvarint(dst, uint64(lo+o-prev-1))
@@ -327,29 +343,110 @@ func (p *Partitioned) AppendBody(dst []byte, pi int) []byte {
 // uvarintLen is the length of u's minimal uvarint.
 func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
+// Carry is the rule by which a partitioning's set-up bodies leave out
+// nonzeros the receiving machine already holds in another partitioning of
+// the same tensor, the source. All of a row's nonzeros inside one block —
+// a segment — lie in one source column, RowStride·row + PVMStride·PVM,
+// whose source row i is this unfolding's column PVM·BlockSize + i. The
+// segment is carried, and left out, when that column's source partition is
+// homed on the machine the block's partition is: partition p of either
+// partitioning is homed on p mod Machines, and the source is cut into N
+// partitions of its Cols columns as layout cuts it. Whether a segment is
+// carried is arithmetic on its row and PVM product alone, never a test of
+// its nonzeros. The zero Carry carries nothing.
+type Carry struct {
+	Machines             int
+	Cols, N              int
+	RowStride, PVMStride int
+}
+
+// sourcePart returns the source partition holding column col: the p with
+// p·Cols/N <= col < (p+1)·Cols/N.
+func (c Carry) sourcePart(col int) int { return ((col+1)*c.N - 1) / c.Cols }
+
+// carries reports whether row r's segment in PVM product pvm of partition
+// pi is carried.
+func (c Carry) carries(pi, r, pvm int) bool {
+	return c.Machines > 0 && c.sourcePart(r*c.RowStride+pvm*c.PVMStride)%c.Machines == pi%c.Machines
+}
+
+// down walks the segments of a block of PVM product pvm in partition pi,
+// row by row.
+func (c Carry) down(pi, pvm int) carryWalk {
+	return c.walk(pi, pvm*c.PVMStride, c.RowStride)
+}
+
+// across walks row r's segments in partition pi block by block, the first
+// block in PVM product pvm.
+func (c Carry) across(pi, r, pvm int) carryWalk {
+	return c.walk(pi, r*c.RowStride+pvm*c.PVMStride, c.PVMStride)
+}
+
+// walk returns the walk over segments of partition pi whose source columns
+// run from col by step.
+func (c Carry) walk(pi, col, step int) carryWalk {
+	if c.Machines == 0 {
+		return carryWalk{end: math.MaxInt}
+	}
+	return carryWalk{c: c, col: col, step: step, home: pi % c.Machines}
+}
+
+// carryWalk answers carries for a run of segments whose source columns
+// rise by a fixed step — a block's rows, or a row's blocks — dividing only
+// where the column crosses into another source partition.
+type carryWalk struct {
+	c         Carry
+	col, step int // the next segment's source column and the step
+	// part is the source partition of the segment last walked, at its
+	// column, and end the first column past part.
+	part, at, end int
+	home          int
+	carried       bool
+}
+
+// next walks one segment and reports whether it is carried.
+func (w *carryWalk) next() bool {
+	if w.col >= w.end {
+		w.part = w.c.sourcePart(w.col)
+		w.end = (w.part + 1) * w.c.Cols / w.c.N
+		w.carried = w.part%w.c.Machines == w.home
+	}
+	w.at = w.col
+	w.col += w.step
+	return w.carried
+}
+
 // Build vertically partitions an unfolded tensor into n partitions and
 // splits each partition into PVM-aligned blocks (Algorithm 3). n is capped
 // at the column count so every partition is nonempty; at least one
-// partition is always produced.
-func Build(u *tensor.Unfolded, n int) *Partitioned {
+// partition is always produced. Its set-up bodies carry nothing.
+func Build(u *tensor.Unfolded, n int) *Partitioned { return BuildCarrying(u, n, Carry{}) }
+
+// BuildCarrying is Build whose set-up bodies, and so ReshipBytes and
+// ShuffleBytes, leave out what carry carries.
+func BuildCarrying(u *tensor.Unfolded, n int, carry Carry) *Partitioned {
 	if n < 1 {
 		panic(fmt.Sprintf("partition: n must be >= 1, got %d", n))
 	}
 	px, parts, all := layout(u.NumRows, u.NumCols, u.BlockSize, n, 0, 1)
+	px.carry = carry
 	px.fill(parts, all, unfoldedRows{u})
 	return px
 }
 
-// Receive is Build on a machine that holds partitions first, first+step, …
-// of the n that Build cuts a rows × cols unfolding with blockSize-wide PVM
-// products into (0 <= first < step): it fills them from their set-up
-// bodies, which body begins with in partition order, and leaves every other
-// slot of Parts nil. It returns the bytes after the last body. A body that
-// is not exactly what AppendBody makes — a varint cut short, overlong or
-// past 64 bits, a count above the bytes left, a column at or past the
-// partition's Hi — is an error, and nothing is kept.
-func Receive(rows, cols, blockSize, n, first, step int, body []byte) (*Partitioned, []byte, error) {
+// Receive is BuildCarrying on a machine that holds partitions first,
+// first+step, … of the n that it cuts a rows × cols unfolding with
+// blockSize-wide PVM products into (0 <= first < step): it fills them from
+// their set-up bodies, which body begins with in partition order, and their
+// carried segments from src, the machine's own source partitions (nil when
+// carry is zero). Every other slot of Parts stays nil. It returns the bytes
+// after the last body. A body that is not exactly what AppendBody makes — a
+// varint cut short, overlong or past 64 bits, a count above the bytes left,
+// a column at or past the partition's Hi or inside a carried segment — is
+// an error, and nothing is kept.
+func Receive(rows, cols, blockSize, n, first, step int, carry Carry, src *Columns, body []byte) (*Partitioned, []byte, error) {
 	px, parts, all := layout(rows, cols, blockSize, n, first, step)
+	px.carry = carry
 	if len(parts) == 0 {
 		return px, body, nil
 	}
@@ -358,12 +455,13 @@ func Receive(rows, cols, blockSize, n, first, step int, body []byte) (*Partition
 	if int64(len(parts))*int64(rows) > int64(len(body)) {
 		return nil, nil, fmt.Errorf("partition: %d bodies of %d rows need more than the %d bytes left", len(parts), rows, len(body))
 	}
-	src := &bodyRows{ptr: slab.Int32s(len(parts) * (rows + 1)), cols: slab.Int32s(len(body)), next: slab.Int32s(rows)}
-	defer src.release()
+	rs := &bodyRows{ptr: slab.Int32s(len(parts) * (rows + 1)), cols: slab.Int32s(len(body)), next: slab.Int32s(rows),
+		parts: parts, carry: carry, src: src}
+	defer rs.release()
 	nnz := 0
 	for k := range parts {
 		p := &parts[k]
-		ptr := src.ptr[k*(rows+1):][:rows+1]
+		ptr := rs.ptr[k*(rows+1):][:rows+1]
 		ptr[0] = int32(nnz)
 		for r := 0; r < rows; r++ {
 			count, m := binary.Uvarint(body)
@@ -371,7 +469,7 @@ func Receive(rows, cols, blockSize, n, first, step int, body []byte) (*Partition
 				return nil, nil, fmt.Errorf("partition: partition %d row %d: the count is cut short, not a minimal uvarint or above the %d bytes left", p.Index, r, len(body)-max(m, 0))
 			}
 			body = body[m:]
-			last := int64(p.Lo) - 1
+			last, segEnd := int64(p.Lo)-1, int64(-1)
 			for j := uint64(0); j < count; j++ {
 				gap, m := binary.Uvarint(body)
 				if m <= 0 || m != uvarintLen(gap) || gap >= uint64(int64(p.Hi)-last-1) {
@@ -379,14 +477,91 @@ func Receive(rows, cols, blockSize, n, first, step int, body []byte) (*Partition
 				}
 				body = body[m:]
 				last += int64(gap) + 1
-				src.cols[nnz] = int32(last)
+				if last >= segEnd {
+					pvm := int(last) / blockSize
+					segEnd = int64(pvm+1) * int64(blockSize)
+					if carry.carries(p.Index, r, pvm) {
+						return nil, nil, fmt.Errorf("partition: partition %d row %d: column %d lies in a carried segment", p.Index, r, last)
+					}
+				}
+				rs.cols[nnz] = int32(last)
 				nnz++
 			}
 			ptr[r+1] = int32(nnz)
 		}
 	}
-	px.fill(parts, all, src)
+	px.fill(parts, all, rs)
 	return px, body, nil
+}
+
+// Columns is a partitioning's held nonzeros column by column, rows
+// ascending (Transpose): what a receiving machine reads the carried
+// segments of its other partitionings from.
+type Columns struct {
+	// Column c of held partition p has the rows rows[ptr[k] : ptr[k+1]],
+	// k = base[p] + c.
+	base, ptr, rows []int32
+	// scratch holds the carried segments of the block being filled, as
+	// columns of the receiving unfolding.
+	scratch []int32
+}
+
+// Transpose returns p's held partitions column by column: one count pass
+// and one fill over arenas from the slab pool, which Release returns.
+func (p *Partitioned) Transpose() *Columns {
+	t := &Columns{base: slab.Int32s(len(p.Parts))}
+	cols, nnz := 0, 0
+	for pi, part := range p.Parts {
+		if part != nil {
+			t.base[pi] = int32(cols - part.Lo)
+			cols += part.Width()
+			nnz += part.NNZ()
+		}
+	}
+	t.ptr, t.rows, t.scratch = slab.Int32sZeroed(cols+1), slab.Int32s(nnz), slab.Int32s(nnz)
+	each := func(fn func(k, r int)) {
+		for pi, part := range p.Parts {
+			if part == nil {
+				continue
+			}
+			for _, b := range part.Blocks {
+				off := int(t.base[pi]) + b.Lo
+				for r := 0; r < p.NumRows; r++ {
+					for _, o := range b.RowBits(r) {
+						fn(off+int(o), r)
+					}
+				}
+			}
+		}
+	}
+	each(func(k, _ int) { t.ptr[k+1]++ })
+	for k := 1; k <= cols; k++ {
+		t.ptr[k] += t.ptr[k-1]
+	}
+	// Rows are visited in ascending order within every block, so each
+	// column's come out ascending; ptr[k] ends at column k's end.
+	each(func(k, r int) {
+		t.rows[t.ptr[k]] = int32(r)
+		t.ptr[k]++
+	})
+	copy(t.ptr[1:], t.ptr[:cols])
+	t.ptr[0] = 0
+	return t
+}
+
+// column returns the rows of column c of held partition p.
+func (t *Columns) column(p, c int) []int32 {
+	k := int(t.base[p]) + c
+	return t.rows[t.ptr[k]:t.ptr[k+1]]
+}
+
+// Release returns the arenas to the slab pool; t must not be used after.
+func (t *Columns) Release() {
+	slab.PutInt32s(t.base)
+	slab.PutInt32s(t.ptr)
+	slab.PutInt32s(t.rows)
+	slab.PutInt32s(t.scratch)
+	*t = Columns{}
 }
 
 // layout cuts a rows × cols unfolding with blockSize-wide PVM products into
@@ -468,23 +643,47 @@ func (s unfoldedRows) segments(b *Block, segs [][]int32) {
 }
 
 // bodyRows is a receiving machine's source: its partitions' decoded set-up
-// bodies. Row r of the k-th partition holds the global columns
+// bodies, and for the segments they carry the machine's source partitions.
+// Row r of the k-th partition's body holds the global columns
 // cols[ptr[k(rows+1)+r] : ptr[k(rows+1)+r+1]], of which the blocks already
 // read have taken those before next[r].
 type bodyRows struct {
 	ptr, cols, next []int32
 	cur             []int32 // the begun partition's row pointers
+	index           int     // the begun partition's
+	parts           []Partition
+	carry           Carry
+	src             *Columns
 }
 
 func (s *bodyRows) begin(k int) {
 	rows := len(s.next)
 	s.cur = s.ptr[k*(rows+1):][:rows+1]
+	s.index = s.parts[k].Index
 	copy(s.next, s.cur[:rows])
 }
 
+// segments reads a carried segment from the source column it lies in —
+// the rows i there inside the block are its columns PVM·BlockSize + i — and
+// every other segment from the body.
 func (s *bodyRows) segments(b *Block, segs [][]int32) {
 	hi := int32(b.Hi)
+	w := s.carry.down(s.index, b.PVM)
+	var free []int32
+	if s.src != nil {
+		free = s.src.scratch
+	}
 	for r := range segs {
+		if w.next() {
+			rows := trimSegment(s.src.column(w.part, w.at), int32(b.InnerLo), int32(b.InnerLo+b.Width()))
+			seg := free[:len(rows):len(rows)]
+			free = free[len(rows):]
+			for n, i := range rows {
+				seg[n] = int32(b.Lo-b.InnerLo) + i
+			}
+			segs[r] = seg
+			continue
+		}
 		from, to, end := s.next[r], s.next[r], s.cur[r+1]
 		for to < end && s.cols[to] < hi {
 			to++
@@ -502,11 +701,13 @@ func (s *bodyRows) release() {
 
 // fill writes the laid-out blocks' CSR forms (and packed rows, for blocks
 // at or above DenseRowThreshold) from src, whatever src is, and counts every
-// partition's set-up body on the way. A count pass sizes each block's rows;
-// the fill pass then writes each block's offsets sequentially into arenas
-// shared by all blocks, and adds up the body's varints as it writes them —
-// each row's gaps, which run on across the partition's blocks, and at the
-// partition's end its rows' counts — so the size costs no pass of its own.
+// partition's set-up body on the way. A count pass sizes each block's rows
+// from every nonzero; the fill pass then writes each block's offsets
+// sequentially into arenas shared by all blocks, and adds up the body's
+// varints as it writes them — each row's gaps, which run on across the
+// partition's blocks from one shipped nonzero to the next, and at the
+// partition's end its rows' counts of them — so the size costs no pass of
+// its own. A carried segment is written and not tallied.
 func (px *Partitioned) fill(parts []Partition, all []*Block, src rowSource) {
 	rows := px.NumRows
 	ptrArena := slab.Int32s(len(all) * (rows + 1))
@@ -559,13 +760,14 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, src rowSource) {
 			}
 			lo, pos := int32(b.Lo), 0
 			src.segments(b, *segs)
+			w := px.carry.down(p.Index, b.PVM)
 			for r, seg := range *segs {
+				shipped := !w.next()
 				if len(seg) == 0 {
 					continue
 				}
 				// A gap under 128 is one byte; the fill pays a branch only for
-				// the longer ones.
-				body += len(seg)
+				// the longer ones, and only for the nonzeros the body ships.
 				prev := last[r]
 				if b.stride > 0 {
 					base := r * b.stride
@@ -574,7 +776,7 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, src rowSource) {
 						b.bits[pos] = o
 						pos++
 						b.denseWords[base+int(o)>>6] |= uint64(1) << (uint32(o) & 63)
-						if c-prev > 1<<7 {
+						if shipped && c-prev > 1<<7 {
 							body += uvarintLen(uint64(c-prev-1)) - 1
 						}
 						prev = c
@@ -583,14 +785,17 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, src rowSource) {
 					for _, c := range seg {
 						b.bits[pos] = c - lo
 						pos++
-						if c-prev > 1<<7 {
+						if shipped && c-prev > 1<<7 {
 							body += uvarintLen(uint64(c-prev-1)) - 1
 						}
 						prev = c
 					}
 				}
-				last[r] = prev
-				count[r] += int32(len(seg))
+				if shipped {
+					body += len(seg)
+					last[r] = prev
+					count[r] += int32(len(seg))
+				}
 			}
 			bi++
 		}

@@ -32,8 +32,8 @@ const tensorsDirName = "tensors"
 // as long as the tensor.
 type tensorStore struct {
 	dir string
-	// n is the partition count of every entry's set: the server's machine
-	// count, every job's N (a JobSpec cannot set another).
+	// n is the server's machine count: every job's M, and its N (a JobSpec
+	// cannot set another), so every entry's set is built for n of each.
 	n int
 
 	mu      sync.Mutex
@@ -67,7 +67,7 @@ func openTensorStore(dataDir string, n int) (*tensorStore, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: corrupt stored tensor %s: %w", name, err)
 		}
-		s.entries[id] = core.NewPartitions(t, n)
+		s.entries[id] = core.NewPartitions(t, n, n)
 	}
 	return s, nil
 }
@@ -80,7 +80,7 @@ func (s *tensorStore) Put(id string, t *tensor.Tensor) error {
 		return ErrTensorExists
 	}
 	// Reserve the ID while writing so concurrent uploads cannot race.
-	s.entries[id] = core.NewPartitions(t, s.n)
+	s.entries[id] = core.NewPartitions(t, s.n, s.n)
 	s.mu.Unlock()
 
 	if _, err := durable.WriteFile(s.dir, id+".dbt", t.WriteBinary); err != nil {

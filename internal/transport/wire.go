@@ -26,8 +26,10 @@ import (
 // version-7 peer would refuse as a lane count it never asked for; version 9
 // sets a worker up with its own partitions' bodies instead of the whole
 // tensor, and re-ships a lost machine's with a new state kind — a version-8
-// peer would read the bodies as a tensor.
-const ProtoVersion = 9
+// peer would read the bodies as a tensor; version 10 leaves out of the
+// mode-2 and mode-3 bodies every nonzero the blob's mode-1 bodies carry — a
+// version-9 worker would build those partitions without them.
+const ProtoVersion = 10
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
 // tighter limit: large enough for a set-up blob, small enough that a
