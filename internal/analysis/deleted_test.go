@@ -90,6 +90,8 @@ var deletedNames = []deletedName{
 		pr: "PR 29: the general matrix product had no caller outside its tests; MulFactor is the product the engine forms (Equation 6), held to a triple loop"},
 	{pattern: `UnfoldAll|DecodeBinary\(|BinarySize\(|"dbtf/internal/tensor"`, scope: []string{"internal/core/worker.go", "internal/core/wirecodec.go"},
 		pr: "PR 33: a worker is shipped only its own partitions' set-up bodies and decodes them straight into its blocks; the whole-tensor set-up — a tensor in the blob, unfolded and partitioned whole on every worker — is gone"},
+	{pattern: `\bAndNotCountWords\b`, scope: []string{"."},
+		pr: "the dead-kernel sweep: bitvec.AndNotCountWords had no caller outside its own tests; a test that needs |W1 &^ W0| counts it inline"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

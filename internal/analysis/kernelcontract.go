@@ -42,7 +42,6 @@ const (
 // operands that must share one word count.
 var wordKernels = map[string]bool{
 	"AndCountWords":       true,
-	"AndNotCountWords":    true,
 	"AndAndNotCountWords": true,
 	"OrCountWords":        true,
 	"XorCountWords":       true,

@@ -38,7 +38,7 @@ func goodFieldCheck(v, w *vec) int {
 	if v.n != w.n {
 		panic("length mismatch")
 	}
-	return bitvec.AndNotCountWords(v.words, w.words)
+	return bitvec.AndCountWords(v.words, w.words)
 }
 
 // goodAnnotated asserts a structural invariant the analyzer cannot see.

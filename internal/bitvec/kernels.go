@@ -25,17 +25,6 @@ func AndCountWords(a, b []uint64) int {
 	return c
 }
 
-// AndNotCountWords returns popcount(a &^ b) over raw word slices.
-//
-//dbtf:noalloc
-func AndNotCountWords(a, b []uint64) int {
-	c := 0
-	for i, x := range a {
-		c += bits.OnesCount64(x &^ b[i])
-	}
-	return c
-}
-
 // AndAndNotCountWords returns popcount(x ∧ (a &^ b)) over raw word
 // slices: the overlap of x with the region a adds beyond b. This is the
 // dense single-group delta kernel.

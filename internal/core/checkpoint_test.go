@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"dbtf/internal/boolmat"
@@ -235,163 +234,6 @@ func TestResumeRejectsFingerprintMismatch(t *testing.T) {
 	_, err := Decompose(context.Background(), x, testCluster(2), opt)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("resume under a changed config returned %v, want fingerprint mismatch", err)
-	}
-}
-
-func TestResumeChangedConfigStartsFreshNamespace(t *testing.T) {
-	// With fingerprint-namespaced files a changed config simply has no
-	// checkpoint of its own yet: it starts fresh in its own lineage and
-	// must not disturb the original run's file.
-	rng := rand.New(rand.NewSource(11))
-	x, _, _, _ := plantedTensor(rng, 10, 10, 10, 2, 0.3)
-	dir := t.TempDir()
-	opt := Options{Rank: 2, MaxIter: 3, MinIter: 3, Seed: 5, CheckpointDir: dir}
-	if _, err := Decompose(context.Background(), x, testCluster(2), opt); err != nil {
-		t.Fatal(err)
-	}
-	fpOld := runFingerprint(t, x, opt, 2)
-	oldImage, err := os.ReadFile(filepath.Join(dir, CheckpointFileName(fpOld)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Seed = 6
-	opt.Resume = true
-	res, err := Decompose(context.Background(), x, testCluster(2), opt)
-	if err != nil {
-		t.Fatalf("resume under a changed config with namespaced checkpoints: %v (want fresh start)", err)
-	}
-	plain, err := Decompose(context.Background(), x, testCluster(2),
-		Options{Rank: 2, MaxIter: 3, MinIter: 3, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsEqual(res, plain) {
-		t.Fatal("changed-config resume must run fresh and match a plain run")
-	}
-	after, err := os.ReadFile(filepath.Join(dir, CheckpointFileName(fpOld)))
-	if err != nil || string(after) != string(oldImage) {
-		t.Fatalf("original run's checkpoint disturbed by the new lineage (err %v)", err)
-	}
-}
-
-func TestResumeCompletedRunReturnsStoredResult(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	x, _, _, _ := plantedTensor(rng, 12, 10, 8, 2, 0.3)
-	opt := Options{Rank: 2, MaxIter: 4, MinIter: 4, Seed: 3, CheckpointDir: t.TempDir()}
-	full, err := Decompose(context.Background(), x, testCluster(2), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Resume = true
-	again, err := Decompose(context.Background(), x, testCluster(2), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsEqual(full, again) {
-		t.Fatal("resuming a completed run must return the stored result")
-	}
-	if again.Stats.Stages >= full.Stats.Stages {
-		t.Fatalf("resume of a completed run executed %d stages (full run: %d); it must skip the iterations",
-			again.Stats.Stages, full.Stats.Stages)
-	}
-}
-
-func TestCheckpointEveryKWritesFinal(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	x, _, _, _ := plantedTensor(rng, 10, 10, 10, 2, 0.3)
-	opt := Options{Rank: 2, MaxIter: 5, MinIter: 5, Seed: 3,
-		CheckpointDir: t.TempDir(), CheckpointEvery: 2}
-	res, err := Decompose(context.Background(), x, testCluster(2), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := runFingerprint(t, x, opt, 2)
-	ck, err := readCheckpoint(opt.CheckpointDir, fp)
-	if err != nil || ck == nil {
-		t.Fatalf("readCheckpoint: %v, %v", ck, err)
-	}
-	if ck.Iteration != res.Iterations {
-		t.Fatalf("final checkpoint at iteration %d, want %d: the last iteration must be durable even off the period",
-			ck.Iteration, res.Iterations)
-	}
-	if res.Stats.CheckpointBytes <= 0 {
-		t.Fatalf("CheckpointBytes = %d, want > 0", res.Stats.CheckpointBytes)
-	}
-}
-
-func TestConcurrentCheckpointJobsSharedDir(t *testing.T) {
-	// Two resumable jobs sharing one checkpoint directory (the job server's
-	// default before per-job dirs, and the CLI's -checkpoint-dir) must not
-	// collide: each writes and reads only its fingerprint-namespaced file.
-	// Under -race this also drives the two write paths concurrently.
-	rng := rand.New(rand.NewSource(23))
-	x, _, _, _ := plantedTensor(rng, 14, 12, 10, 3, 0.3)
-	shared := t.TempDir()
-	seeds := []int64{101, 202}
-	mkOpt := func(seed int64) Options {
-		return Options{Rank: 3, MaxIter: 4, MinIter: 4, Seed: seed,
-			CheckpointDir: shared, CheckpointEvery: 1}
-	}
-
-	solo := make([]*Result, len(seeds))
-	for i, seed := range seeds {
-		res, err := Decompose(context.Background(), x, testCluster(4),
-			Options{Rank: 3, MaxIter: 4, MinIter: 4, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		solo[i] = res
-	}
-
-	results := make([]*Result, len(seeds))
-	errs := make([]error, len(seeds))
-	var wg sync.WaitGroup
-	for i, seed := range seeds {
-		wg.Add(1)
-		go func(i int, seed int64) {
-			defer wg.Done()
-			results[i], errs[i] = Decompose(context.Background(), x, testCluster(4), mkOpt(seed))
-		}(i, seed)
-	}
-	wg.Wait()
-	for i := range seeds {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if !resultsEqual(results[i], solo[i]) {
-			t.Fatalf("job %d sharing a checkpoint dir diverged from its solo run", i)
-		}
-	}
-
-	want := map[string]bool{}
-	for _, seed := range seeds {
-		fp := runFingerprint(t, x, mkOpt(seed), 4)
-		want[CheckpointFileName(fp)] = true
-	}
-	entries, err := os.ReadDir(shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != len(want) {
-		t.Fatalf("shared dir holds %d files, want %d", len(entries), len(want))
-	}
-	for _, e := range entries {
-		if !want[e.Name()] {
-			t.Fatalf("unexpected file %s in shared checkpoint dir", e.Name())
-		}
-	}
-
-	// Each job resumes its own lineage from the shared directory.
-	for i, seed := range seeds {
-		opt := mkOpt(seed)
-		opt.Resume = true
-		res, err := Decompose(context.Background(), x, testCluster(4), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resultsEqual(res, solo[i]) {
-			t.Fatalf("job %d resumed from the shared dir does not match its solo run", i)
-		}
 	}
 }
 

@@ -454,7 +454,12 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 		wrote := checkpointing && (t%every == 0 || res.Converged || t == cfg.MaxIter)
 		stop := opts.Preempt != nil && !res.Converged && t < cfg.MaxIter && opts.Preempt()
 		if wrote || stop {
-			if err := d.writeCheckpointStage(res, a, b, c, prevErr); err != nil {
+			// An iteration whose checkpoint is durable is closed with its
+			// error even when the write's cancellation ends the run.
+			if durable, err := d.writeCheckpointStage(res, a, b, c, prevErr); err != nil {
+				if durable {
+					d.endIteration(t, e, improvement, flips)
+				}
 				return err
 			}
 		}
@@ -627,8 +632,10 @@ func (d *decomposition) machineLost(m int) {
 // writeCheckpointStage durably snapshots the run at the just-completed
 // iteration boundary. The write is driver-side disk I/O: its wall-clock
 // cost is charged through the cluster's Driver section and its size is
-// recorded in Stats.CheckpointBytes.
-func (d *decomposition) writeCheckpointStage(res *Result, a, b, c *boolmat.FactorMatrix, prevErr int64) error {
+// recorded in Stats.CheckpointBytes. A cancellation that lands during the
+// write is returned after it, with durable set: a resume continues from
+// this checkpoint.
+func (d *decomposition) writeCheckpointStage(res *Result, a, b, c *boolmat.FactorMatrix, prevErr int64) (durable bool, err error) {
 	ck := &checkpoint{
 		Fingerprint:     d.fp,
 		Iteration:       res.Iterations,
@@ -640,16 +647,17 @@ func (d *decomposition) writeCheckpointStage(res *Result, a, b, c *boolmat.Facto
 	}
 	var bytes int64
 	var werr error
-	if err := d.cl.DriverNamed(d.ctx, "checkpoint", func() {
+	err = d.cl.DriverNamed(d.ctx, "checkpoint", func() {
 		bytes, werr = writeCheckpoint(d.opt.CheckpointDir, ck)
-	}); err != nil {
-		return err
-	}
+		durable = werr == nil
+	})
 	if werr != nil {
-		return fmt.Errorf("core: checkpoint at iteration %d: %w", res.Iterations, werr)
+		return false, fmt.Errorf("core: checkpoint at iteration %d: %w", res.Iterations, werr)
 	}
-	d.cl.RecordCheckpoint(bytes)
-	return nil
+	if durable {
+		d.cl.RecordCheckpoint(bytes)
+	}
+	return durable, err
 }
 
 // beginIteration opens iteration t's trace span and re-labels the stage

@@ -10,10 +10,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 
 	"dbtf/internal/cluster"
 	"dbtf/internal/gen"
+	"dbtf/internal/partition"
 	"dbtf/internal/tensor"
 	"dbtf/internal/trace"
 	"dbtf/internal/transport/tcp"
@@ -100,6 +103,11 @@ type scenario struct {
 	// that the checkpoints' recount meets an objective carried through
 	// commits, not one copied from the last count.
 	carried bool
+	// shared, when set, runs the scenario as that many runs started together
+	// on one Partitions set (checkShared), after a run whose build is
+	// cancelled in its partition stage when cancelBuild is set.
+	shared      int
+	cancelBuild bool
 }
 
 // drawScenario makes every bounded random choice of a scenario from rng, as
@@ -159,6 +167,10 @@ func drawScenario(rng *rand.Rand) scenario {
 	if rng.Intn(4) == 0 {
 		sc.cancel = 1 + rng.Int63n(runStages(max(o.InitialSets, 1), o.Rank, cmp.Or(sc.span, lookahead), o.MaxIter))
 	}
+	if sc.backend == simulated && sc.faults == nil && rng.Intn(8) == 0 {
+		sc.shared, sc.cancelBuild = 2+rng.Intn(3), rng.Intn(2) == 0
+		sc.evict, sc.cancel = 0, 0
+	}
 	return sc
 }
 
@@ -176,13 +188,15 @@ func runStages(sets, rank, span, iterations int) int64 {
 // checkpoint written and every segment's trace; the result must recount to
 // its error down a non-increasing trajectory, and an uninterrupted
 // fault-free run must take its stage count, and a remote one the simulated
-// run's traffic.
+// run's traffic. A shared scenario is checkShared's.
 func checkScenario(t *testing.T, sc scenario) {
 	t.Helper()
 	x, o, span := sc.x.tensor(), sc.opt, cmp.Or(sc.span, lookahead)
-	oracle := Options{Rank: o.Rank, Seed: o.Seed, Init: o.Init, InitialSets: o.InitialSets,
-		MaxIter: o.MaxIter, MinIter: o.MinIter, Tolerance: o.Tolerance, Partitions: 1}
-	want, wantErr := decompose(context.Background(), x, nil, testCluster(1), oracle, 1)
+	if sc.shared > 0 {
+		checkShared(t, sc, x, span)
+		return
+	}
+	want, wantErr := decompose(context.Background(), x, nil, testCluster(1), oracleOptions(o), 1)
 	got, segments, err := sc.run(t, x, span)
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("the run returned %v, the oracle %v", err, wantErr)
@@ -231,6 +245,132 @@ func checkScenario(t *testing.T, sc scenario) {
 		if g.Stages != s.Stages || g.Tasks != s.Tasks || g.ShuffledBytes != s.ShuffledBytes || g.BroadcastBytes != s.BroadcastBytes || g.CollectedBytes != s.CollectedBytes {
 			t.Errorf("counted %+v, the simulated run %+v", g, s)
 		}
+	}
+}
+
+// oracleOptions is the plain sequential run of o: its result-determining
+// options on one partition.
+func oracleOptions(o Options) Options {
+	return Options{Rank: o.Rank, Seed: o.Seed, Init: o.Init, InitialSets: o.InitialSets,
+		MaxIter: o.MaxIter, MinIter: o.MinIter, Tolerance: o.Tolerance, Partitions: 1}
+}
+
+// checkShared runs the shared recipe on the simulator. A build cancelled as
+// its partition stage begins fails its run with context.Canceled and leaves
+// the set empty. Then sc.shared runs start together on the set, the builder
+// holding its partition stage open until another run waits on the build, and
+// one more runs on the built set; run i has seed Seed+i. Each equals its own
+// oracle and passes checkTrace; exactly one builds — one unfold, one
+// partition stage, three shuffles, runStages stages — and every other reads
+// the set with no shuffled byte in one stage fewer. A run for another
+// partition count is refused. A checkpointing scenario's runs resume from
+// one checkpoint directory, each starting fresh in its own lineage, which
+// ends holding one file per run (checkCompleted).
+func checkShared(t *testing.T, sc scenario, x *tensor.Tensor, span int) {
+	t.Helper()
+	if sc.opt.CheckpointEvery > 0 {
+		sc.opt.CheckpointDir, sc.opt.Resume = t.TempDir(), true
+	}
+	n := sc.machines
+	if cfg, err := sc.opt.withDefaults(sc.machines); err == nil {
+		n = cfg.Partitions
+	}
+	set := NewPartitions(x, n, sc.machines)
+	type setRun struct {
+		res                           *Result
+		err                           error
+		events                        []*trace.Event
+		unfolds, partitions, shuffles int
+	}
+	// run i runs on the set on its own traced cluster; atPartition is called
+	// as the partition stage begins, on the building run's goroutine.
+	run := func(ctx context.Context, i int, atPartition func()) (r setRun) {
+		cl := tracedCluster(sc.machines, func(ev *trace.Event) {
+			r.events = append(r.events, ev)
+			switch {
+			case ev.Type == trace.DriverBegin && ev.Name == "unfold":
+				r.unfolds++
+			case ev.Type == trace.StageBegin && ev.Name == "partition":
+				r.partitions++
+				atPartition()
+			case ev.Type == trace.Shuffle:
+				r.shuffles++
+			}
+		})
+		o := sc.opt
+		o.Seed += int64(i)
+		r.res, r.err = decompose(ctx, x, set, cl, o, span)
+		return r
+	}
+	_, wantErr := decompose(context.Background(), x, nil, testCluster(1), oracleOptions(sc.opt), 1)
+	if sc.cancelBuild {
+		ctx, cancel := context.WithCancel(context.Background())
+		r := run(ctx, 0, cancel)
+		cancel()
+		set.mu.Lock()
+		px, building := set.px, set.building
+		set.mu.Unlock()
+		if wantErr == nil && (!errors.Is(r.err, context.Canceled) || r.partitions != 1) || px != ([3]*partition.Partitioned{}) || building {
+			t.Fatalf("a build cancelled in its partition stage: %d partition stages, error %v; the set kept %v, building %v", r.partitions, r.err, px, building)
+		}
+	}
+	waiting := func() bool { set.mu.Lock(); defer set.mu.Unlock(); return set.done != nil }
+	got := make([]setRun, sc.shared+1)
+	var wg sync.WaitGroup
+	for i := 0; i < sc.shared; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = run(context.Background(), i, func() {
+				for !waiting() {
+					runtime.Gosched()
+				}
+			})
+		}(i)
+	}
+	wg.Wait()
+	got[sc.shared] = run(context.Background(), sc.shared, func() {})
+	builders := 0
+	for i, r := range got {
+		o := oracleOptions(sc.opt)
+		o.Seed += int64(i)
+		want, err := decompose(context.Background(), x, nil, testCluster(1), o, 1)
+		if (r.err != nil) != (err != nil) {
+			t.Fatalf("run %d returned %v, its oracle %v", i, r.err, err)
+		}
+		if err != nil {
+			continue
+		}
+		if !resultsEqual(r.res, want) {
+			t.Errorf("run %d ended at errors %v in %d iterations; its oracle %v in %d", i, r.res.IterationErrors, r.res.Iterations, want.IterationErrors, want.Iterations)
+		}
+		checkTrace(t, r.events, r.res)
+		if sc.opt.CheckpointDir != "" {
+			o := sc.opt
+			o.Seed += int64(i)
+			checkCompleted(t, x, o, sc.machines, span, r.res)
+		}
+		st, stages := r.res.Stats, runStages(len(r.res.InitialErrors), sc.opt.Rank, span, r.res.Iterations)
+		switch {
+		case r.shuffles > 0:
+			builders++
+			if r.unfolds != 1 || r.partitions != 1 || r.shuffles != 3 || st.Stages != stages {
+				t.Errorf("run %d built the set with %d unfolds, %d partition stages and %d shuffles in %d stages; want 1, 1, 3 in %d",
+					i, r.unfolds, r.partitions, r.shuffles, st.Stages, stages)
+			}
+		case r.unfolds+r.partitions != 0 || st.ShuffledBytes != 0 || st.Stages != stages-1:
+			t.Errorf("run %d read the set after %d unfolds and %d partition stages, shuffling %d B in %d stages; want none in %d",
+				i, r.unfolds, r.partitions, st.ShuffledBytes, st.Stages, stages-1)
+		}
+	}
+	if wantErr == nil && builders != 1 {
+		t.Errorf("%d runs built the shared set, want 1", builders)
+	}
+	if files, _ := os.ReadDir(sc.opt.CheckpointDir); wantErr == nil && sc.opt.CheckpointDir != "" && len(files) != len(got) {
+		t.Errorf("%d runs left %d files in their checkpoint directory", len(got), len(files))
+	}
+	if _, err := DecomposeOn(context.Background(), set, testCluster(sc.machines), Options{Rank: sc.opt.Rank, Partitions: n + 1}); err == nil {
+		t.Errorf("a run for %d partitions ran on a set of %d", n+1, n)
 	}
 }
 
@@ -294,6 +434,9 @@ func (sc scenario) run(t *testing.T, x *tensor.Tensor, span int) (res *Result, s
 			// Every boundary but the last is polled, once it is reached.
 			t.Fatalf("evicted after iterations %b of %d, want %b", fired, res.Iterations, sc.evict&(1<<res.Iterations-1)&^1)
 		case !interrupted:
+			if err == nil && checkpoint != "" {
+				checkCompleted(t, x, opt, sc.machines, span, res)
+			}
 			return res, segments, err
 		}
 		ctx, opt.Resume = context.Background(), true
@@ -380,6 +523,26 @@ func checkTrace(t *testing.T, events []*trace.Event, res *Result) {
 	}
 }
 
+// checkCompleted holds a run that completed under o, with its checkpoint
+// directory, to the checkpoint it left: its last iteration is durable, even
+// off the period, and counted, and a resume returns its result without
+// another iteration.
+func checkCompleted(t *testing.T, x *tensor.Tensor, o Options, machines, span int, res *Result) {
+	t.Helper()
+	ck, err := readCheckpoint(o.CheckpointDir, runFingerprint(t, x, o, machines))
+	if err != nil || ck == nil || ck.Iteration != res.Iterations || res.Stats.CheckpointBytes <= 0 {
+		t.Fatalf("a run of %d iterations, %d checkpoint bytes, left the checkpoint %+v (%v)", res.Iterations, res.Stats.CheckpointBytes, ck, err)
+	}
+	o.Resume, o.Preempt = true, nil
+	again, err := decompose(context.Background(), x, nil, testCluster(machines), o, span)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resultsEqual(again, res) || again.Stats.Stages != 1 {
+		t.Fatalf("resuming a completed run ended at errors %v in %d stages; the run at %v", again.IterationErrors, again.Stats.Stages, res.IterationErrors)
+	}
+}
+
 // checkCheckpoint reads the checkpoint just written: its image is the
 // encoding of what it decodes to, and its error — the objective carried
 // through every commit since iteration 1 — recounts from its factors.
@@ -446,6 +609,8 @@ func TestScenarioPinned(t *testing.T) {
 		{"traced (was TestDecomposeUntracedUnchanged)", scenario{x: uniform(9, 10, 9, 8, 0.2), opt: Options{Rank: 3, Seed: 9, MaxIter: 3}, machines: 4}},
 		{"killed before its first checkpoint (was TestResumeMissingCheckpointStartsFresh)", scenario{x: planted(9, 10, 10, 10, 2, 0.3, 0, 0), opt: Options{Rank: 2, Seed: 5, MaxIter: 3, MinIter: 3}, machines: 2, cancel: 1}},
 		{"6 iterations (was TestPropErrorMatchesReconstruction)", scenario{x: uniform(6, 13, 7, 16, 0.2), opt: Options{Rank: 3, Seed: 6, MaxIter: 6}, machines: 2}},
+		{"shared set, 3 runs, 2 sets, N=5, span 1", scenario{x: planted(81, 11, 9, 13, 3, 0.3, 0.1, 0.1), opt: Options{Rank: 5, Seed: 3, MaxIter: 3, InitialSets: 2, Partitions: 5}, machines: 3, span: 1, shared: 3}},
+		{"shared set, cancelled build, topfiber, NoCache", scenario{x: planted(82, 10, 12, 9, 4, 0.3, 0.1, 0.1), opt: Options{Rank: 4, Seed: 4, MaxIter: 3, Init: InitTopFiber, NoCache: true}, machines: 2, shared: 2, cancelBuild: true}},
 	}
 	for _, v := range []int{2, 3, 7, 15} {
 		rows = append(rows, row{fmt.Sprintf("V=%d (was TestGroupBitsInvariance)", v),
@@ -501,4 +666,35 @@ func TestPreemptEvictsAndResumesBitIdentical(t *testing.T) {
 		sc.evict = 1 << k // off the checkpoint period at odd k: the eviction writes one
 		t.Run(fmt.Sprintf("after-iteration-%d", k), func(t *testing.T) { checkScenario(t, sc) })
 	}
+}
+
+// Shared-set scenarios under their own names: runs started together on one
+// set share one build, and a build cancelled in its partition stage is not
+// kept, so the next run builds.
+func TestSharedSetConcurrentRunsBuildOnce(t *testing.T) {
+	checkScenario(t, scenario{x: planted(29, 14, 12, 10, 4, 0.3, 0, 0), opt: Options{Rank: 4, MaxIter: 4, MinIter: 4}, machines: 3, shared: 4})
+}
+
+func TestSharedSetCancelledBuildNotKept(t *testing.T) {
+	checkScenario(t, scenario{x: planted(30, 12, 10, 8, 3, 0.3, 0, 0), opt: Options{Rank: 3, MaxIter: 3, MinIter: 3, Seed: 5}, machines: 3, shared: 2, cancelBuild: true})
+}
+
+// Checkpoint scenarios under their own names: the last iteration is durable
+// off the period, resuming a completed run returns its result (both
+// checkCompleted), and runs that checkpoint together into one directory, or
+// resume from it under another seed, each keep to their own file.
+func TestCheckpointEveryKWritesFinal(t *testing.T) {
+	checkScenario(t, scenario{x: planted(5, 12, 11, 10, 4, 0.3, 0.1, 0.1), opt: Options{Rank: 4, MaxIter: 3, MinIter: 3, Seed: 3, CheckpointEvery: 2}, machines: 2})
+}
+
+func TestResumeCompletedRunReturnsStoredResult(t *testing.T) {
+	checkScenario(t, scenario{x: planted(13, 12, 10, 8, 2, 0.3, 0, 0), opt: Options{Rank: 2, MaxIter: 4, MinIter: 4, Seed: 3, CheckpointEvery: 1}, machines: 2})
+}
+
+func TestConcurrentCheckpointJobsSharedDir(t *testing.T) {
+	checkScenario(t, scenario{x: planted(23, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, MaxIter: 4, MinIter: 4, Seed: 101, CheckpointEvery: 1}, machines: 4, shared: 2})
+}
+
+func TestResumeChangedConfigStartsFreshNamespace(t *testing.T) {
+	checkScenario(t, scenario{x: planted(11, 10, 10, 10, 2, 0.3, 0, 0), opt: Options{Rank: 2, MaxIter: 3, MinIter: 3, Seed: 5, CheckpointEvery: 1}, machines: 2, shared: 2})
 }

@@ -32,6 +32,32 @@ func TestDecomposeTraceClosesRunOnError(t *testing.T) {
 	}
 }
 
+// TestCancelDuringCheckpointClosesIteration: a cancel that lands while an
+// iteration's checkpoint is written ends the run once the checkpoint is
+// durable, and the iteration's span closes with its error, since a resume
+// continues after it.
+func TestCancelDuringCheckpointClosesIteration(t *testing.T) {
+	x := randomTensor(rand.New(rand.NewSource(5)), 8, 8, 8, 0.2)
+	o := Options{Rank: 2, Seed: 1, MaxIter: 3, MinIter: 3}
+	want, err := Decompose(context.Background(), x, testCluster(2), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var ends []*trace.Event
+	cl := tracedCluster(2, func(ev *trace.Event) {
+		if ev.Type == trace.DriverBegin && ev.Name == "checkpoint" {
+			cancel()
+		} else if ev.Type == trace.IterationEnd {
+			ends = append(ends, ev)
+		}
+	})
+	o.CheckpointDir = t.TempDir()
+	if _, err := Decompose(ctx, x, cl, o); !errors.Is(err, context.Canceled) || len(ends) != 1 || ends[0].Error == nil || *ends[0].Error != want.IterationErrors[0] {
+		t.Fatalf("the run returned %v with iteration ends %+v; want context.Canceled after iteration 1 at error %d", err, ends, want.IterationErrors[0])
+	}
+}
+
 // TestStageTasksCarryProfileLabels pins the slicing README "Profiling a
 // run" documents: a stage task's goroutine carries the "iteration", "mode"
 // and "stage" pprof labels together. The goroutine profile is taken from

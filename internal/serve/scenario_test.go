@@ -1,0 +1,609 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+	"time"
+
+	"dbtf/internal/cluster"
+	"dbtf/internal/core"
+	"dbtf/internal/gen"
+	"dbtf/internal/tensor"
+	"dbtf/internal/trace"
+)
+
+// A served job is a function of its spec and its tensor: no slice, eviction,
+// drain, straggler cancel, crash restart or other job on its tensor's set may
+// move a bit of it. A service scenario is one seeded life of a job server over
+// one data directory; checkServeScenario holds every job it admits to a direct
+// core.Decompose of its spec, or to a Cancel of it that returned nil.
+
+// planted is a scenario tensor: gen.FromFactors at factor density 0.3.
+type planted struct {
+	seed int64
+	dims [3]int
+	rank int
+}
+
+func (p planted) tensor() *tensor.Tensor {
+	x, _, _, _ := gen.FromFactors(rand.New(rand.NewSource(p.seed)), p.dims[0], p.dims[1], p.dims[2], p.rank, 0.3)
+	return x
+}
+
+type stepKind int
+
+const (
+	submitNext stepKind = iota // submit the next job
+	evictJob                   // evict the job if it runs; wait for the eviction or its end
+	cancelJob
+	waitJob // until the job is terminal
+	restart // drain, rewrite the crash set's queued records as running, start the next process
+)
+
+// step is one action of a script on job (by submission order; a job not yet
+// submitted, or shed, is left alone); crash has bit j for job j.
+type step struct {
+	kind  stepKind
+	job   int
+	crash uint
+}
+
+// serveScenario is a server's life on machines machines: tensors x0, x1, ...,
+// the jobs in submission order, each process's configuration (one more per
+// restart; the last is reused) and the script.
+type serveScenario struct {
+	machines int
+	tensors  []planted
+	jobs     []JobSpec
+	servers  []Config
+	script   []step
+}
+
+// drawServeScenario makes every bounded random choice of a service scenario
+// from rng, as drawScenario does for one run in internal/core.
+func drawServeScenario(rng *rand.Rand) serveScenario {
+	sc := serveScenario{machines: 1 + rng.Intn(4), servers: []Config{drawServer(rng)}}
+	for n := 1 + rng.Intn(3); len(sc.tensors) < n; {
+		sc.tensors = append(sc.tensors, planted{rng.Int63(), [3]int{6 + rng.Intn(9), 6 + rng.Intn(9), 6 + rng.Intn(9)}, 2 + rng.Intn(3)})
+	}
+	for n := 1 + rng.Intn(10); len(sc.jobs) < n; {
+		j := JobSpec{Tenant: fmt.Sprintf("t%d", rng.Intn(3)), TensorID: fmt.Sprintf("x%d", rng.Intn(len(sc.tensors))),
+			Rank: 1 + rng.Intn(5), MaxIter: 1 + rng.Intn(8), Init: [...]string{"fiber", "random", "topfiber"}[rng.Intn(3)],
+			InitialSets: 1 + rng.Intn(2), Seed: rng.Int63(), Priority: rng.Intn(5) - 2}
+		j.MinIter = []int{1, j.MaxIter}[rng.Intn(2)]
+		if j.Init == "topfiber" {
+			j.InitialSets = 1
+		}
+		sc.jobs = append(sc.jobs, j)
+	}
+	for n, submitted := 1+rng.Intn(16), 0; len(sc.script) < n; {
+		st := step{kind: [...]stepKind{submitNext, submitNext, submitNext, evictJob, evictJob, cancelJob, waitJob, restart}[rng.Intn(8)],
+			job: rng.Intn(max(submitted, 1))}
+		switch st.kind {
+		case submitNext:
+			submitted = min(submitted+1, len(sc.jobs))
+		case restart:
+			if rng.Intn(3) == 0 {
+				st.crash = uint(rng.Intn(1 << len(sc.jobs)))
+			}
+			sc.servers = append(sc.servers, drawServer(rng))
+		}
+		sc.script = append(sc.script, st)
+	}
+	return sc
+}
+
+// drawServer draws one process's configuration; a drain that gives up after
+// 1 ms cancels its stragglers mid-stage, and a tight admission sheds.
+func drawServer(rng *rand.Rand) Config {
+	cfg := Config{MaxRunning: 1 + rng.Intn(3), GateSlots: 1 + rng.Intn(3),
+		SliceIterations: []int{-1, 1, 2, 3}[rng.Intn(4)], DrainTimeout: 20 * time.Second}
+	if rng.Intn(4) == 0 {
+		cfg.DrainTimeout = time.Millisecond
+	}
+	if rng.Intn(4) == 0 {
+		cfg.Admission = AdmissionConfig{MaxQueued: 2 + rng.Intn(3), MaxQueuedPerTenant: 1 + rng.Intn(2),
+			TenantRate: 0.01, TenantBurst: float64(2 + rng.Intn(3))}
+	}
+	return cfg
+}
+
+// process is one server process and what it left when drained.
+type process struct {
+	s        *Server
+	shed     int64 // Submit calls refused
+	stats    Stats
+	end      map[string]JobView
+	traceLen map[string]int64
+}
+
+// serveRun is what a scenario's life did: by job, its id ("" if never
+// admitted); by id, the evictions seen to land, the records rewritten as
+// running, whether a Cancel of it returned nil, and the runs its trace tells.
+type serveRun struct {
+	dir           string
+	procs         []*process
+	ids           []string
+	landed, flips map[string]int
+	cancelled     map[string]bool
+	runs          map[string][]setUpRun
+}
+
+// setUpRun is one run of a job on a tensor in a process: its set-up events,
+// whether it reached an iteration, and the wall clock at its run_begin and at
+// its last shuffle.
+type setUpRun struct {
+	at                            string // the process and the tensor
+	unfolds, partitions, shuffles int
+	iterated                      bool
+	begin, built                  int64
+}
+
+func (r *serveRun) view(j int) JobView { return r.procs[len(r.procs)-1].end[r.ids[j]] }
+
+// run lives the scenario: the first process stores x0 through POST
+// /v1/tensors/x0 and the rest through PutTensor, the script plays, the jobs
+// left are submitted, every admitted job ends, and the last process drains.
+// A drained process must run no job and refuse a submit as draining.
+func (sc serveScenario) run(t *testing.T) *serveRun {
+	t.Helper()
+	r := &serveRun{dir: t.TempDir(), ids: make([]string, len(sc.jobs)), landed: map[string]int{},
+		flips: map[string]int{}, cancelled: map[string]bool{}, runs: map[string][]setUpRun{}}
+	var p *process
+	start := func() {
+		cfg := sc.servers[min(len(r.procs), len(sc.servers)-1)]
+		cfg.DataDir, cfg.Machines = r.dir, sc.machines
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("starting process %d: %v", len(r.procs), err)
+		}
+		t.Cleanup(s.Drain) // a failed check leaves nothing running
+		p = &process{s: s}
+		r.procs = append(r.procs, p)
+	}
+	drain := func() {
+		p.s.Drain()
+		var aerr *AdmissionError
+		if _, err := p.s.Submit(&sc.jobs[0]); !errors.As(err, &aerr) || aerr.Reason != "draining" {
+			t.Fatalf("a drained server answered a submit with %v", err)
+		}
+		p.shed++
+		p.stats, p.end, p.traceLen = p.s.StatsSnapshot(), map[string]JobView{}, map[string]int64{}
+		for _, v := range p.s.JobList("") {
+			if v.State == StateRunning {
+				t.Fatalf("job %s is running after the drain", v.ID)
+			}
+			p.end[v.ID] = v
+			if fi, err := os.Stat(tracePath(r.dir, v.ID)); err == nil {
+				p.traceLen[v.ID] = fi.Size()
+			}
+		}
+	}
+	next := 0
+	submit := func() {
+		v, err := p.s.Submit(&sc.jobs[next])
+		var aerr *AdmissionError
+		switch {
+		case err == nil:
+			r.ids[next] = v.ID
+		case errors.As(err, &aerr):
+			p.shed++
+		default:
+			t.Fatalf("submitting job %d: %v", next, err)
+		}
+		next++
+	}
+	start()
+	var upload bytes.Buffer
+	if err := sc.tensors[0].tensor().WriteBinary(&upload); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	if p.s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tensors/x0", &upload)); rec.Code != http.StatusCreated {
+		t.Fatalf("uploading x0: %d %s", rec.Code, rec.Body)
+	}
+	for i, x := range sc.tensors[1:] {
+		if err := p.s.PutTensor(fmt.Sprintf("x%d", i+1), x.tensor()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, st := range sc.script {
+		id := ""
+		if st.job < next {
+			id = r.ids[st.job]
+		}
+		switch {
+		case st.kind == submitNext && next < len(sc.jobs):
+			submit()
+		case st.kind == restart:
+			drain()
+			for j, id := range r.ids {
+				if crashed := p.end[id].Job; id != "" && st.crash&(1<<j) != 0 && crashed.State == StateQueued {
+					crashed.State = StateRunning
+					if err := persistJob(r.dir, &crashed); err != nil {
+						t.Fatal(err)
+					}
+					r.flips[id]++
+				}
+			}
+			start()
+		case id == "":
+		case st.kind == evictJob:
+			if v, _ := p.s.JobByID(id); v.State == StateRunning && p.s.Evict(id) == nil {
+				if waitState(t, p.s, id, func(w JobView) bool { return w.Evictions > v.Evictions || w.State.Terminal() }, "the eviction").Evictions > v.Evictions {
+					r.landed[id]++
+				}
+			}
+		case st.kind == cancelJob:
+			r.cancelled[id] = r.cancelled[id] || p.s.Cancel(id) == nil
+		case st.kind == waitJob:
+			waitTerminal(t, p.s, id)
+		}
+	}
+	for next < len(sc.jobs) {
+		submit()
+	}
+	for _, id := range r.ids {
+		if id != "" {
+			waitTerminal(t, p.s, id)
+		}
+	}
+	drain()
+	return r
+}
+
+// checkServeScenario lives the scenario and holds it to the service contract:
+// every admitted job is known to the last server and to its record on disk,
+// in one state, and none failed; one ends cancelled only if a Cancel of it
+// returned nil; a done job has a direct core.Decompose's factors, error,
+// iterations, convergence and error trajectory on a cluster of the server's
+// size, and one finished by the last process reports its error as its
+// progress; Restarts counts the records rewritten as running and Evictions
+// covers the evictions seen to land; each process counts the sheds the script
+// saw, and the last ends with nothing queued, running or charged; each
+// process's part of a trace validates and sets each tensor up once
+// (checkSetUp).
+func checkServeScenario(t *testing.T, sc serveScenario) *serveRun {
+	t.Helper()
+	r := sc.run(t)
+	last := r.procs[len(r.procs)-1]
+	if st := last.stats; st.Queued != 0 || st.Running != 0 || st.MemoryBytes != 0 {
+		t.Errorf("the last server ended with %d jobs queued, %d running and %d bytes charged", st.Queued, st.Running, st.MemoryBytes)
+	}
+	for k, p := range r.procs {
+		shed := int64(0)
+		for _, n := range p.stats.Shed {
+			shed += n
+		}
+		if shed != p.shed {
+			t.Errorf("process %d counted %v shed; the script saw %d", k, p.stats.Shed, p.shed)
+		}
+	}
+	records, err := loadJobs(r.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := map[string]State{}
+	for _, j := range records {
+		onDisk[j.ID] = j.State
+	}
+	for _, id := range r.ids {
+		v, ok := last.end[id]
+		switch {
+		case id == "":
+			continue
+		case !ok || onDisk[id] != v.State:
+			t.Errorf("job %s: the server has it %q, its record %q", id, v.State, onDisk[id])
+		case v.State == StateFailed || !v.State.Terminal():
+			t.Errorf("job %s ended %s (%s)", id, v.State, v.Error)
+		case v.State == StateCancelled && !r.cancelled[id]:
+			t.Errorf("job %s ended cancelled, but no Cancel of it returned nil", id)
+		case v.Restarts != r.flips[id] || v.Evictions < r.landed[id]:
+			t.Errorf("job %s: %d restarts and %d evictions; its record was rewritten %d times and %d evictions landed", id, v.Restarts, v.Evictions, r.flips[id], r.landed[id])
+		}
+		errs := r.readTrace(t, last.s.Handler(), v)
+		if v.State != StateDone {
+			continue
+		}
+		x := sc.tensors[v.Spec.TensorID[1]-'0'].tensor() // x0 … x9
+		want, err := core.Decompose(context.Background(), x, cluster.New(cluster.Config{Machines: sc.machines}), v.Spec.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, hash := v.Result, FactorHash(want.A, want.B, want.C); got.FactorHash != hash || got.Error != want.Error || got.Iterations != want.Iterations || got.Converged != want.Converged {
+			t.Errorf("job %s: factor hash %s, error %d after %d iterations (converged %v); a direct Decompose gives %s, %d after %d (%v)",
+				id, got.FactorHash, got.Error, got.Iterations, got.Converged, hash, want.Error, want.Iterations, want.Converged)
+		}
+		if !slices.Equal(errs, want.IterationErrors) {
+			t.Errorf("job %s: iteration errors %v on its trace, a direct Decompose gives %v", id, errs, want.IterationErrors)
+		}
+		finishedLast := len(r.procs) == 1 || !r.procs[len(r.procs)-2].end[id].State.Terminal()
+		if p := v.Progress; finishedLast && (p == nil || p.Iterations > 0 && p.LastError != v.Result.Error) {
+			t.Errorf("job %s ended at error %d, its progress reads %+v", id, v.Result.Error, p)
+		}
+	}
+	r.checkSetUp(t)
+	return r
+}
+
+// readTrace fetches the job's trace through GET /v1/jobs/{id}/trace and
+// validates each process's part on its own — a restarted server appends a
+// fresh stream — recording the job's runs. It returns the iteration_end
+// errors in order.
+func (r *serveRun) readTrace(t *testing.T, h http.Handler, v JobView) []int64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+v.ID+"/trace", nil))
+	body := rec.Body.Bytes()
+	if rec.Code == http.StatusNotFound { // it never ran
+		body = nil
+	}
+	var errs []int64
+	from := int64(0)
+	for k, p := range r.procs {
+		part := body[from:p.traceLen[v.ID]]
+		if from = p.traceLen[v.ID]; len(part) == 0 {
+			continue
+		}
+		if _, err := trace.ValidateJSONL(bytes.NewReader(part)); err != nil {
+			t.Errorf("job %s: process %d's trace: %v", v.ID, k, err)
+		}
+		events, err := trace.DecodeJSONL(bytes.NewReader(part))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var run *setUpRun
+		for _, ev := range events {
+			if ev.Type == trace.IterationEnd && ev.Error != nil {
+				errs = append(errs, *ev.Error)
+			}
+			switch {
+			case ev.Type == trace.RunBegin:
+				r.runs[v.ID] = append(r.runs[v.ID], setUpRun{at: fmt.Sprintf("process %d, %s", k, v.Spec.TensorID), begin: ev.WallNanos})
+				run = &r.runs[v.ID][len(r.runs[v.ID])-1]
+			case run == nil:
+			case ev.Type == trace.DriverBegin && ev.Name == "unfold":
+				run.unfolds++
+			case ev.Type == trace.StageBegin && ev.Name == "partition":
+				run.partitions++
+			case ev.Type == trace.Shuffle:
+				run.shuffles, run.built = run.shuffles+1, ev.WallNanos
+			case ev.Type == trace.IterationBegin:
+				run.iterated = true
+			}
+		}
+	}
+	if int(from) != len(body) {
+		t.Errorf("job %s: GET %d gave %d trace bytes, the drains left %d", v.ID, rec.Code, len(body), from)
+	}
+	return errs
+}
+
+// checkSetUp holds each process to one build of each tensor's set, by one
+// run — one unfold, one partition stage, three shuffles — and to one build if
+// any run on the tensor reached an iteration; no run that began after the
+// build sets the tensor up again. (A build cancelled in its partition stage
+// holds no shuffle and is not kept.)
+func (r *serveRun) checkSetUp(t *testing.T) {
+	t.Helper()
+	built := map[string]int64{}
+	for _, runs := range r.runs {
+		for _, run := range runs {
+			if _, twice := built[run.at]; run.shuffles > 0 {
+				if twice || run.unfolds != 1 || run.partitions != 1 || run.shuffles != 3 {
+					t.Errorf("%s: a build (again: %v) with %d unfolds, %d partition stages and %d shuffles", run.at, twice, run.unfolds, run.partitions, run.shuffles)
+				}
+				built[run.at] = run.built
+			}
+		}
+	}
+	for id, runs := range r.runs {
+		for _, run := range runs {
+			b, ok := built[run.at]
+			if !ok && run.iterated || ok && run.begin > b && run.unfolds+run.partitions+run.shuffles > 0 {
+				t.Errorf("job %s, %s: a run iterated with no build (%v) or set the tensor up after it", id, run.at, !ok)
+			}
+		}
+	}
+}
+
+// FuzzServeScenario checks the service scenario a seed draws. Plain go test
+// runs the seeds added here; go test -fuzz='^FuzzServeScenario$' draws more.
+func FuzzServeScenario(f *testing.F) {
+	for seed := int64(1); seed <= 60; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkServeScenario(t, drawServeScenario(rand.New(rand.NewSource(seed))))
+	})
+}
+
+// pinnedScenario stores testTensor(7) as x0 on testServer's configuration —
+// two machines, one slot, no timeslice — and sends rank-3 jobs of the given
+// iteration counts (MinIter = MaxIter), seeds 42, 43, ...
+func pinnedScenario(iters []int, script ...step) serveScenario {
+	sc := serveScenario{machines: 2, tensors: []planted{testPlanted(7)}, script: script,
+		servers: []Config{{MaxRunning: 1, GateSlots: 2, SliceIterations: -1, DrainTimeout: 20 * time.Second}}}
+	for i, n := range iters {
+		sc.jobs = append(sc.jobs, JobSpec{Tenant: "acme", TensorID: "x0", Rank: 3, MaxIter: n, MinIter: n, Seed: 42 + int64(i)})
+	}
+	return sc
+}
+
+var sub, reboot = step{kind: submitNext}, step{kind: restart}
+
+func evict(j int) step { return step{kind: evictJob, job: j} }
+func wait(j int) step  { return step{kind: waitJob, job: j} }
+
+// TestServeScenarioPinned: a drain that gives up after 1 ms cancels three
+// running jobs mid-stage, and each resumes bit-identically.
+func TestServeScenarioPinned(t *testing.T) {
+	sc := pinnedScenario([]int{8, 8, 8}, sub, sub, sub, reboot)
+	sc.servers[0].MaxRunning, sc.servers[0].DrainTimeout = 3, time.Millisecond
+	t.Run("three slots drained at 1 ms", func(t *testing.T) { checkServeScenario(t, sc) })
+}
+
+// The hand-written lifecycle tests the scenario replaced keep their names,
+// each one pinned scenario plus the assertion that keeps it from passing
+// vacuously.
+
+func TestSubmitRunsToDone(t *testing.T) {
+	if p := checkServeScenario(t, pinnedScenario([]int{6}, sub, wait(0))).view(0).Progress; p == nil || p.Iterations == 0 {
+		t.Errorf("progress %+v", p)
+	}
+}
+
+func TestSameSpecReproducesFactorHash(t *testing.T) {
+	sc := pinnedScenario([]int{6, 6}, sub, sub)
+	sc.jobs[1].Seed = sc.jobs[0].Seed
+	if r := checkServeScenario(t, sc); r.view(0).Result.FactorHash != r.view(1).Result.FactorHash {
+		t.Error("one spec, two factor hashes")
+	}
+}
+
+func TestEvictResumesBitIdentical(t *testing.T) {
+	if r := checkServeScenario(t, pinnedScenario([]int{8}, sub, evict(0), evict(0))); r.landed[r.ids[0]] < 2 {
+		t.Errorf("%d evictions landed, want 2", r.landed[r.ids[0]])
+	}
+}
+
+func TestTimesliceSharesSlotAcrossJobs(t *testing.T) {
+	sc := pinnedScenario([]int{10, 10}, sub, sub)
+	sc.servers[0].SliceIterations = 2
+	if checkServeScenario(t, sc).view(0).Evictions == 0 {
+		t.Error("the first job was never timesliced despite a waiting queue")
+	}
+}
+
+func TestCancelQueuedJob(t *testing.T) {
+	if v := checkServeScenario(t, pinnedScenario([]int{8, 6}, sub, sub, step{kind: cancelJob, job: 1})).view(1); v.State != StateCancelled {
+		t.Errorf("the queued job ended %s", v.State)
+	}
+}
+
+func TestDrainZeroLostJobsAndRestartResumes(t *testing.T) {
+	if r := checkServeScenario(t, pinnedScenario([]int{8, 8, 8, 8}, sub, sub, sub, sub, reboot)); r.procs[0].end[r.ids[3]].State != StateQueued {
+		t.Errorf("the last job was %s after the drain, want queued", r.procs[0].end[r.ids[3]].State)
+	}
+}
+
+// TestCrashRecoveryFlipsRunningToQueued: two crash restarts, the first
+// process timeslicing at every iteration.
+func TestCrashRecoveryFlipsRunningToQueued(t *testing.T) {
+	sc := pinnedScenario([]int{8, 8, 8}, sub, sub, sub, step{kind: restart, crash: 7}, step{kind: restart, crash: 7})
+	sc.servers[0].SliceIterations = 1
+	if r := checkServeScenario(t, sc); r.flips[r.ids[2]] != 2 {
+		t.Errorf("the last job's record was rewritten %d times, want 2", r.flips[r.ids[2]])
+	}
+}
+
+func TestDrainRequeuesRunningJobViaCheckpoint(t *testing.T) {
+	r := checkServeScenario(t, pinnedScenario([]int{8}, sub, reboot))
+	entries, err := os.ReadDir(filepath.Join(r.dir, "checkpoints", r.ids[0]))
+	if r.procs[0].end[r.ids[0]].State != StateQueued || len(entries) == 0 {
+		t.Errorf("after the drain the job was %s with checkpoints %v (%v)", r.procs[0].end[r.ids[0]].State, entries, err)
+	}
+}
+
+func TestServerStatsCountersAdvance(t *testing.T) {
+	if st := checkServeScenario(t, pinnedScenario([]int{6, 6, 6}, sub, sub, sub)).procs[0].stats; st.Admitted != 3 || st.Completed != 3 {
+		t.Errorf("stats %+v", st)
+	}
+}
+
+func TestManySmallJobsAllComplete(t *testing.T) {
+	sc := pinnedScenario(nil)
+	sc.tensors = []planted{testPlanted(1), testPlanted(2), testPlanted(3)}
+	sc.servers[0].MaxRunning, sc.servers[0].SliceIterations = 3, 3
+	for i := 0; i < 12; i++ {
+		sc.jobs = append(sc.jobs, JobSpec{Tenant: fmt.Sprintf("tenant%d", i%4), TensorID: fmt.Sprintf("x%d", i%3), Rank: 3, MaxIter: 5, MinIter: 5, Seed: int64(i)})
+	}
+	if st := checkServeScenario(t, sc).procs[0].stats; st.Completed != 12 {
+		t.Errorf("%d of 12 jobs done", st.Completed)
+	}
+}
+
+// TestServedTracesValidate: the first job on a tensor builds its set in its
+// one run, a later job reads it, and an evicted job reads it in both runs.
+func TestServedTracesValidate(t *testing.T) {
+	r := checkServeScenario(t, pinnedScenario([]int{6, 6, 8}, sub, wait(0), sub, wait(1), sub, evict(2), wait(2)))
+	for j, want := range [][]int{{3}, {0}, {0, 0}} {
+		var got []int
+		for _, run := range r.runs[r.ids[j]] {
+			got = append(got, run.shuffles)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("job %d's runs hold %v shuffles, want %v", j, got, want)
+		}
+	}
+}
+
+// TestSharedSetServedAfterRestart: a drain leaves a job evicted mid-run on x0
+// and two queued on x1; the restarted server starts all three at once, the
+// resumed job builds x0, and x1 is built once (checkSetUp).
+func TestSharedSetServedAfterRestart(t *testing.T) {
+	sc := pinnedScenario([]int{8, 6, 6}, sub, sub, sub, reboot)
+	sc.tensors, sc.jobs[1].TensorID, sc.jobs[2].TensorID = append(sc.tensors, testPlanted(8)), "x1", "x1"
+	sc.servers = append(sc.servers, Config{MaxRunning: 3, GateSlots: 2, SliceIterations: -1, DrainTimeout: 20 * time.Second})
+	r := checkServeScenario(t, sc)
+	for j := range sc.jobs {
+		if v := r.procs[0].end[r.ids[j]]; v.State != StateQueued {
+			t.Errorf("job %d was %s after the drain, want queued", j, v.State)
+		}
+	}
+	if runs := r.runs[r.ids[0]]; runs[len(runs)-1].shuffles != 3 {
+		t.Errorf("the resumed job's runs %+v; want the last to build x0", runs)
+	}
+}
+
+// sinkFunc adapts a function to trace.Sink.
+type sinkFunc func(*trace.Event)
+
+func (f sinkFunc) Write(ev *trace.Event) error { f(ev); return nil }
+func (sinkFunc) Close() error                  { return nil }
+
+// TestCancelAsSliceEndsIsKept: a Cancel that lands after a slice returned
+// core.ErrPreempted, before the server requeued the job, cancels it. The
+// first job waits at its run_begin until the second is queued, so the
+// one-iteration timeslice ends its slice, and its sink cancels it on that
+// slice's run_end.
+func TestCancelAsSliceEndsIsKept(t *testing.T) {
+	s := testServer(t, func(c *Config) { c.SliceIterations = 1 })
+	defer s.Drain()
+	if err := s.PutTensor("x1", testTensor(7)); err != nil {
+		t.Fatal(err)
+	}
+	queued, cancelled, runs := make(chan struct{}), make(chan error, 1), 0
+	s.traces["j00000000"] = &jobTrace{progress: &progressSink{}, tracer: trace.New(sinkFunc(func(ev *trace.Event) {
+		if ev.Type == trace.RunBegin {
+			if runs++; runs == 1 {
+				<-queued
+			}
+		} else if ev.Type == trace.RunEnd && runs == 1 {
+			cancelled <- s.Cancel("j00000000")
+		}
+	}))}
+	v, err := s.Submit(baseSpec("x1"))
+	if err == nil {
+		_, err = s.Submit(baseSpec("x1"))
+	}
+	close(queued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-cancelled; err != nil {
+		t.Fatalf("Cancel as the slice ended: %v", err)
+	}
+	if got := waitTerminal(t, s, v.ID); got.State != StateCancelled {
+		t.Fatalf("Cancel returned nil, but the job ended %s after %d evictions", got.State, got.Evictions)
+	}
+}

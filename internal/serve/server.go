@@ -312,9 +312,10 @@ func (s *Server) requeueLocked(j *Job) error {
 	return persistJob(s.cfg.DataDir, j)
 }
 
-// runJob executes one slice of a job and applies the outcome
-// transition. Eviction (core.ErrPreempted) and drain cancellation
-// requeue the job; everything else is terminal.
+// runJob executes one slice of a job and applies the outcome transition:
+// a client's Cancel during the slice turns its eviction or cancellation into
+// the end of the job; otherwise eviction and drain cancellation requeue it,
+// and anything else is terminal.
 func (s *Server) runJob(ctx context.Context, j *Job) {
 	defer s.wg.Done()
 	var res *core.Result
@@ -332,12 +333,12 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	case err == nil:
 		j.Result = buildResult(res, set.Tensor().NNZ())
 		perr = s.finishLocked(j, StateDone, nil)
+	case j.cancelReq && (errors.Is(err, core.ErrPreempted) || errors.Is(err, context.Canceled)):
+		perr = s.finishLocked(j, StateCancelled, nil)
 	case errors.Is(err, core.ErrPreempted):
 		j.Evictions++
 		s.counters.evictions++
 		perr = s.requeueLocked(j)
-	case errors.Is(err, context.Canceled) && j.cancelReq:
-		perr = s.finishLocked(j, StateCancelled, nil)
 	case errors.Is(err, context.Canceled):
 		// Drain-timeout cancellation: the work since the last iteration
 		// boundary is lost, but the checkpoint makes the resume

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,17 +11,15 @@ import (
 	"testing"
 	"time"
 
-	"dbtf/internal/gen"
+	"dbtf/internal/boolmat"
 	"dbtf/internal/tensor"
 )
 
-// testTensor is a small planted tensor that factorizes exactly, so jobs
+// testPlanted is a small planted tensor that factorizes exactly, so jobs
 // finish quickly but still run real engine iterations.
-func testTensor(seed int64) *tensor.Tensor {
-	rng := rand.New(rand.NewSource(seed))
-	x, _, _, _ := gen.FromFactors(rng, 12, 10, 8, 3, 0.3)
-	return x
-}
+func testPlanted(seed int64) planted { return planted{seed: seed, dims: [3]int{12, 10, 8}, rank: 3} }
+
+func testTensor(seed int64) *tensor.Tensor { return testPlanted(seed).tensor() }
 
 func testServer(t *testing.T, mutate func(*Config)) *Server {
 	t.Helper()
@@ -71,160 +68,6 @@ func waitTerminal(t *testing.T, s *Server, id string) JobView {
 
 func baseSpec(tensorID string) *JobSpec {
 	return &JobSpec{Tenant: "acme", TensorID: tensorID, Rank: 3, MaxIter: 6, MinIter: 6, Seed: 42}
-}
-
-func TestSubmitRunsToDone(t *testing.T) {
-	s := testServer(t, nil)
-	defer s.Drain()
-	if err := s.PutTensor("x1", testTensor(7)); err != nil {
-		t.Fatalf("PutTensor: %v", err)
-	}
-	view, err := s.Submit(baseSpec("x1"))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if view.State != StateQueued && view.State != StateRunning {
-		t.Fatalf("state after submit = %s", view.State)
-	}
-	done := waitTerminal(t, s, view.ID)
-	if done.State != StateDone {
-		t.Fatalf("state = %s (error %q), want done", done.State, done.Error)
-	}
-	if done.Result == nil || done.Result.FactorHash == "" {
-		t.Fatalf("result = %+v", done.Result)
-	}
-	if done.Result.Iterations == 0 {
-		t.Fatal("result reports zero iterations")
-	}
-	// The job record is durable and the trace stream exists.
-	if _, err := os.Stat(filepath.Join(s.cfg.DataDir, jobsDirName, view.ID+".json")); err != nil {
-		t.Fatalf("job record: %v", err)
-	}
-	data, err := os.ReadFile(tracePath(s.cfg.DataDir, view.ID))
-	if err != nil {
-		t.Fatalf("trace stream: %v", err)
-	}
-	if !strings.Contains(string(data), "iteration_end") {
-		t.Fatal("trace stream has no iteration events")
-	}
-	if done.Progress == nil || done.Progress.Iterations == 0 {
-		t.Fatalf("progress = %+v", done.Progress)
-	}
-}
-
-func TestSameSpecReproducesFactorHash(t *testing.T) {
-	s := testServer(t, nil)
-	defer s.Drain()
-	if err := s.PutTensor("x1", testTensor(7)); err != nil {
-		t.Fatal(err)
-	}
-	v1, err := s.Submit(baseSpec("x1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := s.Submit(baseSpec("x1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := waitTerminal(t, s, v1.ID)
-	r2 := waitTerminal(t, s, v2.ID)
-	if r1.State != StateDone || r2.State != StateDone {
-		t.Fatalf("states = %s, %s", r1.State, r2.State)
-	}
-	if r1.Result.FactorHash != r2.Result.FactorHash {
-		t.Fatalf("same spec produced different factors: %s vs %s",
-			r1.Result.FactorHash, r2.Result.FactorHash)
-	}
-	if r1.Result.Error != r2.Result.Error {
-		t.Fatalf("errors differ: %d vs %d", r1.Result.Error, r2.Result.Error)
-	}
-}
-
-func TestEvictResumesBitIdentical(t *testing.T) {
-	s := testServer(t, nil)
-	defer s.Drain()
-	if err := s.PutTensor("x1", testTensor(7)); err != nil {
-		t.Fatal(err)
-	}
-	// Baseline: the same spec uninterrupted.
-	base, err := s.Submit(baseSpec("x1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseDone := waitTerminal(t, s, base.ID)
-	if baseDone.State != StateDone {
-		t.Fatalf("baseline state = %s", baseDone.State)
-	}
-
-	// Victim: evict it every time we catch it running, until it has been
-	// preempted at least twice, then let it finish.
-	victim, err := s.Submit(baseSpec("x1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	evictions := 0
-	deadline := time.Now().Add(30 * time.Second)
-	for evictions < 2 && time.Now().Before(deadline) {
-		v, _ := s.JobByID(victim.ID)
-		if v.State.Terminal() {
-			break
-		}
-		if v.State == StateRunning && v.Evictions == evictions {
-			if err := s.Evict(victim.ID); err == nil {
-				waitState(t, s, victim.ID, func(v JobView) bool {
-					return v.Evictions > evictions || v.State.Terminal()
-				}, "eviction to land")
-				evictions++
-			}
-		}
-		time.Sleep(time.Millisecond)
-	}
-	done := waitTerminal(t, s, victim.ID)
-	if done.State != StateDone {
-		t.Fatalf("victim state = %s (error %q)", done.State, done.Error)
-	}
-	if done.Evictions == 0 {
-		t.Skip("job finished before any eviction landed; nothing to compare")
-	}
-	if done.Result.FactorHash != baseDone.Result.FactorHash {
-		t.Fatalf("evicted-and-resumed job diverged: hash %s after %d evictions, baseline %s",
-			done.Result.FactorHash, done.Evictions, baseDone.Result.FactorHash)
-	}
-	if done.Result.Error != baseDone.Result.Error {
-		t.Fatalf("errors diverged: %d vs baseline %d", done.Result.Error, baseDone.Result.Error)
-	}
-}
-
-func TestTimesliceSharesSlotAcrossJobs(t *testing.T) {
-	s := testServer(t, func(c *Config) {
-		c.SliceIterations = 2 // aggressive timeslice
-	})
-	defer s.Drain()
-	if err := s.PutTensor("x1", testTensor(7)); err != nil {
-		t.Fatal(err)
-	}
-	// Two long jobs on one slot: the timeslicer must preempt the first
-	// so the second makes progress before the first finishes.
-	long := baseSpec("x1")
-	long.MaxIter, long.MinIter = 10, 10
-	v1, err := s.Submit(long)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec2 := *long
-	spec2.Seed = 43
-	v2, err := s.Submit(&spec2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := waitTerminal(t, s, v1.ID)
-	r2 := waitTerminal(t, s, v2.ID)
-	if r1.State != StateDone || r2.State != StateDone {
-		t.Fatalf("states = %s, %s", r1.State, r2.State)
-	}
-	if r1.Evictions == 0 {
-		t.Fatal("first job was never timesliced despite a waiting queue")
-	}
 }
 
 func TestAdmissionRejectsAtServer(t *testing.T) {
@@ -390,123 +233,6 @@ func TestHTTPRoutes(t *testing.T) {
 	}
 }
 
-func TestCancelQueuedJob(t *testing.T) {
-	s := testServer(t, nil)
-	defer s.Drain()
-	if err := s.PutTensor("x1", testTensor(7)); err != nil {
-		t.Fatal(err)
-	}
-	long := baseSpec("x1")
-	long.MaxIter, long.MinIter = 50, 50
-	v1, err := s.Submit(long)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := s.Submit(baseSpec("x1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// v2 waits behind v1 on the single slot; cancel it while queued.
-	if err := s.Cancel(v2.ID); err != nil {
-		// It may have started if v1 finished implausibly fast; then the
-		// running-cancel path applies.
-		t.Logf("queued cancel raced to running: %v", err)
-	}
-	got := waitTerminal(t, s, v2.ID)
-	if got.State != StateCancelled {
-		t.Fatalf("state = %s, want cancelled", got.State)
-	}
-	if r1 := waitTerminal(t, s, v1.ID); r1.State != StateDone {
-		t.Fatalf("unrelated job state = %s", r1.State)
-	}
-}
-
-func TestDrainZeroLostJobsAndRestartResumes(t *testing.T) {
-	dir := t.TempDir()
-	s := testServer(t, func(c *Config) { c.DataDir = dir })
-	if err := s.PutTensor("x1", testTensor(7)); err != nil {
-		t.Fatal(err)
-	}
-	var ids []string
-	for i := 0; i < 4; i++ {
-		spec := baseSpec("x1")
-		spec.Seed = int64(100 + i)
-		spec.MaxIter, spec.MinIter = 8, 8
-		v, err := s.Submit(spec)
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		ids = append(ids, v.ID)
-	}
-	// Let the first job get going, then drain mid-flight.
-	waitState(t, s, ids[0], func(v JobView) bool {
-		return v.State == StateRunning || v.State.Terminal()
-	}, "first job to start")
-	s.Drain()
-
-	// Zero lost jobs: every submitted job is durably queued or terminal.
-	for _, id := range ids {
-		v, ok := s.JobByID(id)
-		if !ok {
-			t.Fatalf("job %s lost across drain", id)
-		}
-		if v.State == StateRunning {
-			t.Fatalf("job %s still running after Drain", id)
-		}
-	}
-	if _, err := s.Submit(baseSpec("x1")); err == nil {
-		t.Fatal("draining server accepted a submit")
-	}
-
-	// Restart over the same data dir: queued jobs resume to completion.
-	s2 := testServer(t, func(c *Config) { c.DataDir = dir })
-	defer s2.Drain()
-	for _, id := range ids {
-		v := waitTerminal(t, s2, id)
-		if v.State != StateDone {
-			t.Fatalf("job %s after restart = %s (error %q)", id, v.State, v.Error)
-		}
-	}
-	// And the recovered results are still bit-identical to fresh runs.
-	fresh := baseSpec("x1")
-	fresh.Seed, fresh.MaxIter, fresh.MinIter = 100, 8, 8
-	fv, err := s2.Submit(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd := waitTerminal(t, s2, fv.ID)
-	rv, _ := s2.JobByID(ids[0])
-	if fd.Result.FactorHash != rv.Result.FactorHash {
-		t.Fatalf("restart-resumed hash %s != fresh-run hash %s",
-			rv.Result.FactorHash, fd.Result.FactorHash)
-	}
-}
-
-func TestCrashRecoveryFlipsRunningToQueued(t *testing.T) {
-	dir := t.TempDir()
-	s := testServer(t, func(c *Config) { c.DataDir = dir })
-	if err := s.PutTensor("x1", testTensor(7)); err != nil {
-		t.Fatal(err)
-	}
-	s.Drain()
-	// Simulate a crash mid-run: a job record durably marked running with
-	// no process behind it.
-	j := &Job{ID: "j00000099", Seq: 99, Spec: *baseSpec("x1"), State: StateRunning,
-		TensorBytes: 100}
-	if err := persistJob(dir, j); err != nil {
-		t.Fatal(err)
-	}
-	s2 := testServer(t, func(c *Config) { c.DataDir = dir })
-	defer s2.Drain()
-	v := waitTerminal(t, s2, "j00000099")
-	if v.State != StateDone {
-		t.Fatalf("recovered job = %s (error %q)", v.State, v.Error)
-	}
-	if v.Restarts != 1 {
-		t.Fatalf("Restarts = %d, want 1", v.Restarts)
-	}
-}
-
 func TestLoadJobsSkipsTempAndRejectsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	if err := persistJob(dir, &Job{ID: "j1", Seq: 1, State: StateDone}); err != nil {
@@ -592,28 +318,26 @@ func TestTensorStoreDurableAcrossReopen(t *testing.T) {
 	}
 }
 
+// FactorHash is a bit-identity fingerprint: equal triples hash equal, and
+// flipping any one bit of A, B or C changes the hash.
 func TestFactorHashDistinguishesFactors(t *testing.T) {
-	// Sanity: different tensors produce different hashes (with
-	// overwhelming probability), identical runs identical ones.
-	s := testServer(t, func(c *Config) { c.MaxRunning = 2 })
-	defer s.Drain()
-	if err := s.PutTensor("x1", testTensor(7)); err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(1))
+	fs := [3]*boolmat.FactorMatrix{boolmat.RandomFactor(rng, 5, 3, 0.5), boolmat.RandomFactor(rng, 4, 3, 0.5), boolmat.RandomFactor(rng, 6, 3, 0.5)}
+	want := FactorHash(fs[0], fs[1], fs[2])
+	if got := FactorHash(fs[0].Clone(), fs[1].Clone(), fs[2].Clone()); got != want {
+		t.Fatalf("equal factors hash %s and %s", got, want)
 	}
-	if err := s.PutTensor("x2", testTensor(8)); err != nil {
-		t.Fatal(err)
-	}
-	v1, err := s.Submit(baseSpec("x1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := s.Submit(baseSpec("x2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, r2 := waitTerminal(t, s, v1.ID), waitTerminal(t, s, v2.ID)
-	if r1.Result.FactorHash == r2.Result.FactorHash {
-		t.Fatalf("different tensors, same factor hash %s", r1.Result.FactorHash)
+	for m, f := range fs {
+		for i := 0; i < f.Rows(); i++ {
+			for c := 0; c < f.Rank(); c++ {
+				flipped := fs
+				flipped[m] = f.Clone()
+				flipped[m].Set(i, c, !f.Get(i, c))
+				if FactorHash(flipped[0], flipped[1], flipped[2]) == want {
+					t.Errorf("flipping entry (%d, %d) of factor %d leaves the hash %s", i, c, m, want)
+				}
+			}
+		}
 	}
 }
 
@@ -637,110 +361,6 @@ func TestConfigRejectsBadMachines(t *testing.T) {
 		cfg.DataDir = t.TempDir()
 		if _, err := New(cfg); err == nil {
 			t.Errorf("New accepted %s -1", name)
-		}
-	}
-}
-
-func TestServerStatsCountersAdvance(t *testing.T) {
-	s := testServer(t, nil)
-	defer s.Drain()
-	if err := s.PutTensor("x1", testTensor(7)); err != nil {
-		t.Fatal(err)
-	}
-	n := 3
-	var ids []string
-	for i := 0; i < n; i++ {
-		spec := baseSpec("x1")
-		spec.Seed = int64(i)
-		v, err := s.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, v.ID)
-	}
-	for _, id := range ids {
-		waitTerminal(t, s, id)
-	}
-	stats := s.StatsSnapshot()
-	if stats.Admitted != int64(n) || stats.Completed != int64(n) {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if stats.MemoryBytes != 0 {
-		t.Fatalf("memory not released: %d", stats.MemoryBytes)
-	}
-	if stats.Queued != 0 || stats.Running != 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-}
-
-func TestDrainRequeuesRunningJobViaCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	s := testServer(t, func(c *Config) { c.DataDir = dir })
-	if err := s.PutTensor("x1", testTensor(7)); err != nil {
-		t.Fatal(err)
-	}
-	long := baseSpec("x1")
-	long.MaxIter, long.MinIter = 40, 40
-	v, err := s.Submit(long)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, s, v.ID, func(jv JobView) bool {
-		return jv.State == StateRunning || jv.State.Terminal()
-	}, "job to start")
-	s.Drain()
-	jv, _ := s.JobByID(v.ID)
-	if jv.State == StateRunning {
-		t.Fatalf("running after drain")
-	}
-	if jv.State.Terminal() && jv.State != StateDone {
-		t.Fatalf("drained job = %s (error %q)", jv.State, jv.Error)
-	}
-	if jv.State == StateQueued {
-		// Checkpoint must exist so the restart resumes, not restarts.
-		ckdir := filepath.Join(dir, "checkpoints", v.ID)
-		entries, err := os.ReadDir(ckdir)
-		if err != nil || len(entries) == 0 {
-			t.Fatalf("no checkpoint after drain eviction: %v %v", entries, err)
-		}
-	}
-	s2 := testServer(t, func(c *Config) { c.DataDir = dir })
-	defer s2.Drain()
-	final := waitTerminal(t, s2, v.ID)
-	if final.State != StateDone {
-		t.Fatalf("after restart = %s (error %q)", final.State, final.Error)
-	}
-}
-
-func TestManySmallJobsAllComplete(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	s := testServer(t, func(c *Config) {
-		c.MaxRunning = 3
-		c.SliceIterations = 3
-	})
-	defer s.Drain()
-	for i := 0; i < 3; i++ {
-		if err := s.PutTensor(fmt.Sprintf("x%d", i), testTensor(int64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var ids []string
-	for i := 0; i < 12; i++ {
-		spec := baseSpec(fmt.Sprintf("x%d", i%3))
-		spec.Tenant = fmt.Sprintf("tenant%d", i%4)
-		spec.Seed = int64(i)
-		spec.MaxIter, spec.MinIter = 5, 5
-		v, err := s.Submit(spec)
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		ids = append(ids, v.ID)
-	}
-	for _, id := range ids {
-		if v := waitTerminal(t, s, id); v.State != StateDone {
-			t.Fatalf("job %s = %s (error %q)", id, v.State, v.Error)
 		}
 	}
 }

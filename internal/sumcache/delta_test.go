@@ -1,6 +1,7 @@
 package sumcache
 
 import (
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -66,7 +67,10 @@ func TestSumDeltaMatchesSums(t *testing.T) {
 					if !d.Empty() {
 						// Pop is the within-group gain at this cache's
 						// width: |entry1 &^ entry0|.
-						wantPop := bitvec.AndNotCountWords(d.W1, d.W0)
+						wantPop := 0
+						for i, w := range d.W1 {
+							wantPop += bits.OnesCount64(w &^ d.W0[i])
+						}
 						if d.Pop != wantPop {
 							t.Fatalf("V=%d %s mask=%#x bit=%d: Pop=%d want %d",
 								groupBits, tc.name, mask, b, d.Pop, wantPop)
