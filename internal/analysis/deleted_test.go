@@ -92,6 +92,8 @@ var deletedNames = []deletedName{
 		pr: "PR 33: a worker is shipped only its own partitions' set-up bodies and decodes them straight into its blocks; the whole-tensor set-up — a tensor in the blob, unfolded and partitioned whole on every worker — is gone"},
 	{pattern: `\bAndNotCountWords\b`, scope: []string{"."},
 		pr: "the dead-kernel sweep: bitvec.AndNotCountWords had no caller outside its own tests; a test that needs |W1 &^ W0| counts it inline"},
+	{pattern: `serve/loadgen|"loadtest"|runLoadTest`, scope: []string{"."},
+		pr: "the load-generator retirement: the job server's contract has one check, FuzzServeScenario through the HTTP API; the shipped load generator and dbtf-serve -loadtest were a second, hand-scheduled checker of it"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

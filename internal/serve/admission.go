@@ -153,6 +153,21 @@ type AdmissionConfig struct {
 	RetryAfter time.Duration
 }
 
+// validate refuses what withDefaults would pass through: a negative bound
+// (MaxQueued -1 sheds every submit as queue_full), and a rate or burst that
+// is negative, NaN or infinite.
+func (c AdmissionConfig) validate() error {
+	if c.MaxQueued < 0 || c.MaxQueuedPerTenant < 0 || c.MemoryBudget < 0 || c.RetryAfter < 0 {
+		return fmt.Errorf("serve: AdmissionConfig MaxQueued %d, MaxQueuedPerTenant %d, MemoryBudget %d, RetryAfter %v: none may be negative",
+			c.MaxQueued, c.MaxQueuedPerTenant, c.MemoryBudget, c.RetryAfter)
+	}
+	if !(c.TenantRate >= 0 && c.TenantBurst >= 0) || math.IsInf(c.TenantRate, 1) || math.IsInf(c.TenantBurst, 1) {
+		return fmt.Errorf("serve: AdmissionConfig TenantRate %v, TenantBurst %v: each must be finite and not negative",
+			c.TenantRate, c.TenantBurst)
+	}
+	return nil
+}
+
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.MaxQueued == 0 {
 		c.MaxQueued = 1024

@@ -3,14 +3,17 @@ package serve
 import (
 	"bytes"
 	"context"
-	"errors"
+	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -24,8 +27,9 @@ import (
 // A served job is a function of its spec and its tensor: no slice, eviction,
 // drain, straggler cancel, crash restart or other job on its tensor's set may
 // move a bit of it. A service scenario is one seeded life of a job server over
-// one data directory; checkServeScenario holds every job it admits to a direct
-// core.Decompose of its spec, or to a Cancel of it that returned nil.
+// one data directory, lived through the HTTP API; checkServeScenario holds
+// every job it admits to a direct core.Decompose of its spec, or to a cancel
+// of it that the server accepted.
 
 // planted is a scenario tensor: gen.FromFactors at factor density 0.3.
 type planted struct {
@@ -50,7 +54,7 @@ const (
 )
 
 // step is one action of a script on job (by submission order; a job not yet
-// submitted, or shed, is left alone); crash has bit j for job j.
+// submitted, or refused, is left alone); crash has bit j for job j.
 type step struct {
 	kind  stepKind
 	job   int
@@ -117,18 +121,86 @@ func drawServer(rng *rand.Rand) Config {
 	return cfg
 }
 
-// process is one server process and what it left when drained.
+// process is one server process, its API, and what it left when drained:
+// GET /v1/stats, GET /v1/jobs by id, and its trace files' lengths.
 type process struct {
 	s        *Server
-	shed     int64 // Submit calls refused
+	h        http.Handler
+	shed     map[string]int64 // refused submits by reason
 	stats    Stats
 	end      map[string]JobView
 	traceLen map[string]int64
 }
 
+// call sends one request to h.
+func call(h http.Handler, method, path string, body io.Reader) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, body))
+	return rec
+}
+
+// decode is the JSON body of a response that must have status want.
+func decode[T any](t *testing.T, rec *httptest.ResponseRecorder, want int, what string) T {
+	t.Helper()
+	var v T
+	if rec.Code != want {
+		t.Fatalf("%s: %d %s", what, rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	return v
+}
+
+// submit posts spec to POST /v1/jobs and returns the admitted job's id, or
+// "" and the reason of a refusal: a 429, or a 503 while the server drains,
+// with a Retry-After of at least a second. The process tallies its refusals
+// by reason.
+func (p *process) submit(t *testing.T, spec *JobSpec) (id, reason string) {
+	t.Helper()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := call(p.h, http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+	if rec.Code == http.StatusAccepted {
+		return decode[JobView](t, rec, http.StatusAccepted, "submit").ID, ""
+	}
+	var refusal apiError
+	retry, err := strconv.Atoi(rec.Header().Get("Retry-After"))
+	if err == nil {
+		err = json.Unmarshal(rec.Body.Bytes(), &refusal)
+	}
+	want := http.StatusTooManyRequests
+	if refusal.Reason == "draining" {
+		want = http.StatusServiceUnavailable
+	}
+	if err != nil || rec.Code != want || refusal.Reason == "" || retry < 1 {
+		t.Fatalf("submit refused with %d, Retry-After %q: %s", rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+	}
+	p.shed[refusal.Reason]++
+	return "", refusal.Reason
+}
+
+// act sends an evict or a cancel and reports whether the server accepted it
+// (202); it may refuse only with 404 or 409.
+func (p *process) act(t *testing.T, method, path string) bool {
+	t.Helper()
+	switch rec := call(p.h, method, path, nil); rec.Code {
+	case http.StatusAccepted:
+		return true
+	case http.StatusNotFound, http.StatusConflict:
+		return false
+	default:
+		t.Fatalf("%s %s: %d %s", method, path, rec.Code, rec.Body)
+		return false
+	}
+}
+
 // serveRun is what a scenario's life did: by job, its id ("" if never
 // admitted); by id, the evictions seen to land, the records rewritten as
-// running, whether a Cancel of it returned nil, and the runs its trace tells.
+// running, whether the server accepted a cancel of it, and the runs its
+// trace tells.
 type serveRun struct {
 	dir           string
 	procs         []*process
@@ -150,10 +222,11 @@ type setUpRun struct {
 
 func (r *serveRun) view(j int) JobView { return r.procs[len(r.procs)-1].end[r.ids[j]] }
 
-// run lives the scenario: the first process stores x0 through POST
-// /v1/tensors/x0 and the rest through PutTensor, the script plays, the jobs
-// left are submitted, every admitted job ends, and the last process drains.
-// A drained process must run no job and refuse a submit as draining.
+// run lives the scenario through each process's Handler: the first process
+// stores the tensors through POST /v1/tensors/{id}, the script plays, the
+// jobs left are submitted, every admitted job ends, and the last process
+// drains. A drained process must run no job and refuse a submit as draining.
+// Only the waits poll the Server directly.
 func (sc serveScenario) run(t *testing.T) *serveRun {
 	t.Helper()
 	r := &serveRun{dir: t.TempDir(), ids: make([]string, len(sc.jobs)), landed: map[string]int{},
@@ -167,18 +240,18 @@ func (sc serveScenario) run(t *testing.T) *serveRun {
 			t.Fatalf("starting process %d: %v", len(r.procs), err)
 		}
 		t.Cleanup(s.Drain) // a failed check leaves nothing running
-		p = &process{s: s}
+		p = &process{s: s, h: s.Handler(), shed: map[string]int64{}}
 		r.procs = append(r.procs, p)
 	}
 	drain := func() {
 		p.s.Drain()
-		var aerr *AdmissionError
-		if _, err := p.s.Submit(&sc.jobs[0]); !errors.As(err, &aerr) || aerr.Reason != "draining" {
-			t.Fatalf("a drained server answered a submit with %v", err)
+		if id, reason := p.submit(t, &sc.jobs[0]); reason != "draining" {
+			t.Fatalf("a drained server answered a submit with job %q, reason %q", id, reason)
 		}
-		p.shed++
-		p.stats, p.end, p.traceLen = p.s.StatsSnapshot(), map[string]JobView{}, map[string]int64{}
-		for _, v := range p.s.JobList("") {
+		p.stats = decode[Stats](t, call(p.h, http.MethodGet, "/v1/stats", nil), http.StatusOK, "stats")
+		p.end, p.traceLen = map[string]JobView{}, map[string]int64{}
+		list := decode[struct{ Jobs []JobView }](t, call(p.h, http.MethodGet, "/v1/jobs", nil), http.StatusOK, "the job list")
+		for _, v := range list.Jobs {
 			if v.State == StateRunning {
 				t.Fatalf("job %s is running after the drain", v.ID)
 			}
@@ -190,30 +263,17 @@ func (sc serveScenario) run(t *testing.T) *serveRun {
 	}
 	next := 0
 	submit := func() {
-		v, err := p.s.Submit(&sc.jobs[next])
-		var aerr *AdmissionError
-		switch {
-		case err == nil:
-			r.ids[next] = v.ID
-		case errors.As(err, &aerr):
-			p.shed++
-		default:
-			t.Fatalf("submitting job %d: %v", next, err)
-		}
+		r.ids[next], _ = p.submit(t, &sc.jobs[next])
 		next++
 	}
 	start()
-	var upload bytes.Buffer
-	if err := sc.tensors[0].tensor().WriteBinary(&upload); err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	if p.s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tensors/x0", &upload)); rec.Code != http.StatusCreated {
-		t.Fatalf("uploading x0: %d %s", rec.Code, rec.Body)
-	}
-	for i, x := range sc.tensors[1:] {
-		if err := p.s.PutTensor(fmt.Sprintf("x%d", i+1), x.tensor()); err != nil {
+	for i, x := range sc.tensors {
+		var upload bytes.Buffer
+		if err := x.tensor().WriteBinary(&upload); err != nil {
 			t.Fatal(err)
+		}
+		if rec := call(p.h, http.MethodPost, fmt.Sprintf("/v1/tensors/x%d", i), &upload); rec.Code != http.StatusCreated {
+			t.Fatalf("uploading x%d: %d %s", i, rec.Code, rec.Body)
 		}
 	}
 	for _, st := range sc.script {
@@ -238,13 +298,13 @@ func (sc serveScenario) run(t *testing.T) *serveRun {
 			start()
 		case id == "":
 		case st.kind == evictJob:
-			if v, _ := p.s.JobByID(id); v.State == StateRunning && p.s.Evict(id) == nil {
+			if v, _ := p.s.JobByID(id); v.State == StateRunning && p.act(t, http.MethodPost, "/v1/jobs/"+id+"/evict") {
 				if waitState(t, p.s, id, func(w JobView) bool { return w.Evictions > v.Evictions || w.State.Terminal() }, "the eviction").Evictions > v.Evictions {
 					r.landed[id]++
 				}
 			}
 		case st.kind == cancelJob:
-			r.cancelled[id] = r.cancelled[id] || p.s.Cancel(id) == nil
+			r.cancelled[id] = r.cancelled[id] || p.act(t, http.MethodDelete, "/v1/jobs/"+id)
 		case st.kind == waitJob:
 			waitTerminal(t, p.s, id)
 		}
@@ -261,17 +321,18 @@ func (sc serveScenario) run(t *testing.T) *serveRun {
 	return r
 }
 
-// checkServeScenario lives the scenario and holds it to the service contract:
-// every admitted job is known to the last server and to its record on disk,
-// in one state, and none failed; one ends cancelled only if a Cancel of it
-// returned nil; a done job has a direct core.Decompose's factors, error,
-// iterations, convergence and error trajectory on a cluster of the server's
+// checkServeScenario lives the scenario and holds it to the service contract,
+// as the API reports it: every admitted job is in the last server's job list
+// and has its record on disk, in one state, and none failed; one ends
+// cancelled only if the server accepted a cancel of it; a done job's result
+// has a direct core.Decompose's factors, error, iterations and convergence,
+// and its trace that run's error trajectory, on a cluster of the server's
 // size, and one finished by the last process reports its error as its
 // progress; Restarts counts the records rewritten as running and Evictions
-// covers the evictions seen to land; each process counts the sheds the script
-// saw, and the last ends with nothing queued, running or charged; each
-// process's part of a trace validates and sets each tensor up once
-// (checkSetUp).
+// covers the evictions seen to land; each process's stats count its refused
+// submits reason by reason, and the last ends with nothing queued, running or
+// charged; each process's part of a trace validates and sets each tensor up
+// once (checkSetUp).
 func checkServeScenario(t *testing.T, sc serveScenario) *serveRun {
 	t.Helper()
 	r := sc.run(t)
@@ -280,12 +341,8 @@ func checkServeScenario(t *testing.T, sc serveScenario) *serveRun {
 		t.Errorf("the last server ended with %d jobs queued, %d running and %d bytes charged", st.Queued, st.Running, st.MemoryBytes)
 	}
 	for k, p := range r.procs {
-		shed := int64(0)
-		for _, n := range p.stats.Shed {
-			shed += n
-		}
-		if shed != p.shed {
-			t.Errorf("process %d counted %v shed; the script saw %d", k, p.stats.Shed, p.shed)
+		if !maps.Equal(p.stats.Shed, p.shed) {
+			t.Errorf("process %d counted %v shed; the script was refused %v", k, p.stats.Shed, p.shed)
 		}
 	}
 	records, err := loadJobs(r.dir)
@@ -306,20 +363,21 @@ func checkServeScenario(t *testing.T, sc serveScenario) *serveRun {
 		case v.State == StateFailed || !v.State.Terminal():
 			t.Errorf("job %s ended %s (%s)", id, v.State, v.Error)
 		case v.State == StateCancelled && !r.cancelled[id]:
-			t.Errorf("job %s ended cancelled, but no Cancel of it returned nil", id)
+			t.Errorf("job %s ended cancelled, but the server accepted no cancel of it", id)
 		case v.Restarts != r.flips[id] || v.Evictions < r.landed[id]:
 			t.Errorf("job %s: %d restarts and %d evictions; its record was rewritten %d times and %d evictions landed", id, v.Restarts, v.Evictions, r.flips[id], r.landed[id])
 		}
-		errs := r.readTrace(t, last.s.Handler(), v)
+		errs := r.readTrace(t, last.h, v)
 		if v.State != StateDone {
 			continue
 		}
+		got := decode[JobResult](t, call(last.h, http.MethodGet, "/v1/jobs/"+id+"/result", nil), http.StatusOK, "job "+id+"'s result")
 		x := sc.tensors[v.Spec.TensorID[1]-'0'].tensor() // x0 … x9
 		want, err := core.Decompose(context.Background(), x, cluster.New(cluster.Config{Machines: sc.machines}), v.Spec.Options())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, hash := v.Result, FactorHash(want.A, want.B, want.C); got.FactorHash != hash || got.Error != want.Error || got.Iterations != want.Iterations || got.Converged != want.Converged {
+		if hash := FactorHash(want.A, want.B, want.C); got.FactorHash != hash || got.Error != want.Error || got.Iterations != want.Iterations || got.Converged != want.Converged {
 			t.Errorf("job %s: factor hash %s, error %d after %d iterations (converged %v); a direct Decompose gives %s, %d after %d (%v)",
 				id, got.FactorHash, got.Error, got.Iterations, got.Converged, hash, want.Error, want.Iterations, want.Converged)
 		}
@@ -327,8 +385,8 @@ func checkServeScenario(t *testing.T, sc serveScenario) *serveRun {
 			t.Errorf("job %s: iteration errors %v on its trace, a direct Decompose gives %v", id, errs, want.IterationErrors)
 		}
 		finishedLast := len(r.procs) == 1 || !r.procs[len(r.procs)-2].end[id].State.Terminal()
-		if p := v.Progress; finishedLast && (p == nil || p.Iterations > 0 && p.LastError != v.Result.Error) {
-			t.Errorf("job %s ended at error %d, its progress reads %+v", id, v.Result.Error, p)
+		if p := v.Progress; finishedLast && (p == nil || p.Iterations > 0 && p.LastError != got.Error) {
+			t.Errorf("job %s ended at error %d, its progress reads %+v", id, got.Error, p)
 		}
 	}
 	r.checkSetUp(t)
@@ -450,6 +508,26 @@ func TestServeScenarioPinned(t *testing.T) {
 	sc := pinnedScenario([]int{8, 8, 8}, sub, sub, sub, reboot)
 	sc.servers[0].MaxRunning, sc.servers[0].DrainTimeout = 3, time.Millisecond
 	t.Run("three slots drained at 1 ms", func(t *testing.T) { checkServeScenario(t, sc) })
+}
+
+// TestHogTenantIsShed: one tenant submits six jobs against a burst of two
+// while two others submit two each. The hog is refused as rate_limited, with
+// a 429 and a Retry-After, and every job of the others is done.
+func TestHogTenantIsShed(t *testing.T) {
+	sc := pinnedScenario([]int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4})
+	sc.servers[0].Admission = AdmissionConfig{TenantRate: 0.01, TenantBurst: 2}
+	for j := range sc.jobs {
+		sc.jobs[j].Tenant = [...]string{"hog", "a", "hog", "b", "hog"}[j%5]
+	}
+	r := checkServeScenario(t, sc)
+	if shed := r.procs[0].shed; shed["rate_limited"] != 4 {
+		t.Errorf("the hog's six submits were refused %v, want four rate_limited", shed)
+	}
+	for j, spec := range sc.jobs {
+		if v := r.view(j); spec.Tenant != "hog" && v.State != StateDone {
+			t.Errorf("tenant %s's job %d ended %q", spec.Tenant, j, v.State)
+		}
+	}
 }
 
 // The hand-written lifecycle tests the scenario replaced keep their names,

@@ -83,6 +83,9 @@ func (c Config) withDefaults() (Config, error) {
 	if err := c.clusterConfig().Validate(); err != nil {
 		return c, fmt.Errorf("serve: %w", err)
 	}
+	if err := c.Admission.validate(); err != nil {
+		return c, err
+	}
 	c.Admission = c.Admission.withDefaults()
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}

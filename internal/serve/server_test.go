@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -357,10 +358,22 @@ func TestConfigRejectsBadMachines(t *testing.T) {
 		"MaxRunning":   {MaxRunning: -1},
 		"GateSlots":    {GateSlots: -1},
 		"DrainTimeout": {DrainTimeout: -1},
+		// A negative admission bound would reach admit and shed every
+		// submit against a limit of -1.
+		"MaxQueued":          {Admission: AdmissionConfig{MaxQueued: -1}},
+		"MaxQueuedPerTenant": {Admission: AdmissionConfig{MaxQueuedPerTenant: -1}},
+		"MemoryBudget":       {Admission: AdmissionConfig{MemoryBudget: -1}},
+		"RetryAfter":         {Admission: AdmissionConfig{RetryAfter: -1}},
+		"TenantRate":         {Admission: AdmissionConfig{TenantRate: -1}},
+		"TenantRate NaN":     {Admission: AdmissionConfig{TenantRate: math.NaN()}},
+		"TenantRate +Inf":    {Admission: AdmissionConfig{TenantRate: math.Inf(1)}},
+		"TenantBurst":        {Admission: AdmissionConfig{TenantBurst: -1}},
+		"TenantBurst NaN":    {Admission: AdmissionConfig{TenantBurst: math.NaN()}},
+		"TenantBurst +Inf":   {Admission: AdmissionConfig{TenantBurst: math.Inf(1)}},
 	} {
 		cfg.DataDir = t.TempDir()
 		if _, err := New(cfg); err == nil {
-			t.Errorf("New accepted %s -1", name)
+			t.Errorf("New accepted %s", name)
 		}
 	}
 }
