@@ -237,8 +237,8 @@ func (o Options) resolve() (runConfig, error) {
 	if cfg.GroupBits == 0 {
 		cfg.GroupBits = sumcache.DefaultGroupBits
 	}
-	if cfg.GroupBits < 1 {
-		return cfg, fmt.Errorf("core: GroupBits %d < 1", cfg.GroupBits)
+	if cfg.GroupBits < 1 || cfg.GroupBits > sumcache.MaxGroupBits {
+		return cfg, fmt.Errorf("%w: %d", ErrGroupBits, cfg.GroupBits)
 	}
 	if cfg.Tolerance < 0 {
 		return cfg, fmt.Errorf("core: Tolerance %d < 0", cfg.Tolerance)
@@ -273,6 +273,11 @@ func (o Options) withDefaults(machines int) (runConfig, error) {
 	}
 	return cfg, nil
 }
+
+// ErrGroupBits is returned (wrapped) for a cache threshold V outside
+// [1, sumcache.MaxGroupBits]: by option resolution, and by a worker
+// decoding a set-up blob that carries one.
+var ErrGroupBits = fmt.Errorf("core: GroupBits outside [1,%d]", sumcache.MaxGroupBits)
 
 // ErrPreempted is returned (wrapped) by Decompose when Options.Preempt
 // evicted the run at an iteration boundary. The boundary's state was

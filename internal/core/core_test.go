@@ -2,7 +2,8 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
+	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
 	"dbtf/internal/partition"
+	"dbtf/internal/sumcache"
 	"dbtf/internal/tensor"
 	"dbtf/internal/trace"
 )
@@ -67,14 +69,20 @@ func TestDecomposeValidation(t *testing.T) {
 		{"negative sets", x, Options{Rank: 2, InitialSets: -1}},
 		{"negative partitions", x, Options{Rank: 2, Partitions: -1}},
 		{"negative groupbits", x, Options{Rank: 2, GroupBits: -1}},
+		{"groupbits above the cap", x, Options{Rank: 2, GroupBits: sumcache.MaxGroupBits + 1}},
+		{"groupbits 64", x, Options{Rank: 2, GroupBits: 64}},
 		{"negative tolerance", x, Options{Rank: 2, Tolerance: -5}},
 		{"multiple sets with topfiber init", x, Options{Rank: 2, Init: InitTopFiber, InitialSets: 2}},
 		{"unknown init scheme", x, Options{Rank: 2, Init: InitScheme(9)}},
 		{"empty tensor", tensor.New(0, 3, 3), Options{Rank: 2}},
 	}
 	for _, tc := range cases {
-		if _, err := Decompose(context.Background(), tc.x, cl, tc.opt); err == nil {
+		_, err := Decompose(context.Background(), tc.x, cl, tc.opt)
+		if err == nil {
 			t.Errorf("%s: no error", tc.name)
+		}
+		if tc.opt.GroupBits != 0 && !errors.Is(err, ErrGroupBits) {
+			t.Errorf("%s: got %v, want ErrGroupBits", tc.name, err)
 		}
 	}
 }
@@ -341,7 +349,7 @@ func TestUpdateFactorModes2And3MatchReference(t *testing.T) {
 // charges the bodies' bytes, and no body is larger than its plain form,
 // which carries nothing. With N = M and N | K the mode-1 and mode-2
 // partitions on a machine are the same k-slabs, so a mode-2 body is its
-// rows' zero counts alone.
+// rows' zero counts alone: a bit each, padded to a byte.
 func TestShuffleVolumeLemma6(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, tc := range []struct {
@@ -404,7 +412,7 @@ func TestShuffleVolumeLemma6(t *testing.T) {
 		for m, u := range x.UnfoldAll() {
 			plain := partition.Build(u, tc.n)
 			for pi := range plain.Parts {
-				if got, most := px[m].ReshipBytes(pi), plain.ReshipBytes(pi); got > most || m == 1 && tc.mode2CountsOnly && got != int64(u.NumRows) {
+				if got, most := px[m].ReshipBytes(pi), plain.ReshipBytes(pi); got > most || m == 1 && tc.mode2CountsOnly && got != int64(u.NumRows+7)/8 {
 					t.Errorf("%s: mode %d partition %d body is %d B; plain %d B, %d rows", tc.name, m+1, pi, got, most, u.NumRows)
 				}
 			}
@@ -415,31 +423,47 @@ func TestShuffleVolumeLemma6(t *testing.T) {
 
 // shippedNonzeros sums the row counts of the bodies a set-up blob for
 // machine home of M carries, header stripped: every mode's partitions homed
-// there, each rows of a count followed by as many gaps.
+// there, each rows of a count followed by as many gaps, read bit by bit as
+// Exp-Golomb codes — the count of order 0, a row's gaps of order
+// ⌊log2⌊W/count⌋⌋ − 2 (at least 0) in a partition W columns wide — and
+// zero-padded to a byte.
 func shippedNonzeros(t *testing.T, bodies []byte, px [3]*partition.Partitioned, home, machines int) int64 {
 	t.Helper()
-	next := func() uint64 {
-		u, n := binary.Uvarint(bodies)
-		if n <= 0 {
+	pos := 0
+	bit := func() uint64 {
+		if pos >= 8*len(bodies) {
 			t.Fatal("a body is cut short")
 		}
-		bodies = bodies[n:]
-		return u
+		pos++
+		return uint64(bodies[(pos-1)/8] >> (7 - (pos-1)%8) & 1)
+	}
+	next := func(k int) uint64 {
+		zeros := 0
+		for bit() == 0 {
+			zeros++
+		}
+		v := uint64(1)
+		for n := 0; n < zeros+k; n++ {
+			v = v<<1 | bit()
+		}
+		return v - 1<<k
 	}
 	var total int64
 	for _, p := range px {
 		for pi := home; pi < len(p.Parts); pi += machines {
+			width := p.Parts[pi].Width()
 			for r := 0; r < p.NumRows; r++ {
-				count := next()
+				count := next(0)
 				for c := uint64(0); c < count; c++ {
-					next()
+					next(max(bits.Len(uint(width)/uint(count))-3, 0))
 				}
 				total += int64(count)
 			}
+			pos = (pos + 7) / 8 * 8
 		}
 	}
-	if len(bodies) != 0 {
-		t.Fatalf("%d bytes after the bodies", len(bodies))
+	if pos != 8*len(bodies) {
+		t.Fatalf("%d bits after the bodies", 8*len(bodies)-pos)
 	}
 	return total
 }

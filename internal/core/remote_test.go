@@ -309,11 +309,33 @@ func TestSetupCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// bitString packs a string of 0s and 1s, spaces aside, most significant
+// bit first, and zero-pads it to a byte.
+func bitString(s string) []byte {
+	var out []byte
+	n := 0
+	for _, c := range s {
+		if c == ' ' {
+			continue
+		}
+		if n%8 == 0 {
+			out = append(out, 0)
+		}
+		if c == '1' {
+			out[n/8] |= 0x80 >> (n % 8)
+		}
+		n++
+	}
+	return out
+}
+
 // carriedBlobs returns machine 0's set-up blob of a run of x under cfg, cut
 // after its mode-1 bodies and continued in two ways the decoder must refuse:
 // inside, a first mode-2 body whose row 0 ships one nonzero in column 0 —
 // mode-1 column 0, in partition 0, homed on machine 0 like every partition
-// 0, so the segment is carried — ahead of the blob's own mode-2 bodies; and
+// 0, so the segment is carried — ahead of the blob's own mode-2 bodies (the
+// count 1 as the order-0 code 010, the gap 0 as the order-1 code 10 of a
+// partition 8 columns wide); and
 // counted, the first mode-2 body as a plain build ships it, whose row counts
 // include the carried nonzeros, followed by the rest of the blob.
 func carriedBlobs(t testing.TB, x *tensor.Tensor, cfg runConfig) (inside, counted []byte) {
@@ -326,7 +348,7 @@ func carriedBlobs(t testing.TB, x *tensor.Tensor, cfg runConfig) (inside, counte
 	for pi := 0; pi < len(px[0].Parts); pi += cfg.Machines {
 		cut += int(px[0].ReshipBytes(pi))
 	}
-	inside = append(append(slices.Clone(blob[:cut]), 1, 0), blob[cut:]...)
+	inside = append(append(slices.Clone(blob[:cut]), bitString("010 10")...), blob[cut:]...)
 	plain := partition.Build(x.Unfold(tensor.Mode2), cfg.Partitions)
 	defer plain.Release()
 	counted = plain.AppendBody(slices.Clone(blob[:cut]), 0)
@@ -399,28 +421,42 @@ func FuzzSetupDecode(f *testing.F) {
 	real := setupBlobs(f, x, cfg)[0]
 	header := real[:setupHeaderLen:setupHeaderLen]
 	// Machine 0's first body is partition 0 of the mode-1 unfolding: 6 rows
-	// over columns [0, 6).
-	body := func(b ...byte) []byte { return append(slices.Clone(header), b...) }
+	// over columns [0, 6); a count's code has at most 2 leading zeros there,
+	// and a row with 1 to 3 columns has order-0 gap codes of at most 2. Its
+	// second is partition 2's, so the mode's bodies are at least 12 bits.
+	body := func(bits string) []byte { return append(slices.Clone(header), bitString(bits)...) }
+	// refused adds a seed after checking that the decoder refuses it where
+	// its comment says.
+	refused := func(why string, blob []byte) {
+		if _, err := decodeSetup(blob); err == nil || !strings.Contains(err.Error(), why) {
+			f.Fatalf("got %v, want an error containing %q", err, why)
+		}
+		f.Add(blob)
+	}
 	f.Add(real)
-	f.Add(real[:len(real)-1]) // cut inside the last body
-	// A count of 2^31 columns and none behind it.
-	f.Add(body(0x80, 0x80, 0x80, 0x80, 0x08))
-	// Two columns, the second past the first row's end.
-	f.Add(body(2, 1, 4))
-	// A column at the partition's Hi.
-	f.Add(body(1, 6))
-	// A gap past int32.
-	f.Add(body(1, 0x80, 0x80, 0x80, 0x80, 0x10))
+	refused("cut short", real[:len(real)-1]) // cut inside the last body
+	// Rows of one column (gap 1, gap 0) and three empty ones, then a count
+	// whose code runs past the body.
+	refused("row 5: the count's code", body("010 010  010 1  1  1  1  001"))
+	// One column, at the partition's Hi: the gap 6.
+	refused("column 0 is at or past", body("010 00111  00000000"))
+	// One column whose gap's code has 3 leading zeros.
+	refused("column 0's code", body("010 0001  000000000"))
+	// Four rows of one column and an empty one, then a count of 6 with 2
+	// bits left.
+	refused("the 2 bits left", body("010 1  010 1  010 1  010 1  1  00111  00"))
+	// Six empty rows and a padding bit set.
+	refused("pads", body("1 1 1 1 1 1  01  00000000"))
 	// A blob for machine 2 of 2.
 	other := slices.Clone(real)
 	binary.LittleEndian.PutUint32(other[setupHeaderLen-4:], 2)
-	f.Add(other)
-	// A count of zero as a two-byte varint.
-	f.Add(body(0x80, 0x00))
-	// A count above the bytes left.
-	f.Add(body(3, 0, 0))
+	refused("machine 2 of 2", other)
+	// A cache group of 64 bits.
+	wide := cfg
+	wide.GroupBits = 64
+	refused("groupbits=64", setupBlobs(f, x, wide)[0])
 	// One byte after the last body.
-	f.Add(append(slices.Clone(real), 0))
+	refused("trailing", append(slices.Clone(real), 0))
 	// A mode-2 nonzero the mode-1 bodies carry, and a mode-2 body whose row
 	// counts include such nonzeros.
 	inside, counted := carriedBlobs(f, x, cfg)

@@ -11,6 +11,7 @@ import (
 
 	"dbtf/internal/boolmat"
 	"dbtf/internal/partition"
+	"dbtf/internal/sumcache"
 )
 
 // The state and result payloads a remote run ships, in the coordinator →
@@ -119,6 +120,9 @@ func decodeSetup(payload []byte) (setup, error) {
 	if cfg.Machines < 1 || cfg.Machines > math.MaxInt32 || cfg.Rank < 1 || cfg.Rank > boolmat.MaxRank || cfg.Partitions < 1 || cfg.GroupBits < 1 {
 		return s, fmt.Errorf("core: setup parameters out of range: machines=%d rank=%d partitions=%d groupbits=%d",
 			cfg.Machines, cfg.Rank, cfg.Partitions, cfg.GroupBits)
+	}
+	if cfg.GroupBits > sumcache.MaxGroupBits {
+		return s, fmt.Errorf("core: setup groupbits=%d: %w", cfg.GroupBits, ErrGroupBits)
 	}
 	rest := payload[8*len(words):]
 	for n := range s.dims {

@@ -304,10 +304,12 @@ func (p *Partitioned) Release() {
 func (p *Partitioned) ReshipBytes(pi int) int64 { return p.Parts[pi].bodyBytes }
 
 // AppendBody appends partition pi's set-up body to dst: row by row, the
-// count of the row's nonzeros the body ships — those in segments its Carry
-// does not carry — then their columns in ascending order, each as its gap
-// from the one before less one, the first column's from the partition's Lo.
-// Every value is a minimal uvarint, so the body is exactly ReshipBytes(pi)
+// count c of the row's nonzeros the body ships — those in segments its
+// Carry does not carry — as an order-0 Exp-Golomb code, then their columns
+// in ascending order, each as its gap from the one before less one, the
+// first column's from the partition's Lo, as order-k codes with k =
+// gapOrder(W, c) for a partition W columns wide. The bits run MSB-first and
+// the body is zero-padded to a byte, so it is exactly ReshipBytes(pi)
 // bytes; Receive reads it back.
 func (p *Partitioned) AppendBody(dst []byte, pi int) []byte {
 	part := p.Parts[pi]
@@ -315,6 +317,7 @@ func (p *Partitioned) AppendBody(dst []byte, pi int) []byte {
 	if len(part.Blocks) > 0 {
 		first = part.Blocks[0].PVM
 	}
+	bw := bitWriter{dst: dst}
 	for r := 0; r < p.NumRows; r++ {
 		n := 0
 		w := p.carry.across(pi, r, first)
@@ -323,7 +326,11 @@ func (p *Partitioned) AppendBody(dst []byte, pi int) []byte {
 				n += len(b.RowBits(r))
 			}
 		}
-		dst = binary.AppendUvarint(dst, uint64(n))
+		bw.expGolomb(uint64(n), 0)
+		if n == 0 {
+			continue
+		}
+		k := gapOrder(part.Width(), n)
 		prev := int32(part.Lo) - 1
 		w = p.carry.across(pi, r, first)
 		for _, b := range part.Blocks {
@@ -332,16 +339,114 @@ func (p *Partitioned) AppendBody(dst []byte, pi int) []byte {
 			}
 			lo := int32(b.Lo)
 			for _, o := range b.RowBits(r) {
-				dst = binary.AppendUvarint(dst, uint64(lo+o-prev-1))
+				bw.expGolomb(uint64(lo+o-prev-1), k)
 				prev = lo + o
 			}
 		}
 	}
-	return dst
+	return bw.pad()
 }
 
-// uvarintLen is the length of u's minimal uvarint.
-func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+// gapOrder is the order of the Exp-Golomb codes of a row's gaps when it
+// ships count > 0 nonzeros of a partition width columns wide:
+// ⌊log2⌊width/count⌋⌋ − 2, at least 0. The row's mean gap is about
+// width/count, so its codes mostly spend 2 to 4 bits above k; the decoder
+// derives k as the encoder does and nothing is sent for it.
+func gapOrder(width, count int) uint {
+	return uint(max(bits.Len(uint(width/count))-3, 0))
+}
+
+// expGolombBits is the length of v's order-k Exp-Golomb code: with
+// q = v>>k + 1, bitlen(q)−1 zeros, q, then v's low k bits.
+func expGolombBits(v uint64, k uint) int { return 2*bits.Len64(v>>k+1) - 1 + int(k) }
+
+// bitWriter appends bits to a byte slice, most significant first.
+type bitWriter struct {
+	dst []byte
+	acc uint64 // the pending bits in its low n bits, n < 8 between writes
+	n   uint
+}
+
+// write appends v's low n bits, n <= 56; v has no bit above them.
+func (w *bitWriter) write(v uint64, n uint) {
+	w.acc = w.acc<<n | v
+	w.n += n
+	for w.n >= 8 {
+		w.n -= 8
+		w.dst = append(w.dst, byte(w.acc>>w.n))
+	}
+}
+
+// expGolomb appends v's order-k code. The zeros aside, the code is q's bits
+// followed by v's low k, which is v + 2^k in bitlen(q) + k bits. Set-up
+// values are below 2^31, so each write is at most 32 bits.
+func (w *bitWriter) expGolomb(v uint64, k uint) {
+	q := v>>k + 1
+	w.write(0, uint(bits.Len64(q))-1)
+	w.write(v+1<<k, uint(bits.Len64(q))+k)
+}
+
+// pad zero-fills the last byte and returns the bytes written.
+func (w *bitWriter) pad() []byte {
+	if w.n > 0 {
+		w.write(0, 8-w.n)
+	}
+	return w.dst
+}
+
+// bitReader reads an MSB-first bit string.
+type bitReader struct {
+	b   []byte
+	pos int // bits read
+}
+
+// left returns the bits not yet read.
+func (r *bitReader) left() int { return 8*len(r.b) - r.pos }
+
+// peek returns the bits from pos on, the first in the top bit: at least 57
+// of them, zeros past the end.
+func (r *bitReader) peek() uint64 {
+	i := r.pos >> 3
+	var v uint64
+	if i+8 <= len(r.b) {
+		v = binary.BigEndian.Uint64(r.b[i:])
+	} else {
+		for j := i; j < i+8; j++ {
+			v <<= 8
+			if j < len(r.b) {
+				v |= uint64(r.b[j])
+			}
+		}
+	}
+	return v << (r.pos & 7)
+}
+
+// expGolomb reads an order-k code whose zero prefix is at most maxZeros
+// bits, maxZeros+1+k <= 57. It reports false, having read nothing it
+// keeps, for a longer prefix or a code that runs past the end.
+func (r *bitReader) expGolomb(k uint, maxZeros int) (uint64, bool) {
+	z := bits.LeadingZeros64(r.peek())
+	if z > maxZeros || 2*z+1+int(k) > r.left() {
+		return 0, false
+	}
+	r.pos += z
+	n := z + 1 + int(k)
+	v := r.peek() >> (64 - n)
+	r.pos += n
+	return v - 1<<k, true
+}
+
+// align skips to the next byte boundary, and reports whether every bit it
+// skipped is zero.
+func (r *bitReader) align() bool {
+	skip := -r.pos & 7
+	if skip == 0 {
+		return true
+	}
+	ok := r.b[r.pos>>3]&(1<<skip-1) == 0
+	r.pos += skip
+	return ok
+}
 
 // Carry is the rule by which a partitioning's set-up bodies leave out
 // nonzeros the receiving machine already holds in another partitioning of
@@ -441,41 +546,57 @@ func BuildCarrying(u *tensor.Unfolded, n int, carry Carry) *Partitioned {
 // carried segments from src, the machine's own source partitions (nil when
 // carry is zero). Every other slot of Parts stays nil. It returns the bytes
 // after the last body. A body that is not exactly what AppendBody makes — a
-// varint cut short, overlong or past 64 bits, a count above the bytes left,
-// a column at or past the partition's Hi or inside a carried segment — is
-// an error, and nothing is kept.
+// code cut short or with a zero prefix longer than its partition's width
+// needs, a count above the bits left, a column at or past the partition's
+// Hi or inside a carried segment, a nonzero padding bit — is an error, and
+// nothing is kept.
 func Receive(rows, cols, blockSize, n, first, step int, carry Carry, src *Columns, body []byte) (*Partitioned, []byte, error) {
 	px, parts, all := layout(rows, cols, blockSize, n, first, step)
 	px.carry = carry
 	if len(parts) == 0 {
 		return px, body, nil
 	}
-	// Every row of a body spends at least its count's byte, and every
-	// column a byte too, so the body bounds the rows and the nonzeros.
-	if int64(len(parts))*int64(rows) > int64(len(body)) {
+	// Every row of a body spends at least its count's bit, and every column
+	// a bit too, so the body bounds the rows and the nonzeros.
+	if int64(len(parts))*int64(rows) > 8*int64(len(body)) {
 		return nil, nil, fmt.Errorf("partition: %d bodies of %d rows need more than the %d bytes left", len(parts), rows, len(body))
 	}
-	rs := &bodyRows{ptr: slab.Int32s(len(parts) * (rows + 1)), cols: slab.Int32s(len(body)), next: slab.Int32s(rows),
+	rs := &bodyRows{ptr: slab.Int32s(len(parts) * (rows + 1)), cols: slab.Int32s(8 * len(body)), next: slab.Int32s(rows),
 		parts: parts, carry: carry, src: src}
 	defer rs.release()
+	br := bitReader{b: body}
 	nnz := 0
 	for k := range parts {
 		p := &parts[k]
 		ptr := rs.ptr[k*(rows+1):][:rows+1]
 		ptr[0] = int32(nnz)
+		width := p.Width()
 		for r := 0; r < rows; r++ {
-			count, m := binary.Uvarint(body)
-			if m <= 0 || m != uvarintLen(count) || count > uint64(len(body)-m) {
-				return nil, nil, fmt.Errorf("partition: partition %d row %d: the count is cut short, not a minimal uvarint or above the %d bytes left", p.Index, r, len(body)-max(m, 0))
+			// A count is at most width, so its code has at most
+			// bitlen(width+1) − 1 leading zeros.
+			count, ok := br.expGolomb(0, bits.Len(uint(width)+1)-1)
+			if !ok {
+				return nil, nil, fmt.Errorf("partition: partition %d row %d: the count's code is cut short or has more leading zeros than the width %d needs", p.Index, r, width)
 			}
-			body = body[m:]
+			if count > uint64(min(width, br.left())) {
+				return nil, nil, fmt.Errorf("partition: partition %d row %d: the count %d is above the width %d or the %d bits left", p.Index, r, count, width, br.left())
+			}
+			if count == 0 {
+				ptr[r+1] = int32(nnz)
+				continue
+			}
+			// A gap is below width, so its quotient is at most (width−1)>>k + 1.
+			k := gapOrder(width, int(count))
+			maxZeros := bits.Len(uint(width-1)>>k+1) - 1
 			last, segEnd := int64(p.Lo)-1, int64(-1)
 			for j := uint64(0); j < count; j++ {
-				gap, m := binary.Uvarint(body)
-				if m <= 0 || m != uvarintLen(gap) || gap >= uint64(int64(p.Hi)-last-1) {
-					return nil, nil, fmt.Errorf("partition: partition %d row %d: column %d is cut short, not a minimal uvarint or at or past the partition's end %d", p.Index, r, j, p.Hi)
+				gap, ok := br.expGolomb(k, maxZeros)
+				if !ok {
+					return nil, nil, fmt.Errorf("partition: partition %d row %d: column %d's code is cut short or has more than %d leading zeros", p.Index, r, j, maxZeros)
 				}
-				body = body[m:]
+				if gap >= uint64(int64(p.Hi)-last-1) {
+					return nil, nil, fmt.Errorf("partition: partition %d row %d: column %d is at or past the partition's end %d", p.Index, r, j, p.Hi)
+				}
 				last += int64(gap) + 1
 				if last >= segEnd {
 					pvm := int(last) / blockSize
@@ -489,9 +610,12 @@ func Receive(rows, cols, blockSize, n, first, step int, carry Carry, src *Column
 			}
 			ptr[r+1] = int32(nnz)
 		}
+		if !br.align() {
+			return nil, nil, fmt.Errorf("partition: partition %d: a nonzero bit pads its body", p.Index)
+		}
 	}
 	px.fill(parts, all, rs)
-	return px, body, nil
+	return px, body[br.pos>>3:], nil
 }
 
 // Columns is a partitioning's held nonzeros column by column, rows
@@ -704,10 +828,10 @@ func (s *bodyRows) release() {
 // partition's set-up body on the way. A count pass sizes each block's rows
 // from every nonzero; the fill pass then writes each block's offsets
 // sequentially into arenas shared by all blocks, and adds up the body's
-// varints as it writes them — each row's gaps, which run on across the
-// partition's blocks from one shipped nonzero to the next, and at the
-// partition's end its rows' counts of them — so the size costs no pass of
-// its own. A carried segment is written and not tallied.
+// codes as it writes them — each row's count, summed from the count pass's
+// row pointers, and its gaps, which run on across the partition's blocks
+// from one shipped nonzero to the next — so the size costs no pass over the
+// nonzeros of its own. A carried segment is written and not tallied.
 func (px *Partitioned) fill(parts []Partition, all []*Block, src rowSource) {
 	rows := px.NumRows
 	ptrArena := slab.Int32s(len(all) * (rows + 1))
@@ -739,19 +863,36 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, src rowSource) {
 	bitsArena := slab.Int32s(int(bitsOff[len(all)]))
 	denseArena := slab.Uint64sZeroed(denseTotal)
 	px.ptrArena, px.bitsArena, px.denseArena = ptrArena, bitsArena, denseArena
-	// last[r] is the last column of row r written in the partition being
-	// filled, count[r] how many it has there.
+	// last[r] is the last column of row r shipped in the partition being
+	// filled, order[r] the order of the row's gap codes there.
 	scratch := slab.Int32s(2 * rows)
-	last, count := scratch[:rows], scratch[rows:]
+	last, order := scratch[:rows], scratch[rows:]
 	denseOff := 0
 	bi = 0
 	for k := range parts {
 		p := &parts[k]
 		src.begin(k)
+		// A row's gap codes need its shipped count: the count pass's row
+		// pointers summed over the segments the body ships. Its code is
+		// tallied here, then the slot holds the order.
 		for r := range last {
-			last[r], count[r] = int32(p.Lo)-1, 0
+			last[r], order[r] = int32(p.Lo)-1, 0
 		}
-		body := 0
+		for _, b := range p.Blocks {
+			w := px.carry.down(p.Index, b.PVM)
+			for r := range order {
+				if !w.next() {
+					order[r] += b.rowPtr[r+1] - b.rowPtr[r]
+				}
+			}
+		}
+		body := 0 // bits
+		for r, c := range order {
+			body += expGolombBits(uint64(c), 0)
+			if c > 0 {
+				order[r] = int32(gapOrder(p.Width(), int(c)))
+			}
+		}
 		for _, b := range p.Blocks {
 			b.bits = bitsArena[bitsOff[bi]:bitsOff[bi+1]:bitsOff[bi+1]]
 			if b.stride > 0 {
@@ -766,46 +907,62 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, src rowSource) {
 				if len(seg) == 0 {
 					continue
 				}
-				// A gap under 128 is one byte; the fill pays a branch only for
-				// the longer ones, and only for the nonzeros the body ships.
-				prev := last[r]
+				// A gap's code is 2·bitlen(q) − 1 + k bits: the copy sums the
+				// bitlen(q), branch-free, and only a shipped segment keeps it.
+				ord := uint32(order[r])
+				var lens int
 				if b.stride > 0 {
-					base := r * b.stride
-					for _, c := range seg {
-						o := c - lo
-						b.bits[pos] = o
-						pos++
-						b.denseWords[base+int(o)>>6] |= uint64(1) << (uint32(o) & 63)
-						if shipped && c-prev > 1<<7 {
-							body += uvarintLen(uint64(c-prev-1)) - 1
-						}
-						prev = c
-					}
+					lens = copyDense(b.bits[pos:], b.denseWords[r*b.stride:(r+1)*b.stride], seg, lo, last[r], ord)
 				} else {
-					for _, c := range seg {
-						b.bits[pos] = c - lo
-						pos++
-						if shipped && c-prev > 1<<7 {
-							body += uvarintLen(uint64(c-prev-1)) - 1
-						}
-						prev = c
-					}
+					lens = copySparse(b.bits[pos:], seg, lo, last[r], ord)
 				}
+				pos += len(seg)
 				if shipped {
-					body += len(seg)
-					last[r] = prev
-					count[r] += int32(len(seg))
+					body += 2*lens + len(seg)*(int(ord)-1)
+					last[r] = seg[len(seg)-1]
 				}
 			}
 			bi++
 		}
-		for _, n := range count {
-			body += uvarintLen(uint64(n))
-		}
-		p.bodyBytes = int64(body)
-		px.ShuffleBytes += int64(body)
+		p.bodyBytes = int64(body+7) / 8
+		px.ShuffleBytes += p.bodyBytes
 	}
 	slab.PutInt32s(scratch)
+}
+
+// copySparse writes seg's columns less lo to dst and returns the sum over
+// them of bitlen((c − p − 1)>>k + 1), p the column before c and prev before
+// the first: the quotients' lengths of their order-k gap codes. It stays
+// out of line: inlined into fill, whose many live values spill the loop's
+// sum and column to the stack, the tally cost a fifth of Build.
+//
+//go:noinline
+func copySparse(dst, seg []int32, lo, prev int32, k uint32) int {
+	lens := 0
+	dst = dst[:len(seg)]
+	for i, c := range seg {
+		dst[i] = c - lo
+		lens += bits.Len32(uint32(c-prev-1)>>(k&31) + 1)
+		prev = c
+	}
+	return lens
+}
+
+// copyDense is copySparse that also sets each column's bit in its row's
+// packed words.
+//
+//go:noinline
+func copyDense(dst []int32, words []uint64, seg []int32, lo, prev int32, k uint32) int {
+	lens := 0
+	dst = dst[:len(seg)]
+	for i, c := range seg {
+		o := c - lo
+		dst[i] = o
+		words[int(o)>>6] |= uint64(1) << (uint32(o) & 63)
+		lens += bits.Len32(uint32(c-prev-1)>>(k&31) + 1)
+		prev = c
+	}
+	return lens
 }
 
 // segsPool recycles the slices fill has a source write a block's row

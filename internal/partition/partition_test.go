@@ -225,8 +225,9 @@ func TestShuffleBytesProportionalToNNZ(t *testing.T) {
 	if ps.ShuffleBytes >= pl.ShuffleBytes {
 		t.Fatalf("shuffle bytes not increasing with nnz: %d vs %d", ps.ShuffleBytes, pl.ShuffleBytes)
 	}
-	// A body spends a count byte per row whatever its nonzeros: rows·N.
-	overhead := int64(8 * 4)
+	// A body spends a count bit per row whatever its nonzeros: rows·N/8
+	// bytes.
+	overhead := int64(8 * 4 / 8)
 	ratio := float64(pl.ShuffleBytes-overhead) / float64(ps.ShuffleBytes-overhead)
 	nnzRatio := float64(large.NNZ()) / float64(small.NNZ())
 	if ratio < nnzRatio*0.5 || ratio > nnzRatio*2 {
@@ -303,4 +304,96 @@ func TestRowHalvesMatchDeltaError(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBodyRoundTrip: Receive reads back exactly the partitions AppendBody
+// writes, whose bodies encode back byte for byte, at both ends of the gap
+// order rule — a row that fills every partition (c = W: order 0, every gap
+// 0) and a row whose one nonzero per partition is its last column (c = 1:
+// the largest order) — with empty rows beside them, and where carried
+// segments split a row's gaps (N = 7 over M = 3; modes 2 and 3 carry what
+// the machine's mode-1 partitions hold, as a run's set-up does).
+func TestBodyRoundTrip(t *testing.T) {
+	const i, j, k, machines = 6, 5, 7, 3
+	for _, n := range []int{1, 4, 7} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		var coords []tensor.Coord
+		for c := 0; c < j*k; c++ {
+			coords = append(coords, tensor.Coord{I: 0, J: c % j, K: c / j})
+			if rng.Float64() < 0.3 {
+				coords = append(coords, tensor.Coord{I: 3 + rng.Intn(3), J: c % j, K: c / j})
+			}
+		}
+		for p := 0; p < n; p++ {
+			last := (p+1)*j*k/n - 1
+			coords = append(coords, tensor.Coord{I: 1, J: last % j, K: last / j})
+		}
+		x := tensor.MustFromCoords(i, j, k, coords)
+		carries := [3]Carry{{},
+			{Machines: machines, Cols: j * k, N: n, RowStride: 1, PVMStride: j},
+			{Machines: machines, Cols: j * k, N: n, RowStride: j, PVMStride: 1}}
+		carried := false
+		for home := 0; home < machines; home++ {
+			var src *Columns
+			for m, u := range x.UnfoldAll() {
+				px := BuildCarrying(u, n, carries[m])
+				plain := Build(u, n)
+				carried = carried || px.ShuffleBytes < plain.ShuffleBytes
+				var body []byte
+				for pi := home; pi < len(px.Parts); pi += machines {
+					body = px.AppendBody(body, pi)
+				}
+				got, rest, err := Receive(u.NumRows, u.NumCols, u.BlockSize, n, home, machines, carries[m], src, body)
+				if err != nil || len(rest) != 0 {
+					t.Fatalf("n=%d machine %d mode %d: %v, %d bytes left", n, home, m+1, err, len(rest))
+				}
+				var again []byte
+				for pi, part := range got.Parts {
+					if (part != nil) != (pi%machines == home) {
+						t.Fatalf("n=%d machine %d mode %d: holds partition %d: %v", n, home, m+1, pi, part != nil)
+					}
+					if part == nil {
+						continue
+					}
+					if !sameBlocks(part, px.Parts[pi], u.NumRows) || got.ReshipBytes(pi) != px.ReshipBytes(pi) {
+						t.Fatalf("n=%d machine %d mode %d: partition %d differs from the built one", n, home, m+1, pi)
+					}
+					again = got.AppendBody(again, pi)
+				}
+				if !slices.Equal(again, body) || got.ShuffleBytes != int64(len(body)) {
+					t.Fatalf("n=%d machine %d mode %d: %d B of bodies re-encode to %d B, counted %d B", n, home, m+1, len(body), len(again), got.ShuffleBytes)
+				}
+				if m == 0 {
+					src = got.Transpose()
+					defer src.Release()
+				}
+				got.Release()
+				px.Release()
+				plain.Release()
+			}
+		}
+		if n == 7 && !carried {
+			t.Fatal("n=7: no body leaves a carried segment out")
+		}
+	}
+}
+
+// sameBlocks reports whether two partitions of a rows-row unfolding have
+// the same bounds and blocks, row for row.
+func sameBlocks(a, b *Partition, rows int) bool {
+	if a.Index != b.Index || a.Lo != b.Lo || a.Hi != b.Hi || len(a.Blocks) != len(b.Blocks) {
+		return false
+	}
+	for bi, x := range a.Blocks {
+		y := b.Blocks[bi]
+		if x.PVM != y.PVM || x.Lo != y.Lo || x.Hi != y.Hi || x.Type != y.Type || x.Dense() != y.Dense() {
+			return false
+		}
+		for r := 0; r < rows; r++ {
+			if !slices.Equal(x.RowBits(r), y.RowBits(r)) || !slices.Equal(x.RowWords(r), y.RowWords(r)) {
+				return false
+			}
+		}
+	}
+	return true
 }

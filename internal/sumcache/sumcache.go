@@ -41,6 +41,12 @@ import (
 // number of rank bits covered by a single cache table.
 const DefaultGroupBits = 15
 
+// MaxGroupBits is the largest threshold V a run accepts: one table of 2^24
+// = 16 M entries. A larger V is refused where it is set, never handed to
+// newTables, whose tables would outgrow any machine (and whose size shift
+// wraps at 64).
+const MaxGroupBits = 24
+
 // Cache holds precomputed Boolean row summations for all 2^R masks over R
 // rank bits, split into groups of at most V bits each. It is immutable
 // once built and safe for concurrent readers.

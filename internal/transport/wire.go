@@ -28,8 +28,10 @@ import (
 // tensor, and re-ships a lost machine's with a new state kind — a version-8
 // peer would read the bodies as a tensor; version 10 leaves out of the
 // mode-2 and mode-3 bodies every nonzero the blob's mode-1 bodies carry — a
-// version-9 worker would build those partitions without them.
-const ProtoVersion = 10
+// version-9 worker would build those partitions without them; version 11
+// codes a body's counts and gaps as Exp-Golomb bit strings instead of
+// uvarints — a version-10 worker would read the bits as varints.
+const ProtoVersion = 11
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
 // tighter limit: large enough for a set-up blob, small enough that a
