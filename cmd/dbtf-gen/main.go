@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -50,6 +51,15 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if !(*density >= 0 && *density <= 1) {
+		return fmt.Errorf("-density %v outside [0, 1]", *density)
+	}
+	if !(*factorDensity >= 0 && *factorDensity <= 1) {
+		return fmt.Errorf("-factor-density %v outside [0, 1]", *factorDensity)
+	}
+	if !(*scale > 0 && *scale <= math.MaxFloat64) {
+		return fmt.Errorf("-scale %v is not a positive finite number", *scale)
+	}
 	rng := rand.New(rand.NewSource(*seed))
 
 	if *list {
@@ -79,6 +89,9 @@ func run(args []string) error {
 			return err
 		}
 		truth, _ := dbtf.TensorFromRandomFactors(rng, i, j, k, *rank, *factorDensity)
+		if err := gen.NoiseError(truth, *additive, *destructive); err != nil {
+			return err
+		}
 		if *truthOut != "" {
 			if err := truth.WriteFile(*truthOut); err != nil {
 				return err

@@ -106,6 +106,38 @@ func TestFacebookOutputPinned(t *testing.T) {
 	}
 }
 
+// TestRunRefusesOutOfRangeFlags: each flag outside what the generators
+// accept is an error, never a panic, a hang or a silently clamped tensor.
+func TestRunRefusesOutOfRangeFlags(t *testing.T) {
+	factors := []string{"-type", "factors", "-dims", "4,4,4", "-rank", "2"}
+	for _, args := range [][]string{
+		{"-density", "2"},
+		{"-density", "-0.5"},
+		{"-density", "NaN"},
+		append(factors, "-factor-density", "2"),
+		append(factors, "-factor-density", "-1"),
+		append(factors, "-factor-density", "NaN"),
+		append(factors, "-additive", "-1"),
+		append(factors, "-additive", "NaN"),
+		append(factors, "-factor-density", "0.9", "-additive", "100"),
+		append(factors, "-destructive", "2"),
+		append(factors, "-destructive", "-0.5"),
+		append(factors, "-destructive", "NaN"),
+		{"-type", "facebook", "-scale", "-1"},
+		{"-type", "facebook", "-scale", "0"},
+		{"-type", "facebook", "-scale", "NaN"},
+		{"-type", "facebook", "-scale", "+Inf"},
+		{"-list", "-scale", "-1"},
+	} {
+		out := filepath.Join(t.TempDir(), "x.tns")
+		if err := run(append(args, "-o", out)); err == nil {
+			t.Errorf("%v accepted", args)
+		} else if _, serr := os.Stat(out); serr == nil {
+			t.Errorf("%v: refused (%v) but wrote %s", args, err, out)
+		}
+	}
+}
+
 func TestRunList(t *testing.T) {
 	if err := run([]string{"-list", "-scale", "0.15"}); err != nil {
 		t.Fatal(err)

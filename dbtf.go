@@ -87,7 +87,8 @@ type Options struct {
 	// tensor. Default: Machines.
 	Partitions int
 	// CacheGroupBits is the cache-splitting threshold V: ranks above it
-	// split the row-summation tables into ⌈R/V⌉ groups. Default 15.
+	// split the row-summation tables into ⌈R/V⌉ groups. Default 15; 1
+	// caches no summation of two or more columns (the uncached ablation).
 	CacheGroupBits int
 	// Tolerance stops the iteration when the reconstruction error improves
 	// by at most this much. Default 0 (stop when no strict improvement).
@@ -122,8 +123,6 @@ type Options struct {
 	// reached MaxIter finishes instead of preempting. Requires
 	// CheckpointDir.
 	Preempt func() bool
-	// NoCache disables row-summation caching (for ablations only).
-	NoCache bool
 	// Tracer, when non-nil, receives the run's structured event stream:
 	// stage/driver/iteration spans, traffic charges, retries, and machine
 	// liveness, on both the wall and the simulated clock. Build one with
@@ -180,7 +179,6 @@ func (opt Options) coreOptions() core.Options {
 		CheckpointEvery: opt.CheckpointEvery,
 		Resume:          opt.Resume,
 		Preempt:         opt.Preempt,
-		NoCache:         opt.NoCache,
 	}
 }
 

@@ -94,6 +94,8 @@ var deletedNames = []deletedName{
 		pr: "the dead-kernel sweep: bitvec.AndNotCountWords had no caller outside its own tests; a test that needs |W1 &^ W0| counts it inline"},
 	{pattern: `serve/loadgen|"loadtest"|runLoadTest`, scope: []string{"."},
 		pr: "the load-generator retirement: the job server's contract has one check, FuzzServeScenario through the HTTP API; the shipped load generator and dbtf-serve -loadtest were a second, hand-scheduled checker of it"},
+	{pattern: `NoCache|naiveSummer|naiveDelta|\bsummer\b`, scope: []string{"dbtf.go", "internal/core", "internal/experiments"}, nonTest: true,
+		pr: "the uncached-ablation fold: no cache is V = 1, whose tables hold single columns and run the one eval kernel; it is not an option, a runConfig word or a checkpoint field"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

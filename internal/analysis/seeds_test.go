@@ -44,9 +44,9 @@ func TestAnalyzersSeeProgramCode(t *testing.T) {
 		{"determinism", "internal/core/registry.go",
 			"\t//dbtf:allow-nondeterministic every entry is released; order is irrelevant\n\tfor _, mc := range r.entries {\n",
 			"\tfor _, mc := range r.entries {\n"},
-		{"kernelcontract", "internal/core/executor.go",
-			"\t\t//dbtf:samewidth every column is sliced to the block width the caller sized scratch for\n\t\tpop = bitvec.OrCountWords(scratch, scratch,",
-			"\t\tpop = bitvec.OrCountWords(scratch, scratch,"},
+		{"kernelcontract", "internal/core/task.go",
+			"\t\t//dbtf:samewidth the region is cut to the block's width, as the cache slice's entries are\n\t\tgain := bitvec.GainWords(region,",
+			"\t\tgain := bitvec.GainWords(region,"},
 		{"kernelcontract", "internal/core/task.go",
 			"\tdeltas := t.deltas[:t.a.Rows()*s.lanes]\n\tclear(deltas)\n",
 			"\tdeltas := make([]int32, t.a.Rows()*s.lanes)\n\tclear(deltas)\n"},

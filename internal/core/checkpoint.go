@@ -209,11 +209,11 @@ func readCheckpoint(dir string, fp uint64) (*checkpoint, error) {
 }
 
 // words returns the configuration as one 64-bit word per field of
-// runConfig, in declaration order: an int as its two's complement, a bool
-// as 0 or 1. It is the one walk over the fields — fingerprint hashes the
-// words and encodeSetup ships them — so a field added to runConfig is
-// covered by both without being listed again, and a field of a kind the
-// walk does not know panics the first time either runs.
+// runConfig, in declaration order: an int as its two's complement. It is
+// the one walk over the fields — fingerprint hashes the words and
+// encodeSetup ships them — so a field added to runConfig is covered by both
+// without being listed again, and a field of a kind the walk does not know
+// panics the first time either runs.
 func (cfg runConfig) words() []uint64 {
 	return cfg.appendWords(make([]uint64, 0, reflect.TypeOf(cfg).NumField()))
 }
@@ -225,12 +225,6 @@ func (cfg runConfig) appendWords(dst []uint64) []uint64 {
 		switch f := fields.Field(n); f.Kind() {
 		case reflect.Int, reflect.Int64:
 			dst = append(dst, uint64(f.Int()))
-		case reflect.Bool:
-			var w uint64
-			if f.Bool() {
-				w = 1
-			}
-			dst = append(dst, w)
 		default:
 			panic(fmt.Sprintf("core: runConfig field %s has unhashable kind %v", fields.Type().Field(n).Name, f.Kind()))
 		}
@@ -247,8 +241,6 @@ func (cfg *runConfig) setWords(words []uint64) {
 		switch f := fields.Field(n); f.Kind() {
 		case reflect.Int, reflect.Int64:
 			f.SetInt(int64(w))
-		case reflect.Bool:
-			f.SetBool(w != 0)
 		default:
 			panic(fmt.Sprintf("core: runConfig field %s has undecodable kind %v", fields.Type().Field(n).Name, f.Kind()))
 		}

@@ -119,7 +119,8 @@ type Options struct {
 	// tensor. Default: the cluster's machine count.
 	Partitions int
 	// GroupBits is the cache-splitting threshold V (Lemma 2). Default 15
-	// (the paper's default).
+	// (the paper's default); 1 caches no summation of two or more columns,
+	// the uncached ablation of Section III-C.
 	GroupBits int
 	// Tolerance stops the iteration when the reconstruction error improves
 	// by at most this much between consecutive iterations. Default 0: stop
@@ -129,10 +130,6 @@ type Options struct {
 	Init InitScheme
 	// Seed seeds the deterministic random initialization.
 	Seed int64
-	// NoCache disables the row-summation cache and recomputes every
-	// Boolean row summation from the factor columns (ablation of Section
-	// III-C; DBTF proper always caches).
-	NoCache bool
 	// CheckpointDir, when non-empty, enables iteration-level durable
 	// checkpointing: after every CheckpointEvery completed iterations (and
 	// at the final one) a versioned snapshot of the factor matrices and
@@ -182,7 +179,6 @@ type runConfig struct {
 	Tolerance                          int64
 	Init                               InitScheme
 	Seed                               int64
-	NoCache                            bool
 	Machines                           int
 }
 
@@ -202,7 +198,7 @@ func (o Options) resolve() (runConfig, error) {
 	cfg := runConfig{
 		Rank: o.Rank, MaxIter: o.MaxIter, MinIter: o.MinIter, InitialSets: o.InitialSets,
 		Partitions: o.Partitions, GroupBits: o.GroupBits, Tolerance: o.Tolerance,
-		Init: o.Init, Seed: o.Seed, NoCache: o.NoCache,
+		Init: o.Init, Seed: o.Seed,
 	}
 	if cfg.Rank < 1 || cfg.Rank > boolmat.MaxRank {
 		return cfg, fmt.Errorf("core: rank %d outside [1,%d]", cfg.Rank, boolmat.MaxRank)
@@ -232,7 +228,7 @@ func (o Options) resolve() (runConfig, error) {
 		return cfg, fmt.Errorf("core: InitialSets %d > 1 is meaningless with the deterministic topfiber init (every set would be identical)", cfg.InitialSets)
 	}
 	if cfg.Partitions < 0 {
-		return cfg, fmt.Errorf("core: Partitions %d < 1", cfg.Partitions)
+		return cfg, fmt.Errorf("core: Partitions %d < 0", cfg.Partitions)
 	}
 	if cfg.GroupBits == 0 {
 		cfg.GroupBits = sumcache.DefaultGroupBits

@@ -84,6 +84,10 @@ func TestDecomposeValidation(t *testing.T) {
 		if tc.opt.GroupBits != 0 && !errors.Is(err, ErrGroupBits) {
 			t.Errorf("%s: got %v, want ErrGroupBits", tc.name, err)
 		}
+		// 0 selects the default, so the bound a negative count breaks is 0.
+		if tc.opt.Partitions < 0 && (err == nil || err.Error() != "core: Partitions -1 < 0") {
+			t.Errorf("%s: got %v, want core: Partitions -1 < 0", tc.name, err)
+		}
 	}
 }
 

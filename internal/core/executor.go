@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
@@ -173,11 +172,11 @@ func (ex *executor) setFactors(a, b, c *boolmat.FactorMatrix) error {
 
 // machineLost is what losing machine m costs the executor, at a stage
 // boundary with every task joined: m's cache tables died with it, and the
-// column tasks go stale too — a task reassigned off m holds summers over
-// those tables — so each partition's next eval rebuilds its task on the
-// machine it now runs on (see eval). Survivors' own tables are still
-// registered; the inherited partitions' are built there, the rebuild a
-// surviving worker pays at its first eval of an inherited partition.
+// column tasks go stale too — a task reassigned off m holds those tables
+// — so each partition's next eval rebuilds its task on the machine it now
+// runs on (see eval). Survivors' own tables are still registered; the
+// inherited partitions' are built there, the rebuild a surviving worker
+// pays at its first eval of an inherited partition.
 func (ex *executor) machineLost(m int) {
 	ex.epoch++
 	ex.reg[m].clearRelease()
@@ -214,7 +213,7 @@ func (e *notHeldError) Error() string {
 }
 
 // build readies partition pi's column task for the mode's update: the
-// factors it reads and its block summers, resolved through the cache
+// factors it reads and its block tables, resolved through the cache
 // registry of the machine the partition runs on now (Algorithm 5), plus
 // every buffer the column loop needs, so evaluating a column on a built
 // task allocates nothing. The task is made at the partition's first build
@@ -227,15 +226,15 @@ func (ex *executor) build(mode, pi int) (*columnTask, error) {
 	}
 	t := ex.tasks[mode][pi]
 	if t == nil {
-		t = newColumnTask(part, ex.lanes(mode, pi), ex.splitFor(pi), ex.cfg.NoCache)
+		t = newColumnTask(part, ex.lanes(mode, pi), ex.splitFor(pi))
 		ex.tasks[mode][pi] = t
 	}
 	role := modeRoles[mode]
 	t.a, t.mf = ex.f[role.upd], ex.f[role.pvm]
-	t.summers = ex.summers(t.summers[:0], pi, part, ex.f[role.cached])
-	if !ex.cfg.NoCache && len(t.summers) > 0 {
+	t.tables = ex.tables(t.tables[:0], pi, part, ex.f[role.cached])
+	if len(t.tables) > 0 {
 		// Every table group but the flipped bit's own can occlude.
-		if occ := t.summers[0].(*sumcache.Cache).NumGroups() - 1; cap(t.delta.Occ) < occ {
+		if occ := t.tables[0].NumGroups() - 1; cap(t.delta.Occ) < occ {
 			t.delta.Occ = make([][]uint64, 0, occ)
 		}
 	}
@@ -287,7 +286,7 @@ func (ex *executor) stageSpan(col int) int { return min(ex.span, ex.cfg.Rank-col
 //
 // This is the one place a column task is (re)built and the one rule of
 // when it is valid: setFactors makes every task stale (a task holds
-// summers over factor versions the coming update supersedes), as does a
+// tables over factor versions the coming update supersedes), as does a
 // machine loss (over tables that died), and the first eval to ask a
 // partition for a column afterwards rebuilds its task — column
 // 0 on the partition's home, a later column on the executor a reassignment
@@ -321,58 +320,22 @@ func (ex *executor) totalError(pi int) (int64, error) {
 		return 0, err
 	}
 	role := modeRoles[0]
-	return partitionError(part, ex.f[role.upd], ex.f[role.pvm], ex.summers(make([]summer, 0, len(part.Blocks)), pi, part, ex.f[role.cached])), nil
-}
-
-// summer yields Boolean row summations for rank masks; it is the access
-// interface shared by the cache tables (*sumcache.Cache) and the uncached
-// ablation.
-type summer interface {
-	// Sum returns the words of the Boolean row summation for mask and its
-	// popcount; scratch must hold the entry's words and may back the result.
-	Sum(mask uint64, scratch []uint64) ([]uint64, int)
-}
-
-// naiveSummer recomputes every row summation by ORing the selected factor
-// columns, sliced to the block range — the behaviour DBTF's cache replaces.
-type naiveSummer struct {
-	cols [][]uint64 // words of M_s's columns sliced to the block range
-}
-
-func (s naiveSummer) Sum(mask uint64, scratch []uint64) ([]uint64, int) {
-	clear(scratch)
-	pop := 0
-	for m := mask; m != 0; m &= m - 1 {
-		//dbtf:samewidth every column is sliced to the block width the caller sized scratch for
-		pop = bitvec.OrCountWords(scratch, scratch, s.cols[bits.TrailingZeros64(m)])
-	}
-	return scratch, pop
+	return partitionError(part, ex.f[role.upd], ex.f[role.pvm], ex.tables(make([]*sumcache.Cache, 0, len(part.Blocks)), pi, part, ex.f[role.cached])), nil
 }
 
 // entryWords returns the words a summation of width bits occupies.
 func entryWords(width int) int { return (width + bitvec.WordBits - 1) / bitvec.WordBits }
 
-// summers appends to out a summer per block of partition pi over the
-// caching matrix ms: the distributed part of Algorithm 5. Each block's
-// table — over the rows of ms the block covers, all of them unless the
-// partition boundary cut its PVM product — is resolved through the registry
-// of the machine the partition is placed on, so partitions sharing a
-// machine share one table per range, and stages sharing a caching matrix
-// (the B- and C-updates both cache over A; totalError's cache over B serves
-// iteration 2's A-update) share it too, for as long as the matrix's version
-// is unchanged.
-func (ex *executor) summers(out []summer, pi int, p *partition.Partition, ms *boolmat.FactorMatrix) []summer {
-	if ex.cfg.NoCache {
-		cols := ms.Columns()
-		for _, b := range p.Blocks {
-			sliced := make([][]uint64, len(cols))
-			for r, col := range cols {
-				sliced[r] = col.Slice(b.InnerLo, b.InnerLo+b.Width()).Words()
-			}
-			out = append(out, naiveSummer{cols: sliced})
-		}
-		return out
-	}
+// tables appends to out a row-summation cache per block of partition pi
+// over the caching matrix ms: the distributed part of Algorithm 5. Each
+// block's table — over the rows of ms the block covers, all of them unless
+// the partition boundary cut its PVM product — is resolved through the
+// registry of the machine the partition is placed on, so partitions
+// sharing a machine share one table per range, and stages sharing a caching
+// matrix (the B- and C-updates both cache over A; totalError's cache over B
+// serves iteration 2's A-update) share it too, for as long as the matrix's
+// version is unchanged.
+func (ex *executor) tables(out []*sumcache.Cache, pi int, p *partition.Partition, ms *boolmat.FactorMatrix) []*sumcache.Cache {
 	reg := ex.reg[ex.place(pi)]
 	var table *sumcache.Cache
 	lo, hi := -1, -1
@@ -389,8 +352,8 @@ func (ex *executor) summers(out []summer, pi int, p *partition.Partition, ms *bo
 }
 
 // partitionError computes one mode-1 partition's share of |X ⊕ X̂| from
-// pre-resolved summers over b: rows indexed by a, PVM blocks by c.
-func partitionError(part *partition.Partition, a, c *boolmat.FactorMatrix, summers []summer) int64 {
+// pre-resolved tables over b: rows indexed by a, PVM blocks by c.
+func partitionError(part *partition.Partition, a, c *boolmat.FactorMatrix, tables []*sumcache.Cache) int64 {
 	widest := 0
 	for _, blk := range part.Blocks {
 		widest = max(widest, blk.Width())
@@ -399,10 +362,10 @@ func partitionError(part *partition.Partition, a, c *boolmat.FactorMatrix, summe
 	var e int64
 	for bi, blk := range part.Blocks {
 		kMask := c.RowMask(blk.PVM)
-		sm := summers[bi]
+		table := tables[bi]
 		blkScratch := scratch[:entryWords(blk.Width())]
 		for r := 0; r < a.Rows(); r++ {
-			sum, pop := sm.Sum(a.RowMask(r)&kMask, blkScratch)
+			sum, pop := table.Sum(a.RowMask(r)&kMask, blkScratch)
 			e += blk.RowError(r, sum, pop)
 		}
 	}

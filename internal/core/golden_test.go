@@ -67,9 +67,10 @@ func TestGoldenRunPin(t *testing.T) {
 	// hashes one word per runConfig field and so was re-recorded (from
 	// 0xc412bd1ff0934356) when the struct went from 12 fields to 11: a
 	// checkpoint an older build wrote is not found and its job restarts at
-	// iteration 0.
-	if fp := runFingerprint(t, x, Options{Rank: 4, Seed: 7, Partitions: 4, Init: InitTopFiber}, 3); fp != 0x3507ce951e13bb16 {
-		t.Errorf("fingerprint %#x, recorded 0x3507ce951e13bb16", fp)
+	// iteration 0. It was re-recorded again (from 0x3507ce951e13bb16) when
+	// the uncached ablation's flag left the struct, 11 fields to 10.
+	if fp := runFingerprint(t, x, Options{Rank: 4, Seed: 7, Partitions: 4, Init: InitTopFiber}, 3); fp != 0x152a97add6f7bd76 {
+		t.Errorf("fingerprint %#x, recorded 0x152a97add6f7bd76", fp)
 	}
 
 	type stats struct{ stages, tasks, shuffled, broadcast, collected int64 }
@@ -89,23 +90,25 @@ func TestGoldenRunPin(t *testing.T) {
 		{"random", Options{Init: InitRandom},
 			"1fe8a3701ba4447d", []int64{94, 94}, stats{14, 55, 581, 180, 2044}},
 	} {
-		for _, noCache := range []bool{false, true} {
+		// V = 1 caches no summation of two or more columns: its rows hold
+		// the uncached ablation to the same records.
+		for _, v := range []int{0, 1} {
 			for _, backend := range []string{"simulator", "hostTransport"} {
 				opt := tc.opt
-				opt.Rank, opt.Seed, opt.Partitions, opt.NoCache = 4, 7, 4, noCache
+				opt.Rank, opt.Seed, opt.Partitions, opt.GroupBits = 4, 7, 4, v
 				cfg := cluster.Config{Machines: 3}
 				if backend == "hostTransport" {
 					cfg.Transport = newHostTransport(3)
 				}
 				res, err := Decompose(context.Background(), x, cluster.New(cfg), opt)
 				if err != nil {
-					t.Fatalf("%s noCache=%v %s: %v", tc.name, noCache, backend, err)
+					t.Fatalf("%s V=%d %s: %v", tc.name, v, backend, err)
 				}
 				s := res.Stats
 				got := stats{s.Stages, s.Tasks, s.ShuffledBytes, s.BroadcastBytes, s.CollectedBytes}
 				if h := factorHash(res.A, res.B, res.C); h != tc.hash || !reflect.DeepEqual(res.IterationErrors, tc.errs) || got != tc.want {
-					t.Errorf("%s noCache=%v %s: hash %s errors %v stats %+v, recorded %s %v %+v",
-						tc.name, noCache, backend, h, res.IterationErrors, got, tc.hash, tc.errs, tc.want)
+					t.Errorf("%s V=%d %s: hash %s errors %v stats %+v, recorded %s %v %+v",
+						tc.name, v, backend, h, res.IterationErrors, got, tc.hash, tc.errs, tc.want)
 				}
 			}
 		}

@@ -79,10 +79,10 @@ func TestLookaheadMatchesPerColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for _, rank := range []int{1, 2, 3, 5, 64} {
 		x, _, _, _ := plantedTensor(rng, 11, 9, 8, min(rank, 6), 0.3)
-		for _, noCache := range []bool{false, true} {
+		for _, v := range []int{0, 1} {
 			for _, sets := range []int{1, 2} {
-				opt := Options{Rank: rank, Seed: int64(rank), InitialSets: sets, MinIter: 3, MaxIter: 3, Partitions: 3, NoCache: noCache}
-				name := fmt.Sprintf("rank %d noCache=%v sets=%d", rank, noCache, sets)
+				opt := Options{Rank: rank, Seed: int64(rank), InitialSets: sets, MinIter: 3, MaxIter: 3, Partitions: 3, GroupBits: v}
+				name := fmt.Sprintf("rank %d V=%d sets=%d", rank, v, sets)
 
 				run := func(span int, remote bool) (*Result, []string) {
 					cfg := cluster.Config{Machines: machines}

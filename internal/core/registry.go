@@ -58,7 +58,7 @@ func (r *machineRegistry) cacheFor(ms *boolmat.FactorMatrix, lo, hi, groupBits i
 		//dbtf:allow-nondeterministic every key of a stale version of the matrix is deleted; order-independent
 		for k, stale := range r.entries {
 			if k.m == ms && k.version != key.version {
-				// Every stage that resolved summers over the stale version
+				// Every stage that resolved a table over the stale version
 				// has been joined (factor versions only change between
 				// stages), so its tables can go back to the slab pool.
 				stale.release()

@@ -124,15 +124,15 @@ func (h *hostTransport) Close() error              { return nil }
 // TestCollectedBytesAreReplyBytes: the collected bytes the driver counts are
 // the bytes the executors' replies carried, less one header per eval reply
 // (a total-error reply is its 8-byte body) — per task and batched, at an
-// odd rank, so a sweep holds paired stages and the one-column tail, with
-// and without the cache — and the simulated run, which encodes nothing,
-// counts the same.
+// odd rank, so a sweep holds paired stages and the one-column tail, at
+// V = 15 and V = 1 — and the simulated run, which encodes nothing, counts
+// the same.
 func TestCollectedBytesAreReplyBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	planted, _, _, _ := gen.FromFactors(rng, 18, 15, 12, 5, 0.3)
 	x := gen.AddNoise(rng, planted, 0.10, 0.05)
-	for _, noCache := range []bool{false, true} {
-		opt := Options{Rank: 5, Seed: 3, MaxIter: 3, Partitions: 4, NoCache: noCache}
+	for _, v := range []int{0, 1} {
+		opt := Options{Rank: 5, Seed: 3, MaxIter: 3, Partitions: 4, GroupBits: v}
 		sim, err := Decompose(context.Background(), x, testCluster(3), opt)
 		if err != nil {
 			t.Fatal(err)
@@ -144,12 +144,12 @@ func TestCollectedBytesAreReplyBytes(t *testing.T) {
 			}
 			collected, replies := res.Stats.CollectedBytes, ht.evalReplies.Load()
 			if _, recvd := ht.WireBytes(); replies == 0 || recvd != collected+deltasHeaderLen*replies {
-				t.Errorf("noCache=%v batch=%v: %d bytes received in %d eval replies, %d collected",
-					noCache, ht.batch, recvd, replies, collected)
+				t.Errorf("V=%d batch=%v: %d bytes received in %d eval replies, %d collected",
+					v, ht.batch, recvd, replies, collected)
 			}
 			if collected != sim.Stats.CollectedBytes {
-				t.Errorf("noCache=%v batch=%v: %d bytes collected, the simulated run %d",
-					noCache, ht.batch, collected, sim.Stats.CollectedBytes)
+				t.Errorf("V=%d batch=%v: %d bytes collected, the simulated run %d",
+					v, ht.batch, collected, sim.Stats.CollectedBytes)
 			}
 		}
 	}
@@ -260,7 +260,7 @@ func TestSetupCodecRoundTrip(t *testing.T) {
 	dims := [3]int{5, 6, 7}
 	cfg := runConfig{
 		Rank: 3, MaxIter: 7, MinIter: 2, InitialSets: 4, Partitions: 5, GroupBits: 4,
-		Tolerance: -9, Init: InitTopFiber, Seed: -42, NoCache: true, Machines: 2,
+		Tolerance: -9, Init: InitTopFiber, Seed: -42, Machines: 2,
 	}
 	px := buildPartitions(t, x, cfg)
 	defer releasePartitions(px)

@@ -148,7 +148,11 @@ func drawScenario(rng *rand.Rand) scenario {
 	o.MaxIter = 1 + rng.Intn(4)
 	o.MinIter = []int{1, o.MaxIter}[rng.Intn(2)]
 	o.Tolerance = []int64{0, 1 << 40}[rng.Intn(2)]
-	o.GroupBits, o.NoCache = 1+rng.Intn(15), rng.Intn(4) == 0
+	// V = 1 caches no summation of two or more columns: one draw in four
+	// runs uncached.
+	if o.GroupBits = 2 + rng.Intn(14); rng.Intn(4) == 0 {
+		o.GroupBits = 1
+	}
 	o.Partitions = []int{0, 1, sc.machines, 100}[rng.Intn(4)]
 	o.CheckpointEvery = rng.Intn(4)
 
@@ -575,7 +579,9 @@ func FuzzScenario(f *testing.F) {
 }
 
 // TestScenarioPinned checks the cases of the hand-written differentials the
-// generator replaced, each a row named after the test it came from.
+// generator replaced, each a row named after the test it came from. A row
+// named NoCache keeps the name it was pinned under and runs V = 1, which
+// caches no summation of two or more columns.
 func TestScenarioPinned(t *testing.T) {
 	type row struct {
 		name string
@@ -589,14 +595,14 @@ func TestScenarioPinned(t *testing.T) {
 		{"8 iterations (was TestDecomposeErrorMonotoneAcrossIterations)", scenario{x: uniform(4, 16, 16, 16, 0.05), opt: Options{Rank: 4, MaxIter: 8, Seed: 1}, machines: 4}},
 		{"M=4 (was TestDecomposeDeterministicForSeed)", scenario{x: uniform(5, 12, 12, 12, 0.1), opt: Options{Rank: 3, Seed: 42, MaxIter: 3}, machines: 4}},
 		{"M=7 (was TestDecomposeDeterministicForSeed)", scenario{x: uniform(5, 12, 12, 12, 0.1), opt: Options{Rank: 3, Seed: 42, MaxIter: 3}, machines: 7}},
-		{"NoCache (was TestNoCacheMatchesCached)", scenario{x: uniform(10, 10, 11, 12, 0.1), opt: Options{Rank: 4, Seed: 5, MaxIter: 3, NoCache: true}, machines: 4}},
+		{"NoCache (was TestNoCacheMatchesCached)", scenario{x: uniform(10, 10, 11, 12, 0.1), opt: Options{Rank: 4, Seed: 5, MaxIter: 3, GroupBits: 1}, machines: 4}},
 		{"random shape, N=6 (was TestQuickDecomposeErrorMatchesReconstruction)", scenario{x: uniform(3, 5, 9, 3, 0.2), opt: Options{Rank: 3, Seed: 3, MaxIter: 2, Partitions: 6}, machines: 3}},
 		{"30x5x11 (was TestDecomposeNonCubicTensor)", scenario{x: uniform(18, 30, 5, 11, 0.08), opt: Options{Rank: 3, Seed: 2}, machines: 4}},
 		{"all zero (was TestDecomposeAllZeroTensor)", scenario{x: uniform(0, 8, 8, 8, 0), opt: Options{Rank: 2, Seed: 1}, machines: 2}},
 		{"hosts, 2 sets (was TestRemoteHostsMatchSimulated)", scenario{x: uniform(77, 9, 14, 6, 0.12), opt: Options{Rank: 4, Seed: 1, MaxIter: 3, Partitions: 3, InitialSets: 2}, machines: 3, backend: hosts}},
-		{"hosts, 2 sets, NoCache (was TestRemoteHostsMatchSimulated)", scenario{x: uniform(78, 13, 5, 11, 0.12), opt: Options{Rank: 5, Seed: 2, MaxIter: 3, Partitions: 1, InitialSets: 2, NoCache: true}, machines: 2, backend: hosts}},
+		{"hosts, 2 sets, NoCache (was TestRemoteHostsMatchSimulated)", scenario{x: uniform(78, 13, 5, 11, 0.12), opt: Options{Rank: 5, Seed: 2, MaxIter: 3, Partitions: 1, InitialSets: 2, GroupBits: 1}, machines: 2, backend: hosts}},
 		{"batched hosts, 2 sets (was TestRemoteBatchedWorkersMatchSimulated)", scenario{x: uniform(79, 12, 8, 15, 0.12), opt: Options{Rank: 3, Seed: 1, MaxIter: 3, Partitions: 2, InitialSets: 2}, machines: 2, backend: batchedHosts}},
-		{"batched hosts, 2 sets, NoCache (was TestRemoteBatchedWorkersMatchSimulated)", scenario{x: uniform(80, 7, 10, 9, 0.12), opt: Options{Rank: 2, Seed: 3, MaxIter: 3, Partitions: 4, InitialSets: 2, NoCache: true}, machines: 3, backend: batchedHosts}},
+		{"batched hosts, 2 sets, NoCache (was TestRemoteBatchedWorkersMatchSimulated)", scenario{x: uniform(80, 7, 10, 9, 0.12), opt: Options{Rank: 2, Seed: 3, MaxIter: 3, Partitions: 4, InitialSets: 2, GroupBits: 1}, machines: 3, backend: batchedHosts}},
 		{"chaos (was TestDecomposeTraceReplaysChaosRun)", scenario{x: uniform(5, 10, 9, 8, 0.2), opt: Options{Rank: 3, Seed: 5, MaxIter: 3}, machines: 4,
 			faults: &cluster.FaultPlan{Seed: 11, FailureRate: 0.1, MachineLossRate: 0.04, MachineRejoinAfter: 2}}},
 		{"failures and panics (was TestChaosIdenticalOutput)", scenario{x: planted(1, 24, 24, 24, 4, 0.25, 0.1, 0.1), opt: Options{Rank: 6, Seed: 1, MaxIter: 4, MinIter: 4}, machines: 4,
@@ -604,13 +610,13 @@ func TestScenarioPinned(t *testing.T) {
 		{"every iteration evicted (was TestPreemptEveryIterationCompletesViaResume)", scenario{x: planted(47, 12, 10, 9, 2, 0.3, 0, 0), opt: Options{Rank: 2, Seed: 9, MaxIter: 4, MinIter: 4, CheckpointEvery: 1}, machines: 3, evict: every}},
 		{"simulator, 3 sets, N=100 (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 4, Seed: 4, MaxIter: 4, MinIter: 4, InitialSets: 3, Partitions: 100, CheckpointEvery: 1}, machines: 3, carried: true}},
 		{"hosts, rank 5, evicted every iteration (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 5, Seed: 5, MaxIter: 4, MinIter: 4, CheckpointEvery: 1}, machines: 3, backend: hosts, evict: every, carried: true}},
-		{"batched hosts, rank 33, N=1, NoCache (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 33, Seed: 33, MaxIter: 4, MinIter: 4, Partitions: 1, NoCache: true, CheckpointEvery: 1}, machines: 3, backend: batchedHosts, carried: true}},
+		{"batched hosts, rank 33, N=1, NoCache (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 33, Seed: 33, MaxIter: 4, MinIter: 4, Partitions: 1, GroupBits: 1, CheckpointEvery: 1}, machines: 3, backend: batchedHosts, carried: true}},
 		{"machine loss, 3 sets, evicted every iteration (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 4, Seed: 4, MaxIter: 4, MinIter: 4, InitialSets: 3, CheckpointEvery: 1}, machines: 3, faults: loss, evict: every, carried: true}},
 		{"traced (was TestDecomposeUntracedUnchanged)", scenario{x: uniform(9, 10, 9, 8, 0.2), opt: Options{Rank: 3, Seed: 9, MaxIter: 3}, machines: 4}},
 		{"killed before its first checkpoint (was TestResumeMissingCheckpointStartsFresh)", scenario{x: planted(9, 10, 10, 10, 2, 0.3, 0, 0), opt: Options{Rank: 2, Seed: 5, MaxIter: 3, MinIter: 3}, machines: 2, cancel: 1}},
 		{"6 iterations (was TestPropErrorMatchesReconstruction)", scenario{x: uniform(6, 13, 7, 16, 0.2), opt: Options{Rank: 3, Seed: 6, MaxIter: 6}, machines: 2}},
 		{"shared set, 3 runs, 2 sets, N=5, span 1", scenario{x: planted(81, 11, 9, 13, 3, 0.3, 0.1, 0.1), opt: Options{Rank: 5, Seed: 3, MaxIter: 3, InitialSets: 2, Partitions: 5}, machines: 3, span: 1, shared: 3}},
-		{"shared set, cancelled build, topfiber, NoCache", scenario{x: planted(82, 10, 12, 9, 4, 0.3, 0.1, 0.1), opt: Options{Rank: 4, Seed: 4, MaxIter: 3, Init: InitTopFiber, NoCache: true}, machines: 2, shared: 2, cancelBuild: true}},
+		{"shared set, cancelled build, topfiber, NoCache", scenario{x: planted(82, 10, 12, 9, 4, 0.3, 0.1, 0.1), opt: Options{Rank: 4, Seed: 4, MaxIter: 3, Init: InitTopFiber, GroupBits: 1}, machines: 2, shared: 2, cancelBuild: true}},
 	}
 	for _, v := range []int{2, 3, 7, 15} {
 		rows = append(rows, row{fmt.Sprintf("V=%d (was TestGroupBitsInvariance)", v),
@@ -622,7 +628,7 @@ func TestScenarioPinned(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		rows = append(rows, row{fmt.Sprintf("seed %d, NoCache (was TestDiffCacheAblationIdentical)", seed),
-			scenario{x: diff(seed), opt: Options{Rank: 4, Seed: seed, MaxIter: 5, NoCache: true}, machines: 2}})
+			scenario{x: diff(seed), opt: Options{Rank: 4, Seed: seed, MaxIter: 5, GroupBits: 1}, machines: 2}})
 	}
 	for _, n := range []int{1, 2, 5} {
 		rows = append(rows, row{fmt.Sprintf("N=%d (was TestDiffPartitionCountInvariant)", n),
@@ -630,10 +636,14 @@ func TestScenarioPinned(t *testing.T) {
 	}
 	for _, rank := range []int{1, 2, 5, 8, 16, 31, 33, 48, 64} {
 		for _, v := range []int{2, 15} {
-			for _, noCache := range []bool{false, true} {
+			for _, uncached := range []bool{false, true} {
 				seed := int64(rank*100 + v)
-				rows = append(rows, row{fmt.Sprintf("rank %d, V=%d, NoCache=%v (was TestDiffDeltaKernelRanksAndGroupBits)", rank, v, noCache),
-					scenario{x: planted(seed, 13, 11, 12, 3, 0.3, 0.1, 0.1), opt: Options{Rank: rank, Seed: seed, MaxIter: 2, MinIter: 2, GroupBits: v, NoCache: noCache}, machines: 2}})
+				opt := Options{Rank: rank, Seed: seed, MaxIter: 2, MinIter: 2, GroupBits: v}
+				if uncached {
+					opt.GroupBits = 1
+				}
+				rows = append(rows, row{fmt.Sprintf("rank %d, V=%d, NoCache=%v (was TestDiffDeltaKernelRanksAndGroupBits)", rank, v, uncached),
+					scenario{x: planted(seed, 13, 11, 12, 3, 0.3, 0.1, 0.1), opt: opt, machines: 2}})
 			}
 		}
 	}

@@ -23,12 +23,12 @@ const lookahead = 2
 func laneCount(span int) int { return 1<<uint(span) - 1 }
 
 // columnTask is one partition's reusable state for the column-update
-// stages of its mode's factor updates (Algorithm 4): block summers,
-// scratch, and the per-row delta accumulator. It lives for the run, as a
-// mapPartitions task keeps its partition's state, and executor.build
-// refills it for every update. Everything is allocated by the time the
-// task is built, before the column loop starts — eval itself performs zero
-// allocations. A task runs on one goroutine, as a Spark task does.
+// stages of its mode's factor updates (Algorithm 4): block tables and the
+// per-row delta accumulator. It lives for the run, as a mapPartitions task
+// keeps its partition's state, and executor.build refills it for every
+// update. Everything is allocated by the time the task is built, before the
+// column loop starts — eval itself performs zero allocations. A task runs
+// on one goroutine, as a Spark task does.
 type columnTask struct {
 	part *partition.Partition
 	// epoch is the executor epoch the task was last built in; it serves
@@ -36,47 +36,34 @@ type columnTask struct {
 	epoch uint64
 	// a is the factor matrix under update (row masks feed the cache
 	// keys); mf indexes the PVM blocks.
-	a, mf   *boolmat.FactorMatrix
-	summers []summer
+	a, mf *boolmat.FactorMatrix
+	// tables[bi] is block bi's row-summation cache.
+	tables []*sumcache.Cache
 	// deltas[r·lanes+l] is Σ_blocks (e1 − e0) for row r in lane l of the
 	// stage last evaluated; sized for the widest stage. int32 holds it: a
 	// block's |e1 − e0| is at most its width, the sum at most the
 	// partition's, and tensor.matricize refuses an unfolding whose columns
 	// overflow int32. eval accumulates the rows' hits in deltas and the
 	// groups' bases in split, then expands the two into the lanes.
-	deltas  []int32
-	split   *split
-	noCache bool
-	// delta is the cached path's view of one group's flipped region.
+	deltas []int32
+	split  *split
+	// delta is one group's flipped region.
 	delta sumcache.Delta
-	// scratch[bi] backs naiveSummer evaluation in the NoCache ablation;
-	// nil under the cached delta path, which materializes no summations.
-	scratch [][]uint64
-	// lookups counts the delta regions eval has looked up, one per key a
-	// block's groups form in a lane, at most one per (group, block, lane):
-	// SumDelta calls on the cached path, candidate-summation pairs under
-	// NoCache.
+	// lookups counts the SumDelta calls eval has made, one per key a
+	// block's groups form in a lane, at most one per (group, block, lane).
 	lookups int
 }
 
 // newColumnTask makes partition part's column task around its accumulator
 // and split, with what depends on the partition alone; executor.build
 // fills in the rest.
-func newColumnTask(part *partition.Partition, deltas []int32, s *split, noCache bool) *columnTask {
-	t := &columnTask{
-		part:    part,
-		summers: make([]summer, 0, len(part.Blocks)),
-		deltas:  deltas,
-		split:   s,
-		noCache: noCache,
+func newColumnTask(part *partition.Partition, deltas []int32, s *split) *columnTask {
+	return &columnTask{
+		part:   part,
+		tables: make([]*sumcache.Cache, 0, len(part.Blocks)),
+		deltas: deltas,
+		split:  s,
 	}
-	if noCache {
-		t.scratch = make([][]uint64, len(part.Blocks))
-		for bi, b := range part.Blocks {
-			t.scratch[bi] = make([]uint64, entryWords(b.Width()))
-		}
-	}
-	return t
 }
 
 // eval fills and returns the lanes of the stage deciding columns
@@ -125,41 +112,28 @@ func (t *columnTask) eval(c, span int) []int32 {
 // groups' bases, and each of their rows adds its overlap with it to its
 // hits, which the lanes hold until eval expands them. A region SumDelta
 // finds empty from two cached popcounts skips its rows without touching
-// any vector. NoCache counts an overlap from the row's two full errors,
-// which naiveDelta recomputes from the factor columns for every row.
+// any vector.
 //
 //dbtf:noalloc
 func (t *columnTask) pass(bi int, b *partition.Block, kMask, set, bit uint64, l, n int) {
 	s := t.split
 	s.bucketBlockKeys(kMask, set)
-	cache, _ := t.summers[bi].(*sumcache.Cache) // nil under NoCache
+	cache := t.tables[bi]
 	region := s.region[:entryWords(b.Width())]
 	for k, key := range s.blockKeys.key[:s.blockKeys.n] {
 		t.lookups++
-		gain := 0
-		if cache == nil {
-			// sum0 ⊆ sum1, so |sum1 &^ sum0| is the difference of the popcounts.
-			sm, scratch := t.summers[bi], t.scratch[bi]
-			_, pop0 := sm.Sum(key, scratch)
-			_, pop1 := sm.Sum(key|bit, scratch)
-			gain = pop1 - pop0
-		} else if cache.SumDelta(key, bit, &t.delta); !t.delta.Empty() {
-			//dbtf:samewidth the region is cut to the block's width, as the cache slice's entries are
-			gain = bitvec.GainWords(region, t.delta.W1, t.delta.W0, t.delta.Occ)
+		if cache.SumDelta(key, bit, &t.delta); t.delta.Empty() {
+			continue
 		}
+		//dbtf:samewidth the region is cut to the block's width, as the cache slice's entries are
+		gain := bitvec.GainWords(region, t.delta.W1, t.delta.W0, t.delta.Occ)
 		if gain == 0 {
 			continue
 		}
 		for _, g := range s.blockKeys.members(k) {
 			t.addCount(s.base, int(g), l, n, gain)
 			for _, r := range s.groups.members(int(g)) {
-				var h int
-				if cache == nil {
-					h = (gain - int(t.naiveDelta(bi, b, int(r), key, bit))) / 2
-				} else {
-					h = b.Hits(int(r), region)
-				}
-				t.addCount(t.deltas, int(r), l, n, h)
+				t.addCount(t.deltas, int(r), l, n, b.Hits(int(r), region))
 			}
 		}
 	}
@@ -174,16 +148,4 @@ func (t *columnTask) addCount(counts []int32, i, l, n, v int) {
 			c[j] += int32(v)
 		}
 	}
-}
-
-// naiveDelta is e1 − e0 of row r in block bi for adding bit to key, from
-// two full row errors.
-//
-//dbtf:noalloc
-func (t *columnTask) naiveDelta(bi int, b *partition.Block, r int, key, bit uint64) int32 {
-	sm, scratch := t.summers[bi], t.scratch[bi]
-	sum0, pop0 := sm.Sum(key, scratch)
-	e0 := b.RowError(r, sum0, pop0)
-	sum1, pop1 := sm.Sum(key|bit, scratch)
-	return int32(b.RowError(r, sum1, pop1) - e0)
 }

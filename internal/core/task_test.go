@@ -2,12 +2,13 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 
+	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
 	"dbtf/internal/partition"
 	"dbtf/internal/sumcache"
@@ -28,48 +29,6 @@ func buildTask(t *testing.T, d *decomposition, pi int, a, mf, ms *boolmat.Factor
 	return ct
 }
 
-// TestEvalColumnMatchesNaive compares the delta-evaluation kernels (cached path,
-// dense and sparse blocks, single- and multi-group caches) against the
-// retained naive reference: every lane of every row must agree exactly for
-// every stage, paired and single, across random tensors and ranks spanning
-// the single-uint64-mask range. The naive path shares nothing between the
-// lanes, so it also referees the cached path's "same key, evaluated once".
-func TestEvalColumnMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	ranks := []int{1, 2, 3, 7, 8, 13, 33, 64}
-	for _, r := range ranks {
-		for _, groupBits := range []int{2, 15} {
-			i, j, k := rng.Intn(8)+3, rng.Intn(8)+3, rng.Intn(8)+3
-			// Mix densities so some blocks pack dense rows and others
-			// keep the sparse offset walk.
-			density := []float64{0.01, 0.1, 0.4}[rng.Intn(3)]
-			x := randomTensor(rng, i, j, k, density)
-			a := boolmat.RandomFactor(rng, i, r, 0.3)
-			mf := boolmat.RandomFactor(rng, k, r, 0.3)
-			ms := boolmat.RandomFactor(rng, j, r, 0.3)
-
-			opt := Options{Rank: r, Partitions: rng.Intn(4) + 1, GroupBits: groupBits}
-			cached := newTestDecomposition(t, x, opt, 2)
-			opt.NoCache = true
-			naive := newTestDecomposition(t, x, opt, 2)
-
-			for pi := range cached.ex.px[0].Parts {
-				ct := buildTask(t, cached, pi, a, mf, ms)
-				nt := buildTask(t, naive, pi, a, mf, ms)
-				for c := 0; c < r; c++ {
-					for span := 1; span <= min(lookahead, r-c); span++ {
-						got, want := ct.eval(c, span), nt.eval(c, span)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("rank %d V=%d part %d col %d span %d: lanes %v, naive %v",
-								r, groupBits, pi, c, span, got, want)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // repeatedRows draws an n×rank factor whose rows are copies of k random
 // masks: a factor under update whose rows fall into few groups.
 func repeatedRows(rng *rand.Rand, n, rank, k int) *boolmat.FactorMatrix {
@@ -81,69 +40,72 @@ func repeatedRows(rng *rand.Rand, n, rank, k int) *boolmat.FactorMatrix {
 	return a
 }
 
-// evalBlockNaive is the per-row referee: both candidate summations are
-// materialized from the factor columns and both errors evaluated in full,
-// row by row and lane by lane with nothing shared between them. It needs a
-// task built under NoCache.
-//
-//dbtf:noalloc
-func (t *columnTask) evalBlockNaive(bi int, b *partition.Block, bit, next, kMask uint64, deltas []int32, lanes int) {
-	for r := 0; r < t.a.Rows(); r++ {
-		row, out := t.a.RowMask(r), deltas[r*lanes:][:lanes]
-		if kMask&bit != 0 {
-			out[0] += t.naiveDelta(bi, b, r, (row&^bit)&kMask, bit)
+// refereeDelta is the per-row referee's e1 − e0 of row r in block b for
+// adding bit to key: both candidate summations ORed from the single columns
+// of the cached matrix ms, sliced to the block's rows, and both row errors
+// evaluated in full.
+func refereeDelta(ms *boolmat.FactorMatrix, b *partition.Block, r int, key, bit uint64) int32 {
+	rowError := func(mask uint64) int64 {
+		sum, pop := make([]uint64, entryWords(b.Width())), 0
+		for m := mask; m != 0; m &= m - 1 {
+			col := ms.Column(bits.TrailingZeros64(m)).Slice(b.InnerLo, b.InnerLo+b.Width())
+			pop = bitvec.OrCountWords(sum, sum, col.Words())
 		}
-		if kMask&next != 0 {
-			out[1] += t.naiveDelta(bi, b, r, (row&^(bit|next))&kMask, next)
-			out[2] += t.naiveDelta(bi, b, r, (row&^next|bit)&kMask, next)
-		}
+		return b.RowError(r, sum, pop)
 	}
+	return int32(rowError(key|bit) - rowError(key))
 }
 
-// refereeLanes is the stage of columns [c, c+span) as evalBlockNaive
-// evaluates it over every block the stage reads.
-func refereeLanes(t *columnTask, c, span int) []int32 {
+// refereeLanes is the stage of columns [c, c+span) of task t, whose cached
+// matrix is ms, as the per-row referee evaluates it: row by row and lane by
+// lane over every block the stage reads, with nothing shared between them
+// and no table consulted.
+func refereeLanes(t *columnTask, ms *boolmat.FactorMatrix, c, span int) []int32 {
 	lanes, bit := laneCount(span), uint64(1)<<uint(c)
 	var next uint64
 	if span > 1 {
 		next = bit << 1
 	}
 	deltas := make([]int32, t.a.Rows()*lanes)
-	for bi, b := range t.part.Blocks {
-		if kMask := t.mf.RowMask(b.PVM); kMask&(bit|next) != 0 {
-			t.evalBlockNaive(bi, b, bit, next, kMask, deltas, lanes)
+	for _, b := range t.part.Blocks {
+		kMask := t.mf.RowMask(b.PVM)
+		for r := 0; r < t.a.Rows(); r++ {
+			row, out := t.a.RowMask(r), deltas[r*lanes:][:lanes]
+			if kMask&bit != 0 {
+				out[0] += refereeDelta(ms, b, r, (row&^bit)&kMask, bit)
+			}
+			if kMask&next != 0 {
+				out[1] += refereeDelta(ms, b, r, (row&^(bit|next))&kMask, next)
+				out[2] += refereeDelta(ms, b, r, (row&^next|bit)&kMask, next)
+			}
 		}
 	}
 	return deltas
 }
 
-// TestEvalMatchesRowReferee holds the grouped evaluation, cached and
-// NoCache, to the per-row referee, which groups nothing: on factors whose
-// rows repeat a few masks, so that groups hold many rows and a block's
-// groups share keys, and on random ones, where most groups are one row.
+// TestEvalMatchesRowReferee holds the grouped evaluation to the per-row
+// referee, which groups nothing and reads no table, under every table
+// layout: V = 1 (single columns: no summation of two or more cached), 2, 3
+// and 15, over dense and sparse blocks and ranks spanning the
+// single-uint64 mask, every lane of every row of every stage, paired and
+// single. The factors under update repeat a few masks, so that groups hold
+// many rows and a block's groups share keys, or are random, so that most
+// groups are one row.
 func TestEvalMatchesRowReferee(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	for _, rank := range []int{1, 3, 7, 16, 40, 64} {
-		for _, groupBits := range []int{3, 15} {
+	for _, rank := range []int{1, 2, 3, 7, 8, 13, 16, 33, 40, 64} {
+		for _, groupBits := range []int{1, 2, 3, 15} {
 			i, j, k := rng.Intn(10)+6, rng.Intn(8)+3, rng.Intn(8)+3
 			x := randomTensor(rng, i, j, k, []float64{0.02, 0.1, 0.4}[rng.Intn(3)])
 			mf, ms := boolmat.RandomFactor(rng, k, rank, 0.3), boolmat.RandomFactor(rng, j, rank, 0.3)
-			opt := Options{Rank: rank, Partitions: rng.Intn(3) + 1, GroupBits: groupBits}
-			cached := newTestDecomposition(t, x, opt, 2)
-			opt.NoCache = true
-			naive := newTestDecomposition(t, x, opt, 2)
-			referee := newTestDecomposition(t, x, opt, 2)
+			d := newTestDecomposition(t, x, Options{Rank: rank, Partitions: rng.Intn(4) + 1, GroupBits: groupBits}, 2)
 			for _, a := range []*boolmat.FactorMatrix{repeatedRows(rng, i, rank, 3), boolmat.RandomFactor(rng, i, rank, 0.3)} {
-				for pi := range cached.ex.px[0].Parts {
-					ct, nt, rt := buildTask(t, cached, pi, a, mf, ms), buildTask(t, naive, pi, a, mf, ms), buildTask(t, referee, pi, a, mf, ms)
+				for pi := range d.ex.px[0].Parts {
+					ct := buildTask(t, d, pi, a, mf, ms)
 					for c := 0; c < rank; c++ {
 						for span := 1; span <= min(lookahead, rank-c); span++ {
-							want := refereeLanes(rt, c, span)
-							if got := ct.eval(c, span); !slices.Equal(got, want) {
-								t.Fatalf("rank %d V=%d part %d col %d span %d: cached lanes %v, referee %v", rank, groupBits, pi, c, span, got, want)
-							}
-							if got := nt.eval(c, span); !slices.Equal(got, want) {
-								t.Fatalf("rank %d V=%d part %d col %d span %d: NoCache lanes %v, referee %v", rank, groupBits, pi, c, span, got, want)
+							if got, want := ct.eval(c, span), refereeLanes(ct, ms, c, span); !slices.Equal(got, want) {
+								t.Fatalf("rank %d V=%d part %d col %d span %d: lanes %v, referee %v", rank, groupBits, pi, c, span, got, want)
 							}
 						}
 					}
@@ -165,8 +127,8 @@ func TestEvalLooksUpOncePerGroupKey(t *testing.T) {
 	x := randomTensor(rng, 24, 10, 8, 0.2)
 	a := repeatedRows(rng, 24, rank, 3)
 	mf, ms := boolmat.RandomFactor(rng, 8, rank, 0.5), boolmat.RandomFactor(rng, 10, rank, 0.4)
-	for _, noCache := range []bool{false, true} {
-		d := newTestDecomposition(t, x, Options{Rank: rank, Partitions: 2, NoCache: noCache}, 2)
+	for _, v := range []int{0, 1} {
+		d := newTestDecomposition(t, x, Options{Rank: rank, Partitions: 2, GroupBits: v}, 2)
 		for pi := range d.ex.px[0].Parts {
 			ct := buildTask(t, d, pi, a, mf, ms)
 			blocks := len(ct.part.Blocks)
@@ -175,19 +137,19 @@ func TestEvalLooksUpOncePerGroupKey(t *testing.T) {
 				deltas := ct.eval(c, lookahead)
 				s, lookups := ct.split, ct.lookups-before
 				if lookups > s.groups.n*blocks*s.lanes || lookups >= a.Rows()*blocks {
-					t.Errorf("noCache=%v part %d col %d: %d lookups for %d groups of %d rows, %d blocks and %d lanes",
-						noCache, pi, c, lookups, s.groups.n, a.Rows(), blocks, s.lanes)
+					t.Errorf("V=%d part %d col %d: %d lookups for %d groups of %d rows, %d blocks and %d lanes",
+						v, pi, c, lookups, s.groups.n, a.Rows(), blocks, s.lanes)
 				}
 				if _, ok := groupedSize(s, deltas, math.MaxInt); !ok {
-					t.Errorf("noCache=%v part %d col %d: a row's lanes are not its group's base less twice whole hits", noCache, pi, c)
+					t.Errorf("V=%d part %d col %d: a row's lanes are not its group's base less twice whole hits", v, pi, c)
 				}
 			}
 		}
 	}
 }
 
-// TestLanesAreTheColumnsTheyStandFor pins what each lane means, on both
-// kernels: lane 0 is the one-column stage's answer for column c and never
+// TestLanesAreTheColumnsTheyStandFor pins what each lane means, at V = 4
+// and V = 1: lane 0 is the one-column stage's answer for column c and never
 // depends on the row's bit c; lane 1 (lane 2) is the one-column stage's
 // answer for column c+1 once bit c is cleared (set); and a row none of
 // whose blocks holds both bits in its PVM mask has lanes 1 and 2 equal.
@@ -195,8 +157,8 @@ func TestLanesAreTheColumnsTheyStandFor(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	const rank = 6
 	x := randomTensor(rng, 9, 8, 7, 0.25)
-	for _, noCache := range []bool{false, true} {
-		d := newTestDecomposition(t, x, Options{Rank: rank, Partitions: 2, GroupBits: 4, NoCache: noCache}, 2)
+	for _, v := range []int{4, 1} {
+		d := newTestDecomposition(t, x, Options{Rank: rank, Partitions: 2, GroupBits: v}, 2)
 		for c := 0; c+1 < rank; c++ {
 			a := boolmat.RandomFactor(rng, 9, rank, 0.4)
 			mf := boolmat.RandomFactor(rng, 7, rank, 0.5)
@@ -224,16 +186,16 @@ func TestLanesAreTheColumnsTheyStandFor(t *testing.T) {
 				for r := 0; r < a.Rows(); r++ {
 					l := pair[3*r : 3*r+3]
 					if l[0] != withC0[r] || l[0] != withC1[r] {
-						t.Fatalf("noCache=%v col %d part %d row %d: lane 0 is %d, column %d alone gives %d with the bit clear and %d with it set",
-							noCache, c, pi, r, l[0], c, withC0[r], withC1[r])
+						t.Fatalf("V=%d col %d part %d row %d: lane 0 is %d, column %d alone gives %d with the bit clear and %d with it set",
+							v, c, pi, r, l[0], c, withC0[r], withC1[r])
 					}
 					if l[1] != next0[r] || l[2] != next1[r] {
-						t.Fatalf("noCache=%v col %d part %d row %d: lanes 1, 2 are %d, %d; column %d alone gives %d after a 0 and %d after a 1",
-							noCache, c, pi, r, l[1], l[2], c+1, next0[r], next1[r])
+						t.Fatalf("V=%d col %d part %d row %d: lanes 1, 2 are %d, %d; column %d alone gives %d after a 0 and %d after a 1",
+							v, c, pi, r, l[1], l[2], c+1, next0[r], next1[r])
 					}
 					if disjoint && l[1] != l[2] {
-						t.Fatalf("noCache=%v col %d part %d row %d: no block holds both bits, yet lanes 1 and 2 differ: %d, %d",
-							noCache, c, pi, r, l[1], l[2])
+						t.Fatalf("V=%d col %d part %d row %d: no block holds both bits, yet lanes 1 and 2 differ: %d, %d",
+							v, c, pi, r, l[1], l[2])
 					}
 				}
 			}

@@ -7,6 +7,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"dbtf/internal/boolmat"
@@ -17,7 +18,7 @@ import (
 // value, sampled without materializing the dense cell grid: the target
 // nonzero count is drawn cell-free, so generation is O(|X|), not O(I·J·K).
 func Random(rng *rand.Rand, i, j, k int, density float64) *tensor.Tensor {
-	if density < 0 || density > 1 {
+	if !(density >= 0 && density <= 1) {
 		panic(fmt.Sprintf("gen: density %v outside [0,1]", density))
 	}
 	cells := float64(i) * float64(j) * float64(k)
@@ -51,8 +52,8 @@ func FromFactors(rng *rand.Rand, i, j, k, r int, factorDensity float64) (*tensor
 // indicates that we add 10% more 1s"; "5% destructive noise means that we
 // delete 5% of the 1s").
 func AddNoise(rng *rand.Rand, x *tensor.Tensor, additive, destructive float64) *tensor.Tensor {
-	if additive < 0 || destructive < 0 || destructive > 1 {
-		panic(fmt.Sprintf("gen: invalid noise levels additive=%v destructive=%v", additive, destructive))
+	if err := NoiseError(x, additive, destructive); err != nil {
+		panic("gen: " + err.Error())
 	}
 	i, j, k := x.Dims()
 	nnz := x.NNZ()
@@ -90,4 +91,23 @@ func AddNoise(rng *rand.Rand, x *tensor.Tensor, additive, destructive float64) *
 		n++
 	}
 	return tensor.MustFromCoords(i, j, k, coords)
+}
+
+// NoiseError returns why AddNoise refuses the noise levels for x, or nil:
+// an additive level that is negative or NaN, or that asks for more new ones
+// than x has zero cells (the draw would never end), or a destructive level
+// outside [0, 1].
+func NoiseError(x *tensor.Tensor, additive, destructive float64) error {
+	if !(destructive >= 0 && destructive <= 1) {
+		return fmt.Errorf("destructive noise %v outside [0, 1]", destructive)
+	}
+	if !(additive >= 0) {
+		return fmt.Errorf("additive noise %v is negative or NaN", additive)
+	}
+	i, j, k := x.Dims()
+	nnz := float64(x.NNZ())
+	if add, zeros := math.Floor(additive*nnz), float64(i)*float64(j)*float64(k)-nnz; !(add <= zeros) {
+		return fmt.Errorf("additive noise %v asks for %v new ones, and the tensor has %v zero cells", additive, add, zeros)
+	}
+	return nil
 }

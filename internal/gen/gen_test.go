@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -83,7 +84,7 @@ func TestAddNoiseDestructive(t *testing.T) {
 
 func TestAddNoiseInvalidPanics(t *testing.T) {
 	x := tensor.New(2, 2, 2)
-	for _, tc := range [][2]float64{{-0.1, 0}, {0, -0.1}, {0, 1.5}} {
+	for _, tc := range [][2]float64{{-0.1, 0}, {0, -0.1}, {0, 1.5}, {math.NaN(), 0}, {0, math.NaN()}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -93,6 +94,25 @@ func TestAddNoiseInvalidPanics(t *testing.T) {
 			AddNoise(rand.New(rand.NewSource(1)), x, tc[0], tc[1])
 		}()
 	}
+}
+
+// TestAddNoiseRefusesMoreOnesThanZeroCells: additive noise that asks for
+// more new ones than the tensor has zero cells is refused, where the draw
+// would otherwise never end; asking for exactly the zero cells fills them.
+func TestAddNoiseRefusesMoreOnesThanZeroCells(t *testing.T) {
+	x := tensor.MustFromCoords(2, 2, 1, []tensor.Coord{{I: 0, J: 0}, {I: 0, J: 1}})
+	if err := NoiseError(x, 1.5, 0); err == nil {
+		t.Fatal("additive 1.5 of 2 ones into 2 zero cells accepted")
+	}
+	if full := AddNoise(rand.New(rand.NewSource(1)), x, 1, 0); full.NNZ() != 4 {
+		t.Fatalf("additive 1 filled %d of 4 cells", full.NNZ())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	AddNoise(rand.New(rand.NewSource(1)), x, 1.5, 0)
 }
 
 func TestQuickNoiseXorDistance(t *testing.T) {

@@ -30,8 +30,11 @@ import (
 // mode-2 and mode-3 bodies every nonzero the blob's mode-1 bodies carry — a
 // version-9 worker would build those partitions without them; version 11
 // codes a body's counts and gaps as Exp-Golomb bit strings instead of
-// uvarints — a version-10 worker would read the bits as varints.
-const ProtoVersion = 11
+// uvarints — a version-10 worker would read the bits as varints; version 12
+// ships a set-up header one word shorter, the run configuration having lost
+// its uncached flag — a version-11 worker would read the header's words
+// shifted.
+const ProtoVersion = 12
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
 // tighter limit: large enough for a set-up blob, small enough that a
