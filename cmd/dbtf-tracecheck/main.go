@@ -12,7 +12,8 @@
 //	dbtf -trace /dev/stdout ... | dbtf-tracecheck -
 //
 // On success it prints a one-line summary per stream and exits 0; the
-// first violation is reported with its sequence number and exits 1.
+// first violation is reported with its sequence number and exits 1, as is
+// a stream that holds no completed run — an empty file is no trace.
 package main
 
 import (
@@ -48,6 +49,9 @@ func run(args []string) error {
 	sum, err := trace.ValidateJSONL(r)
 	if err != nil {
 		return err
+	}
+	if sum.Runs == 0 {
+		return fmt.Errorf("%s: no run in trace", name)
 	}
 	fmt.Printf("%s: OK — %d events, %d runs, %d stages\n", name, sum.Events, sum.Runs, sum.Stages)
 	types := make([]string, 0, len(sum.ByType))

@@ -88,7 +88,7 @@ func run(args []string) error {
 	)
 	fs.IntVar(&opts.Rank, "rank", 10, "decomposition rank R")
 	fs.IntVar(&opts.MaxIter, "maxiter", 10, "maximum iterations T")
-	fs.IntVar(&opts.Machines, "machines", 16, "simulated cluster size M (dbtf)")
+	fs.IntVar(&opts.Machines, "machines", 16, "simulated cluster size M (dbtf; 0 = GOMAXPROCS)")
 	fs.IntVar(&opts.Partitions, "partitions", 0, "vertical partitions N (dbtf; 0 = machines)")
 	fs.IntVar(&opts.InitialSets, "sets", 1, "initial factor sets L (dbtf)")
 	fs.IntVar(&opts.CacheGroupBits, "groupbits", 15, "cache group bits V (dbtf)")
@@ -239,7 +239,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("dbtf: %d iterations, converged=%v\n", res.Iterations, res.Converged)
 		fmt.Printf("cluster: simulated %v on %d machines in %d stages; shuffled %d B, broadcast %d B, collected %d B\n",
-			res.SimTime.Round(time.Millisecond), opts.Machines, res.Stats.Stages,
+			res.SimTime.Round(time.Millisecond), res.Machines, res.Stats.Stages,
 			res.Stats.ShuffledBytes, res.Stats.BroadcastBytes, res.Stats.CollectedBytes)
 		if opts.Faults != nil {
 			fmt.Printf("chaos: %d injected faults, %d retries, %d machine losses, %d recoveries\n",

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -61,6 +62,19 @@ func TestRunDBTFWithOutput(t *testing.T) {
 		if m.Rows() != 12 || m.Rank() != 2 {
 			t.Fatalf("factor file %s has shape %dx%d", suffix, m.Rows(), m.Rank())
 		}
+	}
+}
+
+// TestRunMachinesZeroNamesGOMAXPROCS: -machines 0 runs on GOMAXPROCS
+// simulated machines, and the summary names the count the run used, not
+// the flag.
+func TestRunMachinesZeroNamesGOMAXPROCS(t *testing.T) {
+	path := writeTensor(t)
+	out := captureStdout(t, func() error {
+		return run([]string{"-input", path, "-rank", "2", "-machines", "0"})
+	})
+	if want := fmt.Sprintf(" on %d machines in ", runtime.GOMAXPROCS(0)); !strings.Contains(out, want) {
+		t.Fatalf("summary does not read %q:\n%s", want, out)
 	}
 }
 

@@ -242,6 +242,9 @@ type Result struct {
 	// Stats reports the simulated cluster's traffic counters: shuffled,
 	// broadcast, and collected bytes.
 	Stats ClusterStats
+	// Machines is the machine count the run used: Options.Machines,
+	// GOMAXPROCS when that is 0, or the worker count over TCP.
+	Machines int
 	// SimTime is the simulated elapsed time on Machines machines.
 	SimTime time.Duration
 	// WallTime is the real elapsed time.
@@ -280,6 +283,7 @@ func Factorize(ctx context.Context, x *Tensor, opt Options) (out *Result, err er
 		InitialErrors:   res.InitialErrors,
 		IterationErrors: res.IterationErrors,
 		Stats:           res.Stats,
+		Machines:        ccfg.Machines,
 		SimTime:         res.SimTime,
 		WallTime:        res.WallTime,
 	}

@@ -96,6 +96,8 @@ var deletedNames = []deletedName{
 		pr: "the load-generator retirement: the job server's contract has one check, FuzzServeScenario through the HTTP API; the shipped load generator and dbtf-serve -loadtest were a second, hand-scheduled checker of it"},
 	{pattern: `NoCache|naiveSummer|naiveDelta|\bsummer\b`, scope: []string{"dbtf.go", "internal/core", "internal/experiments"}, nonTest: true,
 		pr: "the uncached-ablation fold: no cache is V = 1, whose tables hold single columns and run the one eval kernel; it is not an option, a runConfig word or a checkpoint field"},
+	{pattern: `secondOutcome|wireValue|countValue|uvarintLen`, scope: []string{"internal/core"}, nonTest: true,
+		pr: "the Exp-Golomb eval replies: a reply's bodies are bit strings in the set-up bodies' codec, every lane with a nonzero outcome index sent as its difference from laneRef's; the uvarint bodies and their helpers are not kept beside them"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

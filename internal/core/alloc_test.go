@@ -28,8 +28,8 @@ func TestEndIterationUntracedAllocs(t *testing.T) {
 
 // TestWarmFactorUpdateAllocs pins what a factor update allocates once its
 // run is warm (iteration 2 on, simulator): the cache tables its first stage
-// builds and its one labelled context, nothing else — at rank 8 (four
-// stages) and rank 32 (sixteen) alike, so nothing is made per stage, per
+// builds and its one labelled context, nothing else — at rank 8 (three
+// stages) and rank 32 (eleven) alike, so nothing is made per stage, per
 // column task rebuild or per update beside them. Each update follows a real
 // iteration's setFactors and a flipped entry of the cached matrix, so it
 // rebuilds every partition's task and every table it reads. What the

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
 	"dbtf/internal/partition"
 	"dbtf/internal/tensor"
@@ -263,67 +264,110 @@ func FuzzCheckpointDecode(f *testing.F) {
 
 // FuzzDeltasDecode: an eval reply decodes only when it is exactly what
 // appendReply makes of the shape the driver asked for, and then re-encodes
-// to the same bytes. A plain body is rows × lanes minimal varints whose
+// to the same bytes. A plain body is rows × lanes Exp-Golomb codes whose
 // lanes fit int32. A grouped body, strictly smaller than the plain one,
 // holds every group's bases and then the rows with a hit, in order, each
-// with one, and its lanes fit int32 — no byte short and none over. Read as
-// raw int32 lanes, the same bytes survive a plain encode and decode; read
-// as a split of row masks and blocks drawn from them, the lanes survive
+// with one, and its lanes fit int32. Either way every field is coded at the
+// order the encoder picks for its values, no zero prefix is longer than
+// such a value needs, the pad is zero and no byte follows it. Read as raw
+// int32 lanes, the same bytes survive a plain encode and decode; read as a
+// split of row masks and blocks drawn from them, the lanes survive
 // appendReply and a decodeReply against the driver's own grouping, in
-// exactly replySize body bytes.
+// exactly replySize body bytes. The span is 1 + span mod lookahead.
 func FuzzDeltasDecode(f *testing.F) {
-	for _, lanes := range []int{laneCount(1), laneCount(lookahead)} {
-		// int32's extremes in every lane, so lane 2's difference from lane 1
-		// spans 33 bits both ways.
+	for span := 1; span <= lookahead; span++ {
+		lanes := laneCount(span)
+		// int32's extremes in every lane, so a lane's difference from its
+		// reference spans 33 bits both ways.
 		deltas := make([]int32, 5*lanes)
 		for i := range deltas {
 			deltas[i] = []int32{math.MinInt32, math.MaxInt32, math.MinInt32, 0, -1}[i%5]
 		}
-		payload := appendDeltas(nil, deltas, lanes)
-		f.Add(payload, uint16(5), lanes == 1)
-		f.Add(payload, uint16(5), lanes != 1)
-		f.Add(payload[:len(payload)-1], uint16(5), lanes == 1) // cut inside the last varint
-		f.Add(append(payload, 0), uint16(5), lanes == 1)       // one trailing byte
+		payload := plainReply(deltas, lanes)
+		f.Add(payload, uint16(5), uint8(span-1))
+		f.Add(payload, uint16(5), uint8(span%lookahead))          // read at another span
+		f.Add(payload[:len(payload)-1], uint16(5), uint8(span-1)) // cut inside the last code
+		f.Add(append(payload, 0), uint16(5), uint8(span-1))       // one trailing byte
 	}
-	f.Add(append(deltasPayload(1, 1), 0x80, 0x00), uint16(1), true) // 0 as a two-byte varint
+	plain := func(rows, lanes int, body func(w *bitvec.BitWriter)) []byte {
+		return replyPayload(rows, lanes, false, body)
+	}
+	f.Add(plain(1, 1, func(w *bitvec.BitWriter) { // 0 at reference order 1: the encoder picks 0
+		w.Write(1, orderBits)
+		w.Write(0, orderBits)
+		w.ExpGolomb(0, 1)
+	}), uint16(1), uint8(0))
+	f.Add(plain(1, 1, func(w *bitvec.BitWriter) { // 33 zeros: longer than an int32's zigzag needs
+		w.Write(0, 2*orderBits)
+		w.Write(0, 33)
+		w.Write(1<<33, 34)
+	}), uint16(1), uint8(0))
+	f.Add(append(plainReply([]int32{0}, 1)[:deltasHeaderLen], 0x00, 0x81), uint16(1), uint8(0)) // 0, then a 1 in the pad
 	// Lane 2 is sent as lane2 − lane1: +1 on top of MaxInt32 overflows.
-	f.Add(deltasPayload(1, 3, 0, math.MaxInt32, 1), uint16(1), false)
-	f.Add([]byte{}, uint16(0), true)
-	// Grouped bodies for 16 rows of fuzzSplit — four groups, whose twelve
-	// bases are zero here — then the count of rows with a hit and, for each,
-	// its gap and hits. The plain body of such lanes is 48 bytes.
-	grouped := func(listed ...uint64) []byte {
-		return groupedPayload(16, 3, append(make([]uint64, 4*3), listed...)...)
-	}
-	valid := grouped(1, 5, 1, 0, 0) // row 5 hits once in lane 0
-	f.Add(valid, uint16(16), false)
-	f.Add(append(slices.Clone(valid), 0), uint16(16), false) // one trailing byte
-	every := []uint64{16}
-	for r := 0; r < 16; r++ {
-		every = append(every, min(uint64(r), 1), 1, 0, 0)
-	}
-	f.Add(grouped(every...), uint16(16), false)                  // 77 bytes: larger than plain
-	f.Add(grouped(1, 5, 0, 0, 0), uint16(16), false)             // a listed row with no hit
-	f.Add(grouped(2, 5, 1, 0, 0, 0, 1, 0, 0), uint16(16), false) // row 5 twice: out of order
-	f.Add(grouped(1, 5, math.MaxInt32, 0, 0), uint16(16), false) // 0 − 2·MaxInt32 is past int32
-	// Five rows hit once and five 40 times: 53 bytes, as many as the plain
-	// body, which is the one to send on a tie.
-	tie := []uint64{10}
-	for r := 0; r < 10; r++ {
-		tie = append(tie, min(uint64(r), 1), []uint64{1, 40}[r/5], 0, 0)
-	}
-	f.Add(grouped(tie...), uint16(16), false)
-	f.Fuzz(func(t *testing.T, data []byte, rows uint16, single bool) {
-		span := lookahead
-		if single {
-			span = 1
+	f.Add(plain(1, 3, func(w *bitvec.BitWriter) {
+		w.Write(0, 2*orderBits)
+		for _, v := range []int64{0, math.MaxInt32, 1} {
+			w.ExpGolomb(zigzag(v), 0)
 		}
+	}), uint16(1), uint8(1))
+	f.Add([]byte{}, uint16(0), uint8(0))
+	ties := 0
+	// Grouped bodies for 16 rows of fuzzSplit — four groups — at every
+	// span: from the task's own lanes (at one lane a row the plain body is
+	// the smaller), and by hand, every field at order 0 and every base zero,
+	// then the count of rows with a hit and, for each, the rows skipped and
+	// its hits.
+	for span := 1; span <= lookahead; span++ {
+		lanes := laneCount(span)
+		s := fuzzSplit(16, span)
+		deltas := make([]int32, 16*lanes)
+		deltas[5*lanes] = -2 // row 5 hits once in lane 0
+		valid := appendReply(nil, s, deltas)
+		s.release()
+		f.Add(valid, uint16(16), uint8(span-1))
+		f.Add(append(slices.Clone(valid), 0), uint16(16), uint8(span-1)) // one trailing byte
+		f.Add(valid[:len(valid)-1], uint16(16), uint8(span-1))           // cut inside a code
+		grouped := func(listed ...uint64) []byte {
+			return replyPayload(16, lanes, true, func(w *bitvec.BitWriter) {
+				w.Write(0, groupedFields*orderBits)
+				w.ExpGolomb(listed[0], 0)
+				for range 4 * lanes {
+					w.ExpGolomb(0, 0)
+				}
+				for _, v := range listed[1:] {
+					w.ExpGolomb(v, 0)
+				}
+			})
+		}
+		hit := func(gap, h uint64) []uint64 { return append([]uint64{gap, h}, make([]uint64, lanes-1)...) }
+		every := []uint64{16}
+		for range 16 {
+			every = append(every, hit(0, 1)...)
+		}
+		f.Add(grouped(every...), uint16(16), uint8(span-1))                                         // larger than plain
+		f.Add(grouped(append([]uint64{1}, hit(5, 0)...)...), uint16(16), uint8(span-1))             // a listed row with no hit
+		f.Add(grouped(append([]uint64{1}, hit(16, 1)...)...), uint16(16), uint8(span-1))            // past the last row
+		f.Add(grouped(append([]uint64{1}, hit(5, math.MaxInt32)...)...), uint16(16), uint8(span-1)) // 0 − 2·MaxInt32 is past int32
+		// A grouped body no smaller than the plain one: a tie goes plain.
+		if tied, ok := tiedGroupedReply(span); ok {
+			if err := decodeReply(tied, fuzzSplit(16, span), 16, lanes, make([]int32, 16*lanes)); err == nil || !strings.Contains(err.Error(), "not smaller") {
+				f.Fatalf("a grouped body the size of the plain one at span %d decodes with %v", span, err)
+			}
+			f.Add(tied, uint16(16), uint8(span-1))
+			ties++
+		}
+	}
+	if ties == 0 {
+		f.Fatal("no span has a grouped body the size of the plain one")
+	}
+	f.Fuzz(func(t *testing.T, data []byte, rows uint16, spanSeed uint8) {
+		span := 1 + int(spanSeed)%lookahead
 		lanes := laneCount(span)
 		raw := make([]int32, len(data)/4/lanes*lanes)
 		for i := range raw {
 			raw[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
 		}
-		enc := appendDeltas(nil, raw, lanes)
+		enc := plainReply(raw, lanes)
 		if size := deltasSize(raw, lanes); size != len(enc)-deltasHeaderLen {
 			t.Fatalf("deltasSize = %d for a %d-byte body", size, len(enc)-deltasHeaderLen)
 		}
@@ -339,7 +383,7 @@ func FuzzDeltasDecode(f *testing.F) {
 			if err := decodeDeltas(data, int(rows), lanes, dst); err != nil {
 				return
 			}
-			if got := appendDeltas(nil, dst, lanes); string(got) != string(data) {
+			if got := plainReply(dst, lanes); string(got) != string(data) {
 				t.Fatalf("decoded as %d rows of %d lanes but re-encodes differently:\nin:  %x\nout: %x", rows, lanes, data, got)
 			}
 			return
@@ -433,27 +477,53 @@ func splitRoundTrip(t *testing.T, data []byte, span int) {
 	}
 }
 
-// groupedPayload builds a grouped eval reply by hand: the header for rows
-// rows of lanes lanes, marked grouped, then each of values as a uvarint.
-func groupedPayload(rows, lanes int, values ...uint64) []byte {
+// replyPayload builds an eval reply by hand: the header for rows rows of
+// lanes lanes, marked grouped or not, then the bits body writes, padded.
+func replyPayload(rows, lanes int, grouped bool, body func(w *bitvec.BitWriter)) []byte {
 	out := binary.LittleEndian.AppendUint32(nil, uint32(rows))
-	out = append(out, byte(lanes)|groupedBody)
-	for _, v := range values {
-		out = binary.AppendUvarint(out, v)
+	if grouped {
+		lanes |= groupedBody
 	}
-	return out
+	w := bitvec.NewBitWriter(append(out, byte(lanes)))
+	body(&w)
+	return w.Pad()
 }
 
-// deltasPayload builds an eval reply by hand: the header for rows rows of
-// lanes lanes, then each of values as the zigzag varint the body carries —
-// lane 2 of a row is the value sent, its difference from lane 1.
-func deltasPayload(rows, lanes int, values ...int64) []byte {
-	out := binary.LittleEndian.AppendUint32(nil, uint32(rows))
-	out = append(out, byte(lanes))
-	for _, v := range values {
-		out = binary.AppendUvarint(out, zigzag(v))
+// plainReply is the plain eval reply carrying deltas, lanes to a row.
+func plainReply(deltas []int32, lanes int) []byte {
+	return appendDeltas(nil, deltas, lanes, plainBody(deltas, lanes))
+}
+
+// tiedGroupedReply returns a grouped reply for 16 rows of fuzzSplit at span
+// columns whose body has exactly as many bytes as the plain body of the
+// same lanes, which is the body a tie sends, and false if it finds none.
+// It searches the lanes made of one base, shared by every group and lane,
+// with the first few rows hitting once in lane 0.
+func tiedGroupedReply(span int) ([]byte, bool) {
+	lanes := laneCount(span)
+	s := fuzzSplit(16, span)
+	defer s.release()
+	deltas := make([]int32, 16*lanes)
+	for base := int32(0); base < 256; base++ {
+		for g := 0; g < s.groups.n; g++ {
+			for l := range s.groupBase(g) {
+				s.groupBase(g)[l] = base
+			}
+		}
+		for hit := 0; hit <= 16; hit++ {
+			for i := range deltas {
+				deltas[i] = base
+				if i%lanes == 0 && i/lanes < hit {
+					deltas[i] -= 2
+				}
+			}
+			plain := plainBody(deltas, lanes).size
+			if g, ok := groupedReplyBody(s, deltas, plain+1); ok && g.size == plain {
+				return appendGrouped(nil, s, deltas, g), true
+			}
+		}
 	}
-	return out
+	return nil, false
 }
 
 // resealAsVersion rewrites an image's version byte and re-seals the CRC,

@@ -523,7 +523,7 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 
 	// Every later iteration carries the objective through its commits
 	// (committed): no stage recounts what the commits already summed, so an
-	// iteration is its 3⌈R/2⌉ deciding rounds, and a resumed run, starting
+	// iteration is its 3⌈R/3⌉ deciding rounds, and a resumed run, starting
 	// from the checkpoint's error, runs no total-error stage at all.
 	for t := res.Iterations + 1; t <= cfg.MaxIter && !res.Converged; t++ {
 		d.beginIteration(t)
@@ -798,7 +798,7 @@ func (d *decomposition) updateFactors(a, b, c *boolmat.FactorMatrix) (committed,
 // updateFactor updates the mode's factor matrix against its partitioned
 // unfolding — Algorithm 4, with the per-row decision evaluated as the error
 // difference e1 − e0 over the delta region of the two candidate summations
-// instead of two full errors, and two columns decided per synchronisation
+// instead of two full errors, and three columns decided per synchronisation
 // round (see lookahead). The operand roles come from modeRoles. It returns
 // what its commits changed.
 func (d *decomposition) updateFactor(mode int) (committed, error) {
@@ -881,9 +881,9 @@ func (u *factorUpdate) run() (committed, error) {
 		}
 		// The driver collects laneCount(span) values a row from every
 		// partition — Lemma 7's N·rows values per column — as the eval
-		// reply's body carries them (see appendReply): each in the bytes
-		// its magnitude needs, or as its row group's base less twice the
-		// row's hits, whichever body is smaller.
+		// reply's body carries them (see appendReply): each in the bits
+		// its field's Exp-Golomb code needs, or as its row group's base
+		// less twice the row's hits, whichever body is smaller.
 		var collected int64
 		for _, part := range u.parts {
 			collected += part.replyBytes

@@ -292,7 +292,7 @@ func TestMachineLossRebuildsInheritedTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	const stages = (rank + lookahead - 1) / lookahead
-	updateMode(t, d, 0, a, b, c) // stages 1..stages, one per pair of columns
+	updateMode(t, d, 0, a, b, c) // stages 1..stages, one per lookahead columns
 	if lossStage < 2 || lossStage > stages || !checked {
 		t.Fatalf("first loss at stage %d (checked %v), want one between two stages of the update (stages 2..%d): pick another fault seed", lossStage, checked, stages)
 	}

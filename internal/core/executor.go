@@ -6,6 +6,7 @@ import (
 	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
 	"dbtf/internal/partition"
+	"dbtf/internal/slab"
 	"dbtf/internal/sumcache"
 	"dbtf/internal/tensor"
 )
@@ -123,11 +124,20 @@ func (ex *executor) install(px [3]*partition.Partitioned) {
 	ex.splits = make([]split, parts)
 }
 
-// release returns every machine's cache tables and every partition's split
-// to the slab pool. The caller guarantees no stage can still touch them.
+// release returns every machine's cache tables and every partition's
+// lanes and split to the slab pool. The caller guarantees no stage can
+// still touch them.
 func (ex *executor) release() {
 	for _, reg := range ex.reg {
 		reg.clearRelease()
+	}
+	for _, deltas := range ex.deltas {
+		for pi, d := range deltas {
+			if d != nil {
+				slab.PutInt32s(d)
+				deltas[pi] = nil
+			}
+		}
 	}
 	for pi := range ex.splits {
 		ex.splits[pi].release()
@@ -245,10 +255,11 @@ func (ex *executor) build(mode, pi int) (*columnTask, error) {
 // lanes returns the buffer for partition pi's per-row error differences in
 // the mode's update, sized for the widest stage: the accumulator of every
 // column task built for the partition here, and what the driver decodes
-// the partition's reply into when the task ran on a remote executor.
+// the partition's reply into when the task ran on a remote executor. It
+// comes from the slab pool and goes back at release.
 func (ex *executor) lanes(mode, pi int) []int32 {
 	if ex.deltas[mode][pi] == nil {
-		ex.deltas[mode][pi] = make([]int32, ex.dims[modeRoles[mode].upd]*laneCount(ex.span))
+		ex.deltas[mode][pi] = slab.Int32s(ex.dims[modeRoles[mode].upd] * laneCount(ex.span))
 	}
 	return ex.deltas[mode][pi]
 }
@@ -275,7 +286,7 @@ func (ex *executor) splitFor(pi int) *split {
 }
 
 // stageSpan returns how many columns the eval stage starting at column col
-// decides: the lookahead, cut to one for the last column of an odd rank.
+// decides: the lookahead, cut to the columns left at the end of the rank.
 func (ex *executor) stageSpan(col int) int { return min(ex.span, ex.cfg.Rank-col) }
 
 // eval evaluates the stage that starts at column col of the mode's update

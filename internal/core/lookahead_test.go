@@ -68,16 +68,17 @@ func (l *commitLog) endSweep() {
 	}
 }
 
-// TestLookaheadMatchesPerColumn holds the two-column stage to its oracle,
-// Algorithm 4 as written: the same run scheduled one column a stage — the
-// same kernel at span 1, driver and workers alike — must commit the same bit
-// for every row of every column of every update, and so end with the same
-// factors and error trajectory. Ranks 1, 3 and 5 end on the one-column tail;
-// rank 64 puts bit 63 in lane 2.
+// TestLookaheadMatchesPerColumn holds every multi-column stage to its
+// oracle, Algorithm 4 as written: the same run scheduled one column a stage
+// — the same kernel at span 1, driver and workers alike — must commit the
+// same bit for every row of every column of every update at spans 2 and 3,
+// and so end with the same factors and error trajectory. Ranks 1 to 5 end
+// on every tail width; rank 64 puts bits 60–62 in one three-column stage
+// beside the one-column tail at bit 63, and bit 63 in lane 2 at span 2.
 func TestLookaheadMatchesPerColumn(t *testing.T) {
 	const machines = 2
 	rng := rand.New(rand.NewSource(26))
-	for _, rank := range []int{1, 2, 3, 5, 64} {
+	for _, rank := range []int{1, 2, 3, 4, 5, 64} {
 		x, _, _, _ := plantedTensor(rng, 11, 9, 8, min(rank, 6), 0.3)
 		for _, v := range []int{0, 1} {
 			for _, sets := range []int{1, 2} {
@@ -109,25 +110,29 @@ func TestLookaheadMatchesPerColumn(t *testing.T) {
 				}
 				for _, remote := range []bool{false, true} {
 					want, wantCommits := run(1, remote)
-					got, gotCommits := run(lookahead, remote)
-					if !got.A.Equal(want.A) || !got.B.Equal(want.B) || !got.C.Equal(want.C) {
-						t.Errorf("%s remote=%v: factors differ from the one-column schedule's", name, remote)
-					}
-					if !reflect.DeepEqual(got.InitialErrors, want.InitialErrors) || !reflect.DeepEqual(got.IterationErrors, want.IterationErrors) {
-						t.Errorf("%s remote=%v: errors %v %v, one column a stage gives %v %v",
-							name, remote, got.InitialErrors, got.IterationErrors, want.InitialErrors, want.IterationErrors)
-					}
-					if !reflect.DeepEqual(gotCommits, wantCommits) {
-						t.Errorf("%s: committed columns differ from the one-column schedule's:\n%s\nwant\n%s",
-							name, strings.Join(gotCommits, " "), strings.Join(wantCommits, " "))
-					}
-					if remote && len(gotCommits) != 3*rank*(sets+2) {
-						t.Errorf("%s: %d columns committed, want 3·%d·%d", name, len(gotCommits), rank, sets+2)
-					}
 					rounds := func(span int) int64 { return int64(1 + sets + (sets+2)*3*((rank+span-1)/span)) }
-					if want.Stats.Stages != rounds(1) || got.Stats.Stages != rounds(lookahead) {
-						t.Errorf("%s remote=%v: %d rounds at one column a stage and %d at %d, want %d and %d",
-							name, remote, want.Stats.Stages, got.Stats.Stages, lookahead, rounds(1), rounds(lookahead))
+					if want.Stats.Stages != rounds(1) {
+						t.Errorf("%s remote=%v: %d rounds at one column a stage, want %d", name, remote, want.Stats.Stages, rounds(1))
+					}
+					if remote && len(wantCommits) != 3*rank*(sets+2) {
+						t.Errorf("%s: %d columns committed, want 3·%d·%d", name, len(wantCommits), rank, sets+2)
+					}
+					for span := 2; span <= lookahead; span++ {
+						got, gotCommits := run(span, remote)
+						if !got.A.Equal(want.A) || !got.B.Equal(want.B) || !got.C.Equal(want.C) {
+							t.Errorf("%s span %d remote=%v: factors differ from the one-column schedule's", name, span, remote)
+						}
+						if !reflect.DeepEqual(got.InitialErrors, want.InitialErrors) || !reflect.DeepEqual(got.IterationErrors, want.IterationErrors) {
+							t.Errorf("%s span %d remote=%v: errors %v %v, one column a stage gives %v %v",
+								name, span, remote, got.InitialErrors, got.IterationErrors, want.InitialErrors, want.IterationErrors)
+						}
+						if !reflect.DeepEqual(gotCommits, wantCommits) {
+							t.Errorf("%s span %d: committed columns differ from the one-column schedule's:\n%s\nwant\n%s",
+								name, span, strings.Join(gotCommits, " "), strings.Join(wantCommits, " "))
+						}
+						if got.Stats.Stages != rounds(span) {
+							t.Errorf("%s span %d remote=%v: %d rounds, want %d", name, span, remote, got.Stats.Stages, rounds(span))
+						}
 					}
 				}
 			}

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
 	"dbtf/internal/gen"
@@ -123,8 +124,8 @@ func (h *hostTransport) Close() error              { return nil }
 
 // TestCollectedBytesAreReplyBytes: the collected bytes the driver counts are
 // the bytes the executors' replies carried, less one header per eval reply
-// (a total-error reply is its 8-byte body) — per task and batched, at an
-// odd rank, so a sweep holds paired stages and the one-column tail, at
+// (a total-error reply is its 8-byte body) — per task and batched, at rank
+// 5, so a sweep holds three-column stages and the two-column tail, at
 // V = 15 and V = 1 — and the simulated run, which encodes nothing, counts
 // the same.
 func TestCollectedBytesAreReplyBytes(t *testing.T) {
@@ -496,18 +497,65 @@ func FuzzSetupDecode(f *testing.F) {
 	})
 }
 
+// TestGolombTallyPicksTheShortestOrder holds golombTally to the
+// definition of a field's order: of the orders 0 to maxOrder, the one whose
+// codes of the values sum to the fewest bits, the smaller on a tie — found
+// here by coding every value at every order. The values are drawn at every
+// scale up to a 33-bit difference lane, with runs of ones at their tops
+// (values whose codes carry) and zeros.
+func TestGolombTallyPicksTheShortestOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 2000; trial++ {
+		var f golombTally
+		values := make([]uint64, rng.Intn(40))
+		for i := range values {
+			v := rng.Uint64() >> uint(31+rng.Intn(34))
+			switch rng.Intn(4) {
+			case 0:
+				v = 0
+			case 1:
+				v |= v>>1 | v>>2 | v>>3 // a run of ones at the top
+			}
+			values[i] = v
+			f.add(v, 1)
+		}
+		wantOrder, wantSize := uint(0), -1
+		for k := uint(0); k <= maxOrder; k++ {
+			size := 0
+			for _, v := range values {
+				size += bitvec.ExpGolombBits(v, k)
+			}
+			if wantSize < 0 || size < wantSize {
+				wantOrder, wantSize = k, size
+			}
+		}
+		if order, size := f.best(); order != wantOrder || size != wantSize {
+			t.Fatalf("values %v: tally picks order %d at %d bits, coding them gives order %d at %d", values, order, size, wantOrder, wantSize)
+		}
+	}
+}
+
 // TestDeltasCodecInsistsOnShape: the driver knows how many rows and lanes
 // the stage it shipped must answer with, and an eval reply of any other
 // shape — a one-lane reply to a three-lane stage, a short buffer, trailing
-// bytes — or any value but the one minimal varint of an int32 lane is an
-// error, never a mis-read.
+// bytes — or any body but the one appendDeltas makes of int32 lanes is an
+// error, never a mis-read: a field at an order the encoder would not pick,
+// a zero prefix longer than an int32 lane needs, a code cut short, a one in
+// the pad.
 func TestDeltasCodecInsistsOnShape(t *testing.T) {
 	deltas := []int32{-3, 0, 7, math.MinInt32, math.MaxInt32, -1}
-	three, one := appendDeltas(nil, deltas, 3), appendDeltas(nil, deltas, 1)
+	three, one := plainReply(deltas, 3), plainReply(deltas, 1)
 	got := make([]int32, len(deltas))
 	if err := decodeDeltas(three, 2, 3, got); err != nil || !reflect.DeepEqual(got, deltas) {
 		t.Fatalf("round trip of 2 rows × 3 lanes: %v, %v", got, err)
 	}
+	// orders writes a plain body's two orders, 0 and 0 unless given.
+	orders := func(w *bitvec.BitWriter, k ...uint64) {
+		k = append(k, 0, 0)
+		w.Write(k[0], orderBits)
+		w.Write(k[1], orderBits)
+	}
+	zero := plainReply([]int32{0}, 1)
 	for name, tc := range map[string]struct {
 		payload     []byte
 		rows, lanes int
@@ -519,10 +567,26 @@ func TestDeltasCodecInsistsOnShape(t *testing.T) {
 		"trailing byte":                          {append(slices.Clone(three), 0), 2, 3},
 		"header only":                            {three[:deltasHeaderLen], 2, 3},
 		"cut header":                             {three[:deltasHeaderLen-1], 2, 3},
-		"zero as a two-byte varint":              {append(deltasPayload(1, 1), 0x80, 0x00), 1, 1},
-		"a lane past int32":                      {deltasPayload(1, 1, math.MaxInt32+1), 1, 1},
-		"lane 2 past int32 after the add":        {deltasPayload(1, 3, 0, math.MinInt32, -1), 1, 3},
-		"a varint past 64 bits":                  {append(deltasPayload(1, 1), bytes.Repeat([]byte{0xff}, 10)...), 1, 1},
+		"a one in the pad":                       {append(slices.Clone(zero[:len(zero)-1]), zero[len(zero)-1]|1), 1, 1},
+		"zero at an order the encoder would not pick": {replyPayload(1, 1, false, func(w *bitvec.BitWriter) {
+			orders(w, 1)
+			w.ExpGolomb(0, 1)
+		}), 1, 1},
+		"an over-long zero prefix": {replyPayload(1, 1, false, func(w *bitvec.BitWriter) {
+			orders(w)
+			w.Write(0, laneBits+1)
+			w.Write(1<<(laneBits+1), laneBits+2)
+		}), 1, 1},
+		"a lane past int32": {replyPayload(1, 1, false, func(w *bitvec.BitWriter) {
+			orders(w)
+			w.ExpGolomb(zigzag(math.MaxInt32+1), 0)
+		}), 1, 1},
+		"lane 2 past int32 after the add": {replyPayload(1, 3, false, func(w *bitvec.BitWriter) {
+			orders(w)
+			for _, v := range []int64{0, math.MinInt32, -1} {
+				w.ExpGolomb(zigzag(v), 0)
+			}
+		}), 1, 3},
 	} {
 		if err := decodeDeltas(tc.payload, tc.rows, tc.lanes, make([]int32, tc.rows*tc.lanes)); err == nil {
 			t.Errorf("%s: decoded", name)

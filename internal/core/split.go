@@ -28,6 +28,10 @@ type split struct {
 	groups buckets
 	// base[g·lanes+l] is Σ_blocks |D| of group g in lane l.
 	base []int32
+	// wide[g·lookahead+j] is what group g's base adds to every lane of
+	// column c+j: a block holding none of the stage's bits before c+j adds
+	// its |D| to all of them, and eval counts it once until expand.
+	wide []int32
 	// blockKeys buckets the groups by their delta key in the block and
 	// lane being evaluated; keys holds those keys, group by group.
 	blockKeys buckets
@@ -62,7 +66,7 @@ type buckets struct {
 // up to width columns.
 func (s *split) init(rows, lanes, width int) {
 	slots, w := 1<<bits.Len(uint(2*rows-1)), entryWords(width)
-	s.words, s.arena = slab.Uint64s(3*rows+slots+w), slab.Int32s(6*rows+2+rows*lanes+lanes+slots)
+	s.words, s.arena = slab.Uint64s(3*rows+slots+w), slab.Int32s(6*rows+2+rows*lanes+lanes+slots+rows*lookahead)
 	words, arena := s.words, s.arena
 	take := func(n int) []int32 {
 		a := arena[:n:n]
@@ -74,7 +78,7 @@ func (s *split) init(rows, lanes, width int) {
 		b.key, words = words[:rows:rows], words[rows:]
 		b.of, b.items, b.start = take(rows), take(rows), take(rows+1)
 	}
-	s.base, s.hitRow = take(rows*lanes), take(lanes)
+	s.base, s.hitRow, s.wide = take(rows*lanes), take(lanes), take(rows*lookahead)
 	slotKey, slotBucket := words, take(slots)
 	s.groups.slotKey, s.groups.slotBucket = slotKey, slotBucket
 	s.blockKeys.slotKey, s.blockKeys.slotBucket = slotKey, slotBucket
@@ -89,12 +93,13 @@ func (s *split) release() {
 
 // rowGroups groups the rows of a, the factor under update, for the eval
 // stage deciding columns [c, c+span) of a partition with the given blocks,
-// whose PVM masks are mf's rows, and returns the stage's column bits (next
-// is 0 for a one-column stage). A row's key is its mask without bit,
-// narrowed to U, the OR of the PVM masks of the blocks the stage reads —
-// those holding bit or next. Every delta key a block forms for the row is
-// its key masked by the block's PVM mask, a subset of U, so rows with equal
-// keys have equal deltas in every block and lane: equal bases.
+// whose PVM masks are mf's rows, and returns the stage's column bits. A
+// row's key is its mask without bit c, narrowed to U, the OR of the PVM
+// masks of the blocks the stage reads — those holding any of its bits.
+// Every delta key a block forms for the row is its key masked by the
+// block's PVM mask, a subset of U, with some of the stage's bits set, so
+// rows with equal keys have equal deltas in every block and lane: equal
+// bases.
 //
 // The column task groups before it evaluates; the driver groups the same
 // way before it decodes a grouped reply, from A as it stands until the
@@ -102,35 +107,33 @@ func (s *split) release() {
 // sent.
 //
 //dbtf:noalloc
-func (s *split) rowGroups(a, mf *boolmat.FactorMatrix, blocks []*partition.Block, c, span int) (bit, next uint64) {
-	bit, s.lanes = uint64(1)<<uint(c), laneCount(span)
-	if span > 1 {
-		next = bit << 1
-	}
+func (s *split) rowGroups(a, mf *boolmat.FactorMatrix, blocks []*partition.Block, c, span int) (stage uint64) {
+	stage, s.lanes = (1<<uint(span)-1)<<uint(c), laneCount(span)
 	var u uint64
 	for _, b := range blocks {
-		if k := mf.RowMask(b.PVM); k&(bit|next) != 0 {
+		if k := mf.RowMask(b.PVM); k&stage != 0 {
 			u |= k
 		}
 	}
+	bit := uint64(1) << uint(c)
 	keys := s.keys[:a.Rows()]
 	for r := range keys {
 		keys[r] = a.RowMask(r) &^ bit & u
 	}
 	s.groups.fill(keys)
-	return bit, next
+	return stage
 }
 
 // bucketBlockKeys buckets the groups by their delta key in one block and
-// lane: the group key masked by the block's PVM mask kMask, with set added.
-// Groups whose keys differ only outside kMask share the key, and so the
-// block's delta region.
+// column: the group key masked by kMask, the block's PVM mask less the
+// stage's bits up to the column's. Groups whose keys differ only outside
+// kMask share the key, and so the block's delta regions.
 //
 //dbtf:noalloc
-func (s *split) bucketBlockKeys(kMask, set uint64) {
+func (s *split) bucketBlockKeys(kMask uint64) {
 	keys := s.keys[:s.groups.n]
 	for g, k := range s.groups.key[:s.groups.n] {
-		keys[g] = k&kMask | set
+		keys[g] = k & kMask
 	}
 	s.blockKeys.fill(keys)
 }
@@ -182,10 +185,19 @@ func (b *buckets) members(k int) []int32 { return b.items[b.start[k]:b.start[k+1
 func (s *split) groupBase(g int) []int32 { return s.base[g*s.lanes:][:s.lanes] }
 
 // expand turns deltas, rows × lanes of hits, into the lanes, each its
-// group's base less twice the hits.
+// group's base less twice the hits, once every base has its column-wide
+// counts added to the lanes of their columns.
 //
 //dbtf:noalloc
 func (s *split) expand(deltas []int32) {
+	for g := 0; g < s.groups.n; g++ {
+		base, wide := s.groupBase(g), s.wide[g*lookahead:]
+		for j := 0; 1<<j <= len(base); j++ {
+			for l := 1<<j - 1; l < 1<<(j+1)-1; l++ {
+				base[l] += wide[j]
+			}
+		}
+	}
 	for r, g := range s.groups.of[:len(deltas)/s.lanes] {
 		base, row := s.groupBase(int(g)), deltas[r*s.lanes:][:s.lanes]
 		for l := range row {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
 	"dbtf/internal/partition"
@@ -8,19 +10,49 @@ import (
 )
 
 // lookahead is how many columns one eval stage decides. Rows are
-// independent, and column c+1 depends on column c only through the row's
-// own bit c, so a partition can answer for column c+1 under both outcomes
-// of column c before the driver has decided it: one synchronisation round
-// commits two columns. It stays 2 because the lanes double with every
-// further column: at 3, seven lanes a row decide three columns where three
-// one-column stages collect six values, under any per-lane codec.
-const lookahead = 2
+// independent, and a later column of the stage depends on the earlier ones
+// only through the row's own bits, so a partition can answer for column
+// c+j under every outcome of columns c … c+j−1 before the driver has
+// decided them: one synchronisation round commits lookahead columns, and a
+// row's lanes double with every column added. It is 3 because the reply
+// codes a lane as its difference from the lane whose outcomes differ from
+// its own in the last earlier bit (laneRef) — zero unless a block's PVM
+// mask holds both bits, and an order-0 Exp-Golomb zero is one bit — so on
+// the four benchmark workloads the seven lanes of three columns cost 1–26 %
+// more bytes than the three of two, and a run collects fewer bytes than
+// span 2 did in uvarints, in a third fewer rounds. At 4 the fifteen lanes
+// cost 2–33 % more bytes than 3 does.
+const lookahead = 3
 
 // laneCount returns the error differences a stage of span columns carries
-// per row: one for the first column, then one per outcome of the columns
-// before it — lane 0 is column c; lanes 1 and 2 are column c+1 with the
-// row's bit c ending 0 and 1.
+// per row, in heap order: lane 0 is column c; lanes 2^j − 1 … 2^(j+1) − 2
+// are column c+j, the outcome index o = lane − (2^j − 1) giving the row's
+// bits c … c+j−1 as the driver commits them, bit c being o's top bit —
+// lanes 1 and 2 are column c+1 after a 0 and a 1 in column c.
 func laneCount(span int) int { return 1<<uint(span) - 1 }
+
+// laneSet is a set of a stage's lanes, lane l being bit l.
+type laneSet uint64
+
+// laneSets[j][held][set] is the lanes of column c+j whose outcomes agree
+// with set on held, both masks of the stage's bits c … c+j−1 (bit i for
+// column c+i): the lanes one pass of a block holding the bits held adds
+// to. Built once, for every column of the widest stage.
+var laneSets = func() (sets [lookahead][1 << (lookahead - 1)][1 << (lookahead - 1)]laneSet) {
+	for j := range sets {
+		for held := 0; held < 1<<j; held++ {
+			for set := 0; set < 1<<j; set++ {
+				for o := 0; o < 1<<j; o++ {
+					// Bit i of the row's mask is bit j−1−i of o.
+					if outcome := int(bits.Reverse64(uint64(o)) >> (64 - j)); j == 0 || outcome&held == set&held {
+						sets[j][held][set] |= 1 << uint(1<<j-1+o)
+					}
+				}
+			}
+		}
+	}
+	return sets
+}()
 
 // columnTask is one partition's reusable state for the column-update
 // stages of its mode's factor updates (Algorithm 4): block tables and the
@@ -67,37 +99,36 @@ func newColumnTask(part *partition.Partition, deltas []int32, s *split) *columnT
 }
 
 // eval fills and returns the lanes of the stage deciding columns
-// [c, c+span), span 1 or 2: every row's error difference e1 − e0 — the
-// change in the partition's reconstruction error if the row's entry in the
-// column were 1 instead of 0 — for column c, and for column c+1 under both
-// outcomes of the row's bit c. A block contributes to a column only if its
-// PVM row mask holds the column's bit; the two outcomes of bit c reach
-// column c+1 only through blocks whose mask holds both bits, and every
-// other block's difference is evaluated once and added to both lanes.
+// [c, c+span): every row's error difference e1 − e0 — the change in the
+// partition's reconstruction error if the row's entry in the column were 1
+// instead of 0 — for column c, and for each later column c+j under every
+// outcome of the row's bits c … c+j−1 (see laneCount). A block contributes
+// to a column only if its PVM row mask holds the column's bit, and the
+// outcomes of the earlier bits reach it only through the bits its mask
+// holds: it is evaluated once per assignment of those, each adding its
+// region to every lane whose outcomes agree with the assignment.
 //
 // The rows are grouped first (split.rowGroups), and a block's delta region
-// is looked up once per key the groups form in it (see pass); only a row's
-// overlap with the region is counted per row.
+// is looked up once per key the groups form in it and assignment (see
+// pass); only a row's overlap with the region is counted per row.
 //
 //dbtf:noalloc
 func (t *columnTask) eval(c, span int) []int32 {
 	s := t.split
-	bit, next := s.rowGroups(t.a, t.mf, t.part.Blocks, c, span)
+	stage := s.rowGroups(t.a, t.mf, t.part.Blocks, c, span)
 	deltas := t.deltas[:t.a.Rows()*s.lanes]
 	clear(deltas)
 	clear(s.base[:s.groups.n*s.lanes])
+	clear(s.wide[:s.groups.n*lookahead])
 	for bi, b := range t.part.Blocks {
 		kMask := t.mf.RowMask(b.PVM)
-		first, second := kMask&bit != 0, kMask&next != 0
-		if first {
-			t.pass(bi, b, kMask, 0, bit, 0, 1)
-		}
-		if second {
-			if kMask &^= next; first {
-				t.pass(bi, b, kMask, 0, next, 1, 1)
-				t.pass(bi, b, kMask, bit, next, 2, 1)
-			} else {
-				t.pass(bi, b, kMask, 0, next, 1, 2)
+		held := kMask & stage
+		for j := 0; j < span; j++ {
+			// Column c+j's key drops the stage's bits up to its own: the
+			// earlier ones are set by the assignments, the later ones are
+			// still the row's own.
+			if bit := uint64(1) << uint(c+j); held&bit != 0 {
+				t.pass(bi, b, kMask&^(bit<<1-1<<uint(c)), bit, held&(bit-1), c, j)
 			}
 		}
 	}
@@ -105,47 +136,57 @@ func (t *columnTask) eval(c, span int) []int32 {
 	return deltas
 }
 
-// pass adds block b's part of lanes [l, l+n): the delta region of adding
-// bit to a group's key masked by kMask, with set added. Groups whose keys
-// agree on kMask share the region, so it is looked up once per such key
+// pass adds block b's part of column c+j's lanes: for each assignment of
+// the earlier stage bits the block holds, the delta region of adding bit to
+// a group's key masked by kMask with the assignment's bits set, to the
+// lanes whose outcomes agree with it. Groups whose keys agree on kMask
+// share the regions, so each is looked up once per such key
 // (split.bucketBlockKeys) and materialized; its size goes to each of the
-// groups' bases, and each of their rows adds its overlap with it to its
-// hits, which the lanes hold until eval expands them. A region SumDelta
+// groups' bases — to their column-wide counts when the block holds none of
+// the earlier bits — and each of their rows adds its overlap with it to
+// its hits, which the lanes hold until eval expands them. A region SumDelta
 // finds empty from two cached popcounts skips its rows without touching
 // any vector.
 //
 //dbtf:noalloc
-func (t *columnTask) pass(bi int, b *partition.Block, kMask, set, bit uint64, l, n int) {
+func (t *columnTask) pass(bi int, b *partition.Block, kMask, bit, earlier uint64, c, j int) {
 	s := t.split
-	s.bucketBlockKeys(kMask, set)
+	s.bucketBlockKeys(kMask)
 	cache := t.tables[bi]
 	region := s.region[:entryWords(b.Width())]
 	for k, key := range s.blockKeys.key[:s.blockKeys.n] {
-		t.lookups++
-		if cache.SumDelta(key, bit, &t.delta); t.delta.Empty() {
-			continue
-		}
-		//dbtf:samewidth the region is cut to the block's width, as the cache slice's entries are
-		gain := bitvec.GainWords(region, t.delta.W1, t.delta.W0, t.delta.Occ)
-		if gain == 0 {
-			continue
-		}
-		for _, g := range s.blockKeys.members(k) {
-			t.addCount(s.base, int(g), l, n, gain)
-			for _, r := range s.groups.members(int(g)) {
-				t.addCount(t.deltas, int(r), l, n, b.Hits(int(r), region))
+		for set := earlier; ; set = (set - 1) & earlier {
+			t.lookups++
+			if cache.SumDelta(key|set, bit, &t.delta); !t.delta.Empty() {
+				//dbtf:samewidth the region is cut to the block's width, as the cache slice's entries are
+				if gain := bitvec.GainWords(region, t.delta.W1, t.delta.W0, t.delta.Occ); gain != 0 {
+					lanes := laneSets[j][earlier>>uint(c)][set>>uint(c)]
+					for _, g := range s.blockKeys.members(k) {
+						if earlier == 0 {
+							s.wide[int(g)*lookahead+j] += int32(gain)
+						} else {
+							t.addCount(s.base, int(g), lanes, gain)
+						}
+						for _, r := range s.groups.members(int(g)) {
+							t.addCount(t.deltas, int(r), lanes, b.Hits(int(r), region))
+						}
+					}
+				}
+			}
+			if set == 0 {
+				break
 			}
 		}
 	}
 }
 
-// addCount adds v to lanes [l, l+n) of entry i of counts, laid out as the
+// addCount adds v to the lanes in set of entry i of counts, laid out as the
 // stage's lanes to an entry: a group's bases or a row's hits.
-func (t *columnTask) addCount(counts []int32, i, l, n, v int) {
+func (t *columnTask) addCount(counts []int32, i int, set laneSet, v int) {
 	if v != 0 {
-		c := counts[i*t.split.lanes+l:][:n]
-		for j := range c {
-			c[j] += int32(v)
+		c := counts[i*t.split.lanes:][:t.split.lanes]
+		for m := set; m != 0; m &= m - 1 {
+			c[bits.TrailingZeros64(uint64(m))] += int32(v)
 		}
 	}
 }

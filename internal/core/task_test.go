@@ -59,24 +59,27 @@ func refereeDelta(ms *boolmat.FactorMatrix, b *partition.Block, r int, key, bit 
 // refereeLanes is the stage of columns [c, c+span) of task t, whose cached
 // matrix is ms, as the per-row referee evaluates it: row by row and lane by
 // lane over every block the stage reads, with nothing shared between them
-// and no table consulted.
+// and no table consulted. Lane l of column c+j has the row's bits c …
+// c+j−1 set as its outcome index says (see laneCount) and bit c+j clear.
 func refereeLanes(t *columnTask, ms *boolmat.FactorMatrix, c, span int) []int32 {
-	lanes, bit := laneCount(span), uint64(1)<<uint(c)
-	var next uint64
-	if span > 1 {
-		next = bit << 1
-	}
+	lanes := laneCount(span)
 	deltas := make([]int32, t.a.Rows()*lanes)
 	for _, b := range t.part.Blocks {
 		kMask := t.mf.RowMask(b.PVM)
 		for r := 0; r < t.a.Rows(); r++ {
-			row, out := t.a.RowMask(r), deltas[r*lanes:][:lanes]
-			if kMask&bit != 0 {
-				out[0] += refereeDelta(ms, b, r, (row&^bit)&kMask, bit)
-			}
-			if kMask&next != 0 {
-				out[1] += refereeDelta(ms, b, r, (row&^(bit|next))&kMask, next)
-				out[2] += refereeDelta(ms, b, r, (row&^next|bit)&kMask, next)
+			for l := 0; l < lanes; l++ {
+				j := bits.Len(uint(l+1)) - 1
+				o, bit := l+1-1<<uint(j), uint64(1)<<uint(c+j)
+				if kMask&bit == 0 {
+					continue
+				}
+				key := t.a.RowMask(r) &^ (bit<<1 - 1<<uint(c))
+				for i := 0; i < j; i++ {
+					if o>>uint(j-1-i)&1 != 0 {
+						key |= 1 << uint(c+i)
+					}
+				}
+				deltas[r*lanes+l] += refereeDelta(ms, b, r, key&kMask, bit)
 			}
 		}
 	}
@@ -140,7 +143,7 @@ func TestEvalLooksUpOncePerGroupKey(t *testing.T) {
 					t.Errorf("V=%d part %d col %d: %d lookups for %d groups of %d rows, %d blocks and %d lanes",
 						v, pi, c, lookups, s.groups.n, a.Rows(), blocks, s.lanes)
 				}
-				if _, ok := groupedSize(s, deltas, math.MaxInt); !ok {
+				if _, ok := groupedReplyBody(s, deltas, math.MaxInt32); !ok {
 					t.Errorf("V=%d part %d col %d: a row's lanes are not its group's base less twice whole hits", v, pi, c)
 				}
 			}
@@ -207,8 +210,8 @@ func TestLanesAreTheColumnsTheyStandFor(t *testing.T) {
 // column task evaluates stages without allocating, from the first sweep on
 // — across both a single-group and a multi-group (occluded delta)
 // configuration, over partitions that cut PVM products (partial blocks,
-// tables over row ranges) as well as whole ones, and at an odd rank, so the
-// sweep holds paired stages and the one-column tail.
+// tables over row ranges) as well as whole ones, and at rank 7, so the
+// sweep holds three-column stages of seven lanes and the one-column tail.
 func TestEvalColumnZeroAlloc(t *testing.T) {
 	const rank = 7
 	rng := rand.New(rand.NewSource(22))

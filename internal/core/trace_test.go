@@ -170,10 +170,10 @@ func TestEveryStageCarriesProfileLabels(t *testing.T) {
 }
 
 // TestRunStagesAreColumnsAndOneError pins the round count, the paper's
-// makespan unit: a run synchronises once to partition, once per pair of
-// columns of every factor update — plus once for the odd rank's last column
-// — and once per initial set to learn the error every later iteration is
-// carried from: 1 + L + (L + T − 1)·3⌈R/2⌉ rounds, nothing that only warms
+// makespan unit: a run synchronises once to partition, once per lookahead
+// columns of every factor update — the last stage taking the columns left —
+// and once per initial set to learn the error every later iteration is
+// carried from: 1 + L + (L + T − 1)·3⌈R/3⌉ rounds, nothing that only warms
 // state and nothing that only recounts — on the simulator and over Worker
 // hosts alike. A run resumed after iteration 1 starts from the checkpoint's
 // error: its T − 1 sweeps and no total-error round at all.

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 
+	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
 	"dbtf/internal/partition"
 	"dbtf/internal/sumcache"
@@ -230,110 +231,245 @@ func decodeColumns(payload []byte) (modeIdx, col, span, rows int, bits []byte, e
 }
 
 // deltasHeaderLen is KindEval's result header: u32 row count, u8 lanes per
-// row, the lanes byte's high bit (groupedBody) marking a grouped body. A
-// plain body follows as rows × lanes zigzag uvarints, row by row, each the
-// lane's wireValue. A grouped body carries the stage's split instead (see
-// split): every group's base lanes, in group order; the count of rows with
-// a hit; then for each such row, ascending, its gap from the one before
-// (the first row's gap is its index) and its hit lanes. Every value of a
-// grouped body is a uvarint, a count lane being its countValue.
+// row, the lanes byte's high bit (groupedBody) marking a grouped body. The
+// body is a bit string of Exp-Golomb codes, MSB first and zero-padded to a
+// byte, that opens with one orderBits-wide order per field and codes every
+// value of the field at that order. A lane whose outcome index is not 0
+// goes as its difference from its laneRef, zigzagged; a reference lane goes
+// as itself, zigzagged in a plain body and as the count it is in a grouped
+// one.
+//
+// A plain body has two fields, the reference lanes and the difference
+// lanes, and carries rows × lanes values, row by row. A grouped body
+// carries the stage's split instead (see split) in five fields — base
+// reference, base difference, row gap, hit reference, hit difference:
+// after the orders, the count of rows with a hit as an order-0 code; every
+// group's base lanes, in group order; then for each row with a hit,
+// ascending, the rows skipped since the one before and its hit lanes.
 const deltasHeaderLen = 5
 
 // groupedBody marks a grouped body in the header's lanes byte.
 const groupedBody = 0x80
 
-// wireValue is what a plain eval reply carries for lane l of a row: the
-// lane itself, except that the second outcome of a pair (lane 2 of a
-// two-column stage) goes as its difference from the first. The two differ
-// only on blocks whose PVM mask holds both columns' bits, so the difference
-// is mostly zero.
-func wireValue(row []int32, l int) int64 {
-	v := int64(row[l])
-	if secondOutcome(l) {
-		v -= int64(row[l-1])
-	}
-	return v
-}
+// orderBits is the width of a field's order, and maxOrder the largest
+// order it holds.
+const (
+	orderBits = 4
+	maxOrder  = 1<<orderBits - 1
+)
 
-// countValue is what a grouped reply carries for lane l of a group's bases
-// or a row's hits, counts that are never negative: the count itself, except
-// that the second outcome of a pair goes as the zigzag of its difference
-// from the first, as in wireValue.
-func countValue(counts []int32, l int) uint64 {
-	if secondOutcome(l) {
-		return zigzag(int64(counts[l]) - int64(counts[l-1]))
-	}
-	return uint64(counts[l])
-}
+// A grouped body's fields; a plain body's are the first two, its lanes
+// standing where the bases do.
+const (
+	fieldRef = iota
+	fieldDiff
+	fieldGap
+	fieldHitRef
+	fieldHitDiff
+	groupedFields
+)
 
-// secondOutcome reports whether lane l is the second of a pair of lanes in
-// heap order: the one the reply sends as a difference.
-func secondOutcome(l int) bool { return l > 0 && l%2 == 0 }
+// Value bounds, in bits, of the fields' codes: the decoder refuses a zero
+// prefix longer than a value of that many bits needs at the field's order.
+// A reference lane is a zigzagged int32, a difference of two lanes one of
+// 33 bits, a count at most MaxInt32 and a difference of two counts within
+// ±MaxInt32; a row gap and the count of listed rows are below the row
+// count, a u32.
+const (
+	laneBits      = 32
+	laneDiffBits  = 33
+	countBits     = 31
+	countDiffBits = 32
+	rowBits       = 32
+)
+
+// laneRef returns the lane a reply sends lane l as its difference from, or
+// −1 for a reference lane. Lane l is column c+j's lane of outcome index o
+// (see laneCount), l+1 being 2^j + o; its reference is the lane of outcome
+// o & (o−1), the row's earlier bits with the last 1 of them a 0, so l+1
+// less its lowest 1 — none when that 1 is 2^j itself. The two differ only
+// on blocks whose PVM mask holds that bit and column c+j's, so the
+// difference is mostly zero. At span 2 lane 2 goes as lane 2 − lane 1.
+func laneRef(l int) int { return (l+1)&l - 1 }
 
 // zigzag maps small magnitudes of either sign to small unsigned values;
 // unzigzag is its inverse.
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// uvarintLen is the length of u's minimal uvarint.
-func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
-
-// rowGap is what a grouped reply carries for listed row r after listed row
-// prev, −1 before the first.
-func rowGap(r, prev int) uint64 {
-	if prev < 0 {
-		return uint64(r)
+// laneCode is what a body carries for lane l of an entry's lanes, and its
+// field among fieldRef and fieldDiff: a plain body's lanes, zigzagged, or a
+// grouped body's counts — a group's bases or a row's hits, never negative
+// — sent as they are when they are reference lanes.
+func laneCode(lanes []int32, l int, counts bool) (uint64, int) {
+	if ref := laneRef(l); ref >= 0 {
+		return zigzag(int64(lanes[l]) - int64(lanes[ref])), fieldDiff
 	}
-	return uint64(r - prev)
+	if counts {
+		return uint64(lanes[l]), fieldRef
+	}
+	return zigzag(int64(lanes[l])), fieldRef
+}
+
+// golombTally tallies the values of one field so that the order coding
+// them in the fewest bits, and those bits, follow without a pass over the
+// values per order. At order k a value v of bit length b costs k+1 bits
+// when b <= k, else 2b − k − 1, plus two more when v + 2^k carries past
+// v's top bit: when bits k … b−1 of v are all ones, for k from v's carry
+// start — the bit length of v's highest 0 below its top run of ones, which
+// is ^v ∧ v>>1's — up to b − 1.
+type golombTally struct {
+	// lengths[b] counts the values of bit length b, and starts[s] those of
+	// carry start s; every field's values are below 2^(laneDiffBits+1).
+	lengths, starts [laneDiffBits + 2]int
+}
+
+// add tallies n values v.
+//
+//dbtf:noalloc
+func (f *golombTally) add(v uint64, n int) {
+	f.lengths[bits.Len64(v)] += n
+	f.starts[bits.Len64(^v&(v>>1))] += n
+}
+
+// best returns the order in [0, maxOrder] that codes the tallied values in
+// the fewest bits, the smaller order on a tie, and those bits. The values
+// carrying at order k are those whose carry start is at most k less those
+// whose length is. Past the longest value's bit length every value costs
+// k+1 bits, so no larger order is shorter.
+//
+//dbtf:noalloc
+func (f *golombTally) best() (order uint, size int) {
+	top, count, sum := 0, 0, 0
+	for b, n := range f.lengths {
+		if n != 0 {
+			top, count, sum = b, count+n, sum+b*n
+		}
+	}
+	// short and shortSum are the values of bit length at most k and their
+	// lengths summed, started those of carry start at most k.
+	short, shortSum, started := 0, 0, 0
+	for k := 0; k <= min(top, maxOrder); k++ {
+		short, shortSum, started = short+f.lengths[k], shortSum+k*f.lengths[k], started+f.starts[k]
+		n := (k+1)*short + 2*(sum-shortSum) - (k+1)*(count-short) + 2*(started-short)
+		if k == 0 || n < size {
+			order, size = uint(k), n
+		}
+	}
+	return order, size
+}
+
+// laneTally tallies entries' lanes — a plain body's rows, a grouped body's
+// bases or hits — in their two fields, as laneCode codes them.
+type laneTally struct{ ref, diff golombTally }
+
+// add tallies one entry's lanes: column by column, its reference lane,
+// the first, and the differences of the others. Most differences are
+// zero, and it adds the zeros up in one go.
+//
+//dbtf:noalloc
+func (t *laneTally) add(lanes []int32, counts bool) {
+	zeroRefs, zeroDiffs := 0, 0
+	for ref := 0; ref < len(lanes); ref = 2*ref + 1 {
+		v := zigzag(int64(lanes[ref]))
+		if counts {
+			v = uint64(lanes[ref])
+		}
+		if v == 0 {
+			zeroRefs++
+		} else {
+			t.ref.add(v, 1)
+		}
+		for l := ref + 1; l < 2*ref+1; l++ {
+			if d := zigzag(int64(lanes[l]) - int64(lanes[laneRef(l)])); d == 0 {
+				zeroDiffs++
+			} else {
+				t.diff.add(d, 1)
+			}
+		}
+	}
+	t.ref.add(0, zeroRefs)
+	t.diff.add(0, zeroDiffs)
+}
+
+// bodyBytes returns the bytes of a body of the fields' shortest codes and
+// extra bits beside them, and sets orders to the fields' orders.
+//
+//dbtf:noalloc
+func bodyBytes(orders []uint, extra int, fields ...*golombTally) int {
+	n := len(fields)*orderBits + extra
+	for i, f := range fields {
+		var size int
+		orders[i], size = f.best()
+		n += size
+	}
+	return (n + 7) / 8
+}
+
+// replyBody is the body an eval reply carries its lanes in: grouped or
+// plain, its bytes, the orders of its fields and, grouped, how many rows
+// it lists.
+type replyBody struct {
+	grouped bool
+	size    int
+	orders  [groupedFields]uint
+	listed  int
+}
+
+// plainBody returns the plain body carrying deltas, lanes to a row.
+//
+//dbtf:noalloc
+func plainBody(deltas []int32, lanes int) replyBody {
+	var t laneTally
+	for i := 0; i < len(deltas); i += lanes {
+		t.add(deltas[i:i+lanes], false)
+	}
+	var b replyBody
+	b.size = bodyBytes(b.orders[:fieldGap], 0, &t.ref, &t.diff)
+	return b
 }
 
 // deltasSize returns the bytes of a plain eval reply's body carrying
 // deltas, lanes to a row: the header excluded.
-//
-//dbtf:noalloc
-func deltasSize(deltas []int32, lanes int) int {
-	n := 0
-	for i := 0; i < len(deltas); i += lanes {
-		row := deltas[i : i+lanes]
-		for l := range row {
-			n += uvarintLen(zigzag(wireValue(row, l)))
-		}
-	}
-	return n
-}
+func deltasSize(deltas []int32, lanes int) int { return plainBody(deltas, lanes).size }
 
-// groupedSize returns the bytes of the grouped body carrying deltas as s
-// splits them, and whether that body is one to send instead of a limit-byte
-// plain body: whether s splits deltas — every row's lanes are its group's
-// base less twice whole hits — and the body is under limit bytes. It stops
-// counting at limit.
+// groupedReplyBody returns the grouped body carrying deltas as s splits
+// them, and whether it is one to send instead of a plain body of limit
+// bytes: whether s splits deltas — every row's lanes are its group's base
+// less twice whole hits — and the grouped body is under limit bytes. Every
+// code is at least a bit, so it stops tallying once the orders and a bit
+// per value tallied fill limit − 1 bytes.
 //
 //dbtf:noalloc
-func groupedSize(s *split, deltas []int32, limit int) (int, bool) {
-	n := 1 // the count of listed rows, at least one byte
+func groupedReplyBody(s *split, deltas []int32, limit int) (replyBody, bool) {
+	var bases, hits laneTally
+	var gaps golombTally
+	var b replyBody
+	b.grouped = true
 	for g := 0; g < s.groups.n; g++ {
-		base := s.groupBase(g)
-		for l := range base {
-			n += uvarintLen(countValue(base, l))
-		}
+		bases.add(s.groupBase(g), true)
 	}
-	listed, prev := 0, -1
-	for r := 0; r < len(deltas)/s.lanes && n < limit; r++ {
-		hits, ok := s.hits(r, deltas)
+	// floor is a bound below the body's bits: the orders, the listed count
+	// and the values tallied so far, a bit each.
+	floor, most := groupedFields*orderBits+1+s.groups.n*s.lanes, 8*(limit-1)
+	prev, rows := -1, len(deltas)/s.lanes
+	for r := 0; r < rows && floor <= most; r++ {
+		h, ok := s.hits(r, deltas)
 		if !ok {
-			return 0, false
+			return b, false
 		}
-		if !anyHit(hits) {
-			continue
+		if anyHit(h) {
+			gaps.add(uint64(r-prev-1), 1)
+			hits.add(h, true)
+			b.listed, prev = b.listed+1, r
+			floor += 1 + s.lanes
 		}
-		n += uvarintLen(rowGap(r, prev))
-		for l := range hits {
-			n += uvarintLen(countValue(hits, l))
-		}
-		listed, prev = listed+1, r
 	}
-	n += uvarintLen(uint64(listed)) - 1
-	return n, n < limit
+	if floor > most {
+		return b, false
+	}
+	b.size = bodyBytes(b.orders[:], bitvec.ExpGolombBits(uint64(b.listed), 0), &bases.ref, &bases.diff, &gaps, &hits.ref, &hits.diff)
+	return b, b.size < limit
 }
 
 // anyHit reports whether a row's hits are not all zero: whether a grouped
@@ -347,78 +483,141 @@ func anyHit(hits []int32) bool {
 	return false
 }
 
+// replyFor returns the body of the eval reply carrying deltas: grouped when
+// s splits deltas and the grouped body is strictly smaller than the plain
+// one, so a reply never grows past its plain body.
+//
+//dbtf:noalloc
+func replyFor(s *split, deltas []int32) replyBody {
+	plain := plainBody(deltas, s.lanes)
+	if grouped, ok := groupedReplyBody(s, deltas, plain.size); ok {
+		return grouped
+	}
+	return plain
+}
+
 // replySize returns the body bytes of the eval reply carrying deltas — the
 // header excluded, which is what the driver's Collect charges for it — and
-// whether that body is grouped: it is when s splits deltas and the grouped
-// body is strictly smaller than the plain one, so a reply never grows past
-// its plain body. A simulated stage task calls it on its lane goroutine.
+// whether that body is grouped (see replyFor). A simulated stage task calls
+// it on its lane goroutine.
 //
 //dbtf:noalloc
 func replySize(s *split, deltas []int32) (int, bool) {
-	plain := deltasSize(deltas, s.lanes)
-	if n, ok := groupedSize(s, deltas, plain); ok {
-		return n, true
-	}
-	return plain, false
+	b := replyFor(s, deltas)
+	return b.size, b.grouped
 }
 
 // appendReply packs one eval task's lanes onto dst, in the body replySize
 // picks, growing dst once to the reply's exact size.
 func appendReply(dst []byte, s *split, deltas []int32) []byte {
-	size, grouped := replySize(s, deltas)
-	if !grouped {
-		return appendDeltas(dst, deltas, s.lanes)
+	b := replyFor(s, deltas)
+	if b.grouped {
+		return appendGrouped(dst, s, deltas, b)
 	}
-	dst = slices.Grow(dst, deltasHeaderLen+size)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(deltas)/s.lanes))
+	return appendDeltas(dst, deltas, s.lanes, b)
+}
+
+// appendGrouped packs deltas onto dst as b, the grouped body
+// groupedReplyBody prices for s's split of them, growing dst once to the
+// reply's exact size.
+func appendGrouped(dst []byte, s *split, deltas []int32, b replyBody) []byte {
+	rows := len(deltas) / s.lanes
+	dst = slices.Grow(dst, deltasHeaderLen+b.size)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rows))
 	dst = append(dst, byte(s.lanes)|groupedBody)
+	w := writeOrders(dst, b.orders[:])
+	w.ExpGolomb(uint64(b.listed), 0)
 	for g := 0; g < s.groups.n; g++ {
-		base := s.groupBase(g)
-		for l := range base {
-			dst = binary.AppendUvarint(dst, countValue(base, l))
-		}
+		writeLanes(&w, s.groupBase(g), true, b.orders[fieldRef:])
 	}
-	rows, listed := len(deltas)/s.lanes, 0
-	for r := 0; r < rows; r++ {
-		if hits, _ := s.hits(r, deltas); anyHit(hits) {
-			listed++
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(listed))
 	prev := -1
 	for r := 0; r < rows; r++ {
-		hits, _ := s.hits(r, deltas)
-		if !anyHit(hits) {
-			continue
+		if hits, _ := s.hits(r, deltas); anyHit(hits) {
+			w.ExpGolomb(uint64(r-prev-1), b.orders[fieldGap])
+			writeLanes(&w, hits, true, b.orders[fieldHitRef:])
+			prev = r
 		}
-		dst = binary.AppendUvarint(dst, rowGap(r, prev))
-		for l := range hits {
-			dst = binary.AppendUvarint(dst, countValue(hits, l))
-		}
-		prev = r
 	}
-	return dst
+	return w.Pad()
+}
+
+// writeOrders starts a body on dst with its fields' orders.
+func writeOrders(dst []byte, orders []uint) bitvec.BitWriter {
+	w := bitvec.NewBitWriter(dst)
+	for _, k := range orders {
+		w.Write(uint64(k), orderBits)
+	}
+	return w
+}
+
+// writeLanes writes an entry's lanes as laneCode codes them, at orders,
+// the reference and difference fields' orders.
+func writeLanes(w *bitvec.BitWriter, lanes []int32, counts bool, orders []uint) {
+	for l := range lanes {
+		v, field := laneCode(lanes, l, counts)
+		w.ExpGolomb(v, orders[field])
+	}
 }
 
 // appendDeltas packs one eval task's per-row error differences, lanes to a
-// row (see columnTask.deltas for why int32 carries them), onto dst as a
-// plain body, growing it once to the reply's exact size.
-func appendDeltas(dst []byte, deltas []int32, lanes int) []byte {
-	dst = slices.Grow(dst, deltasHeaderLen+deltasSize(deltas, lanes))
+// row (see columnTask.deltas for why int32 carries them), onto dst as b,
+// the plain body plainBody prices for them, growing dst once to the reply's
+// exact size.
+func appendDeltas(dst []byte, deltas []int32, lanes int, b replyBody) []byte {
+	dst = slices.Grow(dst, deltasHeaderLen+b.size)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(deltas)/lanes))
 	dst = append(dst, byte(lanes))
+	w := writeOrders(dst, b.orders[:fieldGap])
 	for i := 0; i < len(deltas); i += lanes {
-		row := deltas[i : i+lanes]
-		for l := range row {
-			dst = binary.AppendUvarint(dst, zigzag(wireValue(row, l)))
-		}
+		writeLanes(&w, deltas[i:i+lanes], false, b.orders[:])
 	}
-	return dst
+	return w.Pad()
 }
 
 // groupedReply reports whether an eval reply's header marks a grouped body.
 func groupedReply(payload []byte) bool {
 	return len(payload) >= deltasHeaderLen && payload[4]&groupedBody != 0
+}
+
+// readOrders reads a body's field orders into orders.
+func readOrders(br *bitvec.BitReader, orders []uint) bool {
+	for i := range orders {
+		k, ok := br.Bits(orderBits)
+		if !ok {
+			return false
+		}
+		orders[i] = uint(k)
+	}
+	return true
+}
+
+// readCode reads one value of a field at order k whose values are below
+// 2^valueBits: a longer zero prefix than such a value needs is refused, as
+// is a code cut short. It tallies what it reads.
+func readCode(br *bitvec.BitReader, k uint, valueBits int, f *golombTally) (uint64, bool) {
+	v, ok := br.ExpGolomb(k, valueBits-int(k))
+	if ok {
+		f.add(v, 1)
+	}
+	return v, ok
+}
+
+// endBody checks what follows a body's last code: zero padding to a byte
+// and nothing after it, and that every field was coded at the order the
+// encoder picks for its values.
+func endBody(br *bitvec.BitReader, orders []uint, fields ...*golombTally) error {
+	if !br.Align() {
+		return errors.New("a nonzero bit pads the body")
+	}
+	if n := br.Left() / 8; n != 0 {
+		return fmt.Errorf("%d trailing bytes", n)
+	}
+	for i, f := range fields {
+		if k, _ := f.best(); k != orders[i] {
+			return fmt.Errorf("field %d is coded at order %d, its values at %d", i, orders[i], k)
+		}
+	}
+	return nil
 }
 
 // decodeReply unpacks an eval reply of either body kind into
@@ -435,10 +634,19 @@ func decodeReply(payload []byte, s *split, rows, lanes int, dst []int32) error {
 	if n, l := int(binary.LittleEndian.Uint32(payload)), int(payload[4]&^groupedBody); n != rows || l != lanes {
 		return fmt.Errorf("core: grouped deltas payload has %d rows of %d lanes, want %d of %d", n, l, rows, lanes)
 	}
-	body := payload[deltasHeaderLen:]
-	var err error
+	br := bitvec.NewBitReader(payload[deltasHeaderLen:])
+	var orders [groupedFields]uint
+	var bases, hits laneTally
+	var gaps golombTally
+	if !readOrders(&br, orders[:]) {
+		return errors.New("core: grouped deltas payload: the orders are cut short")
+	}
+	listed, ok := br.ExpGolomb(0, rowBits)
+	if !ok || listed > uint64(rows) {
+		return fmt.Errorf("core: grouped deltas payload: the count of rows with hits is cut short, over-long or over %d", rows)
+	}
 	for g := 0; g < s.groups.n; g++ {
-		if body, err = readCounts(body, s.groupBase(g)); err != nil {
+		if err := readCounts(&br, s.groupBase(g), orders[fieldRef:], &bases); err != nil {
 			return fmt.Errorf("core: grouped deltas payload: base of group %d: %w", g, err)
 		}
 	}
@@ -446,33 +654,23 @@ func decodeReply(payload []byte, s *split, rows, lanes int, dst []int32) error {
 	for r, g := range s.groups.of[:rows] {
 		copy(dst[r*lanes:], s.groupBase(int(g)))
 	}
-	listed, n := binary.Uvarint(body)
-	if n <= 0 || n != uvarintLen(listed) || listed > uint64(rows) {
-		return fmt.Errorf("core: grouped deltas payload: the count of rows with hits is truncated, not a minimal uvarint or over %d", rows)
-	}
-	body = body[n:]
 	prev := -1
 	for i := uint64(0); i < listed; i++ {
-		gap, n := binary.Uvarint(body)
-		if n <= 0 || n != uvarintLen(gap) {
-			return fmt.Errorf("core: grouped deltas payload: gap %d is truncated or not a minimal uvarint", i)
+		gap, ok := readCode(&br, orders[fieldGap], rowBits, &gaps)
+		if !ok || gap >= uint64(rows-prev-1) {
+			return fmt.Errorf("core: grouped deltas payload: the gap before listed row %d is cut short, over-long or past row %d", i, rows-1)
 		}
-		body = body[n:]
-		from := max(prev, 0)
-		if prev >= 0 && gap == 0 || gap >= uint64(rows-from) {
-			return fmt.Errorf("core: grouped deltas payload: listed row %d is out of order or past row %d", i, rows-1)
-		}
-		r := from + int(gap)
-		hits := s.hitRow[:lanes]
-		if body, err = readCounts(body, hits); err != nil {
+		r := prev + 1 + int(gap)
+		h := s.hitRow[:lanes]
+		if err := readCounts(&br, h, orders[fieldHitRef:], &hits); err != nil {
 			return fmt.Errorf("core: grouped deltas payload: hits of row %d: %w", r, err)
 		}
-		if !anyHit(hits) {
+		if !anyHit(h) {
 			return fmt.Errorf("core: grouped deltas payload: row %d is listed with no hit", r)
 		}
 		row := dst[r*lanes:][:lanes]
-		for l, h := range hits {
-			v := int64(row[l]) - 2*int64(h)
+		for l, n := range h {
+			v := int64(row[l]) - 2*int64(n)
 			if v < math.MinInt32 {
 				return fmt.Errorf("core: grouped deltas payload: lane %d of row %d is %d, outside int32", l, r, v)
 			}
@@ -480,8 +678,8 @@ func decodeReply(payload []byte, s *split, rows, lanes int, dst []int32) error {
 		}
 		prev = r
 	}
-	if len(body) != 0 {
-		return fmt.Errorf("core: %d trailing bytes after grouped deltas", len(body))
+	if err := endBody(&br, orders[:], &bases.ref, &bases.diff, &gaps, &hits.ref, &hits.diff); err != nil {
+		return fmt.Errorf("core: grouped deltas payload: %w", err)
 	}
 	if size, plain := len(payload)-deltasHeaderLen, deltasSize(dst, lanes); size >= plain {
 		return fmt.Errorf("core: grouped deltas payload of %d bytes is not smaller than the plain body's %d", size, plain)
@@ -490,35 +688,37 @@ func decodeReply(payload []byte, s *split, rows, lanes int, dst []int32) error {
 }
 
 // readCounts reads a grouped body's lanes of counts — a group's bases or a
-// row's hits — into dst, each a minimal uvarint landing in [0, MaxInt32],
-// and returns the rest of the body.
-func readCounts(body []byte, dst []int32) ([]byte, error) {
+// row's hits — into dst, each landing in [0, MaxInt32], at orders, the
+// reference and difference fields' orders, tallying them in t.
+func readCounts(br *bitvec.BitReader, dst []int32, orders []uint, t *laneTally) error {
 	for l := range dst {
-		u, n := binary.Uvarint(body)
-		if n <= 0 || n != uvarintLen(u) {
-			return nil, fmt.Errorf("lane %d is truncated or not a minimal uvarint", l)
+		f, k, valueBits, ref := &t.ref, orders[fieldRef], countBits, laneRef(l)
+		if ref >= 0 {
+			f, k, valueBits = &t.diff, orders[fieldDiff], countDiffBits
 		}
-		body = body[n:]
-		// A difference of two counts lies within ±MaxInt32: its zigzag is at
-		// most twice that, and the add below cannot overflow.
+		u, ok := readCode(br, k, valueBits, f)
+		if !ok {
+			return fmt.Errorf("lane %d is cut short or over-long", l)
+		}
+		// Both codes' bounds keep the add below inside int64.
 		v := int64(u)
-		if secondOutcome(l) && u <= 2*math.MaxInt32 {
-			v = int64(dst[l-1]) + unzigzag(u)
+		if ref >= 0 {
+			v = int64(dst[ref]) + unzigzag(u)
 		}
-		if u > 2*math.MaxInt32 || v < 0 || v > math.MaxInt32 {
-			return nil, fmt.Errorf("lane %d is not a count inside int32", l)
+		if v < 0 || v > math.MaxInt32 {
+			return fmt.Errorf("lane %d is not a count inside int32", l)
 		}
 		dst[l] = int32(v)
 	}
-	return body, nil
+	return nil
 }
 
 // decodeDeltas unpacks a plain eval payload into dst[:rows·lanes], insisting
 // on exactly rows rows of lanes lanes and not a byte more — the driver knows
 // the factor's row count and the stage's span, and a mismatched executor
-// must fail loudly, not silently mis-commit columns. Every value must be a
-// minimal uvarint whose lane lands inside int32, so the one payload that
-// decodes to dst is appendDeltas(dst).
+// must fail loudly, not silently mis-commit columns. Every lane must land
+// inside int32 and every field be coded at the order appendDeltas picks, so
+// the one payload that decodes to dst is appendDeltas(dst).
 func decodeDeltas(payload []byte, rows, lanes int, dst []int32) error {
 	if len(payload) < deltasHeaderLen {
 		return fmt.Errorf("core: deltas payload truncated: %d bytes", len(payload))
@@ -526,18 +726,26 @@ func decodeDeltas(payload []byte, rows, lanes int, dst []int32) error {
 	if n, l := int(binary.LittleEndian.Uint32(payload)), int(payload[4]); n != rows || l != lanes {
 		return fmt.Errorf("core: deltas payload has %d rows of %d lanes, want %d of %d", n, l, rows, lanes)
 	}
-	body := payload[deltasHeaderLen:]
+	br := bitvec.NewBitReader(payload[deltasHeaderLen:])
+	var orders [fieldGap]uint
+	var t laneTally
+	if !readOrders(&br, orders[:]) {
+		return errors.New("core: deltas payload: the orders are cut short")
+	}
 	for i := 0; i < rows*lanes; i += lanes {
 		row := dst[i : i+lanes]
 		for l := range row {
-			u, n := binary.Uvarint(body)
-			if n <= 0 || n != uvarintLen(u) {
-				return fmt.Errorf("core: deltas payload: value %d of %d is truncated or not a minimal uvarint", i+l, rows*lanes)
+			f, k, valueBits, ref := &t.ref, orders[fieldRef], laneBits, laneRef(l)
+			if ref >= 0 {
+				f, k, valueBits = &t.diff, orders[fieldDiff], laneDiffBits
 			}
-			body = body[n:]
+			u, ok := readCode(&br, k, valueBits, f)
+			if !ok {
+				return fmt.Errorf("core: deltas payload: value %d of %d is cut short or over-long", i+l, rows*lanes)
+			}
 			v := unzigzag(u)
-			if secondOutcome(l) {
-				v += int64(row[l-1])
+			if ref >= 0 {
+				v += int64(row[ref])
 			}
 			if v < math.MinInt32 || v > math.MaxInt32 {
 				return fmt.Errorf("core: deltas payload: lane %d of row %d is %d, outside int32", l, i/lanes, v)
@@ -545,8 +753,8 @@ func decodeDeltas(payload []byte, rows, lanes int, dst []int32) error {
 			row[l] = int32(v)
 		}
 	}
-	if len(body) != 0 {
-		return fmt.Errorf("core: %d trailing bytes after %d rows of deltas", len(body), rows)
+	if err := endBody(&br, orders[:], &t.ref, &t.diff); err != nil {
+		return fmt.Errorf("core: deltas payload: %w", err)
 	}
 	return nil
 }

@@ -16,7 +16,6 @@
 package partition
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -317,7 +316,7 @@ func (p *Partitioned) AppendBody(dst []byte, pi int) []byte {
 	if len(part.Blocks) > 0 {
 		first = part.Blocks[0].PVM
 	}
-	bw := bitWriter{dst: dst}
+	bw := bitvec.NewBitWriter(dst)
 	for r := 0; r < p.NumRows; r++ {
 		n := 0
 		w := p.carry.across(pi, r, first)
@@ -326,7 +325,7 @@ func (p *Partitioned) AppendBody(dst []byte, pi int) []byte {
 				n += len(b.RowBits(r))
 			}
 		}
-		bw.expGolomb(uint64(n), 0)
+		bw.ExpGolomb(uint64(n), 0)
 		if n == 0 {
 			continue
 		}
@@ -339,12 +338,12 @@ func (p *Partitioned) AppendBody(dst []byte, pi int) []byte {
 			}
 			lo := int32(b.Lo)
 			for _, o := range b.RowBits(r) {
-				bw.expGolomb(uint64(lo+o-prev-1), k)
+				bw.ExpGolomb(uint64(lo+o-prev-1), k)
 				prev = lo + o
 			}
 		}
 	}
-	return bw.pad()
+	return bw.Pad()
 }
 
 // gapOrder is the order of the Exp-Golomb codes of a row's gaps when it
@@ -354,98 +353,6 @@ func (p *Partitioned) AppendBody(dst []byte, pi int) []byte {
 // derives k as the encoder does and nothing is sent for it.
 func gapOrder(width, count int) uint {
 	return uint(max(bits.Len(uint(width/count))-3, 0))
-}
-
-// expGolombBits is the length of v's order-k Exp-Golomb code: with
-// q = v>>k + 1, bitlen(q)−1 zeros, q, then v's low k bits.
-func expGolombBits(v uint64, k uint) int { return 2*bits.Len64(v>>k+1) - 1 + int(k) }
-
-// bitWriter appends bits to a byte slice, most significant first.
-type bitWriter struct {
-	dst []byte
-	acc uint64 // the pending bits in its low n bits, n < 8 between writes
-	n   uint
-}
-
-// write appends v's low n bits, n <= 56; v has no bit above them.
-func (w *bitWriter) write(v uint64, n uint) {
-	w.acc = w.acc<<n | v
-	w.n += n
-	for w.n >= 8 {
-		w.n -= 8
-		w.dst = append(w.dst, byte(w.acc>>w.n))
-	}
-}
-
-// expGolomb appends v's order-k code. The zeros aside, the code is q's bits
-// followed by v's low k, which is v + 2^k in bitlen(q) + k bits. Set-up
-// values are below 2^31, so each write is at most 32 bits.
-func (w *bitWriter) expGolomb(v uint64, k uint) {
-	q := v>>k + 1
-	w.write(0, uint(bits.Len64(q))-1)
-	w.write(v+1<<k, uint(bits.Len64(q))+k)
-}
-
-// pad zero-fills the last byte and returns the bytes written.
-func (w *bitWriter) pad() []byte {
-	if w.n > 0 {
-		w.write(0, 8-w.n)
-	}
-	return w.dst
-}
-
-// bitReader reads an MSB-first bit string.
-type bitReader struct {
-	b   []byte
-	pos int // bits read
-}
-
-// left returns the bits not yet read.
-func (r *bitReader) left() int { return 8*len(r.b) - r.pos }
-
-// peek returns the bits from pos on, the first in the top bit: at least 57
-// of them, zeros past the end.
-func (r *bitReader) peek() uint64 {
-	i := r.pos >> 3
-	var v uint64
-	if i+8 <= len(r.b) {
-		v = binary.BigEndian.Uint64(r.b[i:])
-	} else {
-		for j := i; j < i+8; j++ {
-			v <<= 8
-			if j < len(r.b) {
-				v |= uint64(r.b[j])
-			}
-		}
-	}
-	return v << (r.pos & 7)
-}
-
-// expGolomb reads an order-k code whose zero prefix is at most maxZeros
-// bits, maxZeros+1+k <= 57. It reports false, having read nothing it
-// keeps, for a longer prefix or a code that runs past the end.
-func (r *bitReader) expGolomb(k uint, maxZeros int) (uint64, bool) {
-	z := bits.LeadingZeros64(r.peek())
-	if z > maxZeros || 2*z+1+int(k) > r.left() {
-		return 0, false
-	}
-	r.pos += z
-	n := z + 1 + int(k)
-	v := r.peek() >> (64 - n)
-	r.pos += n
-	return v - 1<<k, true
-}
-
-// align skips to the next byte boundary, and reports whether every bit it
-// skipped is zero.
-func (r *bitReader) align() bool {
-	skip := -r.pos & 7
-	if skip == 0 {
-		return true
-	}
-	ok := r.b[r.pos>>3]&(1<<skip-1) == 0
-	r.pos += skip
-	return ok
 }
 
 // Carry is the rule by which a partitioning's set-up bodies leave out
@@ -564,7 +471,7 @@ func Receive(rows, cols, blockSize, n, first, step int, carry Carry, src *Column
 	rs := &bodyRows{ptr: slab.Int32s(len(parts) * (rows + 1)), cols: slab.Int32s(8 * len(body)), next: slab.Int32s(rows),
 		parts: parts, carry: carry, src: src}
 	defer rs.release()
-	br := bitReader{b: body}
+	br := bitvec.NewBitReader(body)
 	nnz := 0
 	for k := range parts {
 		p := &parts[k]
@@ -574,12 +481,12 @@ func Receive(rows, cols, blockSize, n, first, step int, carry Carry, src *Column
 		for r := 0; r < rows; r++ {
 			// A count is at most width, so its code has at most
 			// bitlen(width+1) − 1 leading zeros.
-			count, ok := br.expGolomb(0, bits.Len(uint(width)+1)-1)
+			count, ok := br.ExpGolomb(0, bits.Len(uint(width)+1)-1)
 			if !ok {
 				return nil, nil, fmt.Errorf("partition: partition %d row %d: the count's code is cut short or has more leading zeros than the width %d needs", p.Index, r, width)
 			}
-			if count > uint64(min(width, br.left())) {
-				return nil, nil, fmt.Errorf("partition: partition %d row %d: the count %d is above the width %d or the %d bits left", p.Index, r, count, width, br.left())
+			if count > uint64(min(width, br.Left())) {
+				return nil, nil, fmt.Errorf("partition: partition %d row %d: the count %d is above the width %d or the %d bits left", p.Index, r, count, width, br.Left())
 			}
 			if count == 0 {
 				ptr[r+1] = int32(nnz)
@@ -590,7 +497,7 @@ func Receive(rows, cols, blockSize, n, first, step int, carry Carry, src *Column
 			maxZeros := bits.Len(uint(width-1)>>k+1) - 1
 			last, segEnd := int64(p.Lo)-1, int64(-1)
 			for j := uint64(0); j < count; j++ {
-				gap, ok := br.expGolomb(k, maxZeros)
+				gap, ok := br.ExpGolomb(k, maxZeros)
 				if !ok {
 					return nil, nil, fmt.Errorf("partition: partition %d row %d: column %d's code is cut short or has more than %d leading zeros", p.Index, r, j, maxZeros)
 				}
@@ -610,12 +517,12 @@ func Receive(rows, cols, blockSize, n, first, step int, carry Carry, src *Column
 			}
 			ptr[r+1] = int32(nnz)
 		}
-		if !br.align() {
+		if !br.Align() {
 			return nil, nil, fmt.Errorf("partition: partition %d: a nonzero bit pads its body", p.Index)
 		}
 	}
 	px.fill(parts, all, rs)
-	return px, body[br.pos>>3:], nil
+	return px, br.Rest(), nil
 }
 
 // Columns is a partitioning's held nonzeros column by column, rows
@@ -888,7 +795,7 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, src rowSource) {
 		}
 		body := 0 // bits
 		for r, c := range order {
-			body += expGolombBits(uint64(c), 0)
+			body += bitvec.ExpGolombBits(uint64(c), 0)
 			if c > 0 {
 				order[r] = int32(gapOrder(p.Width(), int(c)))
 			}

@@ -25,9 +25,9 @@ import "context"
 type Kind uint8
 
 const (
-	// KindEval evaluates one stage of a factor update — two columns, or the
-	// last of an odd rank — on one partition, returning the per-row error
-	// deltas of both. The executor builds the partition's column-update
+	// KindEval evaluates one stage of a factor update — three columns, or
+	// the one or two a rank ends on — on one partition, returning the
+	// per-row error deltas of each. The executor builds the partition's column-update
 	// task (cache tables, buffers) the first time it is asked for a column
 	// after a factor push.
 	KindEval Kind = iota + 1

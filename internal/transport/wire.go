@@ -33,8 +33,10 @@ import (
 // uvarints — a version-10 worker would read the bits as varints; version 12
 // ships a set-up header one word shorter, the run configuration having lost
 // its uncached flag — a version-11 worker would read the header's words
-// shifted.
-const ProtoVersion = 12
+// shifted; version 13 answers an eval of up to three columns, seven lanes a
+// row, with a body of Exp-Golomb bit strings instead of uvarints — a
+// version-12 driver would read the bits as varints.
+const ProtoVersion = 13
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
 // tighter limit: large enough for a set-up blob, small enough that a
