@@ -109,8 +109,21 @@ func run(args []string) error {
 	// invocation fails immediately with a clear message rather than
 	// mid-run. Only the rules that are this command's own live here; the
 	// library's are asked of it below (Options.Validate).
+	// set holds the flags given on the command line: a flag that only
+	// means something beside another is refused without it, not dropped.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *chaos < 0 || *chaos > 0.5 {
 		return fmt.Errorf("-chaos %v outside [0, 0.5]", *chaos)
+	}
+	if *budget < 0 {
+		return fmt.Errorf("-budget %v is negative (0 = unlimited)", *budget)
+	}
+	if set["auto-rank"] && (*autoRank < 1 || *method != "dbtf") {
+		return fmt.Errorf("-auto-rank %d requires a maximum rank >= 1 and -method dbtf", *autoRank)
+	}
+	if set["checkpoint-every"] && opts.CheckpointDir == "" {
+		return fmt.Errorf("-checkpoint-every requires -checkpoint-dir")
 	}
 	if opts.CheckpointDir != "" {
 		if *ckEvery <= 0 {

@@ -123,20 +123,24 @@ func TestRunChaosRateValidated(t *testing.T) {
 func TestRunFlagCombosValidatedUpFront(t *testing.T) {
 	path := writeTensor(t)
 	cases := map[string][]string{
-		"resume without checkpoint-dir": {"-resume"},
-		"checkpoint-every zero":         {"-checkpoint-dir", t.TempDir(), "-checkpoint-every", "0"},
-		"checkpoint-every negative":     {"-checkpoint-dir", t.TempDir(), "-checkpoint-every", "-2"},
-		"machine-loss rate 1":           {"-chaos-machine-loss", "1"},
-		"machine-loss rate negative":    {"-chaos-machine-loss", "-0.1"},
-		"rejoin negative":               {"-chaos-rejoin", "-1"},
-		"chaos negative":                {"-chaos", "-0.2"},
-		"workers with another method":   {"-workers", "127.0.0.1:1", "-method", "bcpals"},
-		"workers with auto-rank":        {"-workers", "127.0.0.1:1", "-auto-rank", "3"},
-		"workers with an empty address": {"-workers", "127.0.0.1:1,,127.0.0.1:2"},
-		"workers with chaos":            {"-workers", "127.0.0.1:1", "-chaos", "0.1"},
-		"the deleted -transport flag":   {"-transport", "sim"},
-		"the deleted -max-retries flag": {"-max-retries", "3"},
-		"the deleted -failfast flag":    {"-failfast"},
+		"resume without checkpoint-dir":  {"-resume"},
+		"checkpoint-every zero":          {"-checkpoint-dir", t.TempDir(), "-checkpoint-every", "0"},
+		"checkpoint-every negative":      {"-checkpoint-dir", t.TempDir(), "-checkpoint-every", "-2"},
+		"machine-loss rate 1":            {"-chaos-machine-loss", "1"},
+		"machine-loss rate negative":     {"-chaos-machine-loss", "-0.1"},
+		"rejoin negative":                {"-chaos-rejoin", "-1"},
+		"chaos negative":                 {"-chaos", "-0.2"},
+		"workers with another method":    {"-workers", "127.0.0.1:1", "-method", "bcpals"},
+		"workers with auto-rank":         {"-workers", "127.0.0.1:1", "-auto-rank", "3"},
+		"workers with an empty address":  {"-workers", "127.0.0.1:1,,127.0.0.1:2"},
+		"workers with chaos":             {"-workers", "127.0.0.1:1", "-chaos", "0.1"},
+		"the deleted -transport flag":    {"-transport", "sim"},
+		"the deleted -max-retries flag":  {"-max-retries", "3"},
+		"the deleted -failfast flag":     {"-failfast"},
+		"budget negative":                {"-budget", "-1s"},
+		"auto-rank negative":             {"-auto-rank", "-3"},
+		"auto-rank with another method":  {"-method", "tucker", "-auto-rank", "5"},
+		"checkpoint-every without a dir": {"-checkpoint-every", "3"},
 	}
 	for name, extra := range cases {
 		args := append([]string{"-input", path, "-rank", "2", "-machines", "2"}, extra...)

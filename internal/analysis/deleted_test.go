@@ -98,6 +98,8 @@ var deletedNames = []deletedName{
 		pr: "the uncached-ablation fold: no cache is V = 1, whose tables hold single columns and run the one eval kernel; it is not an option, a runConfig word or a checkpoint field"},
 	{pattern: `secondOutcome|wireValue|countValue|uvarintLen`, scope: []string{"internal/core"}, nonTest: true,
 		pr: "the Exp-Golomb eval replies: a reply's bodies are bit strings in the set-up bodies' codec, every lane with a nonzero outcome index sent as its difference from laneRef's; the uvarint bodies and their helpers are not kept beside them"},
+	{pattern: `plainBody|deltasSize|appendDeltas|decodeDeltas|groupedReply|groupedBody|appendGrouped|plainReply`, scope: []string{"internal/core"},
+		pr: "one eval reply body: the rows' hits and the region sizes the driver rebuilds the group bases from; there is no plain body of lanes and no choice between two bodies"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

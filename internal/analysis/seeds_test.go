@@ -45,8 +45,8 @@ func TestAnalyzersSeeProgramCode(t *testing.T) {
 			"\t//dbtf:allow-nondeterministic every entry is released; order is irrelevant\n\tfor _, mc := range r.entries {\n",
 			"\tfor _, mc := range r.entries {\n"},
 		{"kernelcontract", "internal/core/task.go",
-			"\t\t\t\t//dbtf:samewidth the region is cut to the block's width, as the cache slice's entries are\n\t\t\t\tif gain := bitvec.GainWords(region,",
-			"\t\t\t\tif gain := bitvec.GainWords(region,"},
+			"\t\t//dbtf:samewidth the region is cut to the block's width, as the cache slice's entries are\n\t\tsize = bitvec.GainWords(region,",
+			"\t\tsize = bitvec.GainWords(region,"},
 		{"kernelcontract", "internal/core/task.go",
 			"\tdeltas := t.deltas[:t.a.Rows()*s.lanes]\n\tclear(deltas)\n",
 			"\tdeltas := make([]int32, t.a.Rows()*s.lanes)\n\tclear(deltas)\n"},

@@ -118,14 +118,14 @@ func TestCarriedSetupAllocs(t *testing.T) {
 	}
 }
 
-// TestGroupedDecodeAllocs: the driver's decode of a grouped eval reply —
-// grouping the partition's rows as the task did, reading the bases and the
-// rows with hits, expanding the lanes — allocates nothing once the
-// partition's split exists, and yields the task's lanes.
+// TestGroupedDecodeAllocs: the driver's decode of an eval reply —
+// grouping the partition's rows as the task did, reading the rows with
+// hits, walking the task's lookups to rebuild the bases, expanding the
+// lanes — allocates nothing once the partition's split exists, and yields
+// the task's lanes.
 func TestGroupedDecodeAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const rank = 6
-	// Sparse data: few rows overlap a region, so the grouped body wins.
 	x := randomTensor(rng, 24, 20, 16, 0.02)
 	a := repeatedRows(rng, 24, rank, 3)
 	d := newTestDecomposition(t, x, Options{Rank: rank, Partitions: 2}, 2)
@@ -134,21 +134,13 @@ func TestGroupedDecodeAllocs(t *testing.T) {
 	}
 	u := newFactorUpdate(d, 0)
 	u.a, u.span = a, lookahead
-	deltas, err := d.ex.eval(0, 0, u.spec.Col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := slices.Clone(deltas)
-	payload := appendReply(nil, &d.ex.splits[0], deltas)
-	if !groupedReply(payload) {
-		t.Fatalf("a reply over %d rows of three masks is plain", a.Rows())
-	}
+	payload, want := stageReply(t, d.ex, 0, 0)
 	if allocs := testing.AllocsPerRun(20, func() {
 		if err := u.evalSink(0, payload); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("decoding a grouped reply allocates %v objects, want 0", allocs)
+		t.Errorf("decoding a reply allocates %v objects, want 0", allocs)
 	}
 	if got := u.parts[0].deltas[:len(want)]; !slices.Equal(got, want) {
 		t.Errorf("decoded lanes %v, the task's %v", got, want)

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -263,267 +262,300 @@ func FuzzCheckpointDecode(f *testing.F) {
 }
 
 // FuzzDeltasDecode: an eval reply decodes only when it is exactly what
-// appendReply makes of the shape the driver asked for, and then re-encodes
-// to the same bytes. A plain body is rows × lanes Exp-Golomb codes whose
-// lanes fit int32. A grouped body, strictly smaller than the plain one,
-// holds every group's bases and then the rows with a hit, in order, each
-// with one, and its lanes fit int32. Either way every field is coded at the
-// order the encoder picks for its values, no zero prefix is longer than
-// such a value needs, the pad is zero and no byte follows it. Read as raw
-// int32 lanes, the same bytes survive a plain encode and decode; read as a
-// split of row masks and blocks drawn from them, the lanes survive
-// appendReply and a decodeReply against the driver's own grouping, in
-// exactly replySize body bytes. The span is 1 + span mod lookahead.
+// appendReply makes for the stage the driver asked for, and then
+// re-encodes to the same bytes, in exactly the body bytes split.price
+// charges for it. The stage
+// is fixed (fuzzStage): partition part mod 3 at column 0 and span
+// 1 + span mod lookahead, so every decode runs the driver's walk over Full
+// and partial blocks. A reply holds every field at the order the encoder
+// picks for its values, no zero prefix longer than such a value needs,
+// listed rows in range, in order and each with a hit, exactly one region
+// size per lookup the memo does not answer, each within its block, every
+// hit at most its base, a zero pad and no byte after it.
 func FuzzDeltasDecode(f *testing.F) {
-	for span := 1; span <= lookahead; span++ {
-		lanes := laneCount(span)
-		// int32's extremes in every lane, so a lane's difference from its
-		// reference spans 33 bits both ways.
-		deltas := make([]int32, 5*lanes)
-		for i := range deltas {
-			deltas[i] = []int32{math.MinInt32, math.MaxInt32, math.MinInt32, 0, -1}[i%5]
-		}
-		payload := plainReply(deltas, lanes)
-		f.Add(payload, uint16(5), uint8(span-1))
-		f.Add(payload, uint16(5), uint8(span%lookahead))          // read at another span
-		f.Add(payload[:len(payload)-1], uint16(5), uint8(span-1)) // cut inside the last code
-		f.Add(append(payload, 0), uint16(5), uint8(span-1))       // one trailing byte
-	}
-	plain := func(rows, lanes int, body func(w *bitvec.BitWriter)) []byte {
-		return replyPayload(rows, lanes, false, body)
-	}
-	f.Add(plain(1, 1, func(w *bitvec.BitWriter) { // 0 at reference order 1: the encoder picks 0
-		w.Write(1, orderBits)
-		w.Write(0, orderBits)
-		w.ExpGolomb(0, 1)
-	}), uint16(1), uint8(0))
-	f.Add(plain(1, 1, func(w *bitvec.BitWriter) { // 33 zeros: longer than an int32's zigzag needs
-		w.Write(0, 2*orderBits)
-		w.Write(0, 33)
-		w.Write(1<<33, 34)
-	}), uint16(1), uint8(0))
-	f.Add(append(plainReply([]int32{0}, 1)[:deltasHeaderLen], 0x00, 0x81), uint16(1), uint8(0)) // 0, then a 1 in the pad
-	// Lane 2 is sent as lane2 − lane1: +1 on top of MaxInt32 overflows.
-	f.Add(plain(1, 3, func(w *bitvec.BitWriter) {
-		w.Write(0, 2*orderBits)
-		for _, v := range []int64{0, math.MaxInt32, 1} {
-			w.ExpGolomb(zigzag(v), 0)
-		}
-	}), uint16(1), uint8(1))
-	f.Add([]byte{}, uint16(0), uint8(0))
-	ties := 0
-	// Grouped bodies for 16 rows of fuzzSplit — four groups — at every
-	// span: from the task's own lanes (at one lane a row the plain body is
-	// the smaller), and by hand, every field at order 0 and every base zero,
-	// then the count of rows with a hit and, for each, the rows skipped and
-	// its hits.
-	for span := 1; span <= lookahead; span++ {
-		lanes := laneCount(span)
-		s := fuzzSplit(16, span)
-		deltas := make([]int32, 16*lanes)
-		deltas[5*lanes] = -2 // row 5 hits once in lane 0
-		valid := appendReply(nil, s, deltas)
-		s.release()
-		f.Add(valid, uint16(16), uint8(span-1))
-		f.Add(append(slices.Clone(valid), 0), uint16(16), uint8(span-1)) // one trailing byte
-		f.Add(valid[:len(valid)-1], uint16(16), uint8(span-1))           // cut inside a code
-		grouped := func(listed ...uint64) []byte {
-			return replyPayload(16, lanes, true, func(w *bitvec.BitWriter) {
-				w.Write(0, groupedFields*orderBits)
-				w.ExpGolomb(listed[0], 0)
-				for range 4 * lanes {
-					w.ExpGolomb(0, 0)
-				}
-				for _, v := range listed[1:] {
-					w.ExpGolomb(v, 0)
-				}
-			})
-		}
-		hit := func(gap, h uint64) []uint64 { return append([]uint64{gap, h}, make([]uint64, lanes-1)...) }
-		every := []uint64{16}
-		for range 16 {
-			every = append(every, hit(0, 1)...)
-		}
-		f.Add(grouped(every...), uint16(16), uint8(span-1))                                         // larger than plain
-		f.Add(grouped(append([]uint64{1}, hit(5, 0)...)...), uint16(16), uint8(span-1))             // a listed row with no hit
-		f.Add(grouped(append([]uint64{1}, hit(16, 1)...)...), uint16(16), uint8(span-1))            // past the last row
-		f.Add(grouped(append([]uint64{1}, hit(5, math.MaxInt32)...)...), uint16(16), uint8(span-1)) // 0 − 2·MaxInt32 is past int32
-		// A grouped body no smaller than the plain one: a tie goes plain.
-		if tied, ok := tiedGroupedReply(span); ok {
-			if err := decodeReply(tied, fuzzSplit(16, span), 16, lanes, make([]int32, 16*lanes)); err == nil || !strings.Contains(err.Error(), "not smaller") {
-				f.Fatalf("a grouped body the size of the plain one at span %d decodes with %v", span, err)
-			}
-			f.Add(tied, uint16(16), uint8(span-1))
-			ties++
-		}
-	}
-	if ties == 0 {
-		f.Fatal("no span has a grouped body the size of the plain one")
-	}
-	f.Fuzz(func(t *testing.T, data []byte, rows uint16, spanSeed uint8) {
-		span := 1 + int(spanSeed)%lookahead
-		lanes := laneCount(span)
-		raw := make([]int32, len(data)/4/lanes*lanes)
-		for i := range raw {
-			raw[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
-		}
-		enc := plainReply(raw, lanes)
-		if size := deltasSize(raw, lanes); size != len(enc)-deltasHeaderLen {
-			t.Fatalf("deltasSize = %d for a %d-byte body", size, len(enc)-deltasHeaderLen)
-		}
-		back := make([]int32, len(raw))
-		if err := decodeDeltas(enc, len(raw)/lanes, lanes, back); err != nil || !slices.Equal(back, raw) {
-			t.Fatalf("%d lanes %v round-trip to %v, %v", lanes, raw, back, err)
-		}
-
-		splitRoundTrip(t, data, span)
-
-		dst := make([]int32, int(rows)*lanes)
-		if !groupedReply(data) {
-			if err := decodeDeltas(data, int(rows), lanes, dst); err != nil {
-				return
-			}
-			if got := plainReply(dst, lanes); string(got) != string(data) {
-				t.Fatalf("decoded as %d rows of %d lanes but re-encodes differently:\nin:  %x\nout: %x", rows, lanes, data, got)
-			}
-			return
-		}
-		s := fuzzSplit(int(rows), span)
+	st := newFuzzStage(f)
+	// refused adds a corrupted reply as a seed once it is sure the decoder
+	// refuses it: the property check alone would pass a decoder that
+	// accepted a reply re-encoding to itself.
+	refused := func(what string, payload []byte, span, part int) {
+		s := new(split)
+		s.init(fuzzRows, laneCount(lookahead), fuzzWidth)
 		defer s.release()
-		if err := decodeReply(data, s, int(rows), lanes, dst); err != nil {
+		if err := st.decode(payload, s, part, 1+span%lookahead, make([]int32, fuzzRows*laneCount(1+span%lookahead))); err == nil {
+			f.Fatalf("partition %d span %d: %s decodes", part, 1+span%lookahead, what)
+		}
+		f.Add(payload, uint8(span), uint8(part))
+	}
+	pads := 0
+	for part := 0; part < 3; part++ {
+		for span := 1; span <= lookahead; span++ {
+			valid := st.reply(part, span)
+			f.Add(valid.payload, uint8(span-1), uint8(part))
+			if part != 1 {
+				continue
+			}
+			// Partition 1 holds Full blocks whose lookups repeat and two
+			// partial ones: its corruptions, one field at a time.
+			refused("a cut code", valid.payload[:len(valid.payload)-1], span-1, part)
+			refused("a trailing byte", append(slices.Clone(valid.payload), 0), span-1, part)
+			refused("another span's reply", valid.payload, span%lookahead, part)
+			short, long := valid, valid
+			short.sizes = valid.sizes[:len(valid.sizes)-1]
+			long.sizes = append(slices.Clone(valid.sizes), 0)
+			refused("a region count one short", short.encode(), span-1, part)
+			refused("a region count one long", long.encode(), span-1, part)
+			repeated, ok := valid.repeatFull()
+			if !ok {
+				f.Fatalf("span %d: no Full-block lookup of partition %d repeats", span, part)
+			}
+			refused("a Full-block size the memo holds", repeated.encode(), span-1, part)
+			refused("a hit above its base", valid.hitAboveBase().encode(), span-1, part)
+			for field := 0; field < replyFields; field++ {
+				bumped := valid
+				bumped.bump = field + 1
+				refused(fmt.Sprintf("field %d one order off", field), bumped.encode(), span-1, part)
+			}
+			if padded := valid.setPadBit(); padded != nil {
+				refused("a one in the pad", padded, span-1, part)
+				pads++
+			}
+		}
+	}
+	if pads == 0 {
+		f.Fatal("no seed reply has a pad to set a bit in")
+	}
+	refused("an empty payload", []byte{}, 0, 0)
+	refused("a header alone", st.reply(0, 1).payload[:deltasHeaderLen], 0, 0)
+	f.Fuzz(func(t *testing.T, data []byte, spanSeed, partSeed uint8) {
+		span, pi := 1+int(spanSeed)%lookahead, int(partSeed)%3
+		s := new(split)
+		s.init(fuzzRows, laneCount(lookahead), fuzzWidth)
+		defer s.release()
+		s.keep = true
+		dst := make([]int32, fuzzRows*laneCount(span))
+		if err := st.decode(data, s, pi, span, dst); err != nil {
 			return
 		}
-		if got := appendReply(nil, s, dst); string(got) != string(data) {
-			t.Fatalf("decoded as %d grouped rows of %d lanes but re-encodes differently:\nin:  %x\nout: %x", rows, lanes, data, got)
+		hits := hitsOf(s, dst)
+		s.price(hits)
+		got := appendReply(nil, s, hits)
+		if string(got) != string(data) {
+			t.Fatalf("partition %d span %d: decoded but re-encodes differently:\nin:  %x\nout: %x", pi, span, data, got)
+		}
+		if s.body.size != len(got)-deltasHeaderLen {
+			t.Fatalf("priced at %d bytes, a %d-byte body", s.body.size, len(got)-deltasHeaderLen)
 		}
 	})
 }
 
-// fuzzSplit groups rows rows for the stage of span columns at column 0:
-// row r's mask is r mod 8 over rank 3, and the one block's PVM mask holds
-// all three bits, so of every eight rows the pairs from 0–1 to 6–7 share a
-// group — groups 0 to 3, in that order.
-func fuzzSplit(rows, span int) *split {
-	a, mf := boolmat.NewFactor(rows, 3), boolmat.NewFactor(1, 3)
-	for r := 0; r < rows; r++ {
-		a.SetRowMask(r, uint64(r%8))
+// fuzzRows and fuzzWidth are fuzzStage's rows and its widest partition.
+const (
+	fuzzRows  = 8
+	fuzzWidth = 8
+)
+
+// fuzzStage is the stage FuzzDeltasDecode decodes against: the mode-1
+// update of an 8×3×8 tensor cut into partitions 0 to 2 of eight columns
+// each, so that PVM products of three are cut and partition 1 holds two
+// Full blocks between a suffix and a prefix, over rank-4 factors. The rows
+// of the factor under update repeat three masks and those of C, the PVM
+// factor, two, so groups hold several rows and Full blocks repeat lookups.
+type fuzzStage struct {
+	d     *decomposition
+	a, mf *boolmat.FactorMatrix
+}
+
+func newFuzzStage(t testing.TB) *fuzzStage {
+	rng := rand.New(rand.NewSource(61))
+	x := randomTensor(rng, fuzzRows, 3, 8, 0.4)
+	d := newTestDecomposition(t, x, Options{Rank: 4, Partitions: 3}, 1)
+	a, mf := repeatedRows(rng, fuzzRows, 4, 3), repeatedRows(rng, 8, 4, 2)
+	if err := d.ex.setFactors(a, boolmat.RandomFactor(rng, 3, 4, 0.5), mf); err != nil {
+		t.Fatal(err)
 	}
-	mf.SetRowMask(0, 7)
+	return &fuzzStage{d: d, a: a, mf: mf}
+}
+
+// reply evaluates partition pi's stage of span columns at column 0 as a
+// worker does and returns what its reply carries.
+func (st *fuzzStage) reply(pi, span int) replyParts {
+	t := st.task(pi)
+	s := t.split
+	s.keep = true
+	defer func() { s.keep = false }()
+	hits := t.eval(0, span)
+	return replyParts{st: st, pi: pi, span: span, hits: slices.Clone(hits), sizes: slices.Clone(s.sizes), payload: appendReply(nil, s, hits)}
+}
+
+// decode decodes payload as partition pi's reply to the stage of span
+// columns at column 0, into dst, in s.
+func (st *fuzzStage) decode(payload []byte, s *split, pi, span int, dst []int32) error {
+	return decodeReply(payload, s, st.a, st.mf, st.d.ex.px[0].Parts[pi].Blocks, 0, span, dst)
+}
+
+// replyParts is what a reply carries, for corrupting one part at a time:
+// the rows' hits, the region sizes sent, and the field whose order encode
+// writes one higher than the encoder picks (bump − 1, none at 0).
+type replyParts struct {
+	st       *fuzzStage
+	pi, span int
+	hits     []int32
+	sizes    []int32
+	bump     int
+	payload  []byte
+}
+
+// encode writes the reply of p's parts, each field at the order its values
+// take, but the bumped one, and returns it with the bits its codes take.
+func (p replyParts) encode() []byte {
+	out, _ := p.encodeBits()
+	return out
+}
+
+func (p replyParts) encodeBits() ([]byte, int) {
 	s := new(split)
-	s.init(rows, laneCount(lookahead), 1)
-	s.rowGroups(a, mf, []*partition.Block{{PVM: 0}}, 0, span)
-	return s
-}
-
-// splitRoundTrip draws a stage from data — up to 64 rows whose masks over
-// rank 6 are the bytes, three blocks whose PVM masks are bytes too, bases
-// from the bytes and hits on a sixth of the lanes — and holds appendReply
-// to replySize and to decodeReply, run against a grouping of its own as
-// the driver's is.
-func splitRoundTrip(t *testing.T, data []byte, span int) {
-	n, lanes := min(len(data), 64), laneCount(span)
-	if n == 0 {
-		return
-	}
-	a, mf := boolmat.NewFactor(n, 6), boolmat.NewFactor(3, 6)
-	for r := 0; r < n; r++ {
-		a.SetRowMask(r, uint64(data[r])&63)
-	}
-	for k := 0; k < 3; k++ {
-		mf.SetRowMask(k, uint64(data[k%n]>>2)&63)
-	}
-	blocks := []*partition.Block{{PVM: 0}, {PVM: 1}, {PVM: 2}}
-	c := int(data[0]) % (7 - span)
-	task, driver := new(split), new(split)
-	for _, s := range []*split{task, driver} {
-		s.init(n, lanes, 1)
-		defer s.release()
-		s.rowGroups(a, mf, blocks, c, span)
-	}
-	for g := 0; g < task.groups.n; g++ {
-		base := task.groupBase(g)
-		for l := range base {
-			base[l] = int32(data[(g+l)%n]) * 7
-		}
-	}
-	deltas := make([]int32, n*lanes)
-	for r := range task.groups.of[:n] {
-		base := task.groupBase(int(task.groups.of[r]))
-		for l := 0; l < lanes; l++ {
-			var hits int32
-			if b := data[(r*lanes+l)*5%n]; b < 43 {
-				hits = int32(b)
-			}
-			deltas[r*lanes+l] = base[l] - 2*hits
-		}
-	}
-	size, grouped := replySize(task, deltas)
-	enc := appendReply(nil, task, deltas)
-	if size != len(enc)-deltasHeaderLen || grouped != groupedReply(enc) {
-		t.Fatalf("replySize = %d, grouped %v, for a %d-byte body, grouped %v", size, grouped, len(enc)-deltasHeaderLen, groupedReply(enc))
-	}
-	back := make([]int32, n*lanes)
-	if err := decodeReply(enc, driver, n, lanes, back); err != nil || !slices.Equal(back, deltas) {
-		t.Fatalf("%d rows of %d lanes %v round-trip to %v, %v", n, lanes, deltas, back, err)
-	}
-	// A lane one off its group's base less twice whole hits is one the
-	// split cannot carry: the reply goes plain and still round-trips.
-	deltas[0]++
-	if _, grouped := replySize(task, deltas); grouped {
-		t.Fatalf("lanes %v that the split does not account for went grouped", deltas)
-	}
-	if err := decodeReply(appendReply(nil, task, deltas), driver, n, lanes, back); err != nil || !slices.Equal(back, deltas) {
-		t.Fatalf("%d rows of %d lanes %v round-trip to %v, %v", n, lanes, deltas, back, err)
-	}
-}
-
-// replyPayload builds an eval reply by hand: the header for rows rows of
-// lanes lanes, marked grouped or not, then the bits body writes, padded.
-func replyPayload(rows, lanes int, grouped bool, body func(w *bitvec.BitWriter)) []byte {
-	out := binary.LittleEndian.AppendUint32(nil, uint32(rows))
-	if grouped {
-		lanes |= groupedBody
-	}
-	w := bitvec.NewBitWriter(append(out, byte(lanes)))
-	body(&w)
-	return w.Pad()
-}
-
-// plainReply is the plain eval reply carrying deltas, lanes to a row.
-func plainReply(deltas []int32, lanes int) []byte {
-	return appendDeltas(nil, deltas, lanes, plainBody(deltas, lanes))
-}
-
-// tiedGroupedReply returns a grouped reply for 16 rows of fuzzSplit at span
-// columns whose body has exactly as many bytes as the plain body of the
-// same lanes, which is the body a tie sends, and false if it finds none.
-// It searches the lanes made of one base, shared by every group and lane,
-// with the first few rows hitting once in lane 0.
-func tiedGroupedReply(span int) ([]byte, bool) {
-	lanes := laneCount(span)
-	s := fuzzSplit(16, span)
+	s.init(fuzzRows, laneCount(lookahead), fuzzWidth)
 	defer s.release()
-	deltas := make([]int32, 16*lanes)
-	for base := int32(0); base < 256; base++ {
-		for g := 0; g < s.groups.n; g++ {
-			for l := range s.groupBase(g) {
-				s.groupBase(g)[l] = base
+	s.rows, s.lanes = fuzzRows, laneCount(p.span)
+	for _, v := range p.sizes {
+		s.sized.add(uint64(v), 1)
+	}
+	s.price(p.hits)
+	orders := s.body.orders
+	if p.bump > 0 {
+		orders[p.bump-1]++
+	}
+	out := binary.LittleEndian.AppendUint32(nil, uint32(s.rows))
+	w := bitvec.NewBitWriter(append(out, byte(s.lanes)))
+	n := replyFields*orderBits + bitvec.ExpGolombBits(uint64(s.body.listed), 0)
+	code := func(v uint64, k uint) {
+		w.ExpGolomb(v, k)
+		n += bitvec.ExpGolombBits(v, k)
+	}
+	for _, k := range orders {
+		w.Write(uint64(k), orderBits)
+	}
+	w.ExpGolomb(uint64(s.body.listed), 0)
+	prev := -1
+	for r := 0; r < s.rows; r++ {
+		if h := p.hits[r*s.lanes:][:s.lanes]; anyHit(h) {
+			code(uint64(r-prev-1), orders[fieldGap])
+			for l := range h {
+				v, field := laneCode(h, l)
+				code(v, orders[field])
 			}
-		}
-		for hit := 0; hit <= 16; hit++ {
-			for i := range deltas {
-				deltas[i] = base
-				if i%lanes == 0 && i/lanes < hit {
-					deltas[i] -= 2
-				}
-			}
-			plain := plainBody(deltas, lanes).size
-			if g, ok := groupedReplyBody(s, deltas, plain+1); ok && g.size == plain {
-				return appendGrouped(nil, s, deltas, g), true
-			}
+			prev = r
 		}
 	}
-	return nil, false
+	for _, v := range p.sizes {
+		code(uint64(v), orders[fieldSize])
+	}
+	return w.Pad(), n
+}
+
+// repeatFull returns p with the size of the first lookup the memo answers
+// sent again, where the walk takes it from the memo, and false if no
+// lookup repeats.
+func (p replyParts) repeatFull() (replyParts, bool) {
+	log := p.st.walkLog(p.pi, p.span)
+	at := 0
+	for _, l := range log {
+		if !l.sent {
+			p.sizes = slices.Insert(slices.Clone(p.sizes), at, int32(l.size))
+			return p, true
+		}
+		at++
+	}
+	return p, false
+}
+
+// hitAboveBase returns p with the first listed row's first hit lane one
+// above its group's base.
+func (p replyParts) hitAboveBase() replyParts {
+	s := new(split)
+	s.init(fuzzRows, laneCount(lookahead), fuzzWidth)
+	defer s.release()
+	if err := p.st.decode(p.payload, s, p.pi, p.span, make([]int32, fuzzRows*laneCount(p.span))); err != nil {
+		panic(err)
+	}
+	p.hits = slices.Clone(p.hits)
+	lanes := laneCount(p.span)
+	for r := 0; r < fuzzRows; r++ {
+		if anyHit(p.hits[r*lanes:][:lanes]) {
+			p.hits[r*lanes] = s.groupBase(int(s.groups.of[r]))[0] + 1
+			return p
+		}
+	}
+	panic("no row has a hit")
+}
+
+// setPadBit returns p's payload with its last pad bit set, or nil when the
+// body fills its last byte.
+func (p replyParts) setPadBit() []byte {
+	out, bits := p.encodeBits()
+	if bits%8 == 0 {
+		return nil
+	}
+	out[len(out)-1] |= 1
+	return out
+}
+
+// loggedLookup is one lookup of a walk: whether its block is Full, its
+// mask and column, its size, and whether the reply sends it.
+type loggedLookup struct {
+	full, sent bool
+	mask       uint64
+	j, size    int
+}
+
+// lookupLogger is a region source that logs the lookups src answers.
+type lookupLogger struct {
+	src regionSource
+	s   *split
+	log []loggedLookup
+}
+
+func (l *lookupLogger) regionSize(bi int, b *partition.Block, mask, bit uint64, j, k int, lanes laneSet) (int, bool) {
+	_, memoized := l.s.memo(b, mask, j)
+	size, ok := l.src.regionSize(bi, b, mask, bit, j, k, lanes)
+	l.log = append(l.log, loggedLookup{full: b.Type == partition.Full, sent: !memoized, mask: mask, j: j, size: size})
+	return size, ok
+}
+
+// walkLog evaluates partition pi's stage of span columns at column 0 as
+// its column task does, logging every lookup.
+func (st *fuzzStage) walkLog(pi, span int) []loggedLookup { return logWalk(st.task(pi), 0, span) }
+
+// task returns partition pi's column task, built.
+func (st *fuzzStage) task(pi int) *columnTask {
+	ex := st.d.ex
+	if _, err := ex.eval(0, pi, 0); err != nil {
+		panic(err)
+	}
+	return ex.tasks[0][pi]
+}
+
+// logWalk runs task t's walk of the stage of span columns at column c,
+// logging every lookup.
+func logWalk(t *columnTask, c, span int) []loggedLookup {
+	s := t.split
+	s.rowGroups(t.a, t.mf, t.part.Blocks, c, span)
+	clear(t.deltas[:t.a.Rows()*s.lanes])
+	logger := &lookupLogger{src: t, s: s}
+	s.walk(logger, t.part.Blocks, t.mf, c, span)
+	return logger.log
+}
+
+// hitsOf returns the hits a decode in s expanded into lanes: each lane's
+// group base less the lane, halved.
+func hitsOf(s *split, lanes []int32) []int32 {
+	hits := make([]int32, len(lanes))
+	for r, g := range s.groups.of[:s.rows] {
+		for l, b := range s.groupBase(int(g)) {
+			hits[r*s.lanes+l] = (b - lanes[r*s.lanes+l]) / 2
+		}
+	}
+	return hits
 }
 
 // resealAsVersion rewrites an image's version byte and re-seals the CRC,
@@ -543,4 +575,23 @@ func TestCheckpointDecodeRejectsUnknownVersion(t *testing.T) {
 			t.Fatalf("version %#x decoded: %v", version, err)
 		}
 	}
+}
+
+// stageReply evaluates the stage at column c of partition pi's mode-1
+// update on ex twice: as a worker's task, whose reply it returns, and as
+// the driver's own, whose lanes it returns.
+func stageReply(t testing.TB, ex *executor, pi, c int) (payload []byte, lanes []int32) {
+	t.Helper()
+	s := ex.splitFor(pi)
+	s.keep = true
+	hits, err := ex.eval(0, pi, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = appendReply(nil, s, hits)
+	s.keep = false
+	if lanes, err = ex.eval(0, pi, c); err != nil {
+		t.Fatal(err)
+	}
+	return payload, slices.Clone(lanes)
 }

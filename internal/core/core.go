@@ -881,9 +881,9 @@ func (u *factorUpdate) run() (committed, error) {
 		}
 		// The driver collects laneCount(span) values a row from every
 		// partition — Lemma 7's N·rows values per column — as the eval
-		// reply's body carries them (see appendReply): each in the bits
-		// its field's Exp-Golomb code needs, or as its row group's base
-		// less twice the row's hits, whichever body is smaller.
+		// reply's body carries them (see appendReply): the rows' hits and
+		// the region sizes the bases are summed from, each in the bits its
+		// field's Exp-Golomb code needs.
 		var collected int64
 		for _, part := range u.parts {
 			collected += part.replyBytes
@@ -903,31 +903,29 @@ func (u *factorUpdate) run() (committed, error) {
 // cells only): partition pi evaluates, for each row, the error difference
 // of its column range between the two candidate values, one lane per column
 // and outcome. The local path hands the driver the task's own accumulator
-// by reference, and sizes the reply a remote executor would have sent.
+// by reference, and sizes the reply a remote executor would have sent from
+// what the task tallied.
 func (u *factorUpdate) evalLocal(pi int) error {
 	ex := u.d.ex
 	deltas, err := ex.eval(u.mode, pi, u.spec.Col)
 	if err != nil {
 		return err
 	}
-	size, _ := replySize(&ex.splits[pi], deltas)
-	u.parts[pi] = stagePart{deltas, int64(size)}
+	u.parts[pi] = stagePart{deltas, int64(ex.splits[pi].body.size)}
 	return nil
 }
 
 // evalSink takes partition pi's lanes from a remote executor's reply: a
 // remote backend pays an encode and a decode, into the buffers the driver's
-// own executor keeps for the partition. A grouped reply is read against the
-// partition's rows grouped here as the task grouped them: from A, which no
-// commit touches before every reply is in, and the partition's blocks.
+// own executor keeps for the partition. The reply is read against the
+// partition's rows grouped here as the task grouped them — from A, which
+// no commit touches before every reply is in, and the partition's blocks —
+// and the task's lookups walked here over them.
 func (u *factorUpdate) evalSink(pi int, payload []byte) error {
 	ex := u.d.ex
-	deltas, s := ex.lanes(u.mode, pi), ex.splitFor(pi)
+	deltas := ex.lanes(u.mode, pi)
 	u.parts[pi] = stagePart{deltas, int64(len(payload) - deltasHeaderLen)}
-	if groupedReply(payload) {
-		s.rowGroups(u.a, ex.f[modeRoles[u.mode].pvm], ex.px[u.mode].Parts[pi].Blocks, u.spec.Col, u.span)
-	}
-	return decodeReply(payload, s, u.a.Rows(), laneCount(u.span), deltas)
+	return decodeReply(payload, ex.splitFor(pi), u.a, ex.f[modeRoles[u.mode].pvm], ex.px[u.mode].Parts[pi].Blocks, u.spec.Col, u.span, deltas)
 }
 
 // commitColumns is the driver's commit (Algorithm 4 lines 10-12): set the

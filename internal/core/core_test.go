@@ -205,14 +205,14 @@ func referenceUpdate(u *tensor.Unfolded, a, mf, ms *boolmat.FactorMatrix) {
 
 // newTestDecomposition returns a driver with its executor set up
 // (partitioned) but no factors installed.
-func newTestDecomposition(t *testing.T, x *tensor.Tensor, opt Options, machines int) *decomposition {
+func newTestDecomposition(t testing.TB, x *tensor.Tensor, opt Options, machines int) *decomposition {
 	t.Helper()
 	return newTestDecompositionOn(t, x, opt, testCluster(machines))
 }
 
 // newTestDecompositionOn is newTestDecomposition on the caller's cluster,
 // whose remote executors, if it has any, are set up too.
-func newTestDecompositionOn(t *testing.T, x *tensor.Tensor, opt Options, cl *cluster.Cluster) *decomposition {
+func newTestDecompositionOn(t testing.TB, x *tensor.Tensor, opt Options, cl *cluster.Cluster) *decomposition {
 	t.Helper()
 	cfg, err := opt.withDefaults(cl.Machines())
 	if err != nil {

@@ -66,12 +66,15 @@ type executor struct {
 	// partition pi's lanes of the mode's stage in flight (see lanes), made at
 	// first use and kept likewise, and splits[pi] the lanes of whichever
 	// mode's stage partition pi is in, split by row group (see splitFor).
-	// replies[mode][pi] is the lanes encoded for the wire, on a worker: grown
-	// at the partition's first reply and kept likewise.
+	// replies[mode][pi] is the eval reply encoded for the wire, on a
+	// worker: grown at the partition's first reply and kept likewise.
 	tasks   [3][]*columnTask
 	deltas  [3][][]int32
 	splits  []split
 	replies [3][][]byte
+	// remote marks a worker's executor: its splits keep what the eval
+	// reply ships (see split.keep).
+	remote bool
 	// epoch advances whenever every column task goes stale: at setFactors
 	// and at a machine loss.
 	epoch uint64
@@ -267,8 +270,8 @@ func (ex *executor) lanes(mode, pi int) []int32 {
 // splitFor returns partition pi's split, sized for the widest stage of the
 // tallest factor and the partition's widest block in any mode it is held
 // in: what every column task built for the partition here accumulates in,
-// and what the driver groups the partition's rows in and reads a grouped
-// reply into when the task ran on a remote executor.
+// and what the driver groups the partition's rows in and rebuilds the
+// bases in when the task ran on a remote executor.
 func (ex *executor) splitFor(pi int) *split {
 	s := &ex.splits[pi]
 	if s.arena == nil {
@@ -281,6 +284,7 @@ func (ex *executor) splitFor(pi int) *split {
 			}
 		}
 		s.init(max(ex.dims[0], ex.dims[1], ex.dims[2]), laneCount(ex.span), width)
+		s.keep = ex.remote
 	}
 	return s
 }
@@ -293,7 +297,8 @@ func (ex *executor) stageSpan(col int) int { return min(ex.span, ex.cfg.Rank-col
 // on partition pi and returns the per-row error differences e1 − e0
 // (Algorithm 4, lines 4-9), laneCount(stageSpan(col)) to a row: see
 // columnTask.eval. The slice is the task's own accumulator, valid until the
-// task's next eval: the driver reads it in place, a worker encodes it.
+// task's next eval: the driver reads it in place; on a worker it holds the
+// rows' hits, which the reply ships (appendReply).
 //
 // This is the one place a column task is (re)built and the one rule of
 // when it is valid: setFactors makes every task stale (a task holds

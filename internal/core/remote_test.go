@@ -109,7 +109,7 @@ func (h *hostTransport) Run(ctx context.Context, spec transport.Spec, deliver fu
 			h.recvd.Add(int64(len(out.Payload)))
 			if spec.Kind == transport.KindEval {
 				h.evalReplies.Add(1)
-				h.evalValues.Add(int64(binary.LittleEndian.Uint32(out.Payload)) * int64(out.Payload[4]&^groupedBody))
+				h.evalValues.Add(int64(binary.LittleEndian.Uint32(out.Payload)) * int64(out.Payload[4]))
 			}
 			if err := deliver(transport.TaskResult{Task: out.Task, Machine: m, Nanos: 1000, Payload: out.Payload}); err != nil {
 				return err
@@ -536,61 +536,124 @@ func TestGolombTallyPicksTheShortestOrder(t *testing.T) {
 }
 
 // TestDeltasCodecInsistsOnShape: the driver knows how many rows and lanes
-// the stage it shipped must answer with, and an eval reply of any other
-// shape — a one-lane reply to a three-lane stage, a short buffer, trailing
-// bytes — or any body but the one appendDeltas makes of int32 lanes is an
-// error, never a mis-read: a field at an order the encoder would not pick,
-// a zero prefix longer than an int32 lane needs, a code cut short, a one in
+// the stage it shipped must answer with, and which lookups its walk makes,
+// and an eval reply of any other shape — a one-lane reply to a three-lane
+// stage, a short buffer, trailing bytes — or any body but the one
+// appendReply makes is an error, never a mis-read: a field at an order the
+// encoder would not pick, a zero prefix longer than a count needs, a hit
+// past int32, a region wider than its block, a code cut short, a one in
 // the pad.
 func TestDeltasCodecInsistsOnShape(t *testing.T) {
-	deltas := []int32{-3, 0, 7, math.MinInt32, math.MaxInt32, -1}
-	three, one := plainReply(deltas, 3), plainReply(deltas, 1)
-	got := make([]int32, len(deltas))
-	if err := decodeDeltas(three, 2, 3, got); err != nil || !reflect.DeepEqual(got, deltas) {
-		t.Fatalf("round trip of 2 rows × 3 lanes: %v, %v", got, err)
+	st := newFuzzStage(t)
+	three, one := st.reply(1, 2), st.reply(1, 1)
+	decode := func(payload []byte, span int) error {
+		s := new(split)
+		s.init(fuzzRows, laneCount(lookahead), fuzzWidth)
+		defer s.release()
+		return st.decode(payload, s, 1, span, make([]int32, fuzzRows*laneCount(span)))
 	}
-	// orders writes a plain body's two orders, 0 and 0 unless given.
-	orders := func(w *bitvec.BitWriter, k ...uint64) {
-		k = append(k, 0, 0)
-		w.Write(k[0], orderBits)
-		w.Write(k[1], orderBits)
+	if err := decode(three.payload, 2); err != nil {
+		t.Fatalf("the task's own reply: %v", err)
 	}
-	zero := plainReply([]int32{0}, 1)
+	rows := slices.Clone(three.payload)
+	rows[0]++
+	past, wide := three, three
+	past.hits = slices.Clone(three.hits)
+	past.hits[slices.IndexFunc(past.hits, func(h int32) bool { return h != 0 })] = math.MaxInt32
+	wide.sizes = slices.Clone(three.sizes)
+	wide.sizes[0] = fuzzWidth + 1
+	overlong := slices.Clone(three.payload[:deltasHeaderLen])
+	w := bitvec.NewBitWriter(overlong)
+	w.Write(0, replyFields*orderBits)
+	w.Write(0, rowBits+1) // the listed count's prefix, one zero past a u32's
+	w.Write(1, rowBits+2)
+	overlong = w.Pad()
 	for name, tc := range map[string]struct {
-		payload     []byte
-		rows, lanes int
+		payload []byte
+		span    int
 	}{
-		"one lane answering a three-lane stage":  {one, 2, 3},
-		"three lanes answering a one-lane stage": {three, 2, 1},
-		"wrong row count":                        {three, 3, 3},
-		"short buffer":                           {three[:len(three)-1], 2, 3},
-		"trailing byte":                          {append(slices.Clone(three), 0), 2, 3},
-		"header only":                            {three[:deltasHeaderLen], 2, 3},
-		"cut header":                             {three[:deltasHeaderLen-1], 2, 3},
-		"a one in the pad":                       {append(slices.Clone(zero[:len(zero)-1]), zero[len(zero)-1]|1), 1, 1},
-		"zero at an order the encoder would not pick": {replyPayload(1, 1, false, func(w *bitvec.BitWriter) {
-			orders(w, 1)
-			w.ExpGolomb(0, 1)
-		}), 1, 1},
-		"an over-long zero prefix": {replyPayload(1, 1, false, func(w *bitvec.BitWriter) {
-			orders(w)
-			w.Write(0, laneBits+1)
-			w.Write(1<<(laneBits+1), laneBits+2)
-		}), 1, 1},
-		"a lane past int32": {replyPayload(1, 1, false, func(w *bitvec.BitWriter) {
-			orders(w)
-			w.ExpGolomb(zigzag(math.MaxInt32+1), 0)
-		}), 1, 1},
-		"lane 2 past int32 after the add": {replyPayload(1, 3, false, func(w *bitvec.BitWriter) {
-			orders(w)
-			for _, v := range []int64{0, math.MinInt32, -1} {
-				w.ExpGolomb(zigzag(v), 0)
-			}
-		}), 1, 3},
+		"one lane answering a three-lane stage":  {one.payload, 2},
+		"three lanes answering a one-lane stage": {three.payload, 1},
+		"wrong row count":                        {rows, 2},
+		"short buffer":                           {three.payload[:len(three.payload)-1], 2},
+		"trailing byte":                          {append(slices.Clone(three.payload), 0), 2},
+		"header only":                            {three.payload[:deltasHeaderLen], 2},
+		"cut header":                             {three.payload[:deltasHeaderLen-1], 2},
+		"a one in the pad":                       {three.setPadBit(), 2},
+		"a hit of MaxInt32, past its base":       {past.encode(), 2},
+		"a region wider than its block":          {wide.encode(), 2},
+		"an over-long zero prefix":               {overlong, 2},
 	} {
-		if err := decodeDeltas(tc.payload, tc.rows, tc.lanes, make([]int32, tc.rows*tc.lanes)); err == nil {
+		if tc.payload == nil {
+			t.Fatalf("%s: no payload to corrupt", name)
+		}
+		if err := decode(tc.payload, tc.span); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
+	}
+	for field := 0; field < replyFields; field++ {
+		bumped := three
+		bumped.bump = field + 1
+		if err := decode(bumped.encode(), 2); err == nil || !strings.Contains(err.Error(), "order") {
+			t.Errorf("field %d one order off: %v", field, err)
+		}
+	}
+}
+
+// TestRemoteRebuildsWorkerLanes: a driver that decodes a worker's eval
+// reply — the rows' hits and the region sizes, the bases rebuilt by its own
+// walk over its own grouping — holds the lanes its own executor evaluates,
+// bit for bit, at every stage of every mode's update: at ranks 1 to 5 and
+// 64, over one-column tables and the default layout, on a shape whose
+// partitions cut PVM products, so that partial blocks, whose sizes are
+// always sent, sit beside Full ones, whose repeats the memo answers.
+func TestRemoteRebuildsWorkerLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	x := randomTensor(rng, 11, 7, 9, 0.3)
+	partial := false
+	for _, rank := range []int{1, 2, 3, 4, 5, 64} {
+		for _, v := range []int{1, 0} {
+			d := newTestDecomposition(t, x, Options{Rank: rank, Partitions: 4, GroupBits: v}, 1)
+			w := NewWorker()
+			if err := w.Apply(transport.StateSetup, setupBlobs(t, x, d.ex.cfg)[0]); err != nil {
+				t.Fatal(err)
+			}
+			a, b, c := repeatedRows(rng, 11, rank, 3), boolmat.RandomFactor(rng, 7, rank, 0.3), repeatedRows(rng, 9, rank, 4)
+			if err := d.ex.setFactors(a, b, c); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Apply(transport.StateFactors, encodeFactors(a, b, c)); err != nil {
+				t.Fatal(err)
+			}
+			for mode, role := range modeRoles {
+				for pi, part := range d.ex.px[mode].Parts {
+					for _, blk := range part.Blocks {
+						partial = partial || blk.Type != partition.Full
+					}
+					for col := 0; col < rank; col += d.ex.stageSpan(col) {
+						want, err := d.ex.eval(mode, pi, col)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want = slices.Clone(want)
+						outs, err := w.RunBatch(transport.Spec{Name: "eval", Kind: transport.KindEval, Mode: mode, Col: col, Tasks: len(d.ex.px[mode].Parts)}, []int{pi})
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := make([]int32, len(want))
+						if err := decodeReply(outs[0].Payload, d.ex.splitFor(pi), d.ex.f[role.upd], d.ex.f[role.pvm], part.Blocks, col, d.ex.stageSpan(col), got); err != nil {
+							t.Fatalf("rank %d V=%d mode %d part %d col %d: %v", rank, v, mode, pi, col, err)
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("rank %d V=%d mode %d part %d col %d: rebuilt lanes %v, the executor's %v", rank, v, mode, pi, col, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if !partial {
+		t.Fatal("no partition cut a PVM product")
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 
+	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
 	"dbtf/internal/partition"
 	"dbtf/internal/slab"
@@ -15,22 +16,25 @@ import (
 //
 //	base[group(r)][l] − 2·hits[r][l]
 //
-// The column task accumulates the bases here and the hits in its lanes,
-// then expands the two into the lanes; the eval reply ships bases and hits
-// instead of the lanes when that is smaller, and the driver, which groups
-// the rows itself, expands them back. A partition evaluates one stage at a
-// time, whatever its mode, so one split serves all three updates; it lives
-// for the run, sized for the widest stage of the tallest factor.
+// Only the hits depend on the tensor. The bases are sums of region sizes
+// |D|, one per lookup of the stage's walk (see walk), which the factors and
+// the blocks fix: the column task takes them from its tables and counts
+// the hits in its lanes, and the eval reply ships the hits and the sizes,
+// from which the driver, walking the same lookups over rows it groups
+// itself, rebuilds the bases. Either side then expands the two into the
+// lanes. A partition evaluates one stage at a time, whatever its mode, so
+// one split serves all three updates; it lives for the run, sized for the
+// widest stage of the tallest factor.
 type split struct {
-	// lanes is the stage's lanes per row.
-	lanes int
+	// lanes is the stage's lanes per row, and rows its factor's rows.
+	lanes, rows int
 	// groups buckets the rows by group key.
 	groups buckets
 	// base[g·lanes+l] is Σ_blocks |D| of group g in lane l.
 	base []int32
 	// wide[g·lookahead+j] is what group g's base adds to every lane of
 	// column c+j: a block holding none of the stage's bits before c+j adds
-	// its |D| to all of them, and eval counts it once until expand.
+	// its |D| to all of them, and the walk counts it once until expand.
 	wide []int32
 	// blockKeys buckets the groups by their delta key in the block and
 	// lane being evaluated; keys holds those keys, group by group.
@@ -38,10 +42,29 @@ type split struct {
 	keys      []uint64
 	// region holds the delta region being counted, in the block's words.
 	region []uint64
-	// hitRow holds one row's hits while a reply is encoded or decoded.
-	hitRow []int32
-	// words and arena back every slice above; they go back to the slab pool
-	// with the executor's other run state.
+	// sized tallies the region sizes the reply sends, as the walk produces
+	// or reads them, and body is the reply as priced (price); while a
+	// reply is decoded, body.orders are the orders it was read at.
+	sized golombTally
+	body  replyBody
+	// memoKey, memoCol and memoSize are the reply's memo of Full-block
+	// region sizes (see memo), open addressing over at least twice the
+	// stage's rows: slot i holds the size of lookup mask memoKey[i] at
+	// column memoCol[i]−1, or nothing when memoCol[i] is 0. memoN counts
+	// the sizes it holds, at most the stage's rows.
+	memoKey           []uint64
+	memoCol, memoSize []int32
+	memoN             int
+	// keep marks a worker's split, whose column task leaves the stage as
+	// its reply ships it: the rows' hits unexpanded, and in sizes the
+	// region sizes sent, in walk order (a decode keeps those it reads).
+	keep  bool
+	sizes []int32
+	// br is the reply being decoded, which the driver's walk reads the
+	// region sizes from.
+	br bitvec.BitReader
+	// words and arena back every slice above but sizes; they go back to
+	// the slab pool with the executor's other run state.
 	words []uint64
 	arena []int32
 }
@@ -66,7 +89,7 @@ type buckets struct {
 // up to width columns.
 func (s *split) init(rows, lanes, width int) {
 	slots, w := 1<<bits.Len(uint(2*rows-1)), entryWords(width)
-	s.words, s.arena = slab.Uint64s(3*rows+slots+w), slab.Int32s(6*rows+2+rows*lanes+lanes+slots+rows*lookahead)
+	s.words, s.arena = slab.Uint64s(3*rows+2*slots+w), slab.Int32s(6*rows+2+rows*lanes+3*slots+rows*lookahead)
 	words, arena := s.words, s.arena
 	take := func(n int) []int32 {
 		a := arena[:n:n]
@@ -78,7 +101,8 @@ func (s *split) init(rows, lanes, width int) {
 		b.key, words = words[:rows:rows], words[rows:]
 		b.of, b.items, b.start = take(rows), take(rows), take(rows+1)
 	}
-	s.base, s.hitRow, s.wide = take(rows*lanes), take(lanes), take(rows*lookahead)
+	s.base, s.wide = take(rows*lanes), take(rows*lookahead)
+	s.memoKey, s.memoCol, s.memoSize, words = words[:slots], take(slots), take(slots), words[slots:]
 	slotKey, slotBucket := words, take(slots)
 	s.groups.slotKey, s.groups.slotBucket = slotKey, slotBucket
 	s.blockKeys.slotKey, s.blockKeys.slotBucket = slotKey, slotBucket
@@ -88,27 +112,27 @@ func (s *split) init(rows, lanes, width int) {
 func (s *split) release() {
 	slab.PutUint64s(s.words)
 	slab.PutInt32s(s.arena)
+	slab.PutInt32s(s.sizes)
 	*s = split{}
 }
 
 // rowGroups groups the rows of a, the factor under update, for the eval
 // stage deciding columns [c, c+span) of a partition with the given blocks,
-// whose PVM masks are mf's rows, and returns the stage's column bits. A
-// row's key is its mask without bit c, narrowed to U, the OR of the PVM
-// masks of the blocks the stage reads — those holding any of its bits.
-// Every delta key a block forms for the row is its key masked by the
-// block's PVM mask, a subset of U, with some of the stage's bits set, so
-// rows with equal keys have equal deltas in every block and lane: equal
-// bases.
+// whose PVM masks are mf's rows. A row's key is its mask without bit c,
+// narrowed to U, the OR of the PVM masks of the blocks the stage reads —
+// those holding any of its bits. Every delta key a block forms for the row
+// is its key masked by the block's PVM mask, a subset of U, with some of
+// the stage's bits set, so rows with equal keys have equal deltas in every
+// block and lane: equal bases.
 //
 // The column task groups before it evaluates; the driver groups the same
-// way before it decodes a grouped reply, from A as it stands until the
-// stage's commit and from the partition's blocks, so the groups are never
-// sent.
+// way before it decodes the reply, from A as it stands until the stage's
+// commit and from the partition's blocks, so the groups are never sent.
 //
 //dbtf:noalloc
-func (s *split) rowGroups(a, mf *boolmat.FactorMatrix, blocks []*partition.Block, c, span int) (stage uint64) {
-	stage, s.lanes = (1<<uint(span)-1)<<uint(c), laneCount(span)
+func (s *split) rowGroups(a, mf *boolmat.FactorMatrix, blocks []*partition.Block, c, span int) {
+	stage := uint64(1<<uint(span)-1) << uint(c)
+	s.lanes, s.rows = laneCount(span), a.Rows()
 	var u uint64
 	for _, b := range blocks {
 		if k := mf.RowMask(b.PVM); k&stage != 0 {
@@ -121,7 +145,175 @@ func (s *split) rowGroups(a, mf *boolmat.FactorMatrix, blocks []*partition.Block
 		keys[r] = a.RowMask(r) &^ bit & u
 	}
 	s.groups.fill(keys)
-	return stage
+}
+
+// regionSource is where a walk takes the stage's region sizes from: the
+// column task's tables on the executor that evaluates the stage, the reply
+// on the driver that decodes it.
+type regionSource interface {
+	// regionSize returns |D| of the region for adding bit to mask in block
+	// bi, b, at column c+j — the region of the groups of the walk's k-th
+	// block key, adding to their lanes in lanes — or false when there is
+	// none to give.
+	regionSize(bi int, b *partition.Block, mask, bit uint64, j, k int, lanes laneSet) (int, bool)
+}
+
+// walk makes the lookups of the stage deciding columns [c, c+span), on
+// rows rowGroups has grouped, and adds each region's size src gives to the
+// bases of the groups it serves. A block contributes to a column only if
+// its PVM mask holds the column's bit, and the outcomes of the earlier bits
+// reach it only through the bits its mask holds: it is looked up once per
+// assignment of those, its region adding to every lane whose outcomes
+// agree with the assignment — to the column-wide counts when the block
+// holds none of the earlier bits. Groups whose keys agree on the block's
+// mask share its regions (bucketBlockKeys), so each is looked up once per
+// such key. The lookups come block by block, column by column, block key
+// by block key and assignment by assignment, the order the reply's region
+// sizes follow. It reports false as soon as src does.
+//
+//dbtf:noalloc
+func (s *split) walk(src regionSource, blocks []*partition.Block, mf *boolmat.FactorMatrix, c, span int) bool {
+	clear(s.base[:s.groups.n*s.lanes])
+	clear(s.wide[:s.groups.n*lookahead])
+	s.sized.reset()
+	s.memoN = 0
+	clear(s.memoCol[:s.memoSlots()])
+	s.sizes = s.sizes[:0]
+	stage := uint64(1<<uint(span)-1) << uint(c)
+	for bi, b := range blocks {
+		kMask := mf.RowMask(b.PVM)
+		held := kMask & stage
+		for j := 0; j < span; j++ {
+			bit := uint64(1) << uint(c+j)
+			if held&bit == 0 {
+				continue
+			}
+			// Column c+j's key drops the stage's bits up to its own: the
+			// earlier ones are set by the assignments, the later ones are
+			// still the row's own.
+			earlier := held & (bit - 1)
+			s.bucketBlockKeys(kMask &^ (bit<<1 - 1<<uint(c)))
+			for k, key := range s.blockKeys.key[:s.blockKeys.n] {
+				for set := earlier; ; set = (set - 1) & earlier {
+					lanes := laneSets[j][earlier>>uint(c)][set>>uint(c)]
+					size, ok := src.regionSize(bi, b, key|set, bit, j, k, lanes)
+					if !ok {
+						return false
+					}
+					for _, g := range s.blockKeys.members(k) {
+						if earlier == 0 {
+							s.wide[int(g)*lookahead+j] += int32(size)
+						} else {
+							s.addCount(s.base, int(g), lanes, size)
+						}
+					}
+					if set == 0 {
+						break
+					}
+				}
+			}
+		}
+	}
+	return true
+}
+
+// addCount adds v to the lanes in set of entry i of counts, laid out as the
+// stage's lanes to an entry: a group's bases or a row's hits.
+func (s *split) addCount(counts []int32, i int, set laneSet, v int) {
+	if v != 0 {
+		c := counts[i*s.lanes:][:s.lanes]
+		for m := set; m != 0; m &= m - 1 {
+			c[bits.TrailingZeros64(uint64(m))] += int32(v)
+		}
+	}
+}
+
+// memoSlots returns the size of the memo's table for the stage's rows.
+func (s *split) memoSlots() int { return 1 << bits.Len(uint(2*s.rows-1)) }
+
+// memo finds the memo slot of block b's lookup of mask at column c+j, and
+// reports whether the reply has sent that region's size already. A Full
+// block's region spans its whole PVM product, so its size depends on the
+// lookup alone: a reply sends it once, the first time the lookup comes,
+// and both sides take it from the memo after that. Other blocks' sizes,
+// and the Full blocks' once the memo holds one per row, are always sent;
+// their slot is −1.
+//
+//dbtf:noalloc
+func (s *split) memo(b *partition.Block, mask uint64, j int) (slot int, sent bool) {
+	if b.Type != partition.Full {
+		return -1, false
+	}
+	size := s.memoSlots()
+	wrap, shift := uint64(size-1), 64-bits.TrailingZeros(uint(size))
+	i := (mask ^ uint64(j+1)*0xbf58476d1ce4e5b9) * 0x9e3779b97f4a7c15 >> shift
+	for s.memoCol[i] != 0 && (s.memoKey[i] != mask || int(s.memoCol[i]) != j+1) {
+		i = (i + 1) & wrap
+	}
+	if s.memoCol[i] != 0 {
+		return int(i), true
+	}
+	if s.memoN >= s.rows {
+		return -1, false
+	}
+	return int(i), false
+}
+
+// remember puts the size of the lookup of mask at column c+j in memo slot
+// i, when there is one.
+func (s *split) remember(i int, mask uint64, j, size int) {
+	if i >= 0 {
+		s.memoKey[i], s.memoCol[i], s.memoSize[i] = mask, int32(j+1), int32(size)
+		s.memoN++
+	}
+}
+
+// send tallies the size of block b's lookup of mask at column c+j in the
+// reply, unless the memo has it, and keeps it on a worker.
+//
+//dbtf:noalloc
+func (s *split) send(b *partition.Block, mask uint64, j, size int) {
+	slot, sent := s.memo(b, mask, j)
+	if sent {
+		return
+	}
+	s.remember(slot, mask, j, size)
+	s.sized.add(uint64(size), 1)
+	s.keepSize(size)
+}
+
+// keepSize appends a size the reply sends to sizes, on a worker. The
+// buffer doubles from the slab pool when it is full, and keeps the largest
+// reply's room, so a warm worker grows it no more.
+func (s *split) keepSize(size int) {
+	if !s.keep {
+		return
+	}
+	if len(s.sizes) == cap(s.sizes) {
+		grown := slab.Int32s(max(1024, 2*cap(s.sizes)))[:len(s.sizes)]
+		copy(grown, s.sizes)
+		slab.PutInt32s(s.sizes)
+		s.sizes = grown
+	}
+	s.sizes = append(s.sizes, int32(size))
+}
+
+// regionSize is the driver's region source: the size the memo holds, or
+// the reply's next region size, which must lie within the block.
+//
+//dbtf:noalloc
+func (s *split) regionSize(_ int, b *partition.Block, mask, _ uint64, j, _ int, _ laneSet) (int, bool) {
+	slot, sent := s.memo(b, mask, j)
+	if sent {
+		return int(s.memoSize[slot]), true
+	}
+	v, ok := readCode(&s.br, s.body.orders[fieldSize], countBits, &s.sized)
+	if !ok || v > uint64(b.Width()) {
+		return 0, false
+	}
+	s.remember(slot, mask, j, int(v))
+	s.keepSize(int(v))
+	return int(v), true
 }
 
 // bucketBlockKeys buckets the groups by their delta key in one block and
@@ -186,10 +378,12 @@ func (s *split) groupBase(g int) []int32 { return s.base[g*s.lanes:][:s.lanes] }
 
 // expand turns deltas, rows × lanes of hits, into the lanes, each its
 // group's base less twice the hits, once every base has its column-wide
-// counts added to the lanes of their columns.
+// counts added to the lanes of their columns. It reports whether every hit
+// is at most its base, as hits that count cells of the regions summed into
+// the base are.
 //
 //dbtf:noalloc
-func (s *split) expand(deltas []int32) {
+func (s *split) expand(deltas []int32) bool {
 	for g := 0; g < s.groups.n; g++ {
 		base, wide := s.groupBase(g), s.wide[g*lookahead:]
 		for j := 0; 1<<j <= len(base); j++ {
@@ -198,28 +392,15 @@ func (s *split) expand(deltas []int32) {
 			}
 		}
 	}
-	for r, g := range s.groups.of[:len(deltas)/s.lanes] {
+	within := true
+	for r, g := range s.groups.of[:s.rows] {
 		base, row := s.groupBase(int(g)), deltas[r*s.lanes:][:s.lanes]
 		for l := range row {
+			if row[l] > base[l] {
+				within = false
+			}
 			row[l] = base[l] - 2*row[l]
 		}
 	}
-}
-
-// hits fills s.hitRow with row r's hits as deltas implies them — its
-// group's base less the lane, halved — and reports whether they are whole
-// counts: whether the row's lanes are its group's base less twice some
-// hits.
-//
-//dbtf:noalloc
-func (s *split) hits(r int, deltas []int32) ([]int32, bool) {
-	base, row, hits := s.groupBase(int(s.groups.of[r])), deltas[r*s.lanes:][:s.lanes], s.hitRow[:s.lanes]
-	for l := range row {
-		d := int64(base[l]) - int64(row[l])
-		if base[l] < 0 || d < 0 || d&1 != 0 {
-			return hits, false
-		}
-		hits[l] = int32(d / 2)
-	}
-	return hits, true
+	return within
 }

@@ -76,7 +76,8 @@ type columnTask struct {
 	// block's |e1 − e0| is at most its width, the sum at most the
 	// partition's, and tensor.matricize refuses an unfolding whose columns
 	// overflow int32. eval accumulates the rows' hits in deltas and the
-	// groups' bases in split, then expands the two into the lanes.
+	// groups' bases in split, then expands the two into the lanes; a
+	// worker's task leaves the hits, which its reply ships.
 	deltas []int32
 	split  *split
 	// delta is one group's flipped region.
@@ -102,91 +103,51 @@ func newColumnTask(part *partition.Partition, deltas []int32, s *split) *columnT
 // [c, c+span): every row's error difference e1 − e0 — the change in the
 // partition's reconstruction error if the row's entry in the column were 1
 // instead of 0 — for column c, and for each later column c+j under every
-// outcome of the row's bits c … c+j−1 (see laneCount). A block contributes
-// to a column only if its PVM row mask holds the column's bit, and the
-// outcomes of the earlier bits reach it only through the bits its mask
-// holds: it is evaluated once per assignment of those, each adding its
-// region to every lane whose outcomes agree with the assignment.
+// outcome of the row's bits c … c+j−1 (see laneCount).
 //
-// The rows are grouped first (split.rowGroups), and a block's delta region
-// is looked up once per key the groups form in it and assignment (see
-// pass); only a row's overlap with the region is counted per row.
+// The rows are grouped first (split.rowGroups), and the walk (split.walk)
+// looks each block's delta regions up once per key the groups form in it
+// and assignment; only a row's overlap with a region is counted per row.
+// The reply is priced on the way (see split.price). A worker's task returns
+// the rows' hits, which its reply ships, and expands nothing.
 //
 //dbtf:noalloc
 func (t *columnTask) eval(c, span int) []int32 {
 	s := t.split
-	stage := s.rowGroups(t.a, t.mf, t.part.Blocks, c, span)
+	s.rowGroups(t.a, t.mf, t.part.Blocks, c, span)
 	deltas := t.deltas[:t.a.Rows()*s.lanes]
 	clear(deltas)
-	clear(s.base[:s.groups.n*s.lanes])
-	clear(s.wide[:s.groups.n*lookahead])
-	for bi, b := range t.part.Blocks {
-		kMask := t.mf.RowMask(b.PVM)
-		held := kMask & stage
-		for j := 0; j < span; j++ {
-			// Column c+j's key drops the stage's bits up to its own: the
-			// earlier ones are set by the assignments, the later ones are
-			// still the row's own.
-			if bit := uint64(1) << uint(c+j); held&bit != 0 {
-				t.pass(bi, b, kMask&^(bit<<1-1<<uint(c)), bit, held&(bit-1), c, j)
-			}
-		}
+	s.walk(t, t.part.Blocks, t.mf, c, span)
+	s.price(deltas)
+	if !s.keep {
+		s.expand(deltas)
 	}
-	s.expand(deltas)
 	return deltas
 }
 
-// pass adds block b's part of column c+j's lanes: for each assignment of
-// the earlier stage bits the block holds, the delta region of adding bit to
-// a group's key masked by kMask with the assignment's bits set, to the
-// lanes whose outcomes agree with it. Groups whose keys agree on kMask
-// share the regions, so each is looked up once per such key
-// (split.bucketBlockKeys) and materialized; its size goes to each of the
-// groups' bases — to their column-wide counts when the block holds none of
-// the earlier bits — and each of their rows adds its overlap with it to
-// its hits, which the lanes hold until eval expands them. A region SumDelta
-// finds empty from two cached popcounts skips its rows without touching
-// any vector.
+// regionSize is the column task's region source: it looks block bi's
+// delta region up in the block's table and materializes it, sends its size
+// (split.send), and adds each member row of the block key's groups its
+// overlap with the region to its hits, which the lanes hold until eval
+// expands them. A region SumDelta finds empty from two cached popcounts
+// skips its rows without touching any vector.
 //
 //dbtf:noalloc
-func (t *columnTask) pass(bi int, b *partition.Block, kMask, bit, earlier uint64, c, j int) {
+func (t *columnTask) regionSize(bi int, b *partition.Block, mask, bit uint64, j, k int, lanes laneSet) (int, bool) {
 	s := t.split
-	s.bucketBlockKeys(kMask)
-	cache := t.tables[bi]
-	region := s.region[:entryWords(b.Width())]
-	for k, key := range s.blockKeys.key[:s.blockKeys.n] {
-		for set := earlier; ; set = (set - 1) & earlier {
-			t.lookups++
-			if cache.SumDelta(key|set, bit, &t.delta); !t.delta.Empty() {
-				//dbtf:samewidth the region is cut to the block's width, as the cache slice's entries are
-				if gain := bitvec.GainWords(region, t.delta.W1, t.delta.W0, t.delta.Occ); gain != 0 {
-					lanes := laneSets[j][earlier>>uint(c)][set>>uint(c)]
-					for _, g := range s.blockKeys.members(k) {
-						if earlier == 0 {
-							s.wide[int(g)*lookahead+j] += int32(gain)
-						} else {
-							t.addCount(s.base, int(g), lanes, gain)
-						}
-						for _, r := range s.groups.members(int(g)) {
-							t.addCount(t.deltas, int(r), lanes, b.Hits(int(r), region))
-						}
-					}
-				}
-			}
-			if set == 0 {
-				break
+	t.lookups++
+	size, region := 0, s.region[:entryWords(b.Width())]
+	if t.tables[bi].SumDelta(mask, bit, &t.delta); !t.delta.Empty() {
+		//dbtf:samewidth the region is cut to the block's width, as the cache slice's entries are
+		size = bitvec.GainWords(region, t.delta.W1, t.delta.W0, t.delta.Occ)
+	}
+	s.send(b, mask, j, size)
+	if size != 0 {
+		for _, g := range s.blockKeys.members(k) {
+			for _, r := range s.groups.members(int(g)) {
+				s.addCount(t.deltas, int(r), lanes, b.Hits(int(r), region))
 			}
 		}
 	}
-}
-
-// addCount adds v to the lanes in set of entry i of counts, laid out as the
-// stage's lanes to an entry: a group's bases or a row's hits.
-func (t *columnTask) addCount(counts []int32, i int, set laneSet, v int) {
-	if v != 0 {
-		c := counts[i*t.split.lanes:][:t.split.lanes]
-		for m := set; m != 0; m &= m - 1 {
-			c[bits.TrailingZeros64(uint64(m))] += int32(v)
-		}
-	}
+	return size, true
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -121,33 +120,61 @@ func TestEvalMatchesRowReferee(t *testing.T) {
 // TestEvalLooksUpOncePerGroupKey counts the delta regions a stage looks up:
 // at most one per group, block and lane — a block's groups that agree on
 // its PVM mask share one — so on a factor whose rows repeat three masks,
-// fewer than one per row and block. Every lane the task returns is its
-// group's base less twice whole hits, which is what lets a reply carry the
-// split instead.
+// fewer than one per row and block. And it pins the region sizes the reply
+// sends: one per lookup, less the Full blocks' lookups that repeat one the
+// reply has sent (at most one memoized per row), which the decode reads to
+// the last bit.
 func TestEvalLooksUpOncePerGroupKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	const rank = 6
 	x := randomTensor(rng, 24, 10, 8, 0.2)
 	a := repeatedRows(rng, 24, rank, 3)
-	mf, ms := boolmat.RandomFactor(rng, 8, rank, 0.5), boolmat.RandomFactor(rng, 10, rank, 0.4)
+	mf, ms := repeatedRows(rng, 8, rank, 3), boolmat.RandomFactor(rng, 10, rank, 0.4)
+	repeats := 0
 	for _, v := range []int{0, 1} {
-		d := newTestDecomposition(t, x, Options{Rank: rank, Partitions: 2, GroupBits: v}, 2)
+		d := newTestDecomposition(t, x, Options{Rank: rank, Partitions: 3, GroupBits: v}, 2)
 		for pi := range d.ex.px[0].Parts {
 			ct := buildTask(t, d, pi, a, mf, ms)
 			blocks := len(ct.part.Blocks)
 			for c := 0; c < rank; c += lookahead {
 				before := ct.lookups
-				deltas := ct.eval(c, lookahead)
+				ct.split.keep = true
+				hits := slices.Clone(ct.eval(c, lookahead))
 				s, lookups := ct.split, ct.lookups-before
 				if lookups > s.groups.n*blocks*s.lanes || lookups >= a.Rows()*blocks {
 					t.Errorf("V=%d part %d col %d: %d lookups for %d groups of %d rows, %d blocks and %d lanes",
 						v, pi, c, lookups, s.groups.n, a.Rows(), blocks, s.lanes)
 				}
-				if _, ok := groupedReplyBody(s, deltas, math.MaxInt32); !ok {
-					t.Errorf("V=%d part %d col %d: a row's lanes are not its group's base less twice whole hits", v, pi, c)
+				type lookup struct {
+					mask uint64
+					j    int
+				}
+				memo, want := map[lookup]bool{}, 0
+				for _, l := range logWalk(ct, c, lookahead) {
+					switch key := (lookup{l.mask, l.j}); {
+					case l.full && memo[key]:
+						repeats++
+					case l.full && len(memo) < a.Rows():
+						memo[key] = true
+						want++
+					default:
+						want++
+					}
+				}
+				if len(s.sizes) != want || want == 0 {
+					t.Errorf("V=%d part %d col %d: the reply sends %d region sizes for %d lookups, want %d",
+						v, pi, c, len(s.sizes), lookups, want)
+				}
+				payload := appendReply(nil, s, hits)
+				ct.split.keep = false
+				if err := decodeReply(payload, s, a, mf, ct.part.Blocks, c, lookahead, make([]int32, len(hits))); err != nil {
+					t.Errorf("V=%d part %d col %d: %v", v, pi, c, err)
 				}
 			}
 		}
+	}
+	if repeats == 0 {
+		t.Error("no Full block repeated a lookup: the memo went untested")
 	}
 }
 

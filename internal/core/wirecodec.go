@@ -231,25 +231,18 @@ func decodeColumns(payload []byte) (modeIdx, col, span, rows int, bits []byte, e
 }
 
 // deltasHeaderLen is KindEval's result header: u32 row count, u8 lanes per
-// row, the lanes byte's high bit (groupedBody) marking a grouped body. The
-// body is a bit string of Exp-Golomb codes, MSB first and zero-padded to a
-// byte, that opens with one orderBits-wide order per field and codes every
-// value of the field at that order. A lane whose outcome index is not 0
-// goes as its difference from its laneRef, zigzagged; a reference lane goes
-// as itself, zigzagged in a plain body and as the count it is in a grouped
-// one.
-//
-// A plain body has two fields, the reference lanes and the difference
-// lanes, and carries rows × lanes values, row by row. A grouped body
-// carries the stage's split instead (see split) in five fields — base
-// reference, base difference, row gap, hit reference, hit difference:
-// after the orders, the count of rows with a hit as an order-0 code; every
-// group's base lanes, in group order; then for each row with a hit,
-// ascending, the rows skipped since the one before and its hit lanes.
+// row. The body carries the stage's split (see split) less what the driver
+// knows: a bit string of Exp-Golomb codes, MSB first and zero-padded to a
+// byte, that opens with one orderBits-wide order per field — row gap, hit
+// reference, hit difference, region size — and codes every value of a
+// field at that order. After the orders come the count of rows with a hit,
+// as an order-0 code; for each such row, ascending, the rows skipped since
+// the one before and its hit lanes, a lane whose outcome index is not 0 as
+// its difference from its laneRef, zigzagged; then one region size per
+// lookup of the stage's walk (split.walk), in walk order, less the Full
+// blocks' sizes the reply has sent before (split.memo). The driver walks
+// the same lookups to rebuild the groups' bases.
 const deltasHeaderLen = 5
-
-// groupedBody marks a grouped body in the header's lanes byte.
-const groupedBody = 0x80
 
 // orderBits is the width of a field's order, and maxOrder the largest
 // order it holds.
@@ -258,26 +251,21 @@ const (
 	maxOrder  = 1<<orderBits - 1
 )
 
-// A grouped body's fields; a plain body's are the first two, its lanes
-// standing where the bases do.
+// An eval reply's fields.
 const (
-	fieldRef = iota
-	fieldDiff
-	fieldGap
+	fieldGap = iota
 	fieldHitRef
 	fieldHitDiff
-	groupedFields
+	fieldSize
+	replyFields
 )
 
 // Value bounds, in bits, of the fields' codes: the decoder refuses a zero
 // prefix longer than a value of that many bits needs at the field's order.
-// A reference lane is a zigzagged int32, a difference of two lanes one of
-// 33 bits, a count at most MaxInt32 and a difference of two counts within
-// ±MaxInt32; a row gap and the count of listed rows are below the row
-// count, a u32.
+// A hit or a region size is a count at most MaxInt32, and a difference of
+// two hits within ±MaxInt32; a row gap and the count of listed rows are
+// below the row count, a u32.
 const (
-	laneBits      = 32
-	laneDiffBits  = 33
 	countBits     = 31
 	countDiffBits = 32
 	rowBits       = 32
@@ -297,18 +285,14 @@ func laneRef(l int) int { return (l+1)&l - 1 }
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// laneCode is what a body carries for lane l of an entry's lanes, and its
-// field among fieldRef and fieldDiff: a plain body's lanes, zigzagged, or a
-// grouped body's counts — a group's bases or a row's hits, never negative
-// — sent as they are when they are reference lanes.
-func laneCode(lanes []int32, l int, counts bool) (uint64, int) {
+// laneCode is what a reply carries for lane l of a row's hits, and its
+// field: a reference lane as the count it is, another as its difference
+// from its reference, zigzagged.
+func laneCode(hits []int32, l int) (uint64, int) {
 	if ref := laneRef(l); ref >= 0 {
-		return zigzag(int64(lanes[l]) - int64(lanes[ref])), fieldDiff
+		return zigzag(int64(hits[l]) - int64(hits[ref])), fieldHitDiff
 	}
-	if counts {
-		return uint64(lanes[l]), fieldRef
-	}
-	return zigzag(int64(lanes[l])), fieldRef
+	return uint64(hits[l]), fieldHitRef
 }
 
 // golombTally tallies the values of one field so that the order coding
@@ -320,16 +304,23 @@ func laneCode(lanes []int32, l int, counts bool) (uint64, int) {
 // is ^v ∧ v>>1's — up to b − 1.
 type golombTally struct {
 	// lengths[b] counts the values of bit length b, and starts[s] those of
-	// carry start s; every field's values are below 2^(laneDiffBits+1).
-	lengths, starts [laneDiffBits + 2]int
+	// carry start s; every field's values are below 2^(countDiffBits+1).
+	// A reply codes fewer than 2^31 values a field.
+	lengths, starts [countDiffBits + 2]int32
 }
 
 // add tallies n values v.
 //
 //dbtf:noalloc
 func (f *golombTally) add(v uint64, n int) {
-	f.lengths[bits.Len64(v)] += n
-	f.starts[bits.Len64(^v&(v>>1))] += n
+	f.lengths[bits.Len64(v)] += int32(n)
+	f.starts[bits.Len64(^v&(v>>1))] += int32(n)
+}
+
+// reset forgets every value tallied.
+func (f *golombTally) reset() {
+	clear(f.lengths[:])
+	clear(f.starts[:])
 }
 
 // best returns the order in [0, maxOrder] that codes the tallied values in
@@ -343,14 +334,14 @@ func (f *golombTally) best() (order uint, size int) {
 	top, count, sum := 0, 0, 0
 	for b, n := range f.lengths {
 		if n != 0 {
-			top, count, sum = b, count+n, sum+b*n
+			top, count, sum = b, count+int(n), sum+b*int(n)
 		}
 	}
 	// short and shortSum are the values of bit length at most k and their
 	// lengths summed, started those of carry start at most k.
 	short, shortSum, started := 0, 0, 0
 	for k := 0; k <= min(top, maxOrder); k++ {
-		short, shortSum, started = short+f.lengths[k], shortSum+k*f.lengths[k], started+f.starts[k]
+		short, shortSum, started = short+int(f.lengths[k]), shortSum+k*int(f.lengths[k]), started+int(f.starts[k])
 		n := (k+1)*short + 2*(sum-shortSum) - (k+1)*(count-short) + 2*(started-short)
 		if k == 0 || n < size {
 			order, size = uint(k), n
@@ -359,121 +350,34 @@ func (f *golombTally) best() (order uint, size int) {
 	return order, size
 }
 
-// laneTally tallies entries' lanes — a plain body's rows, a grouped body's
-// bases or hits — in their two fields, as laneCode codes them.
-type laneTally struct{ ref, diff golombTally }
-
-// add tallies one entry's lanes: column by column, its reference lane,
-// the first, and the differences of the others. Most differences are
-// zero, and it adds the zeros up in one go.
+// tallyLanes tallies a row's hit lanes in their two fields, as laneCode
+// codes them: column by column, its reference lane, the first, and the
+// differences of the others. Most differences are zero, and it adds the
+// zeros up in one go.
 //
 //dbtf:noalloc
-func (t *laneTally) add(lanes []int32, counts bool) {
+func tallyLanes(fields *[replyFields]golombTally, hits []int32) {
 	zeroRefs, zeroDiffs := 0, 0
-	for ref := 0; ref < len(lanes); ref = 2*ref + 1 {
-		v := zigzag(int64(lanes[ref]))
-		if counts {
-			v = uint64(lanes[ref])
-		}
-		if v == 0 {
+	for ref := 0; ref < len(hits); ref = 2*ref + 1 {
+		if v := uint64(hits[ref]); v == 0 {
 			zeroRefs++
 		} else {
-			t.ref.add(v, 1)
+			fields[fieldHitRef].add(v, 1)
 		}
 		for l := ref + 1; l < 2*ref+1; l++ {
-			if d := zigzag(int64(lanes[l]) - int64(lanes[laneRef(l)])); d == 0 {
+			if d := zigzag(int64(hits[l]) - int64(hits[laneRef(l)])); d == 0 {
 				zeroDiffs++
 			} else {
-				t.diff.add(d, 1)
+				fields[fieldHitDiff].add(d, 1)
 			}
 		}
 	}
-	t.ref.add(0, zeroRefs)
-	t.diff.add(0, zeroDiffs)
+	fields[fieldHitRef].add(0, zeroRefs)
+	fields[fieldHitDiff].add(0, zeroDiffs)
 }
 
-// bodyBytes returns the bytes of a body of the fields' shortest codes and
-// extra bits beside them, and sets orders to the fields' orders.
-//
-//dbtf:noalloc
-func bodyBytes(orders []uint, extra int, fields ...*golombTally) int {
-	n := len(fields)*orderBits + extra
-	for i, f := range fields {
-		var size int
-		orders[i], size = f.best()
-		n += size
-	}
-	return (n + 7) / 8
-}
-
-// replyBody is the body an eval reply carries its lanes in: grouped or
-// plain, its bytes, the orders of its fields and, grouped, how many rows
-// it lists.
-type replyBody struct {
-	grouped bool
-	size    int
-	orders  [groupedFields]uint
-	listed  int
-}
-
-// plainBody returns the plain body carrying deltas, lanes to a row.
-//
-//dbtf:noalloc
-func plainBody(deltas []int32, lanes int) replyBody {
-	var t laneTally
-	for i := 0; i < len(deltas); i += lanes {
-		t.add(deltas[i:i+lanes], false)
-	}
-	var b replyBody
-	b.size = bodyBytes(b.orders[:fieldGap], 0, &t.ref, &t.diff)
-	return b
-}
-
-// deltasSize returns the bytes of a plain eval reply's body carrying
-// deltas, lanes to a row: the header excluded.
-func deltasSize(deltas []int32, lanes int) int { return plainBody(deltas, lanes).size }
-
-// groupedReplyBody returns the grouped body carrying deltas as s splits
-// them, and whether it is one to send instead of a plain body of limit
-// bytes: whether s splits deltas — every row's lanes are its group's base
-// less twice whole hits — and the grouped body is under limit bytes. Every
-// code is at least a bit, so it stops tallying once the orders and a bit
-// per value tallied fill limit − 1 bytes.
-//
-//dbtf:noalloc
-func groupedReplyBody(s *split, deltas []int32, limit int) (replyBody, bool) {
-	var bases, hits laneTally
-	var gaps golombTally
-	var b replyBody
-	b.grouped = true
-	for g := 0; g < s.groups.n; g++ {
-		bases.add(s.groupBase(g), true)
-	}
-	// floor is a bound below the body's bits: the orders, the listed count
-	// and the values tallied so far, a bit each.
-	floor, most := groupedFields*orderBits+1+s.groups.n*s.lanes, 8*(limit-1)
-	prev, rows := -1, len(deltas)/s.lanes
-	for r := 0; r < rows && floor <= most; r++ {
-		h, ok := s.hits(r, deltas)
-		if !ok {
-			return b, false
-		}
-		if anyHit(h) {
-			gaps.add(uint64(r-prev-1), 1)
-			hits.add(h, true)
-			b.listed, prev = b.listed+1, r
-			floor += 1 + s.lanes
-		}
-	}
-	if floor > most {
-		return b, false
-	}
-	b.size = bodyBytes(b.orders[:], bitvec.ExpGolombBits(uint64(b.listed), 0), &bases.ref, &bases.diff, &gaps, &hits.ref, &hits.diff)
-	return b, b.size < limit
-}
-
-// anyHit reports whether a row's hits are not all zero: whether a grouped
-// reply lists the row.
+// anyHit reports whether a row's hits are not all zero: whether the reply
+// lists the row.
 func anyHit(hits []int32) bool {
 	for _, h := range hits {
 		if h != 0 {
@@ -483,112 +387,70 @@ func anyHit(hits []int32) bool {
 	return false
 }
 
-// replyFor returns the body of the eval reply carrying deltas: grouped when
-// s splits deltas and the grouped body is strictly smaller than the plain
-// one, so a reply never grows past its plain body.
+// replyBody is an eval reply's body as priced: its bytes — the header
+// excluded, which is what the driver's Collect charges for it — the rows it
+// lists and its fields' orders.
+type replyBody struct {
+	size, listed int
+	orders       [replyFields]uint
+}
+
+// price prices the reply of the stage s holds from hits, rows × lanes of
+// them, and the sizes its walk tallied: the rows with a hit, each with the
+// rows skipped since the one before and its hit lanes, then the sizes,
+// every field at its shortest order. The column task prices as it
+// evaluates, before expand turns the hits into lanes, so a simulated stage
+// sizes its reply on its lane goroutine.
 //
 //dbtf:noalloc
-func replyFor(s *split, deltas []int32) replyBody {
-	plain := plainBody(deltas, s.lanes)
-	if grouped, ok := groupedReplyBody(s, deltas, plain.size); ok {
-		return grouped
+func (s *split) price(hits []int32) {
+	var fields [replyFields]golombTally
+	listed, prev := 0, -1
+	for r := 0; r < s.rows; r++ {
+		if h := hits[r*s.lanes:][:s.lanes]; anyHit(h) {
+			fields[fieldGap].add(uint64(r-prev-1), 1)
+			tallyLanes(&fields, h)
+			listed, prev = listed+1, r
+		}
 	}
-	return plain
-}
-
-// replySize returns the body bytes of the eval reply carrying deltas — the
-// header excluded, which is what the driver's Collect charges for it — and
-// whether that body is grouped (see replyFor). A simulated stage task calls
-// it on its lane goroutine.
-//
-//dbtf:noalloc
-func replySize(s *split, deltas []int32) (int, bool) {
-	b := replyFor(s, deltas)
-	return b.size, b.grouped
-}
-
-// appendReply packs one eval task's lanes onto dst, in the body replySize
-// picks, growing dst once to the reply's exact size.
-func appendReply(dst []byte, s *split, deltas []int32) []byte {
-	b := replyFor(s, deltas)
-	if b.grouped {
-		return appendGrouped(dst, s, deltas, b)
+	fields[fieldSize] = s.sized
+	n := replyFields*orderBits + bitvec.ExpGolombBits(uint64(listed), 0)
+	for i := range fields {
+		var bits int
+		s.body.orders[i], bits = fields[i].best()
+		n += bits
 	}
-	return appendDeltas(dst, deltas, s.lanes, b)
+	s.body.size, s.body.listed = (n+7)/8, listed
 }
 
-// appendGrouped packs deltas onto dst as b, the grouped body
-// groupedReplyBody prices for s's split of them, growing dst once to the
-// reply's exact size.
-func appendGrouped(dst []byte, s *split, deltas []int32, b replyBody) []byte {
-	rows := len(deltas) / s.lanes
+// appendReply packs a worker's eval reply onto dst, growing dst once to
+// the reply's exact size: hits, rows × lanes, are the task's unexpanded
+// lanes, and s holds the sizes it sent and the body price made of them.
+func appendReply(dst []byte, s *split, hits []int32) []byte {
+	b := &s.body
 	dst = slices.Grow(dst, deltasHeaderLen+b.size)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(rows))
-	dst = append(dst, byte(s.lanes)|groupedBody)
-	w := writeOrders(dst, b.orders[:])
-	w.ExpGolomb(uint64(b.listed), 0)
-	for g := 0; g < s.groups.n; g++ {
-		writeLanes(&w, s.groupBase(g), true, b.orders[fieldRef:])
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.rows))
+	dst = append(dst, byte(s.lanes))
+	w := bitvec.NewBitWriter(dst)
+	for _, k := range b.orders {
+		w.Write(uint64(k), orderBits)
 	}
+	w.ExpGolomb(uint64(b.listed), 0)
 	prev := -1
-	for r := 0; r < rows; r++ {
-		if hits, _ := s.hits(r, deltas); anyHit(hits) {
+	for r := 0; r < s.rows; r++ {
+		if h := hits[r*s.lanes:][:s.lanes]; anyHit(h) {
 			w.ExpGolomb(uint64(r-prev-1), b.orders[fieldGap])
-			writeLanes(&w, hits, true, b.orders[fieldHitRef:])
+			for l := range h {
+				v, field := laneCode(h, l)
+				w.ExpGolomb(v, b.orders[field])
+			}
 			prev = r
 		}
 	}
-	return w.Pad()
-}
-
-// writeOrders starts a body on dst with its fields' orders.
-func writeOrders(dst []byte, orders []uint) bitvec.BitWriter {
-	w := bitvec.NewBitWriter(dst)
-	for _, k := range orders {
-		w.Write(uint64(k), orderBits)
-	}
-	return w
-}
-
-// writeLanes writes an entry's lanes as laneCode codes them, at orders,
-// the reference and difference fields' orders.
-func writeLanes(w *bitvec.BitWriter, lanes []int32, counts bool, orders []uint) {
-	for l := range lanes {
-		v, field := laneCode(lanes, l, counts)
-		w.ExpGolomb(v, orders[field])
-	}
-}
-
-// appendDeltas packs one eval task's per-row error differences, lanes to a
-// row (see columnTask.deltas for why int32 carries them), onto dst as b,
-// the plain body plainBody prices for them, growing dst once to the reply's
-// exact size.
-func appendDeltas(dst []byte, deltas []int32, lanes int, b replyBody) []byte {
-	dst = slices.Grow(dst, deltasHeaderLen+b.size)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(deltas)/lanes))
-	dst = append(dst, byte(lanes))
-	w := writeOrders(dst, b.orders[:fieldGap])
-	for i := 0; i < len(deltas); i += lanes {
-		writeLanes(&w, deltas[i:i+lanes], false, b.orders[:])
+	for _, v := range s.sizes {
+		w.ExpGolomb(uint64(v), b.orders[fieldSize])
 	}
 	return w.Pad()
-}
-
-// groupedReply reports whether an eval reply's header marks a grouped body.
-func groupedReply(payload []byte) bool {
-	return len(payload) >= deltasHeaderLen && payload[4]&groupedBody != 0
-}
-
-// readOrders reads a body's field orders into orders.
-func readOrders(br *bitvec.BitReader, orders []uint) bool {
-	for i := range orders {
-		k, ok := br.Bits(orderBits)
-		if !ok {
-			return false
-		}
-		orders[i] = uint(k)
-	}
-	return true
 }
 
 // readCode reads one value of a field at order k whose values are below
@@ -602,101 +464,90 @@ func readCode(br *bitvec.BitReader, k uint, valueBits int, f *golombTally) (uint
 	return v, ok
 }
 
-// endBody checks what follows a body's last code: zero padding to a byte
-// and nothing after it, and that every field was coded at the order the
-// encoder picks for its values.
-func endBody(br *bitvec.BitReader, orders []uint, fields ...*golombTally) error {
-	if !br.Align() {
-		return errors.New("a nonzero bit pads the body")
+// decodeReply unpacks a partition's eval reply for the stage deciding
+// columns [c, c+span) of a, the factor under update, into dst[:rows·lanes],
+// against the partition's blocks, whose PVM masks are mf's rows. It groups
+// the rows in s as the task did and walks the task's lookups, taking each
+// region size from the reply or the memo, to rebuild the bases; its bases
+// are left in s. The one payload that decodes is the one appendReply makes:
+// exactly the rows and lanes the driver asked for, every field coded at the
+// order the encoder picks for its values, listed rows in range, in order
+// and each with a hit, one region size per lookup the walk does not take
+// from the memo, each within its block, every hit at most its base, a zero
+// pad and no byte after it.
+//
+//dbtf:noalloc
+func decodeReply(payload []byte, s *split, a, mf *boolmat.FactorMatrix, blocks []*partition.Block, c, span int, dst []int32) error {
+	rows, lanes := a.Rows(), laneCount(span)
+	if len(payload) < deltasHeaderLen {
+		return fmt.Errorf("core: eval reply truncated: %d bytes", len(payload))
 	}
-	if n := br.Left() / 8; n != 0 {
-		return fmt.Errorf("%d trailing bytes", n)
+	if n, l := int(binary.LittleEndian.Uint32(payload)), int(payload[4]); n != rows || l != lanes {
+		return fmt.Errorf("core: eval reply has %d rows of %d lanes, want %d of %d", n, l, rows, lanes)
 	}
-	for i, f := range fields {
-		if k, _ := f.best(); k != orders[i] {
-			return fmt.Errorf("field %d is coded at order %d, its values at %d", i, orders[i], k)
+	s.rowGroups(a, mf, blocks, c, span)
+	s.br = bitvec.NewBitReader(payload[deltasHeaderLen:])
+	br, orders := &s.br, &s.body.orders
+	for i := range orders {
+		k, ok := br.Bits(orderBits)
+		if !ok {
+			return errors.New("core: eval reply: the orders are cut short")
 		}
-	}
-	return nil
-}
-
-// decodeReply unpacks an eval reply of either body kind into
-// dst[:rows·lanes]. A grouped body is read against s, which the caller has
-// grouped for the stage (split.rowGroups) exactly as the task that encoded
-// it had; its bases are left in s. Either way the one payload that decodes
-// to dst is the one appendReply makes of it: a grouped body must be
-// strictly smaller than the plain one, list exactly the rows with a hit,
-// in order, and hold every check of decodeDeltas.
-func decodeReply(payload []byte, s *split, rows, lanes int, dst []int32) error {
-	if !groupedReply(payload) {
-		return decodeDeltas(payload, rows, lanes, dst)
-	}
-	if n, l := int(binary.LittleEndian.Uint32(payload)), int(payload[4]&^groupedBody); n != rows || l != lanes {
-		return fmt.Errorf("core: grouped deltas payload has %d rows of %d lanes, want %d of %d", n, l, rows, lanes)
-	}
-	br := bitvec.NewBitReader(payload[deltasHeaderLen:])
-	var orders [groupedFields]uint
-	var bases, hits laneTally
-	var gaps golombTally
-	if !readOrders(&br, orders[:]) {
-		return errors.New("core: grouped deltas payload: the orders are cut short")
+		orders[i] = uint(k)
 	}
 	listed, ok := br.ExpGolomb(0, rowBits)
 	if !ok || listed > uint64(rows) {
-		return fmt.Errorf("core: grouped deltas payload: the count of rows with hits is cut short, over-long or over %d", rows)
+		return fmt.Errorf("core: eval reply: the count of rows with hits is cut short, over-long or over %d", rows)
 	}
-	for g := 0; g < s.groups.n; g++ {
-		if err := readCounts(&br, s.groupBase(g), orders[fieldRef:], &bases); err != nil {
-			return fmt.Errorf("core: grouped deltas payload: base of group %d: %w", g, err)
-		}
-	}
+	var fields [replyFields]golombTally
 	dst = dst[:rows*lanes]
-	for r, g := range s.groups.of[:rows] {
-		copy(dst[r*lanes:], s.groupBase(int(g)))
-	}
+	clear(dst)
 	prev := -1
 	for i := uint64(0); i < listed; i++ {
-		gap, ok := readCode(&br, orders[fieldGap], rowBits, &gaps)
+		gap, ok := readCode(br, orders[fieldGap], rowBits, &fields[fieldGap])
 		if !ok || gap >= uint64(rows-prev-1) {
-			return fmt.Errorf("core: grouped deltas payload: the gap before listed row %d is cut short, over-long or past row %d", i, rows-1)
+			return fmt.Errorf("core: eval reply: the gap before listed row %d is cut short, over-long or past row %d", i, rows-1)
 		}
 		r := prev + 1 + int(gap)
-		h := s.hitRow[:lanes]
-		if err := readCounts(&br, h, orders[fieldHitRef:], &hits); err != nil {
-			return fmt.Errorf("core: grouped deltas payload: hits of row %d: %w", r, err)
+		h := dst[r*lanes:][:lanes]
+		if err := readHits(br, h, orders, &fields); err != nil {
+			return fmt.Errorf("core: eval reply: hits of row %d: %w", r, err)
 		}
 		if !anyHit(h) {
-			return fmt.Errorf("core: grouped deltas payload: row %d is listed with no hit", r)
-		}
-		row := dst[r*lanes:][:lanes]
-		for l, n := range h {
-			v := int64(row[l]) - 2*int64(n)
-			if v < math.MinInt32 {
-				return fmt.Errorf("core: grouped deltas payload: lane %d of row %d is %d, outside int32", l, r, v)
-			}
-			row[l] = int32(v)
+			return fmt.Errorf("core: eval reply: row %d is listed with no hit", r)
 		}
 		prev = r
 	}
-	if err := endBody(&br, orders[:], &bases.ref, &bases.diff, &gaps, &hits.ref, &hits.diff); err != nil {
-		return fmt.Errorf("core: grouped deltas payload: %w", err)
+	if !s.walk(s, blocks, mf, c, span) {
+		return errors.New("core: eval reply: the region sizes are cut short, over-long or past their block's width")
 	}
-	if size, plain := len(payload)-deltasHeaderLen, deltasSize(dst, lanes); size >= plain {
-		return fmt.Errorf("core: grouped deltas payload of %d bytes is not smaller than the plain body's %d", size, plain)
+	if !br.Align() {
+		return errors.New("core: eval reply: a nonzero bit pads the body")
+	}
+	if n := br.Left() / 8; n != 0 {
+		return fmt.Errorf("core: eval reply: %d trailing bytes", n)
+	}
+	fields[fieldSize] = s.sized
+	for i := range fields {
+		if k, _ := fields[i].best(); k != orders[i] {
+			return fmt.Errorf("core: eval reply: field %d is coded at order %d, its values at %d", i, orders[i], k)
+		}
+	}
+	if !s.expand(dst) {
+		return errors.New("core: eval reply: a row's hits exceed its group's base")
 	}
 	return nil
 }
 
-// readCounts reads a grouped body's lanes of counts — a group's bases or a
-// row's hits — into dst, each landing in [0, MaxInt32], at orders, the
-// reference and difference fields' orders, tallying them in t.
-func readCounts(br *bitvec.BitReader, dst []int32, orders []uint, t *laneTally) error {
+// readHits reads a row's hit lanes into dst, each landing in [0,
+// MaxInt32], at the reply's orders, tallying them in fields.
+func readHits(br *bitvec.BitReader, dst []int32, orders *[replyFields]uint, fields *[replyFields]golombTally) error {
 	for l := range dst {
-		f, k, valueBits, ref := &t.ref, orders[fieldRef], countBits, laneRef(l)
+		field, valueBits, ref := fieldHitRef, countBits, laneRef(l)
 		if ref >= 0 {
-			f, k, valueBits = &t.diff, orders[fieldDiff], countDiffBits
+			field, valueBits = fieldHitDiff, countDiffBits
 		}
-		u, ok := readCode(br, k, valueBits, f)
+		u, ok := readCode(br, orders[field], valueBits, &fields[field])
 		if !ok {
 			return fmt.Errorf("lane %d is cut short or over-long", l)
 		}
@@ -709,52 +560,6 @@ func readCounts(br *bitvec.BitReader, dst []int32, orders []uint, t *laneTally) 
 			return fmt.Errorf("lane %d is not a count inside int32", l)
 		}
 		dst[l] = int32(v)
-	}
-	return nil
-}
-
-// decodeDeltas unpacks a plain eval payload into dst[:rows·lanes], insisting
-// on exactly rows rows of lanes lanes and not a byte more — the driver knows
-// the factor's row count and the stage's span, and a mismatched executor
-// must fail loudly, not silently mis-commit columns. Every lane must land
-// inside int32 and every field be coded at the order appendDeltas picks, so
-// the one payload that decodes to dst is appendDeltas(dst).
-func decodeDeltas(payload []byte, rows, lanes int, dst []int32) error {
-	if len(payload) < deltasHeaderLen {
-		return fmt.Errorf("core: deltas payload truncated: %d bytes", len(payload))
-	}
-	if n, l := int(binary.LittleEndian.Uint32(payload)), int(payload[4]); n != rows || l != lanes {
-		return fmt.Errorf("core: deltas payload has %d rows of %d lanes, want %d of %d", n, l, rows, lanes)
-	}
-	br := bitvec.NewBitReader(payload[deltasHeaderLen:])
-	var orders [fieldGap]uint
-	var t laneTally
-	if !readOrders(&br, orders[:]) {
-		return errors.New("core: deltas payload: the orders are cut short")
-	}
-	for i := 0; i < rows*lanes; i += lanes {
-		row := dst[i : i+lanes]
-		for l := range row {
-			f, k, valueBits, ref := &t.ref, orders[fieldRef], laneBits, laneRef(l)
-			if ref >= 0 {
-				f, k, valueBits = &t.diff, orders[fieldDiff], laneDiffBits
-			}
-			u, ok := readCode(&br, k, valueBits, f)
-			if !ok {
-				return fmt.Errorf("core: deltas payload: value %d of %d is cut short or over-long", i+l, rows*lanes)
-			}
-			v := unzigzag(u)
-			if ref >= 0 {
-				v += int64(row[ref])
-			}
-			if v < math.MinInt32 || v > math.MaxInt32 {
-				return fmt.Errorf("core: deltas payload: lane %d of row %d is %d, outside int32", l, i/lanes, v)
-			}
-			row[l] = int32(v)
-		}
-	}
-	if err := endBody(&br, orders[:], &t.ref, &t.diff); err != nil {
-		return fmt.Errorf("core: deltas payload: %w", err)
 	}
 	return nil
 }

@@ -35,8 +35,11 @@ import (
 // its uncached flag — a version-11 worker would read the header's words
 // shifted; version 13 answers an eval of up to three columns, seven lanes a
 // row, with a body of Exp-Golomb bit strings instead of uvarints — a
-// version-12 driver would read the bits as varints.
-const ProtoVersion = 13
+// version-12 driver would read the bits as varints; version 14 answers it
+// with the rows' hits and the region sizes the driver rebuilds the group
+// bases from, instead of the bases — a version-13 driver would read the
+// sizes as bases.
+const ProtoVersion = 14
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
 // tighter limit: large enough for a set-up blob, small enough that a
