@@ -119,8 +119,11 @@ func run(args []string) error {
 	if *budget < 0 {
 		return fmt.Errorf("-budget %v is negative (0 = unlimited)", *budget)
 	}
-	if set["auto-rank"] && (*autoRank < 1 || *method != "dbtf") {
-		return fmt.Errorf("-auto-rank %d requires a maximum rank >= 1 and -method dbtf", *autoRank)
+	if *autoRank < 0 {
+		return fmt.Errorf("-auto-rank %d is negative (0 = off)", *autoRank)
+	}
+	if *autoRank > 0 && *method != "dbtf" {
+		return fmt.Errorf("-auto-rank requires -method dbtf")
 	}
 	if set["checkpoint-every"] && opts.CheckpointDir == "" {
 		return fmt.Errorf("-checkpoint-every requires -checkpoint-dir")

@@ -150,6 +150,18 @@ func TestRunFlagCombosValidatedUpFront(t *testing.T) {
 	}
 }
 
+// TestRunAutoRankZeroIsOff runs with -auto-rank at its default given
+// explicitly: 0 turns the selection off, under any method.
+func TestRunAutoRankZeroIsOff(t *testing.T) {
+	path := writeTensor(t)
+	for _, extra := range [][]string{{"-auto-rank", "0"}, {"-method", "tucker", "-auto-rank", "0"}} {
+		args := append([]string{"-input", path, "-rank", "2", "-machines", "2"}, extra...)
+		if err := run(args); err != nil {
+			t.Errorf("%v: %v", extra, err)
+		}
+	}
+}
+
 func TestRunMachineLossChaos(t *testing.T) {
 	path := writeTensor(t)
 	if err := run([]string{"-input", path, "-rank", "2", "-machines", "4",

@@ -902,16 +902,18 @@ func (u *factorUpdate) run() (committed, error) {
 // evalLocal is the stage task (Algorithm 4 lines 4-9 reduced to the flipped
 // cells only): partition pi evaluates, for each row, the error difference
 // of its column range between the two candidate values, one lane per column
-// and outcome. The local path hands the driver the task's own accumulator
-// by reference, and sizes the reply a remote executor would have sent from
-// what the task tallied.
+// and outcome. The local path expands the task's own accumulator in place
+// and hands it to the driver by reference, and sizes the reply a remote
+// executor would have sent from what the task tallied.
 func (u *factorUpdate) evalLocal(pi int) error {
 	ex := u.d.ex
 	deltas, err := ex.eval(u.mode, pi, u.spec.Col)
 	if err != nil {
 		return err
 	}
-	u.parts[pi] = stagePart{deltas, int64(ex.splits[pi].body.size)}
+	s := &ex.splits[pi]
+	s.expand(deltas)
+	u.parts[pi] = stagePart{deltas, int64(s.body.size)}
 	return nil
 }
 

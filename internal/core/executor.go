@@ -72,9 +72,6 @@ type executor struct {
 	deltas  [3][][]int32
 	splits  []split
 	replies [3][][]byte
-	// remote marks a worker's executor: its splits keep what the eval
-	// reply ships (see split.keep).
-	remote bool
 	// epoch advances whenever every column task goes stale: at setFactors
 	// and at a machine loss.
 	epoch uint64
@@ -284,7 +281,6 @@ func (ex *executor) splitFor(pi int) *split {
 			}
 		}
 		s.init(max(ex.dims[0], ex.dims[1], ex.dims[2]), laneCount(ex.span), width)
-		s.keep = ex.remote
 	}
 	return s
 }
@@ -294,11 +290,11 @@ func (ex *executor) splitFor(pi int) *split {
 func (ex *executor) stageSpan(col int) int { return min(ex.span, ex.cfg.Rank-col) }
 
 // eval evaluates the stage that starts at column col of the mode's update
-// on partition pi and returns the per-row error differences e1 − e0
-// (Algorithm 4, lines 4-9), laneCount(stageSpan(col)) to a row: see
-// columnTask.eval. The slice is the task's own accumulator, valid until the
-// task's next eval: the driver reads it in place; on a worker it holds the
-// rows' hits, which the reply ships (appendReply).
+// on partition pi and returns the rows' hits, laneCount(stageSpan(col)) to
+// a row, from which splits[pi].expand makes the per-row error differences
+// e1 − e0 (Algorithm 4, lines 4-9): see columnTask.eval. The slice is the
+// task's own accumulator, valid until the task's next eval: the driver
+// expands it in place; a worker's reply ships it (appendReply).
 //
 // This is the one place a column task is (re)built and the one rule of
 // when it is valid: setFactors makes every task stale (a task holds

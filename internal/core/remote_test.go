@@ -635,6 +635,7 @@ func TestRemoteRebuildsWorkerLanes(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						d.ex.splits[pi].expand(want)
 						want = slices.Clone(want)
 						outs, err := w.RunBatch(transport.Spec{Name: "eval", Kind: transport.KindEval, Mode: mode, Col: col, Tasks: len(d.ex.px[mode].Parts)}, []int{pi})
 						if err != nil {

@@ -55,9 +55,8 @@ type split struct {
 	memoKey           []uint64
 	memoCol, memoSize []int32
 	memoN             int
-	// keep marks a worker's split, whose column task leaves the stage as
-	// its reply ships it: the rows' hits unexpanded, and in sizes the
-	// region sizes sent, in walk order (a decode keeps those it reads).
+	// keep marks a worker's split, which keeps in sizes the region sizes
+	// its reply sends, in walk order (a decode keeps those it reads).
 	keep  bool
 	sizes []int32
 	// br is the reply being decoded, which the driver's walk reads the

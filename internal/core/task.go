@@ -76,8 +76,8 @@ type columnTask struct {
 	// block's |e1 − e0| is at most its width, the sum at most the
 	// partition's, and tensor.matricize refuses an unfolding whose columns
 	// overflow int32. eval accumulates the rows' hits in deltas and the
-	// groups' bases in split, then expands the two into the lanes; a
-	// worker's task leaves the hits, which its reply ships.
+	// groups' bases in split; the driver expands the two into the lanes
+	// (split.expand), a worker's reply ships the hits.
 	deltas []int32
 	split  *split
 	// delta is one group's flipped region.
@@ -99,17 +99,18 @@ func newColumnTask(part *partition.Partition, deltas []int32, s *split) *columnT
 	}
 }
 
-// eval fills and returns the lanes of the stage deciding columns
-// [c, c+span): every row's error difference e1 − e0 — the change in the
-// partition's reconstruction error if the row's entry in the column were 1
-// instead of 0 — for column c, and for each later column c+j under every
-// outcome of the row's bits c … c+j−1 (see laneCount).
+// eval evaluates the stage deciding columns [c, c+span): every row's
+// error difference e1 − e0 — the change in the partition's reconstruction
+// error if the row's entry in the column were 1 instead of 0 — for column
+// c, and for each later column c+j under every outcome of the row's bits
+// c … c+j−1 (see laneCount). It returns the rows' hits, rows × lanes, and
+// leaves in the split the groups' bases, which split.expand turns the hits
+// into the lanes with, and on a worker the region sizes its reply sends.
 //
 // The rows are grouped first (split.rowGroups), and the walk (split.walk)
 // looks each block's delta regions up once per key the groups form in it
 // and assignment; only a row's overlap with a region is counted per row.
-// The reply is priced on the way (see split.price). A worker's task returns
-// the rows' hits, which its reply ships, and expands nothing.
+// The reply is priced on the way (see split.price).
 //
 //dbtf:noalloc
 func (t *columnTask) eval(c, span int) []int32 {
@@ -119,18 +120,14 @@ func (t *columnTask) eval(c, span int) []int32 {
 	clear(deltas)
 	s.walk(t, t.part.Blocks, t.mf, c, span)
 	s.price(deltas)
-	if !s.keep {
-		s.expand(deltas)
-	}
 	return deltas
 }
 
 // regionSize is the column task's region source: it looks block bi's
 // delta region up in the block's table and materializes it, sends its size
 // (split.send), and adds each member row of the block key's groups its
-// overlap with the region to its hits, which the lanes hold until eval
-// expands them. A region SumDelta finds empty from two cached popcounts
-// skips its rows without touching any vector.
+// overlap with the region to its hits. A region SumDelta finds empty from
+// two cached popcounts skips its rows without touching any vector.
 //
 //dbtf:noalloc
 func (t *columnTask) regionSize(bi int, b *partition.Block, mask, bit uint64, j, k int, lanes laneSet) (int, bool) {

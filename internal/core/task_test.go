@@ -28,6 +28,14 @@ func buildTask(t *testing.T, d *decomposition, pi int, a, mf, ms *boolmat.Factor
 	return ct
 }
 
+// lanesOf evaluates ct's stage of span columns at column c and expands
+// the rows' hits into the lanes, as the driver's local stage does.
+func lanesOf(ct *columnTask, c, span int) []int32 {
+	lanes := ct.eval(c, span)
+	ct.split.expand(lanes)
+	return lanes
+}
+
 // repeatedRows draws an n×rank factor whose rows are copies of k random
 // masks: a factor under update whose rows fall into few groups.
 func repeatedRows(rng *rand.Rand, n, rank, k int) *boolmat.FactorMatrix {
@@ -106,7 +114,7 @@ func TestEvalMatchesRowReferee(t *testing.T) {
 					ct := buildTask(t, d, pi, a, mf, ms)
 					for c := 0; c < rank; c++ {
 						for span := 1; span <= min(lookahead, rank-c); span++ {
-							if got, want := ct.eval(c, span), refereeLanes(ct, ms, c, span); !slices.Equal(got, want) {
+							if got, want := lanesOf(ct, c, span), refereeLanes(ct, ms, c, span); !slices.Equal(got, want) {
 								t.Fatalf("rank %d V=%d part %d col %d span %d: lanes %v, referee %v", rank, groupBits, pi, c, span, got, want)
 							}
 						}
@@ -123,52 +131,58 @@ func TestEvalMatchesRowReferee(t *testing.T) {
 // fewer than one per row and block. And it pins the region sizes the reply
 // sends: one per lookup, less the Full blocks' lookups that repeat one the
 // reply has sent (at most one memoized per row), which the decode reads to
-// the last bit.
+// the last bit. The PVM factor is random over two partitions, and repeats
+// three masks over three partitions, so that Full blocks repeat lookups.
 func TestEvalLooksUpOncePerGroupKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	const rank = 6
 	x := randomTensor(rng, 24, 10, 8, 0.2)
 	a := repeatedRows(rng, 24, rank, 3)
-	mf, ms := repeatedRows(rng, 8, rank, 3), boolmat.RandomFactor(rng, 10, rank, 0.4)
+	mf, ms := boolmat.RandomFactor(rng, 8, rank, 0.5), boolmat.RandomFactor(rng, 10, rank, 0.4)
+	inputs := []struct {
+		mf         *boolmat.FactorMatrix
+		partitions int
+	}{{mf, 2}, {repeatedRows(rng, 8, rank, 3), 3}}
 	repeats := 0
-	for _, v := range []int{0, 1} {
-		d := newTestDecomposition(t, x, Options{Rank: rank, Partitions: 3, GroupBits: v}, 2)
-		for pi := range d.ex.px[0].Parts {
-			ct := buildTask(t, d, pi, a, mf, ms)
-			blocks := len(ct.part.Blocks)
-			for c := 0; c < rank; c += lookahead {
-				before := ct.lookups
+	for in, input := range inputs {
+		for _, v := range []int{0, 1} {
+			d := newTestDecomposition(t, x, Options{Rank: rank, Partitions: input.partitions, GroupBits: v}, 2)
+			for pi := range d.ex.px[0].Parts {
+				ct := buildTask(t, d, pi, a, input.mf, ms)
 				ct.split.keep = true
-				hits := slices.Clone(ct.eval(c, lookahead))
-				s, lookups := ct.split, ct.lookups-before
-				if lookups > s.groups.n*blocks*s.lanes || lookups >= a.Rows()*blocks {
-					t.Errorf("V=%d part %d col %d: %d lookups for %d groups of %d rows, %d blocks and %d lanes",
-						v, pi, c, lookups, s.groups.n, a.Rows(), blocks, s.lanes)
-				}
-				type lookup struct {
-					mask uint64
-					j    int
-				}
-				memo, want := map[lookup]bool{}, 0
-				for _, l := range logWalk(ct, c, lookahead) {
-					switch key := (lookup{l.mask, l.j}); {
-					case l.full && memo[key]:
-						repeats++
-					case l.full && len(memo) < a.Rows():
-						memo[key] = true
-						want++
-					default:
-						want++
+				blocks := len(ct.part.Blocks)
+				for c := 0; c < rank; c += lookahead {
+					before := ct.lookups
+					hits := slices.Clone(ct.eval(c, lookahead))
+					s, lookups := ct.split, ct.lookups-before
+					if lookups > s.groups.n*blocks*s.lanes || lookups >= a.Rows()*blocks {
+						t.Errorf("input %d V=%d part %d col %d: %d lookups for %d groups of %d rows, %d blocks and %d lanes",
+							in, v, pi, c, lookups, s.groups.n, a.Rows(), blocks, s.lanes)
 					}
-				}
-				if len(s.sizes) != want || want == 0 {
-					t.Errorf("V=%d part %d col %d: the reply sends %d region sizes for %d lookups, want %d",
-						v, pi, c, len(s.sizes), lookups, want)
-				}
-				payload := appendReply(nil, s, hits)
-				ct.split.keep = false
-				if err := decodeReply(payload, s, a, mf, ct.part.Blocks, c, lookahead, make([]int32, len(hits))); err != nil {
-					t.Errorf("V=%d part %d col %d: %v", v, pi, c, err)
+					type lookup struct {
+						mask uint64
+						j    int
+					}
+					memo, want := map[lookup]bool{}, 0
+					for _, l := range logWalk(ct, c, lookahead) {
+						switch key := (lookup{l.mask, l.j}); {
+						case l.full && memo[key]:
+							repeats++
+						case l.full && len(memo) < a.Rows():
+							memo[key] = true
+							want++
+						default:
+							want++
+						}
+					}
+					if len(s.sizes) != want || want == 0 {
+						t.Errorf("input %d V=%d part %d col %d: the reply sends %d region sizes for %d lookups, want %d",
+							in, v, pi, c, len(s.sizes), lookups, want)
+					}
+					payload := appendReply(nil, s, hits)
+					if err := decodeReply(payload, s, a, input.mf, ct.part.Blocks, c, lookahead, make([]int32, len(hits))); err != nil {
+						t.Errorf("input %d V=%d part %d col %d: %v", in, v, pi, c, err)
+					}
 				}
 			}
 		}
@@ -203,13 +217,13 @@ func TestLanesAreTheColumnsTheyStandFor(t *testing.T) {
 			}
 			for pi := range d.ex.px[0].Parts {
 				ct := buildTask(t, d, pi, a, mf, ms)
-				pair := slices.Clone(ct.eval(c, 2))
+				pair := slices.Clone(lanesOf(ct, c, 2))
 				// The one-column stage is the oracle; it reads the same a.
 				single := func(col int, bitC bool) []int32 {
 					for r := 0; r < a.Rows(); r++ {
 						a.Set(r, c, bitC)
 					}
-					return slices.Clone(ct.eval(col, 1))
+					return slices.Clone(lanesOf(ct, col, 1))
 				}
 				withC0, withC1 := single(c, false), single(c, true)
 				next0, next1 := single(c+1, false), single(c+1, true)

@@ -105,8 +105,10 @@ func (w *Worker) applySetupLocked(payload []byte) error {
 		releasePartitions(px)
 	}
 	w.ex = newExecutor(s.cfg, s.dims, 1, func(int) int { return 0 }, w.ex.span)
-	w.ex.remote = true
 	w.ex.install(s.px)
+	for pi := range w.ex.splits {
+		w.ex.splits[pi].keep = true
+	}
 	w.home, w.sets = s.home, map[int][3]*partition.Partitioned{s.home: s.px}
 	return nil
 }
