@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -63,6 +64,30 @@ func (p *progressSink) Write(ev *dbtf.TraceEvent) error {
 
 func (*progressSink) Close() error { return nil }
 
+// sharedFlags are the flags every method reads, and methodFlags the others
+// each baseline method reads; dbtf reads every flag but -mdl. A flag set
+// on the command line to anything but its default that the chosen method
+// does not read is refused, never silently dropped.
+var (
+	sharedFlags = []string{"input", "method", "rank", "budget", "output"}
+	methodFlags = map[string][]string{
+		"tucker":     {"maxiter", "machines", "sets", "seed"},
+		"bcpals":     {"maxiter", "init"},
+		"walknmerge": {"seed", "mdl"},
+	}
+)
+
+// reads reports whether method reads the flag name.
+func reads(method, name string) bool {
+	if slices.Contains(sharedFlags, name) {
+		return true
+	}
+	if method == "dbtf" {
+		return name != "mdl"
+	}
+	return slices.Contains(methodFlags[method], name)
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("dbtf", flag.ContinueOnError)
 	// A flag that sets one library option is bound to that field, so there
@@ -82,17 +107,17 @@ func run(args []string) error {
 		budget   = fs.Duration("budget", 0, "abort after this duration (0 = unlimited)")
 		output   = fs.String("output", "", "prefix for writing factor matrices")
 		workers  = fs.String("workers", "", "comma-separated dbtf-worker addresses: run on those real processes over TCP instead of the in-process simulated machines (dbtf); machine count is the address count")
-		verbose  = fs.Bool("v", false, "print per-iteration progress")
+		verbose  = fs.Bool("v", false, "print per-iteration progress (dbtf)")
 		traceOut = fs.String("trace", "", "write a structured run trace to this file (dbtf method only)")
 		traceFmt = fs.String("trace-format", "jsonl", "trace format: jsonl (analysis/tracecheck) or chrome (load in Perfetto)")
 	)
 	fs.IntVar(&opts.Rank, "rank", 10, "decomposition rank R")
-	fs.IntVar(&opts.MaxIter, "maxiter", 10, "maximum iterations T")
-	fs.IntVar(&opts.Machines, "machines", 16, "simulated cluster size M (dbtf; 0 = GOMAXPROCS)")
+	fs.IntVar(&opts.MaxIter, "maxiter", 10, "maximum iterations T (dbtf, tucker, bcpals)")
+	fs.IntVar(&opts.Machines, "machines", 16, "simulated cluster size M (dbtf, tucker; 0 = GOMAXPROCS)")
 	fs.IntVar(&opts.Partitions, "partitions", 0, "vertical partitions N (dbtf; 0 = machines)")
-	fs.IntVar(&opts.InitialSets, "sets", 1, "initial factor sets L (dbtf)")
+	fs.IntVar(&opts.InitialSets, "sets", 1, "initial factor sets L (dbtf, tucker)")
 	fs.IntVar(&opts.CacheGroupBits, "groupbits", 15, "cache group bits V (dbtf)")
-	fs.Int64Var(&opts.Seed, "seed", 1, "random seed")
+	fs.Int64Var(&opts.Seed, "seed", 1, "random seed (dbtf, tucker, walknmerge)")
 	fs.Int64Var(&plan.Seed, "chaos-seed", 0, "seed of the fault-injection schedule (0 = -seed)")
 	fs.Float64Var(&plan.MachineLossRate, "chaos-machine-loss", 0, "per-stage probability of losing each machine, in [0,1) (dbtf; survivors take over)")
 	fs.IntVar(&plan.MachineRejoinAfter, "chaos-rejoin", 0, "stages after which a lost machine rejoins (dbtf; 0 = never)")
@@ -110,9 +135,22 @@ func run(args []string) error {
 	// mid-run. Only the rules that are this command's own live here; the
 	// library's are asked of it below (Options.Validate).
 	// set holds the flags given on the command line: a flag that only
-	// means something beside another is refused without it, not dropped.
+	// means something beside another, or to another method, is refused
+	// there, not dropped.
+	if _, ok := methodFlags[*method]; !ok && *method != "dbtf" {
+		return fmt.Errorf("unknown method %q (want dbtf, tucker, bcpals, or walknmerge)", *method)
+	}
 	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if !reads(*method, f.Name) && f.Value.String() != f.DefValue {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		return fmt.Errorf("-method %s does not read %s", *method, strings.Join(unread, ", "))
+	}
 	if *chaos < 0 || *chaos > 0.5 {
 		return fmt.Errorf("-chaos %v outside [0, 0.5]", *chaos)
 	}
@@ -121,9 +159,6 @@ func run(args []string) error {
 	}
 	if *autoRank < 0 {
 		return fmt.Errorf("-auto-rank %d is negative (0 = off)", *autoRank)
-	}
-	if *autoRank > 0 && *method != "dbtf" {
-		return fmt.Errorf("-auto-rank requires -method dbtf")
 	}
 	if set["checkpoint-every"] && opts.CheckpointDir == "" {
 		return fmt.Errorf("-checkpoint-every requires -checkpoint-dir")
@@ -142,10 +177,6 @@ func run(args []string) error {
 		bcpalsInit, err = dbtf.ParseBCPALSInit(*initMode)
 	case "dbtf":
 		opts.Init, err = dbtf.ParseInitScheme(*initMode)
-	default:
-		if *initMode != "" {
-			return fmt.Errorf("-init requires -method dbtf or bcpals")
-		}
 	}
 	if err != nil {
 		return fmt.Errorf("-init: %v", err)
@@ -153,12 +184,12 @@ func run(args []string) error {
 	if *traceFmt != "jsonl" && *traceFmt != "chrome" {
 		return fmt.Errorf("-trace-format %q (want jsonl or chrome)", *traceFmt)
 	}
-	if *traceOut != "" && (*method != "dbtf" || *autoRank > 0) {
-		return fmt.Errorf("-trace requires -method dbtf (without -auto-rank)")
+	if *traceOut != "" && *autoRank > 0 {
+		return fmt.Errorf("-trace cannot be combined with -auto-rank")
 	}
 	if *workers != "" {
-		if *method != "dbtf" || *autoRank > 0 {
-			return fmt.Errorf("-workers requires -method dbtf (without -auto-rank)")
+		if *autoRank > 0 {
+			return fmt.Errorf("-workers cannot be combined with -auto-rank")
 		}
 		for _, a := range strings.Split(*workers, ",") {
 			a = strings.TrimSpace(a)
@@ -296,8 +327,6 @@ func run(args []string) error {
 		p, q, sDim := res.Core.Dims()
 		fmt.Printf("tucker: core %dx%dx%d with %d ones (from CP rank %d, CP error %d)\n",
 			p, q, sDim, res.Core.NNZ(), opts.Rank, res.CPError)
-	default:
-		return fmt.Errorf("unknown method %q (want dbtf, tucker, bcpals, or walknmerge)", *method)
 	}
 
 	rel := float64(0)

@@ -148,6 +148,21 @@ func TestRunFlagCombosValidatedUpFront(t *testing.T) {
 			t.Errorf("%s: invalid flags accepted: %v", name, extra)
 		}
 	}
+	// A flag the chosen method does not read is refused by name, not
+	// dropped: each of these ran and exited 0 while the method ignored it.
+	unread := map[string][]string{
+		"-checkpoint-dir": {"-method", "tucker", "-checkpoint-dir", filepath.Join(t.TempDir(), "d")},
+		"-chaos":          {"-method", "bcpals", "-chaos", "0.1"},
+		"-groupbits":      {"-method", "walknmerge", "-groupbits", "3"},
+		"-partitions":     {"-method", "tucker", "-partitions", "3"},
+		"-mdl":            {"-method", "dbtf", "-mdl"},
+	}
+	for flag, extra := range unread {
+		args := append([]string{"-input", path, "-rank", "2"}, extra...)
+		if err := run(args); err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("%v: %v, want %s refused", extra, err, flag)
+		}
+	}
 }
 
 // TestRunAutoRankZeroIsOff runs with -auto-rank at its default given

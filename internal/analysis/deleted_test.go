@@ -100,6 +100,8 @@ var deletedNames = []deletedName{
 		pr: "the Exp-Golomb eval replies: a reply's bodies are bit strings in the set-up bodies' codec, every lane with a nonzero outcome index sent as its difference from laneRef's; the uvarint bodies and their helpers are not kept beside them"},
 	{pattern: `plainBody|deltasSize|appendDeltas|decodeDeltas|groupedReply|groupedBody|appendGrouped|plainReply`, scope: []string{"internal/core"},
 		pr: "one eval reply body: the rows' hits and the region sizes the driver rebuilds the group bases from; there is no plain body of lanes and no choice between two bodies"},
+	{pattern: `encodeColumns|decodeColumns`, scope: []string{"internal/core"},
+		pr: "the flip pushes: a stage replicates the entries its commit flipped, Exp-Golomb distances, and nothing when it flipped none; there is no second column body of packed bits"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

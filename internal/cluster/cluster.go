@@ -326,8 +326,8 @@ func (c *Cluster) Broadcast(bytes int64) {
 // BroadcastState records a broadcast like Broadcast and additionally marks
 // bytes as the per-machine broadcast working set: the state a machine must
 // re-fetch before it can execute tasks again after a machine loss or
-// rejoin. Successive calls replace the working set — DBTF re-broadcasts
-// fresh factor matrices every iteration, superseding the previous ones.
+// rejoin. Successive calls replace the working set — DBTF broadcasts the
+// factor matrices at every install, superseding the previous ones.
 func (c *Cluster) BroadcastState(bytes int64) {
 	recorded := bytes * int64(c.machines)
 	c.mu.Lock()

@@ -30,9 +30,10 @@ func TestEndIterationUntracedAllocs(t *testing.T) {
 // run is warm (iteration 2 on, simulator): the cache tables its first stage
 // builds and its one labelled context, nothing else — at rank 8 (three
 // stages) and rank 32 (eleven) alike, so nothing is made per stage, per
-// column task rebuild or per update beside them. Each update follows a real
-// iteration's setFactors and a flipped entry of the cached matrix, so it
-// rebuilds every partition's task and every table it reads. What the
+// column task rebuild, per flip logged or per update beside them. Each
+// update follows a flipped entry of the cached matrix, as an iteration's
+// commits leave it (re-installing the same matrices changes nothing), so
+// it rebuilds every partition's task and every table it reads. What the
 // tables cost is measured by building the same ones through the registry
 // alone: it differs between the ranks (a rank-8 table's popcounts are too
 // small for the slab pool), the remainder may not.

@@ -30,6 +30,7 @@ import (
 
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
+	"dbtf/internal/slab"
 	"dbtf/internal/sumcache"
 	"dbtf/internal/tensor"
 	"dbtf/internal/topfiber"
@@ -430,7 +431,7 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 	// Every stage joins its task goroutines before returning, so when
 	// Decompose returns nothing can still touch the cache tables and they go
 	// back to the slab pool; the partitions are the set's.
-	defer d.ex.release()
+	defer d.release()
 	if err := d.partitionAll(set); err != nil {
 		return nil, err
 	}
@@ -503,7 +504,10 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 			}); err != nil {
 				return nil, err
 			}
-			sweep, err := d.updateFactors(ia, ib, ic)
+			if err := d.install(ia, ib, ic); err != nil {
+				return nil, err
+			}
+			sweep, err := d.updateFactors()
 			if err != nil {
 				return nil, err
 			}
@@ -524,10 +528,15 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 	// Every later iteration carries the objective through its commits
 	// (committed): no stage recounts what the commits already summed, so an
 	// iteration is its 3⌈R/3⌉ deciding rounds, and a resumed run, starting
-	// from the checkpoint's error, runs no total-error stage at all.
+	// from the checkpoint's error, runs no total-error stage at all. The
+	// machines hold the kept set already, entry for entry, unless it was not
+	// the last set tried or the run resumed: only then is it installed.
 	for t := res.Iterations + 1; t <= cfg.MaxIter && !res.Converged; t++ {
 		d.beginIteration(t)
-		sweep, err := d.updateFactors(a, b, c)
+		if err := d.install(a, b, c); err != nil {
+			return nil, err
+		}
+		sweep, err := d.updateFactors()
 		if err != nil {
 			return nil, err
 		}
@@ -601,6 +610,18 @@ type decomposition struct {
 	// updates[mode] is the mode's factor update, made at its first run and
 	// kept for the run (see factorUpdate).
 	updates [3]*factorUpdate
+}
+
+// release returns the run's cache tables, lanes, splits and flip logs to
+// the slab pool, once no stage can touch them.
+func (d *decomposition) release() {
+	d.ex.release()
+	for _, u := range d.updates {
+		if u != nil {
+			slab.PutUint64s(u.flips)
+			u.flips = nil
+		}
+	}
 }
 
 // machineLost is the cluster's machine-loss callback (invoked at stage
@@ -763,27 +784,33 @@ type committed struct {
 	flips int64
 }
 
-// updateFactors updates A, B and C in place, one at a time while the other
-// two are fixed (Algorithm 2, UpdateFactors), and returns what the sweep's
-// commits changed. The factor matrices are broadcast to every machine once
-// per call (Lemma 7).
-func (d *decomposition) updateFactors(a, b, c *boolmat.FactorMatrix) (committed, error) {
-	bytes := int64(a.Rows()+b.Rows()+c.Rows()) * int64(d.ex.cfg.Rank) / 8
+// install makes a, b, c the factor matrices every machine holds, unless
+// they already are: each initial set, a kept set that was not the last one
+// tried, and a resumed checkpoint's are installed; an iteration on the
+// matrices the machines hold sends nothing, the stages' flip pushes having
+// kept every replica entry-identical to the driver's. An install is Lemma
+// 7's broadcast of the three matrices, once and not per iteration.
+func (d *decomposition) install(a, b, c *boolmat.FactorMatrix) error {
+	if [3]*boolmat.FactorMatrix{a, b, c} == d.ex.f {
+		return nil
+	}
 	// BroadcastState (not plain Broadcast): the factor matrices are the
 	// working set a machine must re-fetch to recover from a machine loss.
-	d.cl.BroadcastState(bytes)
-	// The modeled broadcast above prices the transfer; these install it:
-	// the driver's executor and every remote one replace their factors
-	// (invalidating column tasks and caches over other matrices), after
-	// which per-column pushes keep the replicas identical to the driver's.
-	var sweep committed
+	d.cl.BroadcastState(int64(a.Rows()+b.Rows()+c.Rows()) * int64(d.ex.cfg.Rank) / 8)
+	// The modeled broadcast above prices the transfer; these make it: the
+	// driver's executor and every remote one replace their factors,
+	// dropping the caches over the matrices they held.
 	if err := d.ex.setFactors(a, b, c); err != nil {
-		return sweep, err
+		return err
 	}
-	err := d.cl.PushState(d.ctx, transport.StateFactors, func() ([]byte, error) { return encodeFactors(a, b, c), nil })
-	if err != nil {
-		return sweep, err
-	}
+	return d.cl.PushState(d.ctx, transport.StateFactors, func() ([]byte, error) { return encodeFactors(a, b, c), nil })
+}
+
+// updateFactors updates the installed A, B and C in place, one at a time
+// while the other two are fixed (Algorithm 2, UpdateFactors), and returns
+// what the sweep's commits changed.
+func (d *decomposition) updateFactors() (committed, error) {
+	var sweep committed
 	for mode := range modeRoles {
 		update, err := d.updateFactor(mode)
 		if err != nil {
@@ -812,9 +839,9 @@ func (d *decomposition) updateFactor(mode int) (committed, error) {
 
 // factorUpdate is one mode's factor update, made once per run: the names
 // and pprof labels of its stages, the stage functions the cluster is
-// handed, bound once, and the lanes the commit reads. An update reuses all
-// of it, so it allocates only its one labelled context and the cache
-// tables its first stage builds.
+// handed, bound once, the lanes the commit reads and the log of the flips
+// it makes. An update reuses all of it, so it allocates only its one
+// labelled context and the cache tables its first stage builds.
 type factorUpdate struct {
 	d    *decomposition
 	mode int
@@ -832,12 +859,16 @@ type factorUpdate struct {
 	done committed
 	// parts[pi] is partition pi's answer to the stage in flight.
 	parts []stagePart
-	// local, sink, commit and columns are the methods of the same names,
-	// bound once.
-	local   func(pi int) error
-	sink    func(pi int, payload []byte) error
-	commit  func()
-	columns func() ([]byte, error)
+	// flips are the positions of the entries the stage in flight's commit
+	// changed, ascending (see priceFlips); from the slab pool, sized for
+	// the widest stage, so a commit never grows it.
+	flips []uint64
+	// local, sink, commit and encode are evalLocal, evalSink,
+	// commitColumns and encodeFlips, bound once.
+	local  func(pi int) error
+	sink   func(pi int, payload []byte) error
+	commit func()
+	encode func() ([]byte, error)
 }
 
 // stagePart is one partition's answer to an eval stage: its lanes, and the
@@ -855,9 +886,10 @@ func newFactorUpdate(d *decomposition, mode int) *factorUpdate {
 		d: d, mode: mode, commitName: "commit:" + name,
 		spec:  transport.Spec{Name: "eval:" + name, Kind: transport.KindEval, Mode: mode, Tasks: n},
 		parts: make([]stagePart, n),
+		flips: slab.Uint64s(d.ex.dims[modeRoles[mode].upd] * d.ex.span)[:0],
 	}
 	u.labels = pprof.Labels("mode", name, "stage", u.spec.Name)
-	u.local, u.sink, u.commit, u.columns = u.evalLocal, u.evalSink, u.commitColumns, u.encodeColumns
+	u.local, u.sink, u.commit, u.encode = u.evalLocal, u.evalSink, u.commitColumns, u.encodeFlips
 	return u
 }
 
@@ -892,7 +924,15 @@ func (u *factorUpdate) run() (committed, error) {
 		if err := d.cl.DriverNamed(ctx, u.commitName, u.commit); err != nil {
 			return u.done, err
 		}
-		if err := d.cl.PushState(ctx, transport.StateColumn, u.columns); err != nil {
+		// The stage replicates its commit as the entries it flipped: Lemma
+		// 7's broadcast, priced at the push's body on both backends, and
+		// nothing at all for a commit that flipped none.
+		if len(u.flips) == 0 {
+			continue
+		}
+		_, size := priceFlips(u.flips)
+		d.cl.Broadcast(int64(size))
+		if err := d.cl.PushState(ctx, transport.StateColumn, u.encode); err != nil {
 			return u.done, err
 		}
 	}
@@ -938,9 +978,11 @@ func (u *factorUpdate) evalSink(pi int, payload []byte) error {
 // the row's earlier columns as just committed, and the flipped entries'
 // signed t's are the commit's whole effect on the objective (see
 // committed). was is the row before the stage: a column's commit touches
-// no other column's bit.
+// no other column's bit. Every flip goes into the flip log, in position
+// order.
 func (u *factorUpdate) commitColumns() {
 	a, col, span, lanes := u.a, u.spec.Col, u.span, laneCount(u.span)
+	u.flips = u.flips[:0]
 	for r := 0; r < a.Rows(); r++ {
 		lane, was := 0, a.RowMask(r)
 		for j := 0; j < span; j++ {
@@ -951,6 +993,7 @@ func (u *factorUpdate) commitColumns() {
 			set := t < 0
 			if set != (was>>uint(col+j)&1 != 0) {
 				a.Set(r, col+j, set)
+				u.flips = append(u.flips, uint64(r*span+j))
 				u.done.flips++
 				if set {
 					u.done.objective += t
@@ -966,10 +1009,10 @@ func (u *factorUpdate) commitColumns() {
 	}
 }
 
-// encodeColumns replicates the committed columns so remote factor replicas
-// track the driver's copies entry for entry.
-func (u *factorUpdate) encodeColumns() ([]byte, error) {
-	return encodeColumns(u.mode, u.spec.Col, u.span, u.a), nil
+// encodeFlips packs the commit's flips, which every remote replica toggles
+// to track the driver's factor entry for entry.
+func (u *factorUpdate) encodeFlips() ([]byte, error) {
+	return appendFlips(nil, u.mode, u.spec.Col, u.span, u.a.Rows(), u.flips), nil
 }
 
 // totalError computes |X ⊕ X̂| from the mode-1 partitions as a distributed

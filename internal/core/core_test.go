@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -472,22 +473,92 @@ func shippedNonzeros(t *testing.T, bodies []byte, px [3]*partition.Partitioned, 
 	return total
 }
 
+// TestBroadcastVolumeLemma7: the broadcast is the factors at each install
+// and the body of each stage's push of its flips, sent to every machine:
+// BroadcastBytes is exactly M·(installs·⌊(I+J+K)·R/8⌋ + Σ flip bodies). An
+// install happens for each initial set, for the kept set when it was not
+// the last one tried, and for a resumed checkpoint, never for an iteration
+// on the matrices the machines hold; a stage pushes exactly when its commit
+// flipped an entry. The simulator, which encodes nothing, prices the same
+// bytes, and doubling M doubles them exactly.
 func TestBroadcastVolumeLemma7(t *testing.T) {
-	// Broadcast traffic scales with the machine count M.
-	rng := rand.New(rand.NewSource(16))
-	x := randomTensor(rng, 12, 12, 12, 0.1)
-	opt := Options{Rank: 3, MaxIter: 2, Seed: 1, Partitions: 4}
-	r4, err := Decompose(context.Background(), x, testCluster(4), opt)
-	if err != nil {
-		t.Fatal(err)
+	const machines, rank = 4, 3
+	x, _, _, _ := plantedTensor(rand.New(rand.NewSource(16)), 12, 12, 12, rank, 0.3)
+	factorBytes := int64((12 + 12 + 12) * rank / 8)
+	run := func(name string, opt Options, installs int64) *Result {
+		t.Helper()
+		ht := newHostTransport(machines)
+		res, err := Decompose(context.Background(), x, cluster.New(cluster.Config{Machines: machines, Transport: ht}), opt)
+		if err != nil && !errors.Is(err, ErrPreempted) {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ht.noteFlips()
+		if got := ht.factorPushes.Load(); got != installs {
+			t.Errorf("%s: %d factor installs, want %d", name, got, installs)
+		}
+		if pushes := ht.columnPushes.Load(); pushes != ht.flipStages || (installs > 1 && pushes == 0) {
+			t.Errorf("%s: %d flip pushes, %d stages flipped an entry", name, pushes, ht.flipStages)
+		}
+		if res == nil {
+			return nil
+		}
+		if want := machines * (installs*factorBytes + ht.flipBodies.Load()); res.Stats.BroadcastBytes != want {
+			t.Errorf("%s: broadcast %d B, want %d·(%d·%d + %d) = %d", name, res.Stats.BroadcastBytes,
+				machines, installs, factorBytes, ht.flipBodies.Load(), want)
+		}
+		return res
 	}
-	r8, err := Decompose(context.Background(), x, testCluster(8), opt)
-	if err != nil {
-		t.Fatal(err)
+
+	opt := Options{Rank: rank, Seed: 1, MaxIter: 4, MinIter: 4, Partitions: 4}
+	one := run("L=1", opt, 1)
+	if one.Stats.BroadcastBytes == machines*factorBytes {
+		t.Fatal("no stage flipped an entry: pick another seed")
 	}
-	if r8.Stats.BroadcastBytes != 2*r4.Stats.BroadcastBytes {
-		t.Fatalf("broadcast bytes %d (M=8) vs %d (M=4), want exact 2x",
-			r8.Stats.BroadcastBytes, r4.Stats.BroadcastBytes)
+	for _, m := range []int{machines, 2 * machines} {
+		sim, err := Decompose(context.Background(), x, testCluster(m), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(m/machines) * one.Stats.BroadcastBytes; sim.Stats.BroadcastBytes != want {
+			t.Errorf("simulated M=%d: broadcast %d B, want %d", m, sim.Stats.BroadcastBytes, want)
+		}
+	}
+
+	// Two initial sets: each is installed, and the kept one again when the
+	// second was tried after it.
+	keptFirst := map[bool]bool{}
+	for seed := int64(1); seed <= 20 && len(keptFirst) < 2; seed++ {
+		two := opt
+		two.Seed, two.InitialSets = seed, 2
+		sim, err := Decompose(context.Background(), x, testCluster(machines), two)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := sim.InitialErrors[0] <= sim.InitialErrors[1]
+		if keptFirst[first] {
+			continue
+		}
+		keptFirst[first] = true
+		installs := int64(2)
+		if first {
+			installs = 3
+		}
+		run(fmt.Sprintf("L=2 seed %d, kept set first=%v", seed, first), two, installs)
+	}
+	if len(keptFirst) != 2 {
+		t.Fatal("no two seeds in 1..20 keep the first of two sets and the last")
+	}
+
+	// A resumed run installs the checkpoint's factors, once.
+	dir := t.TempDir()
+	ck := opt
+	ck.CheckpointDir = dir
+	polls := 0
+	ck.Preempt = func() bool { polls++; return polls == 2 }
+	run("evicted after iteration 2", ck, 1)
+	ck.Preempt, ck.Resume = nil, true
+	if res := run("resumed", ck, 1); !res.A.Equal(one.A) || !res.B.Equal(one.B) || !res.C.Equal(one.C) || res.Error != one.Error {
+		t.Error("the resumed run's factors differ from the uninterrupted run's")
 	}
 }
 

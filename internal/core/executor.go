@@ -62,7 +62,7 @@ type executor struct {
 	f [3]*boolmat.FactorMatrix
 	// tasks[mode][pi] is the column task of partition pi for the mode's
 	// update, made at its first build and kept for the run; it serves evals
-	// while its epoch is the executor's (see eval). deltas[mode][pi] holds
+	// while its tables are current (see eval). deltas[mode][pi] holds
 	// partition pi's lanes of the mode's stage in flight (see lanes), made at
 	// first use and kept likewise, and splits[pi] the lanes of whichever
 	// mode's stage partition pi is in, split by row group (see splitFor).
@@ -72,8 +72,8 @@ type executor struct {
 	deltas  [3][][]int32
 	splits  []split
 	replies [3][][]byte
-	// epoch advances whenever every column task goes stale: at setFactors
-	// and at a machine loss.
+	// epoch advances whenever cache tables die, and every column task with
+	// them: when setFactors replaces the matrices and at a machine loss.
 	epoch uint64
 }
 
@@ -157,12 +157,12 @@ func checkFactorShapes(f [3]*boolmat.FactorMatrix, dims [3]int, rank int) error 
 	return nil
 }
 
-// setFactors installs the factor matrices every later stage reads. The
-// column tasks always go stale (see eval). The caches go (back to the slab
-// pool) only when the matrices themselves are replaced — a losing initial
-// set, a decoded push from the wire. Re-installing the same matrices keeps them,
-// keyed by version: a table outlives the iteration that built it for as long
-// as its matrix stays as it was — the one totalError builds over B serves
+// setFactors installs the factor matrices every later stage reads. Only
+// replacing the matrices — another initial set, a kept set, a decoded push
+// from the wire — drops the caches (back to the slab pool) and the column
+// tasks built over them. Re-installing the same matrices keeps both, keyed
+// by version: a table outlives the iteration that built it for as long as
+// its matrix stays as it was — the one totalError builds over B serves
 // iteration 2's A-update. Callers hold exclusive access with every stage
 // joined.
 func (ex *executor) setFactors(a, b, c *boolmat.FactorMatrix) error {
@@ -170,8 +170,8 @@ func (ex *executor) setFactors(a, b, c *boolmat.FactorMatrix) error {
 	if err := checkFactorShapes(next, ex.dims, ex.cfg.Rank); err != nil {
 		return fmt.Errorf("core: installing factors: %w", err)
 	}
-	ex.epoch++
 	if next != ex.f {
+		ex.epoch++
 		for _, reg := range ex.reg {
 			reg.clearRelease()
 		}
@@ -242,6 +242,7 @@ func (ex *executor) build(mode, pi int) (*columnTask, error) {
 	role := modeRoles[mode]
 	t.a, t.mf = ex.f[role.upd], ex.f[role.pvm]
 	t.tables = ex.tables(t.tables[:0], pi, part, ex.f[role.cached])
+	t.version = ex.f[role.cached].Version()
 	if len(t.tables) > 0 {
 		// Every table group but the flipped bit's own can occlude.
 		if occ := t.tables[0].NumGroups() - 1; cap(t.delta.Occ) < occ {
@@ -297,15 +298,18 @@ func (ex *executor) stageSpan(col int) int { return min(ex.span, ex.cfg.Rank-col
 // expands it in place; a worker's reply ships it (appendReply).
 //
 // This is the one place a column task is (re)built and the one rule of
-// when it is valid: setFactors makes every task stale (a task holds
-// tables over factor versions the coming update supersedes), as does a
-// machine loss (over tables that died), and the first eval to ask a
-// partition for a column afterwards rebuilds its task — column
-// 0 on the partition's home, a later column on the executor a reassignment
-// or a rejoin moved it to, driver and worker alike; the paper's lazy
-// mapPartitions is pipelined into its first collect the same way. Which
-// column comes first cannot matter: a task keeps nothing across stages and
-// the cached matrix does not change during its own mode's update.
+// when it is valid: while its tables are, that is while the epoch it was
+// built in is the executor's (no table died since: no other matrices were
+// installed, no machine was lost) and its cached matrix is at the version
+// its tables were built for. An update that follows one which changed
+// that matrix, or the first eval after tables died, rebuilds the task —
+// column 0 on the partition's home, a later column on the executor a
+// reassignment or a rejoin moved it to, driver and worker alike; the
+// paper's lazy mapPartitions is pipelined into its first collect the same
+// way. A task whose cached matrix no iteration since changed keeps its
+// tables. Which column comes first cannot matter: a task keeps nothing
+// across stages and the cached matrix does not change during its own
+// mode's update.
 func (ex *executor) eval(mode, pi, col int) ([]int32, error) {
 	if _, err := ex.part(mode, pi); err != nil {
 		return nil, err
@@ -314,7 +318,7 @@ func (ex *executor) eval(mode, pi, col int) ([]int32, error) {
 		return nil, fmt.Errorf("core: eval column %d outside rank %d", col, ex.cfg.Rank)
 	}
 	t := ex.tasks[mode][pi]
-	if t == nil || t.epoch != ex.epoch {
+	if t == nil || t.epoch != ex.epoch || t.version != ex.f[modeRoles[mode].cached].Version() {
 		var err error
 		if t, err = ex.build(mode, pi); err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -15,19 +16,21 @@ import (
 	"dbtf/internal/transport"
 )
 
-// commitLog is a hostTransport that records every committed column as the
-// workers receive it — "mode/column:bits±Δ", one entry per column whether
-// the push carried one or two — so two schedules can be compared commit by
-// commit and row by row, not just by the factors they end with. Δ is what the
-// column did to the objective, recounted: the log mirrors the replicas'
-// factors from the pushes, applies a push one column at a time and takes the
-// naive reconstruction error after each. sweeps holds the recount at the end
-// of every sweep, which is what the run's carried objective must read there.
+// commitLog is a hostTransport that records every committed column that
+// flipped an entry as the workers receive it — "mode/column:bits±Δ", one
+// entry per such column whatever the push's span — so two schedules can be
+// compared commit by commit and row by row, not just by the factors they
+// end with. Δ is what the column did to the objective, recounted: the log
+// mirrors the replicas' factors from the pushes, applies a push one column
+// at a time and takes the naive reconstruction error after each. sweeps
+// holds the recount at the end of every sweep — each opens with the first
+// eval:A stage — which is what the run's carried objective must read there.
 type commitLog struct {
 	*hostTransport
 	x         *tensor.Tensor
 	f         [3]*boolmat.FactorMatrix
 	objective int64
+	sweeping  bool
 	commits   []string
 	sweeps    []int64
 }
@@ -43,41 +46,57 @@ func (l *commitLog) PushState(ctx context.Context, kind transport.StateKind, pay
 		l.f = [3]*boolmat.FactorMatrix{a, b, c}
 		l.objective = tensor.ReconstructError(l.x, a, b, c)
 	case transport.StateColumn:
-		mode, col, span, rows, bits, err := decodeColumns(payload)
-		if err != nil {
+		mode, span, col := int(payload[0]), int(payload[1]), int(binary.LittleEndian.Uint16(payload[2:]))
+		next := l.f
+		next[mode] = l.f[mode].Clone()
+		if err := applyFlips(payload, next); err != nil {
 			return err
 		}
-		stride := (rows + 7) / 8
-		for j := 0; j < span; j++ {
-			column := bits[j*stride : (j+1)*stride]
-			for r := 0; r < rows; r++ {
-				l.f[mode].Set(r, col+j, column[r/8]&(1<<uint(r%8)) != 0)
+		for c := col; c < col+span; c++ {
+			flipped := false
+			for r := 0; r < next[mode].Rows(); r++ {
+				flipped = flipped || l.f[mode].Get(r, c) != next[mode].Get(r, c)
+				l.f[mode].Set(r, c, next[mode].Get(r, c))
+			}
+			if !flipped {
+				continue
 			}
 			e := tensor.ReconstructError(l.x, l.f[0], l.f[1], l.f[2])
-			l.commits = append(l.commits, fmt.Sprintf("%d/%d:%x%+d", mode, col+j, column, e-l.objective))
+			l.commits = append(l.commits, fmt.Sprintf("%d/%d:%v%+d", mode, c, l.f[mode].Column(c), e-l.objective))
 			l.objective = e
 		}
 	}
 	return l.hostTransport.PushState(ctx, kind, payload)
 }
 
+func (l *commitLog) Run(ctx context.Context, spec transport.Spec, deliver func(transport.TaskResult) error) error {
+	if spec.Kind == transport.KindEval && spec.Mode == 0 && spec.Col == 0 {
+		l.endSweep()
+		l.sweeping = true
+	}
+	return l.hostTransport.Run(ctx, spec, deliver)
+}
+
 // endSweep records the objective the sweep in progress, if any, ended on.
 func (l *commitLog) endSweep() {
-	if l.f[0] != nil {
+	if l.sweeping {
 		l.sweeps = append(l.sweeps, l.objective)
+		l.sweeping = false
 	}
 }
 
 // TestLookaheadMatchesPerColumn holds every multi-column stage to its
 // oracle, Algorithm 4 as written: the same run scheduled one column a stage
 // — the same kernel at span 1, driver and workers alike — must commit the
-// same bit for every row of every column of every update at spans 2 and 3,
-// and so end with the same factors and error trajectory. Ranks 1 to 5 end
+// same bit for every row of every column of every update at spans 2 and 3
+// — the same columns flip entries, to the same bits — and so end with the
+// same factors and error trajectory. Ranks 1 to 5 end
 // on every tail width; rank 64 puts bits 60–62 in one three-column stage
 // beside the one-column tail at bit 63, and bit 63 in lane 2 at span 2.
 func TestLookaheadMatchesPerColumn(t *testing.T) {
 	const machines = 2
 	rng := rand.New(rand.NewSource(26))
+	flipped := false
 	for _, rank := range []int{1, 2, 3, 4, 5, 64} {
 		x, _, _, _ := plantedTensor(rng, 11, 9, 8, min(rank, 6), 0.3)
 		for _, v := range []int{0, 1} {
@@ -114,9 +133,7 @@ func TestLookaheadMatchesPerColumn(t *testing.T) {
 					if want.Stats.Stages != rounds(1) {
 						t.Errorf("%s remote=%v: %d rounds at one column a stage, want %d", name, remote, want.Stats.Stages, rounds(1))
 					}
-					if remote && len(wantCommits) != 3*rank*(sets+2) {
-						t.Errorf("%s: %d columns committed, want 3·%d·%d", name, len(wantCommits), rank, sets+2)
-					}
+					flipped = flipped || len(wantCommits) > 0
 					for span := 2; span <= lookahead; span++ {
 						got, gotCommits := run(span, remote)
 						if !got.A.Equal(want.A) || !got.B.Equal(want.B) || !got.C.Equal(want.C) {
@@ -137,5 +154,8 @@ func TestLookaheadMatchesPerColumn(t *testing.T) {
 				}
 			}
 		}
+	}
+	if !flipped {
+		t.Error("no run flipped an entry: the commits went unchecked")
 	}
 }

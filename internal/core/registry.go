@@ -17,8 +17,10 @@ import (
 // whichever of the machine's tasks gets there first and reused by the rest,
 // and it survives across stages for as long as the matrix is unchanged.
 // That cross-stage validity is what lets the B-update and C-update share
-// one cache over A, and iteration 2's A-update reuse the cache iteration 1's
-// totalError built over B.
+// one cache over A, iteration 2's A-update reuse the cache iteration 1's
+// totalError built over B, and any update reuse the tables of one before it
+// over a matrix no commit has changed since — on a worker as on the driver,
+// since a worker's matrices are installed once and then toggled in place.
 //
 // Tasks placed on one machine may run concurrently in real time (the
 // goroutine pool is decoupled from the machine count), so the registry is
@@ -27,6 +29,9 @@ type machineRegistry struct {
 	mu sync.Mutex
 	//dbtf:guardedby mu
 	entries map[registryKey]*machineCache
+	// builds counts the tables the machine has made, one per entry.
+	//dbtf:guardedby mu
+	builds int
 }
 
 // registryKey identifies a table: the caching matrix, its mutation version
@@ -67,6 +72,7 @@ func (r *machineRegistry) cacheFor(ms *boolmat.FactorMatrix, lo, hi, groupBits i
 		}
 		mc = &machineCache{}
 		r.entries[key] = mc
+		r.builds++
 	}
 	r.mu.Unlock()
 	mc.build.Do(func() { mc.table = sumcache.NewFromFactorRows(ms, lo, hi, groupBits) })

@@ -41,6 +41,15 @@ type hostTransport struct {
 	// bodies counts the partition bodies of the set-up blobs sent: each
 	// blob less its header.
 	bodies atomic.Int64
+	// factorPushes and columnPushes count the StateFactors and StateColumn
+	// pushes, and flipBodies the bytes of the latter less their headers.
+	factorPushes, columnPushes, flipBodies atomic.Int64
+	// flipStages counts the stages after which machine 0's worker held
+	// the matrices it held before at other versions (see noteFlips); held
+	// and versions are what it held at the last count.
+	flipStages int64
+	held       [3]*boolmat.FactorMatrix
+	versions   [3]uint64
 }
 
 func newHostTransport(machines int) *hostTransport {
@@ -64,6 +73,13 @@ func (h *hostTransport) Machines() int { return len(h.hosts) }
 func (h *hostTransport) Membership(context.Context) []transport.LivenessEvent { return nil }
 
 func (h *hostTransport) PushState(ctx context.Context, kind transport.StateKind, payload []byte) error {
+	switch kind {
+	case transport.StateFactors:
+		h.factorPushes.Add(1)
+	case transport.StateColumn:
+		h.columnPushes.Add(1)
+		h.flipBodies.Add(int64(len(payload) - columnHeaderLen))
+	}
 	for _, host := range h.hosts {
 		if err := host.Apply(kind, payload); err != nil {
 			return err
@@ -84,7 +100,27 @@ func (h *hostTransport) PushSetup(ctx context.Context, setup [][]byte) error {
 	return nil
 }
 
+// noteFlips counts the stage since its last call as one that flipped
+// entries when machine 0's worker holds the matrices it held then, at
+// other versions: a commit's flips reach the replicas before the next
+// stage runs, and a run's last stage's by the time it returns.
+func (h *hostTransport) noteFlips() {
+	w, ok := h.hosts[0].(*Worker)
+	if !ok || w.ex.f[0] == nil {
+		return
+	}
+	var versions [3]uint64
+	for i, m := range w.ex.f {
+		versions[i] = m.Version()
+	}
+	if w.ex.f == h.held && versions != h.versions {
+		h.flipStages++
+	}
+	h.held, h.versions = w.ex.f, versions
+}
+
 func (h *hostTransport) Run(ctx context.Context, spec transport.Spec, deliver func(transport.TaskResult) error) error {
+	h.noteFlips()
 	var batches [][]int
 	if h.batch {
 		batches = make([][]int, len(h.hosts))
@@ -121,6 +157,22 @@ func (h *hostTransport) Run(ctx context.Context, spec transport.Spec, deliver fu
 
 func (h *hostTransport) WireBytes() (int64, int64) { return h.sent.Load(), h.recvd.Load() }
 func (h *hostTransport) Close() error              { return nil }
+
+// flipsTo returns the StateColumn push that makes columns [col, col+span)
+// of m, the factor updated in mode, those of target, as a commit would
+// push it, and the flips' positions, which may be none: such a push is
+// never sent.
+func flipsTo(mode, col, span int, m, target *boolmat.FactorMatrix) ([]byte, []uint64) {
+	var pos []uint64
+	for r := 0; r < m.Rows(); r++ {
+		for j := 0; j < span; j++ {
+			if m.Get(r, col+j) != target.Get(r, col+j) {
+				pos = append(pos, uint64(r*span+j))
+			}
+		}
+	}
+	return appendFlips(nil, mode, col, span, m.Rows(), pos), pos
+}
 
 // TestCollectedBytesAreReplyBytes: the collected bytes the driver counts are
 // the bytes the executors' replies carried, less one header per eval reply
@@ -193,7 +245,7 @@ func TestWorkerRejectsOutOfOrderState(t *testing.T) {
 	if err := w.Apply(transport.StateReship, other[1]); err == nil {
 		t.Fatal("partitions of another run accepted as re-shipped")
 	}
-	if err := w.Apply(transport.StateColumn, encodeColumns(0, 0, 1, boolmat.RandomFactor(rng, 5, 2, 0.5))); err == nil {
+	if push, _ := flipsTo(0, 0, 1, boolmat.NewFactor(5, 2), boolmat.RandomFactor(rng, 5, 2, 0.5)); w.Apply(transport.StateColumn, push) == nil {
 		t.Fatal("column push before factors succeeded")
 	}
 	if _, err := w.RunBatch(transport.Spec{Name: "eval:A", Kind: transport.KindEval, Mode: 0, Col: 0}, []int{0}); err == nil {
@@ -409,6 +461,112 @@ func setupLayoutBytes(data []byte) uint64 {
 		bytes += 8*n + 128*held + blocks*(256+8*(rows+1))
 	}
 	return bytes
+}
+
+// flipsAt packs a StateColumn push laid out as appendFlips lays it out, but
+// at the given order and with the given positions however they run: what a
+// corrupt or mismatched peer could send.
+func flipsAt(mode, col, span, rows int, order uint, pos ...uint64) []byte {
+	dst := []byte{byte(mode), byte(span)}
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(col))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rows))
+	w := bitvec.NewBitWriter(dst)
+	w.Write(uint64(order), orderBits)
+	w.ExpGolomb(uint64(len(pos)), 0)
+	prev := ^uint64(0)
+	for _, p := range pos {
+		w.ExpGolomb(p-prev, order)
+		prev = p
+	}
+	return w.Pad()
+}
+
+// FuzzFlipsDecode: the column-push decoder's accept set is canonical pushes
+// only. Every payload it applies re-encodes — as a commit that flipped the
+// entries it toggled would log and push them — to the same bytes, its body
+// at the size that commit is priced at; a payload it refuses leaves every
+// factor as it was. The seeds are pushes of one to three columns into a
+// short factor and one 300 rows tall, at orders from 0 up, and one of each
+// corruption the decoder must refuse, each checked refused before it is
+// added.
+func FuzzFlipsDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(61))
+	base := [3]*boolmat.FactorMatrix{boolmat.RandomFactor(rng, 13, 5, 0.4), boolmat.RandomFactor(rng, 7, 5, 0.4), boolmat.RandomFactor(rng, 300, 5, 0.4)}
+	valid := func(mode, col, span int, pos ...uint64) []byte {
+		return appendFlips(nil, mode, col, span, base[modeRoles[mode].upd].Rows(), pos)
+	}
+	dense := make([]uint64, 0, 200)
+	for p := uint64(0); p < 600; p += 3 {
+		dense = append(dense, p)
+	}
+	sparse := []uint64{0, 150, 299}
+	for _, seed := range [][]byte{
+		valid(0, 0, 3, 0, 1, 2, 38),
+		valid(1, 4, 1, 6),
+		valid(2, 2, 3, 5, 17, 300, 301, 640, 899),
+		valid(2, 0, 2, dense...),
+		valid(2, 3, 1, sparse...),
+	} {
+		f.Add(seed)
+	}
+	good := valid(2, 3, 1, sparse...)
+	order := uint(good[columnHeaderLen] >> (8 - orderBits))
+	bits := orderBits + bitvec.ExpGolombBits(uint64(len(sparse)), 0)
+	for i, p := range sparse {
+		d := p + 1
+		if i > 0 {
+			d = p - sparse[i-1]
+		}
+		bits += bitvec.ExpGolombBits(d, order)
+	}
+	if order == 0 || bits%8 == 0 {
+		f.Fatalf("the sparse push is coded at order %d in %d bits: it must leave an order below and a pad", order, bits)
+	}
+	padded := slices.Clone(good)
+	padded[len(padded)-1] |= 1
+	tooMany := bitvec.NewBitWriter(slices.Clone(good[:columnHeaderLen]))
+	tooMany.Write(0, orderBits)
+	tooMany.ExpGolomb(64, 0)
+	for name, payload := range map[string][]byte{
+		"a position at rows·span":      valid(2, 3, 1, 0, 150, 300),
+		"a repeated position":          valid(2, 3, 1, 0, 150, 150, 299),
+		"an order one above":           flipsAt(2, 3, 1, 300, order+1, sparse...),
+		"an order one below":           flipsAt(2, 3, 1, 300, order-1, sparse...),
+		"no flip":                      flipsAt(2, 3, 1, 300, 0),
+		"a count above the bits left":  tooMany.Pad(),
+		"a set pad bit":                padded,
+		"a trailing byte":              append(slices.Clone(good), 0),
+		"a cut code":                   good[:len(good)-1],
+		"a row count not the factor's": flipsAt(2, 3, 1, 299, order, sparse...),
+		"columns past the rank":        flipsAt(2, 3, 3, 300, order, sparse...),
+	} {
+		fs := [3]*boolmat.FactorMatrix{base[0].Clone(), base[1].Clone(), base[2].Clone()}
+		if err := applyFlips(payload, fs); err == nil {
+			f.Fatalf("the push with %s is accepted", name)
+		}
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		fs := [3]*boolmat.FactorMatrix{base[0].Clone(), base[1].Clone(), base[2].Clone()}
+		err := applyFlips(payload, fs)
+		n := -1 // the factor the push toggled, if it was applied
+		if err == nil {
+			n = modeRoles[payload[0]].upd
+		}
+		for o, m := range fs {
+			if o != n && !m.Equal(base[o]) {
+				t.Fatalf("a push that was refused or for another factor (%v) changed factor %d", err, o)
+			}
+		}
+		if err != nil {
+			return
+		}
+		mode, span, col := int(payload[0]), int(payload[1]), int(binary.LittleEndian.Uint16(payload[2:]))
+		again, flipped := flipsTo(mode, col, span, base[n], fs[n])
+		if _, size := priceFlips(flipped); !bytes.Equal(again, payload) || len(payload) != columnHeaderLen+size {
+			t.Fatalf("an applied push of %d bytes re-encodes to %x, priced at %d body bytes:\n%x", len(payload), again, size, payload)
+		}
+	})
 }
 
 // FuzzSetupDecode: whatever bytes arrive as a set-up blob, the decoder
@@ -746,9 +904,13 @@ func TestWorkerBuildsTaskAtFirstEvalOfAnyColumn(t *testing.T) {
 		if _, err := home.RunBatch(spec, []int{part}); err != nil {
 			t.Fatalf("column %d: %v", spec.Col, err)
 		}
-		// The driver commits the stage's columns everywhere, asked or not.
+		// The driver pushes the stage's flips everywhere, asked or not.
+		push, flipped := flipsTo(mode, spec.Col, lookahead, home.ex.f[modeRoles[mode].upd], committed)
 		for _, w := range []*Worker{home, heir} {
-			if err := w.Apply(transport.StateColumn, encodeColumns(mode, spec.Col, lookahead, committed)); err != nil {
+			if len(flipped) == 0 {
+				break
+			}
+			if err := w.Apply(transport.StateColumn, push); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -773,17 +935,100 @@ func TestWorkerBuildsTaskAtFirstEvalOfAnyColumn(t *testing.T) {
 	}
 }
 
+// registryRun is what the machines' cache registries did over a run of
+// the decomposition's schedule (see runRegistries).
+type registryRun struct {
+	// first[m][t] holds the keys machine m's registry held first at the
+	// end of a stage of iteration t, 1-based.
+	first [][]map[registryKey]bool
+	// builds[m] is the tables machine m built.
+	builds []int
+	// changed[t][n] reports whether iteration t's commits changed factor n.
+	changed [][3]bool
+}
+
+// runRegistries runs iters iterations of the decomposition's schedule of x
+// under opt on machines machines — on the driver's executor when ht is
+// nil, on ht's Workers otherwise — watching every machine's registry at the
+// end of every stage, when all its tasks are joined and nothing else runs.
+func runRegistries(t *testing.T, x *tensor.Tensor, opt Options, machines, iters int, ht *hostTransport) registryRun {
+	t.Helper()
+	var d *decomposition
+	registries := func() []*machineRegistry {
+		if ht == nil {
+			return d.ex.reg
+		}
+		regs := make([]*machineRegistry, machines)
+		for m, h := range ht.hosts {
+			regs[m] = h.(*Worker).ex.reg[0]
+		}
+		return regs
+	}
+	run := registryRun{first: make([][]map[registryKey]bool, machines), builds: make([]int, machines), changed: make([][3]bool, iters+1)}
+	seen := make([]map[registryKey]bool, machines)
+	for m := range seen {
+		seen[m], run.first[m] = map[registryKey]bool{}, make([]map[registryKey]bool, iters+1)
+	}
+	iteration := 0
+	cc := cluster.Config{Machines: machines, Tracer: trace.New(sinkFunc(func(ev *trace.Event) {
+		if ev.Type != trace.StageEnd || iteration == 0 {
+			return
+		}
+		for m, reg := range registries() {
+			if run.first[m][iteration] == nil {
+				run.first[m][iteration] = map[registryKey]bool{}
+			}
+			for key := range reg.entries {
+				if !seen[m][key] {
+					run.first[m][iteration][key] = true
+				}
+				seen[m][key] = true
+			}
+		}
+	}))}
+	if ht != nil {
+		cc.Transport = ht
+	}
+	d = newTestDecompositionOn(t, x, opt, cluster.New(cc))
+	defer d.ex.release()
+	f := [3]*boolmat.FactorMatrix{}
+	f[0], f[1], f[2] = initialSet(rand.New(rand.NewSource(opt.Seed)), x, d.ex.cfg)
+	for iteration = 1; iteration <= iters; iteration++ {
+		var versions [3]uint64
+		for n, m := range f {
+			versions[n] = m.Version()
+		}
+		if err := d.install(f[0], f[1], f[2]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.updateFactors(); err != nil {
+			t.Fatal(err)
+		}
+		if iteration == 1 {
+			if _, err := d.totalError(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for n, m := range f {
+			run.changed[iteration][n] = m.Version() != versions[n]
+		}
+	}
+	for m, reg := range registries() {
+		run.builds[m] = reg.builds
+	}
+	return run
+}
+
 // TestWorkerBuildsTwoTablesPerIteration counts the cache tables an iteration
 // costs a machine, as distinct (matrix, version) pairs appearing in its
 // registry between the iteration's stages: one over B for the A-update and
 // one over the updated A for the B- and C-updates, on a Worker exactly as on
-// the driver's executor running the same schedule on the simulator. A Worker
-// gets fresh matrices with every iteration's factor push, so nothing it
-// builds outlives the iteration: while an iteration ended on a total-error
-// stage, the table that stage built over the just-updated B was the third of
-// three and served nothing. The iteration counted is a steady-state one
-// that changes A and B, as its predecessor did — otherwise the driver, whose
-// matrices persist, reuses what a Worker must rebuild.
+// the driver's executor running the same schedule on the simulator. While
+// an iteration ended on a total-error stage, the table that stage built
+// over the just-updated B was the third of three and served nothing. The
+// iteration counted is a steady-state one that changes A and B, as its
+// predecessor did, so that no table outlives it (see
+// TestWorkerBuildsEachTableOnce for one that does).
 func TestWorkerBuildsTwoTablesPerIteration(t *testing.T) {
 	const machines, rank, iters, steady = 2, 4, 4, 3
 	rng := rand.New(rand.NewSource(17))
@@ -794,67 +1039,145 @@ func TestWorkerBuildsTwoTablesPerIteration(t *testing.T) {
 		m       *boolmat.FactorMatrix
 		version uint64
 	}
-	// builds runs iters iterations of the decomposition's schedule and
-	// returns, per registry, the tables first seen during iteration steady.
-	builds := func(ht *hostTransport) []map[table]bool {
-		var d *decomposition
-		registries := func() []*machineRegistry {
-			if ht == nil {
-				return d.ex.reg
-			}
-			regs := make([]*machineRegistry, machines)
-			for m, h := range ht.hosts {
-				regs[m] = h.(*Worker).ex.reg[0]
-			}
-			return regs
-		}
-		iteration := 0
-		seen := make([]map[registryKey]bool, machines)
-		built := make([]map[table]bool, machines)
-		for m := range seen {
-			seen[m], built[m] = map[registryKey]bool{}, map[table]bool{}
-		}
-		cc := cluster.Config{Machines: machines, Tracer: trace.New(sinkFunc(func(ev *trace.Event) {
-			if ev.Type != trace.StageEnd || iteration == 0 {
-				return
-			}
-			// Every task of the stage is joined; nothing else runs.
-			for m, reg := range registries() {
-				for key := range reg.entries {
-					if !seen[m][key] && iteration == steady {
-						built[m][table{key.m, key.version}] = true
-					}
-					seen[m][key] = true
-				}
-			}
-		}))}
-		if ht != nil {
-			cc.Transport = ht
-		}
-		d = newTestDecompositionOn(t, x, opt, cluster.New(cc))
-		defer d.ex.release()
-		a, b, c := initialSet(rand.New(rand.NewSource(opt.Seed)), x, d.ex.cfg)
-		for iteration = 1; iteration <= iters; iteration++ {
-			va, vb := a.Version(), b.Version()
-			if _, err := d.updateFactors(a, b, c); err != nil {
-				t.Fatal(err)
-			}
-			if iteration == 1 {
-				if _, err := d.totalError(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if iteration >= steady-1 && iteration <= steady && (a.Version() == va || b.Version() == vb) {
-				t.Fatalf("iteration %d left A or B as it was: pick another seed", iteration)
+	// built returns, per machine, the tables first seen during iteration
+	// steady.
+	built := func(run registryRun) []map[table]bool {
+		for it := steady - 1; it <= steady; it++ {
+			if !run.changed[it][0] || !run.changed[it][1] {
+				t.Fatalf("iteration %d left A or B as it was: pick another seed", it)
 			}
 		}
-		return built
+		tables := make([]map[table]bool, machines)
+		for m := range tables {
+			tables[m] = map[table]bool{}
+			for key := range run.first[m][steady] {
+				tables[m][table{key.m, key.version}] = true
+			}
+		}
+		return tables
 	}
-	driver, workers := builds(nil), builds(newHostTransport(machines))
+	driver := built(runRegistries(t, x, opt, machines, iters, nil))
+	workers := built(runRegistries(t, x, opt, machines, iters, newHostTransport(machines)))
 	for m := 0; m < machines; m++ {
 		if len(workers[m]) != 2 || len(driver[m]) != len(workers[m]) {
 			t.Errorf("machine %d: iteration %d built %d tables on the worker and %d on the driver's executor, want 2 and 2",
 				m, steady, len(workers[m]), len(driver[m]))
 		}
+	}
+}
+
+// TestWorkerBuildsEachTableOnce: a Worker's factors are installed once and
+// then toggled in place by the stages' flips, so its cache tables outlive
+// the iterations that leave their matrix as it was, exactly as the
+// driver's executor's do. Over a four-iteration run whose last iterations
+// change no factor, each worker builds each (matrix, version, range) table
+// once — its build count is the number of keys its registry ever held —
+// and as many tables as the driver's executor builds for its machine.
+func TestWorkerBuildsEachTableOnce(t *testing.T) {
+	const machines, rank, iters = 2, 4, 4
+	rng := rand.New(rand.NewSource(13))
+	planted, _, _, _ := gen.FromFactors(rng, 10, 9, 8, 4, 0.35)
+	x := gen.AddNoise(rng, planted, 0.1, 0.1)
+	opt := Options{Rank: rank, Seed: rank}
+	driver := runRegistries(t, x, opt, machines, iters, nil)
+	workers := runRegistries(t, x, opt, machines, iters, newHostTransport(machines))
+	if driver.changed[iters] != [3]bool{} {
+		t.Fatalf("iteration %d changed a factor (%v): pick another seed", iters, driver.changed[iters])
+	}
+	for m := 0; m < machines; m++ {
+		keys := 0
+		for _, first := range workers.first[m] {
+			keys += len(first)
+		}
+		if workers.builds[m] != keys || workers.builds[m] != driver.builds[m] {
+			t.Errorf("machine %d: the worker built %d tables for %d keys, the driver's executor %d",
+				m, workers.builds[m], keys, driver.builds[m])
+		}
+		if n := len(workers.first[m][iters]); n != 0 {
+			t.Errorf("machine %d: the worker built %d tables in iteration %d, which changed no factor", m, n, iters)
+		}
+	}
+}
+
+// replayTransport is a hostTransport whose worker can restart between two
+// stages: the new process gets what the tcp coordinator's state log holds
+// for it — its machine's set-up, the last install of the factors and every
+// flip pushed since — and nothing else.
+type replayTransport struct {
+	*hostTransport
+	setup [][]byte
+	log   []transport.StateBlob
+	// restart is the machine to restart before the next stage, or −1;
+	// replayed is what the last restart replayed after the set-up.
+	restart  int
+	replayed []transport.StateBlob
+}
+
+func (r *replayTransport) PushSetup(ctx context.Context, setup [][]byte) error {
+	r.setup, r.log = setup, nil
+	return r.hostTransport.PushSetup(ctx, setup)
+}
+
+func (r *replayTransport) PushState(ctx context.Context, kind transport.StateKind, payload []byte) error {
+	if kind == transport.StateFactors {
+		r.log = nil
+	}
+	r.log = append(r.log, transport.StateBlob{Kind: kind, Payload: payload})
+	return r.hostTransport.PushState(ctx, kind, payload)
+}
+
+func (r *replayTransport) Run(ctx context.Context, spec transport.Spec, deliver func(transport.TaskResult) error) error {
+	if m := r.restart; m >= 0 {
+		w := NewWorker()
+		if err := w.Apply(transport.StateSetup, r.setup[m]); err != nil {
+			return err
+		}
+		for _, blob := range r.log {
+			if err := w.Apply(blob.Kind, blob.Payload); err != nil {
+				return err
+			}
+		}
+		r.hosts[m], r.replayed, r.restart = w, slices.Clone(r.log), -1
+	}
+	return r.hostTransport.Run(ctx, spec, deliver)
+}
+
+// TestWorkerReplaysInstallAndFlips: a worker that restarts after iteration
+// 2 and is replayed its set-up, the one install and the flips pushed since
+// — of iterations 1 and 2, both — holds the driver's factors entry for
+// entry: the rest of the run it serves stays bit-identical to the
+// simulator's, down to the bytes its replies carry.
+func TestWorkerReplaysInstallAndFlips(t *testing.T) {
+	const machines = 2
+	rng := rand.New(rand.NewSource(29))
+	planted, _, _, _ := gen.FromFactors(rng, 14, 12, 10, 4, 0.3)
+	x := gen.AddNoise(rng, planted, 0.1, 0.1)
+	opt := Options{Rank: 4, Seed: 5, MinIter: 4, MaxIter: 4, Partitions: 4}
+	sim, err := Decompose(context.Background(), x, testCluster(machines), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := &replayTransport{hostTransport: newHostTransport(machines), restart: -1}
+	cl := cluster.New(cluster.Config{Machines: machines, Transport: rt, Tracer: trace.New(sinkFunc(func(ev *trace.Event) {
+		if ev.Type == trace.IterationEnd && ev.Iteration == 2 {
+			rt.restart = 1
+		}
+	}))})
+	res, err := Decompose(context.Background(), x, cl, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rt.replayed) < 2 || rt.replayed[0].Kind != transport.StateFactors {
+		t.Fatalf("the restarted worker was replayed %d blobs, want the install and at least one push of flips", len(rt.replayed))
+	}
+	for _, blob := range rt.replayed[1:] {
+		if blob.Kind != transport.StateColumn {
+			t.Fatalf("the replay holds a %s push after the install", blob.Kind)
+		}
+	}
+	if factorHash(res.A, res.B, res.C) != factorHash(sim.A, sim.B, sim.C) || !slices.Equal(res.IterationErrors, sim.IterationErrors) ||
+		res.Stats.CollectedBytes != sim.Stats.CollectedBytes || res.Stats.BroadcastBytes != sim.Stats.BroadcastBytes {
+		t.Errorf("with a worker restarted after iteration 2: errors %v, %d B collected, %d B broadcast; the simulator's %v, %d, %d",
+			res.IterationErrors, res.Stats.CollectedBytes, res.Stats.BroadcastBytes, sim.IterationErrors, sim.Stats.CollectedBytes, sim.Stats.BroadcastBytes)
 	}
 }

@@ -58,14 +58,16 @@ var laneSets = func() (sets [lookahead][1 << (lookahead - 1)][1 << (lookahead - 
 // stages of its mode's factor updates (Algorithm 4): block tables and the
 // per-row delta accumulator. It lives for the run, as a mapPartitions task
 // keeps its partition's state, and executor.build refills it for every
-// update. Everything is allocated by the time the task is built, before the
-// column loop starts — eval itself performs zero allocations. A task runs
-// on one goroutine, as a Spark task does.
+// update that follows a change to its cached matrix. Everything is
+// allocated by the time the task is built, before the column loop starts —
+// eval itself performs zero allocations. A task runs on one goroutine, as
+// a Spark task does.
 type columnTask struct {
 	part *partition.Partition
-	// epoch is the executor epoch the task was last built in; it serves
-	// evals only while that is the executor's.
-	epoch uint64
+	// epoch is the executor epoch the task was last built in, and version
+	// the version of the cached matrix its tables were built over; it
+	// serves evals only while both are current (see executor.eval).
+	epoch, version uint64
 	// a is the factor matrix under update (row masks feed the cache
 	// keys); mf indexes the PVM blocks.
 	a, mf *boolmat.FactorMatrix

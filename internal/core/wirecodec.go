@@ -184,50 +184,133 @@ func decodeFactors(payload []byte) (a, b, c *boolmat.FactorMatrix, err error) {
 }
 
 // columnHeaderLen is the StateColumn header: u8 mode, u8 column count, u16
-// first column, u32 row count; each column's packed bits follow in turn.
+// first column, u32 row count. A stage replicates its commit as the
+// positions r·span + j of the entries it flipped (row r, column col+j),
+// ascending, and the body codes them as a bit string, MSB first and
+// zero-padded to a byte: one orderBits-wide order, the flip count as an
+// order-0 Exp-Golomb code, then each position as its distance from the one
+// before — the first's from −1 — at that order, the one that codes the
+// distances shortest.
 const columnHeaderLen = 8
 
-// encodeColumns snapshots columns [col, col+span) of factor matrix m (the
-// factor updated in mode modeIdx) — the columns one eval stage committed —
-// as packed bit vectors.
-func encodeColumns(modeIdx, col, span int, m *boolmat.FactorMatrix) []byte {
-	rows := m.Rows()
-	stride := (rows + 7) / 8
-	out := make([]byte, columnHeaderLen+span*stride)
-	out[0], out[1] = byte(modeIdx), byte(span)
-	binary.LittleEndian.PutUint16(out[2:], uint16(col))
-	binary.LittleEndian.PutUint32(out[4:], uint32(rows))
-	for j := 0; j < span; j++ {
-		bits := out[columnHeaderLen+j*stride:]
-		for r := 0; r < rows; r++ {
-			if m.Get(r, col+j) {
-				bits[r/8] |= 1 << uint(r%8)
-			}
-		}
+// flipBits bounds the codes of a push's flip count and distances as
+// countBits does a reply's: the decoder refuses a zero prefix longer than a
+// value of flipBits bits needs at the code's order, which still reads
+// every value below 2^33 − 2^maxOrder and keeps the tally's values below
+// 2^33. Every mode's length is a factor of another unfolding's columns,
+// which tooWide keeps within int32, so a factor has fewer than 2^31 rows
+// and a stage of at most lookahead columns fewer than 3·2^31 entries: a
+// count or a distance is always in reach.
+const flipBits = 32
+
+// priceFlips returns the order a push of the flips at positions pos codes
+// their distances at, and the push's body bytes, the header excluded —
+// what the push is charged as broadcast.
+//
+//dbtf:noalloc
+func priceFlips(pos []uint64) (order uint, size int) {
+	var tally golombTally
+	prev := ^uint64(0) // −1: the first distance is the position + 1
+	for _, p := range pos {
+		tally.add(p-prev, 1)
+		prev = p
 	}
-	return out
+	order, bits := tally.best()
+	return order, (orderBits + bitvec.ExpGolombBits(uint64(len(pos)), 0) + bits + 7) / 8
 }
 
-// decodeColumns unpacks a StateColumn payload: bits holds span columns of
-// ⌈rows/8⌉ bytes each, the first being column col.
-func decodeColumns(payload []byte) (modeIdx, col, span, rows int, bits []byte, err error) {
+// appendFlips packs onto dst, at its exact size, the StateColumn push of
+// the flips at positions pos in the stage of span columns from col of
+// mode's factor, rows tall.
+func appendFlips(dst []byte, mode, col, span, rows int, pos []uint64) []byte {
+	order, size := priceFlips(pos)
+	dst = slices.Grow(dst, columnHeaderLen+size)
+	dst = append(dst, byte(mode), byte(span))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(col))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rows))
+	w := bitvec.NewBitWriter(dst)
+	w.Write(uint64(order), orderBits)
+	w.ExpGolomb(uint64(len(pos)), 0)
+	prev := ^uint64(0)
+	for _, p := range pos {
+		w.ExpGolomb(p-prev, order)
+		prev = p
+	}
+	return w.Pad()
+}
+
+// applyFlips toggles, in the matrix f holds for the push's mode, the
+// entries a StateColumn push lists. A push is applied whole or not at all:
+// it is read through once before anything is toggled. The one payload that applies is the one appendFlips makes
+// for the matrix: a mode, span and columns inside its shape and its row
+// count, at least one flip and no more than the bits left could list,
+// positions strictly increasing and below rows·span, the distances coded
+// at the order the encoder picks for them, a zero pad and no byte after
+// it; and none applies before the factors are installed.
+func applyFlips(payload []byte, f [3]*boolmat.FactorMatrix) error {
 	if len(payload) < columnHeaderLen {
-		return 0, 0, 0, 0, nil, fmt.Errorf("core: column payload truncated: %d bytes", len(payload))
+		return fmt.Errorf("core: column push truncated: %d bytes", len(payload))
 	}
-	modeIdx, span = int(payload[0]), int(payload[1])
-	col = int(binary.LittleEndian.Uint16(payload[2:]))
-	rows = int(binary.LittleEndian.Uint32(payload[4:]))
-	bits = payload[columnHeaderLen:]
-	if span < 1 || span > lookahead {
-		return 0, 0, 0, 0, nil, fmt.Errorf("core: column payload holds %d columns, want 1 to %d", span, lookahead)
+	mode, span := int(payload[0]), int(payload[1])
+	col := int(binary.LittleEndian.Uint16(payload[2:]))
+	rows := int(binary.LittleEndian.Uint32(payload[4:]))
+	if mode > 2 || span < 1 || span > lookahead {
+		return fmt.Errorf("core: column push of mode %d and %d columns, want a mode in [0,2] and 1 to %d columns", mode, span, lookahead)
 	}
-	if want := span * ((rows + 7) / 8); len(bits) != want {
-		return 0, 0, 0, 0, nil, fmt.Errorf("core: column payload has %d bit bytes, want %d for %d columns of %d rows", len(bits), want, span, rows)
+	m := f[modeRoles[mode].upd]
+	if m == nil {
+		return errors.New("core: column push before factors")
 	}
-	if modeIdx < 0 || modeIdx > 2 {
-		return 0, 0, 0, 0, nil, fmt.Errorf("core: column payload mode %d outside [0,2]", modeIdx)
+	if rows != m.Rows() || col+span > m.Rank() {
+		return fmt.Errorf("core: column push of %d rows, columns [%d,%d), does not fit a %dx%d factor",
+			rows, col, col+span, m.Rows(), m.Rank())
 	}
-	return modeIdx, col, span, rows, bits, nil
+	body := payload[columnHeaderLen:]
+	if err := readFlips(body, rows, span, nil, col); err != nil {
+		return err
+	}
+	// The body was just read through without an error; reading it again
+	// cannot fail.
+	_ = readFlips(body, rows, span, m, col)
+	return nil
+}
+
+// readFlips reads a push's body of flips in a stage of span columns,
+// rows tall, refusing what appendFlips would not make, and toggles each
+// flipped entry of m's columns from col unless m is nil.
+func readFlips(body []byte, rows, span int, m *boolmat.FactorMatrix, col int) error {
+	br := bitvec.NewBitReader(body)
+	order, ok := br.Bits(orderBits)
+	if !ok {
+		return errors.New("core: column push: the order is cut short")
+	}
+	count, ok := br.ExpGolomb(0, flipBits)
+	if !ok || count == 0 || count > uint64(br.Left()) {
+		return errors.New("core: column push: the flip count is cut short, over-long, zero or above the bits left")
+	}
+	var tally golombTally
+	limit, prev := uint64(rows)*uint64(span), ^uint64(0)
+	for i := uint64(0); i < count; i++ {
+		d, ok := readCode(&br, uint(order), flipBits, &tally)
+		if !ok || d == 0 || d > limit-(prev+1) {
+			return fmt.Errorf("core: column push: flip %d is cut short, over-long, repeated or at or past %d", i, limit)
+		}
+		prev += d
+		if m != nil {
+			r, c := int(prev/uint64(span)), col+int(prev%uint64(span))
+			m.Set(r, c, !m.Get(r, c))
+		}
+	}
+	if !br.Align() {
+		return errors.New("core: column push: a nonzero bit pads the body")
+	}
+	if n := br.Left() / 8; n != 0 {
+		return fmt.Errorf("core: column push: %d trailing bytes", n)
+	}
+	if k, _ := tally.best(); k != uint(order) {
+		return fmt.Errorf("core: column push: the flips are coded at order %d, their distances at %d", order, k)
+	}
+	return nil
 }
 
 // deltasHeaderLen is KindEval's result header: u32 row count, u8 lanes per

@@ -15,8 +15,11 @@ import (
 // lock and the wire codec. It implements transport.Host.
 //
 // Because the kernels are the driver's own and the state is kept
-// entry-identical to the coordinator's by the StateKind pushes, remote
-// factors are bit-identical to simulated ones for the same seed.
+// entry-identical to the coordinator's by the StateKind pushes — an
+// install of the factors, then the entries each stage's commit flipped —
+// remote factors are bit-identical to simulated ones for the same seed,
+// and the worker's cache tables outlive an iteration exactly as the
+// driver's do.
 //
 // Concurrency: the wire protocol is one request at a time per
 // connection and a stage task runs on one goroutine, so one lock
@@ -63,28 +66,10 @@ func (w *Worker) Apply(kind transport.StateKind, payload []byte) error {
 		}
 		return w.ex.setFactors(a, b, c)
 	case transport.StateColumn:
-		mode, col, span, rows, bits, err := decodeColumns(payload)
-		if err != nil {
-			return err
-		}
-		m := w.ex.f[modeRoles[mode].upd]
-		if m == nil {
-			return fmt.Errorf("core: worker: column pushed before factors")
-		}
-		if rows != m.Rows() || col+span > m.Rank() {
-			return fmt.Errorf("core: worker: column push %d rows/cols [%d,%d) does not fit %dx%d factor",
-				rows, col, col+span, m.Rows(), m.Rank())
-		}
-		// In place: live column tasks hold pointers to this matrix and must
-		// observe the committed entries, exactly as the driver's commit
-		// mutates the matrix under its own executor's tasks.
-		for j := 0; j < span; j++ {
-			for r := 0; r < rows; r++ {
-				m.Set(r, col+j, bits[r/8]&(1<<uint(r%8)) != 0)
-			}
-			bits = bits[(rows+7)/8:]
-		}
-		return nil
+		// In place: live column tasks hold pointers to these matrices and
+		// must observe the committed entries, exactly as the driver's
+		// commit mutates the matrix under its own executor's tasks.
+		return applyFlips(payload, w.ex.f)
 	}
 	return fmt.Errorf("core: worker: unknown state kind %d", kind)
 }

@@ -225,7 +225,7 @@ func TrafficValidation(cfg Config) *Table {
 		Header: []string{"workload", "shuffled", "broadcast", "collected"},
 		Notes: []string{
 			"Lemma 6: shuffled bytes grow with |X| (rows 1-2), less than in proportion: the exact partition bodies shipped, a count per row and partition plus a gap per nonzero shipped, as Exp-Golomb codes whose length follows the row's density, so a denser row's gaps cost fewer bits — each once in its mode-1 body, and in its mode-2 or mode-3 body only when that partition's home (its index mod M) is not its mode-1 partition's, which at N=4 is the same for M=4 and M=8 (rows 1,3)",
-			"Lemma 7: broadcast bytes scale with M (rows 1,3); collected bytes scale with N (rows 1,4), less than in proportion: per eval stage each partition ships the hits of the rows that have one and a region size per lookup (a Full block's repeats left out), Exp-Golomb codes at each field's shortest order, and the driver rebuilds the group bases from the sizes, so a sparse partition's reply is short",
+			"Lemma 7: broadcast bytes scale with M (rows 1,3): the factors once, at their install, then each stage's push of the entries its commit flipped, so they follow the data too (rows 1-2); collected bytes scale with N (rows 1,4), less than in proportion: per eval stage each partition ships the hits of the rows that have one and a region size per lookup (a Full block's repeats left out), Exp-Golomb codes at each field's shortest order, and the driver rebuilds the group bases from the sizes, so a sparse partition's reply is short",
 		},
 	}
 	base := dbtf.RandomTensor(cfg.rng(), dim, dim, dim, 0.02)

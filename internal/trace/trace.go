@@ -157,8 +157,10 @@ type StatsDelta struct {
 	// distribution of unfolded tensor partitions (Lemma 6) plus
 	// partitions re-shipped to survivors after machine losses.
 	ShuffledBytes int64 `json:"shuffled_bytes,omitempty"`
-	// BroadcastBytes is data sent from the driver to every machine: the
-	// factor matrices at each iteration (Lemma 7). Recorded already
+	// BroadcastBytes is data sent from the driver to every machine (Lemma
+	// 7): the factor matrices at each install — the initial sets, a kept
+	// set, a resumed checkpoint — and the body of each stage's push of the
+	// entries its commit flipped. Recorded already
 	// multiplied by the machine count. Recovery re-broadcasts (a single
 	// machine re-fetching the working set after a loss or rejoin) are
 	// added once, not multiplied.

@@ -103,11 +103,14 @@ type worker struct {
 }
 
 // stateLog is what a worker must have applied to be entry-identical to
-// the driver: the set-up, the latest factor snapshot, and the column
-// commits since that snapshot, each stamped with a sequence number that
-// only grows. A set-up drops everything before it and a factor snapshot
-// drops the previous snapshot and its columns, so the log stays bounded by
-// one iteration's commits.
+// the driver: the set-up, the last install of the factors, and the flips
+// pushed since that install, each stamped with a sequence number that only
+// grows. A set-up drops everything before it and an install drops the
+// previous install and its flips. The flips since an install are bounded by
+// the objective then: an entry is set only where that lowers |X ⊕ X̂| by at
+// least one, and cleared at most once per setting or per entry the install
+// set, so they number at most twice that objective plus the installed
+// ones, and a push holds at least one.
 type stateLog struct {
 	mu sync.Mutex
 	// setup[h] is machine h's set-up blob, stamped setupSeq; a set-up
@@ -130,7 +133,7 @@ func (l *stateLog) pushSetup(setup [][]byte) {
 	l.blobs, l.seqs = nil, nil
 }
 
-// push appends one factor snapshot or column commit. Dropping superseded
+// push appends one install or push of flips. Dropping superseded
 // entries allocates fresh slices instead of reusing the old backing arrays,
 // because a request in flight may still be encoding a suffix handed out by
 // after.

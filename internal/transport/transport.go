@@ -74,13 +74,15 @@ const (
 	// the decomposition options and the partitions homed on its machine.
 	// It resets the executor, and is replayed when a lost machine rejoins.
 	StateSetup StateKind = iota + 1
-	// StateFactors replaces the three factor matrices — the per-iteration
-	// broadcast working set. It invalidates executor-side column tasks
-	// and caches built over previous factor versions.
+	// StateFactors installs the three factor matrices — the broadcast
+	// working set — when the coordinator's change: each initial set, a kept
+	// set, a resumed checkpoint. It invalidates executor-side column tasks
+	// and caches built over the matrices it replaces.
 	StateFactors
-	// StateColumn applies the columns one eval stage committed to one
-	// factor matrix in place, keeping executor state identical to the
-	// coordinator's between full broadcasts.
+	// StateColumn toggles, in place, the entries of one factor matrix that
+	// one eval stage's commit flipped, keeping executor state identical to
+	// the coordinator's between installs. A commit that flips nothing
+	// pushes nothing.
 	StateColumn
 	// StateReship ships an executor another machine's set-up blob, whose
 	// partitions it adds to its own: the re-shipped partitions of the

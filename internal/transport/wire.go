@@ -38,8 +38,11 @@ import (
 // version-12 driver would read the bits as varints; version 14 answers it
 // with the rows' hits and the region sizes the driver rebuilds the group
 // bases from, instead of the bases — a version-13 driver would read the
-// sizes as bases.
-const ProtoVersion = 14
+// sizes as bases; version 15 pushes a stage's commit as the positions of
+// the entries it flipped, Exp-Golomb distances, instead of its packed
+// columns, and installs the factors only when they change — a version-14
+// worker would read the distances as column bits.
+const ProtoVersion = 15
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
 // tighter limit: large enough for a set-up blob, small enough that a
