@@ -11,6 +11,7 @@ import (
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
 	"dbtf/internal/gen"
+	"dbtf/internal/tensor"
 )
 
 // factorHash mirrors serve.FactorHash (which core cannot import): FNV-1a
@@ -121,6 +122,53 @@ func TestGoldenRunPin(t *testing.T) {
 						tc.name, v, backend, h, res.IterationErrors, got, tc.hash, tc.errs, tc.want)
 				}
 			}
+		}
+	}
+}
+
+// TestEvalWorkPin pins the work eval does — Block.Hits calls, SumDelta
+// lookups and cache tables built, summed over every worker of a run on the
+// in-process transport — on two fixed inputs: the Facebook stand-in at scale
+// 0.25, seed 7 (the CI TCP smoke's sparse input, with its flags), and
+// TestGoldenRunPin's random row. A change to how the partitions are built
+// must leave these exactly where they are; a change to how eval walks them
+// re-records them.
+func TestEvalWorkPin(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	planted, _, _, _ := gen.FromFactors(rng, 24, 20, 16, 4, 0.3)
+	golden := gen.AddNoise(rng, planted, 0.10, 0.05)
+	type work struct{ hits, lookups, builds int }
+	for _, tc := range []struct {
+		name     string
+		x        *tensor.Tensor
+		machines int
+		opt      Options
+		want     work
+	}{
+		{"facebook", gen.Facebook(rand.New(rand.NewSource(7)), 0.25).X, 2,
+			Options{Rank: 5, MaxIter: 3, Seed: 7}, work{6980, 138, 8}},
+		{"golden random", golden, 3,
+			Options{Rank: 4, Seed: 7, Partitions: 4, Init: InitRandom}, work{2856, 270, 9}},
+	} {
+		ht := newHostTransport(tc.machines)
+		if _, err := Decompose(context.Background(), tc.x, cluster.New(cluster.Config{Machines: tc.machines, Transport: ht}), tc.opt); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got work
+		for _, h := range ht.hosts {
+			ex := h.(*Worker).ex
+			for _, tasks := range ex.tasks {
+				for _, ct := range tasks {
+					if ct != nil {
+						got.hits += ct.hits
+						got.lookups += ct.lookups
+					}
+				}
+			}
+			got.builds += ex.reg[0].builds
+		}
+		if got != tc.want {
+			t.Errorf("%s: %+v, recorded %+v", tc.name, got, tc.want)
 		}
 	}
 }

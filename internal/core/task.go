@@ -85,8 +85,9 @@ type columnTask struct {
 	// delta is one group's flipped region.
 	delta sumcache.Delta
 	// lookups counts the SumDelta calls eval has made, one per key a
-	// block's groups form in a lane, at most one per (group, block, lane).
-	lookups int
+	// block's groups form in a lane, at most one per (group, block, lane);
+	// hits the Block.Hits calls, one per member row of a non-empty region.
+	lookups, hits int
 }
 
 // newColumnTask makes partition part's column task around its accumulator
@@ -143,7 +144,9 @@ func (t *columnTask) regionSize(bi int, b *partition.Block, mask, bit uint64, j,
 	s.send(b, mask, j, size)
 	if size != 0 {
 		for _, g := range s.blockKeys.members(k) {
-			for _, r := range s.groups.members(int(g)) {
+			rows := s.groups.members(int(g))
+			t.hits += len(rows)
+			for _, r := range rows {
 				s.addCount(t.deltas, int(r), lanes, b.Hits(int(r), region))
 			}
 		}
