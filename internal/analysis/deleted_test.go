@@ -102,6 +102,10 @@ var deletedNames = []deletedName{
 		pr: "one eval reply body: the rows' hits and the region sizes the driver rebuilds the group bases from; there is no plain body of lanes and no choice between two bodies"},
 	{pattern: `encodeColumns|decodeColumns`, scope: []string{"internal/core"},
 		pr: "the flip pushes: a stage replicates the entries its commit flipped, Exp-Golomb distances, and nothing when it flipped none; there is no second column body of packed bits"},
+	{pattern: `\.Unfold\(|UnfoldAll|\.Recycle\(\)|unfoldAndPartition|"unfold"`, scope: []string{"internal/core"}, nonTest: true,
+		pr: "set-up from the coordinate list: each partition task builds its mode's partitioning from x.Coords() (partition.FromTensor); the engine makes no Unfolded and has no driver unfold section"},
+	{pattern: `rowSource|rowSegments|segsPool|copySparse|copyDense|scratch \[\]int32`, scope: []string{"internal/partition"},
+		pr: "one fill: a count and a fill pass over (row, block, column) triples from any of three sources, offsets written straight into the arena; no per-block row segments, no second copy of the nonzeros"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

@@ -13,6 +13,7 @@ import (
 
 	"dbtf/internal/boolmat"
 	"dbtf/internal/partition"
+	"dbtf/internal/tensor"
 )
 
 // TestEndIterationUntracedAllocs: closing an iteration with tracing off
@@ -83,20 +84,19 @@ func TestWarmFactorUpdateAllocs(t *testing.T) {
 }
 
 // TestCarriedSetupAllocs: leaving out what carriedBy carries costs the
-// coordinator's set-up no object. Building a run's three partitionings with
-// their bodies sized for its machines allocates exactly as many objects as
-// the plain builds of the same unfoldings, and encodeSetup makes each
-// machine's blob as one object.
+// coordinator's set-up no object. Building a run's three partitionings from
+// the coordinate list with their bodies sized for its machines allocates
+// exactly as many objects as the plain builds of the same tensor, and
+// encodeSetup makes each machine's blob as one object.
 func TestCarriedSetupAllocs(t *testing.T) {
 	x := randomTensor(rand.New(rand.NewSource(44)), 24, 20, 16, 0.2)
 	dims := [3]int{24, 20, 16}
 	cfg := runConfig{Rank: 4, Partitions: 7, GroupBits: 4, Machines: 3}
-	ux := x.UnfoldAll()
 	build := func(carry func(m int) partition.Carry) (allocs float64, shuffled int64) {
 		allocs = testing.AllocsPerRun(20, func() {
 			shuffled = 0
-			for m, u := range ux {
-				px := partition.BuildCarrying(u, cfg.Partitions, carry(m))
+			for m := range dims {
+				px := partition.FromTensor(x, tensor.Mode(m+1), cfg.Partitions, carry(m))
 				shuffled += px.ShuffleBytes
 				px.Release()
 			}

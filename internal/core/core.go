@@ -319,7 +319,7 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 // DecomposeOn is Decompose of set's tensor on set's partitioned unfoldings,
 // which outlive the run: the first run on an empty set builds it inside its
 // own run span, every later one — concurrent ones included — reads it with
-// no unfold, no partition stage and no shuffle. The run's partition count
+// no partition stage and no shuffle. The run's partition count
 // and machine count must be the set's.
 func DecomposeOn(ctx context.Context, set *Partitions, cl *cluster.Cluster, opts Options) (*Result, error) {
 	return decompose(ctx, set.x, set, cl, opts, lookahead)
@@ -494,10 +494,10 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 		best := int64(math.MaxInt64)
 		var bestFlips int64
 		for l := 0; l < cfg.InitialSets; l++ {
-			// Drawing the initial factors is driver-side work like the
-			// unfold: a named span charges its wall time to the driver
-			// section, so per-stage attribution sees the init scheme's cost
-			// (topfiber's data passes are not free, just near-linear).
+			// Drawing the initial factors is driver-side work: a named
+			// span charges its wall time to the driver section, so
+			// per-stage attribution sees the init scheme's cost (topfiber's
+			// data passes are not free, just near-linear).
 			var ia, ib, ic *boolmat.FactorMatrix
 			if err := d.cl.DriverNamed(d.ctx, "init", func() {
 				ia, ib, ic = initialSet(rng, x, cfg)
@@ -714,7 +714,10 @@ func (d *decomposition) endIteration(t int, e, improvement, flips int64) {
 }
 
 // partitionAll installs the set's partitioned unfoldings, building them
-// first when no run has (Algorithm 2, lines 1-3).
+// first when no run has (Algorithm 2, lines 1-3): each machine builds its
+// mode's partitioning from the coordinate list in the run's partition
+// stage, and the shuffle volume of distributing the partitions — their
+// set-up bodies, exactly — is charged to the cluster (Lemma 6).
 func (d *decomposition) partitionAll(set *Partitions) error {
 	px, build, err := set.acquire(d.ctx)
 	if !build {
@@ -723,14 +726,21 @@ func (d *decomposition) partitionAll(set *Partitions) error {
 		}
 		return err
 	}
-	err = d.unfoldAndPartition()
+	err = d.ex.setup(d.x, func(n int, fn func(m int) error) error {
+		return d.cl.ForEachNamed(d.ctx, "partition", n, fn)
+	})
+	if err == nil {
+		for _, px := range d.ex.px {
+			d.cl.Shuffle(px.ShuffleBytes)
+		}
+	}
 	set.settle(d.ex.px, err)
 	return err
 }
 
 // shipSetup ships every remote machine the partitions homed on it, as
 // their set-up bodies (encodeSetup): the distribution of the partitioned
-// unfoldings Algorithm 2 pays once, which unfoldAndPartition charged. A
+// unfoldings Algorithm 2 pays once, which partitionAll charged. A
 // rejoining machine gets its blob replayed, and the survivor a lost
 // machine's batches are routed to gets the lost machine's with the first of
 // them — the re-shipped partitions of the recovery protocol, over the real
@@ -739,32 +749,6 @@ func (d *decomposition) shipSetup() error {
 	return d.cl.PushSetup(d.ctx, func(home int) ([]byte, error) {
 		return encodeSetup(d.ex.cfg, d.ex.dims, home, d.ex.px), nil
 	})
-}
-
-// unfoldAndPartition unfolds the tensor in its three modes and partitions
-// each unfolding on the run's own cluster, into the executor. The shuffle
-// volume of distributing the partitions — their set-up bodies, exactly — is
-// charged to the cluster (Lemma 6).
-func (d *decomposition) unfoldAndPartition() error {
-	// The three unfoldings share one fused sweep over the coordinate list
-	// (driver-side, like the initial factors), then each machine builds its
-	// mode's partitioning from the precomputed matricization.
-	var ux [3]*tensor.Unfolded
-	if err := d.cl.DriverNamed(d.ctx, "unfold", func() {
-		ux = d.x.UnfoldAll()
-	}); err != nil {
-		return err
-	}
-	err := d.ex.setup(ux, func(n int, fn func(m int) error) error {
-		return d.cl.ForEachNamed(d.ctx, "partition", n, fn)
-	})
-	if err != nil {
-		return err
-	}
-	for _, px := range d.ex.px {
-		d.cl.Shuffle(px.ShuffleBytes)
-	}
-	return nil
 }
 
 // committed is what a run of column commits did to the factors and, through

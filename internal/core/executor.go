@@ -87,23 +87,20 @@ func newExecutor(cfg runConfig, dims [3]int, machines int, place func(pi int) in
 	return ex
 }
 
-// setup builds the three vertical partitionings from the unfoldings — the
-// one-off distribution of Algorithm 2, lines 1-3 — and installs them, their
-// set-up bodies sized for the run's machines (carriedBy). each runs the
-// three per-mode builds, on the driver a cluster stage. The partitionings
-// hold their own copy of every nonzero, so the unfoldings are recycled.
-// What setup builds, on error the modes built so far, is its caller's to
-// keep or release (see install).
-func (ex *executor) setup(ux [3]*tensor.Unfolded, each func(n int, fn func(m int) error) error) error {
-	err := each(len(ux), func(m int) error {
-		ex.px[m] = partition.BuildCarrying(ux[m], ex.cfg.Partitions, carriedBy(m, ex.dims, ex.cfg))
+// setup builds the three vertical partitionings of x — the one-off
+// unfolding and distribution of Algorithm 2, lines 1-3 — and installs them,
+// their set-up bodies sized for the run's machines (carriedBy). each runs
+// the three per-mode builds, on the driver a cluster stage; each builds its
+// mode's partitioning straight from the coordinate list. What setup builds,
+// on error the modes built so far, is its caller's to keep or release (see
+// install).
+func (ex *executor) setup(x *tensor.Tensor, each func(n int, fn func(m int) error) error) error {
+	err := each(len(ex.px), func(m int) error {
+		ex.px[m] = partition.FromTensor(x, tensor.Mode(m+1), ex.cfg.Partitions, carriedBy(m, ex.dims, ex.cfg))
 		return nil
 	})
 	if err != nil {
 		return err
-	}
-	for _, u := range ux {
-		u.Recycle()
 	}
 	ex.install(ex.px)
 	return nil

@@ -12,10 +12,10 @@ import (
 // partition count N on M machines — M sizes the set-up bodies (carriedBy)
 // — the px of Algorithm 2, lines 1-3, which §III-B builds
 // once and never reshuffles. A run that finds the set empty builds it
-// through its own cluster — the unfold section, the partition stage and the
-// Lemma-6 shuffle are that run's — and every later run reads it. Any number
-// of runs may share one set, concurrently too: no stage writes a block after
-// partition.Build, and every per-run buffer (column tasks, lanes, cache
+// through its own cluster — the partition stage and the Lemma-6 shuffle are
+// that run's — and every later run reads it. Any number of runs may share
+// one set, concurrently too: no stage writes a block after
+// partition.FromTensor, and every per-run buffer (column tasks, lanes, cache
 // registries) belongs to the run's own executor.
 type Partitions struct {
 	x           *tensor.Tensor

@@ -264,8 +264,8 @@ func oracleOptions(o Options) Options {
 // the set empty. Then sc.shared runs start together on the set, the builder
 // holding its partition stage open until another run waits on the build, and
 // one more runs on the built set; run i has seed Seed+i. Each equals its own
-// oracle and passes checkTrace; exactly one builds — one unfold, one
-// partition stage, three shuffles, runStages stages — and every other reads
+// oracle and passes checkTrace; exactly one builds — one partition stage,
+// three shuffles, runStages stages — and every other reads
 // the set with no shuffled byte in one stage fewer. A run for another
 // partition count is refused. A checkpointing scenario's runs resume from
 // one checkpoint directory, each starting fresh in its own lineage, which
@@ -281,10 +281,10 @@ func checkShared(t *testing.T, sc scenario, x *tensor.Tensor, span int) {
 	}
 	set := NewPartitions(x, n, sc.machines)
 	type setRun struct {
-		res                           *Result
-		err                           error
-		events                        []*trace.Event
-		unfolds, partitions, shuffles int
+		res                  *Result
+		err                  error
+		events               []*trace.Event
+		partitions, shuffles int
 	}
 	// run i runs on the set on its own traced cluster; atPartition is called
 	// as the partition stage begins, on the building run's goroutine.
@@ -292,8 +292,6 @@ func checkShared(t *testing.T, sc scenario, x *tensor.Tensor, span int) {
 		cl := tracedCluster(sc.machines, func(ev *trace.Event) {
 			r.events = append(r.events, ev)
 			switch {
-			case ev.Type == trace.DriverBegin && ev.Name == "unfold":
-				r.unfolds++
 			case ev.Type == trace.StageBegin && ev.Name == "partition":
 				r.partitions++
 				atPartition()
@@ -358,13 +356,13 @@ func checkShared(t *testing.T, sc scenario, x *tensor.Tensor, span int) {
 		switch {
 		case r.shuffles > 0:
 			builders++
-			if r.unfolds != 1 || r.partitions != 1 || r.shuffles != 3 || st.Stages != stages {
-				t.Errorf("run %d built the set with %d unfolds, %d partition stages and %d shuffles in %d stages; want 1, 1, 3 in %d",
-					i, r.unfolds, r.partitions, r.shuffles, st.Stages, stages)
+			if r.partitions != 1 || r.shuffles != 3 || st.Stages != stages {
+				t.Errorf("run %d built the set with %d partition stages and %d shuffles in %d stages; want 1, 3 in %d",
+					i, r.partitions, r.shuffles, st.Stages, stages)
 			}
-		case r.unfolds+r.partitions != 0 || st.ShuffledBytes != 0 || st.Stages != stages-1:
-			t.Errorf("run %d read the set after %d unfolds and %d partition stages, shuffling %d B in %d stages; want none in %d",
-				i, r.unfolds, r.partitions, st.ShuffledBytes, st.Stages, stages-1)
+		case r.partitions != 0 || st.ShuffledBytes != 0 || st.Stages != stages-1:
+			t.Errorf("run %d read the set after %d partition stages, shuffling %d B in %d stages; want none in %d",
+				i, r.partitions, st.ShuffledBytes, st.Stages, stages-1)
 		}
 	}
 	if wantErr == nil && builders != 1 {

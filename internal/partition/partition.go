@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"dbtf/internal/bitvec"
 	"dbtf/internal/slab"
@@ -428,21 +427,39 @@ func (w *carryWalk) next() bool {
 	return w.carried
 }
 
-// Build vertically partitions an unfolded tensor into n partitions and
-// splits each partition into PVM-aligned blocks (Algorithm 3). n is capped
-// at the column count so every partition is nonempty; at least one
-// partition is always produced. Its set-up bodies carry nothing.
+// FromTensor vertically partitions x's mode-m unfolding (Equation 1) into
+// n partitions and splits each partition into PVM-aligned blocks
+// (Algorithm 3), straight from x's coordinate list: mode 1 is (i, j+k·J),
+// mode 2 (j, i+k·I) and mode 3 (k, i+j·I). n is capped at the column count
+// so every partition is nonempty; at least one partition is always
+// produced. The set-up bodies, and so ReshipBytes and ShuffleBytes, leave
+// out what carry carries. It panics on an unfolding whose columns overflow
+// int32.
+func FromTensor(x *tensor.Tensor, mode tensor.Mode, n int, carry Carry) *Partitioned {
+	i, j, k := x.Dims()
+	rows, width, products := [3]int{i, j, k}, [3]int{j, i, i}, [3]int{k, k, j}
+	m := mode - 1
+	if int64(width[m])*int64(products[m]) > math.MaxInt32 {
+		panic(fmt.Sprintf("partition: mode-%d unfolding has %d columns, beyond the int32 column space", mode, width[m]*products[m]))
+	}
+	px, parts, all := layout(rows[m], width[m]*products[m], width[m], n, 0, 1, carry)
+	first := make([]int32, products[m])
+	for bi := len(all) - 1; bi >= 0; bi-- {
+		first[all[bi].PVM] = int32(bi)
+	}
+	// Mode 3's row k is the coordinate that runs fastest.
+	px.fill(parts, all, mode == tensor.Mode3, coordPairs{coords: x.Coords(), mode: mode, blockSize: width[m], first: first}.pairs)
+	return px
+}
+
+// Build is FromTensor over an unfolding, its set-up bodies carrying
+// nothing.
 func Build(u *tensor.Unfolded, n int) *Partitioned { return BuildCarrying(u, n, Carry{}) }
 
-// BuildCarrying is Build whose set-up bodies, and so ReshipBytes and
-// ShuffleBytes, leave out what carry carries.
+// BuildCarrying is FromTensor over an unfolding.
 func BuildCarrying(u *tensor.Unfolded, n int, carry Carry) *Partitioned {
-	if n < 1 {
-		panic(fmt.Sprintf("partition: n must be >= 1, got %d", n))
-	}
-	px, parts, all := layout(u.NumRows, u.NumCols, u.BlockSize, n, 0, 1)
-	px.carry = carry
-	px.fill(parts, all, unfoldedRows{u})
+	px, parts, all := layout(u.NumRows, u.NumCols, u.BlockSize, n, 0, 1, carry)
+	px.fill(parts, all, false, unfoldedRows{u}.pairs)
 	return px
 }
 
@@ -458,8 +475,7 @@ func BuildCarrying(u *tensor.Unfolded, n int, carry Carry) *Partitioned {
 // Hi or inside a carried segment, a nonzero padding bit — is an error, and
 // nothing is kept.
 func Receive(rows, cols, blockSize, n, first, step int, carry Carry, src *Columns, body []byte) (*Partitioned, []byte, error) {
-	px, parts, all := layout(rows, cols, blockSize, n, first, step)
-	px.carry = carry
+	px, parts, all := layout(rows, cols, blockSize, n, first, step, carry)
 	if len(parts) == 0 {
 		return px, body, nil
 	}
@@ -468,7 +484,7 @@ func Receive(rows, cols, blockSize, n, first, step int, carry Carry, src *Column
 	if int64(len(parts))*int64(rows) > 8*int64(len(body)) {
 		return nil, nil, fmt.Errorf("partition: %d bodies of %d rows need more than the %d bytes left", len(parts), rows, len(body))
 	}
-	rs := &bodyRows{ptr: slab.Int32s(len(parts) * (rows + 1)), cols: slab.Int32s(8 * len(body)), next: slab.Int32s(rows),
+	rs := &bodyRows{rows: rows, ptr: slab.Int32s(len(parts) * (rows + 1)), cols: slab.Int32s(8 * len(body)),
 		parts: parts, carry: carry, src: src}
 	defer rs.release()
 	br := bitvec.NewBitReader(body)
@@ -521,7 +537,7 @@ func Receive(rows, cols, blockSize, n, first, step int, carry Carry, src *Column
 			return nil, nil, fmt.Errorf("partition: partition %d: a nonzero bit pads its body", p.Index)
 		}
 	}
-	px.fill(parts, all, rs)
+	px.fill(parts, all, false, rs.pairs)
 	return px, br.Rest(), nil
 }
 
@@ -532,9 +548,6 @@ type Columns struct {
 	// Column c of held partition p has the rows rows[ptr[k] : ptr[k+1]],
 	// k = base[p] + c.
 	base, ptr, rows []int32
-	// scratch holds the carried segments of the block being filled, as
-	// columns of the receiving unfolding.
-	scratch []int32
 }
 
 // Transpose returns p's held partitions column by column: one count pass
@@ -549,7 +562,7 @@ func (p *Partitioned) Transpose() *Columns {
 			nnz += part.NNZ()
 		}
 	}
-	t.ptr, t.rows, t.scratch = slab.Int32sZeroed(cols+1), slab.Int32s(nnz), slab.Int32s(nnz)
+	t.ptr, t.rows = slab.Int32sZeroed(cols+1), slab.Int32s(nnz)
 	each := func(fn func(k, r int)) {
 		for pi, part := range p.Parts {
 			if part == nil {
@@ -591,24 +604,27 @@ func (t *Columns) Release() {
 	slab.PutInt32s(t.base)
 	slab.PutInt32s(t.ptr)
 	slab.PutInt32s(t.rows)
-	slab.PutInt32s(t.scratch)
 	*t = Columns{}
 }
 
 // layout cuts a rows × cols unfolding with blockSize-wide PVM products into
-// n partitions of near-equal width (Algorithm 3), n capped at cols so that
-// every partition is nonempty, and lays out partitions first, first+step,
-// …: their bounds and PVM-aligned blocks with their Figure 5 types, no
-// nonzero. Every other slot of Parts stays nil. It returns the partitions
-// laid out, and their blocks in column order. The blocks, the pointers to
+// n >= 1 partitions of near-equal width (Algorithm 3), n capped at cols so
+// that every partition is nonempty, and lays out partitions first,
+// first+step, …, whose set-up bodies leave out what carry carries: their
+// bounds and PVM-aligned blocks with their Figure 5 types, no nonzero.
+// Every other slot of Parts stays nil. It returns the partitions laid out,
+// and their blocks in column order. The blocks, the pointers to
 // them and the partitions are one slab each, sized by counting first: a
 // partition over [lo, hi) meets the PVM products lo/blockSize …
 // (hi−1)/blockSize, one block apiece.
-func layout(rows, cols, blockSize, n, first, step int) (*Partitioned, []Partition, []*Block) {
+func layout(rows, cols, blockSize, n, first, step int, carry Carry) (*Partitioned, []Partition, []*Block) {
+	if n < 1 {
+		panic(fmt.Sprintf("partition: n must be >= 1, got %d", n))
+	}
 	if cols > 0 && n > cols {
 		n = cols
 	}
-	px := &Partitioned{NumRows: rows, NumCols: cols, BlockSize: blockSize, Parts: make([]*Partition, n)}
+	px := &Partitioned{NumRows: rows, NumCols: cols, BlockSize: blockSize, Parts: make([]*Partition, n), carry: carry}
 	bounds := func(i int) (lo, hi int) { return i * cols / n, (i + 1) * cols / n }
 	held, nb := 0, 0
 	for i := first; i < n; i += step {
@@ -642,146 +658,188 @@ func layout(rows, cols, blockSize, n, first, step int) (*Partitioned, []Partitio
 	return px, parts, all
 }
 
-// rowSource is what fill reads the laid-out partitions' nonzeros from.
-type rowSource interface {
-	// begin readies the k-th partition laid out. Until the next begin,
-	// segments is asked for its blocks in column order.
-	begin(k int)
-	// segments sets segs[r] to row r's nonzero columns inside block b, as
-	// global indices in ascending order, for every row.
-	segments(b *Block, segs [][]int32)
+// filler is fill's count-and-fill over the (row, block) segments. cur,
+// indexed row·rowStride + block·blockStride, counts each segment's nonzeros
+// in the count pass, and then holds the position in bits where the
+// segment's next offset goes. bits is nil during the count pass.
+type filler struct {
+	rowStride, blockStride int
+	// lo and hi are the laid-out blocks' global column bounds.
+	lo, hi    []int32
+	cur, bits []int32
 }
 
-// unfoldedRows is the driver's source: every block is a column range
-// inside a single PVM product, so its row segments are sub-ranges of the
-// unfolding's (row, PVM product) buckets, each found by arithmetic; only
-// the at-most-two partial blocks a partition boundary cuts into a product
-// trim the bucket's ends, so a full block's count pass touches no nonzero.
+// seek returns the block holding column col, walking on from block b: a
+// row's ascending columns walk its blocks once.
+func (f *filler) seek(b int, col int32) int {
+	for col >= f.hi[b] {
+		b++
+	}
+	return b
+}
+
+// add counts or places the nonzero in column col of row r, inside block b.
+func (f *filler) add(r, b int, col int32) {
+	k := r*f.rowStride + b*f.blockStride
+	if f.bits != nil {
+		f.bits[f.cur[k]] = col - f.lo[b]
+	}
+	f.cur[k]++
+}
+
+// coordPairs is the coordinator's source, a tensor's coordinate list: each
+// nonzero lies in row r, PVM product pvm and column pvm·BlockSize + inner
+// of the mode's unfolding (Equation 1), and first[pvm] is the first block
+// of product pvm. The list is sorted by (I, J, K), which for every mode
+// leaves the inner index ascending within a fixed row and product.
+type coordPairs struct {
+	coords    []tensor.Coord
+	mode      tensor.Mode
+	blockSize int
+	first     []int32
+}
+
+func (s coordPairs) pairs(f filler) {
+	w := s.blockSize
+	switch s.mode {
+	case tensor.Mode1:
+		for _, c := range s.coords {
+			col := int32(c.J + c.K*w)
+			f.add(c.I, f.seek(int(s.first[c.K]), col), col)
+		}
+	case tensor.Mode2:
+		for _, c := range s.coords {
+			col := int32(c.I + c.K*w)
+			f.add(c.J, f.seek(int(s.first[c.K]), col), col)
+		}
+	default:
+		for _, c := range s.coords {
+			col := int32(c.I + c.J*w)
+			f.add(c.K, f.seek(int(s.first[c.J]), col), col)
+		}
+	}
+}
+
+// unfoldedRows is Build's source: an unfolding's rows, every partition
+// laid out.
 type unfoldedRows struct{ u *tensor.Unfolded }
 
-func (unfoldedRows) begin(int) {}
-
-func (s unfoldedRows) segments(b *Block, segs [][]int32) {
-	if b.Type == Full {
-		for r := range segs {
-			segs[r] = s.u.BlockRow(r, b.PVM)
+func (s unfoldedRows) pairs(f filler) {
+	for r := 0; r < s.u.NumRows; r++ {
+		b := 0
+		for _, c := range s.u.Row(r) {
+			b = f.seek(b, c)
+			f.add(r, b, c)
 		}
-		return
-	}
-	for r := range segs {
-		segs[r] = trimSegment(s.u.BlockRow(r, b.PVM), int32(b.Lo), int32(b.Hi))
 	}
 }
 
 // bodyRows is a receiving machine's source: its partitions' decoded set-up
 // bodies, and for the segments they carry the machine's source partitions.
 // Row r of the k-th partition's body holds the global columns
-// cols[ptr[k(rows+1)+r] : ptr[k(rows+1)+r+1]], of which the blocks already
-// read have taken those before next[r].
+// cols[ptr[k(rows+1)+r] : ptr[k(rows+1)+r+1]].
 type bodyRows struct {
-	ptr, cols, next []int32
-	cur             []int32 // the begun partition's row pointers
-	index           int     // the begun partition's
-	parts           []Partition
-	carry           Carry
-	src             *Columns
+	rows      int
+	ptr, cols []int32
+	parts     []Partition
+	carry     Carry
+	src       *Columns
 }
 
-func (s *bodyRows) begin(k int) {
-	rows := len(s.next)
-	s.cur = s.ptr[k*(rows+1):][:rows+1]
-	s.index = s.parts[k].Index
-	copy(s.next, s.cur[:rows])
-}
-
-// segments reads a carried segment from the source column it lies in —
-// the rows i there inside the block are its columns PVM·BlockSize + i — and
+// pairs reads a carried segment from the source column it lies in — the
+// rows i there inside the block are its columns PVM·BlockSize + i — and
 // every other segment from the body.
-func (s *bodyRows) segments(b *Block, segs [][]int32) {
-	hi := int32(b.Hi)
-	w := s.carry.down(s.index, b.PVM)
-	var free []int32
-	if s.src != nil {
-		free = s.src.scratch
-	}
-	for r := range segs {
-		if w.next() {
-			rows := trimSegment(s.src.column(w.part, w.at), int32(b.InnerLo), int32(b.InnerLo+b.Width()))
-			seg := free[:len(rows):len(rows)]
-			free = free[len(rows):]
-			for n, i := range rows {
-				seg[n] = int32(b.Lo-b.InnerLo) + i
+func (s *bodyRows) pairs(f filler) {
+	rows, base := s.rows, 0
+	for k := range s.parts {
+		p := &s.parts[k]
+		ptr := s.ptr[k*(rows+1):][:rows+1]
+		for r := 0; r < rows; r++ {
+			b := base
+			for _, c := range s.cols[ptr[r]:ptr[r+1]] {
+				b = f.seek(b, c)
+				f.add(r, b, c)
 			}
-			segs[r] = seg
-			continue
 		}
-		from, to, end := s.next[r], s.next[r], s.cur[r+1]
-		for to < end && s.cols[to] < hi {
-			to++
+		for bi, blk := range p.Blocks {
+			w := s.carry.down(p.Index, blk.PVM)
+			for r := 0; r < rows; r++ {
+				if w.next() {
+					for _, i := range trimSegment(s.src.column(w.part, w.at), int32(blk.InnerLo), int32(blk.InnerLo+blk.Width())) {
+						f.add(r, base+bi, int32(blk.Lo-blk.InnerLo)+i)
+					}
+				}
+			}
 		}
-		s.next[r] = to
-		segs[r] = s.cols[from:to]
+		base += len(p.Blocks)
 	}
 }
 
 func (s *bodyRows) release() {
 	slab.PutInt32s(s.ptr)
 	slab.PutInt32s(s.cols)
-	slab.PutInt32s(s.next)
 }
 
 // fill writes the laid-out blocks' CSR forms (and packed rows, for blocks
-// at or above DenseRowThreshold) from src, whatever src is, and counts every
-// partition's set-up body on the way. A count pass sizes each block's rows
-// from every nonzero; the fill pass then writes each block's offsets
-// sequentially into arenas shared by all blocks, and adds up the body's
-// codes as it writes them — each row's count, summed from the count pass's
-// row pointers, and its gaps, which run on across the partition's blocks
-// from one shipped nonzero to the next — so the size costs no pass over the
-// nonzeros of its own. A carried segment is written and not tallied.
-func (px *Partitioned) fill(parts []Partition, all []*Block, src rowSource) {
-	rows := px.NumRows
-	ptrArena := slab.Int32s(len(all) * (rows + 1))
+// at or above DenseRowThreshold) and counts every partition's set-up body.
+// pairs is the source, whatever it is: called once to count and once to
+// place, it hands the filler every nonzero it holds as its row, block and
+// column, in any order that keeps a row's columns inside a block
+// ascending. The count pass sizes every (row, block) segment; the segments
+// are laid out block by block, each block's rows in order, in one arena,
+// and the fill pass writes each offset at its segment's cursor. The
+// cursors run row by row, or block by block when byBlock is set, for a
+// source whose consecutive nonzeros step through rows more often than
+// through blocks. A short pass then packs the dense blocks' rows and adds
+// up each body's codes — each row's count, summed from the row pointers
+// over the segments the body ships, and its gaps, which run on across the
+// partition's blocks from one shipped nonzero to the next. A carried
+// segment is written and not tallied.
+func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs func(filler)) {
+	rows, nb := px.NumRows, len(all)
+	// One small object whatever the shape: the blocks' bounds, and for the
+	// tally pass last[r], the last column of row r shipped in the partition
+	// being tallied, and order[r], the order of the row's gap codes there.
+	small := make([]int32, 2*nb+2*rows)
+	last, order := small[2*nb:2*nb+rows], small[2*nb+rows:]
+	f := filler{rowStride: nb, blockStride: 1, lo: small[:nb], hi: small[nb : 2*nb], cur: slab.Int32sZeroed(rows * nb)}
+	if byBlock {
+		f.rowStride, f.blockStride = 1, rows
+	}
+	for bi, b := range all {
+		f.lo[bi], f.hi[bi] = int32(b.Lo), int32(b.Hi)
+	}
+	pairs(f)
+	ptrArena := slab.Int32s(nb * (rows + 1))
 	denseTotal := 0
-	bitsOff := make([]int32, len(all)+1)
-	segs := rowSegments(rows)
-	defer putRowSegments(segs)
-	bi := 0
-	for k := range parts {
-		src.begin(k)
-		for _, b := range parts[k].Blocks {
-			rp := ptrArena[bi*(rows+1) : (bi+1)*(rows+1)]
-			rp[0] = 0 // the arena is recycled, not zeroed
-			src.segments(b, *segs)
-			for r, seg := range *segs {
-				rp[r+1] = rp[r] + int32(len(seg))
-			}
-			total := int(rp[rows])
-			b.rowPtr = rp
-			bitsOff[bi+1] = bitsOff[bi] + int32(total)
-			if cells := rows * b.Width(); cells > 0 &&
-				float64(total)/float64(cells) >= DenseRowThreshold {
-				b.stride = (b.Width() + bitvec.WordBits - 1) / bitvec.WordBits
-				denseTotal += rows * b.stride
-			}
-			bi++
+	pos := int32(0)
+	for bi, b := range all {
+		rp := ptrArena[bi*(rows+1) : (bi+1)*(rows+1)]
+		start := pos
+		for r := 0; r < rows; r++ {
+			rp[r] = pos - start
+			k := r*f.rowStride + bi*f.blockStride
+			pos, f.cur[k] = pos+f.cur[k], pos
+		}
+		rp[rows] = pos - start
+		b.rowPtr = rp
+		if cells := rows * b.Width(); cells > 0 &&
+			float64(pos-start)/float64(cells) >= DenseRowThreshold {
+			b.stride = (b.Width() + bitvec.WordBits - 1) / bitvec.WordBits
+			denseTotal += rows * b.stride
 		}
 	}
-	bitsArena := slab.Int32s(int(bitsOff[len(all)]))
+	f.bits = slab.Int32s(int(pos))
+	pairs(f)
+	slab.PutInt32s(f.cur)
 	denseArena := slab.Uint64sZeroed(denseTotal)
-	px.ptrArena, px.bitsArena, px.denseArena = ptrArena, bitsArena, denseArena
-	// last[r] is the last column of row r shipped in the partition being
-	// filled, order[r] the order of the row's gap codes there.
-	scratch := slab.Int32s(2 * rows)
-	last, order := scratch[:rows], scratch[rows:]
-	denseOff := 0
-	bi = 0
+	px.ptrArena, px.bitsArena, px.denseArena = ptrArena, f.bits, denseArena
+	pos, denseOff := int32(0), 0
 	for k := range parts {
 		p := &parts[k]
-		src.begin(k)
-		// A row's gap codes need its shipped count: the count pass's row
-		// pointers summed over the segments the body ships. Its code is
-		// tallied here, then the slot holds the order.
+		// A row's gap codes need its shipped count: the row pointers summed
+		// over the segments the body ships. Its code is tallied here, then
+		// the slot holds the order.
 		for r := range last {
 			last[r], order[r] = int32(p.Lo)-1, 0
 		}
@@ -801,100 +859,52 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, src rowSource) {
 			}
 		}
 		for _, b := range p.Blocks {
-			b.bits = bitsArena[bitsOff[bi]:bitsOff[bi+1]:bitsOff[bi+1]]
+			n := b.rowPtr[rows]
+			b.bits = f.bits[pos : pos+n : pos+n]
+			pos += n
 			if b.stride > 0 {
 				b.denseWords = denseArena[denseOff : denseOff+rows*b.stride]
 				denseOff += rows * b.stride
 			}
-			lo, pos := int32(b.Lo), 0
-			src.segments(b, *segs)
+			lo := int32(b.Lo)
 			w := px.carry.down(p.Index, b.PVM)
-			for r, seg := range *segs {
-				shipped := !w.next()
-				if len(seg) == 0 {
+			for r := range last {
+				offs := b.RowBits(r)
+				if b.stride > 0 {
+					pack(b.RowWords(r), offs)
+				}
+				if w.next() || len(offs) == 0 {
 					continue
 				}
-				// A gap's code is 2·bitlen(q) − 1 + k bits: the copy sums the
-				// bitlen(q), branch-free, and only a shipped segment keeps it.
-				ord := uint32(order[r])
-				var lens int
-				if b.stride > 0 {
-					lens = copyDense(b.bits[pos:], b.denseWords[r*b.stride:(r+1)*b.stride], seg, lo, last[r], ord)
-				} else {
-					lens = copySparse(b.bits[pos:], seg, lo, last[r], ord)
-				}
-				pos += len(seg)
-				if shipped {
-					body += 2*lens + len(seg)*(int(ord)-1)
-					last[r] = seg[len(seg)-1]
-				}
+				// A gap's code is 2·bitlen(q) − 1 + k bits.
+				ord := order[r]
+				body += 2*gapLens(offs, lo, last[r], uint32(ord)) + len(offs)*(int(ord)-1)
+				last[r] = lo + offs[len(offs)-1]
 			}
-			bi++
 		}
 		p.bodyBytes = int64(body+7) / 8
 		px.ShuffleBytes += p.bodyBytes
 	}
-	slab.PutInt32s(scratch)
 }
 
-// copySparse writes seg's columns less lo to dst and returns the sum over
-// them of bitlen((c − p − 1)>>k + 1), p the column before c and prev before
-// the first: the quotients' lengths of their order-k gap codes. It stays
-// out of line: inlined into fill, whose many live values spill the loop's
-// sum and column to the stack, the tally cost a fifth of Build.
-//
-//go:noinline
-func copySparse(dst, seg []int32, lo, prev int32, k uint32) int {
+// gapLens returns the sum over offs of bitlen((c − p − 1)>>k + 1), c the
+// column lo + o and p the column before c, prev before the first: the
+// quotients' lengths of their order-k gap codes.
+func gapLens(offs []int32, lo, prev int32, k uint32) int {
 	lens := 0
-	dst = dst[:len(seg)]
-	for i, c := range seg {
-		dst[i] = c - lo
+	for _, o := range offs {
+		c := lo + o
 		lens += bits.Len32(uint32(c-prev-1)>>(k&31) + 1)
 		prev = c
 	}
 	return lens
 }
 
-// copyDense is copySparse that also sets each column's bit in its row's
-// packed words.
-//
-//go:noinline
-func copyDense(dst []int32, words []uint64, seg []int32, lo, prev int32, k uint32) int {
-	lens := 0
-	dst = dst[:len(seg)]
-	for i, c := range seg {
-		o := c - lo
-		dst[i] = o
+// pack sets each offset's bit in a row's packed words.
+func pack(words []uint64, offs []int32) {
+	for _, o := range offs {
 		words[int(o)>>6] |= uint64(1) << (uint32(o) & 63)
-		lens += bits.Len32(uint32(c-prev-1)>>(k&31) + 1)
-		prev = c
 	}
-	return lens
-}
-
-// segsPool recycles the slices fill has a source write a block's row
-// segments into, one call a block: a partitioning would otherwise allocate
-// one per build.
-var segsPool sync.Pool
-
-// rowSegments returns a pooled slice of rows segments.
-func rowSegments(rows int) *[][]int32 {
-	segs, _ := segsPool.Get().(*[][]int32)
-	if segs == nil {
-		segs = new([][]int32)
-	}
-	if cap(*segs) < rows {
-		*segs = make([][]int32, rows)
-	}
-	*segs = (*segs)[:rows]
-	return segs
-}
-
-// putRowSegments returns segs to the pool, cleared so that the pool keeps
-// no arena reachable.
-func putRowSegments(segs *[][]int32) {
-	clear(*segs)
-	segsPool.Put(segs)
 }
 
 // trimSegment narrows a sorted bucket segment to columns [lo, hi). Partial

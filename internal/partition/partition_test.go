@@ -150,7 +150,8 @@ func TestLemma3AtMostThreeTypes(t *testing.T) {
 
 func TestBlockCSRMatchesUnfolded(t *testing.T) {
 	// Row for row, the blocks' nonzeros read in column order are exactly the
-	// unfolding's row, and a dense block's packed words hold the same bits —
+	// unfolding's row, and a dense block's packed words hold the same bits,
+	// whether the partitions were built from the unfolding or the coordinates —
 	// on a small dense tensor, on the relationship-data shape (rows·blocks
 	// far beyond the nonzero count), with a 1-wide and a 0-wide mode, and
 	// with more partitions asked for than there are columns.
@@ -168,31 +169,33 @@ func TestBlockCSRMatchesUnfolded(t *testing.T) {
 				ns = append(ns, u.NumCols+3)
 			}
 			for _, n := range ns {
-				px := Build(u, n)
-				for r := 0; r < u.NumRows; r++ {
-					var got []int32
-					for _, p := range px.Parts {
-						for _, b := range p.Blocks {
-							var words []uint64
-							if b.Dense() {
-								words = make([]uint64, len(b.RowWords(r)))
-							}
-							for _, bit := range b.RowBits(r) {
-								if int(bit) >= b.Width() {
-									t.Fatalf("%dx%dx%d mode %d n=%d: bit %d outside block [%d,%d)", i, j, k, m+1, n, bit, b.Lo, b.Hi)
-								}
-								got = append(got, int32(b.Lo)+bit)
+				// Build reads the unfolding, FromTensor the coordinate list.
+				for _, px := range []*Partitioned{Build(u, n), FromTensor(x, tensor.Mode(m+1), n, Carry{})} {
+					for r := 0; r < u.NumRows; r++ {
+						var got []int32
+						for _, p := range px.Parts {
+							for _, b := range p.Blocks {
+								var words []uint64
 								if b.Dense() {
-									words[bit>>6] |= 1 << (uint(bit) & 63)
+									words = make([]uint64, len(b.RowWords(r)))
 								}
-							}
-							if !slices.Equal(b.RowWords(r), words) {
-								t.Fatalf("%dx%dx%d mode %d n=%d: block [%d,%d) row %d packed words differ from its offsets", i, j, k, m+1, n, b.Lo, b.Hi, r)
+								for _, bit := range b.RowBits(r) {
+									if int(bit) >= b.Width() {
+										t.Fatalf("%dx%dx%d mode %d n=%d: bit %d outside block [%d,%d)", i, j, k, m+1, n, bit, b.Lo, b.Hi)
+									}
+									got = append(got, int32(b.Lo)+bit)
+									if b.Dense() {
+										words[bit>>6] |= 1 << (uint(bit) & 63)
+									}
+								}
+								if !slices.Equal(b.RowWords(r), words) {
+									t.Fatalf("%dx%dx%d mode %d n=%d: block [%d,%d) row %d packed words differ from its offsets", i, j, k, m+1, n, b.Lo, b.Hi, r)
+								}
 							}
 						}
-					}
-					if !slices.Equal(got, u.Row(r)) {
-						t.Fatalf("%dx%dx%d mode %d n=%d: row %d blocks hold %v, unfolded has %v", i, j, k, m+1, n, r, got, u.Row(r))
+						if !slices.Equal(got, u.Row(r)) {
+							t.Fatalf("%dx%dx%d mode %d n=%d: row %d blocks hold %v, unfolded has %v", i, j, k, m+1, n, r, got, u.Row(r))
+						}
 					}
 				}
 			}

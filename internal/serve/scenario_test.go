@@ -214,10 +214,10 @@ type serveRun struct {
 // whether it reached an iteration, and the wall clock at its run_begin and at
 // its last shuffle.
 type setUpRun struct {
-	at                            string // the process and the tensor
-	unfolds, partitions, shuffles int
-	iterated                      bool
-	begin, built                  int64
+	at                   string // the process and the tensor
+	partitions, shuffles int
+	iterated             bool
+	begin, built         int64
 }
 
 func (r *serveRun) view(j int) JobView { return r.procs[len(r.procs)-1].end[r.ids[j]] }
@@ -429,8 +429,6 @@ func (r *serveRun) readTrace(t *testing.T, h http.Handler, v JobView) []int64 {
 				r.runs[v.ID] = append(r.runs[v.ID], setUpRun{at: fmt.Sprintf("process %d, %s", k, v.Spec.TensorID), begin: ev.WallNanos})
 				run = &r.runs[v.ID][len(r.runs[v.ID])-1]
 			case run == nil:
-			case ev.Type == trace.DriverBegin && ev.Name == "unfold":
-				run.unfolds++
 			case ev.Type == trace.StageBegin && ev.Name == "partition":
 				run.partitions++
 			case ev.Type == trace.Shuffle:
@@ -447,7 +445,7 @@ func (r *serveRun) readTrace(t *testing.T, h http.Handler, v JobView) []int64 {
 }
 
 // checkSetUp holds each process to one build of each tensor's set, by one
-// run — one unfold, one partition stage, three shuffles — and to one build if
+// run — one partition stage, three shuffles — and to one build if
 // any run on the tensor reached an iteration; no run that began after the
 // build sets the tensor up again. (A build cancelled in its partition stage
 // holds no shuffle and is not kept.)
@@ -457,8 +455,8 @@ func (r *serveRun) checkSetUp(t *testing.T) {
 	for _, runs := range r.runs {
 		for _, run := range runs {
 			if _, twice := built[run.at]; run.shuffles > 0 {
-				if twice || run.unfolds != 1 || run.partitions != 1 || run.shuffles != 3 {
-					t.Errorf("%s: a build (again: %v) with %d unfolds, %d partition stages and %d shuffles", run.at, twice, run.unfolds, run.partitions, run.shuffles)
+				if twice || run.partitions != 1 || run.shuffles != 3 {
+					t.Errorf("%s: a build (again: %v) with %d partition stages and %d shuffles", run.at, twice, run.partitions, run.shuffles)
 				}
 				built[run.at] = run.built
 			}
@@ -467,7 +465,7 @@ func (r *serveRun) checkSetUp(t *testing.T) {
 	for id, runs := range r.runs {
 		for _, run := range runs {
 			b, ok := built[run.at]
-			if !ok && run.iterated || ok && run.begin > b && run.unfolds+run.partitions+run.shuffles > 0 {
+			if !ok && run.iterated || ok && run.begin > b && run.partitions+run.shuffles > 0 {
 				t.Errorf("job %s, %s: a run iterated with no build (%v) or set the tensor up after it", id, run.at, !ok)
 			}
 		}

@@ -94,19 +94,24 @@ func DecodeBinary(data []byte) (*Tensor, []byte, error) {
 	coords := make([]Coord, nnz)
 	cur, ordered := 0, true
 	for n := range coords {
-		di, k1 := binary.Uvarint(rest)
-		if k1 <= 0 {
-			return nil, nil, fmt.Errorf("tensor: entry %d: %w", n, uvarintErr(k1))
+		// ΔI, J and K: nearly every one is a one- or two-byte uvarint,
+		// decoded here; a longer one goes to binary.Uvarint.
+		var f [3]uint64
+		for m := range f {
+			switch {
+			case len(rest) > 1 && rest[0] < 0x80:
+				f[m], rest = uint64(rest[0]), rest[1:]
+			case len(rest) > 1 && rest[1] < 0x80:
+				f[m], rest = uint64(rest[0]&0x7f)|uint64(rest[1])<<7, rest[2:]
+			default:
+				v, k := binary.Uvarint(rest)
+				if k <= 0 {
+					return nil, nil, fmt.Errorf("tensor: entry %d: %w", n, uvarintErr(k))
+				}
+				f[m], rest = v, rest[k:]
+			}
 		}
-		j, k2 := binary.Uvarint(rest[k1:])
-		if k2 <= 0 {
-			return nil, nil, fmt.Errorf("tensor: entry %d: %w", n, uvarintErr(k2))
-		}
-		k, k3 := binary.Uvarint(rest[k1+k2:])
-		if k3 <= 0 {
-			return nil, nil, fmt.Errorf("tensor: entry %d: %w", n, uvarintErr(k3))
-		}
-		rest = rest[k1+k2+k3:]
+		di, j, k := f[0], f[1], f[2]
 		// maxDim bounds the sum too: a ΔI that would wrap is out of range.
 		if di > maxDim || j > maxDim || k > maxDim {
 			return nil, nil, fmt.Errorf("tensor: entry %d coordinate out of range", n)

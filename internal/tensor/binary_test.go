@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"math/rand"
 	"path/filepath"
@@ -274,4 +275,77 @@ func TestDecodeBinaryForgedCount(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
 		t.Fatalf("refusing a %d-byte blob allocated %d bytes", len(forged), grew)
 	}
+}
+
+// referenceDecode is DecodeBinary as it was before its entry loop decoded
+// the short uvarints itself: every field through binary.Uvarint, every
+// check as DecodeBinary makes it.
+func referenceDecode(data []byte) (*Tensor, []byte, error) {
+	if len(data) < len(binaryMagic) || !bytes.Equal(data[:len(binaryMagic)], binaryMagic[:]) {
+		return DecodeBinary(data) // the magic is checked before any uvarint
+	}
+	rest := data[len(binaryMagic):]
+	var dims [4]uint64
+	for n := range dims {
+		v, k := binary.Uvarint(rest)
+		if k <= 0 {
+			return nil, nil, fmt.Errorf("tensor: binary header: %w", uvarintErr(k))
+		}
+		dims[n], rest = v, rest[k:]
+	}
+	const maxDim = 1 << 40
+	if dims[0] > maxDim || dims[1] > maxDim || dims[2] > maxDim {
+		return nil, nil, fmt.Errorf("tensor: implausible dimensions %dx%dx%d", dims[0], dims[1], dims[2])
+	}
+	t := New(int(dims[0]), int(dims[1]), int(dims[2]))
+	if dims[3] > uint64(len(rest))/3 {
+		return nil, nil, fmt.Errorf("tensor: %d entries claimed, %d bytes follow: %w", dims[3], len(rest), io.ErrUnexpectedEOF)
+	}
+	coords := make([]Coord, int(dims[3]))
+	cur := 0
+	for n := range coords {
+		var f [3]uint64
+		for m := range f {
+			v, k := binary.Uvarint(rest)
+			if k <= 0 {
+				return nil, nil, fmt.Errorf("tensor: entry %d: %w", n, uvarintErr(k))
+			}
+			f[m], rest = v, rest[k:]
+		}
+		if f[0] > maxDim || f[1] > maxDim || f[2] > maxDim {
+			return nil, nil, fmt.Errorf("tensor: entry %d coordinate out of range", n)
+		}
+		cur += int(f[0])
+		c := Coord{I: cur, J: int(f[1]), K: int(f[2])}
+		if !t.inRange(c) {
+			return nil, nil, fmt.Errorf("tensor: entry %d coordinate (%d,%d,%d) outside %dx%dx%d",
+				n, c.I, c.J, c.K, t.dimI, t.dimJ, t.dimK)
+		}
+		coords[n] = c
+	}
+	sortCoords(coords)
+	t.coords = dedup(coords)
+	return t, rest, nil
+}
+
+// FuzzDecodeBinary: on any input DecodeBinary gives the tensor and the
+// rest the reference decoder gives, or fails with its error.
+func FuzzDecodeBinary(f *testing.F) {
+	f.Add(goldenTensor.AppendBinary(nil))
+	f.Add([]byte(goldenTensor.AppendBinary(nil))[:20])
+	f.Add(blob(4, 5, 6, []Coord{{0, 1, 2}, {1, 3, 5}, {1, 0, 0}, {1, 4, 1}, {1, 4, 1}, {3, 0, 0}}))
+	f.Add(append(blob(1<<20, 200, 1<<15, []Coord{{1 << 19, 199, 1 << 14}}), 0x80))
+	f.Add(append(append([]byte(nil), binaryMagic[:]...), 3, 3, 3, 1, 0x80, 0x00, 0x81, 0x80, 0x00, 2))
+	f.Add(append(append([]byte(nil), binaryMagic[:]...), 3, 3, 3, 1, 0, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f))
+	f.Add([]byte("DBT1"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, rest, err := DecodeBinary(data)
+		want, wantRest, wantErr := referenceDecode(data)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("DecodeBinary: %v, the reference: %v", err, wantErr)
+		}
+		if err == nil && (!got.Equal(want) || !bytes.Equal(rest, wantRest)) {
+			t.Fatalf("DecodeBinary gave %v with %d bytes left, the reference %v with %d", got.Coords(), len(rest), want.Coords(), len(wantRest))
+		}
+	})
 }

@@ -182,15 +182,12 @@ const (
 // Unfolded is the mode-n matricization X₍ₙ₎ of a tensor in compressed
 // sparse form: for each (row, PVM block) pair a bucket of sorted nonzero
 // column indices, the buckets of one row adjacent, so a row is a sorted
-// list too.
-//
-// Memory: the bucket table is NumRows × NumBlocks int32 beside one int32
-// per nonzero — the same order as the row-pointer arena partition.Build
-// allocates from it (blocks × (rows+1) int32), so an unfolding never needs
-// more than the partitioning the engine is about to build anyway. Of the
-// callers that stop at the unfolding, bcpals densifies it (rows × columns
-// bits, larger) and tucker's evaluator runs after an engine run on the same
-// tensor.
+// list too. The decomposition engine does not build it — each machine
+// partitions its mode straight from the coordinate list
+// (partition.FromTensor) — so it serves the callers that want whole rows:
+// bcpals densifies it, tucker's evaluator walks it, partition.Build reads
+// it. Memory: NumRows × NumBlocks int32 of bucket offsets beside one int32
+// per nonzero.
 type Unfolded struct {
 	NumRows, NumCols int
 	// BlockSize is the width of one pointwise vector-matrix (PVM) product
@@ -322,10 +319,8 @@ func (u *Unfolded) BlockRow(r, p int) []int32 {
 }
 
 // Recycle returns the unfolding's large arrays to the slab pool and
-// poisons the unfolding against further use. A caller that builds a
-// partitioning and keeps nothing else (the decomposition engine's driver)
-// recycles the unfolding once partition.Build has copied every nonzero; all
-// other users simply let the garbage collector take it.
+// poisons the unfolding against further use. A caller with a clear end of
+// life for it recycles it; all others let the garbage collector take it.
 func (u *Unfolded) Recycle() {
 	slab.PutInt32s(u.colIdx)
 	slab.PutInt32s(u.bucketOff)
