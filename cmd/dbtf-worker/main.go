@@ -54,7 +54,7 @@ func run(args []string) error {
 		quiet  = fs.Bool("q", false, "suppress per-connection log lines")
 	)
 	// Parsed and ignored: the frozen benchmark starts its workers with
-	// "-threads 1" (benchmark/fleet.go:123); goes with ROADMAP item 6.
+	// "-threads 1" (benchmark/fleet.go:123); goes with ROADMAP item 8.
 	fs.Int("threads", 1, "deprecated and ignored: a stage task runs on one thread")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -78,7 +78,7 @@ type Options struct {
 	// ThreadsPerMachine is accepted and ignored: a stage task runs on one
 	// goroutine, as in the paper (DESIGN §4). The field survives only
 	// because the frozen benchmark sets it (benchmark/layers.go:98) and
-	// goes with that probe (ROADMAP item 6).
+	// goes with that probe (ROADMAP item 8).
 	//
 	// Deprecated: intra-task threading never won a measurement and was
 	// removed; parallelism is across Machines.

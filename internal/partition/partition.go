@@ -427,7 +427,7 @@ func (w *carryWalk) next() bool {
 	return w.carried
 }
 
-// FromTensor vertically partitions x's mode-m unfolding (Equation 1) into
+// FromTensor vertically partitions x's unfolding in mode (Equation 1) into
 // n partitions and splits each partition into PVM-aligned blocks
 // (Algorithm 3), straight from x's coordinate list: mode 1 is (i, j+k·J),
 // mode 2 (j, i+k·I) and mode 3 (k, i+j·I). n is capped at the column count
@@ -463,7 +463,7 @@ func BuildCarrying(u *tensor.Unfolded, n int, carry Carry) *Partitioned {
 	return px
 }
 
-// Receive is BuildCarrying on a machine that holds partitions first,
+// Receive is FromTensor on a machine that holds partitions first,
 // first+step, … of the n that it cuts a rows × cols unfolding with
 // blockSize-wide PVM products into (0 <= first < step): it fills them from
 // their set-up bodies, which body begins with in partition order, and their

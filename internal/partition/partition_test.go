@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -172,35 +173,42 @@ func TestBlockCSRMatchesUnfolded(t *testing.T) {
 				// Build reads the unfolding, FromTensor the coordinate list.
 				for _, px := range []*Partitioned{Build(u, n), FromTensor(x, tensor.Mode(m+1), n, Carry{})} {
 					for r := 0; r < u.NumRows; r++ {
-						var got []int32
-						for _, p := range px.Parts {
-							for _, b := range p.Blocks {
-								var words []uint64
-								if b.Dense() {
-									words = make([]uint64, len(b.RowWords(r)))
-								}
-								for _, bit := range b.RowBits(r) {
-									if int(bit) >= b.Width() {
-										t.Fatalf("%dx%dx%d mode %d n=%d: bit %d outside block [%d,%d)", i, j, k, m+1, n, bit, b.Lo, b.Hi)
-									}
-									got = append(got, int32(b.Lo)+bit)
-									if b.Dense() {
-										words[bit>>6] |= 1 << (uint(bit) & 63)
-									}
-								}
-								if !slices.Equal(b.RowWords(r), words) {
-									t.Fatalf("%dx%dx%d mode %d n=%d: block [%d,%d) row %d packed words differ from its offsets", i, j, k, m+1, n, b.Lo, b.Hi, r)
-								}
-							}
-						}
-						if !slices.Equal(got, u.Row(r)) {
-							t.Fatalf("%dx%dx%d mode %d n=%d: row %d blocks hold %v, unfolded has %v", i, j, k, m+1, n, r, got, u.Row(r))
+						if got, err := rowOf(px, r); err != nil || !slices.Equal(got, u.Row(r)) {
+							t.Fatalf("%dx%dx%d mode %d n=%d: row %d blocks hold %v (%v), unfolded has %v", i, j, k, m+1, n, r, got, err, u.Row(r))
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// rowOf returns row r of px's blocks read in column order, and an error if
+// an offset lies outside its block or a dense block's packed words do not
+// hold the row's offsets.
+func rowOf(px *Partitioned, r int) ([]int32, error) {
+	var got []int32
+	for _, p := range px.Parts {
+		for _, b := range p.Blocks {
+			var words []uint64
+			if b.Dense() {
+				words = make([]uint64, len(b.RowWords(r)))
+			}
+			for _, bit := range b.RowBits(r) {
+				if int(bit) >= b.Width() {
+					return nil, fmt.Errorf("bit %d outside block [%d,%d)", bit, b.Lo, b.Hi)
+				}
+				got = append(got, int32(b.Lo)+bit)
+				if b.Dense() {
+					words[bit>>6] |= 1 << (uint(bit) & 63)
+				}
+			}
+			if !slices.Equal(b.RowWords(r), words) {
+				return nil, fmt.Errorf("block [%d,%d) packed words differ from its offsets", b.Lo, b.Hi)
+			}
+		}
+	}
+	return got, nil
 }
 
 func TestInnerLoConsistent(t *testing.T) {
