@@ -12,9 +12,9 @@ import (
 // whatever their number, so over a warm slab pool a partitioning of 512 PVM
 // products costs exactly the objects one of 64 does (one object per block
 // before, and three slices grown by append). FromTensor, the build from the
-// coordinate list, adds only its table of each product's first block: over
-// a warm pool it costs the same constant handful whatever the nonzero count
-// or the PVM count, in every mode.
+// coordinate list, keeps its cursors and tables in one slab: over a warm
+// pool it costs Build's objects whatever the nonzero count or the PVM
+// count, in every mode.
 func TestBuildAllocsIndependentOfBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var counts []float64
@@ -49,9 +49,7 @@ func TestBuildAllocsIndependentOfBlocks(t *testing.T) {
 	if len(coordCounts) != 1 {
 		t.Errorf("FromTensor allocates %v objects over 64 and 512 PVM products, two densities and three modes, want one count", coordCounts)
 	}
-	for n := range coordCounts {
-		if n > counts[1]+1 {
-			t.Errorf("FromTensor and Release allocate %v objects over a warm slab pool, want at most Build's %v and one", n, counts[1])
-		}
+	if !coordCounts[counts[1]] {
+		t.Errorf("FromTensor and Release allocate %v objects over a warm slab pool, want Build's %v", coordCounts, counts[1])
 	}
 }

@@ -443,12 +443,8 @@ func FromTensor(x *tensor.Tensor, mode tensor.Mode, n int, carry Carry) *Partiti
 		panic(fmt.Sprintf("partition: mode-%d unfolding has %d columns, beyond the int32 column space", mode, width[m]*products[m]))
 	}
 	px, parts, all := layout(rows[m], width[m]*products[m], width[m], n, 0, 1, carry)
-	first := make([]int32, products[m])
-	for bi := len(all) - 1; bi >= 0; bi-- {
-		first[all[bi].PVM] = int32(bi)
-	}
 	// Mode 3's row k is the coordinate that runs fastest.
-	px.fill(parts, all, mode == tensor.Mode3, coordPairs{coords: x.Coords(), mode: mode, blockSize: width[m], first: first}.pairs)
+	px.fill(parts, all, mode == tensor.Mode3, coordPairs{coords: x.Coords(), mode: mode, blockSize: width[m]}.pairs)
 	return px
 }
 
@@ -664,9 +660,10 @@ func layout(rows, cols, blockSize, n, first, step int, carry Carry) (*Partitione
 // segment's next offset goes. bits is nil during the count pass.
 type filler struct {
 	rowStride, blockStride int
-	// lo and hi are the laid-out blocks' global column bounds.
-	lo, hi    []int32
-	cur, bits []int32
+	// lo and hi are the laid-out blocks' global column bounds, first[pvm]
+	// the first block laid out in PVM product pvm (unset where none is).
+	lo, hi, first []int32
+	cur, bits     []int32
 }
 
 // seek returns the block holding column col, walking on from block b: a
@@ -689,14 +686,13 @@ func (f *filler) add(r, b int, col int32) {
 
 // coordPairs is the coordinator's source, a tensor's coordinate list: each
 // nonzero lies in row r, PVM product pvm and column pvm·BlockSize + inner
-// of the mode's unfolding (Equation 1), and first[pvm] is the first block
-// of product pvm. The list is sorted by (I, J, K), which for every mode
-// leaves the inner index ascending within a fixed row and product.
+// of the mode's unfolding (Equation 1), every product laid out. The list
+// is sorted by (I, J, K), which for every mode leaves the inner index
+// ascending within a fixed row and product.
 type coordPairs struct {
 	coords    []tensor.Coord
 	mode      tensor.Mode
 	blockSize int
-	first     []int32
 }
 
 func (s coordPairs) pairs(f filler) {
@@ -705,17 +701,17 @@ func (s coordPairs) pairs(f filler) {
 	case tensor.Mode1:
 		for _, c := range s.coords {
 			col := int32(c.J + c.K*w)
-			f.add(c.I, f.seek(int(s.first[c.K]), col), col)
+			f.add(c.I, f.seek(int(f.first[c.K]), col), col)
 		}
 	case tensor.Mode2:
 		for _, c := range s.coords {
 			col := int32(c.I + c.K*w)
-			f.add(c.J, f.seek(int(s.first[c.K]), col), col)
+			f.add(c.J, f.seek(int(f.first[c.K]), col), col)
 		}
 	default:
 		for _, c := range s.coords {
 			col := int32(c.I + c.J*w)
-			f.add(c.K, f.seek(int(s.first[c.J]), col), col)
+			f.add(c.K, f.seek(int(f.first[c.J]), col), col)
 		}
 	}
 }
@@ -796,18 +792,23 @@ func (s *bodyRows) release() {
 // partition's blocks from one shipped nonzero to the next. A carried
 // segment is written and not tallied.
 func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs func(filler)) {
-	rows, nb := px.NumRows, len(all)
-	// One small object whatever the shape: the blocks' bounds, and for the
-	// tally pass last[r], the last column of row r shipped in the partition
-	// being tallied, and order[r], the order of the row's gap codes there.
-	small := make([]int32, 2*nb+2*rows)
-	last, order := small[2*nb:2*nb+rows], small[2*nb+rows:]
-	f := filler{rowStride: nb, blockStride: 1, lo: small[:nb], hi: small[nb : 2*nb], cur: slab.Int32sZeroed(rows * nb)}
+	rows, nb, products := px.NumRows, len(all), 0
+	if px.BlockSize > 0 {
+		products = px.NumCols / px.BlockSize
+	}
+	// One slab holds the cursors, the blocks' tables and, for the tally
+	// pass, last[r], the last column of row r shipped in the partition being
+	// tallied, and order[r], the order of the row's gap codes there.
+	tables := slab.Int32s(rows*nb + 2*nb + products + 2*rows)
+	f := filler{rowStride: nb, blockStride: 1, cur: tables[:rows*nb]}
+	f.lo, f.hi, f.first = tables[rows*nb:][:nb], tables[rows*nb+nb:][:nb], tables[rows*nb+2*nb:][:products]
+	last, order := tables[rows*nb+2*nb+products:][:rows], tables[rows*nb+2*nb+products+rows:]
+	clear(f.cur)
 	if byBlock {
 		f.rowStride, f.blockStride = 1, rows
 	}
-	for bi, b := range all {
-		f.lo[bi], f.hi[bi] = int32(b.Lo), int32(b.Hi)
+	for bi := nb - 1; bi >= 0; bi-- {
+		f.lo[bi], f.hi[bi], f.first[all[bi].PVM] = int32(all[bi].Lo), int32(all[bi].Hi), int32(bi)
 	}
 	pairs(f)
 	ptrArena := slab.Int32s(nb * (rows + 1))
@@ -831,7 +832,6 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs
 	}
 	f.bits = slab.Int32s(int(pos))
 	pairs(f)
-	slab.PutInt32s(f.cur)
 	denseArena := slab.Uint64sZeroed(denseTotal)
 	px.ptrArena, px.bitsArena, px.denseArena = ptrArena, f.bits, denseArena
 	pos, denseOff := int32(0), 0
@@ -885,6 +885,7 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs
 		p.bodyBytes = int64(body+7) / 8
 		px.ShuffleBytes += p.bodyBytes
 	}
+	slab.PutInt32s(tables)
 }
 
 // gapLens returns the sum over offs of bitlen((c − p − 1)>>k + 1), c the
