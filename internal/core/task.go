@@ -76,7 +76,7 @@ type columnTask struct {
 	// deltas[r·lanes+l] is Σ_blocks (e1 − e0) for row r in lane l of the
 	// stage last evaluated; sized for the widest stage. int32 holds it: a
 	// block's |e1 − e0| is at most its width, the sum at most the
-	// partition's, and tensor.matricize refuses an unfolding whose columns
+	// partition's, and partition.FromTensor refuses an unfolding whose columns
 	// overflow int32. eval accumulates the rows' hits in deltas and the
 	// groups' bases in split; the driver expands the two into the lanes
 	// (split.expand), a worker's reply ships the hits.

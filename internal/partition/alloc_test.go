@@ -20,8 +20,7 @@ func TestBuildAllocsIndependentOfBlocks(t *testing.T) {
 	var counts []float64
 	coordCounts := map[float64]bool{}
 	for _, products := range []int{64, 512} {
-		x := randomTensor(rng, 24, 16, products, 0.05)
-		u := x.Unfold(tensor.Mode1)
+		u := randomTensor(rng, 24, 16, products, 0.05).Unfold(tensor.Mode1)
 		cycle := func() {
 			px := Build(u, 6)
 			if got := len(px.Parts[0].Blocks); got < products/6 {

@@ -800,9 +800,14 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs
 	// pass, last[r], the last column of row r shipped in the partition being
 	// tallied, and order[r], the order of the row's gap codes there.
 	tables := slab.Int32s(rows*nb + 2*nb + products + 2*rows)
-	f := filler{rowStride: nb, blockStride: 1, cur: tables[:rows*nb]}
-	f.lo, f.hi, f.first = tables[rows*nb:][:nb], tables[rows*nb+nb:][:nb], tables[rows*nb+2*nb:][:products]
-	last, order := tables[rows*nb+2*nb+products:][:rows], tables[rows*nb+2*nb+products+rows:]
+	rest := tables
+	take := func(n int) []int32 {
+		s := rest[:n:n]
+		rest = rest[n:]
+		return s
+	}
+	f := filler{rowStride: nb, blockStride: 1, cur: take(rows * nb), lo: take(nb), hi: take(nb), first: take(products)}
+	last, order := take(rows), take(rows)
 	clear(f.cur)
 	if byBlock {
 		f.rowStride, f.blockStride = 1, rows
