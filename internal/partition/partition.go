@@ -801,11 +801,7 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs
 	// tallied, and order[r], the order of the row's gap codes there.
 	tables := slab.Int32s(rows*nb + 2*nb + products + 2*rows)
 	rest := tables
-	take := func(n int) []int32 {
-		s := rest[:n:n]
-		rest = rest[n:]
-		return s
-	}
+	take := func(n int) (s []int32) { s, rest = rest[:n:n], rest[n:]; return s }
 	f := filler{rowStride: nb, blockStride: 1, cur: take(rows * nb), lo: take(nb), hi: take(nb), first: take(products)}
 	last, order := take(rows), take(rows)
 	clear(f.cur)
