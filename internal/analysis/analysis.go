@@ -1,8 +1,9 @@
-// Package analysis is the dbtfvet analyzer suite: domain-specific static
-// checks that machine-verify the invariants this codebase otherwise
+// Package analysis is the repository's analyzer suite: domain-specific
+// static checks that machine-verify the invariants this codebase otherwise
 // enforces only by convention — bit-identical replay per seed, single-mutex
-// stats snapshots, and the length/aliasing contracts of the raw word-slice
-// kernels.
+// stats snapshots, durable-write error hygiene, joined goroutines,
+// cancellable blocking and bounded wire decodes. TestRepoClean runs it over
+// the module inside `go test ./...`.
 //
 // The framework is a deliberately small, dependency-free subset of
 // golang.org/x/tools/go/analysis (this build environment is offline, so the
@@ -35,20 +36,16 @@ type Analyzer struct {
 	Name string
 	// Doc is the analyzer's one-paragraph description.
 	Doc string
-	// Scope restricts which packages the multichecker applies the analyzer
+	// Scope restricts which packages RunSuite applies the analyzer
 	// to: a package matches when its module-relative slash path equals a
 	// scope entry or lives below it. Empty means every package. Fixture
 	// tests bypass Scope and run the analyzer directly.
 	Scope []string
 	// Run performs the check, reporting findings through pass.Reportf.
 	Run func(*Pass) error
-	// Escape names the analyzer's //dbtf: escape-hatch directive (without
-	// the prefix), surfaced in -list and -json output so suppressions stay
-	// discoverable. Empty when the analyzer has no single escape directive.
-	Escape string
 }
 
-// AppliesTo reports whether the multichecker should run the analyzer on
+// AppliesTo reports whether RunSuite should run the analyzer on
 // the package with the given module-relative path.
 func (a *Analyzer) AppliesTo(pkgPath string) bool {
 	if len(a.Scope) == 0 {
@@ -190,7 +187,8 @@ func (p *Pass) Allowed(pos token.Pos, name string) bool {
 }
 
 // docDirectives parses the //dbtf: annotations of a declaration's doc
-// comment (used for function-level annotations such as //dbtf:locks).
+// comment (used for function-level annotations such as
+// //dbtf:allow-unguarded).
 func docDirectives(doc *ast.CommentGroup) []directive {
 	if doc == nil {
 		return nil
@@ -225,14 +223,14 @@ func fileImports(f *ast.File) map[string]string {
 	return m
 }
 
-// Analyzers returns the full suite in the order the multichecker runs it.
+// Analyzers returns the full suite, the one TestRepoClean runs.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, GuardedBy, KernelContract, ErrCheck, GoLeak, CtxFlow, WireBound}
+	return []*Analyzer{Determinism, GuardedBy, ErrCheck, GoLeak, CtxFlow, WireBound}
 }
 
 // Run executes one analyzer over one loaded package, whatever its Scope,
 // and returns its diagnostics sorted by position. Fixture tests use this;
-// the multichecker uses RunSuite.
+// TestRepoClean uses RunSuite.
 func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	pass := &Pass{Analyzer: a, Fset: pkg.Fset, Files: pkg.Files, diags: &diags}

@@ -49,7 +49,7 @@ func RunFixture(t TB, a *Analyzer, fixture string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", fixture)
 	fset := token.NewFileSet()
-	pkg, err := loadDir(fset, dir, dir, true)
+	pkg, err := loadDir(fset, dir, dir)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 		return

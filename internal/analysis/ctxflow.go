@@ -30,10 +30,9 @@ import (
 // known-closed channels cannot be distinguished without types — if a
 // bare receive provably cannot block, say why in the annotation.
 var CtxFlow = &Analyzer{
-	Name:   "ctxflow",
-	Doc:    "blocking operations in context-taking functions must select on ctx.Done() or carry //dbtf:blocking <reason>",
-	Run:    runCtxFlow,
-	Escape: "blocking",
+	Name: "ctxflow",
+	Doc:  "blocking operations in context-taking functions must select on ctx.Done() or carry //dbtf:blocking <reason>",
+	Run:  runCtxFlow,
 }
 
 const blockingName = "blocking"

@@ -54,7 +54,7 @@ var deletedNames = []deletedName{
 		pr: "PR 21: no stage of a run is named build:<mode>; every round is a column or a total error"},
 	{pattern: `backups`, scope: []string{"internal/cluster"},
 		pr: "PR 21: a straggler's backup copy is priced, not run; a stage joins its workers and nothing else"},
-	{pattern: `LockOrder|lockSummaryFact|CrossPackage|ExportPackageFact|PackageFact`, scope: []string{"internal/analysis", "cmd/dbtfvet"},
+	{pattern: `LockOrder|lockSummaryFact|CrossPackage|ExportPackageFact|PackageFact`, scope: []string{"internal/analysis"},
 		pr: "PR 22: the suite is one phase over seven analyzers; lockorder saw none of the module's nested locks and the facts mechanism had no other need (DESIGN §8)"},
 	{pattern: `InitDensity`, scope: []string{"dbtf.go", "internal/core"}, nonTest: true,
 		pr: "PR 22: InitRandom's density is computed from the tensor and the rank where it is drawn; it is not an option, a runConfig word or a checkpoint field"},
@@ -106,6 +106,12 @@ var deletedNames = []deletedName{
 		pr: "set-up from the coordinate list: each partition task builds its mode's partitioning from x.Coords() (partition.FromTensor); the engine makes no Unfolded and has no driver unfold section"},
 	{pattern: `rowSource|rowSegments|segsPool|copySparse|copyDense|scratch \[\]int32`, scope: []string{"internal/partition"},
 		pr: "one fill: a count and a fill pass over (row, block, column) triples from any of three sources, offsets written straight into the arena; no per-block row segments, no second copy of the nonzeros"},
+	{pattern: `KernelContract|kernelcontract|//dbtf:noalloc|//dbtf:samewidth`, scope: []string{"."},
+		pr: "the kernel-contract fold: each bitvec word kernel panics on operands of unequal word counts, and allocation pins cover every function the noalloc directive marked, so the analyzer and its two directives are gone (DESIGN §8)"},
+	{pattern: `//dbtf:locks|//dbtf:bounded|Escape:`, scope: []string{"."},
+		pr: "the kernel-contract fold: no program line used guardedby's //dbtf:locks or wirebound's //dbtf:bounded, and Analyzer.Escape was read only by dbtfvet's -list and -json"},
+	{pattern: `^package `, scope: []string{"cmd/dbtfvet/main.go"},
+		pr: "the kernel-contract fold: TestRepoClean is the suite's one front end, inside go test ./...; dbtfvet was a second one"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

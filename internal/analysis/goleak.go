@@ -32,10 +32,9 @@ import (
 // The analyzer is syntactic: it proves the join signal exists, not that
 // every control path reaches it.
 var GoLeak = &Analyzer{
-	Name:   "goleak",
-	Doc:    "every go statement needs a WaitGroup pairing waited on in its package, a joined channel, or //dbtf:detached <reason>",
-	Run:    runGoLeak,
-	Escape: "detached",
+	Name: "goleak",
+	Doc:  "every go statement needs a WaitGroup pairing waited on in its package, a joined channel, or //dbtf:detached <reason>",
+	Run:  runGoLeak,
 }
 
 const detachedName = "detached"

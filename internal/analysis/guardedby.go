@@ -20,7 +20,6 @@ import (
 //     dominance, which is exact for this codebase's lock-at-the-top style;
 //   - the enclosing function's name ends in "Locked", the package's
 //     convention for "caller holds the receiver's mutex";
-//   - the enclosing function's doc carries //dbtf:locks <mu>;
 //   - the access is the construction of a not-yet-shared value: field
 //     values inside composite literals are not selector accesses and are
 //     never flagged;
@@ -44,7 +43,6 @@ var GuardedBy = &Analyzer{
 
 const (
 	guardedByName  = "guardedby"
-	locksName      = "locks"
 	allowUnguarded = "allow-unguarded"
 )
 
@@ -132,37 +130,25 @@ func fieldGuard(pass *Pass, field *ast.Field) string {
 	return ""
 }
 
-// funcAllowances holds a function's doc-level annotations.
-type funcAllowances struct {
-	locks   map[string]bool // mutex names the caller holds on entry
-	allowed map[string]bool // receiver idents vouched unguarded ("" = all)
-}
-
-func parseFuncAllowances(pass *Pass, fn *ast.FuncDecl) funcAllowances {
-	fa := funcAllowances{locks: map[string]bool{}, allowed: map[string]bool{}}
+// funcAllowances returns the receiver identifiers a function's doc-level
+// //dbtf:allow-unguarded annotations vouch for ("" vouches for all).
+func funcAllowances(pass *Pass, fn *ast.FuncDecl) map[string]bool {
+	allowed := map[string]bool{}
 	for _, d := range docDirectives(fn.Doc) {
-		switch d.name {
-		case locksName:
-			if d.arg == "" {
-				pass.Reportf(d.pos, "%s%s requires a mutex field name", DirectivePrefix, locksName)
-				continue
-			}
-			for _, mu := range strings.Fields(d.arg) {
-				fa.locks[mu] = true
-			}
-		case allowUnguarded:
-			scope, reason, hasScope := strings.Cut(d.arg, ":")
-			if !hasScope {
-				scope, reason = "", d.arg
-			}
-			if strings.TrimSpace(reason) == "" {
-				pass.Reportf(d.pos, "%s%s requires a reason", DirectivePrefix, allowUnguarded)
-				continue
-			}
-			fa.allowed[strings.TrimSpace(scope)] = true
+		if d.name != allowUnguarded {
+			continue
 		}
+		scope, reason, hasScope := strings.Cut(d.arg, ":")
+		if !hasScope {
+			scope, reason = "", d.arg
+		}
+		if strings.TrimSpace(reason) == "" {
+			pass.Reportf(d.pos, "%s%s requires a reason", DirectivePrefix, allowUnguarded)
+			continue
+		}
+		allowed[strings.TrimSpace(scope)] = true
 	}
-	return fa
+	return allowed
 }
 
 // checkGuardedFunc verifies every annotated-field access in one function.
@@ -171,7 +157,7 @@ func checkGuardedFunc(pass *Pass, structs map[string]*guardedStruct, fn *ast.Fun
 	if len(bindings) == 0 {
 		return
 	}
-	fa := parseFuncAllowances(pass, fn)
+	allowed := funcAllowances(pass, fn)
 	lockedSuffix := strings.HasSuffix(fn.Name.Name, "Locked")
 	locks := collectLockCalls(bindings, structs, fn)
 
@@ -193,8 +179,7 @@ func checkGuardedFunc(pass *Pass, structs map[string]*guardedStruct, fn *ast.Fun
 			return true
 		}
 		switch {
-		case lockedSuffix, fa.locks[mu]:
-		case fa.allowed[""], fa.allowed[id.Name]:
+		case lockedSuffix, allowed[""], allowed[id.Name]:
 		case lockHeldBefore(locks, id.Name, mu, sel.Pos()):
 		case addressPassedToOwnMethod(fn, sel, id.Name):
 		case pass.Allowed(sel.Pos(), allowUnguarded):

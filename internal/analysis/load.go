@@ -7,7 +7,6 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -20,14 +19,13 @@ type Package struct {
 	Dir string
 	// Fset positions are shared across the load.
 	Fset *token.FileSet
-	// Files are the parsed non-test files (and test files when the load
-	// included them), sorted by file name.
+	// Files are the parsed non-test files, sorted by file name.
 	Files []*ast.File
 }
 
-// FindModuleRoot walks up from dir to the nearest directory containing
+// findModuleRoot walks up from dir to the nearest directory containing
 // go.mod.
-func FindModuleRoot(dir string) (string, error) {
+func findModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return "", err
@@ -44,72 +42,36 @@ func FindModuleRoot(dir string) (string, error) {
 	}
 }
 
-// Load parses the packages selected by patterns, resolved against root
-// (the module root). Patterns follow the go tool's shape: "./..." and
-// "dir/..." select a subtree, anything else names one directory. Vendored
-// and testdata directories and (unless includeTests) _test.go files are
-// skipped. Directories without buildable Go files are silently dropped.
-func Load(root string, patterns []string, includeTests bool) ([]*Package, error) {
-	dirs := map[string]bool{}
-	for _, pat := range patterns {
-		pat = filepath.ToSlash(pat)
-		switch {
-		case pat == "./..." || pat == "...":
-			if err := walkPackageDirs(root, dirs); err != nil {
-				return nil, err
-			}
-		case strings.HasSuffix(pat, "/..."):
-			base := filepath.Join(root, strings.TrimSuffix(pat, "/..."))
-			if err := walkPackageDirs(base, dirs); err != nil {
-				return nil, err
-			}
-		default:
-			dirs[filepath.Join(root, pat)] = true
-		}
-	}
-	sorted := make([]string, 0, len(dirs))
-	for d := range dirs {
-		sorted = append(sorted, d)
-	}
-	sort.Strings(sorted)
-
+// Load parses every package of the module rooted at root, as the go tool's
+// "./..." selects them: vendored, testdata, hidden and underscore
+// directories and _test.go files are skipped, and directories without Go
+// files are dropped. Packages come in the walk's lexical order.
+func Load(root string) ([]*Package, error) {
 	fset := token.NewFileSet()
 	var pkgs []*Package
-	for _, dir := range sorted {
-		pkg, err := loadDir(fset, root, dir, includeTests)
-		if err != nil {
-			return nil, err
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
 		}
+		name := d.Name()
+		if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		pkg, err := loadDir(fset, root, path)
 		if pkg != nil {
 			pkgs = append(pkgs, pkg)
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return pkgs, nil
 }
 
-// walkPackageDirs adds every package directory under base to dirs,
-// skipping testdata, hidden, and vendor directories the go tool would
-// skip.
-func walkPackageDirs(base string, dirs map[string]bool) error {
-	return filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != base && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		dirs[path] = true
-		return nil
-	})
-}
-
-// loadDir parses one directory into a Package; nil when it holds no
-// matching Go files.
-func loadDir(fset *token.FileSet, root, dir string, includeTests bool) (*Package, error) {
+// loadDir parses the non-test Go files of one directory into a Package;
+// nil when it holds none.
+func loadDir(fset *token.FileSet, root, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -120,7 +82,7 @@ func loadDir(fset *token.FileSet, root, dir string, includeTests bool) (*Package
 		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
-		if !includeTests && strings.HasSuffix(name, "_test.go") {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -3,12 +3,11 @@ package analysis
 import "testing"
 
 // TestRepoClean runs the full suite over the entire module (benchmark/
-// included) and asserts zero diagnostics. This is the in-process equivalent of
-// `go run ./cmd/dbtfvet ./...` exiting 0, so a change that introduces a
-// finding (or breaks an annotation) fails `go test ./...` directly rather
-// than only the CI lint job.
+// included) and asserts zero diagnostics. It is the suite's one front end: a
+// change that introduces a finding (or breaks an annotation) fails
+// `go test ./...` directly.
 func TestRepoClean(t *testing.T) {
-	pkgs, err := Load(moduleRoot(t), []string{"./..."}, false)
+	pkgs, err := Load(moduleRoot(t))
 	if err != nil {
 		t.Fatalf("loading module packages: %v", err)
 	}

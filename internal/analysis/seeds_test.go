@@ -17,7 +17,7 @@ func moduleRoot(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := FindModuleRoot(wd)
+	root, err := findModuleRoot(wd)
 	if err != nil {
 		t.Fatalf("locating module root: %v", err)
 	}
@@ -26,7 +26,7 @@ func moduleRoot(t *testing.T) string {
 
 // TestAnalyzersSeeProgramCode seeds one violation per row into the
 // program's own source — in memory, the tree is not touched — and demands
-// that the named analyzer, run as the multichecker runs it (registered in
+// that the named analyzer, run as TestRepoClean runs it (registered in
 // Analyzers, restricted by Scope), reports inside the edited lines. The
 // fixtures prove an analyzer implements its rule; this proves the rule
 // reads the code it is said to govern. lockorder passed its fixtures for
@@ -44,12 +44,6 @@ func TestAnalyzersSeeProgramCode(t *testing.T) {
 		{"determinism", "internal/core/registry.go",
 			"\t//dbtf:allow-nondeterministic every entry is released; order is irrelevant\n\tfor _, mc := range r.entries {\n",
 			"\tfor _, mc := range r.entries {\n"},
-		{"kernelcontract", "internal/core/task.go",
-			"\t\t//dbtf:samewidth the region is cut to the block's width, as the cache slice's entries are\n\t\tsize = bitvec.GainWords(region,",
-			"\t\tsize = bitvec.GainWords(region,"},
-		{"kernelcontract", "internal/core/task.go",
-			"\tdeltas := t.deltas[:t.a.Rows()*s.lanes]\n\tclear(deltas)\n",
-			"\tdeltas := make([]int32, t.a.Rows()*s.lanes)\n\tclear(deltas)\n"},
 		{"errcheck", "internal/durable/durable.go",
 			"\tif cerr := d.Close(); err == nil {\n\t\terr = cerr\n\t}\n",
 			"\td.Close()\n"},
@@ -75,7 +69,7 @@ func TestAnalyzersSeeProgramCode(t *testing.T) {
 		first := 1 + bytes.Count(src[:bytes.Index(src, []byte(seed.text))], []byte("\n"))
 		last := first + strings.Count(strings.TrimSuffix(seed.replacement, "\n"), "\n")
 		fset := token.NewFileSet()
-		pkg, err := loadDir(fset, root, filepath.Dir(path), false)
+		pkg, err := loadDir(fset, root, filepath.Dir(path))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,13 +45,6 @@ func (c *counterSet) mergeLocked(other int64) {
 	c.hits += other
 }
 
-// drain documents the held lock explicitly.
-//
-//dbtf:locks mu
-func drain(c *counterSet) int64 {
-	return c.hits + c.misses
-}
-
 // construct builds a fresh, unshared value; composite-literal fields are
 // construction, not access, and the local is vouched by the scoped
 // function-level escape.

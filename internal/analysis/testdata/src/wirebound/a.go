@@ -127,20 +127,6 @@ func goodSliceVarint(b []byte) []int {
 	return make([]int, n)
 }
 
-// goodAnnotated documents where the real bound lives.
-func goodAnnotated(b []byte) []byte {
-	n := binary.BigEndian.Uint32(b)
-	//dbtf:bounded caller validated n against the frame header in ReadFrame
-	return make([]byte, n)
-}
-
-// badBareEscape has the escape hatch without a reason.
-func badBareEscape(b []byte) []byte {
-	n := binary.BigEndian.Uint32(b)
-	//dbtf:bounded
-	return make([]byte, n) // want `requires a reason`
-}
-
 // goodUntainted sizes from trusted lengths, not the wire.
 func goodUntainted(b []byte) []byte {
 	return make([]byte, len(b))

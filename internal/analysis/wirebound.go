@@ -32,22 +32,18 @@ import (
 //
 // Findings: make() with a tainted unchecked size/capacity argument, and
 // append() inside a for loop whose condition is bounded by a tainted
-// unchecked value. //dbtf:bounded <reason> on the allocation suppresses
-// it (say where the bound actually lives).
+// unchecked value. There is no escape hatch: the fix is the bound check.
 //
 // The audit is closed over calls: a call from an audited package into a
 // module-internal Decode*/Read* function whose package is outside Scope
 // is reported — decode work must not migrate outside the analyzer's
 // scope unnoticed.
 var WireBound = &Analyzer{
-	Name:   "wirebound",
-	Doc:    "wire-decoded sizes need a bound check before make/append, or //dbtf:bounded <reason>",
-	Scope:  []string{"internal/transport", "internal/serve", "internal/core", "internal/tensor", "internal/boolmat"},
-	Run:    runWireBound,
-	Escape: "bounded",
+	Name:  "wirebound",
+	Doc:   "wire-decoded sizes need a bound check before make/append",
+	Scope: []string{"internal/transport", "internal/serve", "internal/core", "internal/tensor", "internal/boolmat"},
+	Run:   runWireBound,
 }
-
-const boundedName = "bounded"
 
 // wireSources are the final selector names that produce wire-controlled
 // integers.
@@ -227,10 +223,7 @@ func (w *wireWalk) loopBound(loop *ast.ForStmt) {
 		if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "append" {
 			return true
 		}
-		if w.pass.Allowed(call.Pos(), boundedName) {
-			return false
-		}
-		w.pass.Reportf(call.Pos(), "append grows under a loop bounded by a wire-decoded value with no prior bound check; validate the count first or annotate %s%s <reason>", DirectivePrefix, boundedName)
+		w.pass.Reportf(call.Pos(), "append grows under a loop bounded by a wire-decoded value with no prior bound check; validate the count first")
 		return false
 	})
 }
@@ -244,10 +237,7 @@ func (w *wireWalk) makeCall(call *ast.CallExpr) {
 	for _, arg := range call.Args[1:] {
 		tainted, allChecked := w.exprTaint(arg, call.Pos())
 		if tainted && !allChecked {
-			if w.pass.Allowed(call.Pos(), boundedName) {
-				return
-			}
-			w.pass.Reportf(call.Pos(), "make sized by a wire-decoded value with no prior bound check; a forged header controls this allocation — validate it first or annotate %s%s <reason>", DirectivePrefix, boundedName)
+			w.pass.Reportf(call.Pos(), "make sized by a wire-decoded value with no prior bound check; a forged header controls this allocation — validate it first")
 			return
 		}
 	}

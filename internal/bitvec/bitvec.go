@@ -5,7 +5,9 @@
 //
 // All operations treat the vector as a sequence of bits indexed from 0 to
 // Len()-1. Bits beyond Len() inside the last word are kept zero by every
-// operation so that popcount-style queries never need masking.
+// operation so that popcount-style queries never need masking. Operands of
+// mismatched widths panic: two vectors of different lengths, and the word
+// kernels' raw word slices of different word counts.
 package bitvec
 
 import (

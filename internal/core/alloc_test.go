@@ -31,30 +31,45 @@ func TestEndIterationUntracedAllocs(t *testing.T) {
 // run is warm (iteration 2 on, simulator): the cache tables its first stage
 // builds and its one labelled context, nothing else — at rank 8 (three
 // stages) and rank 32 (eleven) alike, so nothing is made per stage, per
-// column task rebuild, per flip logged or per update beside them. Each
-// update follows a flipped entry of the cached matrix, as an iteration's
-// commits leave it (re-installing the same matrices changes nothing), so
-// it rebuilds every partition's task and every table it reads. What the
-// tables cost is measured by building the same ones through the registry
-// alone: it differs between the ranks (a rank-8 table's popcounts are too
-// small for the slab pool), the remainder may not.
+// column task rebuild, per flip logged, priced or pushed, or per update
+// beside them. Each update starts from A's first rows again, so every
+// round's commits flip entries, and follows a flipped entry of the cached
+// matrix, as an iteration's commits leave it (re-installing the same
+// matrices changes nothing), so it rebuilds every partition's task and
+// every table it reads. What the tables cost is measured by building the
+// same ones through the registry alone: it differs between the ranks (a
+// rank-8 table's popcounts are too small for the slab pool), the remainder
+// may not.
 func TestWarmFactorUpdateAllocs(t *testing.T) {
 	x := randomTensor(rand.New(rand.NewSource(41)), 24, 20, 16, 0.2)
 	for _, rank := range []int{8, 32} {
 		rng := rand.New(rand.NewSource(42))
 		a, b, c := boolmat.RandomFactor(rng, 24, rank, 0.3), boolmat.RandomFactor(rng, 20, rank, 0.3), boolmat.RandomFactor(rng, 16, rank, 0.3)
+		rows := make([]uint64, a.Rows())
+		for r := range rows {
+			rows[r] = a.RowMask(r)
+		}
 		d := newTestDecomposition(t, x, Options{Rank: rank, Partitions: 4}, 2)
+		var flips int64
 		update := func() {
+			for r, m := range rows {
+				a.SetRowMask(r, m)
+			}
 			b.Set(0, 0, !b.Get(0, 0))
 			if err := d.ex.setFactors(a, b, c); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := d.updateFactor(0); err != nil {
+			done, err := d.updateFactor(0)
+			if err != nil {
 				t.Fatal(err)
 			}
+			flips = done.flips
 		}
 		update() // iteration 1: tasks, lanes and the update's own state are made
 		updateAllocs := testing.AllocsPerRun(20, update)
+		if flips == 0 {
+			t.Fatalf("rank %d: a warm A-update flipped no entry, so no commit or push ran under the pin", rank)
+		}
 
 		type table struct {
 			reg    *machineRegistry
@@ -80,6 +95,48 @@ func TestWarmFactorUpdateAllocs(t *testing.T) {
 			t.Errorf("rank %d: a warm A-update allocates %v objects; its %d tables cost %v and its labelled context %v",
 				rank, updateAllocs, len(tables), tableAllocs, labelAllocs)
 		}
+	}
+}
+
+// TestWarmTotalErrorAllocs: a total-error task whose machine holds its
+// tables makes two objects, the partition's table list and its summation
+// scratch, whatever the rows, the rank and the blocks' density: nothing per
+// block or per row, dense (the packed rows' Hamming distance) or sparse
+// (the nonzeros' walk).
+func TestWarmTotalErrorAllocs(t *testing.T) {
+	dense := map[bool]bool{}
+	for _, rows := range []int{24, 96} {
+		for _, density := range []float64{0.2, 0.004} {
+			x := randomTensor(rand.New(rand.NewSource(45)), rows, 20, 16, density)
+			for _, rank := range []int{8, 32} {
+				rng := rand.New(rand.NewSource(46))
+				d := newTestDecomposition(t, x, Options{Rank: rank, Partitions: 4}, 2)
+				if err := d.ex.setFactors(boolmat.RandomFactor(rng, rows, rank, 0.3), boolmat.RandomFactor(rng, 20, rank, 0.3), boolmat.RandomFactor(rng, 16, rank, 0.3)); err != nil {
+					t.Fatal(err)
+				}
+				parts := len(d.ex.px[0].Parts)
+				for _, p := range d.ex.px[0].Parts {
+					for _, b := range p.Blocks {
+						dense[b.Dense()] = true
+					}
+				}
+				totalError := func() {
+					for pi := 0; pi < parts; pi++ {
+						if _, err := d.ex.totalError(pi); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				totalError() // the machines build their tables
+				if allocs := testing.AllocsPerRun(20, totalError); allocs != float64(2*parts) {
+					t.Errorf("%d rows, density %v, rank %d: a warm total error over %d partitions allocates %v objects, want %d",
+						rows, density, rank, parts, allocs, 2*parts)
+				}
+			}
+		}
+	}
+	if !dense[true] || !dense[false] {
+		t.Errorf("the tensors' mode-1 blocks are dense %v and sparse %v, want both", dense[true], dense[false])
 	}
 }
 

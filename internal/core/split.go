@@ -127,8 +127,6 @@ func (s *split) release() {
 // The column task groups before it evaluates; the driver groups the same
 // way before it decodes the reply, from A as it stands until the stage's
 // commit and from the partition's blocks, so the groups are never sent.
-//
-//dbtf:noalloc
 func (s *split) rowGroups(a, mf *boolmat.FactorMatrix, blocks []*partition.Block, c, span int) {
 	stage := uint64(1<<uint(span)-1) << uint(c)
 	s.lanes, s.rows = laneCount(span), a.Rows()
@@ -169,8 +167,6 @@ type regionSource interface {
 // such key. The lookups come block by block, column by column, block key
 // by block key and assignment by assignment, the order the reply's region
 // sizes follow. It reports false as soon as src does.
-//
-//dbtf:noalloc
 func (s *split) walk(src regionSource, blocks []*partition.Block, mf *boolmat.FactorMatrix, c, span int) bool {
 	clear(s.base[:s.groups.n*s.lanes])
 	clear(s.wide[:s.groups.n*lookahead])
@@ -237,8 +233,6 @@ func (s *split) memoSlots() int { return 1 << bits.Len(uint(2*s.rows-1)) }
 // and both sides take it from the memo after that. Other blocks' sizes,
 // and the Full blocks' once the memo holds one per row, are always sent;
 // their slot is −1.
-//
-//dbtf:noalloc
 func (s *split) memo(b *partition.Block, mask uint64, j int) (slot int, sent bool) {
 	if b.Type != partition.Full {
 		return -1, false
@@ -269,8 +263,6 @@ func (s *split) remember(i int, mask uint64, j, size int) {
 
 // send tallies the size of block b's lookup of mask at column c+j in the
 // reply, unless the memo has it, and keeps it on a worker.
-//
-//dbtf:noalloc
 func (s *split) send(b *partition.Block, mask uint64, j, size int) {
 	slot, sent := s.memo(b, mask, j)
 	if sent {
@@ -299,8 +291,6 @@ func (s *split) keepSize(size int) {
 
 // regionSize is the driver's region source: the size the memo holds, or
 // the reply's next region size, which must lie within the block.
-//
-//dbtf:noalloc
 func (s *split) regionSize(_ int, b *partition.Block, mask, _ uint64, j, _ int, _ laneSet) (int, bool) {
 	slot, sent := s.memo(b, mask, j)
 	if sent {
@@ -319,8 +309,6 @@ func (s *split) regionSize(_ int, b *partition.Block, mask, _ uint64, j, _ int, 
 // column: the group key masked by kMask, the block's PVM mask less the
 // stage's bits up to the column's. Groups whose keys differ only outside
 // kMask share the key, and so the block's delta regions.
-//
-//dbtf:noalloc
 func (s *split) bucketBlockKeys(kMask uint64) {
 	keys := s.keys[:s.groups.n]
 	for g, k := range s.groups.key[:s.groups.n] {
@@ -332,8 +320,6 @@ func (s *split) bucketBlockKeys(kMask uint64) {
 // fill buckets items 0…len(keys)−1 by their keys: one pass hashes every
 // key to its bucket, counting the buckets' items, and a second places the
 // items bucket by bucket.
-//
-//dbtf:noalloc
 func (b *buckets) fill(keys []uint64) {
 	size := 1 << bits.Len(uint(2*len(keys)-1))
 	slotKey, slotBucket := b.slotKey[:size], b.slotBucket[:size]
@@ -380,8 +366,6 @@ func (s *split) groupBase(g int) []int32 { return s.base[g*s.lanes:][:s.lanes] }
 // counts added to the lanes of their columns. It reports whether every hit
 // is at most its base, as hits that count cells of the regions summed into
 // the base are.
-//
-//dbtf:noalloc
 func (s *split) expand(deltas []int32) bool {
 	for g := 0; g < s.groups.n; g++ {
 		base, wide := s.groupBase(g), s.wide[g*lookahead:]

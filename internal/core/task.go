@@ -114,8 +114,6 @@ func newColumnTask(part *partition.Partition, deltas []int32, s *split) *columnT
 // looks each block's delta regions up once per key the groups form in it
 // and assignment; only a row's overlap with a region is counted per row.
 // The reply is priced on the way (see split.price).
-//
-//dbtf:noalloc
 func (t *columnTask) eval(c, span int) []int32 {
 	s := t.split
 	s.rowGroups(t.a, t.mf, t.part.Blocks, c, span)
@@ -131,14 +129,11 @@ func (t *columnTask) eval(c, span int) []int32 {
 // (split.send), and adds each member row of the block key's groups its
 // overlap with the region to its hits. A region SumDelta finds empty from
 // two cached popcounts skips its rows without touching any vector.
-//
-//dbtf:noalloc
 func (t *columnTask) regionSize(bi int, b *partition.Block, mask, bit uint64, j, k int, lanes laneSet) (int, bool) {
 	s := t.split
 	t.lookups++
 	size, region := 0, s.region[:entryWords(b.Width())]
 	if t.tables[bi].SumDelta(mask, bit, &t.delta); !t.delta.Empty() {
-		//dbtf:samewidth the region is cut to the block's width, as the cache slice's entries are
 		size = bitvec.GainWords(region, t.delta.W1, t.delta.W0, t.delta.Occ)
 	}
 	s.send(b, mask, j, size)

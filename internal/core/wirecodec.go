@@ -206,8 +206,6 @@ const flipBits = 32
 // priceFlips returns the order a push of the flips at positions pos codes
 // their distances at, and the push's body bytes, the header excluded —
 // what the push is charged as broadcast.
-//
-//dbtf:noalloc
 func priceFlips(pos []uint64) (order uint, size int) {
 	var tally golombTally
 	prev := ^uint64(0) // −1: the first distance is the position + 1
@@ -393,8 +391,6 @@ type golombTally struct {
 }
 
 // add tallies n values v.
-//
-//dbtf:noalloc
 func (f *golombTally) add(v uint64, n int) {
 	f.lengths[bits.Len64(v)] += int32(n)
 	f.starts[bits.Len64(^v&(v>>1))] += int32(n)
@@ -411,8 +407,6 @@ func (f *golombTally) reset() {
 // carrying at order k are those whose carry start is at most k less those
 // whose length is. Past the longest value's bit length every value costs
 // k+1 bits, so no larger order is shorter.
-//
-//dbtf:noalloc
 func (f *golombTally) best() (order uint, size int) {
 	top, count, sum := 0, 0, 0
 	for b, n := range f.lengths {
@@ -437,8 +431,6 @@ func (f *golombTally) best() (order uint, size int) {
 // codes them: column by column, its reference lane, the first, and the
 // differences of the others. Most differences are zero, and it adds the
 // zeros up in one go.
-//
-//dbtf:noalloc
 func tallyLanes(fields *[replyFields]golombTally, hits []int32) {
 	zeroRefs, zeroDiffs := 0, 0
 	for ref := 0; ref < len(hits); ref = 2*ref + 1 {
@@ -484,8 +476,6 @@ type replyBody struct {
 // every field at its shortest order. The column task prices as it
 // evaluates, before expand turns the hits into lanes, so a simulated stage
 // sizes its reply on its lane goroutine.
-//
-//dbtf:noalloc
 func (s *split) price(hits []int32) {
 	var fields [replyFields]golombTally
 	listed, prev := 0, -1
@@ -558,8 +548,6 @@ func readCode(br *bitvec.BitReader, k uint, valueBits int, f *golombTally) (uint
 // and each with a hit, one region size per lookup the walk does not take
 // from the memo, each within its block, every hit at most its base, a zero
 // pad and no byte after it.
-//
-//dbtf:noalloc
 func decodeReply(payload []byte, s *split, a, mf *boolmat.FactorMatrix, blocks []*partition.Block, c, span int, dst []int32) error {
 	rows, lanes := a.Rows(), laneCount(span)
 	if len(payload) < deltasHeaderLen {

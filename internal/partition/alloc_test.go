@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"dbtf/internal/bitvec"
+	"dbtf/internal/boolmat"
+	"dbtf/internal/sumcache"
 	"dbtf/internal/tensor"
 )
 
@@ -50,5 +53,47 @@ func TestBuildAllocsIndependentOfBlocks(t *testing.T) {
 	}
 	if !coordCounts[counts[1]] {
 		t.Errorf("FromTensor and Release allocate %v objects over a warm slab pool, want Build's %v", coordCounts, counts[1])
+	}
+}
+
+// TestRowKernelsAllocNothing: the per-row kernels — Hits against a
+// materialized region, RowError against a summation, DeltaError against a
+// single-group and an occluded delta — allocate nothing over every row of
+// dense and sparse blocks.
+func TestRowKernelsAllocNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const i, j, rank = 12, 70, 9
+	dense := map[bool]bool{}
+	for _, density := range []float64{0.004, 0.3} {
+		px := Build(randomTensor(rng, i, j, 3, density).Unfold(tensor.Mode1), 1)
+		factor := boolmat.RandomFactor(rng, j, rank, 0.2)
+		for _, groupBits := range []int{3, 15} {
+			cache := sumcache.NewFromFactor(factor, groupBits)
+			region, scratch := make([]uint64, (j+63)/64), make([]uint64, (j+63)/64)
+			var d sumcache.Delta
+			mask, bit := uint64(0), uint64(0)
+			for d.Empty() {
+				bit = uint64(1) << uint(rng.Intn(rank))
+				mask = rng.Uint64() & (1<<rank - 1) &^ bit
+				cache.SumDelta(mask, bit, &d)
+			}
+			bitvec.GainWords(region, d.W1, d.W0, d.Occ)
+			sum, pop := cache.Sum(mask, scratch)
+			for _, b := range px.Parts[0].Blocks {
+				dense[b.Dense()] = true
+				var n int64
+				if allocs := testing.AllocsPerRun(5, func() {
+					for r := 0; r < i; r++ {
+						n += int64(b.Hits(r, region)) + b.RowError(r, sum, pop) + b.DeltaError(r, &d)
+					}
+				}); allocs != 0 {
+					t.Errorf("density %v, V=%d: a %s block's rows allocate %v objects, want 0", density, groupBits, b.Type, allocs)
+				}
+			}
+		}
+		px.Release()
+	}
+	if !dense[true] || !dense[false] {
+		t.Errorf("the blocks are dense %v and sparse %v, want both", dense[true], dense[false])
 	}
 }

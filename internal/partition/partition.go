@@ -146,15 +146,12 @@ func (b *Block) Density(rows int) float64 {
 // the benchmark's partition.deltaerror_* probes and TestRowHalvesMatchDeltaError
 // reach it, and through it sparseGainOverlap and bitvec.AndAndNotCountWords;
 // the three go once those probes are dropped.
-//
-//dbtf:noalloc
 func (b *Block) DeltaError(r int, d *sumcache.Delta) int64 {
 	if len(d.Occ) == 0 {
 		// Single-group delta: D is exactly the gain vector W1 &^ W0 and
 		// |D| is its cached popcount.
 		var overlap int
 		if b.denseWords != nil {
-			//dbtf:samewidth block stride and delta words both equal ceil(width/64) for the block's cache slice
 			overlap = bitvec.AndAndNotCountWords(b.RowWords(r), d.W1, d.W0)
 		} else {
 			overlap = sparseGainOverlap(b.RowBits(r), d.W1, d.W0, nil)
@@ -162,11 +159,9 @@ func (b *Block) DeltaError(r int, d *sumcache.Delta) int64 {
 		return int64(d.Pop - 2*overlap)
 	}
 	if b.denseWords != nil {
-		//dbtf:samewidth block stride and delta words both equal ceil(width/64) for the block's cache slice
 		gain, overlap := bitvec.GainCountsWords(b.RowWords(r), d.W1, d.W0, d.Occ)
 		return int64(gain - 2*overlap)
 	}
-	//dbtf:samewidth nil row is allowed by the kernel; delta words share one cache slice width
 	gain, _ := bitvec.GainCountsWords(nil, d.W1, d.W0, d.Occ)
 	return int64(gain - 2*sparseGainOverlap(b.RowBits(r), d.W1, d.W0, d.Occ))
 }
@@ -176,11 +171,8 @@ func (b *Block) DeltaError(r int, d *sumcache.Delta) int64 {
 // whose other half |D| is the region's alone. Dense blocks intersect the
 // packed row with the region word-at-a-time; sparse blocks gather one
 // region word per nonzero.
-//
-//dbtf:noalloc
 func (b *Block) Hits(r int, region []uint64) int {
 	if b.denseWords != nil {
-		//dbtf:samewidth the region is sized to the block's width, as the packed rows are
 		return bitvec.AndCountWords(b.RowWords(r), region)
 	}
 	n := 0
@@ -192,8 +184,6 @@ func (b *Block) Hits(r int, region []uint64) int {
 
 // sparseGainOverlap counts the offsets lying inside the occluded gain
 // region (w1 &^ w0) &^ occ..., gathering one word per nonzero.
-//
-//dbtf:noalloc
 func sparseGainOverlap(offs []int32, w1, w0 []uint64, occ [][]uint64) int {
 	n := 0
 	for _, o := range offs {
@@ -216,11 +206,8 @@ func sparseGainOverlap(offs []int32, w1, w0 []uint64, occ [][]uint64) int {
 // materialized candidate summation with popcount pop. Dense blocks use the
 // word-parallel Hamming distance; sparse blocks walk the nonzeros
 // (nnz + |sum| − 2·overlap, Lemma 4's note on step iii).
-//
-//dbtf:noalloc
 func (b *Block) RowError(r int, sum []uint64, pop int) int64 {
 	if b.denseWords != nil {
-		//dbtf:samewidth the summation comes from the block's own cache slice, so its word count equals the stride
 		return int64(bitvec.XorCountWords(b.RowWords(r), sum))
 	}
 	rowBits := b.RowBits(r)

@@ -302,7 +302,6 @@ func TestRowHalvesMatchDeltaError(t *testing.T) {
 				if cache.SumDelta(rng.Uint64()&(1<<rank-1)&^bit, bit, &d); d.Empty() {
 					continue
 				}
-				//dbtf:samewidth the region is sized to the cache's width, the blocks'
 				gain := bitvec.GainWords(region, d.W1, d.W0, d.Occ)
 				for _, b := range blocks {
 					for r := 0; r < 12; r++ {

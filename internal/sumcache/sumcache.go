@@ -73,8 +73,6 @@ type group struct {
 }
 
 // at returns the words of entry m.
-//
-//dbtf:noalloc
 func (g *group) at(m uint64) []uint64 {
 	off := int(m) * g.stride
 	return g.words[off : off+g.stride : off+g.stride]
@@ -194,7 +192,6 @@ func (c *Cache) fill() {
 		g.pop[0] = 0
 		for m := uint64(1); m < uint64(len(g.pop)); m++ {
 			prev := m & (m - 1) // m without its lowest set bit
-			//dbtf:samewidth all three operands are entries of one table, stride words each
 			g.pop[m] = int32(bitvec.OrCountWords(g.at(m), g.at(prev), g.at(m^prev)))
 		}
 	}
