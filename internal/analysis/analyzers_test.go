@@ -9,12 +9,10 @@ import (
 // must stay silent), and the escape-hatch path including the
 // reason-required rule.
 
-func TestDeterminismFixture(t *testing.T) { RunFixture(t, Determinism, "determinism") }
-func TestGuardedByFixture(t *testing.T)   { RunFixture(t, GuardedBy, "guardedby") }
-func TestErrCheckFixture(t *testing.T)    { RunFixture(t, ErrCheck, "errcheck") }
-func TestGoLeakFixture(t *testing.T)      { RunFixture(t, GoLeak, "goleak") }
-func TestCtxFlowFixture(t *testing.T)     { RunFixture(t, CtxFlow, "ctxflow") }
-func TestWireBoundFixture(t *testing.T)   { RunFixture(t, WireBound, "wirebound") }
+func TestGuardedByFixture(t *testing.T) { RunFixture(t, GuardedBy, "guardedby") }
+func TestErrCheckFixture(t *testing.T)  { RunFixture(t, ErrCheck, "errcheck") }
+func TestGoLeakFixture(t *testing.T)    { RunFixture(t, GoLeak, "goleak") }
+func TestCtxFlowFixture(t *testing.T)   { RunFixture(t, CtxFlow, "ctxflow") }
 
 func TestScopeMatching(t *testing.T) {
 	a := &Analyzer{Name: "x", Scope: []string{"internal/cluster", "internal/core"}}
@@ -38,8 +36,8 @@ func TestScopeMatching(t *testing.T) {
 
 func TestAnalyzersRegistry(t *testing.T) {
 	all := Analyzers()
-	if len(all) != 6 {
-		t.Fatalf("suite has %d analyzers, want 6", len(all))
+	if len(all) != 4 {
+		t.Fatalf("suite has %d analyzers, want 4", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

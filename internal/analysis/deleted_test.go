@@ -112,6 +112,8 @@ var deletedNames = []deletedName{
 		pr: "the kernel-contract fold: no program line used guardedby's //dbtf:locks or wirebound's //dbtf:bounded, and Analyzer.Escape was read only by dbtfvet's -list and -json"},
 	{pattern: `^package `, scope: []string{"cmd/dbtfvet/main.go"},
 		pr: "the kernel-contract fold: TestRepoClean is the suite's one front end, inside go test ./...; dbtfvet was a second one"},
+	{pattern: `Determinism|WireBound|//dbtf:allow-nondeterministic`, scope: []string{"."}, nonTest: true,
+		pr: "the analyzer audit: every mutation determinism and wirebound guarded fails a test — the golden and traffic pins, the decoders' forged-count and truncation tests — so the two analyzers and their directive are gone (DESIGN §8)"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

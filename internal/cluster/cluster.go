@@ -224,7 +224,6 @@ func New(cfg Config) *Cluster {
 	return &Cluster{
 		machines: cfg.Machines, parallelism: min(cfg.Machines, runtime.GOMAXPROCS(0)), network: net,
 		faults: cfg.Faults, tracer: cfg.Tracer, transport: cfg.Transport, gate: cfg.Gate,
-		//dbtf:allow-nondeterministic default clock measures real task durations; tests inject a deterministic one
 		now:   time.Now,
 		alive: alive, aliveCount: cfg.Machines, diedAt: make([]int64, cfg.Machines),
 	}

@@ -66,6 +66,29 @@ func TestGateAcquireHonorsContext(t *testing.T) {
 	}
 }
 
+// TestGateAcquireReturnsPromptlyOnCancel: a full gate gives up as soon as
+// the context is cancelled; an acquire that waits only for a slot blocks
+// here until the deferred release.
+func TestGateAcquireReturnsPromptlyOnCancel(t *testing.T) {
+	g := NewGate(1)
+	if err := g.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer g.release()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	done := make(chan error, 1)
+	go func() { done <- g.acquire(ctx) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("acquire on a full gate under a cancelled context returned %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("acquire on a full gate ignored its cancelled context for a second")
+	}
+}
+
 func TestNewGateRejectsNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -120,6 +121,29 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 		if _, err := decodeCheckpoint(data); err == nil {
 			t.Errorf("%s: corrupt checkpoint decoded without error", name)
 		}
+	}
+}
+
+// TestCheckpointDecodeForgedCount: an error count the image cannot back is
+// refused before it sizes the error list, even under a valid checksum.
+// Unchecked, the 1<<24 errors claimed here would allocate 128 MB.
+func TestCheckpointDecodeForgedCount(t *testing.T) {
+	le := binary.LittleEndian
+	forged := le.AppendUint64(append([]byte(nil), checkpointMagic[:]...), 1)
+	forged = le.AppendUint32(forged, 1)
+	forged = le.AppendUint64(append(forged, 0), 0)
+	forged = le.AppendUint32(le.AppendUint32(forged, 0), 1<<24)
+	forged = append(forged, 0, 0, 0, 0, 0, 0, 0, 0)
+	forged = le.AppendUint32(forged, crc32.ChecksumIEEE(forged))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeCheckpoint(forged)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a count of 2^24 errors over eight bytes decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("refusing a %d-byte image allocated %d bytes", len(forged), grew)
 	}
 }
 

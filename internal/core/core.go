@@ -350,7 +350,6 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 			set.n, set.machines, cfg.Partitions, cfg.Machines)
 	}
 
-	//dbtf:allow-nondeterministic wall-clock reporting only (Result.WallTime); no result depends on it
 	start := time.Now()
 	cl.ResetClock()
 	// The driver's executor spans all M logical machines, partitions placed
@@ -551,7 +550,6 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 	res.Error = prevErr
 	res.Stats = cl.Stats()
 	res.SimTime = cl.SimElapsed()
-	//dbtf:allow-nondeterministic wall-clock reporting only (Result.WallTime); no result depends on it
 	res.WallTime = time.Since(start)
 	return res, nil
 }

@@ -60,7 +60,6 @@ func (r *machineRegistry) cacheFor(ms *boolmat.FactorMatrix, lo, hi, groupBits i
 	r.mu.Lock()
 	mc, ok := r.entries[key]
 	if !ok {
-		//dbtf:allow-nondeterministic every key of a stale version of the matrix is deleted; order-independent
 		for k, stale := range r.entries {
 			if k.m == ms && k.version != key.version {
 				// Every stage that resolved a table over the stale version
@@ -88,7 +87,6 @@ func (r *machineRegistry) cacheFor(ms *boolmat.FactorMatrix, lo, hi, groupBits i
 // stage.
 func (r *machineRegistry) clearRelease() {
 	r.mu.Lock()
-	//dbtf:allow-nondeterministic every entry is released; order is irrelevant
 	for _, mc := range r.entries {
 		mc.release()
 	}

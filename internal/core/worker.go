@@ -85,7 +85,6 @@ func (w *Worker) applySetupLocked(payload []byte) error {
 		return err
 	}
 	w.ex.release()
-	//dbtf:allow-nondeterministic every set is released; order is irrelevant
 	for _, px := range w.sets {
 		releasePartitions(px)
 	}
@@ -134,13 +133,11 @@ func (w *Worker) RunBatch(spec transport.Spec, tasks []int) ([]transport.TaskOut
 	w.outs = slices.Grow(w.outs[:0], len(tasks))[:len(tasks)]
 	outs := w.outs
 	for i, task := range tasks {
-		//dbtf:allow-nondeterministic task nanos are wall-clock reporting charged to the simulated ledger, never fed back into results
 		start := time.Now()
 		payload, err := w.runTaskLocked(spec, task)
 		if err != nil {
 			return nil, fmt.Errorf("task %d: %w", task, err)
 		}
-		//dbtf:allow-nondeterministic task nanos are wall-clock reporting charged to the simulated ledger, never fed back into results
 		outs[i] = transport.TaskOutput{Task: task, Nanos: time.Since(start).Nanoseconds(), Payload: payload}
 	}
 	return outs, nil

@@ -204,8 +204,9 @@ type Unfolded struct {
 	colIdx []int32
 	// bucketOff delimits the (row, PVM block) buckets of colIdx: bucket
 	// b = row·NumBlocks + block spans colIdx[bucketOff[b]:bucketOff[b+1]].
-	// It hands partition.Build every block-row segment by pure arithmetic
-	// instead of a search over the nonzeros.
+	// It makes Row and BlockRow slices of colIdx by pure arithmetic instead
+	// of a search over the nonzeros. partition.Build reads whole rows and
+	// finds each column's block with its fill's seek, not from this table.
 	bucketOff []int32
 }
 
