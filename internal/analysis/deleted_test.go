@@ -114,6 +114,10 @@ var deletedNames = []deletedName{
 		pr: "the kernel-contract fold: TestRepoClean is the suite's one front end, inside go test ./...; dbtfvet was a second one"},
 	{pattern: `Determinism|WireBound|//dbtf:allow-nondeterministic`, scope: []string{"."}, nonTest: true,
 		pr: "the analyzer audit: every mutation determinism and wirebound guarded fails a test — the golden and traffic pins, the decoders' forged-count and truncation tests — so the two analyzers and their directive are gone (DESIGN §8)"},
+	{pattern: `BuildCarrying|unfoldedRows|BlockRow`, scope: []string{"internal/partition", "internal/tensor"},
+		pr: "one set-up source per side: partition.Build is FromTensor on the tensor and mode its unfolding was cut from, so fill reads the coordinate list or Receive's bodies, never an unfolding's rows or buckets"},
+	{pattern: `^package `, scope: []string{"examples/quickstart/main.go", "examples/intrusion/main.go", "examples/knowledgebase/main.go", "examples/linkprediction/main.go", "examples/rankselect/main.go"},
+		pr: "tested examples: quickstart and intrusion are Example functions go test runs; knowledgebase and linkprediction printed factors that explained almost nothing, and rankselect repeated ExampleSelectRank and TestFactorizeTuckerSharedStructure"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

@@ -108,3 +108,54 @@ func TestDocReferencesResolve(t *testing.T) {
 		t.Fatal("no code reference found in ROADMAP.md or DESIGN.md: the pattern went blind")
 	}
 }
+
+// proseCeiling is the bytes every Markdown file of the module but ISSUE.md
+// may hold together. It only goes down: a change that adds prose removes as
+// much, and moving text from one file to another saves nothing.
+const proseCeiling = 419_193
+
+// TestProseBudget holds the prose to proseCeiling, and each CHANGES.md
+// entry — a line that starts at column 0 with the indented lines under it —
+// to 25 lines: an entry keeps its claim, what it deleted and the tests it
+// changed, and git keeps the rest.
+func TestProseBudget(t *testing.T) {
+	root := moduleRoot(t)
+	total := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		// Of the dot-directories, only .claude (the verify skill) holds
+		// prose; .git and the benchmark's build cache hold none of it.
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") && d.Name() != ".claude" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".md") || path == filepath.Join(root, "ISSUE.md") {
+			return nil
+		}
+		info, err := d.Info()
+		total += int(info.Size())
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total > proseCeiling {
+		t.Errorf("the Markdown files hold %d B, over the %d B ceiling", total, proseCeiling)
+	}
+	changes, err := os.ReadFile(filepath.Join(root, "CHANGES.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, entry := 0, ""
+	lines := strings.Split(strings.TrimSuffix(string(changes), "\n"), "\n")
+	for i, line := range append(lines, "end") {
+		if strings.HasPrefix(line, " ") {
+			continue
+		}
+		if n := i - start; entry != "" && n > 25 {
+			t.Errorf("CHANGES.md:%d: the entry %.40q runs %d lines, over 25", start+1, entry, n)
+		}
+		start, entry = i, line
+	}
+}

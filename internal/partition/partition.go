@@ -253,8 +253,8 @@ type Partitioned struct {
 	// BlockSize is the PVM product width (rows of the second Khatri–Rao
 	// operand).
 	BlockSize int
-	// Parts holds the N partitions in column order. Build fills every slot;
-	// Receive only those of the partitions shipped to it, the rest nil.
+	// Parts holds the N partitions in column order. FromTensor fills every
+	// slot; Receive only those of the partitions shipped to it, the rest nil.
 	Parts []*Partition
 	// ShuffleBytes is the set-up bodies of the partitions held, each counted
 	// exactly (ReshipBytes): the data distributing them across machines
@@ -435,15 +435,11 @@ func FromTensor(x *tensor.Tensor, mode tensor.Mode, n int, carry Carry) *Partiti
 	return px
 }
 
-// Build is FromTensor over an unfolding, its set-up bodies carrying
-// nothing.
-func Build(u *tensor.Unfolded, n int) *Partitioned { return BuildCarrying(u, n, Carry{}) }
-
-// BuildCarrying is FromTensor over an unfolding.
-func BuildCarrying(u *tensor.Unfolded, n int, carry Carry) *Partitioned {
-	px, parts, all := layout(u.NumRows, u.NumCols, u.BlockSize, n, 0, 1, carry)
-	px.fill(parts, all, false, unfoldedRows{u}.pairs)
-	return px
+// Build is FromTensor on the tensor and mode u was cut from, its set-up
+// bodies carrying nothing.
+func Build(u *tensor.Unfolded, n int) *Partitioned {
+	x, mode := u.Source()
+	return FromTensor(x, mode, n, Carry{})
 }
 
 // Receive is FromTensor on a machine that holds partitions first,
@@ -703,20 +699,6 @@ func (s coordPairs) pairs(f filler) {
 	}
 }
 
-// unfoldedRows is Build's source: an unfolding's rows, every partition
-// laid out.
-type unfoldedRows struct{ u *tensor.Unfolded }
-
-func (s unfoldedRows) pairs(f filler) {
-	for r := 0; r < s.u.NumRows; r++ {
-		b := 0
-		for _, c := range s.u.Row(r) {
-			b = f.seek(b, c)
-			f.add(r, b, c)
-		}
-	}
-}
-
 // bodyRows is a receiving machine's source: its partitions' decoded set-up
 // bodies, and for the segments they carry the machine's source partitions.
 // Row r of the k-th partition's body holds the global columns
@@ -765,7 +747,8 @@ func (s *bodyRows) release() {
 
 // fill writes the laid-out blocks' CSR forms (and packed rows, for blocks
 // at or above DenseRowThreshold) and counts every partition's set-up body.
-// pairs is the source, whatever it is: called once to count and once to
+// pairs is one of its two sources, the coordinate list (coordPairs) or
+// Receive's decoded bodies (bodyRows): called once to count and once to
 // place, it hands the filler every nonzero it holds as its row, block and
 // column, in any order that keeps a row's columns inside a block
 // ascending. The count pass sizes every (row, block) segment; the segments

@@ -152,10 +152,10 @@ func TestLemma3AtMostThreeTypes(t *testing.T) {
 func TestBlockCSRMatchesUnfolded(t *testing.T) {
 	// Row for row, the blocks' nonzeros read in column order are exactly the
 	// unfolding's row, and a dense block's packed words hold the same bits,
-	// whether the partitions were built from the unfolding or the coordinates —
-	// on a small dense tensor, on the relationship-data shape (rows·blocks
-	// far beyond the nonzero count), with a 1-wide and a 0-wide mode, and
-	// with more partitions asked for than there are columns.
+	// whether the partitions were built through Build or by FromTensor — on a
+	// small dense tensor, on the relationship-data shape (rows·blocks far
+	// beyond the nonzero count), with a 1-wide and a 0-wide mode, and with
+	// more partitions asked for than there are columns.
 	rng := rand.New(rand.NewSource(2))
 	for _, x := range []*tensor.Tensor{
 		randomTensor(rng, 6, 9, 8, 0.15),
@@ -170,7 +170,6 @@ func TestBlockCSRMatchesUnfolded(t *testing.T) {
 				ns = append(ns, u.NumCols+3)
 			}
 			for _, n := range ns {
-				// Build reads the unfolding, FromTensor the coordinate list.
 				for _, px := range []*Partitioned{Build(u, n), FromTensor(x, tensor.Mode(m+1), n, Carry{})} {
 					for r := 0; r < u.NumRows; r++ {
 						if got, err := rowOf(px, r); err != nil || !slices.Equal(got, u.Row(r)) {
@@ -346,7 +345,7 @@ func TestBodyRoundTrip(t *testing.T) {
 		for home := 0; home < machines; home++ {
 			var src *Columns
 			for m, u := range x.UnfoldAll() {
-				px := BuildCarrying(u, n, carries[m])
+				px := FromTensor(x, tensor.Mode(m+1), n, carries[m])
 				plain := Build(u, n)
 				carried = carried || px.ShuffleBytes < plain.ShuffleBytes
 				var body []byte

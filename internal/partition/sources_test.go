@@ -8,16 +8,15 @@ import (
 	"dbtf/internal/tensor"
 )
 
-// FuzzPartitionSources: fill's three sources agree. For a drawn tensor —
-// its shape, density, partition count N and machine count M — every mode,
-// with the Carry a run's set-up gives it, is built from the coordinate list
-// (FromTensor), from its unfolding (BuildCarrying) and, on every machine,
-// from the bodies AppendBody writes (Receive, the mode-1 partitions it
-// received carrying what they carry). Every block's row pointers, offsets
-// and packed words, every partition's ReshipBytes and its body must be the
-// same all three ways. The seeds hold blocks cut by partition boundaries,
-// N above the PVM product count, shapes far sparser than their rows ×
-// blocks, and the empty tensor.
+// FuzzPartitionSources: fill's two sources agree. For a drawn tensor — its
+// shape, density, partition count N and machine count M — every mode, with
+// the Carry a run's set-up gives it, is built from the coordinate list
+// (FromTensor) and, on every machine, from the bodies AppendBody writes
+// (Receive, the mode-1 partitions it received carrying what they carry).
+// Every block's row pointers, offsets and packed words, every partition's
+// ReshipBytes and its body must be the same both ways. The seeds hold
+// blocks cut by partition boundaries, N above the PVM product count, shapes
+// far sparser than their rows × blocks, and the empty tensor.
 func FuzzPartitionSources(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(5), uint8(7), uint8(40), uint8(7), uint8(3))     // cut blocks, carried segments
 	f.Add(int64(2), uint8(4), uint8(3), uint8(2), uint8(120), uint8(9), uint8(2))    // N above the products
@@ -38,18 +37,14 @@ func FuzzPartitionSources(f *testing.F) {
 				src.Release()
 			}
 		}()
-		for m, u := range x.UnfoldAll() {
+		for m := range carries {
 			coords := FromTensor(x, tensor.Mode(m+1), N, carries[m])
-			unfolded := BuildCarrying(u, N, carries[m])
-			if !samePartitioned(coords, unfolded) || coords.ShuffleBytes != unfolded.ShuffleBytes {
-				t.Fatalf("%dx%dx%d N=%d M=%d mode %d: the coordinate and the unfolding builds differ", i, j, k, N, M, m+1)
-			}
 			for home := 0; home < M; home++ {
 				var body []byte
 				for pi := home; pi < len(coords.Parts); pi += M {
 					body = coords.AppendBody(body, pi)
 				}
-				got, rest, err := Receive(u.NumRows, u.NumCols, u.BlockSize, N, home, M, carries[m], srcs[home], body)
+				got, rest, err := Receive(coords.NumRows, coords.NumCols, coords.BlockSize, N, home, M, carries[m], srcs[home], body)
 				if err != nil || len(rest) != 0 {
 					t.Fatalf("%dx%dx%d N=%d M=%d mode %d machine %d: %v, %d bytes left", i, j, k, N, M, m+1, home, err, len(rest))
 				}
@@ -62,7 +57,6 @@ func FuzzPartitionSources(f *testing.F) {
 				got.Release()
 			}
 			coords.Release()
-			unfolded.Release()
 		}
 	})
 }

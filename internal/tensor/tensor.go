@@ -180,14 +180,13 @@ const (
 )
 
 // Unfolded is the mode-n matricization X₍ₙ₎ of a tensor in compressed
-// sparse form: for each (row, PVM block) pair a bucket of sorted nonzero
-// column indices, the buckets of one row adjacent, so a row is a sorted
-// list too. The decomposition engine does not build it — each machine
-// partitions its mode straight from the coordinate list
-// (partition.FromTensor) — so it serves the callers that want whole rows:
-// bcpals densifies it, tucker's evaluator walks it, partition.Build reads
-// it. Memory: NumRows × NumBlocks int32 of bucket offsets beside one int32
-// per nonzero.
+// sparse form: each row's sorted nonzero column indices. The decomposition
+// engine does not build it — each machine partitions its mode straight from
+// the coordinate list (partition.FromTensor) — so it serves the callers
+// that want whole rows: bcpals densifies it, tucker's evaluator walks it.
+// partition.Build reads only the tensor and mode it was cut from (Source).
+// Memory: NumRows × NumBlocks int32 of bucket offsets beside one int32 per
+// nonzero.
 type Unfolded struct {
 	NumRows, NumCols int
 	// BlockSize is the width of one pointwise vector-matrix (PVM) product
@@ -202,12 +201,13 @@ type Unfolded struct {
 	// are memory-bandwidth bound, and half-width columns halve that traffic.
 	// Unfold panics if the column space exceeds int32.
 	colIdx []int32
-	// bucketOff delimits the (row, PVM block) buckets of colIdx: bucket
-	// b = row·NumBlocks + block spans colIdx[bucketOff[b]:bucketOff[b+1]].
-	// It makes Row and BlockRow slices of colIdx by pure arithmetic instead
-	// of a search over the nonzeros. partition.Build reads whole rows and
-	// finds each column's block with its fill's seek, not from this table.
+	// bucketOff is the counting sort's table: bucket b = row·NumBlocks +
+	// block spans colIdx[bucketOff[b]:bucketOff[b+1]], so Row is a slice of
+	// colIdx by pure arithmetic instead of a search over the nonzeros.
 	bucketOff []int32
+	// src and mode are what the unfolding was cut from (Source).
+	src  *Tensor
+	mode Mode
 }
 
 // Unfold returns the mode-n matricization of the tensor, following the
@@ -261,6 +261,8 @@ func (t *Tensor) matricize(modes ...Mode) (us [3]*Unfolded) {
 			NumBlocks: nBlocks,
 			colIdx:    col[m],
 			bucketOff: off[m][:n+1],
+			src:       t,
+			mode:      mode,
 		}
 	}
 	// A mode not asked for has a nil table, and its statement is skipped.
@@ -311,13 +313,8 @@ func (u *Unfolded) Row(r int) []int32 {
 	return u.colIdx[u.bucketOff[r*u.NumBlocks]:u.bucketOff[(r+1)*u.NumBlocks]]
 }
 
-// BlockRow returns the sorted nonzero column indices of row r that lie
-// inside PVM block p (global columns [p·BlockSize, (p+1)·BlockSize)). The
-// slice is shared; callers must not modify it.
-func (u *Unfolded) BlockRow(r, p int) []int32 {
-	b := r*u.NumBlocks + p
-	return u.colIdx[u.bucketOff[b]:u.bucketOff[b+1]]
-}
+// Source returns the tensor and mode the unfolding was cut from.
+func (u *Unfolded) Source() (*Tensor, Mode) { return u.src, u.mode }
 
 // Recycle returns the unfolding's large arrays to the slab pool and
 // poisons the unfolding against further use. A caller with a clear end of
@@ -325,7 +322,7 @@ func (u *Unfolded) BlockRow(r, p int) []int32 {
 func (u *Unfolded) Recycle() {
 	slab.PutInt32s(u.colIdx)
 	slab.PutInt32s(u.bucketOff)
-	u.colIdx, u.bucketOff = nil, nil
+	u.colIdx, u.bucketOff, u.src = nil, nil, nil
 }
 
 // Fold is the inverse of Unfold: it rebuilds the tensor from a mode-n
