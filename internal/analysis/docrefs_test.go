@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -109,7 +110,12 @@ func TestDocReferencesResolve(t *testing.T) {
 	}
 }
 
-// proseCeiling is the bytes every Markdown file of the module but ISSUE.md
+// proseDocs are the documents at the module root that the prose budget
+// covers; below the root every Markdown file counts.
+var proseDocs = []string{"CHANGES.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md",
+	"PAPERS.md", "README.md", "ROADMAP.md", "SNIPPETS.md"}
+
+// proseCeiling is the bytes proseDocs and the Markdown files below the root
 // may hold together. It only goes down: a change that adds prose removes as
 // much, and moving text from one file to another saves nothing.
 const proseCeiling = 419_193
@@ -125,12 +131,12 @@ func TestProseBudget(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		// Of the dot-directories, only .claude (the verify skill) holds
-		// prose; .git and the benchmark's build cache hold none of it.
-		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") && d.Name() != ".claude" {
+		// The git store and the benchmark's build cache hold no prose.
+		if d.IsDir() && (d.Name() == ".git" || d.Name() == ".bench_build") {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(path, ".md") || path == filepath.Join(root, "ISSUE.md") {
+		atRoot := filepath.Dir(path) == root
+		if d.IsDir() || !strings.HasSuffix(path, ".md") || atRoot && !slices.Contains(proseDocs, d.Name()) {
 			return nil
 		}
 		info, err := d.Info()
