@@ -264,8 +264,9 @@ type Partitioned struct {
 	// carry is what the set-up bodies leave out; the zero Carry for Build.
 	carry Carry
 
-	// Backing arenas shared by every block's CSR offsets, row pointers and
-	// packed rows; returned to the slab pool by Release.
+	// Backing arenas shared by every block's CSR offsets, row pointers (and
+	// past them fill's spent tables) and packed rows; returned to the slab
+	// pool by Release.
 	ptrArena, bitsArena []int32
 	denseArena          []uint64
 }
@@ -766,12 +767,17 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs
 	if px.BlockSize > 0 {
 		products = px.NumCols / px.BlockSize
 	}
-	// One slab holds the cursors, the blocks' tables and, for the tally
-	// pass, last[r], the last column of row r shipped in the partition being
-	// tallied, and order[r], the order of the row's gap codes there.
-	tables := slab.Int32s(rows*nb + 2*nb + products + 2*rows)
-	rest := tables
+	// One slab holds the blocks' row pointers and, past them, the cursors,
+	// the blocks' tables and, for the tally pass, last[r], the last column
+	// of row r shipped in the partition being tallied, and order[r], the
+	// order of the row's gap codes there. The partitioning keeps all of it
+	// until Release: a scratch slab returned here would be back on the pool
+	// or not when a concurrent fill asked for one, so how often the pool
+	// fell back to make would depend on how the fills interleaved.
+	rest := slab.Int32s(nb*(rows+1) + rows*nb + 2*nb + products + 2*rows)
+	px.ptrArena = rest
 	take := func(n int) (s []int32) { s, rest = rest[:n:n], rest[n:]; return s }
+	ptrArena := take(nb * (rows + 1))
 	f := filler{rowStride: nb, blockStride: 1, cur: take(rows * nb), lo: take(nb), hi: take(nb), first: take(products)}
 	last, order := take(rows), take(rows)
 	clear(f.cur)
@@ -782,7 +788,6 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs
 		f.lo[bi], f.hi[bi], f.first[all[bi].PVM] = int32(all[bi].Lo), int32(all[bi].Hi), int32(bi)
 	}
 	pairs(f)
-	ptrArena := slab.Int32s(nb * (rows + 1))
 	denseTotal := 0
 	pos := int32(0)
 	for bi, b := range all {
@@ -804,7 +809,7 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs
 	f.bits = slab.Int32s(int(pos))
 	pairs(f)
 	denseArena := slab.Uint64sZeroed(denseTotal)
-	px.ptrArena, px.bitsArena, px.denseArena = ptrArena, f.bits, denseArena
+	px.bitsArena, px.denseArena = f.bits, denseArena
 	pos, denseOff := int32(0), 0
 	for k := range parts {
 		p := &parts[k]
@@ -856,7 +861,6 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs
 		p.bodyBytes = int64(body+7) / 8
 		px.ShuffleBytes += p.bodyBytes
 	}
-	slab.PutInt32s(tables)
 }
 
 // gapLens returns the sum over offs of bitlen((c − p − 1)>>k + 1), c the
