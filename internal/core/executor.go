@@ -102,6 +102,9 @@ func (ex *executor) setup(x *tensor.Tensor, each func(n int, fn func(m int) erro
 	if err != nil {
 		return err
 	}
+	for _, px := range ex.px {
+		px.FreeTables()
+	}
 	ex.install(ex.px)
 	return nil
 }

@@ -15,9 +15,9 @@ import (
 // whatever their number, so over a warm slab pool a partitioning of 512 PVM
 // products costs exactly the objects one of 64 does (one object per block
 // before, and three slices grown by append). FromTensor, the build from the
-// coordinate list, keeps its cursors and tables in one slab: over a warm
-// pool it costs Build's objects whatever the nonzero count or the PVM
-// count, in every mode.
+// coordinate list, keeps its cursors and tables in one slab, held until
+// FreeTables: over a warm pool it costs Build's objects whatever the
+// nonzero count or the PVM count, in every mode.
 func TestBuildAllocsIndependentOfBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var counts []float64
@@ -53,6 +53,9 @@ func TestBuildAllocsIndependentOfBlocks(t *testing.T) {
 	}
 	if !coordCounts[counts[1]] {
 		t.Errorf("FromTensor and Release allocate %v objects over a warm slab pool, want Build's %v", coordCounts, counts[1])
+	}
+	if px := FromTensor(randomTensor(rng, 8, 8, 8, 0.3), tensor.Mode1, 2, Carry{}); px.tables == nil {
+		t.Error("FromTensor freed its tables itself, while a concurrent build may ask the pool for one")
 	}
 }
 

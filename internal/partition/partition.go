@@ -264,11 +264,12 @@ type Partitioned struct {
 	// carry is what the set-up bodies leave out; the zero Carry for Build.
 	carry Carry
 
-	// Backing arenas shared by every block's CSR offsets, row pointers (and
-	// past them fill's spent tables) and packed rows; returned to the slab
-	// pool by Release.
+	// Backing arenas shared by every block's CSR offsets, row pointers and
+	// packed rows; returned to the slab pool by Release.
 	ptrArena, bitsArena []int32
 	denseArena          []uint64
+	// tables is fill's spent cursor slab, held until FreeTables.
+	tables []int32
 }
 
 // Release returns the partitioning's backing arenas to the slab pool and
@@ -277,11 +278,23 @@ type Partitioned struct {
 // returning, a worker replacing its setup) call it; everyone else lets the
 // garbage collector take the arenas.
 func (p *Partitioned) Release() {
+	p.FreeTables()
 	slab.PutInt32s(p.ptrArena)
 	slab.PutInt32s(p.bitsArena)
 	slab.PutUint64s(p.denseArena)
 	p.ptrArena, p.bitsArena, p.denseArena = nil, nil, nil
 	p.Parts = nil
+}
+
+// FreeTables returns the cursor tables FromTensor built the partitioning
+// with to the slab pool; Release does if it was not called. A caller that
+// builds several partitionings at once frees them only when every build is
+// done: a slab freed while another build runs would be on the pool or not
+// when that build asks for one, so how often the pool fell back to make
+// would depend on how the builds interleaved.
+func (p *Partitioned) FreeTables() {
+	slab.PutInt32s(p.tables)
+	p.tables = nil
 }
 
 // ReshipBytes returns the size of partition pi's set-up body: what shipping
@@ -421,8 +434,8 @@ func (w *carryWalk) next() bool {
 // mode 2 (j, i+k·I) and mode 3 (k, i+j·I). n is capped at the column count
 // so every partition is nonempty; at least one partition is always
 // produced. The set-up bodies, and so ReshipBytes and ShuffleBytes, leave
-// out what carry carries. It panics on an unfolding whose columns overflow
-// int32.
+// out what carry carries. The partitioning holds its cursor tables until
+// FreeTables. It panics on an unfolding whose columns overflow int32.
 func FromTensor(x *tensor.Tensor, mode tensor.Mode, n int, carry Carry) *Partitioned {
 	i, j, k := x.Dims()
 	rows, width, products := [3]int{i, j, k}, [3]int{j, i, i}, [3]int{k, k, j}
@@ -437,10 +450,12 @@ func FromTensor(x *tensor.Tensor, mode tensor.Mode, n int, carry Carry) *Partiti
 }
 
 // Build is FromTensor on the tensor and mode u was cut from, its set-up
-// bodies carrying nothing.
+// bodies carrying nothing and its tables freed.
 func Build(u *tensor.Unfolded, n int) *Partitioned {
 	x, mode := u.Source()
-	return FromTensor(x, mode, n, Carry{})
+	px := FromTensor(x, mode, n, Carry{})
+	px.FreeTables()
+	return px
 }
 
 // Receive is FromTensor on a machine that holds partitions first,
@@ -518,6 +533,7 @@ func Receive(rows, cols, blockSize, n, first, step int, carry Carry, src *Column
 		}
 	}
 	px.fill(parts, all, false, rs.pairs)
+	px.FreeTables()
 	return px, br.Rest(), nil
 }
 
@@ -767,17 +783,12 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs
 	if px.BlockSize > 0 {
 		products = px.NumCols / px.BlockSize
 	}
-	// One slab holds the blocks' row pointers and, past them, the cursors,
-	// the blocks' tables and, for the tally pass, last[r], the last column
-	// of row r shipped in the partition being tallied, and order[r], the
-	// order of the row's gap codes there. The partitioning keeps all of it
-	// until Release: a scratch slab returned here would be back on the pool
-	// or not when a concurrent fill asked for one, so how often the pool
-	// fell back to make would depend on how the fills interleaved.
-	rest := slab.Int32s(nb*(rows+1) + rows*nb + 2*nb + products + 2*rows)
-	px.ptrArena = rest
+	// One slab holds the cursors, the blocks' tables and, for the tally
+	// pass, last[r], the last column of row r shipped in the partition being
+	// tallied, and order[r], the order of the row's gap codes there.
+	tables := slab.Int32s(rows*nb + 2*nb + products + 2*rows)
+	rest := tables
 	take := func(n int) (s []int32) { s, rest = rest[:n:n], rest[n:]; return s }
-	ptrArena := take(nb * (rows + 1))
 	f := filler{rowStride: nb, blockStride: 1, cur: take(rows * nb), lo: take(nb), hi: take(nb), first: take(products)}
 	last, order := take(rows), take(rows)
 	clear(f.cur)
@@ -788,6 +799,7 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs
 		f.lo[bi], f.hi[bi], f.first[all[bi].PVM] = int32(all[bi].Lo), int32(all[bi].Hi), int32(bi)
 	}
 	pairs(f)
+	ptrArena := slab.Int32s(nb * (rows + 1))
 	denseTotal := 0
 	pos := int32(0)
 	for bi, b := range all {
@@ -809,7 +821,7 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs
 	f.bits = slab.Int32s(int(pos))
 	pairs(f)
 	denseArena := slab.Uint64sZeroed(denseTotal)
-	px.bitsArena, px.denseArena = f.bits, denseArena
+	px.ptrArena, px.bitsArena, px.denseArena = ptrArena, f.bits, denseArena
 	pos, denseOff := int32(0), 0
 	for k := range parts {
 		p := &parts[k]
@@ -861,6 +873,7 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs
 		p.bodyBytes = int64(body+7) / 8
 		px.ShuffleBytes += p.bodyBytes
 	}
+	px.tables = tables
 }
 
 // gapLens returns the sum over offs of bitlen((c − p − 1)>>k + 1), c the

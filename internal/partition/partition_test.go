@@ -102,7 +102,6 @@ func blockSpans(lo, hi, blockSize int) []span {
 func TestBlockTypes(t *testing.T) {
 	// Block size 10, partition [3, 27) must split as Suffix[3,10) +
 	// Full[10,20) + Prefix[20,27).
-	u := tensor.New(1, 10, 5).Unfold(tensor.Mode1)
 	spans := blockSpans(3, 27, 10)
 	if len(spans) != 3 {
 		t.Fatalf("spans = %v", spans)
@@ -118,7 +117,6 @@ func TestBlockTypes(t *testing.T) {
 	if got := classify(blockSpans(12, 17, 10)[0], 10); got != Interior {
 		t.Fatalf("interior classified as %v", got)
 	}
-	_ = u
 }
 
 func TestBlockTypeString(t *testing.T) {
