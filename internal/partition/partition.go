@@ -268,8 +268,7 @@ type Partitioned struct {
 	// packed rows; returned to the slab pool by Release.
 	ptrArena, bitsArena []int32
 	denseArena          []uint64
-	// tables is fill's spent cursor slab, held until FreeTables.
-	tables []int32
+	tables              []int32 // fill's cursor slab, held until FreeTables
 }
 
 // Release returns the partitioning's backing arenas to the slab pool and
@@ -286,12 +285,9 @@ func (p *Partitioned) Release() {
 	p.Parts = nil
 }
 
-// FreeTables returns the cursor tables FromTensor built the partitioning
-// with to the slab pool; Release does if it was not called. A caller that
-// builds several partitionings at once frees them only when every build is
-// done: a slab freed while another build runs would be on the pool or not
-// when that build asks for one, so how often the pool fell back to make
-// would depend on how the builds interleaved.
+// FreeTables returns fill's cursor tables to the slab pool (Release does if
+// it was not called). A caller building several partitionings at once calls
+// it after all are built, so no build finds or misses a table freed mid-way.
 func (p *Partitioned) FreeTables() {
 	slab.PutInt32s(p.tables)
 	p.tables = nil
@@ -450,12 +446,10 @@ func FromTensor(x *tensor.Tensor, mode tensor.Mode, n int, carry Carry) *Partiti
 }
 
 // Build is FromTensor on the tensor and mode u was cut from, its set-up
-// bodies carrying nothing and its tables freed.
+// bodies carrying nothing.
 func Build(u *tensor.Unfolded, n int) *Partitioned {
 	x, mode := u.Source()
-	px := FromTensor(x, mode, n, Carry{})
-	px.FreeTables()
-	return px
+	return FromTensor(x, mode, n, Carry{})
 }
 
 // Receive is FromTensor on a machine that holds partitions first,
