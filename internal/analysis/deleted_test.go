@@ -118,6 +118,14 @@ var deletedNames = []deletedName{
 		pr: "one set-up source per side: partition.Build is FromTensor on the tensor and mode its unfolding was cut from, so fill reads the coordinate list or Receive's bodies, never an unfolding's rows or buckets"},
 	{pattern: `^package `, scope: []string{"examples/quickstart/main.go", "examples/intrusion/main.go", "examples/knowledgebase/main.go", "examples/linkprediction/main.go", "examples/rankselect/main.go"},
 		pr: "tested examples: quickstart and intrusion are Example functions go test runs; knowledgebase and linkprediction printed factors that explained almost nothing, and rankselect repeated ExampleSelectRank and TestFactorizeTuckerSharedStructure"},
+	{pattern: `MsgPing|MsgPong|MsgState\b|MsgAck`, scope: []string{"internal/transport", "internal/core"},
+		pr: "one exchange per stage: pushed state rides in the next MsgRun, a dead worker is found by the request that needs it, and nothing pings (DESIGN §12)"},
+	{pattern: `BENCH_|"compare"`, scope: []string{"cmd/dbtf-bench", "internal/experiments"},
+		pr: "one regression gate: BENCHMARK.json gates regressions, and dbtf-bench prints the paper's record and writes or compares no snapshot"},
+	{pattern: `Trace\s+func\(`, scope: []string{"."}, nonTest: true,
+		pr: "one progress channel: the typed trace.Tracer reports a run; the printf-style Options.Trace hook is gone (DESIGN §10)"},
+	{pattern: `[^.\w]Dial\(|tcp\.Dial\(|WriteFrameMax`, scope: []string{"."},
+		pr: "the test-only wrappers: every caller dials with tcp.DialContext, and a frame under a caller's limit is written through a FrameWriter; tcp.Dial and transport.WriteFrameMax had no program caller"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // docRef is a code reference written into the prose: `path/file.go:N` or
@@ -20,15 +21,25 @@ var docRef = regexp.MustCompile("`([\\w./-]+\\.go):(\\d+)(?:-(\\d+))?`")
 // `ident` (`path/file.go:N`), the two spans possibly on two lines.
 var namedRef = regexp.MustCompile("`([A-Za-z_][\\w.]*)`\\s*\\(`([\\w./-]+\\.go):(\\d+)(?:-(\\d+))?`")
 
+// designRef cites a section of DESIGN.md: `DESIGN §N`, `DESIGN.md §N.M`.
+var designRef = regexp.MustCompile(`DESIGN(?:\.md)?\s+§(\d+(?:\.\d+)?)`)
+
+// experimentsRef cites a section of EXPERIMENTS.md by its title, which may
+// run over two lines: `EXPERIMENTS "Column lookahead"`.
+var experimentsRef = regexp.MustCompile(`EXPERIMENTS\s+"([^"]+)"`)
+
 // TestDocReferencesResolve holds ROADMAP.md and DESIGN.md to the tree they
 // describe: every `file.go:N[-M]` names exactly one Go file of the module
 // (by path suffix) that has line N (and M), and a reference written as
 // `ident` (`file.go:N`) finds the identifier — its last dotted segment —
-// within two lines of N. A reference that drifted because its file changed
-// fails here instead of misleading the next reader.
+// within two lines of N. Across the Markdown and the Go files, every
+// DESIGN citation of a section §N[.M] names a heading of DESIGN.md or item
+// M of §N's numbered list, and every EXPERIMENTS citation of a quoted title
+// a heading or a bold lead-in of EXPERIMENTS.md. A reference that drifted because its file or its section
+// changed fails here instead of misleading the next reader.
 func TestDocReferencesResolve(t *testing.T) {
 	root := moduleRoot(t)
-	var files []string
+	var files, docs []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -36,16 +47,21 @@ func TestDocReferencesResolve(t *testing.T) {
 		if d.IsDir() && path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
 			return filepath.SkipDir
 		}
-		if !d.IsDir() && strings.HasSuffix(path, ".go") {
-			rel, err := filepath.Rel(root, path)
-			files = append(files, filepath.ToSlash(rel))
-			return err
+		rel, err := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		switch {
+		case d.IsDir():
+		case strings.HasSuffix(path, ".go"):
+			files = append(files, rel)
+		case strings.HasSuffix(path, ".md") && rel != "ISSUE.md":
+			docs = append(docs, rel)
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkSectionRefs(t, root, append(docs, files...))
 	// lines holds the lines of the one file each reference names; nil when
 	// it names none or several.
 	lines := map[string][]string{}
@@ -110,6 +126,79 @@ func TestDocReferencesResolve(t *testing.T) {
 	}
 }
 
+// checkSectionRefs resolves every designRef and experimentsRef in paths
+// against the sections of DESIGN.md and EXPERIMENTS.md.
+func checkSectionRefs(t *testing.T, root string, paths []string) {
+	t.Helper()
+	read := func(path string) string {
+		text, err := os.ReadFile(filepath.Join(root, path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(text)
+	}
+	// A DESIGN section is a numbered heading, `## N.` or `### N.M`, or, in
+	// a section N without numbered subheadings, an item `M.` of the numbered
+	// list at column 0 under it.
+	design, items := map[string]bool{}, map[string][]string{}
+	heading, item := regexp.MustCompile(`^##+ (\d+(?:\.\d+)?)\.? `), regexp.MustCompile(`^(\d+)\. `)
+	section := ""
+	for _, line := range strings.Split(read("DESIGN.md"), "\n") {
+		if m := heading.FindStringSubmatch(line); m != nil {
+			design[m[1]] = true
+			if !strings.Contains(m[1], ".") {
+				section = m[1]
+			}
+		} else if m := item.FindStringSubmatch(line); m != nil && section != "" {
+			items[section] = append(items[section], section+"."+m[1])
+		}
+	}
+	for _, list := range items {
+		for _, sub := range list {
+			if design[sub] {
+				list = nil // §N.M is a heading: the list's items are not sections
+			}
+		}
+		for _, sub := range list {
+			design[sub] = true
+		}
+	}
+	// An EXPERIMENTS section is a heading or a bold lead-in; a title names
+	// it when the two agree up to the title's end, at a word's end.
+	var titles []string
+	for _, line := range strings.Split(read("EXPERIMENTS.md"), "\n") {
+		if lead, ok := strings.CutPrefix(line, "**"); ok && strings.Contains(lead, "**") {
+			titles = append(titles, lead[:strings.Index(lead, "**")])
+		} else if strings.HasPrefix(line, "#") {
+			titles = append(titles, strings.TrimLeft(line, "# "))
+		}
+	}
+	names := func(title, cited string) bool {
+		rest, ok := strings.CutPrefix(title, cited)
+		return ok && (rest == "" || !unicode.IsLetter(rune(rest[0])) && !unicode.IsDigit(rune(rest[0])))
+	}
+	refs := 0
+	for _, path := range paths {
+		text := read(path)
+		for _, m := range designRef.FindAllStringSubmatch(text, -1) {
+			refs++
+			if !design[m[1]] {
+				t.Errorf("%s: %q names no heading or list item of DESIGN.md", path, m[0])
+			}
+		}
+		for _, m := range experimentsRef.FindAllStringSubmatch(text, -1) {
+			refs++
+			cited := strings.Join(strings.Fields(m[1]), " ")
+			if !slices.ContainsFunc(titles, func(title string) bool { return names(title, cited) }) {
+				t.Errorf("%s: EXPERIMENTS %q names no heading or bold lead-in of EXPERIMENTS.md", path, cited)
+			}
+		}
+	}
+	if refs == 0 {
+		t.Fatal("no DESIGN or EXPERIMENTS section reference found: the patterns went blind")
+	}
+}
+
 // proseDocs are the documents at the module root that the prose budget
 // covers; below the root every Markdown file counts.
 var proseDocs = []string{"CHANGES.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md",
@@ -118,7 +207,7 @@ var proseDocs = []string{"CHANGES.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md"
 // proseCeiling is the bytes proseDocs and the Markdown files below the root
 // may hold together. It only goes down: a change that adds prose removes as
 // much, and moving text from one file to another saves nothing.
-const proseCeiling = 419_193
+const proseCeiling = 253_255
 
 // TestProseBudget holds the prose to proseCeiling, and each CHANGES.md
 // entry — a line that starts at column 0 with the indented lines under it —

@@ -460,7 +460,7 @@ func (sc scenario) cluster(t *testing.T, tr *trace.Tracer, span int) (*cluster.C
 		}
 		cc.Transport = ht
 	case loopbackTCP:
-		co, err := tcp.Dial(tcp.Config{Addrs: loopbackWorkers(t, sc.machines, span)})
+		co, err := tcp.DialContext(context.Background(), tcp.Config{Addrs: loopbackWorkers(t, sc.machines, span)})
 		if err != nil {
 			t.Fatal(err)
 		}

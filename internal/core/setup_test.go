@@ -139,7 +139,7 @@ func TestShuffledBytesAreSetupBytes(t *testing.T) {
 			}
 		}
 	}()
-	co, err := tcp.Dial(tcp.Config{Addrs: addrs})
+	co, err := tcp.DialContext(context.Background(), tcp.Config{Addrs: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}

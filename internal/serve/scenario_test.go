@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -47,10 +48,10 @@ type stepKind int
 
 const (
 	submitNext stepKind = iota // submit the next job
-	evictJob                   // evict the job if it runs; wait for the eviction or its end
-	cancelJob
-	waitJob // until the job is terminal
-	restart // drain, rewrite the crash set's queued records as running, start the next process
+	evictJob                   // wait for the job to run, evict it, wait for the eviction or its end
+	cancelJob                  // cancel the job unless it has ended
+	waitJob                    // until the job is terminal
+	restart                    // drain, rewrite the crash set's queued records as running, start the next process
 )
 
 // step is one action of a script on job (by submission order; a job not yet
@@ -121,15 +122,106 @@ func drawServer(rng *rand.Rand) Config {
 	return cfg
 }
 
-// process is one server process, its API, and what it left when drained:
-// GET /v1/stats, GET /v1/jobs by id, and its trace files' lengths.
+// process is one server process, its API, the holds on the jobs it
+// admitted, and what it left when drained: GET /v1/stats, GET /v1/jobs by
+// id, and its trace files' lengths.
 type process struct {
 	s        *Server
 	h        http.Handler
 	shed     map[string]int64 // refused submits by reason
+	holds    map[string]*hold
 	stats    Stats
 	end      map[string]JobView
 	traceLen map[string]int64
+}
+
+// hold stops a scenario job at the run_begin of a slice, inside the job's
+// own trace, until the harness frees it. A job that a submit or an eviction
+// set going waits there until the next step begins, so a step that targets
+// it acts before the job can have moved on, however the harness's goroutine
+// is scheduled; every other step frees it first.
+type hold struct {
+	mu      sync.Mutex
+	armed   bool          // the next run_begin waits
+	waiting chan struct{} // non-nil while a run_begin waits on it
+}
+
+func (h *hold) Write(ev *trace.Event) error {
+	if ev.Type != trace.RunBegin {
+		return nil
+	}
+	h.mu.Lock()
+	if !h.armed {
+		h.mu.Unlock()
+		return nil
+	}
+	h.armed = false
+	wait := make(chan struct{})
+	h.waiting = wait
+	h.mu.Unlock()
+	<-wait
+	return nil
+}
+
+func (*hold) Close() error { return nil }
+
+// waits reports whether a slice waits on h; settled, whether none is on
+// its way to, so the job's state will not change under the hold. A job
+// without a hold (nil) is settled and never waits.
+func (h *hold) waits() (waits, settled bool) {
+	if h == nil {
+		return false, true
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.waiting != nil, h.waiting != nil || !h.armed
+}
+
+// free lets a waiting slice go; rearm makes the job's next slice wait.
+func (h *hold) free(rearm bool) {
+	if h == nil {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.armed = rearm
+	if h.waiting != nil {
+		close(h.waiting)
+		h.waiting = nil
+	}
+}
+
+// holdNext installs, for the job the next admitted submit will be, the
+// trace traceFor would make — the JSONL stream and the progress fold — with
+// an armed hold beside them. A refused submit leaves it for the next one.
+func (p *process) holdNext(t *testing.T) {
+	t.Helper()
+	p.s.mu.Lock()
+	defer p.s.mu.Unlock()
+	id := fmt.Sprintf("j%08d", p.s.seq)
+	if h := p.holds[id]; h != nil {
+		h.free(true)
+		return
+	}
+	if err := os.MkdirAll(filepath.Join(p.s.cfg.DataDir, "traces"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	sink, err := newJSONLFileSink(tracePath(p.s.cfg.DataDir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, prog := &hold{armed: true}, &progressSink{}
+	p.s.traces[id] = &jobTrace{tracer: trace.New(trace.NewTee(sink, prog, h)), progress: prog}
+	p.holds[id] = h
+}
+
+// freeAll frees every held job but except.
+func (p *process) freeAll(except string) {
+	for id, h := range p.holds {
+		if id != except {
+			h.free(false)
+		}
+	}
 }
 
 // call sends one request to h.
@@ -200,7 +292,7 @@ func (p *process) act(t *testing.T, method, path string) bool {
 // serveRun is what a scenario's life did: by job, its id ("" if never
 // admitted); by id, the evictions seen to land, the records rewritten as
 // running, whether the server accepted a cancel of it, and the runs its
-// trace tells.
+// trace tells; and the steps that did not land.
 type serveRun struct {
 	dir           string
 	procs         []*process
@@ -208,6 +300,16 @@ type serveRun struct {
 	landed, flips map[string]int
 	cancelled     map[string]bool
 	runs          map[string][]setUpRun
+	missed        []missedStep
+}
+
+// missedStep is a step of the script that did not land on job id because
+// the job had already ended, in state; a crash step misses once per job of
+// its set.
+type missedStep struct {
+	step  int
+	id    string
+	state State
 }
 
 // setUpRun is one run of a job on a tensor in a process: its set-up events,
@@ -240,7 +342,9 @@ func (sc serveScenario) run(t *testing.T) *serveRun {
 			t.Fatalf("starting process %d: %v", len(r.procs), err)
 		}
 		t.Cleanup(s.Drain) // a failed check leaves nothing running
-		p = &process{s: s, h: s.Handler(), shed: map[string]int64{}}
+		proc := &process{s: s, h: s.Handler(), shed: map[string]int64{}, holds: map[string]*hold{}}
+		t.Cleanup(func() { proc.freeAll("") }) // before the drain, which waits for held jobs
+		p = proc
 		r.procs = append(r.procs, p)
 	}
 	drain := func() {
@@ -276,39 +380,80 @@ func (sc serveScenario) run(t *testing.T) *serveRun {
 			t.Fatalf("uploading x%d: %d %s", i, rec.Code, rec.Body)
 		}
 	}
-	for _, st := range sc.script {
+	for i, st := range sc.script {
 		id := ""
 		if st.job < next {
 			id = r.ids[st.job]
 		}
+		if st.kind == evictJob || st.kind == cancelJob {
+			p.freeAll(id)
+		} else {
+			p.freeAll("")
+		}
 		switch {
 		case st.kind == submitNext && next < len(sc.jobs):
+			p.holdNext(t)
 			submit()
 		case st.kind == restart:
 			drain()
 			for j, id := range r.ids {
-				if crashed := p.end[id].Job; id != "" && st.crash&(1<<j) != 0 && crashed.State == StateQueued {
-					crashed.State = StateRunning
-					if err := persistJob(r.dir, &crashed); err != nil {
-						t.Fatal(err)
-					}
-					r.flips[id]++
+				if id == "" || st.crash&(1<<j) == 0 {
+					continue
 				}
+				crashed := p.end[id].Job
+				if crashed.State != StateQueued {
+					r.missed = append(r.missed, missedStep{i, id, crashed.State})
+					continue
+				}
+				crashed.State = StateRunning
+				if err := persistJob(r.dir, &crashed); err != nil {
+					t.Fatal(err)
+				}
+				r.flips[id]++
 			}
 			start()
 		case id == "":
 		case st.kind == evictJob:
-			if v, _ := p.s.JobByID(id); v.State == StateRunning && p.act(t, http.MethodPost, "/v1/jobs/"+id+"/evict") {
-				if waitState(t, p.s, id, func(w JobView) bool { return w.Evictions > v.Evictions || w.State.Terminal() }, "the eviction").Evictions > v.Evictions {
-					r.landed[id]++
+			// The server evicts only a running job, and a job between two
+			// slices is queued: the step waits for it to run, and only the
+			// job's end stops it. A held job is evicted at its slice's start,
+			// so the eviction lands at the slice's first iteration boundary,
+			// and the slice it resumes in is held in turn.
+			h := p.holds[id]
+			for {
+				v := waitState(t, p.s, id, func(w JobView) bool {
+					_, settled := h.waits()
+					return w.State == StateRunning && settled || w.State.Terminal()
+				}, "the job to run")
+				if v.State.Terminal() {
+					r.missed = append(r.missed, missedStep{i, id, v.State})
+					break
 				}
+				if !p.act(t, http.MethodPost, "/v1/jobs/"+id+"/evict") {
+					continue // it stopped running between the look and the request
+				}
+				if waits, _ := h.waits(); waits {
+					h.free(true)
+				}
+				if w := waitState(t, p.s, id, func(w JobView) bool { return w.Evictions > v.Evictions || w.State.Terminal() }, "the eviction"); w.Evictions > v.Evictions {
+					r.landed[id]++
+				} else {
+					r.missed = append(r.missed, missedStep{i, id, w.State})
+				}
+				break
 			}
 		case st.kind == cancelJob:
-			r.cancelled[id] = r.cancelled[id] || p.act(t, http.MethodDelete, "/v1/jobs/"+id)
+			if p.act(t, http.MethodDelete, "/v1/jobs/"+id) {
+				r.cancelled[id] = true
+			} else {
+				r.missed = append(r.missed, missedStep{i, id, waitTerminal(t, p.s, id).State})
+			}
+			p.holds[id].free(false)
 		case st.kind == waitJob:
 			waitTerminal(t, p.s, id)
 		}
 	}
+	p.freeAll("")
 	for next < len(sc.jobs) {
 		submit()
 	}
@@ -387,6 +532,11 @@ func checkServeScenario(t *testing.T, sc serveScenario) *serveRun {
 		finishedLast := len(r.procs) == 1 || !r.procs[len(r.procs)-2].end[id].State.Terminal()
 		if p := v.Progress; finishedLast && (p == nil || p.Iterations > 0 && p.LastError != got.Error) {
 			t.Errorf("job %s ended at error %d, its progress reads %+v", id, got.Error, p)
+		}
+	}
+	for _, m := range r.missed {
+		if v := last.end[m.id]; !m.state.Terminal() || v.State != m.state {
+			t.Errorf("step %d missed job %s as %s; the job ended %s", m.step, m.id, m.state, v.State)
 		}
 	}
 	r.checkSetUp(t)
@@ -547,8 +697,8 @@ func TestSameSpecReproducesFactorHash(t *testing.T) {
 }
 
 func TestEvictResumesBitIdentical(t *testing.T) {
-	if r := checkServeScenario(t, pinnedScenario([]int{8}, sub, evict(0), evict(0))); r.landed[r.ids[0]] < 2 {
-		t.Errorf("%d evictions landed, want 2", r.landed[r.ids[0]])
+	if r := checkServeScenario(t, pinnedScenario([]int{8}, sub, evict(0), evict(0))); r.landed[r.ids[0]] != 2 || len(r.missed) != 0 {
+		t.Errorf("%d evictions landed and %v steps missed, want 2 and none", r.landed[r.ids[0]], r.missed)
 	}
 }
 

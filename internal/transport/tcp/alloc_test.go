@@ -43,7 +43,7 @@ func TestRoundTripAllocs(t *testing.T) {
 		addr, _ := startWorker(t, &laneHost{payload: make([]byte, 3000)})
 		cfg.Addrs = append(cfg.Addrs, addr)
 	}
-	c, err := Dial(cfg)
+	c, err := DialContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func dialStalled(t *testing.T) *Coordinator {
 	h := &stallHost{echoHost: newEchoHost(), release: make(chan struct{})}
 	addr, _ := startWorker(t, h)
 	t.Cleanup(func() { close(h.release) }) // registered after the serve loop's, so it runs before it
-	c, err := Dial(testConfig(addr))
+	c, err := DialContext(context.Background(), testConfig(addr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestShutdownDrainsInFlightBatch(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(lis) }()
 
-	c, err := Dial(testConfig(lis.Addr().String()))
+	c, err := DialContext(context.Background(), testConfig(lis.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestShutdownClosesIdleConnections(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(lis) }()
 
-	c, err := Dial(testConfig(lis.Addr().String()))
+	c, err := DialContext(context.Background(), testConfig(lis.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestShutdownForceClosesAfterTimeout(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(lis) }()
 
-	c, err := Dial(testConfig(lis.Addr().String()))
+	c, err := DialContext(context.Background(), testConfig(lis.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // is a separate OS process (cmd/dbtf-worker) speaking the length-prefixed
 // binary protocol of package transport over a TCP connection.
 //
-// The coordinator side (Dial) implements transport.Transport for the
+// The coordinator side (DialContext) implements transport.Transport for the
 // driver; the executor side (Serve) pumps frames into a transport.Host.
 // A stage costs one exchange per worker: pushed state is kept in a log,
 // and every request carries the part of the log its worker has not
@@ -28,7 +28,7 @@ import (
 	"dbtf/internal/transport"
 )
 
-// Config configures Dial.
+// Config configures DialContext.
 type Config struct {
 	// Addrs lists the worker addresses; machine m is Addrs[m].
 	Addrs []string
@@ -198,18 +198,12 @@ type Coordinator struct {
 	recvd atomic.Int64
 }
 
-// Dial connects to every worker and performs the protocol handshake.
-// All-or-nothing: if any worker is unreachable the whole dial fails, so a
-// run never silently starts degraded.
-func Dial(cfg Config) (*Coordinator, error) {
-	return DialContext(context.Background(), cfg)
-}
-
-// DialContext is Dial with a caller-supplied context covering the whole
+// DialContext connects to every worker and performs the protocol
+// handshake. All-or-nothing: if any worker is unreachable the whole dial
+// fails, so a run never silently starts degraded. ctx covers the whole
 // connect phase — both the TCP connects and the protocol handshakes.
-// Cancelling ctx aborts a dial that would otherwise stall until
-// callTimeout on a worker that accepts the connection but never answers
-// the handshake.
+// Cancelling it aborts a dial that would otherwise stall until callTimeout
+// on a worker that accepts the connection but never answers the handshake.
 func DialContext(ctx context.Context, cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Addrs) == 0 {

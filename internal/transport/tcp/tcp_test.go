@@ -155,7 +155,7 @@ func dialWorkers(t *testing.T, cfg Config, hosts ...*echoHost) (*Coordinator, []
 		cfg.Addrs = append(cfg.Addrs, addr)
 		counters = append(counters, fc)
 	}
-	c, err := Dial(cfg)
+	c, err := DialContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestSteadyStateRoundTrips(t *testing.T) {
 	frames := func() [2]int64 { return [2]int64{counters[0].frames.Load(), counters[1].frames.Load()} }
 
 	if got := frames(); got != [2]int64{1, 1} {
-		t.Fatalf("after Dial: %v request frames, want the handshake alone", got)
+		t.Fatalf("after DialContext: %v request frames, want the handshake alone", got)
 	}
 	if err := c.PushSetup(ctx, setupAll(c, []byte("s"))); err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestSetupFlushIsConcurrent(t *testing.T) {
 		addr, _ := startWorker(t, barrierHost{newEchoHost(), &arrived})
 		cfg.Addrs = append(cfg.Addrs, addr)
 	}
-	c, err := Dial(cfg)
+	c, err := DialContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestRunRoutesTasksByHomeMachine(t *testing.T) {
 		addr, _ := startWorker(t, h)
 		addrs = append(addrs, addr)
 	}
-	c, err := Dial(testConfig(addrs...))
+	c, err := DialContext(context.Background(), testConfig(addrs...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestRunTaskErrorIsFatalNotALoss(t *testing.T) {
 	h := newEchoHost()
 	h.taskErr = errors.New("kernel exploded")
 	addr, _ := startWorker(t, h)
-	c, err := Dial(testConfig(addr))
+	c, err := DialContext(context.Background(), testConfig(addr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestWorkerLossReroutesAndRejoinReplays(t *testing.T) {
 	serve1 := make(chan error, 1)
 	go func() { serve1 <- Serve(lis1, h1, nil) }()
 
-	c, err := Dial(testConfig(addr0, addr1))
+	c, err := DialContext(context.Background(), testConfig(addr0, addr1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,7 +657,7 @@ func TestLostMachineIsReshippedAtEachLoss(t *testing.T) {
 		}
 	}
 	kill := serve(lis)
-	c, err := Dial(testConfig(addr0, addr1))
+	c, err := DialContext(context.Background(), testConfig(addr0, addr1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,8 +708,8 @@ func TestDialFailsWhenAnyWorkerUnreachable(t *testing.T) {
 	if err := dead.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Dial(testConfig(addr, deadAddr)); err == nil {
-		t.Fatal("Dial succeeded with an unreachable worker")
+	if _, err := DialContext(context.Background(), testConfig(addr, deadAddr)); err == nil {
+		t.Fatal("DialContext succeeded with an unreachable worker")
 	}
 }
 
@@ -805,7 +805,7 @@ func TestReroutedBatchesShareOneExchange(t *testing.T) {
 	}
 	serve1 := make(chan error, 1)
 	go func() { serve1 <- Serve(lis1, h1, nil) }()
-	c, err := Dial(testConfig(addr0, lis1.Addr().String()))
+	c, err := DialContext(context.Background(), testConfig(addr0, lis1.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
 	}

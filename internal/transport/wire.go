@@ -9,39 +9,12 @@ import (
 )
 
 // ProtoVersion is the wire protocol version carried in the handshake;
-// mismatched peers refuse each other instead of mis-decoding. Version 2
-// is the fixed binary envelope with piggy-backed state (version 1 was a
-// gob body with separate state and ping exchanges); version 3 is the same
-// envelope around a set-up blob one configuration word shorter; version 4
-// renumbers the stage kinds (the build kind is gone: a version-3 peer's
-// eval would be read as a total-error); version 5 is a set-up blob one
-// configuration word shorter again (a version-4 peer would read the seed
-// as the init density); version 6 answers an eval with int32 lanes for up
-// to two columns and pushes both columns in one blob (a version-5 peer
-// would read int32 lanes as int64 rows); version 7 answers it with the same
-// lanes as zigzag uvarints, the second outcome of a pair sent as its
-// difference from the first (a version-6 peer would read them as int32);
-// version 8 may answer it with a grouped body instead — per-group bases and
-// the rows with hits, marked by the lanes byte's high bit — which a
-// version-7 peer would refuse as a lane count it never asked for; version 9
-// sets a worker up with its own partitions' bodies instead of the whole
-// tensor, and re-ships a lost machine's with a new state kind — a version-8
-// peer would read the bodies as a tensor; version 10 leaves out of the
-// mode-2 and mode-3 bodies every nonzero the blob's mode-1 bodies carry — a
-// version-9 worker would build those partitions without them; version 11
-// codes a body's counts and gaps as Exp-Golomb bit strings instead of
-// uvarints — a version-10 worker would read the bits as varints; version 12
-// ships a set-up header one word shorter, the run configuration having lost
-// its uncached flag — a version-11 worker would read the header's words
-// shifted; version 13 answers an eval of up to three columns, seven lanes a
-// row, with a body of Exp-Golomb bit strings instead of uvarints — a
-// version-12 driver would read the bits as varints; version 14 answers it
-// with the rows' hits and the region sizes the driver rebuilds the group
-// bases from, instead of the bases — a version-13 driver would read the
-// sizes as bases; version 15 pushes a stage's commit as the positions of
-// the entries it flipped, Exp-Golomb distances, instead of its packed
-// columns, and installs the factors only when they change — a version-14
-// worker would read the distances as column bits.
+// mismatched peers refuse each other instead of mis-decoding. It guards
+// every byte layout a peer decodes: the frame envelope, the set-up header
+// and bodies, the state blobs and the eval and commit bodies. Bump it in
+// the change that alters any of them, so that a driver and a worker built
+// on either side of the change fail the handshake instead of reading each
+// other's bytes shifted.
 const ProtoVersion = 15
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
@@ -156,13 +129,8 @@ const spliceMin = 16 << 10
 // with int a 64-bit two's complement and count a u32. It is a FrameWriter
 // used once; a connection keeps one instead.
 func WriteFrame(w io.Writer, m *Msg) (int, error) {
-	return WriteFrameMax(w, m, DefaultMaxFrame)
-}
-
-// WriteFrameMax is WriteFrame under a caller-chosen body limit.
-func WriteFrameMax(w io.Writer, m *Msg, maxFrame int64) (int, error) {
 	var fw FrameWriter
-	return fw.Write(w, m, maxFrame)
+	return fw.Write(w, m, DefaultMaxFrame)
 }
 
 // FrameWriter encodes frames (see WriteFrame for the layout) into a buffer

@@ -184,15 +184,16 @@ func allocatedBytes(bound uint64, f func()) uint64 {
 func TestWriteFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
 	m := &Msg{Type: MsgRun, States: []StateBlob{{Kind: StateSetup, Payload: make([]byte, 2048)}}}
-	n, err := WriteFrameMax(&buf, m, 1024)
+	var fw FrameWriter
+	n, err := fw.Write(&buf, m, 1024)
 	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("WriteFrameMax = %v, want ErrFrameTooLarge", err)
+		t.Fatalf("FrameWriter.Write = %v, want ErrFrameTooLarge", err)
 	}
 	if n != 0 || buf.Len() != 0 {
 		t.Fatalf("refused frame wrote %d bytes (buffer holds %d)", n, buf.Len())
 	}
-	if n, err := WriteFrameMax(&buf, m, 4096); err != nil || n != buf.Len() {
-		t.Fatalf("WriteFrameMax under the limit = %d, %v (buffer holds %d)", n, err, buf.Len())
+	if n, err := fw.Write(&buf, m, 4096); err != nil || n != buf.Len() {
+		t.Fatalf("FrameWriter.Write under the limit = %d, %v (buffer holds %d)", n, err, buf.Len())
 	}
 }
 
