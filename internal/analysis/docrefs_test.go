@@ -32,7 +32,8 @@ var experimentsRef = regexp.MustCompile(`EXPERIMENTS\s+"([^"]+)"`)
 // describe: every `file.go:N[-M]` names exactly one Go file of the module
 // (by path suffix) that has line N (and M), and a reference written as
 // `ident` (`file.go:N`) finds the identifier — its last dotted segment —
-// within two lines of N. Across the Markdown and the Go files, every
+// within two lines of N. Across the Go files and the Markdown that
+// TestProseBudget covers (proseDocs at the root, every file below it), every
 // DESIGN citation of a section §N[.M] names a heading of DESIGN.md or item
 // M of §N's numbered list, and every EXPERIMENTS citation of a quoted title
 // a heading or a bold lead-in of EXPERIMENTS.md. A reference that drifted because its file or its section
@@ -53,7 +54,7 @@ func TestDocReferencesResolve(t *testing.T) {
 		case d.IsDir():
 		case strings.HasSuffix(path, ".go"):
 			files = append(files, rel)
-		case strings.HasSuffix(path, ".md") && rel != "ISSUE.md":
+		case strings.HasSuffix(path, ".md") && (strings.Contains(rel, "/") || slices.Contains(proseDocs, rel)):
 			docs = append(docs, rel)
 		}
 		return err
