@@ -88,7 +88,7 @@ var deletedNames = []deletedName{
 		pr: "PR 29: no program code copies a BitVec in place or parses one from a string; a factor product is MulFactor"},
 	{pattern: `[^.\w]Mul\(`, scope: []string{"internal/boolmat"},
 		pr: "PR 29: the general matrix product had no caller outside its tests; MulFactor is the product the engine forms (Equation 6), held to a triple loop"},
-	{pattern: `UnfoldAll|DecodeBinary\(|BinarySize\(|"dbtf/internal/tensor"`, scope: []string{"internal/core/worker.go", "internal/core/wirecodec.go"},
+	{pattern: `UnfoldAll|DecodeBinary\(|BinarySize\(|tensor\.Tensor|FromTensor|\.Coords\(`, scope: []string{"internal/core/worker.go", "internal/core/wirecodec.go"},
 		pr: "PR 33: a worker is shipped only its own partitions' set-up bodies and decodes them straight into its blocks; the whole-tensor set-up — a tensor in the blob, unfolded and partitioned whole on every worker — is gone"},
 	{pattern: `\bAndNotCountWords\b`, scope: []string{"."},
 		pr: "the dead-kernel sweep: bitvec.AndNotCountWords had no caller outside its own tests; a test that needs |W1 &^ W0| counts it inline"},
@@ -126,6 +126,10 @@ var deletedNames = []deletedName{
 		pr: "one progress channel: the typed trace.Tracer reports a run; the printf-style Options.Trace hook is gone (DESIGN §10)"},
 	{pattern: `[^.\w]Dial\(|tcp\.Dial\(|WriteFrameMax`, scope: []string{"."},
 		pr: "the test-only wrappers: every caller dials with tcp.DialContext, and a frame under a caller's limit is written through a FrameWriter; tcp.Dial and transport.WriteFrameMax had no program caller"},
+	{pattern: `func Fold\(|tensor\.Fold\(|SubTensor|ReadBinary\(`, scope: []string{"."},
+		pr: "the test-only tensor API: no program code folded an unfolding back, cut a sub-tensor or read a binary tensor from a stream; TestUnfoldAllAgreesWithUnfoldAndNaive checks every nonzero's cell, and the binary tests call DecodeBinary"},
+	{pattern: `unfoldingShapes|tooWide|sourcePart`, scope: []string{"internal/core", "internal/partition"},
+		pr: "one placement: Equation 1 is tensor.Mode.Place, the int32 column guard is tensor.Mode.Columns, and Algorithm 3's cut is partition's cut, which layout, Carry and NewCarry read"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

@@ -144,44 +144,35 @@ func Decompose(ctx context.Context, x *tensor.Tensor, opts Options) (*Result, er
 
 	start := time.Now()
 	us := x.UnfoldAll()
-	u1, u2, u3 := us[0], us[1], us[2]
 
 	// Per-mode initialization: the unfolding is factorized by the greedy
 	// top-fiber scheme (near-linear, the default) or by ASSO (quadratic,
 	// the faithful-ablation path).
-	a, err := initFactor(ctx, u1, opt)
-	if err != nil {
-		return nil, fmt.Errorf("bcpals: mode-1 initialization: %w", err)
-	}
-	b, err := initFactor(ctx, u2, opt)
-	if err != nil {
-		return nil, fmt.Errorf("bcpals: mode-2 initialization: %w", err)
-	}
-	c, err := initFactor(ctx, u3, opt)
-	if err != nil {
-		return nil, fmt.Errorf("bcpals: mode-3 initialization: %w", err)
+	var f [3]*boolmat.FactorMatrix
+	var rows [3][]*bitvec.BitVec
+	for m, u := range us {
+		var err error
+		if f[m], err = initFactor(ctx, u, opt); err != nil {
+			return nil, fmt.Errorf("bcpals: mode-%d initialization: %w", m+1, err)
+		}
+		rows[m] = denseRows(u)
 	}
 
 	res := &Result{}
-	rows1 := denseRows(u1)
-	rows2 := denseRows(u2)
-	rows3 := denseRows(u3)
-
 	prevErr := int64(-1)
 	for t := 1; t <= opt.MaxIter; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := updateFactor(ctx, rows1, a, c, b); err != nil {
-			return nil, err
+		// X₍ₙ₎ ≈ upd ∘ (pvm ⊙ cached)ᵀ, the roles the mode's axes give.
+		for m := range us {
+			upd, pvm, cached := tensor.Mode(m + 1).Axes()
+			if err := updateFactor(ctx, rows[m], f[upd], f[pvm], f[cached]); err != nil {
+				return nil, err
+			}
 		}
-		if err := updateFactor(ctx, rows2, b, c, a); err != nil {
-			return nil, err
-		}
-		if err := updateFactor(ctx, rows3, c, b, a); err != nil {
-			return nil, err
-		}
-		e := reconstructionError(rows1, a, c, b)
+		upd, pvm, cached := tensor.Mode1.Axes()
+		e := reconstructionError(rows[0], f[upd], f[pvm], f[cached])
 		res.Iterations = t
 		if t >= opt.MinIter && prevErr >= 0 && prevErr-e <= opt.Tolerance {
 			prevErr = e
@@ -191,7 +182,7 @@ func Decompose(ctx context.Context, x *tensor.Tensor, opts Options) (*Result, er
 		prevErr = e
 	}
 
-	res.A, res.B, res.C = a, b, c
+	res.A, res.B, res.C = f[0], f[1], f[2]
 	res.Error = prevErr
 	res.WallTime = time.Since(start)
 	return res, nil
@@ -265,7 +256,8 @@ func updateFactor(ctx context.Context, xRows []*bitvec.BitVec, a, mf, ms *boolma
 	return nil
 }
 
-// reconstructionError computes |X₍₁₎ ⊕ A ∘ (C ⊙ B)ᵀ|.
+// reconstructionError computes |X₍₁₎ ⊕ A ∘ (C ⊙ B)ᵀ| from the mode-1 rows
+// and the factors in their mode-1 roles.
 func reconstructionError(xRows []*bitvec.BitVec, a, mf, ms *boolmat.FactorMatrix) int64 {
 	krT := boolmat.KhatriRao(mf, ms).Matrix().Transpose()
 	sum := bitvec.New(krT.Cols())

@@ -140,8 +140,8 @@ func TestWarmTotalErrorAllocs(t *testing.T) {
 	}
 }
 
-// TestCarriedSetupAllocs: leaving out what carriedBy carries costs the
-// coordinator's set-up no object. Building a run's three partitionings from
+// TestCarriedSetupAllocs: leaving out what partition.NewCarry carries costs
+// the coordinator's set-up no object. Building a run's three partitionings from
 // the coordinate list with their bodies sized for its machines allocates
 // exactly as many objects as the plain builds of the same tensor, and
 // encodeSetup makes each machine's blob as one object.
@@ -161,7 +161,9 @@ func TestCarriedSetupAllocs(t *testing.T) {
 		return allocs, shuffled
 	}
 	plainAllocs, plainBytes := build(func(int) partition.Carry { return partition.Carry{} })
-	carriedAllocs, carriedBytes := build(func(m int) partition.Carry { return carriedBy(m, dims, cfg) })
+	carriedAllocs, carriedBytes := build(func(m int) partition.Carry {
+		return partition.NewCarry(dims, tensor.Mode(m+1), cfg.Machines, cfg.Partitions)
+	})
 	if carriedAllocs != plainAllocs || carriedBytes >= plainBytes {
 		t.Errorf("the carried builds allocate %v objects for %d B of bodies, the plain ones %v for %d B",
 			carriedAllocs, carriedBytes, plainAllocs, plainBytes)

@@ -325,6 +325,21 @@ func DecomposeOn(ctx context.Context, set *Partitions, cl *cluster.Cluster, opts
 	return decompose(ctx, set.x, set, cl, opts, lookahead)
 }
 
+// checkDims refuses a tensor no partition stage could build: one with an
+// empty mode, or an unfolding whose columns overflow int32
+// (tensor.Mode.Columns).
+func checkDims(dims [3]int) error {
+	if dims[0] < 1 || dims[1] < 1 || dims[2] < 1 {
+		return fmt.Errorf("empty tensor %dx%dx%d", dims[0], dims[1], dims[2])
+	}
+	for m := tensor.Mode1; m <= tensor.Mode3; m++ {
+		if _, err := m.Columns(dims[0], dims[1], dims[2]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // decompose is the one run: Decompose's on a private set it builds and
 // releases, DecomposeOn's on a shared one, deciding at most span columns per
 // eval stage. Every caller but the lookahead's own differential test passes
@@ -334,8 +349,8 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 		return nil, errors.New("core: nil tensor")
 	}
 	i, j, k := x.Dims()
-	if i == 0 || j == 0 || k == 0 {
-		return nil, fmt.Errorf("core: empty tensor %dx%dx%d", i, j, k)
+	if err := checkDims([3]int{i, j, k}); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	cfg, err := opts.withDefaults(cl.Machines())
 	if err != nil {

@@ -92,6 +92,21 @@ func TestDecomposeValidation(t *testing.T) {
 	}
 }
 
+// TestDecomposeRefusesOverWideTensor: a tensor whose mode-1 unfolding has
+// 50,000² columns, beyond int32, is refused with the column guard's error
+// before any stage runs, so nothing is retried.
+func TestDecomposeRefusesOverWideTensor(t *testing.T) {
+	cl := testCluster(2)
+	_, err := Decompose(context.Background(), tensor.New(2, 50000, 50000), cl, Options{Rank: 2})
+	_, guard := tensor.Mode1.Columns(2, 50000, 50000)
+	if err == nil || guard == nil || err.Error() != "core: "+guard.Error() {
+		t.Fatalf("got %v, want core: %v", err, guard)
+	}
+	if st := cl.Stats(); st.Stages != 0 || st.Tasks != 0 || st.Retries != 0 {
+		t.Fatalf("%d stages, %d tasks, %d retries ran before the refusal", st.Stages, st.Tasks, st.Retries)
+	}
+}
+
 func TestDecomposeReducesError(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x, _, _, _ := plantedTensor(rng, 20, 20, 20, 3, 0.2)

@@ -11,21 +11,25 @@ import (
 	"dbtf/internal/tensor"
 )
 
-// modeRoles is the one declaration of which factor matrix plays which part
-// in each factor update X₍ₙ₎ ≈ upd ∘ (pvm ⊙ cached)ᵀ: the updated matrix
-// (its rows are the unfolding's rows), the matrix whose rows index the PVM
-// blocks (the first Khatri–Rao operand), and the matrix the row-summation
-// caches are built over (the second). Values index executor.f. The name
-// labels the update's stage spans and the "mode" pprof label. totalError
-// evaluates the mode-1 unfolding, so it reads modeRoles[0].
-var modeRoles = [3]struct {
+// modeRoles is which factor matrix plays which part in each factor update
+// X₍ₙ₎ ≈ upd ∘ (pvm ⊙ cached)ᵀ: the updated matrix (its rows are the
+// unfolding's rows), the matrix whose rows index the PVM blocks (the first
+// Khatri–Rao operand), and the matrix the row-summation caches are built
+// over (the second). They are the mode's axes (tensor.Mode.Axes), and
+// index executor.f. The name labels the update's stage spans and the
+// "mode" pprof label. totalError evaluates the mode-1 unfolding, so it
+// reads modeRoles[0].
+var modeRoles = func() (roles [3]struct {
 	name             string
 	upd, pvm, cached int
-}{
-	{"A", 0, 2, 1}, // X₍₁₎ ≈ A ∘ (C ⊙ B)ᵀ
-	{"B", 1, 2, 0}, // X₍₂₎ ≈ B ∘ (C ⊙ A)ᵀ
-	{"C", 2, 1, 0}, // X₍₃₎ ≈ C ∘ (B ⊙ A)ᵀ
-}
+}) {
+	for m := range roles {
+		r := &roles[m]
+		r.upd, r.pvm, r.cached = tensor.Mode(m + 1).Axes()
+		r.name = "ABC"[r.upd : r.upd+1]
+	}
+	return roles
+}()
 
 // executor holds one run's replicated state — the three vertical
 // partitionings, per-machine cache registries, the current factor matrices,
@@ -89,14 +93,16 @@ func newExecutor(cfg runConfig, dims [3]int, machines int, place func(pi int) in
 
 // setup builds the three vertical partitionings of x — the one-off
 // unfolding and distribution of Algorithm 2, lines 1-3 — and installs them,
-// their set-up bodies sized for the run's machines (carriedBy). each runs
-// the three per-mode builds, on the driver a cluster stage; each builds its
-// mode's partitioning straight from the coordinate list. What setup builds,
-// on error the modes built so far, is its caller's to keep or release (see
-// install).
+// their set-up bodies sized for the run's machines (partition.NewCarry).
+// each runs the three per-mode builds, on the driver a cluster stage; each
+// builds its mode's partitioning straight from the coordinate list. What
+// setup builds, on error the modes built so far, is its caller's to keep or
+// release (see install).
 func (ex *executor) setup(x *tensor.Tensor, each func(n int, fn func(m int) error) error) error {
 	err := each(len(ex.px), func(m int) error {
-		ex.px[m] = partition.FromTensor(x, tensor.Mode(m+1), ex.cfg.Partitions, carriedBy(m, ex.dims, ex.cfg))
+		mode := tensor.Mode(m + 1)
+		carry := partition.NewCarry(ex.dims, mode, ex.cfg.Machines, ex.cfg.Partitions)
+		ex.px[m] = partition.FromTensor(x, mode, ex.cfg.Partitions, carry)
 		return nil
 	})
 	if err != nil {

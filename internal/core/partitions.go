@@ -9,9 +9,9 @@ import (
 )
 
 // Partitions is one tensor's three vertically partitioned unfoldings for a
-// partition count N on M machines — M sizes the set-up bodies (carriedBy)
-// — the px of Algorithm 2, lines 1-3, which §III-B builds
-// once and never reshuffles. A run that finds the set empty builds it
+// partition count N on M machines — M sizes the set-up bodies
+// (partition.NewCarry) — the px of Algorithm 2, lines 1-3, which §III-B
+// builds once and never reshuffles. A run that finds the set empty builds it
 // through its own cluster — the partition stage and the Lemma-6 shuffle are
 // that run's — and every later run reads it. Any number of runs may share
 // one set, concurrently too: no stage writes a block after

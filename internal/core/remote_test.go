@@ -445,13 +445,14 @@ func setupLayoutBytes(data []byte) uint64 {
 		dims[n] = int(binary.LittleEndian.Uint32(data[8*len(words)+4*n:]))
 	}
 	home := int(binary.LittleEndian.Uint32(data[8*len(words)+12:]))
-	if cfg.Machines < 1 || cfg.Machines > math.MaxInt32 || cfg.Partitions < 1 || home >= cfg.Machines ||
-		dims[0] < 1 || dims[1] < 1 || dims[2] < 1 || tooWide(dims[0], dims[1]) || tooWide(dims[0], dims[2]) || tooWide(dims[1], dims[2]) {
+	if cfg.Machines < 1 || cfg.Machines > math.MaxInt32 || cfg.Partitions < 1 || home >= cfg.Machines || checkDims(dims) != nil {
 		return 0
 	}
 	var bytes uint64
-	for _, shape := range unfoldingShapes {
-		rows, width, cols := uint64(dims[shape[0]]), uint64(dims[shape[1]]), uint64(dims[shape[1]]*dims[shape[2]])
+	for m := tensor.Mode1; m <= tensor.Mode3; m++ {
+		r, _, w := m.Place(tensor.Coord{I: dims[0], J: dims[1], K: dims[2]})
+		c, _ := m.Columns(dims[0], dims[1], dims[2])
+		rows, width, cols := uint64(r), uint64(w), uint64(c)
 		n := min(uint64(cfg.Partitions), cols)
 		var held uint64
 		if uint64(home) < n {

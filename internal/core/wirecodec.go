@@ -13,6 +13,7 @@ import (
 	"dbtf/internal/boolmat"
 	"dbtf/internal/partition"
 	"dbtf/internal/sumcache"
+	"dbtf/internal/tensor"
 )
 
 // The state and result payloads a remote run ships, in the coordinator →
@@ -27,34 +28,16 @@ import (
 // the u32 machine the blob is for. The partition bodies follow it.
 var setupHeaderLen = 8*reflect.TypeOf(runConfig{}).NumField() + 4*4
 
-// carriedBy is the one rule of what a set-up body leaves out: a mode-2 or
-// mode-3 body ships no nonzero whose mode-1 partition is homed on the same
-// machine, since the blob's mode-1 bodies carry it already. Every nonzero of
-// a mode-2 segment (row j in PVM product k) and of a mode-3 segment (row k
-// in product j) lies in mode-1 column j + k·J, and its mode-1 row i is its
-// inner index in the segment's product (Equation 1), so whether a segment
-// is carried depends on its row and product alone. Mode-1 bodies carry
-// nothing, and a blob holds its machine's mode-1 partitions whether it is
-// the machine's own set-up or a re-ship of a lost one.
-func carriedBy(mode int, dims [3]int, cfg runConfig) partition.Carry {
-	if mode == 0 {
-		return partition.Carry{}
-	}
-	j, k := dims[1], dims[2]
-	c := partition.Carry{Machines: cfg.Machines, Cols: j * k, N: min(cfg.Partitions, j*k), RowStride: 1, PVMStride: j}
-	if mode == 2 {
-		c.RowStride, c.PVMStride = j, 1
-	}
-	return c
-}
-
 // encodeSetup builds machine home's set-up blob (StateSetup for the machine
 // itself, StateReship for the survivor that inherits its partitions): the
 // header, then for each mode the set-up bodies of the partitions homed on
-// it — pi ≡ home mod M — in partition order (partition.AppendBody), those
-// of modes 2 and 3 without what carriedBy leaves out. That is all a worker
-// holds of the tensor. The blob is made once, at its exact size, from the
-// body sizes the partitioning counted.
+// it — pi ≡ home mod M — in partition order (partition.AppendBody). Those
+// of modes 2 and 3 leave out what partition.NewCarry carries, the nonzeros
+// whose mode-1 partition is homed on the same machine: a blob holds its
+// machine's mode-1 partitions whether it is the machine's own set-up or a
+// re-ship of a lost one. That is all a worker holds of the tensor. The
+// blob is made once, at its exact size, from the body sizes the
+// partitioning counted.
 func encodeSetup(cfg runConfig, dims [3]int, home int, px [3]*partition.Partitioned) []byte {
 	size := setupHeaderLen
 	for _, p := range px {
@@ -87,14 +70,6 @@ type setup struct {
 	home int
 	px   [3]*partition.Partitioned
 }
-
-// unfoldingShapes are tensor.Unfold's shapes by mode (Equation 1): the
-// indices into the dims of the unfolding's rows, of its PVM product width
-// and of its product count.
-var unfoldingShapes = [3][3]int{{0, 1, 2}, {1, 0, 2}, {2, 0, 1}}
-
-// tooWide reports whether an unfolding of a × b columns overflows int32.
-func tooWide(a, b int) bool { return uint64(a)*uint64(b) > math.MaxInt32 }
 
 // decodeSetup reads a set-up blob straight into its machine's partitions.
 // Before it sizes anything by the header it refuses what a mismatched or
@@ -131,17 +106,17 @@ func decodeSetup(payload []byte) (setup, error) {
 	}
 	s.home = int(binary.LittleEndian.Uint32(rest[12:]))
 	rest = rest[16:]
-	i, j, k := s.dims[0], s.dims[1], s.dims[2]
-	if i < 1 || j < 1 || k < 1 || tooWide(i, j) || tooWide(i, k) || tooWide(j, k) {
-		return s, fmt.Errorf("core: setup dims %dx%dx%d: a mode is empty or an unfolding has more than 2^31-1 columns", i, j, k)
+	if err := checkDims(s.dims); err != nil {
+		return s, fmt.Errorf("core: setup: %w", err)
 	}
 	if s.home >= cfg.Machines {
 		return s, fmt.Errorf("core: setup blob for machine %d of %d", s.home, cfg.Machines)
 	}
 	var held *partition.Columns
-	for m, shape := range unfoldingShapes {
-		rows, width, products := s.dims[shape[0]], s.dims[shape[1]], s.dims[shape[2]]
-		px, after, err := partition.Receive(rows, width*products, width, cfg.Partitions, s.home, cfg.Machines, carriedBy(m, s.dims, cfg), held, rest)
+	for m := range s.px {
+		mode := tensor.Mode(m + 1)
+		carry := partition.NewCarry(s.dims, mode, cfg.Machines, cfg.Partitions)
+		px, after, err := partition.Receive(s.dims, mode, cfg.Partitions, s.home, cfg.Machines, carry, held, rest)
 		if err != nil {
 			releasePartitions(s.px)
 			return setup{}, fmt.Errorf("core: decode setup: mode %d: %w", m+1, err)
@@ -198,7 +173,7 @@ const columnHeaderLen = 8
 // value of flipBits bits needs at the code's order, which still reads
 // every value below 2^33 − 2^maxOrder and keeps the tally's values below
 // 2^33. Every mode's length is a factor of another unfolding's columns,
-// which tooWide keeps within int32, so a factor has fewer than 2^31 rows
+// which checkDims keeps within int32, so a factor has fewer than 2^31 rows
 // and a stage of at most lookahead columns fewer than 3·2^31 entries: a
 // count or a distance is always in reach.
 const flipBits = 32

@@ -9,6 +9,7 @@ import (
 	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
+	"dbtf/internal/tensor"
 	"dbtf/internal/topfiber"
 )
 
@@ -40,9 +41,10 @@ func factorizeHorizontal(ctx context.Context, x *dbtf.Tensor, machines, rank, pa
 	evalCtx := pprof.WithLabels(ctx, pprof.Labels("stage", "eval-h"))
 	for it := 0; it < iters; it++ {
 		cl.Broadcast(int64(a.Rows()+b.Rows()+c.Rows()) * int64(rank) / 8)
-		// X₍ₙ₎ ≈ upd ∘ (pvm ⊙ inner)ᵀ, the engine's operand roles per mode.
-		for mode, role := range [3]struct{ upd, pvm, inner int }{{0, 2, 1}, {1, 2, 0}, {2, 1, 0}} {
-			u, upd, pvm, inner := ux[mode], f[role.upd], f[role.pvm], f[role.inner]
+		// X₍ₙ₎ ≈ upd ∘ (pvm ⊙ inner)ᵀ, the roles the mode's axes give.
+		for m, u := range ux {
+			ru, rp, ri := tensor.Mode(m + 1).Axes()
+			upd, pvm, inner := f[ru], f[rp], f[ri]
 			p, q := upd.Rows(), u.NumCols
 
 			// Stage: each partition materializes its owned rows of

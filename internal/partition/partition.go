@@ -353,50 +353,61 @@ func gapOrder(width, count int) uint {
 
 // Carry is the rule by which a partitioning's set-up bodies leave out
 // nonzeros the receiving machine already holds in another partitioning of
-// the same tensor, the source. All of a row's nonzeros inside one block —
-// a segment — lie in one source column, RowStride·row + PVMStride·PVM,
-// whose source row i is this unfolding's column PVM·BlockSize + i. The
-// segment is carried, and left out, when that column's source partition is
-// homed on the machine the block's partition is: partition p of either
-// partitioning is homed on p mod Machines, and the source is cut into N
-// partitions of its Cols columns as layout cuts it. Whether a segment is
+// the same tensor, the source: mode 1's. All of a row's nonzeros inside one
+// block — a segment — share their row and PVM product, and differ only in
+// their inner index, which is their mode-1 row (Place), so they lie in one
+// mode-1 column, rowStride·row + pvmStride·PVM. The segment is carried, and
+// left out, when that column's source partition is homed on the machine the
+// block's partition is: partition p of either partitioning is homed on p mod
+// machines, and both are cut into n partitions (cut). Whether a segment is
 // carried is arithmetic on its row and PVM product alone, never a test of
 // its nonzeros. The zero Carry carries nothing.
 type Carry struct {
-	Machines             int
-	Cols, N              int
-	RowStride, PVMStride int
+	machines             int
+	src                  cut
+	rowStride, pvmStride int
 }
 
-// sourcePart returns the source partition holding column col: the p with
-// p·Cols/N <= col < (p+1)·Cols/N.
-func (c Carry) sourcePart(col int) int { return ((col+1)*c.N - 1) / c.Cols }
+// NewCarry returns the Carry of mode's partitioning of a dims-shaped tensor
+// into n partitions on machines machines. Mode 1 is the source and carries
+// nothing. The strides are mode 1's columns of one step along the mode's row
+// and product axes.
+func NewCarry(dims [3]int, mode tensor.Mode, machines, n int) Carry {
+	if mode == tensor.Mode1 {
+		return Carry{}
+	}
+	_, pvm1, inner1 := tensor.Mode1.Axes()
+	var stride [3]int
+	stride[inner1], stride[pvm1] = 1, dims[inner1]
+	row, pvm, _ := mode.Axes()
+	return Carry{machines: machines, src: newCut(dims[pvm1]*dims[inner1], n), rowStride: stride[row], pvmStride: stride[pvm]}
+}
 
 // carries reports whether row r's segment in PVM product pvm of partition
 // pi is carried.
 func (c Carry) carries(pi, r, pvm int) bool {
-	return c.Machines > 0 && c.sourcePart(r*c.RowStride+pvm*c.PVMStride)%c.Machines == pi%c.Machines
+	return c.machines > 0 && c.src.part(r*c.rowStride+pvm*c.pvmStride)%c.machines == pi%c.machines
 }
 
 // down walks the segments of a block of PVM product pvm in partition pi,
 // row by row.
 func (c Carry) down(pi, pvm int) carryWalk {
-	return c.walk(pi, pvm*c.PVMStride, c.RowStride)
+	return c.walk(pi, pvm*c.pvmStride, c.rowStride)
 }
 
 // across walks row r's segments in partition pi block by block, the first
 // block in PVM product pvm.
 func (c Carry) across(pi, r, pvm int) carryWalk {
-	return c.walk(pi, r*c.RowStride+pvm*c.PVMStride, c.PVMStride)
+	return c.walk(pi, r*c.rowStride+pvm*c.pvmStride, c.pvmStride)
 }
 
 // walk returns the walk over segments of partition pi whose source columns
 // run from col by step.
 func (c Carry) walk(pi, col, step int) carryWalk {
-	if c.Machines == 0 {
+	if c.machines == 0 {
 		return carryWalk{end: math.MaxInt}
 	}
-	return carryWalk{c: c, col: col, step: step, home: pi % c.Machines}
+	return carryWalk{c: c, col: col, step: step, home: pi % c.machines}
 }
 
 // carryWalk answers carries for a run of segments whose source columns
@@ -415,9 +426,9 @@ type carryWalk struct {
 // next walks one segment and reports whether it is carried.
 func (w *carryWalk) next() bool {
 	if w.col >= w.end {
-		w.part = w.c.sourcePart(w.col)
-		w.end = (w.part + 1) * w.c.Cols / w.c.N
-		w.carried = w.part%w.c.Machines == w.home
+		w.part = w.c.src.part(w.col)
+		w.end = w.c.src.start(w.part + 1)
+		w.carried = w.part%w.c.machines == w.home
 	}
 	w.at = w.col
 	w.col += w.step
@@ -426,22 +437,22 @@ func (w *carryWalk) next() bool {
 
 // FromTensor vertically partitions x's unfolding in mode (Equation 1) into
 // n partitions and splits each partition into PVM-aligned blocks
-// (Algorithm 3), straight from x's coordinate list: mode 1 is (i, j+k·J),
-// mode 2 (j, i+k·I) and mode 3 (k, i+j·I). n is capped at the column count
-// so every partition is nonempty; at least one partition is always
-// produced. The set-up bodies, and so ReshipBytes and ShuffleBytes, leave
-// out what carry carries. The partitioning holds its cursor tables until
-// FreeTables. It panics on an unfolding whose columns overflow int32.
+// (Algorithm 3), straight from x's coordinate list, each nonzero in the
+// cell tensor.Mode.Place gives it. n is capped at the column count so every
+// partition is nonempty; at least one partition is always produced. The
+// set-up bodies, and so ReshipBytes and ShuffleBytes, leave out what carry
+// carries. The partitioning holds its cursor tables until FreeTables. It
+// panics on an unfolding whose columns overflow int32.
 func FromTensor(x *tensor.Tensor, mode tensor.Mode, n int, carry Carry) *Partitioned {
 	i, j, k := x.Dims()
-	rows, width, products := [3]int{i, j, k}, [3]int{j, i, i}, [3]int{k, k, j}
-	m := mode - 1
-	if int64(width[m])*int64(products[m]) > math.MaxInt32 {
-		panic(fmt.Sprintf("partition: mode-%d unfolding has %d columns, beyond the int32 column space", mode, width[m]*products[m]))
+	px, parts, all, err := layout([3]int{i, j, k}, mode, n, 0, 1, carry)
+	if err != nil {
+		panic(err)
 	}
-	px, parts, all := layout(rows[m], width[m]*products[m], width[m], n, 0, 1, carry)
-	// Mode 3's row k is the coordinate that runs fastest.
-	px.fill(parts, all, mode == tensor.Mode3, coordPairs{coords: x.Coords(), mode: mode, blockSize: width[m]}.pairs)
+	// The list is sorted by (I, J, K): where K indexes the rows, consecutive
+	// nonzeros step through rows more often than through blocks.
+	row, _, _ := mode.Axes()
+	px.fill(parts, all, row == 2, coordPairs{coords: x.Coords(), mode: mode, width: px.BlockSize}.pairs)
 	return px
 }
 
@@ -453,18 +464,22 @@ func Build(u *tensor.Unfolded, n int) *Partitioned {
 }
 
 // Receive is FromTensor on a machine that holds partitions first,
-// first+step, … of the n that it cuts a rows × cols unfolding with
-// blockSize-wide PVM products into (0 <= first < step): it fills them from
-// their set-up bodies, which body begins with in partition order, and their
-// carried segments from src, the machine's own source partitions (nil when
-// carry is zero). Every other slot of Parts stays nil. It returns the bytes
-// after the last body. A body that is not exactly what AppendBody makes — a
-// code cut short or with a zero prefix longer than its partition's width
-// needs, a count above the bits left, a column at or past the partition's
-// Hi or inside a carried segment, a nonzero padding bit — is an error, and
-// nothing is kept.
-func Receive(rows, cols, blockSize, n, first, step int, carry Carry, src *Columns, body []byte) (*Partitioned, []byte, error) {
-	px, parts, all := layout(rows, cols, blockSize, n, first, step, carry)
+// first+step, … of the n that it cuts the dims-shaped tensor's unfolding in
+// mode into (0 <= first < step): it fills them from their set-up bodies,
+// which body begins with in partition order, and their carried segments
+// from src, the machine's own source partitions (nil when carry is zero).
+// Every other slot of Parts stays nil. It returns the bytes after the last
+// body. A body that is not exactly what AppendBody makes — a code cut short
+// or with a zero prefix longer than its partition's width needs, a count
+// above the bits left, a column at or past the partition's Hi or inside a
+// carried segment, a nonzero padding bit — is an error, and nothing is
+// kept; so is an unfolding whose columns overflow int32.
+func Receive(dims [3]int, mode tensor.Mode, n, first, step int, carry Carry, src *Columns, body []byte) (*Partitioned, []byte, error) {
+	px, parts, all, err := layout(dims, mode, n, first, step, carry)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows, blockSize := px.NumRows, px.BlockSize
 	if len(parts) == 0 {
 		return px, body, nil
 	}
@@ -597,29 +612,50 @@ func (t *Columns) Release() {
 	*t = Columns{}
 }
 
-// layout cuts a rows × cols unfolding with blockSize-wide PVM products into
-// n >= 1 partitions of near-equal width (Algorithm 3), n capped at cols so
-// that every partition is nonempty, and lays out partitions first,
-// first+step, …, whose set-up bodies leave out what carry carries: their
-// bounds and PVM-aligned blocks with their Figure 5 types, no nonzero.
-// Every other slot of Parts stays nil. It returns the partitions laid out,
-// and their blocks in column order. The blocks, the pointers to
-// them and the partitions are one slab each, sized by counting first: a
-// partition over [lo, hi) meets the PVM products lo/blockSize …
-// (hi−1)/blockSize, one block apiece.
-func layout(rows, cols, blockSize, n, first, step int, carry Carry) (*Partitioned, []Partition, []*Block) {
+// cut is Algorithm 3's vertical cut of an unfolding's cols columns into n
+// partitions of near-equal width: partition p holds the columns
+// [start(p), start(p+1)).
+type cut struct{ cols, n int }
+
+// newCut cuts cols columns into n >= 1 partitions, n capped at cols so that
+// every partition is nonempty.
+func newCut(cols, n int) cut {
 	if n < 1 {
 		panic(fmt.Sprintf("partition: n must be >= 1, got %d", n))
 	}
-	if cols > 0 && n > cols {
-		n = cols
+	if cols > 0 {
+		n = min(n, cols)
 	}
-	px := &Partitioned{NumRows: rows, NumCols: cols, BlockSize: blockSize, Parts: make([]*Partition, n), carry: carry}
-	bounds := func(i int) (lo, hi int) { return i * cols / n, (i + 1) * cols / n }
+	return cut{cols: cols, n: n}
+}
+
+// start returns partition p's first column, p·cols/n.
+func (c cut) start(p int) int { return p * c.cols / c.n }
+
+// part returns the partition holding column col: the p with
+// start(p) <= col < start(p+1).
+func (c cut) part(col int) int { return ((col+1)*c.n - 1) / c.cols }
+
+// layout cuts the dims-shaped tensor's unfolding in mode into n partitions
+// (cut), and lays out partitions first, first+step, …, whose set-up bodies
+// leave out what carry carries: their bounds and PVM-aligned blocks with
+// their Figure 5 types, no nonzero. Every other slot of Parts stays nil. It
+// returns the partitions laid out, and their blocks in column order, or the
+// column guard's error. The blocks, the pointers to them and the partitions
+// are one slab each, sized by counting first: a partition over [lo, hi)
+// meets the PVM products lo/blockSize … (hi−1)/blockSize, one block apiece.
+func layout(dims [3]int, mode tensor.Mode, n, first, step int, carry Carry) (*Partitioned, []Partition, []*Block, error) {
+	cols, err := mode.Columns(dims[0], dims[1], dims[2])
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	rows, _, blockSize := mode.Place(tensor.Coord{I: dims[0], J: dims[1], K: dims[2]})
+	c := newCut(cols, n)
+	px := &Partitioned{NumRows: rows, NumCols: cols, BlockSize: blockSize, Parts: make([]*Partition, c.n), carry: carry}
 	held, nb := 0, 0
-	for i := first; i < n; i += step {
+	for i := first; i < c.n; i += step {
 		held++
-		if lo, hi := bounds(i); hi > lo {
+		if lo, hi := c.start(i), c.start(i+1); hi > lo {
 			nb += (hi-1)/blockSize - lo/blockSize + 1
 		}
 	}
@@ -628,7 +664,7 @@ func layout(rows, cols, blockSize, n, first, step int, carry Carry) (*Partitione
 	bi := 0
 	for k := range parts {
 		i := first + k*step
-		lo, hi := bounds(i)
+		lo, hi := c.start(i), c.start(i+1)
 		start := bi
 		for cur := lo; cur < hi; bi++ {
 			s := spanAt(cur, hi, blockSize)
@@ -645,7 +681,7 @@ func layout(rows, cols, blockSize, n, first, step int, carry Carry) (*Partitione
 		parts[k] = Partition{Index: i, Lo: lo, Hi: hi, Blocks: all[start:bi:bi]}
 		px.Parts[i] = &parts[k]
 	}
-	return px, parts, all
+	return px, parts, all, nil
 }
 
 // filler is fill's count-and-fill over the (row, block) segments. cur,
@@ -679,34 +715,21 @@ func (f *filler) add(r, b int, col int32) {
 }
 
 // coordPairs is the coordinator's source, a tensor's coordinate list: each
-// nonzero lies in row r, PVM product pvm and column pvm·BlockSize + inner
-// of the mode's unfolding (Equation 1), every product laid out. The list
-// is sorted by (I, J, K), which for every mode leaves the inner index
-// ascending within a fixed row and product.
+// nonzero lies in the row, PVM product and inner index Place gives it, in
+// column pvm·width + inner, every product laid out. The list is sorted by
+// (I, J, K), which for every mode leaves the inner index ascending within a
+// fixed row and product.
 type coordPairs struct {
-	coords    []tensor.Coord
-	mode      tensor.Mode
-	blockSize int
+	coords []tensor.Coord
+	mode   tensor.Mode
+	width  int
 }
 
 func (s coordPairs) pairs(f filler) {
-	w := s.blockSize
-	switch s.mode {
-	case tensor.Mode1:
-		for _, c := range s.coords {
-			col := int32(c.J + c.K*w)
-			f.add(c.I, f.seek(int(f.first[c.K]), col), col)
-		}
-	case tensor.Mode2:
-		for _, c := range s.coords {
-			col := int32(c.I + c.K*w)
-			f.add(c.J, f.seek(int(f.first[c.K]), col), col)
-		}
-	default:
-		for _, c := range s.coords {
-			col := int32(c.I + c.J*w)
-			f.add(c.K, f.seek(int(f.first[c.J]), col), col)
-		}
+	for _, c := range s.coords {
+		row, pvm, inner := s.mode.Place(c)
+		col := int32(inner + pvm*s.width)
+		f.add(row, f.seek(int(f.first[pvm]), col), col)
 	}
 }
 

@@ -336,21 +336,21 @@ func TestBodyRoundTrip(t *testing.T) {
 			coords = append(coords, tensor.Coord{I: 1, J: last % j, K: last / j})
 		}
 		x := tensor.MustFromCoords(i, j, k, coords)
-		carries := [3]Carry{{},
-			{Machines: machines, Cols: j * k, N: n, RowStride: 1, PVMStride: j},
-			{Machines: machines, Cols: j * k, N: n, RowStride: j, PVMStride: 1}}
+		dims := [3]int{i, j, k}
 		carried := false
 		for home := 0; home < machines; home++ {
 			var src *Columns
 			for m, u := range x.UnfoldAll() {
-				px := FromTensor(x, tensor.Mode(m+1), n, carries[m])
+				mode := tensor.Mode(m + 1)
+				carry := NewCarry(dims, mode, machines, n)
+				px := FromTensor(x, mode, n, carry)
 				plain := Build(u, n)
 				carried = carried || px.ShuffleBytes < plain.ShuffleBytes
 				var body []byte
 				for pi := home; pi < len(px.Parts); pi += machines {
 					body = px.AppendBody(body, pi)
 				}
-				got, rest, err := Receive(u.NumRows, u.NumCols, u.BlockSize, n, home, machines, carries[m], src, body)
+				got, rest, err := Receive(dims, mode, n, home, machines, carry, src, body)
 				if err != nil || len(rest) != 0 {
 					t.Fatalf("n=%d machine %d mode %d: %v, %d bytes left", n, home, m+1, err, len(rest))
 				}

@@ -28,23 +28,23 @@ func FuzzPartitionSources(f *testing.F) {
 		i, j, k := 1+int(di)%24, 1+int(dj)%24, 1+int(dk)%24
 		N, M := 1+int(n)%(2*max(i, j, k)+4), 1+int(machines)%4
 		x := randomTensor(rand.New(rand.NewSource(seed)), i, j, k, float64(density)/255)
-		carries := [3]Carry{{},
-			{Machines: M, Cols: j * k, N: min(N, j*k), RowStride: 1, PVMStride: j},
-			{Machines: M, Cols: j * k, N: min(N, j*k), RowStride: j, PVMStride: 1}}
+		dims := [3]int{i, j, k}
 		srcs := make([]*Columns, M)
 		defer func() {
 			for _, src := range srcs {
 				src.Release()
 			}
 		}()
-		for m := range carries {
-			coords := FromTensor(x, tensor.Mode(m+1), N, carries[m])
+		for m := range dims {
+			mode := tensor.Mode(m + 1)
+			carry := NewCarry(dims, mode, M, N)
+			coords := FromTensor(x, mode, N, carry)
 			for home := 0; home < M; home++ {
 				var body []byte
 				for pi := home; pi < len(coords.Parts); pi += M {
 					body = coords.AppendBody(body, pi)
 				}
-				got, rest, err := Receive(coords.NumRows, coords.NumCols, coords.BlockSize, N, home, M, carries[m], srcs[home], body)
+				got, rest, err := Receive(dims, mode, N, home, M, carry, srcs[home], body)
 				if err != nil || len(rest) != 0 {
 					t.Fatalf("%dx%dx%d N=%d M=%d mode %d machine %d: %v, %d bytes left", i, j, k, N, M, m+1, home, err, len(rest))
 				}

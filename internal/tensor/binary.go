@@ -150,17 +150,6 @@ func (t *Tensor) WriteBinary(w io.Writer) error {
 	return err
 }
 
-// ReadBinary reads r to its end and parses the tensor at the front of it
-// (DecodeBinary); what follows the last entry is ignored.
-func ReadBinary(r io.Reader) (*Tensor, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("tensor: reading binary input: %w", err)
-	}
-	t, _, err := DecodeBinary(data)
-	return t, err
-}
-
 // WriteBinaryFile writes the tensor to a file in the compact binary
 // format.
 func (t *Tensor) WriteBinaryFile(path string) error {

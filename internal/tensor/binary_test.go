@@ -21,7 +21,7 @@ func TestBinaryRoundtrip(t *testing.T) {
 	if err := x.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
+	back, _, err := DecodeBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestBinaryEmptyTensor(t *testing.T) {
 	if err := x.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
+	back, _, err := DecodeBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestBinaryErrors(t *testing.T) {
 		"bad coords": append([]byte("DBT1"), 2, 2, 2, 1, 9, 0, 0), // I=9 outside 2x2x2
 	}
 	for name, in := range cases {
-		if _, err := ReadBinary(bytes.NewReader(in)); err == nil {
+		if _, _, err := DecodeBinary(in); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -128,7 +128,7 @@ func TestQuickBinaryRoundtrip(t *testing.T) {
 		if err := streamBinary(x, &stream); err != nil || !bytes.Equal(buf.Bytes(), stream.Bytes()) || buf.Len() != x.BinarySize() {
 			return false
 		}
-		back, err := ReadBinary(&buf)
+		back, _, err := DecodeBinary(buf.Bytes())
 		return err == nil && back.Equal(x)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -174,10 +174,48 @@ type Mode int
 
 // The three matricization modes of a three-way tensor.
 const (
-	Mode1 Mode = 1 // rows indexed by i, columns by j + k·J
-	Mode2 Mode = 2 // rows indexed by j, columns by i + k·I
-	Mode3 Mode = 3 // rows indexed by k, columns by i + j·I
+	Mode1 Mode = 1
+	Mode2 Mode = 2
+	Mode3 Mode = 3
 )
+
+// Place is the one statement of Equation 1 (0-based): it returns the row of
+// the mode's unfolding that the nonzero at c lies in, its PVM product and
+// its inner index in the product; its column is pvm·width + inner, for
+// products width wide. Place of the dims gives the unfolding's shape (rows,
+// products, width), and Place of the axes (0, 1, 2) the axis of each (Axes).
+//
+//	mode 1: x_ijk ↦ [X₍₁₎]_{i, j+k·J}   (PVM product k, inner index j)
+//	mode 2: x_ijk ↦ [X₍₂₎]_{j, i+k·I}   (PVM product k, inner index i)
+//	mode 3: x_ijk ↦ [X₍₃₎]_{k, i+j·I}   (PVM product j, inner index i)
+func (m Mode) Place(c Coord) (row, pvm, inner int) {
+	switch m {
+	case Mode1:
+		return c.I, c.K, c.J
+	case Mode2:
+		return c.J, c.K, c.I
+	case Mode3:
+		return c.K, c.J, c.I
+	}
+	panic("tensor: invalid mode")
+}
+
+// Axes returns the axes (0 for I, 1 for J, 2 for K) that index the mode's
+// rows, PVM products and inner indices. They are the factor roles of the
+// mode's update X₍ₙ₎ ≈ upd ∘ (pvm ⊙ cached)ᵀ: upd is the row axis's factor,
+// pvm the product axis's and cached the inner axis's.
+func (m Mode) Axes() (row, pvm, inner int) { return m.Place(Coord{0, 1, 2}) }
+
+// Columns returns the column count of the mode's unfolding of an i×j×k
+// tensor, or an error when the count is beyond the int32 column space that
+// unfoldings and partitionings index: the one column guard.
+func (m Mode) Columns(i, j, k int) (int, error) {
+	_, products, width := m.Place(Coord{i, j, k})
+	if width > 0 && products > math.MaxInt32/width {
+		return 0, fmt.Errorf("tensor: mode-%d unfolding of %dx%dx%d has %d·%d columns, beyond the int32 column space", m, i, j, k, products, width)
+	}
+	return products * width, nil
+}
 
 // Unfolded is the mode-n matricization X₍ₙ₎ of a tensor in compressed
 // sparse form: each row's sorted nonzero column indices. The decomposition
@@ -210,98 +248,49 @@ type Unfolded struct {
 	mode Mode
 }
 
-// Unfold returns the mode-n matricization of the tensor, following the
-// 0-based version of Equation 1:
-//
-//	mode 1: x_ijk ↦ [X₍₁₎]_{i, j+k·J}   (PVM block k, inner index j)
-//	mode 2: x_ijk ↦ [X₍₂₎]_{j, i+k·I}   (PVM block k, inner index i)
-//	mode 3: x_ijk ↦ [X₍₃₎]_{k, i+j·I}   (PVM block j, inner index i)
-func (t *Tensor) Unfold(mode Mode) *Unfolded {
-	if mode < Mode1 || mode > Mode3 {
-		panic(fmt.Sprintf("tensor: invalid mode %d", mode))
-	}
-	return t.matricize(mode)[mode-1]
-}
-
-// UnfoldAll returns all three matricizations, the set-up of Algorithm 2
-// lines 1-3.
-func (t *Tensor) UnfoldAll() [3]*Unfolded {
-	return t.matricize(Mode1, Mode2, Mode3)
-}
-
-// matricize builds the unfoldings of the given modes, each at index mode−1
-// of the result.
+// Unfold returns the mode-n matricization of the tensor, each nonzero in
+// the cell Place gives it. It panics on an unfolding whose columns overflow
+// int32 (Columns).
 //
 // The coordinate list is sorted by (I, J, K), which for every mode leaves
 // the inner column index ascending within a fixed (row, PVM block) pair. A
 // stable counting sort by the bucket row·NumBlocks + block therefore emits
 // each bucket's — and, a row's buckets being adjacent and ascending in
 // block, each row's — columns already sorted: no comparison sort at all.
-// All wanted modes share one count pass and one fill pass over the
-// coordinate list: the step is pure memory traffic and the list is the one
-// stream every mode reads.
-func (t *Tensor) matricize(modes ...Mode) (us [3]*Unfolded) {
-	dimI, dimJ, dimK := t.dimI, t.dimJ, t.dimK
-	shape := [3][3]int{{dimI, dimJ, dimK}, {dimJ, dimI, dimK}, {dimK, dimI, dimJ}}
-	var off, col [3][]int32
-	for _, mode := range modes {
-		m := mode - 1
-		nRows, block, nBlocks := shape[m][0], shape[m][1], shape[m][2]
-		if int64(block)*int64(nBlocks) > math.MaxInt32 {
-			panic(fmt.Sprintf("tensor: mode-%d unfolding has %d columns, beyond the int32 column space", mode, block*nBlocks))
-		}
-		// Two leading zero slots: the fill cursors (bucket b advances
-		// off[b+1]) end the pass holding exactly the start-offset table.
-		n := nRows * nBlocks
-		off[m], col[m] = slab.Int32sZeroed(n+2), slab.Int32s(len(t.coords))
-		us[m] = &Unfolded{
-			NumRows:   nRows,
-			NumCols:   block * nBlocks,
-			BlockSize: block,
-			NumBlocks: nBlocks,
-			colIdx:    col[m],
-			bucketOff: off[m][:n+1],
-			src:       t,
-			mode:      mode,
-		}
+func (t *Tensor) Unfold(mode Mode) *Unfolded {
+	if mode < Mode1 || mode > Mode3 {
+		panic(fmt.Sprintf("tensor: invalid mode %d", mode))
 	}
-	// A mode not asked for has a nil table, and its statement is skipped.
-	off1, off2, off3 := off[0], off[1], off[2]
+	cols, err := mode.Columns(t.dimI, t.dimJ, t.dimK)
+	if err != nil {
+		panic(err)
+	}
+	rows, products, width := mode.Place(Coord{t.dimI, t.dimJ, t.dimK})
+	// Two leading zero slots: the fill cursors (bucket b advances off[b+1])
+	// end the pass holding exactly the start-offset table.
+	n := rows * products
+	off, col := slab.Int32sZeroed(n+2), slab.Int32s(len(t.coords))
 	for _, c := range t.coords {
-		if off1 != nil {
-			off1[c.I*dimK+c.K+2]++
-		}
-		if off2 != nil {
-			off2[c.J*dimK+c.K+2]++
-		}
-		if off3 != nil {
-			off3[c.K*dimJ+c.J+2]++
-		}
+		row, pvm, _ := mode.Place(c)
+		off[row*products+pvm+2]++
 	}
-	for _, o := range off {
-		for b := 2; b < len(o); b++ {
-			o[b] += o[b-1]
-		}
+	for b := 2; b < len(off); b++ {
+		off[b] += off[b-1]
 	}
-	col1, col2, col3 := col[0], col[1], col[2]
 	for _, c := range t.coords {
-		if off1 != nil {
-			b := c.I*dimK + c.K + 1
-			col1[off1[b]] = int32(c.J + c.K*dimJ)
-			off1[b]++
-		}
-		if off2 != nil {
-			b := c.J*dimK + c.K + 1
-			col2[off2[b]] = int32(c.I + c.K*dimI)
-			off2[b]++
-		}
-		if off3 != nil {
-			b := c.K*dimJ + c.J + 1
-			col3[off3[b]] = int32(c.I + c.J*dimI)
-			off3[b]++
-		}
+		row, pvm, inner := mode.Place(c)
+		b := row*products + pvm + 1
+		col[off[b]] = int32(inner + pvm*width)
+		off[b]++
 	}
-	return us
+	return &Unfolded{NumRows: rows, NumCols: cols, BlockSize: width, NumBlocks: products,
+		colIdx: col, bucketOff: off[:n+1], src: t, mode: mode}
+}
+
+// UnfoldAll returns all three matricizations, the set-up of Algorithm 2
+// lines 1-3.
+func (t *Tensor) UnfoldAll() [3]*Unfolded {
+	return [3]*Unfolded{t.Unfold(Mode1), t.Unfold(Mode2), t.Unfold(Mode3)}
 }
 
 // NNZ returns the number of nonzero entries.
@@ -323,35 +312,6 @@ func (u *Unfolded) Recycle() {
 	slab.PutInt32s(u.colIdx)
 	slab.PutInt32s(u.bucketOff)
 	u.colIdx, u.bucketOff, u.src = nil, nil, nil
-}
-
-// Fold is the inverse of Unfold: it rebuilds the tensor from a mode-n
-// matricization given the original dimensions.
-func Fold(u *Unfolded, mode Mode, i, j, k int) *Tensor {
-	t := New(i, j, k)
-	coords := make([]Coord, 0, u.NNZ())
-	for r := 0; r < u.NumRows; r++ {
-		for _, c32 := range u.Row(r) {
-			c := int(c32)
-			inner := c % u.BlockSize
-			blk := c / u.BlockSize
-			var co Coord
-			switch mode {
-			case Mode1:
-				co = Coord{r, inner, blk}
-			case Mode2:
-				co = Coord{inner, r, blk}
-			case Mode3:
-				co = Coord{inner, blk, r}
-			default:
-				panic(fmt.Sprintf("tensor: invalid mode %d", mode))
-			}
-			coords = append(coords, co)
-		}
-	}
-	sortCoords(coords)
-	t.coords = dedup(coords)
-	return t
 }
 
 // Reconstruct materializes the Boolean CP reconstruction
@@ -424,7 +384,7 @@ func ReconstructError(x *Tensor, a, b, c *boolmat.FactorMatrix) int64 {
 		// |x_row ⊕ rec_row| = nnz(x_row) + |rec_row| − 2·overlap.
 		n, overlap := 0, 0
 		for ; n < len(rest) && rest[n].I == i; n++ {
-			if row.Get(rest[n].J + rest[n].K*x.dimJ) {
+			if _, pvm, inner := Mode1.Place(rest[n]); row.Get(inner + pvm*x.dimJ) {
 				overlap++
 			}
 		}

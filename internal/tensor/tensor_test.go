@@ -160,17 +160,6 @@ func TestUnfoldInvalidModePanics(t *testing.T) {
 	New(1, 1, 1).Unfold(Mode(0))
 }
 
-func TestFoldRoundtrip(t *testing.T) {
-	for _, x := range unfoldShapes(rand.New(rand.NewSource(42))) {
-		i, j, k := x.Dims()
-		for _, m := range []Mode{Mode1, Mode2, Mode3} {
-			if !Fold(x.Unfold(m), m, i, j, k).Equal(x) {
-				t.Fatalf("%dx%dx%d mode %d: fold(unfold(x)) != x", i, j, k, m)
-			}
-		}
-	}
-}
-
 // TestUnfoldAllAgreesWithUnfoldAndNaive holds the one kernel to Equation 1
 // from both entry points: UnfoldAll()[m] and Unfold(m) must agree row for
 // row with each other and with the definition written out naively — every
@@ -278,53 +267,39 @@ func TestReconstructErrorPerfectFactors(t *testing.T) {
 	}
 }
 
+// TestQuickMatricizedReconstruction: Equation 12 in every mode. The
+// unfolding of a reconstruction equals upd ∘ (pvm ⊙ cached)ᵀ, the factors
+// taken in the roles the mode's Axes give, and those are the paper's:
+// A ∘ (C ⊙ B)ᵀ in mode 1, B ∘ (C ⊙ A)ᵀ in mode 2, C ∘ (B ⊙ A)ᵀ in mode 3. A
+// self-consistent but wrong Place would pass the product check alone.
 func TestQuickMatricizedReconstruction(t *testing.T) {
-	// Equation 12: X₍₁₎ of the reconstruction equals A ∘ (C ⊙ B)ᵀ.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		i, j, k, r := rng.Intn(6)+1, rng.Intn(6)+1, rng.Intn(6)+1, rng.Intn(4)+1
-		a := boolmat.RandomFactor(rng, i, r, 0.4)
-		b := boolmat.RandomFactor(rng, j, r, 0.4)
-		c := boolmat.RandomFactor(rng, k, r, 0.4)
-		rec := Reconstruct(a, b, c)
-		u := rec.Unfold(Mode1)
-		krT := boolmat.KhatriRao(c, b).Matrix().Transpose()
-		prod := boolmat.MulFactor(a, krT)
-		for row := 0; row < i; row++ {
-			got := u.Row(row)
-			for col := 0; col < u.NumCols; col++ {
-				want := prod.Get(row, col)
-				has := false
-				for _, cc := range got {
-					if int(cc) == col {
-						has = true
-						break
+		fs := [3]*boolmat.FactorMatrix{
+			boolmat.RandomFactor(rng, i, r, 0.4),
+			boolmat.RandomFactor(rng, j, r, 0.4),
+			boolmat.RandomFactor(rng, k, r, 0.4),
+		}
+		rec := Reconstruct(fs[0], fs[1], fs[2])
+		paper := [3][3]int{{0, 2, 1}, {1, 2, 0}, {2, 1, 0}}
+		for m, mode := range []Mode{Mode1, Mode2, Mode3} {
+			upd, pvm, cached := mode.Axes()
+			if [3]int{upd, pvm, cached} != paper[m] {
+				return false
+			}
+			u := rec.Unfold(mode)
+			prod := boolmat.MulFactor(fs[upd], boolmat.KhatriRao(fs[pvm], fs[cached]).Matrix().Transpose())
+			if prod.Rows() != u.NumRows || prod.Cols() != u.NumCols {
+				return false
+			}
+			for row := 0; row < u.NumRows; row++ {
+				got := u.Row(row)
+				for col := 0; col < u.NumCols; col++ {
+					if slices.Contains(got, int32(col)) != prod.Get(row, col) {
+						return false
 					}
 				}
-				if has != want {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickFoldUnfoldRoundtrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		i, j, k := rng.Intn(9)+1, rng.Intn(9)+1, rng.Intn(9)+1
-		x := randomTensor(rng, i, j, k, 0.15)
-		if seed%2 == 0 { // rows·blocks far beyond the nonzero count
-			i, j, k = rng.Intn(90)+1, rng.Intn(90)+1, rng.Intn(90)+1
-			x = sparseTensor(rng, i, j, k, rng.Intn(40))
-		}
-		for _, m := range []Mode{Mode1, Mode2, Mode3} {
-			if !Fold(x.Unfold(m), m, i, j, k).Equal(x) {
-				return false
 			}
 		}
 		return true
