@@ -119,6 +119,11 @@ func Decompose(ctx context.Context, x *tensor.Tensor, opts Options) (*Result, er
 	if dimI == 0 || dimJ == 0 || dimK == 0 {
 		return nil, fmt.Errorf("bcpals: empty tensor %dx%dx%d", dimI, dimJ, dimK)
 	}
+	for m := tensor.Mode1; m <= tensor.Mode3; m++ {
+		if _, err := m.Columns(dimI, dimJ, dimK); err != nil {
+			return nil, fmt.Errorf("bcpals: %w", err)
+		}
+	}
 	opt := opts
 	if opt.Rank < 1 || opt.Rank > boolmat.MaxRank {
 		return nil, fmt.Errorf("bcpals: rank %d outside [1,%d]", opt.Rank, boolmat.MaxRank)

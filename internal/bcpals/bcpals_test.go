@@ -49,6 +49,17 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestDecomposeRefusesOverWideTensor: a tensor whose mode-1 unfolding has
+// 50,000² columns, beyond int32, is refused with the column guard's error,
+// as core refuses it, before any unfolding is built.
+func TestDecomposeRefusesOverWideTensor(t *testing.T) {
+	_, err := Decompose(ctxb(), tensor.New(2, 50000, 50000), Options{Rank: 2})
+	_, guard := tensor.Mode1.Columns(2, 50000, 50000)
+	if err == nil || guard == nil || err.Error() != "bcpals: "+guard.Error() {
+		t.Fatalf("got %v, want bcpals: %v", err, guard)
+	}
+}
+
 func TestRecoversSingleBlock(t *testing.T) {
 	var coords []tensor.Coord
 	for i := 1; i < 6; i++ {

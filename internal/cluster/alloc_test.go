@@ -7,8 +7,11 @@ package cluster
 
 import (
 	"context"
+	"io"
 	"runtime/pprof"
 	"testing"
+
+	"dbtf/internal/trace"
 )
 
 // TestStageBookkeepingAllocs pins what a stage costs beside its tasks:
@@ -40,5 +43,35 @@ func TestStageBookkeepingAllocs(t *testing.T) {
 		c.Collect(1)
 	}); allocs != 0 {
 		t.Errorf("a driver section and a collect allocate %v objects, want 0", allocs)
+	}
+}
+
+// TestTracedStageAllocs pins what tracing a warm stage costs when its sink
+// borrows, as JSONL does: nothing. A stage, a collect and a driver section
+// into a JSONL sink allocate exactly what they do untraced; the events stay
+// on their emitters' stacks, and the stage end points at the pooled stage
+// state's delta and per-machine nanos, which the tracer reads only while
+// it writes them.
+func TestTracedStageAllocs(t *testing.T) {
+	ctx := pprof.WithLabels(context.Background(), pprof.Labels("mode", "A", "stage", "eval:A"))
+	task, section := func(int) error { return nil }, func() {}
+	allocs := func(tracer *trace.Tracer) float64 {
+		c := New(Config{Machines: 4, Tracer: tracer})
+		c.parallelism = 2
+		stage := func() {
+			if err := c.ForEachNamed(ctx, "eval:A", 4, task); err != nil {
+				t.Fatal(err)
+			}
+			c.Collect(1)
+			if err := c.DriverNamed(ctx, "commit:A", section); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stage()
+		return testing.AllocsPerRun(200, stage)
+	}
+	untraced := allocs(nil)
+	if traced := allocs(trace.New(trace.NewJSONL(io.Discard))); traced != untraced {
+		t.Errorf("a traced stage, collect and driver section allocate %v objects, untraced %v", traced, untraced)
 	}
 }

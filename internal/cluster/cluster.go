@@ -418,6 +418,10 @@ type stageState struct {
 	retries int64
 	//dbtf:guardedby mu
 	injected int64
+	// delta is the stage's accounting as its end event reports it, kept
+	// here so the event points at the pooled state, not at an object of
+	// its own. Written only after the lanes are joined.
+	delta trace.StatsDelta
 }
 
 // stagePool is the free list of stage states. It is shared by every cluster
@@ -597,7 +601,7 @@ func (c *Cluster) endStage(st *stageState, ok bool) {
 		ev := trace.NewEvent(trace.StageEnd)
 		ev.Stage, ev.Name, ev.SimNanos = st.stage, st.label, simAfter
 		ev.DurNanos = makespan + net
-		ev.Delta = &trace.StatsDelta{
+		st.delta = trace.StatsDelta{
 			ShuffledBytes:   dShuffled,
 			BroadcastBytes:  dBroadcast,
 			CollectedBytes:  dCollected,
@@ -609,7 +613,7 @@ func (c *Cluster) endStage(st *stageState, ok bool) {
 			InjectedFaults:  st.injected,
 			Recoveries:      absorbed,
 		}
-		ev.PerMachineNanos = append([]int64(nil), st.perMachine...)
+		ev.Delta, ev.PerMachineNanos = &st.delta, st.perMachine
 		c.tracer.Emit(ev)
 	}
 }

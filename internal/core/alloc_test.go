@@ -6,24 +6,32 @@
 package core
 
 import (
+	"io"
 	"math/rand"
 	"runtime/pprof"
 	"slices"
 	"testing"
 
 	"dbtf/internal/boolmat"
+	"dbtf/internal/cluster"
 	"dbtf/internal/partition"
 	"dbtf/internal/tensor"
+	"dbtf/internal/trace"
 )
 
-// TestEndIterationUntracedAllocs: closing an iteration with tracing off
-// allocates nothing. The trace event points at copies of the error,
-// improvement and flip count made on the traced branch only; pointing at
-// the parameters moved all three to the heap on every call.
+// TestEndIterationUntracedAllocs: closing an iteration allocates nothing,
+// with tracing off or into a sink that borrows, as JSONL does. The trace
+// event stays on the stack and points at the decomposition's own copies of
+// the error, improvement and flip count; pointing at the parameters moved
+// all three to the heap on every call, traced or not.
 func TestEndIterationUntracedAllocs(t *testing.T) {
 	d := &decomposition{cl: testCluster(2)}
 	if allocs := testing.AllocsPerRun(100, func() { d.endIteration(2, 10, 1, 3) }); allocs != 0 {
 		t.Errorf("endIteration on a nil tracer allocates %v objects, want 0", allocs)
+	}
+	d.cl = cluster.New(cluster.Config{Machines: 2, Tracer: trace.New(trace.NewJSONL(io.Discard))})
+	if allocs := testing.AllocsPerRun(100, func() { d.endIteration(2, 10, 1, 3) }); allocs != 0 {
+		t.Errorf("endIteration into a JSONL sink allocates %v objects, want 0", allocs)
 	}
 }
 

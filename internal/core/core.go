@@ -431,8 +431,8 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 			}
 			eev := trace.NewEvent(trace.RunEnd)
 			eev.SimNanos = cl.SimElapsed().Nanoseconds()
-			delta := cl.Stats().Sub(statsBefore)
-			eev.Delta = &delta
+			d.traced.run = cl.Stats().Sub(statsBefore)
+			eev.Delta = &d.traced.run
 			tr.Emit(eev)
 		}()
 	}
@@ -623,6 +623,12 @@ type decomposition struct {
 	// updates[mode] is the mode's factor update, made at its first run and
 	// kept for the run (see factorUpdate).
 	updates [3]*factorUpdate
+	// traced holds the counts the iteration and run end events point at.
+	// Emit copies them for a sink that keeps events, so they are reused.
+	traced struct {
+		err, improvement, flips int64
+		run                     trace.StatsDelta
+	}
 }
 
 // release returns the run's cache tables, lanes, splits and flip logs to
@@ -718,10 +724,10 @@ func (d *decomposition) endIteration(t int, e, improvement, flips int64) {
 		ev := trace.NewEvent(trace.IterationEnd)
 		ev.Iteration = t
 		ev.SimNanos = d.cl.SimElapsed().Nanoseconds()
-		// Copies the event points at, made on this branch only: pointing at
-		// the parameters would move them to the heap on every call.
-		errAfter, delta, changed := e, improvement, flips
-		ev.Error, ev.ErrorDelta, ev.Flips = &errAfter, &delta, &changed
+		// Pointing at the parameters would move them to the heap on every
+		// call, traced or not.
+		d.traced.err, d.traced.improvement, d.traced.flips = e, improvement, flips
+		ev.Error, ev.ErrorDelta, ev.Flips = &d.traced.err, &d.traced.improvement, &d.traced.flips
 		tr.Emit(ev)
 	}
 }

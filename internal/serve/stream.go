@@ -29,6 +29,9 @@ func (s *jsonlFileSink) Write(ev *trace.Event) error { return s.enc.Encode(ev) }
 
 func (s *jsonlFileSink) Close() error { return s.f.Close() }
 
+// Borrows reports that the sink is done with an event once it is written.
+func (*jsonlFileSink) Borrows() bool { return true }
+
 // progressSink is the in-memory branch of a job's trace tee: it folds
 // the stream into the live progress numbers the job-status endpoint
 // reports, without touching disk.
@@ -66,6 +69,9 @@ func (p *progressSink) Write(ev *trace.Event) error {
 }
 
 func (p *progressSink) Close() error { return nil }
+
+// Borrows reports that the sink keeps nothing of an event but its counts.
+func (*progressSink) Borrows() bool { return true }
 
 func (p *progressSink) snapshot() Progress {
 	p.mu.Lock()

@@ -27,6 +27,9 @@ func NewJSONL(w io.Writer) *JSONL {
 // Write encodes one event as a JSON line.
 func (s *JSONL) Write(ev *Event) error { return s.enc.Encode(ev) }
 
+// Borrows reports that the sink is done with an event once it is encoded.
+func (*JSONL) Borrows() bool { return true }
+
 // Close flushes buffered lines and closes the underlying writer when it
 // is closeable.
 func (s *JSONL) Close() error {

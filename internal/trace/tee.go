@@ -26,6 +26,17 @@ func (t *tee) Write(e *Event) error {
 	return first
 }
 
+// Borrows reports whether every branch borrows: only then is the tee done
+// with an event when Write returns.
+func (t *tee) Borrows() bool {
+	for _, s := range t.sinks {
+		if !borrows(s) {
+			return false
+		}
+	}
+	return true
+}
+
 func (t *tee) Close() error {
 	var first error
 	for _, s := range t.sinks {

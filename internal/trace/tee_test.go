@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -54,5 +55,26 @@ func TestTeeFirstErrorWinsButAllSinksWritten(t *testing.T) {
 	}
 	if a.closed != 1 || b.closed != 1 || c.closed != 1 {
 		t.Fatalf("closes %d/%d/%d, want every sink closed", a.closed, b.closed, c.closed)
+	}
+}
+
+// TestTeeBorrowsOnlyWhenEveryBranchDoes: a tee is done with an event when
+// Write returns only if every branch is, so one branch that keeps events
+// makes the tracer hand the tee copies.
+func TestTeeBorrowsOnlyWhenEveryBranchDoes(t *testing.T) {
+	var w bytes.Buffer
+	for i, tc := range []struct {
+		sink Sink
+		want bool
+	}{
+		{NewJSONL(&w), true},
+		{NewTee(NewJSONL(&w), NewJSONL(&w)), true},
+		{NewTee(NewJSONL(&w), &Buffer{}), false},
+		{NewTee(NewTee(NewJSONL(&w)), NewChrome(&w)), false},
+		{&Buffer{}, false},
+	} {
+		if got := New(tc.sink).borrows; got != tc.want {
+			t.Errorf("sink %d: tracer borrows %v, want %v", i, got, tc.want)
+		}
 	}
 }

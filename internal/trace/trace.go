@@ -22,6 +22,7 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -286,12 +287,28 @@ func (d StatsDelta) Sub(o StatsDelta) StatsDelta {
 
 // Sink receives the event stream. Sinks are always called from one
 // goroutine at a time (the tracer serializes emission under its lock), so
-// implementations need no internal locking.
+// implementations need no internal locking. Each event a sink receives is
+// its own, shared with no emitter or other sink, and it may keep it — unless
+// the sink borrows (see borrower).
 type Sink interface {
 	Write(ev *Event) error
 	// Close flushes and releases the sink. The tracer calls it from
 	// Tracer.Close exactly once.
 	Close() error
+}
+
+// borrower is a Sink that is done with each event, and all it points at,
+// when Write returns. Its Borrows method reports so, and New asks it once:
+// the tracer then writes every event from one Event of its own, where any
+// other sink gets a deep copy it may keep.
+type borrower interface {
+	Borrows() bool
+}
+
+// borrows reports whether s is done with each event when Write returns.
+func borrows(s Sink) bool {
+	b, ok := s.(borrower)
+	return ok && b.Borrows()
 }
 
 // Tracer serializes events from concurrent emitters into a Sink,
@@ -308,9 +325,14 @@ type Tracer struct {
 	err error
 	//dbtf:guardedby mu
 	closed bool
+	// scratch is the one event a borrowing sink is written from.
+	//dbtf:guardedby mu
+	scratch Event
 	// now supplies wall timestamps; injectable for deterministic golden
-	// tests. Immutable after New.
-	now func() time.Time
+	// tests. borrows records whether the sink borrows. Both are immutable
+	// after New.
+	now     func() time.Time
+	borrows bool
 }
 
 // Option configures a Tracer.
@@ -328,7 +350,7 @@ func New(sink Sink, opts ...Option) *Tracer {
 	if sink == nil {
 		return nil
 	}
-	t := &Tracer{sink: sink, now: time.Now}
+	t := &Tracer{sink: sink, now: time.Now, borrows: borrows(sink)}
 	for _, o := range opts {
 		o(t)
 	}
@@ -339,11 +361,13 @@ func New(sink Sink, opts ...Option) *Tracer {
 // the fast path of the disabled tracer: nil receivers return false.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Emit assigns the event's sequence number and wall timestamp and writes
-// it to the sink. Emission is serialized: concurrent emitters never
-// interleave inside the sink, and the stream's Seq order is the emission
-// order. Emit on a nil or closed tracer is a no-op. The first sink error
-// is retained (see Err); later writes are dropped.
+// Emit copies the event, assigns the copy's sequence number and wall
+// timestamp and writes it to the sink. Emit reads ev and what it points at
+// only while it runs, so the caller may reuse all of it afterwards.
+// Emission is serialized: concurrent emitters never interleave inside the
+// sink, and the stream's Seq order is the emission order. Emit on a nil or
+// closed tracer is a no-op. The first sink error is retained (see Err);
+// later writes are dropped.
 func (t *Tracer) Emit(ev *Event) {
 	if t == nil {
 		return
@@ -353,14 +377,36 @@ func (t *Tracer) Emit(ev *Event) {
 	if t.closed || t.err != nil {
 		return
 	}
-	ev.Seq = t.seq
-	t.seq++
-	if ev.WallNanos == 0 {
-		ev.WallNanos = t.now().UnixNano()
+	out := &t.scratch
+	if t.borrows {
+		*out = *ev
+	} else {
+		out = ev.clone()
 	}
-	if err := t.sink.Write(ev); err != nil {
+	out.Seq = t.seq
+	t.seq++
+	if out.WallNanos == 0 {
+		out.WallNanos = t.now().UnixNano()
+	}
+	if err := t.sink.Write(out); err != nil {
 		t.err = err
 	}
+}
+
+// clone returns a deep copy of ev, which shares no memory with it.
+func (ev *Event) clone() *Event {
+	c := *ev
+	c.Error, c.ErrorDelta, c.Flips = clonePtr(ev.Error), clonePtr(ev.ErrorDelta), clonePtr(ev.Flips)
+	c.Delta, c.PerMachineNanos = clonePtr(ev.Delta), slices.Clone(ev.PerMachineNanos)
+	return &c
+}
+
+func clonePtr[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	v := *p
+	return &v
 }
 
 // Err returns the first sink error, if any.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -210,6 +211,43 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if sum.Runs != 1 || sum.Stages != 2 {
 		t.Fatalf("summary %+v after round trip", sum)
+	}
+}
+
+// TestEmitConcurrentIntoBorrowingSink: emitters on several goroutines share
+// the tracer's one event under its lock, so every line JSONL writes carries
+// what its own emitter set, in emission order.
+func TestEmitConcurrentIntoBorrowingSink(t *testing.T) {
+	var buf bytes.Buffer
+	tr := New(NewJSONL(&buf))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			nanos := []int64{int64(g)}
+			for i := 0; i < 50; i++ {
+				ev := NewEvent(StageEnd)
+				ev.Stage, ev.Bytes, ev.PerMachineNanos = int64(g), int64(1000*g+i), nanos
+				tr.Emit(ev)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := DecodeJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 400 {
+		t.Fatalf("decoded %d events, want 400", len(events))
+	}
+	for i, ev := range events {
+		if ev.Seq != int64(i) || ev.Bytes/1000 != ev.Stage || len(ev.PerMachineNanos) != 1 || ev.PerMachineNanos[0] != ev.Stage {
+			t.Fatalf("event %d mixes emitters: %+v", i, ev)
+		}
 	}
 }
 

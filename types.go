@@ -35,11 +35,13 @@ type FaultPlan = cluster.FaultPlan
 type Tracer = trace.Tracer
 
 // TraceEvent is one entry of a run's structured trace: what a custom
-// TraceSink receives, synchronously and in emission order.
+// TraceSink receives, synchronously and in emission order. Each event a
+// custom sink receives is its own, and the sink may keep it.
 type TraceEvent = trace.Event
 
 // TraceSink receives trace events; NewJSONLTrace and NewChromeTrace build
-// the two shipped sinks.
+// the two shipped sinks. A custom sink may keep the events it receives:
+// no emitter or other sink shares them.
 type TraceSink = trace.Sink
 
 // NewTracer returns a tracer writing to sink. A nil sink yields a nil
