@@ -124,7 +124,8 @@ func TestWarmTotalErrorAllocs(t *testing.T) {
 				}
 				parts := len(d.ex.px[0].Parts)
 				for _, p := range d.ex.px[0].Parts {
-					for _, b := range p.Blocks {
+					for bi := range p.Blocks {
+						b := &p.Blocks[bi]
 						dense[b.Dense()] = true
 					}
 				}

@@ -288,7 +288,8 @@ func TestMachineLossRebuildsInheritedTables(t *testing.T) {
 				}
 				survivor := d.cl.MachineFor(lost)
 				ms := d.ex.f[modeRoles[0].cached]
-				for _, blk := range d.ex.px[0].Parts[lost].Blocks {
+				for bi := range d.ex.px[0].Parts[lost].Blocks {
+					blk := &d.ex.px[0].Parts[lost].Blocks[bi]
 					key := registryKey{m: ms, version: ms.Version(), lo: blk.InnerLo, hi: blk.InnerLo + blk.Width()}
 					if _, ok := d.ex.reg[survivor].entries[key]; !ok {
 						t.Errorf("survivor %d holds no table over rows [%d,%d) of partition %d, inherited from machine %d",

@@ -282,8 +282,8 @@ func (ex *executor) splitFor(pi int) *split {
 		width := 0
 		for _, px := range ex.px {
 			if pi < len(px.Parts) && px.Parts[pi] != nil {
-				for _, b := range px.Parts[pi].Blocks {
-					width = max(width, b.Width())
+				for bi := range px.Parts[pi].Blocks {
+					width = max(width, px.Parts[pi].Blocks[bi].Width())
 				}
 			}
 		}
@@ -361,7 +361,8 @@ func (ex *executor) tables(out []*sumcache.Cache, pi int, p *partition.Partition
 	reg := ex.reg[ex.place(pi)]
 	var table *sumcache.Cache
 	lo, hi := -1, -1
-	for _, b := range p.Blocks {
+	for bi := range p.Blocks {
+		b := &p.Blocks[bi]
 		// Whole PVM products all share the full range, and they come in a
 		// run between the partition's cut ends: one lookup per run.
 		if b.InnerLo != lo || b.InnerLo+b.Width() != hi {
@@ -377,12 +378,13 @@ func (ex *executor) tables(out []*sumcache.Cache, pi int, p *partition.Partition
 // pre-resolved tables over b: rows indexed by a, PVM blocks by c.
 func partitionError(part *partition.Partition, a, c *boolmat.FactorMatrix, tables []*sumcache.Cache) int64 {
 	widest := 0
-	for _, blk := range part.Blocks {
-		widest = max(widest, blk.Width())
+	for bi := range part.Blocks {
+		widest = max(widest, part.Blocks[bi].Width())
 	}
 	scratch := make([]uint64, entryWords(widest))
 	var e int64
-	for bi, blk := range part.Blocks {
+	for bi := range part.Blocks {
+		blk := &part.Blocks[bi]
 		kMask := c.RowMask(blk.PVM)
 		table := tables[bi]
 		blkScratch := scratch[:entryWords(blk.Width())]

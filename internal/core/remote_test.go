@@ -287,8 +287,9 @@ func samePartition(a, b *partition.Partition, rows int) bool {
 	if a.Index != b.Index || a.Lo != b.Lo || a.Hi != b.Hi || len(a.Blocks) != len(b.Blocks) {
 		return false
 	}
-	for bi, x := range a.Blocks {
-		y := b.Blocks[bi]
+	for bi := range a.Blocks {
+		x := &a.Blocks[bi]
+		y := &b.Blocks[bi]
 		if x.PVM != y.PVM || x.Lo != y.Lo || x.Hi != y.Hi || x.InnerLo != y.InnerLo || x.Type != y.Type || x.Dense() != y.Dense() {
 			return false
 		}
@@ -786,7 +787,8 @@ func TestRemoteRebuildsWorkerLanes(t *testing.T) {
 			}
 			for mode, role := range modeRoles {
 				for pi, part := range d.ex.px[mode].Parts {
-					for _, blk := range part.Blocks {
+					for bi := range part.Blocks {
+						blk := &part.Blocks[bi]
 						partial = partial || blk.Type != partition.Full
 					}
 					for col := 0; col < rank; col += d.ex.stageSpan(col) {

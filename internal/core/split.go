@@ -127,12 +127,12 @@ func (s *split) release() {
 // The column task groups before it evaluates; the driver groups the same
 // way before it decodes the reply, from A as it stands until the stage's
 // commit and from the partition's blocks, so the groups are never sent.
-func (s *split) rowGroups(a, mf *boolmat.FactorMatrix, blocks []*partition.Block, c, span int) {
+func (s *split) rowGroups(a, mf *boolmat.FactorMatrix, blocks []partition.Block, c, span int) {
 	stage := uint64(1<<uint(span)-1) << uint(c)
 	s.lanes, s.rows = laneCount(span), a.Rows()
 	var u uint64
-	for _, b := range blocks {
-		if k := mf.RowMask(b.PVM); k&stage != 0 {
+	for bi := range blocks {
+		if k := mf.RowMask(blocks[bi].PVM); k&stage != 0 {
 			u |= k
 		}
 	}
@@ -167,7 +167,7 @@ type regionSource interface {
 // such key. The lookups come block by block, column by column, block key
 // by block key and assignment by assignment, the order the reply's region
 // sizes follow. It reports false as soon as src does.
-func (s *split) walk(src regionSource, blocks []*partition.Block, mf *boolmat.FactorMatrix, c, span int) bool {
+func (s *split) walk(src regionSource, blocks []partition.Block, mf *boolmat.FactorMatrix, c, span int) bool {
 	clear(s.base[:s.groups.n*s.lanes])
 	clear(s.wide[:s.groups.n*lookahead])
 	s.sized.reset()
@@ -175,7 +175,8 @@ func (s *split) walk(src regionSource, blocks []*partition.Block, mf *boolmat.Fa
 	clear(s.memoCol[:s.memoSlots()])
 	s.sizes = s.sizes[:0]
 	stage := uint64(1<<uint(span)-1) << uint(c)
-	for bi, b := range blocks {
+	for bi := range blocks {
+		b := &blocks[bi]
 		kMask := mf.RowMask(b.PVM)
 		held := kMask & stage
 		for j := 0; j < span; j++ {

@@ -71,7 +71,8 @@ func refereeDelta(ms *boolmat.FactorMatrix, b *partition.Block, r int, key, bit 
 func refereeLanes(t *columnTask, ms *boolmat.FactorMatrix, c, span int) []int32 {
 	lanes := laneCount(span)
 	deltas := make([]int32, t.a.Rows()*lanes)
-	for _, b := range t.part.Blocks {
+	for bi := range t.part.Blocks {
+		b := &t.part.Blocks[bi]
 		kMask := t.mf.RowMask(b.PVM)
 		for r := 0; r < t.a.Rows(); r++ {
 			for l := 0; l < lanes; l++ {

@@ -523,7 +523,7 @@ func readCode(br *bitvec.BitReader, k uint, valueBits int, f *golombTally) (uint
 // and each with a hit, one region size per lookup the walk does not take
 // from the memo, each within its block, every hit at most its base, a zero
 // pad and no byte after it.
-func decodeReply(payload []byte, s *split, a, mf *boolmat.FactorMatrix, blocks []*partition.Block, c, span int, dst []int32) error {
+func decodeReply(payload []byte, s *split, a, mf *boolmat.FactorMatrix, blocks []partition.Block, c, span int, dst []int32) error {
 	rows, lanes := a.Rows(), laneCount(span)
 	if len(payload) < deltasHeaderLen {
 		return fmt.Errorf("core: eval reply truncated: %d bytes", len(payload))

@@ -2,7 +2,9 @@ package partition
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
@@ -10,18 +12,26 @@ import (
 	"dbtf/internal/tensor"
 )
 
-// TestBuildAllocsIndependentOfBlocks pins Build's layout to slabs: the
-// blocks, the pointers to them and the partitions are one allocation each
-// whatever their number, so over a warm slab pool a partitioning of 512 PVM
-// products costs exactly the objects one of 64 does (one object per block
-// before, and three slices grown by append). FromTensor, the build from the
+// TestBuildAllocsIndependentOfBlocks pins the layout to slabs: the block
+// table comes from the slab pool and goes back at Release, as the CSR arenas
+// do, and the partitions are one allocation whatever their block count. So
+// over a warm slab pool a partitioning of 512 PVM products costs exactly the
+// objects one of 64 does, and no more bytes. FromTensor, the build from the
 // coordinate list, keeps its cursors and tables in one slab, held until
 // FreeTables: over a warm pool it costs Build's objects whatever the
-// nonzero count or the PVM count, in every mode.
+// nonzero count or the PVM count, in every mode. Receive, the build from
+// the set-up bodies, costs no more bytes over 512 PVM products than over 64
+// either, in every mode, where its decode buffer comes from the pool.
 func TestBuildAllocsIndependentOfBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var counts []float64
 	coordCounts := map[float64]bool{}
+	type build struct {
+		density float64
+		mode    tensor.Mode
+		receive bool
+	}
+	bytes := map[build][]uint64{}
 	for _, products := range []int{64, 512} {
 		u := randomTensor(rng, 24, 16, products, 0.05).Unfold(tensor.Mode1)
 		cycle := func() {
@@ -34,11 +44,50 @@ func TestBuildAllocsIndependentOfBlocks(t *testing.T) {
 		cycle()
 		counts = append(counts, testing.AllocsPerRun(20, cycle))
 		for _, density := range []float64{0.05, 0.3} {
-			x := randomTensor(rng, 24, 16, products, density)
 			for mode := tensor.Mode1; mode <= tensor.Mode3; mode++ {
-				build := func() { FromTensor(x, mode, 6, Carry{}).Release() }
-				build()
-				coordCounts[testing.AllocsPerRun(20, build)] = true
+				// The tensor has the PVM products along the mode's product axis.
+				dims := [3]int{24, 16, 16}
+				_, pvm, _ := mode.Axes()
+				dims[pvm] = products
+				x := randomTensor(rng, dims[0], dims[1], dims[2], density)
+				fromTensor := func() { FromTensor(x, mode, 6, Carry{}).Release() }
+				fromTensor()
+				coordCounts[testing.AllocsPerRun(20, fromTensor)] = true
+				key := build{density, mode, false}
+				bytes[key] = append(bytes[key], bytesPerRun(5, fromTensor))
+
+				// Machine 0 of 2 receives partitions 0, 2 and 4, carrying what
+				// its mode-1 partitions hold. Receive decodes into a buffer of
+				// eight columns per body byte, whose bytes follow the body's: a
+				// mode-2 body at density 0.05 is a few dozen bytes, and its
+				// buffer is made below the pool's floor. At 0.3 every buffer
+				// here comes from the pool.
+				if density < 0.3 {
+					continue
+				}
+				var src *Columns
+				if mode != tensor.Mode1 {
+					held, _, err := Receive(dims, tensor.Mode1, 6, 0, 2, Carry{}, nil, homeBodies(x, tensor.Mode1, Carry{}))
+					if err != nil {
+						t.Fatal(err)
+					}
+					src = held.Transpose()
+					held.Release()
+				}
+				carry := NewCarry(dims, mode, 2, 6)
+				body := homeBodies(x, mode, carry)
+				receive := func() {
+					px, _, err := Receive(dims, mode, 6, 0, 2, carry, src, body)
+					if err != nil {
+						t.Fatalf("%d PVM products, mode %d: %v", products, mode, err)
+					}
+					px.Release()
+				}
+				key.receive = true
+				bytes[key] = append(bytes[key], bytesPerRun(5, receive))
+				if src != nil {
+					src.Release()
+				}
 			}
 		}
 	}
@@ -54,9 +103,71 @@ func TestBuildAllocsIndependentOfBlocks(t *testing.T) {
 	if !coordCounts[counts[1]] {
 		t.Errorf("FromTensor and Release allocate %v objects over a warm slab pool, want Build's %v", coordCounts, counts[1])
 	}
+	for b, n := range bytes {
+		if n[1] > n[0] {
+			name := "FromTensor"
+			if b.receive {
+				name = "Receive"
+			}
+			t.Errorf("%s and Release in mode %d at density %v allocate %d bytes over 512 PVM products and %d over 64, want no more", name, b.mode, b.density, n[1], n[0])
+		}
+	}
 	if px := FromTensor(randomTensor(rng, 8, 8, 8, 0.3), tensor.Mode1, 2, Carry{}); px.tables == nil {
 		t.Error("FromTensor freed its tables itself, while a concurrent build may ask the pool for one")
 	}
+}
+
+// homeBodies returns the set-up bodies of machine 0 of 2, which holds
+// partitions 0, 2 and 4 of x's partitioning in mode into 6.
+func homeBodies(x *tensor.Tensor, mode tensor.Mode, carry Carry) []byte {
+	px := FromTensor(x, mode, 6, carry)
+	defer px.Release()
+	var body []byte
+	for pi := 0; pi < len(px.Parts); pi += 2 {
+		body = px.AppendBody(body, pi)
+	}
+	return body
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes a call of f
+// allocates, on one P, averaged over runs after a warm-up call. TotalAlloc
+// is process-wide, so the least of three readings is the one believed.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	least := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
+	}
+	return least
+}
+
+// TestReleaseTwicePutsTheBlockTableOnce: a partitioning's block table goes
+// back to the pool at its first Release only, so the pool never hands one
+// table to two owners.
+func TestReleaseTwicePutsTheBlockTableOnce(t *testing.T) {
+	px := FromTensor(randomTensor(rand.New(rand.NewSource(13)), 8, 8, 64, 0.1), tensor.Mode1, 2, Carry{})
+	table := px.blocks
+	if len(table)*int(unsafe.Sizeof(Block{})) < 2048 {
+		t.Fatalf("a table of %d blocks is below the pool's floor", len(table))
+	}
+	px.Release()
+	px.Release()
+	a, b := blockTables.Get(len(table)), blockTables.Get(len(table))
+	if &a[0] != &table[0] {
+		t.Error("the first Get after Release does not return the released table")
+	}
+	if &a[0] == &b[0] {
+		t.Error("two Gets after a second Release return the same table")
+	}
+	blockTables.Put(a)
+	blockTables.Put(b)
 }
 
 // TestRowKernelsAllocNothing: the per-row kernels — Hits against a
@@ -82,7 +193,8 @@ func TestRowKernelsAllocNothing(t *testing.T) {
 			}
 			bitvec.GainWords(region, d.W1, d.W0, d.Occ)
 			sum, pop := cache.Sum(mask, scratch)
-			for _, b := range px.Parts[0].Blocks {
+			for bi := range px.Parts[0].Blocks {
+				b := &px.Parts[0].Blocks[bi]
 				dense[b.Dense()] = true
 				var n int64
 				if allocs := testing.AllocsPerRun(5, func() {

@@ -224,8 +224,9 @@ type Partition struct {
 	Index int
 	// Lo and Hi delimit the partition's global column range [Lo, Hi).
 	Lo, Hi int
-	// Blocks are the partition's PVM-aligned blocks, in column order.
-	Blocks []*Block
+	// Blocks are the partition's PVM-aligned blocks, in column order: a
+	// window on its partitioning's one block table.
+	Blocks []Block
 	// bodyBytes is the size of the partition's set-up body (AppendBody),
 	// counted by the pass that filled its blocks.
 	bodyBytes int64
@@ -237,8 +238,8 @@ func (p *Partition) Width() int { return p.Hi - p.Lo }
 // NNZ returns the number of nonzeros in the partition.
 func (p *Partition) NNZ() int {
 	n := 0
-	for _, b := range p.Blocks {
-		n += b.NNZ()
+	for i := range p.Blocks {
+		n += p.Blocks[i].NNZ()
 	}
 	return n
 }
@@ -264,24 +265,28 @@ type Partitioned struct {
 	// carry is what the set-up bodies leave out; the zero Carry for Build.
 	carry Carry
 
-	// Backing arenas shared by every block's CSR offsets, row pointers and
+	// The block table every partition's Blocks is a window on, and the
+	// backing arenas shared by every block's CSR offsets, row pointers and
 	// packed rows; returned to the slab pool by Release.
+	blocks              []Block
 	ptrArena, bitsArena []int32
 	denseArena          []uint64
 	tables              []int32 // fill's cursor slab, held until FreeTables
 }
 
-// Release returns the partitioning's backing arenas to the slab pool and
-// poisons it against further use: afterwards no Partition or Block derived
-// from it may be touched. Owners with a clear end of life (a decomposition
-// returning, a worker replacing its setup) call it; everyone else lets the
-// garbage collector take the arenas.
+// Release returns the partitioning's block table and backing arenas to the
+// slab pool and poisons it against further use: afterwards no Partition or
+// Block derived from it may be touched, and a second Release returns
+// nothing. Owners with a clear end of life (a decomposition returning, a
+// worker replacing its setup) call it; everyone else lets the garbage
+// collector take the arenas.
 func (p *Partitioned) Release() {
 	p.FreeTables()
+	blockTables.Put(p.blocks)
 	slab.PutInt32s(p.ptrArena)
 	slab.PutInt32s(p.bitsArena)
 	slab.PutUint64s(p.denseArena)
-	p.ptrArena, p.bitsArena, p.denseArena = nil, nil, nil
+	p.blocks, p.ptrArena, p.bitsArena, p.denseArena = nil, nil, nil, nil
 	p.Parts = nil
 }
 
@@ -316,9 +321,9 @@ func (p *Partitioned) AppendBody(dst []byte, pi int) []byte {
 	for r := 0; r < p.NumRows; r++ {
 		n := 0
 		w := p.carry.across(pi, r, first)
-		for _, b := range part.Blocks {
+		for bi := range part.Blocks {
 			if !w.next() {
-				n += len(b.RowBits(r))
+				n += len(part.Blocks[bi].RowBits(r))
 			}
 		}
 		bw.ExpGolomb(uint64(n), 0)
@@ -328,10 +333,11 @@ func (p *Partitioned) AppendBody(dst []byte, pi int) []byte {
 		k := gapOrder(part.Width(), n)
 		prev := int32(part.Lo) - 1
 		w = p.carry.across(pi, r, first)
-		for _, b := range part.Blocks {
+		for bi := range part.Blocks {
 			if w.next() {
 				continue
 			}
+			b := &part.Blocks[bi]
 			lo := int32(b.Lo)
 			for _, o := range b.RowBits(r) {
 				bw.ExpGolomb(uint64(lo+o-prev-1), k)
@@ -445,14 +451,14 @@ func (w *carryWalk) next() bool {
 // panics on an unfolding whose columns overflow int32.
 func FromTensor(x *tensor.Tensor, mode tensor.Mode, n int, carry Carry) *Partitioned {
 	i, j, k := x.Dims()
-	px, parts, all, err := layout([3]int{i, j, k}, mode, n, 0, 1, carry)
+	px, parts, err := layout([3]int{i, j, k}, mode, n, 0, 1, carry)
 	if err != nil {
 		panic(err)
 	}
 	// The list is sorted by (I, J, K): where K indexes the rows, consecutive
 	// nonzeros step through rows more often than through blocks.
 	row, _, _ := mode.Axes()
-	px.fill(parts, all, row == 2, coordPairs{coords: x.Coords(), mode: mode, width: px.BlockSize}.pairs)
+	px.fill(parts, row == 2, coordPairs{coords: x.Coords(), mode: mode, width: px.BlockSize}.pairs)
 	return px
 }
 
@@ -475,7 +481,7 @@ func Build(u *tensor.Unfolded, n int) *Partitioned {
 // carried segment, a nonzero padding bit — is an error, and nothing is
 // kept; so is an unfolding whose columns overflow int32.
 func Receive(dims [3]int, mode tensor.Mode, n, first, step int, carry Carry, src *Columns, body []byte) (*Partitioned, []byte, error) {
-	px, parts, all, err := layout(dims, mode, n, first, step, carry)
+	px, parts, err := layout(dims, mode, n, first, step, carry)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -541,7 +547,7 @@ func Receive(dims [3]int, mode tensor.Mode, n, first, step int, carry Carry, src
 			return nil, nil, fmt.Errorf("partition: partition %d: a nonzero bit pads its body", p.Index)
 		}
 	}
-	px.fill(parts, all, false, rs.pairs)
+	px.fill(parts, false, rs.pairs)
 	px.FreeTables()
 	return px, br.Rest(), nil
 }
@@ -573,7 +579,8 @@ func (p *Partitioned) Transpose() *Columns {
 			if part == nil {
 				continue
 			}
-			for _, b := range part.Blocks {
+			for bi := range part.Blocks {
+				b := &part.Blocks[bi]
 				off := int(t.base[pi]) + b.Lo
 				for r := 0; r < p.NumRows; r++ {
 					for _, o := range b.RowBits(r) {
@@ -636,18 +643,24 @@ func (c cut) start(p int) int { return p * c.cols / c.n }
 // start(p) <= col < start(p+1).
 func (c cut) part(col int) int { return ((col+1)*c.n - 1) / c.cols }
 
+// blockTables is the slab pool's free list of block tables (layout).
+var blockTables slab.List[Block]
+
 // layout cuts the dims-shaped tensor's unfolding in mode into n partitions
 // (cut), and lays out partitions first, first+step, …, whose set-up bodies
 // leave out what carry carries: their bounds and PVM-aligned blocks with
 // their Figure 5 types, no nonzero. Every other slot of Parts stays nil. It
-// returns the partitions laid out, and their blocks in column order, or the
-// column guard's error. The blocks, the pointers to them and the partitions
-// are one slab each, sized by counting first: a partition over [lo, hi)
-// meets the PVM products lo/blockSize … (hi−1)/blockSize, one block apiece.
-func layout(dims [3]int, mode tensor.Mode, n, first, step int, carry Carry) (*Partitioned, []Partition, []*Block, error) {
+// returns the partitions laid out, or the column guard's error. The blocks
+// are one table, in column order, taken from the slab pool (blockTables)
+// and held as px.blocks until Release; each partition's Blocks is its
+// window on it. The partitions, and Parts's pointers to them, are one make
+// each: N of them are far below the pool's floor. Both are sized by
+// counting first: a partition over [lo, hi) meets the PVM products
+// lo/blockSize … (hi−1)/blockSize, one block apiece.
+func layout(dims [3]int, mode tensor.Mode, n, first, step int, carry Carry) (*Partitioned, []Partition, error) {
 	cols, err := mode.Columns(dims[0], dims[1], dims[2])
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	rows, _, blockSize := mode.Place(tensor.Coord{I: dims[0], J: dims[1], K: dims[2]})
 	c := newCut(cols, n)
@@ -659,7 +672,7 @@ func layout(dims [3]int, mode tensor.Mode, n, first, step int, carry Carry) (*Pa
 			nb += (hi-1)/blockSize - lo/blockSize + 1
 		}
 	}
-	blocks, all := make([]Block, nb), make([]*Block, nb)
+	blocks := blockTables.Get(nb)
 	parts := make([]Partition, held)
 	bi := 0
 	for k := range parts {
@@ -675,13 +688,13 @@ func layout(dims [3]int, mode tensor.Mode, n, first, step int, carry Carry) (*Pa
 				InnerLo: s.lo - s.pvm*blockSize,
 				Type:    classify(s, blockSize),
 			}
-			all[bi] = &blocks[bi]
 			cur = s.hi
 		}
-		parts[k] = Partition{Index: i, Lo: lo, Hi: hi, Blocks: all[start:bi:bi]}
+		parts[k] = Partition{Index: i, Lo: lo, Hi: hi, Blocks: blocks[start:bi:bi]}
 		px.Parts[i] = &parts[k]
 	}
-	return px, parts, all, nil
+	px.blocks = blocks
+	return px, parts, nil
 }
 
 // filler is fill's count-and-fill over the (row, block) segments. cur,
@@ -760,7 +773,8 @@ func (s *bodyRows) pairs(f filler) {
 				f.add(r, b, c)
 			}
 		}
-		for bi, blk := range p.Blocks {
+		for bi := range p.Blocks {
+			blk := &p.Blocks[bi]
 			w := s.carry.down(p.Index, blk.PVM)
 			for r := 0; r < rows; r++ {
 				if w.next() {
@@ -795,7 +809,8 @@ func (s *bodyRows) release() {
 // over the segments the body ships, and its gaps, which run on across the
 // partition's blocks from one shipped nonzero to the next. A carried
 // segment is written and not tallied.
-func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs func(filler)) {
+func (px *Partitioned) fill(parts []Partition, byBlock bool, pairs func(filler)) {
+	all := px.blocks
 	rows, nb, products := px.NumRows, len(all), 0
 	if px.BlockSize > 0 {
 		products = px.NumCols / px.BlockSize
@@ -819,7 +834,8 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs
 	ptrArena := slab.Int32s(nb * (rows + 1))
 	denseTotal := 0
 	pos := int32(0)
-	for bi, b := range all {
+	for bi := range all {
+		b := &all[bi]
 		rp := ptrArena[bi*(rows+1) : (bi+1)*(rows+1)]
 		start := pos
 		for r := 0; r < rows; r++ {
@@ -848,11 +864,12 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs
 		for r := range last {
 			last[r], order[r] = int32(p.Lo)-1, 0
 		}
-		for _, b := range p.Blocks {
-			w := px.carry.down(p.Index, b.PVM)
+		for bi := range p.Blocks {
+			w := px.carry.down(p.Index, p.Blocks[bi].PVM)
+			rp := p.Blocks[bi].rowPtr
 			for r := range order {
 				if !w.next() {
-					order[r] += b.rowPtr[r+1] - b.rowPtr[r]
+					order[r] += rp[r+1] - rp[r]
 				}
 			}
 		}
@@ -863,7 +880,8 @@ func (px *Partitioned) fill(parts []Partition, all []*Block, byBlock bool, pairs
 				order[r] = int32(gapOrder(p.Width(), int(c)))
 			}
 		}
-		for _, b := range p.Blocks {
+		for bi := range p.Blocks {
+			b := &p.Blocks[bi]
 			n := b.rowPtr[rows]
 			b.bits = f.bits[pos : pos+n : pos+n]
 			pos += n
@@ -960,8 +978,8 @@ func (p *Partition) TypeSet() []BlockType {
 	seen := map[BlockType]bool{}
 	var out []BlockType
 	for _, t := range []BlockType{Interior, Suffix, Full, Prefix} {
-		for _, b := range p.Blocks {
-			if b.Type == t && !seen[t] {
+		for bi := range p.Blocks {
+			if p.Blocks[bi].Type == t && !seen[t] {
 				seen[t] = true
 				out = append(out, t)
 			}

@@ -42,7 +42,8 @@ func TestBuildCoversAllColumnsOnce(t *testing.T) {
 			t.Fatalf("partition %d starts at %d, want %d", p.Index, p.Lo, cur)
 		}
 		bcur := p.Lo
-		for _, b := range p.Blocks {
+		for bi := range p.Blocks {
+			b := &p.Blocks[bi]
 			if b.Lo != bcur {
 				t.Fatalf("block gap at %d", b.Lo)
 			}
@@ -186,7 +187,8 @@ func TestBlockCSRMatchesUnfolded(t *testing.T) {
 func rowOf(px *Partitioned, r int) ([]int32, error) {
 	var got []int32
 	for _, p := range px.Parts {
-		for _, b := range p.Blocks {
+		for bi := range p.Blocks {
+			b := &p.Blocks[bi]
 			var words []uint64
 			if b.Dense() {
 				words = make([]uint64, len(b.RowWords(r)))
@@ -212,7 +214,8 @@ func TestInnerLoConsistent(t *testing.T) {
 	u := tensor.New(1, 7, 9).Unfold(tensor.Mode1)
 	px := Build(u, 4)
 	for _, p := range px.Parts {
-		for _, b := range p.Blocks {
+		for bi := range p.Blocks {
+			b := &p.Blocks[bi]
 			if b.InnerLo != b.Lo-b.PVM*u.BlockSize {
 				t.Fatalf("block at %d: InnerLo %d inconsistent", b.Lo, b.InnerLo)
 			}
@@ -266,7 +269,8 @@ func TestQuickBlocksAlwaysWithinOneProduct(t *testing.T) {
 		u := tensor.New(1, blockSize, numBlocks).Unfold(tensor.Mode1)
 		px := Build(u, n)
 		for _, p := range px.Parts {
-			for _, b := range p.Blocks {
+			for bi := range p.Blocks {
+				b := &p.Blocks[bi]
 				if b.Lo/blockSize != (b.Hi-1)/blockSize {
 					return false
 				}
@@ -391,8 +395,9 @@ func sameBlocks(a, b *Partition, rows int) bool {
 	if a.Index != b.Index || a.Lo != b.Lo || a.Hi != b.Hi || len(a.Blocks) != len(b.Blocks) {
 		return false
 	}
-	for bi, x := range a.Blocks {
-		y := b.Blocks[bi]
+	for bi := range a.Blocks {
+		x := &a.Blocks[bi]
+		y := &b.Blocks[bi]
 		if x.PVM != y.PVM || x.Lo != y.Lo || x.Hi != y.Hi || x.Type != y.Type || x.Dense() != y.Dense() {
 			return false
 		}

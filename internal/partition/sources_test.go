@@ -77,8 +77,9 @@ func samePartitioned(a, b *Partitioned) bool {
 			!slices.Equal(a.AppendBody(nil, pi), b.AppendBody(nil, pi)) {
 			return false
 		}
-		for bi, x := range p.Blocks {
-			y := q.Blocks[bi]
+		for bi := range p.Blocks {
+			x := &p.Blocks[bi]
+			y := &q.Blocks[bi]
 			if x.PVM != y.PVM || x.Lo != y.Lo || x.Hi != y.Hi || x.InnerLo != y.InnerLo || x.Type != y.Type ||
 				!slices.Equal(x.rowPtr, y.rowPtr) || !slices.Equal(x.bits, y.bits) || !slices.Equal(x.denseWords, y.denseWords) {
 				return false

@@ -1,15 +1,16 @@
 // Package slab recycles the large flat arenas the decomposition engine
-// otherwise allocates fresh on every call: unfolding column arrays,
-// partition CSR and packed-row arenas, and sum-cache entry tables. These
-// are the dominant allocation sites of a Factorize call, and because each
-// has a clear owner with a well-defined release point (an unfolding is
-// dead once its partitioning is built; a partitioning dies with its
-// decomposition; a sum cache dies when its factor version goes stale),
-// they can be returned to a free list instead of churning the garbage
+// otherwise allocates fresh on every call. Today it holds a partitioning's
+// block table, CSR and packed-row arenas and cursor tables, a machine's
+// decoded set-up bodies and transposed source columns, the sum-cache entry
+// tables, a column task's hit accumulators and split arenas, the flip logs,
+// and the unfoldings' column arrays. Each has a clear owner with a
+// well-defined release point (a partitioning dies with its decomposition or
+// its worker's set-up; a sum cache dies when its factor version goes stale),
+// so it can go back to a free list instead of churning the garbage
 // collector.
 //
-// Slices are kept per power-of-two capacity class on free lists under one
-// mutex, so Get/Put are safe for concurrent use from cluster task
+// Slices are kept per power-of-two capacity class on free lists (List)
+// under one mutex, so Get/Put are safe for concurrent use from cluster task
 // goroutines and TCP workers. A Get never fails: on an empty list it falls
 // back to make. The lists are plain stacks, not sync.Pools: a sync.Pool
 // forgets what it holds after two collections and cannot hand a slice put
@@ -21,80 +22,113 @@
 //
 // Contract: a Put hands ownership of the slice's full capacity back to the
 // pool. The caller must not retain any alias (including subslices) past
-// the Put — the memory will be handed to an unrelated Get. Dirty variants
-// return unspecified contents; callers must fully overwrite them.
+// the Put — the memory will be handed to an unrelated Get. Arenas of
+// int32 and uint64 come back with unspecified contents, which callers must
+// fully overwrite; every other arena comes back zero.
 package slab
 
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // Slices smaller than this many bytes are not worth a round trip through
-// the free lists; they come straight from make and Puts of them are
-// dropped.
+// the free lists; they come straight from make, n long, and Puts of them
+// are dropped.
 const minBytes = 2048
 
 // maxRetained bounds the bytes the free lists hold between calls. A Put
 // that would pass it is dropped and the slice left to the collector, so a
 // process that once factorized a huge tensor does not keep its arenas for
-// good. The gated workloads hold 10–45 MB.
+// good.
 const maxRetained = 256 << 20
 
 var (
 	mu       sync.Mutex
-	retained int // bytes on the free lists
-	int32s   [33][][]int32
-	uint64s  [33][][]uint64
+	retained int // bytes on every List, together
+	int32s   List[int32]
+	uint64s  List[uint64]
 )
+
+// List is a free list of []T arenas, one stack per power-of-two capacity
+// class. Every List shares the package's mutex and its maxRetained budget,
+// so a package pools a table of its own type by declaring a List of it.
+// The zero List is empty and ready to use.
+type List[T any] struct {
+	free [33][][]T
+}
 
 // class returns the power-of-two capacity class holding n elements.
 func class(n int) int { return bits.Len(uint(n - 1)) }
 
-// get pops a slice of class k, of elemBytes-sized elements, or returns nil.
-func get[T any](lists *[33][][]T, k, elemBytes int) []T {
-	mu.Lock()
-	defer mu.Unlock()
-	l := lists[k]
-	if len(l) == 0 {
-		return nil
-	}
-	s := l[len(l)-1]
-	l[len(l)-1] = nil
-	lists[k] = l[:len(l)-1]
-	retained -= elemBytes << k
-	return s
+// size returns the bytes of one T.
+func (l *List[T]) size() int {
+	var zero T
+	return int(unsafe.Sizeof(zero))
 }
 
-// put pushes s if it is a whole class-sized slice worth keeping and the
-// budget has room for it.
-func put[T any](lists *[33][][]T, s []T, elemBytes int) {
-	c := cap(s)
-	if c*elemBytes < minBytes || c != 1<<class(c) {
-		return
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if retained+c*elemBytes > maxRetained {
-		return
-	}
-	retained += c * elemBytes
-	lists[class(c)] = append(lists[class(c)], s[:c])
-}
-
-// Int32s returns a slice of n int32s with unspecified contents.
-func Int32s(n int) []int32 {
+// Get returns a slice of n Ts. One of fewer than minBytes is a plain make
+// of n, which Put drops; a larger one has its class's capacity: the last one
+// Put in the class, or else a new one. A recycled arena of int32 or uint64
+// keeps what its last user wrote, and the caller must overwrite it; any
+// other T comes back zero over its whole capacity (Put).
+func (l *List[T]) Get(n int) []T {
 	if n == 0 {
 		return nil
 	}
-	k := class(n)
-	if n*4 >= minBytes {
-		if s := get(&int32s, k, 4); s != nil {
-			return s[:n]
-		}
+	if n*l.size() < minBytes {
+		return make([]T, n)
 	}
-	return make([]int32, n, 1<<k)
+	k := class(n)
+	if s := l.pop(k); s != nil {
+		return s[:n]
+	}
+	return make([]T, n, 1<<k)
 }
+
+// pop removes and returns the slice last Put in class k, or nil.
+func (l *List[T]) pop(k int) []T {
+	mu.Lock()
+	defer mu.Unlock()
+	f := l.free[k]
+	if len(f) == 0 {
+		return nil
+	}
+	s := f[len(f)-1]
+	f[len(f)-1] = nil
+	l.free[k] = f[:len(f)-1]
+	retained -= l.size() << k
+	return s
+}
+
+// Put hands s's whole capacity back to the list, if it is a class-sized
+// slice worth keeping and the budget has room for it; the slice and every
+// alias of it must not be used afterwards. A T other than int32 and uint64
+// may hold pointers, and is zeroed first, so a listed arena keeps nothing
+// its elements pointed at reachable — a Block's slices into arenas Put
+// before it.
+func (l *List[T]) Put(s []T) {
+	c := cap(s)
+	if c*l.size() < minBytes || c != 1<<class(c) {
+		return
+	}
+	switch any((*T)(nil)).(type) {
+	case *int32, *uint64:
+	default:
+		clear(s[:c])
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if retained+c*l.size() > maxRetained {
+		return
+	}
+	retained += c * l.size()
+	l.free[class(c)] = append(l.free[class(c)], s[:c])
+}
+
+// Int32s returns a slice of n int32s with unspecified contents.
+func Int32s(n int) []int32 { return int32s.Get(n) }
 
 // Int32sZeroed returns a slice of n zeroed int32s.
 func Int32sZeroed(n int) []int32 {
@@ -105,21 +139,10 @@ func Int32sZeroed(n int) []int32 {
 
 // PutInt32s returns a slice obtained from Int32s to the pool. The slice
 // and every alias of it must not be used afterwards.
-func PutInt32s(s []int32) { put(&int32s, s, 4) }
+func PutInt32s(s []int32) { int32s.Put(s) }
 
 // Uint64s returns a slice of n uint64s with unspecified contents.
-func Uint64s(n int) []uint64 {
-	if n == 0 {
-		return nil
-	}
-	k := class(n)
-	if n*8 >= minBytes {
-		if s := get(&uint64s, k, 8); s != nil {
-			return s[:n]
-		}
-	}
-	return make([]uint64, n, 1<<k)
-}
+func Uint64s(n int) []uint64 { return uint64s.Get(n) }
 
 // Uint64sZeroed returns a slice of n zeroed uint64s.
 func Uint64sZeroed(n int) []uint64 {
@@ -130,4 +153,4 @@ func Uint64sZeroed(n int) []uint64 {
 
 // PutUint64s returns a slice obtained from Uint64s to the pool. The slice
 // and every alias of it must not be used afterwards.
-func PutUint64s(s []uint64) { put(&uint64s, s, 8) }
+func PutUint64s(s []uint64) { uint64s.Put(s) }

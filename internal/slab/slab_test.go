@@ -25,8 +25,12 @@ func TestInt32sShape(t *testing.T) {
 		if len(s) != n {
 			t.Fatalf("Int32s(%d) has len %d", n, len(s))
 		}
-		if n > 0 && cap(s) != 1<<class(n) {
-			t.Fatalf("Int32s(%d) has cap %d, want the class size %d", n, cap(s), 1<<class(n))
+		want := 1 << class(n)
+		if n*4 < minBytes {
+			want = n // below the floor a Get is a plain make
+		}
+		if n > 0 && cap(s) != want {
+			t.Fatalf("Int32s(%d) has cap %d, want %d", n, cap(s), want)
 		}
 		PutInt32s(s)
 	}
@@ -131,4 +135,50 @@ func TestConcurrentChurn(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
+}
+
+// TestPutZeroesTablesThatHoldSlices: a table whose elements hold slices is
+// zeroed over its whole capacity when it is Put, so the free list keeps
+// nothing they pointed at reachable, and the next Get of its class finds
+// only zero elements.
+func TestPutZeroesTablesThatHoldSlices(t *testing.T) {
+	type row struct {
+		cells []int32
+		n     int
+	}
+	var l List[row]
+	s := l.Get(100) // 32 B a row: class 128, 4 KiB
+	arena := make([]int32, 8)
+	full := s[:cap(s)]
+	for i := range full {
+		full[i] = row{cells: arena, n: i + 1}
+	}
+	first := &s[0]
+	l.Put(s)
+	got := l.Get(70)
+	if &got[0] != first {
+		t.Fatal("the Get after a Put of its class did not return the slice Put")
+	}
+	for i, r := range got[:cap(got)] {
+		if r.cells != nil || r.n != 0 {
+			t.Fatalf("element %d of a recycled table is %+v, want zero", i, r)
+		}
+	}
+}
+
+// TestGetBelowTheFloorIsNotKept: a Get below the pool's floor is a plain
+// make of its length, which a Put drops. When it was made at its class's
+// capacity, a Put of it was kept, and only a Get of the whole class ever
+// took it, so the lists grew with slices no Get wanted.
+func TestGetBelowTheFloorIsNotKept(t *testing.T) {
+	a := Int32s(300) // 1,200 B: below the floor; its class holds 2 KiB
+	if cap(a) != 300 {
+		t.Errorf("Int32s(300) has cap %d, want 300", cap(a))
+	}
+	PutInt32s(a)
+	b := Int32s(512)
+	if &b[0] == &a[0] {
+		t.Error("a Get of the class took a slice made below the floor")
+	}
+	PutInt32s(b)
 }
