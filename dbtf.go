@@ -104,25 +104,27 @@ type Options struct {
 	// and the Stats fault counters.
 	Faults *FaultPlan
 	// CheckpointDir, when non-empty, enables durable iteration-level
-	// checkpointing: every CheckpointEvery iterations (and at the final
-	// one) the run's state is written atomically to this directory, so a
-	// killed run can be continued bit-identically with Resume.
+	// checkpointing: the run's state is written atomically to this
+	// directory — every CheckpointEvery iterations and at the final one,
+	// or where Boundary says — so a killed run can be continued
+	// bit-identically with Resume.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint period in iterations. Default 1;
-	// meaningful only with CheckpointDir.
+	// meaningful only with CheckpointDir, and refused beside Boundary.
 	CheckpointEvery int
 	// Resume continues from the checkpoint in CheckpointDir instead of
 	// initializing; the checkpoint must match this run's configuration
 	// and tensor. A missing checkpoint starts fresh. Requires
 	// CheckpointDir.
 	Resume bool
-	// Preempt, when non-nil, is polled once per completed iteration: when
-	// it returns true the run checkpoints and stops with an error wrapping
+	// Boundary, when non-nil, is polled once per completed iteration and
+	// places every checkpoint: BoundaryCheckpoint writes one and goes on,
+	// BoundaryYield writes one and stops with an error wrapping
 	// ErrPreempted, so a scheduler can evict a running job and later
-	// continue it bit-identically with Resume. A run that converged or
-	// reached MaxIter finishes instead of preempting. Requires
-	// CheckpointDir.
-	Preempt func() bool
+	// continue it bit-identically with Resume, and BoundaryContinue writes
+	// none. A run that converged or reached MaxIter finishes without a
+	// poll or a checkpoint. Requires CheckpointDir.
+	Boundary func() Boundary
 	// Tracer, when non-nil, receives the run's structured event stream:
 	// stage/driver/iteration spans, traffic charges, retries, and machine
 	// liveness, on both the wall and the simulated clock. Build one with
@@ -178,7 +180,7 @@ func (opt Options) coreOptions() core.Options {
 		CheckpointDir:   opt.CheckpointDir,
 		CheckpointEvery: opt.CheckpointEvery,
 		Resume:          opt.Resume,
-		Preempt:         opt.Preempt,
+		Boundary:        opt.Boundary,
 	}
 }
 
@@ -209,10 +211,24 @@ func ParseInitScheme(s string) (InitScheme, error) { return core.ParseInitScheme
 // MaxRank is the largest supported decomposition rank.
 const MaxRank = boolmat.MaxRank
 
-// ErrPreempted is returned (wrapped) by Factorize when Options.Preempt
-// stops a run at an iteration boundary; the checkpoint written at that
+// ErrPreempted is returned (wrapped) by Factorize when Options.Boundary
+// yields a run at an iteration boundary; the checkpoint written at that
 // boundary makes a later Resume bit-identical to an uninterrupted run.
 var ErrPreempted = core.ErrPreempted
+
+// Boundary is what a run does at an iteration boundary when
+// Options.Boundary polls it.
+type Boundary = core.Boundary
+
+const (
+	// BoundaryContinue goes on without a checkpoint.
+	BoundaryContinue Boundary = core.BoundaryContinue
+	// BoundaryCheckpoint writes a durable checkpoint, then goes on.
+	BoundaryCheckpoint Boundary = core.BoundaryCheckpoint
+	// BoundaryYield writes a durable checkpoint and stops the run with an
+	// error wrapping ErrPreempted.
+	BoundaryYield Boundary = core.BoundaryYield
+)
 
 // Factors groups the three binary factor matrices of a decomposition:
 // A is I×R, B is J×R, C is K×R.

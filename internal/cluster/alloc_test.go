@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dbtf/internal/trace"
+	"dbtf/internal/transport"
 )
 
 // TestStageBookkeepingAllocs pins what a stage costs beside its tasks:
@@ -73,5 +74,23 @@ func TestTracedStageAllocs(t *testing.T) {
 	untraced := allocs(nil)
 	if traced := allocs(trace.New(trace.NewJSONL(io.Discard))); traced != untraced {
 		t.Errorf("a traced stage, collect and driver section allocate %v objects, untraced %v", traced, untraced)
+	}
+}
+
+// TestRemoteStageAllocs pins what a warm remote stage costs beside its
+// transport: nothing. The function the transport delivers each task's
+// result through is bound once on the pooled stage state, not made as a
+// closure for every stage (one object a stage before).
+func TestRemoteStageAllocs(t *testing.T) {
+	c := New(Config{Machines: 3, Transport: &fakeTransport{machines: 3}})
+	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 5}
+	stage := func() {
+		if err := c.RunStage(context.Background(), spec, nil, discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stage()
+	if allocs := testing.AllocsPerRun(200, stage); allocs != 0 {
+		t.Errorf("a warm remote stage of 5 tasks allocates %v objects, want 0", allocs)
 	}
 }

@@ -422,6 +422,12 @@ type stageState struct {
 	// here so the event points at the pooled state, not at an object of
 	// its own. Written only after the lanes are joined.
 	delta trace.StatsDelta
+
+	// sink receives a remote stage's payloads; deliver is deliverResult
+	// bound to this state once, kept across releases, so a remote stage
+	// hands the transport no closure of its own.
+	sink    func(task int, payload []byte) error
+	deliver func(transport.TaskResult) error
 }
 
 // stagePool is the free list of stage states. It is shared by every cluster
@@ -430,11 +436,11 @@ type stageState struct {
 var stagePool = sync.Pool{New: func() any { return new(stageState) }}
 
 // releaseStage returns a joined stage's state to the free list, zeroed but
-// for the ledger's backing array.
+// for the ledger's backing array and the bound deliver.
 //
 //dbtf:allow-unguarded st: the stage is over and its workers joined, so st is no longer shared
 func releaseStage(st *stageState) {
-	*st = stageState{perMachine: st.perMachine[:0]}
+	*st = stageState{perMachine: st.perMachine[:0], deliver: st.deliver}
 	stagePool.Put(st)
 }
 

@@ -40,13 +40,14 @@ func (c *Cluster) runStageRemote(ctx context.Context, spec transport.Spec, sink 
 	c.applyLiveness(c.transport.Membership(ctx))
 	st := c.beginStage(ctx, spec.Name, spec.Tasks, nil)
 	defer releaseStage(st)
+	st.sink = sink
+	if st.deliver == nil {
+		st.deliver = st.deliverResult
+	}
 	sentBefore, recvBefore := c.transport.WireBytes()
 	err := ctx.Err()
 	if err == nil {
-		err = c.transport.Run(ctx, spec, func(tr transport.TaskResult) error {
-			st.charge(tr.Machine, tr.Nanos)
-			return sink(tr.Task, tr.Payload)
-		})
+		err = c.transport.Run(ctx, spec, st.deliver)
 	}
 	c.endStage(st, err == nil)
 	sentAfter, recvAfter := c.transport.WireBytes()
@@ -55,6 +56,13 @@ func (c *Cluster) runStageRemote(ctx context.Context, spec transport.Spec, sink 
 		return stageError(st.label, err)
 	}
 	return nil
+}
+
+// deliverResult charges a remote task's measured nanos to its machine and
+// hands its payload to the stage's sink.
+func (st *stageState) deliverResult(tr transport.TaskResult) error {
+	st.charge(tr.Machine, tr.Nanos)
+	return st.sink(tr.Task, tr.Payload)
 }
 
 // PushState replicates one state blob to every live remote executor. The

@@ -195,6 +195,8 @@ func TestCheckpointOptionValidation(t *testing.T) {
 		"resume without dir": {Rank: 2, Resume: true},
 		"every without dir":  {Rank: 2, CheckpointEvery: 2},
 		"negative every":     {Rank: 2, CheckpointDir: t.TempDir(), CheckpointEvery: -1},
+		"every beside the poll": {Rank: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 1,
+			Boundary: func() Boundary { return BoundaryContinue }},
 	} {
 		if _, err := Decompose(context.Background(), x, cl, opt); err == nil {
 			t.Errorf("%s: no error", name)
@@ -206,9 +208,9 @@ func TestPreemptRequiresCheckpointDir(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x, _, _, _ := plantedTensor(rng, 8, 8, 8, 2, 0.3)
 	_, err := Decompose(context.Background(), x, testCluster(2),
-		Options{Rank: 2, MaxIter: 2, Preempt: func() bool { return true }})
+		Options{Rank: 2, MaxIter: 2, Boundary: func() Boundary { return BoundaryYield }})
 	if err == nil {
-		t.Fatal("Preempt without CheckpointDir was accepted; eviction would lose the job")
+		t.Fatal("Boundary without CheckpointDir was accepted; eviction would lose the job")
 	}
 	if !strings.Contains(err.Error(), "CheckpointDir") {
 		t.Fatalf("error %q does not name CheckpointDir", err)

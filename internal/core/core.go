@@ -132,30 +132,49 @@ type Options struct {
 	// Seed seeds the deterministic random initialization.
 	Seed int64
 	// CheckpointDir, when non-empty, enables iteration-level durable
-	// checkpointing: after every CheckpointEvery completed iterations (and
-	// at the final one) a versioned snapshot of the factor matrices and
+	// checkpointing: a versioned snapshot of the factor matrices and
 	// iteration state is written atomically to
 	// CheckpointDir/CheckpointFileName(fingerprint), so a killed run can be
-	// resumed bit-identically with Resume.
+	// resumed bit-identically with Resume. Without Boundary a snapshot is
+	// written after every CheckpointEvery completed iterations and at the
+	// final one; with it, where Boundary says.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint period k in iterations. Default 1.
-	// Must be >= 1; meaningful only with CheckpointDir.
+	// Must be >= 1; meaningful only with CheckpointDir, and refused beside
+	// Boundary.
 	CheckpointEvery int
 	// Resume, when true, loads the checkpoint in CheckpointDir and
 	// continues from it instead of initializing; the checkpoint's config
 	// fingerprint must match this run's. A missing checkpoint file starts
 	// a fresh run. Requires CheckpointDir.
 	Resume bool
-	// Preempt, when non-nil, is polled once per completed iteration at the
-	// iteration boundary. Returning true evicts the run: the boundary's
-	// state is written as a durable checkpoint (whether or not the period
-	// was due) and Decompose returns an error wrapping ErrPreempted. A
-	// preempted run resumed with Resume continues bit-identically to one
-	// that was never interrupted — this is the eviction/timeslicing hook of
-	// the job server. A run that just converged or completed its final
-	// iteration finishes instead of yielding. Requires CheckpointDir.
-	Preempt func() bool
+	// Boundary, when non-nil, is polled once per completed iteration at the
+	// iteration boundary, and places every checkpoint of the run: on
+	// BoundaryCheckpoint the boundary's state is written as a durable
+	// checkpoint and the run goes on; on BoundaryYield it is written and
+	// Decompose returns an error wrapping ErrPreempted; on BoundaryContinue
+	// nothing is written. A yielded run resumed with Resume continues
+	// bit-identically to one that was never interrupted, as does one
+	// resumed from any earlier checkpoint or from none — this is the
+	// eviction/timeslicing hook of the job server. A run that just
+	// converged or completed its final iteration is not polled: it returns
+	// its result without a checkpoint. Requires CheckpointDir.
+	Boundary func() Boundary
 }
+
+// Boundary is what a run does at an iteration boundary when
+// Options.Boundary polls it.
+type Boundary int
+
+const (
+	// BoundaryContinue goes on to the next iteration without a checkpoint.
+	BoundaryContinue Boundary = iota
+	// BoundaryCheckpoint writes a durable checkpoint, then goes on.
+	BoundaryCheckpoint
+	// BoundaryYield writes a durable checkpoint and stops the run with an
+	// error wrapping ErrPreempted.
+	BoundaryYield
+)
 
 // InitialSetsAuto requests the default number of initial sets (1). The
 // named sentinel makes "use the default" an explicit, spellable request
@@ -170,8 +189,8 @@ const InitialSetsAuto = 0
 // by field, encodeSetup ships it to remote executors — so a new
 // result-determining knob is one field here and its rule in
 // Options.resolve, not an entry in hand-kept lists.
-// Checkpoint placement (CheckpointDir, CheckpointEvery, Resume) and Preempt
-// are deliberately absent: they affect durability and scheduling, never
+// Checkpoint placement (CheckpointDir, CheckpointEvery, Resume, Boundary)
+// is deliberately absent: they affect durability and scheduling, never
 // results. fingerprint hashes the fields, and encodeSetup ships them, in
 // this order (runConfig.words).
 type runConfig struct {
@@ -250,9 +269,12 @@ func (o Options) resolve() (runConfig, error) {
 		if o.CheckpointEvery > 0 {
 			return cfg, errors.New("core: CheckpointEvery requires CheckpointDir")
 		}
-		if o.Preempt != nil {
-			return cfg, errors.New("core: Preempt requires CheckpointDir (eviction resumes from the checkpoint)")
+		if o.Boundary != nil {
+			return cfg, errors.New("core: Boundary requires CheckpointDir (eviction resumes from the checkpoint)")
 		}
+	}
+	if o.Boundary != nil && o.CheckpointEvery > 0 {
+		return cfg, errors.New("core: CheckpointEvery is refused beside Boundary, which places every checkpoint")
 	}
 	return cfg, nil
 }
@@ -276,8 +298,8 @@ func (o Options) withDefaults(machines int) (runConfig, error) {
 // decoding a set-up blob that carries one.
 var ErrGroupBits = fmt.Errorf("core: GroupBits outside [1,%d]", sumcache.MaxGroupBits)
 
-// ErrPreempted is returned (wrapped) by Decompose when Options.Preempt
-// evicted the run at an iteration boundary. The boundary's state was
+// ErrPreempted is returned (wrapped) by Decompose when Options.Boundary
+// yielded the run at an iteration boundary. The boundary's state was
 // durably checkpointed first, so rerunning with Resume continues the run
 // bit-identically; nothing about the run failed. Callers detect it with
 // errors.Is.
@@ -458,18 +480,26 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 	var prevErr int64
 
 	// finish closes completed iteration t at error e, its commits having
-	// changed flips entries: record it, checkpoint on the period (and always
-	// at the last iteration), then poll for eviction. A run that just
-	// converged or finished its last iteration is about to return its result
-	// and is never evicted; an evicted one gets the boundary's state
-	// checkpointed (unless the periodic write just did) so a Resume continues
+	// changed flips entries: record it, then checkpoint where the Boundary
+	// poll says or, without one, on the period and at the last iteration.
+	// A run that just converged or finished its last iteration is about to
+	// return its result and is neither polled nor evicted; a yielded one
+	// gets the boundary's state checkpointed so a Resume continues
 	// bit-identically.
 	finish := func(t int, e, improvement, flips int64) error {
 		res.Iterations, prevErr = t, e
 		res.IterationErrors = append(res.IterationErrors, e)
-		wrote := checkpointing && (t%every == 0 || res.Converged || t == cfg.MaxIter)
-		stop := opts.Preempt != nil && !res.Converged && t < cfg.MaxIter && opts.Preempt()
-		if wrote || stop {
+		last := res.Converged || t == cfg.MaxIter
+		at := BoundaryContinue
+		switch {
+		case opts.Boundary != nil:
+			if !last {
+				at = opts.Boundary()
+			}
+		case checkpointing && (t%every == 0 || last):
+			at = BoundaryCheckpoint
+		}
+		if at != BoundaryContinue {
 			// An iteration whose checkpoint is durable is closed with its
 			// error even when the write's cancellation ends the run.
 			if durable, err := d.writeCheckpointStage(res, a, b, c, prevErr); err != nil {
@@ -480,7 +510,7 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 			}
 		}
 		d.endIteration(t, e, improvement, flips)
-		if stop {
+		if at == BoundaryYield {
 			return fmt.Errorf("%w (after iteration %d)", ErrPreempted, t)
 		}
 		return nil
@@ -610,7 +640,7 @@ type decomposition struct {
 	x        *tensor.Tensor
 	cl       *cluster.Cluster
 	// opt is the caller's options, read for what the executor's resolved
-	// runConfig deliberately leaves out: checkpoint placement and Preempt.
+	// runConfig deliberately leaves out: checkpoint placement.
 	opt Options
 	// ex owns the run's replicated state and every stage kernel. The
 	// simulated backend runs its kernels through RunStage's local closures,

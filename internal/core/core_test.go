@@ -570,9 +570,14 @@ func TestBroadcastVolumeLemma7(t *testing.T) {
 	ck := opt
 	ck.CheckpointDir = dir
 	polls := 0
-	ck.Preempt = func() bool { polls++; return polls == 2 }
+	ck.Boundary = func() Boundary {
+		if polls++; polls == 2 {
+			return BoundaryYield
+		}
+		return BoundaryContinue
+	}
 	run("evicted after iteration 2", ck, 1)
-	ck.Preempt, ck.Resume = nil, true
+	ck.Boundary, ck.Resume = nil, true
 	if res := run("resumed", ck, 1); !res.A.Equal(one.A) || !res.B.Equal(one.B) || !res.C.Equal(one.C) || res.Error != one.Error {
 		t.Error("the resumed run's factors differ from the uninterrupted run's")
 	}

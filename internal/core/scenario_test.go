@@ -89,16 +89,19 @@ const (
 // and the recipe that executes them.
 type scenario struct {
 	x tensorSpec
-	// opt holds every option but CheckpointDir and Preempt, which the recipe
-	// sets: a checkpoint directory whenever CheckpointEvery is set or the
-	// run is interrupted.
+	// opt holds every option but CheckpointDir and Boundary, which the
+	// recipe sets: a checkpoint directory whenever CheckpointEvery is set or
+	// the run is interrupted, and the poll whenever evict or checkpoint is.
 	opt      Options
 	machines int
 	backend  backend
 	span     int // columns an eval stage decides; 0 is lookahead
 	faults   *cluster.FaultPlan
-	evict    uint  // bit t: Preempt evicts the run after iteration t
+	evict    uint  // bit t: the Boundary poll yields the run after iteration t
 	cancel   int64 // the context is cancelled as the cancel-th stage, counting every segment's, begins; 0 never
+	// checkpoint has bit t when the poll, not yielding, answers
+	// BoundaryCheckpoint after iteration t.
+	checkpoint uint
 	// carried asks some iteration after the first to change the error, so
 	// that the checkpoints' recount meets an objective carried through
 	// commits, not one copied from the last count.
@@ -166,14 +169,15 @@ func drawScenario(rng *rand.Rand) scenario {
 			MachineLossRate: 0.1 * rng.Float64(), MachineRejoinAfter: rng.Intn(4)}
 	}
 	if rng.Intn(4) == 0 {
-		sc.evict = uint(rng.Intn(8)) << 1 // after some of iterations 1 to 3
+		// After some of iterations 1 to 3; the poll places every checkpoint.
+		sc.evict, sc.checkpoint, o.CheckpointEvery = uint(rng.Intn(8))<<1, uint(rng.Intn(8))<<1, 0
 	}
 	if rng.Intn(4) == 0 {
 		sc.cancel = 1 + rng.Int63n(runStages(max(o.InitialSets, 1), o.Rank, cmp.Or(sc.span, lookahead), o.MaxIter))
 	}
 	if sc.backend == simulated && sc.faults == nil && rng.Intn(8) == 0 {
 		sc.shared, sc.cancelBuild = 2+rng.Intn(3), rng.Intn(2) == 0
-		sc.evict, sc.cancel = 0, 0
+		sc.evict, sc.checkpoint, sc.cancel = 0, 0, 0
 	}
 	return sc
 }
@@ -381,18 +385,24 @@ func checkShared(t *testing.T, sc scenario, x *tensor.Tensor, span int) {
 // completes or fails. Every segment is traced and its trace checked.
 func (sc scenario) run(t *testing.T, x *tensor.Tensor, span int) (res *Result, segments int, err error) {
 	opt, checkpoint := sc.opt, ""
-	if opt.CheckpointEvery > 0 || sc.evict != 0 || sc.cancel > 0 {
+	if opt.CheckpointEvery > 0 || sc.evict|sc.checkpoint != 0 || sc.cancel > 0 {
 		opt.CheckpointDir = t.TempDir()
 		checkpoint = filepath.Join(opt.CheckpointDir, CheckpointFileName(runFingerprint(t, x, opt, sc.machines)))
 	}
-	iteration, stages, evicted, fired := 0, int64(0), false, uint(0)
-	if sc.evict != 0 {
-		opt.Preempt = func() bool {
-			evicted = sc.evict&(1<<iteration) != 0
-			if evicted {
-				fired |= 1 << iteration
+	iteration, stages, evicted, fired, answered := 0, int64(0), false, uint(0), 0
+	if sc.evict|sc.checkpoint != 0 {
+		opt.Boundary = func() Boundary {
+			bit := uint(1) << iteration
+			switch evicted = sc.evict&bit != 0; {
+			case evicted:
+				fired |= bit
+				answered++
+				return BoundaryYield
+			case sc.checkpoint&bit != 0:
+				answered++
+				return BoundaryCheckpoint
 			}
-			return evicted
+			return BoundaryContinue
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -402,7 +412,7 @@ func (sc scenario) run(t *testing.T, x *tensor.Tensor, span int) (res *Result, s
 	cfg, _ := opt.resolve()
 	for segments = 1; segments <= cfg.MaxIter+2; segments++ {
 		var events []*trace.Event
-		late := 0 // stages begun on a cancelled context
+		late, written := 0, 0 // stages begun on a cancelled context, checkpoints written
 		tr := trace.New(sinkFunc(func(ev *trace.Event) {
 			events = append(events, ev)
 			switch ev.Type {
@@ -416,11 +426,12 @@ func (sc scenario) run(t *testing.T, x *tensor.Tensor, span int) (res *Result, s
 					cancel()
 				}
 			case trace.Checkpoint:
+				written++
 				checkCheckpoint(t, x, checkpoint)
 			}
 		}))
 		cl, closeTransport := sc.cluster(t, tr, span)
-		evicted = false
+		evicted, answered = false, 0
 		res, err = decompose(ctx, x, nil, cl, opt, span)
 		if err := closeTransport(); err != nil {
 			t.Errorf("closing the transport: %v", err)
@@ -429,14 +440,18 @@ func (sc scenario) run(t *testing.T, x *tensor.Tensor, span int) (res *Result, s
 		interrupted := evicted && errors.Is(err, ErrPreempted) || ctx.Err() != nil && errors.Is(err, context.Canceled)
 		switch {
 		case evicted && !interrupted:
-			t.Fatalf("segment %d: Preempt evicted the run, which returned %v", segments, err)
+			t.Fatalf("segment %d: the poll yielded the run, which returned %v", segments, err)
+		case opt.Boundary != nil && (written > answered || written < answered && ctx.Err() == nil):
+			// Under the poll a checkpoint is written exactly where it asks
+			// for one; only a cancelled write may be missing.
+			t.Fatalf("segment %d: %d checkpoints written, the poll asked for %d", segments, written, answered)
 		case err == nil && late > 0:
 			t.Fatalf("segment %d: %d stages began after the context was cancelled, and the run completed", segments, late)
 		case err == nil && fired != sc.evict&(1<<res.Iterations-1)&^1:
 			// Every boundary but the last is polled, once it is reached.
 			t.Fatalf("evicted after iterations %b of %d, want %b", fired, res.Iterations, sc.evict&(1<<res.Iterations-1)&^1)
 		case !interrupted:
-			if err == nil && checkpoint != "" {
+			if err == nil && checkpoint != "" && opt.Boundary == nil {
 				checkCompleted(t, x, opt, sc.machines, span, res)
 			}
 			return res, segments, err
@@ -535,7 +550,7 @@ func checkCompleted(t *testing.T, x *tensor.Tensor, o Options, machines, span in
 	if err != nil || ck == nil || ck.Iteration != res.Iterations || res.Stats.CheckpointBytes <= 0 {
 		t.Fatalf("a run of %d iterations, %d checkpoint bytes, left the checkpoint %+v (%v)", res.Iterations, res.Stats.CheckpointBytes, ck, err)
 	}
-	o.Resume, o.Preempt = true, nil
+	o.Resume = true
 	again, err := decompose(context.Background(), x, nil, testCluster(machines), o, span)
 	if err != nil {
 		t.Fatal(err)
@@ -605,11 +620,11 @@ func TestScenarioPinned(t *testing.T) {
 			faults: &cluster.FaultPlan{Seed: 11, FailureRate: 0.1, MachineLossRate: 0.04, MachineRejoinAfter: 2}}},
 		{"failures and panics (was TestChaosIdenticalOutput)", scenario{x: planted(1, 24, 24, 24, 4, 0.25, 0.1, 0.1), opt: Options{Rank: 6, Seed: 1, MaxIter: 4, MinIter: 4}, machines: 4,
 			faults: &cluster.FaultPlan{Seed: 42, FailureRate: 0.2, PanicRate: 0.05}}},
-		{"every iteration evicted (was TestPreemptEveryIterationCompletesViaResume)", scenario{x: planted(47, 12, 10, 9, 2, 0.3, 0, 0), opt: Options{Rank: 2, Seed: 9, MaxIter: 4, MinIter: 4, CheckpointEvery: 1}, machines: 3, evict: every}},
+		{"every iteration evicted (was TestPreemptEveryIterationCompletesViaResume)", scenario{x: planted(47, 12, 10, 9, 2, 0.3, 0, 0), opt: Options{Rank: 2, Seed: 9, MaxIter: 4, MinIter: 4}, machines: 3, evict: every}},
 		{"simulator, 3 sets, N=100 (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 4, Seed: 4, MaxIter: 4, MinIter: 4, InitialSets: 3, Partitions: 100, CheckpointEvery: 1}, machines: 3, carried: true}},
-		{"hosts, rank 5, evicted every iteration (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 5, Seed: 5, MaxIter: 4, MinIter: 4, CheckpointEvery: 1}, machines: 3, backend: hosts, evict: every, carried: true}},
+		{"hosts, rank 5, evicted every iteration (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 5, Seed: 5, MaxIter: 4, MinIter: 4}, machines: 3, backend: hosts, evict: every, carried: true}},
 		{"batched hosts, rank 33, N=1, NoCache (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 33, Seed: 33, MaxIter: 4, MinIter: 4, Partitions: 1, GroupBits: 1, CheckpointEvery: 1}, machines: 3, backend: batchedHosts, carried: true}},
-		{"machine loss, 3 sets, evicted every iteration (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 4, Seed: 4, MaxIter: 4, MinIter: 4, InitialSets: 3, CheckpointEvery: 1}, machines: 3, faults: loss, evict: every, carried: true}},
+		{"machine loss, 3 sets, evicted every iteration (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 4, Seed: 4, MaxIter: 4, MinIter: 4, InitialSets: 3}, machines: 3, faults: loss, evict: every, carried: true}},
 		{"traced (was TestDecomposeUntracedUnchanged)", scenario{x: uniform(9, 10, 9, 8, 0.2), opt: Options{Rank: 3, Seed: 9, MaxIter: 3}, machines: 4}},
 		{"killed before its first checkpoint (was TestResumeMissingCheckpointStartsFresh)", scenario{x: planted(9, 10, 10, 10, 2, 0.3, 0, 0), opt: Options{Rank: 2, Seed: 5, MaxIter: 3, MinIter: 3}, machines: 2, cancel: 1}},
 		{"6 iterations (was TestPropErrorMatchesReconstruction)", scenario{x: uniform(6, 13, 7, 16, 0.2), opt: Options{Rank: 3, Seed: 6, MaxIter: 6}, machines: 2}},
@@ -651,7 +666,8 @@ func TestScenarioPinned(t *testing.T) {
 }
 
 // Interrupted scenarios under their own names: a context cancelled as the first
-// stage after checkpoint k begins, or a Preempt after iteration k; each resumes.
+// stage after checkpoint k begins, or the poll yielding after iteration k; each
+// resumes.
 func TestKillAtCheckpointThenResumeBitIdentical(t *testing.T) {
 	sc := scenario{x: planted(7, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, Seed: 21, MaxIter: 6, MinIter: 6, InitialSets: 2, CheckpointEvery: 1}, machines: 4}
 	for _, k := range []int{1, 2, 4} {
@@ -669,9 +685,9 @@ func TestKillThenResumeTopFiberBitIdentical(t *testing.T) {
 }
 
 func TestPreemptEvictsAndResumesBitIdentical(t *testing.T) {
-	sc := scenario{x: planted(31, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, Seed: 77, MaxIter: 5, MinIter: 5, InitialSets: 2, CheckpointEvery: 2}, machines: 4}
+	sc := scenario{x: planted(31, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, Seed: 77, MaxIter: 5, MinIter: 5, InitialSets: 2}, machines: 4, checkpoint: 1 << 2}
 	for k := 1; k <= 4; k++ {
-		sc.evict = 1 << k // off the checkpoint period at odd k: the eviction writes one
+		sc.evict = 1 << k // before, at and after the checkpoint the poll asks for after iteration 2
 		t.Run(fmt.Sprintf("after-iteration-%d", k), func(t *testing.T) { checkScenario(t, sc) })
 	}
 }

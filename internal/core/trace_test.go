@@ -185,9 +185,9 @@ func TestRunStagesAreColumnsAndOneError(t *testing.T) {
 	for _, backend := range []string{"simulator", "hostTransport"} {
 		base := Options{Rank: rank, Seed: 13, InitialSets: sets, MinIter: iters, MaxIter: iters, Partitions: 3}
 		evicted := base
-		evicted.CheckpointDir, evicted.Preempt = t.TempDir(), func() bool { return true }
+		evicted.CheckpointDir, evicted.Boundary = t.TempDir(), func() Boundary { return BoundaryYield }
 		resumed := evicted
-		resumed.Preempt, resumed.Resume = nil, true
+		resumed.Boundary, resumed.Resume = nil, true
 		for _, run := range []struct {
 			name                string
 			opt                 Options
@@ -203,7 +203,7 @@ func TestRunStagesAreColumnsAndOneError(t *testing.T) {
 				cfg.Transport = newHostTransport(2)
 			}
 			cl := cluster.New(cfg)
-			if _, err := Decompose(context.Background(), x, cl, run.opt); err != nil && (run.opt.Preempt == nil || !errors.Is(err, ErrPreempted)) {
+			if _, err := Decompose(context.Background(), x, cl, run.opt); err != nil && (run.opt.Boundary == nil || !errors.Is(err, ErrPreempted)) {
 				t.Fatalf("%s, %s: %v", backend, run.name, err)
 			}
 			var stages, totalErrors int64

@@ -6,8 +6,11 @@
 package serve
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
+	"dbtf/internal/boolmat"
 	"dbtf/internal/trace"
 )
 
@@ -33,4 +36,43 @@ func TestJobTraceEmitAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, emit); allocs != 0 {
 		t.Errorf("an Emit through a job's trace tee allocates %v objects, want 0", allocs)
 	}
+}
+
+// TestFactorHashAllocsIndependentOfSize: FactorHash streams the factors
+// through a fixed-size buffer, so a triple of 4,096-row matrices costs the
+// same objects and bytes as one of 8 rows (the whole encoding, 32 KB a
+// matrix here, before).
+func TestFactorHashAllocsIndependentOfSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	type cost struct {
+		objects float64
+		bytes   uint64
+	}
+	measure := func(rows int) cost {
+		a, b, c := boolmat.RandomFactor(rng, rows, 8, 0.5), boolmat.RandomFactor(rng, rows, 8, 0.5), boolmat.RandomFactor(rng, rows, 8, 0.5)
+		hash := func() { FactorHash(a, b, c) }
+		return cost{testing.AllocsPerRun(50, hash), bytesPerRun(50, hash)}
+	}
+	if small, large := measure(8), measure(4096); large != small {
+		t.Errorf("FactorHash costs %+v over 4,096-row factors, %+v over 8-row ones", large, small)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes a call of f
+// allocates, on one P, averaged over runs after a warm-up call. TotalAlloc
+// is process-wide, so the least of three readings is the one believed.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	least := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
+	}
+	return least
 }

@@ -100,11 +100,10 @@ const jobsDirName = "jobs"
 
 // persistJob writes the job's metadata crash-safely (durable.WriteFile), so
 // a crash leaves either the old record or the new one, never a torn file.
+// Only loadJobs reads it, so it is not indented.
 func persistJob(dataDir string, j *Job) error {
 	_, err := durable.WriteFile(filepath.Join(dataDir, jobsDirName), j.ID+".json", func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(j)
+		return json.NewEncoder(w).Encode(j)
 	})
 	return err
 }

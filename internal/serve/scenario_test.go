@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -64,12 +65,14 @@ type step struct {
 
 // serveScenario is a server's life on machines machines: tensors x0, x1, ...,
 // the jobs in submission order, each process's configuration (one more per
-// restart; the last is reused) and the script.
+// restart; the last is reused), every process's checkpoint floor and the
+// script.
 type serveScenario struct {
 	machines int
 	tensors  []planted
 	jobs     []JobSpec
 	servers  []Config
+	floor    time.Duration
 	script   []step
 }
 
@@ -104,6 +107,10 @@ func drawServeScenario(rng *rand.Rand) serveScenario {
 		}
 		sc.script = append(sc.script, st)
 	}
+	// At 0 a job checkpoints at every boundary it keeps its slot at, so a
+	// crash, a drain or an eviction resumes it from a checkpoint made
+	// mid-slice; at the default, from the last one it yielded at, or none.
+	sc.floor = []time.Duration{0, checkpointFloor}[rng.Intn(2)]
 	return sc
 }
 
@@ -124,15 +131,17 @@ func drawServer(rng *rand.Rand) Config {
 
 // process is one server process, its API, the holds on the jobs it
 // admitted, and what it left when drained: GET /v1/stats, GET /v1/jobs by
-// id, and its trace files' lengths.
+// id, its trace files' lengths, and the files in each job's checkpoint
+// directory, where it has one.
 type process struct {
-	s        *Server
-	h        http.Handler
-	shed     map[string]int64 // refused submits by reason
-	holds    map[string]*hold
-	stats    Stats
-	end      map[string]JobView
-	traceLen map[string]int64
+	s           *Server
+	h           http.Handler
+	shed        map[string]int64 // refused submits by reason
+	holds       map[string]*hold
+	stats       Stats
+	end         map[string]JobView
+	traceLen    map[string]int64
+	checkpoints map[string]int
 }
 
 // hold stops a scenario job at the run_begin of a slice, inside the job's
@@ -342,6 +351,9 @@ func (sc serveScenario) run(t *testing.T) *serveRun {
 			t.Fatalf("starting process %d: %v", len(r.procs), err)
 		}
 		t.Cleanup(s.Drain) // a failed check leaves nothing running
+		s.mu.Lock()
+		s.floor = sc.floor
+		s.mu.Unlock()
 		proc := &process{s: s, h: s.Handler(), shed: map[string]int64{}, holds: map[string]*hold{}}
 		t.Cleanup(func() { proc.freeAll("") }) // before the drain, which waits for held jobs
 		p = proc
@@ -353,7 +365,7 @@ func (sc serveScenario) run(t *testing.T) *serveRun {
 			t.Fatalf("a drained server answered a submit with job %q, reason %q", id, reason)
 		}
 		p.stats = decode[Stats](t, call(p.h, http.MethodGet, "/v1/stats", nil), http.StatusOK, "stats")
-		p.end, p.traceLen = map[string]JobView{}, map[string]int64{}
+		p.end, p.traceLen, p.checkpoints = map[string]JobView{}, map[string]int64{}, map[string]int{}
 		list := decode[struct{ Jobs []JobView }](t, call(p.h, http.MethodGet, "/v1/jobs", nil), http.StatusOK, "the job list")
 		for _, v := range list.Jobs {
 			if v.State == StateRunning {
@@ -362,6 +374,9 @@ func (sc serveScenario) run(t *testing.T) *serveRun {
 			p.end[v.ID] = v
 			if fi, err := os.Stat(tracePath(r.dir, v.ID)); err == nil {
 				p.traceLen[v.ID] = fi.Size()
+			}
+			if files, err := os.ReadDir(p.s.checkpointDir(v.ID)); err == nil {
+				p.checkpoints[v.ID] = len(files)
 			}
 		}
 	}
@@ -402,6 +417,12 @@ func (sc serveScenario) run(t *testing.T) *serveRun {
 				}
 				crashed := p.end[id].Job
 				if crashed.State != StateQueued {
+					// A crash after the terminal record, before its
+					// checkpoints were removed: the next process removes
+					// what it left.
+					if err := os.MkdirAll(p.s.checkpointDir(id), 0o755); err != nil {
+						t.Fatal(err)
+					}
 					r.missed = append(r.missed, missedStep{i, id, crashed.State})
 					continue
 				}
@@ -476,8 +497,9 @@ func (sc serveScenario) run(t *testing.T) *serveRun {
 // progress; Restarts counts the records rewritten as running and Evictions
 // covers the evictions seen to land; each process's stats count its refused
 // submits reason by reason, and the last ends with nothing queued, running or
-// charged; each process's part of a trace validates and sets each tensor up
-// once (checkSetUp).
+// charged; no process leaves a checkpoint directory behind a job that ended,
+// however it ended; each process's part of a trace validates and sets each
+// tensor up once (checkSetUp).
 func checkServeScenario(t *testing.T, sc serveScenario) *serveRun {
 	t.Helper()
 	r := sc.run(t)
@@ -488,6 +510,11 @@ func checkServeScenario(t *testing.T, sc serveScenario) *serveRun {
 	for k, p := range r.procs {
 		if !maps.Equal(p.stats.Shed, p.shed) {
 			t.Errorf("process %d counted %v shed; the script was refused %v", k, p.stats.Shed, p.shed)
+		}
+		for id, files := range p.checkpoints {
+			if v := p.end[id]; v.State.Terminal() {
+				t.Errorf("process %d: job %s ended %s and left a checkpoint directory of %d files", k, id, v.State, files)
+			}
 		}
 	}
 	records, err := loadJobs(r.dir)
@@ -546,7 +573,7 @@ func checkServeScenario(t *testing.T, sc serveScenario) *serveRun {
 // readTrace fetches the job's trace through GET /v1/jobs/{id}/trace and
 // validates each process's part on its own — a restarted server appends a
 // fresh stream — recording the job's runs. It returns the iteration_end
-// errors in order.
+// errors of the iterations the job's result comes from, in order.
 func (r *serveRun) readTrace(t *testing.T, h http.Handler, v JobView) []int64 {
 	t.Helper()
 	rec := httptest.NewRecorder()
@@ -576,6 +603,14 @@ func (r *serveRun) readTrace(t *testing.T, h http.Handler, v JobView) []int64 {
 			}
 			switch {
 			case ev.Type == trace.RunBegin:
+				// A run continues from its checkpoint's iteration, 0 if it
+				// found none: the iterations after it that an earlier run
+				// ended before a cancel or crash are computed again.
+				if ev.Iteration > len(errs) {
+					t.Errorf("job %s: a run resumed from iteration %d after %d on its trace", v.ID, ev.Iteration, len(errs))
+				} else {
+					errs = errs[:ev.Iteration]
+				}
 				r.runs[v.ID] = append(r.runs[v.ID], setUpRun{at: fmt.Sprintf("process %d, %s", k, v.Spec.TensorID), begin: ev.WallNanos})
 				run = &r.runs[v.ID][len(r.runs[v.ID])-1]
 			case run == nil:
@@ -634,10 +669,11 @@ func FuzzServeScenario(f *testing.F) {
 }
 
 // pinnedScenario stores testTensor(7) as x0 on testServer's configuration —
-// two machines, one slot, no timeslice — and sends rank-3 jobs of the given
-// iteration counts (MinIter = MaxIter), seeds 42, 43, ...
+// two machines, one slot, no timeslice, the default checkpoint floor — and
+// sends rank-3 jobs of the given iteration counts (MinIter = MaxIter), seeds
+// 42, 43, ...
 func pinnedScenario(iters []int, script ...step) serveScenario {
-	sc := serveScenario{machines: 2, tensors: []planted{testPlanted(7)}, script: script,
+	sc := serveScenario{machines: 2, tensors: []planted{testPlanted(7)}, script: script, floor: checkpointFloor,
 		servers: []Config{{MaxRunning: 1, GateSlots: 2, SliceIterations: -1, DrainTimeout: 20 * time.Second}}}
 	for i, n := range iters {
 		sc.jobs = append(sc.jobs, JobSpec{Tenant: "acme", TensorID: "x0", Rank: 3, MaxIter: n, MinIter: n, Seed: 42 + int64(i)})
@@ -710,6 +746,60 @@ func TestTimesliceSharesSlotAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestServedJobCheckpointsWhereItYields counts the checkpoints in served
+// jobs' traces. A 6-iteration job that runs alone, within the floor, writes
+// none (one per iteration before the floor). Two 10-iteration jobs
+// timesliced at every iteration write one per yield. At floor 0 a
+// 6-iteration job writes one at every boundary but the last.
+func TestServedJobCheckpointsWhereItYields(t *testing.T) {
+	t.Run("alone", func(t *testing.T) {
+		if n := checkpointsWritten(t, checkServeScenario(t, pinnedScenario([]int{6}, sub, wait(0))), 0); n != 0 {
+			t.Errorf("a job that ran alone wrote %d checkpoints, want 0", n)
+		}
+	})
+	t.Run("timesliced", func(t *testing.T) {
+		sc := pinnedScenario([]int{10, 10}, sub, sub)
+		sc.servers[0].SliceIterations = 1
+		r := checkServeScenario(t, sc)
+		for j := range sc.jobs {
+			if n, yields := checkpointsWritten(t, r, j), r.view(j).Evictions; n != yields {
+				t.Errorf("job %d wrote %d checkpoints and yielded %d times", j, n, yields)
+			}
+		}
+		if r.view(0).Evictions == 0 {
+			t.Error("the first job was never timesliced despite a waiting queue")
+		}
+	})
+	t.Run("floor 0", func(t *testing.T) {
+		sc := pinnedScenario([]int{6}, sub, wait(0))
+		sc.floor = 0
+		if n := checkpointsWritten(t, checkServeScenario(t, sc), 0); n != 5 {
+			t.Errorf("a job at floor 0 wrote %d checkpoints in 6 iterations, want 5", n)
+		}
+	})
+}
+
+// checkpointsWritten counts the checkpoint events in job j's trace.
+func checkpointsWritten(t *testing.T, r *serveRun, j int) int {
+	t.Helper()
+	f, err := os.Open(tracePath(r.dir, r.ids[j]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := trace.DecodeJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, ev := range events {
+		if ev.Type == trace.Checkpoint {
+			n++
+		}
+	}
+	return n
+}
+
 func TestCancelQueuedJob(t *testing.T) {
 	if v := checkServeScenario(t, pinnedScenario([]int{8, 6}, sub, sub, step{kind: cancelJob, job: 1})).view(1); v.State != StateCancelled {
 		t.Errorf("the queued job ended %s", v.State)
@@ -734,9 +824,33 @@ func TestCrashRecoveryFlipsRunningToQueued(t *testing.T) {
 
 func TestDrainRequeuesRunningJobViaCheckpoint(t *testing.T) {
 	r := checkServeScenario(t, pinnedScenario([]int{8}, sub, reboot))
-	entries, err := os.ReadDir(filepath.Join(r.dir, "checkpoints", r.ids[0]))
-	if r.procs[0].end[r.ids[0]].State != StateQueued || len(entries) == 0 {
-		t.Errorf("after the drain the job was %s with checkpoints %v (%v)", r.procs[0].end[r.ids[0]].State, entries, err)
+	if v, files := r.procs[0].end[r.ids[0]], r.procs[0].checkpoints[r.ids[0]]; v.State != StateQueued || files == 0 {
+		t.Errorf("after the drain the job was %s with %d checkpoint files", v.State, files)
+	}
+}
+
+// TestFinishedJobsLeaveNoCheckpoints: a job evicted and then done, and one
+// evicted and then cancelled, leave no checkpoint directory, nor do the
+// directories a crash after their terminal records leaves behind outlive the
+// next start-up (checkServeScenario); nor does a failed job's.
+func TestFinishedJobsLeaveNoCheckpoints(t *testing.T) {
+	r := checkServeScenario(t, pinnedScenario([]int{8, 6}, sub, evict(0), wait(0), sub, evict(1), step{kind: cancelJob, job: 1}, step{kind: restart, crash: 3}))
+	if v0, v1 := r.view(0), r.view(1); v0.State != StateDone || v0.Evictions != 1 || v1.State != StateCancelled || v1.Evictions != 1 || len(r.missed) != 2 {
+		t.Errorf("job 0 ended %s after %d evictions, job 1 %s after %d, steps missed %v; want done, cancelled, each after 1, and the crash's 2",
+			v0.State, v0.Evictions, v1.State, v1.Evictions, r.missed)
+	}
+	s := testServer(t, nil)
+	defer s.Drain()
+	j := &Job{ID: "j00000000", State: StateRunning}
+	if err := os.MkdirAll(s.checkpointDir(j.ID), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.jobs[j.ID] = j
+	err := s.finishLocked(j, StateFailed, errors.New("the engine failed"))
+	s.mu.Unlock()
+	if _, serr := os.Stat(s.checkpointDir(j.ID)); err != nil || !os.IsNotExist(serr) {
+		t.Errorf("a failed job's record (%v) left its checkpoint directory (%v)", err, serr)
 	}
 }
 

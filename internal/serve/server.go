@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -125,6 +126,10 @@ type Server struct {
 	traces map[string]*jobTrace
 	//dbtf:guardedby mu
 	counters counters
+	// floor is runSlice's checkpoint floor: checkpointFloor, or what a test
+	// sets.
+	//dbtf:guardedby mu
+	floor time.Duration
 	// idle is signalled whenever runningCount decreases.
 	idle *sync.Cond
 	wg   sync.WaitGroup
@@ -163,6 +168,7 @@ func New(cfg Config) (*Server, error) {
 		queue:  newFairQueue(),
 		adm:    newAdmissionState(),
 		traces: map[string]*jobTrace{},
+		floor:  checkpointFloor,
 	}
 	s.idle = sync.NewCond(&s.mu)
 	jobs, err := loadJobs(cfg.DataDir)
@@ -176,9 +182,14 @@ func New(cfg Config) (*Server, error) {
 		if j.Seq >= s.seq {
 			s.seq = j.Seq + 1
 		}
-		if j.State == StateQueued {
+		switch {
+		case j.State == StateQueued:
 			s.queue.push(j)
 			s.adm.memoryBytes += j.TensorBytes
+		case j.State.Terminal():
+			// A crash between a terminal record and the removal of the
+			// job's checkpoints left them behind.
+			s.removeCheckpoints(j.ID)
 		}
 	}
 	s.scheduleLocked()
@@ -284,7 +295,8 @@ func (s *Server) scheduleLocked() {
 
 // finishLocked is the one terminal transition: it moves j to the terminal
 // state, stamps the finish time, returns its admission memory, counts the
-// outcome, closes its trace stream and persists the record. cause is the
+// outcome, closes its trace stream, persists the record and, once the
+// record is durable, removes the job's checkpoints. cause is the
 // failure recorded on a StateFailed job, nil otherwise. The persist error
 // is returned for the caller to report; the in-memory transition stands
 // either way. Caller holds s.mu.
@@ -304,7 +316,20 @@ func (s *Server) finishLocked(j *Job, state State, cause error) error {
 		s.counters.cancelled++
 	}
 	s.closeTraceLocked(j.ID)
-	return persistJob(s.cfg.DataDir, j)
+	if err := persistJob(s.cfg.DataDir, j); err != nil {
+		return err
+	}
+	s.removeCheckpoints(j.ID)
+	return nil
+}
+
+// removeCheckpoints deletes a terminal job's checkpoint directory, which
+// nothing will resume from. It is best-effort: a failure is logged, and
+// the next start-up tries again.
+func (s *Server) removeCheckpoints(id string) {
+	if err := os.RemoveAll(s.checkpointDir(id)); err != nil {
+		s.cfg.Logf("serve: removing checkpoints of %s: %v", id, err)
+	}
 }
 
 // requeueLocked puts a job whose slice ended without a result back in the
@@ -343,9 +368,9 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		s.counters.evictions++
 		perr = s.requeueLocked(j)
 	case errors.Is(err, context.Canceled):
-		// Drain-timeout cancellation: the work since the last iteration
-		// boundary is lost, but the checkpoint makes the resume
-		// bit-identical, so the job just goes back in the queue.
+		// Drain-timeout cancellation: the work since the last checkpoint
+		// is lost, but a resume from it (or from none) is bit-identical,
+		// so the job just goes back in the queue.
 		perr = s.requeueLocked(j)
 	default:
 		perr = s.finishLocked(j, StateFailed, err)
@@ -357,39 +382,47 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	s.scheduleLocked()
 }
 
+// checkpointFloor is the longest a running job goes without a checkpoint
+// while it keeps its slot: a crash or a drain timeout costs it at most this
+// much wall time plus one iteration of recomputation. A job that ends within
+// its first slice and this floor writes none.
+const checkpointFloor = time.Second
+
 // runSlice runs the job on a fresh cluster until completion, eviction,
 // or cancellation, on the tensor's stored partitioned set: the first job or
 // slice to need it builds it through this cluster, every later one reads
-// it. Resume is always on: the first slice finds no checkpoint and starts
-// fresh; later slices continue bit-identically.
+// it. Resume is always on: a slice that finds no checkpoint starts fresh,
+// and one that finds one continues bit-identically from it. The job
+// checkpoints only when it gives up its slot — an eviction, a drain, or the
+// timeslice ending while other jobs wait — or when the floor has passed
+// since the slice began or last checkpointed.
 func (s *Server) runSlice(ctx context.Context, j *Job, set *core.Partitions) (*core.Result, error) {
 	ccfg := s.cfg.clusterConfig()
 	ccfg.Gate, ccfg.Tracer = s.gate, s.traceFor(j.ID)
 	cl := cluster.New(ccfg)
-	ckdir := filepath.Join(s.cfg.DataDir, "checkpoints", j.ID)
-	sliceIters := 0
+	sliceIters, durableAt := 0, time.Now()
 	opt := j.Spec.Options()
-	opt.CheckpointDir, opt.CheckpointEvery, opt.Resume = ckdir, 1, true
-	opt.Preempt = func() bool {
+	opt.CheckpointDir, opt.Resume = s.checkpointDir(j.ID), true
+	opt.Boundary = func() core.Boundary {
 		sliceIters++
-		if s.evictRequested(j) {
-			return true
+		s.mu.Lock()
+		evict, waiting, floor := j.evict, s.queue.len() > 0, s.floor
+		s.mu.Unlock()
+		switch {
+		case evict || s.cfg.SliceIterations > 0 && sliceIters >= s.cfg.SliceIterations && waiting:
+			return core.BoundaryYield
+		case time.Since(durableAt) >= floor:
+			durableAt = time.Now()
+			return core.BoundaryCheckpoint
 		}
-		return s.cfg.SliceIterations > 0 && sliceIters >= s.cfg.SliceIterations && s.queuedLen() > 0
+		return core.BoundaryContinue
 	}
 	return core.DecomposeOn(ctx, set, cl, opt)
 }
 
-func (s *Server) evictRequested(j *Job) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return j.evict
-}
-
-func (s *Server) queuedLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queue.len()
+// checkpointDir is the directory of a job's checkpoints.
+func (s *Server) checkpointDir(id string) string {
+	return filepath.Join(s.cfg.DataDir, "checkpoints", id)
 }
 
 // traceFor returns the job's tracer, creating the durable
@@ -453,15 +486,26 @@ func buildResult(res *core.Result, nnz int) *JobResult {
 }
 
 // FactorHash is the bit-identity fingerprint of a factor triple: FNV-1a
-// over the binary encodings of A, B, C. Two runs agree on it iff their
+// over the binary encodings of A, B, C (boolmat's AppendBinary layout),
+// hashed through a fixed-size buffer. Two runs agree on it iff their
 // factors are bit-for-bit identical.
 func FactorHash(a, b, c *boolmat.FactorMatrix) string {
 	h := fnv.New64a()
-	var buf []byte
-	for _, m := range []*boolmat.FactorMatrix{a, b, c} {
-		buf = m.AppendBinary(buf[:0])
+	var buf [512]byte
+	le := binary.LittleEndian
+	for _, m := range [...]*boolmat.FactorMatrix{a, b, c} {
+		out := le.AppendUint32(buf[:0], uint32(m.Rows()))
+		out = le.AppendUint32(out, uint32(m.Rank()))
+		for i := 0; i < m.Rows(); i++ {
+			if len(out) == len(buf) {
+				//dbtf:allow-unchecked hash.Hash Write never errors
+				h.Write(out)
+				out = buf[:0]
+			}
+			out = le.AppendUint64(out, m.RowMask(i))
+		}
 		//dbtf:allow-unchecked hash.Hash Write never errors
-		h.Write(buf)
+		h.Write(out)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -342,6 +342,26 @@ func TestFactorHashDistinguishesFactors(t *testing.T) {
 	}
 }
 
+// TestFactorHashGolden pins the hash of fixed triples, so streaming the
+// encoding through a buffer hashes the same bytes as the whole encoding did:
+// 130 rows span three fills of the buffer, 63 fill it exactly, 64 spill one
+// row over, and 0 hash the header alone.
+func TestFactorHashGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	a, b, c := boolmat.RandomFactor(rng, 130, 5, 0.5), boolmat.RandomFactor(rng, 63, 5, 0.5), boolmat.RandomFactor(rng, 7, 5, 0.5)
+	for _, tc := range []struct {
+		fs   [3]*boolmat.FactorMatrix
+		want string
+	}{
+		{[3]*boolmat.FactorMatrix{a, b, c}, "cdef27b831adee97"},
+		{[3]*boolmat.FactorMatrix{boolmat.NewFactor(0, 1), boolmat.NewFactor(1, 1), boolmat.NewFactor(64, 64)}, "4dd11fdde3bfddc4"},
+	} {
+		if got := FactorHash(tc.fs[0], tc.fs[1], tc.fs[2]); got != tc.want {
+			t.Errorf("factors of %d, %d and %d rows hash %s, want %s", tc.fs[0].Rows(), tc.fs[1].Rows(), tc.fs[2].Rows(), got, tc.want)
+		}
+	}
+}
+
 func TestConfigRequiresDataDir(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted empty DataDir")
