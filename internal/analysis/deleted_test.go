@@ -130,6 +130,12 @@ var deletedNames = []deletedName{
 		pr: "the test-only tensor API: no program code folded an unfolding back, cut a sub-tensor or read a binary tensor from a stream; TestUnfoldAllAgreesWithUnfoldAndNaive checks every nonzero's cell, and the binary tests call DecodeBinary"},
 	{pattern: `unfoldingShapes|tooWide|sourcePart`, scope: []string{"internal/core", "internal/partition"},
 		pr: "one placement: Equation 1 is tensor.Mode.Place, the int32 column guard is tensor.Mode.Columns, and Algorithm 3's cut is partition's cut, which layout, Carry and NewCarry read"},
+	{pattern: `[Ss]pec\.Name\b|Spec\{Name:`, scope: []string{"cmd", "internal/cluster", "internal/core", "internal/experiments", "internal/transport"},
+		pr: "name a stage once: an executor needs a stage's kind, mode and column, so the name stays on the coordinator, an argument of RunStage; a transport.Spec carries none, and the wire no name for the cluster's error to repeat (DESIGN §12)"},
+	{pattern: `ctx == nil|ctx != nil|context\.Background\(\)`, scope: []string{"internal/cluster"}, nonTest: true,
+		pr: "name a stage once: every caller of the stage seam passes a context; a nil one is a bug to fail on, not a default to fill in"},
+	{pattern: `AdmissionConfig\{[^}]*RetryAfter|\b(cfg|c)\.RetryAfter\b`, scope: []string{"cmd", "internal/serve"},
+		pr: "name a stage once: no flag or caller set AdmissionConfig.RetryAfter, so a budget rejection's hint is the constant budgetRetryAfter; AdmissionError.RetryAfter is the header's"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

@@ -83,9 +83,9 @@ func TestTracedStageAllocs(t *testing.T) {
 // closure for every stage (one object a stage before).
 func TestRemoteStageAllocs(t *testing.T) {
 	c := New(Config{Machines: 3, Transport: &fakeTransport{machines: 3}})
-	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 5}
+	spec := transport.Spec{Kind: transport.KindEval, Tasks: 5}
 	stage := func() {
-		if err := c.RunStage(context.Background(), spec, nil, discard); err != nil {
+		if err := c.RunStage(context.Background(), "eval:A", spec, nil, discard); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -639,8 +639,7 @@ func (c *Cluster) endStage(st *stageState, ok bool) {
 //
 // The label names the stage's span on the trace and is attached as the
 // "stage" pprof label to every lane, so CPU profiles attribute kernel time
-// to the factor update (or other) stage that spent it. An empty name traces
-// as a numbered anonymous stage.
+// to the factor update (or other) stage that spent it.
 //
 // Task errors and recovered panics are treated as transient machine
 // failures: the task is re-executed up to maxAttempts times, and only a task
@@ -663,14 +662,8 @@ func (c *Cluster) ForEachNamed(ctx context.Context, name string, n int, fn func(
 	if n < 0 {
 		panic("cluster: negative task count")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	st := c.beginStage(ctx, name, n, fn)
 	defer releaseStage(st)
-	if name == "" {
-		name = fmt.Sprintf("stage %d", st.stage)
-	}
 	// The "stage" label merged with any labels the caller attached to ctx
 	// (the decomposition driver sets "iteration" and "mode"), so profiles
 	// slice by stage × mode × iteration. Every lane adopts it; the lanes end
@@ -849,10 +842,8 @@ func runTask(fn func(int) error, t int) (err error) {
 // cancellation is propagated, so a cancelled resume never reports a clean
 // exit over half-accounted books.
 func (c *Cluster) DriverNamed(ctx context.Context, name string, fn func()) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	var simBefore int64
 	if c.tracer.Enabled() {
@@ -876,14 +867,9 @@ func (c *Cluster) DriverNamed(ctx context.Context, name string, fn func()) error
 		ev.Name, ev.SimNanos, ev.DurNanos = name, simAfter, dur
 		c.tracer.Emit(ev)
 	}
-	if ctx != nil {
-		// Re-check after fn: a section interrupted by cancellation is
-		// recorded above, then the cancellation propagates.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	// Re-check after fn: a section interrupted by cancellation is recorded
+	// above, then the cancellation propagates.
+	return ctx.Err()
 }
 
 // SimElapsed returns the simulated elapsed time on M machines.

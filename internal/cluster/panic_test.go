@@ -34,7 +34,7 @@ func TestForEachTaskPanicNamesStage(t *testing.T) {
 // attempt count.
 func TestForEachPersistentPanicExhaustsRetries(t *testing.T) {
 	c := New(Config{Machines: 2})
-	err := c.ForEachNamed(context.Background(), "", 3, func(task int) error {
+	err := c.ForEachNamed(context.Background(), "doomed", 3, func(task int) error {
 		if task == 2 {
 			panic(fmt.Sprintf("task %d always dies", task))
 		}
@@ -43,7 +43,7 @@ func TestForEachPersistentPanicExhaustsRetries(t *testing.T) {
 	if err == nil {
 		t.Fatal("persistently panicking task returned nil error")
 	}
-	for _, want := range []string{`stage "stage 0"`, "failed after 4 attempts", "panicked"} {
+	for _, want := range []string{`stage "doomed"`, "failed after 4 attempts", "panicked"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not mention %q", err, want)
 		}

@@ -11,8 +11,9 @@ import (
 
 // RunStage executes one partition-parallel stage, given as what either
 // backend needs of it: the spec, the local kernel, and the decoder of the
-// payload every remote task returns. On the simulated backend (the
-// default) it is exactly ForEachNamed(spec.Name, spec.Tasks, local): same
+// payload every remote task returns. The name labels the stage, as
+// ForEachNamed's does; it stays on the coordinator. On the simulated backend
+// (the default) it is exactly ForEachNamed(name, spec.Tasks, local): same
 // stage numbering, chaos injection, retries, and accounting. On a remote
 // transport the stage is shipped as spec, each task's payload is delivered
 // to sink (sequentially, in completion order), and the executors' measured
@@ -20,11 +21,11 @@ import (
 // measured durations. Either way the stage pays the network price of the
 // traffic recorded since the previous boundary, so the modeled Stats stay
 // backend-independent.
-func (c *Cluster) RunStage(ctx context.Context, spec transport.Spec, local func(task int) error, sink func(task int, payload []byte) error) error {
+func (c *Cluster) RunStage(ctx context.Context, name string, spec transport.Spec, local func(task int) error, sink func(task int, payload []byte) error) error {
 	if c.transport == nil {
-		return c.ForEachNamed(ctx, spec.Name, spec.Tasks, local)
+		return c.ForEachNamed(ctx, name, spec.Tasks, local)
 	}
-	return c.runStageRemote(ctx, spec, sink)
+	return c.runStageRemote(ctx, name, spec, sink)
 }
 
 // runStageRemote is the transport-backed stage path: liveness transitions
@@ -33,12 +34,9 @@ func (c *Cluster) RunStage(ctx context.Context, spec transport.Spec, local func(
 // and closes through the same beginStage/endStage books as a simulated
 // stage, and the stage's real wire traffic is emitted as a trace
 // measurement.
-func (c *Cluster) runStageRemote(ctx context.Context, spec transport.Spec, sink func(task int, payload []byte) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (c *Cluster) runStageRemote(ctx context.Context, name string, spec transport.Spec, sink func(task int, payload []byte) error) error {
 	c.applyLiveness(c.transport.Membership(ctx))
-	st := c.beginStage(ctx, spec.Name, spec.Tasks, nil)
+	st := c.beginStage(ctx, name, spec.Tasks, nil)
 	defer releaseStage(st)
 	st.sink = sink
 	if st.deliver == nil {
@@ -51,7 +49,7 @@ func (c *Cluster) runStageRemote(ctx context.Context, spec transport.Spec, sink 
 	}
 	c.endStage(st, err == nil)
 	sentAfter, recvAfter := c.transport.WireBytes()
-	c.emitWire(spec.Name, st.stage, (sentAfter-sentBefore)+(recvAfter-recvBefore))
+	c.emitWire(name, st.stage, (sentAfter-sentBefore)+(recvAfter-recvBefore))
 	if err != nil {
 		return stageError(st.label, err)
 	}
@@ -73,40 +71,30 @@ func (st *stageState) deliverResult(tr transport.TaskResult) error {
 // on. The wire volume is emitted as a trace measurement; the modeled
 // broadcast traffic is recorded separately by the caller through
 // Broadcast/BroadcastState, identically on both backends.
-func (c *Cluster) PushState(ctx context.Context, kind transport.StateKind, encode func() ([]byte, error)) error {
+func (c *Cluster) PushState(ctx context.Context, kind transport.StateKind, encode func() []byte) error {
 	if c.transport == nil {
 		return nil
 	}
-	payload, err := encode()
-	if err != nil {
-		return fmt.Errorf("cluster: state push %q: %w", kind.String(), err)
-	}
+	payload := encode()
 	return c.push(ctx, kind, func(ctx context.Context) error { return c.transport.PushState(ctx, kind, payload) })
 }
 
 // PushSetup starts the remote executors' state over with a set-up, encode(m)
 // machine m's own blob, encoded — like PushState's — only when there is an
 // executor to ship it to. The modeled shuffle is recorded by the caller.
-func (c *Cluster) PushSetup(ctx context.Context, encode func(machine int) ([]byte, error)) error {
+func (c *Cluster) PushSetup(ctx context.Context, encode func(machine int) []byte) error {
 	if c.transport == nil {
 		return nil
 	}
 	setup := make([][]byte, c.machines)
 	for m := range setup {
-		blob, err := encode(m)
-		if err != nil {
-			return fmt.Errorf("cluster: state push %q: %w", transport.StateSetup.String(), err)
-		}
-		setup[m] = blob
+		setup[m] = encode(m)
 	}
 	return c.push(ctx, transport.StateSetup, func(ctx context.Context) error { return c.transport.PushSetup(ctx, setup) })
 }
 
 // push runs one state push on the transport and emits its wire volume.
 func (c *Cluster) push(ctx context.Context, kind transport.StateKind, send func(context.Context) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	sentBefore, recvBefore := c.transport.WireBytes()
 	err := send(ctx)
 	sentAfter, recvAfter := c.transport.WireBytes()

@@ -795,8 +795,8 @@ func (d *decomposition) partitionAll(set *Partitions) error {
 // them — the re-shipped partitions of the recovery protocol, over the real
 // socket.
 func (d *decomposition) shipSetup() error {
-	return d.cl.PushSetup(d.ctx, func(home int) ([]byte, error) {
-		return encodeSetup(d.ex.cfg, d.ex.dims, home, d.ex.px), nil
+	return d.cl.PushSetup(d.ctx, func(home int) []byte {
+		return encodeSetup(d.ex.cfg, d.ex.dims, home, d.ex.px)
 	})
 }
 
@@ -836,7 +836,7 @@ func (d *decomposition) install(a, b, c *boolmat.FactorMatrix) error {
 	if err := d.ex.setFactors(a, b, c); err != nil {
 		return err
 	}
-	return d.cl.PushState(d.ctx, transport.StateFactors, func() ([]byte, error) { return encodeFactors(a, b, c), nil })
+	return d.cl.PushState(d.ctx, transport.StateFactors, func() []byte { return encodeFactors(a, b, c) })
 }
 
 // updateFactors updates the installed A, B and C in place, one at a time
@@ -870,8 +870,8 @@ func (d *decomposition) updateFactor(mode int) (committed, error) {
 	return u.run()
 }
 
-// factorUpdate is one mode's factor update, made once per run: the names
-// and pprof labels of its stages, the stage functions the cluster is
+// factorUpdate is one mode's factor update, made once per run: the pprof
+// labels of its stages, the stage functions the cluster is
 // handed, bound once, the lanes the commit reads and the log of the flips
 // it makes. An update reuses all of it, so it allocates only its one
 // labelled context and the cache tables its first stage builds.
@@ -881,8 +881,7 @@ type factorUpdate struct {
 	// labels are the "mode" and "stage" pprof labels of the update's eval
 	// stages: the updated factor names the stage spans and the labels, so
 	// both the timeline and CPU profiles split the three updates apart.
-	labels     pprof.LabelSet
-	commitName string
+	labels pprof.LabelSet
 	// spec describes the eval stages; spec.Col and span are the stage in
 	// flight, a the matrix under update and done what the update's commits
 	// have changed so far.
@@ -901,7 +900,7 @@ type factorUpdate struct {
 	local  func(pi int) error
 	sink   func(pi int, payload []byte) error
 	commit func()
-	encode func() ([]byte, error)
+	encode func() []byte
 }
 
 // stagePart is one partition's answer to an eval stage: its lanes, and the
@@ -913,15 +912,14 @@ type stagePart struct {
 }
 
 func newFactorUpdate(d *decomposition, mode int) *factorUpdate {
-	name := modeRoles[mode].name
+	role := modeRoles[mode]
 	n := len(d.ex.px[mode].Parts)
 	u := &factorUpdate{
-		d: d, mode: mode, commitName: "commit:" + name,
-		spec:  transport.Spec{Name: "eval:" + name, Kind: transport.KindEval, Mode: mode, Tasks: n},
+		d: d, mode: mode, labels: pprof.Labels("mode", role.name, "stage", role.eval),
+		spec:  transport.Spec{Kind: transport.KindEval, Mode: mode, Tasks: n},
 		parts: make([]stagePart, n),
-		flips: slab.Uint64s(d.ex.dims[modeRoles[mode].upd] * d.ex.span)[:0],
+		flips: slab.Uint64s(d.ex.dims[role.upd] * d.ex.span)[:0],
 	}
-	u.labels = pprof.Labels("mode", name, "stage", u.spec.Name)
 	u.local, u.sink, u.commit, u.encode = u.evalLocal, u.evalSink, u.commitColumns, u.encodeFlips
 	return u
 }
@@ -941,7 +939,7 @@ func (u *factorUpdate) run() (committed, error) {
 			return u.done, err
 		}
 		u.span = d.ex.stageSpan(u.spec.Col)
-		if err := d.cl.RunStage(ctx, u.spec, u.local, u.sink); err != nil {
+		if err := d.cl.RunStage(ctx, modeRoles[u.mode].eval, u.spec, u.local, u.sink); err != nil {
 			return u.done, err
 		}
 		// The driver collects laneCount(span) values a row from every
@@ -954,7 +952,7 @@ func (u *factorUpdate) run() (committed, error) {
 			collected += part.replyBytes
 		}
 		d.cl.Collect(collected)
-		if err := d.cl.DriverNamed(ctx, u.commitName, u.commit); err != nil {
+		if err := d.cl.DriverNamed(ctx, modeRoles[u.mode].commit, u.commit); err != nil {
 			return u.done, err
 		}
 		// The stage replicates its commit as the entries it flipped: Lemma
@@ -1044,8 +1042,8 @@ func (u *factorUpdate) commitColumns() {
 
 // encodeFlips packs the commit's flips, which every remote replica toggles
 // to track the driver's factor entry for entry.
-func (u *factorUpdate) encodeFlips() ([]byte, error) {
-	return appendFlips(nil, u.mode, u.spec.Col, u.span, u.a.Rows(), u.flips), nil
+func (u *factorUpdate) encodeFlips() []byte {
+	return appendFlips(nil, u.mode, u.spec.Col, u.span, u.a.Rows(), u.flips)
 }
 
 // totalError computes |X ⊕ X̂| from the mode-1 partitions as a distributed
@@ -1056,8 +1054,8 @@ func (u *factorUpdate) encodeFlips() ([]byte, error) {
 func (d *decomposition) totalError() (int64, error) {
 	n := len(d.ex.px[0].Parts)
 	partial := make([]int64, n)
-	spec := transport.Spec{Name: "total-error", Kind: transport.KindTotalError, Tasks: n}
-	err := d.cl.RunStage(d.ctx, spec, func(pi int) (err error) {
+	spec := transport.Spec{Kind: transport.KindTotalError, Tasks: n}
+	err := d.cl.RunStage(d.ctx, spec.Kind.String(), spec, func(pi int) (err error) {
 		partial[pi], err = d.ex.totalError(pi)
 		return err
 	}, func(pi int, payload []byte) (err error) {

@@ -9,6 +9,7 @@ import (
 	"dbtf/internal/slab"
 	"dbtf/internal/sumcache"
 	"dbtf/internal/tensor"
+	"dbtf/internal/transport"
 )
 
 // modeRoles is which factor matrix plays which part in each factor update
@@ -16,17 +17,18 @@ import (
 // unfolding's rows), the matrix whose rows index the PVM blocks (the first
 // Khatri–Rao operand), and the matrix the row-summation caches are built
 // over (the second). They are the mode's axes (tensor.Mode.Axes), and
-// index executor.f. The name labels the update's stage spans and the
-// "mode" pprof label. totalError evaluates the mode-1 unfolding, so it
-// reads modeRoles[0].
+// index executor.f. The name is the "mode" pprof label; eval and commit
+// name the update's eval stages and commit sections. totalError evaluates
+// the mode-1 unfolding, so it reads modeRoles[0].
 var modeRoles = func() (roles [3]struct {
-	name             string
-	upd, pvm, cached int
+	name, eval, commit string
+	upd, pvm, cached   int
 }) {
 	for m := range roles {
 		r := &roles[m]
 		r.upd, r.pvm, r.cached = tensor.Mode(m + 1).Axes()
 		r.name = "ABC"[r.upd : r.upd+1]
+		r.eval, r.commit = transport.KindEval.String()+":"+r.name, "commit:"+r.name
 	}
 	return roles
 }()

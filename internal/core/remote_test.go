@@ -213,7 +213,7 @@ func TestCollectedBytesAreReplyBytes(t *testing.T) {
 // payloads must all fail loudly.
 func TestWorkerRejectsOutOfOrderState(t *testing.T) {
 	w := NewWorker()
-	if _, err := w.RunBatch(transport.Spec{Name: "eval:A", Kind: transport.KindEval}, []int{0}); err == nil {
+	if _, err := w.RunBatch(transport.Spec{Kind: transport.KindEval}, []int{0}); err == nil {
 		t.Fatal("RunBatch before setup succeeded")
 	}
 	if err := w.Apply(transport.StateFactors, nil); err == nil {
@@ -248,7 +248,7 @@ func TestWorkerRejectsOutOfOrderState(t *testing.T) {
 	if push, _ := flipsTo(0, 0, 1, boolmat.NewFactor(5, 2), boolmat.RandomFactor(rng, 5, 2, 0.5)); w.Apply(transport.StateColumn, push) == nil {
 		t.Fatal("column push before factors succeeded")
 	}
-	if _, err := w.RunBatch(transport.Spec{Name: "eval:A", Kind: transport.KindEval, Mode: 0, Col: 0}, []int{0}); err == nil {
+	if _, err := w.RunBatch(transport.Spec{Kind: transport.KindEval, Mode: 0, Col: 0}, []int{0}); err == nil {
 		t.Fatal("eval before factors succeeded")
 	}
 	if err := w.Apply(transport.StateFactors, encodeFactors(boolmat.RandomFactor(rng, 5, 2, 0.5),
@@ -798,7 +798,7 @@ func TestRemoteRebuildsWorkerLanes(t *testing.T) {
 						}
 						d.ex.splits[pi].expand(want)
 						want = slices.Clone(want)
-						outs, err := w.RunBatch(transport.Spec{Name: "eval", Kind: transport.KindEval, Mode: mode, Col: col, Tasks: len(d.ex.px[mode].Parts)}, []int{pi})
+						outs, err := w.RunBatch(transport.Spec{Kind: transport.KindEval, Mode: mode, Col: col, Tasks: len(d.ex.px[mode].Parts)}, []int{pi})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -841,7 +841,7 @@ func TestWorkerBatchErrorAttribution(t *testing.T) {
 	if err := w.Apply(transport.StateFactors, encodeFactors(a, b, c)); err != nil {
 		t.Fatal(err)
 	}
-	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Mode: 0, Col: 1, Tasks: 2}
+	spec := transport.Spec{Kind: transport.KindEval, Mode: 0, Col: 1, Tasks: 2}
 
 	// Tasks 7 and 9 are outside the 2-partition range; the earlier one in
 	// batch order must be the one named.
@@ -901,7 +901,7 @@ func TestWorkerBuildsTaskAtFirstEvalOfAnyColumn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	spec := transport.Spec{Name: "eval:B", Kind: transport.KindEval, Mode: mode, Tasks: 2}
+	spec := transport.Spec{Kind: transport.KindEval, Mode: mode, Tasks: 2}
 	committed := boolmat.RandomFactor(rng, 8, rank, 0.5)
 	for spec.Col = 0; spec.Col < rank-lookahead; spec.Col += lookahead {
 		if _, err := home.RunBatch(spec, []int{part}); err != nil {

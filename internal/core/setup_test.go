@@ -53,7 +53,7 @@ func TestWorkerHoldsItsPartitions(t *testing.T) {
 					case part != nil && !samePartition(part, px[mode].Parts[pi], p.NumRows):
 						t.Fatalf("machine %d %s: mode %d partition %d differs from the driver's", m, when, mode+1, pi)
 					}
-					_, err := w.RunBatch(transport.Spec{Name: "eval", Kind: transport.KindEval, Mode: mode}, []int{pi})
+					_, err := w.RunBatch(transport.Spec{Kind: transport.KindEval, Mode: mode}, []int{pi})
 					var notHeld *notHeldError
 					if errors.As(err, &notHeld) == want {
 						t.Fatalf("machine %d %s: mode %d partition %d evaluates to %v", m, when, mode+1, pi, err)

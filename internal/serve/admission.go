@@ -111,15 +111,15 @@ func (a *admissionState) admit(now time.Time, spec *JobSpec, cfg AdmissionConfig
 			"tenant %q exceeds %.3g jobs/s (burst %.3g)", spec.Tenant, cfg.TenantRate, cfg.TenantBurst)
 	}
 	if total := queued + running; total >= cfg.MaxQueued {
-		return reject("queue_full", cfg.RetryAfter,
+		return reject("queue_full", budgetRetryAfter,
 			"%d jobs queued or running (limit %d)", total, cfg.MaxQueued)
 	}
 	if tenantQueued >= cfg.MaxQueuedPerTenant {
-		return reject("tenant_quota", cfg.RetryAfter,
+		return reject("tenant_quota", budgetRetryAfter,
 			"tenant %q has %d queued jobs (limit %d)", spec.Tenant, tenantQueued, cfg.MaxQueuedPerTenant)
 	}
 	if a.memoryBytes+jobBytes > cfg.MemoryBudget {
-		return reject("memory_budget", cfg.RetryAfter,
+		return reject("memory_budget", budgetRetryAfter,
 			"job needs ~%d bytes, %d of %d budget in use", jobBytes, a.memoryBytes, cfg.MemoryBudget)
 	}
 	a.memoryBytes += jobBytes
@@ -129,10 +129,7 @@ func (a *admissionState) admit(now time.Time, spec *JobSpec, cfg AdmissionConfig
 // releaseMemory returns a finished or cancelled job's estimate to the
 // budget.
 func (a *admissionState) releaseMemory(jobBytes int64) {
-	a.memoryBytes -= jobBytes
-	if a.memoryBytes < 0 {
-		a.memoryBytes = 0
-	}
+	a.memoryBytes = max(0, a.memoryBytes-jobBytes)
 }
 
 // AdmissionConfig bounds the server's explicit budgets. Zero values
@@ -149,17 +146,18 @@ type AdmissionConfig struct {
 	TenantRate float64
 	// TenantBurst is the per-tenant burst allowance.
 	TenantBurst float64
-	// RetryAfter is the Retry-After hint for budget rejections.
-	RetryAfter time.Duration
 }
+
+// budgetRetryAfter is the Retry-After hint for budget rejections.
+const budgetRetryAfter = time.Second
 
 // validate refuses what withDefaults would pass through: a negative bound
 // (MaxQueued -1 sheds every submit as queue_full), and a rate or burst that
 // is negative, NaN or infinite.
 func (c AdmissionConfig) validate() error {
-	if c.MaxQueued < 0 || c.MaxQueuedPerTenant < 0 || c.MemoryBudget < 0 || c.RetryAfter < 0 {
-		return fmt.Errorf("serve: AdmissionConfig MaxQueued %d, MaxQueuedPerTenant %d, MemoryBudget %d, RetryAfter %v: none may be negative",
-			c.MaxQueued, c.MaxQueuedPerTenant, c.MemoryBudget, c.RetryAfter)
+	if c.MaxQueued < 0 || c.MaxQueuedPerTenant < 0 || c.MemoryBudget < 0 {
+		return fmt.Errorf("serve: AdmissionConfig MaxQueued %d, MaxQueuedPerTenant %d, MemoryBudget %d: none may be negative",
+			c.MaxQueued, c.MaxQueuedPerTenant, c.MemoryBudget)
 	}
 	if !(c.TenantRate >= 0 && c.TenantBurst >= 0) || math.IsInf(c.TenantRate, 1) || math.IsInf(c.TenantBurst, 1) {
 		return fmt.Errorf("serve: AdmissionConfig TenantRate %v, TenantBurst %v: each must be finite and not negative",
@@ -183,9 +181,6 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	}
 	if c.TenantBurst == 0 {
 		c.TenantBurst = 100
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }

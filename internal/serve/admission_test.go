@@ -12,15 +12,15 @@ func admitSpec(tenant string) *JobSpec {
 
 func TestAdmitQueueFull(t *testing.T) {
 	a := newAdmissionState()
-	cfg := AdmissionConfig{MaxQueued: 3, RetryAfter: 2 * time.Second}.withDefaults()
+	cfg := AdmissionConfig{MaxQueued: 3}.withDefaults()
 	now := time.Unix(1000, 0)
-	// queued+running at the limit: reject with the configured backoff.
+	// queued+running at the limit: reject with the budget backoff.
 	aerr := a.admit(now, admitSpec("t"), cfg, 2, 0, 1, 100)
 	if aerr == nil || aerr.Reason != "queue_full" {
 		t.Fatalf("admit = %v, want queue_full", aerr)
 	}
-	if aerr.RetryAfter != 2*time.Second {
-		t.Fatalf("RetryAfter = %v, want 2s", aerr.RetryAfter)
+	if aerr.RetryAfter != budgetRetryAfter {
+		t.Fatalf("RetryAfter = %v, want %v", aerr.RetryAfter, budgetRetryAfter)
 	}
 	if a.shed["queue_full"] != 1 {
 		t.Fatalf("shed = %v", a.shed)

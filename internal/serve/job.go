@@ -60,7 +60,7 @@ type JobResult struct {
 type Job struct {
 	// ID is the server-assigned identifier.
 	ID string `json:"id"`
-	// Seq is the admission sequence number; FIFO ties break on it.
+	// Seq is the admission sequence number: IDs and job lists follow it.
 	Seq int64 `json:"seq"`
 	// Spec is the client's job description.
 	Spec JobSpec `json:"spec"`
@@ -91,6 +91,7 @@ type Job struct {
 	// classifier can tell it apart from a drain-timeout cancel; owned by
 	// the Server.
 	cancelReq bool
+	queuedAt  int64 // the fairQueue's stamp of the job's last push
 	// cancel aborts the running slice's context; owned by the Server.
 	cancel func()
 }

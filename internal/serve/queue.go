@@ -5,16 +5,17 @@ import "container/heap"
 // fairQueue is the scheduler's ready queue: round-robin across tenants
 // (each pop serves the next tenant in rotation, so a tenant that dumps a
 // thousand jobs cannot starve one that submits a single job), and within
-// a tenant a priority heap (higher Priority first, FIFO by sequence
-// number among equals). Not safe for concurrent use; the Server's mutex
-// guards it.
+// a tenant a priority heap (higher Priority first, FIFO by push among
+// equals, so a job that yields its slot queues behind the ones that
+// waited). Not safe for concurrent use; the Server's mutex guards it.
 type fairQueue struct {
 	tenants map[string]*tenantHeap
 	// order is the round-robin rotation; tenants join at the back when
 	// their first job arrives and leave when their queue drains.
-	order []string
-	next  int
-	size  int
+	order  []string
+	next   int
+	size   int
+	pushes int64 // stamps each pushed job's queuedAt
 }
 
 func newFairQueue() *fairQueue {
@@ -37,6 +38,8 @@ func (q *fairQueue) push(j *Job) {
 		q.tenants[j.Spec.Tenant] = th
 		q.order = append(q.order, j.Spec.Tenant)
 	}
+	q.pushes++
+	j.queuedAt = q.pushes
 	heap.Push(th, j)
 	q.size++
 }
@@ -100,7 +103,7 @@ func (q *fairQueue) remove(id string) *Job {
 }
 
 // tenantHeap orders one tenant's jobs: higher priority first, then FIFO
-// by admission sequence.
+// by push.
 type tenantHeap []*Job
 
 func (h tenantHeap) Len() int { return len(h) }
@@ -108,7 +111,7 @@ func (h tenantHeap) Less(a, b int) bool {
 	if h[a].Spec.Priority != h[b].Spec.Priority {
 		return h[a].Spec.Priority > h[b].Spec.Priority
 	}
-	return h[a].Seq < h[b].Seq
+	return h[a].queuedAt < h[b].queuedAt
 }
 func (h tenantHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
 

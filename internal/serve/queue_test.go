@@ -46,9 +46,11 @@ func TestFairQueuePriorityThenFIFOWithinTenant(t *testing.T) {
 	q := newFairQueue()
 	q.push(qjob("a", 1, 0))
 	q.push(qjob("a", 2, 5)) // higher priority jumps the tenant's own queue
-	q.push(qjob("a", 3, 5)) // ties break FIFO by sequence
-	got := popIDs(q, 3)
-	want := []string{"a2", "a3", "a1"}
+	q.push(qjob("a", 3, 5)) // ties break FIFO by push
+	q.push(qjob("a", 4, 5))
+	q.push(q.pop()) // so a2, pushed again as a yielded job is, goes behind a4
+	got := popIDs(q, 4)
+	want := []string{"a3", "a4", "a2", "a1"}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("pop order = %v, want %v", got, want)

@@ -769,6 +769,10 @@ func TestServedJobCheckpointsWhereItYields(t *testing.T) {
 		if r.view(0).Evictions == 0 {
 			t.Error("the first job was never timesliced despite a waiting queue")
 		}
+		// The slot a job yields goes to the job that waited.
+		if runs := r.runs[r.ids[0]]; len(runs) > 1 && r.runs[r.ids[1]][0].begin > runs[1].begin {
+			t.Error("the first job ran its second slice before the second job ran one")
+		}
 	})
 	t.Run("floor 0", func(t *testing.T) {
 		sc := pinnedScenario([]int{6}, sub, wait(0))

@@ -383,7 +383,6 @@ func TestConfigRejectsBadMachines(t *testing.T) {
 		"MaxQueued":          {Admission: AdmissionConfig{MaxQueued: -1}},
 		"MaxQueuedPerTenant": {Admission: AdmissionConfig{MaxQueuedPerTenant: -1}},
 		"MemoryBudget":       {Admission: AdmissionConfig{MemoryBudget: -1}},
-		"RetryAfter":         {Admission: AdmissionConfig{RetryAfter: -1}},
 		"TenantRate":         {Admission: AdmissionConfig{TenantRate: -1}},
 		"TenantRate NaN":     {Admission: AdmissionConfig{TenantRate: math.NaN()}},
 		"TenantRate +Inf":    {Admission: AdmissionConfig{TenantRate: math.Inf(1)}},

@@ -25,7 +25,7 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add(seed(&Msg{Type: MsgHello, Proto: ProtoVersion, Machine: 1, Machines: 3}))
 	f.Add(seed(&Msg{Type: MsgRun, States: []StateBlob{{Kind: StateSetup, Payload: bytes.Repeat([]byte{7}, 100)}}}))
-	f.Add(seed(&Msg{Type: MsgRun, Spec: Spec{Name: "eval:B", Kind: KindEval, Col: 3, Tasks: 4}, Tasks: []int{1, 2}}))
+	f.Add(seed(&Msg{Type: MsgRun, Spec: Spec{Kind: KindEval, Col: 3, Tasks: 4}, Tasks: []int{1, 2}}))
 	f.Add(seed(&Msg{Type: MsgResult, Outputs: []TaskOutput{{Task: 0, Nanos: 5, Payload: []byte{1}}}}))
 	valid := seed(&Msg{Type: MsgError, Error: "boom"})
 	f.Add(valid[:2])                      // truncated header

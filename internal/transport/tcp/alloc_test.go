@@ -57,7 +57,7 @@ func TestRoundTripAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	column := make([]byte, 150)
-	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 4}
+	spec := transport.Spec{Kind: transport.KindEval, Tasks: 4}
 	delivered := 0
 	deliver := func(tr transport.TaskResult) error {
 		delivered += len(tr.Payload)

@@ -65,7 +65,7 @@ func within(t *testing.T, d time.Duration, what string, f func() error) error {
 func runStalled(ctx context.Context, c *Coordinator) <-chan error {
 	errc := make(chan error, 1)
 	go func() {
-		errc <- c.Run(ctx, transport.Spec{Name: "stall", Tasks: 1},
+		errc <- c.Run(ctx, transport.Spec{Tasks: 1},
 			func(transport.TaskResult) error { return nil })
 	}()
 	time.Sleep(100 * time.Millisecond)

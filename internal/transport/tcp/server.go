@@ -200,7 +200,7 @@ func (s *Server) handle(req *transport.Msg) transport.Msg {
 	}
 	outs, err := s.host.RunBatch(req.Spec, req.Tasks)
 	if err != nil {
-		return transport.Msg{Type: transport.MsgError, Error: fmt.Sprintf("stage %q %v", req.Spec.Name, err)}
+		return transport.Msg{Type: transport.MsgError, Error: err.Error()}
 	}
 	return transport.Msg{Type: transport.MsgResult, Outputs: outs}
 }

@@ -56,7 +56,7 @@ func TestShutdownDrainsInFlightBatch(t *testing.T) {
 		}
 	}()
 
-	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 2}
+	spec := transport.Spec{Kind: transport.KindEval, Tasks: 2}
 	runDone := make(chan error, 1)
 	delivered := 0
 	go func() {
@@ -142,7 +142,7 @@ func TestShutdownForceClosesAfterTimeout(t *testing.T) {
 		}
 	}()
 
-	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 1}
+	spec := transport.Spec{Kind: transport.KindEval, Tasks: 1}
 	runDone := make(chan error, 1)
 	go func() {
 		runDone <- c.Run(context.Background(), spec, func(transport.TaskResult) error { return nil })

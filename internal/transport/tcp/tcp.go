@@ -648,7 +648,7 @@ func (c *Coordinator) Run(ctx context.Context, spec transport.Spec, deliver func
 			}
 			exec, err := c.executorFor(home)
 			if err != nil {
-				return fmt.Errorf("tcp: stage %q: %w", spec.Name, err)
+				return err
 			}
 			c.route[home] = exec
 		}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dbtf/internal/cluster"
 	"dbtf/internal/transport"
 )
 
@@ -61,7 +62,7 @@ func (h *echoHost) RunBatch(spec transport.Spec, tasks []int) ([]transport.TaskO
 		if h.taskErr != nil {
 			return nil, fmt.Errorf("task %d: %w", task, h.taskErr)
 		}
-		outs[i] = transport.TaskOutput{Task: task, Payload: []byte(fmt.Sprintf("%s/%d", spec.Name, task))}
+		outs[i] = transport.TaskOutput{Task: task, Payload: []byte(fmt.Sprintf("%s:%d/%d", spec.Kind, spec.Mode, task))}
 	}
 	return outs, nil
 }
@@ -171,7 +172,7 @@ func dialWorkers(t *testing.T, cfg Config, hosts ...*echoHost) (*Coordinator, []
 // on error.
 func runStage(t *testing.T, c *Coordinator, tasks int) {
 	t.Helper()
-	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: tasks}
+	spec := transport.Spec{Kind: transport.KindEval, Tasks: tasks}
 	if err := c.Run(context.Background(), spec, func(transport.TaskResult) error { return nil }); err != nil {
 		t.Fatalf("Run(%d tasks): %v", tasks, err)
 	}
@@ -375,7 +376,7 @@ func TestRejectedStateFailsTheRunThatCarriedIt(t *testing.T) {
 		}
 	}
 	h.setReject(transport.StateColumn)
-	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 1}
+	spec := transport.Spec{Kind: transport.KindEval, Tasks: 1}
 	delivered := 0
 	err := c.Run(ctx, spec, func(transport.TaskResult) error { delivered++; return nil })
 	if err == nil || !strings.Contains(err.Error(), "column state") || !strings.Contains(err.Error(), "blob refused") {
@@ -421,7 +422,7 @@ func TestOversizedFrameIsATypedError(t *testing.T) {
 				if err := c.PushState(ctx, tc.kind, big); err != nil {
 					t.Fatalf("deferred PushState: %v", err)
 				}
-				err = c.Run(ctx, transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 1},
+				err = c.Run(ctx, transport.Spec{Kind: transport.KindEval, Tasks: 1},
 					func(transport.TaskResult) error { return nil })
 			}
 			if !errors.Is(err, transport.ErrFrameTooLarge) || !strings.Contains(err.Error(), tc.want) {
@@ -450,7 +451,7 @@ func TestRunRoutesTasksByHomeMachine(t *testing.T) {
 			t.Errorf("Close: %v", err)
 		}
 	}()
-	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 7}
+	spec := transport.Spec{Kind: transport.KindEval, Tasks: 7}
 	got := map[int]transport.TaskResult{}
 	err = c.Run(context.Background(), spec, func(tr transport.TaskResult) error {
 		got[tr.Task] = tr
@@ -463,7 +464,7 @@ func TestRunRoutesTasksByHomeMachine(t *testing.T) {
 		t.Fatalf("delivered %d tasks, want 7", len(got))
 	}
 	for task, tr := range got {
-		if want := fmt.Sprintf("eval:A/%d", task); string(tr.Payload) != want {
+		if want := fmt.Sprintf("eval:0/%d", task); string(tr.Payload) != want {
 			t.Fatalf("task %d payload %q, want %q", task, tr.Payload, want)
 		}
 		if tr.Machine != task%2 {
@@ -488,7 +489,7 @@ func TestRunTaskErrorIsFatalNotALoss(t *testing.T) {
 			t.Errorf("Close: %v", err)
 		}
 	}()
-	spec := transport.Spec{Name: "eval:B", Kind: transport.KindEval, Mode: 1, Tasks: 2}
+	spec := transport.Spec{Kind: transport.KindEval, Mode: 1, Tasks: 2}
 	err = c.Run(context.Background(), spec, func(transport.TaskResult) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "kernel exploded") {
 		t.Fatalf("Run error = %v, want the executor's task error", err)
@@ -496,6 +497,25 @@ func TestRunTaskErrorIsFatalNotALoss(t *testing.T) {
 	// The connection survived a task error: the machine is not lost.
 	if ev := c.Membership(context.Background()); len(ev) != 0 {
 		t.Fatalf("Membership reported %v after a task error, want no transitions", ev)
+	}
+}
+
+// TestFailingRemoteStageIsNamedOnce: the cluster names a stage that failed
+// on a worker, and nothing under it names the stage again; the worker and
+// the failing task are in the error.
+func TestFailingRemoteStageIsNamedOnce(t *testing.T) {
+	h1 := newEchoHost()
+	h1.taskErr = errors.New("kernel exploded")
+	c, _ := dialWorkers(t, testConfig(), newEchoHost(), h1)
+	cl := cluster.New(cluster.Config{Machines: 2, Transport: c})
+	spec := transport.Spec{Kind: transport.KindEval, Tasks: 4}
+	err := cl.RunStage(context.Background(), "eval:A", spec, nil, func(int, []byte) error { return nil })
+	if err == nil {
+		t.Fatal("a stage with a failing task succeeded")
+	}
+	msg := err.Error()
+	if strings.Count(msg, "eval:A") != 1 || !strings.Contains(msg, "worker 1") || !strings.Contains(msg, "task 1") {
+		t.Errorf("error %q: want the stage named once, worker 1 and task 1", msg)
 	}
 }
 
@@ -541,7 +561,7 @@ func TestWorkerLossReroutesAndRejoinReplays(t *testing.T) {
 
 	// The next stage routes worker 1's share to the ring successor
 	// (machine 0) and the loss shows up at the next boundary.
-	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 4}
+	spec := transport.Spec{Kind: transport.KindEval, Tasks: 4}
 	machines := map[int]int{}
 	err = c.Run(ctx, spec, func(tr transport.TaskResult) error {
 		machines[tr.Task] = tr.Machine
@@ -822,7 +842,7 @@ func TestReroutedBatchesShareOneExchange(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 4}
+	spec := transport.Spec{Kind: transport.KindEval, Tasks: 4}
 	stage := func() {
 		t.Helper()
 		got := map[int]string{}
@@ -840,7 +860,7 @@ func TestReroutedBatchesShareOneExchange(t *testing.T) {
 			t.Fatal(err)
 		}
 		for task := 0; task < spec.Tasks; task++ {
-			if want := fmt.Sprintf("eval:A/%d", task); got[task] != want {
+			if want := fmt.Sprintf("eval:0/%d", task); got[task] != want {
 				t.Fatalf("task %d delivered payload %q, want %q", task, got[task], want)
 			}
 		}

@@ -36,7 +36,7 @@ const (
 	KindTotalError
 )
 
-// String returns the kind's wire-independent name.
+// String returns the kind's name, which names its stages.
 func (k Kind) String() string {
 	switch k {
 	case KindEval:
@@ -51,8 +51,6 @@ func (k Kind) String() string {
 // partitions; the executor resolves everything else from its replicated
 // state.
 type Spec struct {
-	// Name is the stage label, shared with the trace stream.
-	Name string
 	// Kind selects the computation.
 	Kind Kind
 	// Mode is the factor update's mode index (0=A, 1=B, 2=C) for KindEval;

@@ -15,7 +15,7 @@ import (
 // the change that alters any of them, so that a driver and a worker built
 // on either side of the change fail the handshake instead of reading each
 // other's bytes shifted.
-const ProtoVersion = 15
+const ProtoVersion = 16
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
 // tighter limit: large enough for a set-up blob, small enough that a
@@ -97,14 +97,13 @@ const (
 	stateBlobMin  = 1 + countLen        // kind, payload length
 	taskOutputMin = 2*intLen + countLen // task, nanos, payload length
 	// fixedLen is the body of a message with nothing in it: type, the three
-	// hello ints, spec kind and its three ints, and the five counts (states,
-	// name, tasks, outputs, error).
-	fixedLen = 1 + 3*intLen + 1 + 3*intLen + 5*countLen
+	// hello ints, spec kind and its three ints, and the four counts (states,
+	// tasks, outputs, error).
+	fixedLen = 1 + 3*intLen + 1 + 3*intLen + 4*countLen
 )
 
-func appendInt(b []byte, v int64) []byte     { return binary.BigEndian.AppendUint64(b, uint64(v)) }
-func appendCount(b []byte, n int) []byte     { return binary.BigEndian.AppendUint32(b, uint32(n)) }
-func appendString(b []byte, s string) []byte { return append(appendCount(b, len(s)), s...) }
+func appendInt(b []byte, v int64) []byte { return binary.BigEndian.AppendUint64(b, uint64(v)) }
+func appendCount(b []byte, n int) []byte { return binary.BigEndian.AppendUint32(b, uint32(n)) }
 
 // spliceMin is the payload size from which FrameWriter hands the payload
 // to the socket beside the frame's other bytes instead of copying it into
@@ -121,7 +120,7 @@ const spliceMin = 16 << 10
 //
 //	u8 Type; int Proto, Machine, Machines;
 //	count States × {u8 Kind, count, payload bytes};
-//	Spec {u8 Kind; int Mode, Col, Tasks; count, Name bytes};
+//	Spec {u8 Kind; int Mode, Col, Tasks};
 //	count Tasks × int;
 //	count Outputs × {int Task, int Nanos, count, payload bytes};
 //	count, Error bytes
@@ -160,7 +159,7 @@ func (fw *FrameWriter) Write(w io.Writer, m *Msg, maxFrame int64) (int, error) {
 	if maxFrame <= 0 || maxFrame > DefaultMaxFrame {
 		maxFrame = DefaultMaxFrame
 	}
-	size := int64(fixedLen + len(m.Spec.Name) + len(m.Error))
+	size := int64(fixedLen + len(m.Error))
 	var spliced int64
 	for i := range m.States {
 		size += stateBlobMin + int64(len(m.States[i].Payload))
@@ -194,7 +193,6 @@ func (fw *FrameWriter) Write(w io.Writer, m *Msg, maxFrame int64) (int, error) {
 	b = appendInt(b, int64(m.Spec.Mode))
 	b = appendInt(b, int64(m.Spec.Col))
 	b = appendInt(b, int64(m.Spec.Tasks))
-	b = appendString(b, m.Spec.Name)
 	b = appendCount(b, len(m.Tasks))
 	for _, t := range m.Tasks {
 		b = appendInt(b, int64(t))
@@ -205,7 +203,7 @@ func (fw *FrameWriter) Write(w io.Writer, m *Msg, maxFrame int64) (int, error) {
 		b = appendInt(b, m.Outputs[i].Nanos)
 		b = fw.appendPayload(b, m.Outputs[i].Payload)
 	}
-	b = appendString(b, m.Error)
+	b = append(appendCount(b, len(m.Error)), m.Error...)
 	fw.buf = b
 
 	if len(fw.vecs) == 0 {
@@ -433,10 +431,6 @@ func (fr *FrameReader) decode(body []byte) error {
 	}
 	m.Spec.Kind = Kind(c.u8())
 	m.Spec.Mode, m.Spec.Col, m.Spec.Tasks = c.int(), c.int(), c.int()
-	// A stage's name repeats for a whole factor update: keep the string.
-	if name := c.bytes(); string(name) != m.Spec.Name {
-		m.Spec.Name = string(name)
-	}
 	n = c.u32()
 	if uint64(n)*intLen > uint64(len(c.b)) {
 		return errShort

@@ -21,9 +21,9 @@ func roundTripMsgs() []*Msg {
 	return []*Msg{
 		{Type: MsgHello, Proto: ProtoVersion, Machine: 2, Machines: 4},
 		{Type: MsgHelloOK, Proto: ProtoVersion},
-		{Type: MsgRun, Spec: Spec{Name: "eval:A", Kind: KindEval, Mode: 0, Col: 7, Tasks: 5}, Tasks: []int{0, 3}},
+		{Type: MsgRun, Spec: Spec{Kind: KindEval, Mode: 0, Col: 7, Tasks: 5}, Tasks: []int{0, 3}},
 		{Type: MsgRun, States: []StateBlob{{Kind: StateFactors, Payload: []byte{1, 2, 3}}, {Kind: StateColumn}},
-			Spec: Spec{Name: "eval:C", Kind: KindEval, Mode: 2, Tasks: 1}, Tasks: []int{0}},
+			Spec: Spec{Kind: KindEval, Mode: 2, Tasks: 1}, Tasks: []int{0}},
 		{Type: MsgResult, Outputs: []TaskOutput{{Task: 3, Nanos: 42, Payload: []byte{9}}, {Task: 0, Nanos: -1}}},
 		{Type: MsgResult},
 		{Type: MsgError, Error: "boom"},
@@ -64,7 +64,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := WriteFrame(&buf, &Msg{Type: MsgRun, States: []StateBlob{{Kind: StateColumn, Payload: []byte{5}}},
-		Spec: Spec{Name: "eval:B", Kind: KindEval}, Tasks: []int{1}}); err != nil {
+		Spec: Spec{Kind: KindEval}, Tasks: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
@@ -140,10 +140,9 @@ func TestReadFrameForgedCounts(t *testing.T) {
 	const states = 4 + 1 + 3*intLen
 	offsets := map[string]int{
 		"states":  states,
-		"name":    states + countLen + 1 + 3*intLen,
-		"tasks":   states + countLen + 1 + 3*intLen + countLen,
-		"outputs": states + countLen + 1 + 3*intLen + 2*countLen,
-		"error":   states + countLen + 1 + 3*intLen + 3*countLen,
+		"tasks":   states + countLen + 1 + 3*intLen,
+		"outputs": states + countLen + 1 + 3*intLen + countLen,
+		"error":   states + countLen + 1 + 3*intLen + 2*countLen,
 	}
 	cases := map[string][]byte{}
 	for name, off := range offsets {
@@ -228,7 +227,7 @@ func TestFrameAllocations(t *testing.T) {
 // whole frame appended into one fresh buffer, every payload copied.
 func naiveFrame(m *Msg) []byte {
 	appendBytes := func(b, p []byte) []byte { return append(appendCount(b, len(p)), p...) }
-	size := fixedLen + len(m.Spec.Name) + len(m.Error) + intLen*len(m.Tasks)
+	size := fixedLen + len(m.Error) + intLen*len(m.Tasks)
 	for i := range m.States {
 		size += stateBlobMin + len(m.States[i].Payload)
 	}
@@ -249,7 +248,6 @@ func naiveFrame(m *Msg) []byte {
 	b = appendInt(b, int64(m.Spec.Mode))
 	b = appendInt(b, int64(m.Spec.Col))
 	b = appendInt(b, int64(m.Spec.Tasks))
-	b = appendString(b, m.Spec.Name)
 	b = appendCount(b, len(m.Tasks))
 	for _, t := range m.Tasks {
 		b = appendInt(b, int64(t))
@@ -260,7 +258,7 @@ func naiveFrame(m *Msg) []byte {
 		b = appendInt(b, m.Outputs[i].Nanos)
 		b = appendBytes(b, m.Outputs[i].Payload)
 	}
-	return appendString(b, m.Error)
+	return appendBytes(b, []byte(m.Error))
 }
 
 // codecMsgs is roundTripMsgs plus payloads on both sides of the splice
@@ -272,7 +270,7 @@ func codecMsgs() []*Msg {
 	return append(roundTripMsgs(),
 		&Msg{Type: MsgRun, States: []StateBlob{{Kind: StateSetup, Payload: at}}},
 		&Msg{Type: MsgRun, States: []StateBlob{{Kind: StateSetup, Payload: under}, {Kind: StateFactors, Payload: over}, {Kind: StateColumn, Payload: []byte{7}}},
-			Spec: Spec{Name: "eval:B", Kind: KindEval, Mode: 1, Col: 2, Tasks: 3}, Tasks: []int{1, 2}},
+			Spec: Spec{Kind: KindEval, Mode: 1, Col: 2, Tasks: 3}, Tasks: []int{1, 2}},
 		&Msg{Type: MsgRun, States: []StateBlob{{Kind: StateColumn, Payload: []byte{7}}, {Kind: StateSetup, Payload: over}, {Kind: StateFactors, Payload: at}}},
 		&Msg{Type: MsgResult, Outputs: []TaskOutput{{Task: 1, Nanos: 5, Payload: over}, {Task: 2, Nanos: 6, Payload: under}, {Task: 3, Nanos: 7, Payload: at}}, Error: "tail"},
 	)
@@ -390,7 +388,7 @@ func TestFrameReaderKeepsNoStaleState(t *testing.T) {
 // spliced set-up frame included on the write side.
 func TestFrameCodecSteadyStateAllocations(t *testing.T) {
 	req := &Msg{Type: MsgRun, States: []StateBlob{{Kind: StateColumn, Payload: make([]byte, 200)}},
-		Spec: Spec{Name: "eval:A", Kind: KindEval, Col: 4, Tasks: 4}, Tasks: []int{0, 2}}
+		Spec: Spec{Kind: KindEval, Col: 4, Tasks: 4}, Tasks: []int{0, 2}}
 	resp := &Msg{Type: MsgResult, Outputs: []TaskOutput{{Task: 0, Nanos: 9, Payload: make([]byte, 4096)}, {Task: 2, Nanos: 9, Payload: make([]byte, 4096)}}}
 	setup := &Msg{Type: MsgRun, States: []StateBlob{{Kind: StateSetup, Payload: make([]byte, 8*spliceMin)}}}
 	// A reader per direction, as on a connection: the worker's sees the
