@@ -146,9 +146,12 @@ type process struct {
 
 // hold stops a scenario job at the run_begin of a slice, inside the job's
 // own trace, until the harness frees it. A job that a submit or an eviction
-// set going waits there until the next step begins, so a step that targets
-// it acts before the job can have moved on, however the harness's goroutine
-// is scheduled; every other step frees it first.
+// set going waits there until a step needs it to move, so a step that
+// targets it, or a submit that queues a job beside it, acts before the job
+// can have moved on, however the harness's goroutine is scheduled. A submit
+// frees no job; an evict or a cancel frees all but its target, a wait frees
+// every job, and a restart frees every job once its drain has marked the
+// running ones to yield.
 type hold struct {
 	mu      sync.Mutex
 	armed   bool          // the next run_begin waits
@@ -360,7 +363,15 @@ func (sc serveScenario) run(t *testing.T) *serveRun {
 		r.procs = append(r.procs, p)
 	}
 	drain := func() {
-		p.s.Drain()
+		// The held jobs go only once the drain has marked them to yield, so
+		// none that the script left running can end before it.
+		drained := make(chan struct{})
+		go func() { p.s.Drain(); close(drained) }()
+		for !p.s.Draining() {
+			time.Sleep(time.Millisecond)
+		}
+		p.freeAll("")
+		<-drained
 		if id, reason := p.submit(t, &sc.jobs[0]); reason != "draining" {
 			t.Fatalf("a drained server answered a submit with job %q, reason %q", id, reason)
 		}
@@ -400,9 +411,10 @@ func (sc serveScenario) run(t *testing.T) *serveRun {
 		if st.job < next {
 			id = r.ids[st.job]
 		}
-		if st.kind == evictJob || st.kind == cancelJob {
+		switch st.kind {
+		case evictJob, cancelJob:
 			p.freeAll(id)
-		} else {
+		case waitJob:
 			p.freeAll("")
 		}
 		switch {
