@@ -15,6 +15,7 @@ import (
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
 	"dbtf/internal/partition"
+	"dbtf/internal/slab"
 	"dbtf/internal/tensor"
 	"dbtf/internal/trace"
 )
@@ -153,7 +154,10 @@ func TestWarmTotalErrorAllocs(t *testing.T) {
 // the coordinator's set-up no object. Building a run's three partitionings from
 // the coordinate list with their bodies sized for its machines allocates
 // exactly as many objects as the plain builds of the same tensor, and
-// encodeSetup makes each machine's blob as one object.
+// encodeSetup makes each machine's blob as one object: these are below the
+// slab pool's floor, a plain make. A blob of a pooled size, set-up or
+// install, costs no object once the pool is warm, when the transport it was
+// handed to returns it at its close.
 func TestCarriedSetupAllocs(t *testing.T) {
 	x := randomTensor(rand.New(rand.NewSource(44)), 24, 20, 16, 0.2)
 	dims := [3]int{24, 20, 16}
@@ -184,6 +188,27 @@ func TestCarriedSetupAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { encodeSetup(cfg, dims, home, px) }); allocs != 1 {
 			t.Errorf("machine %d's set-up blob takes %v objects, want 1", home, allocs)
 		}
+	}
+
+	big := randomTensor(rand.New(rand.NewSource(45)), 64, 48, 40, 0.1)
+	bigDims := [3]int{64, 48, 40}
+	bigPx := buildPartitions(t, big, cfg)
+	defer releasePartitions(bigPx)
+	for home := 0; home < cfg.Machines; home++ {
+		if n := len(encodeSetup(cfg, bigDims, home, bigPx)); n < 2048 {
+			t.Fatalf("machine %d's set-up blob is %d B, below the pool's floor", home, n)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { slab.PutBytes(encodeSetup(cfg, bigDims, home, bigPx)) }); allocs != 0 {
+			t.Errorf("machine %d's pooled set-up blob takes %v objects warm, want 0", home, allocs)
+		}
+	}
+	rng := rand.New(rand.NewSource(46))
+	a, b, c := boolmat.RandomFactor(rng, 200, 8, 0.3), boolmat.RandomFactor(rng, 150, 8, 0.3), boolmat.RandomFactor(rng, 100, 8, 0.3)
+	if n, want := len(encodeFactors(a, b, c)), a.BinarySize()+b.BinarySize()+c.BinarySize(); n != want {
+		t.Fatalf("the install blob is %d B, want %d", n, want)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { slab.PutBytes(encodeFactors(a, b, c)) }); allocs != 0 {
+		t.Errorf("a pooled install blob takes %v objects warm, want 0", allocs)
 	}
 }
 

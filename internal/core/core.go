@@ -533,7 +533,8 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 		// initialSet draws from the RNG, and checkpoints exist only at
 		// iteration boundaries, after the last draw: a resumed run never
 		// needs the stream, so none is saved.
-		rng := rand.New(rand.NewSource(cfg.Seed))
+		rng := seededRand(cfg.Seed)
+		defer putRand(rng)
 		d.beginIteration(1)
 		best := int64(math.MaxInt64)
 		var bestFlips int64
@@ -597,6 +598,36 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 	res.SimTime = cl.SimElapsed()
 	res.WallTime = time.Since(start)
 	return res, nil
+}
+
+// spareRands keeps the generators runs drew their initial sets from, for
+// the next runs: a generator's source is a 4.9 KB table, and reseeding one
+// resets its whole stream, so a run given a spare draws exactly what a fresh
+// rand.New(rand.NewSource(seed)) would. A buffered channel, not a
+// sync.Pool, for the slab package's reason: whether a run finds one must
+// not depend on when the collector last ran. Eight cover the runs a
+// process holds at once (a job server's running slots); a generator past
+// them is left to the collector.
+var spareRands = make(chan *rand.Rand, 8)
+
+// seededRand returns a generator seeded with seed, a spare if there is one;
+// putRand takes it back once its draws are done.
+func seededRand(seed int64) *rand.Rand {
+	select {
+	case rng := <-spareRands:
+		rng.Seed(seed)
+		return rng
+	default:
+		return rand.New(rand.NewSource(seed))
+	}
+}
+
+// putRand keeps rng as a spare, unless enough are kept already.
+func putRand(rng *rand.Rand) {
+	select {
+	case spareRands <- rng:
+	default:
+	}
 }
 
 // initialSet draws one set of initial factor matrices according to the

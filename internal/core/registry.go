@@ -90,7 +90,7 @@ func (r *machineRegistry) clearRelease() {
 	for _, mc := range r.entries {
 		mc.release()
 	}
-	r.entries = map[registryKey]*machineCache{}
+	clear(r.entries)
 	r.mu.Unlock()
 }
 

@@ -12,6 +12,7 @@ import (
 	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
 	"dbtf/internal/partition"
+	"dbtf/internal/slab"
 	"dbtf/internal/sumcache"
 	"dbtf/internal/tensor"
 )
@@ -36,8 +37,9 @@ var setupHeaderLen = 8*reflect.TypeOf(runConfig{}).NumField() + 4*4
 // whose mode-1 partition is homed on the same machine: a blob holds its
 // machine's mode-1 partitions whether it is the machine's own set-up or a
 // re-ship of a lost one. That is all a worker holds of the tensor. The
-// blob is made once, at its exact size, from the body sizes the
-// partitioning counted.
+// blob is taken once from the slab pool, at its exact size, from the body
+// sizes the partitioning counted; the transport it is handed to owns it
+// from then on (transport.Transport).
 func encodeSetup(cfg runConfig, dims [3]int, home int, px [3]*partition.Partitioned) []byte {
 	size := setupHeaderLen
 	for _, p := range px {
@@ -45,7 +47,7 @@ func encodeSetup(cfg runConfig, dims [3]int, home int, px [3]*partition.Partitio
 			size += int(p.ReshipBytes(pi))
 		}
 	}
-	blob := make([]byte, 0, size)
+	blob := slab.Bytes(size)[:0]
 	var words [16]uint64 // more than runConfig has fields: the header costs no object
 	for _, w := range cfg.appendWords(words[:0]) {
 		blob = binary.LittleEndian.AppendUint64(blob, w)
@@ -135,9 +137,12 @@ func decodeSetup(payload []byte) (setup, error) {
 }
 
 // encodeFactors snapshots A, B, C back to back in the boolmat binary
-// layout (StateFactors).
+// layout (StateFactors), into a blob taken from the slab pool at the
+// layout's size — per matrix an 8-byte header (rows, rank) and one 8-byte
+// row mask per row — which the transport it is handed to owns from then on.
 func encodeFactors(a, b, c *boolmat.FactorMatrix) []byte {
-	out := a.AppendBinary(nil)
+	out := slab.Bytes(8 * (3 + a.Rows() + b.Rows() + c.Rows()))[:0]
+	out = a.AppendBinary(out)
 	out = b.AppendBinary(out)
 	return c.AppendBinary(out)
 }

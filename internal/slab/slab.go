@@ -3,11 +3,13 @@
 // block table, CSR and packed-row arenas and cursor tables, a machine's
 // decoded set-up bodies and transposed source columns, the sum-cache entry
 // tables, a column task's hit accumulators and split arenas, the flip logs,
-// and the unfoldings' column arrays. Each has a clear owner with a
+// the unfoldings' column arrays, the set-up and install blobs a TCP run
+// ships, and its connections' frame buffers. Each has a clear owner with a
 // well-defined release point (a partitioning dies with its decomposition or
-// its worker's set-up; a sum cache dies when its factor version goes stale),
-// so it can go back to a free list instead of churning the garbage
-// collector.
+// its worker's set-up; a sum cache dies when its factor version goes stale;
+// a wire blob when its coordinator closes, a frame buffer when its
+// connection ends), so it can go back to a free list instead of churning
+// the garbage collector.
 //
 // Slices are kept per power-of-two capacity class on free lists (List)
 // under one mutex, so Get/Put are safe for concurrent use from cluster task
@@ -23,8 +25,8 @@
 // Contract: a Put hands ownership of the slice's full capacity back to the
 // pool. The caller must not retain any alias (including subslices) past
 // the Put — the memory will be handed to an unrelated Get. Arenas of
-// int32 and uint64 come back with unspecified contents, which callers must
-// fully overwrite; every other arena comes back zero.
+// bytes, int32 and uint64 come back with unspecified contents, which
+// callers must fully overwrite; every other arena comes back zero.
 package slab
 
 import (
@@ -47,6 +49,7 @@ const maxRetained = 256 << 20
 var (
 	mu       sync.Mutex
 	retained int // bytes on every List, together
+	bytes    List[byte]
 	int32s   List[int32]
 	uint64s  List[uint64]
 )
@@ -70,9 +73,9 @@ func (l *List[T]) size() int {
 
 // Get returns a slice of n Ts. One of fewer than minBytes is a plain make
 // of n, which Put drops; a larger one has its class's capacity: the last one
-// Put in the class, or else a new one. A recycled arena of int32 or uint64
-// keeps what its last user wrote, and the caller must overwrite it; any
-// other T comes back zero over its whole capacity (Put).
+// Put in the class, or else a new one. A recycled arena of bytes, int32 or
+// uint64 keeps what its last user wrote, and the caller must overwrite it;
+// any other T comes back zero over its whole capacity (Put).
 func (l *List[T]) Get(n int) []T {
 	if n == 0 {
 		return nil
@@ -104,17 +107,17 @@ func (l *List[T]) pop(k int) []T {
 
 // Put hands s's whole capacity back to the list, if it is a class-sized
 // slice worth keeping and the budget has room for it; the slice and every
-// alias of it must not be used afterwards. A T other than int32 and uint64
-// may hold pointers, and is zeroed first, so a listed arena keeps nothing
-// its elements pointed at reachable — a Block's slices into arenas Put
-// before it.
+// alias of it must not be used afterwards. A T other than byte, int32 and
+// uint64 may hold pointers, and is zeroed first, so a listed arena keeps
+// nothing its elements pointed at reachable — a Block's slices into arenas
+// Put before it.
 func (l *List[T]) Put(s []T) {
 	c := cap(s)
 	if c*l.size() < minBytes || c != 1<<class(c) {
 		return
 	}
 	switch any((*T)(nil)).(type) {
-	case *int32, *uint64:
+	case *byte, *int32, *uint64:
 	default:
 		clear(s[:c])
 	}
@@ -126,6 +129,13 @@ func (l *List[T]) Put(s []T) {
 	retained += c * l.size()
 	l.free[class(c)] = append(l.free[class(c)], s[:c])
 }
+
+// Bytes returns a slice of n bytes with unspecified contents.
+func Bytes(n int) []byte { return bytes.Get(n) }
+
+// PutBytes returns a slice obtained from Bytes to the pool. The slice and
+// every alias of it must not be used afterwards.
+func PutBytes(s []byte) { bytes.Put(s) }
 
 // Int32s returns a slice of n int32s with unspecified contents.
 func Int32s(n int) []int32 { return int32s.Get(n) }

@@ -89,18 +89,20 @@ func TestPutRejectsForeignSlices(t *testing.T) {
 // collections empty it — and the benchmark's alloc_mb_per_op read
 // bimodally for that reason.
 func TestPutSurvivesCollections(t *testing.T) {
-	a, u := Int32s(1<<12), Uint64s(1<<12)
-	pa, pu := &a[0], &u[0]
+	a, u, b := Int32s(1<<12), Uint64s(1<<12), Bytes(1<<12)
+	pa, pu, pb := &a[0], &u[0], &b[0]
 	PutInt32s(a)
 	PutUint64s(u)
+	PutBytes(b)
 	runtime.GC()
 	runtime.GC()
 	done := make(chan bool)
 	go func() {
-		a, u := Int32s(1<<12-5), Uint64s(1<<12-5)
-		same := &a[0] == pa && &u[0] == pu
+		a, u, b := Int32s(1<<12-5), Uint64s(1<<12-5), Bytes(1<<12-5)
+		same := &a[0] == pa && &u[0] == pu && &b[0] == pb
 		PutInt32s(a)
 		PutUint64s(u)
+		PutBytes(b)
 		done <- same
 	}()
 	if !<-done {

@@ -7,8 +7,12 @@ package tcp
 
 import (
 	"context"
+	"net"
+	"runtime"
 	"testing"
+	"time"
 
+	"dbtf/internal/slab"
 	"dbtf/internal/transport"
 )
 
@@ -83,4 +87,81 @@ func TestRoundTripAllocs(t *testing.T) {
 	if delivered == 0 {
 		t.Fatal("no payload was delivered")
 	}
+}
+
+// TestWarmSetupCycleAllocs pins what the slab pool saves a TCP run: once it
+// is warm, a whole run's worth of transport — dial two loopback workers,
+// ship each its set-up blob, install the factors, run a stage, close —
+// allocates none of the set-up's bytes anywhere in the process. The blobs
+// are taken from the pool as core takes them; the coordinator returns them
+// and its frame buffers at Close, and each worker its frame buffers when
+// its connection ends.
+func TestWarmSetupCycleAllocs(t *testing.T) {
+	const blobBytes = 50_000
+	cfg := testConfig()
+	var servers []*Server
+	for i := 0; i < 2; i++ {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewServer(&laneHost{payload: make([]byte, 3000)}, nil)
+		done := make(chan error, 1)
+		go func() { done <- s.Serve(lis) }()
+		t.Cleanup(func() {
+			_ = lis.Close()
+			if err := <-done; err != nil {
+				t.Errorf("Serve: %v", err)
+			}
+		})
+		servers = append(servers, s)
+		cfg.Addrs = append(cfg.Addrs, lis.Addr().String())
+	}
+	ctx := context.Background()
+	spec := transport.Spec{Kind: transport.KindEval, Tasks: 4}
+	cycle := func() {
+		c, err := DialContext(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.PushSetup(ctx, [][]byte{slab.Bytes(blobBytes), slab.Bytes(blobBytes)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.PushState(ctx, transport.StateFactors, slab.Bytes(5_000)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Run(ctx, spec, func(transport.TaskResult) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range servers {
+			for openConns(s) > 0 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	const cycles = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles
+	if perCycle >= blobBytes {
+		t.Errorf("a warm set-up cycle allocates %d B process-wide, want fewer than one %d-byte blob", perCycle, blobBytes)
+	}
+	t.Logf("%d B and %d objects a cycle", perCycle, (after.Mallocs-before.Mallocs)/cycles)
+}
+
+// openConns is the number of coordinator connections s is serving.
+func openConns(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dbtf/internal/slab"
 	"dbtf/internal/transport"
 )
 
@@ -124,5 +125,52 @@ func TestSetupFlushObservesCancel(t *testing.T) {
 	}
 	if err := within(t, time.Second, "Close after a cancelled flush", c.Close); err != nil {
 		t.Errorf("Close: %v", err)
+	}
+}
+
+// TestAbandonedSetupFlushReturnsNoBlob: a cancelled set-up flush lets go of
+// a request that may still be encoding its blob, so the Close after it
+// returns the blob to the slab pool no more, and the pool never hands it to
+// another Get while that request could read it. A flush that was answered
+// has Close return its blob, and the next Get of its size finds it. Run it
+// under -race: a blob returned too early is memory two users write.
+func TestAbandonedSetupFlushReturnsNoBlob(t *testing.T) {
+	const blobBytes = 100_000
+	abandoned := slab.Bytes(blobBytes)
+	c := dialStalled(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(100*time.Millisecond, cancel)
+	err := within(t, 2*time.Second, "cancelled PushSetup", func() error {
+		return c.PushSetup(ctx, [][]byte{abandoned})
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("PushSetup returned %v, want context.Canceled", err)
+	}
+	if err := within(t, time.Second, "Close after a cancelled flush", c.Close); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	next := slab.Bytes(blobBytes)
+	defer slab.PutBytes(next)
+	if &next[0] == &abandoned[0] {
+		t.Fatal("Close returned the blob of an abandoned set-up flush to the slab pool")
+	}
+	clear(next) // what a new owner does with it
+
+	answered := slab.Bytes(blobBytes)
+	addr, _ := startWorker(t, newEchoHost())
+	c, err = DialContext(context.Background(), testConfig(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PushSetup(context.Background(), [][]byte{answered}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	again := slab.Bytes(blobBytes)
+	defer slab.PutBytes(again)
+	if &again[0] != &answered[0] {
+		t.Fatal("Close did not return the blob of an answered set-up flush to the slab pool")
 	}
 }

@@ -213,14 +213,17 @@ func (s *Server) handle(req *transport.Msg) transport.Msg {
 // for the length of its calls, and are overwritten by the next read. While
 // a request is being processed the connection is marked busy so Shutdown
 // will not close it under the handler; after the reply, a draining server
-// closes the connection instead of reading the next request.
+// closes the connection instead of reading the next request. The codec's
+// buffers go back to the slab pool when the connection ends.
 func (s *Server) serveConn(conn net.Conn, st *connState) error {
+	var fw transport.FrameWriter
+	var fr transport.FrameReader
 	defer func() {
 		// Either the peer is gone or we already have a more precise error.
 		_ = conn.Close()
+		fw.Release()
+		fr.Release()
 	}()
-	var fw transport.FrameWriter
-	var fr transport.FrameReader
 	reply := func(m *transport.Msg) error {
 		if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 			return err

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dbtf/internal/slab"
 	"dbtf/internal/transport"
 )
 
@@ -122,6 +123,11 @@ type stateLog struct {
 	seqs []uint64 //dbtf:guardedby mu
 	// head is the newest entry's stamp; 0 before the first push.
 	head uint64 //dbtf:guardedby mu
+	// owned holds every set-up and install blob pushed, superseded or not:
+	// a request in flight may still be encoding one the log dropped, so they
+	// all go back to the slab pool together, at release. Flip pushes are
+	// left to the collector.
+	owned [][]byte //dbtf:guardedby mu
 }
 
 // pushSetup starts the log over with a set-up.
@@ -129,6 +135,7 @@ func (l *stateLog) pushSetup(setup [][]byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.head++
+	l.owned = append(l.owned, setup...)
 	l.setup, l.setupSeq = setup, l.head
 	l.blobs, l.seqs = nil, nil
 }
@@ -140,12 +147,26 @@ func (l *stateLog) pushSetup(setup [][]byte) {
 func (l *stateLog) push(kind transport.StateKind, payload []byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if kind == transport.StateFactors && len(l.blobs) > 0 {
+	if kind == transport.StateFactors {
+		l.owned = append(l.owned, payload)
 		l.blobs, l.seqs = nil, nil
 	}
 	l.head++
 	l.blobs = append(l.blobs, transport.StateBlob{Kind: kind, Payload: payload})
 	l.seqs = append(l.seqs, l.head)
+}
+
+// release empties the log and returns every set-up and install blob it
+// was given to the slab pool. Nothing may read them any more: the caller
+// holds every worker's mutex, under which alone a request takes entries
+// from the log.
+func (l *stateLog) release() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, b := range l.owned {
+		slab.PutBytes(b)
+	}
+	l.setup, l.setupSeq, l.blobs, l.seqs, l.owned = nil, 0, nil, nil, nil
 }
 
 // after returns what a worker that has applied the entries up to acked
@@ -193,6 +214,10 @@ type Coordinator struct {
 	byHome    [][]int
 	route     []int
 	calls     []*call
+	// abandoned is set once a cancelled Run or set-up flush let go of its
+	// requests: one may still be encoding a blob or using its connection's
+	// buffers, so Close returns none of them to the slab pool.
+	abandoned atomic.Bool
 
 	sent  atomic.Int64
 	recvd atomic.Int64
@@ -394,8 +419,38 @@ func (c *Coordinator) WireBytes() (int64, int64) { return c.sent.Load(), c.recvd
 // Close tears down every worker connection. It does not wait for an
 // exchange in flight: closing the connection under it is what ends one, and
 // the interrupted request then marks its machine down like any other
-// connection failure.
-func (c *Coordinator) Close() error { return c.closeConns() }
+// connection failure. Then it returns the run's wire buffers to the slab
+// pool (release).
+func (c *Coordinator) Close() error {
+	err := c.closeConns()
+	c.release()
+	return err
+}
+
+// release returns to the slab pool the blobs handed to PushSetup and
+// PushState that the log holds or retired, and each connection's frame
+// buffers, when nothing can read them any more: no request was abandoned,
+// and no exchange is in flight, which would hold its worker's mutex.
+// Otherwise it returns nothing and leaves them all to the collector.
+func (c *Coordinator) release() {
+	if c.abandoned.Load() {
+		return
+	}
+	for i, w := range c.workers {
+		if !w.mu.TryLock() {
+			for _, held := range c.workers[:i] {
+				held.mu.Unlock()
+			}
+			return
+		}
+	}
+	c.log.release()
+	for _, w := range c.workers {
+		w.fw.Release()
+		w.fr.Release()
+		w.mu.Unlock()
+	}
+}
 
 // closeConns closes every live connection without taking a worker.mu, so
 // it returns at once even while a stalled exchange holds one. It is how a
@@ -566,6 +621,7 @@ func (c *Coordinator) requests() []*call {
 // nothing to ctx's), so they fail at once instead of holding their
 // worker.mu until callTimeout.
 func (c *Coordinator) abandon() {
+	c.abandoned.Store(true)
 	c.calls = nil
 	_ = c.closeConns()
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -178,11 +179,13 @@ func runStage(t *testing.T, c *Coordinator, tasks int) {
 	}
 }
 
-// setupAll is a set-up whose blob is payload for every machine of c.
+// setupAll is a set-up whose blob is a copy of payload for every machine of
+// c: each its own array, as a blob handed to the coordinator is its to
+// return to the slab pool, once.
 func setupAll(c *Coordinator, payload []byte) [][]byte {
 	setup := make([][]byte, c.Machines())
 	for m := range setup {
-		setup[m] = payload
+		setup[m] = slices.Clone(payload)
 	}
 	return setup
 }

@@ -132,6 +132,11 @@ type LivenessEvent struct {
 // events, loss handlers, recovery charges) before opening the stage —
 // matching the simulated engine's rule that machines are lost and rejoin
 // only at stage boundaries.
+//
+// A blob handed to PushSetup or PushState is the transport's from then on:
+// the caller must not read, write or hand it on again, so that the
+// transport may return it to the slab pool (slab.PutBytes) once nothing
+// reads it — the TCP coordinator does at Close.
 type Transport interface {
 	// Machines returns the executor count M; must equal the cluster's.
 	Machines() int

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+
+	"dbtf/internal/slab"
 )
 
 // ProtoVersion is the wire protocol version carried in the handshake;
@@ -134,7 +136,9 @@ func WriteFrame(w io.Writer, m *Msg) (int, error) {
 
 // FrameWriter encodes frames (see WriteFrame for the layout) into a buffer
 // it keeps, so a connection that owns one writes frame after frame without
-// allocating. The zero value is ready; it is not safe for concurrent use.
+// allocating. The buffer comes from the slab pool, and one it outgrows goes
+// back there; Release returns the last. The zero value is ready; it is not
+// safe for concurrent use.
 type FrameWriter struct {
 	// buf holds the frame's bytes other than the spliced payloads.
 	buf []byte
@@ -176,7 +180,8 @@ func (fw *FrameWriter) Write(w io.Writer, m *Msg, maxFrame int64) (int, error) {
 	// Sized before the first append, so b never moves and the runs of it
 	// that vecs collects along the way stay the frame's.
 	if inline := 4 + size - spliced; int64(cap(fw.buf)) < inline {
-		fw.buf = make([]byte, 0, inline)
+		fw.Release()
+		fw.buf = slab.Bytes(int(inline))[:0]
 	}
 	fw.vecs, fw.from = fw.vecs[:0], 0
 	b := binary.BigEndian.AppendUint32(fw.buf[:0], uint32(size))
@@ -227,6 +232,13 @@ func (fw *FrameWriter) Write(w io.Writer, m *Msg, maxFrame int64) (int, error) {
 	return int(n), nil
 }
 
+// Release returns the writer's buffer to the slab pool. The writer stays
+// ready: its next Write takes a buffer anew.
+func (fw *FrameWriter) Release() {
+	slab.PutBytes(fw.buf)
+	fw.buf = nil
+}
+
 // splicedLen is how many of a payload's bytes stay out of the writer's own
 // buffer.
 func splicedLen(p []byte) int64 {
@@ -265,8 +277,10 @@ func ReadFrame(r io.Reader, maxFrame int64) (*Msg, int, error) {
 // The message Read returns — its States, Tasks and Outputs, and every
 // payload in them, which are slices of the body — is valid until the next
 // Read on the same FrameReader and not after: a receiver that needs any of
-// it longer copies it out first. The zero value is ready; it is not safe
-// for concurrent use.
+// it longer copies it out first. A body of up to readChunk bytes comes from
+// the slab pool, and one a larger frame replaces goes back there; Release
+// returns the last. The zero value is ready; it is not safe for concurrent
+// use.
 type FrameReader struct {
 	hdr  [4]byte
 	body []byte
@@ -292,10 +306,8 @@ func (fr *FrameReader) Read(r io.Reader, maxFrame int64) (*Msg, int, error) {
 		maxFrame = DefaultMaxFrame
 	}
 	if cap(fr.body) > keepBodyMax {
-		// The kept elements still point into the body: let go of both.
-		fr.body = nil
-		clear(fr.states[:cap(fr.states)])
-		clear(fr.outputs[:cap(fr.outputs)])
+		// Left to the collector, not kept in the pool either.
+		fr.dropBody()
 	}
 	if _, err := io.ReadFull(r, fr.hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
@@ -314,7 +326,8 @@ func (fr *FrameReader) Read(r io.Reader, maxFrame int64) (*Msg, int, error) {
 	if int64(cap(body)) >= n {
 		body = body[:n]
 	} else {
-		body = make([]byte, min(n, readChunk))
+		fr.Release()
+		body = slab.Bytes(int(min(n, readChunk)))
 	}
 	for got := 0; ; {
 		k, err := io.ReadFull(r, body[got:])
@@ -334,6 +347,21 @@ func (fr *FrameReader) Read(r io.Reader, maxFrame int64) (*Msg, int, error) {
 		return nil, 4 + len(body), err
 	}
 	return &fr.msg, 4 + len(body), nil
+}
+
+// Release returns the reader's body to the slab pool, which ends the
+// message the last Read returned. The reader stays ready: its next Read
+// takes a body anew.
+func (fr *FrameReader) Release() {
+	slab.PutBytes(fr.body)
+	fr.dropBody()
+}
+
+// dropBody lets go of the body and of the kept elements that point into it.
+func (fr *FrameReader) dropBody() {
+	fr.body = nil
+	clear(fr.states[:cap(fr.states)])
+	clear(fr.outputs[:cap(fr.outputs)])
 }
 
 // errShort is the decoder's one truncation error: a field ran past the
