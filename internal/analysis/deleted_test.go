@@ -136,6 +136,8 @@ var deletedNames = []deletedName{
 		pr: "name a stage once: every caller of the stage seam passes a context; a nil one is a bug to fail on, not a default to fill in"},
 	{pattern: `AdmissionConfig\{[^}]*RetryAfter|\b(cfg|c)\.RetryAfter\b`, scope: []string{"cmd", "internal/serve"},
 		pr: "name a stage once: no flag or caller set AdmissionConfig.RetryAfter, so a budget rejection's hint is the constant budgetRetryAfter; AdmissionError.RetryAfter is the header's"},
+	{pattern: `\bDensity\(|\bpack\(|RowBits`, scope: []string{"internal/partition"},
+		pr: "store each nonzero once: a dense block keeps its packed rows and a nonzero count, no CSR, so there is no pass packing rows from offsets, no Block.Density over the offsets and no shared CSR row; a row is read through Block.AppendRow in either form"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

@@ -294,7 +294,7 @@ func samePartition(a, b *partition.Partition, rows int) bool {
 			return false
 		}
 		for r := 0; r < rows; r++ {
-			if !slices.Equal(x.RowBits(r), y.RowBits(r)) || !slices.Equal(x.RowWords(r), y.RowWords(r)) {
+			if !slices.Equal(x.AppendRow(nil, r), y.AppendRow(nil, r)) || !slices.Equal(x.RowWords(r), y.RowWords(r)) {
 				return false
 			}
 		}

@@ -8,6 +8,7 @@ import (
 
 	"dbtf/internal/bitvec"
 	"dbtf/internal/boolmat"
+	"dbtf/internal/gen"
 	"dbtf/internal/sumcache"
 	"dbtf/internal/tensor"
 )
@@ -210,5 +211,37 @@ func TestRowKernelsAllocNothing(t *testing.T) {
 	}
 	if !dense[true] || !dense[false] {
 		t.Errorf("the blocks are dense %v and sparse %v, want both", dense[true], dense[false])
+	}
+}
+
+// TestHeldSetBytes pins the bytes a built set holds — its three modes'
+// arenas, N = 4, summed by length — on two fixed inputs. A dense block keeps
+// its nonzeros only as packed rows, so the planted tensor, whose blocks are
+// dense, holds 52,476 B, a sixth of the 326,640 B it held when each of its
+// nonzeros had a CSR offset beside its bit; the all-sparse tensor holds its
+// CSR, the 30,876 B it always did.
+func TestHeldSetBytes(t *testing.T) {
+	planted, _, _, _ := gen.FromFactors(rand.New(rand.NewSource(1)), 48, 48, 48, 6, 0.3)
+	for _, tc := range []struct {
+		name  string
+		x     *tensor.Tensor
+		dense bool
+		want  int
+	}{
+		{"planted", planted, true, 52_476},
+		{"sparse", gen.Random(rand.New(rand.NewSource(2)), 48, 48, 48, 0.002), false, 30_876},
+	} {
+		held, dense := 0, false
+		for mode := tensor.Mode1; mode <= tensor.Mode3; mode++ {
+			px := FromTensor(tc.x, mode, 4, Carry{})
+			held += 4*len(px.csrArena) + 8*len(px.denseArena)
+			for bi := range px.blocks {
+				dense = dense || px.blocks[bi].Dense()
+			}
+			px.Release()
+		}
+		if held != tc.want || dense != tc.dense {
+			t.Errorf("%s: the set holds %d B with dense blocks %v, want %d B and %v", tc.name, held, dense, tc.want, tc.dense)
+		}
 	}
 }

@@ -10,9 +10,9 @@
 // table. Blocks are classified into the four types of Figure 5; Lemma 3
 // (at most three types per partition) is asserted by tests.
 //
-// Each block stores its nonzeros in compressed sparse row form with column
-// indices relative to the block start, the exact layout the error
-// evaluation of Algorithm 4 consumes.
+// Each block stores each nonzero once, in one of the two layouts Algorithm
+// 4's error evaluation consumes: CSR with column indices relative to the
+// block start, or, at or above DenseRowThreshold, packed row bit vectors.
 package partition
 
 import (
@@ -26,12 +26,12 @@ import (
 	"dbtf/internal/tensor"
 )
 
-// DenseRowThreshold is the block density at or above which packed row bit
-// vectors are built alongside the CSR form. The word-parallel dense
+// DenseRowThreshold is the block density at or above which a block keeps
+// packed row bit vectors instead of the CSR form. The word-parallel dense
 // kernels cost ⌈width/64⌉ word operations per row while the sparse offset
 // walk costs one (gathered) operation per nonzero, so the break-even
 // density is 1/64; storage stays within 64 bits per nonzero, the same
-// order as the CSR offsets.
+// order as the CSR offsets and row pointers it replaces.
 const DenseRowThreshold = 1.0 / 64
 
 // BlockType classifies a block by how it meets the boundaries of its PVM
@@ -84,8 +84,9 @@ type Block struct {
 	// Type is the Figure 5 classification.
 	Type BlockType
 
-	// CSR of the block's nonzeros: for row r, bits[rowPtr[r]:rowPtr[r+1]]
-	// are column indices relative to Lo, sorted ascending.
+	nnz int // the block's nonzero count
+	// A sparse block's CSR (nil for a dense one): for row r,
+	// bits[rowPtr[r]:rowPtr[r+1]] are column indices relative to Lo, ascending.
 	rowPtr []int32
 	bits   []int32
 
@@ -99,14 +100,36 @@ type Block struct {
 // Width returns the number of columns the block covers.
 func (b *Block) Width() int { return b.Hi - b.Lo }
 
-// RowBits returns row r's nonzero column offsets relative to the block
-// start. The slice is shared; callers must not modify it.
-func (b *Block) RowBits(r int) []int32 {
-	return b.bits[b.rowPtr[r]:b.rowPtr[r+1]]
+// AppendRow appends row r's nonzero column offsets relative to the block
+// start to dst, ascending, whichever form the block holds.
+func (b *Block) AppendRow(dst []int32, r int) []int32 {
+	if b.denseWords == nil {
+		return append(dst, b.offsets(r)...)
+	}
+	for wi, w := range b.RowWords(r) {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, int32(wi*bitvec.WordBits+bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
 }
 
+// rowLen returns the number of nonzeros in row r.
+func (b *Block) rowLen(r int) (n int) {
+	if b.denseWords == nil {
+		return int(b.rowPtr[r+1] - b.rowPtr[r])
+	}
+	for _, w := range b.RowWords(r) {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// offsets returns a sparse block's row r offsets, shared with its CSR.
+func (b *Block) offsets(r int) []int32 { return b.bits[b.rowPtr[r]:b.rowPtr[r+1]] }
+
 // NNZ returns the number of nonzeros in the block.
-func (b *Block) NNZ() int { return len(b.bits) }
+func (b *Block) NNZ() int { return b.nnz }
 
 // Dense reports whether the block carries packed row bit vectors and the
 // word-parallel kernels apply to it.
@@ -119,15 +142,6 @@ func (b *Block) RowWords(r int) []uint64 {
 		return nil
 	}
 	return b.denseWords[r*b.stride : (r+1)*b.stride]
-}
-
-// Density returns the fraction of set cells in the block.
-func (b *Block) Density(rows int) float64 {
-	cells := rows * b.Width()
-	if cells == 0 {
-		return 0
-	}
-	return float64(len(b.bits)) / float64(cells)
 }
 
 // DeltaError returns e1 − e0 for row r: the difference between the row's
@@ -154,7 +168,7 @@ func (b *Block) DeltaError(r int, d *sumcache.Delta) int64 {
 		if b.denseWords != nil {
 			overlap = bitvec.AndAndNotCountWords(b.RowWords(r), d.W1, d.W0)
 		} else {
-			overlap = sparseGainOverlap(b.RowBits(r), d.W1, d.W0, nil)
+			overlap = sparseGainOverlap(b.offsets(r), d.W1, d.W0, nil)
 		}
 		return int64(d.Pop - 2*overlap)
 	}
@@ -163,7 +177,7 @@ func (b *Block) DeltaError(r int, d *sumcache.Delta) int64 {
 		return int64(gain - 2*overlap)
 	}
 	gain, _ := bitvec.GainCountsWords(nil, d.W1, d.W0, d.Occ)
-	return int64(gain - 2*sparseGainOverlap(b.RowBits(r), d.W1, d.W0, d.Occ))
+	return int64(gain - 2*sparseGainOverlap(b.offsets(r), d.W1, d.W0, d.Occ))
 }
 
 // Hits returns |x_row ∧ D| for row r against a delta region D materialized
@@ -176,7 +190,7 @@ func (b *Block) Hits(r int, region []uint64) int {
 		return bitvec.AndCountWords(b.RowWords(r), region)
 	}
 	n := 0
-	for _, o := range b.RowBits(r) {
+	for _, o := range b.offsets(r) {
 		n += int(region[int(o)>>6] >> (uint32(o) & 63) & 1)
 	}
 	return n
@@ -210,7 +224,7 @@ func (b *Block) RowError(r int, sum []uint64, pop int) int64 {
 	if b.denseWords != nil {
 		return int64(bitvec.XorCountWords(b.RowWords(r), sum))
 	}
-	rowBits := b.RowBits(r)
+	rowBits := b.offsets(r)
 	overlap := 0
 	for _, off := range rowBits {
 		overlap += int(sum[int(off)>>6] >> (uint32(off) & 63) & 1)
@@ -266,12 +280,12 @@ type Partitioned struct {
 	carry Carry
 
 	// The block table every partition's Blocks is a window on, and the
-	// backing arenas shared by every block's CSR offsets, row pointers and
-	// packed rows; returned to the slab pool by Release.
-	blocks              []Block
-	ptrArena, bitsArena []int32
-	denseArena          []uint64
-	tables              []int32 // fill's cursor slab, held until FreeTables
+	// backing arenas: the sparse blocks' row pointers and then offsets, and
+	// the dense blocks' packed rows; returned to the slab pool by Release.
+	blocks     []Block
+	csrArena   []int32
+	denseArena []uint64
+	tables     []int32 // fill's cursor slab, held until FreeTables
 }
 
 // Release returns the partitioning's block table and backing arenas to the
@@ -283,10 +297,9 @@ type Partitioned struct {
 func (p *Partitioned) Release() {
 	p.FreeTables()
 	blockTables.Put(p.blocks)
-	slab.PutInt32s(p.ptrArena)
-	slab.PutInt32s(p.bitsArena)
+	slab.PutInt32s(p.csrArena)
 	slab.PutUint64s(p.denseArena)
-	p.blocks, p.ptrArena, p.bitsArena, p.denseArena = nil, nil, nil, nil
+	p.blocks, p.csrArena, p.denseArena = nil, nil, nil
 	p.Parts = nil
 }
 
@@ -317,13 +330,14 @@ func (p *Partitioned) AppendBody(dst []byte, pi int) []byte {
 	if len(part.Blocks) > 0 {
 		first = part.Blocks[0].PVM
 	}
+	row := make([]int32, 0, 512) // one block's row, on the stack; a longer one grows it
 	bw := bitvec.NewBitWriter(dst)
 	for r := 0; r < p.NumRows; r++ {
 		n := 0
 		w := p.carry.across(pi, r, first)
 		for bi := range part.Blocks {
 			if !w.next() {
-				n += len(part.Blocks[bi].RowBits(r))
+				n += part.Blocks[bi].rowLen(r)
 			}
 		}
 		bw.ExpGolomb(uint64(n), 0)
@@ -339,7 +353,8 @@ func (p *Partitioned) AppendBody(dst []byte, pi int) []byte {
 			}
 			b := &part.Blocks[bi]
 			lo := int32(b.Lo)
-			for _, o := range b.RowBits(r) {
+			row = b.AppendRow(row[:0], r)
+			for _, o := range row {
 				bw.ExpGolomb(uint64(lo+o-prev-1), k)
 				prev = lo + o
 			}
@@ -575,6 +590,7 @@ func (p *Partitioned) Transpose() *Columns {
 	}
 	t.ptr, t.rows = slab.Int32sZeroed(cols+1), slab.Int32s(nnz)
 	each := func(fn func(k, r int)) {
+		row := make([]int32, 0, 512) // one block's row, on the stack; a longer one grows it
 		for pi, part := range p.Parts {
 			if part == nil {
 				continue
@@ -583,7 +599,8 @@ func (p *Partitioned) Transpose() *Columns {
 				b := &part.Blocks[bi]
 				off := int(t.base[pi]) + b.Lo
 				for r := 0; r < p.NumRows; r++ {
-					for _, o := range b.RowBits(r) {
+					row = b.AppendRow(row[:0], r)
+					for _, o := range row {
 						fn(off+int(o), r)
 					}
 				}
@@ -699,14 +716,16 @@ func layout(dims [3]int, mode tensor.Mode, n, first, step int, carry Carry) (*Pa
 
 // filler is fill's count-and-fill over the (row, block) segments. cur,
 // indexed row·rowStride + block·blockStride, counts each segment's nonzeros
-// in the count pass, and then holds the position in bits where the
-// segment's next offset goes. bits is nil during the count pass.
+// in the count pass (bits nil), then holds a sparse segment's position in
+// bits where its next offset goes, or a dense one's ^(its row's first word
+// in words).
 type filler struct {
 	rowStride, blockStride int
 	// lo and hi are the laid-out blocks' global column bounds, first[pvm]
 	// the first block laid out in PVM product pvm (unset where none is).
 	lo, hi, first []int32
 	cur, bits     []int32
+	words         []uint64
 }
 
 // seek returns the block holding column col, walking on from block b: a
@@ -718,13 +737,19 @@ func (f *filler) seek(b int, col int32) int {
 	return b
 }
 
-// add counts or places the nonzero in column col of row r, inside block b.
+// add counts or places the nonzero in column col of row r, inside block b:
+// its offset at the segment's cursor, or its bit in a dense block's row.
 func (f *filler) add(r, b int, col int32) {
-	k := r*f.rowStride + b*f.blockStride
-	if f.bits != nil {
-		f.bits[f.cur[k]] = col - f.lo[b]
+	k, o := r*f.rowStride+b*f.blockStride, col-f.lo[b]
+	switch c := f.cur[k]; {
+	case f.bits == nil:
+		f.cur[k]++
+	case c < 0:
+		f.words[int(^c)+int(o>>6)] |= 1 << (o & 63)
+	default:
+		f.bits[c] = o
+		f.cur[k]++
 	}
-	f.cur[k]++
 }
 
 // coordPairs is the coordinator's source, a tensor's coordinate list: each
@@ -793,22 +818,22 @@ func (s *bodyRows) release() {
 	slab.PutInt32s(s.cols)
 }
 
-// fill writes the laid-out blocks' CSR forms (and packed rows, for blocks
-// at or above DenseRowThreshold) and counts every partition's set-up body.
-// pairs is one of its two sources, the coordinate list (coordPairs) or
-// Receive's decoded bodies (bodyRows): called once to count and once to
-// place, it hands the filler every nonzero it holds as its row, block and
-// column, in any order that keeps a row's columns inside a block
-// ascending. The count pass sizes every (row, block) segment; the segments
-// are laid out block by block, each block's rows in order, in one arena,
-// and the fill pass writes each offset at its segment's cursor. The
-// cursors run row by row, or block by block when byBlock is set, for a
+// fill writes every laid-out block in the one form its density gives it —
+// CSR, or packed rows at or above DenseRowThreshold — and counts every
+// partition's set-up body. pairs is one of its two sources, the coordinate
+// list (coordPairs) or Receive's decoded bodies (bodyRows): called once to
+// count and once to place, it hands the filler every nonzero it holds as its
+// row, block and column, in any order that keeps a row's columns inside a
+// block ascending. The count pass sizes every (row, block) segment and so
+// every block's form; the sparse blocks' segments are laid out block by
+// block, each block's rows in order, in one arena, and the fill pass writes
+// each offset at its segment's cursor, or a dense block's bit in its row.
+// The cursors run row by row, or block by block when byBlock is set, for a
 // source whose consecutive nonzeros step through rows more often than
-// through blocks. A short pass then packs the dense blocks' rows and adds
-// up each body's codes — each row's count, summed from the row pointers
-// over the segments the body ships, and its gaps, which run on across the
-// partition's blocks from one shipped nonzero to the next. A carried
-// segment is written and not tallied.
+// through blocks. A short pass then adds up each body's codes — each row's
+// count, summed over the segments the body ships, and its gaps, which run
+// on across the partition's blocks from one shipped nonzero to the next. A
+// carried segment is written and not tallied.
 func (px *Partitioned) fill(parts []Partition, byBlock bool, pairs func(filler)) {
 	all := px.blocks
 	rows, nb, products := px.NumRows, len(all), 0
@@ -831,45 +856,60 @@ func (px *Partitioned) fill(parts []Partition, byBlock bool, pairs func(filler))
 		f.lo[bi], f.hi[bi], f.first[all[bi].PVM] = int32(all[bi].Lo), int32(all[bi].Hi), int32(bi)
 	}
 	pairs(f)
-	ptrArena := slab.Int32s(nb * (rows + 1))
-	denseTotal := 0
-	pos := int32(0)
+	sparse, denseTotal, nnz := 0, 0, 0
 	for bi := range all {
 		b := &all[bi]
-		rp := ptrArena[bi*(rows+1) : (bi+1)*(rows+1)]
+		for r := 0; r < rows; r++ {
+			b.nnz += int(f.cur[r*f.rowStride+bi*f.blockStride])
+		}
+		if cells := rows * b.Width(); cells > 0 && float64(b.nnz)/float64(cells) >= DenseRowThreshold {
+			b.stride = (b.Width() + bitvec.WordBits - 1) / bitvec.WordBits
+			denseTotal += rows * b.stride
+		} else {
+			sparse, nnz = sparse+1, nnz+b.nnz
+		}
+	}
+	// Both arenas are taken at the pool's 2 KiB floor at least, so a set
+	// whose one form holds few nonzeros costs no extra object.
+	n := sparse*(rows+1) + nnz
+	px.csrArena, px.denseArena = slab.Int32s(max(n, 512))[:n], slab.Uint64sZeroed(max(denseTotal, 256))[:denseTotal]
+	ptrArena, words, pos := px.csrArena[:n-nnz], 0, int32(0)
+	f.bits, f.words = px.csrArena[n-nnz:], px.denseArena
+	for bi := range all {
+		b := &all[bi]
+		if b.stride > 0 {
+			b.denseWords = px.denseArena[words : words+rows*b.stride]
+			for r := 0; r < rows; r++ {
+				f.cur[r*f.rowStride+bi*f.blockStride] = ^int32(words + r*b.stride)
+			}
+			words += rows * b.stride
+			continue
+		}
+		b.rowPtr, ptrArena = ptrArena[:rows+1:rows+1], ptrArena[rows+1:]
 		start := pos
 		for r := 0; r < rows; r++ {
-			rp[r] = pos - start
+			b.rowPtr[r] = pos - start
 			k := r*f.rowStride + bi*f.blockStride
 			pos, f.cur[k] = pos+f.cur[k], pos
 		}
-		rp[rows] = pos - start
-		b.rowPtr = rp
-		if cells := rows * b.Width(); cells > 0 &&
-			float64(pos-start)/float64(cells) >= DenseRowThreshold {
-			b.stride = (b.Width() + bitvec.WordBits - 1) / bitvec.WordBits
-			denseTotal += rows * b.stride
-		}
+		b.rowPtr[rows] = pos - start
+		b.bits = f.bits[start:pos:pos]
 	}
-	f.bits = slab.Int32s(int(pos))
 	pairs(f)
-	denseArena := slab.Uint64sZeroed(denseTotal)
-	px.ptrArena, px.bitsArena, px.denseArena = ptrArena, f.bits, denseArena
-	pos, denseOff := int32(0), 0
+	row := make([]int32, 0, 512) // one block's row, on the stack; a longer one grows it
 	for k := range parts {
 		p := &parts[k]
-		// A row's gap codes need its shipped count: the row pointers summed
-		// over the segments the body ships. Its code is tallied here, then
-		// the slot holds the order.
+		// A row's gap codes need its shipped count, summed over the segments
+		// the body ships. Its code is tallied here, then the slot holds the
+		// order.
 		for r := range last {
 			last[r], order[r] = int32(p.Lo)-1, 0
 		}
 		for bi := range p.Blocks {
 			w := px.carry.down(p.Index, p.Blocks[bi].PVM)
-			rp := p.Blocks[bi].rowPtr
 			for r := range order {
 				if !w.next() {
-					order[r] += rp[r+1] - rp[r]
+					order[r] += int32(p.Blocks[bi].rowLen(r))
 				}
 			}
 		}
@@ -882,27 +922,19 @@ func (px *Partitioned) fill(parts []Partition, byBlock bool, pairs func(filler))
 		}
 		for bi := range p.Blocks {
 			b := &p.Blocks[bi]
-			n := b.rowPtr[rows]
-			b.bits = f.bits[pos : pos+n : pos+n]
-			pos += n
-			if b.stride > 0 {
-				b.denseWords = denseArena[denseOff : denseOff+rows*b.stride]
-				denseOff += rows * b.stride
-			}
 			lo := int32(b.Lo)
 			w := px.carry.down(p.Index, b.PVM)
 			for r := range last {
-				offs := b.RowBits(r)
-				if b.stride > 0 {
-					pack(b.RowWords(r), offs)
+				if w.next() {
+					continue
 				}
-				if w.next() || len(offs) == 0 {
+				if row = b.AppendRow(row[:0], r); len(row) == 0 {
 					continue
 				}
 				// A gap's code is 2·bitlen(q) − 1 + k bits.
 				ord := order[r]
-				body += 2*gapLens(offs, lo, last[r], uint32(ord)) + len(offs)*(int(ord)-1)
-				last[r] = lo + offs[len(offs)-1]
+				body += 2*gapLens(row, lo, last[r], uint32(ord)) + len(row)*(int(ord)-1)
+				last[r] = lo + row[len(row)-1]
 			}
 		}
 		p.bodyBytes = int64(body+7) / 8
@@ -922,13 +954,6 @@ func gapLens(offs []int32, lo, prev int32, k uint32) int {
 		prev = c
 	}
 	return lens
-}
-
-// pack sets each offset's bit in a row's packed words.
-func pack(words []uint64, offs []int32) {
-	for _, o := range offs {
-		words[int(o)>>6] |= uint64(1) << (uint32(o) & 63)
-	}
 }
 
 // trimSegment narrows a sorted bucket segment to columns [lo, hi). Partial

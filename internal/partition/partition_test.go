@@ -149,13 +149,15 @@ func TestLemma3AtMostThreeTypes(t *testing.T) {
 }
 
 func TestBlockCSRMatchesUnfolded(t *testing.T) {
-	// Row for row, the blocks' nonzeros read in column order are exactly the
-	// unfolding's row, and a dense block's packed words hold the same bits,
-	// whether the partitions were built through Build or by FromTensor — on a
+	// Row for row, the blocks' nonzeros read in column order (AppendRow, a
+	// dense block's from its packed words, a sparse one's from its CSR) are
+	// exactly the unfolding's row, and every block's rows add up to its
+	// NNZ, whether the partitions were built through Build or by FromTensor — on a
 	// small dense tensor, on the relationship-data shape (rows·blocks far
 	// beyond the nonzero count), with a 1-wide and a 0-wide mode, and with
 	// more partitions asked for than there are columns.
 	rng := rand.New(rand.NewSource(2))
+	forms := map[bool]bool{}
 	for _, x := range []*tensor.Tensor{
 		randomTensor(rng, 6, 9, 8, 0.15),
 		gen.Random(rng, 256, 256, 64, 3600.0/(256*256*64)),
@@ -175,39 +177,59 @@ func TestBlockCSRMatchesUnfolded(t *testing.T) {
 							t.Fatalf("%dx%dx%d mode %d n=%d: row %d blocks hold %v (%v), unfolded has %v", i, j, k, m+1, n, r, got, err, u.Row(r))
 						}
 					}
+					if err := blockNNZ(px, forms); err != nil {
+						t.Fatalf("%dx%dx%d mode %d n=%d: %v", i, j, k, m+1, n, err)
+					}
 				}
 			}
 		}
 	}
+	if !forms[true] || !forms[false] {
+		t.Errorf("the blocks are dense %v and sparse %v, want both", forms[true], forms[false])
+	}
 }
 
 // rowOf returns row r of px's blocks read in column order, and an error if
-// an offset lies outside its block or a dense block's packed words do not
-// hold the row's offsets.
+// an offset lies outside its block, a block's row length is not its
+// offsets' count, or a dense block holds CSR.
 func rowOf(px *Partitioned, r int) ([]int32, error) {
 	var got []int32
 	for _, p := range px.Parts {
 		for bi := range p.Blocks {
 			b := &p.Blocks[bi]
-			var words []uint64
-			if b.Dense() {
-				words = make([]uint64, len(b.RowWords(r)))
+			row := b.AppendRow(nil, r)
+			if len(row) != b.rowLen(r) || b.Dense() && (b.rowPtr != nil || b.bits != nil) {
+				return nil, fmt.Errorf("block [%d,%d): %d offsets, a row length of %d, dense %v with %d row pointers",
+					b.Lo, b.Hi, len(row), b.rowLen(r), b.Dense(), len(b.rowPtr))
 			}
-			for _, bit := range b.RowBits(r) {
+			for _, bit := range row {
 				if int(bit) >= b.Width() {
 					return nil, fmt.Errorf("bit %d outside block [%d,%d)", bit, b.Lo, b.Hi)
 				}
 				got = append(got, int32(b.Lo)+bit)
-				if b.Dense() {
-					words[bit>>6] |= 1 << (uint(bit) & 63)
-				}
-			}
-			if !slices.Equal(b.RowWords(r), words) {
-				return nil, fmt.Errorf("block [%d,%d) packed words differ from its offsets", b.Lo, b.Hi)
 			}
 		}
 	}
 	return got, nil
+}
+
+// blockNNZ checks that every block of px holds NNZ nonzeros over its rows,
+// and marks the forms it sees in forms.
+func blockNNZ(px *Partitioned, forms map[bool]bool) error {
+	for _, p := range px.Parts {
+		for bi := range p.Blocks {
+			b := &p.Blocks[bi]
+			forms[b.Dense()] = true
+			n := 0
+			for r := 0; r < px.NumRows; r++ {
+				n += len(b.AppendRow(nil, r))
+			}
+			if n != b.NNZ() {
+				return fmt.Errorf("block [%d,%d) holds %d nonzeros, NNZ %d", b.Lo, b.Hi, n, b.NNZ())
+			}
+		}
+	}
+	return nil
 }
 
 func TestInnerLoConsistent(t *testing.T) {
@@ -402,7 +424,7 @@ func sameBlocks(a, b *Partition, rows int) bool {
 			return false
 		}
 		for r := 0; r < rows; r++ {
-			if !slices.Equal(x.RowBits(r), y.RowBits(r)) || !slices.Equal(x.RowWords(r), y.RowWords(r)) {
+			if !slices.Equal(x.AppendRow(nil, r), y.AppendRow(nil, r)) || !slices.Equal(x.RowWords(r), y.RowWords(r)) {
 				return false
 			}
 		}

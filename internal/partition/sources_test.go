@@ -13,7 +13,8 @@ import (
 // the Carry a run's set-up gives it, is built from the coordinate list
 // (FromTensor) and, on every machine, from the bodies AppendBody writes
 // (Receive, the mode-1 partitions it received carrying what they carry).
-// Every block's row pointers, offsets and packed words, every partition's
+// Every block's nonzero count and form — its row pointers and offsets, or
+// its packed words — every partition's
 // ReshipBytes and its body must be the same both ways. The seeds hold
 // blocks cut by partition boundaries, N above the PVM product count, shapes
 // far sparser than their rows × blocks, and the empty tensor.
@@ -62,7 +63,8 @@ func FuzzPartitionSources(f *testing.F) {
 }
 
 // samePartitioned reports whether every partition a holds is b's too, with
-// the same bounds, blocks — row pointers, offsets, packed words — and body,
+// the same bounds, blocks — nonzero counts, row pointers, offsets, packed
+// words — and body,
 // byte for byte and as ReshipBytes counts it.
 func samePartitioned(a, b *Partitioned) bool {
 	if len(a.Parts) != len(b.Parts) {
@@ -81,6 +83,7 @@ func samePartitioned(a, b *Partitioned) bool {
 			x := &p.Blocks[bi]
 			y := &q.Blocks[bi]
 			if x.PVM != y.PVM || x.Lo != y.Lo || x.Hi != y.Hi || x.InnerLo != y.InnerLo || x.Type != y.Type ||
+				x.nnz != y.nnz || x.stride != y.stride ||
 				!slices.Equal(x.rowPtr, y.rowPtr) || !slices.Equal(x.bits, y.bits) || !slices.Equal(x.denseWords, y.denseWords) {
 				return false
 			}

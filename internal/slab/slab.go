@@ -1,15 +1,16 @@
 // Package slab recycles the large flat arenas the decomposition engine
 // otherwise allocates fresh on every call. Today it holds a partitioning's
-// block table, CSR and packed-row arenas and cursor tables, a machine's
+// block table, its sparse blocks' CSR arena and its dense blocks'
+// packed-row arena (a nonzero lives in one), its cursor tables, a machine's
 // decoded set-up bodies and transposed source columns, the sum-cache entry
 // tables, a column task's hit accumulators and split arenas, the flip logs,
 // the unfoldings' column arrays, the set-up and install blobs a TCP run
-// ships, and its connections' frame buffers. Each has a clear owner with a
-// well-defined release point (a partitioning dies with its decomposition or
-// its worker's set-up; a sum cache dies when its factor version goes stale;
-// a wire blob when its coordinator closes, a frame buffer when its
-// connection ends), so it can go back to a free list instead of churning
-// the garbage collector.
+// ships, and its connections' frame buffers as they grow. Each has a clear
+// owner with a well-defined release point (a partitioning dies with its
+// decomposition or its worker's set-up; a sum cache dies when its factor
+// version goes stale; a wire blob when its coordinator closes, a frame
+// buffer when its connection ends), so it can go back to a free list
+// instead of churning the garbage collector.
 //
 // Slices are kept per power-of-two capacity class on free lists (List)
 // under one mutex, so Get/Put are safe for concurrent use from cluster task

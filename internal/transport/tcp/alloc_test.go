@@ -95,9 +95,10 @@ func TestRoundTripAllocs(t *testing.T) {
 // allocates none of the set-up's bytes anywhere in the process. The blobs
 // are taken from the pool as core takes them; the coordinator returns them
 // and its frame buffers at Close, and each worker its frame buffers when
-// its connection ends.
+// its connection ends. A blob past the 64 KiB first read chunk grows its
+// worker's frame buffer in the pool as its bytes arrive, three times at
+// 400,000 B, and each buffer it outgrows goes back there.
 func TestWarmSetupCycleAllocs(t *testing.T) {
-	const blobBytes = 50_000
 	cfg := testConfig()
 	var servers []*Server
 	for i := 0; i < 2; i++ {
@@ -119,7 +120,7 @@ func TestWarmSetupCycleAllocs(t *testing.T) {
 	}
 	ctx := context.Background()
 	spec := transport.Spec{Kind: transport.KindEval, Tasks: 4}
-	cycle := func() {
+	cycle := func(blobBytes int) {
 		c, err := DialContext(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -142,21 +143,23 @@ func TestWarmSetupCycleAllocs(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < 3; i++ {
-		cycle()
+	for _, blobBytes := range []int{50_000, 70_000, 400_000} {
+		for i := 0; i < 3; i++ {
+			cycle(blobBytes)
+		}
+		const cycles = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < cycles; i++ {
+			cycle(blobBytes)
+		}
+		runtime.ReadMemStats(&after)
+		perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles
+		if perCycle >= uint64(blobBytes) {
+			t.Errorf("a warm set-up cycle of %d-byte blobs allocates %d B process-wide, want fewer than one blob", blobBytes, perCycle)
+		}
+		t.Logf("%d-byte blobs: %d B and %d objects a cycle", blobBytes, perCycle, (after.Mallocs-before.Mallocs)/cycles)
 	}
-	const cycles = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < cycles; i++ {
-		cycle()
-	}
-	runtime.ReadMemStats(&after)
-	perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles
-	if perCycle >= blobBytes {
-		t.Errorf("a warm set-up cycle allocates %d B process-wide, want fewer than one %d-byte blob", perCycle, blobBytes)
-	}
-	t.Logf("%d B and %d objects a cycle", perCycle, (after.Mallocs-before.Mallocs)/cycles)
 }
 
 // openConns is the number of coordinator connections s is serving.

@@ -277,10 +277,10 @@ func ReadFrame(r io.Reader, maxFrame int64) (*Msg, int, error) {
 // The message Read returns — its States, Tasks and Outputs, and every
 // payload in them, which are slices of the body — is valid until the next
 // Read on the same FrameReader and not after: a receiver that needs any of
-// it longer copies it out first. A body of up to readChunk bytes comes from
-// the slab pool, and one a larger frame replaces goes back there; Release
-// returns the last. The zero value is ready; it is not safe for concurrent
-// use.
+// it longer copies it out first. A body comes from the slab pool, grown
+// there as a larger frame's bytes arrive, and one it outgrows or a larger
+// frame replaces goes back; Release returns the last. The zero value is
+// ready; it is not safe for concurrent use.
 type FrameReader struct {
 	hdr  [4]byte
 	body []byte
@@ -338,8 +338,9 @@ func (fr *FrameReader) Read(r io.Reader, maxFrame int64) (*Msg, int, error) {
 		if int64(got) == n {
 			break
 		}
-		grown := make([]byte, min(n, 2*int64(got)))
+		grown := slab.Bytes(int(min(n, 2*int64(got))))
 		copy(grown, body)
+		slab.PutBytes(body)
 		body = grown
 	}
 	fr.body = body
