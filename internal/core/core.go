@@ -380,7 +380,7 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 	}
 	switch {
 	case set == nil:
-		set = NewPartitions(x, cfg.Partitions, cfg.Machines)
+		set = &Partitions{x: x, n: cfg.Partitions, machines: cfg.Machines, private: true}
 		defer set.release()
 	case set.n != cfg.Partitions || set.machines != cfg.Machines:
 		return nil, fmt.Errorf("core: the shared set has %d partitions per unfolding on %d machines, the run wants %d on %d",
@@ -806,7 +806,7 @@ func (d *decomposition) partitionAll(set *Partitions) error {
 		}
 		return err
 	}
-	err = d.ex.setup(d.x, func(n int, fn func(m int) error) error {
+	err = d.ex.setup(d.x, !set.private, func(n int, fn func(m int) error) error {
 		return d.cl.ForEachNamed(d.ctx, "partition", n, fn)
 	})
 	if err == nil {

@@ -97,14 +97,19 @@ func newExecutor(cfg runConfig, dims [3]int, machines int, place func(pi int) in
 // unfolding and distribution of Algorithm 2, lines 1-3 — and installs them,
 // their set-up bodies sized for the run's machines (partition.NewCarry).
 // each runs the three per-mode builds, on the driver a cluster stage; each
-// builds its mode's partitioning straight from the coordinate list. What
-// setup builds, on error the modes built so far, is its caller's to keep or
-// release (see install).
-func (ex *executor) setup(x *tensor.Tensor, each func(n int, fn func(m int) error) error) error {
+// builds its mode's partitioning straight from the coordinate list, at its
+// exact length for a set kept past the run (partition.FromTensorExact),
+// else on arenas borrowed from the slab pool. What setup builds, on error
+// the modes built so far, is its caller's to keep or release (see install).
+func (ex *executor) setup(x *tensor.Tensor, kept bool, each func(n int, fn func(m int) error) error) error {
+	build := partition.FromTensor
+	if kept {
+		build = partition.FromTensorExact
+	}
 	err := each(len(ex.px), func(m int) error {
 		mode := tensor.Mode(m + 1)
 		carry := partition.NewCarry(ex.dims, mode, ex.cfg.Machines, ex.cfg.Partitions)
-		ex.px[m] = partition.FromTensor(x, mode, ex.cfg.Partitions, carry)
+		ex.px[m] = build(x, mode, ex.cfg.Partitions, carry)
 		return nil
 	})
 	if err != nil {

@@ -20,6 +20,10 @@ import (
 type Partitions struct {
 	x           *tensor.Tensor
 	n, machines int
+	// private marks Decompose's own set, released when its run ends: its
+	// arenas are borrowed from the slab pool. Every other set is kept, and
+	// is built at its exact length (partition.FromTensorExact).
+	private bool
 
 	mu sync.Mutex
 	// px is the built set; all nil until a build completes.
@@ -38,13 +42,29 @@ type Partitions struct {
 // on clusters of the given machine count. The set holds no arenas until a
 // run built on it (DecomposeOn) builds them, and keeps them for as long as
 // it is referenced: an owner that outlives every run, as the job server's
-// tensor store does, pays Lemma 6's shuffle once per tensor.
+// tensor store does, pays Lemma 6's shuffle once per tensor. The arenas are
+// made at their exact length, not taken from the slab pool at a class's
+// capacity, so what the set holds is ResidentBytes exactly.
 func NewPartitions(x *tensor.Tensor, n, machines int) *Partitions {
 	return &Partitions{x: x, n: n, machines: machines}
 }
 
 // Tensor returns the tensor the set partitions.
 func (s *Partitions) Tensor() *tensor.Tensor { return s.x }
+
+// ResidentBytes returns the bytes the built set's block tables and arenas
+// hold (partition.Partitioned.ResidentBytes), 0 before a build completes.
+func (s *Partitions) ResidentBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for _, p := range s.px {
+		if p != nil {
+			n += p.ResidentBytes()
+		}
+	}
+	return n
+}
 
 // acquire returns the built set. Otherwise the first caller gets build and
 // must settle its build; a caller that finds another run building waits for

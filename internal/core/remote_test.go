@@ -262,7 +262,7 @@ func buildPartitions(t testing.TB, x *tensor.Tensor, cfg runConfig) [3]*partitio
 	t.Helper()
 	i, j, k := x.Dims()
 	ex := newExecutor(cfg, [3]int{i, j, k}, cfg.Machines, func(pi int) int { return pi % cfg.Machines }, lookahead)
-	if err := ex.setup(x, serially); err != nil {
+	if err := ex.setup(x, false, serially); err != nil {
 		t.Fatal(err)
 	}
 	return ex.px

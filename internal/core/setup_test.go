@@ -11,6 +11,8 @@ import (
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
 	"dbtf/internal/gen"
+	"dbtf/internal/partition"
+	"dbtf/internal/tensor"
 	"dbtf/internal/trace"
 	"dbtf/internal/transport"
 	"dbtf/internal/transport/tcp"
@@ -193,4 +195,63 @@ func TestShuffledBytesAreSetupBytes(t *testing.T) {
 		t.Errorf("the workers' own set-ups carried %d B of bodies and the re-ship %d B; the run charged %d B, the simulated one %d B",
 			own, reship, res.Stats.ShuffledBytes, sim.Stats.ShuffledBytes)
 	}
+}
+
+// TestStoredSetHoldsExactBytes: a set a caller keeps past its runs
+// (DecomposeOn) is built at its exact length, so after the first run its
+// ResidentBytes is the exact partitionings' (partition.FromTensorExact),
+// below what the same partitionings hold at the slab pool's classes; a
+// second run on it gives a private Decompose's result, bit for bit.
+// Decompose's own set still borrows class-sized arenas from the pool.
+func TestStoredSetHoldsExactBytes(t *testing.T) {
+	const machines = 2
+	x, _, _, _ := gen.FromFactors(rand.New(rand.NewSource(3)), 40, 36, 32, 4, 0.3)
+	dims := [3]int{40, 36, 32}
+	opt := Options{Rank: 4, MaxIter: 3, Seed: 5}
+	cfg, err := opt.withDefaults(machines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exact, pooled int64
+	for mode := tensor.Mode1; mode <= tensor.Mode3; mode++ {
+		carry := partition.NewCarry(dims, mode, machines, cfg.Partitions)
+		exact += partition.FromTensorExact(x, mode, cfg.Partitions, carry).ResidentBytes()
+		px := partition.FromTensor(x, mode, cfg.Partitions, carry)
+		pooled += px.ResidentBytes()
+		px.Release()
+	}
+
+	ctx := context.Background()
+	set := NewPartitions(x, cfg.Partitions, machines)
+	if held := set.ResidentBytes(); held != 0 {
+		t.Fatalf("an unbuilt set holds %d B", held)
+	}
+	if _, err := DecomposeOn(ctx, set, testCluster(machines), opt); err != nil {
+		t.Fatal(err)
+	}
+	if held := set.ResidentBytes(); held != exact || exact >= pooled {
+		t.Errorf("the stored set holds %d B, want its exact %d B, below the pooled %d B", held, exact, pooled)
+	}
+	second, err := DecomposeOn(ctx, set, testCluster(machines), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	private, err := Decompose(ctx, x, testCluster(machines), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resultsEqual(second, private) {
+		t.Error("a second run on the stored set differs from a private Decompose")
+	}
+
+	cl := testCluster(machines)
+	d := &decomposition{ctx: ctx, x: x, cl: cl, opt: opt, ex: newExecutor(cfg, dims, machines, cl.MachineFor, lookahead)}
+	own := &Partitions{x: x, n: cfg.Partitions, machines: machines, private: true}
+	if err := d.partitionAll(own); err != nil {
+		t.Fatal(err)
+	}
+	if held := own.ResidentBytes(); held != pooled {
+		t.Errorf("a private set holds %d B, want the pooled %d B", held, pooled)
+	}
+	own.release()
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -242,6 +243,47 @@ func TestHeldSetBytes(t *testing.T) {
 		}
 		if held != tc.want || dense != tc.dense {
 			t.Errorf("%s: the set holds %d B with dense blocks %v, want %d B and %v", tc.name, held, dense, tc.want, tc.dense)
+		}
+	}
+}
+
+// TestExactSetHoldsItsLengths: a partitioning kept past its run
+// (FromTensorExact) holds its block table and arenas at their exact length,
+// so ResidentBytes is their lengths' bytes, the arenas' those
+// TestHeldSetBytes pins. Its blocks, set-up bodies and ShuffleBytes are a
+// pooled FromTensor's, whose class capacities hold more.
+func TestExactSetHoldsItsLengths(t *testing.T) {
+	planted, _, _, _ := gen.FromFactors(rand.New(rand.NewSource(1)), 48, 48, 48, 6, 0.3)
+	for _, tc := range []struct {
+		name   string
+		x      *tensor.Tensor
+		arenas int64
+	}{
+		{"planted", planted, 52_476},
+		{"sparse", gen.Random(rand.New(rand.NewSource(2)), 48, 48, 48, 0.002), 30_876},
+	} {
+		var arenas, lengths, resident, pooled int64
+		for mode := tensor.Mode1; mode <= tensor.Mode3; mode++ {
+			carry := NewCarry([3]int{48, 48, 48}, mode, 2, 4)
+			px, ref := FromTensorExact(tc.x, mode, 4, carry), FromTensor(tc.x, mode, 4, carry)
+			if px.ShuffleBytes != ref.ShuffleBytes {
+				t.Errorf("%s mode %d: the exact set ships %d B, the pooled one %d B", tc.name, mode, px.ShuffleBytes, ref.ShuffleBytes)
+			}
+			for pi := range px.Parts {
+				if !sameBlocks(px.Parts[pi], ref.Parts[pi], px.NumRows) || !bytes.Equal(px.AppendBody(nil, pi), ref.AppendBody(nil, pi)) {
+					t.Errorf("%s mode %d: partition %d differs from the pooled build's", tc.name, mode, pi)
+				}
+			}
+			a := 4*int64(len(px.csrArena)) + 8*int64(len(px.denseArena))
+			arenas += a
+			lengths += a + int64(len(px.blocks))*int64(unsafe.Sizeof(Block{}))
+			resident += px.ResidentBytes()
+			pooled += ref.ResidentBytes()
+			px.Release()
+			ref.Release()
+		}
+		if arenas != tc.arenas || resident != lengths || pooled <= resident {
+			t.Errorf("%s: the exact set's arenas hold %d B (want %d), ResidentBytes %d (want its lengths' %d), the pooled set's %d", tc.name, arenas, tc.arenas, resident, lengths, pooled)
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"dbtf/internal/bitvec"
 	"dbtf/internal/slab"
@@ -281,7 +282,8 @@ type Partitioned struct {
 
 	// The block table every partition's Blocks is a window on, and the
 	// backing arenas: the sparse blocks' row pointers and then offsets, and
-	// the dense blocks' packed rows; returned to the slab pool by Release.
+	// the dense blocks' packed rows. They come from the slab pool at a
+	// class's capacity, or from make at their exact length (FromTensorExact).
 	blocks     []Block
 	csrArena   []int32
 	denseArena []uint64
@@ -291,7 +293,10 @@ type Partitioned struct {
 // Release returns the partitioning's block table and backing arenas to the
 // slab pool and poisons it against further use: afterwards no Partition or
 // Block derived from it may be touched, and a second Release returns
-// nothing. Owners with a clear end of life (a decomposition returning, a
+// nothing. An exact partitioning's (FromTensorExact) arenas never came
+// from the pool, and slab.Put drops a slice that is not class-sized, so
+// none goes back but one whose length is a class's capacity, which is as
+// safe. Owners with a clear end of life (a decomposition returning, a
 // worker replacing its setup) call it; everyone else lets the garbage
 // collector take the arenas.
 func (p *Partitioned) Release() {
@@ -301,6 +306,14 @@ func (p *Partitioned) Release() {
 	slab.PutUint64s(p.denseArena)
 	p.blocks, p.csrArena, p.denseArena = nil, nil, nil
 	p.Parts = nil
+}
+
+// ResidentBytes returns the bytes the partitioning's block table and arenas
+// hold: each one's capacity times its element size. An exact
+// partitioning's equals their lengths' bytes; a pooled one's counts each at
+// its slab class, up to twice that.
+func (p *Partitioned) ResidentBytes() int64 {
+	return int64(cap(p.blocks))*int64(unsafe.Sizeof(Block{})) + 4*int64(cap(p.csrArena)) + 8*int64(cap(p.denseArena))
 }
 
 // FreeTables returns fill's cursor tables to the slab pool (Release does if
@@ -462,18 +475,33 @@ func (w *carryWalk) next() bool {
 // cell tensor.Mode.Place gives it. n is capped at the column count so every
 // partition is nonempty; at least one partition is always produced. The
 // set-up bodies, and so ReshipBytes and ShuffleBytes, leave out what carry
-// carries. The partitioning holds its cursor tables until FreeTables. It
-// panics on an unfolding whose columns overflow int32.
+// carries. The partitioning holds its cursor tables until FreeTables. Its
+// block table and arenas come from the slab pool, for a partitioning that
+// dies with its run (Release). It panics on an unfolding whose columns
+// overflow int32.
 func FromTensor(x *tensor.Tensor, mode tensor.Mode, n int, carry Carry) *Partitioned {
+	return fromTensor(x, mode, n, carry, false)
+}
+
+// FromTensorExact is FromTensor for a partitioning that outlives its run:
+// its block table and arenas are each made once at their exact length, so
+// ResidentBytes is their lengths' bytes and no pool class's slack, and
+// none is taken from the slab pool. Only the cursor tables are pooled, until
+// FreeTables.
+func FromTensorExact(x *tensor.Tensor, mode tensor.Mode, n int, carry Carry) *Partitioned {
+	return fromTensor(x, mode, n, carry, true)
+}
+
+func fromTensor(x *tensor.Tensor, mode tensor.Mode, n int, carry Carry, exact bool) *Partitioned {
 	i, j, k := x.Dims()
-	px, parts, err := layout([3]int{i, j, k}, mode, n, 0, 1, carry)
+	px, parts, err := layout([3]int{i, j, k}, mode, n, 0, 1, carry, exact)
 	if err != nil {
 		panic(err)
 	}
 	// The list is sorted by (I, J, K): where K indexes the rows, consecutive
 	// nonzeros step through rows more often than through blocks.
 	row, _, _ := mode.Axes()
-	px.fill(parts, row == 2, coordPairs{coords: x.Coords(), mode: mode, width: px.BlockSize}.pairs)
+	px.fill(parts, row == 2, exact, coordPairs{coords: x.Coords(), mode: mode, width: px.BlockSize}.pairs)
 	return px
 }
 
@@ -496,7 +524,7 @@ func Build(u *tensor.Unfolded, n int) *Partitioned {
 // carried segment, a nonzero padding bit — is an error, and nothing is
 // kept; so is an unfolding whose columns overflow int32.
 func Receive(dims [3]int, mode tensor.Mode, n, first, step int, carry Carry, src *Columns, body []byte) (*Partitioned, []byte, error) {
-	px, parts, err := layout(dims, mode, n, first, step, carry)
+	px, parts, err := layout(dims, mode, n, first, step, carry, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -562,7 +590,7 @@ func Receive(dims [3]int, mode tensor.Mode, n, first, step int, carry Carry, src
 			return nil, nil, fmt.Errorf("partition: partition %d: a nonzero bit pads its body", p.Index)
 		}
 	}
-	px.fill(parts, false, rs.pairs)
+	px.fill(parts, false, false, rs.pairs)
 	px.FreeTables()
 	return px, br.Rest(), nil
 }
@@ -668,13 +696,13 @@ var blockTables slab.List[Block]
 // leave out what carry carries: their bounds and PVM-aligned blocks with
 // their Figure 5 types, no nonzero. Every other slot of Parts stays nil. It
 // returns the partitions laid out, or the column guard's error. The blocks
-// are one table, in column order, taken from the slab pool (blockTables)
-// and held as px.blocks until Release; each partition's Blocks is its
-// window on it. The partitions, and Parts's pointers to them, are one make
-// each: N of them are far below the pool's floor. Both are sized by
-// counting first: a partition over [lo, hi) meets the PVM products
-// lo/blockSize … (hi−1)/blockSize, one block apiece.
-func layout(dims [3]int, mode tensor.Mode, n, first, step int, carry Carry) (*Partitioned, []Partition, error) {
+// are one table, in column order, taken from the slab pool (blockTables),
+// or made at its length when exact is set, and held as px.blocks until
+// Release; each partition's Blocks is its window on it. The partitions, and
+// Parts's pointers to them, are one make each: N of them are far below the
+// pool's floor. Both are sized by counting first: a partition over [lo, hi)
+// meets the PVM products lo/blockSize … (hi−1)/blockSize, one block apiece.
+func layout(dims [3]int, mode tensor.Mode, n, first, step int, carry Carry, exact bool) (*Partitioned, []Partition, error) {
 	cols, err := mode.Columns(dims[0], dims[1], dims[2])
 	if err != nil {
 		return nil, nil, err
@@ -689,7 +717,12 @@ func layout(dims [3]int, mode tensor.Mode, n, first, step int, carry Carry) (*Pa
 			nb += (hi-1)/blockSize - lo/blockSize + 1
 		}
 	}
-	blocks := blockTables.Get(nb)
+	var blocks []Block
+	if exact {
+		blocks = make([]Block, nb)
+	} else {
+		blocks = blockTables.Get(nb)
+	}
 	parts := make([]Partition, held)
 	bi := 0
 	for k := range parts {
@@ -830,11 +863,12 @@ func (s *bodyRows) release() {
 // each offset at its segment's cursor, or a dense block's bit in its row.
 // The cursors run row by row, or block by block when byBlock is set, for a
 // source whose consecutive nonzeros step through rows more often than
-// through blocks. A short pass then adds up each body's codes — each row's
-// count, summed over the segments the body ships, and its gaps, which run
-// on across the partition's blocks from one shipped nonzero to the next. A
-// carried segment is written and not tallied.
-func (px *Partitioned) fill(parts []Partition, byBlock bool, pairs func(filler)) {
+// through blocks. The arenas are made at their exact length when exact is
+// set, else taken from the slab pool. A short pass then adds up each body's
+// codes — each row's count, summed over the segments the body ships, and
+// its gaps, which run on across the partition's blocks from one shipped
+// nonzero to the next. A carried segment is written and not tallied.
+func (px *Partitioned) fill(parts []Partition, byBlock, exact bool, pairs func(filler)) {
 	all := px.blocks
 	rows, nb, products := px.NumRows, len(all), 0
 	if px.BlockSize > 0 {
@@ -869,10 +903,15 @@ func (px *Partitioned) fill(parts []Partition, byBlock bool, pairs func(filler))
 			sparse, nnz = sparse+1, nnz+b.nnz
 		}
 	}
-	// Both arenas are taken at the pool's 2 KiB floor at least, so a set
-	// whose one form holds few nonzeros costs no extra object.
+	// Both pooled arenas are taken at the pool's 2 KiB floor at least, so a
+	// set whose one form holds few nonzeros costs no extra object; exact
+	// ones are made at their length, zeroed.
 	n := sparse*(rows+1) + nnz
-	px.csrArena, px.denseArena = slab.Int32s(max(n, 512))[:n], slab.Uint64sZeroed(max(denseTotal, 256))[:denseTotal]
+	if exact {
+		px.csrArena, px.denseArena = make([]int32, n), make([]uint64, denseTotal)
+	} else {
+		px.csrArena, px.denseArena = slab.Int32s(max(n, 512))[:n], slab.Uint64sZeroed(max(denseTotal, 256))[:denseTotal]
+	}
 	ptrArena, words, pos := px.csrArena[:n-nnz], 0, int32(0)
 	f.bits, f.words = px.csrArena[n-nnz:], px.denseArena
 	for bi := range all {

@@ -206,13 +206,13 @@ func (s *Server) PutTensor(id string, t *tensor.Tensor) error {
 }
 
 // checkTensorID refuses an upload the id alone decides: a malformed id, or
-// one already taken (ErrTensorExists). Of two uploads racing for a free id
-// both pass; tensorStore.Put lets one through.
+// one already taken, stored or pending (ErrTensorExists). Of two uploads
+// racing for a free id both pass; tensorStore.Put lets one through.
 func (s *Server) checkTensorID(id string) error {
 	if !validIdent(id) {
 		return fmt.Errorf("serve: invalid tensor id %q", id)
 	}
-	if _, err := s.store.Get(id); err == nil {
+	if s.store.Taken(id) {
 		return ErrTensorExists
 	}
 	return nil
@@ -666,11 +666,15 @@ type Stats struct {
 	Shed         map[string]int64 `json:"shed,omitempty"`
 	MemoryBytes  int64            `json:"memory_bytes"`
 	MemoryBudget int64            `json:"memory_budget"`
-	Draining     bool             `json:"draining"`
+	// HeldSetBytes is what the stored tensors' built sets hold, exactly:
+	// their block tables and arenas, which outlive every job.
+	HeldSetBytes int64 `json:"held_set_bytes"`
+	Draining     bool  `json:"draining"`
 }
 
 // StatsSnapshot returns the current operational counters.
 func (s *Server) StatsSnapshot() Stats {
+	held := s.store.HeldSetBytes()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	shed := make(map[string]int64, len(s.adm.shed))
@@ -688,6 +692,7 @@ func (s *Server) StatsSnapshot() Stats {
 		Shed:         shed,
 		MemoryBytes:  s.adm.memoryBytes,
 		MemoryBudget: s.cfg.Admission.MemoryBudget,
+		HeldSetBytes: held,
 		Draining:     s.draining,
 	}
 }

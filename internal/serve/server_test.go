@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"net/http"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"dbtf/internal/boolmat"
+	"dbtf/internal/partition"
 	"dbtf/internal/tensor"
 )
 
@@ -316,6 +319,110 @@ func TestTensorStoreDurableAcrossReopen(t *testing.T) {
 	}
 	if _, err := st2.Get("missing"); err == nil {
 		t.Fatal("Get(missing) succeeded")
+	}
+}
+
+// TestPendingTensorIsTakenButNotFound: while Put writes a tensor its id is
+// pending: a second upload under it is refused as taken, but no job can be
+// submitted against it, it is not listed, and it holds no set.
+func TestPendingTensorIsTakenButNotFound(t *testing.T) {
+	s := testServer(t, nil)
+	defer s.Drain()
+	if err := s.store.reserve("t1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.store.Get("t1"); !errors.Is(err, ErrTensorNotFound) {
+		t.Errorf("Get of a pending id = %v, want ErrTensorNotFound", err)
+	}
+	if _, err := s.Submit(baseSpec("t1")); !errors.Is(err, ErrTensorNotFound) {
+		t.Errorf("Submit against a pending id = %v, want ErrTensorNotFound", err)
+	}
+	if err := s.checkTensorID("t1"); err != ErrTensorExists {
+		t.Errorf("checkTensorID of a pending id = %v, want ErrTensorExists", err)
+	}
+	if err := s.store.Put("t1", testTensor(5)); err != ErrTensorExists {
+		t.Errorf("Put under a pending id = %v, want ErrTensorExists", err)
+	}
+	if ids := s.TensorIDs(); len(ids) != 0 {
+		t.Errorf("the store lists %v, a pending id among them", ids)
+	}
+	if st := s.StatsSnapshot(); st.Admitted != 0 || st.HeldSetBytes != 0 {
+		t.Errorf("a pending id left %+v", st)
+	}
+}
+
+// TestFailedTensorWriteLeavesNoEntry: an upload whose rename fails — a
+// directory already sits at tensors/<id>.dbt — is an error and leaves no
+// entry, pending or stored, behind.
+func TestFailedTensorWriteLeavesNoEntry(t *testing.T) {
+	dir := t.TempDir()
+	st, err := openTensorStore(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, tensorsDirName, "t1.dbt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("t1", testTensor(5)); err == nil || err == ErrTensorExists {
+		t.Fatalf("Put over a directory = %v, want the rename's error", err)
+	}
+	if st.Taken("t1") {
+		t.Error("a failed upload left its id taken")
+	}
+	if _, err := st.Get("t1"); !errors.Is(err, ErrTensorNotFound) {
+		t.Errorf("Get after a failed upload = %v, want ErrTensorNotFound", err)
+	}
+}
+
+// TestStatsCountHeldSetBytes: held_set_bytes is 0 until a job has built a
+// stored tensor's set, and then that set's exact bytes: its partitionings
+// at their exact length (partition.FromTensorExact), N = M = the server's
+// machines. It reads one or the other while the job runs and builds it.
+func TestStatsCountHeldSetBytes(t *testing.T) {
+	s := testServer(t, nil)
+	defer s.Drain()
+	x := testTensor(7)
+	if err := s.PutTensor("x1", x); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	held := func() int64 {
+		resp, err := http.Get(hs.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st Stats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.HeldSetBytes
+	}
+	if got := held(); got != 0 {
+		t.Fatalf("held_set_bytes before any job = %d, want 0", got)
+	}
+	i, j, k := x.Dims()
+	var want int64
+	for mode := tensor.Mode1; mode <= tensor.Mode3; mode++ {
+		carry := partition.NewCarry([3]int{i, j, k}, mode, s.cfg.Machines, s.cfg.Machines)
+		want += partition.FromTensorExact(x, mode, s.cfg.Machines, carry).ResidentBytes()
+	}
+	v, err := s.Submit(baseSpec("x1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !v.State.Terminal() {
+		if got := held(); got != 0 && got != want {
+			t.Fatalf("held_set_bytes while the job runs = %d, want 0 or the set's exact %d", got, want)
+		}
+		v, _ = s.JobByID(v.ID)
+	}
+	if v.State != StateDone {
+		t.Fatalf("job ended %s", v.State)
+	}
+	if got := held(); got != want || want == 0 {
+		t.Errorf("held_set_bytes after a job = %d, want the set's exact %d", got, want)
 	}
 }
 

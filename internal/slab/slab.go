@@ -10,7 +10,11 @@
 // decomposition or its worker's set-up; a sum cache dies when its factor
 // version goes stale; a wire blob when its coordinator closes, a frame
 // buffer when its connection ends), so it can go back to a free list
-// instead of churning the garbage collector.
+// instead of churning the garbage collector. A partitioning that outlives
+// every run — a job server's stored set (partition.FromTensorExact) — has
+// no such point, and its block table and arenas never come from here: a
+// class's capacity would hold up to twice their bytes for good, so they are
+// made at their exact length.
 //
 // Slices are kept per power-of-two capacity class on free lists (List)
 // under one mutex, so Get/Put are safe for concurrent use from cluster task
