@@ -167,7 +167,14 @@ func run(args []string) error {
 		if *ckEvery <= 0 {
 			return fmt.Errorf("-checkpoint-every %d must be >= 1", *ckEvery)
 		}
-		opts.CheckpointEvery = *ckEvery
+		// The period and the last boundary; the poll keeps no state, since
+		// -auto-rank runs every rank under these options.
+		opts.Boundary = func(t int, last bool) dbtf.Boundary {
+			if t%*ckEvery == 0 || last {
+				return dbtf.BoundaryCheckpoint
+			}
+			return dbtf.BoundaryContinue
+		}
 	}
 	// Parse -init per method so a typo fails before the tensor is read.
 	var bcpalsInit dbtf.BCPALSInit

@@ -185,15 +185,46 @@ func TestRunMachineLossChaos(t *testing.T) {
 	}
 }
 
+// TestRunCheckpointThenResume runs three iterations at period 2, so the last
+// boundary is off the period and still checkpointed: the resumed run starts
+// at iteration 3 and returns the result in its one stage, with no eval.
 func TestRunCheckpointThenResume(t *testing.T) {
-	path := writeTensor(t)
-	dir := t.TempDir()
-	base := []string{"-input", path, "-rank", "2", "-machines", "2", "-checkpoint-dir", dir, "-checkpoint-every", "2"}
+	x := dbtf.RandomTensor(rand.New(rand.NewSource(1)), 30, 30, 30, 0.1) // dbtf-gen -type random -dims 30,30,30 -density 0.1 -seed 1
+	path := filepath.Join(t.TempDir(), "x.tns")
+	if err := x.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	dir, out := t.TempDir(), filepath.Join(t.TempDir(), "r.jsonl")
+	base := []string{"-input", path, "-rank", "8", "-maxiter", "3", "-machines", "4", "-seed", "1", "-checkpoint-dir", dir, "-checkpoint-every", "2"}
 	if err := run(base); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(base, "-resume")); err != nil {
+	if err := run(append(base, "-resume", "-trace", out)); err != nil {
 		t.Fatal(err)
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := trace.DecodeJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, stages, evals := 0, 0, 0
+	for _, ev := range events {
+		switch {
+		case ev.Type == trace.RunBegin:
+			from = ev.Iteration
+		case ev.Type == trace.StageBegin:
+			stages++
+			if strings.HasPrefix(ev.Name, "eval:") {
+				evals++
+			}
+		}
+	}
+	if from != 3 || stages != 1 || evals != 0 {
+		t.Fatalf("the resumed run began at iteration %d with %d stages, %d of them eval; want 3, 1 and none", from, stages, evals)
 	}
 }
 

@@ -105,26 +105,23 @@ type Options struct {
 	Faults *FaultPlan
 	// CheckpointDir, when non-empty, enables durable iteration-level
 	// checkpointing: the run's state is written atomically to this
-	// directory — every CheckpointEvery iterations and at the final one,
-	// or where Boundary says — so a killed run can be continued
-	// bit-identically with Resume.
+	// directory where Boundary says or, without it, at every iteration
+	// boundary, so a killed run can be continued bit-identically with
+	// Resume.
 	CheckpointDir string
-	// CheckpointEvery is the checkpoint period in iterations. Default 1;
-	// meaningful only with CheckpointDir, and refused beside Boundary.
-	CheckpointEvery int
 	// Resume continues from the checkpoint in CheckpointDir instead of
 	// initializing; the checkpoint must match this run's configuration
 	// and tensor. A missing checkpoint starts fresh. Requires
 	// CheckpointDir.
 	Resume bool
-	// Boundary, when non-nil, is polled once per completed iteration and
-	// places every checkpoint: BoundaryCheckpoint writes one and goes on,
-	// BoundaryYield writes one and stops with an error wrapping
-	// ErrPreempted, so a scheduler can evict a running job and later
-	// continue it bit-identically with Resume, and BoundaryContinue writes
-	// none. A run that converged or reached MaxIter finishes without a
-	// poll or a checkpoint. Requires CheckpointDir.
-	Boundary func() Boundary
+	// Boundary, when non-nil, is polled once at every iteration boundary,
+	// the last included (last is true where the run converged or reached
+	// MaxIter), and places every checkpoint: BoundaryCheckpoint writes one
+	// and goes on, BoundaryYield writes one and stops with an error
+	// wrapping ErrPreempted, so a scheduler can evict a running job and
+	// later continue it bit-identically with Resume, and BoundaryContinue
+	// writes none. Requires CheckpointDir.
+	Boundary func(iteration int, last bool) Boundary
 	// Tracer, when non-nil, receives the run's structured event stream:
 	// stage/driver/iteration spans, traffic charges, retries, and machine
 	// liveness, on both the wall and the simulated clock. Build one with
@@ -168,19 +165,18 @@ func (opt Options) clusterConfig() cluster.Config {
 // coreOptions maps the options onto the engine's.
 func (opt Options) coreOptions() core.Options {
 	return core.Options{
-		Rank:            opt.Rank,
-		MaxIter:         opt.MaxIter,
-		MinIter:         opt.MinIter,
-		InitialSets:     opt.InitialSets,
-		Partitions:      opt.Partitions,
-		GroupBits:       opt.CacheGroupBits,
-		Tolerance:       opt.Tolerance,
-		Init:            opt.Init,
-		Seed:            opt.Seed,
-		CheckpointDir:   opt.CheckpointDir,
-		CheckpointEvery: opt.CheckpointEvery,
-		Resume:          opt.Resume,
-		Boundary:        opt.Boundary,
+		Rank:          opt.Rank,
+		MaxIter:       opt.MaxIter,
+		MinIter:       opt.MinIter,
+		InitialSets:   opt.InitialSets,
+		Partitions:    opt.Partitions,
+		GroupBits:     opt.CacheGroupBits,
+		Tolerance:     opt.Tolerance,
+		Init:          opt.Init,
+		Seed:          opt.Seed,
+		CheckpointDir: opt.CheckpointDir,
+		Resume:        opt.Resume,
+		Boundary:      opt.Boundary,
 	}
 }
 

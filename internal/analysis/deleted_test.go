@@ -138,6 +138,8 @@ var deletedNames = []deletedName{
 		pr: "name a stage once: no flag or caller set AdmissionConfig.RetryAfter, so a budget rejection's hint is the constant budgetRetryAfter; AdmissionError.RetryAfter is the header's"},
 	{pattern: `\bDensity\(|\bpack\(|RowBits`, scope: []string{"internal/partition"},
 		pr: "store each nonzero once: a dense block keeps its packed rows and a nonzero count, no CSR, so there is no pass packing rows from offsets, no Block.Density over the offsets and no shared CSR row; a row is read through Block.AppendRow in either form"},
+	{pattern: `\bCheckpointEvery\b`, scope: []string{"."},
+		pr: "one checkpoint rule: the Boundary poll, asked at every iteration boundary with the last one marked, places every checkpoint, and a run with a CheckpointDir and no poll checkpoints at every boundary; cmd/dbtf's -checkpoint-every is a poll, not a period option beside it"},
 }
 
 // TestDeletedNamesStayDeleted replaces the `grep` steps CI used to carry

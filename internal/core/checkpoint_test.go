@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -17,6 +18,7 @@ import (
 	"dbtf/internal/boolmat"
 	"dbtf/internal/partition"
 	"dbtf/internal/tensor"
+	"dbtf/internal/trace"
 )
 
 // runFingerprint is the fingerprint Decompose binds the checkpoints of a run
@@ -193,10 +195,6 @@ func TestCheckpointOptionValidation(t *testing.T) {
 	x := randomTensor(rand.New(rand.NewSource(1)), 4, 4, 4, 0.2)
 	for name, opt := range map[string]Options{
 		"resume without dir": {Rank: 2, Resume: true},
-		"every without dir":  {Rank: 2, CheckpointEvery: 2},
-		"negative every":     {Rank: 2, CheckpointDir: t.TempDir(), CheckpointEvery: -1},
-		"every beside the poll": {Rank: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 1,
-			Boundary: func() Boundary { return BoundaryContinue }},
 	} {
 		if _, err := Decompose(context.Background(), x, cl, opt); err == nil {
 			t.Errorf("%s: no error", name)
@@ -208,12 +206,80 @@ func TestPreemptRequiresCheckpointDir(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x, _, _, _ := plantedTensor(rng, 8, 8, 8, 2, 0.3)
 	_, err := Decompose(context.Background(), x, testCluster(2),
-		Options{Rank: 2, MaxIter: 2, Boundary: func() Boundary { return BoundaryYield }})
+		Options{Rank: 2, MaxIter: 2, Boundary: func(int, bool) Boundary { return BoundaryYield }})
 	if err == nil {
 		t.Fatal("Boundary without CheckpointDir was accepted; eviction would lose the job")
 	}
 	if !strings.Contains(err.Error(), "CheckpointDir") {
 		t.Fatalf("error %q does not name CheckpointDir", err)
+	}
+}
+
+// TestBoundaryPolledAtEveryIteration records the poll's calls: once at every
+// boundary, the last one — converged or at MaxIter — marked, and in a resumed
+// run from the boundary after its checkpoint's. A yield at the last boundary
+// checkpoints like any other, and its resume returns the uninterrupted
+// result without an eval stage.
+func TestBoundaryPolledAtEveryIteration(t *testing.T) {
+	x, _, _, _ := plantedTensor(rand.New(rand.NewSource(3)), 12, 11, 10, 3, 0.3)
+	type poll struct {
+		t    int
+		last bool
+	}
+	polled := func(from, to, last int) (p []poll) {
+		for i := from; i <= to; i++ {
+			p = append(p, poll{i, i == last})
+		}
+		return p
+	}
+	// run runs opt in dir, yielding at boundary yield, and returns what the
+	// poll was asked and how many eval stages began.
+	run := func(opt Options, dir string, yield int) (res *Result, polls []poll, evals int, err error) {
+		opt.CheckpointDir = dir
+		opt.Boundary = func(t int, last bool) Boundary {
+			polls = append(polls, poll{t, last})
+			if t == yield {
+				return BoundaryYield
+			}
+			return BoundaryContinue
+		}
+		cl := tracedCluster(2, func(ev *trace.Event) {
+			if ev.Type == trace.StageBegin && strings.HasPrefix(ev.Name, "eval:") {
+				evals++
+			}
+		})
+		res, err = Decompose(context.Background(), x, cl, opt)
+		return res, polls, evals, err
+	}
+
+	opt := Options{Rank: 3, Seed: 1, MaxIter: 4, MinIter: 4}
+	whole, polls, _, err := run(opt, t.TempDir(), 0)
+	if err != nil || !slices.Equal(polls, polled(1, 4, 4)) {
+		t.Fatalf("a run to MaxIter 4 was polled %v (%v), want %v", polls, err, polled(1, 4, 4))
+	}
+	early, polls, _, err := run(Options{Rank: 3, Seed: 1, MaxIter: 10, Tolerance: 1 << 40}, t.TempDir(), 0)
+	if err != nil || !early.Converged || early.Iterations == 10 || !slices.Equal(polls, polled(1, early.Iterations, early.Iterations)) {
+		t.Fatalf("a run converged at iteration %d of 10 (%v) was polled %v, want %v", early.Iterations, err, polls, polled(1, early.Iterations, early.Iterations))
+	}
+
+	for _, k := range []int{2, 4} {
+		dir := t.TempDir()
+		if _, polls, _, err := run(opt, dir, k); !errors.Is(err, ErrPreempted) || !slices.Equal(polls, polled(1, k, 4)) {
+			t.Fatalf("yielded at boundary %d: %v, polled %v; want ErrPreempted, %v", k, err, polls, polled(1, k, 4))
+		}
+		resumed := opt
+		resumed.Resume = true
+		res, polls, evals, err := run(resumed, dir, 0)
+		switch {
+		case err != nil:
+			t.Fatalf("resumed from boundary %d: %v", k, err)
+		case !resultsEqual(res, whole):
+			t.Errorf("resumed from boundary %d: errors %v, the uninterrupted run %v", k, res.IterationErrors, whole.IterationErrors)
+		case !slices.Equal(polls, polled(k+1, 4, 4)):
+			t.Errorf("resumed from boundary %d: polled %v, want %v", k, polls, polled(k+1, 4, 4))
+		case k == 4 && evals != 0:
+			t.Errorf("resumed from the last boundary: %d eval stages, want none", evals)
+		}
 	}
 }
 

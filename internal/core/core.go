@@ -135,31 +135,27 @@ type Options struct {
 	// checkpointing: a versioned snapshot of the factor matrices and
 	// iteration state is written atomically to
 	// CheckpointDir/CheckpointFileName(fingerprint), so a killed run can be
-	// resumed bit-identically with Resume. Without Boundary a snapshot is
-	// written after every CheckpointEvery completed iterations and at the
-	// final one; with it, where Boundary says.
+	// resumed bit-identically with Resume. Boundary places every snapshot;
+	// without it one is written at every iteration boundary.
 	CheckpointDir string
-	// CheckpointEvery is the checkpoint period k in iterations. Default 1.
-	// Must be >= 1; meaningful only with CheckpointDir, and refused beside
-	// Boundary.
-	CheckpointEvery int
 	// Resume, when true, loads the checkpoint in CheckpointDir and
 	// continues from it instead of initializing; the checkpoint's config
 	// fingerprint must match this run's. A missing checkpoint file starts
 	// a fresh run. Requires CheckpointDir.
 	Resume bool
-	// Boundary, when non-nil, is polled once per completed iteration at the
-	// iteration boundary, and places every checkpoint of the run: on
-	// BoundaryCheckpoint the boundary's state is written as a durable
-	// checkpoint and the run goes on; on BoundaryYield it is written and
-	// Decompose returns an error wrapping ErrPreempted; on BoundaryContinue
-	// nothing is written. A yielded run resumed with Resume continues
+	// Boundary, when non-nil, is polled once at every iteration boundary,
+	// the last included, with the iteration just completed and whether the
+	// run converged or reached MaxIter there; its answer places the
+	// boundary's checkpoint. On BoundaryCheckpoint the boundary's state is
+	// written as a durable checkpoint and the run goes on; on BoundaryYield
+	// it is written and Decompose returns an error wrapping ErrPreempted; on
+	// BoundaryContinue nothing is written. An answer means the same at the
+	// last boundary: a run yielded there and resumed returns its result
+	// without another stage. A yielded run resumed with Resume continues
 	// bit-identically to one that was never interrupted, as does one
 	// resumed from any earlier checkpoint or from none — this is the
-	// eviction/timeslicing hook of the job server. A run that just
-	// converged or completed its final iteration is not polled: it returns
-	// its result without a checkpoint. Requires CheckpointDir.
-	Boundary func() Boundary
+	// eviction/timeslicing hook of the job server. Requires CheckpointDir.
+	Boundary func(iteration int, last bool) Boundary
 }
 
 // Boundary is what a run does at an iteration boundary when
@@ -189,10 +185,10 @@ const InitialSetsAuto = 0
 // by field, encodeSetup ships it to remote executors — so a new
 // result-determining knob is one field here and its rule in
 // Options.resolve, not an entry in hand-kept lists.
-// Checkpoint placement (CheckpointDir, CheckpointEvery, Resume, Boundary)
-// is deliberately absent: they affect durability and scheduling, never
-// results. fingerprint hashes the fields, and encodeSetup ships them, in
-// this order (runConfig.words).
+// Checkpoint placement (CheckpointDir, Resume, Boundary) is deliberately
+// absent: they affect durability and scheduling, never results. fingerprint
+// hashes the fields, and encodeSetup ships them, in this order
+// (runConfig.words).
 type runConfig struct {
 	Rank, MaxIter, MinIter             int
 	InitialSets, Partitions, GroupBits int
@@ -259,22 +255,13 @@ func (o Options) resolve() (runConfig, error) {
 	if cfg.Tolerance < 0 {
 		return cfg, fmt.Errorf("core: Tolerance %d < 0", cfg.Tolerance)
 	}
-	if o.CheckpointEvery < 0 {
-		return cfg, fmt.Errorf("core: CheckpointEvery %d < 0", o.CheckpointEvery)
-	}
 	if o.CheckpointDir == "" {
 		if o.Resume {
 			return cfg, errors.New("core: Resume requires CheckpointDir")
 		}
-		if o.CheckpointEvery > 0 {
-			return cfg, errors.New("core: CheckpointEvery requires CheckpointDir")
-		}
 		if o.Boundary != nil {
 			return cfg, errors.New("core: Boundary requires CheckpointDir (eviction resumes from the checkpoint)")
 		}
-	}
-	if o.Boundary != nil && o.CheckpointEvery > 0 {
-		return cfg, errors.New("core: CheckpointEvery is refused beside Boundary, which places every checkpoint")
 	}
 	return cfg, nil
 }
@@ -398,10 +385,6 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 	// configuration and tensor, and resume loads the latest snapshot
 	// before any distributed work starts.
 	checkpointing := opts.CheckpointDir != ""
-	every := opts.CheckpointEvery
-	if every == 0 {
-		every = 1
-	}
 	if checkpointing {
 		d.fp = fingerprint(x, cfg)
 	}
@@ -481,22 +464,17 @@ func decompose(ctx context.Context, x *tensor.Tensor, set *Partitions, cl *clust
 
 	// finish closes completed iteration t at error e, its commits having
 	// changed flips entries: record it, then checkpoint where the Boundary
-	// poll says or, without one, on the period and at the last iteration.
-	// A run that just converged or finished its last iteration is about to
-	// return its result and is neither polled nor evicted; a yielded one
-	// gets the boundary's state checkpointed so a Resume continues
-	// bit-identically.
+	// poll says or, without one, at every boundary. The last boundary is
+	// polled like any other; a yielded run gets the boundary's state
+	// checkpointed so a Resume continues bit-identically.
 	finish := func(t int, e, improvement, flips int64) error {
 		res.Iterations, prevErr = t, e
 		res.IterationErrors = append(res.IterationErrors, e)
-		last := res.Converged || t == cfg.MaxIter
 		at := BoundaryContinue
 		switch {
 		case opts.Boundary != nil:
-			if !last {
-				at = opts.Boundary()
-			}
-		case checkpointing && (t%every == 0 || last):
+			at = opts.Boundary(t, res.Converged || t == cfg.MaxIter)
+		case checkpointing:
 			at = BoundaryCheckpoint
 		}
 		if at != BoundaryContinue {

@@ -569,9 +569,8 @@ func TestBroadcastVolumeLemma7(t *testing.T) {
 	dir := t.TempDir()
 	ck := opt
 	ck.CheckpointDir = dir
-	polls := 0
-	ck.Boundary = func() Boundary {
-		if polls++; polls == 2 {
+	ck.Boundary = func(t int, _ bool) Boundary {
+		if t == 2 {
 			return BoundaryYield
 		}
 		return BoundaryContinue

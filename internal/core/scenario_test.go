@@ -90,8 +90,9 @@ const (
 type scenario struct {
 	x tensorSpec
 	// opt holds every option but CheckpointDir and Boundary, which the
-	// recipe sets: a checkpoint directory whenever CheckpointEvery is set or
-	// the run is interrupted, and the poll whenever evict or checkpoint is.
+	// recipe sets from the placement bits: a checkpoint directory whenever a
+	// bit is set or the run is interrupted, and the poll unless the bits
+	// ask for the default placement (polled).
 	opt      Options
 	machines int
 	backend  backend
@@ -100,7 +101,8 @@ type scenario struct {
 	evict    uint  // bit t: the Boundary poll yields the run after iteration t
 	cancel   int64 // the context is cancelled as the cancel-th stage, counting every segment's, begins; 0 never
 	// checkpoint has bit t when the poll, not yielding, answers
-	// BoundaryCheckpoint after iteration t.
+	// BoundaryCheckpoint after iteration t; every bit and no yield is the
+	// default placement, a checkpoint at every boundary without a poll.
 	checkpoint uint
 	// carried asks some iteration after the first to change the error, so
 	// that the checkpoints' recount meets an objective carried through
@@ -157,7 +159,6 @@ func drawScenario(rng *rand.Rand) scenario {
 		o.GroupBits = 1
 	}
 	o.Partitions = []int{0, 1, sc.machines, 100}[rng.Intn(4)]
-	o.CheckpointEvery = rng.Intn(4)
 
 	sc.backend = []backend{simulated, simulated, hosts, batchedHosts}[rng.Intn(4)]
 	if rng.Intn(16) == 0 {
@@ -168,18 +169,40 @@ func drawScenario(rng *rand.Rand) scenario {
 		sc.faults = &cluster.FaultPlan{Seed: rng.Int63(), FailureRate: 0.2 * rng.Float64(), PanicRate: 0.05 * rng.Float64(),
 			MachineLossRate: 0.1 * rng.Float64(), MachineRejoinAfter: rng.Intn(4)}
 	}
+	// One placement over every boundary, the last included.
+	bits := func() uint { return uint(rng.Intn(1<<o.MaxIter)) << 1 }
+	switch rng.Intn(4) {
+	case 1:
+		sc.checkpoint = every
+	case 2, 3:
+		sc.checkpoint = bits()
+	}
 	if rng.Intn(4) == 0 {
-		// After some of iterations 1 to 3; the poll places every checkpoint.
-		sc.evict, sc.checkpoint, o.CheckpointEvery = uint(rng.Intn(8))<<1, uint(rng.Intn(8))<<1, 0
+		sc.evict = bits()
 	}
 	if rng.Intn(4) == 0 {
 		sc.cancel = 1 + rng.Int63n(runStages(max(o.InitialSets, 1), o.Rank, cmp.Or(sc.span, lookahead), o.MaxIter))
 	}
 	if sc.backend == simulated && sc.faults == nil && rng.Intn(8) == 0 {
+		// Shared runs are neither polled nor interrupted: a checkpointing one
+		// checkpoints at every boundary.
 		sc.shared, sc.cancelBuild = 2+rng.Intn(3), rng.Intn(2) == 0
-		sc.evict, sc.checkpoint, sc.cancel = 0, 0, 0
+		sc.evict, sc.cancel = 0, 0
+		if sc.checkpoint != 0 {
+			sc.checkpoint = every
+		}
 	}
 	return sc
+}
+
+// every sets the placement bit of every boundary.
+const every = ^uint(0)
+
+// polled reports whether the scenario's placement needs the Boundary poll:
+// every placement does but the default, a checkpoint at every boundary and
+// no yield.
+func (sc scenario) polled() bool {
+	return sc.evict != 0 || sc.checkpoint != 0 && sc.checkpoint != every
 }
 
 // runStages is the stage count of a fresh run of L initial sets, rank R and
@@ -244,7 +267,6 @@ func checkScenario(t *testing.T, sc scenario) {
 		t.Errorf("%d stages, want %d", got.Stats.Stages, stages)
 	}
 	if sc.backend != simulated {
-		o.CheckpointEvery = 0
 		sim, err := decompose(context.Background(), x, nil, testCluster(sc.machines), o, span)
 		if err != nil {
 			t.Fatal(err)
@@ -272,11 +294,12 @@ func oracleOptions(o Options) Options {
 // three shuffles, runStages stages — and every other reads
 // the set with no shuffled byte in one stage fewer. A run for another
 // partition count is refused. A checkpointing scenario's runs resume from
-// one checkpoint directory, each starting fresh in its own lineage, which
-// ends holding one file per run (checkCompleted).
+// one checkpoint directory, each starting fresh in its own lineage and
+// checkpointing at every boundary, which ends holding one file per run
+// (checkCompleted).
 func checkShared(t *testing.T, sc scenario, x *tensor.Tensor, span int) {
 	t.Helper()
-	if sc.opt.CheckpointEvery > 0 {
+	if sc.checkpoint != 0 {
 		sc.opt.CheckpointDir, sc.opt.Resume = t.TempDir(), true
 	}
 	n := sc.machines
@@ -385,13 +408,13 @@ func checkShared(t *testing.T, sc scenario, x *tensor.Tensor, span int) {
 // completes or fails. Every segment is traced and its trace checked.
 func (sc scenario) run(t *testing.T, x *tensor.Tensor, span int) (res *Result, segments int, err error) {
 	opt, checkpoint := sc.opt, ""
-	if opt.CheckpointEvery > 0 || sc.evict|sc.checkpoint != 0 || sc.cancel > 0 {
+	if sc.evict|sc.checkpoint != 0 || sc.cancel > 0 {
 		opt.CheckpointDir = t.TempDir()
 		checkpoint = filepath.Join(opt.CheckpointDir, CheckpointFileName(runFingerprint(t, x, opt, sc.machines)))
 	}
-	iteration, stages, evicted, fired, answered := 0, int64(0), false, uint(0), 0
-	if sc.evict|sc.checkpoint != 0 {
-		opt.Boundary = func() Boundary {
+	stages, evicted, fired, answered := int64(0), false, uint(0), 0
+	if sc.polled() {
+		opt.Boundary = func(iteration int, _ bool) Boundary {
 			bit := uint(1) << iteration
 			switch evicted = sc.evict&bit != 0; {
 			case evicted:
@@ -407,8 +430,9 @@ func (sc scenario) run(t *testing.T, x *tensor.Tensor, span int) (res *Result, s
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// At most MaxIter+1 segments: an eviction per iteration boundary and
-	// one cancel. Options that resolve refuses fail the first segment.
+	// At most MaxIter+2 segments: an eviction at every boundary, the last
+	// included, one cancel and the one that completes. Options that resolve
+	// refuses fail the first segment.
 	cfg, _ := opt.resolve()
 	for segments = 1; segments <= cfg.MaxIter+2; segments++ {
 		var events []*trace.Event
@@ -416,8 +440,6 @@ func (sc scenario) run(t *testing.T, x *tensor.Tensor, span int) (res *Result, s
 		tr := trace.New(sinkFunc(func(ev *trace.Event) {
 			events = append(events, ev)
 			switch ev.Type {
-			case trace.IterationBegin:
-				iteration = ev.Iteration
 			case trace.StageBegin:
 				if ctx.Err() != nil {
 					late++
@@ -447,12 +469,17 @@ func (sc scenario) run(t *testing.T, x *tensor.Tensor, span int) (res *Result, s
 			t.Fatalf("segment %d: %d checkpoints written, the poll asked for %d", segments, written, answered)
 		case err == nil && late > 0:
 			t.Fatalf("segment %d: %d stages began after the context was cancelled, and the run completed", segments, late)
-		case err == nil && fired != sc.evict&(1<<res.Iterations-1)&^1:
-			// Every boundary but the last is polled, once it is reached.
-			t.Fatalf("evicted after iterations %b of %d, want %b", fired, res.Iterations, sc.evict&(1<<res.Iterations-1)&^1)
+		case err == nil && fired != sc.evict&(2<<res.Iterations-1)&^1:
+			// Every boundary is polled, the last included, once it is reached.
+			t.Fatalf("evicted after iterations %b of %d, want %b", fired, res.Iterations, sc.evict&(2<<res.Iterations-1)&^1)
 		case !interrupted:
-			if err == nil && checkpoint != "" && opt.Boundary == nil {
-				checkCompleted(t, x, opt, sc.machines, span, res)
+			// A run that wrote its last boundary's checkpoint and was not
+			// yielded there is held to it; one yielded there was resumed
+			// from it.
+			if err == nil && checkpoint != "" {
+				if last := uint(1) << res.Iterations; opt.Boundary == nil || sc.checkpoint&last != 0 && sc.evict&last == 0 {
+					checkCompleted(t, x, opt, sc.machines, span, res)
+				}
 			}
 			return res, segments, err
 		}
@@ -541,9 +568,9 @@ func checkTrace(t *testing.T, events []*trace.Event, res *Result) {
 }
 
 // checkCompleted holds a run that completed under o, with its checkpoint
-// directory, to the checkpoint it left: its last iteration is durable, even
-// off the period, and counted, and a resume returns its result without
-// another iteration.
+// directory and a checkpoint at its last boundary, to the checkpoint it
+// left: its last iteration is durable and counted, and a resume returns its
+// result without another iteration.
 func checkCompleted(t *testing.T, x *tensor.Tensor, o Options, machines, span int, res *Result) {
 	t.Helper()
 	ck, err := readCheckpoint(o.CheckpointDir, runFingerprint(t, x, o, machines))
@@ -600,7 +627,6 @@ func TestScenarioPinned(t *testing.T) {
 		name string
 		sc   scenario
 	}
-	const every = ^uint(0)
 	diff := func(seed int64) tensorSpec { return planted(seed, 20, 16, 18, 3, 0.3, 0.1, 0.1) }
 	carried := planted(27, 10, 9, 8, 5, 0.35, 0.15, 0.15)
 	loss := &cluster.FaultPlan{Seed: 27, FailureRate: 0.05, MachineLossRate: 0.15, MachineRejoinAfter: 2}
@@ -621,14 +647,15 @@ func TestScenarioPinned(t *testing.T) {
 		{"failures and panics (was TestChaosIdenticalOutput)", scenario{x: planted(1, 24, 24, 24, 4, 0.25, 0.1, 0.1), opt: Options{Rank: 6, Seed: 1, MaxIter: 4, MinIter: 4}, machines: 4,
 			faults: &cluster.FaultPlan{Seed: 42, FailureRate: 0.2, PanicRate: 0.05}}},
 		{"every iteration evicted (was TestPreemptEveryIterationCompletesViaResume)", scenario{x: planted(47, 12, 10, 9, 2, 0.3, 0, 0), opt: Options{Rank: 2, Seed: 9, MaxIter: 4, MinIter: 4}, machines: 3, evict: every}},
-		{"simulator, 3 sets, N=100 (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 4, Seed: 4, MaxIter: 4, MinIter: 4, InitialSets: 3, Partitions: 100, CheckpointEvery: 1}, machines: 3, carried: true}},
+		{"simulator, 3 sets, N=100 (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 4, Seed: 4, MaxIter: 4, MinIter: 4, InitialSets: 3, Partitions: 100}, machines: 3, checkpoint: every, carried: true}},
 		{"hosts, rank 5, evicted every iteration (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 5, Seed: 5, MaxIter: 4, MinIter: 4}, machines: 3, backend: hosts, evict: every, carried: true}},
-		{"batched hosts, rank 33, N=1, NoCache (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 33, Seed: 33, MaxIter: 4, MinIter: 4, Partitions: 1, GroupBits: 1, CheckpointEvery: 1}, machines: 3, backend: batchedHosts, carried: true}},
+		{"batched hosts, rank 33, N=1, NoCache (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 33, Seed: 33, MaxIter: 4, MinIter: 4, Partitions: 1, GroupBits: 1}, machines: 3, backend: batchedHosts, checkpoint: every, carried: true}},
 		{"machine loss, 3 sets, evicted every iteration (was TestCarriedObjectiveEqualsRecount)", scenario{x: carried, opt: Options{Rank: 4, Seed: 4, MaxIter: 4, MinIter: 4, InitialSets: 3}, machines: 3, faults: loss, evict: every, carried: true}},
 		{"traced (was TestDecomposeUntracedUnchanged)", scenario{x: uniform(9, 10, 9, 8, 0.2), opt: Options{Rank: 3, Seed: 9, MaxIter: 3}, machines: 4}},
 		{"killed before its first checkpoint (was TestResumeMissingCheckpointStartsFresh)", scenario{x: planted(9, 10, 10, 10, 2, 0.3, 0, 0), opt: Options{Rank: 2, Seed: 5, MaxIter: 3, MinIter: 3}, machines: 2, cancel: 1}},
 		{"6 iterations (was TestPropErrorMatchesReconstruction)", scenario{x: uniform(6, 13, 7, 16, 0.2), opt: Options{Rank: 3, Seed: 6, MaxIter: 6}, machines: 2}},
 		{"shared set, 3 runs, 2 sets, N=5, span 1", scenario{x: planted(81, 11, 9, 13, 3, 0.3, 0.1, 0.1), opt: Options{Rank: 5, Seed: 3, MaxIter: 3, InitialSets: 2, Partitions: 5}, machines: 3, span: 1, shared: 3}},
+		{"period 2 (was TestCheckpointEveryKWritesFinal)", scenario{x: planted(5, 12, 11, 10, 4, 0.3, 0.1, 0.1), opt: Options{Rank: 4, MaxIter: 3, MinIter: 3, Seed: 3}, machines: 2, checkpoint: 1<<2 | 1<<3}},
 		{"shared set, cancelled build, topfiber, NoCache", scenario{x: planted(82, 10, 12, 9, 4, 0.3, 0.1, 0.1), opt: Options{Rank: 4, Seed: 4, MaxIter: 3, Init: InitTopFiber, GroupBits: 1}, machines: 2, shared: 2, cancelBuild: true}},
 	}
 	for _, v := range []int{2, 3, 7, 15} {
@@ -669,7 +696,7 @@ func TestScenarioPinned(t *testing.T) {
 // stage after checkpoint k begins, or the poll yielding after iteration k; each
 // resumes.
 func TestKillAtCheckpointThenResumeBitIdentical(t *testing.T) {
-	sc := scenario{x: planted(7, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, Seed: 21, MaxIter: 6, MinIter: 6, InitialSets: 2, CheckpointEvery: 1}, machines: 4}
+	sc := scenario{x: planted(7, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, Seed: 21, MaxIter: 6, MinIter: 6, InitialSets: 2}, machines: 4, checkpoint: every}
 	for _, k := range []int{1, 2, 4} {
 		sc.cancel = runStages(2, 3, lookahead, k) + 1
 		t.Run(fmt.Sprintf("kill after iteration %d", k), func(t *testing.T) { checkScenario(t, sc) })
@@ -677,7 +704,7 @@ func TestKillAtCheckpointThenResumeBitIdentical(t *testing.T) {
 }
 
 func TestKillThenResumeTopFiberBitIdentical(t *testing.T) {
-	sc := scenario{x: planted(43, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, MaxIter: 5, MinIter: 5, Init: InitTopFiber, CheckpointEvery: 1}, machines: 4}
+	sc := scenario{x: planted(43, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, MaxIter: 5, MinIter: 5, Init: InitTopFiber}, machines: 4, checkpoint: every}
 	for _, k := range []int{1, 3} {
 		sc.cancel = runStages(1, 3, lookahead, k) + 1
 		t.Run(fmt.Sprintf("kill after iteration %d", k), func(t *testing.T) { checkScenario(t, sc) })
@@ -703,22 +730,18 @@ func TestSharedSetCancelledBuildNotKept(t *testing.T) {
 	checkScenario(t, scenario{x: planted(30, 12, 10, 8, 3, 0.3, 0, 0), opt: Options{Rank: 3, MaxIter: 3, MinIter: 3, Seed: 5}, machines: 3, shared: 2, cancelBuild: true})
 }
 
-// Checkpoint scenarios under their own names: the last iteration is durable
-// off the period, resuming a completed run returns its result (both
-// checkCompleted), and runs that checkpoint together into one directory, or
-// resume from it under another seed, each keep to their own file.
-func TestCheckpointEveryKWritesFinal(t *testing.T) {
-	checkScenario(t, scenario{x: planted(5, 12, 11, 10, 4, 0.3, 0.1, 0.1), opt: Options{Rank: 4, MaxIter: 3, MinIter: 3, Seed: 3, CheckpointEvery: 2}, machines: 2})
-}
-
+// Checkpoint scenarios under their own names: resuming a completed run
+// returns its result (checkCompleted), and runs that checkpoint together
+// into one directory, or resume from it under another seed, each keep to
+// their own file.
 func TestResumeCompletedRunReturnsStoredResult(t *testing.T) {
-	checkScenario(t, scenario{x: planted(13, 12, 10, 8, 2, 0.3, 0, 0), opt: Options{Rank: 2, MaxIter: 4, MinIter: 4, Seed: 3, CheckpointEvery: 1}, machines: 2})
+	checkScenario(t, scenario{x: planted(13, 12, 10, 8, 2, 0.3, 0, 0), opt: Options{Rank: 2, MaxIter: 4, MinIter: 4, Seed: 3}, machines: 2, checkpoint: every})
 }
 
 func TestConcurrentCheckpointJobsSharedDir(t *testing.T) {
-	checkScenario(t, scenario{x: planted(23, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, MaxIter: 4, MinIter: 4, Seed: 101, CheckpointEvery: 1}, machines: 4, shared: 2})
+	checkScenario(t, scenario{x: planted(23, 14, 12, 10, 3, 0.3, 0, 0), opt: Options{Rank: 3, MaxIter: 4, MinIter: 4, Seed: 101}, machines: 4, checkpoint: every, shared: 2})
 }
 
 func TestResumeChangedConfigStartsFreshNamespace(t *testing.T) {
-	checkScenario(t, scenario{x: planted(11, 10, 10, 10, 2, 0.3, 0, 0), opt: Options{Rank: 2, MaxIter: 3, MinIter: 3, Seed: 5, CheckpointEvery: 1}, machines: 2, shared: 2})
+	checkScenario(t, scenario{x: planted(11, 10, 10, 10, 2, 0.3, 0, 0), opt: Options{Rank: 2, MaxIter: 3, MinIter: 3, Seed: 5}, machines: 2, checkpoint: every, shared: 2})
 }

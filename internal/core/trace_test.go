@@ -185,7 +185,7 @@ func TestRunStagesAreColumnsAndOneError(t *testing.T) {
 	for _, backend := range []string{"simulator", "hostTransport"} {
 		base := Options{Rank: rank, Seed: 13, InitialSets: sets, MinIter: iters, MaxIter: iters, Partitions: 3}
 		evicted := base
-		evicted.CheckpointDir, evicted.Boundary = t.TempDir(), func() Boundary { return BoundaryYield }
+		evicted.CheckpointDir, evicted.Boundary = t.TempDir(), func(int, bool) Boundary { return BoundaryYield }
 		resumed := evicted
 		resumed.Boundary, resumed.Resume = nil, true
 		for _, run := range []struct {

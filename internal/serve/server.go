@@ -395,7 +395,8 @@ const checkpointFloor = time.Second
 // and one that finds one continues bit-identically from it. The job
 // checkpoints only when it gives up its slot — an eviction, a drain, or the
 // timeslice ending while other jobs wait — or when the floor has passed
-// since the slice began or last checkpointed.
+// since the slice began or last checkpointed; never at its last boundary,
+// where it returns its result.
 func (s *Server) runSlice(ctx context.Context, j *Job, set *core.Partitions) (*core.Result, error) {
 	ccfg := s.cfg.clusterConfig()
 	ccfg.Gate, ccfg.Tracer = s.gate, s.traceFor(j.ID)
@@ -403,7 +404,10 @@ func (s *Server) runSlice(ctx context.Context, j *Job, set *core.Partitions) (*c
 	sliceIters, durableAt := 0, time.Now()
 	opt := j.Spec.Options()
 	opt.CheckpointDir, opt.Resume = s.checkpointDir(j.ID), true
-	opt.Boundary = func() core.Boundary {
+	opt.Boundary = func(_ int, last bool) core.Boundary {
+		if last {
+			return core.BoundaryContinue
+		}
 		sliceIters++
 		s.mu.Lock()
 		evict, waiting, floor := j.evict, s.queue.len() > 0, s.floor
